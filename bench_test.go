@@ -150,10 +150,9 @@ func BenchmarkProcessBatch(b *testing.B) {
 // BenchmarkDataPathParallel sweeps the worker count of the sharded pool:
 // the in-process version of the paper's anycast-replication scaling
 // argument. On a multi-core host throughput should grow near-linearly to
-// the core count; kpps is reported per sub-benchmark so
-// scripts/bench.sh can record the scaling curve (it annotates the
-// recorded numbers with the host's core count — on a single-core
-// machine the sweep is flat by construction).
+// the core count; kpps is reported per sub-benchmark so the scaling
+// curve can be read off one run (on a single-core machine the sweep is
+// flat by construction).
 func BenchmarkDataPathParallel(b *testing.B) {
 	const batchSize = 256
 	for _, workers := range []int{1, 2, 4} {
@@ -353,8 +352,8 @@ func BenchmarkNetemForward(b *testing.B) {
 // attribution armed but no flight recorder attached: a cause-tagged
 // policing hook on the router delays every packet, so the attribution
 // accumulators (queue wait, serialization, propagation, policy delay)
-// are exercised on every hop. The acceptance bar (trace_off_zero_alloc
-// in scripts/benchjson) is still 0 allocs/op — with tracing off, the
+// are exercised on every hop. The acceptance bar is still 0 allocs/op
+// (enforced by netem's TestForwardingZeroAlloc) — with tracing off, the
 // attribution plumbing must cost nothing on the allocator.
 func BenchmarkTraceOff(b *testing.B) {
 	simStart := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -402,9 +401,9 @@ func BenchmarkTraceOff(b *testing.B) {
 
 // BenchmarkNetemMetro drives the 10k-host fan-out (built once) with
 // bursts of neutralized traffic: the engine-scale acceptance benchmark.
-// It reports sim events/sec and forwarded packets/sec; scripts/benchjson
-// records both in BENCH_*.json. Pre-refactor engine on the same topology:
-// ~10k pps (linear route scans, per-hop copies, closure events).
+// It reports sim events/sec and forwarded packets/sec. Pre-refactor
+// engine on the same topology: ~10k pps (linear route scans, per-hop
+// copies, closure events).
 func BenchmarkNetemMetro(b *testing.B) {
 	const hosts = 10000
 	const burst = 512
@@ -434,7 +433,7 @@ func BenchmarkNetemMetro(b *testing.B) {
 
 // BenchmarkObsInc measures the observability plane's hot-path unit: one
 // single-writer counter-stripe increment on a registered family per op.
-// The acceptance bar (scripts/benchjson check obs_inc_zero_alloc) is
+// The acceptance bar (obs's TestZeroAllocHotPath) is
 // 0 allocs/op — instrumentation on the deterministic sim path must
 // never touch the allocator, and the plain stripe uses no atomics.
 func BenchmarkObsInc(b *testing.B) {
@@ -454,9 +453,9 @@ func BenchmarkObsInc(b *testing.B) {
 // BenchmarkNetemMetroObs is BenchmarkNetemMetro with the observation
 // plane live: the epoch Recorder samples every registered family at
 // each barrier and the FlightRecorder head-samples the trace stream.
-// scripts/benchjson compares its events/s against the unobserved metro
-// run and enforces obs_overhead_pct < 5% — the bound that makes
-// always-on recording tenable at metro scale.
+// Compare its events/s against the unobserved metro run: the target is
+// < 5% overhead — the bound that makes always-on recording tenable at
+// metro scale (go run ./benchmark reports it as obs.overhead_pct).
 func BenchmarkNetemMetroObs(b *testing.B) {
 	const hosts = 10000
 	const burst = 512
@@ -487,9 +486,10 @@ func BenchmarkNetemMetroObs(b *testing.B) {
 // BenchmarkNetemMetroTrace is BenchmarkNetemMetro with always-on causal
 // tracing live: the deterministic flow sampler records 1% of flows end
 // to end (every hop, span-assembly-complete) and the rest head-sample
-// at 1-in-64. scripts/benchjson compares its events/s against the
-// untraced metro run and enforces trace_overhead_pct < 5% — the bound
-// that makes always-on flow tracing tenable at metro scale.
+// at 1-in-64. Compare its events/s against the untraced metro run: the
+// target is < 5% overhead — the bound that makes always-on flow tracing
+// tenable at metro scale (go run ./benchmark reports it as
+// trace.overhead_pct).
 func BenchmarkNetemMetroTrace(b *testing.B) {
 	const hosts = 10000
 	const burst = 512
@@ -523,10 +523,8 @@ func BenchmarkNetemMetroTrace(b *testing.B) {
 // one 100ms simulated chunk per op — long enough that every host's
 // chatter interval (~26ms at these rates) fits several emissions, and
 // RunChunk's scheduled-count return is checked so the chatter half of
-// the workload can never silently truncate to zero. scripts/benchjson
-// records each worker count's events/s as netem_parallel_events_per_sec
-// and enforces the 4-vs-1 worker speedup (>= 2x) on hosts with >= 4
-// cores — the same gate the PR-1 data-plane scaling check uses. With a
+// the workload can never silently truncate to zero. The target is a
+// 4-vs-1 worker speedup >= 2x on hosts with >= 4 cores. With a
 // fixed seed the simulation outcome is bit-identical at every worker
 // count (E9 enforces that); only the wall clock may differ.
 func BenchmarkNetemMetroParallel(b *testing.B) {
@@ -561,8 +559,7 @@ func BenchmarkNetemMetroParallel(b *testing.B) {
 // quiescence-detecting driver. The dominant cost is the runtime.Stack
 // quiescence probe per wake, which is the price of running unmodified
 // blocking protocol stacks deterministically; the "rtps" metric (echo
-// round trips per wall second) is recorded as simnet_echo_rtps in
-// BENCH_*.json so bridge overhead stays visible across PRs.
+// round trips per wall second) keeps bridge overhead visible.
 func BenchmarkSimnetUDPEcho(b *testing.B) {
 	simStart := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
 	sim := netem.NewSimulator(simStart, 1)
@@ -646,7 +643,7 @@ func dpiFixture(b *testing.B) *eval.DPIBench {
 // per-packet cost: one flow-table Observe (map lookup + windowed
 // feature arithmetic) per op. This path runs inside a transit hook on
 // the forwarding hot path, so the acceptance bar is 0 allocs/op
-// (scripts/benchjson check dpi_feature_update_zero_alloc).
+// (dpi's TestObserveExistingFlowZeroAlloc).
 func BenchmarkDPIFeatureUpdate(b *testing.B) {
 	tab := dpi.NewFlowTable(dpi.Config{})
 	key, err := netem.FlowKeyFrom(
@@ -669,8 +666,8 @@ func BenchmarkDPIFeatureUpdate(b *testing.B) {
 // BenchmarkDPIClassify measures one flow classification (feature
 // vector against all trained profiles) and reports the classifier's
 // held-out accuracy on encrypted-but-uncloaked app traffic as the
-// "acc" metric — the dpi_accuracy_uncloaked check (>= 0.90) in
-// BENCH_*.json. Must be 0 allocs/op (dpi_classify_zero_alloc).
+// "acc" metric (E7 requires >= 0.90). Must be 0 allocs/op (dpi's
+// TestObserveExistingFlowZeroAlloc covers the periodic classification).
 func BenchmarkDPIClassify(b *testing.B) {
 	fix := dpiFixture(b)
 	b.ReportAllocs()
@@ -687,7 +684,7 @@ func BenchmarkDPIClassify(b *testing.B) {
 // BenchmarkCloakFrame measures the cloak encode+decode round trip on a
 // VoIP-size payload (reused buffer, 0 allocs/op) and reports the
 // measured E7 cloak goodput overhead (wire bytes per real byte) as the
-// "xreal" metric — recorded as cloak_goodput_overhead in BENCH_*.json.
+// "xreal" metric.
 func BenchmarkCloakFrame(b *testing.B) {
 	fix := dpiFixture(b)
 	payload := make([]byte, 160)
@@ -810,11 +807,10 @@ func BenchmarkPushbackScenario(b *testing.B) {
 
 // BenchmarkBackboneBuild prices continental-scale topology
 // construction: one 4-metro x 2500-host backbone (prefix-compressed
-// FIBs, slab-allocated compact hosts) per op. scripts/benchjson
-// normalizes the op time to backbone_build_ms_per_100k_hosts (the gate
-// behind the 1M-hosts-in-seconds target) and records B/host — the
-// resident heap cost of one customer, measured once on a retained
-// build outside the timer.
+// FIBs, slab-allocated compact hosts) per op. It reports the op time
+// normalized to ms/100khosts (the 1M-hosts-in-seconds target, gated by
+// netem's TestBackboneMillionHosts) and B/host — the resident heap cost
+// of one customer, measured once on a retained build outside the timer.
 func BenchmarkBackboneBuild(b *testing.B) {
 	const metros, hostsPer = 4, 2500
 	const hostsTotal = metros * hostsPer
@@ -850,11 +846,10 @@ func BenchmarkBackboneBuild(b *testing.B) {
 // BenchmarkBackboneEvents measures the sharded engine on the E13
 // continental workload: 8 metros x 1250 customers (9 shards) carrying
 // neutralized cross-backbone flows, plain cross-metro probes, and
-// fluid background load; one 25ms simulated chunk per op.
-// scripts/benchjson records each worker count's events/s as
-// backbone_events_per_sec and enforces the >= 10M events/s target at 8
-// workers only on hosts with >= 8 cores (worker counts above the shard
-// count are clamped, and a 1-core CI box says nothing about it). The
+// fluid background load; one 25ms simulated chunk per op. The target
+// is >= 10M events/s at 8 workers on hosts with >= 8 cores (worker
+// counts above the shard count are clamped, and a 1-core CI box says
+// nothing about it). The
 // seeded outcome is bit-identical at every worker count — E13 enforces
 // that; only the wall clock may differ.
 func BenchmarkBackboneEvents(b *testing.B) {

@@ -34,6 +34,7 @@ package main
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -406,8 +407,6 @@ func (r *registry) len() int {
 	return len(r.m)
 }
 
-func isClosed(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "use of closed network connection")
-}
+func isClosed(err error) bool { return errors.Is(err, net.ErrClosed) }
 
 func randRead(b []byte) (int, error) { return rand.Read(b) }

@@ -345,6 +345,31 @@ func TestScratchDataPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPoolProcessBatchZeroAlloc extends the guard to the sharded batch
+// interface: once the replicas' buffer rings are warm, a whole batch
+// through Pool.ProcessBatch allocates nothing.
+func TestPoolProcessBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	sched := testSchedule()
+	pool, err := NewPool(PoolConfig{Workers: 2, Config: concConfig(sched)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	pkts, _, _ := mkDataBatch(t, sched, 64, false)
+	run := func() {
+		if _, dropped := pool.ProcessBatch(pkts); dropped != 0 {
+			t.Fatalf("%d packets dropped", dropped)
+		}
+	}
+	run() // warm up
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("ProcessBatch allocates %v per batch, want 0", allocs)
+	}
+}
+
 // TestProcessScratchMatchesProcess locks the compatibility contract: the
 // scratch path and the allocating path are the same function.
 func TestProcessScratchMatchesProcess(t *testing.T) {

@@ -15,9 +15,9 @@
 // update is allocation-free: the flow table is a preallocated slab
 // indexed by a map on the comparable FlowKey value, features are fixed-
 // size arithmetic state, and classification is a weighted distance over
-// stack arrays. BenchmarkDPIFeatureUpdate and BenchmarkDPIClassify
-// enforce 0 allocs/op; memory is bounded by MaxFlows with clock-sweep
-// eviction of idle flows.
+// stack arrays. TestObserveExistingFlowZeroAlloc enforces 0 allocs per
+// packet; memory is bounded by MaxFlows with clock-sweep eviction of
+// idle flows.
 //
 // Package cloak is the counter to this adversary; eval's E7 experiment
 // runs the arms race between them at metro scale.

@@ -5,7 +5,7 @@
 // benchmark suite (which re-measures the micro numbers under testing.B).
 //
 // See README.md ("Reproducing the paper's numbers") for the experiment
-// index; BENCH_*.json snapshots record measured results per PR.
+// index.
 package eval
 
 import (

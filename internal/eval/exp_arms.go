@@ -556,9 +556,8 @@ const armsTitle = "Arms race: statistical DPI vs cloaking at fan-out scale"
 // DPIBench is the fixture behind BenchmarkDPIClassify and
 // BenchmarkCloakFrame: a classifier trained on one reduced arms run,
 // held-out labeled vectors with the accuracy measured on them, and the
-// cloak overhead measured on a cloaked run — the numbers
-// scripts/benchjson records as dpi_accuracy_uncloaked and
-// cloak_goodput_overhead.
+// cloak overhead measured on a cloaked run — the numbers those
+// benchmarks report as "acc" and "xreal".
 type DPIBench struct {
 	Cls *dpi.Classifier
 	// Samples are held-out labeled vectors (encrypted, uncloaked).

@@ -723,10 +723,9 @@ const auditTitle = "Neutrality audit: differential probing vs stealthy throttlin
 
 // AuditBench is the fixture behind BenchmarkAuditTrial: one reduced E8
 // run's measured detection power (blatant dpi, encrypted interleaved
-// probes) and neutral-ISP false-positive rate — the numbers
-// scripts/benchjson records as audit_detection_power and
-// audit_false_positive_rate — plus one blatant-dpi vantage report for
-// the per-decision benchmark op.
+// probes) and neutral-ISP false-positive rate — the numbers the
+// benchmark reports as "power" and "fpr" — plus one blatant-dpi vantage
+// report for the per-decision benchmark op.
 type AuditBench struct {
 	// Power is detection power against blatant dpi throttling.
 	Power float64

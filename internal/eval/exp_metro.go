@@ -348,8 +348,7 @@ func (m *MetroBench) Counters() (events, forwarded uint64) {
 // attached — the epoch Recorder sampling every family at each barrier
 // plus the sampling FlightRecorder on the trace path — so
 // BenchmarkNetemMetroObs prices recording against the unobserved
-// BenchmarkNetemMetro run on the identical workload (the
-// obs_overhead_pct check in scripts/benchjson).
+// BenchmarkNetemMetro run on the identical workload.
 func NewMetroBenchObserved(hosts, burst int) (*MetroBench, error) {
 	m, err := NewMetroBench(hosts, burst)
 	if err != nil {
@@ -364,8 +363,7 @@ func NewMetroBenchObserved(hosts, burst int) (*MetroBench, error) {
 // of flows end to end (every hop of every journey, what the span
 // assembler needs) while the rest head-sample at 1-in-64.
 // BenchmarkNetemMetroTrace prices this against the untraced metro run
-// on the identical workload (the trace_overhead_pct check in
-// scripts/benchjson).
+// on the identical workload.
 func NewMetroBenchTraced(hosts, burst int) (*MetroBench, error) {
 	m, err := NewMetroBench(hosts, burst)
 	if err != nil {

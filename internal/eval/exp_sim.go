@@ -431,19 +431,18 @@ func RunA5() (*Result, error) {
 	vic := sim.MustAddNode("victim", "cogent", f1Anycast)
 	sim.Connect(atk, up, netem.LinkConfig{Delay: time.Millisecond})
 	sim.Connect(good, up, netem.LinkConfig{Delay: time.Millisecond})
-	sim.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000, QueueLen: 16})
+	bottleneck := sim.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
 	sim.BuildRoutes()
 
+	// The victim samples what its bottleneck's egress queue refuses.
 	det := pushback.NewDetector(8192)
+	if err := bottleneck.SetQueue(up, det.WatchQueue(netem.NewFIFOQueue(16))); err != nil {
+		return nil, err
+	}
 	received := map[shim.Type]int{}
 	vic.SetHandler(func(_ time.Time, pkt []byte) {
 		if t, ok := shim.PeekType(pkt[wire.IPv4HeaderLen:]); ok {
 			received[t]++
-		}
-	})
-	sim.Trace(func(ev netem.TraceEvent) {
-		if ev.Kind == netem.TraceDropQueue {
-			det.Observe(ev.Pkt)
 		}
 	})
 

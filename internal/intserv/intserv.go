@@ -127,8 +127,8 @@ type GuaranteedQueue struct {
 	table    *Table
 	now      func() time.Time
 	policers map[FlowID]*diffserv.TokenBucket
-	reserved []*netem.QueuedPacket
-	best     []*netem.QueuedPacket
+	reserved []*netem.Packet
+	best     []*netem.Packet
 	capEach  int
 	// ReservedServed and BestServed count dequeues per class.
 	ReservedServed uint64
@@ -151,7 +151,7 @@ func NewGuaranteedQueue(table *Table, capEach int, now func() time.Time) *Guaran
 }
 
 // Enqueue implements netem.Queue.
-func (q *GuaranteedQueue) Enqueue(p *netem.QueuedPacket) bool {
+func (q *GuaranteedQueue) Enqueue(p *netem.Packet) bool {
 	flow, err := FlowOf(p.Pkt)
 	if err == nil {
 		if r, ok := q.table.Lookup(flow); ok {
@@ -180,7 +180,7 @@ func (q *GuaranteedQueue) Enqueue(p *netem.QueuedPacket) bool {
 }
 
 // Dequeue implements netem.Queue: reserved first.
-func (q *GuaranteedQueue) Dequeue() *netem.QueuedPacket {
+func (q *GuaranteedQueue) Dequeue() *netem.Packet {
 	if len(q.reserved) > 0 {
 		p := q.reserved[0]
 		q.reserved = q.reserved[1:]

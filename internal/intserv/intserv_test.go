@@ -80,8 +80,8 @@ func TestGuaranteedQueuePriority(t *testing.T) {
 
 	best := pkt(t, srcB, dstX, 100)
 	resv := pkt(t, srcA, dstX, 100)
-	q.Enqueue(&netem.QueuedPacket{Pkt: best, Size: len(best)})
-	q.Enqueue(&netem.QueuedPacket{Pkt: resv, Size: len(resv)})
+	q.Enqueue(&netem.Packet{Pkt: best, Size: len(best)})
+	q.Enqueue(&netem.Packet{Pkt: resv, Size: len(resv)})
 
 	first := q.Dequeue()
 	src, _, _ := wire.IPv4Addrs(first.Pkt)
@@ -110,7 +110,7 @@ func TestGuaranteedQueuePolicing(t *testing.T) {
 	q := NewGuaranteedQueue(tbl, 100, func() time.Time { return now })
 	p := pkt(t, srcA, dstX, 700)
 	for i := 0; i < 4; i++ {
-		q.Enqueue(&netem.QueuedPacket{Pkt: p, Size: len(p)})
+		q.Enqueue(&netem.Packet{Pkt: p, Size: len(p)})
 	}
 	// ~2 packets conform (1500B burst / ~728B each); excess degrades to
 	// best effort rather than being dropped.

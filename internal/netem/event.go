@@ -1,7 +1,5 @@
 package netem
 
-import "time"
-
 // The event loop stores typed event values in a growable slice-backed
 // binary heap. The hot-path events (link departure, link arrival,
 // policy-delayed redispatch) carry their operands in struct fields, so a
@@ -19,7 +17,7 @@ const (
 )
 
 type event struct {
-	at   time.Time
+	at   int64 // virtual time, Unix nanoseconds (see Simulator.timeAt)
 	seq  uint64
 	kind eventKind
 	node *Node
@@ -38,8 +36,8 @@ type eventQueue struct {
 func (q *eventQueue) len() int { return len(q.h) }
 
 func (q *eventQueue) less(i, j int) bool {
-	if !q.h[i].at.Equal(q.h[j].at) {
-		return q.h[i].at.Before(q.h[j].at)
+	if q.h[i].at != q.h[j].at {
+		return q.h[i].at < q.h[j].at
 	}
 	return q.h[i].seq < q.h[j].seq
 }

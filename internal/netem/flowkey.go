@@ -75,4 +75,4 @@ func lessAddr4(a, b [4]byte) bool {
 // NowNanos returns the simulator clock as integer nanoseconds — the
 // timestamp form flow trackers keep per-flow (inter-arrival math on
 // int64 stays allocation- and conversion-free on the hot path).
-func (s *Simulator) NowNanos() int64 { return s.Now().UnixNano() }
+func (s *Simulator) NowNanos() int64 { return s.now() }

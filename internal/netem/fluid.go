@@ -47,7 +47,7 @@ type FluidFlow struct {
 	d     *linkDir
 	node  *Node
 	cfg   FluidConfig
-	until time.Time
+	until int64   // horizon, engine nanoseconds
 	rem   float64 // fractional byte carry between ticks
 	bytes *obs.Counter
 	ticks *obs.Counter
@@ -102,7 +102,7 @@ func (s *Simulator) FluidTotals() (bytes, ticks uint64) {
 // flow stops offering load (and stops scheduling ticks) at the horizon,
 // so Simulator.Run terminates with the rest of the workload.
 func (f *FluidFlow) Start(d time.Duration) {
-	f.until = f.node.Now().Add(d)
+	f.until = f.node.NowNanos() + int64(d)
 	f.d.fluidBps = f.cfg.RateBps
 	f.node.Schedule(f.cfg.Interval, f.tick)
 }
@@ -119,7 +119,7 @@ func (f *FluidFlow) tick() {
 	f.rem = offered - float64(whole)
 	f.bytes.Add(whole)
 	f.ticks.Inc()
-	if !f.node.Now().Before(f.until) {
+	if f.node.NowNanos() >= f.until {
 		f.d.fluidBps = 0
 		return
 	}

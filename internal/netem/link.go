@@ -267,9 +267,9 @@ func (d *linkDir) startTransmission() {
 		serialize = time.Duration(math.Round(sec * float64(time.Second)))
 	}
 	sh := d.from.sh
-	p.attrQueue += int64(sh.now.Sub(p.Arrived))
+	p.attrQueue += sh.now - p.Arrived
 	p.attrSer += int64(serialize)
-	sh.schedule(sh.now.Add(serialize), event{kind: evDepart, dir: d, pkt: p})
+	sh.schedule(sh.now+int64(serialize), event{kind: evDepart, dir: d, pkt: p})
 }
 
 // depart completes a serialization: the line is free for the next packet
@@ -282,7 +282,7 @@ func (d *linkDir) depart(p *Packet) {
 	d.from.sh.mLinkTx.Inc()
 	src, dst := d.from.sh, d.to.sh
 	p.attrProp += int64(d.cfg.Delay)
-	at := src.now.Add(d.cfg.Delay)
+	at := src.now + int64(d.cfg.Delay)
 	ev := event{kind: evArrive, node: d.to, pkt: p}
 	if dst == src {
 		src.schedule(at, ev)

@@ -98,8 +98,8 @@ func (s *Simulator) Metrics() *obs.Registry { return s.met.reg }
 
 // OnBarrier registers fn to run at every synchronization point of the
 // engine — each epoch barrier of a sharded run (single-threaded, all
-// shards quiescent) and the end of every serial Run/RunUntil call. now
-// is virtual time. The obs.Recorder ticks from here, piggybacking on
+// shards quiescent) and the end of every Run/RunUntil call, which is
+// the only barrier an unsharded run has. now is virtual time. The obs.Recorder ticks from here, piggybacking on
 // barriers that already exist: observation adds no synchronization and
 // cannot change the event schedule. Callbacks must not mutate sim
 // state.
@@ -110,9 +110,11 @@ func (s *Simulator) OnBarrier(fn func(now time.Time)) {
 // AttachFlightRecorder routes the engine's packet events through fr:
 // every shard gets its own write stripe, so sampling decisions are a
 // pure function of per-shard event sequences and the recorded set is
-// bit-identical at any worker count. Attach before the run. Unlike
-// Trace hooks, the flight recorder is bounded: head sampling plus
-// per-flow tags, ring-buffered per shard.
+// bit-identical at any worker count. Attach before the run. The
+// recorder is the engine's one trace sink and it is bounded: head
+// sampling plus per-flow tags and flow-keyed sampling, ring-buffered
+// per shard (SampleFlows: 1 with a large enough ring records every
+// event).
 func (s *Simulator) AttachFlightRecorder(fr *obs.FlightRecorder) {
 	s.flight = fr
 	for _, sh := range s.shards {
@@ -123,7 +125,7 @@ func (s *Simulator) AttachFlightRecorder(fr *obs.FlightRecorder) {
 // barrierTick refreshes barrier-sampled gauges and fires OnBarrier
 // callbacks. Runs single-threaded with all shards quiescent; now must
 // be deterministic virtual time.
-func (s *Simulator) barrierTick(now time.Time) {
+func (s *Simulator) barrierTick(now int64) {
 	if len(s.onBarrier) == 0 {
 		return
 	}
@@ -131,8 +133,9 @@ func (s *Simulator) barrierTick(now time.Time) {
 		sh.gHeap.Set(int64(sh.events.len()))
 		sh.gPoolFree.Set(int64(len(sh.pool.free)))
 	}
+	t := s.timeAt(now)
 	for _, fn := range s.onBarrier {
-		fn(now)
+		fn(t)
 	}
 }
 

@@ -4,12 +4,13 @@
 // thousands of customer hosts behind one neutralizer domain) run in
 // seconds.
 //
-// A Simulator owns a virtual clock and a slice-backed heap of typed
-// events; the hot-path events (link departure/arrival, policy delay)
-// carry their operands inline, so forwarding a packet allocates nothing
-// in steady state. Packets are pooled, refcounted buffers (Packet) that
-// cross the whole path — links, transit hooks, handlers — without per-hop
-// copies. Nodes (hosts and routers) are connected by Links with
+// A Simulator owns a virtual clock — one int64 of nanoseconds inside the
+// engine, time.Time only at the exported edge — and a slice-backed heap
+// of typed events; the hot-path events (link departure/arrival, policy
+// delay) carry their operands inline, so forwarding a packet allocates
+// nothing in steady state. Packets are pooled, refcounted buffers
+// (Packet) that cross the whole path — links, transit hooks, handlers —
+// without per-hop copies. Nodes (hosts and routers) are connected by Links with
 // propagation delay, transmission rate and bounded egress queues. Each
 // node's route list is compiled into an indexed FIB (exact-match map for
 // host routes plus a longest-prefix table) the first time it is used
@@ -18,20 +19,22 @@
 // builder (BuildFanout); anycast groups resolve to the nearest member,
 // which is how the neutralizer's anycast address is modelled. Transit
 // hooks let middle networks (the discriminatory ISPs of package isp)
-// observe, delay, or drop packets in flight, and trace hooks feed the
-// measurement package.
+// observe, delay, or drop packets in flight. Packet events (send,
+// forward, deliver, the drop kinds) have one sink: an attached
+// obs.FlightRecorder, which samples them into bounded per-shard rings.
 //
 // The engine is sharded: a Simulator is a facade over one or more
 // shards, each owning its own event queue, packet freelist, and
-// splitmix-seeded PRNG. An unsharded simulator (the default) has one
-// shard and runs the classic single-threaded loop — handlers may freely
-// call back into the simulator, and with a fixed seed runs are fully
-// reproducible. Topology builders may partition nodes across shards
-// (Node.SetShard, FanoutSpec.ShardSubtrees) and run them on several
-// workers (Simulator.SetWorkers): execution then proceeds in
-// conservative epochs bounded by the minimum cross-shard link delay,
-// with cross-shard packets merged deterministically at each epoch
-// barrier, so a seeded run is bit-identical at every worker count. See
+// splitmix-seeded PRNG, and there is one run loop: conservative epochs
+// bounded by the minimum cross-shard link delay, with cross-shard
+// packets merged deterministically at each epoch barrier, so a seeded
+// run is bit-identical at every worker count. Topology builders
+// partition nodes across shards (Node.SetShard,
+// FanoutSpec.ShardSubtrees) and run them on several workers
+// (Simulator.SetWorkers). An unsharded simulator (the default) is the
+// one-shard case of the same loop — nothing crosses a shard, so a Run
+// is one unbounded epoch, handlers may freely call back into the
+// simulator, and with a fixed seed runs are fully reproducible. See
 // shard.go and parallel.go.
 package netem
 
@@ -157,68 +160,20 @@ func (k TraceKind) String() string {
 	}
 }
 
-// HopAttr decomposes the virtual time between consecutive trace events
-// of one packet journey into its physical and policy components. Every
-// event carries exactly the components that elapsed since the journey's
-// previous event, so summing them across a complete journey reproduces
-// the end-to-end delivery delay exactly (the attribution invariant).
-type HopAttr struct {
-	// Queue is time spent waiting in link egress queues.
-	Queue time.Duration
-	// Serialize is link transmission (size/rate) time.
-	Serialize time.Duration
-	// Propagate is link propagation delay.
-	Propagate time.Duration
-	// Policy is delay imposed by transit-hook verdicts.
-	Policy time.Duration
-	// Proc is endpoint processing time (Node.SendPacketProc).
-	Proc time.Duration
-	// Cause and Class attribute the Policy component (or the drop, on
-	// drop events) to the responsible mechanism and traffic class.
-	Cause PolicyCause
-	Class uint8
-}
-
-// Total sums the attributed components.
-func (a HopAttr) Total() time.Duration {
-	return a.Queue + a.Serialize + a.Propagate + a.Policy + a.Proc
-}
-
-// TraceEvent describes one packet event for observers.
-type TraceEvent struct {
-	Kind TraceKind
-	Time time.Time
-	Node *Node
-	Pkt  []byte
-	// Flow is the packet's keyed flow hash (FlowHash); Journey identifies
-	// the pooled packet's journey, stamped at origination — worker-count
-	// independent, so span assembly is replay-stable.
-	Flow    uint64
-	Journey uint64
-	// Attr is the delay attribution accumulated since the journey's
-	// previous trace event.
-	Attr HopAttr
-}
-
-// TraceHook observes packet events. Pkt is a no-copy view; it must not be
-// retained past the call.
-type TraceHook func(ev TraceEvent)
-
 // Simulator is the discrete-event engine facade. Create with
 // NewSimulator. State that events touch — queue, clock, packet pool,
 // PRNG — lives in shards (one by default); the facade holds the shared
 // read-only topology and delegates to shard 0 where an API predates
 // sharding.
 type Simulator struct {
-	start       time.Time
-	committed   time.Time // multi-shard: time every shard has reached
+	start       time.Time // immutable; anchors timeAt
+	committed   int64     // Unix nanoseconds every shard has reached
 	seed        int64
 	shards      []*shard
 	workers     int
-	lookahead   time.Duration
-	multi       bool // any node assigned beyond shard 0
+	lookahead   time.Duration // min cross-shard link delay; 0 = none cross
+	multi       bool          // any node assigned beyond shard 0
 	planDirty   bool
-	running     bool // inside a multi-shard epoch run
 	parallelRun bool // running with > 1 worker: shard-0 APIs are off-limits
 	poolDebug   bool
 
@@ -230,7 +185,6 @@ type Simulator struct {
 	// byAddr map entry per host (the million-host memory plan).
 	addrBlocks []addrBlock
 	anycast    map[netip.Addr][]*Node
-	traces     []TraceHook
 
 	met       *simMetrics
 	flight    *obs.FlightRecorder
@@ -244,7 +198,7 @@ type Simulator struct {
 func NewSimulator(start time.Time, seed int64) *Simulator {
 	s := &Simulator{
 		start:     start,
-		committed: start,
+		committed: start.UnixNano(),
 		seed:      seed,
 		workers:   1,
 		nodes:     make(map[string]*Node),
@@ -252,8 +206,24 @@ func NewSimulator(start time.Time, seed int64) *Simulator {
 		anycast:   make(map[netip.Addr][]*Node),
 		met:       newSimMetrics(),
 	}
-	s.shards = []*shard{newShard(s, 0, start)}
+	s.shards = []*shard{newShard(s, 0, s.committed)}
 	return s
+}
+
+// timeAt converts engine time (Unix nanoseconds) to the time.Time handed
+// across the exported edge: start shifted by the elapsed virtual time,
+// so every time a caller or callback sees carries start's location and
+// equals start.Add(elapsed). The inverse is t.UnixNano().
+func (s *Simulator) timeAt(ns int64) time.Time {
+	return s.start.Add(time.Duration(ns - s.start.UnixNano()))
+}
+
+// now is the engine-side clock behind Now and NowNanos.
+func (s *Simulator) now() int64 {
+	if len(s.shards) == 1 || !s.multi {
+		return s.shards[0].now
+	}
+	return s.committed
 }
 
 // Now returns the current virtual time: exact while execution is
@@ -261,32 +231,11 @@ func NewSimulator(start time.Time, seed int64) *Simulator {
 // on shard 0); for genuinely sharded simulators, the time every shard
 // is known to have reached (callbacks wanting their exact event time
 // use the now they receive, or Node.Now).
-func (s *Simulator) Now() time.Time {
-	if len(s.shards) == 1 || !s.multi {
-		return s.shards[0].now
-	}
-	return s.committed
-}
+func (s *Simulator) Now() time.Time { return s.timeAt(s.now()) }
 
 // Rand returns shard 0's seeded PRNG — the simulator-wide stream of
 // unsharded runs. Sources on sharded topologies use Node.Rand.
 func (s *Simulator) Rand() *rand.Rand { return s.shards[0].rng }
-
-// Trace registers a global trace hook. On sharded runs, hooks fire at
-// each epoch barrier in globally merged (time, shard, seq) order — the
-// same total order at every worker count — and observe copied packet
-// bytes; on single-shard runs they fire live, as always.
-//
-// Determinism contract: hooks are observers. They must not mutate sim
-// state — no scheduling, no sends, no touching node or shard fields —
-// and must not retain Pkt past the call. A hook that feeds state back
-// into the simulation breaks the bit-identical replay guarantee in ways
-// no test will catch locally. Note also that every registered hook
-// forces sharded runs to buffer (and copy the bytes of) every packet
-// event between barriers; for bounded, sampled observation that stays
-// cheap at metro scale, attach an obs.FlightRecorder
-// (AttachFlightRecorder) instead.
-func (s *Simulator) Trace(h TraceHook) { s.traces = append(s.traces, h) }
 
 // Delivered reports packets locally delivered anywhere in the network
 // (a thin read over the netem_delivered_packets_total family).
@@ -313,14 +262,14 @@ func (s *Simulator) Schedule(d time.Duration, fn func()) {
 	}
 	s.guardShard0()
 	sh := s.shards[0]
-	sh.schedule(sh.now.Add(d), event{kind: evFunc, fn: fn})
+	sh.schedule(sh.now+int64(d), event{kind: evFunc, fn: fn})
 }
 
 // ScheduleAt runs fn at absolute virtual time t (clamped to now) on
 // shard 0. The multi-worker restriction of Schedule applies.
 func (s *Simulator) ScheduleAt(t time.Time, fn func()) {
 	s.guardShard0()
-	s.shards[0].schedule(t, event{kind: evFunc, fn: fn})
+	s.shards[0].schedule(t.UnixNano(), event{kind: evFunc, fn: fn})
 }
 
 // guardShard0 turns a mid-parallel-run call to a shard-0 API (Schedule,
@@ -334,14 +283,14 @@ func (s *Simulator) guardShard0() {
 }
 
 // Run processes events until every queue is empty.
-func (s *Simulator) Run() { s.runLimit(time.Time{}, false) }
+func (s *Simulator) Run() { s.runLimit(noLimit) }
 
 // RunUntil processes events with timestamps <= t, then advances the
 // clock to t.
-func (s *Simulator) RunUntil(t time.Time) { s.runLimit(t, true) }
+func (s *Simulator) RunUntil(t time.Time) { s.runLimit(t.UnixNano()) }
 
 // RunFor advances the simulation by d.
-func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
+func (s *Simulator) RunFor(d time.Duration) { s.runLimit(s.now() + int64(d)) }
 
 // PendingEvents reports events waiting across all queues.
 func (s *Simulator) PendingEvents() int {
@@ -618,7 +567,7 @@ func (n *Node) SendPacketProc(p *Packet, proc time.Duration) error {
 	n.sh.stampJourney(p)
 	n.sh.emit(TraceSend, n, p)
 	p.attrProc += int64(proc)
-	n.sh.schedule(n.sh.now.Add(proc), event{kind: evProc, node: n, pkt: p})
+	n.sh.schedule(n.sh.now+int64(proc), event{kind: evProc, node: n, pkt: p})
 	return nil
 }
 
@@ -630,13 +579,14 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 		p.Release()
 		return ErrMalformedIPv4
 	}
-	if !origin {
+	if !origin && len(n.hooks) > 0 {
 		// Transit/ingress policy.
 		var delay time.Duration
 		var cause PolicyCause
 		var class uint8
+		now := n.Now()
 		for _, h := range n.hooks {
-			v := h(n.sh.now, n, p.Pkt)
+			v := h(now, n, p.Pkt)
 			if v.Drop {
 				p.cause, p.class = v.Cause, v.Class
 				n.sh.emit(TraceDropPolicy, n, p)
@@ -653,7 +603,7 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 		if delay > 0 {
 			p.attrPolicy += int64(delay)
 			p.cause, p.class = cause, class
-			n.sh.schedule(n.sh.now.Add(delay), event{kind: evDelayed, node: n, pkt: p})
+			n.sh.schedule(n.sh.now+int64(delay), event{kind: evDelayed, node: n, pkt: p})
 			return nil
 		}
 	}
@@ -712,7 +662,7 @@ func (n *Node) dispatchAfterPolicy(p *Packet, origin bool) error {
 func (n *Node) deliver(p *Packet) {
 	n.sh.emit(TraceDeliver, n, p)
 	if n.handler != nil {
-		n.handler(n.sh.now, p.Pkt)
+		n.handler(n.Now(), p.Pkt)
 	}
 	p.Release()
 }

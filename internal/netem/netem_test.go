@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"netneutral/internal/obs"
 	"netneutral/internal/wire"
 )
 
@@ -322,12 +323,16 @@ func TestTraceEvents(t *testing.T) {
 	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})
 	s.BuildRoutes()
 
-	counts := map[TraceKind]int{}
-	s.Trace(func(ev TraceEvent) { counts[ev.Kind]++ })
+	fr := obs.NewFlightRecorder(obs.FlightConfig{RingSize: 16, SampleFlows: 1})
+	s.AttachFlightRecorder(fr)
 	b.SetHandler(func(time.Time, []byte) {})
 	_ = a.Send(mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), nil))
 	s.Run()
-	if counts[TraceSend] != 1 || counts[TraceForward] != 1 || counts[TraceDeliver] != 1 {
+	counts := map[TraceKind]int{}
+	for _, ev := range fr.Events() {
+		counts[TraceKind(ev.Kind)]++
+	}
+	if len(counts) != 3 || counts[TraceSend] != 1 || counts[TraceForward] != 1 || counts[TraceDeliver] != 1 {
 		t.Errorf("trace counts = %v", counts)
 	}
 }
@@ -449,9 +454,9 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestFIFOQueueBasics(t *testing.T) {
 	q := NewFIFOQueue(2)
-	p1 := &QueuedPacket{Size: 1}
-	p2 := &QueuedPacket{Size: 2}
-	p3 := &QueuedPacket{Size: 3}
+	p1 := &Packet{Size: 1}
+	p2 := &Packet{Size: 2}
+	p3 := &Packet{Size: 3}
 	if !q.Enqueue(p1) || !q.Enqueue(p2) {
 		t.Fatal("enqueue within capacity failed")
 	}
@@ -471,5 +476,47 @@ func TestSendMalformed(t *testing.T) {
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
 	if err := a.Send([]byte{1, 2, 3}); err != ErrMalformedIPv4 {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestEdgeTimesAreStartShifted pins the clock's exported edge: the
+// engine keeps integer nanoseconds, but every time.Time it hands out —
+// handler, transit hook, barrier, Now — is start shifted by the elapsed
+// virtual time, in start's own location.
+func TestEdgeTimesAreStartShifted(t *testing.T) {
+	start := simStart.In(time.FixedZone("sim", -7*3600))
+	s := NewSimulator(start, 1)
+	a := s.MustAddNode("a", "", addr("10.0.0.1"))
+	r := s.MustAddNode("r", "", addr("10.0.0.254"))
+	b := s.MustAddNode("b", "", addr("10.0.1.1"))
+	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
+	s.Connect(r, b, LinkConfig{Delay: 2 * time.Millisecond})
+	s.BuildRoutes()
+	check := func(what string, got time.Time, elapsed time.Duration) {
+		t.Helper()
+		if want := start.Add(elapsed); got != want || got.String() != want.String() {
+			t.Errorf("%s time = %v, want %v", what, got, want)
+		}
+	}
+	r.AddTransitHook(func(now time.Time, _ *Node, _ []byte) Verdict {
+		check("hook", now, time.Millisecond)
+		return Deliver
+	})
+	delivered := false
+	b.SetHandler(func(now time.Time, _ []byte) {
+		check("handler", now, 3*time.Millisecond)
+		delivered = true
+	})
+	s.OnBarrier(func(now time.Time) { check("barrier", now, 5*time.Millisecond) })
+	_ = a.Send(mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), nil))
+	if at, ok := s.NextEventAt(); !ok {
+		t.Fatal("no pending event after Send")
+	} else {
+		check("next event", at, 0)
+	}
+	s.RunUntil(start.Add(5 * time.Millisecond))
+	check("Now", s.Now(), 5*time.Millisecond)
+	if !delivered {
+		t.Fatal("packet not delivered")
 	}
 }

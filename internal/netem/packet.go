@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"time"
 
 	"netneutral/internal/obs"
 )
@@ -14,7 +13,7 @@ import (
 //
 // Ownership rules:
 //   - Node.SendPacket and Link queues take ownership (one reference).
-//   - TransitHook, Handler and TraceHook callbacks receive a []byte view
+//   - TransitHook and Handler callbacks receive a []byte view
 //     of the buffer that is valid only for the duration of the call; to
 //     keep the bytes longer, copy them (bytes.Clone).
 //   - Code that holds a *Packet itself (queue disciplines, generators
@@ -32,8 +31,9 @@ type Packet struct {
 	DSCP uint8
 	// Size is len(Pkt), kept for queue disciplines.
 	Size int
-	// Arrived is when the packet entered its current egress queue.
-	Arrived time.Time
+	// Arrived is when the packet entered its current egress queue
+	// (virtual time, Unix nanoseconds).
+	Arrived int64
 
 	buf  []byte // full-capacity backing array
 	refs int32
@@ -41,7 +41,7 @@ type Packet struct {
 	home *packetPool // pool that allocated the buffer (owns it at rest)
 
 	// Per-journey delay attribution, accumulated in nanoseconds since the
-	// journey's previous trace event; shard.emit snapshots and resets the
+	// journey's previous trace event; shard.emit records and resets the
 	// accumulators, so each hop event carries exactly the components that
 	// elapsed since the one before it. journey is the id stamped at
 	// SendPacket (a pure function of the originating shard's sequence,
@@ -67,10 +67,6 @@ func (p *Packet) flowID() uint64 {
 	}
 	return p.flow
 }
-
-// QueuedPacket is the historical name for a packet sitting in a link
-// egress queue; queue disciplines operate on the pooled Packet directly.
-type QueuedPacket = Packet
 
 // Retain adds a reference, keeping the buffer alive past the current
 // callback. Pair every Retain with a Release.

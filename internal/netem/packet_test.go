@@ -132,10 +132,10 @@ func TestPolicyDelayNoCopy(t *testing.T) {
 	}
 }
 
-// TestSetQueueTransfersQueuedPackets: swapping the queue discipline
+// TestSetQueueTransfersWaitingPackets: swapping the queue discipline
 // mid-simulation must carry waiting packets over (or drop-and-release
 // what the new discipline refuses) — never leak pooled buffers.
-func TestSetQueueTransfersQueuedPackets(t *testing.T) {
+func TestSetQueueTransfersWaitingPackets(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
 	b := s.MustAddNode("b", "", addr("10.0.0.2"))
@@ -183,5 +183,59 @@ func TestSetQueueTransfersQueuedPackets(t *testing.T) {
 	free := len(s.shards[0].pool.free)
 	if free != int(allocated) {
 		t.Errorf("pool free=%d, want %d (leaked %d buffers)", free, allocated, int(allocated)-free)
+	}
+}
+
+// TestForwardingZeroAlloc enforces the README's forwarding-path claim:
+// once the pool and event heap are warm, carrying a packet across
+// several hops allocates nothing — with no flight recorder attached,
+// and with per-hop delay attribution armed by a cause-tagged policing
+// hook that delays every packet on transit (still no recorder, so the
+// attribution plumbing must be free on the allocator).
+func TestForwardingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by race instrumentation")
+	}
+	for _, tc := range []struct {
+		name string
+		hook TransitHook
+	}{
+		{name: "plain"},
+		{name: "attribution-armed", hook: func(time.Time, *Node, []byte) Verdict {
+			return Verdict{Delay: 200 * time.Microsecond, Cause: CauseClassDelay, Class: 1}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSimulator(simStart, 1)
+			a := s.MustAddNode("a", "", addr("10.0.0.1"))
+			r1 := s.MustAddNode("r1", "", addr("10.0.0.254"))
+			r2 := s.MustAddNode("r2", "", addr("10.0.1.254"))
+			c := s.MustAddNode("c", "", addr("10.0.1.1"))
+			s.Connect(a, r1, LinkConfig{Delay: time.Millisecond})
+			s.Connect(r1, r2, LinkConfig{Delay: time.Millisecond, RateBps: 100e6})
+			s.Connect(r2, c, LinkConfig{Delay: time.Millisecond})
+			s.BuildRoutes()
+			if tc.hook != nil {
+				r1.AddTransitHook(tc.hook)
+				r2.AddTransitHook(tc.hook)
+			}
+			delivered := 0
+			c.SetHandler(func(time.Time, []byte) { delivered++ })
+			pkt := mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), []byte("steady state"))
+			send := func() {
+				if err := a.Send(pkt); err != nil {
+					t.Fatal(err)
+				}
+				s.Run()
+			}
+			send() // warm the pool, the heap and the compiled FIBs
+			const runs = 200
+			if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+				t.Errorf("forwarding a packet over 3 hops allocates %.1f times, want 0", allocs)
+			}
+			if delivered != runs+2 { // warm-up + AllocsPerRun's own warm-up call
+				t.Errorf("delivered %d packets, want %d", delivered, runs+2)
+			}
+		})
 	}
 }

@@ -2,40 +2,46 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Conservative parallel execution. The engine runs sharded simulations
-// in epochs: at each barrier the coordinator finds the earliest pending
-// event time `next` across all shards and opens the window
-// [next, next+lookahead). Every shard independently executes its own
-// events inside the window; any packet it sends toward another shard
-// arrives at least `lookahead` later — the minimum propagation delay of
-// all cross-shard links — so the arrival provably lands at or beyond
-// the window's end and can be exchanged at the barrier instead of
-// interrupting the receiver. Incoming events are merged in (time,
+// The run loop. Every simulation — sharded or not — executes in
+// conservative epochs: at each barrier the coordinator finds the
+// earliest pending event time `next` across all shards and opens the
+// window [next, next+lookahead). Every shard independently executes its
+// own events inside the window; any packet it sends toward another
+// shard arrives at least `lookahead` later — the minimum propagation
+// delay of all cross-shard links — so the arrival provably lands at or
+// beyond the window's end and can be exchanged at the barrier instead
+// of interrupting the receiver. Incoming events are merged in (time,
 // source shard, source sequence) order and re-sequenced locally, a pure
 // function of event content. Shards therefore evolve identically
 // whether the per-epoch phases run on one worker or many: `-seed` replay
 // is bit-identical at every worker count.
+//
+// An unsharded simulator is the degenerate case, not a second loop: one
+// shard, no cross-shard link, hence an unbounded window — a Run call is
+// a single epoch that drains the queue in (time, seq) order, and
+// handlers may freely call back into the simulator.
 
-// noLookahead marks a plan with no cross-shard links: windows are
-// unbounded and every shard drains independently.
-const noLookahead = time.Duration(1<<63 - 1)
+// noLimit is the run limit of Simulator.Run: every event is inside it.
+const noLimit = math.MaxInt64
 
 // refreshPlan recomputes the execution plan after a topology change:
 // whether any node lives beyond shard 0, and the conservative lookahead
-// (minimum cross-shard link propagation delay).
+// (minimum cross-shard link propagation delay; 0 when no link crosses
+// shards, which leaves windows unbounded).
 func (s *Simulator) refreshPlan() {
 	if !s.planDirty {
 		return
 	}
 	s.planDirty = false
 	s.multi = false
-	s.lookahead = noLookahead
+	s.lookahead = 0
 	for _, n := range s.nodeList {
 		if n.sh.id != 0 {
 			s.multi = true
@@ -53,61 +59,26 @@ func (s *Simulator) refreshPlan() {
 						"netem: link %s->%s crosses shards %d->%d with no propagation delay; conservative parallel execution needs Delay > 0 on every cross-shard link",
 						d.from.Name, d.to.Name, d.from.sh.id, d.to.sh.id))
 				}
-				if d.cfg.Delay < s.lookahead {
+				if s.lookahead == 0 || d.cfg.Delay < s.lookahead {
 					s.lookahead = d.cfg.Delay
 				}
 			}
 		}
 	}
-	la := int64(s.lookahead)
-	if s.lookahead == noLookahead {
-		la = 0
-	}
-	s.met.lookahead.Set(la)
+	s.met.lookahead.Set(int64(s.lookahead))
 }
 
-// runLimit is the engine behind Run/RunUntil: hasLimit bounds execution
-// to events with at <= limit and then advances clocks to limit.
-func (s *Simulator) runLimit(limit time.Time, hasLimit bool) {
+// runLimit is the engine behind Run/RunUntil: it executes events with
+// at <= limit in epochs, then (for a real limit) advances every clock
+// to limit.
+func (s *Simulator) runLimit(limit int64) {
 	s.refreshPlan()
+	workers := min(s.workers, len(s.shards))
 	if !s.multi {
-		// Classic serial loop on shard 0: the pre-shard engine,
-		// unchanged down to event ordering.
-		sh := s.shards[0]
-		for sh.events.len() > 0 {
-			if hasLimit && sh.events.h[0].at.After(limit) {
-				break
-			}
-			ev := sh.events.pop()
-			sh.now = ev.at
-			sh.mEvents.Inc()
-			sh.dispatchEvent(&ev)
-		}
-		if hasLimit && sh.now.Before(limit) {
-			sh.now = limit
-		}
-		// Keep the committed floor in sync so a later shard assignment
-		// (flipping Now() to the committed clock) never rewinds time.
-		if s.committed.Before(sh.now) {
-			s.committed = sh.now
-		}
-		// Serial runs have no epoch barriers; the end of a Run/RunUntil
-		// call is the quiescent point observers sample at.
-		s.barrierTick(sh.now)
-		return
+		workers = 1 // every node is on shard 0: nothing to run beside it
 	}
-	s.runEpochs(limit, hasLimit)
-}
-
-// runEpochs is the sharded epoch loop.
-func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
-	workers := s.workers
-	if workers > len(s.shards) {
-		workers = len(s.shards)
-	}
-	s.running = true
 	s.parallelRun = workers > 1
-	defer func() { s.running = false; s.parallelRun = false }()
+	defer func() { s.parallelRun = false }()
 	// Sparse epochs (drain tails, bursty idle periods) are cheaper to
 	// run inline than to fan out: below this many pending events per
 	// worker, goroutine spawn/join overhead dominates the work. The
@@ -115,58 +86,52 @@ func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
 	// way — so the threshold cannot affect determinism.
 	const minEventsPerWorker = 32
 	for {
-		next, pending, ok := s.nextEventTime()
-		if !ok || (hasLimit && next.After(limit)) {
+		next, pending := s.nextEventTime()
+		if pending == 0 || next > limit {
 			break
 		}
 		epochStart := time.Now()
-		if s.committed.Before(next) {
+		if s.committed < next {
 			s.committed = next
 		}
-		end := next.Add(s.lookahead)
-		if s.lookahead == noLookahead || end.Before(next) { // overflow guard
-			end = maxTime()
-		}
-		if hasLimit {
-			// Include events at exactly `limit` (RunUntil is inclusive)
-			// while keeping the window inside the lookahead bound.
-			if cap := limit.Add(time.Nanosecond); end.After(cap) {
-				end = cap
-			}
+		// The window's last instant: RunUntil is inclusive, so limit
+		// itself unless the lookahead bound ends the window sooner.
+		last := limit
+		if s.lookahead > 0 {
+			last = min(limit, next+int64(s.lookahead)-1)
 		}
 		if workers <= 1 || pending < minEventsPerWorker*workers {
 			for _, sh := range s.shards {
-				sh.runWindow(end)
+				sh.runWindow(last, math.MaxInt)
 			}
 			for _, sh := range s.shards {
 				sh.mergeIncoming()
 			}
 		} else {
-			s.parallelPhase(workers, phaseRun, end)
-			s.parallelPhase(workers, phaseMerge, time.Time{})
+			s.parallelPhase(workers, phaseRun, last)
+			s.parallelPhase(workers, phaseMerge, 0)
 		}
-		s.flushTraces()
 		s.met.epochs.Inc()
 		s.met.epochWall.ObserveDuration(time.Since(epochStart))
 		// Observation piggybacks on the barrier that already exists:
 		// committed (the window start) is the deterministic virtual
-		// timestamp of this epoch.
-		s.barrierTick(s.committed)
+		// timestamp of this epoch. An unbounded window has no barrier of
+		// its own — the epoch ends where the call does, at the tick
+		// below.
+		if s.lookahead > 0 {
+			s.barrierTick(s.committed)
+		}
 	}
-	if hasLimit {
-		for _, sh := range s.shards {
-			if sh.now.Before(limit) {
-				sh.now = limit
-			}
+	for _, sh := range s.shards {
+		if limit != noLimit && sh.now < limit {
+			sh.now = limit
 		}
-		if s.committed.Before(limit) {
-			s.committed = limit
-		}
-	} else {
-		for _, sh := range s.shards {
-			if s.committed.Before(sh.now) {
-				s.committed = sh.now
-			}
+		// Every shard is quiescent at its clock, so committed — the time
+		// all shards are known to have reached, and the floor that keeps
+		// Now() from rewinding when a later shard assignment flips it to
+		// the committed clock — catches up.
+		if s.committed < sh.now {
+			s.committed = sh.now
 		}
 	}
 	// Final tick at the post-run clock so observers sample the end state
@@ -174,26 +139,23 @@ func (s *Simulator) runEpochs(limit time.Time, hasLimit bool) {
 	s.barrierTick(s.committed)
 }
 
-func maxTime() time.Time { return time.Unix(1<<62, 0) }
-
 // nextEventTime finds the earliest pending event across shards, along
-// with the total pending count (the parallel-vs-inline heuristic).
-// Called only at barriers, when all outboxes are drained.
-func (s *Simulator) nextEventTime() (time.Time, int, bool) {
-	var at time.Time
-	pending := 0
-	found := false
+// with the total pending count (zero: nothing to run; also the
+// parallel-vs-inline heuristic). Called only at barriers, when all
+// outboxes are drained.
+func (s *Simulator) nextEventTime() (at int64, pending int) {
+	at = noLimit
 	for _, sh := range s.shards {
 		n := sh.events.len()
 		if n == 0 {
 			continue
 		}
 		pending += n
-		if h := sh.events.h[0].at; !found || h.Before(at) {
-			at, found = h, true
+		if h := sh.events.h[0].at; h < at {
+			at = h
 		}
 	}
-	return at, pending, found
+	return at, pending
 }
 
 // phase selectors for the worker pool.
@@ -206,7 +168,7 @@ const (
 // worker count. Shards are claimed dynamically (execution is a pure
 // function of shard state, so which worker runs a shard cannot affect
 // results — only load balance).
-func (s *Simulator) parallelPhase(workers, phase int, end time.Time) {
+func (s *Simulator) parallelPhase(workers, phase int, last int64) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -219,7 +181,7 @@ func (s *Simulator) parallelPhase(workers, phase int, end time.Time) {
 					return
 				}
 				if phase == phaseRun {
-					s.shards[k].runWindow(end)
+					s.shards[k].runWindow(last, math.MaxInt)
 				} else {
 					s.shards[k].mergeIncoming()
 				}
@@ -229,16 +191,21 @@ func (s *Simulator) parallelPhase(workers, phase int, end time.Time) {
 	wg.Wait()
 }
 
-// runWindow executes the shard's events with timestamps strictly before
-// end. Events it generates for its own shard join the queue immediately;
-// events for other shards are staged in the outbox.
-func (sh *shard) runWindow(end time.Time) {
-	for sh.events.len() > 0 && sh.events.h[0].at.Before(end) {
+// runWindow executes the shard's events with timestamps <= last, at
+// most max of them, and reports how many ran — the engine's one place
+// an event is popped, clocked, counted and dispatched. Events it
+// generates for its own shard join the queue immediately; events for
+// other shards are staged in the outbox.
+func (sh *shard) runWindow(last int64, max int) int {
+	n := 0
+	for n < max && sh.events.len() > 0 && sh.events.h[0].at <= last {
 		ev := sh.events.pop()
 		sh.now = ev.at
 		sh.mEvents.Inc()
 		sh.dispatchEvent(&ev)
+		n++
 	}
+	return n
 }
 
 // mergeIncoming drains every other shard's outbox slot addressed to this
@@ -283,9 +250,9 @@ func (sh *shard) mergeIncoming() {
 	}
 	slices.SortFunc(buf, func(a, b remoteEvent) int {
 		switch {
-		case a.ev.at.Before(b.ev.at):
+		case a.ev.at < b.ev.at:
 			return -1
-		case b.ev.at.Before(a.ev.at):
+		case a.ev.at > b.ev.at:
 			return 1
 		case a.src != b.src:
 			return int(a.src) - int(b.src)
@@ -307,64 +274,4 @@ func (sh *shard) mergeIncoming() {
 		buf[i] = remoteEvent{}
 	}
 	sh.mergeBuf = buf[:0]
-}
-
-// flushTraces fires buffered trace events in globally merged (time,
-// shard, seq) order — a total order independent of worker count — then
-// resets the per-shard buffers. Runs single-threaded at the barrier.
-func (s *Simulator) flushTraces() {
-	if len(s.traces) == 0 {
-		return
-	}
-	total := 0
-	for _, sh := range s.shards {
-		total += len(sh.traceBuf)
-	}
-	if total == 0 {
-		return
-	}
-	type flushRec struct {
-		rec   traceRec
-		shard int
-	}
-	recs := make([]flushRec, 0, total)
-	for _, sh := range s.shards {
-		for _, r := range sh.traceBuf {
-			recs = append(recs, flushRec{rec: r, shard: sh.id})
-		}
-	}
-	slices.SortFunc(recs, func(a, b flushRec) int {
-		switch {
-		case a.rec.at.Before(b.rec.at):
-			return -1
-		case b.rec.at.Before(a.rec.at):
-			return 1
-		case a.shard != b.shard:
-			return a.shard - b.shard
-		case a.rec.seq < b.rec.seq:
-			return -1
-		case a.rec.seq > b.rec.seq:
-			return 1
-		}
-		return 0
-	})
-	for _, fr := range recs {
-		sh := s.shards[fr.shard]
-		ev := TraceEvent{
-			Kind:    fr.rec.kind,
-			Time:    fr.rec.at,
-			Node:    fr.rec.node,
-			Pkt:     sh.traceBytes[fr.rec.off : fr.rec.off+fr.rec.n],
-			Flow:    fr.rec.flow,
-			Journey: fr.rec.journey,
-			Attr:    fr.rec.attr,
-		}
-		for _, h := range s.traces {
-			h(ev)
-		}
-	}
-	for _, sh := range s.shards {
-		sh.traceBuf = sh.traceBuf[:0]
-		sh.traceBytes = sh.traceBytes[:0]
-	}
 }

@@ -2,36 +2,35 @@ package netem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
-)
 
-// parTraceRec is one observed trace event, with the packet bytes copied
-// out of the pooled buffer.
-type parTraceRec struct {
-	kind TraceKind
-	at   int64
-	node string
-	pkt  []byte
-}
+	"netneutral/internal/obs"
+)
 
 // parWorldResult is everything a parallel run must reproduce exactly.
 type parWorldResult struct {
-	trace       []parTraceRec
-	delivered   uint64
-	forwarded   uint64
-	dropped     uint64
-	events      uint64
-	hostTallies uint64
+	// trace is the complete flight-recorder stream: every packet event
+	// in merged (time, shard, seq) order with all attribution fields.
+	trace []obs.TraceRec
+	// received logs, per receiving node (hosts, then outside1), each
+	// delivery's virtual time and packet bytes as its handler saw them.
+	received  [][]byte
+	delivered uint64
+	forwarded uint64
+	dropped   uint64
+	events    uint64
 }
 
 // runParWorld builds a random sharded fan-out from seed, drives random
 // bidirectional traffic (downstream from outside, host-to-host chatter
 // inside subtrees, upstream from hosts to outside), and runs it at the
 // given worker count — partly in RunFor chunks to exercise partial
-// epochs, then drained with Run.
+// epochs, then drained with Run — under a lossless flight recorder
+// (SampleFlows 1, ring larger than the run).
 func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 	t.Helper()
 	topoRng := rand.New(rand.NewSource(seed))
@@ -54,14 +53,21 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 	}
 	sim.SetWorkers(workers)
 
-	res := &parWorldResult{}
-	sim.Trace(func(ev TraceEvent) {
-		res.trace = append(res.trace, parTraceRec{
-			kind: ev.Kind, at: ev.Time.UnixNano(), node: ev.Node.Name,
-			pkt: bytes.Clone(ev.Pkt),
+	fr := obs.NewFlightRecorder(obs.FlightConfig{RingSize: 1 << 17, SampleFlows: 1})
+	sim.AttachFlightRecorder(fr)
+	// Each receiver appends to its own log, and a node's handler only
+	// ever runs on the node's shard, so the logs need no locking.
+	res := &parWorldResult{received: make([][]byte, hosts+1)}
+	capture := func(node *Node, slot int) {
+		node.SetHandler(func(now time.Time, pkt []byte) {
+			log := binary.BigEndian.AppendUint64(res.received[slot], uint64(now.UnixNano()))
+			res.received[slot] = append(log, pkt...)
 		})
-	})
-	delivered := f.CountDeliveries()
+	}
+	for i, h := range f.Hosts {
+		capture(h, i)
+	}
+	capture(f.Outside[1], hosts)
 
 	const total = 400 * time.Millisecond
 	end := simStart.Add(total)
@@ -97,8 +103,6 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 		sender(f.Hosts[i], mkUDP(t, f.HostAddr(i), f.HostAddr(j), []byte{0xCC, 0}), 6*time.Millisecond)
 	}
 	// Upstream: every 7th host talks to outside1 (crosses every tier).
-	var upstream uint64
-	f.Outside[1].SetHandler(func(time.Time, []byte) { upstream++ })
 	for i := 0; i < hosts; i += 7 {
 		sender(f.Hosts[i], mkUDP(t, f.HostAddr(i), f.OutsideAddr(1), []byte{0xDD, 0}), 11*time.Millisecond)
 	}
@@ -108,46 +112,63 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 	sim.RunFor(total / 3)
 	sim.Run()
 
+	if ev := fr.Evicted(); ev != 0 {
+		t.Fatalf("ring evicted %d events; grow RingSize so the stream stays complete", ev)
+	}
+	res.trace = fr.Events()
 	res.delivered = sim.Delivered()
 	res.forwarded = sim.Forwarded()
 	res.dropped = sim.Dropped()
 	res.events = sim.EventsProcessed()
-	res.hostTallies = delivered.Total() + upstream
 	return res
 }
 
-// TestParallelTraceEquivalence is the serial-vs-parallel property test:
-// on random sharded fan-outs with random traffic, the ordered TraceEvent
-// stream and every engine counter must be identical at workers=1 and
-// workers=N.
+// requireSameWorld fails unless b reproduces a exactly: every engine
+// counter, the complete recorder stream (time, node, kind, size, flow,
+// journey, every attribution field), and the bytes each receiver saw.
+func requireSameWorld(t *testing.T, label string, a, b *parWorldResult) {
+	t.Helper()
+	if a.delivered != b.delivered || a.forwarded != b.forwarded ||
+		a.dropped != b.dropped || a.events != b.events {
+		t.Fatalf("%s counters diverged: {d:%d f:%d dr:%d ev:%d} vs {d:%d f:%d dr:%d ev:%d}", label,
+			a.delivered, a.forwarded, a.dropped, a.events,
+			b.delivered, b.forwarded, b.dropped, b.events)
+	}
+	if len(a.trace) != len(b.trace) {
+		t.Fatalf("%s trace length %d vs %d", label, len(a.trace), len(b.trace))
+	}
+	for i := range a.trace {
+		if a.trace[i] != b.trace[i] {
+			t.Fatalf("%s trace[%d] diverged:\n %+v\n %+v", label, i, a.trace[i], b.trace[i])
+		}
+	}
+	for i := range a.received {
+		if !bytes.Equal(a.received[i], b.received[i]) {
+			t.Fatalf("%s receiver %d saw different deliveries (%d vs %d log bytes)",
+				label, i, len(a.received[i]), len(b.received[i]))
+		}
+	}
+}
+
+// TestParallelTraceEquivalence is the one-worker-vs-many property test:
+// on random sharded fan-outs with random traffic, the complete
+// flight-recorder stream, the delivered packet bytes and every engine
+// counter must be identical at workers 1, 2 and 4.
 func TestParallelTraceEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			serial := runParWorld(t, seed, 1)
-			if serial.delivered == 0 || serial.hostTallies == 0 {
-				t.Fatalf("degenerate world: delivered=%d tallies=%d", serial.delivered, serial.hostTallies)
+			one := runParWorld(t, seed, 1)
+			var received int
+			for _, log := range one.received {
+				received += len(log)
 			}
-			for _, workers := range []int{3, 4} {
-				par := runParWorld(t, seed, workers)
-				if par.delivered != serial.delivered || par.forwarded != serial.forwarded ||
-					par.dropped != serial.dropped || par.events != serial.events ||
-					par.hostTallies != serial.hostTallies {
-					t.Fatalf("workers=%d counters diverged: serial={d:%d f:%d dr:%d ev:%d tl:%d} parallel={d:%d f:%d dr:%d ev:%d tl:%d}",
-						workers,
-						serial.delivered, serial.forwarded, serial.dropped, serial.events, serial.hostTallies,
-						par.delivered, par.forwarded, par.dropped, par.events, par.hostTallies)
-				}
-				if len(par.trace) != len(serial.trace) {
-					t.Fatalf("workers=%d trace length %d, serial %d", workers, len(par.trace), len(serial.trace))
-				}
-				for i := range serial.trace {
-					a, b := serial.trace[i], par.trace[i]
-					if a.kind != b.kind || a.at != b.at || a.node != b.node || !bytes.Equal(a.pkt, b.pkt) {
-						t.Fatalf("workers=%d trace[%d] diverged:\n serial  %v t=%d %s %x\n parallel %v t=%d %s %x",
-							workers, i, a.kind, a.at, a.node, a.pkt, b.kind, b.at, b.node, b.pkt)
-					}
-				}
+			if one.delivered == 0 || received == 0 || uint64(len(one.trace)) < one.delivered {
+				t.Fatalf("degenerate world: delivered=%d received=%dB trace=%d",
+					one.delivered, received, len(one.trace))
+			}
+			for _, workers := range []int{2, 4} {
+				requireSameWorld(t, fmt.Sprintf("workers=%d", workers), one, runParWorld(t, seed, workers))
 			}
 		})
 	}
@@ -156,12 +177,7 @@ func TestParallelTraceEquivalence(t *testing.T) {
 // TestParallelReplayIdentical pins that two runs at the same worker
 // count are bit-identical too (the -seed discipline, sharded).
 func TestParallelReplayIdentical(t *testing.T) {
-	a := runParWorld(t, 9, 4)
-	b := runParWorld(t, 9, 4)
-	if a.events != b.events || a.delivered != b.delivered || len(a.trace) != len(b.trace) {
-		t.Fatalf("replay diverged: events %d/%d delivered %d/%d trace %d/%d",
-			a.events, b.events, a.delivered, b.delivered, len(a.trace), len(b.trace))
-	}
+	requireSameWorld(t, "replay", runParWorld(t, 9, 4), runParWorld(t, 9, 4))
 }
 
 // TestShardRNGIndependence pins the per-shard RNG derivation: shard 0

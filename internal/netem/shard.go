@@ -18,7 +18,13 @@ import (
 // (ordered by time, then source shard, then source sequence) at the
 // epoch barrier. Because shard assignment is a property of the topology
 // and the merge order is a pure function of event content, a seeded run
-// is bit-identical at any worker count, including 1 (see parallel.go).
+// is bit-identical at any worker count, including 1. An unsharded
+// simulator is the same machine with one shard and nothing to merge
+// (see parallel.go).
+//
+// Virtual time inside the engine is one int64 of Unix nanoseconds —
+// event timestamps, shard clocks, window bounds; time.Time appears only
+// at the exported edge, converted by Simulator.timeAt.
 
 // shard is one partition's worker state. All fields are owned by the
 // shard: during an epoch only the goroutine executing the shard touches
@@ -28,7 +34,7 @@ type shard struct {
 	sim *Simulator
 	id  int
 
-	now    time.Time
+	now    int64 // shard-local virtual clock, Unix nanoseconds
 	seq    uint64
 	events eventQueue
 	pool   packetPool
@@ -53,13 +59,6 @@ type shard struct {
 	// flight is the shard's flight-recorder stripe, nil unless attached.
 	flight *obs.FlightStripe
 
-	// Trace events are buffered per shard during a parallel run and
-	// merged into global (time, shard, seq) order at each barrier; the
-	// packet bytes are copied into traceBytes so the view outlives the
-	// pooled buffer.
-	traceBuf   []traceRec
-	traceBytes []byte
-	traceSeq   uint64
 	// journeySeq numbers the packet journeys this shard originates; with
 	// the shard id it forms the journey id — a pure function of the
 	// topology and seed, never of the worker count.
@@ -73,19 +72,6 @@ type remoteEvent struct {
 	src int32
 }
 
-// traceRec is one buffered trace emission.
-type traceRec struct {
-	at      time.Time
-	seq     uint64
-	node    *Node
-	kind    TraceKind
-	off     int // into traceBytes
-	n       int
-	flow    uint64
-	journey uint64
-	attr    HopAttr
-}
-
 // splitmix64 is the SplitMix64 mixing function: the standard way to
 // derive independent per-shard seeds from one root seed.
 func splitmix64(x uint64) uint64 {
@@ -97,8 +83,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // shardSeed derives shard id's RNG seed from the root seed. Shard 0
-// keeps the root seed itself so single-shard simulations replay
-// identically to the pre-shard engine; every other shard gets an
+// keeps the root seed itself, so an unsharded simulation draws exactly
+// the stream rand.NewSource(seed) yields; every other shard gets an
 // independent splitmix-derived stream.
 //
 // The root is mixed once before stepping the SplitMix64 stream. Feeding
@@ -115,7 +101,7 @@ func shardSeed(root int64, id int) int64 {
 	return int64(splitmix64(splitmix64(uint64(root)) + uint64(id)*0x9E3779B97F4A7C15))
 }
 
-func newShard(s *Simulator, id int, now time.Time) *shard {
+func newShard(s *Simulator, id int, now int64) *shard {
 	sh := &shard{sim: s, id: id, now: now,
 		rng: rand.New(rand.NewSource(shardSeed(s.seed, id)))}
 	sh.pool.shard = id
@@ -134,7 +120,7 @@ func newShard(s *Simulator, id int, now time.Time) *shard {
 // the worker count the simulation later runs with.
 func (s *Simulator) SetShardCount(n int) {
 	for len(s.shards) < n {
-		s.shards = append(s.shards, newShard(s, len(s.shards), s.Now()))
+		s.shards = append(s.shards, newShard(s, len(s.shards), s.now()))
 	}
 	s.planDirty = true
 }
@@ -190,10 +176,10 @@ type Context interface {
 
 // Now returns the node's shard-local virtual time: exact inside the
 // node's own callbacks, which is what source scheduling needs.
-func (n *Node) Now() time.Time { return n.sh.now }
+func (n *Node) Now() time.Time { return n.sim.timeAt(n.sh.now) }
 
 // NowNanos returns the node's shard-local clock as nanoseconds.
-func (n *Node) NowNanos() int64 { return n.sh.now.UnixNano() }
+func (n *Node) NowNanos() int64 { return n.sh.now }
 
 // Schedule runs fn after d of virtual time on the node's shard. Source
 // generators anchored to a node schedule here so their emissions execute
@@ -202,7 +188,7 @@ func (n *Node) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.sh.schedule(n.sh.now.Add(d), event{kind: evFunc, fn: fn})
+	n.sh.schedule(n.sh.now+int64(d), event{kind: evFunc, fn: fn})
 }
 
 // Rand returns the PRNG of the node's shard. Deterministic parallel
@@ -222,8 +208,8 @@ func (n *Node) NewPacket(b []byte) *Packet {
 }
 
 // schedule enqueues ev at absolute time at (clamped to the shard's now).
-func (sh *shard) schedule(at time.Time, ev event) {
-	if at.Before(sh.now) {
+func (sh *shard) schedule(at int64, ev event) {
+	if at < sh.now {
 		at = sh.now
 	}
 	sh.seq++
@@ -235,7 +221,7 @@ func (sh *shard) schedule(at time.Time, ev event) {
 // sendRemote stages ev for another shard at absolute time at. The event
 // keeps the source shard's sequence number; the destination re-sequences
 // it during its deterministic merge.
-func (sh *shard) sendRemote(dst *shard, at time.Time, ev event) {
+func (sh *shard) sendRemote(dst *shard, at int64, ev event) {
 	sh.seq++
 	ev.at = at
 	ev.seq = sh.seq
@@ -251,11 +237,11 @@ func (sh *shard) stampJourney(p *Packet) {
 	p.journey = uint64(sh.id)<<48 | sh.journeySeq
 }
 
-// emit counts and traces one packet event on the shard. It snapshots the
-// packet's attribution accumulators — the delay components that elapsed
-// since the journey's previous event — and resets them, so components
-// are per-hop deltas whose journey sum equals the end-to-end delay
-// exactly.
+// emit counts one packet event on the shard and offers it to the flight
+// recorder — the engine's one trace sink. It resets the packet's
+// attribution accumulators — the delay components that elapsed since the
+// journey's previous event — so recorded components are per-hop deltas
+// whose journey sum equals the end-to-end delay exactly.
 func (sh *shard) emit(kind TraceKind, node *Node, p *Packet) {
 	switch {
 	case kind == TraceDeliver:
@@ -265,57 +251,25 @@ func (sh *shard) emit(kind TraceKind, node *Node, p *Packet) {
 	case kind >= TraceDropQueue:
 		sh.mDropped.Inc()
 	}
-	attr := HopAttr{
-		Queue:     time.Duration(p.attrQueue),
-		Serialize: time.Duration(p.attrSer),
-		Propagate: time.Duration(p.attrProp),
-		Policy:    time.Duration(p.attrPolicy),
-		Proc:      time.Duration(p.attrProc),
-		Cause:     p.cause,
-		Class:     p.class,
-	}
-	p.attrQueue, p.attrSer, p.attrProp, p.attrPolicy, p.attrProc = 0, 0, 0, 0, 0
-	p.cause, p.class = 0, 0
-	// Flight recorder: deterministic head sampling on the shard's own
-	// event sequence; the flow hash is only computed when the event is
-	// sampled or per-flow selection (tags, flow-keyed sampling) could
-	// match it, and it is cached on the packet for the journey's
-	// remaining hops.
+	// Deterministic head sampling on the shard's own event sequence; the
+	// flow hash is only computed when the event is sampled or per-flow
+	// selection (tags, flow-keyed sampling) could match it, and it is
+	// cached on the packet for the journey's remaining hops.
 	if st := sh.flight; st != nil {
 		take := st.Sample()
 		if take || st.FlowAware() {
 			flow := p.flowID()
 			if take || st.WantFlow(flow) {
 				st.Record(obs.TraceRec{
-					TimeNanos: sh.now.UnixNano(), Flow: flow, Journey: p.journey,
+					TimeNanos: sh.now, Flow: flow, Journey: p.journey,
 					Node: int32(node.id), Size: int32(len(p.Pkt)), Kind: uint8(kind),
-					QueueNanos: int64(attr.Queue), SerializeNanos: int64(attr.Serialize),
-					PropagateNanos: int64(attr.Propagate), PolicyNanos: int64(attr.Policy),
-					ProcNanos: int64(attr.Proc), Cause: uint8(attr.Cause), Class: attr.Class,
+					QueueNanos: p.attrQueue, SerializeNanos: p.attrSer,
+					PropagateNanos: p.attrProp, PolicyNanos: p.attrPolicy,
+					ProcNanos: p.attrProc, Cause: uint8(p.cause), Class: p.class,
 				})
 			}
 		}
 	}
-	s := sh.sim
-	if len(s.traces) == 0 {
-		return
-	}
-	if !s.running {
-		// Single-shard runs and setup-time emissions: hooks fire live,
-		// exactly as the serial engine always has.
-		ev := TraceEvent{Kind: kind, Time: sh.now, Node: node, Pkt: p.Pkt,
-			Flow: p.flowID(), Journey: p.journey, Attr: attr}
-		for _, h := range s.traces {
-			h(ev)
-		}
-		return
-	}
-	// Parallel run: buffer (bytes copied — the pooled buffer is recycled
-	// before the barrier) and fire in merged order at the epoch barrier.
-	off := len(sh.traceBytes)
-	sh.traceBytes = append(sh.traceBytes, p.Pkt...)
-	sh.traceSeq++
-	sh.traceBuf = append(sh.traceBuf, traceRec{
-		at: sh.now, seq: sh.traceSeq, node: node, kind: kind, off: off, n: len(p.Pkt),
-		flow: p.flowID(), journey: p.journey, attr: attr})
+	p.attrQueue, p.attrSer, p.attrProp, p.attrPolicy, p.attrProc = 0, 0, 0, 0, 0
+	p.cause, p.class = 0, 0
 }

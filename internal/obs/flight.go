@@ -6,16 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// FlightRecorder is the bounded replacement for firehose trace hooks: a
-// ring of sampled packet events per shard stripe, cheap enough to leave
-// on at metro scale. Sampling is deterministic head sampling — every
+// FlightRecorder is the netem engine's trace sink: a bounded ring of
+// sampled packet events per shard stripe, cheap enough to leave on at
+// metro scale. Sampling is deterministic head sampling — every
 // Nth event a stripe sees, decided by a per-stripe counter, never by a
 // PRNG — plus per-flow tagging: events of a tagged flow are always
 // recorded. Because stripes are per shard and the sampling decision is
 // a pure function of the shard's own event sequence, the recorded set
 // is bit-identical at every worker count; the merged view re-sorts by
-// (time, shard, seq), the same total order the netem engine uses for
-// trace hooks.
+// (time, shard, seq), a total order that is a pure function of event
+// content.
 type FlightRecorder struct {
 	sampleEvery uint64
 	ringSize    int

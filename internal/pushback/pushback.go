@@ -108,6 +108,28 @@ func (d *Detector) Observe(pkt []byte) {
 	d.mu.Unlock()
 }
 
+// WatchQueue wraps a link egress queue so the detector observes every
+// packet the inner discipline refuses — the victim sampling drops at its
+// own bottleneck, where they happen. Accepted packets, dequeue order and
+// length are the inner queue's, untouched. Install with
+// netem.Link.SetQueue on the congested direction.
+func (d *Detector) WatchQueue(inner netem.Queue) netem.Queue {
+	return watchedQueue{Queue: inner, det: d}
+}
+
+type watchedQueue struct {
+	netem.Queue
+	det *Detector
+}
+
+func (q watchedQueue) Enqueue(p *netem.Packet) bool {
+	if q.Queue.Enqueue(p) {
+		return true
+	}
+	q.det.Observe(p.Pkt)
+	return false
+}
+
 // SampleCount reports recorded samples.
 func (d *Detector) SampleCount() int {
 	d.mu.Lock()

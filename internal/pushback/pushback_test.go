@@ -1,6 +1,7 @@
 package pushback
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -190,21 +191,19 @@ func TestPushbackRestoresGoodput(t *testing.T) {
 	vic := s.MustAddNode("victim", "cogent", victim)
 	s.Connect(atk, up, netem.LinkConfig{Delay: time.Millisecond})
 	s.Connect(good, up, netem.LinkConfig{Delay: time.Millisecond})
-	// Bottleneck into the victim.
-	s.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000, QueueLen: 16})
+	// Bottleneck into the victim; the victim observes what its egress
+	// queue refuses.
+	bottleneck := s.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
 	s.BuildRoutes()
 
 	det := NewDetector(4096)
+	if err := bottleneck.SetQueue(up, det.WatchQueue(netem.NewFIFOQueue(16))); err != nil {
+		t.Fatal(err)
+	}
 	received := map[shim.Type]int{}
 	vic.SetHandler(func(_ time.Time, pkt []byte) {
 		tp, _ := shim.PeekType(pkt[wire.IPv4HeaderLen:])
 		received[tp]++
-	})
-	// Victim observes queue drops at the bottleneck via a trace hook.
-	s.Trace(func(ev netem.TraceEvent) {
-		if ev.Kind == netem.TraceDropQueue {
-			det.Observe(ev.Pkt)
-		}
 	})
 
 	floodPkt := setupPkt(t, netip.MustParseAddr("192.0.2.1"), victim)
@@ -261,5 +260,70 @@ func TestPushbackRestoresGoodput(t *testing.T) {
 	}
 	if ctrl.Limiters()[0].Dropped == 0 {
 		t.Error("limiter dropped nothing")
+	}
+}
+
+// TestWatchQueueReportsExactlyTheRefused pins the observing queue: the
+// detector sees exactly the packets the inner FIFO refused — as many as
+// the link counts dropped, identified here by per-packet source
+// addresses — and every accepted packet is delivered in order with its
+// bytes untouched.
+func TestWatchQueueReportsExactlyTheRefused(t *testing.T) {
+	start := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
+	s := netem.NewSimulator(start, 1)
+	a := s.MustAddNode("a", "", netip.MustParseAddr("172.31.0.1"))
+	b := s.MustAddNode("b", "", victim)
+	link := s.Connect(a, b, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
+	s.BuildRoutes()
+	det := NewDetector(1024)
+	if err := link.SetQueue(a, det.WatchQueue(netem.NewFIFOQueue(4))); err != nil {
+		t.Fatal(err)
+	}
+	var delivered [][]byte
+	b.SetHandler(func(_ time.Time, pkt []byte) { delivered = append(delivered, bytes.Clone(pkt)) })
+
+	// Two bursts of 20: the first overflows an empty queue, the second a
+	// partly drained one. Packet i carries source 192.0.2.i.
+	var sent [][]byte
+	for i := 0; i < 40; i++ {
+		sent = append(sent, setupPkt(t, netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), victim))
+	}
+	burst := func(pkts [][]byte) func() {
+		return func() {
+			for _, p := range pkts {
+				_ = a.Send(p)
+			}
+		}
+	}
+	s.Schedule(0, burst(sent[:20]))
+	s.Schedule(3*time.Millisecond, burst(sent[20:]))
+	s.Run()
+
+	_, dropped := link.Stats(a)
+	if dropped == 0 || len(delivered) == 0 {
+		t.Fatalf("degenerate run: dropped=%d delivered=%d", dropped, len(delivered))
+	}
+	if got := det.SampleCount(); uint64(got) != dropped {
+		t.Fatalf("detector observed %d packets, link dropped %d", got, dropped)
+	}
+	if len(delivered)+int(dropped) != len(sent) {
+		t.Fatalf("delivered %d + dropped %d != sent %d", len(delivered), dropped, len(sent))
+	}
+	// Walk the sent sequence: each packet is either the next delivery
+	// (bytes identical) or the next refusal the detector recorded.
+	di, ri := 0, 0
+	for i, p := range sent {
+		if di < len(delivered) && bytes.Equal(delivered[di], p) {
+			di++
+			continue
+		}
+		src, _, _ := wire.IPv4Addrs(p)
+		if ri >= len(det.samples) || det.samples[ri].src != src {
+			t.Fatalf("packet %d (%v) was neither delivered intact nor the next observed refusal", i, src)
+		}
+		ri++
+	}
+	if di != len(delivered) || ri != len(det.samples) {
+		t.Fatalf("matched %d/%d deliveries and %d/%d refusals", di, len(delivered), ri, len(det.samples))
 	}
 }

@@ -6,7 +6,7 @@
 //
 // # Execution model
 //
-// A Net wraps a serial-engine *netem.Simulator. Application goroutines are
+// A Net wraps an unsharded *netem.Simulator. Application goroutines are
 // registered with Go and synchronize on conns created by ListenUDP /
 // DialUDP / ListenStream / DialStream. Run drives the whole system: it
 // repeatedly (1) hands the CPU to exactly one runnable blocked goroutine
@@ -47,7 +47,7 @@ import (
 	"netneutral/internal/obs"
 )
 
-// Net couples a serial netem.Simulator to blocking endpoints. Create one
+// Net couples an unsharded netem.Simulator to blocking endpoints. Create one
 // with New, add conns, register workload goroutines with Go, then call
 // Run from the owning goroutine. All methods are safe for concurrent use
 // by workload goroutines.
@@ -100,9 +100,9 @@ type timerEntry struct {
 	gen uint64
 }
 
-// New wraps sim, which must be using the serial engine (the default;
-// SetWorkers(1)). The sharded engine cannot host external waiters — its
-// shards run ahead of each other speculatively — and the first conn
+// New wraps sim, which must be unsharded (the default: every node on
+// shard 0). A sharded simulator cannot host external waiters — its
+// shards run ahead of each other inside an epoch — and the first conn
 // operation will panic via netem's guard if sim is sharded.
 func New(sim *netem.Simulator) *Net {
 	return &Net{sim: sim, binds: make(map[*netem.Node]*nodeBind)}
