@@ -9,11 +9,12 @@
 // frame: 0x00 ‖ IPv4(4).
 //
 // Data plane: because the neutralizer is stateless, the daemon scales by
-// running replicas of the same core. -workers N spawns N goroutines that
-// share the UDP socket, each processing packets through its own
-// zero-allocation scratch. -batch M (M > 1) switches to a
-// reader-plus-shard-pool pipeline: one goroutine drains up to M
-// datagrams per wakeup and pushes them through an N-replica core.Pool.
+// running replicas of the same core. What -workers N counts depends on
+// -batch: without it (the default, -batch 1) N goroutines each read the
+// shared UDP socket and process their own packets through a
+// zero-allocation scratch; with -batch M (M > 1) exactly one goroutine
+// reads the socket, draining up to M datagrams per wakeup, and N is the
+// number of shards of the core.Pool it pushes them through.
 //
 // Usage:
 //
@@ -26,9 +27,11 @@
 // Prometheus text on /metrics, a JSON snapshot on /metrics.json, NDJSON
 // frames (one per second, backpressured: slow consumers drop frames,
 // the data plane never stalls) on /stream, and pprof under
-// /debug/pprof/. The data-plane counters are atomic stripes: per-worker
-// packet/drop/crypto-cache families from the shard pool, plus the
-// neutralizer's own stats snapshot.
+// /debug/pprof/. The core_* families are the neutralizer's own stats
+// snapshot and are always present; the per-worker families
+// (core_worker_* packets and drops, core_crypto_epoch_* cache hits and
+// misses) are the shard pool's atomic stripes and therefore exist only
+// with -batch > 1.
 package main
 
 import (
@@ -62,10 +65,10 @@ func main() {
 	epoch := flag.Duration("epoch", time.Hour, "master key epoch length")
 	dynPool := flag.String("dynpool", "", "optional dynamic-address pool prefix (enables §3.4 QoS remedy)")
 	statsEvery := flag.Duration("stats", 30*time.Second, "stats logging interval (0 disables)")
-	workers := flag.Int("workers", 1, "data-plane workers (socket readers, or pool shards with -batch)")
+	workers := flag.Int("workers", 1, "data-plane workers: N goroutines each reading the socket and processing their own packets; with -batch > 1, one socket reader feeding N pool shards")
 	batch := flag.Int("batch", 1, "datagrams per pool batch (>1 enables the sharded batch pipeline)")
 	batchWait := flag.Duration("batchwait", 500*time.Microsecond, "max wait to fill a batch after the first datagram")
-	metrics := flag.String("metrics", "", "serve /metrics, /metrics.json, /stream and /debug/pprof on this address (\":0\" picks a port)")
+	metrics := flag.String("metrics", "", "serve /metrics, /metrics.json, /stream and /debug/pprof on this address (\":0\" picks a port); the per-worker core_worker_* and core_crypto_epoch_* families exist only with -batch > 1")
 	flag.Parse()
 
 	if err := run(options{

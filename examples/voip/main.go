@@ -120,9 +120,10 @@ func runCall(duration time.Duration, loss float64, delay time.Duration, neutrali
 
 	if !neutralized {
 		server.SetHandler(func(now time.Time, pkt []byte) {
-			p := wire.ParsePacket(pkt, wire.LayerTypeIPv4)
-			if p.ErrorLayer() == nil {
-				record(now, p.ApplicationPayload())
+			var ip wire.IPv4
+			var udp wire.UDP
+			if ip.DecodeFromBytes(pkt) == nil && udp.DecodeFromBytes(ip.Payload()) == nil {
+				record(now, udp.Payload())
 			}
 		})
 		call.Run(sim, duration, func(seq uint64, size int) {

@@ -179,10 +179,18 @@ type Neutralizer struct {
 	stats   Stats
 	scratch sync.Pool // *Scratch, for the compatibility Process path
 
-	dynMu   sync.Mutex
-	dynFwd  map[dynFlowKey]netip.Addr // (customer, peer) -> dynamic addr
-	dynRev  map[netip.Addr]dynFlowKey
-	dynNext uint64
+	dyn *dynTable
+}
+
+// dynTable is the §3.4 dynamic-address table. It is the one piece of
+// neutralizer state that cannot be recomputed from the packet, so the
+// replicas of a Pool must share one (NewPool hands every replica the same
+// pointer): a flow keeps its address whichever replica serves it.
+type dynTable struct {
+	mu   sync.Mutex
+	fwd  map[dynFlowKey]netip.Addr // (customer, peer) -> dynamic addr
+	rev  map[netip.Addr]dynFlowKey
+	next uint64
 }
 
 type dynFlowKey struct {
@@ -208,11 +216,10 @@ func New(cfg Config) (*Neutralizer, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	n := &Neutralizer{
-		cfg:    cfg,
-		dynFwd: make(map[dynFlowKey]netip.Addr),
-		dynRev: make(map[netip.Addr]dynFlowKey),
-	}
+	n := &Neutralizer{cfg: cfg, dyn: &dynTable{
+		fwd: make(map[dynFlowKey]netip.Addr),
+		rev: make(map[netip.Addr]dynFlowKey),
+	}}
 	n.scratch.New = func() any { return NewScratch() }
 	return n, nil
 }
@@ -460,6 +467,7 @@ func (n *Neutralizer) processKeyFetch(s *Scratch, ip *wire.IPv4, sh *shim.Header
 // ablation benchmark.
 func (n *Neutralizer) processAltData(s *Scratch, ip *wire.IPv4, sh *shim.Header) error {
 	if n.cfg.AltIdentity == nil {
+		n.stats.DropMalformed.Add(1) // as ErrUnhandledType: not served here
 		return ErrNoAltIdentity
 	}
 	pt, err := n.cfg.AltIdentity.Decrypt(sh.Ciphertext)
@@ -493,9 +501,10 @@ func (n *Neutralizer) dynAddrFor(customer, peer netip.Addr) (netip.Addr, error) 
 		return netip.Addr{}, ErrDynPoolExhausted
 	}
 	key := dynFlowKey{customer: customer, peer: peer}
-	n.dynMu.Lock()
-	defer n.dynMu.Unlock()
-	if a, ok := n.dynFwd[key]; ok {
+	d := n.dyn
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if a, ok := d.fwd[key]; ok {
 		return a, nil
 	}
 	// Sequential allocation inside the pool, skipping the network address.
@@ -503,16 +512,16 @@ func (n *Neutralizer) dynAddrFor(customer, peer netip.Addr) (netip.Addr, error) 
 	hostBits := 32 - n.cfg.DynAddrPool.Bits()
 	max := uint64(1)<<hostBits - 1
 	for {
-		n.dynNext++
-		if n.dynNext >= max {
+		d.next++
+		if d.next >= max {
 			return netip.Addr{}, ErrDynPoolExhausted
 		}
-		a := addAddrOffset(base, n.dynNext)
-		if _, used := n.dynRev[a]; used {
+		a := addAddrOffset(base, d.next)
+		if _, used := d.rev[a]; used {
 			continue
 		}
-		n.dynFwd[key] = a
-		n.dynRev[a] = key
+		d.fwd[key] = a
+		d.rev[a] = key
 		n.stats.DynAddrsAllocated.Add(1)
 		if n.cfg.OnDynAlloc != nil {
 			n.cfg.OnDynAlloc(a, true)
@@ -524,21 +533,22 @@ func (n *Neutralizer) dynAddrFor(customer, peer netip.Addr) (netip.Addr, error) 
 // DynFlowOf resolves a dynamic address back to its (customer, peer) flow.
 // The discriminatory ISP cannot do this — only the neutralizer can.
 func (n *Neutralizer) DynFlowOf(a netip.Addr) (customer, peer netip.Addr, ok bool) {
-	n.dynMu.Lock()
-	defer n.dynMu.Unlock()
-	k, ok := n.dynRev[a]
+	n.dyn.mu.Lock()
+	defer n.dyn.mu.Unlock()
+	k, ok := n.dyn.rev[a]
 	return k.customer, k.peer, ok
 }
 
 // ReleaseDynAddr releases a dynamic address when a QoS session ends.
 func (n *Neutralizer) ReleaseDynAddr(a netip.Addr) {
-	n.dynMu.Lock()
-	k, ok := n.dynRev[a]
+	d := n.dyn
+	d.mu.Lock()
+	k, ok := d.rev[a]
 	if ok {
-		delete(n.dynRev, a)
-		delete(n.dynFwd, k)
+		delete(d.rev, a)
+		delete(d.fwd, k)
 	}
-	n.dynMu.Unlock()
+	d.mu.Unlock()
 	if ok && n.cfg.OnDynAlloc != nil {
 		n.cfg.OnDynAlloc(a, false)
 	}
@@ -547,9 +557,9 @@ func (n *Neutralizer) ReleaseDynAddr(a netip.Addr) {
 // DynAddrCount reports live dynamic-address allocations (state that
 // exists only for explicitly-requested QoS flows).
 func (n *Neutralizer) DynAddrCount() int {
-	n.dynMu.Lock()
-	defer n.dynMu.Unlock()
-	return len(n.dynFwd)
+	n.dyn.mu.Lock()
+	defer n.dyn.mu.Unlock()
+	return len(n.dyn.fwd)
 }
 
 func addAddrOffset(base netip.Addr, off uint64) netip.Addr {
@@ -557,22 +567,6 @@ func addAddrOffset(base netip.Addr, off uint64) netip.Addr {
 	v := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 	v += uint32(off)
 	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
-}
-
-// buildShimPacket serializes IP(src→dst, ToS preserved) | shim | payload.
-// Preserving the ToS octet verbatim is the §3.4 DiffServ guarantee: "a
-// neutralizer will not modify the Differentiated Services Code Point".
-func buildShimPacket(src, dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) ([]byte, error) {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+shim.HeaderLen+64, len(payload))
-	buf.PushPayload(payload)
-	if err := sh.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	ip := &wire.IPv4{TOS: tos, TTL: wire.MaxTTL, Protocol: wire.ProtoShim, Src: src, Dst: dst}
-	if err := ip.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // VanillaForward is the baseline the paper compares against: plain IP

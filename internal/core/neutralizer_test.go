@@ -60,11 +60,25 @@ func newTestNeutralizer(t *testing.T, mut func(*Config)) *Neutralizer {
 // mkShimPacket builds a client-side shim packet for tests.
 func mkShimPacket(t *testing.T, src, dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) []byte {
 	t.Helper()
-	pkt, err := buildShimPacket(src, dst, tos, sh, payload)
+	pkt, err := shim.BuildPacket(src, dst, tos, sh, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pkt
+}
+
+// parseShimPacket decodes an output packet's IP header and shim.
+func parseShimPacket(t *testing.T, pkt []byte) (*wire.IPv4, *shim.Header) {
+	t.Helper()
+	var ip wire.IPv4
+	if err := ip.DecodeFromBytes(pkt); err != nil {
+		t.Fatalf("output parse: %v", err)
+	}
+	var sh shim.Header
+	if err := sh.DecodeFromBytes(ip.Payload()); err != nil {
+		t.Fatalf("output shim parse: %v", err)
+	}
+	return &ip, &sh
 }
 
 // doKeySetup runs the Figure 2(a) exchange and returns the client's view:
@@ -79,15 +93,10 @@ func doKeySetup(t *testing.T, n *Neutralizer) (keys.Nonce, aesutil.Key, keys.Epo
 	if len(out) != 1 {
 		t.Fatalf("key setup produced %d packets", len(out))
 	}
-	pkt := wire.ParsePacket(out[0].Pkt, wire.LayerTypeIPv4)
-	if pkt.ErrorLayer() != nil {
-		t.Fatalf("response parse: %v", pkt.ErrorLayer())
-	}
-	ipl := pkt.NetworkLayer()
+	ipl, sh := parseShimPacket(t, out[0].Pkt)
 	if ipl.Src != anycast || ipl.Dst != annAddr {
 		t.Fatalf("response addressed %v -> %v", ipl.Src, ipl.Dst)
 	}
-	sh := pkt.Layer(wire.LayerTypeShim).(*shim.Header)
 	if sh.Type != shim.TypeKeySetupResponse {
 		t.Fatalf("response type = %v", sh.Type)
 	}
@@ -167,12 +176,10 @@ func TestDataForwardPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("data: %v", err)
 	}
-	pkt := wire.ParsePacket(out[0].Pkt, wire.LayerTypeIPv4)
-	ipl := pkt.NetworkLayer()
+	ipl, sh := parseShimPacket(t, out[0].Pkt)
 	if ipl.Src != annAddr || ipl.Dst != googAddr {
 		t.Errorf("forwarded %v -> %v, want %v -> %v", ipl.Src, ipl.Dst, annAddr, googAddr)
 	}
-	sh := pkt.Layer(wire.LayerTypeShim).(*shim.Header)
 	if sh.Type != shim.TypeDelivered {
 		t.Errorf("type = %v", sh.Type)
 	}
@@ -197,8 +204,7 @@ func TestDataKeyRequestStampsGrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := wire.ParsePacket(out[0].Pkt, wire.LayerTypeIPv4)
-	sh := pkt.Layer(wire.LayerTypeShim).(*shim.Header)
+	_, sh := parseShimPacket(t, out[0].Pkt)
 	if !sh.HasGrant() {
 		t.Fatal("no grant stamped despite FlagKeyRequest")
 	}
@@ -277,12 +283,10 @@ func TestReturnPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("return: %v", err)
 	}
-	pkt := wire.ParsePacket(out[0].Pkt, wire.LayerTypeIPv4)
-	ipl := pkt.NetworkLayer()
+	ipl, sh := parseShimPacket(t, out[0].Pkt)
 	if ipl.Src != anycast || ipl.Dst != annAddr {
 		t.Errorf("return forwarded %v -> %v, want anycast -> %v", ipl.Src, ipl.Dst, annAddr)
 	}
-	sh := pkt.Layer(wire.LayerTypeShim).(*shim.Header)
 	if sh.Type != shim.TypeReturnDelivered {
 		t.Errorf("type = %v", sh.Type)
 	}
@@ -396,8 +400,7 @@ func TestKeyFetchReverseDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := wire.ParsePacket(out[0].Pkt, wire.LayerTypeIPv4)
-	sh := pkt.Layer(wire.LayerTypeShim).(*shim.Header)
+	_, sh := parseShimPacket(t, out[0].Pkt)
 	if sh.Type != shim.TypeKeyFetchResponse {
 		t.Fatalf("type = %v", sh.Type)
 	}
@@ -429,10 +432,8 @@ func TestOffloadDelegatesToHelpers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkt := wire.ParsePacket(out[0].Pkt, wire.LayerTypeIPv4)
-		ipl := pkt.NetworkLayer()
+		ipl, sh := parseShimPacket(t, out[0].Pkt)
 		seen[ipl.Dst]++
-		sh := pkt.Layer(wire.LayerTypeShim).(*shim.Header)
 		if sh.Type != shim.TypeKeySetupRequest || sh.Flags&shim.FlagOffloaded == 0 {
 			t.Fatalf("offloaded packet type=%v flags=%b", sh.Type, sh.Flags)
 		}

@@ -122,6 +122,9 @@ func (n *Neutralizer) ProcessScratch(s *Scratch, pkt []byte) ([]Outgoing, error)
 	case shim.TypeAltData:
 		err = n.processAltData(s, &s.ip, &s.sh)
 	default:
+		// A well-formed shim of a type only end hosts consume: counted, so
+		// every shim input moves exactly one served or drop counter.
+		n.stats.DropMalformed.Add(1)
 		err = ErrUnhandledType
 	}
 	if err != nil {

@@ -8,7 +8,8 @@
 // Config (and thus the same master-key Schedule), each owning a worker
 // goroutine and a Scratch. Packets are sharded by source address, but any
 // shard assignment whatsoever produces the same outputs — the concurrency
-// tests exercise exactly that interchangeability.
+// tests exercise exactly that interchangeability. The replicas share only
+// what a packet cannot carry: the optional §3.4 dynamic-address table.
 //
 // Per-replica Stats are kept on independent cache lines (each replica has
 // its own atomic counter block) and merged on demand via Snapshot/Merge,
@@ -76,6 +77,9 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			return nil, err
 		}
 		p.replicas[i] = n
+		// Everything else a replica holds is derived from the packet; the
+		// dynamic-address table is not, so all replicas use replica 0's.
+		n.dyn = p.replicas[0].dyn
 		p.scr[i] = NewScratch()
 		p.work[i] = make(chan struct{}, 1)
 		go p.worker(i)

@@ -52,7 +52,7 @@ func mkDataBatch(t testing.TB, sched *keys.Schedule, n int, withBad bool) (pkts 
 			Type: shim.TypeData, InnerProto: wire.ProtoUDP,
 			Epoch: epoch, Nonce: nonce, HiddenAddr: blk,
 		}
-		pkt, err := buildShimPacket(src, anycast, 0, sh, payload)
+		pkt, err := shim.BuildPacket(src, anycast, 0, sh, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestReturnPathConcurrent(t *testing.T) {
 			Type: shim.TypeReturn, InnerProto: wire.ProtoUDP,
 			Epoch: epoch, Nonce: nonce, ClearAddr: initiators[i],
 		}
-		pkt, err := buildShimPacket(googAddr, anycast, 0, sh, payload)
+		pkt, err := shim.BuildPacket(googAddr, anycast, 0, sh, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,5 +395,97 @@ func TestProcessScratchMatchesProcess(t *testing.T) {
 				t.Fatalf("pkt %d output %d: bytes diverge", i, j)
 			}
 		}
+	}
+}
+
+// TestPoolSharesDynamicAddrTable pins the one exception to "replicas
+// share nothing": the §3.4 dynamic-address table is not derivable from
+// the packet, so N return flows spread over the shards must draw N
+// distinct addresses from the pool prefix, each stable across batches and
+// announced to OnDynAlloc exactly once — not one private table per shard
+// handing the same address to a flow on every replica.
+func TestPoolSharesDynamicAddrTable(t *testing.T) {
+	const flows, workers = 16, 4
+	sched := testSchedule()
+	dynPool := netip.MustParsePrefix("10.250.0.0/24")
+	var mu sync.Mutex
+	announced := map[netip.Addr]int{}
+	cfg := concConfig(sched)
+	cfg.DynAddrPool = dynPool
+	cfg.OnDynAlloc = func(a netip.Addr, alloc bool) {
+		if alloc {
+			mu.Lock()
+			announced[a]++
+			mu.Unlock()
+		}
+	}
+	pool, err := NewPool(PoolConfig{Workers: workers, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	epoch := sched.EpochAt(cfg.Clock())
+	pkts := make([][]byte, flows)
+	shards := map[int]bool{}
+	for i := range pkts {
+		customer := netip.AddrFrom4([4]byte{10, 10, 1, byte(i + 1)})
+		peer := netip.AddrFrom4([4]byte{172, 16, 9, byte(i + 1)})
+		sh := &shim.Header{
+			Type: shim.TypeReturn, Flags: shim.FlagDynamicAddr, InnerProto: wire.ProtoUDP,
+			Epoch: epoch, Nonce: keys.Nonce{byte(i + 1)}, ClearAddr: peer,
+		}
+		pkts[i], err = shim.BuildPacket(customer, anycast, 0, sh, []byte("qos"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[shardOf(pkts[i], i, workers)] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("flows landed on %d shard(s); the test needs at least 2", len(shards))
+	}
+
+	byPeer := map[netip.Addr]netip.Addr{} // flow (by its peer) -> dynamic address
+	for batch := 0; batch < 3; batch++ {
+		outs, dropped := pool.ProcessBatch(pkts)
+		if dropped != 0 || len(outs) != flows {
+			t.Fatalf("batch %d: %d outputs, %d dropped", batch, len(outs), dropped)
+		}
+		for _, o := range outs {
+			dyn, peer, err := wire.IPv4Addrs(o.Pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !dynPool.Contains(dyn) {
+				t.Fatalf("batch %d: visible source %v outside %v", batch, dyn, dynPool)
+			}
+			if prev, seen := byPeer[peer]; seen && prev != dyn {
+				t.Errorf("flow to %v moved from %v to %v in batch %d", peer, prev, dyn, batch)
+			}
+			byPeer[peer] = dyn
+		}
+	}
+	distinct := map[netip.Addr]bool{}
+	for _, dyn := range byPeer {
+		distinct[dyn] = true
+	}
+	if len(byPeer) != flows || len(distinct) != flows {
+		t.Errorf("%d flows drew %d distinct dynamic addresses, want %d", len(byPeer), len(distinct), flows)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(announced) != flows {
+		t.Errorf("OnDynAlloc announced %d addresses, want %d", len(announced), flows)
+	}
+	for a, n := range announced {
+		if n != 1 {
+			t.Errorf("OnDynAlloc fired %d times for %v, want once", n, a)
+		}
+	}
+	if got := pool.Stats().DynAddrsAllocated; got != flows {
+		t.Errorf("DynAddrsAllocated = %d, want %d", got, flows)
+	}
+	if got := pool.Replica(workers - 1).DynAddrCount(); got != flows {
+		t.Errorf("DynAddrCount = %d, want %d", got, flows)
 	}
 }

@@ -410,7 +410,7 @@ func (h *Host) onOffloadRequest(ip *wire.IPv4, sh *shim.Header) {
 		src = h.cfg.Addr
 	}
 	resp := &shim.Header{Type: shim.TypeKeySetupResponse, Epoch: sh.Epoch, Ciphertext: ct}
-	pkt, err := buildShimPacket(src, ip.Src, 0, resp, nil)
+	pkt, err := shim.BuildPacket(src, ip.Src, 0, resp, nil)
 	if err != nil {
 		return
 	}
@@ -533,22 +533,9 @@ func (h *Host) onKeyFetchResponse(ip *wire.IPv4, sh *shim.Header) {
 }
 
 func (h *Host) sendShim(dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) error {
-	pkt, err := buildShimPacket(h.cfg.Addr, dst, tos, sh, payload)
+	pkt, err := shim.BuildPacket(h.cfg.Addr, dst, tos, sh, payload)
 	if err != nil {
 		return err
 	}
 	return h.cfg.Transport(pkt)
-}
-
-func buildShimPacket(src, dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) ([]byte, error) {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+shim.HeaderLen+96, len(payload))
-	buf.PushPayload(payload)
-	if err := sh.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	ip := &wire.IPv4{TOS: tos, TTL: wire.MaxTTL, Protocol: wire.ProtoShim, Src: src, Dst: dst}
-	if err := ip.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -180,7 +180,7 @@ func NewBenchEnv(offload bool, altMode bool) (*BenchEnv, error) {
 		return nil, err
 	}
 
-	env.SetupPkt, err = buildShim(benchSrc, benchAnycast, &shim.Header{
+	env.SetupPkt, err = shim.BuildPacket(benchSrc, benchAnycast, 0, &shim.Header{
 		Type: shim.TypeKeySetupRequest, PublicKey: env.ClientKey.PublicKey.Marshal(),
 	}, nil)
 	if err != nil {
@@ -191,14 +191,14 @@ func NewBenchEnv(offload bool, altMode bool) (*BenchEnv, error) {
 		return nil, err
 	}
 	payload := make([]byte, 64)
-	env.DataPkt, err = buildShim(benchSrc, benchAnycast, &shim.Header{
+	env.DataPkt, err = shim.BuildPacket(benchSrc, benchAnycast, 0, &shim.Header{
 		Type: shim.TypeData, InnerProto: wire.ProtoUDP,
 		Epoch: env.Epoch, Nonce: env.Nonce, HiddenAddr: blk,
 	}, payload)
 	if err != nil {
 		return nil, err
 	}
-	env.ReturnPkt, err = buildShim(benchDst, benchAnycast, &shim.Header{
+	env.ReturnPkt, err = shim.BuildPacket(benchDst, benchAnycast, 0, &shim.Header{
 		Type: shim.TypeReturn, InnerProto: wire.ProtoUDP,
 		Epoch: env.Epoch, Nonce: env.Nonce, ClearAddr: benchSrc,
 	}, payload)
@@ -211,7 +211,7 @@ func NewBenchEnv(offload bool, altMode bool) (*BenchEnv, error) {
 		if err != nil {
 			return nil, err
 		}
-		env.AltPkt, err = buildShim(benchSrc, benchAnycast, &shim.Header{
+		env.AltPkt, err = shim.BuildPacket(benchSrc, benchAnycast, 0, &shim.Header{
 			Type: shim.TypeAltData, InnerProto: wire.ProtoUDP, Ciphertext: ct,
 		}, payload)
 		if err != nil {
@@ -261,7 +261,7 @@ func (e *BenchEnv) DataBatch(nSources, n int) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkt, err := buildShim(src, benchAnycast, &shim.Header{
+		pkt, err := shim.BuildPacket(src, benchAnycast, 0, &shim.Header{
 			Type: shim.TypeData, InnerProto: wire.ProtoUDP,
 			Epoch: e.Epoch, Nonce: nonce, HiddenAddr: blk,
 		}, payload)
@@ -281,19 +281,6 @@ func (e *BenchEnv) FreshVanilla() []byte {
 	return out
 }
 
-func buildShim(src, dst netip.Addr, sh *shim.Header, payload []byte) ([]byte, error) {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+shim.HeaderLen+96, len(payload))
-	buf.PushPayload(payload)
-	if err := sh.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	ip := &wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoShim, Src: src, Dst: dst}
-	if err := ip.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // measureRate runs fn n times and returns operations/second.
 func measureRate(n int, fn func(i int)) float64 {
 	start := time.Now()
@@ -310,21 +297,6 @@ func measureRate(n int, fn func(i int)) float64 {
 func kpps(rate float64) string { return fmt.Sprintf("%.1f kpps", rate/1e3) }
 
 // ---- netem glue ---------------------------------------------------------
-
-// AttachNeutralizer wires a core.Neutralizer into a netem node: shim
-// packets delivered to the node are processed and the outputs sent back
-// into the fabric.
-func AttachNeutralizer(node *netem.Node, n *core.Neutralizer) {
-	node.SetHandler(func(now time.Time, pkt []byte) {
-		outs, err := n.Process(pkt)
-		if err != nil {
-			return
-		}
-		for _, o := range outs {
-			_ = node.Send(o.Pkt)
-		}
-	})
-}
 
 // AttachHost wires an endhost.Host into a netem node.
 func AttachHost(node *netem.Node, h *endhost.Host) {

@@ -290,7 +290,7 @@ func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Clas
 			sh := &hdr
 			srcAddr := src.Addr()
 			sendShim := func(payload []byte) {
-				pkt, err := buildShim(srcAddr, f.Spec.Anycast, sh, payload)
+				pkt, err := shim.BuildPacket(srcAddr, f.Spec.Anycast, 0, sh, payload)
 				if err != nil {
 					return
 				}
@@ -382,25 +382,7 @@ func buildArmsUDP(src, dst netip.Addr, dport uint16, payloadLen int) []byte {
 // shim payload for neutralized traffic, and the decoded (non-cover)
 // cloak frame payload when cloaking is on.
 func armsRealPayloadLen(pkt []byte, cloaked bool) int {
-	var ip wire.IPv4
-	if ip.DecodeFromBytes(pkt) != nil {
-		return 0
-	}
-	var payload []byte
-	switch ip.Protocol {
-	case wire.ProtoUDP:
-		if len(ip.Payload()) > wire.UDPHeaderLen {
-			payload = ip.Payload()[wire.UDPHeaderLen:]
-		}
-	case wire.ProtoShim:
-		var sh shim.Header
-		if sh.DecodeFromBytes(ip.Payload()) != nil {
-			return 0
-		}
-		payload = sh.Payload()
-	default:
-		return 0
-	}
+	payload := deliveredPayload(pkt)
 	if !cloaked {
 		return len(payload)
 	}

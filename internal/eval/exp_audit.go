@@ -369,7 +369,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 				return
 			}
 			c := &creds[idx]
-			pkt, err := buildShim(src.Addr(), f.Spec.Anycast, &c.sh, payload)
+			pkt, err := shim.BuildPacket(src.Addr(), f.Spec.Anycast, 0, &c.sh, payload)
 			if err != nil {
 				return
 			}
@@ -395,7 +395,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		for role := 0; role < 2; role++ {
 			prober := p
 			f.Hosts[targetIdx(v, role)].SetHandler(func(now time.Time, pkt []byte) {
-				if payload := auditProbePayload(pkt); payload != nil {
+				if payload := deliveredPayload(pkt); payload != nil {
 					prober.HandleProbe(now, payload)
 				}
 			})
@@ -440,7 +440,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		for role := 0; role < 2; role++ {
 			prober := p
 			f.Hosts[inTargetIdx(i, role)].SetHandler(func(now time.Time, pkt []byte) {
-				if payload := auditProbePayload(pkt); payload != nil {
+				if payload := deliveredPayload(pkt); payload != nil {
 					prober.HandleProbe(now, payload)
 				}
 			})
@@ -510,10 +510,10 @@ func buildProbeUDP(src, dst netip.Addr, dport uint16, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// auditProbePayload extracts the probe payload from a delivered packet:
-// the UDP payload for plaintext probes, the shim payload for
-// neutralized ones.
-func auditProbePayload(pkt []byte) []byte {
+// deliveredPayload extracts the application payload from a delivered
+// packet: the UDP payload of a plaintext datagram, the shim payload of a
+// neutralized one.
+func deliveredPayload(pkt []byte) []byte {
 	var ip wire.IPv4
 	if ip.DecodeFromBytes(pkt) != nil {
 		return nil

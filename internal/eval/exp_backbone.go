@@ -223,7 +223,7 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 				Type: shim.TypeData, InnerProto: wire.ProtoUDP,
 				Epoch: epoch, Nonce: nonce, HiddenAddr: blk,
 			}
-			templates[k], err = buildShim(src, dstMetro.Spec.Anycast, &sh, payload)
+			templates[k], err = shim.BuildPacket(src, dstMetro.Spec.Anycast, 0, &sh, payload)
 			if err != nil {
 				return nil, err
 			}

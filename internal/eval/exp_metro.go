@@ -23,6 +23,7 @@ import (
 	"netneutral/internal/crypto/keys"
 	"netneutral/internal/isp"
 	"netneutral/internal/netem"
+	"netneutral/internal/shim"
 	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
@@ -139,7 +140,7 @@ func buildMetroWorld(seed int64, hosts, workers int, link netem.LinkConfig) (*me
 		if err != nil {
 			return nil, err
 		}
-		templates[i], err = buildShim(src, env.Fan.Spec.Anycast, &sh, payload)
+		templates[i], err = shim.BuildPacket(src, env.Fan.Spec.Anycast, 0, &sh, payload)
 		if err != nil {
 			return nil, err
 		}

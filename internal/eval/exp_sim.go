@@ -77,7 +77,7 @@ func newFigure1World(seed int64) (*figure1World, error) {
 	if err != nil {
 		return nil, err
 	}
-	AttachNeutralizer(w.border, w.neut)
+	AttachNeutralizerScratch(w.border, w.neut)
 	return w, nil
 }
 
@@ -303,12 +303,7 @@ func RunA4() (*Result, error) {
 
 		if !neutralized {
 			w.vonage.SetHandler(func(now time.Time, pkt []byte) {
-				p := wire.ParsePacket(pkt, wire.LayerTypeIPv4)
-				if p.ErrorLayer() != nil {
-					return
-				}
-				payload := p.ApplicationPayload()
-				if len(payload) >= 8 {
+				if payload := deliveredPayload(pkt); len(payload) >= 8 {
 					lost.Received++
 					delays.Add(now.Sub(frameAt(seqOf(payload))))
 				}
@@ -380,10 +375,9 @@ func RunA4() (*Result, error) {
 		return benchStart.Add(time.Duration(seq) * 20 * time.Millisecond)
 	}
 	wOwn.vonage.SetHandler(func(now time.Time, pkt []byte) {
-		p := wire.ParsePacket(pkt, wire.LayerTypeIPv4)
-		if p.ErrorLayer() == nil && len(p.ApplicationPayload()) >= 8 {
+		if payload := deliveredPayload(pkt); len(payload) >= 8 {
 			lostOwn.Received++
-			delaysOwn.Add(now.Sub(frameAt(seqOf(p.ApplicationPayload()))))
+			delaysOwn.Add(now.Sub(frameAt(seqOf(payload))))
 		}
 	})
 	for i := 0; i < 150; i++ {
@@ -446,12 +440,12 @@ func RunA5() (*Result, error) {
 		}
 	})
 
-	flood, err := buildShim(netip.MustParseAddr("192.0.2.1"), f1Anycast, &shim.Header{
+	flood, err := shim.BuildPacket(netip.MustParseAddr("192.0.2.1"), f1Anycast, 0, &shim.Header{
 		Type: shim.TypeKeySetupRequest, PublicKey: make([]byte, 66)}, nil)
 	if err != nil {
 		return nil, err
 	}
-	goodPkt, err := buildShim(f1Ann, f1Anycast, &shim.Header{
+	goodPkt, err := shim.BuildPacket(f1Ann, f1Anycast, 0, &shim.Header{
 		Type: shim.TypeData, Nonce: keys.Nonce{1}}, nil)
 	if err != nil {
 		return nil, err

@@ -59,14 +59,16 @@ func FuzzShimHeaderParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		shim.PeekType(data)
-		shim.PeekNonce(data)
 		var h shim.Header
 		if err := h.DecodeFromBytes(data); err != nil {
 			return
 		}
-		if len(h.Contents())+len(h.Payload()) != len(data) {
-			t.Fatalf("contents+payload != input: %d+%d != %d",
-				len(h.Contents()), len(h.Payload()), len(data))
+		// Header-length accounting: everything the payload does not cover
+		// is the fixed header plus the body the decoded type and flags
+		// call for.
+		if len(data)-len(h.Payload()) != h.EncodedLen() {
+			t.Fatalf("header+payload != input: %d+%d != %d",
+				h.EncodedLen(), len(h.Payload()), len(data))
 		}
 		buf := wire.NewSerializeBuffer(shim.HeaderLen+len(data), len(h.Payload()))
 		buf.PushPayload(h.Payload())

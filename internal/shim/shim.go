@@ -138,8 +138,9 @@ func UnmarshalGrant(b []byte) (Grant, error) {
 	return g, nil
 }
 
-// Header is a decoded shim message. It implements wire.Layer,
-// wire.DecodingLayer and wire.SerializableLayer.
+// Header is a decoded shim message: DecodeFromBytes reads one from the
+// IP payload of a wire.ProtoShim datagram, SerializeTo prepends one to a
+// wire.SerializeBuffer.
 //
 // Only the fields relevant to a given Type are meaningful; see the type
 // constants for which.
@@ -167,30 +168,12 @@ type Header struct {
 	// TypeKeyFetchResponse; TypeKeySetupRequest with FlagOffloaded).
 	Grant Grant
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
-// LayerType implements wire.Layer.
-func (*Header) LayerType() wire.LayerType { return wire.LayerTypeShim }
-
-// Contents implements wire.Layer.
-func (h *Header) Contents() []byte { return h.contents }
-
-// Payload implements wire.Layer.
+// Payload returns what the shim carries (an InnerProto datagram): the
+// bytes after the fixed header and the type-dependent body.
 func (h *Header) Payload() []byte { return h.payload }
-
-// NextLayerType implements wire.DecodingLayer.
-func (h *Header) NextLayerType() wire.LayerType {
-	switch h.InnerProto {
-	case wire.ProtoUDP:
-		return wire.LayerTypeUDP
-	case 0:
-		return 0
-	default:
-		return wire.LayerTypePayload
-	}
-}
 
 // HasGrant reports whether the header carries grant material.
 func (h *Header) HasGrant() bool {
@@ -243,7 +226,7 @@ func (h *Header) EncodedLen() int {
 	return HeaderLen + bl
 }
 
-// SerializeTo implements wire.SerializableLayer. The buffer's current
+// SerializeTo prepends the header. The buffer's current
 // contents become the shim payload.
 func (h *Header) SerializeTo(b *wire.SerializeBuffer) error {
 	bl, err := h.bodyLen()
@@ -287,7 +270,7 @@ func (h *Header) SerializeTo(b *wire.SerializeBuffer) error {
 	return nil
 }
 
-// DecodeFromBytes implements wire.DecodingLayer.
+// DecodeFromBytes leaves h describing data.
 func (h *Header) DecodeFromBytes(data []byte) error {
 	if len(data) < HeaderLen {
 		return ErrTooShort
@@ -369,9 +352,28 @@ func (h *Header) DecodeFromBytes(data []byte) error {
 	default:
 		return ErrBadType
 	}
-	h.contents = data[:HeaderLen+used]
 	h.payload = body[used:]
 	return nil
+}
+
+// BuildPacket serializes IP(src→dst, ToS as given) | shim | payload into
+// a fresh, caller-owned packet. (The neutralizer's hot path does the same
+// into a recycled buffer: core.Scratch.emit.) Carrying the ToS octet
+// verbatim is the §3.4 DiffServ guarantee: "a neutralizer will not modify
+// the Differentiated Services Code Point".
+func BuildPacket(src, dst netip.Addr, tos uint8, sh *Header, payload []byte) ([]byte, error) {
+	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+sh.EncodedLen(), len(payload))
+	buf.PushPayload(payload)
+	if err := sh.SerializeTo(buf); err != nil {
+		return nil, err
+	}
+	// Called directly rather than through wire.SerializeLayers so the IP
+	// header stays on the stack: scenario builders make one packet per host.
+	ip := wire.IPv4{TOS: tos, TTL: wire.MaxTTL, Protocol: wire.ProtoShim, Src: src, Dst: dst}
+	if err := ip.SerializeTo(buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 func putAddr4(dst []byte, a netip.Addr) error {
@@ -397,16 +399,6 @@ func PeekType(shimBytes []byte) (Type, bool) {
 	return t, true
 }
 
-// PeekNonce extracts the clear-text nonce from a serialized shim payload.
-func PeekNonce(shimBytes []byte) (keys.Nonce, bool) {
-	if len(shimBytes) < HeaderLen {
-		return keys.Nonce{}, false
-	}
-	var n keys.Nonce
-	copy(n[:], shimBytes[8:16])
-	return n, true
-}
-
 // SetupPlaintextLen is the length of the plaintext protected by the
 // key-setup RSA encryption: nonce(8) ‖ Ks(16).
 const SetupPlaintextLen = 8 + aesutil.KeySize
@@ -429,8 +421,4 @@ func DecodeSetupPlaintext(b []byte) (keys.Nonce, aesutil.Key, error) {
 	copy(n[:], b[:8])
 	copy(k[:], b[8:])
 	return n, k, nil
-}
-
-func init() {
-	wire.RegisterShimDecoder(func() wire.DecodingLayer { return &Header{} })
 }

@@ -2,6 +2,7 @@ package shim
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -80,8 +81,8 @@ func TestDataRoundTrip(t *testing.T) {
 	if out.Flags&FlagKeyRequest == 0 {
 		t.Error("key-request flag lost")
 	}
-	if out.NextLayerType() != wire.LayerTypeUDP {
-		t.Errorf("NextLayerType = %v, want UDP", out.NextLayerType())
+	if out.InnerProto != wire.ProtoUDP {
+		t.Errorf("InnerProto = %d, want UDP", out.InnerProto)
 	}
 }
 
@@ -190,7 +191,7 @@ func TestSerializeRejectsUnknownType(t *testing.T) {
 	}
 }
 
-func TestPeekTypeAndNonce(t *testing.T) {
+func TestPeekType(t *testing.T) {
 	in := &Header{Type: TypeData, Nonce: keys.Nonce{0xDE, 0xAD}, HiddenAddr: aesutil.AddrBlock{}}
 	buf := wire.NewSerializeBuffer(64, 0)
 	if err := in.SerializeTo(buf); err != nil {
@@ -200,15 +201,11 @@ func TestPeekTypeAndNonce(t *testing.T) {
 	if !ok || tt != TypeData {
 		t.Errorf("PeekType = %v, %v", tt, ok)
 	}
-	n, ok := PeekNonce(buf.Bytes())
-	if !ok || n != (keys.Nonce{0xDE, 0xAD}) {
-		t.Errorf("PeekNonce = %v, %v", n, ok)
-	}
 	if _, ok := PeekType(nil); ok {
 		t.Error("PeekType(nil) should fail")
 	}
-	if _, ok := PeekNonce(make([]byte, 4)); ok {
-		t.Error("PeekNonce(short) should fail")
+	if _, ok := PeekType([]byte{byte(len(typeNames))}); ok {
+		t.Error("PeekType(unknown type) should fail")
 	}
 }
 
@@ -263,36 +260,49 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestShimInsideIPv4ParsePacket(t *testing.T) {
+// TestBuildPacketRoundTrip reads a BuildPacket datagram back through the
+// struct decoders, one layer at a time: IP (ToS verbatim, §3.4) | shim |
+// the inner UDP datagram handed in as payload.
+func TestBuildPacketRoundTrip(t *testing.T) {
 	src, dst := addr("10.0.0.1"), addr("10.9.9.9")
-	var blk aesutil.AddrBlock
+	const efTOS = 46 << 2
 	payload := []byte("app data over udp")
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+DataOverhead+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoShim, Src: src, Dst: dst},
-		&Header{Type: TypeData, InnerProto: wire.ProtoUDP, Nonce: keys.Nonce{4}, HiddenAddr: blk},
-		&wire.UDP{SrcPort: 1000, DstPort: 2000},
-	)
+	inner := wire.NewSerializeBuffer(wire.UDPHeaderLen, len(payload))
+	inner.PushPayload(payload)
+	if err := (&wire.UDP{SrcPort: 1000, DstPort: 2000}).SerializeTo(inner); err != nil {
+		t.Fatal(err)
+	}
+	in := &Header{Type: TypeData, InnerProto: wire.ProtoUDP, Nonce: keys.Nonce{4}}
+	pkt, err := BuildPacket(src, dst, efTOS, in, inner.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := wire.ParsePacket(buf.Bytes(), wire.LayerTypeIPv4)
-	if pkt.ErrorLayer() != nil {
-		t.Fatalf("parse: %v", pkt.ErrorLayer())
+	if want := wire.IPv4HeaderLen + in.EncodedLen() + inner.Len(); len(pkt) != want {
+		t.Errorf("packet = %d bytes, want %d", len(pkt), want)
 	}
-	sh := pkt.Layer(wire.LayerTypeShim)
-	if sh == nil {
-		t.Fatal("no shim layer found")
+	var ip wire.IPv4
+	if err := ip.DecodeFromBytes(pkt); err != nil {
+		t.Fatalf("parse: %v", err)
 	}
-	if sh.(*Header).Type != TypeData {
-		t.Errorf("shim type = %v", sh.(*Header).Type)
+	if ip.Src != src || ip.Dst != dst || ip.Protocol != wire.ProtoShim || ip.TOS != efTOS || ip.TTL != wire.MaxTTL {
+		t.Errorf("ip header = %+v", ip)
 	}
-	if tl := pkt.TransportLayer(); tl == nil || tl.DstPort != 2000 {
-		t.Error("inner UDP not decoded")
+	var sh Header
+	if err := sh.DecodeFromBytes(ip.Payload()); err != nil {
+		t.Fatalf("no shim layer found: %v", err)
 	}
-	if !bytes.Equal(pkt.ApplicationPayload(), payload) {
-		t.Errorf("payload = %q", pkt.ApplicationPayload())
+	if sh.Type != TypeData || sh.Nonce != in.Nonce {
+		t.Errorf("shim = %v nonce %v", sh.Type, sh.Nonce)
+	}
+	var udp wire.UDP
+	if err := udp.DecodeFromBytes(sh.Payload()); err != nil || udp.DstPort != 2000 {
+		t.Errorf("inner UDP not decoded: %+v (%v)", udp, err)
+	}
+	if !bytes.Equal(udp.Payload(), payload) {
+		t.Errorf("payload = %q", udp.Payload())
+	}
+	if _, err := BuildPacket(src, dst, 0, &Header{Type: Type(200)}, nil); !errors.Is(err, ErrBadType) {
+		t.Errorf("unknown type: err = %v, want ErrBadType", err)
 	}
 }
 

@@ -33,8 +33,7 @@ var (
 	ErrIPv4BadLength   = errors.New("wire: IPv4 total length inconsistent with data")
 )
 
-// IPv4 is a decoded IPv4 header. It implements Layer, DecodingLayer and
-// SerializableLayer.
+// IPv4 is a decoded IPv4 header.
 type IPv4 struct {
 	// TOS is the full type-of-service octet: DSCP in the upper six bits,
 	// ECN in the lower two. Neutralizers preserve it verbatim (§3.4).
@@ -46,8 +45,7 @@ type IPv4 struct {
 	Protocol uint8
 	Src, Dst netip.Addr
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
 // IPv4Flags bit values.
@@ -62,33 +60,11 @@ func (ip *IPv4) DSCP() uint8 { return ip.TOS >> 2 }
 // SetDSCP sets the DiffServ codepoint, preserving ECN bits.
 func (ip *IPv4) SetDSCP(dscp uint8) { ip.TOS = dscp<<2 | ip.TOS&0b11 }
 
-// LayerType implements Layer.
-func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// Contents implements Layer.
-func (ip *IPv4) Contents() []byte { return ip.contents }
-
-// Payload implements Layer.
+// Payload returns the bytes the datagram carries for upper layers: what
+// follows the header, bounded by the total-length field.
 func (ip *IPv4) Payload() []byte { return ip.payload }
 
-// NextLayerType implements DecodingLayer.
-func (ip *IPv4) NextLayerType() LayerType {
-	switch ip.Protocol {
-	case ProtoUDP:
-		return LayerTypeUDP
-	case ProtoShim:
-		return LayerTypeShim
-	default:
-		return LayerTypePayload
-	}
-}
-
-// NetworkFlow returns the (src, dst) IPv4 flow.
-func (ip *IPv4) NetworkFlow() Flow {
-	return NewFlow(IPv4Endpoint(ip.Src), IPv4Endpoint(ip.Dst))
-}
-
-// DecodeFromBytes implements DecodingLayer. It verifies version, IHL,
+// DecodeFromBytes leaves ip describing data. It verifies version, IHL,
 // total length and header checksum.
 func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < IPv4HeaderLen {
@@ -120,12 +96,11 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	ip.Protocol = data[9]
 	ip.Src = netip.AddrFrom4([4]byte(data[12:16]))
 	ip.Dst = netip.AddrFrom4([4]byte(data[16:20]))
-	ip.contents = data[:ihl]
 	ip.payload = data[ihl:totalLen]
 	return nil
 }
 
-// SerializeTo implements SerializableLayer. The buffer's current contents
+// SerializeTo prepends the header. The buffer's current contents
 // become the IP payload; total length and checksum are computed here.
 func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
 	if !ip.Src.Is4() || !ip.Dst.Is4() {
@@ -182,32 +157,6 @@ func checksumFold(sum uint32) uint16 {
 		sum = sum>>16 + sum&0xffff
 	}
 	return ^uint16(sum)
-}
-
-// RewriteIPv4Addrs rewrites the src and/or dst address of a serialized
-// IPv4 packet in place and incrementally repairs the header checksum.
-// Nil addresses leave the corresponding field untouched. This is the
-// neutralizer's fast-path primitive: address substitution without
-// re-serializing the packet.
-func RewriteIPv4Addrs(pkt []byte, src, dst *netip.Addr) error {
-	if len(pkt) < IPv4HeaderLen || pkt[0]>>4 != 4 {
-		return ErrIPv4TooShort
-	}
-	ihl := int(pkt[0]&0x0f) * 4
-	if len(pkt) < ihl {
-		return ErrIPv4TooShort
-	}
-	if src != nil {
-		a := src.As4()
-		copy(pkt[12:16], a[:])
-	}
-	if dst != nil {
-		a := dst.As4()
-		copy(pkt[16:20], a[:])
-	}
-	pkt[10], pkt[11] = 0, 0
-	binary.BigEndian.PutUint16(pkt[10:12], Checksum(pkt[:ihl]))
-	return nil
 }
 
 // IPv4Addrs extracts the source and destination addresses from a

@@ -129,41 +129,15 @@ func TestIPv4DecodeErrors(t *testing.T) {
 	}
 }
 
-func TestRewriteIPv4Addrs(t *testing.T) {
-	pkt := buildIPv4(t, &IPv4{TTL: 64, Protocol: ProtoShim, Src: addr("10.0.0.1"), Dst: addr("10.0.0.2")}, []byte("payload"))
-	newSrc, newDst := addr("172.16.0.9"), addr("8.8.8.8")
-	if err := RewriteIPv4Addrs(pkt, &newSrc, &newDst); err != nil {
-		t.Fatalf("RewriteIPv4Addrs: %v", err)
-	}
-	var out IPv4
-	if err := out.DecodeFromBytes(pkt); err != nil {
-		t.Fatalf("decode after rewrite: %v (checksum must be repaired)", err)
-	}
-	if out.Src != newSrc || out.Dst != newDst {
-		t.Errorf("addresses after rewrite: %v->%v", out.Src, out.Dst)
-	}
-
-	// Partial rewrite: only dst.
-	other := addr("9.9.9.9")
-	if err := RewriteIPv4Addrs(pkt, nil, &other); err != nil {
-		t.Fatal(err)
-	}
-	var out2 IPv4
-	if err := out2.DecodeFromBytes(pkt); err != nil {
-		t.Fatal(err)
-	}
-	if out2.Src != newSrc || out2.Dst != other {
-		t.Errorf("after partial rewrite: %v->%v", out2.Src, out2.Dst)
-	}
-}
-
+// TestRewritePreservesDSCP: the in-place header rewrite every forwarding
+// hop performs (TTL decrement + checksum repair) must leave the ToS octet
+// alone — the §3.4 DiffServ guarantee at the byte level.
 func TestRewritePreservesDSCP(t *testing.T) {
 	ip := &IPv4{TTL: 64, Protocol: ProtoShim, Src: addr("10.0.0.1"), Dst: addr("10.0.0.2")}
 	ip.SetDSCP(46) // EF
 	pkt := buildIPv4(t, ip, nil)
-	s := addr("1.1.1.1")
-	if err := RewriteIPv4Addrs(pkt, &s, nil); err != nil {
-		t.Fatal(err)
+	if alive, err := DecrementTTL(pkt); err != nil || !alive {
+		t.Fatalf("DecrementTTL = %v, %v", alive, err)
 	}
 	var out IPv4
 	if err := out.DecodeFromBytes(pkt); err != nil {

@@ -16,8 +16,7 @@ var (
 	ErrUDPBadChecksum = errors.New("wire: UDP checksum mismatch")
 )
 
-// UDP is a decoded UDP header. It implements Layer, DecodingLayer and
-// SerializableLayer.
+// UDP is a decoded UDP header.
 //
 // Checksums are computed over the IPv4 pseudo-header; callers must set
 // PseudoSrc and PseudoDst before SerializeTo, and may set them before
@@ -29,28 +28,13 @@ type UDP struct {
 	// PseudoSrc and PseudoDst feed the pseudo-header for checksumming.
 	PseudoSrc, PseudoDst netip.Addr
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
-// LayerType implements Layer.
-func (*UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// Contents implements Layer.
-func (u *UDP) Contents() []byte { return u.contents }
-
-// Payload implements Layer.
+// Payload returns the datagram's data, bounded by the length field.
 func (u *UDP) Payload() []byte { return u.payload }
 
-// NextLayerType implements DecodingLayer.
-func (*UDP) NextLayerType() LayerType { return LayerTypePayload }
-
-// TransportFlow returns the (src port, dst port) flow.
-func (u *UDP) TransportFlow() Flow {
-	return NewFlow(UDPPortEndpoint(u.SrcPort), UDPPortEndpoint(u.DstPort))
-}
-
-// DecodeFromBytes implements DecodingLayer.
+// DecodeFromBytes leaves u describing data.
 func (u *UDP) DecodeFromBytes(data []byte) error {
 	if len(data) < UDPHeaderLen {
 		return ErrUDPTooShort
@@ -68,12 +52,11 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
-	u.contents = data[:UDPHeaderLen]
 	u.payload = data[UDPHeaderLen:length]
 	return nil
 }
 
-// SerializeTo implements SerializableLayer. The buffer's current contents
+// SerializeTo prepends the header. The buffer's current contents
 // become the UDP payload.
 func (u *UDP) SerializeTo(b *SerializeBuffer) error {
 	payloadLen := b.Len()

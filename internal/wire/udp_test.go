@@ -105,19 +105,21 @@ func TestUDPOverIPv4EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := ParsePacket(buf.Bytes(), LayerTypeIPv4)
-	if pkt.ErrorLayer() != nil {
-		t.Fatalf("parse error: %v", pkt.ErrorLayer())
+	var nl IPv4
+	if err := nl.DecodeFromBytes(buf.Bytes()); err != nil {
+		t.Fatalf("parse error: %v", err)
 	}
-	nl := pkt.NetworkLayer()
-	if nl == nil || nl.Src != src || nl.Dst != dst {
+	if nl.Src != src || nl.Dst != dst {
 		t.Fatalf("network layer = %+v", nl)
 	}
-	tl := pkt.TransportLayer()
-	if tl == nil || tl.SrcPort != 40000 || tl.DstPort != 53 {
+	tl := UDP{PseudoSrc: nl.Src, PseudoDst: nl.Dst}
+	if err := tl.DecodeFromBytes(nl.Payload()); err != nil {
+		t.Fatalf("parse error: %v", err)
+	}
+	if tl.SrcPort != 40000 || tl.DstPort != 53 {
 		t.Fatalf("transport layer = %+v", tl)
 	}
-	if !bytes.Equal(pkt.ApplicationPayload(), payload) {
-		t.Errorf("application payload = %q", pkt.ApplicationPayload())
+	if !bytes.Equal(tl.Payload(), payload) {
+		t.Errorf("application payload = %q", tl.Payload())
 	}
 }

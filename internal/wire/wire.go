@@ -1,207 +1,19 @@
 // Package wire implements the packet model used throughout netneutral.
 //
-// The design follows the layer-oriented decoding idiom popularized by
-// gopacket, restricted to the protocols this system needs and implemented
-// with the standard library only: a registry of LayerTypes, a Layer
-// interface exposing header contents and payload, hashable Endpoint and
-// Flow values for protocol-independent "from A to B" bookkeeping, a
-// prepend-oriented SerializeBuffer, and an allocation-free Parser that
-// decodes a known layer stack into caller-owned structs.
-//
 // Packets on the emulated network and on the real UDP transport are plain
-// []byte IPv4 datagrams; everything above them (UDP, the neutralizer shim,
-// application payloads) is produced and consumed through this package.
+// []byte IPv4 datagrams. There are two ways to read one: decode into a
+// caller-owned struct (IPv4, UDP, and shim.Header one layer up) with
+// DecodeFromBytes, or peek a fixed offset (IPv4Addrs, IPv4Proto). There is
+// one way to build one: push the payload into a SerializeBuffer and
+// prepend each header in front of it, innermost first.
 package wire
 
-import (
-	"fmt"
-	"net/netip"
-)
-
-// LayerType identifies a protocol layer. Values are registered at init
-// time; the zero value is invalid.
-type LayerType int
-
-// Known layer types. External packages may register more via
-// RegisterLayerType.
-var (
-	LayerTypeIPv4    = RegisterLayerType("IPv4")
-	LayerTypeUDP     = RegisterLayerType("UDP")
-	LayerTypeShim    = RegisterLayerType("Shim")
-	LayerTypePayload = RegisterLayerType("Payload")
-)
-
-var layerTypeNames = []string{"Unknown"}
-
-// RegisterLayerType allocates a new LayerType with the given display name.
-// It is intended to be called from package init functions and is not safe
-// for concurrent use with itself.
-func RegisterLayerType(name string) LayerType {
-	layerTypeNames = append(layerTypeNames, name)
-	return LayerType(len(layerTypeNames) - 1)
-}
-
-func (t LayerType) String() string {
-	if t <= 0 || int(t) >= len(layerTypeNames) {
-		return fmt.Sprintf("LayerType(%d)", int(t))
-	}
-	return layerTypeNames[t]
-}
-
-// Layer is a decoded protocol layer.
-type Layer interface {
-	// LayerType reports which protocol this layer is.
-	LayerType() LayerType
-	// Contents returns the bytes that make up this layer's header.
-	Contents() []byte
-	// Payload returns the bytes this layer carries for upper layers.
-	Payload() []byte
-}
-
-// DecodingLayer is a Layer that can decode itself from bytes without
-// allocation, mirroring gopacket's fast-path interface. DecodeFromBytes
-// must leave the receiver describing data; NextLayerType reports what the
-// payload contains.
-type DecodingLayer interface {
-	Layer
-	DecodeFromBytes(data []byte) error
-	NextLayerType() LayerType
-}
-
-// EndpointType distinguishes kinds of Endpoint.
-type EndpointType uint8
-
-// Endpoint kinds.
-const (
-	EndpointInvalid EndpointType = iota
-	EndpointIPv4
-	EndpointUDPPort
-)
-
-func (t EndpointType) String() string {
-	switch t {
-	case EndpointIPv4:
-		return "IPv4"
-	case EndpointUDPPort:
-		return "UDPPort"
-	default:
-		return "Invalid"
-	}
-}
-
-// Endpoint is a hashable representation of one side of a Flow: an IPv4
-// address or a UDP port. Endpoints are comparable and usable as map keys.
-type Endpoint struct {
-	typ EndpointType
-	raw uint64
-}
-
-// IPv4Endpoint returns the Endpoint for an IPv4 address.
-func IPv4Endpoint(a netip.Addr) Endpoint {
-	b := a.As4()
-	return Endpoint{
-		typ: EndpointIPv4,
-		raw: uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3]),
-	}
-}
-
-// UDPPortEndpoint returns the Endpoint for a UDP port.
-func UDPPortEndpoint(port uint16) Endpoint {
-	return Endpoint{typ: EndpointUDPPort, raw: uint64(port)}
-}
-
-// Type reports the endpoint's kind.
-func (e Endpoint) Type() EndpointType { return e.typ }
-
-// Addr returns the IPv4 address of an EndpointIPv4; it returns the zero
-// Addr for other kinds.
-func (e Endpoint) Addr() netip.Addr {
-	if e.typ != EndpointIPv4 {
-		return netip.Addr{}
-	}
-	return netip.AddrFrom4([4]byte{byte(e.raw >> 24), byte(e.raw >> 16), byte(e.raw >> 8), byte(e.raw)})
-}
-
-// Port returns the port of an EndpointUDPPort, or 0 for other kinds.
-func (e Endpoint) Port() uint16 {
-	if e.typ != EndpointUDPPort {
-		return 0
-	}
-	return uint16(e.raw)
-}
-
-func (e Endpoint) String() string {
-	switch e.typ {
-	case EndpointIPv4:
-		return e.Addr().String()
-	case EndpointUDPPort:
-		return fmt.Sprintf(":%d", e.Port())
-	default:
-		return "invalid"
-	}
-}
-
-// FastHash returns a non-cryptographic hash of the endpoint, suitable for
-// load balancing.
-func (e Endpoint) FastHash() uint64 {
-	return fnv64(uint64(e.typ), e.raw)
-}
-
-// Flow is an ordered (src, dst) pair of Endpoints. Flows are comparable
-// and usable as map keys.
-type Flow struct {
-	src, dst Endpoint
-}
-
-// NewFlow builds a Flow from two endpoints of the same type.
-func NewFlow(src, dst Endpoint) Flow { return Flow{src: src, dst: dst} }
-
-// Endpoints returns the flow's source and destination.
-func (f Flow) Endpoints() (src, dst Endpoint) { return f.src, f.dst }
-
-// Src returns the source endpoint.
-func (f Flow) Src() Endpoint { return f.src }
-
-// Dst returns the destination endpoint.
-func (f Flow) Dst() Endpoint { return f.dst }
-
-// Reverse returns the flow with source and destination swapped.
-func (f Flow) Reverse() Flow { return Flow{src: f.dst, dst: f.src} }
-
-// FastHash returns a symmetric non-cryptographic hash: A->B and B->A hash
-// identically, so bidirectional traffic lands in the same bucket.
-func (f Flow) FastHash() uint64 {
-	a, b := f.src.FastHash(), f.dst.FastHash()
-	if a > b {
-		a, b = b, a
-	}
-	return fnv64(a, b)
-}
-
-func (f Flow) String() string { return f.src.String() + "->" + f.dst.String() }
-
-// fnv64 mixes two words with an FNV-1a-style sequence.
-func fnv64(a, b uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < 8; i++ {
-		h ^= (a >> (8 * i)) & 0xff
-		h *= prime
-	}
-	for i := 0; i < 8; i++ {
-		h ^= (b >> (8 * i)) & 0xff
-		h *= prime
-	}
-	return h
-}
+import "fmt"
 
 // SerializeBuffer accumulates packet bytes for writing. Layers are
 // serialized outermost-last: each layer prepends its header to the bytes
-// already present (which it treats as its payload), mirroring gopacket's
-// SerializeBuffer contract. The zero value is ready to use.
+// already present (which it treats as its payload). The zero value is
+// ready to use.
 type SerializeBuffer struct {
 	buf   []byte // data lives at buf[start:]
 	start int
@@ -236,13 +48,6 @@ func (s *SerializeBuffer) PrependBytes(n int) []byte {
 	return s.buf[:n]
 }
 
-// AppendBytes returns a slice of n fresh bytes at the back of the packet.
-func (s *SerializeBuffer) AppendBytes(n int) []byte {
-	old := len(s.buf)
-	s.buf = append(s.buf, make([]byte, n)...)
-	return s.buf[old:]
-}
-
 // PushPayload appends p to the back of the packet.
 func (s *SerializeBuffer) PushPayload(p []byte) {
 	s.buf = append(s.buf, p...)
@@ -257,49 +62,20 @@ func (s *SerializeBuffer) Clear(headroom int) {
 	s.start = headroom
 }
 
-// SerializableLayer is a layer that can write itself in front of an
+// SerializableLayer is a header that can write itself in front of an
 // existing payload held in a SerializeBuffer.
 type SerializableLayer interface {
 	SerializeTo(b *SerializeBuffer) error
-	LayerType() LayerType
 }
 
-// SerializeLayers clears buf and serializes the given layers front to
-// back; layers[0] becomes the outermost header. Any trailing raw payload
-// should be pushed by the caller before invoking SerializeLayers, or
-// included via the Payload type.
+// SerializeLayers serializes the given layers in front of whatever buf
+// already holds (the caller pushes the raw payload first); layers[0]
+// becomes the outermost header.
 func SerializeLayers(buf *SerializeBuffer, layers ...SerializableLayer) error {
 	for i := len(layers) - 1; i >= 0; i-- {
 		if err := layers[i].SerializeTo(buf); err != nil {
-			return fmt.Errorf("wire: serializing %v: %w", layers[i].LayerType(), err)
+			return fmt.Errorf("wire: serializing %T: %w", layers[i], err)
 		}
 	}
 	return nil
 }
-
-// Payload is a raw application payload layer.
-type Payload []byte
-
-// LayerType implements Layer.
-func (Payload) LayerType() LayerType { return LayerTypePayload }
-
-// Contents implements Layer.
-func (p Payload) Contents() []byte { return p }
-
-// Payload implements Layer; a raw payload carries nothing further.
-func (Payload) Payload() []byte { return nil }
-
-// SerializeTo implements SerializableLayer.
-func (p Payload) SerializeTo(b *SerializeBuffer) error {
-	copy(b.PrependBytes(len(p)), p)
-	return nil
-}
-
-// DecodeFromBytes implements DecodingLayer.
-func (p *Payload) DecodeFromBytes(data []byte) error {
-	*p = data
-	return nil
-}
-
-// NextLayerType implements DecodingLayer.
-func (Payload) NextLayerType() LayerType { return 0 }
