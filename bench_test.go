@@ -42,32 +42,38 @@ func mustEnv(b *testing.B, offload, alt bool) *eval.BenchEnv {
 	return env
 }
 
-// BenchmarkKeySetup is E1: one key-setup response per iteration
-// (RSA-512 e=3 encryption at the neutralizer). Paper: 24.4 kpps.
-func BenchmarkKeySetup(b *testing.B) {
-	env := mustEnv(b, false, false)
+// benchProcess times pkt through the neutralizer the way a data-plane
+// worker runs it: one scratch, recycled per packet.
+func benchProcess(b *testing.B, neut *core.Neutralizer, pkt []byte) {
+	s := core.NewScratch()
+	if _, err := neut.ProcessScratch(s, pkt); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Neut.Process(env.SetupPkt); err != nil {
+		s.Reset()
+		if _, err := neut.ProcessScratch(s, pkt); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkKeySetup is E1: one key-setup response per iteration
+// (RSA-512 e=3 encryption at the neutralizer). Paper: 24.4 kpps.
+func BenchmarkKeySetup(b *testing.B) {
+	env := mustEnv(b, false, false)
+	benchProcess(b, env.Neut, env.SetupPkt)
+}
+
 // BenchmarkDataPath is E3's neutralized side: per-packet session-key
 // recomputation, hidden-address decryption and header rewrite for the
-// paper's 64-byte-payload packet. Paper: 422 kpps.
+// paper's 64-byte-payload packet. Paper: 422 kpps. Must report
+// 0 allocs/op (TestScratchDataPathZeroAlloc enforces it).
 func BenchmarkDataPath(b *testing.B) {
 	env := mustEnv(b, false, false)
 	b.SetBytes(int64(len(env.DataPkt)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.Neut.Process(env.DataPkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcess(b, env.Neut, env.DataPkt)
 }
 
 // BenchmarkReturnPath measures the reverse direction: source-address
@@ -75,34 +81,7 @@ func BenchmarkDataPath(b *testing.B) {
 func BenchmarkReturnPath(b *testing.B) {
 	env := mustEnv(b, false, false)
 	b.SetBytes(int64(len(env.ReturnPkt)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.Neut.Process(env.ReturnPkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDataPathScratch is the zero-allocation variant of
-// BenchmarkDataPath: same packets, same outputs, but processed through a
-// reusable Scratch the way a data-plane worker runs. Must report
-// 0 allocs/op.
-func BenchmarkDataPathScratch(b *testing.B) {
-	env := mustEnv(b, false, false)
-	s := core.NewScratch()
-	if _, err := env.Neut.ProcessScratch(s, env.DataPkt); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(env.DataPkt)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		if _, err := env.Neut.ProcessScratch(s, env.DataPkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcess(b, env.Neut, env.ReturnPkt)
 }
 
 // batchPoolEnv builds a pool and a mixed-source batch for the sharded
@@ -236,26 +215,14 @@ func BenchmarkAddrBlockRoundTrip(b *testing.B) {
 // neutralizer pays an RSA decryption per setup.
 func BenchmarkKeySetupAlternative(b *testing.B) {
 	env := mustEnv(b, false, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.Neut.Process(env.AltPkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcess(b, env.Neut, env.AltPkt)
 }
 
 // BenchmarkKeySetupOffload is A2: neutralizer-side cost when the RSA
 // encryption is delegated to a customer helper (stamp + forward only).
 func BenchmarkKeySetupOffload(b *testing.B) {
 	env := mustEnv(b, true, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.Neut.Process(env.SetupPkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchProcess(b, env.Neut, env.SetupPkt)
 }
 
 // BenchmarkOnionCircuitSetup is A3's baseline cost: a 3-hop telescoped

@@ -1,85 +1,34 @@
-// Command neutsim runs the paper's Figure 1 scenario on the emulated
-// Internet and narrates what happens: which packets the discriminatory
-// ISP sees, what its classifier catches, and whether the targeted
-// customer's traffic survives.
-//
-// With -hosts it instead runs the metro-scale scenario: a fan-out
-// topology (supportive ISP + discriminatory transit + N customer hosts,
-// built by netem.BuildFanout) with the stateless neutralizer at the
-// border, reporting engine throughput (sim-events/sec, packets/sec)
-// alongside the scenario verdicts.
-//
-// With -arms it runs the E7 arms race at a chosen scale: app-shaped
-// flows (VoIP / video / bulk / web) under {plaintext, encrypted,
-// encrypted+cloak} against {port-rule, statistical-dpi} adversaries,
-// reporting classifier accuracy, per-class goodput and the cloak's
-// measured cost. A failed arms-race verdict exits non-zero, which is
-// how CI smokes the arms path at reduced scale.
-//
-// With -audit it runs the E8 neutrality audit: paired differential
-// probes (app-shaped suspect flow vs shape-neutral control) from
-// -vantages outside vantage points plus inside reference paths,
-// against the full ISP ladder {neutral, port-rule, dpi, dpi+stealth,
-// dpi+probe-evasion} x {plaintext, encrypted} x {naive, interleaved},
-// reporting per-cell detection power, the neutral false-positive rate,
-// and path-segment localization. A failed audit verdict exits
-// non-zero; CI smokes it at reduced scale.
-//
-// With -realproto it runs the E10 real-protocol scenario: a blocking
-// DNS client and unmodified net/http servers and clients execute over
-// simnet's virtual-time sockets — DNS bootstrap, §3.2 key setup, and
-// keep-alive HTTP requests through the neutralizer — while the
-// E7-trained DPI classifier taps transit and an E8-style audit vantage
-// measures real request latencies against a targeted throttler. Every
-// verdict is self-enforced (eval.RealProtoStats.Enforce); a violation
-// exits non-zero, and the narration is deterministic for a fixed -seed,
-// which is how CI byte-diffs two runs.
-//
-// With -backbone it runs the E13 continental scenario: -metros metro
-// fan-outs (each with -hosts customers, its own address blocks and its
-// own anycast neutralizer) stitched through a transit core with
-// wide-area delays, carrying neutralized cross-backbone flows, plain
-// cross-metro probes, and fluid background load at once. The run is an
-// identity sweep over worker counts {1, -simworkers}; a determinism
-// violation or misdelivery exits non-zero. Deterministic facts go to
-// stdout (two runs with the same flags byte-diff clean, which is how CI
-// smokes this path), wall-clock figures to stderr.
-//
-// With -parscale it runs the E9 parallel-scaling sweep: the metro
-// workload (downstream neutralized load plus intra-subtree chatter) at
-// worker counts 1/2/4, enforcing that every deterministic outcome is
-// bit-identical across worker counts and reporting events/sec per
-// worker count. A determinism violation exits non-zero; CI smokes it at
-// reduced scale.
-//
-// -seed threads one seed through every RNG in the run — simulator,
-// policies, per-flow jitter, and end-host identity generation — so any
-// scenario replays bit-identically. -simworkers picks how many threads
-// execute the sharded metro/audit engines; by the engine's determinism
-// contract it changes wall-clock time, never results.
+// Command neutsim runs one of internal/eval's parametrised experiments
+// at a chosen scale and prints its result rows: flags become the
+// experiment's config, eval runs and self-enforces it (a failed verdict,
+// misdelivery, classifier hit or worker-count divergence exits
+// non-zero), and the rows that are a pure function of the flags go to
+// stdout — so two runs with the same flags byte-diff clean, which is how
+// CI replay-checks them — while rows carrying wall-clock figures go to
+// stderr. With no mode flag it prints the paper's Figure 1 and Figure 2
+// rows (eval.RunF1, eval.RunF2). -seed threads one seed through every
+// RNG of a run; -simworkers picks how many threads execute the sharded
+// engines and, by the determinism contract, never changes a result.
 //
 // Usage:
 //
-//	neutsim                       # plain vs neutralized, summary
-//	neutsim -neutralize=false     # only the plain phase
-//	neutsim -packets 50 -trace all  # per-packet trace of the AT&T segment
-//	neutsim -hosts 10000 -duration 2s -seed 7   # metro-scale run
+//	neutsim                                       # F1 + F2: Figure 1 and 2
+//	neutsim -hosts 10000 -duration 2s -seed 7     # E6 metro (-simworkers N)
 //	neutsim -hosts 1000 -trace all -traceout t.json  # metro + Perfetto trace
-//	neutsim -hosts 1000 -trace 0.01 -metrics :0      # sampled flows on /trace.json
-//	neutsim -hosts 1000 -simworkers 2           # metro on 2 workers
-//	neutsim -hosts 1000 -metrics :0             # metro + /metrics, /stream, pprof
-//	neutsim -arms -flows 8 -duration 2s -seed 7 # arms race, 8 flows/class
-//	neutsim -audit -vantages 8 -trials 10 -seed 7 # neutrality audit
-//	neutsim -parscale -hosts 2000 -duration 500ms # E9 worker sweep
-//	neutsim -realproto -seed 7                    # E10 real protocols
+//	neutsim -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /stream, /trace.json, pprof
+//	neutsim -arms -flows 8 -duration 2s -seed 7   # E7 arms race, 8 flows/class
+//	neutsim -audit -vantages 8 -trials 10 -seed 7 # E8 neutrality audit
+//	neutsim -parscale -hosts 2000 -duration 500ms # E9 worker sweep 1/2/4
+//	neutsim -realproto -seed 7                    # E10 real dns + net/http
 //	neutsim -backbone -metros 4 -hosts 1000 -simworkers 2  # E13 backbone
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	mathrand "math/rand"
 	"net"
 	"net/http"
 	"net/netip"
@@ -88,193 +37,146 @@ import (
 	"strings"
 	"time"
 
-	"netneutral"
-	"netneutral/internal/audit"
-	"netneutral/internal/core"
-	"netneutral/internal/crypto/aesutil"
-	"netneutral/internal/e2e"
-	"netneutral/internal/endhost"
 	"netneutral/internal/eval"
-	"netneutral/internal/isp"
 	"netneutral/internal/netem"
 	"netneutral/internal/obs"
-	"netneutral/internal/shim"
-	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
 
-var (
-	annAddr  = netip.MustParseAddr("172.16.1.10")
-	attAddr  = netip.MustParseAddr("172.16.0.1")
-	anyAddr  = netip.MustParseAddr("10.200.0.1")
-	googAddr = netip.MustParseAddr("10.10.0.5")
-	custNet  = netip.MustParsePrefix("10.10.0.0/16")
-	start    = time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
-)
-
 func main() {
-	packets := flag.Int("packets", 20, "data packets to attempt")
-	neutralize := flag.Bool("neutralize", true, "also run the neutralized phase")
-	trace := flag.String("trace", "", "flow tracing spec: \"all\" records every flow, a fraction in (0,1) samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair; in the Figure-1 scenario any non-empty value prints each packet crossing the discriminatory ISP")
-	traceOut := flag.String("traceout", "", "write the metro run's traced spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
-	seed := flag.Int64("seed", 1, "seed threaded to every RNG (simulator, policies, jitter, identities)")
-	hosts := flag.Int("hosts", 0, "run the metro-scale scenario with this many customer hosts (0 = Figure-1 narration)")
-	arms := flag.Bool("arms", false, "run the E7 arms-race scenario (dpi adversary vs cloaking)")
-	flows := flag.Int("flows", 25, "arms race: flows per application class")
-	auditFlag := flag.Bool("audit", false, "run the E8 neutrality audit (differential probing vs stealthy throttling)")
-	parscale := flag.Bool("parscale", false, "run the E9 parallel-scaling sweep (worker counts 1/2/4, bit-identical outcomes enforced)")
-	backbone := flag.Bool("backbone", false, "run the E13 continental backbone (-metros fan-outs of -hosts customers each through a transit core, fluid background load, worker-identity sweep)")
-	metros := flag.Int("metros", 6, "backbone: metro count")
-	realproto := flag.Bool("realproto", false, "run the E10 real-protocol scenario (dns + net/http over simnet vs dpi and audit)")
-	simWorkers := flag.Int("simworkers", 1, "threads executing the sharded metro/audit engine (results are identical at any value)")
-	vantages := flag.Int("vantages", 12, "audit: outside vantage points (inside reference vantages scale as 1/3)")
-	trials := flag.Int("trials", 12, "audit: paired measurement trials per vantage")
-	duration := flag.Duration("duration", 2*time.Second, "simulated traffic duration for the metro/arms scenarios")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /metrics.json, /stream, /flight.json and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
-	metricsHold := flag.Duration("metricshold", 5*time.Second, "keep the -metrics server up this long after the run so scrapers can read the final state")
-	flag.Parse()
-
-	if *realproto {
-		runRealProto(*seed)
-		return
-	}
-	if *parscale {
-		runParScale(*hosts, *seed, *duration)
-		return
-	}
-	if *backbone {
-		runBackbone(*metros, *hosts, *seed, *duration, *simWorkers)
-		return
-	}
-	if *auditFlag {
-		runAudit(*vantages, *trials, *seed, *simWorkers)
-		return
-	}
-	if *arms {
-		runArms(*flows, *seed, *duration)
-		return
-	}
-	if *hosts > 0 {
-		runMetro(*hosts, *seed, *duration, *simWorkers, *metricsAddr, *metricsHold, *trace, *traceOut)
-		return
-	}
-	if *metricsAddr != "" {
-		log.Fatal("neutsim: -metrics requires the metro scenario (-hosts N)")
-	}
-	if *traceOut != "" {
-		log.Fatal("neutsim: -traceout requires the metro scenario (-hosts N)")
-	}
-
-	fmt.Println("== phase 1: plain addressing, ISP targets the customer ==")
-	delivered, hits := runPlain(*packets, *trace != "", *seed)
-	fmt.Printf("delivered %d/%d; classifier hits %d — deterministic harm\n\n", delivered, *packets, hits)
-
-	if !*neutralize {
-		return
-	}
-	fmt.Println("== phase 2: neutralized, same classifier ==")
-	delivered2, hits2, sawCustomer := runNeutralized(*packets, *trace != "", *seed+1)
-	fmt.Printf("delivered %d/%d; classifier hits %d; ISP saw customer address: %v\n",
-		delivered2, *packets, hits2, sawCustomer)
-	fmt.Println("the ISP can degrade the supportive ISP's traffic as a whole, but cannot single out the customer")
-}
-
-// runAudit drives the E8 audit matrix and narrates the detection
-// ladder; any failed verdict (see eval.RunAudit) exits non-zero.
-func runAudit(vantages, trials int, seed int64, workers int) {
-	inside := vantages / 3
-	if inside < 1 {
-		inside = 1
-	}
-	fmt.Printf("== neutrality audit: %d outside + %d inside vantages, %d paired trials each, %d sim worker(s) ==\n",
-		vantages, inside, trials, workers)
-	st, err := eval.RunAudit(eval.AuditConfig{
-		Vantages: vantages, InsideVantages: inside, Trials: trials, Seed: seed, Workers: workers,
-	})
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Fatal(err)
 	}
-	cell := func(i eval.AuditISP, m eval.ArmsMode, s audit.Strategy) *eval.AuditCell {
-		return st.Cell(i, m, s)
-	}
-	dpiInt := cell(eval.ISPDPI, eval.ModeEncrypted, audit.StrategyInterleaved)
-	portPlain := cell(eval.ISPPortRule, eval.ModePlaintext, audit.StrategyInterleaved)
-	portEnc := cell(eval.ISPPortRule, eval.ModeEncrypted, audit.StrategyInterleaved)
-	stealth := cell(eval.ISPDPIStealth, eval.ModeEncrypted, audit.StrategyInterleaved)
-	evNaive := cell(eval.ISPDPIEvasion, eval.ModeEncrypted, audit.StrategyNaive)
-	evInt := cell(eval.ISPDPIEvasion, eval.ModeEncrypted, audit.StrategyInterleaved)
-	fmt.Printf("neutral ISP          false-positive rate %4.1f%%  (every mode, strategy, vantage class)\n",
-		100*st.FalsePositiveRate())
-	fmt.Printf("port rule  plaintext power %3.0f%%  (rule fires on the app port: audit convicts)\n",
-		100*portPlain.Summary.Power)
-	fmt.Printf("port rule  encrypted power %3.0f%%  (nothing to detect: encryption restored neutrality)\n",
-		100*portEnc.Summary.Power)
-	fmt.Printf("dpi        encrypted power %3.0f%%, localized %s  (suspect goodput %.0f%% vs control %.0f%%)\n",
-		100*dpiInt.Summary.Power, dpiInt.Summary.Localized,
-		100*dpiInt.SuspectGoodput, 100*dpiInt.ControlGoodput)
-	fmt.Printf("dpi+stealth          power %3.0f%%, aggregate convicts: %v  (partial+duty dilutes single vantages)\n",
-		100*stealth.Summary.Power, stealth.Summary.Discriminating)
-	fmt.Printf("dpi+evasion  naive   power %3.0f%%  (young-flow whitelist defeats burst probing)\n",
-		100*evNaive.Summary.Power)
-	fmt.Printf("dpi+evasion  interleaved power %3.0f%%  (long-lived app-shaped probes age past it)\n",
-		100*evInt.Summary.Power)
 }
 
-// runArms drives the E7 arms-race matrix and narrates the ladder; any
-// failed verdict (see eval.RunArms) exits non-zero.
-func runArms(flowsPerClass int, seed int64, duration time.Duration) {
-	nFlows := trafficgen.NumApps * flowsPerClass
-	fmt.Printf("== arms race: %d app-shaped flows vs port rules and statistical dpi ==\n", nFlows)
-	st, err := eval.RunArms(eval.ArmsConfig{FlowsPerClass: flowsPerClass, Seed: seed, Duration: duration})
+// run is the whole command: flags to config, config to eval, rows out.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("neutsim", flag.ExitOnError)
+	trace := fs.String("trace", "", "metro flow tracing spec: \"all\" records every flow, a fraction in (0,1) samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair")
+	traceOut := fs.String("traceout", "", "write the metro run's traced spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
+	seed := fs.Int64("seed", 1, "seed threaded to every RNG (simulator, policies, jitter, identities)")
+	hosts := fs.Int("hosts", 0, "run the E6 metro scenario with this many customer hosts (0 = the Figure 1 and 2 rows); customers per metro under -backbone")
+	arms := fs.Bool("arms", false, "run the E7 arms-race scenario (dpi adversary vs cloaking)")
+	flows := fs.Int("flows", 25, "arms race: flows per application class")
+	auditFlag := fs.Bool("audit", false, "run the E8 neutrality audit (differential probing vs stealthy throttling)")
+	parscale := fs.Bool("parscale", false, "run the E9 parallel-scaling sweep (worker counts 1/2/4, bit-identical outcomes enforced)")
+	backbone := fs.Bool("backbone", false, "run the E13 continental backbone (-metros fan-outs of -hosts customers each through a transit core, fluid background load, identity sweep over workers 1 and -simworkers)")
+	metros := fs.Int("metros", 6, "backbone: metro count")
+	realproto := fs.Bool("realproto", false, "run the E10 real-protocol scenario (dns + net/http over simnet vs dpi and audit)")
+	simWorkers := fs.Int("simworkers", 1, "threads executing the sharded metro/audit/backbone engine (results are identical at any value)")
+	vantages := fs.Int("vantages", 12, "audit: outside vantage points (inside reference vantages scale as 1/3)")
+	trials := fs.Int("trials", 12, "audit: paired measurement trials per vantage")
+	duration := fs.Duration("duration", 2*time.Second, "simulated traffic duration for the metro/arms/parscale/backbone scenarios")
+	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /stream, /flight.json and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
+	metricsHold := fs.Duration("metricshold", 5*time.Second, "keep the -metrics server up this long after the run so scrapers can read the final state")
+	_ = fs.Parse(args) // ExitOnError
+
+	var res *eval.Result
+	var err error
+	switch {
+	case *realproto:
+		res, err = rows(eval.RunRealProto(eval.RealProtoConfig{Seed: *seed}))
+	case *parscale:
+		res, err = rows(eval.RunParScale(eval.ParScaleConfig{
+			Hosts: *hosts, Seed: *seed, Duration: *duration, Workers: []int{1, 2, 4},
+		}))
+	case *backbone:
+		sweep := []int{1}
+		if *simWorkers > 1 {
+			sweep = append(sweep, *simWorkers)
+		}
+		runs, err := eval.RunBackboneIdentity(eval.BackboneConfig{
+			Metros: *metros, HostsPerMetro: *hosts, Seed: *seed, Duration: *duration, Observe: true,
+		}, sweep)
+		if err != nil {
+			return err
+		}
+		res = runs[0].Result() // the sweep's first run renders all of it
+	case *auditFlag:
+		res, err = rows(eval.RunAudit(eval.AuditConfig{
+			Vantages: *vantages, InsideVantages: max(*vantages/3, 1), Trials: *trials,
+			Seed: *seed, Workers: *simWorkers,
+		}))
+	case *arms:
+		res, err = rows(eval.RunArms(eval.ArmsConfig{FlowsPerClass: *flows, Seed: *seed, Duration: *duration}))
+	case *hosts > 0:
+		return runMetro(eval.MetroConfig{Hosts: *hosts, Seed: *seed, Duration: *duration, Workers: *simWorkers},
+			*metricsAddr, *metricsHold, *trace, *traceOut, stdout, stderr)
+	default:
+		if *metricsAddr != "" || *traceOut != "" {
+			return errors.New("neutsim: -metrics and -traceout require the metro scenario (-hosts N)")
+		}
+		for _, figure := range []func() (*eval.Result, error){eval.RunF1, eval.RunF2} {
+			if res, err = figure(); err != nil {
+				return err
+			}
+			emit(stdout, stderr, res)
+		}
+		return nil
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	voip := int(trafficgen.AppVoIP)
-	pp := st.Cell(eval.ModePlaintext, eval.AdvPortRule)
-	pe := st.Cell(eval.ModeEncrypted, eval.AdvPortRule)
-	de := st.Cell(eval.ModeEncrypted, eval.AdvDPI)
-	dc := st.Cell(eval.ModeCloaked, eval.AdvDPI)
-	fmt.Printf("port rule   plaintext    voip goodput %3.0f%%  (%d port matches: the strawman works)\n",
-		100*pp.Goodput[voip], pp.PortHits)
-	fmt.Printf("port rule   encrypted    voip goodput %3.0f%%  (%d matches: the paper's claim holds)\n",
-		100*pe.Goodput[voip], pe.PortHits)
-	fmt.Printf("dpi         encrypted    accuracy %3.0f%%, voip goodput %3.0f%%  (encryption alone is not enough)\n",
-		100*de.Accuracy, 100*de.Goodput[voip])
-	fmt.Printf("dpi         +cloak       accuracy %3.0f%%, voip goodput %3.0f%%  (fingerprint erased)\n",
-		100*dc.Accuracy, 100*dc.Goodput[voip])
-	fmt.Printf("cloak cost  %.1fx wire bytes per real byte, +%v mean frame latency\n",
-		dc.CloakOverhead, dc.CloakDelay.Round(time.Millisecond))
+	emit(stdout, stderr, res)
+	return nil
 }
 
-// runMetro drives the metro-scale fan-out scenario and narrates the
-// engine-level numbers. With metricsAddr set it mounts the full export
-// surface on the run's registry: a Recorder publishing a merged
-// snapshot at every epoch barrier (so mid-run scrapes are
-// barrier-consistent), an NDJSON streamer, a FlightRecorder, and pprof.
-// A non-empty traceSpec sizes the flight recorder from the flowspec
-// (independent of -metrics); traceOut then writes the assembled spans
-// as Chrome trace-event JSON after the run.
-func runMetro(hosts int, seed int64, duration time.Duration, workers int, metricsAddr string, hold time.Duration, traceSpec, traceOut string) {
-	fmt.Printf("== metro scale: %d customers behind one neutralizer domain, %d sim worker(s) ==\n", hosts, workers)
-	cfg := eval.MetroConfig{Hosts: hosts, Seed: seed, Duration: duration, Workers: workers}
+// rows adapts any eval.RunX's (stats, error) pair to its result rows.
+func rows[S interface{ Result() *eval.Result }](st S, err error) (*eval.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return st.Result(), nil
+}
+
+// emit prints res as two tables: the rows that are a pure function of
+// the flags on stdout, the wall-clock rows (eval.Row.Wall) on stderr.
+func emit(stdout, stderr io.Writer, res *eval.Result) {
+	det, wall := *res, *res
+	det.Rows, wall.Rows, wall.Title = nil, nil, res.Title+" — wall clock"
+	for _, r := range res.Rows {
+		if r.Wall {
+			wall.Rows = append(wall.Rows, r)
+		} else {
+			det.Rows = append(det.Rows, r)
+		}
+	}
+	fmt.Fprintln(stdout, det.String())
+	if len(wall.Rows) > 0 {
+		fmt.Fprintln(stderr, wall.String())
+	}
+}
+
+// runMetro runs the E6 metro scenario with the observability wiring the
+// flags ask for. With metricsAddr set it mounts the full export surface
+// on the run's registry: a Recorder publishing a merged snapshot at
+// every epoch barrier (so mid-run scrapes are barrier-consistent), an
+// NDJSON streamer, a FlightRecorder, and pprof. A non-empty traceSpec
+// sizes the flight recorder from the flowspec (independent of -metrics);
+// traceOut then writes the assembled spans as Chrome trace-event JSON
+// after the run.
+func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, traceSpec, traceOut string, stdout, stderr io.Writer) error {
 	var fr *obs.FlightRecorder
 	if traceSpec != "" {
 		fcfg, tags, err := parseFlowSpec(traceSpec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fr = obs.NewFlightRecorder(fcfg)
 		for _, t := range tags {
 			fr.Tag(t)
 		}
+	} else if traceOut != "" {
+		return errors.New("neutsim: -traceout requires -trace")
 	}
 	var ln net.Listener
 	if metricsAddr != "" {
 		var err error
 		if ln, err = net.Listen("tcp", metricsAddr); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("metrics listening on http://%s/metrics\n", ln.Addr())
+		defer ln.Close() // stops the exporter goroutine below
+		fmt.Fprintf(stdout, "metrics listening on http://%s/metrics\n", ln.Addr())
 	}
 	if fr != nil || ln != nil {
 		cfg.Attach = func(sim *netem.Simulator) {
@@ -301,68 +203,32 @@ func runMetro(hosts int, seed int64, duration time.Duration, workers int, metric
 			}()
 		}
 	}
-	st, err := eval.RunMetro(cfg)
+	res, err := rows(eval.RunMetro(cfg))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("topology        %d hosts (%d shards) built in %v\n", st.Hosts, st.Shards, st.BuildTime.Round(time.Millisecond))
-	fmt.Printf("traffic         %d neutralized packets over %v simulated\n", st.Sent, duration)
-	fmt.Printf("delivered       %d/%d (dropped %d)\n", st.Delivered, st.Sent, st.Dropped)
-	fmt.Printf("classifier hits %d — the transit ISP cannot single out a customer\n", st.ClassifierHits)
-	fmt.Printf("engine          %d sim events in %v wall: %.0f events/sec, %.0f fwd pps, %.0f delivered pps\n",
-		st.SimEvents, st.RunTime.Round(time.Millisecond), st.EventsPerSec, st.ForwardPps, st.DeliveredPps)
-	fmt.Printf("packet pool     %d buffers backed %d checkouts\n", st.PoolAllocated, st.PoolGets)
+	emit(stdout, stderr, res)
 	if traceOut != "" {
-		if fr == nil {
-			log.Fatal("neutsim: -traceout requires -trace")
-		}
 		out, err := os.Create(traceOut)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		spans := obs.AssembleSpans(fr.Events())
 		if err := obs.WriteChromeTrace(out, spans); err != nil {
-			log.Fatal(err)
+			out.Close()
+			return err
 		}
 		if err := out.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("trace           %d flows, %d retained events written to %s (Perfetto-loadable)\n",
+		fmt.Fprintf(stdout, "trace: %d flows, %d retained events written to %s (Perfetto-loadable)\n",
 			len(spans), fr.Sampled()-fr.Evicted(), traceOut)
 	}
-	if metricsAddr != "" && hold > 0 {
-		fmt.Printf("metrics holding for %v (final state scrapeable)\n", hold)
+	if ln != nil && hold > 0 {
+		fmt.Fprintf(stdout, "metrics holding for %v (final state scrapeable)\n", hold)
 		time.Sleep(hold)
 	}
-}
-
-// runRealProto drives the E10 real-protocol scenario and narrates it;
-// any failed self-check (eval.RealProtoStats.Enforce) exits non-zero.
-// The narration depends only on -seed, so two runs byte-diff clean.
-func runRealProto(seed int64) {
-	fmt.Println("== real protocols over the sim: blocking dns + unmodified net/http ==")
-	st, err := eval.RunRealProto(eval.RealProtoConfig{Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := st.Enforce(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dns         plain rtt %v, encrypted rtt %v  (blocking client, exact virtual latency)\n",
-		st.DNS.PlainRTT, st.DNS.EncRTT)
-	fmt.Printf("dns         nxdomain surfaced: %v; dead-port read deadline fired: %v\n",
-		st.DNS.NXDomainOK, st.DNS.TimeoutOK)
-	fmt.Printf("http        %d/%d keep-alive requests ok through shim conduits, mean rtt %v\n",
-		st.HTTP.OK, st.HTTP.Want, st.HTTP.MeanRTT.Round(time.Microsecond))
-	fmt.Printf("dpi tap     %d client flows observed at transit; classified as {%s} — never voip, never the customer\n",
-		st.HTTP.Flows, st.HTTP.ClassHist())
-	fmt.Printf("audit       clean path discriminated=%v  (%d trials of real request latency)\n",
-		st.Neutral.Discriminated, st.Neutral.Trials)
-	fmt.Printf("audit       20ms targeted throttle discriminated=%v  (delay gap %.1fx, MW p=%.2g)\n",
-		st.Throttled.Discriminated, st.Throttled.DelayGap, st.Throttled.DelayMW.P)
-	fmt.Printf("trace       %d journeys attributed exactly; %d throttled journeys carry 20ms rule-caused delay each\n",
-		st.NeutralTrace.Journeys+st.ThrottledTrace.Journeys, st.ThrottledTrace.Throttled)
-	fmt.Println("determinism verified per seed: simnet parks real goroutines and replays bit-identically")
+	return nil
 }
 
 // parseFlowSpec interprets the -trace flowspec for the metro scenario:
@@ -423,201 +289,4 @@ func parseFlowSpec(spec string) (obs.FlightConfig, []uint64, error) {
 		cfg.SampleFlows = frac
 		return cfg, nil, nil
 	}
-}
-
-// runBackbone drives the E13 continental scenario: an identity sweep
-// over worker counts {1, workers}; eval.RunBackboneIdentity exits
-// non-zero (via log.Fatal) on any determinism violation, misdelivery,
-// or classifier hit. Everything printed to stdout is a pure function of
-// the flags, so CI byte-diffs two runs; wall-clock figures go to stderr.
-func runBackbone(metros, hostsPerMetro int, seed int64, duration time.Duration, workers int) {
-	if hostsPerMetro <= 0 {
-		hostsPerMetro = 1000
-	}
-	sweep := []int{1}
-	if workers > 1 {
-		sweep = append(sweep, workers)
-	}
-	fmt.Printf("== continental backbone: %d metros x %d customers, worker sweep %v ==\n",
-		metros, hostsPerMetro, sweep)
-	runs, err := eval.RunBackboneIdentity(eval.BackboneConfig{
-		Metros: metros, HostsPerMetro: hostsPerMetro, Seed: seed,
-		Duration: duration, Observe: true,
-	}, sweep)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := runs[0]
-	fmt.Printf("topology        %d customers across %d shards, prefix-compressed FIBs (core holds %d routes)\n",
-		st.Hosts, st.Shards, 3*st.Metros)
-	fmt.Printf("traffic         %d neutralized + %d plain cross-metro packets over %v simulated\n",
-		st.NeutSent, st.CrossSent, duration)
-	fmt.Printf("delivered       %d/%d (dropped %d)\n",
-		st.Delivered, st.NeutSent+st.CrossSent, st.Dropped)
-	fmt.Printf("classifier hits %d — the core cannot single out a customer\n", st.ClassifierHits)
-	fmt.Printf("fluid           %d background bytes accounted in %d rate ticks, zero packet events\n",
-		st.FluidBytes, st.FluidTicks)
-	fmt.Printf("engine          %d sim events per run\n", st.SimEvents)
-	fmt.Printf("determinism     verified: identical outcomes (incl. fluid + observation digest) at worker counts %v\n", sweep)
-	for _, r := range runs {
-		fmt.Fprintf(os.Stderr, "workers=%d built in %v, ran %v wall (%.0f events/sec)\n",
-			r.Workers, r.BuildTime.Round(time.Millisecond),
-			r.RunTime.Round(time.Millisecond), r.EventsPerSec)
-	}
-}
-
-// runParScale drives the E9 worker sweep; RunParScale exits non-zero
-// (via log.Fatal) when any worker count produces a different outcome.
-func runParScale(hosts int, seed int64, duration time.Duration) {
-	if hosts <= 0 {
-		hosts = 10000
-	}
-	fmt.Printf("== parallel scaling: %d customers, worker sweep with bit-identical replay ==\n", hosts)
-	st, err := eval.RunParScale(eval.ParScaleConfig{
-		Hosts: hosts, Seed: seed, Duration: duration, Workers: []int{1, 2, 4},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	first := st.Runs[0].Stats
-	fmt.Printf("workload        %d neutralized + %d intra-subtree packets across %d shards\n",
-		first.Sent, first.LocalSent, first.Shards)
-	for _, r := range st.Runs {
-		fmt.Printf("workers=%d       %12.0f events/sec  (%.2fx of 1 worker)\n",
-			r.Workers, r.Stats.EventsPerSec, r.Speedup)
-	}
-	fmt.Println("determinism     verified: identical outcomes at every worker count")
-}
-
-func buildWorld(seed int64) (*netem.Simulator, *netem.Node, *netem.Node, *netem.Node, *netem.Node, *core.Neutralizer) {
-	sim := netem.NewSimulator(start, seed)
-	ann := sim.MustAddNode("ann", "att", annAddr)
-	att := sim.MustAddNode("att-core", "att", attAddr)
-	border := sim.MustAddNode("cogent-border", "cogent")
-	goog := sim.MustAddNode("google", "cogent", googAddr)
-	sim.Connect(ann, att, netem.LinkConfig{Delay: 2 * time.Millisecond})
-	sim.Connect(att, border, netem.LinkConfig{Delay: 8 * time.Millisecond})
-	sim.Connect(border, goog, netem.LinkConfig{Delay: 2 * time.Millisecond})
-	sim.AddAnycast(anyAddr, border)
-	sim.BuildRoutes()
-
-	neut, err := netneutral.NewNeutralizer(netneutral.NeutralizerConfig{
-		Schedule:   netneutral.NewKeySchedule(aesutil.Key{7}, start, time.Hour),
-		Anycast:    anyAddr,
-		IsCustomer: func(a netip.Addr) bool { return custNet.Contains(a) },
-		Clock:      sim.Now,
-		Rand:       mathrand.New(mathrand.NewSource(seed + 9)),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	border.SetHandler(func(_ time.Time, pkt []byte) {
-		outs, err := neut.Process(pkt)
-		if err != nil {
-			return
-		}
-		for _, o := range outs {
-			_ = border.Send(o.Pkt)
-		}
-	})
-	return sim, ann, att, border, goog, neut
-}
-
-func attachTrace(att *netem.Node, trace bool) {
-	if !trace {
-		return
-	}
-	att.AddTransitHook(func(now time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
-		src, dst, err := wire.IPv4Addrs(pkt)
-		if err != nil {
-			return netem.Deliver
-		}
-		proto, _ := wire.IPv4Proto(pkt)
-		kind := fmt.Sprintf("proto=%d", proto)
-		if proto == wire.ProtoShim {
-			if t, ok := shim.PeekType(pkt[wire.IPv4HeaderLen:]); ok {
-				kind = "shim/" + t.String()
-			}
-		}
-		fmt.Printf("  [AT&T sees] %v -> %v  %s  %dB\n", src, dst, kind, len(pkt))
-		return netem.Deliver
-	})
-}
-
-func runPlain(packets int, trace bool, seed int64) (delivered int, hits uint64) {
-	sim, ann, att, _, goog, _ := buildWorld(seed)
-	attachTrace(att, trace)
-	policy := isp.NewPolicy(nil, isp.Rule{
-		Name: "target-google", Match: isp.MatchDstAddr(googAddr), Action: isp.Action{DropProb: 1},
-	})
-	att.AddTransitHook(policy.Hook())
-	goog.SetHandler(func(time.Time, []byte) { delivered++ })
-
-	payload := []byte("GET /")
-	for i := 0; i < packets; i++ {
-		sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-			buf := wire.NewSerializeBuffer(28, len(payload))
-			buf.PushPayload(payload)
-			_ = wire.SerializeLayers(buf,
-				&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: annAddr, Dst: googAddr},
-				&wire.UDP{SrcPort: 4000, DstPort: 80},
-			)
-			_ = ann.Send(buf.Bytes())
-		})
-	}
-	sim.Run()
-	return delivered, policy.Hits("target-google")
-}
-
-func runNeutralized(packets int, trace bool, seed int64) (delivered int, hits uint64, sawCustomer bool) {
-	sim, ann, att, _, goog, _ := buildWorld(seed)
-	attachTrace(att, trace)
-	policy := isp.NewPolicy(nil, isp.Rule{
-		Name: "target-google", Match: isp.MatchDstAddr(googAddr), Action: isp.Action{DropProb: 1},
-	})
-	eav := isp.NewEavesdropper()
-	att.AddTransitHook(eav.Hook())
-	att.AddTransitHook(policy.Hook())
-
-	mkHost := func(node *netem.Node, s int64) *endhost.Host {
-		// Identities derive from the run seed too, so a -seed run
-		// replays bit-identically (key material included).
-		id, err := e2e.NewIdentity(mathrand.New(mathrand.NewSource(s)), 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		h, err := endhost.NewHost(endhost.Config{
-			Addr:      node.Addr(),
-			Transport: func(pkt []byte) error { return node.Send(pkt) },
-			Identity:  id,
-			Clock:     sim.Now,
-			Rand:      mathrand.New(mathrand.NewSource(s)),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		node.SetHandler(h.HandlePacket)
-		return h
-	}
-	googleHost := mkHost(goog, seed+21)
-	annHost := mkHost(ann, seed+22)
-	googleHost.SetOnData(func(netip.Addr, []byte) { delivered++ })
-
-	if err := annHost.Setup(anyAddr); err != nil {
-		log.Fatal(err)
-	}
-	sim.RunFor(time.Second)
-	if !annHost.HasConduit(anyAddr) {
-		log.Fatal("neutsim: key setup failed")
-	}
-	if err := annHost.Connect(anyAddr, googAddr, googleHost.Identity()); err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < packets; i++ {
-		sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-			_ = annHost.Send(googAddr, []byte("GET /"))
-		})
-	}
-	sim.RunFor(2 * time.Second)
-	return delivered, policy.Hits("target-google"), eav.SawAddr(googAddr)
 }

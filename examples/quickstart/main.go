@@ -41,6 +41,10 @@ func main() {
 
 	// 2. A toy wire: packets to the anycast address go through the
 	//    neutralizer; everything else is delivered to its destination.
+	//    Outputs alias the scratch until its next Reset. This wire
+	//    recurses (a delivery can trigger a reply mid-loop), so it never
+	//    resets; a real worker resets once per packet or batch.
+	scratch := netneutral.NewScratch()
 	hosts := map[netip.Addr]*netneutral.Host{}
 	var route func(pkt []byte) error
 	route = func(pkt []byte) error {
@@ -49,7 +53,7 @@ func main() {
 			return err
 		}
 		if dst == anycast {
-			outs, err := neut.Process(pkt)
+			outs, err := neut.ProcessScratch(scratch, pkt)
 			if err != nil {
 				return err
 			}

@@ -84,8 +84,10 @@ func runCall(duration time.Duration, loss float64, delay time.Duration, neutrali
 	if err != nil {
 		log.Fatal(err)
 	}
+	scratch := netneutral.NewScratch()
 	f.Border.SetHandler(func(_ time.Time, pkt []byte) {
-		outs, err := neut.Process(pkt)
+		scratch.Reset()
+		outs, err := neut.ProcessScratch(scratch, pkt)
 		if err != nil {
 			return
 		}

@@ -40,7 +40,7 @@ func TestFacadeInProcessConversation(t *testing.T) {
 			return err
 		}
 		if dst == itAnycast {
-			outs, err := neut.Process(pkt)
+			outs, err := neut.ProcessScratch(netneutral.NewScratch(), pkt)
 			if err != nil {
 				return err
 			}
@@ -162,7 +162,7 @@ func TestUDPTunnelDeployment(t *testing.T) {
 			if src, _, err := wire.IPv4Addrs(pkt); err == nil {
 				reg[src] = from
 			}
-			outs, err := neut.Process(pkt)
+			outs, err := neut.ProcessScratch(netneutral.NewScratch(), pkt)
 			if err != nil {
 				continue
 			}

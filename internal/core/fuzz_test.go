@@ -61,7 +61,7 @@ func FuzzProcessScratch(f *testing.F) {
 
 	// The offload seed is what a helper receives: the setup request as
 	// the offloading replica re-emits it, grant stamped in.
-	offloaded, err := replicas[1].Process(env.SetupPkt)
+	offloaded, err := replicas[1].ProcessScratch(core.NewScratch(), env.SetupPkt)
 	if err != nil {
 		f.Fatal(err)
 	}

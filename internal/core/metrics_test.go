@@ -123,6 +123,9 @@ func TestPoolInstrumentWhileRunning(t *testing.T) {
 		p.ProcessBatch(pkts)
 	}
 	<-done
+	// The race above may end before Instrument took effect (it did in ~3%
+	// of runs); one batch after it certainly lands on the counters.
+	p.ProcessBatch(pkts)
 	snap := reg.Snapshot()
 	var counted uint64
 	for w := 0; w < p.Workers(); w++ {

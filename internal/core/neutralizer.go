@@ -12,10 +12,10 @@
 // remedy, which exists per explicitly-requested QoS flow, and monotonic
 // counters.
 //
-// A Neutralizer is transport-agnostic: Process consumes one serialized
-// IPv4 packet and returns the packets to emit. The same core runs inside
-// the netem emulator, behind real UDP sockets (cmd/neutralizerd), and in
-// the benchmark harness.
+// A Neutralizer is transport-agnostic: ProcessScratch consumes one
+// serialized IPv4 packet and returns the packets to emit. The same core
+// runs inside the netem emulator, behind real UDP sockets
+// (cmd/neutralizerd), and in the benchmark harness.
 package core
 
 import (
@@ -34,7 +34,7 @@ import (
 	"netneutral/internal/wire"
 )
 
-// Errors returned by Process.
+// Errors returned by ProcessScratch.
 var (
 	ErrNotShim          = errors.New("core: packet is not a shim packet")
 	ErrStaleEpoch       = errors.New("core: packet epoch outside acceptance window")
@@ -175,9 +175,8 @@ func (s StatsSnapshot) Dropped() uint64 {
 // is shared across goroutines, Config.Rand must also be safe for
 // concurrent use (crypto/rand.Reader, the default, is).
 type Neutralizer struct {
-	cfg     Config
-	stats   Stats
-	scratch sync.Pool // *Scratch, for the compatibility Process path
+	cfg   Config
+	stats Stats
 
 	dyn *dynTable
 }
@@ -190,7 +189,7 @@ type dynTable struct {
 	mu   sync.Mutex
 	fwd  map[dynFlowKey]netip.Addr // (customer, peer) -> dynamic addr
 	rev  map[netip.Addr]dynFlowKey
-	next uint64
+	next uint64 // pool offset of the last allocation
 }
 
 type dynFlowKey struct {
@@ -216,12 +215,10 @@ func New(cfg Config) (*Neutralizer, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	n := &Neutralizer{cfg: cfg, dyn: &dynTable{
+	return &Neutralizer{cfg: cfg, dyn: &dynTable{
 		fwd: make(map[dynFlowKey]netip.Addr),
 		rev: make(map[netip.Addr]dynFlowKey),
-	}}
-	n.scratch.New = func() any { return NewScratch() }
-	return n, nil
+	}}, nil
 }
 
 // Stats returns the counter block.
@@ -233,30 +230,6 @@ func (n *Neutralizer) Anycast() netip.Addr { return n.cfg.Anycast }
 // Outgoing is a packet the caller must transmit.
 type Outgoing struct {
 	Pkt []byte
-}
-
-// Process handles one serialized IPv4 shim packet addressed to the
-// neutralizer and returns the packets to emit. Non-shim packets yield
-// ErrNotShim (the caller forwards them normally — the neutralizer service
-// is optional, §3.4).
-//
-// Returned packets are freshly allocated and caller-owned. High-rate
-// callers should use ProcessScratch (one scratch per goroutine) or a
-// Pool, which recycle buffers and run the data path without allocating.
-func (n *Neutralizer) Process(pkt []byte) ([]Outgoing, error) {
-	s := n.scratch.Get().(*Scratch)
-	s.Reset()
-	outs, err := n.ProcessScratch(s, pkt)
-	if err != nil {
-		n.scratch.Put(s)
-		return nil, err
-	}
-	res := make([]Outgoing, len(outs))
-	for i, o := range outs {
-		res[i] = Outgoing{Pkt: append([]byte(nil), o.Pkt...)}
-	}
-	n.scratch.Put(s)
-	return res, nil
 }
 
 // processKeySetup implements Figure 2(a): derive (nonce, Ks) for the
@@ -507,16 +480,19 @@ func (n *Neutralizer) dynAddrFor(customer, peer netip.Addr) (netip.Addr, error) 
 	if a, ok := d.fwd[key]; ok {
 		return a, nil
 	}
-	// Sequential allocation inside the pool, skipping the network address.
-	base := n.cfg.DynAddrPool.Addr()
-	hostBits := 32 - n.cfg.DynAddrPool.Bits()
-	max := uint64(1)<<hostBits - 1
+	// Offsets 1..usable are allocatable (network and broadcast excluded).
+	// A cursor sweeps them and wraps, so an address released behind it is
+	// found again; the pool is exhausted only when every one is live.
+	var usable uint64
+	if hostBits := 32 - n.cfg.DynAddrPool.Bits(); hostBits >= 2 {
+		usable = 1<<hostBits - 2
+	}
+	if uint64(len(d.rev)) >= usable {
+		return netip.Addr{}, ErrDynPoolExhausted
+	}
 	for {
-		d.next++
-		if d.next >= max {
-			return netip.Addr{}, ErrDynPoolExhausted
-		}
-		a := addAddrOffset(base, d.next)
+		d.next = d.next%usable + 1
+		a := addAddrOffset(n.cfg.DynAddrPool.Addr(), d.next)
 		if _, used := d.rev[a]; used {
 			continue
 		}

@@ -57,6 +57,12 @@ func newTestNeutralizer(t *testing.T, mut func(*Config)) *Neutralizer {
 	return n
 }
 
+// process runs one packet through n on a fresh scratch, so the outputs
+// stay valid however many packets the test processes.
+func process(n *Neutralizer, pkt []byte) ([]Outgoing, error) {
+	return n.ProcessScratch(NewScratch(), pkt)
+}
+
 // mkShimPacket builds a client-side shim packet for tests.
 func mkShimPacket(t *testing.T, src, dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) []byte {
 	t.Helper()
@@ -86,7 +92,7 @@ func parseShimPacket(t *testing.T, pkt []byte) (*wire.IPv4, *shim.Header) {
 func doKeySetup(t *testing.T, n *Neutralizer) (keys.Nonce, aesutil.Key, keys.Epoch) {
 	t.Helper()
 	req := &shim.Header{Type: shim.TypeKeySetupRequest, PublicKey: clientKey.PublicKey.Marshal()}
-	out, err := n.Process(mkShimPacket(t, annAddr, anycast, 0, req, nil))
+	out, err := process(n, mkShimPacket(t, annAddr, anycast, 0, req, nil))
 	if err != nil {
 		t.Fatalf("key setup: %v", err)
 	}
@@ -172,7 +178,7 @@ func TestDataForwardPath(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	nonce, ks, epoch := doKeySetup(t, n)
 	payload := []byte("e2e-encrypted application bytes")
-	out, err := n.Process(mkData(t, annAddr, n, nonce, ks, epoch, googAddr, 0, payload))
+	out, err := process(n, mkData(t, annAddr, n, nonce, ks, epoch, googAddr, 0, payload))
 	if err != nil {
 		t.Fatalf("data: %v", err)
 	}
@@ -200,7 +206,7 @@ func TestDataForwardPath(t *testing.T) {
 func TestDataKeyRequestStampsGrant(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	nonce, ks, epoch := doKeySetup(t, n)
-	out, err := n.Process(mkData(t, annAddr, n, nonce, ks, epoch, googAddr, shim.FlagKeyRequest, []byte("x")))
+	out, err := process(n, mkData(t, annAddr, n, nonce, ks, epoch, googAddr, shim.FlagKeyRequest, []byte("x")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +240,13 @@ func TestDataStaleEpochRejected(t *testing.T) {
 	nonce := keys.Nonce{1}
 	// Epoch 3 is two epochs old: reject.
 	ks, _ := sched.SessionKey(3, nonce, src)
-	_, err := n.Process(mkData(t, src, n, nonce, ks, 3, googAddr, 0, nil))
+	_, err := process(n, mkData(t, src, n, nonce, ks, 3, googAddr, 0, nil))
 	if err != ErrStaleEpoch {
 		t.Errorf("epoch 3 at epoch 5: err = %v, want ErrStaleEpoch", err)
 	}
 	// Epoch 4 (previous) is inside the grace window: accept.
 	ks4, _ := sched.SessionKey(4, nonce, src)
-	if _, err := n.Process(mkData(t, src, n, nonce, ks4, 4, googAddr, 0, nil)); err != nil {
+	if _, err := process(n, mkData(t, src, n, nonce, ks4, 4, googAddr, 0, nil)); err != nil {
 		t.Errorf("grace epoch rejected: %v", err)
 	}
 	if n.Stats().DropStaleEpoch.Load() != 1 {
@@ -252,7 +258,7 @@ func TestDataBadAddrBlock(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	nonce, _, epoch := doKeySetup(t, n)
 	wrongKs := aesutil.Key{0xFF} // not the derived key
-	_, err := n.Process(mkData(t, annAddr, n, nonce, wrongKs, epoch, googAddr, 0, nil))
+	_, err := process(n, mkData(t, annAddr, n, nonce, wrongKs, epoch, googAddr, 0, nil))
 	if err != ErrBadAddrBlock {
 		t.Errorf("err = %v, want ErrBadAddrBlock", err)
 	}
@@ -265,7 +271,7 @@ func TestDataNonCustomerRejected(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	nonce, ks, epoch := doKeySetup(t, n)
 	outsider := netip.MustParseAddr("8.8.8.8")
-	_, err := n.Process(mkData(t, annAddr, n, nonce, ks, epoch, outsider, 0, nil))
+	_, err := process(n, mkData(t, annAddr, n, nonce, ks, epoch, outsider, 0, nil))
 	if err != ErrNotCustomer {
 		t.Errorf("err = %v, want ErrNotCustomer (no open relay)", err)
 	}
@@ -279,7 +285,7 @@ func TestReturnPath(t *testing.T) {
 		Type: shim.TypeReturn, InnerProto: wire.ProtoUDP,
 		Epoch: epoch, Nonce: nonce, ClearAddr: annAddr,
 	}
-	out, err := n.Process(mkShimPacket(t, googAddr, anycast, 0, ret, payload))
+	out, err := process(n, mkShimPacket(t, googAddr, anycast, 0, ret, payload))
 	if err != nil {
 		t.Fatalf("return: %v", err)
 	}
@@ -306,7 +312,7 @@ func TestReturnPath(t *testing.T) {
 func TestReturnFromNonCustomerRejected(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	ret := &shim.Header{Type: shim.TypeReturn, Nonce: keys.Nonce{1}, ClearAddr: annAddr}
-	_, err := n.Process(mkShimPacket(t, netip.MustParseAddr("9.9.9.9"), anycast, 0, ret, nil))
+	_, err := process(n, mkShimPacket(t, netip.MustParseAddr("9.9.9.9"), anycast, 0, ret, nil))
 	if err != ErrNotFromCustomer {
 		t.Errorf("err = %v, want ErrNotFromCustomer", err)
 	}
@@ -319,7 +325,7 @@ func TestReturnNoAnonymizeOptOut(t *testing.T) {
 		Type: shim.TypeReturn, Flags: shim.FlagNoAnonymize,
 		Epoch: epoch, Nonce: nonce, ClearAddr: annAddr,
 	}
-	out, err := n.Process(mkShimPacket(t, googAddr, anycast, 0, ret, nil))
+	out, err := process(n, mkShimPacket(t, googAddr, anycast, 0, ret, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +350,7 @@ func TestReturnDynamicAddr(t *testing.T) {
 		Type: shim.TypeReturn, Flags: shim.FlagDynamicAddr,
 		Epoch: epoch, Nonce: nonce, ClearAddr: annAddr,
 	}
-	out1, err := n.Process(mkShimPacket(t, googAddr, anycast, 0, ret, nil))
+	out1, err := process(n, mkShimPacket(t, googAddr, anycast, 0, ret, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +362,7 @@ func TestReturnDynamicAddr(t *testing.T) {
 		t.Error("dynamic address must differ from anycast and customer")
 	}
 	// Stable across packets of the same flow.
-	out2, err := n.Process(mkShimPacket(t, googAddr, anycast, 0, ret, nil))
+	out2, err := process(n, mkShimPacket(t, googAddr, anycast, 0, ret, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +394,7 @@ func TestDynamicAddrDisabledByDefault(t *testing.T) {
 		Type: shim.TypeReturn, Flags: shim.FlagDynamicAddr,
 		Epoch: epoch, Nonce: nonce, ClearAddr: annAddr,
 	}
-	if _, err := n.Process(mkShimPacket(t, googAddr, anycast, 0, ret, nil)); err != ErrDynPoolExhausted {
+	if _, err := process(n, mkShimPacket(t, googAddr, anycast, 0, ret, nil)); err != ErrDynPoolExhausted {
 		t.Errorf("err = %v, want ErrDynPoolExhausted", err)
 	}
 }
@@ -396,7 +402,7 @@ func TestDynamicAddrDisabledByDefault(t *testing.T) {
 func TestKeyFetchReverseDirection(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	req := &shim.Header{Type: shim.TypeKeyFetchRequest, ClearAddr: annAddr}
-	out, err := n.Process(mkShimPacket(t, googAddr, anycast, 0, req, nil))
+	out, err := process(n, mkShimPacket(t, googAddr, anycast, 0, req, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +420,7 @@ func TestKeyFetchReverseDirection(t *testing.T) {
 		t.Error("fetched key not bound to peer address")
 	}
 	// Non-customers may not fetch keys.
-	if _, err := n.Process(mkShimPacket(t, annAddr, anycast, 0, req, nil)); err != ErrNotFromCustomer {
+	if _, err := process(n, mkShimPacket(t, annAddr, anycast, 0, req, nil)); err != ErrNotFromCustomer {
 		t.Errorf("outside fetch: err = %v", err)
 	}
 }
@@ -428,7 +434,7 @@ func TestOffloadDelegatesToHelpers(t *testing.T) {
 	req := &shim.Header{Type: shim.TypeKeySetupRequest, PublicKey: clientKey.PublicKey.Marshal()}
 	seen := map[netip.Addr]int{}
 	for i := 0; i < 4; i++ {
-		out, err := n.Process(mkShimPacket(t, annAddr, anycast, 0, req, nil))
+		out, err := process(n, mkShimPacket(t, annAddr, anycast, 0, req, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +488,7 @@ func TestAltDataMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &shim.Header{Type: shim.TypeAltData, InnerProto: wire.ProtoUDP, Ciphertext: ct}
-	out, err := n.Process(mkShimPacket(t, annAddr, anycast, 0, sh, []byte("pl")))
+	out, err := process(n, mkShimPacket(t, annAddr, anycast, 0, sh, []byte("pl")))
 	if err != nil {
 		t.Fatalf("alt data: %v", err)
 	}
@@ -498,7 +504,7 @@ func TestAltDataMode(t *testing.T) {
 func TestAltDataUnconfigured(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	sh := &shim.Header{Type: shim.TypeAltData, Ciphertext: []byte{1, 2, 3}}
-	if _, err := n.Process(mkShimPacket(t, annAddr, anycast, 0, sh, nil)); err != ErrNoAltIdentity {
+	if _, err := process(n, mkShimPacket(t, annAddr, anycast, 0, sh, nil)); err != ErrNoAltIdentity {
 		t.Errorf("err = %v, want ErrNoAltIdentity", err)
 	}
 }
@@ -512,7 +518,7 @@ func TestNonShimPacketRejected(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Process(buf.Bytes()); err != ErrNotShim {
+	if _, err := process(n, buf.Bytes()); err != ErrNotShim {
 		t.Errorf("err = %v, want ErrNotShim", err)
 	}
 }
@@ -526,7 +532,7 @@ func TestDSCPPreservedThroughNeutralizer(t *testing.T) {
 	}
 	sh := &shim.Header{Type: shim.TypeData, Epoch: epoch, Nonce: nonce, HiddenAddr: blk}
 	const efTOS = 46 << 2 // EF DSCP
-	out, err := n.Process(mkShimPacket(t, annAddr, anycast, efTOS, sh, nil))
+	out, err := process(n, mkShimPacket(t, annAddr, anycast, efTOS, sh, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +570,7 @@ func TestStatelessness(t *testing.T) {
 		} else {
 			target = n2
 		}
-		if _, err := target.Process(pkt); err != nil {
+		if _, err := process(target, pkt); err != nil {
 			t.Fatalf("replica processing failed at %d: %v", i, err)
 		}
 	}
@@ -588,10 +594,77 @@ func TestDynPoolExhaustion(t *testing.T) {
 			Type: shim.TypeReturn, Flags: shim.FlagDynamicAddr,
 			Epoch: epoch, Nonce: nonce, ClearAddr: peer,
 		}
-		_, lastErr = n.Process(mkShimPacket(t, googAddr, anycast, 0, ret, nil))
+		_, lastErr = process(n, mkShimPacket(t, googAddr, anycast, 0, ret, nil))
 	}
 	if lastErr != ErrDynPoolExhausted {
 		t.Errorf("err = %v, want ErrDynPoolExhausted", lastErr)
+	}
+}
+
+// TestDynAddrReusedAfterRelease: a long-lived neutralizer must not run
+// its pool dry by churn alone — a released address is allocatable again,
+// and exhaustion means every address is live.
+func TestDynAddrReusedAfterRelease(t *testing.T) {
+	events := map[netip.Addr][2]int{} // addr -> {allocated, released} announcements
+	n := newTestNeutralizer(t, func(c *Config) {
+		c.DynAddrPool = netip.MustParsePrefix("10.250.0.0/29") // 6 usable offsets
+		c.OnDynAlloc = func(a netip.Addr, alloc bool) {
+			e := events[a]
+			if alloc {
+				e[0]++
+			} else {
+				e[1]++
+			}
+			events[a] = e
+		}
+	})
+	nonce, _, epoch := doKeySetup(t, n)
+	alloc := func(flow byte) (netip.Addr, error) {
+		ret := &shim.Header{
+			Type: shim.TypeReturn, Flags: shim.FlagDynamicAddr,
+			Epoch: epoch, Nonce: nonce, ClearAddr: netip.AddrFrom4([4]byte{172, 16, 9, flow}),
+		}
+		out, err := process(n, mkShimPacket(t, googAddr, anycast, 0, ret, nil))
+		if err != nil {
+			return netip.Addr{}, err
+		}
+		src, _, err := wire.IPv4Addrs(out[0].Pkt)
+		return src, err
+	}
+	var addrs []netip.Addr
+	for flow := byte(0); flow < 6; flow++ {
+		a, err := alloc(flow)
+		if err != nil {
+			t.Fatalf("flow %d: %v", flow, err)
+		}
+		addrs = append(addrs, a)
+	}
+	if _, err := alloc(6); err != ErrDynPoolExhausted {
+		t.Fatalf("full pool: err = %v, want ErrDynPoolExhausted", err)
+	}
+	released := addrs[2]
+	n.ReleaseDynAddr(released)
+	got, err := alloc(7)
+	if err != nil {
+		t.Fatalf("allocation after a release: %v", err)
+	}
+	if got != released {
+		t.Errorf("allocated %v, want the released %v (the only free address)", got, released)
+	}
+	if _, peer, ok := n.DynFlowOf(got); !ok || peer != netip.AddrFrom4([4]byte{172, 16, 9, 7}) {
+		t.Errorf("reused address maps to peer %v (ok=%v), want the new flow", peer, ok)
+	}
+	if _, err := alloc(8); err != ErrDynPoolExhausted {
+		t.Errorf("pool full again: err = %v, want ErrDynPoolExhausted", err)
+	}
+	for _, a := range addrs {
+		want := [2]int{1, 0}
+		if a == released {
+			want = [2]int{2, 1}
+		}
+		if events[a] != want {
+			t.Errorf("%v announced {alloc, release} = %v, want %v", a, events[a], want)
+		}
 	}
 }
 
@@ -669,7 +742,7 @@ func TestAltSetupSlowerThanChosenDesign(t *testing.T) {
 }
 
 // Guard against accidental big.Int aliasing in lightrsa CRT reuse across
-// concurrent Process calls: run key setups from multiple goroutines.
+// concurrent ProcessScratch calls: run key setups from multiple goroutines.
 func TestConcurrentProcess(t *testing.T) {
 	n := newTestNeutralizer(t, func(c *Config) { c.Rand = rand.Reader })
 	nonce, ks, epoch := doKeySetup(t, n)
@@ -678,7 +751,7 @@ func TestConcurrentProcess(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				if _, err := n.Process(bytes.Clone(pkt)); err != nil {
+				if _, err := process(n, bytes.Clone(pkt)); err != nil {
 					done <- err
 					return
 				}

@@ -87,11 +87,16 @@ func (s *Scratch) emit(src, dst netip.Addr, tos uint8, sh *shim.Header, payload 
 	return nil
 }
 
-// ProcessScratch is Process with caller-owned working state: the
-// data-plane paths (TypeData, TypeReturn) run with zero heap allocations
-// per packet. Returned Outgoing values alias scratch-owned buffers and
-// remain valid only until the scratch's next Reset; callers that need the
-// packets longer must copy them (Process does exactly that).
+// ProcessScratch handles one serialized IPv4 shim packet addressed to
+// the neutralizer and returns the packets to emit. Non-shim packets
+// yield ErrNotShim (the caller forwards them normally — the neutralizer
+// service is optional, §3.4).
+//
+// The working state is the caller's: the data-plane paths (TypeData,
+// TypeReturn) run with zero heap allocations per packet. Returned
+// Outgoing values alias scratch-owned buffers and remain valid only
+// until the scratch's next Reset; callers that need the packets longer
+// must copy them.
 //
 // Outputs accumulate in the scratch between Resets, so a batch loop can
 // Reset once, process many packets, and transmit all outputs together.

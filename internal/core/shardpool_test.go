@@ -111,7 +111,7 @@ func TestProcessConcurrent(t *testing.T) {
 	}
 	ref := make([]Outgoing, 0, good)
 	for _, pkt := range pkts {
-		outs, err := serial.Process(pkt)
+		outs, err := process(serial, pkt)
 		if err != nil {
 			continue
 		}
@@ -367,34 +367,6 @@ func TestPoolProcessBatchZeroAlloc(t *testing.T) {
 	run() // warm up
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("ProcessBatch allocates %v per batch, want 0", allocs)
-	}
-}
-
-// TestProcessScratchMatchesProcess locks the compatibility contract: the
-// scratch path and the allocating path are the same function.
-func TestProcessScratchMatchesProcess(t *testing.T) {
-	sched := testSchedule()
-	n, err := New(concConfig(sched))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts, _, _ := mkDataBatch(t, sched, 32, true)
-	s := NewScratch()
-	for i, pkt := range pkts {
-		s.Reset()
-		fastOuts, fastErr := n.ProcessScratch(s, pkt)
-		slowOuts, slowErr := n.Process(pkt)
-		if (fastErr == nil) != (slowErr == nil) {
-			t.Fatalf("pkt %d: error divergence: scratch=%v process=%v", i, fastErr, slowErr)
-		}
-		if len(fastOuts) != len(slowOuts) {
-			t.Fatalf("pkt %d: output count divergence", i)
-		}
-		for j := range fastOuts {
-			if !bytes.Equal(fastOuts[j].Pkt, slowOuts[j].Pkt) {
-				t.Fatalf("pkt %d output %d: bytes diverge", i, j)
-			}
-		}
 	}
 }
 

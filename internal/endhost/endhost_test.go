@@ -53,8 +53,8 @@ func newWorld(t *testing.T) *world {
 	return w
 }
 
-// route delivers a packet: neutralizer traffic through Process, the rest
-// to the destination host. A packet is tapped when it physically crosses
+// route delivers a packet: neutralizer traffic through ProcessScratch,
+// the rest to the destination host. A packet is tapped when it physically crosses
 // the discriminatory segment: from an outside host toward the service, or
 // delivered to an outside host. (A Delivered packet src=Ann dst=Google
 // travels only inside the friendly ISP and is not visible outside.)
@@ -67,7 +67,7 @@ func (w *world) route(pkt []byte) error {
 		w.tapped = append(w.tapped, bytes.Clone(pkt))
 	}
 	if dst == anycast {
-		outs, err := w.neut.Process(pkt)
+		outs, err := w.neut.ProcessScratch(core.NewScratch(), pkt)
 		if err != nil {
 			return err
 		}

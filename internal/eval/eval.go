@@ -1,8 +1,10 @@
 // Package eval implements the reproduction harness: one registered
 // experiment per table, figure, or headline number in the paper, each
 // producing printable rows of paper-vs-measured values. The harness is
-// shared by cmd/neutbench (which prints the rows) and the top-level
-// benchmark suite (which re-measures the micro numbers under testing.B).
+// shared by cmd/neutbench (which prints the registered rows), cmd/neutsim
+// (which prints the parametrised experiments' rows at a chosen scale)
+// and the top-level benchmark suite (which re-measures the micro numbers
+// under testing.B).
 //
 // See README.md ("Reproducing the paper's numbers") for the experiment
 // index.
@@ -33,6 +35,10 @@ type Row struct {
 	Paper    string // what the paper reports ("-" when the paper gives no number)
 	Measured string
 	Note     string
+	// Wall marks a row whose Measured or Note carries a wall-clock
+	// figure: everything else is a pure function of the experiment's
+	// parameters, so neutsim keeps wall rows off its replay-diffed stdout.
+	Wall bool
 }
 
 // Result is the outcome of one experiment.
@@ -72,7 +78,7 @@ func All() []Experiment {
 		{"E3", "Data path vs vanilla forwarding (§4: 422 vs 600 kpps)", RunE3},
 		{"E4", "Raw crypto operation rate (§4: 2.35M ops/s)", RunE4},
 		{"E5", "Sharded stateless data plane (anycast scaling in-process)", RunE5},
-		{"E6", "Metro-scale emulation (10k customers, one neutralizer domain)", RunE6},
+		{"E6", metroTitle, RunE6},
 		{"E7", armsTitle, RunE7},
 		{"E8", auditTitle, RunE8},
 		{"E9", parScaleTitle, RunE9},

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netneutral/internal/core"
 )
 
 func runExp(t *testing.T, id string) *Result {
@@ -308,7 +310,7 @@ func TestBenchEnvPacketsValid(t *testing.T) {
 	for name, pkt := range map[string][]byte{
 		"setup": env.SetupPkt, "data": env.DataPkt, "return": env.ReturnPkt, "alt": env.AltPkt,
 	} {
-		if _, err := env.Neut.Process(pkt); err != nil {
+		if _, err := env.Neut.ProcessScratch(core.NewScratch(), pkt); err != nil {
 			t.Errorf("%s packet rejected: %v", name, err)
 		}
 	}
@@ -352,7 +354,7 @@ func TestE6FullScale(t *testing.T) {
 	if got := row(t, res, "classifier hits at transit").Measured; got != "0" {
 		t.Errorf("classifier hits = %s", got)
 	}
-	del := row(t, res, "neutralized packets delivered").Measured
+	del := row(t, res, "packets delivered").Measured
 	parts := strings.Split(del, "/")
 	if len(parts) != 2 || parts[0] != parts[1] {
 		t.Errorf("delivery = %s, want all", del)

@@ -495,6 +495,11 @@ func RunE7() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return st.Result(), nil
+}
+
+// Result renders the ladder as the E7 rows.
+func (st *ArmsStats) Result() *Result {
 	voip, video := int(trafficgen.AppVoIP), int(trafficgen.AppVideo)
 	pp := st.Cell(ModePlaintext, AdvPortRule)
 	pe := st.Cell(ModeEncrypted, AdvPortRule)
@@ -530,7 +535,7 @@ func RunE7() (*Result, error) {
 			Measured: fmt.Sprintf("%.1fx", dc.CloakOverhead),
 			Note:     fmt.Sprintf("+%v mean latency per frame", dc.CloakDelay.Round(time.Millisecond))},
 	}
-	return &Result{ID: "E7", Title: armsTitle, Rows: rows}, nil
+	return &Result{ID: "E7", Title: armsTitle, Rows: rows}
 }
 
 const armsTitle = "Arms race: statistical DPI vs cloaking at fan-out scale"

@@ -677,6 +677,11 @@ func RunE8() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return st.Result(), nil
+}
+
+// Result renders the detection ladder as the E8 rows.
+func (st *AuditStats) Result() *Result {
 	dpiEncInt := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved)
 	dpiEncNaive := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyNaive)
 	portPlainInt := st.Cell(ISPPortRule, ModePlaintext, audit.StrategyInterleaved)
@@ -716,7 +721,7 @@ func RunE8() (*Result, error) {
 		{Metric: "probe-evading dpi vs interleaved probes: power", Paper: ">= 90%",
 			Measured: pow(evEncInt), Note: "long-lived app-shaped flows age past the whitelist: the headline result"},
 	}
-	return &Result{ID: "E8", Title: auditTitle, Rows: rows}, nil
+	return &Result{ID: "E8", Title: auditTitle, Rows: rows}
 }
 
 const auditTitle = "Neutrality audit: differential probing vs stealthy throttling"

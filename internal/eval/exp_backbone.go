@@ -28,6 +28,7 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"netneutral/internal/core"
@@ -119,6 +120,10 @@ type BackboneStats struct {
 	RunTime      time.Duration
 	EventsPerSec float64
 	Obs          *ObsDigest
+
+	// sweep holds every run of the identity sweep this run opened
+	// (itself first); nil for a lone RunBackbone.
+	sweep []*BackboneStats
 }
 
 // backboneIdentityKey is the deterministic outcome a backbone run must
@@ -345,6 +350,7 @@ func RunBackboneIdentity(cfg BackboneConfig, workers []int) ([]*BackboneStats, e
 		}
 		out = append(out, st)
 	}
+	base.sweep = out
 	return out, nil
 }
 
@@ -354,39 +360,51 @@ func RunE13() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := runs[0]
+	return runs[0].Result(), nil
+}
+
+// Result renders the run as the E13 rows. On the first run of an
+// identity sweep it covers the whole sweep: one wall row per worker
+// count, and the determinism row the sweep earned.
+func (st *BackboneStats) Result() *Result {
+	runs := st.sweep
+	if runs == nil {
+		runs = []*BackboneStats{st}
+	}
 	res := &Result{ID: "E13", Title: backboneTitle}
 	res.Rows = append(res.Rows,
 		Row{Metric: "topology", Paper: "-",
 			Measured: fmt.Sprintf("%d metros, %d hosts, %d shards", st.Metros, st.Hosts, st.Shards),
-			Note:     fmt.Sprintf("prefix-compressed FIBs, built in %v", st.BuildTime.Round(time.Millisecond))},
+			Note:     fmt.Sprintf("prefix-compressed FIBs: the core holds %d routes", 3*st.Metros)},
 		Row{Metric: "cross-backbone packets delivered", Paper: "all",
 			Measured: fmt.Sprintf("%d/%d", st.Delivered, st.NeutSent+st.CrossSent),
-			Note:     fmt.Sprintf("%d neutralized + %d plain cross-metro", st.NeutSent, st.CrossSent)},
+			Note:     fmt.Sprintf("%d neutralized + %d plain cross-metro, %d dropped", st.NeutSent, st.CrossSent, st.Dropped)},
 		Row{Metric: "classifier hits at the core", Paper: "0",
 			Measured: fmt.Sprintf("%d", st.ClassifierHits),
 			Note:     "address-targeting rule sees only (outside, anycast) pairs"},
 		Row{Metric: "fluid background bytes", Paper: "-",
 			Measured: fmt.Sprintf("%d", st.FluidBytes),
-			Note: fmt.Sprintf("%d rate-update ticks instead of ~%dM packet events",
-				st.FluidTicks, st.FluidBytes/1500/1_000_000)},
+			Note: fmt.Sprintf("%d rate-update ticks instead of ~%dk packet events",
+				st.FluidTicks, st.FluidBytes/1500/1000)},
+		Row{Metric: "sim events per run", Paper: "-",
+			Measured: fmt.Sprintf("%d", st.SimEvents),
+			Note:     fmt.Sprintf("%d forwarding hops", st.Forwarded)},
 	)
+	var workers []string
 	for _, r := range runs {
+		workers = append(workers, fmt.Sprint(r.Workers))
 		res.Rows = append(res.Rows, Row{
-			Metric:   fmt.Sprintf("events/sec at %d worker(s)", r.Workers),
-			Paper:    "-",
+			Metric: fmt.Sprintf("events/sec at %d worker(s)", r.Workers), Paper: "-", Wall: true,
 			Measured: fmt.Sprintf("%.0f", r.EventsPerSec),
-			Note:     fmt.Sprintf("%d events in %v wall", r.SimEvents, r.RunTime.Round(time.Millisecond)),
+			Note: fmt.Sprintf("built in %v, ran %v wall",
+				r.BuildTime.Round(time.Millisecond), r.RunTime.Round(time.Millisecond)),
 		})
 	}
-	res.Rows = append(res.Rows, Row{
-		Metric: "determinism (observed)", Paper: "bit-identical",
-		Measured: "verified",
-		Note: fmt.Sprintf(
-			"outcome + fluid accounting + recorder rings (%d ticks) + flight samples (%d) equal at workers 1/2/4",
-			st.Obs.RecorderTicks, st.Obs.FlightSampled),
-	})
-	return res, nil
+	if len(runs) > 1 {
+		res.Rows = append(res.Rows, determinismRow(st.Obs, "outcome + fluid accounting",
+			"workers "+strings.Join(workers, "/")))
+	}
+	return res
 }
 
 const backboneTitle = "Continental backbone: multi-metro anycast with fluid background load"

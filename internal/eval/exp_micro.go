@@ -12,6 +12,18 @@ import (
 	"netneutral/internal/onion"
 )
 
+// processRate measures packets/second through the neutralizer the way
+// the daemon runs it: one scratch, recycled per packet.
+func processRate(n int, neut *core.Neutralizer, pkt []byte) float64 {
+	s := core.NewScratch()
+	return measureRate(n, func(int) {
+		s.Reset()
+		if _, err := neut.ProcessScratch(s, pkt); err != nil {
+			panic(err)
+		}
+	})
+}
+
 // RunE1 measures key-setup response throughput: one RSA-512 (e=3)
 // encryption plus nonce derivation per packet, exactly the per-packet
 // work of the paper's 24.4 kpps experiment.
@@ -21,11 +33,7 @@ func RunE1() (*Result, error) {
 		return nil, err
 	}
 	const n = 3000
-	rate := measureRate(n, func(int) {
-		if _, err := env.Neut.Process(env.SetupPkt); err != nil {
-			panic(err)
-		}
-	})
+	rate := processRate(n, env.Neut, env.SetupPkt)
 	return &Result{ID: "E1", Title: "Key-setup throughput", Rows: []Row{
 		{Metric: "key-setup responses", Paper: "24.4 kpps", Measured: kpps(rate),
 			Note: "RSA-512 e=3 encrypt per packet; absolute value is hardware-dependent"},
@@ -41,11 +49,7 @@ func RunE2() (*Result, error) {
 		return nil, err
 	}
 	const n = 2000
-	rate := measureRate(n, func(int) {
-		if _, err := env.Neut.Process(env.SetupPkt); err != nil {
-			panic(err)
-		}
-	})
+	rate := processRate(n, env.Neut, env.SetupPkt)
 	perHour := rate * 3600
 	return &Result{ID: "E2", Title: "Sources served per master-key epoch", Rows: []Row{
 		{Metric: "epoch length", Paper: "1 hour", Measured: env.Sched.EpochLength().String(), Note: ""},
@@ -65,11 +69,7 @@ func RunE3() (*Result, error) {
 	}
 	// CPU-only rates.
 	const nData = 30000
-	dataRate := measureRate(nData, func(int) {
-		if _, err := env.Neut.Process(env.DataPkt); err != nil {
-			panic(err)
-		}
-	})
+	dataRate := processRate(nData, env.Neut, env.DataPkt)
 	vp := env.FreshVanilla()
 	const nVan = 200000
 	i := 0
@@ -90,8 +90,10 @@ func RunE3() (*Result, error) {
 			Note: "pure CPU exaggerates crypto share; paper path was I/O-bound"},
 	}
 	// I/O path over loopback UDP, mirroring the testbed's bottleneck.
+	scratch := core.NewScratch()
 	ioData, err1 := measureUDPPath(func(pkt []byte) ([]byte, bool) {
-		outs, err := env.Neut.Process(pkt)
+		scratch.Reset()
+		outs, err := env.Neut.ProcessScratch(scratch, pkt)
 		if err != nil || len(outs) == 0 {
 			return nil, false
 		}
@@ -224,16 +226,8 @@ func RunA1() (*Result, error) {
 		return nil, err
 	}
 	const n = 1500
-	chosen := measureRate(n, func(int) {
-		if _, err := env.Neut.Process(env.SetupPkt); err != nil {
-			panic(err)
-		}
-	})
-	alt := measureRate(n, func(int) {
-		if _, err := env.Neut.Process(env.AltPkt); err != nil {
-			panic(err)
-		}
-	})
+	chosen := processRate(n, env.Neut, env.SetupPkt)
+	alt := processRate(n, env.Neut, env.AltPkt)
 	return &Result{ID: "A1", Title: "Chosen key setup vs certified-pubkey alternative", Rows: []Row{
 		{Metric: "chosen design (RSA encrypt, e=3)", Paper: "-", Measured: kpps(chosen),
 			Note: "extra RTT amortized over an epoch of packets"},
@@ -257,16 +251,8 @@ func RunA2() (*Result, error) {
 		return nil, err
 	}
 	const n = 3000
-	localRate := measureRate(n, func(int) {
-		if _, err := local.Neut.Process(local.SetupPkt); err != nil {
-			panic(err)
-		}
-	})
-	offRate := measureRate(n, func(int) {
-		if _, err := off.Neut.Process(off.SetupPkt); err != nil {
-			panic(err)
-		}
-	})
+	localRate := processRate(n, local.Neut, local.SetupPkt)
+	offRate := processRate(n, off.Neut, off.SetupPkt)
 	return &Result{ID: "A2", Title: "Offloading key-setup RSA work", Rows: []Row{
 		{Metric: "local RSA encryption", Paper: "-", Measured: kpps(localRate), Note: ""},
 		{Metric: "offloaded (stamp + forward)", Paper: "-", Measured: kpps(offRate),
@@ -311,8 +297,10 @@ func RunA3() (*Result, error) {
 	// The neutralizer's equivalent of "200 flows": 200 data packets from
 	// distinct conversations — no setup beyond each source's single
 	// per-epoch key setup, and no state.
+	scratch := core.NewScratch()
 	for i := 0; i < flows; i++ {
-		if _, err := env.Neut.Process(env.DataPkt); err != nil {
+		scratch.Reset()
+		if _, err := env.Neut.ProcessScratch(scratch, env.DataPkt); err != nil {
 			return nil, err
 		}
 	}

@@ -126,6 +126,11 @@ func RunE9() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return st.Result(), nil
+}
+
+// Result renders the sweep as the E9 rows.
+func (st *ParScaleStats) Result() *Result {
 	res := &Result{ID: "E9", Title: parScaleTitle}
 	first := st.Runs[0].Stats
 	res.Rows = append(res.Rows, Row{
@@ -136,21 +141,14 @@ func RunE9() (*Result, error) {
 	})
 	for _, r := range st.Runs {
 		res.Rows = append(res.Rows, Row{
-			Metric:   fmt.Sprintf("events/sec at %d worker(s)", r.Workers),
-			Paper:    "-",
+			Metric: fmt.Sprintf("events/sec at %d worker(s)", r.Workers), Paper: "-", Wall: true,
 			Measured: fmt.Sprintf("%.0f", r.Stats.EventsPerSec),
 			Note: fmt.Sprintf("%.2fx of 1 worker, GOMAXPROCS=%d (scaling is reported, not enforced: it needs >= 4 cores)",
 				r.Speedup, runtime.GOMAXPROCS(0)),
 		})
 	}
-	res.Rows = append(res.Rows, Row{
-		Metric: "determinism (observed)", Paper: "bit-identical",
-		Measured: "verified",
-		Note: fmt.Sprintf(
-			"outcome + recorder rings (%d ticks) + flight samples (%d events) equal at every worker count",
-			first.Obs.RecorderTicks, first.Obs.FlightSampled),
-	})
-	return res, nil
+	res.Rows = append(res.Rows, determinismRow(first.Obs, "outcome", "every worker count"))
+	return res
 }
 
 const parScaleTitle = "Parallel sharded engine: worker scaling with bit-identical replay"

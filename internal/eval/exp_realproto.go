@@ -562,7 +562,9 @@ func verifyRealTrace(fr *obs.FlightRecorder) (RealTraceCheck, error) {
 	return tc, nil
 }
 
-// RunRealProto runs all three E10 phases.
+// RunRealProto runs all three E10 phases and enforces the self-checks:
+// the run fails loudly when real protocols did not actually cross the
+// sim the way the claims require.
 func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 	cfg.fill()
 	st := &RealProtoStats{Cfg: cfg}
@@ -585,12 +587,11 @@ func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 	if st.Throttled, st.ThrottledTrace, err = runRealAuditCell(cfg.Seed+4, cfg.Trials, true); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return st, verifyRealProto(st)
 }
 
-// Enforce is E10's self-check: the run fails loudly when real
-// protocols did not actually cross the sim the way the claims require.
-func (st *RealProtoStats) Enforce() error {
+// verifyRealProto is E10's self-check, the same contract E6/E7/E8 use.
+func verifyRealProto(st *RealProtoStats) error {
 	type check struct {
 		ok  bool
 		msg string
@@ -635,9 +636,6 @@ func (st *RealProtoStats) Enforce() error {
 	return nil
 }
 
-// ClassHist renders the transit tap's class histogram deterministically.
-func (r *realHTTPResult) ClassHist() string { return classHistString(&r.Hist) }
-
 // classHistString renders the DPI class histogram deterministically.
 func classHistString(hist *[dpi.NumClasses + 1]int) string {
 	var b strings.Builder
@@ -664,9 +662,12 @@ func RunE10() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Enforce(); err != nil {
-		return nil, err
-	}
+	return st.Result(), nil
+}
+
+// Result renders the run as the E10 rows; every figure is virtual-time
+// or a count, so the rows replay byte-identically per seed.
+func (st *RealProtoStats) Result() *Result {
 	return &Result{ID: "E10", Title: realProtoTitle, Rows: []Row{
 		{Metric: "dns lookup rtt over simnet (plain / encrypted)", Paper: "-",
 			Measured: fmt.Sprintf("%v / %v", st.DNS.PlainRTT, st.DNS.EncRTT),
@@ -690,5 +691,5 @@ func RunE10() (*Result, error) {
 			Measured: fmt.Sprintf("%d journeys exact", st.NeutralTrace.Journeys+st.ThrottledTrace.Journeys),
 			Note: fmt.Sprintf("%d throttled journeys each attributed exactly 20ms of rule-caused delay",
 				st.ThrottledTrace.Throttled)},
-	}}, nil
+	}}
 }

@@ -7,7 +7,7 @@ import (
 
 // TestE10RealProto runs the registered experiment end to end: real DNS,
 // real net/http through the neutralizer under the E7-trained DPI tap,
-// and the audit cells — all self-enforced by realProtoEnforce.
+// and the audit cells — all self-enforced by verifyRealProto.
 func TestE10RealProto(t *testing.T) {
 	res, err := RunE10()
 	if err != nil {

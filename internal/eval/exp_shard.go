@@ -1,11 +1,10 @@
 // E5: the sharded data plane. The paper argues the neutralizer scales by
 // anycast replication because it is stateless; this experiment runs the
 // claim in-process, measuring forward-path throughput through a
-// core.Pool at increasing worker counts, plus the zero-allocation
-// scratch path against the allocating compatibility path. On a
-// single-core host the worker sweep degenerates (time-slicing cannot
-// beat one worker); the row notes record GOMAXPROCS so results stay
-// interpretable.
+// core.Pool at increasing worker counts against the serial one-scratch
+// baseline. On a single-core host the worker sweep degenerates
+// (time-slicing cannot beat one worker); the row notes record GOMAXPROCS
+// so results stay interpretable.
 package eval
 
 import (
@@ -32,18 +31,10 @@ func RunE5() (*Result, error) {
 	}
 	res := &Result{ID: "E5", Title: "Sharded stateless data plane (anycast scaling in-process)"}
 
-	// Serial baselines: the allocating Process path and the zero-alloc
-	// scratch path, packet at a time.
+	// Serial baseline: one worker, one scratch, packet at a time.
 	const serialPasses = 40
-	rate := measureRate(serialPasses*len(pkts), func(i int) {
-		env.Neut.Process(pkts[i%len(pkts)])
-	})
-	res.Rows = append(res.Rows, Row{
-		Metric: "serial Process", Paper: "-", Measured: kpps(rate),
-		Note: "allocating compatibility path",
-	})
 	scratch := core.NewScratch()
-	rate = measureRate(serialPasses*len(pkts), func(i int) {
+	rate := measureRate(serialPasses*len(pkts), func(i int) {
 		if i%len(pkts) == 0 {
 			scratch.Reset()
 		}

@@ -679,7 +679,7 @@ func RunA8() (*Result, error) {
 	marked[10], marked[11] = 0, 0
 	ck := wire.Checksum(marked[:wire.IPv4HeaderLen])
 	marked[10], marked[11] = byte(ck>>8), byte(ck)
-	outs, err := env.Neut.Process(marked)
+	outs, err := env.Neut.ProcessScratch(core.NewScratch(), marked)
 	if err != nil {
 		return nil, err
 	}

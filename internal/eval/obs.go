@@ -200,6 +200,20 @@ func (d *ObsDigest) key() [4]uint64 {
 	return [4]uint64{d.RecorderTicks, d.RingsHash, d.FlightHash, d.FinalHash}
 }
 
+// determinismRow closes a worker-identity sweep's rows (E9, E13): what
+// was compared across which worker counts, the observation digest's
+// share included when the runs were observed.
+func determinismRow(o *ObsDigest, compared, where string) Row {
+	metric := "determinism"
+	if o != nil {
+		metric = "determinism (observed)"
+		compared += fmt.Sprintf(" + recorder rings (%d ticks) + flight samples (%d events)",
+			o.RecorderTicks, o.FlightSampled)
+	}
+	return Row{Metric: metric, Paper: "bit-identical", Measured: "verified",
+		Note: compared + " equal at " + where}
+}
+
 // fnv64 is a tiny FNV-1a accumulator behind the digest fingerprints.
 type fnv64 uint64
 

@@ -174,7 +174,6 @@ func BuildBackbone(sim *Simulator, spec BackboneSpec) (*Backbone, error) {
 			TransitLink:  spec.TransitLink,
 			OutsideLink:  spec.OutsideLink,
 			Shards:       shards,
-			CompactHosts: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("metro %d: %w", m, err)

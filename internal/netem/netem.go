@@ -64,34 +64,18 @@ var (
 // counters by hand.
 type PolicyCause uint8
 
-// Policy causes carried on verdicts and trace events.
+// Policy causes carried on verdicts and trace events; obs owns the
+// numbering and the names.
 const (
-	CauseNone        PolicyCause = iota
-	CauseRule                    // rule-list match (package isp)
-	CauseTokenBucket             // per-class rate policing (package dpi)
-	CauseRandomDrop              // probabilistic per-class drop (package dpi)
-	CauseClassDelay              // per-class added delay (package dpi)
-	CauseQueueFull               // link egress queue overflow
+	CauseNone        = PolicyCause(obs.CauseNone)
+	CauseRule        = PolicyCause(obs.CauseRule)        // rule-list match (package isp)
+	CauseTokenBucket = PolicyCause(obs.CauseTokenBucket) // per-class rate policing (package dpi)
+	CauseRandomDrop  = PolicyCause(obs.CauseRandomDrop)  // probabilistic per-class drop (package dpi)
+	CauseClassDelay  = PolicyCause(obs.CauseClassDelay)  // per-class added delay (package dpi)
+	CauseQueueFull   = PolicyCause(obs.CauseQueueFull)   // link egress queue overflow
 )
 
-func (c PolicyCause) String() string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseRule:
-		return "rule"
-	case CauseTokenBucket:
-		return "token-bucket"
-	case CauseRandomDrop:
-		return "random-drop"
-	case CauseClassDelay:
-		return "class-delay"
-	case CauseQueueFull:
-		return "queue-full"
-	default:
-		return fmt.Sprintf("cause(%d)", uint8(c))
-	}
-}
+func (c PolicyCause) String() string { return obs.CauseName(uint8(c)) }
 
 // Verdict is a transit hook's decision about a packet.
 type Verdict struct {
@@ -128,37 +112,18 @@ type Handler func(now time.Time, pkt []byte)
 // TraceKind labels trace events.
 type TraceKind uint8
 
-// Trace event kinds.
+// Trace event kinds; obs owns the numbering and the names.
 const (
-	TraceSend TraceKind = iota + 1
-	TraceForward
-	TraceDeliver
-	TraceDropQueue
-	TraceDropPolicy
-	TraceDropNoRoute
-	TraceDropTTL
+	TraceSend        = TraceKind(obs.KindSend)
+	TraceForward     = TraceKind(obs.KindForward)
+	TraceDeliver     = TraceKind(obs.KindDeliver)
+	TraceDropQueue   = TraceKind(obs.KindDropQueue)
+	TraceDropPolicy  = TraceKind(obs.KindDropPolicy)
+	TraceDropNoRoute = TraceKind(obs.KindDropNoRoute)
+	TraceDropTTL     = TraceKind(obs.KindDropTTL)
 )
 
-func (k TraceKind) String() string {
-	switch k {
-	case TraceSend:
-		return "send"
-	case TraceForward:
-		return "forward"
-	case TraceDeliver:
-		return "deliver"
-	case TraceDropQueue:
-		return "drop-queue"
-	case TraceDropPolicy:
-		return "drop-policy"
-	case TraceDropNoRoute:
-		return "drop-noroute"
-	case TraceDropTTL:
-		return "drop-ttl"
-	default:
-		return fmt.Sprintf("trace(%d)", uint8(k))
-	}
-}
+func (k TraceKind) String() string { return obs.KindName(uint8(k)) }
 
 // Simulator is the discrete-event engine facade. Create with
 // NewSimulator. State that events touch — queue, clock, packet pool,

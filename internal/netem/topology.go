@@ -54,14 +54,6 @@ type FanoutSpec struct {
 	// delay (the conservative lookahead). Mutually exclusive with
 	// ShardSubtrees.
 	Shards []int
-	// CompactHosts slab-allocates anonymous leaf hosts via
-	// Simulator.AddHostBlock: no per-host name, map entries, or separate
-	// Node/Link allocations. Hosts are then not resolvable by
-	// Simulator.Node/name — use Fanout.Hosts — and per-host state drops
-	// to a few hundred bytes, which is what lets BuildBackbone fit a
-	// million hosts.
-	CompactHosts bool
-
 	// ShardSubtrees partitions the fan-out for the parallel engine:
 	// the transit network and the outside users stay in shard 0, the
 	// border (where the neutralizer runs) gets shard 1, and each edge
@@ -241,21 +233,19 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		f.Outside = append(f.Outside, out)
 	}
 
-	var hosts []*Node
-	var linkSlab []Link
-	var dirSlab []linkDir
-	if spec.CompactHosts {
-		hosts, err = sim.AddHostBlock("supportive", f.HostAddr(0), spec.Hosts)
-		if err != nil {
-			return nil, err
-		}
-		linkSlab = make([]Link, spec.Hosts)
-		dirSlab = make([]linkDir, 2*spec.Hosts)
+	// Customer hosts are slab-allocated and anonymous (AddHostBlock): no
+	// per-host name, map entry, or separate Node/Link allocation, which
+	// is what lets BuildBackbone fit a million of them. Resolve them
+	// through Fanout.Hosts or NodeByAddr, not Simulator.Node.
+	f.Hosts, err = sim.AddHostBlock("supportive", f.HostAddr(0), spec.Hosts)
+	if err != nil {
+		return nil, err
 	}
+	linkSlab := make([]Link, spec.Hosts)
+	dirSlab := make([]linkDir, 2*spec.Hosts)
 	hostCfg := defaultLink(spec.HostLink)
 	f.Edges = make([]*Node, 0, nEdges)
 	f.EdgeLinks = make([]*Link, 0, nEdges)
-	f.Hosts = make([]*Node, 0, spec.Hosts)
 	for e := 0; e < nEdges; e++ {
 		edge, err := sim.AddNode(name(fmt.Sprintf("edge%d", e)), "supportive")
 		if err != nil {
@@ -271,24 +261,13 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		lo, hi := e*spec.HostsPerEdge, min((e+1)*spec.HostsPerEdge, spec.Hosts)
 		hostLinks := make([]*Link, hi-lo)
 		for i := lo; i < hi; i++ {
-			var host *Node
-			var hl *Link
-			if spec.CompactHosts {
-				host = hosts[i]
-				hl = sim.connectInto(&linkSlab[i], &dirSlab[2*i], &dirSlab[2*i+1], edge, host, hostCfg, hostCfg)
-			} else {
-				host, err = sim.AddNode(name(fmt.Sprintf("host%d", i)), "supportive", f.HostAddr(i))
-				if err != nil {
-					return nil, err
-				}
-				hl = sim.Connect(edge, host, hostCfg)
-			}
+			host := f.Hosts[i]
+			hl := sim.connectInto(&linkSlab[i], &dirSlab[2*i], &dirSlab[2*i+1], edge, host, hostCfg, hostCfg)
 			if sh := edgeShard(e); sh != 0 {
 				host.SetShard(sh)
 			}
 			host.AddRoute(defaultRoute, hl)
 			hostLinks[i-lo] = hl
-			f.Hosts = append(f.Hosts, host)
 		}
 		if err := edge.AddBlockRoute(f.HostAddr(lo), hostLinks); err != nil {
 			return nil, err

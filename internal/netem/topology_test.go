@@ -61,16 +61,17 @@ func TestBuildFanoutRouting(t *testing.T) {
 	}
 }
 
-// TestBuildFanoutCompactHosts: the slab-allocated anonymous-host path
-// must route identically to the named path.
-func TestBuildFanoutCompactHosts(t *testing.T) {
+// TestBuildFanoutHostSlab: customer hosts are slab-allocated and
+// anonymous — resolvable by address, not by name — and route both ways
+// across an edge boundary.
+func TestBuildFanoutHostSlab(t *testing.T) {
 	s := NewSimulator(simStart, 1)
-	f, err := BuildFanout(s, FanoutSpec{Hosts: 300, HostsPerEdge: 128, CompactHosts: true})
+	f, err := BuildFanout(s, FanoutSpec{Hosts: 300, HostsPerEdge: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Node("host0"); got != nil {
-		t.Fatal("compact hosts must not be name-resolvable")
+		t.Fatal("slab hosts must not be name-resolvable")
 	}
 	if got := s.NodeByAddr(f.HostAddr(299)); got != f.Hosts[299] {
 		t.Fatalf("NodeByAddr(%v) = %v, want host 299", f.HostAddr(299), got)

@@ -155,36 +155,3 @@ func TestSendPacketProcAttribution(t *testing.T) {
 		t.Fatalf("end-to-end = %dns, want proc+propagation = %dns", j.EndToEndNanos(), want)
 	}
 }
-
-// TestObsKindCauseMirror pins the numbering contract between the two
-// packages: obs cannot import netem, so it mirrors the trace-kind and
-// policy-cause constants — any renumbering on either side must fail
-// here, not silently mislabel exported spans.
-func TestObsKindCauseMirror(t *testing.T) {
-	kinds := map[TraceKind]uint8{
-		TraceSend:        obs.KindSend,
-		TraceForward:     obs.KindForward,
-		TraceDeliver:     obs.KindDeliver,
-		TraceDropQueue:   obs.KindDropQueue,
-		TraceDropPolicy:  obs.KindDropPolicy,
-		TraceDropNoRoute: obs.KindDropNoRoute,
-		TraceDropTTL:     obs.KindDropTTL,
-	}
-	for k, want := range kinds {
-		if uint8(k) != want {
-			t.Errorf("netem.%v = %d, obs mirror says %d", k, uint8(k), want)
-		}
-		if obs.KindName(uint8(k)) != k.String() {
-			t.Errorf("kind %d named %q by netem, %q by obs", uint8(k), k.String(), obs.KindName(uint8(k)))
-		}
-	}
-	causes := []PolicyCause{
-		CauseNone, CauseRule, CauseTokenBucket,
-		CauseRandomDrop, CauseClassDelay, CauseQueueFull,
-	}
-	for _, c := range causes {
-		if obs.CauseName(uint8(c)) != c.String() {
-			t.Errorf("cause %d named %q by netem, %q by obs", uint8(c), c.String(), obs.CauseName(uint8(c)))
-		}
-	}
-}

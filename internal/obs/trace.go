@@ -13,17 +13,28 @@ import (
 // pure bookkeeping over the already-deterministic event set, so spans —
 // like the events beneath them — are bit-identical at any worker count.
 
-// Trace kind numbering, mirrored from netem.TraceKind (obs cannot
-// import netem; netem's tests pin the mirror). KindSend opens a journey,
+// Trace kind numbering. obs owns the numbers and the names; netem
+// defines its TraceKind constants from these. KindSend opens a journey,
 // KindDeliver closes it, kinds >= KindDropQueue end it in a drop.
 const (
-	KindSend        uint8 = 1
-	KindForward     uint8 = 2
-	KindDeliver     uint8 = 3
-	KindDropQueue   uint8 = 4
-	KindDropPolicy  uint8 = 5
-	KindDropNoRoute uint8 = 6
-	KindDropTTL     uint8 = 7
+	KindSend uint8 = iota + 1
+	KindForward
+	KindDeliver
+	KindDropQueue
+	KindDropPolicy
+	KindDropNoRoute
+	KindDropTTL
+)
+
+// Policy cause numbering (netem.PolicyCause is defined from these): the
+// mechanism behind a policy verdict or drop.
+const (
+	CauseNone        uint8 = iota
+	CauseRule              // rule-list match (package isp)
+	CauseTokenBucket       // per-class rate policing (package dpi)
+	CauseRandomDrop        // probabilistic per-class drop (package dpi)
+	CauseClassDelay        // per-class added delay (package dpi)
+	CauseQueueFull         // link egress queue overflow
 )
 
 var kindNames = map[uint8]string{
@@ -37,11 +48,12 @@ var kindNames = map[uint8]string{
 }
 
 var causeNames = map[uint8]string{
-	1: "rule",
-	2: "token-bucket",
-	3: "random-drop",
-	4: "class-delay",
-	5: "queue-full",
+	CauseNone:        "none",
+	CauseRule:        "rule",
+	CauseTokenBucket: "token-bucket",
+	CauseRandomDrop:  "random-drop",
+	CauseClassDelay:  "class-delay",
+	CauseQueueFull:   "queue-full",
 }
 
 // KindName renders a trace kind for exports and diagnostics.
@@ -52,13 +64,10 @@ func KindName(k uint8) string {
 	return fmt.Sprintf("trace(%d)", k)
 }
 
-// CauseName renders a policy cause (netem.PolicyCause numbering).
+// CauseName renders a policy cause.
 func CauseName(c uint8) string {
 	if n, ok := causeNames[c]; ok {
 		return n
-	}
-	if c == 0 {
-		return "none"
 	}
 	return fmt.Sprintf("cause(%d)", c)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"netneutral/internal/core"
 	"netneutral/internal/eval"
 	"netneutral/internal/shim"
 	"netneutral/internal/wire"
@@ -33,7 +34,7 @@ func shimSeedBodies(f *testing.F) [][]byte {
 	add(env.AltPkt)
 	// Neutralizer outputs exercise the response-side message types.
 	for _, in := range [][]byte{env.SetupPkt, env.DataPkt, env.ReturnPkt} {
-		outs, err := env.Neut.Process(in)
+		outs, err := env.Neut.ProcessScratch(core.NewScratch(), in)
 		if err != nil {
 			f.Fatal(err)
 		}

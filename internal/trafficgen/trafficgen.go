@@ -1,9 +1,9 @@
-// Package trafficgen generates the workloads the experiments run: CBR
-// streams, G.711-like VoIP calls, Poisson web-style request/response
-// mixes, open-loop target-rate sources over pooled packet buffers (the
-// metro-scale load model), and app-shaped sources (AppSource: VoIP,
-// video, bulk, web) whose size/timing structure gives the statistical
-// dpi adversary something real to fingerprint — all scheduled
+// Package trafficgen generates the workloads the experiments run:
+// open-loop target-rate sources over pooled packet buffers (OpenLoop +
+// CyclingSender: the metro-scale load model), app-shaped sources
+// (AppSource: VoIP, video, bulk, web) whose size/timing structure gives
+// the statistical dpi adversary something real to fingerprint, and the
+// auditor's shape-neutral control probes (ControlSource) — all scheduled
 // deterministically on a netem simulator.
 package trafficgen
 
@@ -14,37 +14,6 @@ import (
 
 	"netneutral/internal/netem"
 )
-
-// SendFunc emits one application payload; generators call it on schedule.
-// Implementations wrap an endhost.Host, a raw netem node, or anything
-// else that turns payloads into packets.
-type SendFunc func(seq uint64, payload []byte)
-
-// CBR is a constant-bit-rate stream: Size-byte payloads every Interval.
-type CBR struct {
-	Interval time.Duration
-	Size     int
-	// Count limits the number of packets (0 = until Stop duration).
-	Count int
-}
-
-// Run schedules the stream on the scheduling context (a simulator, or a
-// node for shard-pinned sources on parallel runs) starting immediately
-// and running for at most d (ignored when Count > 0). Returns the number
-// of packets that will be sent. The stream self-reschedules one event at
-// a time, so a long stream costs one pending event, not n.
-func (c CBR) Run(on netem.Context, d time.Duration, send SendFunc) int {
-	n := c.Count
-	if n == 0 {
-		if c.Interval <= 0 {
-			return 0
-		}
-		n = int(d / c.Interval)
-	}
-	return selfReschedule(on, c.Interval, n, func(seq uint64) {
-		send(seq, mkPayload(c.Size, seq))
-	})
-}
 
 // selfReschedule fires n emissions interval apart, rescheduling one
 // event at a time so a long stream costs one pending event, not n.
@@ -68,8 +37,8 @@ func selfReschedule(on netem.Context, interval time.Duration, n int, fire func(s
 // OpenLoop emits events at a constant target rate regardless of network
 // feedback — the load model for the metro-scale experiments, where tens
 // of thousands of packets per simulated second are pushed through one
-// neutralizer domain. Like CBR it self-reschedules, keeping the pending
-// event count at one however long the run is.
+// neutralizer domain. It self-reschedules, keeping the pending event
+// count at one however long the run is.
 type OpenLoop struct {
 	// RatePps is the target emission rate in packets per second of
 	// virtual time.
@@ -110,72 +79,6 @@ func CyclingSender(node *netem.Node, templates [][]byte) func(seq uint64) {
 	}
 }
 
-// VoIPCall models a one-direction G.711 stream: 160-byte frames every
-// 20ms (64 kbps), the paper's motivating Vonage workload.
-func VoIPCall(duration time.Duration) CBR {
-	return CBR{Interval: 20 * time.Millisecond, Size: 160,
-		Count: int(duration / (20 * time.Millisecond))}
-}
-
-// Poisson schedules events with exponentially distributed gaps at the
-// given mean rate (events/sec) for duration d, drawing gaps from the
-// scheduling context's seeded PRNG (the node's shard stream when
-// anchored to a node) for reproducibility. Returns the number scheduled.
-func Poisson(on netem.Context, rate float64, d time.Duration, fn func(seq uint64)) int {
-	if rate <= 0 {
-		return 0
-	}
-	rng := on.Rand()
-	t := time.Duration(0)
-	n := 0
-	for {
-		gap := time.Duration(expRand(rng, rate) * float64(time.Second))
-		t += gap
-		if t > d {
-			return n
-		}
-		seq := uint64(n)
-		on.Schedule(t, func() { fn(seq) })
-		n++
-	}
-}
-
-// WebMix issues request/response exchanges: Poisson arrivals of requests
-// whose response sizes are Pareto-distributed (heavy-tailed, like web
-// objects).
-type WebMix struct {
-	// RatePerSec is the request arrival rate.
-	RatePerSec float64
-	// MinResponse and Alpha parameterize the Pareto response size.
-	MinResponse int
-	Alpha       float64
-}
-
-// Run schedules the mix for duration d; reqFn receives the request
-// sequence number and the size the responder should send back.
-func (w WebMix) Run(on netem.Context, d time.Duration, reqFn func(seq uint64, respSize int)) int {
-	minResp := w.MinResponse
-	if minResp <= 0 {
-		minResp = 1000
-	}
-	alpha := w.Alpha
-	if alpha <= 0 {
-		alpha = 1.2
-	}
-	rng := on.Rand()
-	return Poisson(on, w.RatePerSec, d, func(seq uint64) {
-		u := rng.Float64()
-		if u < 1e-9 {
-			u = 1e-9
-		}
-		size := int(float64(minResp) / math.Pow(u, 1/alpha))
-		if size > 1<<20 {
-			size = 1 << 20 // cap the tail at 1 MiB
-		}
-		reqFn(seq, size)
-	})
-}
-
 func expRand(rng *rand.Rand, rate float64) float64 {
 	u := rng.Float64()
 	for u == 0 {
@@ -184,18 +87,8 @@ func expRand(rng *rand.Rand, rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-func mkPayload(size int, seq uint64) []byte {
-	if size < 8 {
-		size = 8
-	}
-	p := make([]byte, size)
-	for i := 0; i < 8; i++ {
-		p[i] = byte(seq >> (8 * (7 - i)))
-	}
-	return p
-}
-
-// SeqOf recovers the sequence number stamped into a generated payload.
+// SeqOf recovers the big-endian sequence number a sender stamped into
+// the first eight bytes of a payload (0 when the payload is shorter).
 func SeqOf(payload []byte) uint64 {
 	if len(payload) < 8 {
 		return 0

@@ -36,7 +36,8 @@
 //	    Anycast:    netip.MustParseAddr("10.200.0.1"),
 //	    IsCustomer: func(a netip.Addr) bool { return custNet.Contains(a) },
 //	})
-//	outs, err := neut.Process(pkt) // stateless; run as many replicas as you like
+//	scratch := netneutral.NewScratch() // one per goroutine
+//	outs, err := neut.ProcessScratch(scratch, pkt) // stateless; run as many replicas as you like
 //
 // See examples/ for runnable end-to-end scenarios and cmd/neutbench for
 // the evaluation harness.
