@@ -66,14 +66,40 @@ func BenchmarkKeySetup(b *testing.B) {
 	benchProcess(b, env.Neut, env.SetupPkt)
 }
 
-// BenchmarkDataPath is E3's neutralized side: per-packet session-key
-// recomputation, hidden-address decryption and header rewrite for the
-// paper's 64-byte-payload packet. Paper: 422 kpps. Must report
-// 0 allocs/op (TestScratchDataPathZeroAlloc enforces it).
+// BenchmarkDataPath is E3's neutralized side for an established flow: one
+// (epoch, nonce, src) repeating, so the worker's session-key cache
+// answers and the packet pays hidden-address decryption and header
+// rewrite for the paper's 64-byte-payload packet. Paper: 422 kpps. Must
+// report 0 allocs/op (TestScratchDataPathZeroAlloc enforces it).
 func BenchmarkDataPath(b *testing.B) {
 	env := mustEnv(b, false, false)
 	b.SetBytes(int64(len(env.DataPkt)))
 	benchProcess(b, env.Neut, env.DataPkt)
+}
+
+// BenchmarkDataPathMiss is the same path for the first packet of a flow —
+// what the paper's neutralizer pays on every packet: session-key
+// recomputation and AES key expansion on top. The flows are distinct and
+// far more than the cache holds; hit-ratio must read 0.
+func BenchmarkDataPathMiss(b *testing.B) {
+	env := mustEnv(b, false, false)
+	pkts, err := env.DataBatch(16384, 16384)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := core.NewScratch()
+	b.SetBytes(int64(len(pkts[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		if _, err := env.Neut.ProcessScratch(s, pkts[i%len(pkts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := s.SessionCacheStats()
+	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit-ratio")
 }
 
 // BenchmarkReturnPath measures the reverse direction: source-address

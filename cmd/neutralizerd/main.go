@@ -28,10 +28,12 @@
 // frames (one per second, backpressured: slow consumers drop frames,
 // the data plane never stalls) on /stream, and pprof under
 // /debug/pprof/. The core_* families are the neutralizer's own stats
-// snapshot and are always present; the per-worker families
-// (core_worker_* packets and drops, core_crypto_epoch_* cache hits and
-// misses) are the shard pool's atomic stripes and therefore exist only
-// with -batch > 1.
+// snapshot and are always present, and so are the per-worker
+// core_session_cache_* families (hits, misses, admissions, evictions of
+// each worker's session-key cache: hits / (hits + misses) is the hit rate
+// of the traffic mix). The other per-worker families (core_worker_*
+// packets and drops, core_crypto_epoch_* cache hits and misses) are the
+// shard pool's atomic stripes and therefore exist only with -batch > 1.
 package main
 
 import (
@@ -68,7 +70,7 @@ func main() {
 	workers := flag.Int("workers", 1, "data-plane workers: N goroutines each reading the socket and processing their own packets; with -batch > 1, one socket reader feeding N pool shards")
 	batch := flag.Int("batch", 1, "datagrams per pool batch (>1 enables the sharded batch pipeline)")
 	batchWait := flag.Duration("batchwait", 500*time.Microsecond, "max wait to fill a batch after the first datagram")
-	metrics := flag.String("metrics", "", "serve /metrics, /metrics.json, /stream and /debug/pprof on this address (\":0\" picks a port); the per-worker core_worker_* and core_crypto_epoch_* families exist only with -batch > 1")
+	metrics := flag.String("metrics", "", "serve /metrics, /metrics.json, /stream and /debug/pprof on this address (\":0\" picks a port); the per-worker core_worker_* and core_crypto_epoch_* families exist only with -batch > 1, core_session_cache_* always")
 	flag.Parse()
 
 	if err := run(options{
@@ -204,7 +206,11 @@ func run(o options) error {
 			core.RegisterStats(mreg, statsFn)
 		}
 		for i := 0; i < o.workers; i++ {
-			go func() { done <- d.runPerPacket(neut) }()
+			var cache *core.SessionCacheMetrics
+			if mreg != nil {
+				cache = core.NewSessionCacheMetrics(mreg, i)
+			}
+			go func() { done <- d.runPerPacket(neut, cache) }()
 		}
 	}
 
@@ -232,10 +238,10 @@ func run(o options) error {
 		go func() {
 			for range time.Tick(o.statsEvery) {
 				s := statsFn()
-				log.Printf("stats: setups=%d data=%d return=%d grants=%d drops(epoch=%d,block=%d,cust=%d,malformed=%d) peers=%d",
+				log.Printf("stats: setups=%d data=%d return=%d grants=%d drops(epoch=%d,block=%d,cust=%d,malformed=%d,dynpool=%d) peers=%d",
 					s.KeySetups, s.DataForwarded, s.ReturnForwarded,
 					s.GrantsStamped, s.DropStaleEpoch, s.DropBadAddrBlock,
-					s.DropNotCustomer, s.DropMalformed, d.reg.len())
+					s.DropNotCustomer, s.DropMalformed, s.DropDynExhausted, d.reg.len())
 			}
 		}()
 	}
@@ -289,8 +295,9 @@ func (d *daemon) deliver(pkt []byte) {
 // runPerPacket is the -batch=1 loop: read, process through this worker's
 // scratch, transmit. Several of these run concurrently against the one
 // shared stateless Neutralizer; the scratch (and read buffer) are the
-// only per-worker state.
-func (d *daemon) runPerPacket(neut *netneutral.Neutralizer) error {
+// only per-worker state. cache, when metrics are served, publishes the
+// scratch's session-cache counts after every packet.
+func (d *daemon) runPerPacket(neut *netneutral.Neutralizer, cache *core.SessionCacheMetrics) error {
 	buf := make([]byte, 64<<10)
 	scratch := netneutral.NewScratch()
 	for {
@@ -307,6 +314,9 @@ func (d *daemon) runPerPacket(neut *netneutral.Neutralizer) error {
 		}
 		scratch.Reset()
 		outs, err := neut.ProcessScratch(scratch, pkt)
+		if cache != nil {
+			cache.Flush(scratch)
+		}
 		if err != nil {
 			continue // counted in stats
 		}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	mathrand "math/rand"
 	"net/netip"
 	"testing"
 
@@ -19,21 +20,32 @@ func served(s core.StatsSnapshot) uint64 {
 		s.DataForwarded + s.ReturnForwarded
 }
 
+// replayRand is a deterministic entropy source that can be rewound, so two
+// ProcessScratch calls can be given the same draws (the key-setup nonce
+// and padding, the return path's salt).
+type replayRand struct{ *mathrand.Rand }
+
+func (r replayRand) rewind() { r.Seed(1) }
+
 // FuzzProcessScratch throws whole hostile packets at the neutralizer's
 // state machine (the parsers have their own targets in wire and shim),
-// through a locally-answering replica and an offloading one. Seeds are
-// the bench environment's real packets — key setup, forward data, return,
-// alternative-mode data, an offloaded setup, plain UDP — plus truncations
-// and bit-flips of each. For
-// every input, on both replicas:
+// through a locally-answering replica, an offloading one, and one whose
+// /30 dynamic-address pool is already full. Seeds are the bench
+// environment's real packets — key setup, forward data, return,
+// alternative-mode data, an offloaded setup, a return asking for a
+// dynamic address, plain UDP — plus truncations and bit-flips of each.
+// Every input goes through each replica twice, on a fresh scratch and on
+// one kept for the whole run (whose session-key cache has seen every
+// earlier input), with the replica's entropy rewound in between. For
+// every input, on every replica:
 //
 //   - no panic;
-//   - conservation: exactly one served counter or one drop counter moves,
-//     by one, unless the packet is not a shim packet at all (ErrNotShim)
-//     or asks for a dynamic address the pool can no longer supply
-//     (ErrDynPoolExhausted) — the two refusals that are not about the
-//     packet;
+//   - conservation: each call moves exactly one served counter or one drop
+//     counter, by one, unless the packet is not a shim packet at all
+//     (ErrNotShim);
 //   - an accepted input yields one output, a refused one none;
+//   - the cache is invisible: the warm scratch returns the same error and
+//     the same output bytes as the fresh one;
 //   - the output does not alias the input, decodes as IP | shim, and
 //     carries the input's ToS octet (§3.4).
 func FuzzProcessScratch(f *testing.F) {
@@ -46,26 +58,50 @@ func FuzzProcessScratch(f *testing.F) {
 		f.Fatal(err)
 	}
 	// The §3.4 dynamic-address path needs a pool; addresses are released
-	// after every input so the table stays empty however long the run.
-	dynPool := netip.MustParsePrefix("11.0.0.0/8")
-	var replicas []*core.Neutralizer
-	for _, e := range []*eval.BenchEnv{env, offEnv} {
+	// after every input so the table stays empty however long the run —
+	// except on the third replica, whose two-address pool is filled here
+	// and never released, so any other flow asking is refused.
+	dynPool, fullPool := netip.MustParsePrefix("11.0.0.0/8"), netip.MustParsePrefix("12.0.0.0/30")
+	type replica struct {
+		n    *core.Neutralizer
+		rng  replayRand
+		warm *core.Scratch
+	}
+	var replicas []replica
+	for i, e := range []*eval.BenchEnv{env, offEnv, env} {
 		cfg := e.NeutralizerConfig()
 		cfg.DynAddrPool = dynPool
+		if i == 2 {
+			cfg.DynAddrPool = fullPool
+		}
+		rng := replayRand{mathrand.New(mathrand.NewSource(1))}
+		cfg.Rand = rng
 		n, err := core.New(cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		replicas = append(replicas, n)
+		replicas = append(replicas, replica{n, rng, core.NewScratch()})
+	}
+	dynReturn := bytes.Clone(env.ReturnPkt)
+	dynReturn[wire.IPv4HeaderLen+1] |= shim.FlagDynamicAddr
+	for _, initiator := range []byte{1, 2} {
+		fill := bytes.Clone(dynReturn)
+		fill[wire.IPv4HeaderLen+shim.HeaderLen+3] ^= initiator // ClearAddr: another initiator
+		if _, err := replicas[2].n.ProcessScratch(core.NewScratch(), fill); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := replicas[2].n.ProcessScratch(core.NewScratch(), dynReturn); !errors.Is(err, core.ErrDynPoolExhausted) {
+		f.Fatalf("filled pool: %v, want ErrDynPoolExhausted", err)
 	}
 
 	// The offload seed is what a helper receives: the setup request as
 	// the offloading replica re-emits it, grant stamped in.
-	offloaded, err := replicas[1].ProcessScratch(core.NewScratch(), env.SetupPkt)
+	offloaded, err := replicas[1].n.ProcessScratch(core.NewScratch(), env.SetupPkt)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seeds := [][]byte{env.SetupPkt, env.DataPkt, env.ReturnPkt, env.AltPkt, offloaded[0].Pkt, env.VanillaPkt}
+	seeds := [][]byte{env.SetupPkt, env.DataPkt, env.ReturnPkt, env.AltPkt, offloaded[0].Pkt, dynReturn, env.VanillaPkt}
 	for _, pkt := range seeds {
 		f.Add(pkt)
 		for _, cut := range []int{wire.IPv4HeaderLen, wire.IPv4HeaderLen + shim.HeaderLen, len(pkt) / 2, len(pkt) - 1} {
@@ -83,32 +119,41 @@ func FuzzProcessScratch(f *testing.F) {
 		}
 	}
 
-	scratch := core.NewScratch()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, n := range replicas {
+		for _, r := range replicas {
+			n := r.n
 			in := bytes.Clone(data) // the engine's bytes must not be written
 			before := n.Stats().Snapshot()
-			scratch.Reset()
-			outs, err := n.ProcessScratch(scratch, in)
+			r.rng.rewind()
+			freshOuts, freshErr := n.ProcessScratch(core.NewScratch(), in)
+			r.rng.rewind()
+			r.warm.Reset()
+			outs, err := n.ProcessScratch(r.warm, in)
 			after := n.Stats().Snapshot()
 
-			// What this outcome must have moved: a refusal moves one drop
-			// counter, unless it is one of the two that are not about the
-			// packet; an acceptance moves one served counter and emits.
-			wantServed, wantDropped := uint64(0), uint64(1)
+			if (err == nil) != (freshErr == nil) || err != nil && err.Error() != freshErr.Error() {
+				t.Fatalf("warm scratch: %v; fresh scratch: %v", err, freshErr)
+			}
+			// What the two calls must have moved, together: a refusal moves
+			// one drop counter, unless the packet is not a shim packet at
+			// all; an acceptance moves one served counter and emits.
+			wantServed, wantDropped := uint64(0), uint64(2)
 			switch {
 			case err == nil:
-				wantServed, wantDropped = 1, 0
-			case errors.Is(err, core.ErrNotShim), errors.Is(err, core.ErrDynPoolExhausted):
+				wantServed, wantDropped = 2, 0
+			case errors.Is(err, core.ErrNotShim):
 				wantDropped = 0
 			}
 			nServed, nDropped := served(after)-served(before), after.Dropped()-before.Dropped()
-			if nServed != wantServed || nDropped != wantDropped || uint64(len(outs)) != wantServed {
-				t.Fatalf("err %v: served %d, dropped %d, %d outputs; want %d, %d, %d",
-					err, nServed, nDropped, len(outs), wantServed, wantDropped, wantServed)
+			if nServed != wantServed || nDropped != wantDropped || uint64(len(outs)+len(freshOuts)) != wantServed {
+				t.Fatalf("err %v: served %d, dropped %d, %d+%d outputs; want %d, %d, %d",
+					err, nServed, nDropped, len(outs), len(freshOuts), wantServed, wantDropped, wantServed)
 			}
 			if err != nil {
 				continue
+			}
+			if !bytes.Equal(outs[0].Pkt, freshOuts[0].Pkt) {
+				t.Fatalf("warm and fresh scratch disagree:\n%x\n%x", outs[0].Pkt, freshOuts[0].Pkt)
 			}
 
 			out := bytes.Clone(outs[0].Pkt)

@@ -26,6 +26,54 @@ type poolMetrics struct {
 	// by the worker of the same index.
 	lastHits []uint64
 	lastMiss []uint64
+	sess     []*SessionCacheMetrics
+}
+
+// SessionCacheMetrics publishes one worker's Scratch.SessionCacheStats:
+//
+//	core_session_cache_hits_total{worker="i"}       packets served from a cached key schedule
+//	core_session_cache_misses_total{worker="i"}     packets that derived and expanded their key
+//	core_session_cache_admissions_total{worker="i"} schedules stored (a flow's second served miss)
+//	core_session_cache_evictions_total{worker="i"}  admissions that replaced a live entry
+//
+// hits / (hits + misses) is the hit rate of the traffic mix the worker
+// sees. The families are Volatile: cache placement is keyed with a seed
+// drawn per Scratch, so evictions — and with them every count here — are
+// not a function of the run's seed and must stay out of replay digests.
+type SessionCacheMetrics struct {
+	ctr  [4]*obs.AtomicCounter
+	last SessionCacheStats
+}
+
+// NewSessionCacheMetrics registers the four families for one worker.
+func NewSessionCacheMetrics(reg *obs.Registry, worker int) *SessionCacheMetrics {
+	m := &SessionCacheMetrics{}
+	for i, f := range [4][2]string{
+		{"hits", "Packets served from this worker's cached session-key schedules."},
+		{"misses", "Packets for which this worker derived and expanded the session key."},
+		{"admissions", "Session-key schedules this worker cached (a flow's second served miss)."},
+		{"evictions", "Cache admissions of this worker that replaced a live entry."},
+	} {
+		m.ctr[i] = reg.Counter(fmt.Sprintf("core_session_cache_%s_total{worker=\"%d\"}", f[0], worker),
+			f[1], obs.Volatile()).AtomicStripe(0)
+	}
+	return m
+}
+
+// Flush publishes what scr's cache has counted since the previous Flush.
+// Owner-only, like the scratch: call it from the goroutine that processes
+// with scr.
+func (m *SessionCacheMetrics) Flush(scr *Scratch) {
+	now := scr.SessionCacheStats()
+	for i, d := range [4]uint64{
+		now.Hits - m.last.Hits, now.Misses - m.last.Misses,
+		now.Admissions - m.last.Admissions, now.Evictions - m.last.Evictions,
+	} {
+		if d != 0 {
+			m.ctr[i].Add(d)
+		}
+	}
+	m.last = now
 }
 
 // Instrument registers the pool's per-worker counters and its merged
@@ -36,7 +84,8 @@ type poolMetrics struct {
 //	core_crypto_epoch_hits_total{worker="i"}   epoch-cache hits of shard i
 //	core_crypto_epoch_misses_total{worker="i"} epoch-cache misses of shard i
 //
-// plus the RegisterStats families over the merged replica snapshot.
+// plus each shard's SessionCacheMetrics families and the RegisterStats
+// families over the merged replica snapshot.
 // Safe to call while the pool is processing; counters start from the
 // next batch. Call it once per registry.
 func (p *Pool) Instrument(reg *obs.Registry) {
@@ -48,6 +97,7 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 		miss:     make([]*obs.AtomicCounter, w),
 		lastHits: make([]uint64, w),
 		lastMiss: make([]uint64, w),
+		sess:     make([]*SessionCacheMetrics, w),
 	}
 	for i := 0; i < w; i++ {
 		m.pkts[i] = reg.Counter(fmt.Sprintf("core_worker_packets_total{worker=\"%d\"}", i),
@@ -58,6 +108,7 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 			"Session-key derivations served from this worker's lock-free epoch cache.").AtomicStripe(0)
 		m.miss[i] = reg.Counter(fmt.Sprintf("core_crypto_epoch_misses_total{worker=\"%d\"}", i),
 			"Session-key derivations that took the epoch-derivation slow path.").AtomicStripe(0)
+		m.sess[i] = NewSessionCacheMetrics(reg, i)
 	}
 	p.met.Store(m)
 	RegisterStats(reg, p.Stats)
@@ -73,6 +124,7 @@ func (m *poolMetrics) flushWorkerMetrics(i int, pkts, drops uint64, scr *Scratch
 	m.hits[i].Add(h - m.lastHits[i])
 	m.miss[i].Add(ms - m.lastMiss[i])
 	m.lastHits[i], m.lastMiss[i] = h, ms
+	m.sess[i].Flush(scr)
 }
 
 // RegisterStats exports a StatsSnapshot source (a single Neutralizer's
@@ -108,6 +160,8 @@ func RegisterStats(reg *obs.Registry, snap func() StatsSnapshot) {
 			func(s StatsSnapshot) uint64 { return s.DropNotCustomer }},
 		{"core_drops_total{reason=\"malformed\"}", "Packets dropped as malformed.",
 			func(s StatsSnapshot) uint64 { return s.DropMalformed }},
+		{"core_drops_total{reason=\"dyn_pool_exhausted\"}", "Return packets refused a dynamic address (pool exhausted or not configured).",
+			func(s StatsSnapshot) uint64 { return s.DropDynExhausted }},
 		{"core_dyn_addrs_allocated_total", "Dynamic return addresses allocated.",
 			func(s StatsSnapshot) uint64 { return s.DynAddrsAllocated }},
 	}

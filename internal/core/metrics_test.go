@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"netneutral/internal/obs"
@@ -63,6 +64,20 @@ func TestPoolInstrument(t *testing.T) {
 	}
 
 	stats := p.Stats()
+	// Every packet that parses and passes the epoch check asks a worker's
+	// session cache once; by the third batch the 64 flows are established.
+	// The counts depend on each scratch's placement seed, hence Volatile.
+	sessHits, sessMisses := sum("core_session_cache_hits_total"), sum("core_session_cache_misses_total")
+	if want := stats.DataForwarded + stats.DropBadAddrBlock; sessHits+sessMisses != want {
+		t.Errorf("session cache lookups = %d, want %d", sessHits+sessMisses, want)
+	}
+	if sessHits == 0 || sum("core_session_cache_admissions_total") == 0 {
+		t.Errorf("session cache never warmed: %d hits of %d lookups", sessHits, sessHits+sessMisses)
+	}
+	if m := snap.Get("core_session_cache_evictions_total{worker=\"0\"}"); m == nil || !m.Volatile {
+		t.Errorf("core_session_cache_evictions_total{worker=\"0\"} missing or not volatile: %+v", m)
+	}
+
 	statChecks := map[string]uint64{
 		"core_forwarded_packets_total{path=\"data\"}": stats.DataForwarded,
 		"core_drops_total{reason=\"bad_addr_block\"}": stats.DropBadAddrBlock,
@@ -89,9 +104,9 @@ func TestRegisterStatsNames(t *testing.T) {
 	reg := obs.NewRegistry()
 	RegisterStats(reg, func() StatsSnapshot { return StatsSnapshot{} })
 	names := reg.Names()
-	if len(names) != 12 {
-		t.Fatalf("RegisterStats exported %d families, want 12 (one per StatsSnapshot field):\n%v",
-			len(names), names)
+	if want := reflect.TypeOf(StatsSnapshot{}).NumField(); len(names) != want {
+		t.Fatalf("RegisterStats exported %d families, want %d (one per StatsSnapshot field):\n%v",
+			len(names), want, names)
 	}
 	for _, n := range names {
 		if m := reg.Snapshot().Get(n); m == nil || m.Kind != obs.KindCounterFunc {

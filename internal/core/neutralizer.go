@@ -4,13 +4,23 @@
 // other ISPs.
 //
 // Statelessness is the load-bearing property. The neutralizer keeps no
-// per-source or per-flow tables: every session key is recomputed from the
-// packet itself as Ks = hash(KM, nonce, srcIP), so any replica sharing
+// per-source or per-flow tables: every session key can be recomputed from
+// the packet itself as Ks = hash(KM, nonce, srcIP), so any replica sharing
 // the master-key schedule can process any packet (the anycast property),
 // a crashed replica loses nothing, and memory does not grow with load.
 // The only optional state is the dynamic-address table of the §3.4 QoS
 // remedy, which exists per explicitly-requested QoS flow, and monotonic
 // counters.
+//
+// What a worker holds is a different matter. Each Scratch carries a
+// bounded (under 200 KB), fixed-size cache from (epoch, nonce, srcIP) to
+// the expanded AES schedule of Ks, so the packets of an established flow
+// skip the derivation and the key expansion. Every value in it is a pure
+// function of the packet and KM: it is never authoritative, a miss (or
+// another worker, or a restarted one) recomputes the same bytes, and
+// nothing enters it before the neutralizer has verified and served a
+// packet of that session twice. The neutralizer is as stateless as the
+// paper's; only the time a packet takes depends on where it lands.
 //
 // A Neutralizer is transport-agnostic: ProcessScratch consumes one
 // serialized IPv4 packet and returns the packets to emit. The same core
@@ -108,6 +118,7 @@ type Stats struct {
 	DropBadAddrBlock  atomic.Uint64
 	DropNotCustomer   atomic.Uint64
 	DropMalformed     atomic.Uint64
+	DropDynExhausted  atomic.Uint64 // return packets refused a §3.4 dynamic address
 	DynAddrsAllocated atomic.Uint64
 }
 
@@ -125,6 +136,7 @@ type StatsSnapshot struct {
 	DropBadAddrBlock  uint64
 	DropNotCustomer   uint64
 	DropMalformed     uint64
+	DropDynExhausted  uint64
 	DynAddrsAllocated uint64
 }
 
@@ -142,6 +154,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		DropBadAddrBlock:  s.DropBadAddrBlock.Load(),
 		DropNotCustomer:   s.DropNotCustomer.Load(),
 		DropMalformed:     s.DropMalformed.Load(),
+		DropDynExhausted:  s.DropDynExhausted.Load(),
 		DynAddrsAllocated: s.DynAddrsAllocated.Load(),
 	}
 }
@@ -160,13 +173,14 @@ func (s StatsSnapshot) Merge(o StatsSnapshot) StatsSnapshot {
 	s.DropBadAddrBlock += o.DropBadAddrBlock
 	s.DropNotCustomer += o.DropNotCustomer
 	s.DropMalformed += o.DropMalformed
+	s.DropDynExhausted += o.DropDynExhausted
 	s.DynAddrsAllocated += o.DynAddrsAllocated
 	return s
 }
 
 // Dropped is the total of all drop counters.
 func (s StatsSnapshot) Dropped() uint64 {
-	return s.DropStaleEpoch + s.DropBadAddrBlock + s.DropNotCustomer + s.DropMalformed
+	return s.DropStaleEpoch + s.DropBadAddrBlock + s.DropNotCustomer + s.DropMalformed + s.DropDynExhausted
 }
 
 // Neutralizer processes shim packets at an ISP border. Safe for
@@ -286,25 +300,24 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 }
 
 // processData implements the forward path (Figure 2(b), packets 3→4):
-// recompute Ks from the packet alone, decrypt the hidden destination,
-// verify it is a customer, and forward with the shim rewritten — stamping
-// a fresh key grant if requested. Zero allocations on the success path
-// (absent a grant request): the session key is derived under the cached
-// epoch cipher and the address block decrypted with the scratch's
-// re-keyable AES schedule.
+// recompute Ks from the packet alone (or find its schedule in the
+// scratch's cache), decrypt the hidden destination, verify it is a
+// customer, and forward with the shim rewritten — stamping a fresh key
+// grant if requested. Zero allocations on the success path (absent a
+// grant request): the session key is derived under the cached epoch
+// cipher and the address block decrypted with a re-keyable AES schedule
+// the scratch owns.
 func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) error {
 	now := n.cfg.Clock()
 	if !n.cfg.Schedule.Acceptable(sh.Epoch, now) {
 		n.stats.DropStaleEpoch.Add(1)
 		return ErrStaleEpoch
 	}
-	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, sh.Epoch, sh.Nonce, ip.Src)
+	ek, probe, err := n.sessionKey(s, sh.Epoch, sh.Nonce, ip.Src)
 	if err != nil {
-		n.stats.DropMalformed.Add(1)
 		return err
 	}
-	s.ek.Expand(ks)
-	dst, _, ok := s.ek.DecryptAddrX(sh.HiddenAddr)
+	dst, _, ok := ek.DecryptAddrX(sh.HiddenAddr)
 	if !ok {
 		n.stats.DropBadAddrBlock.Add(1)
 		return ErrBadAddrBlock
@@ -341,14 +354,17 @@ func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) er
 	if err := s.emit(ip.Src, dst, ip.TOS, &s.out, sh.Payload()); err != nil {
 		return err
 	}
+	s.admitSession(ek, probe)
 	n.stats.DataForwarded.Add(1)
 	return nil
 }
 
 // processReturn implements the return path (Figure 2(b), packets 5→6):
 // encrypt the customer's address under Ks (recomputed from the initiator
-// address carried in the shim) and substitute the anycast address — or a
-// per-flow dynamic address, or nothing, per the QoS flags.
+// address carried in the shim, or found in the scratch's cache: the same
+// session as the forward path, the other half of the schedule) and
+// substitute the anycast address — or a per-flow dynamic address, or
+// nothing, per the QoS flags.
 func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) error {
 	if !n.cfg.IsCustomer(ip.Src) {
 		n.stats.DropNotCustomer.Add(1)
@@ -360,16 +376,14 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 		return ErrStaleEpoch
 	}
 	initiator := sh.ClearAddr
-	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, sh.Epoch, sh.Nonce, initiator)
+	ek, probe, err := n.sessionKey(s, sh.Epoch, sh.Nonce, initiator)
 	if err != nil {
-		n.stats.DropMalformed.Add(1)
 		return err
 	}
 	if _, err := io.ReadFull(n.cfg.Rand, s.salt[:]); err != nil {
 		return fmt.Errorf("core: reading salt: %w", err)
 	}
-	s.ek.Expand(ks)
-	hidden, ok := s.ek.EncryptAddrX(ip.Src, s.salt)
+	hidden, ok := ek.EncryptAddrX(ip.Src, s.salt)
 	if !ok {
 		return fmt.Errorf("aesutil: address %v is not IPv4", ip.Src)
 	}
@@ -389,6 +403,7 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 	case sh.Flags&shim.FlagDynamicAddr != 0:
 		a, err := n.dynAddrFor(ip.Src, initiator)
 		if err != nil {
+			n.stats.DropDynExhausted.Add(1)
 			return err
 		}
 		visibleSrc = a
@@ -396,6 +411,7 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 	if err := s.emit(visibleSrc, initiator, ip.TOS, &s.out, sh.Payload()); err != nil {
 		return err
 	}
+	s.admitSession(ek, probe)
 	n.stats.ReturnForwarded.Add(1)
 	return nil
 }

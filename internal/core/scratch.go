@@ -19,13 +19,18 @@ const shimHeadroom = wire.IPv4HeaderLen + shim.HeaderLen + 64
 
 // Scratch holds the per-worker reusable state of the zero-allocation
 // processing path: decoded-layer structs, the session-key derivation and
-// AES working state, and a ring of output packet buffers. A Scratch is
-// NOT safe for concurrent use; give each goroutine its own (the
-// neutralizer itself is stateless and freely shared — that is the whole
-// point of the design).
+// AES working state, a ring of output packet buffers, and a bounded cache
+// of expanded session keys (see sessionCache) that lets the packets of an
+// established flow skip the derivation and the AES key expansion. The
+// cache holds nothing a packet and KM do not determine: a fresh Scratch,
+// or another worker's, produces the same bytes a warm one does, only
+// slower. A Scratch is NOT safe for concurrent use; give each goroutine
+// its own (the neutralizer itself is stateless and freely shared — that
+// is the whole point of the design). It may serve several Neutralizers in
+// turn; the cache starts over whenever the master-key schedule changes.
 type Scratch struct {
 	kw   keys.Work
-	ek   aesutil.ExpandedKey
+	ek   aesutil.ExpandedKey // the schedule a cache miss derives into
 	salt [8]byte
 
 	ip  wire.IPv4
@@ -35,6 +40,8 @@ type Scratch struct {
 	bufs []*wire.SerializeBuffer
 	nbuf int
 	outs []Outgoing
+
+	sess sessionCache // last: its 10 KB of tags stay out from between the fields every packet touches
 }
 
 // NewScratch returns an empty scratch. Buffers are grown on demand and
@@ -48,6 +55,10 @@ func NewScratch() *Scratch { return &Scratch{} }
 func (s *Scratch) CryptoEpochStats() (hits, misses uint64) {
 	return s.kw.EpochCacheStats()
 }
+
+// SessionCacheStats reports the outcomes of this scratch's session-key
+// cache. Owner-only, like CryptoEpochStats.
+func (s *Scratch) SessionCacheStats() SessionCacheStats { return s.sess.stats }
 
 // Reset recycles every output buffer. Outgoing values returned by
 // ProcessScratch calls since the previous Reset become invalid.

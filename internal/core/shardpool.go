@@ -8,8 +8,10 @@
 // Config (and thus the same master-key Schedule), each owning a worker
 // goroutine and a Scratch. Packets are sharded by source address, but any
 // shard assignment whatsoever produces the same outputs — the concurrency
-// tests exercise exactly that interchangeability. The replicas share only
-// what a packet cannot carry: the optional §3.4 dynamic-address table.
+// tests exercise exactly that interchangeability. Placement decides only
+// speed: a source that stays on one shard finds its expanded session key
+// in that worker's Scratch cache. The replicas share only what a packet
+// cannot carry: the optional §3.4 dynamic-address table.
 //
 // Per-replica Stats are kept on independent cache lines (each replica has
 // its own atomic counter block) and merged on demand via Snapshot/Merge,
@@ -116,9 +118,9 @@ func (p *Pool) worker(i int) {
 }
 
 // shardOf maps a packet to a shard by FNV-hashing its source address, so
-// one source's packets stay cache-warm on one replica. Statelessness
-// means this is purely a locality heuristic: ANY placement yields
-// identical outputs. Packets too short to carry an address round-robin
+// one source's packets stay cache-warm on one replica (its session-key
+// schedule included). Statelessness means this is purely a locality
+// heuristic: ANY placement yields identical outputs. Packets too short to carry an address round-robin
 // by index.
 func shardOf(pkt []byte, i, n int) int {
 	if len(pkt) >= wire.IPv4HeaderLen {

@@ -312,8 +312,10 @@ func TestReturnPathConcurrent(t *testing.T) {
 	}
 }
 
-// TestScratchDataPathZeroAlloc guards the tentpole property: the forward
-// and return data paths allocate nothing per packet.
+// TestScratchDataPathZeroAlloc guards the zero-allocation property of the
+// forward data path on both sides of the session-key cache: a batch of
+// established flows (every packet a hit) and batches of flows never seen
+// before (every packet a miss: derivation, key expansion, doorkeeper).
 func TestScratchDataPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -323,31 +325,45 @@ func TestScratchDataPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts, _, _ := mkDataBatch(t, sched, 8, false)
+	const batch, runs = 8, 100
+	// AllocsPerRun calls its function once more than runs, to warm up; the
+	// three warm-up passes below take the first batch.
+	pkts, _, _ := mkDataBatch(t, sched, batch*(runs+2), false)
 	s := NewScratch()
-	// Warm up: buffer ring growth and epoch-cipher caching happen once.
-	s.Reset()
-	for _, pkt := range pkts {
-		if _, err := n.ProcessScratch(s, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	process := func(pkts [][]byte) {
 		s.Reset()
 		for _, pkt := range pkts {
 			if _, err := n.ProcessScratch(s, pkt); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("data path allocates %v per batch, want 0", allocs)
+	}
+	// Warm up: buffer ring growth, epoch-cipher caching and the cache's
+	// schedule array happen once; the third pass finds every flow cached.
+	for i := 0; i < 3; i++ {
+		process(pkts[:batch])
+	}
+	before := s.SessionCacheStats()
+	if allocs := testing.AllocsPerRun(runs, func() { process(pkts[:batch]) }); allocs != 0 {
+		t.Errorf("established flows: data path allocates %v per batch, want 0", allocs)
+	}
+	mid := s.SessionCacheStats()
+	if mid.Misses != before.Misses || mid.Hits == before.Hits {
+		t.Errorf("established flows were not all hits: %+v -> %+v", before, mid)
+	}
+	next := batch
+	if allocs := testing.AllocsPerRun(runs, func() { next += batch; process(pkts[next-batch : next]) }); allocs != 0 {
+		t.Errorf("first packets: data path allocates %v per batch, want 0", allocs)
+	}
+	if after := s.SessionCacheStats(); after.Hits != mid.Hits {
+		t.Errorf("first packets were not all misses: %+v -> %+v", mid, after)
 	}
 }
 
 // TestPoolProcessBatchZeroAlloc extends the guard to the sharded batch
 // interface: once the replicas' buffer rings are warm, a whole batch
-// through Pool.ProcessBatch allocates nothing.
+// through Pool.ProcessBatch allocates nothing, whether its flows are
+// established on the shard workers or new to them.
 func TestPoolProcessBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -358,15 +374,38 @@ func TestPoolProcessBatchZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	pkts, _, _ := mkDataBatch(t, sched, 64, false)
-	run := func() {
+	const batch, runs = 64, 100
+	pkts, _, _ := mkDataBatch(t, sched, batch*(runs+2), false)
+	run := func(pkts [][]byte) {
 		if _, dropped := pool.ProcessBatch(pkts); dropped != 0 {
 			t.Fatalf("%d packets dropped", dropped)
 		}
 	}
-	run() // warm up
-	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Fatalf("ProcessBatch allocates %v per batch, want 0", allocs)
+	hits := func() (h uint64) {
+		for _, s := range pool.scr { // quiescent between batches
+			h += s.SessionCacheStats().Hits
+		}
+		return h
+	}
+	for i := 0; i < 3; i++ {
+		run(pkts[:batch]) // warm up
+	}
+	before := hits()
+	if allocs := testing.AllocsPerRun(runs, func() { run(pkts[:batch]) }); allocs != 0 {
+		t.Errorf("established flows: ProcessBatch allocates %v per batch, want 0", allocs)
+	}
+	mid := hits()
+	// A shard whose placement seed puts nine of its flows in one cache set
+	// keeps missing on them; most of the batch must hit all the same.
+	if got := mid - before; got < (runs+1)*batch*3/4 {
+		t.Errorf("established flows: %d hits over %d packets", got, (runs+1)*batch)
+	}
+	next := batch
+	if allocs := testing.AllocsPerRun(runs, func() { next += batch; run(pkts[next-batch : next]) }); allocs != 0 {
+		t.Errorf("first packets: ProcessBatch allocates %v per batch, want 0", allocs)
+	}
+	if after := hits(); after != mid {
+		t.Errorf("first packets hit the cache %d times", after-mid)
 	}
 }
 

@@ -167,12 +167,33 @@ type MACScratch struct {
 // expansion. data must also live in caller-amortized storage for the call
 // to be allocation-free.
 func (b Block) CBCMACScratch(w *MACScratch, data []byte) Key {
+	w.mac = [BlockSize]byte{}
+	binary.BigEndian.PutUint64(w.mac[:8], uint64(len(data)))
+	b.c.Encrypt(w.mac[:], w.mac[:])
+	return b.absorb(w, data)
+}
+
+// CBCMACPrefix returns the chaining value CBCMACScratch holds after the
+// length block of an n-byte message. It depends only on the key and n, so
+// a caller that MACs fixed-size messages under a long-lived key computes
+// it once and resumes every message with CBCMACFrom.
+func (b Block) CBCMACPrefix(n int) (p [BlockSize]byte) {
+	binary.BigEndian.PutUint64(p[:8], uint64(n))
+	b.c.Encrypt(p[:], p[:])
+	return p
+}
+
+// CBCMACFrom is CBCMACScratch resumed from prefix, which must be
+// CBCMACPrefix(len(data)) under the same key: one AES block operation
+// fewer, bit-identical output.
+func (b Block) CBCMACFrom(w *MACScratch, prefix [BlockSize]byte, data []byte) Key {
+	w.mac = prefix
+	return b.absorb(w, data)
+}
+
+// absorb chains data, zero-padded to whole blocks, into w.mac.
+func (b Block) absorb(w *MACScratch, data []byte) Key {
 	mac := w.mac[:]
-	for i := 8; i < BlockSize; i++ {
-		mac[i] = 0
-	}
-	binary.BigEndian.PutUint64(mac[:8], uint64(len(data)))
-	b.c.Encrypt(mac, mac)
 	for len(data) > 0 {
 		n := copy(w.chunk[:], data)
 		for i := n; i < BlockSize; i++ {

@@ -105,8 +105,9 @@ func TestAddrBlockXMatchesSlowPath(t *testing.T) {
 	}
 }
 
-// TestCBCMACScratchMatchesCBCMAC verifies the cached-cipher MAC computes
-// the identical function across lengths spanning multiple blocks.
+// TestCBCMACScratchMatchesCBCMAC verifies the cached-cipher MAC, whole
+// and resumed from a precomputed length block, computes the identical
+// function across lengths spanning multiple blocks.
 func TestCBCMACScratchMatchesCBCMAC(t *testing.T) {
 	rng := mathrand.New(mathrand.NewSource(99))
 	var key Key
@@ -124,6 +125,10 @@ func TestCBCMACScratchMatchesCBCMAC(t *testing.T) {
 		// Scratch must be reusable.
 		if got2 := b.CBCMACScratch(&w, data); got2 != want {
 			t.Fatalf("len %d: CBCMACScratch not stable across reuse", n)
+		}
+		// Resuming from the precomputed length block is the same function.
+		if got3 := b.CBCMACFrom(&w, b.CBCMACPrefix(n), data); got3 != want {
+			t.Fatalf("len %d: CBCMACFrom(CBCMACPrefix) mismatch", n)
 		}
 	}
 }

@@ -81,11 +81,15 @@ type Schedule struct {
 func (s *Schedule) Derivations() uint64 { return s.derives.Load() }
 
 // epochEntry caches everything derivable from one epoch's master key:
-// the key itself and its pre-expanded AES cipher, so the per-packet KDF
-// pays neither aes.NewCipher nor its allocation.
+// the key itself, its pre-expanded AES cipher, so the per-packet KDF pays
+// neither aes.NewCipher nor its allocation, and the CBC-MAC state after
+// the length block of the KDF frame — the frame is always one AES block
+// long, so that state is a constant of the epoch and the per-packet KDF
+// is the one block operation that absorbs the frame.
 type epochEntry struct {
 	key aesutil.Key
 	blk aesutil.Block
+	kdf [aesutil.BlockSize]byte
 }
 
 // NewSchedule creates a schedule anchored at start with the given epoch
@@ -152,6 +156,7 @@ func (s *Schedule) deriveEpoch(e Epoch) epochEntry {
 	binary.BigEndian.PutUint32(eb[:], uint32(e))
 	k := aesutil.DeriveKey(s.root, []byte("netneutral-master-key"), eb[:])
 	ent := epochEntry{key: k, blk: aesutil.NewBlock(k)}
+	ent.kdf = ent.blk.CBCMACPrefix(kdfFrameLen)
 	next := make(map[Epoch]epochEntry, len(old)+1)
 	for ep, v := range old {
 		next[ep] = v
@@ -170,6 +175,9 @@ func (s *Schedule) Acceptable(pkt Epoch, now time.Time) bool {
 	return pkt == cur || (cur > 0 && pkt == cur-1)
 }
 
+// kdfFrameLen is the size of the KDF input frame: exactly one AES block.
+const kdfFrameLen = aesutil.BlockSize
+
 // Work holds the reusable working state of a session-key derivation.
 // Buffers routed through the cipher.Block interface escape to the heap,
 // so they must live in caller-owned storage (one Work per worker) for
@@ -178,7 +186,7 @@ type Work struct {
 	mac aesutil.MACScratch
 	// frame is the length-prefixed encoding of (nonce, srcIP):
 	// len16(8) ‖ nonce ‖ len16(4) ‖ addr — 16 bytes, one AES block.
-	frame [16]byte
+	frame [kdfFrameLen]byte
 
 	// epochHits / epochMisses count epoch-cache outcomes of derivations
 	// through this Work. Plain fields on single-writer state: the owner
@@ -209,8 +217,9 @@ func (s *Schedule) SessionKey(e Epoch, nonce Nonce, src netip.Addr) (aesutil.Key
 }
 
 // SessionKeyInto is SessionKey with the working state supplied by the
-// caller: two AES block operations under the cached epoch cipher and zero
-// allocations. It computes bit-identical output to SessionKey.
+// caller: one AES block operation under the cached epoch cipher (the
+// CBC-MAC's length block is precomputed per epoch) and zero allocations.
+// It computes bit-identical output to SessionKey.
 func (s *Schedule) SessionKeyInto(w *Work, e Epoch, nonce Nonce, src netip.Addr) (aesutil.Key, error) {
 	if !src.Is4() {
 		return aesutil.Key{}, fmt.Errorf("keys: source %v is not IPv4", src)
@@ -227,7 +236,7 @@ func (s *Schedule) SessionKeyInto(w *Work, e Epoch, nonce Nonce, src netip.Addr)
 	} else {
 		w.epochMisses++
 	}
-	return ent.blk.CBCMACScratch(&w.mac, w.frame[:]), nil
+	return ent.blk.CBCMACFrom(&w.mac, ent.kdf, w.frame[:]), nil
 }
 
 // SessionKeyAt is SessionKey with the epoch resolved from a timestamp.

@@ -197,8 +197,11 @@ func BenchmarkSessionKey(b *testing.B) {
 }
 
 // TestSessionKeyIntoMatchesDeriveKey pins SessionKeyInto (cached-cipher,
+// one block operation from the epoch's precomputed CBC-MAC prefix,
 // zero-alloc) to the reference framing aesutil.DeriveKey(km, nonce, addr):
-// replicas old and new must derive identical session keys.
+// replicas old and new must derive identical session keys. One Work
+// crosses epochs at random, so a prefix carried over from another epoch's
+// master key would show.
 func TestSessionKeyIntoMatchesDeriveKey(t *testing.T) {
 	s := newTestSchedule()
 	var w Work

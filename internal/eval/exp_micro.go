@@ -13,12 +13,12 @@ import (
 )
 
 // processRate measures packets/second through the neutralizer the way
-// the daemon runs it: one scratch, recycled per packet.
-func processRate(n int, neut *core.Neutralizer, pkt []byte) float64 {
+// the daemon runs it: one scratch, recycled per packet, cycling over pkts.
+func processRate(n int, neut *core.Neutralizer, pkts ...[]byte) float64 {
 	s := core.NewScratch()
-	return measureRate(n, func(int) {
+	return measureRate(n, func(i int) {
 		s.Reset()
-		if _, err := neut.ProcessScratch(s, pkt); err != nil {
+		if _, err := neut.ProcessScratch(s, pkts[i%len(pkts)]); err != nil {
 			panic(err)
 		}
 	})
@@ -61,7 +61,10 @@ func RunE2() (*Result, error) {
 // RunE3 measures the data path against vanilla forwarding, two ways:
 // pure CPU cost (isolating the crypto overhead) and a loopback-UDP path
 // where, as in the paper's testbed, per-packet I/O dominates and the
-// ratio approaches the paper's 0.70.
+// ratio approaches the paper's 0.70. The CPU cost has two halves: the
+// first packet of a flow pays what the paper's neutralizer pays on every
+// packet (derive Ks, expand it, one AES block), a packet of an
+// established flow finds the expanded key in the worker's cache.
 func RunE3() (*Result, error) {
 	env, err := NewBenchEnv(false, false)
 	if err != nil {
@@ -69,7 +72,12 @@ func RunE3() (*Result, error) {
 	}
 	// CPU-only rates.
 	const nData = 30000
-	dataRate := processRate(nData, env.Neut, env.DataPkt)
+	hitRate := processRate(nData, env.Neut, env.DataPkt)
+	distinct, err := env.DataBatch(nData, nData)
+	if err != nil {
+		return nil, err
+	}
+	missRate := processRate(nData, env.Neut, distinct...)
 	vp := env.FreshVanilla()
 	const nVan = 200000
 	i := 0
@@ -82,12 +90,16 @@ func RunE3() (*Result, error) {
 		}
 	})
 	rows := []Row{
-		{Metric: "neutralized data path (CPU)", Paper: "422 kpps", Measured: kpps(dataRate),
-			Note: "hash + AES-block decrypt + rewrite per packet"},
+		{Metric: "neutralized, first packet of a flow (miss) (CPU)", Paper: "422 kpps", Measured: kpps(missRate),
+			Note: "hash + AES key expansion + AES-block decrypt + rewrite: the paper's per-packet work"},
+		{Metric: "neutralized, established flow (hit) (CPU)", Paper: "422 kpps", Measured: kpps(hitRate),
+			Note: "expanded Ks from the worker's cache: AES-block decrypt + rewrite"},
 		{Metric: "vanilla forwarding (CPU)", Paper: "600 kpps", Measured: kpps(vanRate),
 			Note: "header validate + TTL + checksum"},
-		{Metric: "ratio (CPU)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", dataRate/vanRate),
+		{Metric: "ratio, first packet (CPU)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", missRate/vanRate),
 			Note: "pure CPU exaggerates crypto share; paper path was I/O-bound"},
+		{Metric: "ratio, established flow (CPU)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", hitRate/vanRate),
+			Note: ""},
 	}
 	// I/O path over loopback UDP, mirroring the testbed's bottleneck.
 	scratch := core.NewScratch()
@@ -110,7 +122,7 @@ func RunE3() (*Result, error) {
 	if err1 == nil && err2 == nil && ioVan > 0 {
 		rows = append(rows,
 			Row{Metric: "neutralized data path (UDP loopback)", Paper: "422 kpps", Measured: kpps(ioData),
-				Note: "socket I/O per packet, like the testbed's forwarding bottleneck"},
+				Note: "one established flow; socket I/O per packet, like the testbed's forwarding bottleneck"},
 			Row{Metric: "vanilla forwarding (UDP loopback)", Paper: "600 kpps", Measured: kpps(ioVan),
 				Note: ""},
 			Row{Metric: "ratio (UDP loopback)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", ioData/ioVan),
