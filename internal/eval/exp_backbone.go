@@ -115,6 +115,8 @@ type BackboneStats struct {
 	FluidBytes     uint64
 	FluidTicks     uint64
 	PoolGets       uint64
+	// Event-queue pushes by the structure that took them.
+	LanePushes, HeapPushes uint64
 
 	BuildTime    time.Duration
 	RunTime      time.Duration
@@ -306,6 +308,7 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 	st.SimEvents = sim.EventsProcessed()
 	st.FluidBytes, st.FluidTicks = sim.FluidTotals()
 	_, st.PoolGets = sim.PoolStats()
+	st.LanePushes, st.HeapPushes = sim.QueuePushes()
 	if o != nil {
 		d := o.digest()
 		st.Obs = &d
@@ -396,8 +399,9 @@ func (st *BackboneStats) Result() *Result {
 		res.Rows = append(res.Rows, Row{
 			Metric: fmt.Sprintf("events/sec at %d worker(s)", r.Workers), Paper: "-", Wall: true,
 			Measured: fmt.Sprintf("%.0f", r.EventsPerSec),
-			Note: fmt.Sprintf("built in %v, ran %v wall",
-				r.BuildTime.Round(time.Millisecond), r.RunTime.Round(time.Millisecond)),
+			Note: fmt.Sprintf("built in %v, ran %v wall; %s",
+				r.BuildTime.Round(time.Millisecond), r.RunTime.Round(time.Millisecond),
+				lanePushNote(r.LanePushes, r.HeapPushes)),
 		})
 	}
 	if len(runs) > 1 {

@@ -100,6 +100,9 @@ type MetroStats struct {
 	DeliveredPps   float64       // Delivered / RunTime
 	PoolAllocated  uint64
 	PoolGets       uint64
+	// LanePushes and HeapPushes split the event-queue pushes by the
+	// structure that took them (netem.Simulator.QueuePushes).
+	LanePushes, HeapPushes uint64
 	// Obs is the observation digest (nil unless MetroConfig.Observe).
 	Obs *ObsDigest
 }
@@ -247,6 +250,7 @@ func RunMetro(cfg MetroConfig) (*MetroStats, error) {
 	st.ClassifierHits = policy.Hits("target-customer")
 	st.SimEvents = sim.EventsProcessed()
 	st.PoolAllocated, st.PoolGets = sim.PoolStats()
+	st.LanePushes, st.HeapPushes = sim.QueuePushes()
 	if o != nil {
 		d := o.digest()
 		st.Obs = &d
@@ -304,11 +308,19 @@ func (st *MetroStats) Result() *Result {
 			Measured: st.BuildTime.Round(time.Millisecond).String(), Note: "fan-out, routes, neutralizer, packet templates"},
 		{Metric: "sim events/sec", Paper: "-", Wall: true,
 			Measured: fmt.Sprintf("%.0f", st.EventsPerSec),
-			Note:     fmt.Sprintf("%v wall on %d sim worker(s)", st.RunTime.Round(time.Millisecond), st.Workers)},
+			Note: fmt.Sprintf("%v wall on %d sim worker(s); %s", st.RunTime.Round(time.Millisecond), st.Workers,
+				lanePushNote(st.LanePushes, st.HeapPushes))},
 		{Metric: "packets forwarded/sec", Paper: "-", Wall: true,
 			Measured: fmt.Sprintf("%.0f", st.ForwardPps),
 			Note:     fmt.Sprintf("%.0f delivered/sec", st.DeliveredPps)},
 	}}
+}
+
+// lanePushNote words the event-queue push split for a wall row: which
+// structure took a push is execution strategy, so it stays off the
+// replay-diffed rows.
+func lanePushNote(lane, heap uint64) string {
+	return fmt.Sprintf("queue lanes took %.2f%% of %d pushes", 100*float64(lane)/float64(max(lane+heap, 1)), lane+heap)
 }
 
 // MetroBench is the reusable fixture behind BenchmarkNetemMetro: the

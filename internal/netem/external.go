@@ -19,7 +19,7 @@ func (s *Simulator) NextEventAt() (time.Time, bool) {
 	if sh.events.len() == 0 {
 		return time.Time{}, false
 	}
-	return s.timeAt(sh.events.h[0].at), true
+	return s.timeAt(sh.events.minAt()), true
 }
 
 // Step dispatches the single earliest pending event — a one-event

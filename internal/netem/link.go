@@ -47,7 +47,13 @@ func (f *FIFOQueue) Enqueue(p *Packet) bool {
 	if f.q == nil {
 		f.q = make([]*Packet, f.cap)
 	}
-	f.q[(f.head+f.n)%f.cap] = p
+	// head and n are both below cap, so one subtraction wraps the index;
+	// a modulo here is a hardware divide on every packet of every hop.
+	i := f.head + f.n
+	if i >= f.cap {
+		i -= f.cap
+	}
+	f.q[i] = p
 	f.n++
 	return true
 }
@@ -59,7 +65,9 @@ func (f *FIFOQueue) Dequeue() *Packet {
 	}
 	p := f.q[f.head]
 	f.q[f.head] = nil
-	f.head = (f.head + 1) % f.cap
+	if f.head++; f.head == f.cap {
+		f.head = 0
+	}
 	f.n--
 	return p
 }

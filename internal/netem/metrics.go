@@ -37,6 +37,8 @@ type simMetrics struct {
 	linkQDrop *obs.CounterVec
 	heapDepth *obs.GaugeVec
 	poolFree  *obs.GaugeVec
+	lanePush  *obs.CounterVec
+	heapPush  *obs.CounterVec
 
 	epochs    *obs.Counter
 	epochWall *obs.HistStripe
@@ -63,9 +65,15 @@ func newSimMetrics() *simMetrics {
 	m.linkQDrop = reg.Counter("netem_link_queue_drops_total",
 		"Packets dropped by full link egress queues.")
 	m.heapDepth = reg.Gauge("netem_heap_depth",
-		"Pending events across shard heaps, sampled at barriers.")
+		"Pending events across shard event queues (lanes plus heap), sampled at barriers.")
 	m.poolFree = reg.Gauge("netem_pool_free_buffers",
 		"Free packet buffers across shard pools, sampled at barriers.")
+	// Which structure took a push is execution strategy, not sim state:
+	// volatile, so recorders and observation digests stay comparable
+	// across engine versions.
+	const pushHelp = "Event pushes by the structure that took them: a per-delay FIFO lane, or the fallback heap."
+	m.lanePush = reg.Counter(`netem_queue_pushes_total{path="lane"}`, pushHelp, obs.Volatile())
+	m.heapPush = reg.Counter(`netem_queue_pushes_total{path="heap"}`, pushHelp, obs.Volatile())
 	m.epochs = reg.Counter("netem_epochs_total",
 		"Conservative epochs (barrier rounds) executed.").Stripe(0)
 	m.epochWall = reg.Histogram("netem_epoch_wall_ns",
@@ -87,6 +95,8 @@ func (m *simMetrics) attachShard(sh *shard) {
 	sh.mLinkQDrop = m.linkQDrop.Stripe(id)
 	sh.gHeap = m.heapDepth.Stripe(id)
 	sh.gPoolFree = m.poolFree.Stripe(id)
+	sh.events.inLane = m.lanePush.Stripe(id)
+	sh.events.inHeap = m.heapPush.Stripe(id)
 	sh.pool.allocated = m.poolAlloc.Stripe(id)
 	sh.pool.gets = m.poolGets.Stripe(id)
 }

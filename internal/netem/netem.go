@@ -216,6 +216,13 @@ func (s *Simulator) Dropped() uint64 { return s.met.dropped.Value() }
 // time it yields the sim-events/sec figure the scale experiments report.
 func (s *Simulator) EventsProcessed() uint64 { return s.met.events.Value() }
 
+// QueuePushes reports how many event pushes a per-delay lane took and
+// how many fell back to the heap, across all shards (a thin read over
+// netem_queue_pushes_total) — the share the event queue's speed rests on.
+func (s *Simulator) QueuePushes() (lane, heap uint64) {
+	return s.met.lanePush.Value(), s.met.heapPush.Value()
+}
+
 // Schedule runs fn after d of virtual time on shard 0 (the whole
 // simulator when unsharded). Sources on sharded topologies schedule via
 // their node (Node.Schedule) so callbacks run on the owning shard;

@@ -469,6 +469,19 @@ func TestFIFOQueueBasics(t *testing.T) {
 	if q.Dequeue() != p1 || q.Dequeue() != p2 || q.Dequeue() != nil {
 		t.Error("FIFO order violated")
 	}
+	// Wrap both indexes around a capacity that is not a power of two.
+	q = NewFIFOQueue(3)
+	q.Enqueue(p1)
+	q.Enqueue(p2)
+	if q.Dequeue() != p1 {
+		t.Error("FIFO order violated")
+	}
+	if !q.Enqueue(p3) || !q.Enqueue(p1) || q.Enqueue(p2) {
+		t.Error("wrapped enqueue: want two accepted, the third refused")
+	}
+	if q.Dequeue() != p2 || q.Dequeue() != p3 || q.Dequeue() != p1 || q.Dequeue() != nil || q.Len() != 0 {
+		t.Error("FIFO order violated across the wrap")
+	}
 }
 
 func TestSendMalformed(t *testing.T) {

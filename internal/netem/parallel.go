@@ -151,7 +151,7 @@ func (s *Simulator) nextEventTime() (at int64, pending int) {
 			continue
 		}
 		pending += n
-		if h := sh.events.h[0].at; h < at {
+		if h := sh.events.minAt(); h < at {
 			at = h
 		}
 	}
@@ -198,8 +198,11 @@ func (s *Simulator) parallelPhase(workers, phase int, last int64) {
 // other shards are staged in the outbox.
 func (sh *shard) runWindow(last int64, max int) int {
 	n := 0
-	for n < max && sh.events.len() > 0 && sh.events.h[0].at <= last {
-		ev := sh.events.pop()
+	for n < max {
+		ev, ok := sh.events.popDue(last)
+		if !ok {
+			break
+		}
 		sh.now = ev.at
 		sh.mEvents.Inc()
 		sh.dispatchEvent(&ev)
@@ -270,7 +273,7 @@ func (sh *shard) mergeIncoming() {
 		}
 		sh.seq++
 		ev.seq = sh.seq
-		sh.events.push(ev)
+		sh.events.push(ev, mailboxClass)
 		buf[i] = remoteEvent{}
 	}
 	sh.mergeBuf = buf[:0]

@@ -215,7 +215,7 @@ func (sh *shard) schedule(at int64, ev event) {
 	sh.seq++
 	ev.at = at
 	ev.seq = sh.seq
-	sh.events.push(ev)
+	sh.events.push(ev, at-sh.now)
 }
 
 // sendRemote stages ev for another shard at absolute time at. The event
