@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"netneutral/internal/audit"
+	"netneutral/internal/benchenv"
 	"netneutral/internal/cloak"
 	"netneutral/internal/core"
 	"netneutral/internal/crypto/aesutil"
@@ -33,9 +34,9 @@ import (
 	"netneutral/internal/wire"
 )
 
-func mustEnv(b *testing.B, offload, alt bool) *eval.BenchEnv {
+func mustEnv(b *testing.B, offload, alt bool) *benchenv.BenchEnv {
 	b.Helper()
-	env, err := eval.NewBenchEnv(offload, alt)
+	env, err := benchenv.NewBenchEnv(offload, alt)
 	if err != nil {
 		b.Fatal(err)
 	}

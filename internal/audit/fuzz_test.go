@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"netneutral/internal/audit"
-	"netneutral/internal/eval"
+	"netneutral/internal/benchenv"
 )
 
 // fuzzSeeds are real packets from the benchmark environment — the byte
@@ -13,7 +13,7 @@ import (
 // edge shapes.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
-	env, err := eval.NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		f.Fatal(err)
 	}

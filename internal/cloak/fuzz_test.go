@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/cloak"
-	"netneutral/internal/eval"
 )
 
 // fuzzSeeds are real packets from the benchmark environment: the exact
@@ -13,7 +13,7 @@ import (
 // shim datagrams and their payloads), plus edge shapes.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
-	env, err := eval.NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 	"net/netip"
 	"testing"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
-	"netneutral/internal/eval"
 	"netneutral/internal/shim"
 	"netneutral/internal/wire"
 )
@@ -49,11 +49,11 @@ func (r replayRand) rewind() { r.Seed(1) }
 //   - the output does not alias the input, decodes as IP | shim, and
 //     carries the input's ToS octet (§3.4).
 func FuzzProcessScratch(f *testing.F) {
-	env, err := eval.NewBenchEnv(false, true)
+	env, err := benchenv.NewBenchEnv(false, true)
 	if err != nil {
 		f.Fatal(err)
 	}
-	offEnv, err := eval.NewBenchEnv(true, true)
+	offEnv, err := benchenv.NewBenchEnv(true, true)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func FuzzProcessScratch(f *testing.F) {
 		warm *core.Scratch
 	}
 	var replicas []replica
-	for i, e := range []*eval.BenchEnv{env, offEnv, env} {
+	for i, e := range []*benchenv.BenchEnv{env, offEnv, env} {
 		cfg := e.NeutralizerConfig()
 		cfg.DynAddrPool = dynPool
 		if i == 2 {

@@ -19,14 +19,30 @@ import (
 type poolMetrics struct {
 	pkts  []*obs.AtomicCounter
 	drops []*obs.AtomicCounter
-	hits  []*obs.AtomicCounter
-	miss  []*obs.AtomicCounter
-	// lastHits/lastMiss remember the cumulative per-scratch epoch-cache
-	// counts already published, so each batch adds only its delta. Owned
-	// by the worker of the same index.
-	lastHits []uint64
-	lastMiss []uint64
-	sess     []*SessionCacheMetrics
+	epoch []scratchCounters // epoch-cache hits, misses
+	sess  []*SessionCacheMetrics
+}
+
+// scratchCounters publishes a Scratch's plain cumulative counts as
+// registry counters: each flush adds what was counted since the previous
+// one. The one way this file exports a scratch's counters; owner-only,
+// like the scratch, so last has a single writer.
+type scratchCounters struct {
+	ctr  []*obs.AtomicCounter
+	last []uint64
+}
+
+func newScratchCounters(ctr ...*obs.AtomicCounter) scratchCounters {
+	return scratchCounters{ctr: ctr, last: make([]uint64, len(ctr))}
+}
+
+func (c *scratchCounters) flush(now ...uint64) {
+	for i, v := range now {
+		if d := v - c.last[i]; d != 0 {
+			c.ctr[i].Add(d)
+		}
+		c.last[i] = v
+	}
 }
 
 // SessionCacheMetrics publishes one worker's Scratch.SessionCacheStats:
@@ -40,24 +56,21 @@ type poolMetrics struct {
 // sees. The families are Volatile: cache placement is keyed with a seed
 // drawn per Scratch, so evictions — and with them every count here — are
 // not a function of the run's seed and must stay out of replay digests.
-type SessionCacheMetrics struct {
-	ctr  [4]*obs.AtomicCounter
-	last SessionCacheStats
-}
+type SessionCacheMetrics struct{ scratchCounters }
 
 // NewSessionCacheMetrics registers the four families for one worker.
 func NewSessionCacheMetrics(reg *obs.Registry, worker int) *SessionCacheMetrics {
-	m := &SessionCacheMetrics{}
-	for i, f := range [4][2]string{
+	var ctr []*obs.AtomicCounter
+	for _, f := range [4][2]string{
 		{"hits", "Packets served from this worker's cached session-key schedules."},
 		{"misses", "Packets for which this worker derived and expanded the session key."},
 		{"admissions", "Session-key schedules this worker cached (a flow's second served miss)."},
 		{"evictions", "Cache admissions of this worker that replaced a live entry."},
 	} {
-		m.ctr[i] = reg.Counter(fmt.Sprintf("core_session_cache_%s_total{worker=\"%d\"}", f[0], worker),
-			f[1], obs.Volatile()).AtomicStripe(0)
+		ctr = append(ctr, reg.Counter(fmt.Sprintf("core_session_cache_%s_total{worker=\"%d\"}", f[0], worker),
+			f[1], obs.Volatile()).AtomicStripe(0))
 	}
-	return m
+	return &SessionCacheMetrics{newScratchCounters(ctr...)}
 }
 
 // Flush publishes what scr's cache has counted since the previous Flush.
@@ -65,15 +78,7 @@ func NewSessionCacheMetrics(reg *obs.Registry, worker int) *SessionCacheMetrics 
 // with scr.
 func (m *SessionCacheMetrics) Flush(scr *Scratch) {
 	now := scr.SessionCacheStats()
-	for i, d := range [4]uint64{
-		now.Hits - m.last.Hits, now.Misses - m.last.Misses,
-		now.Admissions - m.last.Admissions, now.Evictions - m.last.Evictions,
-	} {
-		if d != 0 {
-			m.ctr[i].Add(d)
-		}
-	}
-	m.last = now
+	m.flush(now.Hits, now.Misses, now.Admissions, now.Evictions)
 }
 
 // Instrument registers the pool's per-worker counters and its merged
@@ -91,23 +96,21 @@ func (m *SessionCacheMetrics) Flush(scr *Scratch) {
 func (p *Pool) Instrument(reg *obs.Registry) {
 	w := len(p.replicas)
 	m := &poolMetrics{
-		pkts:     make([]*obs.AtomicCounter, w),
-		drops:    make([]*obs.AtomicCounter, w),
-		hits:     make([]*obs.AtomicCounter, w),
-		miss:     make([]*obs.AtomicCounter, w),
-		lastHits: make([]uint64, w),
-		lastMiss: make([]uint64, w),
-		sess:     make([]*SessionCacheMetrics, w),
+		pkts:  make([]*obs.AtomicCounter, w),
+		drops: make([]*obs.AtomicCounter, w),
+		epoch: make([]scratchCounters, w),
+		sess:  make([]*SessionCacheMetrics, w),
 	}
 	for i := 0; i < w; i++ {
 		m.pkts[i] = reg.Counter(fmt.Sprintf("core_worker_packets_total{worker=\"%d\"}", i),
 			"Packets processed by this pool shard worker.").AtomicStripe(0)
 		m.drops[i] = reg.Counter(fmt.Sprintf("core_worker_drops_total{worker=\"%d\"}", i),
 			"Packets this pool shard worker dropped (itemized in core_drops_total).").AtomicStripe(0)
-		m.hits[i] = reg.Counter(fmt.Sprintf("core_crypto_epoch_hits_total{worker=\"%d\"}", i),
-			"Session-key derivations served from this worker's lock-free epoch cache.").AtomicStripe(0)
-		m.miss[i] = reg.Counter(fmt.Sprintf("core_crypto_epoch_misses_total{worker=\"%d\"}", i),
-			"Session-key derivations that took the epoch-derivation slow path.").AtomicStripe(0)
+		m.epoch[i] = newScratchCounters(
+			reg.Counter(fmt.Sprintf("core_crypto_epoch_hits_total{worker=\"%d\"}", i),
+				"Session-key derivations served from this worker's lock-free epoch cache.").AtomicStripe(0),
+			reg.Counter(fmt.Sprintf("core_crypto_epoch_misses_total{worker=\"%d\"}", i),
+				"Session-key derivations that took the epoch-derivation slow path.").AtomicStripe(0))
 		m.sess[i] = NewSessionCacheMetrics(reg, i)
 	}
 	p.met.Store(m)
@@ -115,15 +118,12 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 }
 
 // flushWorkerMetrics publishes shard i's batch counters. Called from the
-// worker goroutine at the end of each batch, so the plain lastHits/
-// lastMiss slots have a single writer.
+// worker goroutine at the end of each batch, so shard i's scratchCounters
+// have a single writer.
 func (m *poolMetrics) flushWorkerMetrics(i int, pkts, drops uint64, scr *Scratch) {
 	m.pkts[i].Add(pkts)
 	m.drops[i].Add(drops)
-	h, ms := scr.CryptoEpochStats()
-	m.hits[i].Add(h - m.lastHits[i])
-	m.miss[i].Add(ms - m.lastMiss[i])
-	m.lastHits[i], m.lastMiss[i] = h, ms
+	m.epoch[i].flush(scr.CryptoEpochStats())
 	m.sess[i].Flush(scr)
 }
 

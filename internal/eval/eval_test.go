@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"netneutral/internal/core"
 )
 
 func runExp(t *testing.T, id string) *Result {
@@ -301,24 +299,6 @@ func TestA8QoS(t *testing.T) {
 	beN, _ := strconv.Atoi(parts[1])
 	if efN <= beN {
 		t.Errorf("EF=%d BE=%d", efN, beN)
-	}
-}
-
-func TestBenchEnvPacketsValid(t *testing.T) {
-	env, err := NewBenchEnv(false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, pkt := range map[string][]byte{
-		"setup": env.SetupPkt, "data": env.DataPkt, "return": env.ReturnPkt, "alt": env.AltPkt,
-	} {
-		if _, err := env.Neut.ProcessScratch(core.NewScratch(), pkt); err != nil {
-			t.Errorf("%s packet rejected: %v", name, err)
-		}
-	}
-	v := env.FreshVanilla()
-	if &v[0] == &env.VanillaPkt[0] {
-		t.Error("FreshVanilla must copy")
 	}
 }
 

@@ -20,17 +20,13 @@ package eval
 import (
 	"fmt"
 	mathrand "math/rand"
-	"net/netip"
 	"time"
 
 	"netneutral/internal/cloak"
-	"netneutral/internal/crypto/keys"
 	"netneutral/internal/dpi"
 	"netneutral/internal/isp"
 	"netneutral/internal/netem"
-	"netneutral/internal/shim"
 	"netneutral/internal/trafficgen"
-	"netneutral/internal/wire"
 )
 
 // ArmsMode is how the flows travel.
@@ -50,14 +46,7 @@ const (
 )
 
 func (m ArmsMode) String() string {
-	switch m {
-	case ModePlaintext:
-		return "plaintext"
-	case ModeEncrypted:
-		return "encrypted"
-	default:
-		return "encrypted+cloak"
-	}
+	return enumName(m, "plaintext", "encrypted", "encrypted+cloak")
 }
 
 // ArmsAdversary is who sits at the transit router.
@@ -77,16 +66,7 @@ const (
 	AdvDPI
 )
 
-func (a ArmsAdversary) String() string {
-	switch a {
-	case AdvPortRule:
-		return "port-rule"
-	case AdvDPI:
-		return "dpi"
-	default:
-		return "none"
-	}
-}
+func (a ArmsAdversary) String() string { return enumName(a, "none", "port-rule", "dpi") }
 
 // ArmsConfig parameterizes E7; the zero value gets the registered
 // experiment's defaults.
@@ -101,12 +81,8 @@ type ArmsConfig struct {
 }
 
 func (c *ArmsConfig) fill() {
-	if c.FlowsPerClass <= 0 {
-		c.FlowsPerClass = 25
-	}
-	if c.Duration <= 0 {
-		c.Duration = 5 * time.Second
-	}
+	orDefault(&c.FlowsPerClass, 25)
+	orDefault(&c.Duration, 5*time.Second)
 }
 
 // armsCloakConfig is the E7 cloak setting: maximal cloaking — one size
@@ -131,8 +107,6 @@ type ArmsCell struct {
 	PortHits uint64
 	// Goodput is delivered/sent application bytes per class.
 	Goodput [trafficgen.NumApps]float64
-	// SentReal/DeliveredReal total application payload bytes.
-	SentReal, DeliveredReal uint64
 	// CloakOverhead is cloak wire bytes per real byte (1 uncloaked);
 	// CloakDelay is the mean added latency per payload frame.
 	CloakOverhead float64
@@ -159,17 +133,11 @@ func (s *ArmsStats) Cell(m ArmsMode, a ArmsAdversary) *ArmsCell {
 	return nil
 }
 
-func dpiClassOf(app trafficgen.App) dpi.Class {
-	switch app {
-	case trafficgen.AppVoIP:
-		return dpi.ClassVoIP
-	case trafficgen.AppVideo:
-		return dpi.ClassVideo
-	case trafficgen.AppBulk:
-		return dpi.ClassBulk
-	default:
-		return dpi.ClassWeb
-	}
+var dpiClassOf = [trafficgen.NumApps]dpi.Class{
+	trafficgen.AppVoIP:  dpi.ClassVoIP,
+	trafficgen.AppVideo: dpi.ClassVideo,
+	trafficgen.AppBulk:  dpi.ClassBulk,
+	trafficgen.AppWeb:   dpi.ClassWeb,
 }
 
 // armsRun is one cell's live state while the simulator runs.
@@ -185,27 +153,18 @@ type armsRun struct {
 // jitter streams).
 func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Classifier, seedSalt int64) (*armsRun, error) {
 	nFlows := trafficgen.NumApps * cfg.FlowsPerClass
-	qlen := 8 * nFlows
-	if qlen < 512 {
-		qlen = 512
-	}
-	link := netem.LinkConfig{Delay: time.Millisecond, QueueLen: qlen}
+	link := netem.LinkConfig{Delay: time.Millisecond, QueueLen: max(8*nFlows, 512)}
 	// E7 runs unsharded: its flows all originate outside and the cloak
 	// shapers schedule on the simulator, which is exactly the
 	// single-shard contract.
 	env, err := newFanoutEnv(cfg.Seed+seedSalt, netem.FanoutSpec{
 		Hosts: nFlows, Outside: nFlows,
 		HostLink: link, EdgeLink: link, TransitLink: link, OutsideLink: link,
-	})
+	}, mode != ModePlaintext)
 	if err != nil {
 		return nil, err
 	}
 	sim, f := env.Sim, env.Fan
-	if mode != ModePlaintext {
-		if err := env.attachNeutralizer(); err != nil {
-			return nil, err
-		}
-	}
 
 	run := &armsRun{
 		cell:    ArmsCell{Mode: mode, Adversary: adv, Flows: nFlows, Accuracy: -1, CloakOverhead: 1},
@@ -218,44 +177,24 @@ func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Clas
 	var portPolicy *isp.Policy
 	switch adv {
 	case AdvPortRule:
-		portPolicy = isp.NewPolicy(mathrand.New(mathrand.NewSource(cfg.Seed+seedSalt+101)), isp.Rule{
-			Name:   "target-voip-port",
-			Match:  isp.MatchUDPPort(trafficgen.AppVoIP.Port()),
-			Action: isp.Action{DropProb: 0.9},
-		})
-		f.Transit.AddTransitHook(portPolicy.Hook())
+		portPolicy = env.portRuleAtTransit(trafficgen.AppVoIP.Port())
 	case AdvDPI:
 		var pol dpi.Policy
 		pol[dpi.ClassVoIP] = dpi.ClassPolicy{DropProb: 0.9}
 		pol[dpi.ClassVideo] = dpi.ClassPolicy{RateBps: 8e6}
-		// Classify early and reclassify often: sparse flows (web
-		// fetches during think time) must still be judged, and on their
-		// mature features, not their first burst.
-		engine = dpi.NewEngine(dpi.EngineConfig{
-			Table:  dpi.Config{Classifier: cls, MinPackets: 8, ReclassifyEvery: 8},
-			Policy: pol,
-			Rng:    mathrand.New(mathrand.NewSource(cfg.Seed + seedSalt + 77)),
-		})
+		engine = env.dpiAtTransit(cls, pol, 0)
 		run.table = engine.Table()
-		f.Transit.AddTransitHook(engine.Hook())
 	default:
-		run.table = dpi.NewFlowTable(dpi.Config{})
-		tab := run.table
-		f.Transit.AddTransitHook(func(now time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
-			if key, fwd, ok := netem.FlowKeyOf(pkt); ok {
-				tab.Observe(key, fwd, len(pkt), now.UnixNano())
-			}
-			return netem.Deliver
-		})
+		run.table = env.tapAtTransit(dpi.Config{})
 	}
 
 	// Per-class byte accounting, filled by senders and host handlers.
 	var sentReal, deliveredReal [trafficgen.NumApps]uint64
-	shapers := make([]*cloak.Shaper, 0, nFlows)
+	zeros := make([]byte, 2048) // every flow's payload: senders only ever read it
 
 	for i := 0; i < nFlows; i++ {
 		app := trafficgen.App(i % trafficgen.NumApps)
-		run.classOf[i] = dpiClassOf(app)
+		run.classOf[i] = dpiClassOf[app]
 		src := f.Outside[i]
 		dst := f.HostAddr(i)
 		// The salt stride keeps per-flow jitter streams disjoint across
@@ -263,61 +202,24 @@ func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Clas
 		// must not share randomness.
 		flowRng := mathrand.New(mathrand.NewSource(cfg.Seed*1_000_003 + seedSalt<<32 + int64(i)))
 
-		var emit func(seq uint64, size int)
-		if mode == ModePlaintext {
-			run.keyOf[i], err = netem.FlowKeyFrom(src.Addr(), dst, wire.ProtoUDP)
-			if err != nil {
-				return nil, err
-			}
-			port := app.Port()
-			emit = func(_ uint64, size int) {
-				sentReal[app] += uint64(size)
-				_ = src.Send(buildArmsUDP(src.Addr(), dst, port, size))
-			}
-		} else {
-			run.keyOf[i], err = netem.FlowKeyFrom(src.Addr(), f.Spec.Anycast, wire.ProtoShim)
-			if err != nil {
-				return nil, err
-			}
-			// Per-flow neutralizer credentials: the session key is
-			// derivable by the stateless core from (epoch, nonce, src).
-			var nonce keys.Nonce
-			nonce[0], nonce[1], nonce[7] = byte(i>>8), byte(i), 0xE7
-			hdr, err := env.shimCred(src.Addr(), dst, nonce, [8]byte{byte(i), byte(i >> 8), 0xA7}, 0)
-			if err != nil {
-				return nil, err
-			}
-			sh := &hdr
-			srcAddr := src.Addr()
-			sendShim := func(payload []byte) {
-				pkt, err := shim.BuildPacket(srcAddr, f.Spec.Anycast, 0, sh, payload)
-				if err != nil {
-					return
-				}
-				_ = src.Send(pkt)
-			}
-			if mode == ModeEncrypted {
-				scratch := make([]byte, 2048)
-				emit = func(_ uint64, size int) {
-					sentReal[app] += uint64(size)
-					sendShim(scratch[:size])
-				}
-			} else {
-				shaper := cloak.NewShaper(armsCloakConfig, sim, func(frame []byte) { sendShim(frame) })
-				shaper.Run(cfg.Duration)
-				shapers = append(shapers, shaper)
-				scratch := make([]byte, 2048)
-				emit = func(_ uint64, size int) {
-					sentReal[app] += uint64(size)
-					shaper.Send(scratch[:size])
-				}
-			}
+		if run.keyOf[i], err = env.flowKey(src.Addr(), dst, mode); err != nil {
+			return nil, err
+		}
+		send, err := env.flowSender(flowSpec{
+			Src: src, Dst: dst, Mode: mode, Port: app.Port(),
+			Index: i, Exp: 7, CloakFor: cfg.Duration,
+		})
+		if err != nil {
+			return nil, err
+		}
+		emit := func(_ uint64, size int) {
+			sentReal[app] += uint64(size)
+			send(zeros[:size])
 		}
 
-		hostApp := app
 		cloaked := mode == ModeCloaked
 		f.Hosts[i].SetHandler(func(_ time.Time, pkt []byte) {
-			deliveredReal[hostApp] += uint64(armsRealPayloadLen(pkt, cloaked))
+			deliveredReal[app] += uint64(armsRealPayloadLen(pkt, cloaked))
 		})
 
 		trafficgen.AppSource{App: app, Rng: flowRng}.Run(sim, cfg.Duration, emit)
@@ -328,14 +230,12 @@ func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Clas
 	// Harvest the verdict metrics.
 	c := &run.cell
 	for app := 0; app < trafficgen.NumApps; app++ {
-		c.SentReal += sentReal[app]
-		c.DeliveredReal += deliveredReal[app]
 		if sentReal[app] > 0 {
 			c.Goodput[app] = float64(deliveredReal[app]) / float64(sentReal[app])
 		}
 	}
 	if portPolicy != nil {
-		c.PortHits = portPolicy.Hits("target-voip-port")
+		c.PortHits = portPolicy.Hits(portRuleName)
 	}
 	if engine != nil {
 		c.DPIDrops = engine.Drops(dpi.ClassVoIP)
@@ -350,31 +250,9 @@ func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Clas
 		}
 		c.Accuracy = float64(correct) / float64(nFlows)
 	}
-	if len(shapers) > 0 {
-		var wire, real uint64
-		var delaySum time.Duration
-		var frames uint64
-		for _, sh := range shapers {
-			st := sh.Stats()
-			wire += st.WireBytes
-			real += st.RealBytes
-			delaySum += st.QueueDelaySum
-			frames += st.Frames
-		}
-		if real > 0 {
-			c.CloakOverhead = float64(wire) / float64(real)
-		}
-		if frames > 0 {
-			c.CloakDelay = delaySum / time.Duration(frames)
-		}
-	}
+	cost := env.cloakCost()
+	c.CloakOverhead, c.CloakDelay = cost.Overhead(), cost.AvgDelay()
 	return run, nil
-}
-
-// buildArmsUDP serializes a plaintext app packet of the given payload
-// length (the probe builder with a zeroed payload).
-func buildArmsUDP(src, dst netip.Addr, dport uint16, payloadLen int) []byte {
-	return buildProbeUDP(src, dst, dport, make([]byte, payloadLen))
 }
 
 // armsRealPayloadLen extracts the delivered application byte count from
@@ -421,17 +299,11 @@ func RunArms(cfg ArmsConfig) (*ArmsStats, error) {
 	cfg.fill()
 	st := &ArmsStats{Cfg: cfg}
 
-	// Calibration: encrypted traffic, passive tap, training labels from
-	// the known flow->class assignment.
-	samples, _, err := armsSamples(cfg, ModeEncrypted, 1)
+	cls, trained, err := trainClassifier(cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.TrainedFlows = len(samples)
-	cls, err := dpi.Train(samples)
-	if err != nil {
-		return nil, fmt.Errorf("eval: arms calibration: %w", err)
-	}
+	st.TrainedFlows = trained
 
 	salt := int64(2)
 	for _, adv := range []ArmsAdversary{AdvPortRule, AdvDPI} {
@@ -451,17 +323,13 @@ func RunArms(cfg ArmsConfig) (*ArmsStats, error) {
 // rung is an experiment failure, the same contract E6 uses.
 func verifyArms(st *ArmsStats) error {
 	voip := int(trafficgen.AppVoIP)
-	type check struct {
-		ok  bool
-		msg string
-	}
 	pp := st.Cell(ModePlaintext, AdvPortRule)
 	pe := st.Cell(ModeEncrypted, AdvPortRule)
 	dp := st.Cell(ModePlaintext, AdvDPI)
 	de := st.Cell(ModeEncrypted, AdvDPI)
 	dc := st.Cell(ModeCloaked, AdvDPI)
 	pc := st.Cell(ModeCloaked, AdvPortRule)
-	checks := []check{
+	return firstFailed("arms race", []check{
 		{pp.PortHits > 0 && pp.Goodput[voip] < 0.5,
 			fmt.Sprintf("port rule vs plaintext: hits=%d voip goodput=%.2f, want degraded", pp.PortHits, pp.Goodput[voip])},
 		{pe.PortHits == 0 && pe.Goodput[voip] > 0.9,
@@ -480,23 +348,11 @@ func verifyArms(st *ArmsStats) error {
 			fmt.Sprintf("dpi vs cloaked: voip goodput=%.2f, want restored > 0.70", dc.Goodput[voip])},
 		{dc.CloakOverhead > 1,
 			fmt.Sprintf("cloak overhead=%.2fx, want measured cost > 1x", dc.CloakOverhead)},
-	}
-	for _, c := range checks {
-		if !c.ok {
-			return fmt.Errorf("eval: arms race: %s", c.msg)
-		}
-	}
-	return nil
+	})
 }
 
 // RunE7 is the registered arms-race experiment.
-func RunE7() (*Result, error) {
-	st, err := RunArms(ArmsConfig{Seed: 7})
-	if err != nil {
-		return nil, err
-	}
-	return st.Result(), nil
-}
+func RunE7() (*Result, error) { return rows(RunArms(ArmsConfig{Seed: 7})) }
 
 // Result renders the ladder as the E7 rows.
 func (st *ArmsStats) Result() *Result {
@@ -558,13 +414,8 @@ type DPIBench struct {
 // NewDPIBench builds the fixture from three reduced passive runs:
 // train, held-out evaluation, and cloaked cost measurement.
 func NewDPIBench() (*DPIBench, error) {
-	cfg := ArmsConfig{FlowsPerClass: 8, Seed: 42, Duration: 2 * time.Second}
-	cfg.fill()
-	train, _, err := armsSamples(cfg, ModeEncrypted, 1)
-	if err != nil {
-		return nil, err
-	}
-	cls, err := dpi.Train(train)
+	cfg := calibrationConfig(42)
+	cls, _, err := trainClassifier(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -27,13 +27,10 @@ import (
 	"fmt"
 	"math"
 	mathrand "math/rand"
-	"net/netip"
 	"time"
 
 	"netneutral/internal/audit"
-	"netneutral/internal/crypto/keys"
 	"netneutral/internal/dpi"
-	"netneutral/internal/isp"
 	"netneutral/internal/netem"
 	"netneutral/internal/shim"
 	"netneutral/internal/trafficgen"
@@ -63,20 +60,7 @@ const (
 )
 
 func (i AuditISP) String() string {
-	switch i {
-	case ISPNeutral:
-		return "neutral"
-	case ISPPortRule:
-		return "port-rule"
-	case ISPDPI:
-		return "dpi"
-	case ISPDPIStealth:
-		return "dpi+stealth"
-	case ISPDPIEvasion:
-		return "dpi+probe-evasion"
-	default:
-		return "isp?"
-	}
+	return enumName(i, "neutral", "port-rule", "dpi", "dpi+stealth", "dpi+probe-evasion")
 }
 
 // AuditConfig parameterizes E8; the zero value gets the registered
@@ -111,24 +95,12 @@ type AuditConfig struct {
 }
 
 func (c *AuditConfig) fill() {
-	if c.Vantages <= 0 {
-		c.Vantages = 12
-	}
-	if c.InsideVantages <= 0 {
-		c.InsideVantages = 4
-	}
-	if c.Trials <= 0 {
-		c.Trials = 12
-	}
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.NaivePackets <= 0 {
-		c.NaivePackets = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
+	orDefault(&c.Vantages, 12)
+	orDefault(&c.InsideVantages, 4)
+	orDefault(&c.Trials, 12)
+	orDefault(&c.Window, time.Second)
+	orDefault(&c.NaivePackets, 64)
+	orDefault(&c.Workers, 1)
 }
 
 // suspectPort/controlPort are the plaintext probe ports: the suspect
@@ -208,36 +180,25 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 	// Node plan. Outside sources: one per (vantage, role) for the
 	// interleaved strategy; one per (vantage, role, trial) for naive,
 	// so every burst is a fresh flow even under the shim's 3-tuple flow
-	// key. Hosts: probe targets for outside and inside vantages, then
-	// inside probe sources on the same plan.
+	// key. Hosts: two probe targets per vantage (inside vantages after
+	// outside ones), then inside probe sources on the outside plan.
 	outPerPair := 1
 	if strat == audit.StrategyNaive {
 		outPerPair = T
 	}
 	nOut := V * 2 * outPerPair
-	outIdx := func(v, trial, role int) int {
+	srcIdx := func(v, trial, role int) int {
 		if strat == audit.StrategyNaive {
 			return (v*T+trial)*2 + role
 		}
 		return v*2 + role
 	}
-	targetIdx := func(v, role int) int { return v*2 + role }         // outside targets
-	inTargetIdx := func(i, role int) int { return V*2 + i*2 + role } // inside targets
-	inSrcBase := V*2 + I*2                                           // inside sources
-	inSrcIdx := func(i, trial, role int) int {
-		if strat == audit.StrategyNaive {
-			return inSrcBase + (i*T+trial)*2 + role
-		}
-		return inSrcBase + i*2 + role
-	}
+	targetIdx := func(vantage, role int) int { return vantage*2 + role }
+	inSrcBase := (V + I) * 2
 	nHosts := inSrcBase + I*2*outPerPair
 
 	flows := (V + I) * 2
-	qlen := 16 * flows
-	if qlen < 512 {
-		qlen = 512
-	}
-	link := netem.LinkConfig{Delay: time.Millisecond, QueueLen: qlen}
+	link := netem.LinkConfig{Delay: time.Millisecond, QueueLen: max(16*flows, 512)}
 	// The fan-out is sharded — outside+transit / border / customer
 	// subtree — with one edge covering every probe host, so each
 	// vantage's two accounting sides (emission on the source shard,
@@ -246,68 +207,49 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		Hosts: nHosts, Outside: nOut, HostsPerEdge: nHosts,
 		HostLink: link, EdgeLink: link, TransitLink: link, OutsideLink: link,
 		ShardSubtrees: true,
-	})
+	}, mode != ModePlaintext)
 	if err != nil {
 		return nil, err
 	}
 	sim, f := env.Sim, env.Fan
 	sim.SetWorkers(cfg.Workers)
-	var o *observation
-	if cfg.Observe {
-		o = attachObservation(sim)
-	}
-	if mode != ModePlaintext {
-		if err := env.attachNeutralizer(); err != nil {
-			return nil, err
-		}
-	}
+	o := attachObservation(sim, cfg.Observe)
 
 	// The audited ISP at the transit router.
 	switch kind {
 	case ISPPortRule:
-		f.Transit.AddTransitHook(isp.NewPolicy(
-			mathrand.New(mathrand.NewSource(cfg.Seed+salt+101)), isp.Rule{
-				Name:   "target-suspect-port",
-				Match:  isp.MatchUDPPort(suspectPort),
-				Action: isp.Action{DropProb: 0.9},
-			}).Hook())
+		env.portRuleAtTransit(suspectPort)
 	case ISPDPI, ISPDPIStealth, ISPDPIEvasion:
-		engine := dpi.NewEngine(dpi.EngineConfig{
-			Table:       dpi.Config{Classifier: cls, MinPackets: 8, ReclassifyEvery: 8},
-			Policy:      auditPolicy(kind, cfg.NaivePackets),
-			Rng:         mathrand.New(mathrand.NewSource(cfg.Seed + salt + 77)),
-			StealthSeed: uint64(cfg.Seed + 13),
-		})
-		f.Transit.AddTransitHook(engine.Hook())
+		env.dpiAtTransit(cls, auditPolicy(kind, cfg.NaivePackets), uint64(cfg.Seed+13))
 	}
 
-	// Per-source shim credentials for encrypted probes (outside
-	// sources only; inside probes stay plain — their path never leaves
-	// the supportive ISP).
-	type cred struct {
-		sh  shim.Header
-		dst netip.Addr
-	}
-	var creds []cred
-	if mode != ModePlaintext {
-		creds = make([]cred, nOut)
-		for idx := 0; idx < nOut; idx++ {
-			var v, role int
-			if strat == audit.StrategyNaive {
-				v, role = idx/2/T, idx%2
-			} else {
-				v, role = idx/2, idx%2
-			}
-			src := f.Outside[idx]
-			dst := f.HostAddr(targetIdx(v, role))
-			var nonce keys.Nonce
-			nonce[0], nonce[1], nonce[7] = byte(idx>>8), byte(idx), 0xE8
-			sh, err := env.shimCred(src.Addr(), dst, nonce, [8]byte{byte(idx), byte(idx >> 8), 0xA8}, 0)
+	// Every probe source's send(payload): outside sources in the cell's
+	// mode (per-source shim credentials when encrypted); inside probes
+	// stay plain — their path never leaves the supportive ISP.
+	probePort := [audit.NumRoles]uint16{audit.RoleSuspect: suspectPort, audit.RoleControl: controlPort}
+	sendersFor := func(srcs []*netem.Node, firstVantage int, how ArmsMode) ([]func([]byte), error) {
+		sends := make([]func([]byte), len(srcs))
+		for idx, src := range srcs {
+			v, role := firstVantage+idx/2/outPerPair, idx%2
+			var err error
+			sends[idx], err = env.flowSender(flowSpec{
+				Src: src, Dst: f.HostAddr(targetIdx(v, role)), Mode: how, Port: probePort[role],
+				Index: idx, Exp: 8,
+			})
 			if err != nil {
 				return nil, err
 			}
-			creds[idx] = cred{sh: sh, dst: dst}
 		}
+		return sends, nil
+	}
+	outSends, err := sendersFor(f.Outside, 0, mode)
+	if err != nil {
+		return nil, err
+	}
+	inSrcs := f.Hosts[inSrcBase:]
+	inSends, err := sendersFor(inSrcs, V, ModePlaintext)
+	if err != nil {
+		return nil, err
 	}
 
 	// With observation attached, vantage 0's probe flows are tagged so
@@ -320,12 +262,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		taggedFlows = make(map[uint64]bool)
 		for role := 0; role < 2; role++ {
 			for t := 0; t < outPerPair; t++ {
-				src := f.Outside[outIdx(0, t, role)].Addr()
-				dst, proto := f.HostAddr(targetIdx(0, role)), uint8(wire.ProtoUDP)
-				if mode != ModePlaintext {
-					dst, proto = f.Spec.Anycast, wire.ProtoShim
-				}
-				k, err := netem.FlowKeyFrom(src, dst, proto)
+				k, err := env.flowKey(f.Outside[srcIdx(0, t, role)].Addr(), f.HostAddr(targetIdx(0, role)), mode)
 				if err != nil {
 					return nil, err
 				}
@@ -336,48 +273,30 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		}
 	}
 
+	// wireVantage stands up vantage vi, the n-th of its kind, probing
+	// from srcs through sends. A vantage's sources share a shard (outside
+	// ones shard 0, probe hosts the one customer-subtree shard), so its
+	// first source anchors it; each vantage gets its own scratch buffer
+	// (vantages on different shards emit concurrently).
 	probers := make([]*audit.Prober, 0, V+I)
-	probePort := func(role audit.Role) uint16 {
-		if role == audit.RoleSuspect {
-			return suspectPort
-		}
-		return controlPort
-	}
-
-	// Outside vantages. Every outside source lives on shard 0, so one
-	// outside node anchors the whole vantage; each vantage gets its own
-	// scratch buffer (vantages on different shards emit concurrently).
-	for v := 0; v < V; v++ {
-		vantage := v
-		anchor := f.Outside[outIdx(v, 0, 0)]
+	wireVantage := func(vi, n int, srcs []*netem.Node, sends []func([]byte)) error {
+		anchor := srcs[srcIdx(n, 0, 0)]
 		scratch := make([]byte, 2048)
-		var p *audit.Prober
 		emit := func(role audit.Role, trial int, size int) {
 			if strat == audit.StrategyNaive && (trial < 0 || trial >= T) {
 				return // naive bursts always carry their trial
 			}
 			// Unmeasured interleaved emissions (trial == NoTrial) are
 			// still sent — the flow must stay alive — with NoTrial in
-			// the payload so the receiver discards them; outIdx ignores
+			// the payload so the receiver discards them; srcIdx ignores
 			// the trial for the interleaved strategy's fixed sources.
 			payload := scratch[:size]
 			audit.PutProbePayload(payload, role, trial, anchor.NowNanos())
-			idx := outIdx(vantage, trial, int(role))
-			src := f.Outside[idx]
-			if mode == ModePlaintext {
-				_ = src.Send(buildProbeUDP(src.Addr(), f.HostAddr(targetIdx(vantage, int(role))), probePort(role), payload))
-				return
-			}
-			c := &creds[idx]
-			pkt, err := shim.BuildPacket(src.Addr(), f.Spec.Anycast, 0, &c.sh, payload)
-			if err != nil {
-				return
-			}
-			_ = src.Send(pkt)
+			sends[srcIdx(n, trial, int(role))](payload)
 		}
-		p, err = audit.NewProber(audit.ProberConfig{
+		p, err := audit.NewProber(audit.ProberConfig{
 			On:           anchor,
-			Rng:          mathrand.New(mathrand.NewSource(cfg.Seed*1_000_003 + salt<<32 + int64(v))),
+			Rng:          mathrand.New(mathrand.NewSource(cfg.Seed*1_000_003 + salt<<32 + int64(vi))),
 			Strategy:     strat,
 			Trials:       T,
 			Window:       cfg.Window,
@@ -386,64 +305,30 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 			Emit:         emit,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if o != nil {
-			p.Instrument(sim.Metrics(), v)
+			p.Instrument(sim.Metrics(), vi)
 		}
 		probers = append(probers, p)
 		for role := 0; role < 2; role++ {
-			prober := p
-			f.Hosts[targetIdx(v, role)].SetHandler(func(now time.Time, pkt []byte) {
+			f.Hosts[targetIdx(vi, role)].SetHandler(func(now time.Time, pkt []byte) {
 				if payload := deliveredPayload(pkt); payload != nil {
-					prober.HandleProbe(now, payload)
+					p.HandleProbe(now, payload)
 				}
 			})
+		}
+		return nil
+	}
+	for v := 0; v < V; v++ {
+		if err := wireVantage(v, v, f.Outside, outSends); err != nil {
+			return nil, err
 		}
 	}
-
 	// Inside vantages: host-to-host probes that never cross transit.
-	// Anchored to the source host — every probe host shares the single
-	// customer-subtree shard.
 	for i := 0; i < I; i++ {
-		vantage := i
-		anchor := f.Hosts[inSrcIdx(i, 0, 0)]
-		scratch := make([]byte, 2048)
-		var p *audit.Prober
-		emit := func(role audit.Role, trial int, size int) {
-			if strat == audit.StrategyNaive && (trial < 0 || trial >= T) {
-				return
-			}
-			payload := scratch[:size]
-			audit.PutProbePayload(payload, role, trial, anchor.NowNanos())
-			src := f.Hosts[inSrcIdx(vantage, trial, int(role))]
-			dst := f.HostAddr(inTargetIdx(vantage, int(role)))
-			_ = src.Send(buildProbeUDP(src.Addr(), dst, probePort(role), payload))
-		}
-		p, err = audit.NewProber(audit.ProberConfig{
-			On:           anchor,
-			Rng:          mathrand.New(mathrand.NewSource(cfg.Seed*1_000_003 + salt<<32 + int64(V+i))),
-			Strategy:     strat,
-			Trials:       T,
-			Window:       cfg.Window,
-			NaivePackets: cfg.NaivePackets,
-			Suspect:      trafficgen.AppVoIP,
-			Emit:         emit,
-		})
-		if err != nil {
+		if err := wireVantage(V+i, i, inSrcs, inSends); err != nil {
 			return nil, err
-		}
-		if o != nil {
-			p.Instrument(sim.Metrics(), V+i)
-		}
-		probers = append(probers, p)
-		for role := 0; role < 2; role++ {
-			prober := p
-			f.Hosts[inTargetIdx(i, role)].SetHandler(func(now time.Time, pkt []byte) {
-				if payload := deliveredPayload(pkt); payload != nil {
-					prober.HandleProbe(now, payload)
-				}
-			})
 		}
 	}
 
@@ -472,7 +357,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 	var evidence []audit.EvidenceTrail
 	if o != nil {
 		evs := o.fr.Events()
-		if err := checkAttribution(evs, taggedFlows, o.fr.Evicted()); err != nil {
+		if err := checkAttribution(evs, taggedFlows, o.fr.Evicted(), nil); err != nil {
 			return nil, fmt.Errorf("eval: audit %v/%v/%v: %w", kind, mode, strat, err)
 		}
 		// keep == nil: every flow in the cell is probe traffic, so the
@@ -491,23 +376,9 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		for _, v := range cell.Summary.Verdicts {
 			vm.Count(v)
 		}
-		d := o.digest()
-		cell.Obs = &d
+		cell.Obs = o.digest()
 	}
 	return cell, nil
-}
-
-// buildProbeUDP serializes a plaintext probe packet carrying payload.
-func buildProbeUDP(src, dst netip.Addr, dport uint16, payload []byte) []byte {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: 40000, DstPort: dport},
-	); err != nil {
-		return nil
-	}
-	return buf.Bytes()
 }
 
 // deliveredPayload extracts the application payload from a delivered
@@ -539,17 +410,12 @@ func RunAudit(cfg AuditConfig) (*AuditStats, error) {
 	st := &AuditStats{Cfg: cfg}
 
 	// The dpi adversaries share one classifier, trained the same way
-	// E7's is: a passive labeled calibration run of encrypted
-	// app-shaped flows.
-	samples, _, err := armsSamples(ArmsConfig{FlowsPerClass: 8, Seed: cfg.Seed + 500, Duration: 2 * time.Second}, ModeEncrypted, 1)
+	// E7's is.
+	cls, trained, err := trainClassifier(calibrationConfig(cfg.Seed + 500))
 	if err != nil {
 		return nil, err
 	}
-	st.TrainedFlows = len(samples)
-	cls, err := dpi.Train(samples)
-	if err != nil {
-		return nil, fmt.Errorf("eval: audit calibration: %w", err)
-	}
+	st.TrainedFlows = trained
 
 	salt := int64(3)
 	for kind := ISPNeutral; kind < NumAuditISPs; kind++ {
@@ -589,10 +455,6 @@ func (s *AuditStats) FalsePositiveRate() float64 {
 // verifyAudit asserts the E8 contract; a violated verdict is an
 // experiment failure, the same discipline E6/E7 use.
 func verifyAudit(st *AuditStats) error {
-	type check struct {
-		ok  bool
-		msg string
-	}
 	fpr := st.FalsePositiveRate()
 	dpiEncInt := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved)
 	dpiPlainInt := st.Cell(ISPDPI, ModePlaintext, audit.StrategyInterleaved)
@@ -663,22 +525,11 @@ func verifyAudit(st *AuditStats) error {
 				fmt.Sprintf("neutral ISP produced policing evidence (%d sites)", len(neutral.Summary.Evidence))})
 		}
 	}
-	for _, c := range checks {
-		if !c.ok {
-			return fmt.Errorf("eval: audit: %s", c.msg)
-		}
-	}
-	return nil
+	return firstFailed("audit", checks)
 }
 
 // RunE8 is the registered neutrality-audit experiment.
-func RunE8() (*Result, error) {
-	st, err := RunAudit(AuditConfig{Seed: 8})
-	if err != nil {
-		return nil, err
-	}
-	return st.Result(), nil
-}
+func RunE8() (*Result, error) { return rows(RunAudit(AuditConfig{Seed: 8})) }
 
 // Result renders the detection ladder as the E8 rows.
 func (st *AuditStats) Result() *Result {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"netneutral/internal/audit"
@@ -13,11 +14,21 @@ func reducedAuditConfig(seed int64) AuditConfig {
 	return AuditConfig{Seed: seed, Vantages: 8, InsideVantages: 2, Trials: 10}
 }
 
+// reducedAudit is the seed-7 smoke-sized audit with observation on, run
+// once for the tests that read it (the matrix is the package's slowest
+// run under -race): TestE8AuditReduced checks its verdicts,
+// TestGoldenRows its rows and every cell's observation digest.
+var reducedAudit = sync.OnceValues(func() (*AuditStats, error) {
+	cfg := reducedAuditConfig(7)
+	cfg.Observe = true
+	return RunAudit(cfg)
+})
+
 // TestE8AuditReduced runs the audit matrix at reduced scale; RunAudit
 // self-verifies every verdict, and the headline cells are re-asserted
 // explicitly so a failure names the broken rung.
 func TestE8AuditReduced(t *testing.T) {
-	st, err := RunAudit(reducedAuditConfig(7))
+	st, err := reducedAudit()
 	if err != nil {
 		t.Fatal(err)
 	}

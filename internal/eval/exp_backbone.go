@@ -31,14 +31,10 @@ import (
 	"strings"
 	"time"
 
-	"netneutral/internal/core"
-	"netneutral/internal/crypto/aesutil"
+	"netneutral/internal/benchenv"
 	"netneutral/internal/crypto/keys"
-	"netneutral/internal/isp"
 	"netneutral/internal/netem"
-	"netneutral/internal/shim"
 	"netneutral/internal/trafficgen"
-	"netneutral/internal/wire"
 )
 
 // BackboneConfig parameterizes the continental run; the zero value gets
@@ -72,74 +68,30 @@ type BackboneConfig struct {
 }
 
 func (c *BackboneConfig) fill() {
-	if c.Metros <= 0 {
-		c.Metros = 6
-	}
-	if c.HostsPerMetro <= 0 {
-		c.HostsPerMetro = 1000
-	}
-	if c.Duration <= 0 {
-		c.Duration = 400 * time.Millisecond
-	}
-	if c.RatePps <= 0 {
-		c.RatePps = 2000
-	}
-	if c.CrossFlows <= 0 {
-		c.CrossFlows = 32
-	}
-	if c.CrossPps <= 0 {
-		c.CrossPps = 1000
-	}
+	orDefault(&c.Metros, 6)
+	orDefault(&c.HostsPerMetro, 1000)
+	orDefault(&c.Duration, 400*time.Millisecond)
+	orDefault(&c.RatePps, 2000)
+	orDefault(&c.CrossFlows, 32)
+	orDefault(&c.CrossPps, 1000)
 	if c.FluidBpsPerEdge == 0 {
 		c.FluidBpsPerEdge = 20e6
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
+	orDefault(&c.Workers, 1)
 }
 
 // BackboneStats is the outcome of one continental run.
 type BackboneStats struct {
-	Metros  int
-	Hosts   int // total customer hosts
-	Shards  int
-	Workers int
+	Metros int
+	Hosts  int // total customer hosts
 
-	NeutSent       int // neutralized cross-backbone packets
-	CrossSent      int // plain cross-metro probe packets
-	Delivered      uint64
-	Forwarded      uint64
-	Dropped        uint64
-	ClassifierHits uint64
-	SimEvents      uint64
-	FluidBytes     uint64
-	FluidTicks     uint64
-	PoolGets       uint64
-	// Event-queue pushes by the structure that took them.
-	LanePushes, HeapPushes uint64
-
-	BuildTime    time.Duration
-	RunTime      time.Duration
-	EventsPerSec float64
-	Obs          *ObsDigest
+	NeutSent  int // neutralized cross-backbone packets
+	CrossSent int // plain cross-metro probe packets
+	EngineRun
 
 	// sweep holds every run of the identity sweep this run opened
 	// (itself first); nil for a lone RunBackbone.
 	sweep []*BackboneStats
-}
-
-// backboneIdentityKey is the deterministic outcome a backbone run must
-// reproduce exactly at every worker count — the E9 contract extended
-// with the fluid layer's accounting and the observation digest.
-func backboneIdentityKey(st *BackboneStats) [14]uint64 {
-	k := [14]uint64{
-		uint64(st.NeutSent), uint64(st.CrossSent), st.Delivered, st.Forwarded,
-		st.Dropped, st.ClassifierHits, st.SimEvents, st.FluidBytes,
-		st.FluidTicks, st.PoolGets,
-	}
-	ok := st.Obs.key()
-	copy(k[10:], ok[:])
-	return k
 }
 
 // backboneWorld is the built substrate shared by RunBackbone and the
@@ -156,31 +108,31 @@ type backboneWorld struct {
 	crossSends []func(seq uint64)
 }
 
-// backboneLinks is the link plan of the experiment: 100 Mbps edge links
-// (so fluid load is a meaningful fraction of capacity) and queue room
-// for open-loop bursts; everything keeps a positive delay, which the
-// sharded engine requires on shard-crossing links.
-func backboneLinks(spec *netem.BackboneSpec) {
-	spec.HostLink = netem.LinkConfig{Delay: time.Millisecond}
-	spec.EdgeLink = netem.LinkConfig{Delay: time.Millisecond, RateBps: 100e6, QueueLen: 512}
-	spec.TransitLink = netem.LinkConfig{Delay: time.Millisecond, QueueLen: 512}
-	spec.OutsideLink = netem.LinkConfig{Delay: time.Millisecond}
-}
-
 func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
+	// Every metro sends to the next one and the classifier targets a
+	// host of metro 1: a lone metro has neither.
+	if cfg.Metros < 2 {
+		return nil, fmt.Errorf("eval: backbone needs at least 2 metros, got %d", cfg.Metros)
+	}
 	if cfg.CrossFlows >= cfg.HostsPerMetro-1 {
 		return nil, fmt.Errorf("eval: %d cross flows need at least %d hosts per metro",
 			cfg.CrossFlows, cfg.CrossFlows+2)
 	}
 	sim := netem.NewSimulator(benchStart, cfg.Seed)
-	spec := netem.BackboneSpec{
+	// The link plan: 100 Mbps edge links (so fluid load is a meaningful
+	// fraction of capacity) and queue room for open-loop bursts;
+	// everything keeps a positive delay, which the sharded engine requires
+	// on shard-crossing links.
+	bb, err := netem.BuildBackbone(sim, netem.BackboneSpec{
 		Metros:          cfg.Metros,
 		HostsPerMetro:   cfg.HostsPerMetro,
 		FluidBpsPerEdge: cfg.FluidBpsPerEdge,
 		FluidInterval:   20 * time.Millisecond,
-	}
-	backboneLinks(&spec)
-	bb, err := netem.BuildBackbone(sim, spec)
+		HostLink:        netem.LinkConfig{Delay: time.Millisecond},
+		EdgeLink:        netem.LinkConfig{Delay: time.Millisecond, RateBps: 100e6, QueueLen: 512},
+		TransitLink:     netem.LinkConfig{Delay: time.Millisecond, QueueLen: 512},
+		OutsideLink:     netem.LinkConfig{Delay: time.Millisecond},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -189,19 +141,12 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 	// One master-key schedule serves every metro's neutralizer — the
 	// paper's single supportive operator running a continental anycast
 	// service.
-	sched := keys.NewSchedule(aesutil.Key{7}, benchStart, time.Hour)
+	sched := benchenv.NewSchedule()
 	epoch := sched.EpochAt(sim.Now())
 	for _, f := range bb.Metros {
-		neut, err := core.New(core.Config{
-			Schedule:   sched,
-			Anycast:    f.Spec.Anycast,
-			IsCustomer: f.CustomerNet.Contains,
-			Clock:      f.Border.Now,
-		})
-		if err != nil {
+		if err := attachNeutralizer(sched, f); err != nil {
 			return nil, err
 		}
-		AttachNeutralizerScratch(f.Border, neut)
 	}
 
 	w := &backboneWorld{sim: sim, bb: bb}
@@ -218,19 +163,8 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 		templates := make([][]byte, nTemplates)
 		for k := range templates {
 			dst := dstMetro.HostAddr(k * stride % cfg.HostsPerMetro)
-			ks, err := sched.SessionKey(epoch, nonce, src)
-			if err != nil {
-				return nil, err
-			}
-			blk, err := aesutil.EncryptAddr(ks, dst, [8]byte{byte(m), byte(k), byte(k >> 8)})
-			if err != nil {
-				return nil, err
-			}
-			sh := shim.Header{
-				Type: shim.TypeData, InnerProto: wire.ProtoUDP,
-				Epoch: epoch, Nonce: nonce, HiddenAddr: blk,
-			}
-			templates[k], err = shim.BuildPacket(src, dstMetro.Spec.Anycast, 0, &sh, payload)
+			templates[k], err = benchenv.DataPacket(sched, epoch, src, dstMetro.Spec.Anycast, dst, nonce,
+				[8]byte{byte(m), byte(k), byte(k >> 8)}, payload)
 			if err != nil {
 				return nil, err
 			}
@@ -241,12 +175,28 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 		// metro (m+1) — real packets on the paths an auditor would measure.
 		for i := 0; i < cfg.CrossFlows; i++ {
 			host := f.Hosts[i]
-			tmpl := buildProbeUDP(f.HostAddr(i), dstMetro.HostAddr(i), 9000, nil)
+			tmpl := plainUDP(f.HostAddr(i), dstMetro.HostAddr(i), probeSrcPort, 9000, nil)
 			w.crossNodes = append(w.crossNodes, host)
 			w.crossSends = append(w.crossSends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
 		}
 	}
 	return w, nil
+}
+
+// offer schedules d of all three traffic planes and returns how many
+// neutralized and plain cross-metro packets that is.
+func (w *backboneWorld) offer(cfg BackboneConfig, d time.Duration) (neut, cross int, err error) {
+	if err := w.bb.StartFluid(d); err != nil {
+		return 0, 0, err
+	}
+	for m, f := range w.bb.Metros {
+		neut += trafficgen.OpenLoop{RatePps: cfg.RatePps}.Run(f.Outside[0], d, w.neutSends[m])
+	}
+	perFlow := cfg.CrossPps / float64(cfg.CrossFlows)
+	for i, host := range w.crossNodes {
+		cross += trafficgen.OpenLoop{RatePps: perFlow}.Run(host, d, w.crossSends[i])
+	}
+	return neut, cross, nil
 }
 
 // RunBackbone builds the continental world and drives all three traffic
@@ -259,71 +209,30 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 		return nil, err
 	}
 	sim, bb := w.sim, w.bb
-	var o *observation
-	if cfg.Observe {
-		o = attachObservation(sim)
-	}
+	o := attachObservation(sim, cfg.Observe)
 
 	// The core tries to target a customer by address. Only neutralized
 	// traffic reaches the classifier's target (the cross-metro probes use
 	// the low host indexes), so it must never fire.
-	policy := isp.NewPolicy(sim.Rand(), isp.Rule{
-		Name:   "target-customer",
-		Match:  isp.MatchDstAddr(bb.HostAddr(1, cfg.HostsPerMetro-1)),
-		Action: isp.Action{DropProb: 1},
-	})
-	bb.Core.AddTransitHook(policy.Hook())
+	rule := targetCustomer(sim, bb.Core, bb.HostAddr(1, cfg.HostsPerMetro-1))
 
 	st := &BackboneStats{
 		Metros: cfg.Metros, Hosts: cfg.Metros * cfg.HostsPerMetro,
-		Shards: sim.ShardCount(), Workers: cfg.Workers,
-		BuildTime: time.Since(buildStart),
+		EngineRun: EngineRun{Shards: sim.ShardCount(), Workers: cfg.Workers, BuildTime: time.Since(buildStart)},
 	}
 	var tallies []*netem.DeliveryCount
 	for _, f := range bb.Metros {
 		tallies = append(tallies, f.CountDeliveries())
 	}
-	if err := bb.StartFluid(cfg.Duration); err != nil {
+	if st.NeutSent, st.CrossSent, err = w.offer(cfg, cfg.Duration); err != nil {
 		return nil, err
 	}
-	for m, f := range bb.Metros {
-		st.NeutSent += trafficgen.OpenLoop{RatePps: cfg.RatePps}.Run(
-			f.Outside[0], cfg.Duration, w.neutSends[m])
-	}
-	perFlow := cfg.CrossPps / float64(cfg.CrossFlows)
-	for i, host := range w.crossNodes {
-		st.CrossSent += trafficgen.OpenLoop{RatePps: perFlow}.Run(host, cfg.Duration, w.crossSends[i])
-	}
+	st.Offered = uint64(st.NeutSent + st.CrossSent)
 
-	runStart := time.Now()
-	sim.Run()
-	st.RunTime = time.Since(runStart)
-
-	for _, d := range tallies {
-		st.Delivered += d.Total()
-	}
-	st.Forwarded = sim.Forwarded()
-	st.Dropped = sim.Dropped()
-	st.ClassifierHits = policy.Hits("target-customer")
-	st.SimEvents = sim.EventsProcessed()
+	err = st.drive("backbone", "core", sim, rule, o, tallies...)
 	st.FluidBytes, st.FluidTicks = sim.FluidTotals()
-	_, st.PoolGets = sim.PoolStats()
-	st.LanePushes, st.HeapPushes = sim.QueuePushes()
-	if o != nil {
-		d := o.digest()
-		st.Obs = &d
-	}
-	if sec := st.RunTime.Seconds(); sec > 0 {
-		st.EventsPerSec = float64(st.SimEvents) / sec
-	}
-	want := uint64(st.NeutSent + st.CrossSent)
-	if st.Delivered != want {
-		return st, fmt.Errorf("eval: backbone delivered %d of %d packets (dropped %d)",
-			st.Delivered, want, st.Dropped)
-	}
-	if st.ClassifierHits != 0 {
-		return st, fmt.Errorf("eval: core classifier fired %d times on neutralized traffic",
-			st.ClassifierHits)
+	if err != nil {
+		return st, err
 	}
 	if cfg.FluidBpsPerEdge > 0 && st.FluidBytes == 0 {
 		return st, fmt.Errorf("eval: fluid layer accounted zero bytes")
@@ -336,24 +245,14 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 // ObsDigest identity contract, extended to dozens of shards and the
 // fluid layer).
 func RunBackboneIdentity(cfg BackboneConfig, workers []int) ([]*BackboneStats, error) {
-	var out []*BackboneStats
-	var base *BackboneStats
-	for _, wk := range workers {
+	out, err := workerSweep("backbone", workers, func(wk int) (*BackboneStats, error) {
 		cfg.Workers = wk
-		st, err := RunBackbone(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("eval: backbone workers=%d: %w", wk, err)
-		}
-		if base == nil {
-			base = st
-		} else if backboneIdentityKey(st) != backboneIdentityKey(base) {
-			return nil, fmt.Errorf(
-				"eval: backbone determinism violated: workers=%d outcome %v != workers=%d outcome %v",
-				wk, backboneIdentityKey(st), base.Workers, backboneIdentityKey(base))
-		}
-		out = append(out, st)
+		return RunBackbone(cfg)
+	})
+	if err != nil {
+		return nil, err
 	}
-	base.sweep = out
+	out[0].sweep = out
 	return out, nil
 }
 
@@ -436,19 +335,12 @@ func NewBackboneBench(metros, hostsPerMetro, workers int) (*BackboneBench, error
 // load, advances the simulation through it, and returns the number of
 // packets scheduled.
 func (b *BackboneBench) RunChunk(d time.Duration) (int, error) {
-	if err := b.w.bb.StartFluid(d); err != nil {
+	neut, cross, err := b.w.offer(b.cfg, d)
+	if err != nil {
 		return 0, err
 	}
-	sent := 0
-	for m, f := range b.w.bb.Metros {
-		sent += trafficgen.OpenLoop{RatePps: b.cfg.RatePps}.Run(f.Outside[0], d, b.w.neutSends[m])
-	}
-	perFlow := b.cfg.CrossPps / float64(b.cfg.CrossFlows)
-	for i, host := range b.w.crossNodes {
-		sent += trafficgen.OpenLoop{RatePps: perFlow}.Run(host, d, b.w.crossSends[i])
-	}
 	b.w.sim.RunFor(d)
-	return sent, nil
+	return neut + cross, nil
 }
 
 // Events reports the engine's cumulative event count.

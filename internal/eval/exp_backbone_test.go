@@ -64,3 +64,21 @@ func TestE13FullScale(t *testing.T) {
 		t.Error("determinism row missing")
 	}
 }
+
+// TestBackboneRejectsBadConfig: a config the scenario cannot stand on is
+// an error from the builder, not a panic further in (`neutsim -backbone
+// -metros 1` used to index metro 1 of 1), and an empty worker sweep is
+// an error rather than a nil dereference.
+func TestBackboneRejectsBadConfig(t *testing.T) {
+	for name, cfg := range map[string]BackboneConfig{
+		"lone metro":                 {Metros: 1, HostsPerMetro: 100},
+		"cross flows use every host": {Metros: 2, HostsPerMetro: 33, CrossFlows: 32},
+	} {
+		if st, err := RunBackbone(cfg); err == nil {
+			t.Errorf("%s: RunBackbone accepted it (%+v)", name, st)
+		}
+	}
+	if runs, err := RunBackboneIdentity(reducedBackbone(31), nil); err == nil {
+		t.Errorf("empty sweep returned %d runs and no error", len(runs))
+	}
+}

@@ -19,11 +19,11 @@ import (
 	"fmt"
 	"time"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
 	"netneutral/internal/crypto/keys"
-	"netneutral/internal/isp"
 	"netneutral/internal/netem"
-	"netneutral/internal/shim"
+	"netneutral/internal/obs"
 	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
@@ -65,46 +65,22 @@ type MetroConfig struct {
 }
 
 func (c *MetroConfig) fill() {
-	if c.Hosts <= 0 {
-		c.Hosts = 10000
-	}
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Second
-	}
-	if c.RatePps <= 0 {
-		c.RatePps = 50000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
+	orDefault(&c.Hosts, 10000)
+	orDefault(&c.Duration, 2*time.Second)
+	orDefault(&c.RatePps, 50000)
+	orDefault(&c.Workers, 1)
 }
 
 // MetroStats is the outcome of a metro-scale run.
 type MetroStats struct {
-	Hosts   int
-	Shards  int
-	Workers int
+	Hosts int
 	// Sent counts neutralized packets from the outside source;
 	// LocalSent counts intra-subtree host chatter.
-	Sent           int
-	LocalSent      int
-	Delivered      uint64
-	Forwarded      uint64
-	Dropped        uint64
-	ClassifierHits uint64
-	SimEvents      uint64
-	BuildTime      time.Duration
-	RunTime        time.Duration // wall clock of the event loop
-	EventsPerSec   float64       // SimEvents / RunTime
-	ForwardPps     float64       // Forwarded / RunTime
-	DeliveredPps   float64       // Delivered / RunTime
-	PoolAllocated  uint64
-	PoolGets       uint64
-	// LanePushes and HeapPushes split the event-queue pushes by the
-	// structure that took them (netem.Simulator.QueuePushes).
-	LanePushes, HeapPushes uint64
-	// Obs is the observation digest (nil unless MetroConfig.Observe).
-	Obs *ObsDigest
+	Sent      int
+	LocalSent int
+	EngineRun
+	ForwardPps   float64 // Forwarded / RunTime
+	DeliveredPps float64 // Delivered / RunTime
 }
 
 // metroWorld is the shared substrate of RunMetro and MetroBench: the
@@ -114,9 +90,7 @@ type MetroStats struct {
 // from (epoch, nonce, src) and decrypts the hidden per-host
 // destination).
 type metroWorld struct {
-	env       *fanoutEnv
-	sim       *netem.Simulator
-	fan       *netem.Fanout
+	*fanoutEnv
 	templates [][]byte
 }
 
@@ -124,31 +98,24 @@ func buildMetroWorld(seed int64, hosts, workers int, link netem.LinkConfig) (*me
 	env, err := newFanoutEnv(seed, netem.FanoutSpec{
 		Hosts: hosts, OutsideLink: link, TransitLink: link, EdgeLink: link,
 		ShardSubtrees: true,
-	})
+	}, true)
 	if err != nil {
 		return nil, err
 	}
 	env.Sim.SetWorkers(workers)
-	if err := env.attachNeutralizer(); err != nil {
-		return nil, err
-	}
 
 	src := env.Fan.OutsideAddr(0)
 	nonce := keys.Nonce{0xE6, 1}
 	payload := make([]byte, 64)
 	templates := make([][]byte, hosts)
 	for i := range templates {
-		sh, err := env.shimCred(src, env.Fan.HostAddr(i), nonce,
-			[8]byte{byte(i), byte(i >> 8), byte(i >> 16)}, wire.ProtoUDP)
-		if err != nil {
-			return nil, err
-		}
-		templates[i], err = shim.BuildPacket(src, env.Fan.Spec.Anycast, 0, &sh, payload)
+		templates[i], err = benchenv.DataPacket(env.Sched, env.Epoch, src, env.Fan.Spec.Anycast,
+			env.Fan.HostAddr(i), nonce, [8]byte{byte(i), byte(i >> 8), byte(i >> 16)}, payload)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return &metroWorld{env: env, sim: env.Sim, fan: env.Fan, templates: templates}, nil
+	return &metroWorld{fanoutEnv: env, templates: templates}, nil
 }
 
 // hostNeighbor returns the same-edge neighbor of host i (the peer of
@@ -163,38 +130,39 @@ func hostNeighbor(i, hosts, hostsPerEdge int) int {
 	return -1
 }
 
-// chatterSenders prebuilds the intra-subtree chatter wiring: for each
-// host with a same-edge neighbor, a pooled template packet to that
-// neighbor and a sender anchored to the host's node (so emissions run
-// on the host's shard). One definition serves both the E9 experiment
-// (localChatter) and the parallel benchmark fixture, so the benchmark
-// workload cannot drift from the experiment it measures.
-func chatterSenders(f *netem.Fanout) (nodes []*netem.Node, sends []func(seq uint64)) {
+// chatter is the prebuilt intra-subtree chatter wiring: for each host
+// with a same-edge neighbor, a pooled template packet to that neighbor
+// and a sender anchored to the host's node (so emissions run on the
+// host's shard). One definition serves both the E9 experiment and the
+// parallel benchmark fixture, so the benchmark workload cannot drift
+// from the experiment it measures.
+type chatter struct {
+	nodes []*netem.Node
+	sends []func(seq uint64)
+}
+
+func newChatter(f *netem.Fanout) chatter {
+	var c chatter
 	payload := make([]byte, 40)
 	for i, host := range f.Hosts {
 		j := hostNeighbor(i, len(f.Hosts), f.Spec.HostsPerEdge)
 		if j < 0 {
 			continue // single-host edge: nobody to talk to
 		}
-		tmpl := buildProbeUDP(f.HostAddr(i), f.HostAddr(j), 9000, payload)
-		nodes = append(nodes, host)
-		sends = append(sends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
+		tmpl := plainUDP(f.HostAddr(i), f.HostAddr(j), probeSrcPort, 9000, payload)
+		c.nodes = append(c.nodes, host)
+		c.sends = append(c.sends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
 	}
-	return nodes, sends
+	return c
 }
 
-// localChatter schedules the intra-subtree host-to-host load for
-// duration d at the given aggregate rate. Returns the number of packets
-// that will be sent.
-func localChatter(f *netem.Fanout, pps float64, d time.Duration) int {
-	if pps <= 0 {
-		return 0
-	}
-	perHost := pps / float64(len(f.Hosts))
-	nodes, sends := chatterSenders(f)
+// offer schedules the host-to-host load for duration d at perHost
+// packets per second from every wired host. Returns the number of
+// packets that will be sent.
+func (c chatter) offer(perHost float64, d time.Duration) int {
 	sent := 0
-	for i, node := range nodes {
-		sent += trafficgen.OpenLoop{RatePps: perHost}.Run(node, d, sends[i])
+	for i, node := range c.nodes {
+		sent += trafficgen.OpenLoop{RatePps: perHost}.Run(node, d, c.sends[i])
 	}
 	return sent
 }
@@ -211,77 +179,36 @@ func RunMetro(cfg MetroConfig) (*MetroStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, f := w.sim, w.fan
-	var o *observation
-	if cfg.Observe {
-		o = attachObservation(sim)
-	}
+	sim, f := w.Sim, w.Fan
+	o := attachObservation(sim, cfg.Observe)
 	if cfg.Attach != nil {
 		cfg.Attach(sim)
 	}
 
 	// The discriminatory transit tries to target one customer by
-	// address; neutralized traffic never names it. The policy runs at
-	// the transit router — shard 0 — so it draws from shard 0's RNG.
-	policy := isp.NewPolicy(sim.Rand(), isp.Rule{
-		Name:   "target-customer",
-		Match:  isp.MatchDstAddr(f.HostAddr(0)),
-		Action: isp.Action{DropProb: 1},
-	})
-	f.Transit.AddTransitHook(policy.Hook())
-
+	// address; neutralized traffic never names it.
+	rule := targetCustomer(sim, f.Transit, f.HostAddr(0))
 	delivered := f.CountDeliveries()
-	st := &MetroStats{
-		Hosts: cfg.Hosts, Shards: sim.ShardCount(), Workers: cfg.Workers,
-		BuildTime: time.Since(buildStart),
-	}
+	st := &MetroStats{Hosts: cfg.Hosts, EngineRun: EngineRun{
+		Shards: sim.ShardCount(), Workers: cfg.Workers, BuildTime: time.Since(buildStart)}}
 
 	st.Sent = trafficgen.OpenLoop{RatePps: cfg.RatePps}.Run(
 		f.Outside[0], cfg.Duration, trafficgen.CyclingSender(f.Outside[0], w.templates))
-	st.LocalSent = localChatter(f, cfg.LocalPps, cfg.Duration)
-
-	runStart := time.Now()
-	sim.Run()
-	st.RunTime = time.Since(runStart)
-
-	st.Delivered = delivered.Total()
-	st.Forwarded = sim.Forwarded()
-	st.Dropped = sim.Dropped()
-	st.ClassifierHits = policy.Hits("target-customer")
-	st.SimEvents = sim.EventsProcessed()
-	st.PoolAllocated, st.PoolGets = sim.PoolStats()
-	st.LanePushes, st.HeapPushes = sim.QueuePushes()
-	if o != nil {
-		d := o.digest()
-		st.Obs = &d
+	if cfg.LocalPps > 0 {
+		st.LocalSent = newChatter(f).offer(cfg.LocalPps/float64(len(f.Hosts)), cfg.Duration)
 	}
+	st.Offered = uint64(st.Sent + st.LocalSent)
+
+	err = st.drive("metro", "transit", sim, rule, o, delivered)
 	if sec := st.RunTime.Seconds(); sec > 0 {
-		st.EventsPerSec = float64(st.SimEvents) / sec
 		st.ForwardPps = float64(st.Forwarded) / sec
 		st.DeliveredPps = float64(st.Delivered) / sec
 	}
-	want := uint64(st.Sent + st.LocalSent)
-	if st.Delivered != want {
-		return st, fmt.Errorf("eval: metro delivered %d of %d packets (dropped %d)",
-			st.Delivered, want, st.Dropped)
-	}
-	// A firing classifier means neutralized packets named a customer —
-	// the exact regression the CI smoke step exists to catch.
-	if st.ClassifierHits != 0 {
-		return st, fmt.Errorf("eval: transit classifier fired %d times on neutralized traffic",
-			st.ClassifierHits)
-	}
-	return st, nil
+	return st, err
 }
 
 // RunE6 is the registered 10k-host experiment.
-func RunE6() (*Result, error) {
-	st, err := RunMetro(MetroConfig{Seed: 66})
-	if err != nil {
-		return nil, err
-	}
-	return st.Result(), nil
-}
+func RunE6() (*Result, error) { return rows(RunMetro(MetroConfig{Seed: 66})) }
 
 const metroTitle = "Metro-scale emulation (customer fan-out behind one neutralizer domain)"
 
@@ -327,9 +254,7 @@ func lanePushNote(lane, heap uint64) string {
 // 10k-host world is built once, then bursts of neutralized traffic are
 // pushed through it per benchmark op.
 type MetroBench struct {
-	sim       *netem.Simulator
-	fan       *netem.Fanout
-	templates [][]byte
+	*metroWorld
 	burst     int
 	next      int
 	delivered *netem.DeliveryCount
@@ -344,23 +269,20 @@ func NewMetroBench(hosts, burst int) (*MetroBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MetroBench{
-		sim: w.sim, fan: w.fan, templates: w.templates, burst: burst,
-		delivered: w.fan.CountDeliveries(),
-	}, nil
+	return &MetroBench{metroWorld: w, burst: burst, delivered: w.Fan.CountDeliveries()}, nil
 }
 
 // RunBurst injects one burst and drains the event loop, verifying every
 // packet reached its customer.
 func (m *MetroBench) RunBurst() error {
 	for i := 0; i < m.burst; i++ {
-		p := m.sim.NewPacket(m.templates[m.next])
+		p := m.Sim.NewPacket(m.templates[m.next])
 		m.next = (m.next + 1) % len(m.templates)
-		if err := m.fan.Outside[0].SendPacket(p); err != nil {
+		if err := m.Fan.Outside[0].SendPacket(p); err != nil {
 			return err
 		}
 	}
-	m.sim.Run()
+	m.Sim.Run()
 	m.expected += uint64(m.burst)
 	if got := m.delivered.Total(); got != m.expected {
 		return fmt.Errorf("eval: metro burst delivered %d, want %d", got, m.expected)
@@ -370,7 +292,7 @@ func (m *MetroBench) RunBurst() error {
 
 // Counters exposes the engine counters the benchmark reports.
 func (m *MetroBench) Counters() (events, forwarded uint64) {
-	return m.sim.EventsProcessed(), m.sim.Forwarded()
+	return m.Sim.EventsProcessed(), m.Sim.Forwarded()
 }
 
 // NewMetroBenchObserved is NewMetroBench with the full observation plane
@@ -383,22 +305,24 @@ func NewMetroBenchObserved(hosts, burst int) (*MetroBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	attachObservation(m.sim)
+	attachObservation(m.Sim, true)
 	return m, nil
 }
 
-// NewMetroBenchTraced is NewMetroBench with always-on causal tracing
-// attached: the flight recorder's deterministic flow sampler records 1%
-// of flows end to end (every hop of every journey, what the span
-// assembler needs) while the rest head-sample at 1-in-64.
-// BenchmarkNetemMetroTrace prices this against the untraced metro run
-// on the identical workload.
+// NewMetroBenchTraced is NewMetroBench with always-on, deployment-shaped
+// causal tracing attached: the flight recorder's deterministic flow
+// sampler records 1% of flows end to end (every hop of every journey,
+// what the span assembler needs) while the rest head-sample at 1-in-64.
+// BenchmarkNetemMetroTrace (the trace_overhead_pct check) prices this
+// against the untraced metro run on the identical workload.
 func NewMetroBenchTraced(hosts, burst int) (*MetroBench, error) {
 	m, err := NewMetroBench(hosts, burst)
 	if err != nil {
 		return nil, err
 	}
-	attachTracing(m.sim)
+	fr := obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: 64, RingSize: 4096, SampleFlows: 0.01})
+	fr.Register(m.Sim.Metrics())
+	m.Sim.AttachFlightRecorder(fr)
 	return m, nil
 }
 
@@ -406,18 +330,9 @@ func NewMetroBenchTraced(hosts, burst int) (*MetroBench, error) {
 // the zero-allocation scratch path: shim packets delivered to the node
 // are processed and the outputs sent back into the fabric (which copies
 // them into pooled buffers before the next Reset). Processing is
-// instantaneous in virtual time; use AttachNeutralizerScratchProc to
-// model a per-packet processing cost.
+// instantaneous in virtual time: SendPacketProc records the journey's
+// Proc trace component — the neutralizer's share of latency — as zero.
 func AttachNeutralizerScratch(node *netem.Node, n *core.Neutralizer) {
-	AttachNeutralizerScratchProc(node, n, 0)
-}
-
-// AttachNeutralizerScratchProc is AttachNeutralizerScratch with a
-// per-packet virtual processing cost: each output packet enters the
-// fabric proc after its trigger arrived, and the time is attributed to
-// the journey's Proc trace component — the neutralizer's processing
-// share of end-to-end latency, visible to the span assembler.
-func AttachNeutralizerScratchProc(node *netem.Node, n *core.Neutralizer, proc time.Duration) {
 	s := core.NewScratch()
 	node.SetHandler(func(now time.Time, pkt []byte) {
 		s.Reset()
@@ -429,7 +344,7 @@ func AttachNeutralizerScratchProc(node *netem.Node, n *core.Neutralizer, proc ti
 			if len(o.Pkt) < wire.IPv4HeaderLen {
 				continue
 			}
-			_ = node.SendPacketProc(node.NewPacket(o.Pkt), proc)
+			_ = node.SendPacketProc(node.NewPacket(o.Pkt), 0)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"time"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
 	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/onion"
@@ -28,7 +29,7 @@ func processRate(n int, neut *core.Neutralizer, pkts ...[]byte) float64 {
 // encryption plus nonce derivation per packet, exactly the per-packet
 // work of the paper's 24.4 kpps experiment.
 func RunE1() (*Result, error) {
-	env, err := NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +45,7 @@ func RunE1() (*Result, error) {
 // master key, each outside source needs one key setup per hour, so
 // capacity = setup rate × 3600.
 func RunE2() (*Result, error) {
-	env, err := NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +67,7 @@ func RunE2() (*Result, error) {
 // packet (derive Ks, expand it, one AES block), a packet of an
 // established flow finds the expanded key in the worker's cache.
 func RunE3() (*Result, error) {
-	env, err := NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +234,7 @@ func RunE4() (*Result, error) {
 // e=3) with the §3.2 alternative (neutralizer decrypts under its own
 // certified key).
 func RunA1() (*Result, error) {
-	env, err := NewBenchEnv(false, true)
+	env, err := benchenv.NewBenchEnv(false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -254,11 +255,11 @@ func RunA1() (*Result, error) {
 // work is offloaded to a willing customer (§3.2): stamping and forwarding
 // only.
 func RunA2() (*Result, error) {
-	local, err := NewBenchEnv(false, false)
+	local, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
-	off, err := NewBenchEnv(true, false)
+	off, err := benchenv.NewBenchEnv(true, false)
 	if err != nil {
 		return nil, err
 	}
@@ -302,20 +303,14 @@ func RunA3() (*Result, error) {
 		state += uint64(r.StateSize())
 	}
 
-	env, err := NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
 	// The neutralizer's equivalent of "200 flows": 200 data packets from
 	// distinct conversations — no setup beyond each source's single
 	// per-epoch key setup, and no state.
-	scratch := core.NewScratch()
-	for i := 0; i < flows; i++ {
-		scratch.Reset()
-		if _, err := env.Neut.ProcessScratch(scratch, env.DataPkt); err != nil {
-			return nil, err
-		}
-	}
+	processRate(flows, env.Neut, env.DataPkt)
 	neutSetups := env.Neut.Stats().KeySetups.Load()
 
 	res := &Result{ID: "A3", Title: "Neutralizer vs onion routing (3 hops)", Rows: []Row{

@@ -44,18 +44,10 @@ type ParScaleConfig struct {
 }
 
 func (c *ParScaleConfig) fill() {
-	if c.Hosts <= 0 {
-		c.Hosts = 10000
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Second
-	}
-	if c.RatePps <= 0 {
-		c.RatePps = 50000
-	}
-	if c.LocalPps <= 0 {
-		c.LocalPps = 100000
-	}
+	orDefault(&c.Hosts, 10000)
+	orDefault(&c.Duration, time.Second)
+	orDefault(&c.RatePps, 50000)
+	orDefault(&c.LocalPps, 100000)
 	if len(c.Workers) == 0 {
 		c.Workers = []int{1, 2, 4, 8}
 	}
@@ -75,44 +67,24 @@ type ParScaleStats struct {
 	Runs []ParScaleRun
 }
 
-// identityKey is the deterministic outcome a run must reproduce exactly
-// at every worker count. The last four words are the observation digest
-// (zero when the run was unobserved): recorder ticks, ring fingerprint,
-// flight-event fingerprint, final-registry fingerprint.
-func identityKey(st *MetroStats) [12]uint64 {
-	k := [12]uint64{
-		uint64(st.Sent), uint64(st.LocalSent), st.Delivered, st.Forwarded,
-		st.Dropped, st.ClassifierHits, st.SimEvents, st.PoolGets,
-	}
-	ok := st.Obs.key()
-	copy(k[8:], ok[:])
-	return k
-}
-
 // RunParScale sweeps the metro workload across worker counts and
 // enforces bit-identical outcomes; wall-clock scaling is recorded.
 func RunParScale(cfg ParScaleConfig) (*ParScaleStats, error) {
 	cfg.fill()
-	out := &ParScaleStats{Cfg: cfg}
-	var base *MetroStats
-	for _, w := range cfg.Workers {
-		st, err := RunMetro(MetroConfig{
+	runs, err := workerSweep("parscale", cfg.Workers, func(w int) (*MetroStats, error) {
+		return RunMetro(MetroConfig{
 			Hosts: cfg.Hosts, Seed: cfg.Seed, Duration: cfg.Duration,
 			RatePps: cfg.RatePps, LocalPps: cfg.LocalPps, Workers: w,
 			Observe: cfg.Observe,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("eval: parscale workers=%d: %w", w, err)
-		}
-		run := ParScaleRun{Workers: w, Stats: st}
-		if base == nil {
-			base = st
-		} else if identityKey(st) != identityKey(base) {
-			return nil, fmt.Errorf(
-				"eval: parscale determinism violated: workers=%d outcome %v != workers=%d outcome %v",
-				w, identityKey(st), base.Workers, identityKey(base))
-		}
-		if base.EventsPerSec > 0 {
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &ParScaleStats{Cfg: cfg}
+	for _, st := range runs {
+		run := ParScaleRun{Workers: st.Workers, Stats: st}
+		if base := runs[0]; base.EventsPerSec > 0 {
 			run.Speedup = st.EventsPerSec / base.EventsPerSec
 		}
 		out.Runs = append(out.Runs, run)
@@ -121,13 +93,7 @@ func RunParScale(cfg ParScaleConfig) (*ParScaleStats, error) {
 }
 
 // RunE9 is the registered parallel-scaling experiment.
-func RunE9() (*Result, error) {
-	st, err := RunParScale(ParScaleConfig{Seed: 9, Observe: true})
-	if err != nil {
-		return nil, err
-	}
-	return st.Result(), nil
-}
+func RunE9() (*Result, error) { return rows(RunParScale(ParScaleConfig{Seed: 9, Observe: true})) }
 
 // Result renders the sweep as the E9 rows.
 func (st *ParScaleStats) Result() *Result {
@@ -163,12 +129,11 @@ const parScaleTitle = "Parallel sharded engine: worker scaling with bit-identica
 // scheduled precisely so a mis-sized chunk cannot silently degrade the
 // workload to downstream-only.
 type ParMetroBench struct {
-	w        *metroWorld
-	rate     float64
-	perHost  float64
-	outSend  func(seq uint64)
-	hosts    []*netem.Node
-	hostSend []func(seq uint64)
+	w       *metroWorld
+	rate    float64
+	perHost float64
+	outSend func(seq uint64)
+	chat    chatter
 }
 
 // NewParMetroBench builds the fixture at the given host count and
@@ -179,25 +144,20 @@ func NewParMetroBench(hosts, workers int) (*ParMetroBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := w.fan
-	p := &ParMetroBench{
+	return &ParMetroBench{
 		w: w, rate: 40000, perHost: 80000 / float64(hosts),
-		outSend: trafficgen.CyclingSender(f.Outside[0], w.templates),
-	}
-	p.hosts, p.hostSend = chatterSenders(f)
-	return p, nil
+		outSend: trafficgen.CyclingSender(w.Fan.Outside[0], w.templates),
+		chat:    newChatter(w.Fan),
+	}, nil
 }
 
 // RunChunk schedules one chunk of downstream and intra-subtree load,
 // advances the simulation through it, and returns the number of packets
 // scheduled (callers should reject a chunk that scheduled no chatter).
 func (p *ParMetroBench) RunChunk(d time.Duration) int {
-	sent := trafficgen.OpenLoop{RatePps: p.rate}.Run(p.w.fan.Outside[0], d, p.outSend)
-	local := 0
-	for i, host := range p.hosts {
-		local += trafficgen.OpenLoop{RatePps: p.perHost}.Run(host, d, p.hostSend[i])
-	}
-	p.w.sim.RunFor(d)
+	sent := trafficgen.OpenLoop{RatePps: p.rate}.Run(p.w.Fan.Outside[0], d, p.outSend)
+	local := p.chat.offer(p.perHost, d)
+	p.w.Sim.RunFor(d)
 	if local == 0 {
 		return 0 // chunk shorter than the per-host interval: wrong workload
 	}
@@ -205,4 +165,4 @@ func (p *ParMetroBench) RunChunk(d time.Duration) int {
 }
 
 // Events reports the engine's cumulative event count.
-func (p *ParMetroBench) Events() uint64 { return p.w.sim.EventsProcessed() }
+func (p *ParMetroBench) Events() uint64 { return p.w.Sim.EventsProcessed() }

@@ -58,8 +58,8 @@ func TestE6WorkerIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if identityKey(a) != identityKey(b) {
-		t.Fatalf("E6 outcome differs across workers: %v vs %v", identityKey(a), identityKey(b))
+	if a.identityKey() != b.identityKey() {
+		t.Fatalf("E6 outcome differs across workers: %v vs %v", a.identityKey(), b.identityKey())
 	}
 	if a.Obs == nil || b.Obs == nil || *a.Obs != *b.Obs {
 		t.Fatalf("observation digest differs across workers:\n workers=1: %+v\n workers=4: %+v", a.Obs, b.Obs)

@@ -27,7 +27,6 @@ import (
 	"netneutral/internal/dnssim"
 	"netneutral/internal/dpi"
 	"netneutral/internal/e2e"
-	"netneutral/internal/endhost"
 	"netneutral/internal/netem"
 	"netneutral/internal/obs"
 	"netneutral/internal/simnet"
@@ -51,15 +50,9 @@ type RealProtoConfig struct {
 }
 
 func (c *RealProtoConfig) fill() {
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	if c.Requests <= 0 {
-		c.Requests = 3
-	}
-	if c.Trials <= 0 {
-		c.Trials = 8
-	}
+	orDefault(&c.Clients, 4)
+	orDefault(&c.Requests, 3)
+	orDefault(&c.Trials, 8)
 }
 
 // realDNSResult is the DNS phase's measurement: a blocking ConnClient
@@ -120,7 +113,7 @@ var quietHTTPLog = log.New(io.Discard, "", 0)
 // missing name must surface ErrNoSuchName; a query to a dead port must
 // end in a virtual-time read deadline.
 func runRealDNS(seed int64) (*realDNSResult, error) {
-	env, err := newFanoutEnv(seed, netem.FanoutSpec{Hosts: 1, Outside: 2})
+	env, err := newFanoutEnv(seed, netem.FanoutSpec{Hosts: 1, Outside: 2}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -204,13 +197,7 @@ func runRealDNS(seed int64) (*realDNSResult, error) {
 // per-client flows.
 func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 	// Train the statistical adversary exactly as E7/E8 do.
-	acfg := ArmsConfig{FlowsPerClass: 8, Seed: cfg.Seed + 42, Duration: 2 * time.Second}
-	acfg.fill()
-	samples, _, err := armsSamples(acfg, ModeEncrypted, 1)
-	if err != nil {
-		return nil, err
-	}
-	cls, err := dpi.Train(samples)
+	cls, _, err := trainClassifier(calibrationConfig(cfg.Seed + 42))
 	if err != nil {
 		return nil, err
 	}
@@ -219,22 +206,12 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 	env, err := newFanoutEnv(cfg.Seed+1, netem.FanoutSpec{
 		Hosts: cfg.Clients, Outside: cfg.Clients + 1,
 		HostLink: link, EdgeLink: link, TransitLink: link, OutsideLink: link,
-	})
+	}, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := env.attachNeutralizer(); err != nil {
-		return nil, err
-	}
 	f := env.Fan
-
-	tab := dpi.NewFlowTable(dpi.Config{Classifier: cls, MinPackets: 8, ReclassifyEvery: 8})
-	f.Transit.AddTransitHook(func(now time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
-		if key, fwd, ok := netem.FlowKeyOf(pkt); ok {
-			tab.Observe(key, fwd, len(pkt), now.UnixNano())
-		}
-		return netem.Deliver
-	})
+	tab := env.tapAtTransit(dpiTableConfig(cls))
 
 	n := simnet.New(env.Sim)
 
@@ -251,14 +228,7 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 	servers := make([]*http.Server, 0, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
-		id, err := e2e.NewIdentity(detRand(cfg.Seed+500+int64(i)), 0)
-		if err != nil {
-			return nil, err
-		}
-		host, err := endhost.NewHost(endhost.Config{
-			Addr: f.HostAddr(i), Transport: HostTransport(f.Hosts[i]), Identity: id,
-			Clock: env.Sim.Now, Rand: detRand(cfg.Seed + 600 + int64(i)),
-		})
+		host, err := newEndhost(env.Sim, f.Hosts[i], cfg.Seed+500+int64(i), cfg.Seed+600+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -289,14 +259,7 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 	oks := make([]int, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		i := i
-		cid, err := e2e.NewIdentity(detRand(cfg.Seed+700+int64(i)), 0)
-		if err != nil {
-			return nil, err
-		}
-		chost, err := endhost.NewHost(endhost.Config{
-			Addr: f.OutsideAddr(i), Transport: HostTransport(f.Outside[i]), Identity: cid,
-			Clock: env.Sim.Now, Rand: detRand(cfg.Seed + 800 + int64(i)),
-		})
+		chost, err := newEndhost(env.Sim, f.Outside[i], cfg.Seed+700+int64(i), cfg.Seed+800+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -335,26 +298,14 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for r := 0; r < cfg.Requests; r++ {
-					req, err := http.NewRequest("GET", fmt.Sprintf("http://%s/doc/%d", rec.Addr, r), nil)
-					if err != nil {
-						return err
-					}
 					t0 := n.Now()
-					if err := req.Write(conn); err != nil {
+					status, body, err := httpGet(conn, br, fmt.Sprintf("http://%s/doc/%d", rec.Addr, r), false)
+					if err != nil {
 						return fmt.Errorf("request %d: %w", r, err)
 					}
-					resp, err := http.ReadResponse(br, req)
-					if err != nil {
-						return fmt.Errorf("response %d: %w", r, err)
-					}
-					body, err := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if err != nil {
-						return fmt.Errorf("body %d: %w", r, err)
-					}
 					want := []byte(fmt.Sprintf("served /doc/%d", r))
-					if resp.StatusCode != http.StatusOK || !bytes.Contains(body, want) {
-						return fmt.Errorf("request %d: status %d, body %q...", r, resp.StatusCode, body[:min(len(body), 40)])
+					if status != http.StatusOK || !bytes.Contains(body, want) {
+						return fmt.Errorf("request %d: status %d, body %q...", r, status, body[:min(len(body), 40)])
 					}
 					rtts[i] += n.Now().Sub(t0)
 					oks[i]++
@@ -387,7 +338,7 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 	// Harvest the transit tap: a neutralized client's flow is the
 	// (outside addr, anycast) shim pair in both directions.
 	for i := 0; i < cfg.Clients; i++ {
-		key, err := netem.FlowKeyFrom(f.OutsideAddr(i), f.Spec.Anycast, wire.ProtoShim)
+		key, err := env.flowKey(f.OutsideAddr(i), f.HostAddr(i), ModeEncrypted)
 		if err != nil {
 			return nil, err
 		}
@@ -397,6 +348,30 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// httpGet speaks one GET over an established stream with net/http's own
+// codec and returns the status and the whole body; last closes the
+// stream after the response.
+func httpGet(conn io.Writer, br *bufio.Reader, url string, last bool) (int, []byte, error) {
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	req.Close = last
+	if err := req.Write(conn); err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		return 0, nil, fmt.Errorf("response: %w", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, fmt.Errorf("body: %w", err)
+	}
+	return resp.StatusCode, body, nil
 }
 
 // runRealAuditCell measures one audit cell over genuine HTTP traffic: a
@@ -414,7 +389,7 @@ func runRealAuditCell(seed int64, trials int, throttle bool) (audit.Verdict, Rea
 	env, err := newFanoutEnv(seed, netem.FanoutSpec{
 		Hosts: 1, Outside: 2,
 		HostLink: link, EdgeLink: link, TransitLink: link, OutsideLink: link,
-	})
+	}, false)
 	if err != nil {
 		return audit.Verdict{}, tc, err
 	}
@@ -472,22 +447,10 @@ func runRealAuditCell(seed int64, trials int, throttle bool) (audit.Verdict, Rea
 					if err != nil {
 						return err
 					}
-					req, err := http.NewRequest("GET", fmt.Sprintf("http://%s/?n=%d", f.HostAddr(0), size), nil)
-					if err != nil {
-						conn.Close()
-						return err
-					}
-					req.Close = true
 					t0 := n.Now()
-					got := 0
-					if err := req.Write(conn); err == nil {
-						if resp, err := http.ReadResponse(bufio.NewReader(conn), req); err == nil {
-							if body, err := io.ReadAll(resp.Body); err == nil {
-								got = len(body)
-							}
-							resp.Body.Close()
-						}
-					}
+					// A failed exchange delivered nothing: that is the sample.
+					_, body, _ := httpGet(conn, bufio.NewReader(conn), fmt.Sprintf("http://%s/?n=%d", f.HostAddr(0), size), true)
+					got := len(body)
 					lat := n.Now().Sub(t0)
 					conn.Close()
 					tr := &rep.Trials[t]
@@ -529,37 +492,25 @@ func verifyRealTrace(fr *obs.FlightRecorder) (RealTraceCheck, error) {
 	if ev := fr.Evicted(); ev != 0 {
 		return tc, fmt.Errorf("flight ring evicted %d events; tracing was not lossless", ev)
 	}
-	for _, sp := range obs.AssembleSpans(fr.Events()) {
-		for i := range sp.Journeys {
-			j := &sp.Journeys[i]
-			if !j.Complete() {
-				continue
-			}
-			if sum, e2e := j.AttrSumNanos(), j.EndToEndNanos(); sum != e2e {
-				return tc, fmt.Errorf("attribution invariant: flow %016x journey %d: components sum to %dns, end-to-end delay %dns",
-					sp.Flow, j.ID, sum, e2e)
-			}
-			tc.Journeys++
-			var pol int64
-			for h := range j.Hops {
-				if j.Hops[h].Cause == uint8(netem.CauseRule) && j.Hops[h].PolicyNanos > 0 {
-					pol += j.Hops[h].PolicyNanos
-				}
-			}
-			if pol > 0 {
-				if pol != int64(20*time.Millisecond) {
-					return tc, fmt.Errorf("throttled journey %d of flow %016x attributed %dns of policy delay, want exactly 20ms",
-						j.ID, sp.Flow, pol)
-				}
-				tc.Throttled++
-				tc.ThrottleDelay += time.Duration(pol)
+	err := checkAttribution(fr.Events(), nil, 0, func(flow uint64, j *obs.Journey) error {
+		tc.Journeys++
+		var pol int64
+		for h := range j.Hops {
+			if j.Hops[h].Cause == uint8(netem.CauseRule) && j.Hops[h].PolicyNanos > 0 {
+				pol += j.Hops[h].PolicyNanos
 			}
 		}
-	}
-	if tc.Journeys == 0 {
-		return tc, fmt.Errorf("no journeys traced")
-	}
-	return tc, nil
+		if pol > 0 {
+			if pol != int64(20*time.Millisecond) {
+				return fmt.Errorf("throttled journey %d of flow %016x attributed %dns of policy delay, want exactly 20ms",
+					j.ID, flow, pol)
+			}
+			tc.Throttled++
+			tc.ThrottleDelay += time.Duration(pol)
+		}
+		return nil
+	})
+	return tc, err
 }
 
 // RunRealProto runs all three E10 phases and enforces the self-checks:
@@ -592,13 +543,9 @@ func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 
 // verifyRealProto is E10's self-check, the same contract E6/E7/E8 use.
 func verifyRealProto(st *RealProtoStats) error {
-	type check struct {
-		ok  bool
-		msg string
-	}
 	// DNS path: two 1ms hops each way, one datagram per direction.
 	const dnsRTT = 4 * time.Millisecond
-	checks := []check{
+	return firstFailed("realproto", []check{
 		{st.DNS.PlainRTT == dnsRTT,
 			fmt.Sprintf("plain dns rtt = %v, want exactly %v (virtual time)", st.DNS.PlainRTT, dnsRTT)},
 		{st.DNS.EncRTT == dnsRTT,
@@ -627,13 +574,7 @@ func verifyRealProto(st *RealProtoStats) error {
 		{st.ThrottledTrace.ThrottleDelay == time.Duration(st.ThrottledTrace.Throttled)*20*time.Millisecond,
 			fmt.Sprintf("throttled cell trace: attributed %v over %d throttled journeys, want exactly 20ms each",
 				st.ThrottledTrace.ThrottleDelay, st.ThrottledTrace.Throttled)},
-	}
-	for _, c := range checks {
-		if !c.ok {
-			return fmt.Errorf("eval: realproto: %s", c.msg)
-		}
-	}
-	return nil
+	})
 }
 
 // classHistString renders the DPI class histogram deterministically.
@@ -657,13 +598,7 @@ func classHistString(hist *[dpi.NumClasses + 1]int) string {
 var realProtoTitle = "Real protocol stacks over the sim (net/http + DNS vs DPI and audit)"
 
 // RunE10 is the registered real-protocol experiment.
-func RunE10() (*Result, error) {
-	st, err := RunRealProto(RealProtoConfig{Seed: 10})
-	if err != nil {
-		return nil, err
-	}
-	return st.Result(), nil
-}
+func RunE10() (*Result, error) { return rows(RunRealProto(RealProtoConfig{Seed: 10})) }
 
 // Result renders the run as the E10 rows; every figure is virtual-time
 // or a count, so the rows replay byte-identically per seed.

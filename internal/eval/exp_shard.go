@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"time"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
 )
 
@@ -21,7 +22,7 @@ const shardBatchSources = 64
 
 // RunE5 measures ProcessBatch throughput as the worker count grows.
 func RunE5() (*Result, error) {
-	env, err := NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -33,13 +34,7 @@ func RunE5() (*Result, error) {
 
 	// Serial baseline: one worker, one scratch, packet at a time.
 	const serialPasses = 40
-	scratch := core.NewScratch()
-	rate := measureRate(serialPasses*len(pkts), func(i int) {
-		if i%len(pkts) == 0 {
-			scratch.Reset()
-		}
-		env.Neut.ProcessScratch(scratch, pkts[i%len(pkts)])
-	})
+	rate := processRate(serialPasses*len(pkts), env.Neut, pkts...)
 	res.Rows = append(res.Rows, Row{
 		Metric: "serial ProcessScratch", Paper: "-", Measured: kpps(rate),
 		Note: "zero-alloc path, one worker",

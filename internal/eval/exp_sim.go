@@ -2,12 +2,13 @@ package eval
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"time"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
-	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/crypto/keys"
 	"netneutral/internal/diffserv"
 	"netneutral/internal/dnssim"
@@ -25,17 +26,13 @@ import (
 
 // figure1World is the topology of the paper's Figure 1: an outside user
 // (Ann, in AT&T), a discriminatory transit router, and a supportive ISP
-// (Cogent) hosting a neutralizer and several customers.
+// (Cogent) whose border hosts a neutralizer before several customers.
 type figure1World struct {
-	sim     *netem.Simulator
-	ann     *netem.Node
-	att     *netem.Node // discriminatory router
-	border  *netem.Node // Cogent border; hosts the neutralizer
-	google  *netem.Node
-	youtube *netem.Node
-	vonage  *netem.Node
-	neut    *core.Neutralizer
-	sched   *keys.Schedule
+	sim    *netem.Simulator
+	ann    *netem.Node
+	att    *netem.Node // discriminatory router
+	google *netem.Node
+	vonage *netem.Node
 }
 
 var (
@@ -53,65 +50,69 @@ func newFigure1World(seed int64) (*figure1World, error) {
 	w.sim = netem.NewSimulator(benchStart, seed)
 	w.ann = w.sim.MustAddNode("ann", "att", f1Ann)
 	w.att = w.sim.MustAddNode("att-core", "att", f1Att)
-	w.border = w.sim.MustAddNode("cogent-border", "cogent")
+	border := w.sim.MustAddNode("cogent-border", "cogent")
 	w.google = w.sim.MustAddNode("google", "cogent", f1Google)
-	w.youtube = w.sim.MustAddNode("youtube", "cogent", f1YouTube)
+	youtube := w.sim.MustAddNode("youtube", "cogent", f1YouTube)
 	w.vonage = w.sim.MustAddNode("vonage", "cogent", f1Vonage)
 	w.sim.Connect(w.ann, w.att, netem.LinkConfig{Delay: 2 * time.Millisecond})
-	w.sim.Connect(w.att, w.border, netem.LinkConfig{Delay: 8 * time.Millisecond})
-	w.sim.Connect(w.border, w.google, netem.LinkConfig{Delay: 2 * time.Millisecond})
-	w.sim.Connect(w.border, w.youtube, netem.LinkConfig{Delay: 2 * time.Millisecond})
-	w.sim.Connect(w.border, w.vonage, netem.LinkConfig{Delay: 2 * time.Millisecond})
-	w.sim.AddAnycast(f1Anycast, w.border)
+	w.sim.Connect(w.att, border, netem.LinkConfig{Delay: 8 * time.Millisecond})
+	w.sim.Connect(border, w.google, netem.LinkConfig{Delay: 2 * time.Millisecond})
+	w.sim.Connect(border, youtube, netem.LinkConfig{Delay: 2 * time.Millisecond})
+	w.sim.Connect(border, w.vonage, netem.LinkConfig{Delay: 2 * time.Millisecond})
+	w.sim.AddAnycast(f1Anycast, border)
 	w.sim.BuildRoutes()
 
-	w.sched = keys.NewSchedule(aesutil.Key{7}, benchStart, time.Hour)
-	var err error
-	w.neut, err = core.New(core.Config{
-		Schedule:   w.sched,
+	neut, err := core.New(core.Config{
+		Schedule:   benchenv.NewSchedule(),
 		Anycast:    f1Anycast,
-		IsCustomer: func(a netip.Addr) bool { return f1CustNet.Contains(a) },
+		IsCustomer: f1CustNet.Contains,
 		Clock:      w.sim.Now,
 		Rand:       detRand(seed + 1),
 	})
 	if err != nil {
 		return nil, err
 	}
-	AttachNeutralizerScratch(w.border, w.neut)
+	AttachNeutralizerScratch(border, neut)
 	return w, nil
 }
 
-// newHost builds an endhost on a node.
-func (w *figure1World) newHost(node *netem.Node, seed int64, onData func(netip.Addr, []byte)) (*endhost.Host, error) {
-	id, err := e2e.NewIdentity(detRand(seed), 0)
+// newHost stands an endhost on a node of the world.
+func (w *figure1World) newHost(node *netem.Node, seed int64) (*endhost.Host, error) {
+	h, err := newEndhost(w.sim, node, seed, seed+100)
 	if err != nil {
 		return nil, err
 	}
-	h, err := endhost.NewHost(endhost.Config{
-		Addr:      node.Addr(),
-		Transport: HostTransport(node),
-		Identity:  id,
-		Clock:     w.sim.Now,
-		Rand:      detRand(seed + 100),
-		OnData:    onData,
-	})
-	if err != nil {
-		return nil, err
-	}
-	AttachHost(node, h)
+	node.SetHandler(h.HandlePacket)
 	return h, nil
 }
 
-func plainUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: sport, DstPort: dport},
-	); err != nil {
-		panic(err)
+// keySetup stands an endhost on the peer's node and one on Ann's and
+// walks Ann through Figure 2(a): a virtual second later she should hold
+// a provisional conduit, ready to Connect to the peer.
+func (w *figure1World) keySetup(peerNode *netem.Node, peerSeed, annSeed int64) (ann, peer *endhost.Host, err error) {
+	if peer, err = w.newHost(peerNode, peerSeed); err != nil {
+		return nil, nil, err
 	}
-	return buf.Bytes()
+	if ann, err = w.newHost(w.ann, annSeed); err != nil {
+		return nil, nil, err
+	}
+	if err = ann.Setup(f1Anycast); err != nil {
+		return nil, nil, err
+	}
+	w.sim.RunFor(time.Second)
+	return ann, peer, nil
+}
+
+// f1Watch puts Figure 1's discriminatory ISP on the transit router: an
+// eavesdropper, then the rule killing everything addressed to Google.
+func f1Watch(w *figure1World) (*isp.Policy, *isp.Eavesdropper) {
+	policy := isp.NewPolicy(nil,
+		isp.Rule{Name: "target-google", Match: isp.MatchDstAddr(f1Google), Action: isp.Action{DropProb: 1}},
+	)
+	eav := isp.NewEavesdropper()
+	w.att.AddTransitHook(eav.Hook())
+	w.att.AddTransitHook(policy.Hook())
+	return policy, eav
 }
 
 // RunF1 reproduces Figure 1's claim: with plain addressing a
@@ -124,12 +125,7 @@ func RunF1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy := isp.NewPolicy(nil,
-		isp.Rule{Name: "target-google", Match: isp.MatchDstAddr(f1Google), Action: isp.Action{DropProb: 1}},
-	)
-	eav := isp.NewEavesdropper()
-	w.att.AddTransitHook(eav.Hook())
-	w.att.AddTransitHook(policy.Hook())
+	policy, eav := f1Watch(w)
 	deliveredPlain := 0
 	w.google.SetHandler(func(time.Time, []byte) { deliveredPlain++ })
 	const attempts = 20
@@ -147,33 +143,20 @@ func RunF1() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy2 := isp.NewPolicy(nil,
-		isp.Rule{Name: "target-google", Match: isp.MatchDstAddr(f1Google), Action: isp.Action{DropProb: 1}},
-	)
-	eav2 := isp.NewEavesdropper()
-	w2.att.AddTransitHook(eav2.Hook())
-	w2.att.AddTransitHook(policy2.Hook())
+	policy2, eav2 := f1Watch(w2)
 
 	received := 0
-	googleHost, err := w2.newHost(w2.google, 31, nil)
+	annHost, googleHost, err := w2.keySetup(w2.google, 31, 32)
 	if err != nil {
 		return nil, err
 	}
-	annHost, err := w2.newHost(w2.ann, 32, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := annHost.Setup(f1Anycast); err != nil {
-		return nil, err
-	}
-	w2.sim.RunFor(time.Second)
 	if !annHost.HasConduit(f1Anycast) {
 		return nil, fmt.Errorf("F1: key setup did not complete")
 	}
-	if err := annHost.Connect(f1Anycast, f1Google, googlePub(googleHost)); err != nil {
+	if err := annHost.Connect(f1Anycast, f1Google, googleHost.Identity()); err != nil {
 		return nil, err
 	}
-	setHostOnData(googleHost, func(peer netip.Addr, data []byte) { received++ })
+	googleHost.SetOnData(func(peer netip.Addr, data []byte) { received++ })
 	for i := 0; i < attempts; i++ {
 		w2.sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
 			_ = annHost.Send(f1Google, []byte("GET /"))
@@ -197,12 +180,6 @@ func RunF1() (*Result, error) {
 	}}, nil
 }
 
-// The endhost API takes (neut, peer, pub); tiny adapters keep RunF1
-// readable while the host wiring stays explicit.
-func googlePub(h *endhost.Host) e2e.PublicKey { return h.Identity() }
-
-func setHostOnData(h *endhost.Host, fn func(netip.Addr, []byte)) { h.SetOnData(fn) }
-
 // RunF2 walks the full Figure 2 protocol on the emulated topology and
 // asserts, packet by packet, what the discriminatory ISP could see.
 func RunF2() (*Result, error) {
@@ -217,27 +194,18 @@ func RunF2() (*Result, error) {
 	})
 
 	var googleGot, annGot []byte
-	googleHost, err := w.newHost(w.google, 41, nil)
+	annHost, googleHost, err := w.keySetup(w.google, 41, 42)
 	if err != nil {
 		return nil, err
 	}
-	setHostOnData(googleHost, func(peer netip.Addr, data []byte) {
+	googleHost.SetOnData(func(peer netip.Addr, data []byte) {
 		googleGot = bytes.Clone(data)
 		_ = googleHost.Send(peer, []byte("REPLY-SECRET"))
 	})
-	annHost, err := w.newHost(w.ann, 42, nil)
-	if err != nil {
-		return nil, err
-	}
-	setHostOnData(annHost, func(_ netip.Addr, data []byte) { annGot = bytes.Clone(data) })
-
-	if err := annHost.Setup(f1Anycast); err != nil {
-		return nil, err
-	}
-	w.sim.RunFor(time.Second)
+	annHost.SetOnData(func(_ netip.Addr, data []byte) { annGot = bytes.Clone(data) })
 	setupOK := annHost.HasConduit(f1Anycast) && annHost.ConduitProvisional(f1Anycast)
 
-	if err := annHost.Connect(f1Anycast, f1Google, googlePub(googleHost)); err != nil {
+	if err := annHost.Connect(f1Anycast, f1Google, googleHost.Identity()); err != nil {
 		return nil, err
 	}
 	if err := annHost.Send(f1Google, []byte("FORWARD-SECRET")); err != nil {
@@ -257,12 +225,6 @@ func RunF2() (*Result, error) {
 	}
 	refresh := !annHost.ConduitProvisional(f1Anycast)
 
-	pass := func(b bool) string {
-		if b {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	return &Result{ID: "F2", Title: "Protocol walk (Figure 2)", Rows: []Row{
 		{Metric: "2a: setup yields provisional (nonce, Ks)", Paper: "steps 1-2",
 			Measured: pass(setupOK), Note: "RSA-512 one-time key, stateless derivation"},
@@ -281,18 +243,21 @@ func RunF2() (*Result, error) {
 
 // RunA4 quantifies the introduction's Vonage story with MOS scores.
 func RunA4() (*Result, error) {
-	run := func(neutralized bool, seed int64) (float64, error) {
+	// run scores one 150-frame call from Ann to the Vonage server.
+	run := func(degrade, neutralized bool, seed int64) (float64, error) {
 		w, err := newFigure1World(seed)
 		if err != nil {
 			return 0, err
 		}
-		// The ISP degrades traffic addressed to the competitor's VoIP
-		// server: 12% loss plus 150ms delay.
-		policy := isp.NewPolicy(w.sim.Rand(),
-			isp.Rule{Name: "degrade-vonage", Match: isp.MatchDstAddr(f1Vonage),
-				Action: isp.Action{DropProb: 0.12, Delay: 150 * time.Millisecond}},
-		)
-		w.att.AddTransitHook(policy.Hook())
+		if degrade {
+			// The ISP degrades traffic addressed to the competitor's VoIP
+			// server: 12% loss plus 150ms delay.
+			policy := isp.NewPolicy(w.sim.Rand(),
+				isp.Rule{Name: "degrade-vonage", Match: isp.MatchDstAddr(f1Vonage),
+					Action: isp.Action{DropProb: 0.12, Delay: 150 * time.Millisecond}},
+			)
+			w.att.AddTransitHook(policy.Hook())
+		}
 
 		const frames = 150
 		var lost measure.LossCounter
@@ -300,97 +265,54 @@ func RunA4() (*Result, error) {
 		frameAt := func(seq uint64) time.Time {
 			return benchStart.Add(2*time.Second + time.Duration(seq)*20*time.Millisecond)
 		}
-
-		if !neutralized {
-			w.vonage.SetHandler(func(now time.Time, pkt []byte) {
-				if payload := deliveredPayload(pkt); len(payload) >= 8 {
-					lost.Received++
-					delays.Add(now.Sub(frameAt(seqOf(payload))))
-				}
-			})
-			for i := 0; i < frames; i++ {
-				seq := uint64(i)
-				w.sim.ScheduleAt(frameAt(seq), func() {
-					lost.Sent++
-					payload := make([]byte, 160)
-					putSeq(payload, seq)
-					_ = w.ann.Send(plainUDP(f1Ann, f1Vonage, 7078, 7078, payload))
-				})
+		received := func(now time.Time, payload []byte) {
+			if len(payload) >= 8 {
+				lost.Received++
+				delays.Add(now.Sub(frameAt(binary.BigEndian.Uint64(payload))))
 			}
-			w.sim.Run()
-		} else {
-			vonageHost, err := w.newHost(w.vonage, seed+50, nil)
-			if err != nil {
-				return 0, err
-			}
-			setHostOnData(vonageHost, func(_ netip.Addr, data []byte) {
-				if len(data) >= 8 {
-					lost.Received++
-					delays.Add(w.sim.Now().Sub(frameAt(seqOf(data))))
-				}
-			})
-			annHost, err := w.newHost(w.ann, seed+60, nil)
-			if err != nil {
-				return 0, err
-			}
-			if err := annHost.Setup(f1Anycast); err != nil {
-				return 0, err
-			}
-			w.sim.RunFor(time.Second)
-			if err := annHost.Connect(f1Anycast, f1Vonage, googlePub(vonageHost)); err != nil {
-				return 0, err
-			}
-			for i := 0; i < frames; i++ {
-				seq := uint64(i)
-				w.sim.ScheduleAt(frameAt(seq), func() {
-					lost.Sent++
-					payload := make([]byte, 160)
-					putSeq(payload, seq)
-					_ = annHost.Send(f1Vonage, payload)
-				})
-			}
-			w.sim.Run()
 		}
+		send := func(payload []byte) { _ = w.ann.Send(plainUDP(f1Ann, f1Vonage, 7078, 7078, payload)) }
+		if !neutralized {
+			w.vonage.SetHandler(func(now time.Time, pkt []byte) { received(now, deliveredPayload(pkt)) })
+		} else {
+			annHost, vonageHost, err := w.keySetup(w.vonage, seed+50, seed+60)
+			if err != nil {
+				return 0, err
+			}
+			vonageHost.SetOnData(func(_ netip.Addr, data []byte) { received(w.sim.Now(), data) })
+			if err := annHost.Connect(f1Anycast, f1Vonage, vonageHost.Identity()); err != nil {
+				return 0, err
+			}
+			send = func(payload []byte) { _ = annHost.Send(f1Vonage, payload) }
+		}
+		for i := 0; i < frames; i++ {
+			seq := uint64(i)
+			w.sim.ScheduleAt(frameAt(seq), func() {
+				lost.Sent++
+				payload := make([]byte, 160)
+				binary.BigEndian.PutUint64(payload, seq)
+				send(payload)
+			})
+		}
+		w.sim.Run()
 		return measure.MOS(delays.Mean(), lost.Loss()), nil
 	}
 
-	degraded, err := run(false, 61)
+	degraded, err := run(true, false, 61)
 	if err != nil {
 		return nil, err
 	}
-	cured, err := run(true, 62)
+	cured, err := run(true, true, 62)
 	if err != nil {
 		return nil, err
 	}
 	// The ISP's own VoIP service: same topology, no rule applies (its
 	// server is local; approximate with the clean path to Vonage without
 	// the rule).
-	wOwn, err := newFigure1World(63)
+	ownMOS, err := run(false, false, 63)
 	if err != nil {
 		return nil, err
 	}
-	var lostOwn measure.LossCounter
-	var delaysOwn measure.Histogram
-	frameAt := func(seq uint64) time.Time {
-		return benchStart.Add(time.Duration(seq) * 20 * time.Millisecond)
-	}
-	wOwn.vonage.SetHandler(func(now time.Time, pkt []byte) {
-		if payload := deliveredPayload(pkt); len(payload) >= 8 {
-			lostOwn.Received++
-			delaysOwn.Add(now.Sub(frameAt(seqOf(payload))))
-		}
-	})
-	for i := 0; i < 150; i++ {
-		seq := uint64(i)
-		wOwn.sim.ScheduleAt(frameAt(seq), func() {
-			lostOwn.Sent++
-			payload := make([]byte, 160)
-			putSeq(payload, seq)
-			_ = wOwn.ann.Send(plainUDP(f1Ann, f1Vonage, 7078, 7078, payload))
-		})
-	}
-	wOwn.sim.Run()
-	ownMOS := measure.MOS(delaysOwn.Mean(), lostOwn.Loss())
 
 	return &Result{ID: "A4", Title: "Targeted VoIP degradation (Vonage story)", Rows: []Row{
 		{Metric: "ISP's own VoIP MOS", Paper: "high", Measured: fmt.Sprintf("%.2f", ownMOS), Note: "undisturbed path"},
@@ -401,18 +323,12 @@ func RunA4() (*Result, error) {
 	}}, nil
 }
 
-func putSeq(p []byte, seq uint64) {
-	for i := 0; i < 8; i++ {
-		p[i] = byte(seq >> (8 * (7 - i)))
+// pass words a protocol-walk assertion for its row.
+func pass(b bool) string {
+	if b {
+		return "pass"
 	}
-}
-
-func seqOf(p []byte) uint64 {
-	var s uint64
-	for i := 0; i < 8; i++ {
-		s = s<<8 | uint64(p[i])
-	}
-	return s
+	return "FAIL"
 }
 
 // RunA5 reproduces the §3.6 DoS story: a key-setup flood starves
@@ -664,21 +580,25 @@ func RunA7() (*Result, error) {
 	}}, nil
 }
 
+// markDSCP rewrites p's DSCP in place and repairs the header checksum.
+func markDSCP(p []byte, dscp uint8) []byte {
+	p[1] = dscp << 2
+	p[10], p[11] = 0, 0
+	c := wire.Checksum(p[:wire.IPv4HeaderLen])
+	p[10], p[11] = byte(c>>8), byte(c)
+	return p
+}
+
 // RunA8 demonstrates §3.4 end to end: DSCP-tiered service works through
 // the neutralizer, and guaranteed service is recovered via dynamic
 // addresses.
 func RunA8() (*Result, error) {
 	// (1) DSCP preservation.
-	env, err := NewBenchEnv(false, false)
+	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
 	}
-	marked := make([]byte, len(env.DataPkt))
-	copy(marked, env.DataPkt)
-	marked[1] = diffserv.DSCPExpedited << 2
-	marked[10], marked[11] = 0, 0
-	ck := wire.Checksum(marked[:wire.IPv4HeaderLen])
-	marked[10], marked[11] = byte(ck>>8), byte(ck)
+	marked := markDSCP(bytes.Clone(env.DataPkt), diffserv.DSCPExpedited)
 	outs, err := env.Neut.ProcessScratch(core.NewScratch(), marked)
 	if err != nil {
 		return nil, err
@@ -701,12 +621,7 @@ func RunA8() (*Result, error) {
 	got := map[uint8]int{}
 	b.SetHandler(func(_ time.Time, pkt []byte) { got[pkt[1]>>2]++ })
 	mk := func(dscp uint8) []byte {
-		p := plainUDP(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, make([]byte, 100))
-		p[1] = dscp << 2
-		p[10], p[11] = 0, 0
-		c := wire.Checksum(p[:wire.IPv4HeaderLen])
-		p[10], p[11] = byte(c>>8), byte(c)
-		return p
+		return markDSCP(plainUDP(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, make([]byte, 100)), dscp)
 	}
 	for i := 0; i < 40; i++ {
 		sim.Schedule(time.Duration(i)*12800*time.Microsecond, func() {
@@ -727,12 +642,6 @@ func RunA8() (*Result, error) {
 	errA := tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: dynA, Dst: outside}, RateBps: 64_000})
 	errB := tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: dynB, Dst: outside}, RateBps: 64_000})
 
-	pass := func(b bool) string {
-		if b {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	return &Result{ID: "A8", Title: "Tiered + guaranteed service (§3.4)", Rows: []Row{
 		{Metric: "neutralizer preserves DSCP", Paper: "yes", Measured: pass(dscpPreserved), Note: ""},
 		{Metric: "EF vs BE delivery under 2x congestion", Paper: "EF wins",

@@ -82,9 +82,7 @@ func TestGoldenRows(t *testing.T) {
 			return goldenText(st.Result()), nil
 		}},
 		{id: "E8", slow: true, run: func() (string, error) {
-			cfg := reducedAuditConfig(7)
-			cfg.Observe = true
-			st, err := RunAudit(cfg)
+			st, err := reducedAudit()
 			if err != nil {
 				return "", err
 			}

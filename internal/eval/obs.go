@@ -13,6 +13,9 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"io"
 	"math"
 	"time"
 
@@ -33,8 +36,12 @@ type observation struct {
 // (interval-gated on virtual time); the flight recorder samples 1-in-64
 // packet events per shard stripe. Both are pure observers: attaching
 // them must not change any run outcome, and what they record is itself
-// bit-identical at every worker count.
-func attachObservation(sim *netem.Simulator) *observation {
+// bit-identical at every worker count. With on false (a config's Observe
+// switch) nothing is attached and the nil observation digests to nil.
+func attachObservation(sim *netem.Simulator, on bool) *observation {
+	if !on {
+		return nil
+	}
 	rec := obs.NewRecorder(sim.Metrics(), obs.RecorderConfig{
 		RingSize: 512, Interval: time.Millisecond,
 	})
@@ -44,21 +51,6 @@ func attachObservation(sim *netem.Simulator) *observation {
 	fr.Register(sim.Metrics())
 	sim.AttachFlightRecorder(fr)
 	return &observation{rec: rec, fr: fr}
-}
-
-// attachTracing puts a deployment-shaped tracing recorder on sim: the
-// deterministic flow sampler records every event of 1% of flows (the
-// end-to-end journeys the span assembler consumes), and the remaining
-// flows fall back to 1-in-64 head sampling. This is the always-on
-// tracing posture the trace_overhead_pct benchmark check prices against
-// the untraced metro run.
-func attachTracing(sim *netem.Simulator) *obs.FlightRecorder {
-	fr := obs.NewFlightRecorder(obs.FlightConfig{
-		SampleEvery: 64, RingSize: 4096, SampleFlows: 0.01,
-	})
-	fr.Register(sim.Metrics())
-	sim.AttachFlightRecorder(fr)
-	return fr
 }
 
 // ObsDigest condenses what a run's observers recorded. Two observed
@@ -83,11 +75,14 @@ type ObsDigest struct {
 	FinalHash uint64
 }
 
-// digest reduces the observation to its digest. Call at quiescence
-// (after the run; for E8, after verdicts are counted, so the verdict
-// families are covered by FinalHash).
-func (o *observation) digest() ObsDigest {
-	d := ObsDigest{
+// digest reduces the observation to its digest (nil for an unobserved
+// run). Call at quiescence (after the run; for E8, after verdicts are
+// counted, so the verdict families are covered by FinalHash).
+func (o *observation) digest() *ObsDigest {
+	if o == nil {
+		return nil
+	}
+	d := &ObsDigest{
 		RecorderTicks: o.rec.Ticks(),
 		FlightSeen:    o.fr.Seen(),
 	}
@@ -102,7 +97,7 @@ func (o *observation) digest() ObsDigest {
 			h.u64(math.Float64bits(vals[i]))
 		}
 	}
-	d.RingsHash = h.sum()
+	d.RingsHash = h.Sum64()
 
 	h = newFNV()
 	evs := o.fr.Events()
@@ -123,7 +118,7 @@ func (o *observation) digest() ObsDigest {
 		h.u64(uint64(e.ProcNanos))
 		h.u64(uint64(e.Cause)<<8 | uint64(e.Class))
 	}
-	d.FlightHash = h.sum()
+	d.FlightHash = h.Sum64()
 
 	h = newFNV()
 	for _, m := range o.rec.Registry().Snapshot().Metrics {
@@ -138,7 +133,7 @@ func (o *observation) digest() ObsDigest {
 		}
 		h.u64(math.Float64bits(m.Value))
 	}
-	d.FinalHash = h.sum()
+	d.FinalHash = h.Sum64()
 	return d
 }
 
@@ -149,7 +144,8 @@ func (o *observation) digest() ObsDigest {
 // policy, proc) sum *exactly* — not approximately — to its end-to-end
 // virtual delay. tagged == nil checks every flow. At least one journey
 // must actually be checked, so the invariant cannot pass vacuously.
-func checkAttribution(evs []obs.TraceRec, tagged map[uint64]bool, evicted uint64) error {
+// visit, when set, sees every journey that passed and may fail it.
+func checkAttribution(evs []obs.TraceRec, tagged map[uint64]bool, evicted uint64, visit func(flow uint64, j *obs.Journey) error) error {
 	// Eviction discards each stripe's oldest events, which can silently
 	// clip a journey's middle hops while leaving its endpoints intact.
 	// Only journeys starting at or after the horizon — the latest
@@ -183,6 +179,11 @@ func checkAttribution(evs []obs.TraceRec, tagged map[uint64]bool, evicted uint64
 				return fmt.Errorf("attribution invariant: flow %016x journey %d: components sum to %dns, end-to-end delay %dns",
 					sp.Flow, j.ID, sum, e2e)
 			}
+			if visit != nil {
+				if err := visit(sp.Flow, j); err != nil {
+					return err
+				}
+			}
 			checked++
 		}
 	}
@@ -214,30 +215,23 @@ func determinismRow(o *ObsDigest, compared, where string) Row {
 		Note: compared + " equal at " + where}
 }
 
-// fnv64 is a tiny FNV-1a accumulator behind the digest fingerprints.
-type fnv64 uint64
-
-func newFNV() *fnv64 { h := fnv64(14695981039346656037); return &h }
-
-func (h *fnv64) bytes(b []byte) {
-	const prime = 1099511628211
-	v := uint64(*h)
-	for _, c := range b {
-		v = (v ^ uint64(c)) * prime
-	}
-	*h = fnv64(v)
+// digestHash is the FNV-1a accumulator behind the digest fingerprints.
+// word stages u64: a local would escape via the interface and allocate.
+type digestHash struct {
+	hash.Hash64
+	word [8]byte
 }
+
+func newFNV() *digestHash { return &digestHash{Hash64: fnv.New64a()} }
 
 // str hashes s with a terminator so adjacent fields cannot alias.
-func (h *fnv64) str(s string) {
-	h.bytes([]byte(s))
-	h.bytes([]byte{0})
+func (h *digestHash) str(s string) {
+	_, _ = io.WriteString(h, s) // a hash.Hash never fails a write
+	h.word[0] = 0
+	_, _ = h.Write(h.word[:1])
 }
 
-func (h *fnv64) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.bytes(b[:])
+func (h *digestHash) u64(v uint64) {
+	binary.LittleEndian.PutUint64(h.word[:], v)
+	_, _ = h.Write(h.word[:])
 }
-
-func (h *fnv64) sum() uint64 { return uint64(*h) }

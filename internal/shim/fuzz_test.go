@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
-	"netneutral/internal/eval"
 	"netneutral/internal/shim"
 	"netneutral/internal/wire"
 )
@@ -16,7 +16,7 @@ import (
 // stamped grants).
 func shimSeedBodies(f *testing.F) [][]byte {
 	f.Helper()
-	env, err := eval.NewBenchEnv(false, true)
+	env, err := benchenv.NewBenchEnv(false, true)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"netneutral/internal/eval"
+	"netneutral/internal/benchenv"
 	"netneutral/internal/wire"
 )
 
@@ -14,7 +14,7 @@ import (
 // and vanilla UDP packets, exactly as they appear on the emulated wire.
 func fuzzSeedPackets(f *testing.F) [][]byte {
 	f.Helper()
-	env, err := eval.NewBenchEnv(false, true)
+	env, err := benchenv.NewBenchEnv(false, true)
 	if err != nil {
 		f.Fatal(err)
 	}
