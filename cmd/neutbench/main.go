@@ -13,28 +13,36 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"netneutral"
 )
 
-func main() {
-	exp := flag.String("exp", "", "experiment id to run (default: all)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("neutbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment id to run (default: all)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, e := range netneutral.Experiments() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 	run := netneutral.Experiments()
 	if *exp != "" {
 		e, ok := netneutral.ExperimentByID(*exp)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "neutbench: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "neutbench: unknown experiment %q (try -list)\n", *exp)
+			return 2
 		}
 		run = []netneutral.Experiment{e}
 	}
@@ -42,13 +50,14 @@ func main() {
 	for _, e := range run {
 		res, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "neutbench: %s failed: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "neutbench: %s failed: %v\n", e.ID, err)
 			failed++
 			continue
 		}
-		fmt.Println(res.String())
+		fmt.Fprintln(stdout, res.String())
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	vantages := fs.Int("vantages", 12, "audit: outside vantage points (inside reference vantages scale as 1/3)")
 	trials := fs.Int("trials", 12, "audit: paired measurement trials per vantage")
 	duration := fs.Duration("duration", 2*time.Second, "simulated traffic duration for the metro/arms/parscale/backbone scenarios")
-	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /stream, /flight.json and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
+	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /stream, /trace.json, /trace and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
 	metricsHold := fs.Duration("metricshold", 5*time.Second, "keep the -metrics server up this long after the run so scrapers can read the final state")
 	_ = fs.Parse(args) // ExitOnError
 

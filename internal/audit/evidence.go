@@ -54,18 +54,6 @@ func (t EvidenceTrail) TotalDrops() uint64 {
 	return n
 }
 
-// MaxMeanDelay is the largest per-site mean policy delay — the single
-// policing site that best explains a measured delay gap.
-func (t EvidenceTrail) MaxMeanDelay() time.Duration {
-	var max time.Duration
-	for i := range t {
-		if d := t[i].MeanDelay(); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // BuildEvidence folds merged trace events into an evidence trail. Only
 // events with a policy fingerprint contribute: policy drops (by kind)
 // and events carrying attributed policy delay. keep, when non-nil,

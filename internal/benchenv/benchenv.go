@@ -186,7 +186,7 @@ func (e *BenchEnv) NeutralizerConfig() core.Config { return e.cfg }
 // distinct outside sources (cycling), each carrying a hidden customer
 // destination encrypted under the session key the stateless neutralizer
 // will re-derive from the packet alone. It feeds the sharded-data-plane
-// experiment (E5), BenchmarkProcessBatch, and the fuzz seed corpora.
+// experiment (E5), E3's first-packet row, and the fuzz seed corpora.
 func (e *BenchEnv) DataBatch(nSources, n int) ([][]byte, error) {
 	if nSources <= 0 || nSources > 0xffff {
 		return nil, fmt.Errorf("benchenv: bad source count %d", nSources)

@@ -103,11 +103,6 @@ func appendFrame(dst, payload []byte, flags uint8, total int) []byte {
 	return dst
 }
 
-// EncodeFrame is AppendFrame into a fresh buffer.
-func EncodeFrame(payload []byte, buckets []int) []byte {
-	return AppendFrame(make([]byte, 0, PaddedLen(len(payload), buckets)), payload, buckets)
-}
-
 // DecodeFrame parses a cloak frame, returning the original payload (a
 // view into frame — copy to retain) and whether the frame is cover
 // traffic. The payload is bounded by the declared length: trailing

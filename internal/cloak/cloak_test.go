@@ -14,7 +14,7 @@ var buckets = []int{128, 512, 1400}
 func TestFrameRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 124, 508, 509, 1396, 1500, 4000} {
 		payload := bytes.Repeat([]byte{0xAB}, n)
-		frame := cloak.EncodeFrame(payload, buckets)
+		frame := cloak.AppendFrame(nil, payload, buckets)
 		if want := cloak.PaddedLen(n, buckets); len(frame) != want {
 			t.Errorf("n=%d: frame len %d, want %d", n, len(frame), want)
 		}
@@ -36,7 +36,7 @@ func TestFramePaddingCollapsesSizes(t *testing.T) {
 	// the property the dpi size histogram cannot see through.
 	seen := map[int]bool{}
 	for n := 0; n <= 124; n += 31 {
-		seen[len(cloak.EncodeFrame(make([]byte, n), buckets))] = true
+		seen[len(cloak.AppendFrame(nil, make([]byte, n), buckets))] = true
 	}
 	if len(seen) != 1 {
 		t.Errorf("payloads under one bucket produced %d distinct wire sizes", len(seen))
@@ -185,7 +185,7 @@ func TestShaperNoTickSendsImmediately(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("emitted %d frames synchronously, want 1", n)
 	}
-	if sim.PendingEvents() != 0 {
+	if sim.Run(); sim.EventsProcessed() != 0 {
 		t.Error("tickless shaper scheduled events")
 	}
 }

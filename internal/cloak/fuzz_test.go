@@ -53,7 +53,7 @@ func FuzzCloakFrame(f *testing.F) {
 		// Property 2: encode/decode round trip under a fuzzed bucket
 		// list (including degenerate buckets smaller than the payload).
 		buckets := []int{int(bucket), int(bucket) * 3, 1400}
-		frame := cloak.EncodeFrame(data, buckets)
+		frame := cloak.AppendFrame(nil, data, buckets)
 		if len(frame) < cloak.PaddedLen(0, nil) {
 			t.Fatalf("frame shorter than empty minimum: %d", len(frame))
 		}

@@ -102,7 +102,7 @@ func (o *OffloadPolicy) pick() (netip.Addr, bool) {
 		return netip.Addr{}, false
 	}
 	i := atomic.AddUint64(&o.next, 1)
-	return o.Helpers[int(i)%len(o.Helpers)], true
+	return o.Helpers[i%uint64(len(o.Helpers))], true
 }
 
 // Stats are monotonic counters, safe to read concurrently.

@@ -477,6 +477,28 @@ func TestOffloadDelegatesToHelpers(t *testing.T) {
 	}
 }
 
+// TestOffloadRoundRobinSurvivesCounterWrap: the round-robin counter is
+// a uint64 that a busy neutralizer carries past 2^31 in about a day of
+// offloaded setups and, in time, past 2^63 and 2^64; the helper index
+// must stay in range and keep alternating across each.
+func TestOffloadRoundRobinSurvivesCounterWrap(t *testing.T) {
+	helpers := []netip.Addr{netip.MustParseAddr("10.10.0.7"), netip.MustParseAddr("10.10.0.8")}
+	for _, start := range []uint64{1<<31 - 2, 1<<63 - 2, 1<<64 - 2} {
+		o := &OffloadPolicy{Helpers: helpers, next: start}
+		seen := map[netip.Addr]int{}
+		for i := 0; i < 4; i++ {
+			h, ok := o.pick()
+			if !ok {
+				t.Fatalf("next=%d: pick refused with helpers configured", start)
+			}
+			seen[h]++
+		}
+		if seen[helpers[0]] != 2 || seen[helpers[1]] != 2 {
+			t.Errorf("next=%d: four picks spread %v, want 2 and 2", start, seen)
+		}
+	}
+}
+
 func TestAltDataMode(t *testing.T) {
 	altKey := mustKey()
 	n := newTestNeutralizer(t, func(c *Config) { c.AltIdentity = altKey })

@@ -92,9 +92,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // Workers returns the number of shard replicas.
 func (p *Pool) Workers() int { return len(p.replicas) }
 
-// Replica exposes shard i's Neutralizer (for tests and stats).
-func (p *Pool) Replica(i int) *Neutralizer { return p.replicas[i] }
-
 // worker drains batch signals for shard i. Worker state (scratch, index
 // list, error count) is owned exclusively by this goroutine between the
 // signal and the matching wg.Done.

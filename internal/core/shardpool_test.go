@@ -194,7 +194,7 @@ func TestProcessConcurrent(t *testing.T) {
 	// Work actually spread across replicas: with 96 sources and 4
 	// shards, no replica should have seen zero packets.
 	for i := 0; i < pool.Workers(); i++ {
-		if pool.Replica(i).Stats().Snapshot().DataForwarded == 0 {
+		if pool.replicas[i].Stats().Snapshot().DataForwarded == 0 {
 			t.Errorf("replica %d processed nothing; sharding is degenerate", i)
 		}
 	}
@@ -496,7 +496,7 @@ func TestPoolSharesDynamicAddrTable(t *testing.T) {
 	if got := pool.Stats().DynAddrsAllocated; got != flows {
 		t.Errorf("DynAddrsAllocated = %d, want %d", got, flows)
 	}
-	if got := pool.Replica(workers - 1).DynAddrCount(); got != flows {
+	if got := pool.replicas[workers-1].DynAddrCount(); got != flows {
 		t.Errorf("DynAddrCount = %d, want %d", got, flows)
 	}
 }

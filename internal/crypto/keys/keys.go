@@ -68,17 +68,7 @@ type Schedule struct {
 
 	cache atomic.Pointer[map[Epoch]epochEntry]
 	mu    sync.Mutex // serializes cache writers only
-
-	// derives counts slow-path epoch derivations (cache misses that won
-	// the writer race). Updated only under mu; read freely.
-	derives atomic.Uint64
 }
-
-// Derivations reports how many epoch entries the schedule has derived on
-// the slow path — the cache-miss count from the derivation side. Together
-// with per-Work hit counters (see Work.EpochCacheStats) this quantifies
-// how hard the copy-on-write epoch cache is working.
-func (s *Schedule) Derivations() uint64 { return s.derives.Load() }
 
 // epochEntry caches everything derivable from one epoch's master key:
 // the key itself, its pre-expanded AES cipher, so the per-packet KDF pays
@@ -151,7 +141,6 @@ func (s *Schedule) deriveEpoch(e Epoch) epochEntry {
 	if ent, ok := old[e]; ok {
 		return ent
 	}
-	s.derives.Add(1)
 	var eb [4]byte
 	binary.BigEndian.PutUint32(eb[:], uint32(e))
 	k := aesutil.DeriveKey(s.root, []byte("netneutral-master-key"), eb[:])

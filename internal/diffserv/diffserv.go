@@ -1,9 +1,8 @@
 // Package diffserv implements the tiered service the paper explicitly
-// permits (§3.4): DSCP codepoints, a strict-priority queue discipline, a
-// weighted-round-robin discipline, and a token-bucket policer. A
-// discriminatory ISP may sell these to its customers; the neutralizer
-// preserves DSCP markings so paid-for differentiation keeps working even
-// for anonymized traffic.
+// permits (§3.4): DSCP codepoints, a strict-priority queue discipline
+// and a token-bucket policer. A discriminatory ISP may sell these to its
+// customers; the neutralizer preserves DSCP markings so paid-for
+// differentiation keeps working even for anonymized traffic.
 package diffserv
 
 import (
@@ -113,93 +112,6 @@ func (q *PriorityQueue) Dropped(class int) uint64 {
 		return 0
 	}
 	return q.dropped[class]
-}
-
-// WRRQueue is a weighted-round-robin netem.Queue: class i receives
-// service in proportion to Weights[i]. Unlike strict priority it cannot
-// starve lower classes.
-type WRRQueue struct {
-	classify Classifier
-	classes  [][]*netem.Packet
-	weights  []int
-	credit   []int
-	capacity int
-	cursor   int
-}
-
-// NewWRRQueue builds a WRR queue; weights must be positive.
-func NewWRRQueue(weights []int, perClassCap int, classify Classifier) *WRRQueue {
-	if classify == nil {
-		classify = DefaultClassifier
-	}
-	if perClassCap <= 0 {
-		perClassCap = 64
-	}
-	w := make([]int, len(weights))
-	copy(w, weights)
-	for i := range w {
-		if w[i] <= 0 {
-			w[i] = 1
-		}
-	}
-	return &WRRQueue{
-		classify: classify,
-		classes:  make([][]*netem.Packet, len(w)),
-		weights:  w,
-		credit:   make([]int, len(w)),
-		capacity: perClassCap,
-	}
-}
-
-// Enqueue implements netem.Queue.
-func (q *WRRQueue) Enqueue(p *netem.Packet) bool {
-	c := q.classify(p.DSCP)
-	if c < 0 {
-		c = 0
-	}
-	if c >= len(q.classes) {
-		c = len(q.classes) - 1
-	}
-	if len(q.classes[c]) >= q.capacity {
-		return false
-	}
-	q.classes[c] = append(q.classes[c], p)
-	return true
-}
-
-// Dequeue implements netem.Queue with weighted round robin over
-// non-empty classes.
-func (q *WRRQueue) Dequeue() *netem.Packet {
-	if q.Len() == 0 {
-		return nil
-	}
-	for tries := 0; tries < 2*len(q.classes); tries++ {
-		c := q.cursor
-		if len(q.classes[c]) > 0 {
-			if q.credit[c] <= 0 {
-				q.credit[c] = q.weights[c]
-			}
-			p := q.classes[c][0]
-			q.classes[c] = q.classes[c][1:]
-			q.credit[c]--
-			if q.credit[c] <= 0 {
-				q.cursor = (q.cursor + 1) % len(q.classes)
-			}
-			return p
-		}
-		q.credit[c] = 0
-		q.cursor = (q.cursor + 1) % len(q.classes)
-	}
-	return nil
-}
-
-// Len implements netem.Queue.
-func (q *WRRQueue) Len() int {
-	n := 0
-	for _, c := range q.classes {
-		n += len(c)
-	}
-	return n
 }
 
 // TokenBucket is a classic policer: traffic conforming to rate/burst is

@@ -78,63 +78,6 @@ func TestPriorityQueueEmptyDequeue(t *testing.T) {
 	}
 }
 
-func TestWRRQueueProportions(t *testing.T) {
-	// Weights 3:1 — with both classes backlogged, class 0 should get ~75%
-	// of service.
-	q := NewWRRQueue([]int{3, 1}, 1000, func(d uint8) int {
-		if d == DSCPExpedited {
-			return 0
-		}
-		return 1
-	})
-	for i := 0; i < 400; i++ {
-		q.Enqueue(qp(DSCPExpedited, 10))
-		q.Enqueue(qp(DSCPBestEffort, 10))
-	}
-	counts := map[int]int{}
-	for i := 0; i < 400; i++ {
-		p := q.Dequeue()
-		if p == nil {
-			t.Fatal("unexpected empty queue")
-		}
-		if p.DSCP == DSCPExpedited {
-			counts[0]++
-		} else {
-			counts[1]++
-		}
-	}
-	if counts[0] < 280 || counts[0] > 320 {
-		t.Errorf("class0 served %d of 400, want ~300 (3:1 weights)", counts[0])
-	}
-	// No starvation: class 1 still served.
-	if counts[1] == 0 {
-		t.Error("WRR must not starve low class")
-	}
-}
-
-func TestWRRQueueDrainsOneClass(t *testing.T) {
-	q := NewWRRQueue([]int{2, 2}, 10, nil)
-	q.Enqueue(qp(DSCPBestEffort, 1))
-	q.Enqueue(qp(DSCPBestEffort, 1))
-	got := 0
-	for p := q.Dequeue(); p != nil; p = q.Dequeue() {
-		got++
-	}
-	if got != 2 {
-		t.Errorf("drained %d", got)
-	}
-	if q.Dequeue() != nil {
-		t.Error("empty WRR dequeue")
-	}
-}
-
-func TestWRRQueueCapacity(t *testing.T) {
-	q := NewWRRQueue([]int{1}, 1, func(uint8) int { return 0 })
-	if !q.Enqueue(qp(0, 1)) || q.Enqueue(qp(0, 1)) {
-		t.Error("capacity not enforced")
-	}
-}
-
 func TestTokenBucketConformance(t *testing.T) {
 	// 8000 bps = 1000 bytes/sec; burst 500 bytes.
 	tb := NewTokenBucket(8000, 500)
@@ -187,9 +130,8 @@ func TestTieredServiceOnLink(t *testing.T) {
 		payload := make([]byte, 100)
 		buf := wire.NewSerializeBuffer(28, len(payload))
 		buf.PushPayload(payload)
-		ip := &wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP,
+		ip := &wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, TOS: dscp << 2,
 			Src: mustAddr("10.0.0.1"), Dst: mustAddr("10.0.0.2")}
-		ip.SetDSCP(dscp)
 		if err := wire.SerializeLayers(buf, ip, &wire.UDP{SrcPort: 1, DstPort: 2}); err != nil {
 			t.Fatal(err)
 		}

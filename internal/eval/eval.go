@@ -1,10 +1,9 @@
 // Package eval implements the reproduction harness: one registered
 // experiment per table, figure, or headline number in the paper, each
 // producing printable rows of paper-vs-measured values. The harness is
-// shared by cmd/neutbench (which prints the registered rows), cmd/neutsim
-// (which prints the parametrised experiments' rows at a chosen scale)
-// and the top-level benchmark suite (which re-measures the micro numbers
-// under testing.B).
+// shared by cmd/neutbench (which prints the registered rows) and
+// cmd/neutsim (which prints the parametrised experiments' rows at a
+// chosen scale).
 //
 // See README.md ("Reproducing the paper's numbers") for the experiment
 // index.

@@ -94,8 +94,7 @@ type BackboneStats struct {
 	sweep []*BackboneStats
 }
 
-// backboneWorld is the built substrate shared by RunBackbone and the
-// BenchmarkBackboneEvents fixture.
+// backboneWorld is the built substrate of RunBackbone.
 type backboneWorld struct {
 	sim *netem.Simulator
 	bb  *netem.Backbone
@@ -311,37 +310,3 @@ func (st *BackboneStats) Result() *Result {
 }
 
 const backboneTitle = "Continental backbone: multi-metro anycast with fluid background load"
-
-// BackboneBench is the fixture behind BenchmarkBackboneEvents: the
-// continental world built once per worker count; each op schedules one
-// chunk of all three traffic planes and advances the engine through it.
-type BackboneBench struct {
-	w   *backboneWorld
-	cfg BackboneConfig
-}
-
-// NewBackboneBench builds the fixture.
-func NewBackboneBench(metros, hostsPerMetro, workers int) (*BackboneBench, error) {
-	cfg := BackboneConfig{Metros: metros, HostsPerMetro: hostsPerMetro, Seed: 1, Workers: workers}
-	cfg.fill()
-	w, err := buildBackboneWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &BackboneBench{w: w, cfg: cfg}, nil
-}
-
-// RunChunk schedules one chunk of neutralized, cross-metro, and fluid
-// load, advances the simulation through it, and returns the number of
-// packets scheduled.
-func (b *BackboneBench) RunChunk(d time.Duration) (int, error) {
-	neut, cross, err := b.w.offer(b.cfg, d)
-	if err != nil {
-		return 0, err
-	}
-	b.w.sim.RunFor(d)
-	return neut + cross, nil
-}
-
-// Events reports the engine's cumulative event count.
-func (b *BackboneBench) Events() uint64 { return b.w.sim.EventsProcessed() }

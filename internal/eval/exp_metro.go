@@ -23,7 +23,6 @@ import (
 	"netneutral/internal/core"
 	"netneutral/internal/crypto/keys"
 	"netneutral/internal/netem"
-	"netneutral/internal/obs"
 	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
@@ -83,12 +82,11 @@ type MetroStats struct {
 	DeliveredPps float64 // Delivered / RunTime
 }
 
-// metroWorld is the shared substrate of RunMetro and MetroBench: the
-// sharded fan-out with the real stateless neutralizer attached at the
-// border on the zero-alloc scratch path, plus one pre-built shim data
-// packet per customer host (the neutralizer re-derives the session key
-// from (epoch, nonce, src) and decrypts the hidden per-host
-// destination).
+// metroWorld is the substrate of RunMetro: the sharded fan-out with the
+// real stateless neutralizer attached at the border on the zero-alloc
+// scratch path, plus one pre-built shim data packet per customer host
+// (the neutralizer re-derives the session key from (epoch, nonce, src)
+// and decrypts the hidden per-host destination).
 type metroWorld struct {
 	*fanoutEnv
 	templates [][]byte
@@ -248,82 +246,6 @@ func (st *MetroStats) Result() *Result {
 // replay-diffed rows.
 func lanePushNote(lane, heap uint64) string {
 	return fmt.Sprintf("queue lanes took %.2f%% of %d pushes", 100*float64(lane)/float64(max(lane+heap, 1)), lane+heap)
-}
-
-// MetroBench is the reusable fixture behind BenchmarkNetemMetro: the
-// 10k-host world is built once, then bursts of neutralized traffic are
-// pushed through it per benchmark op.
-type MetroBench struct {
-	*metroWorld
-	burst     int
-	next      int
-	delivered *netem.DeliveryCount
-	expected  uint64
-}
-
-// NewMetroBench builds a fan-out of the given size whose link queues
-// absorb same-instant bursts of burst packets.
-func NewMetroBench(hosts, burst int) (*MetroBench, error) {
-	w, err := buildMetroWorld(1, hosts, 1,
-		netem.LinkConfig{Delay: time.Millisecond, QueueLen: 2 * burst})
-	if err != nil {
-		return nil, err
-	}
-	return &MetroBench{metroWorld: w, burst: burst, delivered: w.Fan.CountDeliveries()}, nil
-}
-
-// RunBurst injects one burst and drains the event loop, verifying every
-// packet reached its customer.
-func (m *MetroBench) RunBurst() error {
-	for i := 0; i < m.burst; i++ {
-		p := m.Sim.NewPacket(m.templates[m.next])
-		m.next = (m.next + 1) % len(m.templates)
-		if err := m.Fan.Outside[0].SendPacket(p); err != nil {
-			return err
-		}
-	}
-	m.Sim.Run()
-	m.expected += uint64(m.burst)
-	if got := m.delivered.Total(); got != m.expected {
-		return fmt.Errorf("eval: metro burst delivered %d, want %d", got, m.expected)
-	}
-	return nil
-}
-
-// Counters exposes the engine counters the benchmark reports.
-func (m *MetroBench) Counters() (events, forwarded uint64) {
-	return m.Sim.EventsProcessed(), m.Sim.Forwarded()
-}
-
-// NewMetroBenchObserved is NewMetroBench with the full observation plane
-// attached — the epoch Recorder sampling every family at each barrier
-// plus the sampling FlightRecorder on the trace path — so
-// BenchmarkNetemMetroObs prices recording against the unobserved
-// BenchmarkNetemMetro run on the identical workload.
-func NewMetroBenchObserved(hosts, burst int) (*MetroBench, error) {
-	m, err := NewMetroBench(hosts, burst)
-	if err != nil {
-		return nil, err
-	}
-	attachObservation(m.Sim, true)
-	return m, nil
-}
-
-// NewMetroBenchTraced is NewMetroBench with always-on, deployment-shaped
-// causal tracing attached: the flight recorder's deterministic flow
-// sampler records 1% of flows end to end (every hop of every journey,
-// what the span assembler needs) while the rest head-sample at 1-in-64.
-// BenchmarkNetemMetroTrace (the trace_overhead_pct check) prices this
-// against the untraced metro run on the identical workload.
-func NewMetroBenchTraced(hosts, burst int) (*MetroBench, error) {
-	m, err := NewMetroBench(hosts, burst)
-	if err != nil {
-		return nil, err
-	}
-	fr := obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: 64, RingSize: 4096, SampleFlows: 0.01})
-	fr.Register(m.Sim.Metrics())
-	m.Sim.AttachFlightRecorder(fr)
-	return m, nil
 }
 
 // AttachNeutralizerScratch wires a core.Neutralizer into a netem node on

@@ -16,9 +16,6 @@ import (
 	"fmt"
 	"runtime"
 	"time"
-
-	"netneutral/internal/netem"
-	"netneutral/internal/trafficgen"
 )
 
 // ParScaleConfig parameterizes E9; the zero value gets the registered
@@ -118,51 +115,3 @@ func (st *ParScaleStats) Result() *Result {
 }
 
 const parScaleTitle = "Parallel sharded engine: worker scaling with bit-identical replay"
-
-// ParMetroBench is the fixture behind BenchmarkNetemMetroParallel: the
-// sharded metro world built once per worker count, with the downstream
-// sender and every per-host chatter sender prebuilt, so one benchmark
-// op pays only the traffic it schedules and runs. The workload matches
-// E9: neutralized downstream load through the border plus
-// intra-subtree host chatter. Size chunks so the per-host chatter
-// interval fits inside them — RunChunk reports how many packets it
-// scheduled precisely so a mis-sized chunk cannot silently degrade the
-// workload to downstream-only.
-type ParMetroBench struct {
-	w       *metroWorld
-	rate    float64
-	perHost float64
-	outSend func(seq uint64)
-	chat    chatter
-}
-
-// NewParMetroBench builds the fixture at the given host count and
-// worker count.
-func NewParMetroBench(hosts, workers int) (*ParMetroBench, error) {
-	w, err := buildMetroWorld(1, hosts, workers,
-		netem.LinkConfig{Delay: time.Millisecond, QueueLen: 512})
-	if err != nil {
-		return nil, err
-	}
-	return &ParMetroBench{
-		w: w, rate: 40000, perHost: 80000 / float64(hosts),
-		outSend: trafficgen.CyclingSender(w.Fan.Outside[0], w.templates),
-		chat:    newChatter(w.Fan),
-	}, nil
-}
-
-// RunChunk schedules one chunk of downstream and intra-subtree load,
-// advances the simulation through it, and returns the number of packets
-// scheduled (callers should reject a chunk that scheduled no chatter).
-func (p *ParMetroBench) RunChunk(d time.Duration) int {
-	sent := trafficgen.OpenLoop{RatePps: p.rate}.Run(p.w.Fan.Outside[0], d, p.outSend)
-	local := p.chat.offer(p.perHost, d)
-	p.w.Sim.RunFor(d)
-	if local == 0 {
-		return 0 // chunk shorter than the per-host interval: wrong workload
-	}
-	return sent + local
-}
-
-// Events reports the engine's cumulative event count.
-func (p *ParMetroBench) Events() uint64 { return p.w.Sim.EventsProcessed() }

@@ -9,8 +9,8 @@
 // cannot tell flows apart. The paper offers two remedies, both
 // implemented by core: neutralizer-assigned dynamic addresses (flows
 // become distinguishable, customers do not), or opting out of
-// anonymization. This package provides the reservation table and the
-// guaranteed-service queue used to demonstrate both.
+// anonymization. This package provides the reservation table used to
+// demonstrate both.
 package intserv
 
 import (
@@ -18,10 +18,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
-	"netneutral/internal/diffserv"
-	"netneutral/internal/netem"
 	"netneutral/internal/wire"
 )
 
@@ -110,91 +107,3 @@ func (t *Table) Len() int {
 	defer t.mu.Unlock()
 	return len(t.flows)
 }
-
-// Used reports reserved bandwidth in bps.
-func (t *Table) Used() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.used
-}
-
-// GuaranteedQueue is a netem.Queue giving reserved flows policed,
-// prioritized service and everything else best effort.
-//
-// Each reserved flow is policed to its rate with a token bucket;
-// conforming reserved packets dequeue ahead of best effort.
-type GuaranteedQueue struct {
-	table    *Table
-	now      func() time.Time
-	policers map[FlowID]*diffserv.TokenBucket
-	reserved []*netem.Packet
-	best     []*netem.Packet
-	capEach  int
-	// ReservedServed and BestServed count dequeues per class.
-	ReservedServed uint64
-	BestServed     uint64
-	NonConforming  uint64
-}
-
-// NewGuaranteedQueue builds the queue; now supplies (virtual) time for
-// the policers.
-func NewGuaranteedQueue(table *Table, capEach int, now func() time.Time) *GuaranteedQueue {
-	if capEach <= 0 {
-		capEach = 64
-	}
-	return &GuaranteedQueue{
-		table:    table,
-		now:      now,
-		policers: make(map[FlowID]*diffserv.TokenBucket),
-		capEach:  capEach,
-	}
-}
-
-// Enqueue implements netem.Queue.
-func (q *GuaranteedQueue) Enqueue(p *netem.Packet) bool {
-	flow, err := FlowOf(p.Pkt)
-	if err == nil {
-		if r, ok := q.table.Lookup(flow); ok {
-			tb := q.policers[flow]
-			if tb == nil {
-				tb = diffserv.NewTokenBucket(r.RateBps, max(r.Burst, 1500))
-				q.policers[flow] = tb
-			}
-			if tb.Allow(q.now(), p.Size) {
-				if len(q.reserved) >= q.capEach {
-					return false
-				}
-				q.reserved = append(q.reserved, p)
-				return true
-			}
-			// Non-conforming excess of a reserved flow degrades to best
-			// effort rather than being dropped outright.
-			q.NonConforming++
-		}
-	}
-	if len(q.best) >= q.capEach {
-		return false
-	}
-	q.best = append(q.best, p)
-	return true
-}
-
-// Dequeue implements netem.Queue: reserved first.
-func (q *GuaranteedQueue) Dequeue() *netem.Packet {
-	if len(q.reserved) > 0 {
-		p := q.reserved[0]
-		q.reserved = q.reserved[1:]
-		q.ReservedServed++
-		return p
-	}
-	if len(q.best) > 0 {
-		p := q.best[0]
-		q.best = q.best[1:]
-		q.BestServed++
-		return p
-	}
-	return nil
-}
-
-// Len implements netem.Queue.
-func (q *GuaranteedQueue) Len() int { return len(q.reserved) + len(q.best) }

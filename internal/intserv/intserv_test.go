@@ -3,9 +3,7 @@ package intserv
 import (
 	"net/netip"
 	"testing"
-	"time"
 
-	"netneutral/internal/netem"
 	"netneutral/internal/wire"
 )
 
@@ -45,12 +43,12 @@ func TestTableAdmissionControl(t *testing.T) {
 	if err := tbl.Reserve(Reservation{Flow: f2, RateBps: 36_000}); err != nil {
 		t.Errorf("within capacity: %v", err)
 	}
-	if tbl.Len() != 2 || tbl.Used() != 100_000 {
-		t.Errorf("len=%d used=%v", tbl.Len(), tbl.Used())
+	if tbl.Len() != 2 || tbl.used != 100_000 {
+		t.Errorf("len=%d used=%v", tbl.Len(), tbl.used)
 	}
 	tbl.Release(f1)
-	if tbl.Len() != 1 || tbl.Used() != 36_000 {
-		t.Errorf("after release: len=%d used=%v", tbl.Len(), tbl.Used())
+	if tbl.Len() != 1 || tbl.used != 36_000 {
+		t.Errorf("after release: len=%d used=%v", tbl.Len(), tbl.used)
 	}
 	if _, ok := tbl.Lookup(f1); ok {
 		t.Error("released flow still present")
@@ -67,58 +65,6 @@ func TestFlowOf(t *testing.T) {
 	}
 	if f.String() == "" {
 		t.Error("String")
-	}
-}
-
-func TestGuaranteedQueuePriority(t *testing.T) {
-	tbl := NewTable(1e9)
-	if err := tbl.Reserve(Reservation{Flow: FlowID{Src: srcA, Dst: dstX}, RateBps: 1e6, Burst: 10000}); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(0, 0)
-	q := NewGuaranteedQueue(tbl, 16, func() time.Time { return now })
-
-	best := pkt(t, srcB, dstX, 100)
-	resv := pkt(t, srcA, dstX, 100)
-	q.Enqueue(&netem.Packet{Pkt: best, Size: len(best)})
-	q.Enqueue(&netem.Packet{Pkt: resv, Size: len(resv)})
-
-	first := q.Dequeue()
-	src, _, _ := wire.IPv4Addrs(first.Pkt)
-	if src != srcA {
-		t.Error("reserved flow should dequeue before best effort")
-	}
-	if q.ReservedServed != 1 {
-		t.Error("ReservedServed counter")
-	}
-	second := q.Dequeue()
-	if src2, _, _ := wire.IPv4Addrs(second.Pkt); src2 != srcB {
-		t.Error("best effort should follow")
-	}
-	if q.Dequeue() != nil || q.Len() != 0 {
-		t.Error("queue should be empty")
-	}
-}
-
-func TestGuaranteedQueuePolicing(t *testing.T) {
-	tbl := NewTable(1e9)
-	// 8 kbps with ~1500B burst: only the burst conforms at t=0.
-	if err := tbl.Reserve(Reservation{Flow: FlowID{Src: srcA, Dst: dstX}, RateBps: 8_000, Burst: 1500}); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(0, 0)
-	q := NewGuaranteedQueue(tbl, 100, func() time.Time { return now })
-	p := pkt(t, srcA, dstX, 700)
-	for i := 0; i < 4; i++ {
-		q.Enqueue(&netem.Packet{Pkt: p, Size: len(p)})
-	}
-	// ~2 packets conform (1500B burst / ~728B each); excess degrades to
-	// best effort rather than being dropped.
-	if q.NonConforming < 2 {
-		t.Errorf("NonConforming = %d, want >= 2", q.NonConforming)
-	}
-	if q.Len() != 4 {
-		t.Errorf("Len = %d: excess should be queued best-effort", q.Len())
 	}
 }
 

@@ -37,17 +37,6 @@ import (
 // classification criterion.
 type Matcher func(pkt []byte) bool
 
-// MatchAll matches every packet.
-func MatchAll() Matcher { return func([]byte) bool { return true } }
-
-// MatchSrcAddr matches packets from a.
-func MatchSrcAddr(a netip.Addr) Matcher {
-	return func(pkt []byte) bool {
-		src, _, err := wire.IPv4Addrs(pkt)
-		return err == nil && src == a
-	}
-}
-
 // MatchDstAddr matches packets to a — the tool an ISP would use to
 // target a specific site (the paper's "slow down queries for
 // www.google.com if Google does not pay").
@@ -55,33 +44,6 @@ func MatchDstAddr(a netip.Addr) Matcher {
 	return func(pkt []byte) bool {
 		_, dst, err := wire.IPv4Addrs(pkt)
 		return err == nil && dst == a
-	}
-}
-
-// MatchAddr matches packets to or from a.
-func MatchAddr(a netip.Addr) Matcher {
-	return func(pkt []byte) bool {
-		src, dst, err := wire.IPv4Addrs(pkt)
-		return err == nil && (src == a || dst == a)
-	}
-}
-
-// MatchPrefix matches packets whose source or destination falls in p
-// (how an ISP targets a competitor ISP's whole address block).
-func MatchPrefix(p netip.Prefix) Matcher {
-	return func(pkt []byte) bool {
-		src, dst, err := wire.IPv4Addrs(pkt)
-		return err == nil && (p.Contains(src) || p.Contains(dst))
-	}
-}
-
-// MatchProto matches on the IP protocol field; MatchProto(wire.ProtoShim)
-// is the "discriminate against encrypted/neutralized traffic" classifier
-// of §3.6.
-func MatchProto(proto uint8) Matcher {
-	return func(pkt []byte) bool {
-		p, err := wire.IPv4Proto(pkt)
-		return err == nil && p == proto
 	}
 }
 
@@ -107,47 +69,6 @@ func MatchPayloadContains(sig []byte) Matcher {
 		return bytes.Contains(pkt[wire.IPv4HeaderLen:], sig)
 	}
 }
-
-// MatchShimType matches neutralized packets of a given shim message type;
-// MatchShimType(shim.TypeKeySetupRequest) is §3.6's "discriminate against
-// key setup packets".
-func MatchShimType(t shim.Type) Matcher {
-	return func(pkt []byte) bool {
-		proto, err := wire.IPv4Proto(pkt)
-		if err != nil || proto != wire.ProtoShim || len(pkt) < wire.IPv4HeaderLen+1 {
-			return false
-		}
-		got, ok := shim.PeekType(pkt[wire.IPv4HeaderLen:])
-		return ok && got == t
-	}
-}
-
-// And combines matchers conjunctively.
-func And(ms ...Matcher) Matcher {
-	return func(pkt []byte) bool {
-		for _, m := range ms {
-			if !m(pkt) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Or combines matchers disjunctively.
-func Or(ms ...Matcher) Matcher {
-	return func(pkt []byte) bool {
-		for _, m := range ms {
-			if m(pkt) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Not inverts a matcher.
-func Not(m Matcher) Matcher { return func(pkt []byte) bool { return !m(pkt) } }
 
 func transportOf(pkt []byte) *wire.UDP {
 	proto, err := wire.IPv4Proto(pkt)
@@ -210,13 +131,6 @@ func NewPolicy(rng *rand.Rand, rules ...Rule) *Policy {
 		rng = rand.New(rand.NewSource(1))
 	}
 	return &Policy{rules: rules, hits: make(map[string]uint64), rng: rng}
-}
-
-// AddRule appends a rule.
-func (p *Policy) AddRule(r Rule) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rules = append(p.rules, r)
 }
 
 // Hits returns how many packets matched the named rule.
@@ -310,15 +224,6 @@ func (e *Eavesdropper) record(now time.Time, pkt []byte) {
 	e.mu.Unlock()
 }
 
-// Observations returns a copy of everything recorded.
-func (e *Eavesdropper) Observations() []Observation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Observation, len(e.obs))
-	copy(out, e.obs)
-	return out
-}
-
 // Count returns the number of recorded packets.
 func (e *Eavesdropper) Count() int {
 	e.mu.Lock()
@@ -338,32 +243,6 @@ func (e *Eavesdropper) SawAddr(a netip.Addr) bool {
 		}
 	}
 	return false
-}
-
-// DistinctPeers returns the set of distinct (src,dst) address pairs
-// observed — the granularity at which the ISP can discriminate.
-func (e *Eavesdropper) DistinctPeers() map[[2]netip.Addr]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[[2]netip.Addr]int)
-	for _, o := range e.obs {
-		out[[2]netip.Addr{o.Src, o.Dst}]++
-	}
-	return out
-}
-
-// PortsSeen returns the set of inner UDP destination ports the ISP could
-// read (application visibility).
-func (e *Eavesdropper) PortsSeen() map[uint16]int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[uint16]int)
-	for _, o := range e.obs {
-		if o.InnerVisible {
-			out[o.InnerDstPort]++
-		}
-	}
-	return out
 }
 
 // Reset discards recorded observations.

@@ -56,28 +56,13 @@ func shimPkt(t testing.TB, src, dst netip.Addr, typ shim.Type, inner []byte) []b
 
 func TestAddressMatchers(t *testing.T) {
 	pkt := udpPkt(t, srcA, dstB, 100, 200, nil)
-	if !MatchSrcAddr(srcA)(pkt) || MatchSrcAddr(dstB)(pkt) {
-		t.Error("MatchSrcAddr")
-	}
 	if !MatchDstAddr(dstB)(pkt) || MatchDstAddr(srcA)(pkt) {
 		t.Error("MatchDstAddr")
-	}
-	if !MatchAddr(srcA)(pkt) || !MatchAddr(dstB)(pkt) || MatchAddr(netip.MustParseAddr("9.9.9.9"))(pkt) {
-		t.Error("MatchAddr")
-	}
-	if !MatchPrefix(netip.MustParsePrefix("10.10.0.0/16"))(pkt) {
-		t.Error("MatchPrefix should match dst block")
-	}
-	if MatchPrefix(netip.MustParsePrefix("192.168.0.0/16"))(pkt) {
-		t.Error("MatchPrefix false positive")
 	}
 }
 
 func TestProtoAndPortMatchers(t *testing.T) {
 	plain := udpPkt(t, srcA, dstB, 5060, 16384, []byte("rtp"))
-	if !MatchProto(wire.ProtoUDP)(plain) || MatchProto(wire.ProtoShim)(plain) {
-		t.Error("MatchProto")
-	}
 	if !MatchUDPPort(5060)(plain) || !MatchUDPPort(16384)(plain) || MatchUDPPort(80)(plain) {
 		t.Error("MatchUDPPort on plain UDP")
 	}
@@ -111,44 +96,12 @@ func TestDPIMatcher(t *testing.T) {
 	}
 }
 
-func TestShimTypeMatcher(t *testing.T) {
-	setup := shimPkt(t, srcA, dstB, shim.TypeKeySetupRequest, nil)
-	data := shimPkt(t, srcA, dstB, shim.TypeData, nil)
-	m := MatchShimType(shim.TypeKeySetupRequest)
-	if !m(setup) {
-		t.Error("key-setup detection failed (§3.6 classifier)")
-	}
-	if m(data) {
-		t.Error("matched wrong shim type")
-	}
-	if m(udpPkt(t, srcA, dstB, 1, 2, nil)) {
-		t.Error("matched non-shim packet")
-	}
-}
-
-func TestCombinators(t *testing.T) {
-	pkt := udpPkt(t, srcA, dstB, 1, 2, nil)
-	if !And(MatchSrcAddr(srcA), MatchDstAddr(dstB))(pkt) {
-		t.Error("And")
-	}
-	if And(MatchSrcAddr(srcA), MatchDstAddr(srcA))(pkt) {
-		t.Error("And short-circuit")
-	}
-	if !Or(MatchDstAddr(srcA), MatchDstAddr(dstB))(pkt) {
-		t.Error("Or")
-	}
-	if !Not(MatchDstAddr(srcA))(pkt) {
-		t.Error("Not")
-	}
-	if !MatchAll()(pkt) {
-		t.Error("MatchAll")
-	}
-}
+func matchAll([]byte) bool { return true }
 
 func TestPolicyFirstMatchAndHits(t *testing.T) {
 	p := NewPolicy(mathrand.New(mathrand.NewSource(1)),
 		Rule{Name: "target-google", Match: MatchDstAddr(dstB), Action: Action{Delay: 50 * time.Millisecond}},
-		Rule{Name: "catch-all", Match: MatchAll(), Action: Action{}},
+		Rule{Name: "catch-all", Match: matchAll, Action: Action{}},
 	)
 	hook := p.Hook()
 	v := hook(time.Time{}, nil, udpPkt(t, srcA, dstB, 1, 2, nil))
@@ -167,7 +120,7 @@ func TestPolicyFirstMatchAndHits(t *testing.T) {
 
 func TestPolicyDropProbability(t *testing.T) {
 	p := NewPolicy(mathrand.New(mathrand.NewSource(42)),
-		Rule{Name: "half", Match: MatchAll(), Action: Action{DropProb: 0.5}},
+		Rule{Name: "half", Match: matchAll, Action: Action{DropProb: 0.5}},
 	)
 	hook := p.Hook()
 	pkt := udpPkt(t, srcA, dstB, 1, 2, nil)
@@ -223,7 +176,7 @@ func TestEavesdropperVisibility(t *testing.T) {
 	anycast := netip.MustParseAddr("10.200.0.1")
 	hook(now, nil, shimPkt(t, srcA, anycast, shim.TypeData, nil))
 
-	obs := e.Observations()
+	obs := e.obs
 	if len(obs) != 2 || e.Count() != 2 {
 		t.Fatalf("observations = %d", len(obs))
 	}
@@ -241,14 +194,6 @@ func TestEavesdropperVisibility(t *testing.T) {
 	}
 	if e.SawAddr(netip.MustParseAddr("10.10.0.99")) {
 		t.Error("false SawAddr")
-	}
-	peers := e.DistinctPeers()
-	if len(peers) != 2 {
-		t.Errorf("distinct peers = %d", len(peers))
-	}
-	ports := e.PortsSeen()
-	if ports[16384] != 1 || len(ports) != 1 {
-		t.Errorf("ports = %v", ports)
 	}
 	e.Reset()
 	if e.Count() != 0 {

@@ -1,6 +1,6 @@
 // Package measure provides the instrumentation used by experiments:
-// latency histograms with quantiles, throughput meters, an RFC 3550
-// jitter estimator, and a simplified ITU-T G.107 E-model that converts
+// latency histograms with quantiles, a loss counter, rank and
+// distribution tests, and a simplified ITU-T G.107 E-model that converts
 // delay and loss into a VoIP MOS score (how the Vonage-degradation story
 // of the paper's introduction is quantified).
 package measure
@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// DefaultMaxSamples is the histogram's default reservoir bound: below
+// DefaultMaxSamples is the histogram's reservoir bound: below
 // it every sample is kept and quantiles are exact; above it Add switches
 // to uniform reservoir sampling so memory stays capped no matter how
 // many samples a metro-scale flow records.
@@ -20,27 +20,15 @@ const DefaultMaxSamples = 8192
 
 // Histogram collects duration samples and answers quantile queries.
 // The zero value is ready to use. Count, Mean and Max are always exact;
-// quantiles are exact up to the sample bound (DefaultMaxSamples, or
-// SetMaxSamples) and computed over a uniform reservoir beyond it.
+// quantiles are exact up to the sample bound (DefaultMaxSamples) and
+// computed over a uniform reservoir beyond it.
 type Histogram struct {
 	samples []time.Duration
 	sorted  bool
 	sum     time.Duration
 	max     time.Duration
 	added   uint64
-	bound   int
 	rng     uint64
-}
-
-// SetMaxSamples caps the retained reservoir at n samples (n <= 0 resets
-// to DefaultMaxSamples). Call it before adding samples: shrinking a
-// reservoir that already overflowed the new bound would bias it, so the
-// new bound only applies to future growth.
-func (h *Histogram) SetMaxSamples(n int) {
-	if n <= 0 {
-		n = DefaultMaxSamples
-	}
-	h.bound = n
 }
 
 // Add records a sample.
@@ -50,11 +38,7 @@ func (h *Histogram) Add(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	bound := h.bound
-	if bound <= 0 {
-		bound = DefaultMaxSamples
-	}
-	if len(h.samples) < bound {
+	if len(h.samples) < DefaultMaxSamples {
 		h.samples = append(h.samples, d)
 		h.sorted = false
 		return
@@ -122,82 +106,6 @@ func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
 		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
 }
-
-// Meter counts events and bytes over a time span.
-type Meter struct {
-	count uint64
-	bytes uint64
-	first time.Time
-	last  time.Time
-	seen  bool
-}
-
-// Record adds an event of the given size at time t.
-func (m *Meter) Record(t time.Time, size int) {
-	if !m.seen {
-		m.first, m.seen = t, true
-	}
-	m.last = t
-	m.count++
-	m.bytes += uint64(size)
-}
-
-// Count returns recorded events.
-func (m *Meter) Count() uint64 { return m.count }
-
-// Bytes returns recorded bytes.
-func (m *Meter) Bytes() uint64 { return m.bytes }
-
-// Span returns the time between first and last event.
-func (m *Meter) Span() time.Duration {
-	if !m.seen {
-		return 0
-	}
-	return m.last.Sub(m.first)
-}
-
-// RatePerSec returns events/second over the span (0 if degenerate).
-func (m *Meter) RatePerSec() float64 {
-	s := m.Span().Seconds()
-	if s <= 0 || m.count < 2 {
-		return 0
-	}
-	return float64(m.count-1) / s
-}
-
-// BitsPerSec returns the goodput in bits/second over the span.
-func (m *Meter) BitsPerSec() float64 {
-	s := m.Span().Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return float64(m.bytes*8) / s
-}
-
-// Jitter is the RFC 3550 interarrival jitter estimator:
-// J += (|D(i-1,i)| - J) / 16.
-type Jitter struct {
-	lastTransit time.Duration
-	j           float64
-	seen        bool
-}
-
-// Update records a packet with the given one-way transit time.
-func (j *Jitter) Update(transit time.Duration) {
-	if !j.seen {
-		j.lastTransit, j.seen = transit, true
-		return
-	}
-	d := transit - j.lastTransit
-	if d < 0 {
-		d = -d
-	}
-	j.lastTransit = transit
-	j.j += (float64(d) - j.j) / 16
-}
-
-// Value returns the current jitter estimate.
-func (j *Jitter) Value() time.Duration { return time.Duration(j.j) }
 
 // MOS computes a simplified E-model (ITU-T G.107) mean opinion score for
 // a G.711 call with the given one-way mouth-to-ear delay and packet loss

@@ -49,55 +49,6 @@ func TestHistogramQuantileAfterMoreAdds(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	var m Meter
-	t0 := time.Unix(0, 0)
-	if m.RatePerSec() != 0 || m.BitsPerSec() != 0 {
-		t.Error("empty meter rates should be 0")
-	}
-	// 11 events over 10 seconds = 1 interarrival/sec.
-	for i := 0; i <= 10; i++ {
-		m.Record(t0.Add(time.Duration(i)*time.Second), 125)
-	}
-	if m.Count() != 11 || m.Bytes() != 11*125 {
-		t.Errorf("count=%d bytes=%d", m.Count(), m.Bytes())
-	}
-	if got := m.RatePerSec(); got != 1.0 {
-		t.Errorf("RatePerSec = %v", got)
-	}
-	if got := m.BitsPerSec(); got != float64(11*125*8)/10 {
-		t.Errorf("BitsPerSec = %v", got)
-	}
-	if m.Span() != 10*time.Second {
-		t.Errorf("Span = %v", m.Span())
-	}
-}
-
-func TestJitterConstantTransitIsZero(t *testing.T) {
-	var j Jitter
-	for i := 0; i < 50; i++ {
-		j.Update(20 * time.Millisecond)
-	}
-	if j.Value() != 0 {
-		t.Errorf("constant transit should have zero jitter, got %v", j.Value())
-	}
-}
-
-func TestJitterGrowsWithVariance(t *testing.T) {
-	var j Jitter
-	for i := 0; i < 100; i++ {
-		if i%2 == 0 {
-			j.Update(20 * time.Millisecond)
-		} else {
-			j.Update(30 * time.Millisecond)
-		}
-	}
-	// RFC 3550 converges toward |D| = 10ms.
-	if j.Value() < 5*time.Millisecond || j.Value() > 10*time.Millisecond {
-		t.Errorf("jitter = %v, want ~[5ms,10ms]", j.Value())
-	}
-}
-
 func TestMOSCleanCallIsGood(t *testing.T) {
 	mos := MOS(20*time.Millisecond, 0)
 	if mos < 4.2 {

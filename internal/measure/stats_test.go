@@ -260,7 +260,6 @@ func TestDegenerateInputs(t *testing.T) {
 // keeping Count/Mean/Max exact and quantiles representative.
 func TestHistogramReservoirBound(t *testing.T) {
 	var h Histogram
-	h.SetMaxSamples(256)
 	const n = 100_000
 	for i := 1; i <= n; i++ {
 		h.Add(time.Duration(i) * time.Microsecond)
@@ -268,8 +267,8 @@ func TestHistogramReservoirBound(t *testing.T) {
 	if h.Count() != n {
 		t.Errorf("Count = %d, want %d (total adds, not reservoir size)", h.Count(), n)
 	}
-	if got := len(h.samples); got != 256 {
-		t.Errorf("retained %d samples, want bound 256", got)
+	if got := len(h.samples); got != DefaultMaxSamples {
+		t.Errorf("retained %d samples, want bound %d", got, DefaultMaxSamples)
 	}
 	wantMean := time.Duration(n+1) * time.Microsecond / 2
 	if got := h.Mean(); got != wantMean {
@@ -294,8 +293,7 @@ func TestHistogramReservoirBound(t *testing.T) {
 func TestHistogramReservoirDeterministic(t *testing.T) {
 	run := func() []time.Duration {
 		var h Histogram
-		h.SetMaxSamples(64)
-		for i := 0; i < 10_000; i++ {
+		for i := 0; i < 4*DefaultMaxSamples; i++ {
 			h.Add(time.Duration(i) * time.Microsecond)
 		}
 		return append([]time.Duration(nil), h.samples...)

@@ -184,12 +184,11 @@ func contains(c []netip.Addr, a netip.Addr) bool {
 }
 
 // Selector binds a candidate list (from a site's DNS record) to a
-// strategy and tracks per-candidate usage for experiments.
+// strategy.
 type Selector struct {
 	mu         sync.Mutex
 	candidates []netip.Addr
 	strategy   Strategy
-	uses       map[netip.Addr]int
 }
 
 // NewSelector creates a selector. It returns ErrNoCandidates for an empty
@@ -203,32 +202,19 @@ func NewSelector(candidates []netip.Addr, s Strategy) (*Selector, error) {
 	}
 	cp := make([]netip.Addr, len(candidates))
 	copy(cp, candidates)
-	return &Selector{candidates: cp, strategy: s, uses: make(map[netip.Addr]int)}, nil
+	return &Selector{candidates: cp, strategy: s}, nil
 }
 
 // Pick chooses the neutralizer for the next connection attempt.
 func (s *Selector) Pick() netip.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	a := s.strategy.Pick(s.candidates)
-	s.uses[a]++
-	return a
+	return s.strategy.Pick(s.candidates)
 }
 
 // Feedback reports the outcome of the last use of addr.
 func (s *Selector) Feedback(addr netip.Addr, ok bool, rtt time.Duration) {
 	s.strategy.Feedback(addr, ok, rtt)
-}
-
-// Uses returns how many times each candidate was picked.
-func (s *Selector) Uses() map[netip.Addr]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[netip.Addr]int, len(s.uses))
-	for k, v := range s.uses {
-		out[k] = v
-	}
-	return out
 }
 
 // Strategy returns the strategy's name.

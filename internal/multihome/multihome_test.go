@@ -35,9 +35,15 @@ func TestStaticAlwaysFirst(t *testing.T) {
 			t.Fatalf("static picked %v", got)
 		}
 	}
-	if s.Uses()[n1] != 10 || s.Uses()[n2] != 0 {
-		t.Errorf("uses = %v", s.Uses())
+}
+
+// pickN draws n picks and returns how often each candidate came up.
+func pickN(s *Selector, n int) map[netip.Addr]int {
+	u := make(map[netip.Addr]int)
+	for i := 0; i < n; i++ {
+		u[s.Pick()]++
 	}
+	return u
 }
 
 func TestRoundRobinEvenSpread(t *testing.T) {
@@ -45,10 +51,7 @@ func TestRoundRobinEvenSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
-		s.Pick()
-	}
-	u := s.Uses()
+	u := pickN(s, 30)
 	if u[n1] != 10 || u[n2] != 10 || u[n3] != 10 {
 		t.Errorf("uses = %v, want even 10/10/10", u)
 	}
@@ -65,10 +68,7 @@ func TestWeightedPrefersFasterProvider(t *testing.T) {
 		w.Feedback(n1, true, 10*time.Millisecond)
 		w.Feedback(n2, true, 100*time.Millisecond)
 	}
-	for i := 0; i < 1000; i++ {
-		s.Pick()
-	}
-	u := s.Uses()
+	u := pickN(s, 1000)
 	// Expected ratio ~10:1.
 	if u[n1] < 800 {
 		t.Errorf("fast provider picked %d/1000, want >= 800", u[n1])
@@ -88,10 +88,7 @@ func TestWeightedFailuresDeprioritize(t *testing.T) {
 		w.Feedback(n1, false, 0) // provider 1 failing
 		w.Feedback(n2, true, 20*time.Millisecond)
 	}
-	for i := 0; i < 500; i++ {
-		s.Pick()
-	}
-	if u := s.Uses(); u[n2] < 400 {
+	if u := pickN(s, 500); u[n2] < 400 {
 		t.Errorf("healthy provider picked %d/500", u[n2])
 	}
 }

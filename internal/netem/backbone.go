@@ -192,9 +192,6 @@ func BuildBackbone(sim *Simulator, spec BackboneSpec) (*Backbone, error) {
 	return bb, nil
 }
 
-// Metro returns metro m's fan-out.
-func (bb *Backbone) Metro(m int) *Fanout { return bb.Metros[m] }
-
 // HostAddr returns the address of host i in metro m.
 func (bb *Backbone) HostAddr(m, i int) netip.Addr { return bb.Metros[m].HostAddr(i) }
 

@@ -44,7 +44,7 @@ func TestBuildBackboneRouting(t *testing.T) {
 	}
 
 	// Core routing state is O(metros): 3 routes per metro, none per host.
-	if n := bb.Core.RouteCount(); n != 3*len(bb.Metros) {
+	if n := routeCount(bb.Core); n != 3*len(bb.Metros) {
 		t.Errorf("core has %d routes, want %d", n, 3*len(bb.Metros))
 	}
 	// Address blocks are disjoint and metro-local addressing stayed intact.
@@ -162,7 +162,7 @@ func TestBackboneMillionHosts(t *testing.T) {
 	if built > 10*time.Second {
 		t.Errorf("1M-host build took %v, want <= 10s", built)
 	}
-	if n := s.NodeCount(); n < 1_000_000 {
+	if n := len(s.nodeList); n < 1_000_000 {
 		t.Fatalf("only %d nodes", n)
 	}
 	gotCross := false

@@ -116,10 +116,6 @@ func (n *Node) ClearRoutes() {
 	n.fib.dirty = true
 }
 
-// RouteCount reports installed route entries (prefix plus block/range
-// entries — a block counts once, however many addresses it covers).
-func (n *Node) RouteCount() int { return len(n.routes) + len(n.blocks) }
-
 // compileFIB rebuilds the indexed FIB from the route and block lists.
 // Ties between equal-length prefixes resolve to the earliest-installed
 // route, matching the historical linear scan (which only replaced on
@@ -264,36 +260,6 @@ func (n *Node) lookupRoute(dst netip.Addr) *Link {
 	return nil
 }
 
-// lookupRouteLinear is the reference implementation the FIB property
-// tests assert lookupRoute against on random topologies: a linear scan
-// for the longest matching prefix, with block/range routes modelled as
-// the host routes they stand for — matched at host specificity (below
-// an exact single-IP route, above any broader prefix), earliest
-// installed first among overlapping blocks.
-func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
-	best := -1
-	var via *Link
-	for i := range n.routes {
-		r := &n.routes[i]
-		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
-			best = r.prefix.Bits()
-			via = r.link
-		}
-	}
-	if best == dst.BitLen() {
-		return via // exact host route outranks blocks
-	}
-	if dst.Is4() {
-		v := ipv4ToUint(dst)
-		for i := range n.blocks {
-			if b := &n.blocks[i]; b.contains(v) {
-				return b.lookup(v)
-			}
-		}
-	}
-	return via
-}
-
 // dijkstraScratch holds per-source Dijkstra state, reused across the
 // sources of one BuildRoutes call (and across calls) so route compilation
 // on large topologies doesn't thrash the allocator.
@@ -400,7 +366,7 @@ func (s *Simulator) runDijkstra(src *Node) *dijkstraScratch {
 // BuildRoutes computes shortest-path routes (Dijkstra over link costs)
 // from every node to every node address and anycast group. It REPLACES
 // every node's routing table; call it after the topology is complete and
-// before adding manual prefix routes (AddRoute, InstallPrefixRoutes).
+// before adding manual prefix routes (AddRoute).
 //
 // Cost is O(nodes * links * log nodes): fine for scenario topologies up
 // to a few thousand nodes. Metro-scale fan-outs should use BuildFanout,
@@ -441,34 +407,4 @@ func (s *Simulator) BuildRoutes() {
 			}
 		}
 	}
-}
-
-// InstallPrefixRoutes adds, on every node, a route for each given prefix
-// via the same first hop as a representative address inside the prefix.
-// This lets later-allocated addresses (dynamic addresses, spoofed
-// sources) route without rebuilding: the covering prefix matches.
-func (s *Simulator) InstallPrefixRoutes(prefixes ...netip.Prefix) error {
-	for _, p := range prefixes {
-		// Find any node address inside p to copy routing from.
-		var rep netip.Addr
-		found := false
-		for a := range s.byAddr {
-			if p.Contains(a) {
-				rep, found = a, true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("netem: no node address inside prefix %v", p)
-		}
-		for _, n := range s.nodes {
-			if n.HasAddr(rep) || p.Contains(n.Addr()) {
-				continue
-			}
-			if via := n.lookupRoute(rep); via != nil {
-				n.AddRoute(p, via)
-			}
-		}
-	}
-	return nil
 }

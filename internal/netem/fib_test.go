@@ -10,6 +10,36 @@ import (
 	"time"
 )
 
+// lookupRouteLinear is the reference implementation the FIB property
+// tests assert lookupRoute against on random topologies: a linear scan
+// for the longest matching prefix, with block/range routes modelled as
+// the host routes they stand for — matched at host specificity (below
+// an exact single-IP route, above any broader prefix), earliest
+// installed first among overlapping blocks.
+func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
+	best := -1
+	var via *Link
+	for i := range n.routes {
+		r := &n.routes[i]
+		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
+			best = r.prefix.Bits()
+			via = r.link
+		}
+	}
+	if best == dst.BitLen() {
+		return via // exact host route outranks blocks
+	}
+	if dst.Is4() {
+		v := ipv4ToUint(dst)
+		for i := range n.blocks {
+			if b := &n.blocks[i]; b.contains(v) {
+				return b.lookup(v)
+			}
+		}
+	}
+	return via
+}
+
 // randTopology builds a random connected topology: n nodes each with one
 // address, a spanning tree plus extra random links with random costs.
 func randTopology(t *testing.T, rng *rand.Rand, n int) (*Simulator, []*Node) {

@@ -107,9 +107,6 @@ func (f *FluidFlow) Start(d time.Duration) {
 	f.node.Schedule(f.cfg.Interval, f.tick)
 }
 
-// Rate reports the load currently offered (0 when stopped).
-func (f *FluidFlow) Rate() float64 { return f.d.fluidBps }
-
 // tick accounts the bytes offered over the elapsed interval, then
 // re-draws the next interval's rate — or retires the flow at its
 // horizon. Runs on the shard owning the link direction.

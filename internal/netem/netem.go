@@ -264,15 +264,6 @@ func (s *Simulator) RunUntil(t time.Time) { s.runLimit(t.UnixNano()) }
 // RunFor advances the simulation by d.
 func (s *Simulator) RunFor(d time.Duration) { s.runLimit(s.now() + int64(d)) }
 
-// PendingEvents reports events waiting across all queues.
-func (s *Simulator) PendingEvents() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.events.len()
-	}
-	return n
-}
-
 // Node is a host or router in the emulated network.
 type Node struct {
 	Name string
@@ -324,26 +315,6 @@ func (s *Simulator) MustAddNode(name, domain string, addrs ...netip.Addr) *Node 
 
 // Node returns a node by name, or nil.
 func (s *Simulator) Node(name string) *Node { return s.nodes[name] }
-
-// NodeByAddr returns the node owning addr, or nil. Named nodes resolve
-// through the address map; anonymous leaf hosts resolve through their
-// block's offset index (a short linear walk over blocks — one per metro,
-// not per host).
-func (s *Simulator) NodeByAddr(a netip.Addr) *Node {
-	if n, ok := s.byAddr[a]; ok {
-		return n
-	}
-	if !a.Is4() {
-		return nil
-	}
-	v := ipv4ToUint(a)
-	for i := range s.addrBlocks {
-		if b := &s.addrBlocks[i]; v-b.first < uint32(len(b.nodes)) {
-			return b.nodes[v-b.first]
-		}
-	}
-	return nil
-}
 
 // addrBlock is one AddHostBlock registration: nodes[i] owns address
 // first+i.
@@ -429,23 +400,14 @@ func (s *Simulator) AddHostBlock(domain string, first netip.Addr, n int) ([]*Nod
 	return nodes, nil
 }
 
-// NodeCount reports how many nodes the simulator holds.
-func (s *Simulator) NodeCount() int { return len(s.nodeList) }
-
 // AddAnycast registers addr as an anycast address served by the given
 // nodes. Routing resolves it to the nearest member.
 func (s *Simulator) AddAnycast(addr netip.Addr, members ...*Node) {
 	s.anycast[addr] = append(s.anycast[addr], members...)
 }
 
-// AnycastMembers returns the members of an anycast group (nil if none).
-func (s *Simulator) AnycastMembers(addr netip.Addr) []*Node { return s.anycast[addr] }
-
 // Sim returns the simulator the node belongs to.
 func (n *Node) Sim() *Simulator { return n.sim }
-
-// Addrs returns the node's addresses.
-func (n *Node) Addrs() []netip.Addr { return n.addrs }
 
 // Addr returns the node's first address (its canonical identity), or the
 // zero Addr for address-less transit routers.

@@ -237,8 +237,8 @@ func TestAnycastNearestMember(t *testing.T) {
 	if hit != "near" {
 		t.Errorf("anycast delivered to %q, want \"near\"", hit)
 	}
-	if got := s.AnycastMembers(any); len(got) != 2 {
-		t.Errorf("AnycastMembers = %d", len(got))
+	if got := s.anycast[any]; len(got) != 2 {
+		t.Errorf("anycast members = %d", len(got))
 	}
 }
 
@@ -355,46 +355,15 @@ func TestAddRemoveAddr(t *testing.T) {
 	if err := n.AddAddr(dyn); err != nil {
 		t.Fatal(err)
 	}
-	if s.NodeByAddr(dyn) != n || !n.HasAddr(dyn) {
+	if s.byAddr[dyn] != n || !n.HasAddr(dyn) {
 		t.Error("dynamic address not registered")
 	}
 	if err := n.AddAddr(dyn); err == nil {
 		t.Error("re-adding same address should fail")
 	}
 	n.RemoveAddr(dyn)
-	if s.NodeByAddr(dyn) != nil || n.HasAddr(dyn) {
+	if s.byAddr[dyn] != nil || n.HasAddr(dyn) {
 		t.Error("dynamic address not released")
-	}
-}
-
-func TestInstallPrefixRoutes(t *testing.T) {
-	s := NewSimulator(simStart, 1)
-	a := s.MustAddNode("a", "", addr("10.0.0.1"))
-	r := s.MustAddNode("r", "", addr("10.0.0.254"))
-	b := s.MustAddNode("b", "", addr("10.1.0.1"))
-	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
-	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})
-	s.BuildRoutes()
-	if err := s.InstallPrefixRoutes(netip.MustParsePrefix("10.1.0.0/16")); err != nil {
-		t.Fatal(err)
-	}
-	// b gains a *new* address covered by the prefix; a can reach it
-	// without BuildRoutes.
-	dyn := addr("10.1.0.200")
-	if err := b.AddAddr(dyn); err != nil {
-		t.Fatal(err)
-	}
-	got := false
-	b.SetHandler(func(time.Time, []byte) { got = true })
-	if err := a.Send(mkUDP(t, addr("10.0.0.1"), dyn, nil)); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if !got {
-		t.Error("prefix-routed packet not delivered")
-	}
-	if err := s.InstallPrefixRoutes(netip.MustParsePrefix("172.16.0.0/12")); err == nil {
-		t.Error("prefix with no members should error")
 	}
 }
 

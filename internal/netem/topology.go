@@ -236,7 +236,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	// Customer hosts are slab-allocated and anonymous (AddHostBlock): no
 	// per-host name, map entry, or separate Node/Link allocation, which
 	// is what lets BuildBackbone fit a million of them. Resolve them
-	// through Fanout.Hosts or NodeByAddr, not Simulator.Node.
+	// through Fanout.Hosts, not Simulator.Node.
 	f.Hosts, err = sim.AddHostBlock("supportive", f.HostAddr(0), spec.Hosts)
 	if err != nil {
 		return nil, err

@@ -163,11 +163,6 @@ func (st *FlightStripe) Sample() bool {
 	return st.fr.sampleEvery == 1 || st.seen%st.fr.sampleEvery == 1
 }
 
-// Tagged reports whether any flow tags exist (a cheap pre-check so the
-// caller can skip flow hashing when the event is unsampled and no tags
-// are registered).
-func (st *FlightStripe) Tagged() bool { return st.tagged }
-
 // FlowAware reports whether any per-flow selection — tags or flow-keyed
 // sampling — exists, so callers can skip flow hashing entirely when the
 // event lost head sampling and no flow could rescue it.

@@ -12,9 +12,8 @@ import (
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON snapshot (ts + merged metric values)
 //	/stream        NDJSON frames, one per published tick (backpressured)
-//	/flight.json   merged flight-recorder events (if attached)
 //	/trace.json    assembled spans as Chrome trace-event JSON (Perfetto)
-//	/trace         merged trace events as NDJSON
+//	/trace         merged flight-recorder events as NDJSON
 //	/debug/pprof/  the standard pprof handlers
 //
 // The Source abstracts where snapshots come from: a live *Registry for
@@ -32,7 +31,7 @@ type HandlerConfig struct {
 	Source Source
 	// Streamer, if set, backs /stream.
 	Streamer *Streamer
-	// Flight, if set, backs /flight.json.
+	// Flight, if set, backs /trace.json and /trace.
 	Flight *FlightRecorder
 }
 
@@ -79,10 +78,6 @@ func NewHandler(cfg HandlerConfig) *http.ServeMux {
 		})
 	}
 	if cfg.Flight != nil {
-		mux.HandleFunc("/flight.json", func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(cfg.Flight.Events())
-		})
 		mux.HandleFunc("/trace.json", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = WriteChromeTrace(w, AssembleSpans(cfg.Flight.Events()))

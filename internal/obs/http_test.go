@@ -41,9 +41,9 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics.json missing metric:\n%s", body)
 	}
 
-	code, _, body = get("/flight.json")
-	if code != 200 || !strings.Contains(body, `"ts":5`) {
-		t.Fatalf("/flight.json: code=%d body=%s", code, body)
+	code, ctype, body = get("/trace")
+	if code != 200 || !strings.Contains(ctype, "application/x-ndjson") || !strings.Contains(body, `"ts":5`) {
+		t.Fatalf("/trace: code=%d type=%q body=%s", code, ctype, body)
 	}
 
 	code, _, _ = get("/debug/pprof/cmdline")

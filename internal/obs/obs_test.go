@@ -218,7 +218,7 @@ func TestRecorderRingsAndInterval(t *testing.T) {
 	if got := rec.Ticks(); got != 10 {
 		t.Fatalf("ticks = %d, want 10", got)
 	}
-	s := rec.SeriesByName("test_ticks_total")
+	s := rec.byName["test_ticks_total"]
 	if s == nil {
 		t.Fatal("series missing")
 	}
@@ -243,7 +243,7 @@ func TestRecorderHistogramSeries(t *testing.T) {
 	h.Observe(100)
 	rec.Tick(1)
 	for _, name := range []string{"test_h_ns.count", "test_h_ns.p50", "test_h_ns.p95", "test_h_ns.p99"} {
-		if rec.SeriesByName(name) == nil {
+		if rec.byName[name] == nil {
 			t.Errorf("missing histogram series %s", name)
 		}
 	}
@@ -267,7 +267,7 @@ func TestFlightRecorderSamplingAndTags(t *testing.T) {
 		t.Fatalf("recorded %d, want 4", recorded)
 	}
 	st2 := fr.Stripe(1)
-	if !st2.Tagged() || !st2.TaggedFlow(77) || st2.TaggedFlow(78) {
+	if !st2.tagged || !st2.TaggedFlow(77) || st2.TaggedFlow(78) {
 		t.Fatal("tag set not visible from new stripe")
 	}
 	if fr.Seen() != 16 || fr.Sampled() != 4 {

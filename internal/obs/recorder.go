@@ -16,9 +16,9 @@ import (
 //
 // For live export while a deterministic (plain-stripe) sim is running,
 // the recorder can additionally publish a merged Snapshot at each tick
-// behind an atomic pointer (EnablePublish) and push NDJSON frames to a
-// Streamer; both are read-side conveniences that do not feed back into
-// the sim.
+// behind an atomic pointer and push NDJSON frames to a Streamer
+// (SetStreamer turns both on); both are read-side conveniences that do
+// not feed back into the sim.
 type Recorder struct {
 	reg      *Registry
 	ringSize int
@@ -60,10 +60,6 @@ func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
 
 // Registry returns the registry the recorder samples.
 func (r *Recorder) Registry() *Registry { return r.reg }
-
-// EnablePublish makes each tick additionally publish a merged Snapshot
-// (including volatile families) for live HTTP export.
-func (r *Recorder) EnablePublish() { r.publish.Store(true) }
 
 // SetStreamer attaches a streamer: each published tick is also offered
 // to stream subscribers as one NDJSON frame (non-blocking; slow
@@ -175,13 +171,6 @@ func (r *Recorder) Series() []*Series {
 	out := make([]*Series, len(r.series))
 	copy(out, r.series)
 	return out
-}
-
-// SeriesByName returns one series, or nil.
-func (r *Recorder) SeriesByName(name string) *Series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[name]
 }
 
 // Snapshot implements Source: the last published snapshot if publishing

@@ -25,7 +25,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -424,17 +423,4 @@ func (r *Registry) snapshotAt(ts int64, skipVolatile bool) *Snapshot {
 		snap.Metrics = append(snap.Metrics, m)
 	}
 	return snap
-}
-
-// Names returns the registered full names, sorted (for tests and the
-// scrape validator).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, f.name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -130,13 +130,6 @@ func (q watchedQueue) Enqueue(p *netem.Packet) bool {
 	return false
 }
 
-// SampleCount reports recorded samples.
-func (d *Detector) SampleCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.samples)
-}
-
 // Identify returns the aggregate covering at least minFraction of the
 // observed drops, preferring the most specific signature: it fixes the
 // dominant destination and shim type, then narrows by the dominant /16

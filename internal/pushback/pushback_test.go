@@ -126,11 +126,11 @@ func TestDetectorNoDominantAggregate(t *testing.T) {
 	if _, ok := d.Identify(0.8); ok {
 		t.Error("no aggregate should cover 80%")
 	}
-	if d.SampleCount() != 100 {
-		t.Errorf("samples = %d", d.SampleCount())
+	if len(d.samples) != 100 {
+		t.Errorf("samples = %d", len(d.samples))
 	}
 	d.Reset()
-	if d.SampleCount() != 0 {
+	if len(d.samples) != 0 {
 		t.Error("Reset")
 	}
 }
@@ -303,7 +303,7 @@ func TestWatchQueueReportsExactlyTheRefused(t *testing.T) {
 	if dropped == 0 || len(delivered) == 0 {
 		t.Fatalf("degenerate run: dropped=%d delivered=%d", dropped, len(delivered))
 	}
-	if got := det.SampleCount(); uint64(got) != dropped {
+	if got := len(det.samples); uint64(got) != dropped {
 		t.Fatalf("detector observed %d packets, link dropped %d", got, dropped)
 	}
 	if len(delivered)+int(dropped) != len(sent) {

@@ -301,9 +301,6 @@ func (c *UDPConn) LocalAddr() net.Addr {
 	return net.UDPAddrFromAddrPort(netip.AddrPortFrom(c.b.node.Addr(), c.port))
 }
 
-// LocalPort returns the bound UDP port.
-func (c *UDPConn) LocalPort() uint16 { return c.port }
-
 // RemoteAddr implements net.Conn; nil when unconnected.
 func (c *UDPConn) RemoteAddr() net.Addr {
 	if !c.remote.IsValid() {

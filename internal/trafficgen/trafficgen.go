@@ -86,16 +86,3 @@ func expRand(rng *rand.Rand, rate float64) float64 {
 	}
 	return -math.Log(u) / rate
 }
-
-// SeqOf recovers the big-endian sequence number a sender stamped into
-// the first eight bytes of a payload (0 when the payload is shorter).
-func SeqOf(payload []byte) uint64 {
-	if len(payload) < 8 {
-		return 0
-	}
-	var s uint64
-	for i := 0; i < 8; i++ {
-		s = s<<8 | uint64(payload[i])
-	}
-	return s
-}

@@ -1,7 +1,6 @@
 package trafficgen
 
 import (
-	"encoding/binary"
 	"net/netip"
 	"testing"
 	"time"
@@ -11,16 +10,6 @@ import (
 )
 
 var start = time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
-
-func TestSeqStamping(t *testing.T) {
-	p := binary.BigEndian.AppendUint64(nil, 0xDEADBEEF)
-	if SeqOf(append(p, "frame body"...)) != 0xDEADBEEF {
-		t.Errorf("SeqOf = %x", SeqOf(p))
-	}
-	if SeqOf([]byte{1}) != 0 {
-		t.Error("short payload should yield 0")
-	}
-}
 
 func TestOpenLoopRate(t *testing.T) {
 	sim := netem.NewSimulator(start, 1)
@@ -36,10 +25,6 @@ func TestOpenLoopRate(t *testing.T) {
 		if want := time.Duration(i) * time.Millisecond; at != want {
 			t.Errorf("emission %d at %v, want %v", i, at, want)
 		}
-	}
-	// Self-rescheduling: never more than one generator event pending.
-	if sim.PendingEvents() != 0 {
-		t.Errorf("pending events = %d", sim.PendingEvents())
 	}
 }
 

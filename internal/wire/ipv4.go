@@ -57,9 +57,6 @@ const (
 // DSCP returns the DiffServ codepoint (upper six TOS bits).
 func (ip *IPv4) DSCP() uint8 { return ip.TOS >> 2 }
 
-// SetDSCP sets the DiffServ codepoint, preserving ECN bits.
-func (ip *IPv4) SetDSCP(dscp uint8) { ip.TOS = dscp<<2 | ip.TOS&0b11 }
-
 // Payload returns the bytes the datagram carries for upper layers: what
 // follows the header, bounded by the total-length field.
 func (ip *IPv4) Payload() []byte { return ip.payload }

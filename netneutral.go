@@ -39,8 +39,8 @@
 //	scratch := netneutral.NewScratch() // one per goroutine
 //	outs, err := neut.ProcessScratch(scratch, pkt) // stateless; run as many replicas as you like
 //
-// See examples/ for runnable end-to-end scenarios and cmd/neutbench for
-// the evaluation harness.
+// See examples/quickstart for the conversation end to end and
+// cmd/neutbench for the evaluation harness.
 package netneutral
 
 import (
@@ -135,7 +135,7 @@ type Identity = e2e.Identity
 func NewIdentity(bits int) (*Identity, error) { return e2e.NewIdentity(nil, bits) }
 
 // Simulator is the deterministic discrete-event network emulator used by
-// the experiments and examples.
+// the experiments.
 type Simulator = netem.Simulator
 
 // NewSimulator creates an emulator with a virtual clock starting at start
@@ -275,7 +275,7 @@ type FlightRecorderConfig = obs.FlightConfig
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder { return obs.NewFlightRecorder(cfg) }
 
 // MetricsHandlerConfig wires the HTTP export surface (/metrics,
-// /metrics.json, /stream, /flight.json, pprof).
+// /metrics.json, /stream, /trace.json, /trace, pprof).
 type MetricsHandlerConfig = obs.HandlerConfig
 
 // NewMetricsHandler builds the export mux both daemons mount behind

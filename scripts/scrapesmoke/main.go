@@ -11,7 +11,8 @@
 //     carry the values a completed metro run implies (packets actually
 //     delivered, recorder actually ticked, flight recorder actually
 //     sampled);
-//   - /flight.json must return a non-empty event array;
+//   - /trace must return at least one event, every line a well-formed
+//     NDJSON trace record;
 //   - /trace.json must be valid Chrome trace-event JSON (required keys
 //     per event, known phases, monotonic timestamps, balanced B/E
 //     pairs) with at least one span slice — the run is started with
@@ -22,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -131,8 +133,8 @@ func run() error {
 	if err := checkJSON(base + "/metrics.json"); err != nil {
 		return fmt.Errorf("/metrics.json: %w", err)
 	}
-	if err := checkFlight(base + "/flight.json"); err != nil {
-		return fmt.Errorf("/flight.json: %w", err)
+	if err := checkTraceNDJSON(base + "/trace"); err != nil {
+		return fmt.Errorf("/trace: %w", err)
 	}
 	if err := checkTrace(base + "/trace.json"); err != nil {
 		return fmt.Errorf("/trace.json: %w", err)
@@ -289,17 +291,23 @@ func checkJSON(url string) error {
 	return nil
 }
 
-// checkFlight requires at least one sampled trace event.
-func checkFlight(url string) error {
+// checkTraceNDJSON requires at least one sampled trace event, each a
+// JSON object with exactly the flight recorder's fields.
+func checkTraceNDJSON(url string) error {
 	body, err := fetch(url)
 	if err != nil {
 		return err
 	}
-	var events []json.RawMessage
-	if err := json.Unmarshal(body, &events); err != nil {
-		return err
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	events := 0
+	for ; dec.More(); events++ {
+		var ev obs.TraceRec
+		if err := dec.Decode(&ev); err != nil {
+			return fmt.Errorf("event %d: %w", events+1, err)
+		}
 	}
-	if len(events) == 0 {
+	if events == 0 {
 		return fmt.Errorf("no sampled trace events")
 	}
 	return nil
