@@ -20,13 +20,6 @@ func served(s core.StatsSnapshot) uint64 {
 		s.DataForwarded + s.ReturnForwarded
 }
 
-// replayRand is a deterministic entropy source that can be rewound, so two
-// ProcessScratch calls can be given the same draws (the key-setup nonce
-// and padding, the return path's salt).
-type replayRand struct{ *mathrand.Rand }
-
-func (r replayRand) rewind() { r.Seed(1) }
-
 // FuzzProcessScratch throws whole hostile packets at the neutralizer's
 // state machine (the parsers have their own targets in wire and shim),
 // through a locally-answering replica, an offloading one, and one whose
@@ -36,18 +29,22 @@ func (r replayRand) rewind() { r.Seed(1) }
 // dynamic address, plain UDP — plus truncations and bit-flips of each.
 // Every input goes through each replica twice, on a fresh scratch and on
 // one kept for the whole run (whose session-key cache has seen every
-// earlier input), with the replica's entropy rewound in between. For
-// every input, on every replica:
+// earlier input), and each time through the replica's oracle (see
+// oracle_test.go), the replica's entropy — a seeded reader, so nonces,
+// salts and padding agree — rewound before each. For every input, on
+// every replica:
 //
 //   - no panic;
 //   - conservation: each call moves exactly one served counter or one drop
 //     counter, by one, unless the packet is not a shim packet at all
 //     (ErrNotShim);
 //   - an accepted input yields one output, a refused one none;
-//   - the cache is invisible: the warm scratch returns the same error and
-//     the same output bytes as the fresh one;
-//   - the output does not alias the input, decodes as IP | shim, and
-//     carries the input's ToS octet (§3.4).
+//   - warm = fresh = oracle: both scratches return the oracle's outcome
+//     class and its output bytes, and the same error text as each other;
+//     a key-setup response to the bench client's own key also opens, under
+//     that key, to (nonce, Ks = hash(KM, nonce, src));
+//   - the input is not written, the output does not alias it, decodes as
+//     IP | shim, and carries the input's ToS octet (§3.4).
 func FuzzProcessScratch(f *testing.F) {
 	env, err := benchenv.NewBenchEnv(false, true)
 	if err != nil {
@@ -64,7 +61,8 @@ func FuzzProcessScratch(f *testing.F) {
 	dynPool, fullPool := netip.MustParsePrefix("11.0.0.0/8"), netip.MustParsePrefix("12.0.0.0/30")
 	type replica struct {
 		n    *core.Neutralizer
-		rng  replayRand
+		o    *oracle
+		rng  *mathrand.Rand
 		warm *core.Scratch
 	}
 	var replicas []replica
@@ -74,22 +72,32 @@ func FuzzProcessScratch(f *testing.F) {
 		if i == 2 {
 			cfg.DynAddrPool = fullPool
 		}
-		rng := replayRand{mathrand.New(mathrand.NewSource(1))}
+		rng := mathrand.New(mathrand.NewSource(1))
 		cfg.Rand = rng
 		n, err := core.New(cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		replicas = append(replicas, replica{n, rng, core.NewScratch()})
+		o := &oracle{
+			sched: cfg.Schedule, start: benchenv.Start, epochLen: cfg.Schedule.EpochLength(), now: cfg.Clock(),
+			anycast: cfg.Anycast, customer: cfg.IsCustomer, rand: rng, alt: cfg.AltIdentity,
+			dynPool: cfg.DynAddrPool, dynLive: map[[2]netip.Addr]netip.Addr{}, dynFull: i == 2,
+		}
+		if cfg.Offload != nil {
+			o.helper = cfg.Offload.Helpers[0]
+		}
+		replicas = append(replicas, replica{n, o, rng, core.NewScratch()})
 	}
 	dynReturn := bytes.Clone(env.ReturnPkt)
 	dynReturn[wire.IPv4HeaderLen+1] |= shim.FlagDynamicAddr
 	for _, initiator := range []byte{1, 2} {
 		fill := bytes.Clone(dynReturn)
 		fill[wire.IPv4HeaderLen+shim.HeaderLen+3] ^= initiator // ClearAddr: another initiator
-		if _, err := replicas[2].n.ProcessScratch(core.NewScratch(), fill); err != nil {
+		outs, err := replicas[2].n.ProcessScratch(core.NewScratch(), fill)
+		if err != nil {
 			f.Fatal(err)
 		}
+		replicas[2].o.dynLive[[2]netip.Addr{addr4(fill[12:]), addr4(outs[0].Pkt[16:])}] = addr4(outs[0].Pkt[12:])
 	}
 	if _, err := replicas[2].n.ProcessScratch(core.NewScratch(), dynReturn); !errors.Is(err, core.ErrDynPoolExhausted) {
 		f.Fatalf("filled pool: %v, want ErrDynPoolExhausted", err)
@@ -108,10 +116,12 @@ func FuzzProcessScratch(f *testing.F) {
 			f.Add(pkt[:cut])
 		}
 		// Flips across the shim's type, flags, inner-protocol, epoch and
-		// nonce octets and the first body octet: neighbouring types,
-		// the QoS flags, stale epochs, wrong keys, broken bodies.
+		// nonce octets and the first body octet: neighbouring types (a
+		// return becomes a key fetch), a key request on data, each QoS
+		// flag on a return, stale epochs, wrong keys, broken bodies —
+		// every shape the oracle models.
 		for _, off := range []int{0, 1, 2, 4, 7, 8, shim.HeaderLen} {
-			for _, bit := range []byte{0x01, 0x02, 0x08} {
+			for _, bit := range []byte{0x01, 0x02, 0x04, 0x08} {
 				flipped := bytes.Clone(pkt)
 				flipped[wire.IPv4HeaderLen+off] ^= bit
 				f.Add(flipped)
@@ -122,13 +132,10 @@ func FuzzProcessScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, r := range replicas {
 			n := r.n
-			in := bytes.Clone(data) // the engine's bytes must not be written
+			in := bytes.Clone(data)
 			before := n.Stats().Snapshot()
-			r.rng.rewind()
-			freshOuts, freshErr := n.ProcessScratch(core.NewScratch(), in)
-			r.rng.rewind()
-			r.warm.Reset()
-			outs, err := n.ProcessScratch(r.warm, in)
+			fresh, freshErr := checkAgainstOracle(t, r.o, n, core.NewScratch(), r.rng, in)
+			warm, err := checkAgainstOracle(t, r.o, n, r.warm, r.rng, in)
 			after := n.Stats().Snapshot()
 
 			if (err == nil) != (freshErr == nil) || err != nil && err.Error() != freshErr.Error() {
@@ -145,22 +152,28 @@ func FuzzProcessScratch(f *testing.F) {
 				wantDropped = 0
 			}
 			nServed, nDropped := served(after)-served(before), after.Dropped()-before.Dropped()
-			if nServed != wantServed || nDropped != wantDropped || uint64(len(outs)+len(freshOuts)) != wantServed {
-				t.Fatalf("err %v: served %d, dropped %d, %d+%d outputs; want %d, %d, %d",
-					err, nServed, nDropped, len(outs), len(freshOuts), wantServed, wantDropped, wantServed)
+			if nServed != wantServed || nDropped != wantDropped {
+				t.Fatalf("err %v: served %d, dropped %d; want %d, %d", err, nServed, nDropped, wantServed, wantDropped)
 			}
 			if err != nil {
 				continue
 			}
-			if !bytes.Equal(outs[0].Pkt, freshOuts[0].Pkt) {
-				t.Fatalf("warm and fresh scratch disagree:\n%x\n%x", outs[0].Pkt, freshOuts[0].Pkt)
+			if !bytes.Equal(warm, fresh) {
+				t.Fatalf("warm and fresh scratch disagree:\n%x\n%x", warm, fresh)
+			}
+			if bytes.Equal(in, env.SetupPkt) && !r.o.helper.IsValid() {
+				pt, err := env.ClientKey.Decrypt(warm[wire.IPv4HeaderLen+shim.HeaderLen+2:])
+				nonce, ks, derr := shim.DecodeSetupPlaintext(pt)
+				if err != nil || derr != nil || ks != r.o.key(uint32(env.Epoch), nonce[:], addr4(in[12:])) {
+					t.Fatalf("key-setup response does not open to (nonce, hash(KM, nonce, src)): %v, %v", err, derr)
+				}
 			}
 
-			out := bytes.Clone(outs[0].Pkt)
+			out := bytes.Clone(warm)
 			for i := range in {
 				in[i] ^= 0xff
 			}
-			if !bytes.Equal(outs[0].Pkt, out) {
+			if !bytes.Equal(warm, out) {
 				t.Fatal("output aliases the input buffer")
 			}
 			var ip wire.IPv4

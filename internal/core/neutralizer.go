@@ -13,9 +13,13 @@
 // counters.
 //
 // What a worker holds is a different matter. Each Scratch carries a
-// bounded (under 200 KB), fixed-size cache from (epoch, nonce, srcIP) to
-// the expanded AES schedule of Ks, so the packets of an established flow
-// skip the derivation and the key expansion. Every value in it is a pure
+// bounded, fixed-size cache — an 8 KB table of at most 512 crypto/aes
+// ciphers of about 0.5 KB each, under 300 KB when full — from (epoch,
+// nonce, srcIP) to a cipher keyed with Ks, so a packet of an established
+// flow skips the derivation and the key expansion and pays one hardware
+// AES block operation, constant-time; a flow's first packets key a
+// software AES in the scratch instead (aesutil.ExpandedKey: no
+// allocation, not constant-time). Every value in the cache is a pure
 // function of the packet and KM: it is never authoritative, a miss (or
 // another worker, or a restarted one) recomputes the same bytes, and
 // nothing enters it before the neutralizer has verified and served a
@@ -303,21 +307,21 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 // recompute Ks from the packet alone (or find its schedule in the
 // scratch's cache), decrypt the hidden destination, verify it is a
 // customer, and forward with the shim rewritten — stamping a fresh key
-// grant if requested. Zero allocations on the success path (absent a
-// grant request): the session key is derived under the cached epoch
-// cipher and the address block decrypted with a re-keyable AES schedule
-// the scratch owns.
+// grant if requested. Zero allocations on the success path, but for the
+// one cipher the cache allocates when it admits a flow (its second served
+// packet): a miss derives the session key under the cached epoch cipher
+// and decrypts with a re-keyable software schedule the scratch owns.
 func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) error {
 	now := n.cfg.Clock()
 	if !n.cfg.Schedule.Acceptable(sh.Epoch, now) {
 		n.stats.DropStaleEpoch.Add(1)
 		return ErrStaleEpoch
 	}
-	ek, probe, err := n.sessionKey(s, sh.Epoch, sh.Nonce, ip.Src)
+	k, err := n.sessionKey(s, sh.Epoch, sh.Nonce, ip.Src)
 	if err != nil {
 		return err
 	}
-	dst, _, ok := ek.DecryptAddrX(sh.HiddenAddr)
+	dst, ok := k.decryptAddr(sh.HiddenAddr)
 	if !ok {
 		n.stats.DropBadAddrBlock.Add(1)
 		return ErrBadAddrBlock
@@ -326,13 +330,8 @@ func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) er
 		n.stats.DropNotCustomer.Add(1)
 		return ErrNotCustomer
 	}
-	s.out = shim.Header{
-		Type:       shim.TypeDelivered,
-		InnerProto: sh.InnerProto,
-		Epoch:      sh.Epoch,
-		Nonce:      sh.Nonce,
-		ClearAddr:  n.cfg.Anycast,
-	}
+	out := s.relay(shim.TypeDelivered, sh)
+	out.ClearAddr = n.cfg.Anycast
 	if sh.Flags&shim.FlagKeyRequest != 0 {
 		// Stamp a fresh grant bound to the same outside source under the
 		// *current* epoch; the destination returns it end-to-end
@@ -346,15 +345,15 @@ func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) er
 		if err != nil {
 			return err
 		}
-		s.out.Flags |= shim.FlagGrant
-		s.out.Epoch = gEpoch
-		s.out.Grant = shim.Grant{Nonce: gNonce, Key: gKey}
+		out.Flags |= shim.FlagGrant
+		out.Epoch = gEpoch
+		out.Grant = shim.Grant{Nonce: gNonce, Key: gKey}
 		n.stats.GrantsStamped.Add(1)
 	}
-	if err := s.emit(ip.Src, dst, ip.TOS, &s.out, sh.Payload()); err != nil {
+	if err := s.emit(ip.Src, dst, ip.TOS, out, sh.Payload()); err != nil {
 		return err
 	}
-	s.admitSession(ek, probe)
+	s.admitSession()
 	n.stats.DataForwarded.Add(1)
 	return nil
 }
@@ -376,24 +375,19 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 		return ErrStaleEpoch
 	}
 	initiator := sh.ClearAddr
-	ek, probe, err := n.sessionKey(s, sh.Epoch, sh.Nonce, initiator)
+	k, err := n.sessionKey(s, sh.Epoch, sh.Nonce, initiator)
 	if err != nil {
 		return err
 	}
 	if _, err := io.ReadFull(n.cfg.Rand, s.salt[:]); err != nil {
 		return fmt.Errorf("core: reading salt: %w", err)
 	}
-	hidden, ok := ek.EncryptAddrX(ip.Src, s.salt)
+	hidden, ok := k.encryptAddr(ip.Src, s.salt)
 	if !ok {
 		return fmt.Errorf("aesutil: address %v is not IPv4", ip.Src)
 	}
-	s.out = shim.Header{
-		Type:       shim.TypeReturnDelivered,
-		InnerProto: sh.InnerProto,
-		Epoch:      sh.Epoch,
-		Nonce:      sh.Nonce,
-		HiddenAddr: hidden,
-	}
+	out := s.relay(shim.TypeReturnDelivered, sh)
+	out.HiddenAddr = hidden
 	visibleSrc := n.cfg.Anycast
 	switch {
 	case sh.Flags&shim.FlagNoAnonymize != 0:
@@ -408,10 +402,10 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 		}
 		visibleSrc = a
 	}
-	if err := s.emit(visibleSrc, initiator, ip.TOS, &s.out, sh.Payload()); err != nil {
+	if err := s.emit(visibleSrc, initiator, ip.TOS, out, sh.Payload()); err != nil {
 		return err
 	}
-	s.admitSession(ek, probe)
+	s.admitSession()
 	n.stats.ReturnForwarded.Add(1)
 	return nil
 }
@@ -469,14 +463,9 @@ func (n *Neutralizer) processAltData(s *Scratch, ip *wire.IPv4, sh *shim.Header)
 		n.stats.DropNotCustomer.Add(1)
 		return ErrNotCustomer
 	}
-	s.out = shim.Header{
-		Type:       shim.TypeDelivered,
-		InnerProto: sh.InnerProto,
-		Epoch:      sh.Epoch,
-		Nonce:      sh.Nonce,
-		ClearAddr:  n.cfg.Anycast,
-	}
-	if err := s.emit(ip.Src, dst, ip.TOS, &s.out, sh.Payload()); err != nil {
+	out := s.relay(shim.TypeDelivered, sh)
+	out.ClearAddr = n.cfg.Anycast
+	if err := s.emit(ip.Src, dst, ip.TOS, out, sh.Payload()); err != nil {
 		return err
 	}
 	n.stats.AltSetups.Add(1)

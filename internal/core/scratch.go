@@ -1,26 +1,17 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 
-	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/crypto/keys"
 	"netneutral/internal/shim"
 	"netneutral/internal/wire"
 )
 
-// shimHeadroom is the default space reserved in front of a serialize
-// buffer: the IP header, the shim header, and a typical shim body. emit
-// reserves the exact encoded size when a message (e.g. an RSA key-setup
-// blob) needs more, so any one buffer grows at most once per high-water
-// mark and keeps its capacity across reuse.
-const shimHeadroom = wire.IPv4HeaderLen + shim.HeaderLen + 64
-
 // Scratch holds the per-worker reusable state of the zero-allocation
 // processing path: decoded-layer structs, the session-key derivation and
 // AES working state, a ring of output packet buffers, and a bounded cache
-// of expanded session keys (see sessionCache) that lets the packets of an
+// of session-key ciphers (see sessionCache) that lets the packets of an
 // established flow skip the derivation and the AES key expansion. The
 // cache holds nothing a packet and KM do not determine: a fresh Scratch,
 // or another worker's, produces the same bytes a warm one does, only
@@ -30,14 +21,14 @@ const shimHeadroom = wire.IPv4HeaderLen + shim.HeaderLen + 64
 // turn; the cache starts over whenever the master-key schedule changes.
 type Scratch struct {
 	kw   keys.Work
-	ek   aesutil.ExpandedKey // the schedule a cache miss derives into
+	key  sessKey // the session key of the packet in hand
 	salt [8]byte
 
 	ip  wire.IPv4
 	sh  shim.Header
 	out shim.Header
 
-	bufs []*wire.SerializeBuffer
+	bufs [][]byte // output ring; each keeps its capacity across Resets
 	nbuf int
 	outs []Outgoing
 
@@ -67,35 +58,33 @@ func (s *Scratch) Reset() {
 	s.outs = s.outs[:0]
 }
 
-// nextBuf returns a serialize buffer from the ring cleared to the given
-// headroom, growing the ring on first use at each depth.
-func (s *Scratch) nextBuf(headroom int) *wire.SerializeBuffer {
+// emit writes IP(src→dst, ToS preserved) | shim | payload into the next
+// ring buffer and appends it to the scratch's outputs: the one place an
+// outgoing packet is written, whatever its shape. A buffer grows only when
+// a packet exceeds everything it has carried before.
+func (s *Scratch) emit(src, dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) error {
 	if s.nbuf == len(s.bufs) {
-		s.bufs = append(s.bufs, wire.NewSerializeBuffer(shimHeadroom, 128))
+		s.bufs = append(s.bufs, nil)
 	}
-	b := s.bufs[s.nbuf]
+	pkt, err := shim.AppendPacket(s.bufs[s.nbuf][:0], src, dst, tos, sh, payload)
+	if err != nil {
+		return err
+	}
+	s.bufs[s.nbuf] = pkt
 	s.nbuf++
-	b.Clear(headroom)
-	return b
+	s.outs = append(s.outs, Outgoing{Pkt: pkt})
+	return nil
 }
 
-// emit serializes IP(src→dst, ToS preserved) | shim | payload into the
-// next ring buffer and appends it to the scratch's outputs. Preserving
-// the ToS octet verbatim is the §3.4 DiffServ guarantee.
-func (s *Scratch) emit(src, dst netip.Addr, tos uint8, sh *shim.Header, payload []byte) error {
-	buf := s.nextBuf(max(shimHeadroom, wire.IPv4HeaderLen+sh.EncodedLen()))
-	buf.PushPayload(payload)
-	if err := sh.SerializeTo(buf); err != nil {
-		s.nbuf-- // buffer unused
-		return err
-	}
-	ip := wire.IPv4{TOS: tos, TTL: wire.MaxTTL, Protocol: wire.ProtoShim, Src: src, Dst: dst}
-	if err := ip.SerializeTo(buf); err != nil {
-		s.nbuf--
-		return err
-	}
-	s.outs = append(s.outs, Outgoing{Pkt: buf.Bytes()})
-	return nil
+// relay readies s.out as the header of a relayed data packet: the fixed
+// fields of the one that came in under a new type, no flags. The caller
+// sets the one body field the type carries; what earlier packets left in
+// the others is never read (shim.Header.Put), so the data plane does not
+// pay for clearing a header's worth of key-setup fields per packet.
+func (s *Scratch) relay(t shim.Type, in *shim.Header) *shim.Header {
+	out := &s.out
+	out.Type, out.Flags, out.InnerProto, out.Epoch, out.Nonce = t, 0, in.InnerProto, in.Epoch, in.Nonce
+	return out
 }
 
 // ProcessScratch handles one serialized IPv4 shim packet addressed to
@@ -114,16 +103,18 @@ func (s *Scratch) emit(src, dst netip.Addr, tos uint8, sh *shim.Header, payload 
 // The returned slice covers only this call's outputs.
 func (n *Neutralizer) ProcessScratch(s *Scratch, pkt []byte) ([]Outgoing, error) {
 	start := len(s.outs)
+	// Decode errors go back as the decoders' own sentinels: wrapping one
+	// would make every piece of garbage cost an allocation.
 	if err := s.ip.DecodeFromBytes(pkt); err != nil {
 		n.stats.DropMalformed.Add(1)
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	if s.ip.Protocol != wire.ProtoShim {
 		return nil, ErrNotShim
 	}
 	if err := s.sh.DecodeFromBytes(s.ip.Payload()); err != nil {
 		n.stats.DropMalformed.Add(1)
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	var err error
 	switch s.sh.Type {

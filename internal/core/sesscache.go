@@ -10,11 +10,14 @@ import (
 	"netneutral/internal/crypto/keys"
 )
 
-// Session-key cache geometry: 64 sets × 8 ways of expanded schedules
-// (182 KB, allocated when a flow first repeats) over 8 KB of tags and
-// 2.3 KB of per-set probe state with the doorkeeper in it. Chosen on
-// alternating 15 s parent/change pairs of `go run ./benchmark` (PR 15,
-// 2-vCPU host):
+// Session-key cache geometry: 64 sets × 8 ways of crypto/aes ciphers —
+// an 8 KB table of interface values, allocated when a flow first repeats,
+// each entry a ~0.5 KB heap object allocated when its flow is admitted —
+// over 8 KB of tags and 2.3 KB of per-set probe state with the doorkeeper
+// in it. A scratch therefore holds what its established flows need, 264 KB
+// if all 512 ways fill (PR 15's slab of software schedules was 182 KB from
+// the first admission on). Chosen on alternating 15 s parent/change pairs
+// of `go run ./benchmark` (PR 15, 2-vCPU host):
 //
 //   - Ways. 64 round-robin flows (core-flows, daemon-echo) overflow some
 //     2-way set of 256 in about one scratch in two, and some 4-way set of
@@ -23,9 +26,10 @@ import (
 //     one another at the doorkeeper for good. At 8 ways × 64 sets 24 of 24
 //     scratches held all 64 (hit ratio 1.0000, no evictions) and
 //     core-flows cost_x read 0.809 → 0.382–0.398 in 20 of 20 pairs.
-//   - Size. 512 schedules raise sim-backbone's peak_rss_mb (16 border
-//     scratches) by 4.4 %, inside its +5 % budget; no workload here has a
-//     worker see more established flows than that at once.
+//   - Size. No workload here has a worker see more than 512 established
+//     flows at once. sim-backbone's 16 border scratches hold one or two
+//     flows each: peak_rss_mb read 70.6 → 68.0 MB in 6 of 6 pairs with the ciphers
+//     allocated per flow (PR 20; the slabs had added 4.4 % in PR 15).
 //   - Layout. The probe is what one-packet flows pay (core-churn, hit
 //     ratio 0): with tags, doorkeeper and live bits interleaved per set
 //     (10.7 KB walked at random) core-churn cost_x read +3.1 % against the
@@ -41,9 +45,9 @@ const (
 
 // SessionCacheStats counts the outcomes of a Scratch's session-key cache.
 type SessionCacheStats struct {
-	Hits       uint64 // packets served from a cached schedule
+	Hits       uint64 // packets served by a cached cipher
 	Misses     uint64 // packets that derived and expanded their key
-	Admissions uint64 // schedules stored after a flow's second served miss
+	Admissions uint64 // ciphers keyed and stored after a flow's second served miss
 	Evictions  uint64 // admissions that replaced a live entry
 }
 
@@ -56,7 +60,7 @@ type sessTag struct {
 
 // sessSet is what every probe of a set reads and a served miss writes:
 // 36 bytes, kept apart from the tags (read only where live says there is
-// one to compare) and from the schedules (read only on a hit), so traffic
+// one to compare) and from the ciphers (read only on a hit), so traffic
 // that never repeats walks 2 KB, not the whole cache.
 type sessSet struct {
 	live  uint8 // bit w set: way w holds an entry
@@ -69,14 +73,16 @@ type sessSet struct {
 	door [sessWays]uint32
 }
 
-// sessProbe is what a missed lookup hands to admit, so the tag is built
-// and hashed once per packet.
+// sessProbe is what a missed lookup leaves for admit, so the tag is
+// built and hashed once per packet; sessionKey adds the key the miss
+// derived.
 type sessProbe struct {
 	tag sessTag
 	h   uint64
+	ks  aesutil.Key
 }
 
-// sessionCache maps (epoch, nonce, src) to the expanded AES schedule of
+// sessionCache maps (epoch, nonce, src) to a crypto/aes cipher keyed with
 // the session key. It is soft state and never authoritative: every value
 // is a pure function of its tag and the master-key schedule, a miss
 // recomputes it, and losing the whole cache costs one recomputation per
@@ -91,7 +97,7 @@ type sessionCache struct {
 	seed  [2]uint64
 	sets  [sessSets]sessSet
 	tags  [sessSets][sessWays]sessTag
-	eks   [][sessWays]aesutil.ExpandedKey // [set][way]; allocated at the first admission
+	blks  [][sessWays]aesutil.Block // [set][way]; allocated at the first admission
 	stats SessionCacheStats
 }
 
@@ -106,16 +112,16 @@ func (c *sessionCache) rebind(sched *keys.Schedule) {
 	c.seed = [2]uint64{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
 }
 
-// lookup returns the cached schedule for the session, or nil and the probe
-// to pass to admit once the packet has been served. The caller has already
-// checked that epoch is inside the acceptance window.
-func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr) (*aesutil.ExpandedKey, sessProbe) {
+// lookup returns the cached cipher for the session, or an invalid Block
+// with p readied for admit once the packet has been served. The caller
+// has already checked that epoch is inside the acceptance window.
+func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr, p *sessProbe) aesutil.Block {
 	if c.sched != sched {
 		c.rebind(sched)
 	}
 	if !src.Is4() {
 		c.stats.Misses++
-		return nil, sessProbe{} // the derivation refuses it; nothing to admit
+		return aesutil.Block{} // the derivation refuses it; nothing to admit
 	}
 	a4 := src.As4()
 	tag := sessTag{nonce: binary.BigEndian.Uint64(nonce[:]), src: binary.BigEndian.Uint32(a4[:]), epoch: epoch}
@@ -127,18 +133,20 @@ func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys
 	for live := set.live; live != 0; live &= live - 1 {
 		if w := bits.TrailingZeros8(live); c.tags[si][w] == tag {
 			c.stats.Hits++
-			return &c.eks[si][w], sessProbe{}
+			return c.blks[si][w]
 		}
 	}
 	c.stats.Misses++
-	return nil, sessProbe{tag: tag, h: h}
+	p.tag, p.h = tag, h
+	return aesutil.Block{}
 }
 
-// admit offers the schedule a missed lookup went on to derive. Call it
+// admit offers the session a missed lookup went on to derive. Call it
 // only after the packet has been served — address block verified, customer
 // checks passed, output emitted — so that traffic the neutralizer refuses
-// never writes here.
-func (c *sessionCache) admit(p sessProbe, ek *aesutil.ExpandedKey) {
+// never writes here. Keying the cipher (aesutil.NewBlock) is the cache's
+// one allocation per admitted flow; a first sighting writes four bytes.
+func (c *sessionCache) admit(p *sessProbe) {
 	si := p.h % sessSets
 	set := &c.sets[si]
 	fp := uint32(p.h>>32) | 1 // never an empty slot's zero
@@ -151,8 +159,8 @@ func (c *sessionCache) admit(p sessProbe, ek *aesutil.ExpandedKey) {
 		set.knock++
 		return
 	}
-	if c.eks == nil {
-		c.eks = make([][sessWays]aesutil.ExpandedKey, sessSets)
+	if c.blks == nil {
+		c.blks = make([][sessWays]aesutil.Block, sessSets)
 	}
 	w := bits.TrailingZeros8(^set.live) // the first empty way
 	if w >= sessWays {
@@ -162,32 +170,66 @@ func (c *sessionCache) admit(p sessProbe, ek *aesutil.ExpandedKey) {
 	}
 	c.tags[si][w] = p.tag
 	set.live |= 1 << w
-	c.eks[si][w] = *ek
+	c.blks[si][w] = aesutil.NewBlock(p.ks)
 	c.stats.Admissions++
 }
 
-// sessionKey returns the expanded schedule of Ks = hash(KM, nonce, src):
-// the scratch's cached copy when the session has one, else derived from
-// the packet's own fields into s.ek. Callers check the epoch window
-// first, and offer a derived schedule to the cache (admitSession) only
-// once the packet has been served.
-func (n *Neutralizer) sessionKey(s *Scratch, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr) (*aesutil.ExpandedKey, sessProbe, error) {
-	ek, probe := s.sess.lookup(n.cfg.Schedule, epoch, nonce, src)
-	if ek != nil {
-		return ek, probe, nil
+// sessKey is the session key of the packet in hand, in whichever form the
+// lookup left it: a cached crypto/aes cipher (one hardware block
+// operation, constant-time) or, on a miss, the software schedule just
+// expanded from the derived key. Which of the two AES implementations runs
+// is decided here and nowhere else, by whether the flow has been seen
+// before. One per Scratch, overwritten by every packet.
+type sessKey struct {
+	blk   aesutil.Block       // valid on a hit
+	ab    aesutil.AddrScratch // a hit's block operation works here
+	soft  aesutil.ExpandedKey // a miss expands into this
+	probe sessProbe           // a miss: what admit needs
+}
+
+// sessionKey returns Ks = hash(KM, nonce, src) ready for the packet's one
+// address-block operation: the scratch's cached cipher when the session
+// has one, else derived from the packet's own fields and expanded in
+// software. Callers check the epoch window first, and offer a derived key
+// to the cache (admitSession) only once the packet has been served.
+func (n *Neutralizer) sessionKey(s *Scratch, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr) (*sessKey, error) {
+	k := &s.key
+	k.blk = s.sess.lookup(n.cfg.Schedule, epoch, nonce, src, &k.probe)
+	if k.blk.Valid() {
+		return k, nil
 	}
 	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, epoch, nonce, src)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
-		return nil, probe, err
+		return nil, err
 	}
-	s.ek.Expand(ks)
-	return &s.ek, probe, nil
+	k.probe.ks = ks
+	k.soft.Expand(ks)
+	return k, nil
 }
 
-// admitSession offers a schedule sessionKey had to derive to the cache.
-func (s *Scratch) admitSession(ek *aesutil.ExpandedKey, probe sessProbe) {
-	if ek == &s.ek {
-		s.sess.admit(probe, ek)
+// decryptAddr opens a hidden address block under the session key.
+func (k *sessKey) decryptAddr(ct aesutil.AddrBlock) (a netip.Addr, ok bool) {
+	if k.blk.Valid() {
+		a, _, ok = k.blk.DecryptAddrS(&k.ab, ct)
+	} else {
+		a, _, ok = k.soft.DecryptAddrX(ct)
+	}
+	return a, ok
+}
+
+// encryptAddr seals a under the session key.
+func (k *sessKey) encryptAddr(a netip.Addr, salt [8]byte) (aesutil.AddrBlock, bool) {
+	if k.blk.Valid() {
+		return k.blk.EncryptAddrS(&k.ab, a, salt)
+	}
+	return k.soft.EncryptAddrX(a, salt)
+}
+
+// admitSession offers the key sessionKey had to derive for the packet
+// just served, if it did, to the cache.
+func (s *Scratch) admitSession() {
+	if !s.key.blk.Valid() {
+		s.sess.admit(&s.key.probe)
 	}
 }

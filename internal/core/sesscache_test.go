@@ -407,3 +407,82 @@ func TestSessionCacheWarmReturnMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionCacheZeroAllocExceptAdmission pins what the cache may
+// allocate and when: nothing for traffic the neutralizer refuses (stale
+// epoch, forged block, non-customer destination, truncated) or serves
+// once (a one-packet flow leaves four bytes in a doorkeeper); one object —
+// the flow's crypto/aes cipher — for the packet that admits a flow, its
+// second served one; and nothing for that flow afterwards.
+func TestSessionCacheZeroAllocExceptAdmission(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	n := newTestNeutralizer(t, nil)
+	sched, s := n.cfg.Schedule, NewScratch()
+	serve := func(pkt []byte, want error) {
+		s.Reset()
+		if _, err := n.ProcessScratch(s, pkt); !errors.Is(err, want) {
+			t.Fatalf("got %v, want %v", err, want)
+		}
+	}
+	// Warm up: the output ring, the epoch cipher, and — by admitting one
+	// flow — the cache's table of ciphers.
+	f0 := mkFlow(t, sched, 0, 0)
+	for i := 0; i < 3; i++ {
+		serve(f0.data(t, f0.ks, googAddr), nil)
+	}
+	const runs = 50
+	type refusal struct {
+		pkt  []byte
+		want error
+	}
+	var refused []refusal
+	var once, twice [][]byte
+	for i := 1; i <= runs+1; i++ {
+		f, stale := mkFlow(t, sched, 0, i), mkFlow(t, sched, 5, i)
+		good := f.data(t, f.ks, googAddr)
+		refused = append(refused,
+			refusal{stale.data(t, stale.ks, googAddr), ErrStaleEpoch},
+			refusal{f.data(t, aesutil.Key{byte(i)}, googAddr), ErrBadAddrBlock},
+			refusal{f.data(t, f.ks, annAddr), ErrNotCustomer},
+			refusal{good[:wire.IPv4HeaderLen+shim.HeaderLen+i%aesutil.BlockSize], wire.ErrIPv4BadLength})
+		once = append(once, good)
+		g := mkFlow(t, sched, 0, 1000+i)
+		twice = append(twice, g.data(t, g.ks, googAddr))
+		serve(twice[i-1], nil) // first sighting
+	}
+	next := 0
+	d := cacheDelta(s, func() {
+		if a := testing.AllocsPerRun(runs, func() {
+			for _, r := range refused[4*next : 4*next+4] {
+				serve(r.pkt, r.want)
+			}
+			serve(once[next], nil)
+			next++
+		}); a != 0 {
+			t.Errorf("refused packets and one-packet flows allocate %v per batch of five, want 0", a)
+		}
+	})
+	if d.Admissions != 0 || d.Hits != 0 {
+		t.Errorf("refused packets and one-packet flows moved the cache: %+v", d)
+	}
+	next = 0
+	d = cacheDelta(s, func() {
+		if a := testing.AllocsPerRun(runs, func() { serve(twice[next], nil); next++ }); a != 1 {
+			t.Errorf("the packet that admits a flow allocates %v objects, want 1 (its cipher)", a)
+		}
+	})
+	if d.Admissions != runs+1 {
+		t.Errorf("%d second sightings, %d admissions", runs+1, d.Admissions)
+	}
+	next = 0
+	d = cacheDelta(s, func() {
+		if a := testing.AllocsPerRun(runs, func() { serve(twice[next], nil); next++ }); a != 0 {
+			t.Errorf("an admitted flow's packets allocate %v, want 0", a)
+		}
+	})
+	if d.Hits != runs+1 {
+		t.Errorf("admitted flows: %+v, want %d hits", d, runs+1)
+	}
+}

@@ -35,10 +35,10 @@ var (
 	ErrCheckFailed  = errors.New("aesutil: address block check value mismatch")
 )
 
-// addrBlockMagic is the known plaintext embedded in every address block.
-// A decryption under the wrong key yields an effectively random block, so
-// the magic mismatches with probability 1 - 2^-32.
-var addrBlockMagic = [4]byte{'n', 'e', 'u', 't'}
+// addrBlockMagic is the known plaintext embedded in every address block
+// ("neut"). A decryption under the wrong key yields an effectively random
+// block, so the magic mismatches with probability 1 - 2^-32.
+const addrBlockMagic = 'n'<<24 | 'e'<<16 | 'u'<<8 | 't'
 
 // CBCMAC computes the AES-128 CBC-MAC of data under key, with zero IV and
 // a length prefix. The length prefix (rather than raw CBC-MAC) closes the
@@ -75,23 +75,39 @@ func DeriveKey(master Key, parts ...[]byte) Key {
 //	bytes 12..15 check value (known magic verified on decryption)
 type AddrBlock [BlockSize]byte
 
-// EncryptAddr encrypts addr into a single AES block under key using the
-// given per-packet salt. One AES operation.
-func EncryptAddr(key Key, a netip.Addr, salt [8]byte) (AddrBlock, error) {
+// seal lays a out as an address-block plaintext; ok is false when a is
+// not IPv4. The one place the layout is written.
+func (pt *AddrBlock) seal(a netip.Addr, salt [8]byte) (ok bool) {
 	if !a.Is4() {
-		return AddrBlock{}, fmt.Errorf("aesutil: address %v is not IPv4", a)
+		return false
 	}
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return AddrBlock{}, err
-	}
-	var pt AddrBlock
 	a4 := a.As4()
 	copy(pt[0:4], a4[:])
 	copy(pt[4:12], salt[:])
-	copy(pt[12:16], addrBlockMagic[:])
-	var ct AddrBlock
-	block.Encrypt(ct[:], pt[:])
+	binary.BigEndian.PutUint32(pt[12:16], addrBlockMagic)
+	return true
+}
+
+// open reads a decrypted address block; ok is false when the check value
+// mismatches (wrong key, forged nonce, or corrupted block). The check is
+// one word compare: nothing for timing to tell apart, and pt stays off
+// crypto/subtle's slice interface, which would make it escape to the heap.
+func (pt *AddrBlock) open() (a netip.Addr, salt [8]byte, ok bool) {
+	if binary.BigEndian.Uint32(pt[12:16]) != addrBlockMagic {
+		return netip.Addr{}, [8]byte{}, false
+	}
+	return netip.AddrFrom4([4]byte(pt[0:4])), [8]byte(pt[4:12]), true
+}
+
+// EncryptAddr encrypts addr into a single AES block under key using the
+// given per-packet salt. One AES operation after an aes.NewCipher: the
+// end hosts' and the test oracles' form, not the data path's.
+func EncryptAddr(key Key, a netip.Addr, salt [8]byte) (AddrBlock, error) {
+	var w AddrScratch
+	ct, ok := NewBlock(key).EncryptAddrS(&w, a, salt)
+	if !ok {
+		return AddrBlock{}, fmt.Errorf("aesutil: address %v is not IPv4", a)
+	}
 	return ct, nil
 }
 
@@ -99,18 +115,12 @@ func EncryptAddr(key Key, a netip.Addr, salt [8]byte) (AddrBlock, error) {
 // operation. A failed check means the wrong key was used (e.g. a forged or
 // stale nonce) or the block was corrupted.
 func DecryptAddr(key Key, ct AddrBlock) (netip.Addr, [8]byte, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return netip.Addr{}, [8]byte{}, err
-	}
-	var pt AddrBlock
-	block.Decrypt(pt[:], ct[:])
-	if subtle.ConstantTimeCompare(pt[12:16], addrBlockMagic[:]) != 1 {
+	var w AddrScratch
+	a, salt, ok := NewBlock(key).DecryptAddrS(&w, ct)
+	if !ok {
 		return netip.Addr{}, [8]byte{}, ErrCheckFailed
 	}
-	var salt [8]byte
-	copy(salt[:], pt[4:12])
-	return netip.AddrFrom4([4]byte(pt[0:4])), salt, nil
+	return a, salt, nil
 }
 
 // CTRCrypt encrypts or decrypts data in place with AES-CTR under key and
@@ -206,4 +216,30 @@ func (b Block) absorb(w *MACScratch, data []byte) Key {
 		data = data[n:]
 	}
 	return Key(w.mac)
+}
+
+// AddrScratch holds the in and out blocks of an address-block operation on
+// a Block, in caller-owned storage for the same reason as MACScratch. One
+// per worker.
+type AddrScratch struct {
+	in, out AddrBlock
+}
+
+// EncryptAddrS is EncryptAddr under the wrapped key: one hardware AES
+// block operation, no key expansion and no allocation. ok is false when a
+// is not IPv4.
+func (b Block) EncryptAddrS(w *AddrScratch, a netip.Addr, salt [8]byte) (ct AddrBlock, ok bool) {
+	if !w.in.seal(a, salt) {
+		return AddrBlock{}, false
+	}
+	b.c.Encrypt(w.out[:], w.in[:])
+	return w.out, true
+}
+
+// DecryptAddrS is DecryptAddr under the wrapped key, on the same terms as
+// EncryptAddrS. ok is false when the check value mismatches.
+func (b Block) DecryptAddrS(w *AddrScratch, ct AddrBlock) (a netip.Addr, salt [8]byte, ok bool) {
+	w.in = ct
+	b.c.Decrypt(w.out[:], w.in[:])
+	return w.out.open()
 }

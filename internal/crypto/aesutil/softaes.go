@@ -1,13 +1,26 @@
-// Software AES-128 with a re-keyable, caller-owned key schedule.
+// Software AES-128 with a re-keyable, caller-owned key schedule: the AES of
+// a session's first packets, and of nothing else.
 //
-// The neutralizer derives a fresh session key Ks for every data packet, so
-// the hot path needs to "re-key AES" once per packet. crypto/aes cannot do
-// that without allocating (aes.NewCipher heap-allocates its cipher state
-// on every call), which is fatal to a zero-allocation data plane. This
-// file implements FIPS-197 AES-128 with the expanded key schedule stored
-// in a caller-owned ExpandedKey value: Expand writes the round keys in
-// place and the block operations touch nothing but their arguments, so a
-// per-worker scratch can re-key for every packet with zero allocations.
+// The neutralizer derives the session key Ks from the packet itself, so a
+// packet of a flow no worker has seen before must key AES before its one
+// block operation. An established flow does not: core's session cache
+// holds a crypto/aes cipher per flow (Block; hardware AES, constant-time)
+// and a hit costs one block operation, 16–30 ns. The cache is only worth
+// filling for flows that repeat, and crypto/aes can neither be re-keyed in
+// place nor keyed without allocating: measured with go1.24.0 on the
+// 2-vCPU aes+avx2 host of PR 20, aes.NewCipher plus one block is
+// 350–450 ns and one 512-byte object per packet (three objects, 544 B,
+// 330–640 ns through the package-level EncryptAddr/DecryptAddr), against
+// 200–330 ns and no allocation for Expand plus a block here. So the two
+// implementations sit on either side of something the code observes —
+// cache hit or miss — with a benchmark workload on each (core-flows,
+// core-churn); this file is reached from the miss path, from E4's "first
+// packet" row and from the harness's layer probes.
+//
+// FIPS-197 AES-128 with the expanded key schedule stored in a
+// caller-owned ExpandedKey value: Expand writes the round keys in place
+// and the block operations touch nothing but their arguments, so a
+// per-worker scratch re-keys for every miss with zero allocations.
 //
 // The implementation is the classic four-T-table construction (the same
 // shape as crypto/aes's generic fallback). Like that fallback it is not
@@ -227,14 +240,10 @@ func putWord(dst *[16]byte, i int, w uint32) {
 // operation and no allocation. The expanded key must hold the session key
 // Ks the block is bound to. ok is false when a is not IPv4.
 func (e *ExpandedKey) EncryptAddrX(a netip.Addr, salt [8]byte) (ct AddrBlock, ok bool) {
-	if !a.Is4() {
+	var pt AddrBlock
+	if !pt.seal(a, salt) {
 		return AddrBlock{}, false
 	}
-	var pt AddrBlock
-	a4 := a.As4()
-	copy(pt[0:4], a4[:])
-	copy(pt[4:12], salt[:])
-	copy(pt[12:16], addrBlockMagic[:])
 	e.EncryptBlock((*[16]byte)(&ct), (*[16]byte)(&pt))
 	return ct, true
 }
@@ -245,15 +254,5 @@ func (e *ExpandedKey) EncryptAddrX(a netip.Addr, salt [8]byte) (ct AddrBlock, ok
 func (e *ExpandedKey) DecryptAddrX(ct AddrBlock) (a netip.Addr, salt [8]byte, ok bool) {
 	var pt AddrBlock
 	e.DecryptBlock((*[16]byte)(&pt), (*[16]byte)(&ct))
-	// Branch-free magic compare without crypto/subtle's slice interface
-	// (which would let pt escape to the heap).
-	var d byte
-	for i := 0; i < 4; i++ {
-		d |= pt[12+i] ^ addrBlockMagic[i]
-	}
-	if d != 0 {
-		return netip.Addr{}, [8]byte{}, false
-	}
-	copy(salt[:], pt[4:12])
-	return netip.AddrFrom4([4]byte(pt[0:4])), salt, true
+	return pt.open()
 }

@@ -1,7 +1,6 @@
 package aesutil
 
 import (
-	"bytes"
 	"crypto/aes"
 	mathrand "math/rand"
 	"net/netip"
@@ -66,12 +65,17 @@ func TestExpandedKeyFIPSVector(t *testing.T) {
 	}
 }
 
-// TestAddrBlockXMatchesSlowPath verifies the zero-alloc address block
-// operations agree with EncryptAddr/DecryptAddr in both directions.
+// TestAddrBlockXMatchesSlowPath verifies that the three forms of the
+// address-block operation — software (ExpandedKey, a cache miss's),
+// cached crypto/aes cipher (Block, a cache hit's) and package-level —
+// produce the block this test lays out and encrypts with crypto/aes
+// itself, open it to the same (address, salt), and all refuse it under a
+// wrong key; and that all refuse to seal a non-IPv4 address.
 func TestAddrBlockXMatchesSlowPath(t *testing.T) {
 	rng := mathrand.New(mathrand.NewSource(7))
 	var ek ExpandedKey
-	for i := 0; i < 500; i++ {
+	var w AddrScratch
+	for i := 0; i < 10000; i++ {
 		var key Key
 		var salt [8]byte
 		var a4 [4]byte
@@ -80,28 +84,42 @@ func TestAddrBlockXMatchesSlowPath(t *testing.T) {
 		rng.Read(a4[:])
 		addr := netip.AddrFrom4(a4)
 
-		slow, err := EncryptAddr(key, addr, salt)
+		std, err := aes.NewCipher(key[:])
 		if err != nil {
 			t.Fatal(err)
 		}
+		var want AddrBlock
+		std.Encrypt(want[:], append(append(a4[:], salt[:]...), 'n', 'e', 'u', 't'))
+
+		slow, err := EncryptAddr(key, addr, salt)
 		ek.Expand(key)
-		fast, ok := ek.EncryptAddrX(addr, salt)
-		if !ok || !bytes.Equal(slow[:], fast[:]) {
-			t.Fatalf("iter %d: EncryptAddrX mismatch: %x vs %x", i, slow, fast)
+		soft, okX := ek.EncryptAddrX(addr, salt)
+		blk := NewBlock(key)
+		hard, okS := blk.EncryptAddrS(&w, addr, salt)
+		if err != nil || !okX || !okS || slow != want || soft != want || hard != want {
+			t.Fatalf("iter %d: sealed %x (package), %x (software), %x (block), want %x", i, slow, soft, hard, want)
 		}
-		gotAddr, gotSalt, ok := ek.DecryptAddrX(fast)
-		if !ok || gotAddr != addr || gotSalt != salt {
-			t.Fatalf("iter %d: DecryptAddrX round trip failed: %v %x ok=%v", i, gotAddr, gotSalt, ok)
+		a1, s1, err := DecryptAddr(key, want)
+		a2, s2, ok2 := ek.DecryptAddrX(want)
+		a3, s3, ok3 := blk.DecryptAddrS(&w, want)
+		if err != nil || !ok2 || !ok3 || a1 != addr || a2 != addr || a3 != addr || s1 != salt || s2 != salt || s3 != salt {
+			t.Fatalf("iter %d: opened to %v/%x, %v/%x, %v/%x; want %v/%x", i, a1, s1, a2, s2, a3, s3, addr, salt)
 		}
-		// Wrong key must fail the check the same way DecryptAddr does.
-		key[0] ^= 1
+		key[rng.Intn(KeySize)] ^= 1 << rng.Intn(8)
 		ek.Expand(key)
-		if _, _, ok := ek.DecryptAddrX(fast); ok {
-			t.Fatalf("iter %d: DecryptAddrX accepted a block under the wrong key", i)
+		_, _, err = DecryptAddr(key, want)
+		_, _, ok2 = ek.DecryptAddrX(want)
+		_, _, ok3 = NewBlock(key).DecryptAddrS(&w, want)
+		if err == nil || ok2 || ok3 {
+			t.Fatalf("iter %d: a block opened under the wrong key: %v %v %v", i, err, ok2, ok3)
 		}
 	}
-	if _, ok := ek.EncryptAddrX(netip.MustParseAddr("::1"), [8]byte{}); ok {
-		t.Fatal("EncryptAddrX accepted an IPv6 address")
+	v6 := netip.MustParseAddr("::1")
+	_, err := EncryptAddr(Key{}, v6, [8]byte{})
+	_, okX := ek.EncryptAddrX(v6, [8]byte{})
+	_, okS := NewBlock(Key{}).EncryptAddrS(&w, v6, [8]byte{})
+	if err == nil || okX || okS {
+		t.Fatalf("an IPv6 address was sealed: %v %v %v", err, okX, okS)
 	}
 }
 
@@ -147,6 +165,17 @@ func TestExpandedKeyZeroAlloc(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("ExpandedKey path allocates %v per op, want 0", n)
+	}
+	// The other side of the session cache: a keyed Block with its scratch.
+	blk, w := NewBlock(key), new(AddrScratch)
+	n = testing.AllocsPerRun(200, func() {
+		ct, _ := blk.EncryptAddrS(w, addr, [8]byte{1})
+		if _, _, ok := blk.DecryptAddrS(w, ct); !ok {
+			t.Fatal("round trip failed")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Block path allocates %v per op, want 0", n)
 	}
 }
 

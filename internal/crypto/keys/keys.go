@@ -64,7 +64,7 @@ func (n Nonce) Uint64() uint64 { return binary.BigEndian.Uint64(n[:]) }
 type Schedule struct {
 	root     aesutil.Key
 	epochLen time.Duration
-	start    time.Time
+	startNs  int64 // the anchor in Unix nanoseconds: the per-packet window check is integer arithmetic
 
 	cache atomic.Pointer[map[Epoch]epochEntry]
 	mu    sync.Mutex // serializes cache writers only
@@ -88,7 +88,7 @@ func NewSchedule(root aesutil.Key, start time.Time, epochLen time.Duration) *Sch
 	if epochLen <= 0 {
 		epochLen = DefaultEpochLength
 	}
-	s := &Schedule{root: root, epochLen: epochLen, start: start}
+	s := &Schedule{root: root, epochLen: epochLen, startNs: start.UnixNano()}
 	empty := make(map[Epoch]epochEntry)
 	s.cache.Store(&empty)
 	return s
@@ -107,13 +107,14 @@ func NewRandomSchedule(start time.Time, epochLen time.Duration) (*Schedule, erro
 func (s *Schedule) EpochLength() time.Duration { return s.epochLen }
 
 // EpochAt returns the epoch in force at time t. Times before the anchor
-// map to epoch 0.
+// map to epoch 0. One integer subtraction and one divide: t and the anchor
+// must be instants UnixNano can express (years 1678–2262).
 func (s *Schedule) EpochAt(t time.Time) Epoch {
-	d := t.Sub(s.start)
+	d := t.UnixNano() - s.startNs
 	if d < 0 {
 		return 0
 	}
-	return Epoch(d / s.epochLen)
+	return Epoch(d / int64(s.epochLen))
 }
 
 // MasterKey returns KM for the given epoch, derived from the root secret

@@ -37,6 +37,51 @@ func TestEpochAt(t *testing.T) {
 	}
 }
 
+// TestEpochArithmeticMatchesTimeArithmetic holds the integer EpochAt and
+// Acceptable to what time.Time arithmetic says — Sub, a Duration divide,
+// and times before the anchor in epoch 0 — at the instants where the two
+// could part: the anchor and every epoch boundary, one nanosecond either
+// side of each, before the anchor, with a monotonic reading attached, and
+// on a schedule whose anchor and epoch length are not whole seconds.
+func TestEpochArithmeticMatchesTimeArithmetic(t *testing.T) {
+	for _, sc := range []struct {
+		start    time.Time
+		epochLen time.Duration
+	}{
+		{t0, time.Hour},
+		{time.Date(2006, 11, 1, 7, 13, 59, 123456789, time.FixedZone("x", 3*3600)), 1500*time.Millisecond + 7},
+		{time.Now(), time.Minute}, // a wall-clock anchor, as the daemon's
+	} {
+		s := NewSchedule(root, sc.start, sc.epochLen)
+		ref := func(at time.Time) Epoch {
+			if d := at.Sub(sc.start); d >= 0 {
+				return Epoch(d / sc.epochLen)
+			}
+			return 0
+		}
+		var instants []time.Time
+		for _, k := range []int64{0, 1, 2, 3, 1000, 175000} {
+			for _, off := range []time.Duration{-1, 0, 1} {
+				instants = append(instants, sc.start.Add(time.Duration(k)*sc.epochLen+off))
+			}
+		}
+		instants = append(instants, sc.start.Add(-time.Nanosecond), sc.start.Add(-3*sc.epochLen), sc.start.Add(-20*365*24*time.Hour),
+			sc.start.Add(5*sc.epochLen/2).In(time.UTC), time.Now().Add(5*sc.epochLen))
+		for _, at := range instants {
+			cur := ref(at)
+			if got := s.EpochAt(at); got != cur {
+				t.Errorf("anchor %v, epoch %v: EpochAt(%v) = %d, time arithmetic says %d", sc.start, sc.epochLen, at, got, cur)
+			}
+			for _, pkt := range []Epoch{0, 1, cur - 2, cur - 1, cur, cur + 1} {
+				want := pkt == cur || cur > 0 && pkt == cur-1
+				if got := s.Acceptable(pkt, at); got != want {
+					t.Errorf("anchor %v, epoch %v: Acceptable(%d, %v) = %v at epoch %d", sc.start, sc.epochLen, pkt, at, got, cur)
+				}
+			}
+		}
+	}
+}
+
 func TestMasterKeyPerEpoch(t *testing.T) {
 	s := newTestSchedule()
 	k0, k1 := s.MasterKey(0), s.MasterKey(1)

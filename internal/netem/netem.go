@@ -601,17 +601,17 @@ func (n *Node) deliver(p *Packet) {
 	p.Release()
 }
 
+// remarkDSCP rewrites the DSCP of a serialized IPv4 packet in place. A
+// packet whose header cannot be re-summed (short, or an IHL below the
+// minimum or past the data) is left untouched: every decoder downstream
+// refuses it as it stands.
 func remarkDSCP(pkt []byte, dscp uint8) {
 	if len(pkt) < wire.IPv4HeaderLen {
 		return
 	}
-	pkt[1] = dscp<<2 | pkt[1]&0b11
-	// Repair header checksum.
-	ihl := int(pkt[0]&0x0f) * 4
-	if len(pkt) < ihl {
-		return
+	tos := pkt[1]
+	pkt[1] = dscp<<2 | tos&0b11
+	if wire.RepairChecksum(pkt) != nil {
+		pkt[1] = tos
 	}
-	pkt[10], pkt[11] = 0, 0
-	ck := wire.Checksum(pkt[:ihl])
-	pkt[10], pkt[11] = byte(ck>>8), byte(ck)
 }

@@ -314,6 +314,27 @@ func TestTransitHookRemarkDSCP(t *testing.T) {
 	}
 }
 
+// TestRemarkDSCPLeavesUnsummableHeaderAlone: remarkDSCP used to re-sum
+// pkt[:ihl] whatever ihl said — over zero bytes for a version/IHL octet of
+// 0x40, writing 0xffff into the checksum field.
+func TestRemarkDSCPLeavesUnsummableHeaderAlone(t *testing.T) {
+	good := mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), []byte("x"))
+	for _, verIHL := range []byte{0x40, 0x44, 0x4f} {
+		pkt := bytes.Clone(good)
+		pkt[0] = verIHL
+		before := bytes.Clone(pkt)
+		remarkDSCP(pkt, 8)
+		if !bytes.Equal(pkt, before) {
+			t.Errorf("version/IHL %#x: header rewritten\n now %x\n was %x", verIHL, pkt[:20], before[:20])
+		}
+	}
+	remarkDSCP(good, 8)
+	var ip wire.IPv4
+	if err := ip.DecodeFromBytes(good); err != nil || ip.DSCP() != 8 {
+		t.Errorf("well-formed packet: DSCP %d, %v", ip.DSCP(), err)
+	}
+}
+
 func TestTraceEvents(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))

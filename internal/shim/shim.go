@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/crypto/keys"
@@ -139,8 +140,8 @@ func UnmarshalGrant(b []byte) (Grant, error) {
 }
 
 // Header is a decoded shim message: DecodeFromBytes reads one from the
-// IP payload of a wire.ProtoShim datagram, SerializeTo prepends one to a
-// wire.SerializeBuffer.
+// IP payload of a wire.ProtoShim datagram, Put writes one (SerializeTo:
+// in front of a wire.SerializeBuffer).
 //
 // Only the fields relevant to a given Type are meaningful; see the type
 // constants for which.
@@ -229,11 +230,23 @@ func (h *Header) EncodedLen() int {
 // SerializeTo prepends the header. The buffer's current
 // contents become the shim payload.
 func (h *Header) SerializeTo(b *wire.SerializeBuffer) error {
+	n := h.EncodedLen()
+	if n == 0 {
+		return ErrBadType
+	}
+	return h.Put(b.PrependBytes(n))
+}
+
+// Put writes the header into buf[:h.EncodedLen()]. It is the one writer
+// of the layout: SerializeTo prepends through it, and AppendPacket, which
+// lays a whole packet out at once, fills its slot in place.
+// Only the fields the header's Type and Flags call for are read.
+func (h *Header) Put(buf []byte) error {
 	bl, err := h.bodyLen()
 	if err != nil {
 		return err
 	}
-	buf := b.PrependBytes(HeaderLen + bl)
+	buf = buf[:HeaderLen+bl]
 	buf[0] = byte(h.Type)
 	buf[1] = h.Flags
 	buf[2] = h.InnerProto
@@ -356,24 +369,30 @@ func (h *Header) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// BuildPacket serializes IP(src→dst, ToS as given) | shim | payload into
-// a fresh, caller-owned packet. (The neutralizer's hot path does the same
-// into a recycled buffer: core.Scratch.emit.) Carrying the ToS octet
-// verbatim is the §3.4 DiffServ guarantee: "a neutralizer will not modify
-// the Differentiated Services Code Point".
+// AppendPacket appends IP(src→dst, ToS as given) | shim | payload to b and
+// returns the extended slice: the packet is laid out once — both headers
+// written in place by wire.IPv4.Put and Header.Put, then one copy of the
+// payload. Every packet the neutralizer emits is written here, into a
+// recycled buffer (core.Scratch.emit). Carrying the ToS octet verbatim is
+// the §3.4 DiffServ guarantee: "a neutralizer will not modify the
+// Differentiated Services Code Point".
+func AppendPacket(b []byte, src, dst netip.Addr, tos uint8, sh *Header, payload []byte) ([]byte, error) {
+	off, hl := len(b), wire.IPv4HeaderLen+sh.EncodedLen()
+	b = slices.Grow(b, hl+len(payload))[:off+hl]
+	var ip wire.IPv4 // set field by field: a composite literal is built aside and copied in
+	ip.TOS, ip.TTL, ip.Protocol, ip.Src, ip.Dst = tos, wire.MaxTTL, wire.ProtoShim, src, dst
+	if err := ip.Put(b[off:], hl+len(payload)); err != nil {
+		return nil, err
+	}
+	if err := sh.Put(b[off+wire.IPv4HeaderLen:]); err != nil {
+		return nil, err
+	}
+	return append(b, payload...), nil
+}
+
+// BuildPacket is AppendPacket into a fresh, caller-owned packet.
 func BuildPacket(src, dst netip.Addr, tos uint8, sh *Header, payload []byte) ([]byte, error) {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+sh.EncodedLen(), len(payload))
-	buf.PushPayload(payload)
-	if err := sh.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	// Called directly rather than through wire.SerializeLayers so the IP
-	// header stays on the stack: scenario builders make one packet per host.
-	ip := wire.IPv4{TOS: tos, TTL: wire.MaxTTL, Protocol: wire.ProtoShim, Src: src, Dst: dst}
-	if err := ip.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return AppendPacket(nil, src, dst, tos, sh, payload)
 }
 
 func putAddr4(dst []byte, a netip.Addr) error {

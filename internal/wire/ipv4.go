@@ -100,59 +100,73 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 // SerializeTo prepends the header. The buffer's current contents
 // become the IP payload; total length and checksum are computed here.
 func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
+	totalLen := IPv4HeaderLen + b.Len()
+	return ip.Put(b.PrependBytes(IPv4HeaderLen), totalLen)
+}
+
+// Put writes the option-less header of a totalLen-byte datagram into
+// hdr[:IPv4HeaderLen], checksum included. It is the one writer of the
+// layout: SerializeTo prepends through it, and a caller that lays a whole
+// packet out itself (shim.AppendPacket) fills the front of it in place.
+func (ip *IPv4) Put(hdr []byte, totalLen int) error {
 	if !ip.Src.Is4() || !ip.Dst.Is4() {
 		return fmt.Errorf("wire: IPv4 requires 4-byte addresses (src=%v dst=%v)", ip.Src, ip.Dst)
 	}
-	payloadLen := b.Len()
-	hdr := b.PrependBytes(IPv4HeaderLen)
-	hdr[0] = 4<<4 | IPv4HeaderLen/4
-	hdr[1] = ip.TOS
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(IPv4HeaderLen+payloadLen))
-	binary.BigEndian.PutUint16(hdr[4:6], ip.ID)
-	binary.BigEndian.PutUint16(hdr[6:8], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
-	hdr[8] = ip.TTL
-	hdr[9] = ip.Protocol
-	hdr[10], hdr[11] = 0, 0
+	// The header as its five big-endian words, summed before they are
+	// stored: re-reading bytes just written would wait on the stores.
 	src, dst := ip.Src.As4(), ip.Dst.As4()
-	copy(hdr[12:16], src[:])
-	copy(hdr[16:20], dst[:])
-	binary.BigEndian.PutUint16(hdr[10:12], Checksum(hdr))
+	w0 := (4<<4|IPv4HeaderLen/4)<<24 | uint32(ip.TOS)<<16 | uint32(uint16(totalLen))
+	w1 := uint32(ip.ID)<<16 | uint32(ip.Flags&0b111)<<13 | uint32(ip.FragOff&0x1fff)
+	w2 := uint32(ip.TTL)<<24 | uint32(ip.Protocol)<<16 // checksum field zero
+	w3, w4 := binary.BigEndian.Uint32(src[:]), binary.BigEndian.Uint32(dst[:])
+	w2 |= uint32(checksumFold(uint64(w0) + uint64(w1) + uint64(w2) + uint64(w3) + uint64(w4)))
+	hdr = hdr[:IPv4HeaderLen]
+	binary.BigEndian.PutUint32(hdr[0:], w0)
+	binary.BigEndian.PutUint32(hdr[4:], w1)
+	binary.BigEndian.PutUint32(hdr[8:], w2)
+	binary.BigEndian.PutUint32(hdr[12:], w3)
+	binary.BigEndian.PutUint32(hdr[16:], w4)
 	return nil
 }
 
 // Checksum computes the Internet checksum (RFC 1071) over data. A header
 // with a correct embedded checksum sums to zero.
 func Checksum(data []byte) uint16 {
-	var sum uint32
-	for len(data) >= 2 {
-		sum += uint32(data[0])<<8 | uint32(data[1])
-		data = data[2:]
-	}
-	if len(data) == 1 {
-		sum += uint32(data[0]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum>>16 + sum&0xffff
-	}
-	return ^uint16(sum)
+	return checksumFold(checksumAdd(0, data))
 }
 
-// checksumAdd accumulates data into a running non-folded checksum sum.
-func checksumAdd(sum uint32, data []byte) uint32 {
-	for len(data) >= 2 {
-		sum += uint32(data[0])<<8 | uint32(data[1])
+// checksumAdd accumulates data into a running non-folded checksum sum,
+// eight bytes at a time: 2^16 ≡ 1 (mod 0xffff), so the one's-complement
+// sum of 16-bit words is also the folded sum of the big-endian 32-bit
+// words, and a uint64 takes 2^32 of those before it can carry out. A
+// chunk that is not the last must have even length.
+func checksumAdd(sum uint64, data []byte) uint64 {
+	for len(data) >= 8 {
+		w := binary.BigEndian.Uint64(data)
+		sum += w>>32 + w&0xffffffff
+		data = data[8:]
+	}
+	if len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		sum += uint32(data[0]) << 8
+		sum += uint64(data[0]) << 8
 	}
 	return sum
 }
 
-func checksumFold(sum uint32) uint16 {
-	for sum > 0xffff {
-		sum = sum>>16 + sum&0xffff
-	}
+// checksumFold brings the end-around carries back in. A non-zero sum
+// never folds to zero, so the result is the byte-pair algorithm's.
+func checksumFold(sum uint64) uint16 {
+	sum = sum>>32 + sum&0xffffffff // < 2^33
+	sum = sum>>16 + sum&0xffff     // < 2^18
+	sum = sum>>16 + sum&0xffff     // ≤ 0x10001
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 
@@ -184,11 +198,27 @@ func DecrementTTL(pkt []byte) (alive bool, err error) {
 		return false, nil
 	}
 	pkt[8]--
+	if err := RepairChecksum(pkt); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// RepairChecksum re-sums the header of a serialized IPv4 packet after an
+// in-place edit of one of its fields. A header whose IHL is below the
+// minimum or runs past the data is left as it is and reported.
+func RepairChecksum(pkt []byte) error {
+	if len(pkt) < IPv4HeaderLen {
+		return ErrIPv4TooShort
+	}
 	ihl := int(pkt[0]&0x0f) * 4
+	if ihl < IPv4HeaderLen {
+		return ErrIPv4BadIHL
+	}
 	if len(pkt) < ihl {
-		return false, ErrIPv4TooShort
+		return ErrIPv4TooShort
 	}
 	pkt[10], pkt[11] = 0, 0
 	binary.BigEndian.PutUint16(pkt[10:12], Checksum(pkt[:ihl]))
-	return true, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -166,6 +167,43 @@ func TestDecrementTTL(t *testing.T) {
 	}
 }
 
+// TestRepairChecksumChecksIHL: a header that claims fewer than five
+// words, or more than the data holds, cannot be re-summed; DecrementTTL
+// used to "repair" the former over zero bytes, write 0xffff and report
+// the packet alive.
+func TestRepairChecksumChecksIHL(t *testing.T) {
+	good := buildIPv4(t, &IPv4{TTL: 9, Protocol: ProtoUDP, Src: addr("1.1.1.1"), Dst: addr("2.2.2.2")}, []byte("payload"))
+	for _, tc := range []struct {
+		name   string
+		verIHL byte
+		cut    int
+		want   error
+	}{
+		{"well-formed", 0x45, len(good), nil},
+		{"IHL 0", 0x40, len(good), ErrIPv4BadIHL},
+		{"IHL 4", 0x44, len(good), ErrIPv4BadIHL},
+		{"IHL past the data", 0x4f, len(good), ErrIPv4TooShort},
+		{"shorter than a header", 0x45, 19, ErrIPv4TooShort},
+	} {
+		pkt := bytes.Clone(good)[:tc.cut]
+		pkt[0] = tc.verIHL
+		before := bytes.Clone(pkt)
+		if err := RepairChecksum(pkt); !errors.Is(err, tc.want) {
+			t.Errorf("%s: RepairChecksum: %v, want %v", tc.name, err, tc.want)
+		} else if err != nil && !bytes.Equal(pkt, before) {
+			t.Errorf("%s: a refused header was written to", tc.name)
+		}
+		pkt = bytes.Clone(before)
+		alive, err := DecrementTTL(pkt)
+		if !errors.Is(err, tc.want) || alive != (tc.want == nil) {
+			t.Errorf("%s: DecrementTTL: alive=%v err=%v, want error %v", tc.name, alive, err, tc.want)
+		}
+		if tc.want == nil && (Checksum(pkt[:IPv4HeaderLen]) != 0 || pkt[8] != 8) {
+			t.Errorf("%s: header does not sum to zero after the repair, or TTL %d", tc.name, pkt[8])
+		}
+	}
+}
+
 func TestDSCPAccessors(t *testing.T) {
 	ip := IPv4{TOS: 46<<2 | 0b11} // EF with both ECN bits set
 	if ip.DSCP() != 46 {
@@ -191,6 +229,61 @@ func TestIPv4AddrsAndProto(t *testing.T) {
 	}
 	if _, err := IPv4Proto(pkt[:8]); err == nil {
 		t.Error("IPv4Proto on short packet: want error")
+	}
+}
+
+// checksumBytePairs is RFC 1071 as written: sixteen bits at a time, the
+// carries folded back at the end. Checksum must equal it everywhere.
+func checksumBytePairs(data []byte) uint16 {
+	var sum uint32
+	for ; len(data) >= 2; data = data[2:] {
+		sum += uint32(data[0])<<8 | uint32(data[1])
+	}
+	if len(data) == 1 {
+		sum += uint32(data[0]) << 8
+	}
+	for sum > 0xffff {
+		sum = sum>>16 + sum&0xffff
+	}
+	return ^uint16(sum)
+}
+
+func TestChecksumMatchesBytePairReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(what string, data []byte) {
+		t.Helper()
+		if got, want := Checksum(data), checksumBytePairs(data); got != want {
+			t.Fatalf("%s, %d bytes: Checksum %#04x, byte pairs %#04x", what, len(data), got, want)
+		}
+	}
+	for n := 0; n <= 64; n++ { // every tail the word loop can leave, odd lengths included
+		data := make([]byte, n)
+		check("zeros", data)
+		for i := range data {
+			data[i] = 0xff // the most carries a length can produce
+		}
+		check("all ones", data)
+		for i := 0; i < 50; i++ {
+			rng.Read(data)
+			check("random", data)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		data := make([]byte, 1500-i%2)
+		rng.Read(data)
+		if i%4 == 0 {
+			for j := range data {
+				data[j] = 0xff
+			}
+		}
+		check("MTU-sized", data)
+		// A header carrying its own checksum still sums to zero.
+		hdr := data[:IPv4HeaderLen+4*(i%11)]
+		hdr[10], hdr[11] = 0, 0
+		binary.BigEndian.PutUint16(hdr[10:], Checksum(hdr))
+		if Checksum(hdr) != 0 || checksumBytePairs(hdr) != 0 {
+			t.Fatalf("%d-byte header with its checksum in place sums to %#04x", len(hdr), Checksum(hdr))
+		}
 	}
 }
 

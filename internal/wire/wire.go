@@ -4,8 +4,12 @@
 // []byte IPv4 datagrams. There are two ways to read one: decode into a
 // caller-owned struct (IPv4, UDP, and shim.Header one layer up) with
 // DecodeFromBytes, or peek a fixed offset (IPv4Addrs, IPv4Proto). There is
-// one way to build one: push the payload into a SerializeBuffer and
-// prepend each header in front of it, innermost first.
+// one writer per header layout (IPv4.Put, shim.Header.Put) and two ways to
+// reach it: push the payload into a SerializeBuffer and prepend each
+// header in front of it, innermost first (SerializeTo), or — when the
+// sizes are known up front, as for every packet the neutralizer emits —
+// lay the packet out once and Put each header in place
+// (shim.AppendPacket).
 package wire
 
 import "fmt"
