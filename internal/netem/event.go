@@ -77,11 +77,11 @@ type lane struct {
 	n     int
 }
 
-func (l *lane) push(ev event) {
+func (l *lane) push(ev *event) {
 	if l.n == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = *ev
 	l.n++
 	l.tail = ev.at
 }
@@ -93,12 +93,11 @@ func (l *lane) grow() {
 	l.buf, l.head = buf, 0
 }
 
-func (l *lane) pop() event {
-	ev := l.buf[l.head]
+func (l *lane) pop(ev *event) {
+	*ev = l.buf[l.head]
 	l.buf[l.head] = event{} // drop pkt/fn references for the GC
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
-	return ev
 }
 
 // eventQueue is a priority queue ordered by (at, seq): earliest first,
@@ -120,11 +119,11 @@ func (q *eventQueue) len() int {
 	return n
 }
 
-// push enqueues ev, whose delay class is class: ev.at minus the shard
+// push enqueues *ev, whose delay class is class: ev.at minus the shard
 // clock for a local schedule, mailboxClass for a merged arrival. It joins
 // a lane of its class whose tail it does not precede, else a spare lane,
 // else the heap.
-func (q *eventQueue) push(ev event, class int64) {
+func (q *eventQueue) push(ev *event, class int64) {
 	for i := range q.lanes {
 		if l := &q.lanes[i]; l.class == class && (l.n == 0 || l.tail <= ev.at) {
 			l.push(ev)
@@ -138,7 +137,7 @@ func (q *eventQueue) push(ev event, class int64) {
 		q.inLane.Inc()
 		return
 	}
-	q.heapPush(ev)
+	q.heapPush(*ev)
 	q.inHeap.Inc()
 }
 
@@ -185,18 +184,22 @@ func (q *eventQueue) minAt() int64 {
 	return ev.at
 }
 
-// popDue removes and returns the earliest event if its timestamp is at
-// most last; ok is false, and nothing is removed, when the queue is empty
-// or its earliest event lies beyond last.
-func (q *eventQueue) popDue(last int64) (ev event, ok bool) {
+// popDue removes the earliest event into *ev if its timestamp is at most
+// last; it reports false, and removes nothing, when the queue is empty or
+// its earliest event lies beyond last. Events move by pointer: returned by
+// value, the 56 bytes bounced through two more stack slots, and a pop right
+// after a zero-delay push stalled on them.
+func (q *eventQueue) popDue(last int64, ev *event) bool {
 	src, head := q.front()
 	if head == nil || head.at > last {
-		return event{}, false
+		return false
 	}
 	if src == len(q.lanes) {
-		return q.heapPop(), true
+		*ev = q.heapPop()
+	} else {
+		q.lanes[src].pop(ev)
 	}
-	return q.lanes[src].pop(), true
+	return true
 }
 
 func (q *eventQueue) less(i, j int) bool {
@@ -259,7 +262,7 @@ func (sh *shard) dispatchEvent(ev *event) {
 	case evDepart:
 		ev.dir.depart(ev.pkt)
 	case evDelayed:
-		_ = ev.node.dispatchAfterPolicy(ev.pkt, false)
+		_ = ev.node.dispatchAfterPolicy(ev.pkt)
 	case evProc:
 		_ = ev.node.dispatch(ev.pkt, true)
 	}

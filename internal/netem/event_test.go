@@ -32,7 +32,7 @@ func newQueueScript(t *testing.T) *queueScript {
 func (s *queueScript) push(at, class int64) {
 	s.seq++
 	ev := event{at: at, seq: s.seq, kind: eventKind(s.seq % 5)}
-	s.q.push(ev, class)
+	s.q.push(&ev, class)
 	i := sort.Search(len(s.ref), func(i int) bool { return s.ref[i].at > at })
 	s.ref = append(s.ref, event{})
 	copy(s.ref[i+1:], s.ref[i:])
@@ -52,11 +52,11 @@ func (s *queueScript) pop() {
 	if len(s.ref) == 0 {
 		return
 	}
-	got, ok := s.q.popDue(s.ref[0].at - 1)
-	if ok {
+	var got event
+	if s.q.popDue(s.ref[0].at-1, &got) {
 		s.t.Fatalf("popDue(%d) returned an event at %d", s.ref[0].at-1, got.at)
 	}
-	got, _ = s.q.popDue(s.ref[0].at)
+	s.q.popDue(s.ref[0].at, &got)
 	want := s.ref[0]
 	s.ref = s.ref[1:]
 	if got.at != want.at || got.seq != want.seq || got.kind != want.kind {
@@ -221,11 +221,12 @@ func (d *mixDriver) push() {
 	delay := d.delays[d.i&(len(d.delays)-1)]
 	d.i++
 	d.seq++
-	d.q.push(event{at: d.now + delay, seq: d.seq, kind: evArrive}, delay)
+	d.q.push(&event{at: d.now + delay, seq: d.seq, kind: evArrive}, delay)
 }
 
 func (d *mixDriver) step() {
-	ev, _ := d.q.popDue(noLimit)
+	var ev event
+	d.q.popDue(noLimit, &ev)
 	d.now = ev.at
 	d.push()
 }
@@ -236,9 +237,9 @@ func (d *mixDriver) step() {
 // closure alive.
 func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
 	q := newTestQueue()
-	q.push(event{at: 1, seq: 1, pkt: new(Packet), node: new(Node), dir: new(linkDir), fn: func() {}}, 0)
+	q.push(&event{at: 1, seq: 1, pkt: new(Packet), node: new(Node), dir: new(linkDir), fn: func() {}}, 0)
 	slot := &q.lanes[0].buf[q.lanes[0].head]
-	q.popDue(noLimit)
+	q.popDue(noLimit, new(event))
 	if slot.pkt != nil || slot.node != nil || slot.dir != nil || slot.fn != nil || slot.at != 0 || slot.seq != 0 {
 		t.Errorf("popped ring slot still holds %+v", *slot)
 	}

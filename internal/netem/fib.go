@@ -52,6 +52,7 @@ type fib struct {
 	// compiling a million leaf FIBs allocates nothing.
 	prefixes []route
 	dirty    bool
+	anycast  bool // member of an anycast group; in dirty's padding, as Node must not grow
 }
 
 type compiledBlock struct {

@@ -22,8 +22,7 @@ type Queue interface {
 
 // FIFOQueue is a bounded tail-drop FIFO backed by a ring buffer, so
 // steady-state enqueue/dequeue never allocates. The ring itself is
-// allocated on first enqueue: a million idle host links must not pay
-// 64 pointer slots each up front.
+// allocated on first enqueue.
 type FIFOQueue struct {
 	q    []*Packet
 	head int
@@ -112,7 +111,7 @@ type linkDir struct {
 	from    *Node
 	to      *Node
 	cfg     LinkConfig
-	queue   Queue // nil until the first transmit (idle links stay queue-free)
+	queue   Queue // nil until SetQueue, or until a packet finds the line busy
 	busy    bool
 	sent    uint64
 	dropped uint64
@@ -222,8 +221,11 @@ func (l *Link) dir(from *Node) *linkDir {
 	return nil
 }
 
-// transmit enqueues p for transmission from node from across the link,
-// taking ownership of the packet's reference.
+// transmit sends p from node from across the link, taking ownership of
+// the packet's reference. An idle line with the default discipline
+// serializes the packet in hand — a FIFO would hand it straight back — so
+// the default FIFO and its ring exist only once a packet has found the
+// line busy. A Queue installed with SetQueue sees every packet.
 func (l *Link) transmit(from *Node, p *Packet) {
 	d := l.dir(from)
 	if d == nil {
@@ -237,6 +239,11 @@ func (l *Link) transmit(from *Node, p *Packet) {
 	p.Size = len(p.Pkt)
 	p.Arrived = sh.now
 	if d.queue == nil {
+		if !d.busy {
+			sh.mStartDirect.Inc()
+			d.startTransmission(p)
+			return
+		}
 		d.queue = NewFIFOQueue(d.cfg.QueueLen)
 	}
 	if !d.queue.Enqueue(p) {
@@ -248,18 +255,28 @@ func (l *Link) transmit(from *Node, p *Packet) {
 		return
 	}
 	if !d.busy {
-		d.startTransmission()
+		d.startNext()
 	}
 }
 
-// startTransmission pulls the next packet and schedules its departure
-// event (a typed event: no closure, no allocation).
-func (d *linkDir) startTransmission() {
-	p := d.queue.Dequeue()
+// startNext starts serializing the next waiting packet, or marks the
+// line idle when none waits.
+func (d *linkDir) startNext() {
+	var p *Packet
+	if d.queue != nil {
+		p = d.queue.Dequeue()
+	}
 	if p == nil {
 		d.busy = false
 		return
 	}
+	d.from.sh.mStartQueued.Inc()
+	d.startTransmission(p)
+}
+
+// startTransmission occupies the line with p and schedules its departure
+// event (a typed event: no closure, no allocation).
+func (d *linkDir) startTransmission(p *Packet) {
 	d.busy = true
 	serialize := time.Duration(0)
 	if rate := d.cfg.RateBps; rate > 0 {
@@ -297,5 +314,5 @@ func (d *linkDir) depart(p *Packet) {
 	} else {
 		src.sendRemote(dst, at, ev)
 	}
-	d.startTransmission()
+	d.startNext()
 }

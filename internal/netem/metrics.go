@@ -40,9 +40,13 @@ type simMetrics struct {
 	lanePush  *obs.CounterVec
 	heapPush  *obs.CounterVec
 
+	startDir, startQ *obs.CounterVec
+
 	epochs    *obs.Counter
 	epochWall *obs.HistStripe
 	lookahead *obs.Gauge
+	// Ordered shard pairs the barriers drained / never had to visit.
+	mailDrained, mailSilent *obs.Counter
 }
 
 func newSimMetrics() *simMetrics {
@@ -74,6 +78,13 @@ func newSimMetrics() *simMetrics {
 	const pushHelp = "Event pushes by the structure that took them: a per-delay FIFO lane, or the fallback heap."
 	m.lanePush = reg.Counter(`netem_queue_pushes_total{path="lane"}`, pushHelp, obs.Volatile())
 	m.heapPush = reg.Counter(`netem_queue_pushes_total{path="heap"}`, pushHelp, obs.Volatile())
+	// Likewise how a serialization started and which pairs a barrier visited.
+	const startHelp = "Link serializations started with the packet in hand on an idle line (direct) or from a queue's Dequeue (queued)."
+	m.startDir = reg.Counter(`netem_link_starts_total{path="direct"}`, startHelp, obs.Volatile())
+	m.startQ = reg.Counter(`netem_link_starts_total{path="queued"}`, startHelp, obs.Volatile())
+	const mailHelp = "Ordered shard pairs per barrier: drained (the source staged an event or a homebound buffer) or silent (never visited)."
+	m.mailDrained = reg.Counter(`netem_barrier_mailboxes_total{state="drained"}`, mailHelp, obs.Volatile()).Stripe(0)
+	m.mailSilent = reg.Counter(`netem_barrier_mailboxes_total{state="silent"}`, mailHelp, obs.Volatile()).Stripe(0)
 	m.epochs = reg.Counter("netem_epochs_total",
 		"Conservative epochs (barrier rounds) executed.").Stripe(0)
 	m.epochWall = reg.Histogram("netem_epoch_wall_ns",
@@ -97,6 +108,8 @@ func (m *simMetrics) attachShard(sh *shard) {
 	sh.gPoolFree = m.poolFree.Stripe(id)
 	sh.events.inLane = m.lanePush.Stripe(id)
 	sh.events.inHeap = m.heapPush.Stripe(id)
+	sh.mStartDirect = m.startDir.Stripe(id)
+	sh.mStartQueued = m.startQ.Stripe(id)
 	sh.pool.allocated = m.poolAlloc.Stripe(id)
 	sh.pool.gets = m.poolGets.Stripe(id)
 }

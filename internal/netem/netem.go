@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"netneutral/internal/obs"
@@ -404,6 +405,9 @@ func (s *Simulator) AddHostBlock(domain string, first netip.Addr, n int) ([]*Nod
 // nodes. Routing resolves it to the nearest member.
 func (s *Simulator) AddAnycast(addr netip.Addr, members ...*Node) {
 	s.anycast[addr] = append(s.anycast[addr], members...)
+	for _, m := range members {
+		m.fib.anycast = true
+	}
 }
 
 // Sim returns the simulator the node belongs to.
@@ -509,65 +513,63 @@ func (n *Node) SendPacketProc(p *Packet, proc time.Duration) error {
 // marks packets sent by this node itself (no transit hooks, no TTL work).
 // dispatch owns p: every exit path releases it or hands it on.
 func (n *Node) dispatch(p *Packet, origin bool) error {
-	if _, _, err := wire.IPv4Addrs(p.Pkt); err != nil {
-		p.Release()
-		return ErrMalformedIPv4
-	}
-	if !origin && len(n.hooks) > 0 {
-		// Transit/ingress policy.
-		var delay time.Duration
-		var cause PolicyCause
-		var class uint8
-		now := n.Now()
-		for _, h := range n.hooks {
-			v := h(now, n, p.Pkt)
-			if v.Drop {
-				p.cause, p.class = v.Cause, v.Class
-				n.sh.emit(TraceDropPolicy, n, p)
-				p.Release()
-				return nil
-			}
-			if v.Delay > delay {
-				delay, cause, class = v.Delay, v.Cause, v.Class
-			}
-			if v.DSCP != nil {
-				remarkDSCP(p.Pkt, *v.DSCP)
-			}
-		}
-		if delay > 0 {
-			p.attrPolicy += int64(delay)
-			p.cause, p.class = cause, class
-			n.sh.schedule(n.sh.now+int64(delay), event{kind: evDelayed, node: n, pkt: p})
-			return nil
-		}
-	}
-	return n.dispatchAfterPolicy(p, origin)
-}
-
-// dispatchAfterPolicy completes local delivery or forwarding once policy
-// hooks have run. origin marks packets originated by this node, which are
-// not TTL-decremented and do not count as forwarding.
-func (n *Node) dispatchAfterPolicy(p *Packet, origin bool) error {
 	_, dst, err := wire.IPv4Addrs(p.Pkt)
 	if err != nil {
 		p.Release()
 		return ErrMalformedIPv4
 	}
-	// Local unicast delivery?
-	if n.HasAddr(dst) {
+	if origin || len(n.hooks) == 0 {
+		return n.route(p, dst, origin)
+	}
+	// Transit/ingress policy.
+	var delay time.Duration
+	var cause PolicyCause
+	var class uint8
+	now := n.Now()
+	for _, h := range n.hooks {
+		v := h(now, n, p.Pkt)
+		if v.Drop {
+			p.cause, p.class = v.Cause, v.Class
+			n.sh.emit(TraceDropPolicy, n, p)
+			p.Release()
+			return nil
+		}
+		if v.Delay > delay {
+			delay, cause, class = v.Delay, v.Cause, v.Class
+		}
+		if v.DSCP != nil {
+			remarkDSCP(p.Pkt, *v.DSCP)
+		}
+	}
+	if delay > 0 {
+		p.attrPolicy += int64(delay)
+		p.cause, p.class = cause, class
+		n.sh.schedule(n.sh.now+int64(delay), event{kind: evDelayed, node: n, pkt: p})
+		return nil
+	}
+	return n.dispatchAfterPolicy(p)
+}
+
+// dispatchAfterPolicy resumes a transit packet once its hooks, and any
+// delay they imposed, have run: they may write it, so it is parsed again.
+func (n *Node) dispatchAfterPolicy(p *Packet) error {
+	_, dst, err := wire.IPv4Addrs(p.Pkt)
+	if err != nil {
+		p.Release()
+		return ErrMalformedIPv4
+	}
+	return n.route(p, dst, false)
+}
+
+// route delivers p locally or forwards it toward dst. origin marks
+// packets originated by this node, which are not TTL-decremented and do
+// not count as forwarding. Only a member of some anycast group probes the
+// simulator's anycast map; every other hop decides from its own fields.
+func (n *Node) route(p *Packet, dst netip.Addr, origin bool) error {
+	if n.HasAddr(dst) || n.fib.anycast && slices.Contains(n.sim.anycast[dst], n) {
 		n.deliver(p)
 		return nil
 	}
-	// Local anycast delivery?
-	if members := n.sim.anycast[dst]; len(members) > 0 {
-		for _, m := range members {
-			if m == n {
-				n.deliver(p)
-				return nil
-			}
-		}
-	}
-	// Forward.
 	link := n.lookupRoute(dst)
 	if link == nil {
 		n.sh.emit(TraceDropNoRoute, n, p)

@@ -242,6 +242,59 @@ func TestAnycastNearestMember(t *testing.T) {
 	}
 }
 
+// TestAnycastMembershipIsASet: a node carries one bit saying it serves
+// some anycast address; which addresses is still the simulator's table.
+// The path is src — r — m1 — m2, every group routed toward m2.
+func TestAnycastMembershipIsASet(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	src := s.MustAddNode("src", "", addr("10.0.0.1"))
+	r := s.MustAddNode("r", "", addr("10.0.0.2"))
+	m1 := s.MustAddNode("m1", "", addr("10.0.0.3"))
+	m2 := s.MustAddNode("m2", "", addr("10.0.0.4"))
+	g1, g2, g3, g4 := addr("10.255.0.1"), addr("10.255.0.2"), addr("10.255.0.3"), addr("10.255.0.4")
+	path := []*Node{src, r, m1, m2}
+	for i := 0; i+1 < len(path); i++ {
+		l := s.Connect(path[i], path[i+1], LinkConfig{Delay: time.Millisecond})
+		path[i].AddRoute(netip.MustParsePrefix("10.255.0.0/24"), l)
+	}
+	s.AddAnycast(g1, m1)
+	s.AddAnycast(g2, m1, m2)
+	s.AddAnycast(g3, m2)
+	s.AddAnycast(g4, m2)
+	var hit string
+	for _, n := range path {
+		name := n.Name
+		n.SetHandler(func(time.Time, []byte) { hit += name })
+	}
+	for _, tc := range []struct {
+		name     string
+		dst      netip.Addr
+		join     *Node // made a member of dst's group before the send
+		want     string
+		forwards uint64
+	}{
+		{"member delivers, non-member on the path forwards", g1, nil, "m1", 1},
+		{"a node in two groups serves the second too", g2, nil, "m1", 1},
+		{"a member forwards another group's address", g3, nil, "m2", 2},
+		{"a member added between runs terminates the flow", g3, m1, "m1", 1},
+		{"a node that joined with no address of its own", g4, r, "r", 0},
+		{"and still forwards the groups it did not join", g1, nil, "m1", 1},
+	} {
+		if tc.join != nil {
+			s.AddAnycast(tc.dst, tc.join)
+		}
+		hit = ""
+		before := s.Forwarded()
+		if err := src.Send(mkUDP(t, src.Addr(), tc.dst, nil)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s.RunFor(10 * time.Millisecond)
+		if fwd := s.Forwarded() - before; hit != tc.want || fwd != tc.forwards {
+			t.Errorf("%s: delivered at %q after %d forwards, want %q after %d", tc.name, hit, fwd, tc.want, tc.forwards)
+		}
+	}
+}
+
 func TestTransitHookDrop(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))

@@ -104,7 +104,7 @@ func (p *Packet) Release() {
 // holding a Retain on a packet while it travels to another shard is
 // unsupported (the refcount is not atomic).
 type packetPool struct {
-	shard int // owning shard id
+	owner *shard // the shard whose goroutine uses this pool
 	free  []*Packet
 	// homebound[s] parks buffers released here that shard s's pool
 	// allocated; the home shard reclaims them at the next epoch barrier
@@ -163,9 +163,12 @@ func (pp *packetPool) put(p *Packet) {
 		pp.free = append(pp.free, p)
 		return
 	}
-	h := p.home.shard
+	h := p.home.owner.id
 	for len(pp.homebound) <= h {
 		pp.homebound = append(pp.homebound, nil)
+	}
+	if len(pp.homebound[h]) == 0 {
+		pp.owner.spoke = append(pp.owner.spoke, int32(h))
 	}
 	pp.homebound[h] = append(pp.homebound[h], p)
 }

@@ -2,6 +2,8 @@ package netem
 
 import (
 	"bytes"
+	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -191,11 +193,42 @@ func TestSetQueueTransfersWaitingPackets(t *testing.T) {
 // several hops allocates nothing — with no flight recorder attached,
 // and with per-hop delay attribution armed by a cause-tagged policing
 // hook that delays every packet on transit (still no recorder, so the
-// attribution plumbing must be free on the allocator).
+// attribution plumbing must be free on the allocator). Nor does the
+// first packet over a link that has never carried one: an idle line
+// builds no queue.
 func TestForwardingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race instrumentation")
 	}
+	t.Run("fresh-links", func(t *testing.T) {
+		const runs = 200
+		s := NewSimulator(simStart, 1)
+		hub := s.MustAddNode("hub", "", addr("10.0.0.1"))
+		delivered := 0
+		count := func(time.Time, []byte) { delivered++ }
+		var pkts [][]byte
+		for i := 0; i < runs+2; i++ {
+			leaf := s.MustAddNode(fmt.Sprintf("leaf%d", i), "", uintToIPv4(ipv4ToUint(addr("10.1.0.0"))+uint32(i)))
+			leaf.SetHandler(count)
+			hub.AddRoute(netip.PrefixFrom(leaf.Addr(), 32), s.Connect(hub, leaf, LinkConfig{Delay: time.Millisecond, RateBps: 100e6}))
+			pkts = append(pkts, mkUDP(t, hub.Addr(), leaf.Addr(), []byte("first packet")))
+		}
+		next := 0
+		send := func() {
+			if err := hub.Send(pkts[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			s.Run()
+		}
+		send() // warm the pool, the event lanes and the hub's compiled FIB
+		if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+			t.Errorf("the first packet over a fresh idle link allocates %.1f times, want 0", allocs)
+		}
+		if delivered != runs+2 {
+			t.Errorf("delivered %d packets, want %d", delivered, runs+2)
+		}
+	})
 	for _, tc := range []struct {
 		name string
 		hook TransitHook

@@ -19,7 +19,8 @@ import (
 // beyond the window's end and can be exchanged at the barrier instead
 // of interrupting the receiver. Incoming events are merged in (time,
 // source shard, source sequence) order and re-sequenced locally, a pure
-// function of event content. Shards therefore evolve identically
+// function of event content; the merge visits only (source, destination)
+// pairs that spoke and is skipped when none did. Shards evolve identically
 // whether the per-epoch phases run on one worker or many: `-seed` replay
 // is bit-identical at every worker count.
 //
@@ -100,17 +101,18 @@ func (s *Simulator) runLimit(limit int64) {
 		if s.lookahead > 0 {
 			last = min(limit, next+int64(s.lookahead)-1)
 		}
-		if workers <= 1 || pending < minEventsPerWorker*workers {
-			for _, sh := range s.shards {
-				sh.runWindow(last, math.MaxInt)
-			}
-			for _, sh := range s.shards {
-				sh.mergeIncoming()
-			}
-		} else {
-			s.parallelPhase(workers, phaseRun, last)
-			s.parallelPhase(workers, phaseMerge, 0)
+		w := workers
+		if pending < minEventsPerWorker*workers {
+			w = 1
 		}
+		s.runPhase(w, phaseRun, last)
+		// Merge cost follows the pairs that spoke, down to no phase at all.
+		drained := s.gatherSources()
+		if drained > 0 {
+			s.runPhase(w, phaseMerge, 0)
+		}
+		s.met.mailDrained.Add(uint64(drained))
+		s.met.mailSilent.Add(uint64(len(s.shards)*(len(s.shards)-1) - drained))
 		s.met.epochs.Inc()
 		s.met.epochWall.ObserveDuration(time.Since(epochStart))
 		// Observation piggybacks on the barrier that already exists:
@@ -164,11 +166,35 @@ const (
 	phaseMerge
 )
 
-// parallelPhase runs one epoch phase over all shards with the given
-// worker count. Shards are claimed dynamically (execution is a pure
-// function of shard state, so which worker runs a shard cannot affect
-// results — only load balance).
-func (s *Simulator) parallelPhase(workers, phase int, last int64) {
+// gatherSources transposes every shard's spoke list into its
+// destinations' sources and reports how many (source, destination) pairs
+// spoke. Ascending shard order keeps each sources list ascending: the order
+// homebound buffers are reclaimed in decides pool reuse. Coordinator only.
+func (s *Simulator) gatherSources() (pairs int) {
+	for _, src := range s.shards {
+		for _, d := range src.spoke {
+			dst := s.shards[d]
+			if k := len(dst.sources); k == 0 || dst.sources[k-1] != src {
+				dst.sources = append(dst.sources, src)
+				pairs++
+			}
+		}
+		src.spoke = src.spoke[:0]
+	}
+	return pairs
+}
+
+// runPhase runs one epoch phase over all shards: inline for one worker,
+// else on that many goroutines. Shards are claimed dynamically
+// (execution is a pure function of shard state, so which worker runs a
+// shard cannot affect results — only load balance).
+func (s *Simulator) runPhase(workers, phase int, last int64) {
+	if workers <= 1 {
+		for _, sh := range s.shards {
+			sh.runPhase(phase, last)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -180,15 +206,19 @@ func (s *Simulator) parallelPhase(workers, phase int, last int64) {
 				if k >= len(s.shards) {
 					return
 				}
-				if phase == phaseRun {
-					s.shards[k].runWindow(last, math.MaxInt)
-				} else {
-					s.shards[k].mergeIncoming()
-				}
+				s.shards[k].runPhase(phase, last)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+func (sh *shard) runPhase(phase int, last int64) {
+	if phase == phaseRun {
+		sh.runWindow(last, math.MaxInt)
+	} else {
+		sh.mergeIncoming()
+	}
 }
 
 // runWindow executes the shard's events with timestamps <= last, at
@@ -199,8 +229,8 @@ func (s *Simulator) parallelPhase(workers, phase int, last int64) {
 func (sh *shard) runWindow(last int64, max int) int {
 	n := 0
 	for n < max {
-		ev, ok := sh.events.popDue(last)
-		if !ok {
+		var ev event
+		if !sh.events.popDue(last, &ev) {
 			break
 		}
 		sh.now = ev.at
@@ -211,17 +241,14 @@ func (sh *shard) runWindow(last int64, max int) int {
 	return n
 }
 
-// mergeIncoming drains every other shard's outbox slot addressed to this
-// shard and inserts the events in deterministic (time, source shard,
-// source sequence) order, re-homing in-flight packets to this shard's
-// pool. Runs in the barrier's merge phase: sources are quiescent, and
-// each (source, destination) slot has exactly one reader.
+// mergeIncoming drains the outbox slot of every shard that spoke to this
+// one (sh.sources) and inserts the events in deterministic (time, source
+// shard, source sequence) order, re-homing in-flight packets to this
+// shard's pool. Runs in the barrier's merge phase: sources are quiescent,
+// and each (source, destination) slot has exactly one reader.
 func (sh *shard) mergeIncoming() {
 	buf := sh.mergeBuf[:0]
-	for _, src := range sh.sim.shards {
-		if src == sh {
-			continue
-		}
+	for _, src := range sh.sources {
 		// Reclaim buffers this shard allocated that died on src's shard,
 		// so producer shards keep recycling instead of allocating anew.
 		if hb := src.pool.homebound; len(hb) > sh.id && len(hb[sh.id]) > 0 {
@@ -247,6 +274,7 @@ func (sh *shard) mergeIncoming() {
 		}
 		src.outbox[sh.id] = in[:0]
 	}
+	sh.sources = sh.sources[:0]
 	if len(buf) == 0 {
 		sh.mergeBuf = buf
 		return
@@ -267,7 +295,7 @@ func (sh *shard) mergeIncoming() {
 		return 0
 	})
 	for i := range buf {
-		ev := buf[i].ev
+		ev := &buf[i].ev
 		if ev.pkt != nil {
 			ev.pkt.pool = &sh.pool // re-home: Release returns it here
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ type parWorldResult struct {
 	// trace is the complete flight-recorder stream: every packet event
 	// in merged (time, shard, seq) order with all attribution fields.
 	trace []obs.TraceRec
-	// received logs, per receiving node (hosts, then outside1), each
-	// delivery's virtual time and packet bytes as its handler saw them.
+	// received logs, per receiving node (hosts, then outside1, the border
+	// and the two edges serving the second anycast group), each delivery's
+	// virtual time and packet bytes as its handler saw them.
 	received  [][]byte
 	delivered uint64
 	forwarded uint64
@@ -25,9 +27,13 @@ type parWorldResult struct {
 	events    uint64
 }
 
-// runParWorld builds a random sharded fan-out from seed, drives random
-// bidirectional traffic (downstream from outside, host-to-host chatter
-// inside subtrees, upstream from hosts to outside), and runs it at the
+// runParWorld builds a random sharded fan-out from seed — host links
+// paced on some seeds, unpaced on others, so idle-line and busy-line
+// transmissions both occur at every tier — drives random bidirectional
+// traffic (downstream from outside, host-to-host chatter inside subtrees,
+// upstream from hosts to outside, and packets to two anycast groups: the
+// border's, and one served by the first and last edge that every other
+// edge's hosts reach through a non-member border), and runs it at the
 // given worker count — partly in RunFor chunks to exercise partial
 // epochs, then drained with Run — under a lossless flight recorder
 // (SampleFlows 1, ring larger than the run).
@@ -43,7 +49,7 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 	f, err := BuildFanout(sim, FanoutSpec{
 		Hosts: hosts, HostsPerEdge: hpe, Outside: 2,
 		ShardSubtrees: true,
-		HostLink:      LinkConfig{Delay: d()},
+		HostLink:      LinkConfig{Delay: d(), RateBps: float64(topoRng.Intn(2)) * 30e6},
 		EdgeLink:      LinkConfig{Delay: d(), RateBps: 50e6, QueueLen: 64},
 		TransitLink:   LinkConfig{Delay: d(), RateBps: 80e6, QueueLen: 64},
 		OutsideLink:   LinkConfig{Delay: d()},
@@ -57,7 +63,7 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 	sim.AttachFlightRecorder(fr)
 	// Each receiver appends to its own log, and a node's handler only
 	// ever runs on the node's shard, so the logs need no locking.
-	res := &parWorldResult{received: make([][]byte, hosts+1)}
+	res := &parWorldResult{received: make([][]byte, hosts+4)}
 	capture := func(node *Node, slot int) {
 		node.SetHandler(func(now time.Time, pkt []byte) {
 			log := binary.BigEndian.AppendUint64(res.received[slot], uint64(now.UnixNano()))
@@ -68,6 +74,19 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 		capture(h, i)
 	}
 	capture(f.Outside[1], hosts)
+	// A second anycast group at the first and last edge: a host under
+	// either is served one hop up; everyone else's packet climbs to the
+	// border — itself a member, but of the other group — which forwards it
+	// down to the first edge.
+	group2 := addr("10.200.0.2")
+	first, last := f.Edges[0], f.Edges[len(f.Edges)-1]
+	sim.AddAnycast(group2, first, last)
+	f.Border.AddRoute(netip.PrefixFrom(group2, 32), f.EdgeLinks[0])
+	capture(f.Border, hosts+1)
+	capture(first, hosts+2)
+	if last != first {
+		capture(last, hosts+3)
+	}
 
 	const total = 400 * time.Millisecond
 	end := simStart.Add(total)
@@ -105,6 +124,16 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 	// Upstream: every 7th host talks to outside1 (crosses every tier).
 	for i := 0; i < hosts; i += 7 {
 		sender(f.Hosts[i], mkUDP(t, f.HostAddr(i), f.OutsideAddr(1), []byte{0xDD, 0}), 11*time.Millisecond)
+	}
+
+	// Anycast: outside1 and every 9th host talk to the border's group,
+	// every 5th host to the edges' group.
+	sender(f.Outside[1], mkUDP(t, f.OutsideAddr(1), f.Spec.Anycast, []byte{0xA1, 0}), 5*time.Millisecond)
+	for i := 0; i < hosts; i += 9 {
+		sender(f.Hosts[i], mkUDP(t, f.HostAddr(i), f.Spec.Anycast, []byte{0xA1, 0}), 13*time.Millisecond)
+	}
+	for i := 0; i < hosts; i += 5 {
+		sender(f.Hosts[i], mkUDP(t, f.HostAddr(i), group2, []byte{0xA2, 0}), 12*time.Millisecond)
 	}
 
 	// Run in chunks (partial epochs), then drain in-flight packets.
@@ -167,6 +196,10 @@ func TestParallelTraceEquivalence(t *testing.T) {
 				t.Fatalf("degenerate world: delivered=%d received=%dB trace=%d",
 					one.delivered, received, len(one.trace))
 			}
+			if n := len(one.received); len(one.received[n-3]) == 0 || len(one.received[n-2]) == 0 {
+				t.Fatalf("degenerate world: anycast deliveries border=%dB first edge=%dB",
+					len(one.received[n-3]), len(one.received[n-2]))
+			}
 			for _, workers := range []int{2, 4} {
 				requireSameWorld(t, fmt.Sprintf("workers=%d", workers), one, runParWorld(t, seed, workers))
 			}
@@ -216,4 +249,73 @@ func TestShardRNGIndependence(t *testing.T) {
 		t.Errorf("core shard plan: transit=%d border=%d, want 0/1", f.Transit.ShardID(), f.Border.ShardID())
 	}
 	_ = f2
+}
+
+// TestBarrierDrainsOnlyTouchedPairs pins the barrier's cost model and its
+// order on six one-node shards joined by six 1 ms links, everything sent
+// at t=0. Epoch 1 stages the departures, epoch 2 delivers them on foreign
+// shards, which parks every buffer homebound: six pairs speak by event,
+// then the six reverse pairs by buffer alone — shard 5 never sends shard 1
+// an event, yet must hand its buffers back. The other 48 possible
+// (source, destination) visits of the two barriers never happen. Arrivals
+// tie on time, so n3 and n0 must see their senders in ascending shard
+// order although shard 1 touched its destinations as 5, 0, 3.
+func TestBarrierDrainsOnlyTouchedPairs(t *testing.T) {
+	const burst = 30 // 6 senders x 30 packets clears the fan-out threshold at 4 workers
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sim := NewSimulator(simStart, 1)
+			sim.SetShardCount(6)
+			sim.SetWorkers(workers)
+			var n [6]*Node
+			for i := range n {
+				n[i] = sim.MustAddNode(fmt.Sprintf("n%d", i), "", addr(fmt.Sprintf("10.0.0.%d", i+1)))
+				n[i].SetShard(i)
+			}
+			sends := [][2]int{{1, 5}, {1, 0}, {1, 3}, {2, 0}, {4, 3}, {0, 3}}
+			for _, p := range sends {
+				l := sim.Connect(n[p[0]], n[p[1]], LinkConfig{Delay: time.Millisecond})
+				n[p[0]].AddRoute(netip.PrefixFrom(n[p[1]].Addr(), 32), l)
+			}
+			var from [6][]byte // per receiver: the last address byte of each sender, in delivery order
+			for i := range n {
+				i := i
+				n[i].SetHandler(func(_ time.Time, pkt []byte) { from[i] = append(from[i], pkt[15]) })
+			}
+			round := func() {
+				for _, p := range sends {
+					pkt := mkUDP(t, n[p[0]].Addr(), n[p[1]].Addr(), nil)
+					for k := 0; k < burst; k++ {
+						if err := n[p[0]].Send(pkt); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				sim.Run()
+			}
+			round()
+			if e, d, s := sim.met.epochs.Value(), sim.met.mailDrained.Value(), sim.met.mailSilent.Value(); e != 2 || d != 12 || s != 48 {
+				t.Errorf("epochs=%d drained=%d silent=%d, want 2, 12 (6 pairs by event, 6 by buffer), 48", e, d, s)
+			}
+			want := func(senders ...byte) []byte {
+				var w []byte
+				for _, s := range senders {
+					w = append(w, bytes.Repeat([]byte{s + 1}, burst)...)
+				}
+				return w
+			}
+			if !bytes.Equal(from[3], want(0, 1, 4)) || !bytes.Equal(from[0], want(1, 2)) || !bytes.Equal(from[5], want(1)) {
+				t.Errorf("merge order is not (time, source shard, seq): n3 saw %v, n0 %v, n5 %v", from[3], from[0], from[5])
+			}
+			// Every buffer went home at the barrier after it died, shard 5's
+			// included, so a second round allocates none.
+			if free := len(sim.shards[1].pool.free); free != 3*burst {
+				t.Errorf("shard 1 has %d of its %d buffers back", free, 3*burst)
+			}
+			round()
+			if alloc, gets := sim.PoolStats(); alloc != 6*burst || gets != 12*burst {
+				t.Errorf("allocated %d buffers for %d checkouts, want %d: homebound buffers were not repatriated", alloc, gets, 6*burst)
+			}
+		})
+	}
 }

@@ -16,11 +16,12 @@ import (
 // state — and packets crossing a shard boundary are staged in per-
 // destination outboxes that the receiving shard merges deterministically
 // (ordered by time, then source shard, then source sequence) at the
-// epoch barrier. Because shard assignment is a property of the topology
-// and the merge order is a pure function of event content, a seeded run
-// is bit-identical at any worker count, including 1. An unsharded
-// simulator is the same machine with one shard and nothing to merge
-// (see parallel.go).
+// epoch barrier, visiting only the shards that staged something for it
+// (TestBarrierDrainsOnlyTouchedPairs). Because shard assignment is a
+// property of the topology and the merge order is a pure function of
+// event content, a seeded run is bit-identical at any worker count,
+// including 1. An unsharded simulator is the same machine with one shard
+// and nothing to merge (see parallel.go).
 //
 // Virtual time inside the engine is one int64 of Unix nanoseconds —
 // event timestamps, shard clocks, window bounds; time.Time appears only
@@ -42,6 +43,11 @@ type shard struct {
 
 	// outbox[d] stages events bound for shard d, in emission order.
 	outbox [][]remoteEvent
+	// spoke lists the shards this one staged an outbox event or a homebound
+	// buffer (packetPool.put) for since the last barrier; the coordinator
+	// transposes it into sources, the shards mergeIncoming has to visit.
+	spoke   []int32
+	sources []*shard
 	// mergeBuf is scratch for the deterministic incoming merge.
 	mergeBuf []remoteEvent
 
@@ -56,6 +62,8 @@ type shard struct {
 	mLinkQDrop *obs.Counter
 	gHeap      *obs.Gauge
 	gPoolFree  *obs.Gauge
+	// Serializations started with the packet in hand / from a queue.
+	mStartDirect, mStartQueued *obs.Counter
 	// flight is the shard's flight-recorder stripe, nil unless attached.
 	flight *obs.FlightStripe
 
@@ -104,7 +112,7 @@ func shardSeed(root int64, id int) int64 {
 func newShard(s *Simulator, id int, now int64) *shard {
 	sh := &shard{sim: s, id: id, now: now,
 		rng: rand.New(rand.NewSource(shardSeed(s.seed, id)))}
-	sh.pool.shard = id
+	sh.pool.owner = sh
 	sh.pool.debug = s.poolDebug
 	s.met.attachShard(sh)
 	if s.flight != nil {
@@ -215,7 +223,7 @@ func (sh *shard) schedule(at int64, ev event) {
 	sh.seq++
 	ev.at = at
 	ev.seq = sh.seq
-	sh.events.push(ev, at-sh.now)
+	sh.events.push(&ev, at-sh.now)
 }
 
 // sendRemote stages ev for another shard at absolute time at. The event
@@ -227,6 +235,9 @@ func (sh *shard) sendRemote(dst *shard, at int64, ev event) {
 	ev.seq = sh.seq
 	for len(sh.outbox) <= dst.id {
 		sh.outbox = append(sh.outbox, nil)
+	}
+	if len(sh.outbox[dst.id]) == 0 {
+		sh.spoke = append(sh.spoke, int32(dst.id))
 	}
 	sh.outbox[dst.id] = append(sh.outbox[dst.id], remoteEvent{ev: ev, src: int32(sh.id)})
 }

@@ -49,6 +49,8 @@ var requiredFamilies = []string{
 	"netem_link_tx_packets_total",
 	"netem_epochs_total",
 	"netem_epoch_wall_ns",
+	"netem_link_starts_total",
+	"netem_barrier_mailboxes_total",
 	"obs_recorder_ticks_total",
 	"obs_flight_seen_total",
 	"obs_flight_recorded_total",
