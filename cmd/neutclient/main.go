@@ -28,6 +28,7 @@ import (
 
 	"netneutral"
 	"netneutral/internal/e2e"
+	"netneutral/internal/tunnel"
 )
 
 type delivery struct {
@@ -65,8 +66,7 @@ func main() {
 	defer conn.Close()
 
 	// Register our inner address with the daemon (control frame).
-	a4 := selfAddr.As4()
-	if _, err := conn.Write(append([]byte{0x00}, a4[:]...)); err != nil {
+	if _, err := conn.Write(tunnel.RegisterFrame(selfAddr)); err != nil {
 		log.Fatalf("neutclient: register: %v", err)
 	}
 

@@ -15,7 +15,7 @@
 //	neutsim                                       # F1 + F2: Figure 1 and 2
 //	neutsim -hosts 10000 -duration 2s -seed 7     # E6 metro (-simworkers N)
 //	neutsim -hosts 1000 -trace all -traceout t.json  # metro + Perfetto trace
-//	neutsim -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /stream, /trace.json, pprof
+//	neutsim -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /trace.json, pprof
 //	neutsim -arms -flows 8 -duration 2s -seed 7   # E7 arms race, 8 flows/class
 //	neutsim -audit -vantages 8 -trials 10 -seed 7 # E8 neutrality audit
 //	neutsim -parscale -hosts 2000 -duration 500ms # E9 worker sweep 1/2/4
@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	vantages := fs.Int("vantages", 12, "audit: outside vantage points (inside reference vantages scale as 1/3)")
 	trials := fs.Int("trials", 12, "audit: paired measurement trials per vantage")
 	duration := fs.Duration("duration", 2*time.Second, "simulated traffic duration for the metro/arms/parscale/backbone scenarios")
-	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /stream, /trace.json, /trace and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
+	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /trace.json, /trace and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
 	metricsHold := fs.Duration("metricshold", 5*time.Second, "keep the -metrics server up this long after the run so scrapers can read the final state")
 	_ = fs.Parse(args) // ExitOnError
 
@@ -192,13 +192,11 @@ func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, trac
 				RingSize: 512, Interval: time.Millisecond,
 			})
 			rec.Register()
-			stream := obs.NewStreamer()
-			stream.Register(sim.Metrics())
-			rec.SetStreamer(stream)
+			rec.PublishSnapshots()
 			sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
 			go func() {
 				_ = http.Serve(ln, obs.NewHandler(obs.HandlerConfig{
-					Source: rec, Streamer: stream, Flight: fr,
+					Source: rec, Flight: fr,
 				}))
 			}()
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"netneutral"
+	"netneutral/internal/tunnel"
 	"netneutral/internal/wire"
 )
 
@@ -129,10 +130,10 @@ func TestExperimentRegistryRunsF2(t *testing.T) {
 }
 
 // TestUDPTunnelDeployment reproduces the neutralizerd/neutclient
-// deployment in-process: a neutralizer behind a real UDP socket, two
-// hosts tunneling IPv4-in-UDP through it, full conversation with key
-// refresh. This is the paper's system running over the actual network
-// stack.
+// deployment in-process: a neutralizer behind a real UDP socket served
+// by the daemon's transport loop (tunnel.Serve), two hosts tunneling
+// IPv4-in-UDP through it, full conversation with key refresh. This is
+// the paper's system running over the actual network stack.
 func TestUDPTunnelDeployment(t *testing.T) {
 	sched := netneutral.NewKeySchedule(netneutral.MasterKey{5}, time.Now(), time.Hour)
 	neut, err := netneutral.NewNeutralizer(netneutral.NeutralizerConfig{
@@ -147,32 +148,14 @@ func TestUDPTunnelDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer daemon.Close()
-
-	// Daemon loop: learn inner->outer mappings, process, forward.
-	reg := map[netip.Addr]*net.UDPAddr{}
-	go func() {
-		buf := make([]byte, 64<<10)
-		for {
-			n, from, err := daemon.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			pkt := buf[:n]
-			if src, _, err := wire.IPv4Addrs(pkt); err == nil {
-				reg[src] = from
-			}
-			outs, err := neut.ProcessScratch(netneutral.NewScratch(), pkt)
-			if err != nil {
-				continue
-			}
-			for _, o := range outs {
-				if _, dst, err := wire.IPv4Addrs(o.Pkt); err == nil {
-					if peer, ok := reg[dst]; ok {
-						_, _ = daemon.WriteToUDP(o.Pkt, peer)
-					}
-				}
-			}
+	// The daemon's own loop at the daemon's defaults.
+	tun := tunnel.New(daemon, neut, tunnel.Options{Workers: 1, Batch: 1}, nil)
+	served := make(chan error, 1)
+	go func() { served <- tun.Serve() }()
+	defer func() {
+		tun.Close()
+		if err := <-served; err != nil {
+			t.Errorf("Serve after Close: %v", err)
 		}
 	}()
 
@@ -219,8 +202,12 @@ func TestUDPTunnelDeployment(t *testing.T) {
 		}
 	}
 
-	// Google registers its inner address by sending any packet; a
-	// key-fetch works and doubles as liveness.
+	// Google registers its inner address with a control frame, as
+	// neutclient does; Ann's is learned from her first served packet. The
+	// key fetch doubles as liveness.
+	if _, err := googleConn.Write(tunnel.RegisterFrame(itGoogle)); err != nil {
+		t.Fatal(err)
+	}
 	if err := google.InitiateTo(itAnycast, itAnn, ann.Identity(), nil); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"netneutral/internal/wire"
 )
@@ -54,10 +53,6 @@ type Pool struct {
 	outs    []Outgoing
 	dropped uint64
 	closed  bool
-
-	// met is the registry counter block, published atomically so
-	// Instrument may race with live workers (nil = uninstrumented).
-	met atomic.Pointer[poolMetrics]
 }
 
 // NewPool builds the replicas and starts one worker goroutine per shard.
@@ -107,9 +102,6 @@ func (p *Pool) worker(i int) {
 			}
 		}
 		p.errs[i] = drops
-		if m := p.met.Load(); m != nil {
-			m.flushWorkerMetrics(i, uint64(len(p.idx[i])), uint64(drops), s)
-		}
 		p.wg.Done()
 	}
 }

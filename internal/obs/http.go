@@ -11,7 +11,6 @@ import (
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON snapshot (ts + merged metric values)
-//	/stream        NDJSON frames, one per published tick (backpressured)
 //	/trace.json    assembled spans as Chrome trace-event JSON (Perfetto)
 //	/trace         merged flight-recorder events as NDJSON
 //	/debug/pprof/  the standard pprof handlers
@@ -29,8 +28,6 @@ type Source interface {
 type HandlerConfig struct {
 	// Source yields snapshots for /metrics and /metrics.json.
 	Source Source
-	// Streamer, if set, backs /stream.
-	Streamer *Streamer
 	// Flight, if set, backs /trace.json and /trace.
 	Flight *FlightRecorder
 }
@@ -48,35 +45,6 @@ func NewHandler(cfg HandlerConfig) *http.ServeMux {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(cfg.Source.Snapshot())
 	})
-	if cfg.Streamer != nil {
-		mux.HandleFunc("/stream", func(w http.ResponseWriter, req *http.Request) {
-			flusher, ok := w.(http.Flusher)
-			if !ok {
-				http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			flusher.Flush()
-			sub := cfg.Streamer.Subscribe(16)
-			defer sub.Close()
-			ctx := req.Context()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case frame, ok := <-sub.Ch():
-					if !ok {
-						return
-					}
-					if _, err := w.Write(frame); err != nil {
-						return
-					}
-					flusher.Flush()
-				}
-			}
-		})
-	}
 	if cfg.Flight != nil {
 		mux.HandleFunc("/trace.json", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")

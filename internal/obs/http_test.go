@@ -14,8 +14,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	st := fr.Stripe(0)
 	st.Sample()
 	st.Record(TraceRec{TimeNanos: 5, Kind: 3})
-	streamer := NewStreamer()
-	mux := NewHandler(HandlerConfig{Source: r, Streamer: streamer, Flight: fr})
+	mux := NewHandler(HandlerConfig{Source: r, Flight: fr})
 
 	get := func(path string) (int, string, string) {
 		req := httptest.NewRequest("GET", path, nil)

@@ -300,31 +300,6 @@ func TestFlightRecorderRingBoundAndMerge(t *testing.T) {
 	}
 }
 
-func TestStreamerBackpressure(t *testing.T) {
-	st := NewStreamer()
-	if st.Active() {
-		t.Fatal("no subscribers yet")
-	}
-	sub := st.Subscribe(2)
-	if !st.Active() {
-		t.Fatal("subscriber not visible")
-	}
-	for i := 0; i < 5; i++ {
-		st.Publish([]byte("x\n")) // never blocks
-	}
-	if d := st.DroppedFrames(); d != 3 {
-		t.Fatalf("dropped = %d, want 3 (buffer 2 of 5)", d)
-	}
-	if sub.Dropped() != 3 {
-		t.Fatalf("sub dropped = %d", sub.Dropped())
-	}
-	sub.Close()
-	if st.Active() {
-		t.Fatal("closed subscriber still counted")
-	}
-	st.Publish([]byte("y\n")) // no subscribers: still safe
-}
-
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`test_seen_total{class="voip"}`, "per-class").Stripe(0).Add(3)
@@ -353,22 +328,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if n := strings.Count(out, "# TYPE test_seen_total"); n != 1 {
 		t.Errorf("TYPE line for shared base emitted %d times, want 1", n)
-	}
-}
-
-func TestMarshalFrame(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("test_a_total", "").Stripe(0).Add(2)
-	r.Histogram("test_h_ns", "").Stripe(0).Observe(5)
-	b := MarshalFrame(r.snapshotAt(9, false))
-	s := string(b)
-	if !strings.HasSuffix(s, "\n") {
-		t.Fatal("frame not newline-terminated")
-	}
-	for _, want := range []string{`"ts":9`, `"test_a_total":2`, `"test_h_ns"`, `"count":1`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("frame missing %q: %s", want, s)
-		}
 	}
 }
 

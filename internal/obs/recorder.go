@@ -16,9 +16,8 @@ import (
 //
 // For live export while a deterministic (plain-stripe) sim is running,
 // the recorder can additionally publish a merged Snapshot at each tick
-// behind an atomic pointer and push NDJSON frames to a Streamer
-// (SetStreamer turns both on); both are read-side conveniences that do
-// not feed back into the sim.
+// behind an atomic pointer (PublishSnapshots turns it on): a read-side
+// convenience that does not feed back into the sim.
 type Recorder struct {
 	reg      *Registry
 	ringSize int
@@ -31,9 +30,8 @@ type Recorder struct {
 	started  bool
 	ticks    atomic.Uint64
 
-	publish  atomic.Bool
-	latest   atomic.Pointer[Snapshot]
-	streamer *Streamer
+	publish atomic.Bool
+	latest  atomic.Pointer[Snapshot]
 }
 
 // RecorderConfig sizes a Recorder.
@@ -61,13 +59,9 @@ func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
 // Registry returns the registry the recorder samples.
 func (r *Recorder) Registry() *Registry { return r.reg }
 
-// SetStreamer attaches a streamer: each published tick is also offered
-// to stream subscribers as one NDJSON frame (non-blocking; slow
-// consumers drop frames, the sim never stalls).
-func (r *Recorder) SetStreamer(st *Streamer) {
-	r.streamer = st
-	r.publish.Store(true)
-}
+// PublishSnapshots makes every tick from now on also publish the full
+// barrier-consistent snapshot that Snapshot, and so /metrics, then serves.
+func (r *Recorder) PublishSnapshots() { r.publish.Store(true) }
 
 // Series is one metric's ring of (virtual time, value) points.
 type Series struct {
@@ -143,11 +137,7 @@ func (r *Recorder) Tick(nowNanos int64) {
 	r.mu.Unlock()
 
 	if r.publish.Load() {
-		full := r.reg.snapshotAt(nowNanos, false)
-		r.latest.Store(full)
-		if st := r.streamer; st != nil && st.Active() {
-			st.Publish(MarshalFrame(full))
-		}
+		r.latest.Store(r.reg.snapshotAt(nowNanos, false))
 	}
 }
 

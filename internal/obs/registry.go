@@ -15,7 +15,7 @@
 //     post-run) — exactly when the netem engine reads them.
 //   - Atomic stripes (AtomicCounter, AtomicGauge) are the same memory
 //     updated with atomic RMW ops, for genuinely concurrent writers:
-//     core.Pool workers and the neutralizerd daemon path. Convert with
+//     neutralizerd's workers (core.SessionCacheMetrics). Convert with
 //     CounterVec.AtomicStripe / GaugeVec.AtomicStripe.
 //
 // The package deliberately imports nothing from the rest of the repo so

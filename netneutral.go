@@ -239,8 +239,8 @@ func AuditSummarize(reports []*AuditReport, cfg AuditDecisionConfig, minFraction
 // whose hot-path update is a plain increment on a cache-line-padded,
 // single-writer stripe (zero allocations, no atomics on the
 // deterministic sim path; atomic stripes serve concurrent writers).
-// Simulator.Metrics returns the emulator's registry; NeutralizerPool
-// exposes Instrument for the data plane's.
+// Simulator.Metrics returns the emulator's registry; neutralizerd's
+// transport (internal/tunnel) fills the data plane's.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry creates an empty registry.
@@ -275,7 +275,7 @@ type FlightRecorderConfig = obs.FlightConfig
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder { return obs.NewFlightRecorder(cfg) }
 
 // MetricsHandlerConfig wires the HTTP export surface (/metrics,
-// /metrics.json, /stream, /trace.json, /trace, pprof).
+// /metrics.json, /trace.json, /trace, pprof).
 type MetricsHandlerConfig = obs.HandlerConfig
 
 // NewMetricsHandler builds the export mux both daemons mount behind

@@ -39,8 +39,8 @@ import (
 )
 
 // requiredFamilies are the base names a metro-run scrape must expose:
-// the netem engine counters, the recorder/flight/stream health
-// families, and the epoch-latency histogram.
+// the netem engine counters, the recorder/flight health families, and
+// the epoch-latency histogram.
 var requiredFamilies = []string{
 	"netem_events_total",
 	"netem_delivered_packets_total",
@@ -54,8 +54,6 @@ var requiredFamilies = []string{
 	"obs_recorder_ticks_total",
 	"obs_flight_seen_total",
 	"obs_flight_recorded_total",
-	"obs_stream_frames_total",
-	"obs_stream_dropped_frames_total",
 }
 
 // nonZero are families a completed 1000-host run must have advanced.
