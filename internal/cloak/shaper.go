@@ -142,9 +142,6 @@ func (s *Shaper) Send(payload []byte) {
 // Stats returns the accumulated cost counters.
 func (s *Shaper) Stats() Stats { return s.stats }
 
-// QueueLen reports payloads waiting for a tick.
-func (s *Shaper) QueueLen() int { return len(s.pending) }
-
 // armTick schedules the next tick if none is pending, aligned to the
 // tick grid (absolute-time quantization, not send-relative).
 func (s *Shaper) armTick() {

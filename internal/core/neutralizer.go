@@ -127,7 +127,7 @@ type Stats struct {
 }
 
 // StatsSnapshot is a point-in-time copy of a Stats counter block, in
-// plain uint64 form so snapshots from many replicas can be merged.
+// plain uint64 form.
 type StatsSnapshot struct {
 	KeySetups         uint64
 	KeySetupsOffload  uint64
@@ -161,25 +161,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		DropDynExhausted:  s.DropDynExhausted.Load(),
 		DynAddrsAllocated: s.DynAddrsAllocated.Load(),
 	}
-}
-
-// Merge returns the counter-wise sum of two snapshots (for aggregating
-// the replicas of a Pool, or of an anycast deployment).
-func (s StatsSnapshot) Merge(o StatsSnapshot) StatsSnapshot {
-	s.KeySetups += o.KeySetups
-	s.KeySetupsOffload += o.KeySetupsOffload
-	s.AltSetups += o.AltSetups
-	s.DataForwarded += o.DataForwarded
-	s.ReturnForwarded += o.ReturnForwarded
-	s.GrantsStamped += o.GrantsStamped
-	s.KeyFetches += o.KeyFetches
-	s.DropStaleEpoch += o.DropStaleEpoch
-	s.DropBadAddrBlock += o.DropBadAddrBlock
-	s.DropNotCustomer += o.DropNotCustomer
-	s.DropMalformed += o.DropMalformed
-	s.DropDynExhausted += o.DropDynExhausted
-	s.DynAddrsAllocated += o.DynAddrsAllocated
-	return s
 }
 
 // Dropped is the total of all drop counters.
@@ -241,9 +222,6 @@ func New(cfg Config) (*Neutralizer, error) {
 
 // Stats returns the counter block.
 func (n *Neutralizer) Stats() *Stats { return &n.stats }
-
-// Anycast returns the service address.
-func (n *Neutralizer) Anycast() netip.Addr { return n.cfg.Anycast }
 
 // Outgoing is a packet the caller must transmit.
 type Outgoing struct {

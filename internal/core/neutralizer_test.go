@@ -129,7 +129,7 @@ func mkData(t *testing.T, src netip.Addr, n *Neutralizer, nonce keys.Nonce, ks a
 		Type: shim.TypeData, Flags: flags, InnerProto: wire.ProtoUDP,
 		Epoch: epoch, Nonce: nonce, HiddenAddr: blk,
 	}
-	return mkShimPacket(t, src, n.Anycast(), 0, sh, payload)
+	return mkShimPacket(t, src, n.cfg.Anycast, 0, sh, payload)
 }
 
 func TestNewValidation(t *testing.T) {

@@ -46,13 +46,12 @@ type Pool struct {
 	work     []chan struct{}
 	wg       sync.WaitGroup
 
-	pkts    [][]byte
-	idx     [][]int32
-	active  []int // shards with packets this batch (reused)
-	errs    []int
-	outs    []Outgoing
-	dropped uint64
-	closed  bool
+	pkts   [][]byte
+	idx    [][]int32
+	active []int // shards with packets this batch (reused)
+	errs   []int
+	outs   []Outgoing
+	closed bool
 }
 
 // NewPool builds the replicas and starts one worker goroutine per shard.
@@ -83,9 +82,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	return p, nil
 }
-
-// Workers returns the number of shard replicas.
-func (p *Pool) Workers() int { return len(p.replicas) }
 
 // worker drains batch signals for shard i. Worker state (scratch, index
 // list, error count) is owned exclusively by this goroutine between the
@@ -125,8 +121,8 @@ func shardOf(pkt []byte, i, n int) int {
 
 // ProcessBatch pushes a batch of serialized IPv4 packets through the
 // shard workers and returns every output packet plus the number of inputs
-// dropped (malformed, stale, non-customer, non-shim — itemized in
-// Stats()). Outputs alias pool-owned buffers and are valid only until the
+// dropped (malformed, stale, non-customer, non-shim — itemized in each
+// replica's Stats()). Outputs alias pool-owned buffers and are valid only until the
 // next ProcessBatch call; steady-state batches allocate nothing.
 //
 // Output ordering is deterministic: grouped by shard, input order within
@@ -162,20 +158,7 @@ func (p *Pool) ProcessBatch(pkts [][]byte) (outs []Outgoing, dropped int) {
 		p.outs = append(p.outs, p.scr[i].outs...)
 		dropped += p.errs[i]
 	}
-	p.dropped += uint64(dropped)
 	return p.outs, dropped
-}
-
-// Dropped returns the total packets dropped across all batches.
-func (p *Pool) Dropped() uint64 { return p.dropped }
-
-// Stats merges the per-replica counter blocks.
-func (p *Pool) Stats() StatsSnapshot {
-	var agg StatsSnapshot
-	for _, n := range p.replicas {
-		agg = agg.Merge(n.Stats().Snapshot())
-	}
-	return agg
 }
 
 // Close stops the workers. The pool must not be processing a batch.

@@ -184,19 +184,18 @@ func TestProcessConcurrent(t *testing.T) {
 		}
 		sameMultiset(t, "pool", refSet, outputMultiset(outs))
 	}
-	agg := pool.Stats()
-	if agg.DataForwarded != uint64(rounds*good) || agg.Dropped() != uint64(rounds*bad) {
-		t.Fatalf("pool stats: forwarded=%d dropped=%d, want %d/%d", agg.DataForwarded, agg.Dropped(), rounds*good, rounds*bad)
-	}
-	if pool.Dropped() != uint64(rounds*bad) {
-		t.Fatalf("pool.Dropped()=%d, want %d", pool.Dropped(), rounds*bad)
-	}
 	// Work actually spread across replicas: with 96 sources and 4
 	// shards, no replica should have seen zero packets.
-	for i := 0; i < pool.Workers(); i++ {
-		if pool.replicas[i].Stats().Snapshot().DataForwarded == 0 {
+	var forwarded, dropped uint64
+	for i, n := range pool.replicas {
+		st := n.Stats().Snapshot()
+		if st.DataForwarded == 0 {
 			t.Errorf("replica %d processed nothing; sharding is degenerate", i)
 		}
+		forwarded, dropped = forwarded+st.DataForwarded, dropped+st.Dropped()
+	}
+	if forwarded != uint64(rounds*good) || dropped != uint64(rounds*bad) {
+		t.Fatalf("pool stats: forwarded=%d dropped=%d, want %d/%d", forwarded, dropped, rounds*good, rounds*bad)
 	}
 }
 
@@ -493,8 +492,12 @@ func TestPoolSharesDynamicAddrTable(t *testing.T) {
 			t.Errorf("OnDynAlloc fired %d times for %v, want once", n, a)
 		}
 	}
-	if got := pool.Stats().DynAddrsAllocated; got != flows {
-		t.Errorf("DynAddrsAllocated = %d, want %d", got, flows)
+	var allocated uint64
+	for _, n := range pool.replicas {
+		allocated += n.Stats().DynAddrsAllocated.Load()
+	}
+	if allocated != flows {
+		t.Errorf("DynAddrsAllocated = %d, want %d", allocated, flows)
 	}
 	if got := pool.replicas[workers-1].DynAddrCount(); got != flows {
 		t.Errorf("DynAddrCount = %d, want %d", got, flows)

@@ -31,8 +31,7 @@ type Key [KeySize]byte
 
 // Errors returned by this package.
 var (
-	ErrBadBlockSize = errors.New("aesutil: ciphertext is not one AES block")
-	ErrCheckFailed  = errors.New("aesutil: address block check value mismatch")
+	ErrCheckFailed = errors.New("aesutil: address block check value mismatch")
 )
 
 // addrBlockMagic is the known plaintext embedded in every address block

@@ -48,9 +48,6 @@ func NewNonce(rng io.Reader) (Nonce, error) {
 	return n, nil
 }
 
-// Uint64 returns the nonce as a big-endian integer (for logging/metrics).
-func (n Nonce) Uint64() uint64 { return binary.BigEndian.Uint64(n[:]) }
-
 // Schedule derives per-epoch master keys from a root secret. The zero
 // value is not usable; construct with NewSchedule. A Schedule is safe for
 // concurrent use; the only mutable state is a cache of derived per-epoch
@@ -70,14 +67,13 @@ type Schedule struct {
 	mu    sync.Mutex // serializes cache writers only
 }
 
-// epochEntry caches everything derivable from one epoch's master key:
-// the key itself, its pre-expanded AES cipher, so the per-packet KDF pays
-// neither aes.NewCipher nor its allocation, and the CBC-MAC state after
-// the length block of the KDF frame — the frame is always one AES block
+// epochEntry caches everything derivable from one epoch's master key
+// KM: its pre-expanded AES cipher, so the per-packet KDF pays neither
+// aes.NewCipher nor its allocation, and the CBC-MAC state after the
+// length block of the KDF frame — the frame is always one AES block
 // long, so that state is a constant of the epoch and the per-packet KDF
 // is the one block operation that absorbs the frame.
 type epochEntry struct {
-	key aesutil.Key
 	blk aesutil.Block
 	kdf [aesutil.BlockSize]byte
 }
@@ -94,15 +90,6 @@ func NewSchedule(root aesutil.Key, start time.Time, epochLen time.Duration) *Sch
 	return s
 }
 
-// NewRandomSchedule creates a schedule with a random root secret.
-func NewRandomSchedule(start time.Time, epochLen time.Duration) (*Schedule, error) {
-	var root aesutil.Key
-	if _, err := io.ReadFull(rand.Reader, root[:]); err != nil {
-		return nil, fmt.Errorf("keys: reading root entropy: %w", err)
-	}
-	return NewSchedule(root, start, epochLen), nil
-}
-
 // EpochLength returns the schedule's rotation period.
 func (s *Schedule) EpochLength() time.Duration { return s.epochLen }
 
@@ -115,13 +102,6 @@ func (s *Schedule) EpochAt(t time.Time) Epoch {
 		return 0
 	}
 	return Epoch(d / int64(s.epochLen))
-}
-
-// MasterKey returns KM for the given epoch, derived from the root secret
-// (cached: a handful of epochs are ever live).
-func (s *Schedule) MasterKey(e Epoch) aesutil.Key {
-	ent, _ := s.epoch(e)
-	return ent.key
 }
 
 // epoch returns the cached entry for e, deriving and publishing it on
@@ -145,7 +125,7 @@ func (s *Schedule) deriveEpoch(e Epoch) epochEntry {
 	var eb [4]byte
 	binary.BigEndian.PutUint32(eb[:], uint32(e))
 	k := aesutil.DeriveKey(s.root, []byte("netneutral-master-key"), eb[:])
-	ent := epochEntry{key: k, blk: aesutil.NewBlock(k)}
+	ent := epochEntry{blk: aesutil.NewBlock(k)}
 	ent.kdf = ent.blk.CBCMACPrefix(kdfFrameLen)
 	next := make(map[Epoch]epochEntry, len(old)+1)
 	for ep, v := range old {
@@ -227,11 +207,4 @@ func (s *Schedule) SessionKeyInto(w *Work, e Epoch, nonce Nonce, src netip.Addr)
 		w.epochMisses++
 	}
 	return ent.blk.CBCMACFrom(&w.mac, ent.kdf, w.frame[:]), nil
-}
-
-// SessionKeyAt is SessionKey with the epoch resolved from a timestamp.
-func (s *Schedule) SessionKeyAt(now time.Time, nonce Nonce, src netip.Addr) (aesutil.Key, Epoch, error) {
-	e := s.EpochAt(now)
-	k, err := s.SessionKey(e, nonce, src)
-	return k, e, err
 }

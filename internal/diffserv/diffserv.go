@@ -45,7 +45,6 @@ type PriorityQueue struct {
 	classify Classifier
 	classes  [][]*netem.Packet
 	capacity int
-	dropped  []uint64
 }
 
 // NewPriorityQueue builds a strict-priority queue with nClasses classes
@@ -64,7 +63,6 @@ func NewPriorityQueue(nClasses, perClassCap int, classify Classifier) *PriorityQ
 		classify: classify,
 		classes:  make([][]*netem.Packet, nClasses),
 		capacity: perClassCap,
-		dropped:  make([]uint64, nClasses),
 	}
 }
 
@@ -78,7 +76,6 @@ func (q *PriorityQueue) Enqueue(p *netem.Packet) bool {
 		c = len(q.classes) - 1
 	}
 	if len(q.classes[c]) >= q.capacity {
-		q.dropped[c]++
 		return false
 	}
 	q.classes[c] = append(q.classes[c], p)
@@ -104,14 +101,6 @@ func (q *PriorityQueue) Len() int {
 		n += len(c)
 	}
 	return n
-}
-
-// Dropped reports tail drops per class.
-func (q *PriorityQueue) Dropped(class int) uint64 {
-	if class < 0 || class >= len(q.dropped) {
-		return 0
-	}
-	return q.dropped[class]
 }
 
 // TokenBucket is a classic policer: traffic conforming to rate/burst is

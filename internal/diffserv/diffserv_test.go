@@ -53,21 +53,21 @@ func TestPriorityQueueStrictOrdering(t *testing.T) {
 
 func TestPriorityQueuePerClassCaps(t *testing.T) {
 	q := NewPriorityQueue(3, 2, nil)
+	refused := 0
 	for i := 0; i < 4; i++ {
-		q.Enqueue(qp(DSCPBestEffort, 10))
+		if !q.Enqueue(qp(DSCPBestEffort, 10)) {
+			refused++
+		}
 	}
 	if q.Len() != 2 {
 		t.Errorf("Len = %d, want 2", q.Len())
 	}
-	if q.Dropped(2) != 2 {
-		t.Errorf("Dropped(2) = %d", q.Dropped(2))
+	if refused != 2 {
+		t.Errorf("best-effort class refused %d of 4 at a cap of 2, want 2", refused)
 	}
 	// High-priority class unaffected by best-effort pressure.
 	if !q.Enqueue(qp(DSCPExpedited, 10)) {
 		t.Error("EF enqueue rejected despite free class queue")
-	}
-	if q.Dropped(9) != 0 {
-		t.Error("out-of-range Dropped should be 0")
 	}
 }
 

@@ -36,7 +36,6 @@ const Port = 53
 var (
 	ErrNoSuchName  = errors.New("dnssim: no such name")
 	ErrBadMessage  = errors.New("dnssim: malformed message")
-	ErrNotEnabled  = errors.New("dnssim: resolver does not accept encrypted queries")
 	ErrQueryFailed = errors.New("dnssim: query failed")
 	ErrBadRecord   = errors.New("dnssim: record not encodable")
 )
@@ -200,9 +199,6 @@ func (r *Resolver) Public() e2e.PublicKey {
 	}
 	return r.identity.Public()
 }
-
-// Addr returns the resolver's address.
-func (r *Resolver) Addr() netip.Addr { return r.node.Addr() }
 
 func (r *Resolver) handle(now time.Time, pkt []byte) {
 	var ip wire.IPv4

@@ -60,7 +60,7 @@ func TestRecordMarshalRoundTrip(t *testing.T) {
 	if len(got.Neutralizers) != 2 || got.Neutralizers[0] != anycastAddr {
 		t.Errorf("neutralizers = %v", got.Neutralizers)
 	}
-	if !got.PublicKey.Equal(rec.PublicKey) {
+	if !bytes.Equal(got.PublicKey.Marshal(), rec.PublicKey.Marshal()) {
 		t.Error("public key mismatch")
 	}
 	// No public key.

@@ -158,13 +158,11 @@ type Engine struct {
 	stealthSeed uint64
 	pinShard    atomic.Int32 // 1 + shard id of the observing node; 0 = unset
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	buckets  [NumClasses + 1]tokenBucket
-	dropped  [NumClasses + 1]uint64
-	policed  [NumClasses + 1]uint64
-	enforced [NumClasses + 1]uint64 // packets seen per class after classification
-	exempted [NumClasses + 1]uint64 // packets a stealth gate let pass unenforced
+	mu      sync.Mutex
+	rng     *rand.Rand
+	buckets [NumClasses + 1]tokenBucket
+	dropped [NumClasses + 1]uint64
+	policed [NumClasses + 1]uint64
 }
 
 // NewEngine builds an engine; see EngineConfig.
@@ -215,21 +213,6 @@ func (e *Engine) Policed(c Class) uint64 {
 	return e.policed[c]
 }
 
-// Seen reports packets observed for the class after classification.
-func (e *Engine) Seen(c Class) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.enforced[c]
-}
-
-// Exempted reports packets of the class a stealth gate (flow age, duty
-// phase, or per-flow targeting) deliberately let pass unenforced.
-func (e *Engine) Exempted(c Class) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.exempted[c]
-}
-
 // Hook compiles the engine into a netem transit hook. The per-packet
 // path — flow-key extraction, feature update, classification check,
 // policy decision — allocates nothing.
@@ -250,13 +233,10 @@ func (e *Engine) Hook() netem.TransitHook {
 		nanos := now.UnixNano()
 		class, flowPkts := e.table.ObserveN(key, fwd, len(pkt), nanos)
 		p := &e.pol[class]
-		e.mu.Lock()
-		e.enforced[class]++
 		if !p.active(e.stealthSeed, key, flowPkts, nanos) {
-			e.exempted[class]++
-			e.mu.Unlock()
 			return netem.Deliver
 		}
+		e.mu.Lock()
 		if p.RateBps > 0 && !e.buckets[class].allow(float64(len(pkt)*8), p.RateBps, p.BurstBits, nanos) {
 			e.policed[class]++
 			e.mu.Unlock()

@@ -78,10 +78,6 @@ type FlowTable struct {
 	idx  map[netem.FlowKey]int32
 	slab []FlowEntry
 	hand int
-
-	observed   uint64
-	evictions  uint64
-	classified uint64
 }
 
 // NewFlowTable creates a table; see Config for defaults.
@@ -110,7 +106,6 @@ func (t *FlowTable) Observe(key netem.FlowKey, forward bool, size int, nowNanos 
 // probes complete clean.
 func (t *FlowTable) ObserveN(key netem.FlowKey, forward bool, size int, nowNanos int64) (Class, uint64) {
 	t.mu.Lock()
-	t.observed++
 	i, ok := t.idx[key]
 	if !ok {
 		i = t.insertLocked(key, nowNanos)
@@ -120,11 +115,7 @@ func (t *FlowTable) ObserveN(key netem.FlowKey, forward bool, size int, nowNanos
 	if cls := t.cfg.Classifier; cls != nil && e.Feat.Pkts >= uint64(t.cfg.MinPackets) {
 		since := e.Feat.Pkts - uint64(t.cfg.MinPackets)
 		if since%uint64(t.cfg.ReclassifyEvery) == 0 {
-			was := e.Class
 			e.Class, e.Score = cls.Classify(&e.Feat)
-			if was == ClassUnknown && e.Class != ClassUnknown {
-				t.classified++
-			}
 		}
 	}
 	class, pkts := e.Class, e.Feat.Pkts
@@ -142,7 +133,6 @@ func (t *FlowTable) insertLocked(key netem.FlowKey, nowNanos int64) int32 {
 	} else {
 		i = t.evictLocked(nowNanos)
 		delete(t.idx, t.slab[i].Key)
-		t.evictions++
 	}
 	t.slab[i] = FlowEntry{Key: key, used: true}
 	t.idx[key] = i
@@ -196,19 +186,4 @@ func (t *FlowTable) Each(fn func(e *FlowEntry)) {
 			fn(&t.slab[i])
 		}
 	}
-}
-
-// Len reports tracked flows.
-func (t *FlowTable) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.slab)
-}
-
-// Stats reports packets observed, flows evicted, and flows that ever
-// reached a classification.
-func (t *FlowTable) Stats() (observed, evictions, classified uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.observed, t.evictions, t.classified
 }

@@ -68,14 +68,6 @@ type PublicKey struct {
 	key *rsa.PublicKey
 }
 
-// Equal reports whether two public keys are the same key.
-func (p PublicKey) Equal(o PublicKey) bool {
-	if p.key == nil || o.key == nil {
-		return p.key == o.key
-	}
-	return p.key.N.Cmp(o.key.N) == 0 && p.key.E == o.key.E
-}
-
 // Valid reports whether the key is usable.
 func (p PublicKey) Valid() bool { return p.key != nil }
 

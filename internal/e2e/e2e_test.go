@@ -131,7 +131,7 @@ func TestPublicKeyMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pk.Equal(testID.Public()) {
+	if !bytes.Equal(pk.Marshal(), enc) {
 		t.Error("public key mismatch after roundtrip")
 	}
 	if !pk.Valid() {

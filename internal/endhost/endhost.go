@@ -52,9 +52,7 @@ var (
 	ErrNotReady        = errors.New("endhost: conduit not established yet")
 	ErrNeedIdentity    = errors.New("endhost: operation requires an e2e identity")
 	ErrBadFrame        = errors.New("endhost: malformed application frame")
-	ErrUnknownNonce    = errors.New("endhost: packet references unknown nonce")
 	ErrInitPending     = errors.New("endhost: reverse initiation already pending")
-	ErrNotOurAddress   = errors.New("endhost: packet not addressed to this host")
 	ErrPayloadTooLarge = errors.New("endhost: payload too large for a frame")
 )
 

@@ -15,7 +15,6 @@ package intserv
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 
@@ -34,8 +33,6 @@ type FlowID struct {
 	Src, Dst netip.Addr
 }
 
-func (f FlowID) String() string { return fmt.Sprintf("%v->%v", f.Src, f.Dst) }
-
 // FlowOf extracts the FlowID from a serialized IPv4 packet.
 func FlowOf(pkt []byte) (FlowID, error) {
 	src, dst, err := wire.IPv4Addrs(pkt)
@@ -49,7 +46,6 @@ func FlowOf(pkt []byte) (FlowID, error) {
 type Reservation struct {
 	Flow    FlowID
 	RateBps float64
-	Burst   int // bytes
 }
 
 // Table is an admission-controlled reservation table with a capacity
@@ -80,30 +76,4 @@ func (t *Table) Reserve(r Reservation) error {
 	t.flows[r.Flow] = &cp
 	t.used += r.RateBps
 	return nil
-}
-
-// Release frees a reservation.
-func (t *Table) Release(f FlowID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r, ok := t.flows[f]; ok {
-		t.used -= r.RateBps
-		delete(t.flows, f)
-	}
-}
-
-// Lookup returns the reservation for a flow, if any.
-func (t *Table) Lookup(f FlowID) (*Reservation, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	r, ok := t.flows[f]
-	return r, ok
-}
-
-// Len reports active reservations (the per-flow state the paper says a
-// discriminatory ISP "can no longer keep" for anonymized traffic).
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.flows)
 }

@@ -224,13 +224,6 @@ func (e *Eavesdropper) record(now time.Time, pkt []byte) {
 	e.mu.Unlock()
 }
 
-// Count returns the number of recorded packets.
-func (e *Eavesdropper) Count() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.obs)
-}
-
 // SawAddr reports whether any observation names a as source or
 // destination: the targetability test. If the neutralizer works, this is
 // false for every protected customer.
@@ -243,11 +236,4 @@ func (e *Eavesdropper) SawAddr(a netip.Addr) bool {
 		}
 	}
 	return false
-}
-
-// Reset discards recorded observations.
-func (e *Eavesdropper) Reset() {
-	e.mu.Lock()
-	e.obs = nil
-	e.mu.Unlock()
 }

@@ -216,6 +216,3 @@ func (s *Selector) Pick() netip.Addr {
 func (s *Selector) Feedback(addr netip.Addr, ok bool, rtt time.Duration) {
 	s.strategy.Feedback(addr, ok, rtt)
 }
-
-// Strategy returns the strategy's name.
-func (s *Selector) Strategy() string { return s.strategy.Name() }

@@ -20,8 +20,8 @@ func TestSelectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Strategy() != "static" {
-		t.Errorf("default strategy = %q", s.Strategy())
+	if got := s.strategy.Name(); got != "static" {
+		t.Errorf("default strategy = %q", got)
 	}
 }
 

@@ -77,7 +77,7 @@ func TestStepMatchesRun(t *testing.T) {
 	if got, want := s.EventsProcessed(), ref.EventsProcessed(); got != want {
 		t.Errorf("events processed = %d, want %d", got, want)
 	}
-	if got, want := s.Delivered(), ref.Delivered(); got != want {
+	if got, want := s.met.delivered.Value(), ref.met.delivered.Value(); got != want {
 		t.Errorf("delivered = %d, want %d", got, want)
 	}
 	if !s.Now().Equal(ref.Now()) {

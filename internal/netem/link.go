@@ -108,13 +108,11 @@ type Link struct {
 // its from node — serialization and queueing happen there — and only its
 // arrival events cross into the to node's shard.
 type linkDir struct {
-	from    *Node
-	to      *Node
-	cfg     LinkConfig
-	queue   Queue // nil until SetQueue, or until a packet finds the line busy
-	busy    bool
-	sent    uint64
-	dropped uint64
+	from  *Node
+	to    *Node
+	cfg   LinkConfig
+	queue Queue // nil until SetQueue, or until a packet finds the line busy
+	busy  bool
 	// fluidBps is the aggregate background load a FluidFlow currently
 	// offers on this direction (bits/s); startTransmission serializes
 	// packets at the residual rate, so policing and queueing see the
@@ -178,7 +176,6 @@ func (l *Link) SetQueue(from *Node, q Queue) error {
 			break
 		}
 		if !q.Enqueue(p) {
-			d.dropped++
 			d.from.sh.mLinkQDrop.Inc()
 			p.cause = CauseQueueFull
 			d.from.sh.emit(TraceDropQueue, from, p)
@@ -186,29 +183,6 @@ func (l *Link) SetQueue(from *Node, q Queue) error {
 		}
 	}
 	return nil
-}
-
-// Stats reports packets sent and dropped in the direction from the given
-// node. Per-link counts stay on the linkDir (registering a metric family
-// per link would explode cardinality on metro topologies); the registry
-// carries the per-shard aggregates (netem_link_tx_packets_total,
-// netem_link_queue_drops_total), incremented at the same sites.
-func (l *Link) Stats(from *Node) (sent, dropped uint64) {
-	d := l.dir(from)
-	if d == nil {
-		return 0, 0
-	}
-	return d.sent, d.dropped
-}
-
-// QueueLen reports the current egress queue length in the direction from
-// the given node.
-func (l *Link) QueueLen(from *Node) int {
-	d := l.dir(from)
-	if d == nil || d.queue == nil {
-		return 0
-	}
-	return d.queue.Len()
 }
 
 func (l *Link) dir(from *Node) *linkDir {
@@ -247,7 +221,6 @@ func (l *Link) transmit(from *Node, p *Packet) {
 		d.queue = NewFIFOQueue(d.cfg.QueueLen)
 	}
 	if !d.queue.Enqueue(p) {
-		d.dropped++
 		sh.mLinkQDrop.Inc()
 		p.cause = CauseQueueFull
 		sh.emit(TraceDropQueue, from, p)
@@ -303,7 +276,6 @@ func (d *linkDir) startTransmission(p *Packet) {
 // cross-shard link is at least the engine's lookahead, which is what
 // makes deferring it to the epoch barrier safe.
 func (d *linkDir) depart(p *Packet) {
-	d.sent++
 	d.from.sh.mLinkTx.Inc()
 	src, dst := d.from.sh, d.to.sh
 	p.attrProp += int64(d.cfg.Delay)

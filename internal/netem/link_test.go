@@ -15,7 +15,6 @@ import (
 type directWorld struct {
 	trace          []obs.TraceRec
 	received       []byte // delivery time + packet bytes, both receivers, in order
-	stats          [][2]uint64
 	counters       map[string]uint64
 	direct, queued uint64
 }
@@ -83,12 +82,6 @@ func runDirectWorld(t *testing.T, forceQueued bool) *directWorld {
 		t.Fatalf("ring evicted %d events", ev)
 	}
 	w.trace = fr.Events()
-	for _, l := range links {
-		for _, from := range []*Node{l.a, l.b} {
-			sent, dropped := l.Stats(from)
-			w.stats = append(w.stats, [2]uint64{sent, dropped})
-		}
-	}
 	snap := s.Metrics().Snapshot()
 	for _, name := range []string{
 		"netem_events_total", "netem_delivered_packets_total", "netem_forwarded_packets_total",
@@ -104,8 +97,8 @@ func runDirectWorld(t *testing.T, forceQueued bool) *directWorld {
 // TestDirectTransmitMatchesQueued: starting a serialization with the
 // packet in hand is the queued path's behaviour exactly — the complete
 // flight-recorder stream (times, queue waits, drops), the bytes and
-// instants every handler saw, per-direction Link.Stats and the registry
-// counters are identical with default links and with a FIFO forced onto
+// instants every handler saw and the registry counters (link
+// transmissions and queue drops among them) are identical with default links and with a FIFO forced onto
 // every direction. Then the one new state, a line busy with no queue.
 func TestDirectTransmitMatchesQueued(t *testing.T) {
 	def, forced := runDirectWorld(t, false), runDirectWorld(t, true)
@@ -128,11 +121,6 @@ func TestDirectTransmitMatchesQueued(t *testing.T) {
 	if !bytes.Equal(def.received, forced.received) {
 		t.Error("handlers saw different deliveries")
 	}
-	for i := range def.stats {
-		if def.stats[i] != forced.stats[i] {
-			t.Errorf("Link.Stats of direction %d: direct %v, queued %v", i, def.stats[i], forced.stats[i])
-		}
-	}
 	for name, v := range def.counters {
 		if forced.counters[name] != v {
 			t.Errorf("%s: direct %d, queued %d", name, v, forced.counters[name])
@@ -151,8 +139,8 @@ func TestDirectTransmitMatchesQueued(t *testing.T) {
 	if err := a.Send(mkUDP(t, a.Addr(), b.Addr(), []byte{1})); err != nil {
 		t.Fatal(err)
 	}
-	if d := l.dir(a); !d.busy || d.queue != nil || l.QueueLen(a) != 0 {
-		t.Fatalf("one packet in service: busy=%v queue=%v QueueLen=%d, want busy, no queue, 0", d.busy, d.queue, l.QueueLen(a))
+	if d := l.dir(a); !d.busy || d.queue != nil {
+		t.Fatalf("one packet in service: busy=%v queue=%v, want busy, no queue", d.busy, d.queue)
 	}
 	q := NewFIFOQueue(2)
 	if err := l.SetQueue(a, q); err != nil {
@@ -161,11 +149,11 @@ func TestDirectTransmitMatchesQueued(t *testing.T) {
 	if err := a.Send(mkUDP(t, a.Addr(), b.Addr(), []byte{2})); err != nil {
 		t.Fatal(err)
 	}
-	if q.Len() != 1 || l.QueueLen(a) != 1 {
-		t.Errorf("after SetQueue mid-transmission: new queue holds %d, QueueLen %d, want 1 and 1", q.Len(), l.QueueLen(a))
+	if q.Len() != 1 || l.dir(a).queue != Queue(q) {
+		t.Errorf("after SetQueue mid-transmission: new queue holds %d, want 1, and to be the direction's queue", q.Len())
 	}
 	s.Run()
-	if sent, dropped := l.Stats(a); !bytes.Equal(got, []byte{1, 2}) || sent != 2 || dropped != 0 {
+	if sent, dropped := s.met.linkTx.Value(), s.met.linkQDrop.Value(); !bytes.Equal(got, []byte{1, 2}) || sent != 2 || dropped != 0 {
 		t.Errorf("delivered %v (sent %d, dropped %d), want [1 2], 2, 0", got, sent, dropped)
 	}
 }

@@ -10,10 +10,12 @@ import (
 // Simulator: every counter the hot path touches is a per-shard stripe
 // fetched once at shard creation, so counting a delivery is a plain
 // field increment on shard-local memory — no atomics, no allocation,
-// and no serialization at epoch barriers. The legacy accessors
-// (Delivered, PoolStats, Link.Stats, ...) are thin reads over the same
-// registry. Gauges (heap depth, pool occupancy) are refreshed at
-// barriers, where shards are quiescent.
+// and no serialization at epoch barriers. Simulator.Forwarded, Dropped
+// and PoolStats are thin reads over the same registry; per-link counts
+// exist only as the per-shard aggregates (netem_link_tx_packets_total,
+// netem_link_queue_drops_total), because a family per link would
+// explode cardinality on metro topologies. Gauges (heap depth, pool
+// occupancy) are refreshed at barriers, where shards are quiescent.
 //
 // Determinism contract: every non-volatile metric is a pure function of
 // deterministic sim state, so with a fixed seed the registry's merged

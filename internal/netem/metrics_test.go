@@ -66,7 +66,7 @@ func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 	sim.Run()
 
 	res := &obsWorldResult{
-		delivered:  sim.Delivered(),
+		delivered:  sim.met.delivered.Value(),
 		events:     sim.EventsProcessed(),
 		ticks:      rec.Ticks(),
 		flight:     fr.Events(),
@@ -142,7 +142,6 @@ func TestRegistryMirrorsAccessors(t *testing.T) {
 		name string
 		want uint64
 	}{
-		{"netem_delivered_packets_total", sim.Delivered()},
 		{"netem_forwarded_packets_total", sim.Forwarded()},
 		{"netem_dropped_packets_total", sim.Dropped()},
 		{"netem_events_total", sim.EventsProcessed()},

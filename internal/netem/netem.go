@@ -53,7 +53,6 @@ import (
 // Errors returned by the simulator.
 var (
 	ErrNoRoute       = errors.New("netem: no route to destination")
-	ErrUnknownNode   = errors.New("netem: unknown node")
 	ErrAddrInUse     = errors.New("netem: address already assigned")
 	ErrNotConnected  = errors.New("netem: nodes are not connected")
 	ErrTTLExhausted  = errors.New("netem: TTL exhausted")
@@ -203,10 +202,6 @@ func (s *Simulator) Now() time.Time { return s.timeAt(s.now()) }
 // unsharded runs. Sources on sharded topologies use Node.Rand.
 func (s *Simulator) Rand() *rand.Rand { return s.shards[0].rng }
 
-// Delivered reports packets locally delivered anywhere in the network
-// (a thin read over the netem_delivered_packets_total family).
-func (s *Simulator) Delivered() uint64 { return s.met.delivered.Value() }
-
 // Forwarded reports router forwarding decisions (one per transit hop).
 func (s *Simulator) Forwarded() uint64 { return s.met.forwarded.Value() }
 
@@ -246,12 +241,12 @@ func (s *Simulator) ScheduleAt(t time.Time, fn func()) {
 }
 
 // guardShard0 turns a mid-parallel-run call to a shard-0 API (Schedule,
-// ScheduleAt, NewPacket) into an immediate diagnostic instead of a
-// silent data race: during a multi-worker run, callbacks must go
-// through their node's anchored equivalents.
+// ScheduleAt) into an immediate diagnostic instead of a silent data
+// race: during a multi-worker run, callbacks must go through their
+// node's anchored equivalents.
 func (s *Simulator) guardShard0() {
 	if s.parallelRun {
-		panic("netem: Simulator-level Schedule/NewPacket called during a multi-worker run; anchor to a node (Node.Schedule, Node.NewPacket, Node.Send)")
+		panic("netem: Simulator.Schedule or ScheduleAt called during a multi-worker run; anchor to a node (Node.Schedule, Node.Send)")
 	}
 }
 
@@ -314,28 +309,11 @@ func (s *Simulator) MustAddNode(name, domain string, addrs ...netip.Addr) *Node 
 	return n
 }
 
-// Node returns a node by name, or nil.
-func (s *Simulator) Node(name string) *Node { return s.nodes[name] }
-
 // addrBlock is one AddHostBlock registration: nodes[i] owns address
 // first+i.
 type addrBlock struct {
 	first uint32
 	nodes []*Node
-}
-
-// addrInBlocks reports whether a falls inside a registered host block.
-func (s *Simulator) addrInBlocks(a netip.Addr) bool {
-	if !a.Is4() {
-		return false
-	}
-	v := ipv4ToUint(a)
-	for i := range s.addrBlocks {
-		if b := &s.addrBlocks[i]; v-b.first < uint32(len(b.nodes)) {
-			return true
-		}
-	}
-	return false
 }
 
 // AddHostBlock creates n leaf hosts owning the consecutive IPv4
@@ -410,9 +388,6 @@ func (s *Simulator) AddAnycast(addr netip.Addr, members ...*Node) {
 	}
 }
 
-// Sim returns the simulator the node belongs to.
-func (n *Node) Sim() *Simulator { return n.sim }
-
 // Addr returns the node's first address (its canonical identity), or the
 // zero Addr for address-less transit routers.
 func (n *Node) Addr() netip.Addr {
@@ -478,7 +453,7 @@ func (n *Node) Send(pkt []byte) error {
 // one reference (the packet is released on error, drop, or delivery).
 // Callers with a template packet avoid Send's intermediate []byte:
 //
-//	_ = node.SendPacket(sim.NewPacket(template))
+//	_ = node.SendPacket(node.NewPacket(template))
 func (n *Node) SendPacket(p *Packet) error {
 	if len(p.Pkt) < wire.IPv4HeaderLen {
 		p.Release()

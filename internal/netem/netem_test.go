@@ -91,8 +91,8 @@ func TestDirectLinkDelivery(t *testing.T) {
 	if want := simStart.Add(5 * time.Millisecond); !deliveredAt.Equal(want) {
 		t.Errorf("delivered at %v, want %v", deliveredAt, want)
 	}
-	if s.Delivered() != 1 {
-		t.Errorf("Delivered() = %d", s.Delivered())
+	if got := s.met.delivered.Value(); got != 1 {
+		t.Errorf("netem_delivered_packets_total = %d", got)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
 	b := s.MustAddNode("b", "", addr("10.0.0.2"))
 	// Slow link, queue of 2.
-	l := s.Connect(a, b, LinkConfig{Delay: time.Millisecond, RateBps: 1e4, QueueLen: 2})
+	s.Connect(a, b, LinkConfig{Delay: time.Millisecond, RateBps: 1e4, QueueLen: 2})
 	s.BuildRoutes()
 
 	n := 0
@@ -140,9 +140,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if n != 3 {
 		t.Errorf("delivered %d, want 3", n)
 	}
-	_, dropped := l.Stats(a)
-	if dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
+	if dropped := s.met.linkQDrop.Value(); dropped != 3 {
+		t.Errorf("queue drops = %d, want 3", dropped)
 	}
 	if s.Dropped() != 3 {
 		t.Errorf("global dropped = %d", s.Dropped())

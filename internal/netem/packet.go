@@ -183,18 +183,6 @@ func (s *Simulator) SetPoolDebug(on bool) {
 	}
 }
 
-// NewPacket checks a buffer out of shard 0's pool and copies b into it:
-// the one copy a packet pays at origination. Senders running inside
-// shard callbacks on sharded topologies use Node.NewPacket, which draws
-// from the owning shard's pool; calling NewPacket from inside a
-// multi-worker run panics (see Simulator.Schedule).
-func (s *Simulator) NewPacket(b []byte) *Packet {
-	s.guardShard0()
-	p := s.shards[0].pool.get(len(b))
-	copy(p.Pkt, b)
-	return p
-}
-
 // PoolStats reports how many packet buffers were ever allocated versus
 // checked out across all shard pools (a thin read over the
 // netem_pool_* registry families); a steady-state run re-checks out the

@@ -85,7 +85,7 @@ func TestPacketRetainKeepsBufferAlive(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	s.SetPoolDebug(true)
 	payload := []byte{1, 2, 3, 4}
-	p := s.NewPacket(payload)
+	p := s.MustAddNode("a", "").NewPacket(payload)
 	p.Retain()
 	p.Release() // first owner done; retained reference keeps it alive
 	if !bytes.Equal(p.Pkt, payload) {
@@ -99,7 +99,7 @@ func TestPacketRetainKeepsBufferAlive(t *testing.T) {
 
 func TestPacketDoubleReleasePanics(t *testing.T) {
 	s := NewSimulator(simStart, 1)
-	p := s.NewPacket([]byte{1})
+	p := s.MustAddNode("a", "").NewPacket([]byte{1})
 	p.Release()
 	defer func() {
 		if recover() == nil {
@@ -150,7 +150,7 @@ func TestSetQueueTransfersWaitingPackets(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		_ = a.Send(pkt)
 	}
-	if got := l.QueueLen(a); got != 5 {
+	if got := l.dir(a).queue.Len(); got != 5 {
 		t.Fatalf("queued = %d, want 5", got)
 	}
 	// Swap to a smaller queue: 2 transfer, 3 are dropped and released.
@@ -158,7 +158,7 @@ func TestSetQueueTransfersWaitingPackets(t *testing.T) {
 	if err := l.SetQueue(a, small); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.QueueLen(a); got != 2 {
+	if got := l.dir(a).queue.Len(); got != 2 {
 		t.Fatalf("after swap queued = %d, want 2", got)
 	}
 	// Idempotent re-install of the same queue must be a no-op, not a
@@ -166,15 +166,15 @@ func TestSetQueueTransfersWaitingPackets(t *testing.T) {
 	if err := l.SetQueue(a, small); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.QueueLen(a); got != 2 {
+	if got := l.dir(a).queue.Len(); got != 2 {
 		t.Fatalf("after idempotent swap queued = %d, want 2", got)
 	}
 	s.Run()
 	if n != 3 {
 		t.Errorf("delivered %d, want 3 (1 in flight + 2 transferred)", n)
 	}
-	if _, dropped := l.Stats(a); dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
+	if dropped := s.met.linkQDrop.Value(); dropped != 3 {
+		t.Errorf("queue drops = %d, want 3", dropped)
 	}
 	// No leak: every checked-out buffer came back to the pool.
 	s.SetPoolDebug(true)

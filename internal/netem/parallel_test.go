@@ -145,7 +145,7 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 		t.Fatalf("ring evicted %d events; grow RingSize so the stream stays complete", ev)
 	}
 	res.trace = fr.Events()
-	res.delivered = sim.Delivered()
+	res.delivered = sim.met.delivered.Value()
 	res.forwarded = sim.Forwarded()
 	res.dropped = sim.Dropped()
 	res.events = sim.EventsProcessed()

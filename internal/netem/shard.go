@@ -147,9 +147,6 @@ func (s *Simulator) SetWorkers(w int) {
 	s.workers = w
 }
 
-// Workers reports the configured execution parallelism.
-func (s *Simulator) Workers() int { return s.workers }
-
 // SetShard assigns the node to a shard declared with SetShardCount.
 // Assign shards while building the topology, before any traffic is
 // scheduled: events already queued on the old shard are not migrated.
@@ -206,9 +203,8 @@ func (n *Node) Schedule(d time.Duration, fn func()) {
 func (n *Node) Rand() *rand.Rand { return n.sh.rng }
 
 // NewPacket checks a buffer out of the node's shard-local pool and
-// copies b into it — the one copy of a packet's journey. Senders that
-// run inside shard callbacks must use this (or Node.Send, which does)
-// rather than Simulator.NewPacket, which draws from shard 0.
+// copies b into it — the one copy of a packet's journey (Node.Send
+// does the same).
 func (n *Node) NewPacket(b []byte) *Packet {
 	p := n.sh.pool.get(len(b))
 	copy(p.Pkt, b)

@@ -75,7 +75,7 @@ func TestBuildFanoutHostSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Node("host0"); got != nil {
+	if got := s.nodes["host0"]; got != nil {
 		t.Fatal("slab hosts must not be name-resolvable")
 	}
 	delivered := f.CountDeliveries()

@@ -205,13 +205,6 @@ func (st *FlightStripe) Record(rec TraceRec) {
 	st.evicted++
 }
 
-// Reset clears the stripe's ring and counters (between experiment runs).
-func (st *FlightStripe) Reset() {
-	st.ring = st.ring[:0]
-	st.w = 0
-	st.seen, st.sampled, st.evicted, st.seq = 0, 0, 0, 0
-}
-
 // Events returns every retained event across stripes, merged into the
 // engine's canonical (time, shard, seq) total order — independent of
 // worker count. Call at quiescence (post-run or an epoch barrier).
@@ -237,18 +230,11 @@ func (f *FlightRecorder) Events() []TraceRec {
 	return out
 }
 
-// Reset clears every stripe (between runs sharing a recorder).
-func (f *FlightRecorder) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, st := range f.stripes {
-		st.Reset()
-	}
-}
-
 // Seen totals events offered across stripes (atomic loads; exact at
 // quiescence).
-func (f *FlightRecorder) Seen() uint64 { return f.sumStripes(func(st *FlightStripe) *uint64 { return &st.seen }) }
+func (f *FlightRecorder) Seen() uint64 {
+	return f.sumStripes(func(st *FlightStripe) *uint64 { return &st.seen })
+}
 
 // Sampled totals events recorded across stripes.
 func (f *FlightRecorder) Sampled() uint64 {

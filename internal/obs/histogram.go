@@ -77,15 +77,6 @@ func (v *HistogramVec) Stripe(i int) *HistStripe {
 	return v.stripes[i]
 }
 
-// NewStripe appends and returns a fresh stripe.
-func (v *HistogramVec) NewStripe() *HistStripe {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h := &HistStripe{}
-	v.stripes = append(v.stripes, h)
-	return h
-}
-
 // HistSnap is a merged histogram: dense buckets plus precomputed
 // summary quantiles (the log-bucket transform bounds their relative
 // error at 12.5%).
@@ -140,12 +131,4 @@ func (s *HistSnap) Quantile(q float64) float64 {
 		}
 	}
 	return 0
-}
-
-// Mean returns the exact mean of observed values.
-func (s *HistSnap) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

@@ -29,8 +29,7 @@ func TestGaugeStripesMerge(t *testing.T) {
 	r := NewRegistry()
 	v := r.Gauge("test_depth", "depth")
 	v.Stripe(0).Set(7)
-	v.Stripe(1).Set(5)
-	v.Stripe(1).Add(-2)
+	v.Stripe(1).Set(3)
 	if got := v.Value(); got != 10 {
 		t.Fatalf("merged gauge = %d, want 10", got)
 	}
@@ -63,7 +62,6 @@ func TestInvalidNamePanics(t *testing.T) {
 func TestAtomicStripesConcurrent(t *testing.T) {
 	r := NewRegistry()
 	v := r.Counter("test_concurrent_total", "")
-	g := r.Gauge("test_concurrent_gauge", "")
 	const workers, perWorker = 8, 10000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -85,10 +83,8 @@ func TestAtomicStripesConcurrent(t *testing.T) {
 		go func(w int) {
 			defer ww.Done()
 			c := v.AtomicStripe(w)
-			ag := g.AtomicStripe(w)
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				ag.Add(1)
+				c.Add(1)
 			}
 		}(w)
 	}
@@ -97,9 +93,6 @@ func TestAtomicStripesConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := v.Value(); got != workers*perWorker {
 		t.Fatalf("concurrent counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != workers*perWorker {
-		t.Fatalf("concurrent gauge = %d, want %d", got, workers*perWorker)
 	}
 }
 
@@ -157,8 +150,8 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("q%.2f = %.0f, want %.0f ± 15%%", c.q, got, c.want)
 		}
 	}
-	if mean := s.Mean(); mean < 5000 || mean > 5001 {
-		t.Errorf("mean = %f, want 5000.5", mean)
+	if s.Count != 10000 || s.Sum != 10000*10001/2 {
+		t.Errorf("count %d, sum %d, want 10000 and %d (exact)", s.Count, s.Sum, 10000*10001/2)
 	}
 	// Small values are exact.
 	st2 := r.Histogram("test_small_ns", "").Stripe(0)
@@ -345,7 +338,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 		c.Add(3)
 		g.Set(5)
 		h.Observe(123456)
-		ac.Inc()
+		ac.Add(1)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v per op, want 0", n)
 	}

@@ -90,14 +90,6 @@ func (s *Series) Points() (times []int64, vals []float64) {
 	return times, vals
 }
 
-// Len reports retained points.
-func (s *Series) Len() int {
-	if s.full {
-		return len(s.times)
-	}
-	return len(s.times)
-}
-
 func (s *Series) push(t int64, v float64, ringSize int) {
 	if len(s.times) < ringSize {
 		s.times = append(s.times, t)

@@ -79,14 +79,8 @@ func (c *Counter) Value() uint64 { return atomic.LoadUint64(&c.v) }
 // concurrent writers (core.Pool workers, the daemon path).
 type AtomicCounter Counter
 
-// Inc atomically adds one.
-func (c *AtomicCounter) Inc() { atomic.AddUint64(&c.v, 1) }
-
 // Add atomically adds n.
 func (c *AtomicCounter) Add(n uint64) { atomic.AddUint64(&c.v, n) }
-
-// Value reads the stripe.
-func (c *AtomicCounter) Value() uint64 { return atomic.LoadUint64(&c.v) }
 
 // Gauge is one write stripe of a gauge family (single-writer, padded).
 // The family's merged value is the sum of its stripes, which is the
@@ -98,24 +92,6 @@ type Gauge struct {
 
 // Set stores x. Single-writer.
 func (g *Gauge) Set(x int64) { g.v = x }
-
-// Add adds x. Single-writer.
-func (g *Gauge) Add(x int64) { g.v += x }
-
-// Value reads the stripe.
-func (g *Gauge) Value() int64 { return atomic.LoadInt64(&g.v) }
-
-// AtomicGauge is a Gauge stripe written with atomic ops.
-type AtomicGauge Gauge
-
-// Set atomically stores x.
-func (g *AtomicGauge) Set(x int64) { atomic.StoreInt64(&g.v, x) }
-
-// Add atomically adds x.
-func (g *AtomicGauge) Add(x int64) { atomic.AddInt64(&g.v, x) }
-
-// Value reads the stripe.
-func (g *AtomicGauge) Value() int64 { return atomic.LoadInt64(&g.v) }
 
 // family is one registered metric: a name (optionally carrying a fixed
 // Prometheus label set), a kind, and either striped storage or a
@@ -318,20 +294,6 @@ func (v *GaugeVec) Stripe(i int) *Gauge {
 		v.stripes = append(v.stripes, &Gauge{})
 	}
 	return v.stripes[i]
-}
-
-// NewStripe appends and returns a fresh stripe.
-func (v *GaugeVec) NewStripe() *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g := &Gauge{}
-	v.stripes = append(v.stripes, g)
-	return g
-}
-
-// AtomicStripe returns stripe i for concurrent writers.
-func (v *GaugeVec) AtomicStripe(i int) *AtomicGauge {
-	return (*AtomicGauge)(v.Stripe(i))
 }
 
 // Value merges the family: the sum of all stripes.

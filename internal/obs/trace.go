@@ -92,11 +92,6 @@ func (j *Journey) Complete() bool {
 	return last == KindDeliver || last >= KindDropQueue
 }
 
-// Delivered reports whether the journey ends in a local delivery.
-func (j *Journey) Delivered() bool {
-	return len(j.Hops) > 0 && j.Hops[len(j.Hops)-1].Kind == KindDeliver
-}
-
 // AttrSumNanos sums the attributed delay components over every hop.
 // For a complete journey this equals EndToEndNanos exactly.
 func (j *Journey) AttrSumNanos() int64 {

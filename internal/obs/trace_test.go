@@ -43,8 +43,8 @@ func TestAssembleSpans(t *testing.T) {
 	for _, sp := range spans {
 		for i := range sp.Journeys {
 			j := &sp.Journeys[i]
-			if !j.Complete() || !j.Delivered() {
-				t.Fatalf("flow %x journey %d: complete=%v delivered=%v, want both", sp.Flow, j.ID, j.Complete(), j.Delivered())
+			if last := j.Hops[len(j.Hops)-1].Kind; !j.Complete() || last != KindDeliver {
+				t.Fatalf("flow %x journey %d: complete=%v, ends in kind %d; want a complete journey ending in delivery", sp.Flow, j.ID, j.Complete(), last)
 			}
 			if len(j.Hops) != 3 {
 				t.Fatalf("flow %x journey %d: %d hops, want 3", sp.Flow, j.ID, len(j.Hops))
@@ -78,8 +78,8 @@ func TestJourneyCompleteness(t *testing.T) {
 		{TimeNanos: 1, Kind: KindSend},
 		{TimeNanos: 2, Kind: KindDropPolicy},
 	}}
-	if !dropped.Complete() || dropped.Delivered() {
-		t.Error("journey ending in a drop is Complete but not Delivered")
+	if !dropped.Complete() {
+		t.Error("a journey ending in a drop is Complete")
 	}
 }
 

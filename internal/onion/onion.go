@@ -1,11 +1,12 @@
 // Package onion is the comparison baseline of the paper's §5: classic
-// anonymous routing in the style of Tor, with telescoped circuit setup,
-// layered encryption, and — the properties the neutralizer is designed to
-// avoid — per-flow state at every relay and public-key operations
-// proportional to the number of flows.
+// anonymous routing in the style of Tor, with telescoped circuit setup
+// and — the properties the neutralizer is designed to avoid — per-flow
+// state at every relay and public-key operations proportional to the
+// number of flows.
 //
 // The implementation is deliberately compact (three fixed hops, direct
-// method calls instead of a network) because the A3 experiment measures
+// method calls instead of a network, circuit setup and teardown only:
+// no data cell is ever relayed) because the A3 experiment measures
 // resource consumption — relay state size and public-key operation counts
 // — not network behaviour.
 package onion
@@ -13,17 +14,12 @@ package onion
 import (
 	"crypto/rand"
 	"errors"
-	"fmt"
 	"io"
-	"net/netip"
 	"sync"
 
 	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/e2e"
 )
-
-// DefaultHops is the circuit length (entry, middle, exit).
-const DefaultHops = 3
 
 // Errors returned by this package.
 var (
@@ -35,8 +31,7 @@ var (
 // Relay is an onion router. Every live circuit through it occupies an
 // entry in its table — the per-flow state the neutralizer does not have.
 type Relay struct {
-	id  *e2e.Identity
-	rng io.Reader
+	id *e2e.Identity
 
 	mu       sync.Mutex
 	circuits map[uint32]*circuitState
@@ -46,8 +41,6 @@ type Relay struct {
 	// expensive work §5 contrasts with the neutralizer's cheap e=3
 	// encryptions.
 	PKOps uint64
-	// Cells counts relayed data cells.
-	Cells uint64
 }
 
 type circuitState struct {
@@ -66,7 +59,7 @@ func NewRelay(rng io.Reader) (*Relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Relay{id: id, rng: rng, circuits: make(map[uint32]*circuitState)}, nil
+	return &Relay{id: id, circuits: make(map[uint32]*circuitState)}, nil
 }
 
 // Public returns the relay's public key (what a directory would list).
@@ -118,38 +111,6 @@ func (r *Relay) extend(circID uint32, next *Relay, ct []byte) (uint32, error) {
 	return nextID, nil
 }
 
-// relayCell strips one onion layer and forwards; at the exit it returns
-// the fully peeled payload and destination.
-func (r *Relay) relayCell(circID uint32, cell []byte) (dst netip.Addr, payload []byte, err error) {
-	r.mu.Lock()
-	st, ok := r.circuits[circID]
-	r.mu.Unlock()
-	if !ok {
-		return netip.Addr{}, nil, ErrNoSuchCircuit
-	}
-	r.mu.Lock()
-	r.Cells++
-	r.mu.Unlock()
-	// Strip this hop's layer: AES-CTR keyed by the hop key, nonce from
-	// the cell head.
-	if len(cell) < 8 {
-		return netip.Addr{}, nil, ErrBadCell
-	}
-	var nonce [8]byte
-	copy(nonce[:], cell[:8])
-	inner := make([]byte, len(cell)-8)
-	copy(inner, cell[8:])
-	aesutil.CTRCrypt(st.key, nonce, inner)
-	if st.next != nil {
-		return st.next.relayCell(st.nextCircID, inner)
-	}
-	// Exit: inner = dst(4) ‖ payload.
-	if len(inner) < 4 {
-		return netip.Addr{}, nil, ErrBadCell
-	}
-	return netip.AddrFrom4([4]byte(inner[:4])), inner[4:], nil
-}
-
 // teardown removes the circuit state along the path.
 func (r *Relay) teardown(circID uint32) {
 	r.mu.Lock()
@@ -165,8 +126,6 @@ func (r *Relay) teardown(circID uint32) {
 type Circuit struct {
 	entry   *Relay
 	entryID uint32
-	keys    []aesutil.Key // hop keys, entry first
-	rng     io.Reader
 	closed  bool
 }
 
@@ -194,7 +153,7 @@ func BuildCircuit(rng io.Reader, relays ...*Relay) (*Circuit, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Circuit{entry: relays[0], entryID: entryID, keys: keys, rng: rng}
+	c := &Circuit{entry: relays[0], entryID: entryID}
 	end, endID := relays[0], entryID
 	for i := 1; i < len(relays); i++ {
 		ct, err := e2e.EncryptSmall(rng, relays[i].Public(), keys[i][:])
@@ -210,39 +169,6 @@ func BuildCircuit(rng io.Reader, relays ...*Relay) (*Circuit, error) {
 	return c, nil
 }
 
-// Send onion-encrypts payload for dst and pushes it through the circuit,
-// returning what the exit relay would emit. Layers are applied innermost
-// (exit) first so each relay strips exactly one.
-func (c *Circuit) Send(dst netip.Addr, payload []byte) (netip.Addr, []byte, error) {
-	if c.closed {
-		return netip.Addr{}, nil, ErrNoSuchCircuit
-	}
-	if !dst.Is4() {
-		return netip.Addr{}, nil, fmt.Errorf("onion: destination %v is not IPv4", dst)
-	}
-	d4 := dst.As4()
-	cell := make([]byte, 0, 4+len(payload))
-	cell = append(cell, d4[:]...)
-	cell = append(cell, payload...)
-	// Wrap layers from the exit inward; each layer gets its own nonce.
-	for i := len(c.keys) - 1; i >= 0; i-- {
-		var nonce [8]byte
-		if _, err := io.ReadFull(c.rng, nonce[:]); err != nil {
-			return netip.Addr{}, nil, err
-		}
-		// Encrypt current cell under hop i.
-		body := make([]byte, len(cell))
-		copy(body, cell)
-		aesutil.CTRCrypt(c.keys[i], nonce, body)
-		wrapped := make([]byte, 0, 8+len(body))
-		wrapped = append(wrapped, nonce[:]...)
-		wrapped = append(wrapped, body...)
-		cell = wrapped
-	}
-	// The entry strips the first layer.
-	return c.entry.relayCell(c.entryID, cell)
-}
-
 // Close tears down the circuit state at every relay.
 func (c *Circuit) Close() {
 	if !c.closed {
@@ -250,6 +176,3 @@ func (c *Circuit) Close() {
 		c.closed = true
 	}
 }
-
-// Hops returns the circuit length.
-func (c *Circuit) Hops() int { return len(c.keys) }

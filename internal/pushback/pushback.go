@@ -238,15 +238,6 @@ func NewLimiter(agg Aggregate, rateBps float64, burstBytes int, expires time.Tim
 	}
 }
 
-// Extend moves the expiry forward (refresh messages).
-func (l *Limiter) Extend(until time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if until.After(l.expires) {
-		l.expires = until
-	}
-}
-
 // Hook returns the transit hook to install on the upstream node.
 func (l *Limiter) Hook() netem.TransitHook {
 	return func(now time.Time, node *netem.Node, pkt []byte) netem.Verdict {

@@ -98,12 +98,10 @@ const DataOverhead = HeaderLen + aesutil.BlockSize
 
 // Errors returned by shim decoding.
 var (
-	ErrTooShort   = errors.New("shim: data too short")
-	ErrBadType    = errors.New("shim: unknown message type")
-	ErrBadBody    = errors.New("shim: body inconsistent with type/flags")
-	ErrNotIPv4    = errors.New("shim: address is not IPv4")
-	ErrNoGrant    = errors.New("shim: header carries no grant")
-	ErrBadVersion = errors.New("shim: unsupported version")
+	ErrTooShort = errors.New("shim: data too short")
+	ErrBadType  = errors.New("shim: unknown message type")
+	ErrBadBody  = errors.New("shim: body inconsistent with type/flags")
+	ErrNotIPv4  = errors.New("shim: address is not IPv4")
 )
 
 // Grant is a stamped (nonce, key) pair: the refresh material a
@@ -114,15 +112,8 @@ type Grant struct {
 	Key   aesutil.Key
 }
 
-// Marshal encodes the grant.
-func (g Grant) Marshal() []byte {
-	out := make([]byte, GrantLen)
-	g.encodeTo(out)
-	return out
-}
-
 // encodeTo writes the grant into dst (len >= GrantLen) without
-// allocating; the serializer's hot path uses this instead of Marshal.
+// allocating.
 func (g Grant) encodeTo(dst []byte) {
 	copy(dst[:8], g.Nonce[:])
 	copy(dst[8:GrantLen], g.Key[:])

@@ -32,7 +32,13 @@
 // blocked in channel receive, select, or mutex wait is idle; anything
 // running, runnable, or in a syscall is still working. This is the only
 // portable signal that covers foreign goroutines (net/http internals)
-// that the package never sees directly.
+// that the package never sees directly. A cooperative hand-off (count
+// the goroutines inside simnet calls, step the simulator once all of
+// them are parked) cannot replace it on go1.24: a Read that returns to
+// net/http's readLoop wakes the RoundTrip goroutine over a channel, and
+// the server's connReader parks on a sync.Cond. Work the package
+// started is then running on goroutines that no count it keeps ever
+// saw enter or leave, and the simulator would step under them.
 package simnet
 
 import (
@@ -44,7 +50,6 @@ import (
 	"time"
 
 	"netneutral/internal/netem"
-	"netneutral/internal/obs"
 )
 
 // Net couples an unsharded netem.Simulator to blocking endpoints. Create one
@@ -71,12 +76,6 @@ type Net struct {
 
 	binds    map[*netem.Node]*nodeBind
 	stackBuf []byte // reused runtime.Stack scratch
-
-	// stats: atomics, not mu-guarded, so registry CounterFuncs can read
-	// them from a barrier callback that fires while the driver holds mu.
-	wakes  atomic.Uint64
-	steps  atomic.Uint64
-	spinNs atomic.Int64
 }
 
 // waiter is one parked goroutine. All fields are guarded by Net.mu; the
@@ -107,9 +106,6 @@ type timerEntry struct {
 func New(sim *netem.Simulator) *Net {
 	return &Net{sim: sim, binds: make(map[*netem.Node]*nodeBind)}
 }
-
-// Sim returns the underlying simulator.
-func (n *Net) Sim() *netem.Simulator { return n.sim }
 
 // lock acquires mu from a workload goroutine, flagging the acquisition
 // so the driver's quiescence check cannot miss a goroutine that is
@@ -154,12 +150,79 @@ func (n *Net) await(w *waiter) {
 	n.entering.Add(-1)
 }
 
-// parkTimer registers a virtual-time wakeup for w at the given instant.
-// Callers hold mu and have set w.parked.
-func (n *Net) parkTimer(w *waiter, at time.Time) {
-	n.timerSeq++
-	n.timers.push(timerEntry{at: at, seq: n.timerSeq, w: w, gen: w.gen})
+// waitq is the goroutines parked on one condition — a conn's readers, a
+// listener's acceptors, one sleeper — oldest first, with the virtual
+// deadline their wait runs under. A conn embeds it and so gets net.Conn's
+// three deadline methods; the unexported ones are called with mu held.
+type waitq struct {
+	n        *Net
+	ws       []*waiter
+	deadline time.Time // zero: none
 }
+
+// expired reports whether the deadline has passed in virtual time.
+func (q *waitq) expired() bool {
+	return !q.deadline.IsZero() && !q.n.sim.Now().Before(q.deadline)
+}
+
+// park blocks the caller as w until a wake or the deadline. A wake says
+// only "look again" — data, a moved deadline, a close, or data another
+// reader already took — so callers loop on their condition.
+func (q *waitq) park(w *waiter) {
+	w.parked = true
+	w.gen++ // entries a previous park of w left in the timer heap go stale
+	if !q.deadline.IsZero() {
+		q.n.timerSeq++
+		q.n.timers.push(timerEntry{at: q.deadline, seq: q.n.timerSeq, w: w, gen: w.gen})
+	}
+	q.ws = append(q.ws, w)
+	q.n.await(w)
+	for i, r := range q.ws { // still listed when the wake was the timer's
+		if r == w {
+			q.ws = append(q.ws[:i], q.ws[i+1:]...)
+			break
+		}
+	}
+}
+
+// wakeOne wakes the longest-parked waiter.
+func (q *waitq) wakeOne() {
+	if len(q.ws) > 0 {
+		w := q.ws[0]
+		q.ws = q.ws[1:]
+		q.n.wake(w)
+	}
+}
+
+// wakeAll wakes every waiter, oldest first.
+func (q *waitq) wakeAll() {
+	for _, w := range q.ws {
+		q.n.wake(w)
+	}
+	q.ws = nil
+}
+
+func (q *waitq) parked() int { return len(q.ws) }
+
+// SetReadDeadline implements net.Conn in virtual time. Every parked
+// reader wakes to re-evaluate against the new deadline (re-parking under
+// a fresh timer if it has not passed), so one in the virtual past,
+// net/http's "aLongTimeAgo" included, fails pending reads at once with
+// os.ErrDeadlineExceeded.
+func (q *waitq) SetReadDeadline(t time.Time) error {
+	q.n.lock()
+	defer q.n.mu.Unlock()
+	q.deadline = t
+	q.wakeAll()
+	return nil
+}
+
+// SetDeadline implements net.Conn: only reads ever block.
+func (q *waitq) SetDeadline(t time.Time) error { return q.SetReadDeadline(t) }
+
+// SetWriteDeadline implements net.Conn; writes never block, so it is a
+// no-op.
+func (q *waitq) SetWriteDeadline(time.Time) error { return nil }
 
 // Go registers fn as a workload goroutine. The goroutine starts parked;
 // Run releases registered goroutines one at a time in registration
@@ -192,11 +255,8 @@ func (n *Net) Sleep(d time.Duration) {
 		return
 	}
 	n.lock()
-	w := newWaiter()
-	w.parked = true
-	w.gen++
-	n.parkTimer(w, n.sim.Now().Add(d))
-	n.await(w)
+	q := waitq{n: n, deadline: n.sim.Now().Add(d)}
+	q.park(newWaiter())
 	n.mu.Unlock()
 }
 
@@ -225,12 +285,10 @@ func (n *Net) Locked(fn func()) {
 func (n *Net) Wait(pred func() bool) {
 	n.lock()
 	defer n.mu.Unlock()
+	q, w := waitq{n: n}, newWaiter()
 	for !pred() {
-		w := newWaiter()
-		w.parked = true
-		w.gen++
 		n.conds = append(n.conds, condWaiter{w: w, pred: pred})
-		n.await(w)
+		q.park(w)
 	}
 }
 
@@ -279,7 +337,6 @@ func (n *Net) settle() {
 			copy(n.readyQ, n.readyQ[1:])
 			n.readyQ = n.readyQ[:len(n.readyQ)-1]
 			w.queued = false
-			n.wakes.Add(1)
 			w.ch <- struct{}{}
 			n.relax(&spins)
 			continue
@@ -303,9 +360,7 @@ func (n *Net) relax(spins *int) {
 	*spins++
 	n.mu.Unlock()
 	if *spins%512 == 0 {
-		t0 := time.Now()
 		time.Sleep(20 * time.Microsecond)
-		n.spinNs.Add(int64(time.Since(t0)))
 	} else {
 		runtime.Gosched()
 	}
@@ -323,7 +378,6 @@ func (n *Net) advance() bool {
 		switch {
 		case okEv && (!okTm || !tEv.After(tTm)):
 			n.sim.Step()
-			n.steps.Add(1)
 			progress = true
 		case okTm:
 			if tTm.After(n.sim.Now()) {
@@ -396,9 +450,12 @@ func (n *Net) othersIdle() bool {
 var goroutineHdr = []byte("goroutine ")
 
 // countBusy counts goroutine records in a runtime.Stack dump whose state
-// is running, runnable, or syscall. States like "chan receive", "select",
-// "sync.Mutex.Lock", "IO wait", and "sleep" are all blocked: the runtime
-// names every non-blocked state with one of the three busy words.
+// is running, runnable, or syscall — or one the collector put the
+// goroutine in and will take it out of unasked: an allocation made while
+// a GC cycle marks can stop its goroutine as "GC assist marking", "GC
+// assist wait" or "preempted", and a stack being scanned reads
+// "runnable (scan)". States like "chan receive", "select",
+// "sync.Mutex.Lock", "IO wait", and "sleep" are blocked.
 func countBusy(dump []byte) int {
 	busy := 0
 	for len(dump) > 0 {
@@ -417,45 +474,14 @@ func countBusy(dump []byte) int {
 				if end := bytes.IndexAny(state, ",]"); end >= 0 {
 					state = state[:end]
 				}
-				switch string(state) {
-				case "running", "runnable", "syscall":
+				switch string(bytes.TrimSuffix(state, []byte(" (scan)"))) {
+				case "running", "runnable", "syscall", "GC assist marking", "GC assist wait", "preempted":
 					busy++
 				}
 			}
 		}
 	}
 	return busy
-}
-
-// Stats reports driver counters: serialized wakeups delivered, simulator
-// steps taken, and cumulative real time spent sleeping in the settle
-// loop. Safe from any goroutine, including registry snapshots taken
-// while the driver runs.
-func (n *Net) Stats() (wakes, steps uint64, spin time.Duration) {
-	return n.wakes.Load(), n.steps.Load(), time.Duration(n.spinNs.Load())
-}
-
-// Instrument registers the driver's counters on reg:
-//
-//	simnet_wakes_total        serialized goroutine wakeups delivered
-//	simnet_steps_total        simulator events single-stepped
-//	simnet_spin_seconds_total real time slept in the quiescence loop
-//
-// Wakes and steps are deterministic for a seeded workload; the spin time
-// is wall-clock and registered Volatile so it never enters deterministic
-// recorder rings. The families read atomics — no driver lock — so they
-// are safe to sample from barrier callbacks and live HTTP scrapes alike.
-func (n *Net) Instrument(reg *obs.Registry) {
-	reg.CounterFunc("simnet_wakes_total",
-		"Serialized wakeups the simnet driver delivered to workload goroutines.",
-		func() uint64 { return n.wakes.Load() })
-	reg.CounterFunc("simnet_steps_total",
-		"Simulator events the simnet driver single-stepped.",
-		func() uint64 { return n.steps.Load() })
-	reg.GaugeFunc("simnet_spin_seconds_total",
-		"Real time the driver slept waiting for process quiescence.",
-		func() float64 { return time.Duration(n.spinNs.Load()).Seconds() },
-		obs.Volatile())
 }
 
 // timerHeap is a min-heap on (at, seq).

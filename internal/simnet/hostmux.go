@@ -18,12 +18,11 @@ import (
 // Streams are keyed by peer address — one stream per remote host at a
 // time, matching the endhost package's one-conversation-per-peer model.
 type HostMux struct {
-	n      *Net
-	host   *endhost.Host
-	conns  map[netip.Addr]*StreamConn
-	ln     *StreamListener // nil until Listen
-	prev   func(peer netip.Addr, data []byte)
-	closed bool
+	n     *Net
+	host  *endhost.Host
+	conns map[netip.Addr]*StreamConn
+	ln    *StreamListener // nil until Listen
+	prev  func(peer netip.Addr, data []byte)
 }
 
 // AttachHost binds host's packet handler to node (shim packets route to
@@ -40,9 +39,6 @@ func (n *Net) AttachHost(node *netem.Node, host *endhost.Host, prev func(peer ne
 	host.SetOnData(m.onData)
 	return m
 }
-
-// Host returns the wrapped endhost.
-func (m *HostMux) Host() *endhost.Host { return m.host }
 
 // onData is the endhost data callback: driver context, mu held (the
 // endhost only processes packets from the node handler, which the

@@ -389,11 +389,28 @@ func TestManyClientsDeterministic(t *testing.T) {
 		if err := n.Run(); err != nil {
 			t.Fatal(err)
 		}
-		wakes, steps, _ := n.Stats()
-		return strings.Join(lines, "\n") + fmt.Sprintf("\nwakes=%d steps=%d", wakes, steps)
+		return strings.Join(lines, "\n") + fmt.Sprintf("\nevents=%d", n.sim.EventsProcessed())
 	}
 	r1, r2 := run(), run()
 	if r1 != r2 {
 		t.Fatalf("runs differ:\n--- run 1:\n%s\n--- run 2:\n%s", r1, r2)
+	}
+}
+
+// TestCountBusyStates: the quiescence test counts a goroutine the
+// collector stopped mid-allocation as still working — it resumes with no
+// packet or timer — beside the three states the scheduler names.
+func TestCountBusyStates(t *testing.T) {
+	dump := "goroutine 1 [running]:\nmain.main()\n\n" +
+		"goroutine 7 [runnable (scan)]:\nx()\n\n" +
+		"goroutine 8 [GC assist marking]:\nx()\n\n" +
+		"goroutine 9 [GC assist wait, 1 minutes]:\nx()\n\n" +
+		"goroutine 10 [preempted]:\nx()\n\n" +
+		"goroutine 11 [syscall, locked to thread]:\nx()\n\n" +
+		"goroutine 12 [chan receive]:\nx()\n\n" +
+		"goroutine 13 [sync.Cond.Wait, 3 minutes]:\nx()\n\n" +
+		"goroutine 14 [GC worker (idle)]:\nx()\n"
+	if got := countBusy([]byte(dump)); got != 6 {
+		t.Errorf("countBusy = %d, want 6 (goroutines 1 and 7 to 11)", got)
 	}
 }

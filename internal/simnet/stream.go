@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"time"
 
 	"netneutral/internal/netem"
 )
@@ -45,7 +44,7 @@ func putFrame(kind byte, seq uint32, payload []byte) []byte {
 // implementing net.Conn. It is transport-agnostic: the send hook injects
 // one frame toward the peer (UDP datagram or endhost conduit payload).
 type StreamConn struct {
-	n      *Net
+	waitq                           // blocked readers; its n is the conn's Net
 	send   func(frame []byte) error // mu held
 	local  net.Addr
 	remote net.Addr
@@ -57,13 +56,11 @@ type StreamConn struct {
 	eof     bool   // FIN consumed in order
 	rerr    error  // terminal receive error (gap, RST)
 	closed  bool
-	readers []*waiter
-	rdDl    time.Time
 	onClose func() // deregisters from the demux; mu held
 }
 
 func newStreamConn(n *Net, local, remote net.Addr, send func([]byte) error) *StreamConn {
-	return &StreamConn{n: n, local: local, remote: remote, send: send}
+	return &StreamConn{waitq: waitq{n: n}, local: local, remote: remote, send: send}
 }
 
 // handleFrame consumes one inbound frame. Driver context, mu held.
@@ -84,7 +81,7 @@ func (c *StreamConn) handleFrame(payload []byte) {
 		}
 		c.nextSeq++
 		c.rbuf = append(c.rbuf, body...)
-		c.wakeOneReader()
+		c.wakeOne()
 	case frameFIN:
 		if seq != c.nextSeq {
 			c.fail(ErrStreamBroken)
@@ -92,7 +89,7 @@ func (c *StreamConn) handleFrame(payload []byte) {
 		}
 		c.nextSeq++
 		c.eof = true
-		c.wakeAllReaders()
+		c.wakeAll()
 	case frameRST:
 		c.fail(fmt.Errorf("simnet: stream reset by peer"))
 	}
@@ -100,28 +97,7 @@ func (c *StreamConn) handleFrame(payload []byte) {
 
 func (c *StreamConn) fail(err error) {
 	c.rerr = err
-	c.wakeAllReaders()
-}
-
-func (c *StreamConn) wakeOneReader() {
-	if len(c.readers) > 0 {
-		w := c.readers[0]
-		c.readers = c.readers[1:]
-		c.n.wake(w)
-	}
-}
-
-func (c *StreamConn) wakeAllReaders() {
-	for _, w := range c.readers {
-		c.n.wake(w)
-	}
-	c.readers = nil
-}
-
-func (c *StreamConn) parked() int { return len(c.readers) }
-
-func (c *StreamConn) dlExpired() bool {
-	return !c.rdDl.IsZero() && !c.n.sim.Now().Before(c.rdDl)
+	c.wakeAll()
 }
 
 // Read implements net.Conn, blocking in virtual time. Buffered bytes are
@@ -149,26 +125,10 @@ func (c *StreamConn) Read(p []byte) (int, error) {
 		if c.closed {
 			return 0, net.ErrClosed
 		}
-		if c.dlExpired() {
+		if c.expired() {
 			return 0, os.ErrDeadlineExceeded
 		}
-		w.parked = true
-		w.gen++
-		if !c.rdDl.IsZero() {
-			c.n.parkTimer(w, c.rdDl)
-		}
-		c.readers = append(c.readers, w)
-		c.n.await(w)
-		c.unregisterReader(w)
-	}
-}
-
-func (c *StreamConn) unregisterReader(w *waiter) {
-	for i, r := range c.readers {
-		if r == w {
-			c.readers = append(c.readers[:i], c.readers[i+1:]...)
-			return
-		}
+		c.park(w)
 	}
 }
 
@@ -207,7 +167,7 @@ func (c *StreamConn) Close() error {
 		// Best-effort: the conn is closing regardless of send failure.
 		_ = c.send(putFrame(frameFIN, c.sendSeq, nil))
 	}
-	c.wakeAllReaders()
+	c.wakeAll()
 	if c.onClose != nil {
 		c.onClose()
 	}
@@ -220,25 +180,6 @@ func (c *StreamConn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr implements net.Conn.
 func (c *StreamConn) RemoteAddr() net.Addr { return c.remote }
 
-// SetDeadline implements net.Conn (virtual time; write side never blocks).
-func (c *StreamConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn in virtual time; see
-// UDPConn.SetReadDeadline for the wake contract.
-func (c *StreamConn) SetReadDeadline(t time.Time) error {
-	c.n.lock()
-	defer c.n.mu.Unlock()
-	c.rdDl = t
-	for _, w := range c.readers {
-		c.n.wake(w)
-	}
-	c.readers = nil
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn; writes never block.
-func (c *StreamConn) SetWriteDeadline(time.Time) error { return nil }
-
 // StreamListener accepts inbound streams, implementing net.Listener. One
 // listener serves one local endpoint; a SYN from an unknown remote
 // creates a conn and queues it for Accept.
@@ -248,7 +189,7 @@ type StreamListener struct {
 	sendTo  func(remote netip.AddrPort, frame []byte) error // mu held
 	conns   map[netip.AddrPort]*StreamConn
 	backlog []*StreamConn
-	accs    []*waiter
+	accs    waitq
 	closed  bool
 	dereg   func() // mu held
 }
@@ -256,7 +197,7 @@ type StreamListener struct {
 const listenBacklog = 64
 
 func newStreamListener(n *Net, addr net.Addr, sendTo func(netip.AddrPort, []byte) error) *StreamListener {
-	return &StreamListener{n: n, addr: addr, sendTo: sendTo, conns: make(map[netip.AddrPort]*StreamConn)}
+	return &StreamListener{n: n, addr: addr, sendTo: sendTo, conns: make(map[netip.AddrPort]*StreamConn), accs: waitq{n: n}}
 }
 
 // deliver demultiplexes one inbound frame-carrying datagram. Driver
@@ -279,14 +220,10 @@ func (l *StreamListener) deliver(src netip.AddrPort, payload []byte) {
 	c.onClose = func() { delete(l.conns, src) }
 	l.conns[src] = c
 	l.backlog = append(l.backlog, c)
-	if len(l.accs) > 0 {
-		w := l.accs[0]
-		l.accs = l.accs[1:]
-		l.n.wake(w)
-	}
+	l.accs.wakeOne()
 }
 
-func (l *StreamListener) parked() int { return len(l.accs) }
+func (l *StreamListener) parked() int { return l.accs.parked() }
 
 // deliverDgram implements portSink for UDP-backed listeners.
 func (l *StreamListener) deliverDgram(src netip.AddrPort, payload []byte) {
@@ -307,20 +244,7 @@ func (l *StreamListener) Accept() (net.Conn, error) {
 		if l.closed {
 			return nil, net.ErrClosed
 		}
-		w.parked = true
-		w.gen++
-		l.accs = append(l.accs, w)
-		l.n.await(w)
-		l.unregisterAcceptor(w)
-	}
-}
-
-func (l *StreamListener) unregisterAcceptor(w *waiter) {
-	for i, a := range l.accs {
-		if a == w {
-			l.accs = append(l.accs[:i], l.accs[i+1:]...)
-			return
-		}
+		l.accs.park(w)
 	}
 }
 
@@ -333,10 +257,7 @@ func (l *StreamListener) Close() error {
 		return nil
 	}
 	l.closed = true
-	for _, w := range l.accs {
-		l.n.wake(w)
-	}
-	l.accs = nil
+	l.accs.wakeAll()
 	if l.dereg != nil {
 		l.dereg()
 	}
@@ -417,4 +338,3 @@ func (n *Net) DialStream(node *netem.Node, remote netip.AddrPort) (*StreamConn, 
 func streamAddr(ap netip.AddrPort) net.Addr {
 	return net.TCPAddrFromAddrPort(ap)
 }
-

@@ -15,7 +15,7 @@ import (
 const ephemeralBase = 40000
 
 // defaultQueueCap bounds a conn's inbound datagram queue; arrivals
-// beyond it are counted and dropped, like a full socket buffer.
+// beyond it are dropped, like a full socket buffer.
 const defaultQueueCap = 1024
 
 // portSink receives demultiplexed datagrams for one local UDP port.
@@ -30,7 +30,6 @@ type portSink interface {
 // destination port, shim packets to the attached endhost, and anything
 // else to the fallback handler the node had before binding.
 type nodeBind struct {
-	n        *Net
 	node     *netem.Node
 	ports    map[uint16]portSink
 	shim     netem.Handler // ProtoShim packets (endhost.HandlePacket)
@@ -43,7 +42,7 @@ func (n *Net) bind(node *netem.Node) *nodeBind {
 	if b, ok := n.binds[node]; ok {
 		return b
 	}
-	b := &nodeBind{n: n, node: node, ports: make(map[uint16]portSink), nextPort: ephemeralBase}
+	b := &nodeBind{node: node, ports: make(map[uint16]portSink), nextPort: ephemeralBase}
 	n.binds[node] = b
 	node.SetHandler(b.handle)
 	return b
@@ -138,16 +137,13 @@ type dgram struct {
 // the conn is closed. Writes never block: the datagram is injected into
 // the simulator at the current virtual instant.
 type UDPConn struct {
-	n       *Net
-	b       *nodeBind
-	port    uint16
-	remote  netip.AddrPort // zero unless connected
-	queue   []dgram
-	readers []*waiter
-	rdDl    time.Time
-	closed  bool
-	drops   uint64
-	qcap    int
+	waitq  // blocked readers; its n is the conn's Net
+	b      *nodeBind
+	port   uint16
+	remote netip.AddrPort // zero unless connected
+	queue  []dgram
+	closed bool
+	qcap   int
 }
 
 // ListenUDP binds a datagram conn to port on node (0 picks an ephemeral
@@ -157,7 +153,7 @@ func (n *Net) ListenUDP(node *netem.Node, port uint16) (*UDPConn, error) {
 	n.lock()
 	defer n.mu.Unlock()
 	b := n.bind(node)
-	c := &UDPConn{n: n, b: b, qcap: defaultQueueCap}
+	c := &UDPConn{waitq: waitq{n: n}, b: b, qcap: defaultQueueCap}
 	p, err := b.allocPort(port, c)
 	if err != nil {
 		return nil, err
@@ -186,22 +182,10 @@ func (c *UDPConn) deliverDgram(src netip.AddrPort, payload []byte) {
 		return
 	}
 	if len(c.queue) >= c.qcap {
-		c.drops++
 		return
 	}
 	c.queue = append(c.queue, dgram{src: src, data: append([]byte(nil), payload...)})
-	if len(c.readers) > 0 {
-		w := c.readers[0]
-		c.readers = c.readers[1:]
-		c.n.wake(w)
-	}
-}
-
-func (c *UDPConn) parked() int { return len(c.readers) }
-
-// dlExpired reports whether the read deadline has passed in virtual time.
-func (c *UDPConn) dlExpired() bool {
-	return !c.rdDl.IsZero() && !c.n.sim.Now().Before(c.rdDl)
+	c.wakeOne()
 }
 
 // ReadFrom implements net.PacketConn. It blocks in virtual time.
@@ -219,28 +203,10 @@ func (c *UDPConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		if c.closed {
 			return 0, nil, net.ErrClosed
 		}
-		if c.dlExpired() {
+		if c.expired() {
 			return 0, nil, os.ErrDeadlineExceeded
 		}
-		w.parked = true
-		w.gen++
-		if !c.rdDl.IsZero() {
-			c.n.parkTimer(w, c.rdDl)
-		}
-		c.readers = append(c.readers, w)
-		c.n.await(w)
-		c.unregisterReader(w)
-	}
-}
-
-// unregisterReader drops w from the parked-reader list after a wake that
-// may not have come through deliverDgram (deadline, close, spurious).
-func (c *UDPConn) unregisterReader(w *waiter) {
-	for i, r := range c.readers {
-		if r == w {
-			c.readers = append(c.readers[:i], c.readers[i+1:]...)
-			return
-		}
+		c.park(w)
 	}
 }
 
@@ -289,10 +255,7 @@ func (c *UDPConn) Close() error {
 	}
 	c.closed = true
 	delete(c.b.ports, c.port)
-	for _, w := range c.readers {
-		c.n.wake(w)
-	}
-	c.readers = nil
+	c.wakeAll()
 	return nil
 }
 
@@ -307,35 +270,6 @@ func (c *UDPConn) RemoteAddr() net.Addr {
 		return nil
 	}
 	return net.UDPAddrFromAddrPort(c.remote)
-}
-
-// SetDeadline implements net.Conn. Deadlines are in virtual time.
-func (c *UDPConn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
-
-// SetReadDeadline implements net.Conn in virtual time: a deadline in the
-// virtual past (including net/http's "aLongTimeAgo") immediately unblocks
-// pending reads with os.ErrDeadlineExceeded.
-func (c *UDPConn) SetReadDeadline(t time.Time) error {
-	c.n.lock()
-	defer c.n.mu.Unlock()
-	c.rdDl = t
-	// Wake every parked reader so it re-evaluates against the new
-	// deadline (re-parking with a fresh timer if still unexpired).
-	for _, w := range c.readers {
-		c.n.wake(w)
-	}
-	return nil
-}
-
-// SetWriteDeadline implements net.Conn; writes never block, so it is a
-// no-op.
-func (c *UDPConn) SetWriteDeadline(time.Time) error { return nil }
-
-// Drops reports inbound datagrams discarded due to a full queue.
-func (c *UDPConn) Drops() uint64 {
-	c.n.lock()
-	defer c.n.mu.Unlock()
-	return c.drops
 }
 
 // toAddrPort converts a net.Addr to netip.AddrPort.

@@ -3,8 +3,9 @@
 // with *net.UDPConn's four methods (Conn). Each sentence names its test.
 //
 // Registration. A peer owns an inner IPv4 address. It registers the UDP
-// endpoint that address is reached at with a control frame, 0x00 ‖ IPv4
-// (RegisterFrame; TestControlFrameRegisters), or by sending a packet the
+// endpoint that address is reached at with a control frame, exactly the
+// five bytes 0x00 ‖ IPv4 (RegisterFrame; TestControlFrameRegisters), or
+// by sending a packet the
 // neutralizer serves: the loop learns the inner source only after
 // ProcessScratch accepted the packet, so truncated, stale or garbage
 // datagrams teach it nothing (TestRefusedDatagramTeachesNothing). The
@@ -172,7 +173,7 @@ func (t *Tunnel) worker(cache *core.SessionCacheMetrics) error {
 		}
 		for _, d := range in[:n] {
 			pkt := d.buf[:d.n]
-			if len(pkt) >= 5 && pkt[0] == 0x00 {
+			if len(pkt) == 5 && pkt[0] == 0x00 { // exactly a RegisterFrame; anything longer is a packet
 				t.register(netip.AddrFrom4([4]byte(pkt[1:5])), d.from)
 				continue
 			}

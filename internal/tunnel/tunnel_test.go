@@ -278,7 +278,9 @@ func TestUnknownDestinationDropped(t *testing.T) {
 
 // A datagram the neutralizer refuses must not move anybody's endpoint:
 // Eve sends a bare header, a truncated packet and a stale-epoch packet,
-// all carrying the outside host's inner source.
+// all carrying the outside host's inner source, then 1400 zero bytes and
+// 1400 bytes that open like a control frame for an address of her own —
+// a control frame is five bytes, so both are packets, and malformed.
 func TestRefusedDatagramTeachesNothing(t *testing.T) {
 	e := env(t)
 	stale, err := benchenv.DataPacket(e.Sched, e.Epoch+5, outside, anycast, customer, e.Nonce, [8]byte{1}, nil)
@@ -291,9 +293,11 @@ func TestRefusedDatagramTeachesNothing(t *testing.T) {
 		dgram{epEve, e.DataPkt[:wire.IPv4HeaderLen]},
 		dgram{epEve, e.DataPkt[:len(e.DataPkt)-70]},
 		dgram{epEve, stale},
+		dgram{epEve, make([]byte, 1400)},
+		dgram{epEve, append(RegisterFrame(netip.MustParseAddr("203.0.113.66")), make([]byte, 1395)...)},
 		dgram{epCust, e.ReturnPkt})
-	if metric(t, snap, `core_drops_total{reason="malformed"}`) != 2 || metric(t, snap, `core_drops_total{reason="stale_epoch"}`) != 1 {
-		t.Fatal("the three hostile datagrams were not refused as malformed, malformed, stale")
+	if metric(t, snap, `core_drops_total{reason="malformed"}`) != 4 || metric(t, snap, `core_drops_total{reason="stale_epoch"}`) != 1 {
+		t.Fatal("the five hostile datagrams were not refused as four malformed and one stale")
 	}
 	if len(out) != 2 || out[1].peer != epOut {
 		t.Fatalf("return traffic after refused datagrams: %v", out)

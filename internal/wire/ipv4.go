@@ -9,9 +9,7 @@ import (
 
 // IP protocol numbers used by this system.
 const (
-	ProtoICMP uint8 = 1
-	ProtoTCP  uint8 = 6
-	ProtoUDP  uint8 = 17
+	ProtoUDP uint8 = 17
 	// ProtoShim is the IP protocol number carried by neutralized packets.
 	// The paper fixes "a known value" for the shim; we use 253, reserved
 	// for experimentation and testing by RFC 3692.
