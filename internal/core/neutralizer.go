@@ -13,13 +13,13 @@
 // counters.
 //
 // What a worker holds is a different matter. Each Scratch carries a
-// bounded, fixed-size cache — an 8 KB table of at most 512 crypto/aes
-// ciphers of about 0.5 KB each, under 300 KB when full — from (epoch,
-// nonce, srcIP) to a cipher keyed with Ks, so a packet of an established
-// flow skips the derivation and the key expansion and pays one hardware
-// AES block operation, constant-time; a flow's first packets key a
-// software AES in the scratch instead (aesutil.ExpandedKey: no
-// allocation, not constant-time). Every value in the cache is a pure
+// bounded, fixed-size cache — at most 512 AES key schedules
+// (aesutil.ExpandedKey) of 384 bytes each, under 200 KB when full — from
+// (epoch, nonce, srcIP) to the schedule of Ks, so a packet of an
+// established flow skips the derivation and the key expansion and pays
+// one AES block operation; a flow's first packets expand the same kind of
+// schedule in the scratch and run the same AES on it (the CPU's AES
+// instructions on amd64: constant-time). Every value in the cache is a pure
 // function of the packet and KM: it is never authoritative, a miss (or
 // another worker, or a restarted one) recomputes the same bytes, and
 // nothing enters it before the neutralizer has verified and served a
@@ -286,20 +286,20 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 // scratch's cache), decrypt the hidden destination, verify it is a
 // customer, and forward with the shim rewritten — stamping a fresh key
 // grant if requested. Zero allocations on the success path, but for the
-// one cipher the cache allocates when it admits a flow (its second served
-// packet): a miss derives the session key under the cached epoch cipher
-// and decrypts with a re-keyable software schedule the scratch owns.
+// schedule a cache way allocates the first time a flow is admitted to it:
+// a miss derives the session key under the cached epoch cipher and
+// expands it into a schedule the scratch owns.
 func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) error {
 	now := n.cfg.Clock()
 	if !n.cfg.Schedule.Acceptable(sh.Epoch, now) {
 		n.stats.DropStaleEpoch.Add(1)
 		return ErrStaleEpoch
 	}
-	k, err := n.sessionKey(s, sh.Epoch, sh.Nonce, ip.Src)
+	ek, err := n.sessionKey(s, sh.Epoch, sh.Nonce, ip.Src)
 	if err != nil {
 		return err
 	}
-	dst, ok := k.decryptAddr(sh.HiddenAddr)
+	dst, _, ok := ek.DecryptAddrX(sh.HiddenAddr)
 	if !ok {
 		n.stats.DropBadAddrBlock.Add(1)
 		return ErrBadAddrBlock
@@ -331,7 +331,7 @@ func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) er
 	if err := s.emit(ip.Src, dst, ip.TOS, out, sh.Payload()); err != nil {
 		return err
 	}
-	s.admitSession()
+	s.admitSession(ek)
 	n.stats.DataForwarded.Add(1)
 	return nil
 }
@@ -353,14 +353,14 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 		return ErrStaleEpoch
 	}
 	initiator := sh.ClearAddr
-	k, err := n.sessionKey(s, sh.Epoch, sh.Nonce, initiator)
+	ek, err := n.sessionKey(s, sh.Epoch, sh.Nonce, initiator)
 	if err != nil {
 		return err
 	}
 	if _, err := io.ReadFull(n.cfg.Rand, s.salt[:]); err != nil {
 		return fmt.Errorf("core: reading salt: %w", err)
 	}
-	hidden, ok := k.encryptAddr(ip.Src, s.salt)
+	hidden, ok := ek.EncryptAddrX(ip.Src, s.salt)
 	if !ok {
 		return fmt.Errorf("aesutil: address %v is not IPv4", ip.Src)
 	}
@@ -383,7 +383,7 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 	if err := s.emit(visibleSrc, initiator, ip.TOS, out, sh.Payload()); err != nil {
 		return err
 	}
-	s.admitSession()
+	s.admitSession(ek)
 	n.stats.ReturnForwarded.Add(1)
 	return nil
 }

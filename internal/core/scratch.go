@@ -3,6 +3,7 @@ package core
 import (
 	"net/netip"
 
+	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/crypto/keys"
 	"netneutral/internal/shim"
 	"netneutral/internal/wire"
@@ -11,7 +12,7 @@ import (
 // Scratch holds the per-worker reusable state of the zero-allocation
 // processing path: decoded-layer structs, the session-key derivation and
 // AES working state, a ring of output packet buffers, and a bounded cache
-// of session-key ciphers (see sessionCache) that lets the packets of an
+// of session-key schedules (see sessionCache) that lets the packets of an
 // established flow skip the derivation and the AES key expansion. The
 // cache holds nothing a packet and KM do not determine: a fresh Scratch,
 // or another worker's, produces the same bytes a warm one does, only
@@ -20,9 +21,10 @@ import (
 // is the whole point of the design). It may serve several Neutralizers in
 // turn; the cache starts over whenever the master-key schedule changes.
 type Scratch struct {
-	kw   keys.Work
-	key  sessKey // the session key of the packet in hand
-	salt [8]byte
+	kw    keys.Work
+	ek    aesutil.ExpandedKey // a cache miss expands the packet's session key here
+	probe sessProbe           // and leaves what admitting it needs here
+	salt  [8]byte
 
 	ip  wire.IPv4
 	sh  shim.Header

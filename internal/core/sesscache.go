@@ -10,14 +10,15 @@ import (
 	"netneutral/internal/crypto/keys"
 )
 
-// Session-key cache geometry: 64 sets × 8 ways of crypto/aes ciphers —
-// an 8 KB table of interface values, allocated when a flow first repeats,
-// each entry a ~0.5 KB heap object allocated when its flow is admitted —
-// over 8 KB of tags and 2.3 KB of per-set probe state with the doorkeeper
-// in it. A scratch therefore holds what its established flows need, 264 KB
-// if all 512 ways fill (PR 15's slab of software schedules was 182 KB from
-// the first admission on). Chosen on alternating 15 s parent/change pairs
-// of `go run ./benchmark` (PR 15, 2-vCPU host):
+// Session-key cache geometry: 64 sets × 8 ways of AES key schedules
+// (aesutil.ExpandedKey) — a 4 KB table of pointers, allocated when a flow
+// first repeats, each schedule a 384-byte heap object allocated the first
+// time its way is filled and overwritten in place afterwards — over 8 KB of
+// tags and 2.3 KB of per-set probe state with the doorkeeper in it. A
+// scratch therefore holds what its established flows need, 196 KB if all
+// 512 ways fill (264 KB while the ways held standard-library ciphers, PR 20).
+// Chosen on alternating 15 s parent/change pairs of `go run ./benchmark`
+// (PR 15, 2-vCPU host):
 //
 //   - Ways. 64 round-robin flows (core-flows, daemon-echo) overflow some
 //     2-way set of 256 in about one scratch in two, and some 4-way set of
@@ -28,8 +29,8 @@ import (
 //     core-flows cost_x read 0.809 → 0.382–0.398 in 20 of 20 pairs.
 //   - Size. No workload here has a worker see more than 512 established
 //     flows at once. sim-backbone's 16 border scratches hold one or two
-//     flows each: peak_rss_mb read 70.6 → 68.0 MB in 6 of 6 pairs with the ciphers
-//     allocated per flow (PR 20; the slabs had added 4.4 % in PR 15).
+//     flows each: peak_rss_mb read 70.6 → 68.0 MB in 6 of 6 pairs with the
+//     entries allocated per flow (PR 20; the slabs had added 4.4 % in PR 15).
 //   - Layout. The probe is what one-packet flows pay (core-churn, hit
 //     ratio 0): with tags, doorkeeper and live bits interleaved per set
 //     (10.7 KB walked at random) core-churn cost_x read +3.1 % against the
@@ -45,9 +46,9 @@ const (
 
 // SessionCacheStats counts the outcomes of a Scratch's session-key cache.
 type SessionCacheStats struct {
-	Hits       uint64 // packets served by a cached cipher
+	Hits       uint64 // packets served by a cached schedule
 	Misses     uint64 // packets that derived and expanded their key
-	Admissions uint64 // ciphers keyed and stored after a flow's second served miss
+	Admissions uint64 // schedules stored after a flow's second served miss
 	Evictions  uint64 // admissions that replaced a live entry
 }
 
@@ -60,7 +61,7 @@ type sessTag struct {
 
 // sessSet is what every probe of a set reads and a served miss writes:
 // 36 bytes, kept apart from the tags (read only where live says there is
-// one to compare) and from the ciphers (read only on a hit), so traffic
+// one to compare) and from the schedules (read only on a hit), so traffic
 // that never repeats walks 2 KB, not the whole cache.
 type sessSet struct {
 	live  uint8 // bit w set: way w holds an entry
@@ -74,16 +75,14 @@ type sessSet struct {
 }
 
 // sessProbe is what a missed lookup leaves for admit, so the tag is
-// built and hashed once per packet; sessionKey adds the key the miss
-// derived.
+// built and hashed once per packet.
 type sessProbe struct {
 	tag sessTag
 	h   uint64
-	ks  aesutil.Key
 }
 
-// sessionCache maps (epoch, nonce, src) to a crypto/aes cipher keyed with
-// the session key. It is soft state and never authoritative: every value
+// sessionCache maps (epoch, nonce, src) to the AES schedule of the
+// session key. It is soft state and never authoritative: every value
 // is a pure function of its tag and the master-key schedule, a miss
 // recomputes it, and losing the whole cache costs one recomputation per
 // flow. Owner-only, like the Scratch it lives in.
@@ -97,11 +96,12 @@ type sessionCache struct {
 	seed  [2]uint64
 	sets  [sessSets]sessSet
 	tags  [sessSets][sessWays]sessTag
-	blks  [][sessWays]aesutil.Block // [set][way]; allocated at the first admission
+	blks  [][sessWays]*aesutil.ExpandedKey // [set][way]; made at the first admission, a schedule when its way first fills
 	stats SessionCacheStats
 }
 
-// rebind empties the cache and binds it to sched.
+// rebind empties the cache and binds it to sched; the ways keep their
+// schedules for the next entries to overwrite.
 func (c *sessionCache) rebind(sched *keys.Schedule) {
 	c.sched = sched
 	c.sets = [sessSets]sessSet{}
@@ -112,16 +112,16 @@ func (c *sessionCache) rebind(sched *keys.Schedule) {
 	c.seed = [2]uint64{binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:])}
 }
 
-// lookup returns the cached cipher for the session, or an invalid Block
-// with p readied for admit once the packet has been served. The caller
-// has already checked that epoch is inside the acceptance window.
-func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr, p *sessProbe) aesutil.Block {
+// lookup returns the cached schedule for the session, or nil with p
+// readied for admit once the packet has been served. The caller has
+// already checked that epoch is inside the acceptance window.
+func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr, p *sessProbe) *aesutil.ExpandedKey {
 	if c.sched != sched {
 		c.rebind(sched)
 	}
 	if !src.Is4() {
 		c.stats.Misses++
-		return aesutil.Block{} // the derivation refuses it; nothing to admit
+		return nil // the derivation refuses it; nothing to admit
 	}
 	a4 := src.As4()
 	tag := sessTag{nonce: binary.BigEndian.Uint64(nonce[:]), src: binary.BigEndian.Uint32(a4[:]), epoch: epoch}
@@ -138,15 +138,17 @@ func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys
 	}
 	c.stats.Misses++
 	p.tag, p.h = tag, h
-	return aesutil.Block{}
+	return nil
 }
 
-// admit offers the session a missed lookup went on to derive. Call it
-// only after the packet has been served — address block verified, customer
-// checks passed, output emitted — so that traffic the neutralizer refuses
-// never writes here. Keying the cipher (aesutil.NewBlock) is the cache's
-// one allocation per admitted flow; a first sighting writes four bytes.
-func (c *sessionCache) admit(p *sessProbe) {
+// admit offers the session a missed lookup went on to derive, with the
+// schedule ek the miss expanded. Call it only after the packet has been
+// served — address block verified, customer checks passed, output
+// emitted — so that traffic the neutralizer refuses never writes here. A
+// first sighting writes four bytes; an admission copies ek, whichever
+// halves the packet derived, into the way's own schedule, allocated the
+// first time the way is filled and never again.
+func (c *sessionCache) admit(p *sessProbe, ek *aesutil.ExpandedKey) {
 	si := p.h % sessSets
 	set := &c.sets[si]
 	fp := uint32(p.h>>32) | 1 // never an empty slot's zero
@@ -160,7 +162,7 @@ func (c *sessionCache) admit(p *sessProbe) {
 		return
 	}
 	if c.blks == nil {
-		c.blks = make([][sessWays]aesutil.Block, sessSets)
+		c.blks = make([][sessWays]*aesutil.ExpandedKey, sessSets)
 	}
 	w := bits.TrailingZeros8(^set.live) // the first empty way
 	if w >= sessWays {
@@ -170,66 +172,36 @@ func (c *sessionCache) admit(p *sessProbe) {
 	}
 	c.tags[si][w] = p.tag
 	set.live |= 1 << w
-	c.blks[si][w] = aesutil.NewBlock(p.ks)
+	if c.blks[si][w] == nil {
+		c.blks[si][w] = new(aesutil.ExpandedKey)
+	}
+	*c.blks[si][w] = *ek
 	c.stats.Admissions++
 }
 
-// sessKey is the session key of the packet in hand, in whichever form the
-// lookup left it: a cached crypto/aes cipher (one hardware block
-// operation, constant-time) or, on a miss, the software schedule just
-// expanded from the derived key. Which of the two AES implementations runs
-// is decided here and nowhere else, by whether the flow has been seen
-// before. One per Scratch, overwritten by every packet.
-type sessKey struct {
-	blk   aesutil.Block       // valid on a hit
-	ab    aesutil.AddrScratch // a hit's block operation works here
-	soft  aesutil.ExpandedKey // a miss expands into this
-	probe sessProbe           // a miss: what admit needs
-}
-
-// sessionKey returns Ks = hash(KM, nonce, src) ready for the packet's one
-// address-block operation: the scratch's cached cipher when the session
-// has one, else derived from the packet's own fields and expanded in
-// software. Callers check the epoch window first, and offer a derived key
-// to the cache (admitSession) only once the packet has been served.
-func (n *Neutralizer) sessionKey(s *Scratch, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr) (*sessKey, error) {
-	k := &s.key
-	k.blk = s.sess.lookup(n.cfg.Schedule, epoch, nonce, src, &k.probe)
-	if k.blk.Valid() {
-		return k, nil
+// sessionKey returns Ks = hash(KM, nonce, src) as an AES schedule, ready
+// for the packet's one address-block operation: the scratch's cached one
+// when the session has one, else derived from the packet's own fields and
+// expanded into the scratch's own. The same AES runs either way. Callers
+// check the epoch window first, and offer the schedule to the cache
+// (admitSession) only once the packet has been served.
+func (n *Neutralizer) sessionKey(s *Scratch, epoch keys.Epoch, nonce keys.Nonce, src netip.Addr) (*aesutil.ExpandedKey, error) {
+	if ek := s.sess.lookup(n.cfg.Schedule, epoch, nonce, src, &s.probe); ek != nil {
+		return ek, nil
 	}
 	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, epoch, nonce, src)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
 		return nil, err
 	}
-	k.probe.ks = ks
-	k.soft.Expand(ks)
-	return k, nil
+	s.ek.Expand(ks)
+	return &s.ek, nil
 }
 
-// decryptAddr opens a hidden address block under the session key.
-func (k *sessKey) decryptAddr(ct aesutil.AddrBlock) (a netip.Addr, ok bool) {
-	if k.blk.Valid() {
-		a, _, ok = k.blk.DecryptAddrS(&k.ab, ct)
-	} else {
-		a, _, ok = k.soft.DecryptAddrX(ct)
-	}
-	return a, ok
-}
-
-// encryptAddr seals a under the session key.
-func (k *sessKey) encryptAddr(a netip.Addr, salt [8]byte) (aesutil.AddrBlock, bool) {
-	if k.blk.Valid() {
-		return k.blk.EncryptAddrS(&k.ab, a, salt)
-	}
-	return k.soft.EncryptAddrX(a, salt)
-}
-
-// admitSession offers the key sessionKey had to derive for the packet
-// just served, if it did, to the cache.
-func (s *Scratch) admitSession() {
-	if !s.key.blk.Valid() {
-		s.sess.admit(&s.key.probe)
+// admitSession offers the schedule sessionKey returned for the packet
+// just served to the cache, if it is one sessionKey had to derive.
+func (s *Scratch) admitSession(ek *aesutil.ExpandedKey) {
+	if ek == &s.ek {
+		s.sess.admit(&s.probe, ek)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	mathrand "math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -411,9 +412,11 @@ func TestSessionCacheWarmReturnMatchesFresh(t *testing.T) {
 // TestSessionCacheZeroAllocExceptAdmission pins what the cache may
 // allocate and when: nothing for traffic the neutralizer refuses (stale
 // epoch, forged block, non-customer destination, truncated) or serves
-// once (a one-packet flow leaves four bytes in a doorkeeper); one object —
-// the flow's crypto/aes cipher — for the packet that admits a flow, its
-// second served one; and nothing for that flow afterwards.
+// once (a one-packet flow leaves four bytes in a doorkeeper); one object of
+// at most 384 bytes — the way's AES schedule — for the packet that admits
+// a flow, its second served one, into a way never filled before; nothing
+// for that flow afterwards; and nothing for an admission that evicts, which
+// overwrites the schedule the way already has.
 func TestSessionCacheZeroAllocExceptAdmission(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -427,7 +430,7 @@ func TestSessionCacheZeroAllocExceptAdmission(t *testing.T) {
 		}
 	}
 	// Warm up: the output ring, the epoch cipher, and — by admitting one
-	// flow — the cache's table of ciphers.
+	// flow — the cache's table of schedules.
 	f0 := mkFlow(t, sched, 0, 0)
 	for i := 0; i < 3; i++ {
 		serve(f0.data(t, f0.ks, googAddr), nil)
@@ -468,13 +471,19 @@ func TestSessionCacheZeroAllocExceptAdmission(t *testing.T) {
 		t.Errorf("refused packets and one-packet flows moved the cache: %+v", d)
 	}
 	next = 0
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	d = cacheDelta(s, func() {
 		if a := testing.AllocsPerRun(runs, func() { serve(twice[next], nil); next++ }); a != 1 {
-			t.Errorf("the packet that admits a flow allocates %v objects, want 1 (its cipher)", a)
+			t.Errorf("the packet that admits a flow to a fresh way allocates %v objects, want 1 (the way's schedule)", a)
 		}
 	})
-	if d.Admissions != runs+1 {
-		t.Errorf("%d second sightings, %d admissions", runs+1, d.Admissions)
+	runtime.ReadMemStats(&m1)
+	if d.Admissions != runs+1 || d.Evictions != 0 {
+		t.Errorf("%d second sightings: %+v", runs+1, d)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1); per > 384 {
+		t.Errorf("a way's schedule is a %d-byte object, want at most 384", per)
 	}
 	next = 0
 	d = cacheDelta(s, func() {
@@ -484,5 +493,41 @@ func TestSessionCacheZeroAllocExceptAdmission(t *testing.T) {
 	})
 	if d.Hits != runs+1 {
 		t.Errorf("admitted flows: %+v, want %d hits", d, runs+1)
+	}
+	// Fill every way, then admit more: each admission evicts, and refills
+	// the evicted way's schedule by copy.
+	filled := func() (n int) {
+		for si := range s.sess.blks {
+			for _, ek := range s.sess.blks[si] {
+				if ek != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	i := 2000
+	for ; filled() < sessSets*sessWays && i < 30000; i++ {
+		f := mkFlow(t, sched, 0, i)
+		pkt := f.data(t, f.ks, googAddr)
+		serve(pkt, nil)
+		serve(pkt, nil)
+	}
+	if filled() != sessSets*sessWays {
+		t.Fatalf("%d of %d ways filled after %d flows", filled(), sessSets*sessWays, i-2000)
+	}
+	for j := range twice {
+		g := mkFlow(t, sched, 0, 40000+j)
+		twice[j] = g.data(t, g.ks, googAddr)
+		serve(twice[j], nil) // first sighting
+	}
+	next = 0
+	d = cacheDelta(s, func() {
+		if a := testing.AllocsPerRun(runs, func() { serve(twice[next], nil); next++ }); a != 0 {
+			t.Errorf("an admission into an evicted way allocates %v, want 0", a)
+		}
+	})
+	if d.Admissions != runs+1 || d.Evictions != runs+1 {
+		t.Errorf("%d second sightings on a full cache: %+v, want as many admissions and evictions", runs+1, d)
 	}
 }

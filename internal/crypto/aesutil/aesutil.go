@@ -99,23 +99,26 @@ func (pt *AddrBlock) open() (a netip.Addr, salt [8]byte, ok bool) {
 }
 
 // EncryptAddr encrypts addr into a single AES block under key using the
-// given per-packet salt. One AES operation after an aes.NewCipher: the
-// end hosts' and the test oracles' form, not the data path's.
+// given per-packet salt: a key expansion and one AES operation on a stack
+// schedule. The end hosts' and the test oracles' form; the data path
+// keeps its ExpandedKey.
 func EncryptAddr(key Key, a netip.Addr, salt [8]byte) (AddrBlock, error) {
-	var w AddrScratch
-	ct, ok := NewBlock(key).EncryptAddrS(&w, a, salt)
+	var ek ExpandedKey
+	ek.Expand(key)
+	ct, ok := ek.EncryptAddrX(a, salt)
 	if !ok {
 		return AddrBlock{}, fmt.Errorf("aesutil: address %v is not IPv4", a)
 	}
 	return ct, nil
 }
 
-// DecryptAddr reverses EncryptAddr and validates the check value. One AES
-// operation. A failed check means the wrong key was used (e.g. a forged or
-// stale nonce) or the block was corrupted.
+// DecryptAddr reverses EncryptAddr and validates the check value. A failed
+// check means the wrong key was used (e.g. a forged or stale nonce) or the
+// block was corrupted.
 func DecryptAddr(key Key, ct AddrBlock) (netip.Addr, [8]byte, error) {
-	var w AddrScratch
-	a, salt, ok := NewBlock(key).DecryptAddrS(&w, ct)
+	var ek ExpandedKey
+	ek.Expand(key)
+	a, salt, ok := ek.DecryptAddrX(ct)
 	if !ok {
 		return netip.Addr{}, [8]byte{}, ErrCheckFailed
 	}
@@ -159,9 +162,6 @@ func NewBlock(key Key) Block {
 	return Block{c: block}
 }
 
-// Valid reports whether the block has been initialized.
-func (b Block) Valid() bool { return b.c != nil }
-
 // MACScratch holds the working state of a CBCMACScratch computation.
 // Passing buffers through the cipher.Block interface makes them escape to
 // the heap, so they must live in reusable, caller-owned storage for the
@@ -176,10 +176,7 @@ type MACScratch struct {
 // expansion. data must also live in caller-amortized storage for the call
 // to be allocation-free.
 func (b Block) CBCMACScratch(w *MACScratch, data []byte) Key {
-	w.mac = [BlockSize]byte{}
-	binary.BigEndian.PutUint64(w.mac[:8], uint64(len(data)))
-	b.c.Encrypt(w.mac[:], w.mac[:])
-	return b.absorb(w, data)
+	return b.CBCMACFrom(w, b.CBCMACPrefix(len(data)), data)
 }
 
 // CBCMACPrefix returns the chaining value CBCMACScratch holds after the
@@ -217,28 +214,72 @@ func (b Block) absorb(w *MACScratch, data []byte) Key {
 	return Key(w.mac)
 }
 
-// AddrScratch holds the in and out blocks of an address-block operation on
-// a Block, in caller-owned storage for the same reason as MACScratch. One
-// per worker.
-type AddrScratch struct {
-	in, out AddrBlock
+// ExpandedKey is a caller-owned AES-128 key schedule: the session-key AES
+// of the data path, a flow's first packet and its thousandth alike. Expand
+// may be called any number of times to re-key in place, the block
+// operations touch nothing but their arguments, and none of it allocates.
+// The zero value is NOT usable until the first Expand. The decryption
+// schedule is derived lazily on the first DecryptBlock after a re-key, so
+// encrypt-only users (the return path) pay half the expansion cost.
+//
+// On amd64 with the AES instructions the body is aes_amd64.s (constant
+// time, round keys in memory order); elsewhere, and under the purego tag,
+// softaes.go (big-endian words). A process runs one of the two.
+type ExpandedKey struct {
+	enc    [44]uint32
+	dec    [44]uint32
+	hasDec bool
 }
 
-// EncryptAddrS is EncryptAddr under the wrapped key: one hardware AES
-// block operation, no key expansion and no allocation. ok is false when a
-// is not IPv4.
-func (b Block) EncryptAddrS(w *AddrScratch, a netip.Addr, salt [8]byte) (ct AddrBlock, ok bool) {
-	if !w.in.seal(a, salt) {
+// Expand (re)keys the schedule in place.
+func (e *ExpandedKey) Expand(key Key) {
+	if !hasAESNI {
+		e.expandSoft(key)
+		return
+	}
+	expandEnc(&e.enc, &key)
+	e.hasDec = false
+}
+
+// EncryptBlock encrypts one 16-byte block (dst and src may alias).
+func (e *ExpandedKey) EncryptBlock(dst, src *[16]byte) {
+	if !hasAESNI {
+		e.encryptSoft(dst, src)
+		return
+	}
+	encryptBlock(&e.enc, dst, src)
+}
+
+// DecryptBlock decrypts one 16-byte block (dst and src may alias).
+func (e *ExpandedKey) DecryptBlock(dst, src *[16]byte) {
+	if !hasAESNI {
+		e.decryptSoft(dst, src)
+		return
+	}
+	if !e.hasDec {
+		expandDec(&e.dec, &e.enc)
+		e.hasDec = true
+	}
+	decryptBlock(&e.dec, dst, src)
+}
+
+// EncryptAddrX is EncryptAddr on a pre-expanded key: one AES block
+// operation and no allocation. The expanded key must hold the session key
+// Ks the block is bound to. ok is false when a is not IPv4.
+func (e *ExpandedKey) EncryptAddrX(a netip.Addr, salt [8]byte) (ct AddrBlock, ok bool) {
+	var pt AddrBlock
+	if !pt.seal(a, salt) {
 		return AddrBlock{}, false
 	}
-	b.c.Encrypt(w.out[:], w.in[:])
-	return w.out, true
+	e.EncryptBlock((*[16]byte)(&ct), (*[16]byte)(&pt))
+	return ct, true
 }
 
-// DecryptAddrS is DecryptAddr under the wrapped key, on the same terms as
-// EncryptAddrS. ok is false when the check value mismatches.
-func (b Block) DecryptAddrS(w *AddrScratch, ct AddrBlock) (a netip.Addr, salt [8]byte, ok bool) {
-	w.in = ct
-	b.c.Decrypt(w.out[:], w.in[:])
-	return w.out.open()
+// DecryptAddrX is DecryptAddr on a pre-expanded key: one AES block
+// operation and no allocation. ok is false when the check value mismatches
+// (wrong key, forged nonce, or corrupted block).
+func (e *ExpandedKey) DecryptAddrX(ct AddrBlock) (a netip.Addr, salt [8]byte, ok bool) {
+	var pt AddrBlock
+	e.DecryptBlock((*[16]byte)(&pt), (*[16]byte)(&ct))
+	return pt.open()
 }

@@ -1,46 +1,15 @@
-// Software AES-128 with a re-keyable, caller-owned key schedule: the AES of
-// a session's first packets, and of nothing else.
+// Software AES-128 for ExpandedKey: the fallback where the CPU has no AES
+// instructions or under the purego build tag (aes_amd64.s is the body
+// that runs otherwise).
 //
-// The neutralizer derives the session key Ks from the packet itself, so a
-// packet of a flow no worker has seen before must key AES before its one
-// block operation. An established flow does not: core's session cache
-// holds a crypto/aes cipher per flow (Block; hardware AES, constant-time)
-// and a hit costs one block operation, 16–30 ns. The cache is only worth
-// filling for flows that repeat, and crypto/aes can neither be re-keyed in
-// place nor keyed without allocating: measured with go1.24.0 on the
-// 2-vCPU aes+avx2 host of PR 20, aes.NewCipher plus one block is
-// 350–450 ns and one 512-byte object per packet (three objects, 544 B,
-// 330–640 ns through the package-level EncryptAddr/DecryptAddr), against
-// 200–330 ns and no allocation for Expand plus a block here. So the two
-// implementations sit on either side of something the code observes —
-// cache hit or miss — with a benchmark workload on each (core-flows,
-// core-churn); this file is reached from the miss path, from E4's "first
-// packet" row and from the harness's layer probes.
-//
-// FIPS-197 AES-128 with the expanded key schedule stored in a
-// caller-owned ExpandedKey value: Expand writes the round keys in place
-// and the block operations touch nothing but their arguments, so a
-// per-worker scratch re-keys for every miss with zero allocations.
-//
-// The implementation is the classic four-T-table construction (the same
-// shape as crypto/aes's generic fallback). Like that fallback it is not
-// constant-time with respect to data-dependent table indices; the
-// long-term master-key KDF stays on crypto/aes (see Block), and the paper
-// already treats session keys as short-lived per-flow secrets.
+// The classic four-T-table construction, the same shape as crypto/aes's
+// generic fallback, and like it not constant-time with respect to
+// data-dependent table indices. The long-term master-key KDF is on
+// crypto/aes on every platform (see Block); the paper already treats
+// session keys as short-lived per-flow secrets.
 package aesutil
 
-import "net/netip"
-
-// ExpandedKey is a caller-owned AES-128 key schedule. Expand may be called
-// any number of times to re-key; the zero value is NOT usable until the
-// first Expand. The decryption schedule is derived lazily on the first
-// DecryptBlock after a re-key, so encrypt-only users (the return path)
-// pay half the expansion cost.
-type ExpandedKey struct {
-	enc    [44]uint32
-	dec    [44]uint32
-	hasDec bool
-}
+import "encoding/binary"
 
 const aesRounds = 10 // AES-128
 
@@ -75,15 +44,13 @@ func gmul(a, b byte) byte {
 
 func init() {
 	// S-box: multiplicative inverse in GF(2^8) followed by the affine
-	// transform (FIPS-197 §5.1.1), built by table search at init time.
+	// transform (FIPS-197 §5.1.1). 3 generates the multiplicative group
+	// and 0xf6 is its inverse, so p = 3^i against q = 3^-i visits every
+	// (x, 1/x).
 	var inv [256]byte
-	for a := 1; a < 256; a++ {
-		for b := 1; b < 256; b++ {
-			if gmul(byte(a), byte(b)) == 1 {
-				inv[a] = byte(b)
-				break
-			}
-		}
+	for p, q, i := byte(1), byte(1), 0; i < 255; i++ {
+		inv[p] = q
+		p, q = gmul(p, 3), gmul(q, 0xf6)
 	}
 	for i := 0; i < 256; i++ {
 		x := inv[i]
@@ -121,11 +88,11 @@ func subWord(w uint32) uint32 {
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
 }
 
-// Expand (re)keys the schedule in place. It performs no allocation.
-func (e *ExpandedKey) Expand(key Key) {
+// expandSoft is Expand on the tables: round keys as big-endian words.
+func (e *ExpandedKey) expandSoft(key Key) {
 	enc := &e.enc
 	for i := 0; i < 4; i++ {
-		enc[i] = uint32(key[4*i])<<24 | uint32(key[4*i+1])<<16 | uint32(key[4*i+2])<<8 | uint32(key[4*i+3])
+		enc[i] = binary.BigEndian.Uint32(key[4*i:])
 	}
 	for i := 4; i < 44; i++ {
 		t := enc[i-1]
@@ -137,10 +104,10 @@ func (e *ExpandedKey) Expand(key Key) {
 	e.hasDec = false
 }
 
-// expandDec derives the decryption schedule (equivalent inverse cipher):
+// expandDecSoft derives the decryption schedule (equivalent inverse cipher):
 // round-key groups in reverse order, InvMixColumns applied to the
 // interior rounds. td0[sbox[b]] is exactly the InvMixColumns column of b.
-func (e *ExpandedKey) expandDec() {
+func (e *ExpandedKey) expandDecSoft() {
 	enc, dec := &e.enc, &e.dec
 	for i := 0; i <= aesRounds; i++ {
 		ei := 4 * (aesRounds - i)
@@ -155,17 +122,13 @@ func (e *ExpandedKey) expandDec() {
 	e.hasDec = true
 }
 
-// EncryptBlock encrypts one 16-byte block (dst and src may alias).
-func (e *ExpandedKey) EncryptBlock(dst, src *[16]byte) {
+// encryptSoft is EncryptBlock on the tables.
+func (e *ExpandedKey) encryptSoft(dst, src *[16]byte) {
 	rk := &e.enc
-	s0 := uint32(src[0])<<24 | uint32(src[1])<<16 | uint32(src[2])<<8 | uint32(src[3])
-	s1 := uint32(src[4])<<24 | uint32(src[5])<<16 | uint32(src[6])<<8 | uint32(src[7])
-	s2 := uint32(src[8])<<24 | uint32(src[9])<<16 | uint32(src[10])<<8 | uint32(src[11])
-	s3 := uint32(src[12])<<24 | uint32(src[13])<<16 | uint32(src[14])<<8 | uint32(src[15])
-	s0 ^= rk[0]
-	s1 ^= rk[1]
-	s2 ^= rk[2]
-	s3 ^= rk[3]
+	s0 := binary.BigEndian.Uint32(src[0:]) ^ rk[0]
+	s1 := binary.BigEndian.Uint32(src[4:]) ^ rk[1]
+	s2 := binary.BigEndian.Uint32(src[8:]) ^ rk[2]
+	s3 := binary.BigEndian.Uint32(src[12:]) ^ rk[3]
 	var t0, t1, t2, t3 uint32
 	k := 4
 	for r := 1; r < aesRounds; r++ {
@@ -181,30 +144,22 @@ func (e *ExpandedKey) EncryptBlock(dst, src *[16]byte) {
 	t1 = uint32(sbox[s1>>24])<<24 | uint32(sbox[s2>>16&0xff])<<16 | uint32(sbox[s3>>8&0xff])<<8 | uint32(sbox[s0&0xff])
 	t2 = uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 | uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff])
 	t3 = uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 | uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff])
-	t0 ^= rk[40]
-	t1 ^= rk[41]
-	t2 ^= rk[42]
-	t3 ^= rk[43]
-	putWord(dst, 0, t0)
-	putWord(dst, 4, t1)
-	putWord(dst, 8, t2)
-	putWord(dst, 12, t3)
+	binary.BigEndian.PutUint32(dst[0:], t0^rk[40])
+	binary.BigEndian.PutUint32(dst[4:], t1^rk[41])
+	binary.BigEndian.PutUint32(dst[8:], t2^rk[42])
+	binary.BigEndian.PutUint32(dst[12:], t3^rk[43])
 }
 
-// DecryptBlock decrypts one 16-byte block (dst and src may alias).
-func (e *ExpandedKey) DecryptBlock(dst, src *[16]byte) {
+// decryptSoft is DecryptBlock on the tables.
+func (e *ExpandedKey) decryptSoft(dst, src *[16]byte) {
 	if !e.hasDec {
-		e.expandDec()
+		e.expandDecSoft()
 	}
 	rk := &e.dec
-	s0 := uint32(src[0])<<24 | uint32(src[1])<<16 | uint32(src[2])<<8 | uint32(src[3])
-	s1 := uint32(src[4])<<24 | uint32(src[5])<<16 | uint32(src[6])<<8 | uint32(src[7])
-	s2 := uint32(src[8])<<24 | uint32(src[9])<<16 | uint32(src[10])<<8 | uint32(src[11])
-	s3 := uint32(src[12])<<24 | uint32(src[13])<<16 | uint32(src[14])<<8 | uint32(src[15])
-	s0 ^= rk[0]
-	s1 ^= rk[1]
-	s2 ^= rk[2]
-	s3 ^= rk[3]
+	s0 := binary.BigEndian.Uint32(src[0:]) ^ rk[0]
+	s1 := binary.BigEndian.Uint32(src[4:]) ^ rk[1]
+	s2 := binary.BigEndian.Uint32(src[8:]) ^ rk[2]
+	s3 := binary.BigEndian.Uint32(src[12:]) ^ rk[3]
 	var t0, t1, t2, t3 uint32
 	k := 4
 	for r := 1; r < aesRounds; r++ {
@@ -219,40 +174,8 @@ func (e *ExpandedKey) DecryptBlock(dst, src *[16]byte) {
 	t1 = uint32(isbox[s1>>24])<<24 | uint32(isbox[s0>>16&0xff])<<16 | uint32(isbox[s3>>8&0xff])<<8 | uint32(isbox[s2&0xff])
 	t2 = uint32(isbox[s2>>24])<<24 | uint32(isbox[s1>>16&0xff])<<16 | uint32(isbox[s0>>8&0xff])<<8 | uint32(isbox[s3&0xff])
 	t3 = uint32(isbox[s3>>24])<<24 | uint32(isbox[s2>>16&0xff])<<16 | uint32(isbox[s1>>8&0xff])<<8 | uint32(isbox[s0&0xff])
-	t0 ^= rk[40]
-	t1 ^= rk[41]
-	t2 ^= rk[42]
-	t3 ^= rk[43]
-	putWord(dst, 0, t0)
-	putWord(dst, 4, t1)
-	putWord(dst, 8, t2)
-	putWord(dst, 12, t3)
-}
-
-func putWord(dst *[16]byte, i int, w uint32) {
-	dst[i] = byte(w >> 24)
-	dst[i+1] = byte(w >> 16)
-	dst[i+2] = byte(w >> 8)
-	dst[i+3] = byte(w)
-}
-
-// EncryptAddrX is EncryptAddr on a pre-expanded key: one AES block
-// operation and no allocation. The expanded key must hold the session key
-// Ks the block is bound to. ok is false when a is not IPv4.
-func (e *ExpandedKey) EncryptAddrX(a netip.Addr, salt [8]byte) (ct AddrBlock, ok bool) {
-	var pt AddrBlock
-	if !pt.seal(a, salt) {
-		return AddrBlock{}, false
-	}
-	e.EncryptBlock((*[16]byte)(&ct), (*[16]byte)(&pt))
-	return ct, true
-}
-
-// DecryptAddrX is DecryptAddr on a pre-expanded key: one AES block
-// operation and no allocation. ok is false when the check value mismatches
-// (wrong key, forged nonce, or corrupted block).
-func (e *ExpandedKey) DecryptAddrX(ct AddrBlock) (a netip.Addr, salt [8]byte, ok bool) {
-	var pt AddrBlock
-	e.DecryptBlock((*[16]byte)(&pt), (*[16]byte)(&ct))
-	return pt.open()
+	binary.BigEndian.PutUint32(dst[0:], t0^rk[40])
+	binary.BigEndian.PutUint32(dst[4:], t1^rk[41])
+	binary.BigEndian.PutUint32(dst[8:], t2^rk[42])
+	binary.BigEndian.PutUint32(dst[12:], t3^rk[43])
 }

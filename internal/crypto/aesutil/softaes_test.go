@@ -2,79 +2,146 @@ package aesutil
 
 import (
 	"crypto/aes"
+	"encoding/hex"
 	mathrand "math/rand"
 	"net/netip"
 	"testing"
 )
 
-// TestExpandedKeyMatchesStdlib cross-checks the software AES against
-// crypto/aes over many random keys and blocks, including re-keying the
-// same ExpandedKey (the hot-path usage pattern).
-func TestExpandedKeyMatchesStdlib(t *testing.T) {
-	rng := mathrand.New(mathrand.NewSource(42))
-	var ek ExpandedKey
-	for i := 0; i < 2000; i++ {
-		var key Key
-		var pt [16]byte
-		rng.Read(key[:])
-		rng.Read(pt[:])
+// aesBody is one implementation of ExpandedKey's three operations.
+type aesBody struct {
+	name     string
+	expand   func(*ExpandedKey, Key)
+	enc, dec func(e *ExpandedKey, dst, src *[16]byte)
+}
 
-		ref, err := aes.NewCipher(key[:])
-		if err != nil {
+// aesBodies lists what ExpandedKey's exported methods run in this process
+// and, where that is the AES instructions, the tables they fall back to —
+// so on amd64 both bodies are checked by one `go test`, and under
+// `-tags purego` (or off amd64) the tables are what "dispatch" is.
+func aesBodies() []aesBody {
+	b := []aesBody{{"dispatch", (*ExpandedKey).Expand, (*ExpandedKey).EncryptBlock, (*ExpandedKey).DecryptBlock}}
+	if hasAESNI {
+		b = append(b, aesBody{"tables", (*ExpandedKey).expandSoft, (*ExpandedKey).encryptSoft, (*ExpandedKey).decryptSoft})
+	}
+	return b
+}
+
+// checkAgainstStdlib holds one body to crypto/aes on one key and block, in
+// both directions, on a schedule ek that earlier calls have keyed and
+// used: Expand must forget the previous key's lazily derived decryption
+// schedule. decFirst decrypts straight after the re-key; dst == src is
+// exercised every time.
+func checkAgainstStdlib(t testing.TB, b *aesBody, ek *ExpandedKey, key Key, blk [16]byte, decFirst bool) {
+	ref, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct, pt [16]byte
+	ref.Encrypt(ct[:], blk[:])
+	ref.Decrypt(pt[:], blk[:])
+
+	b.expand(ek, key)
+	var got, inPlace [16]byte
+	if decFirst {
+		if b.dec(ek, &got, &blk); got != pt {
+			t.Fatalf("%s: decrypt after re-key\nkey  %x\nct   %x\nwant %x\ngot  %x", b.name, key, blk, pt, got)
+		}
+	}
+	if b.enc(ek, &got, &blk); got != ct {
+		t.Fatalf("%s: encrypt\nkey  %x\npt   %x\nwant %x\ngot  %x", b.name, key, blk, ct, got)
+	}
+	if b.dec(ek, &got, &blk); got != pt {
+		t.Fatalf("%s: decrypt\nkey  %x\nct   %x\nwant %x\ngot  %x", b.name, key, blk, pt, got)
+	}
+	inPlace = blk
+	b.enc(ek, &inPlace, &inPlace)
+	if b.dec(ek, &got, &inPlace); inPlace != ct || got != blk {
+		t.Fatalf("%s: dst == src encrypt gave %x (want %x), which opens to %x (want %x)", b.name, inPlace, ct, got, blk)
+	}
+	if b.dec(ek, &inPlace, &inPlace); inPlace != blk {
+		t.Fatalf("%s: dst == src decrypt gave %x, want %x", b.name, inPlace, blk)
+	}
+}
+
+// TestExpandedKeyMatchesStdlib is the three-way differential: the body
+// ExpandedKey dispatches to (the AES instructions, on amd64), the T-table
+// body, and crypto/aes, over random keys and blocks, each body on one
+// long-lived schedule re-keyed every iteration — the data path's usage.
+func TestExpandedKeyMatchesStdlib(t *testing.T) {
+	n := 1_000_000
+	if testing.Short() || raceEnabled {
+		n = 20_000
+	}
+	t.Logf("hasAESNI=%v, %d keys", hasAESNI, n)
+	rng := mathrand.New(mathrand.NewSource(42))
+	bodies := aesBodies()
+	eks := make([]ExpandedKey, len(bodies))
+	for i := 0; i < n; i++ {
+		var key Key
+		var blk [16]byte
+		rng.Read(key[:])
+		rng.Read(blk[:])
+		for j := range bodies {
+			checkAgainstStdlib(t, &bodies[j], &eks[j], key, blk, i%2 == 0)
+		}
+	}
+}
+
+// FuzzExpandedKey lets the fuzzer pick the keys and blocks of the same
+// check, two per input so the second runs on a schedule the first keyed.
+func FuzzExpandedKey(f *testing.F) {
+	f.Add(make([]byte, 64))
+	f.Add([]byte("\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c\x32\x43\xf6\xa8\x88\x5a\x30\x8d\x31\x31\x98\xa2\xe0\x37\x07\x34"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var raw [64]byte
+		copy(raw[:], in)
+		for _, b := range aesBodies() {
+			var ek ExpandedKey
+			checkAgainstStdlib(t, &b, &ek, Key(raw[0:16]), [16]byte(raw[16:32]), raw[0]&1 == 0)
+			checkAgainstStdlib(t, &b, &ek, Key(raw[32:48]), [16]byte(raw[48:64]), true)
+		}
+	})
+}
+
+// TestExpandedKeyFIPSVector checks the FIPS-197 Appendix B and C.1
+// examples on every body; on the tables they also pin the S-box that
+// init derives by walking the powers of the field's generator.
+func TestExpandedKeyFIPSVector(t *testing.T) {
+	unhex := func(s string) (b [16]byte) {
+		if _, err := hex.Decode(b[:], []byte(s)); err != nil {
 			t.Fatal(err)
 		}
-		var want, got [16]byte
-		ref.Encrypt(want[:], pt[:])
-
-		ek.Expand(key)
-		ek.EncryptBlock(&got, &pt)
-		if want != got {
-			t.Fatalf("iter %d: encrypt mismatch\nkey  %x\npt   %x\nwant %x\ngot  %x", i, key, pt, want, got)
-		}
-
-		var back [16]byte
-		ek.DecryptBlock(&back, &got)
-		if back != pt {
-			t.Fatalf("iter %d: decrypt(encrypt(pt)) != pt: %x vs %x", i, back, pt)
-		}
-		ref.Decrypt(back[:], want[:])
-		var softBack [16]byte
-		ek.DecryptBlock(&softBack, &want)
-		if back != softBack {
-			t.Fatalf("iter %d: decrypt mismatch vs stdlib", i)
+		return b
+	}
+	for _, v := range []struct{ name, key, pt, ct string }{
+		{"B", "2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734", "3925841d02dc09fbdc118597196a0b32"},
+		{"C.1", "000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+	} {
+		key, pt, ct := Key(unhex(v.key)), unhex(v.pt), unhex(v.ct)
+		for _, b := range aesBodies() {
+			var ek ExpandedKey
+			var got [16]byte
+			b.expand(&ek, key)
+			if b.enc(&ek, &got, &pt); got != ct {
+				t.Errorf("FIPS-197 %s, %s: encrypt got %x want %x", v.name, b.name, got, ct)
+			}
+			if b.dec(&ek, &got, &ct); got != pt {
+				t.Errorf("FIPS-197 %s, %s: decrypt got %x want %x", v.name, b.name, got, pt)
+			}
 		}
 	}
 }
 
-// TestExpandedKeyFIPSVector checks the FIPS-197 appendix C.1 vector.
-func TestExpandedKeyFIPSVector(t *testing.T) {
-	key := Key{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x0f}
-	pt := [16]byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
-	want := [16]byte{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a}
-	var ek ExpandedKey
-	ek.Expand(key)
-	var got [16]byte
-	ek.EncryptBlock(&got, &pt)
-	if got != want {
-		t.Fatalf("FIPS-197 C.1: got %x want %x", got, want)
-	}
-	var back [16]byte
-	ek.DecryptBlock(&back, &got)
-	if back != pt {
-		t.Fatalf("FIPS-197 C.1 decrypt: got %x want %x", back, pt)
-	}
-}
-
-// TestAddrBlockXMatchesSlowPath verifies that the three forms of the
-// address-block operation — software (ExpandedKey, a cache miss's),
-// cached crypto/aes cipher (Block, a cache hit's) and package-level —
-// produce the block this test lays out and encrypts with crypto/aes
-// itself, open it to the same (address, salt), and all refuse it under a
-// wrong key; and that all refuse to seal a non-IPv4 address.
+// TestAddrBlockXMatchesSlowPath verifies that both forms of the
+// address-block operation — on a kept schedule (ExpandedKey, the data
+// path's) and package-level (the end hosts') — produce the block this
+// test lays out and encrypts with crypto/aes itself, open it to the same
+// (address, salt), and refuse it under a wrong key; and that both refuse
+// to seal a non-IPv4 address.
 func TestAddrBlockXMatchesSlowPath(t *testing.T) {
 	rng := mathrand.New(mathrand.NewSource(7))
 	var ek ExpandedKey
-	var w AddrScratch
 	for i := 0; i < 10000; i++ {
 		var key Key
 		var salt [8]byte
@@ -93,33 +160,28 @@ func TestAddrBlockXMatchesSlowPath(t *testing.T) {
 
 		slow, err := EncryptAddr(key, addr, salt)
 		ek.Expand(key)
-		soft, okX := ek.EncryptAddrX(addr, salt)
-		blk := NewBlock(key)
-		hard, okS := blk.EncryptAddrS(&w, addr, salt)
-		if err != nil || !okX || !okS || slow != want || soft != want || hard != want {
-			t.Fatalf("iter %d: sealed %x (package), %x (software), %x (block), want %x", i, slow, soft, hard, want)
+		kept, okX := ek.EncryptAddrX(addr, salt)
+		if err != nil || !okX || slow != want || kept != want {
+			t.Fatalf("iter %d: sealed %x (package), %x (schedule), want %x", i, slow, kept, want)
 		}
 		a1, s1, err := DecryptAddr(key, want)
 		a2, s2, ok2 := ek.DecryptAddrX(want)
-		a3, s3, ok3 := blk.DecryptAddrS(&w, want)
-		if err != nil || !ok2 || !ok3 || a1 != addr || a2 != addr || a3 != addr || s1 != salt || s2 != salt || s3 != salt {
-			t.Fatalf("iter %d: opened to %v/%x, %v/%x, %v/%x; want %v/%x", i, a1, s1, a2, s2, a3, s3, addr, salt)
+		if err != nil || !ok2 || a1 != addr || a2 != addr || s1 != salt || s2 != salt {
+			t.Fatalf("iter %d: opened to %v/%x, %v/%x; want %v/%x", i, a1, s1, a2, s2, addr, salt)
 		}
 		key[rng.Intn(KeySize)] ^= 1 << rng.Intn(8)
 		ek.Expand(key)
 		_, _, err = DecryptAddr(key, want)
 		_, _, ok2 = ek.DecryptAddrX(want)
-		_, _, ok3 = NewBlock(key).DecryptAddrS(&w, want)
-		if err == nil || ok2 || ok3 {
-			t.Fatalf("iter %d: a block opened under the wrong key: %v %v %v", i, err, ok2, ok3)
+		if err == nil || ok2 {
+			t.Fatalf("iter %d: a block opened under the wrong key: %v %v", i, err, ok2)
 		}
 	}
 	v6 := netip.MustParseAddr("::1")
 	_, err := EncryptAddr(Key{}, v6, [8]byte{})
 	_, okX := ek.EncryptAddrX(v6, [8]byte{})
-	_, okS := NewBlock(Key{}).EncryptAddrS(&w, v6, [8]byte{})
-	if err == nil || okX || okS {
-		t.Fatalf("an IPv6 address was sealed: %v %v %v", err, okX, okS)
+	if err == nil || okX {
+		t.Fatalf("an IPv6 address was sealed: %v %v", err, okX)
 	}
 }
 
@@ -151,31 +213,44 @@ func TestCBCMACScratchMatchesCBCMAC(t *testing.T) {
 	}
 }
 
+// TestExpandedKeyZeroAlloc: keying a schedule and running a block on it
+// allocates nothing, whether the schedule is kept (a Scratch's) or lives
+// on the stack of one call (the package-level forms the end hosts use).
 func TestExpandedKeyZeroAlloc(t *testing.T) {
 	var key Key
-	var ek ExpandedKey
+	var kept ExpandedKey
 	addr := netip.MustParseAddr("10.10.0.5")
-	n := testing.AllocsPerRun(200, func() {
-		key[0]++
-		ek.Expand(key)
-		ct, _ := ek.EncryptAddrX(addr, [8]byte{1})
-		if _, _, ok := ek.DecryptAddrX(ct); !ok {
-			t.Fatal("round trip failed")
+	for name, fn := range map[string]func(){
+		"kept schedule": func() {
+			kept.Expand(key)
+			ct, _ := kept.EncryptAddrX(addr, [8]byte{1})
+			if _, _, ok := kept.DecryptAddrX(ct); !ok {
+				t.Fatal("round trip failed")
+			}
+		},
+		"stack schedule": func() {
+			var ek ExpandedKey
+			ek.Expand(key)
+			ct, _ := ek.EncryptAddrX(addr, [8]byte{1})
+			ek.Expand(key)
+			if _, _, ok := ek.DecryptAddrX(ct); !ok {
+				t.Fatal("round trip failed")
+			}
+		},
+		"EncryptAddr, DecryptAddr": func() {
+			ct, err := EncryptAddr(key, addr, [8]byte{1})
+			if _, _, err2 := DecryptAddr(key, ct); err != nil || err2 != nil {
+				t.Fatal("round trip failed")
+			}
+		},
+	} {
+		n := testing.AllocsPerRun(200, func() {
+			key[0]++
+			fn()
+		})
+		if n != 0 {
+			t.Errorf("%s: %v allocations per op, want 0", name, n)
 		}
-	})
-	if n != 0 {
-		t.Fatalf("ExpandedKey path allocates %v per op, want 0", n)
-	}
-	// The other side of the session cache: a keyed Block with its scratch.
-	blk, w := NewBlock(key), new(AddrScratch)
-	n = testing.AllocsPerRun(200, func() {
-		ct, _ := blk.EncryptAddrS(w, addr, [8]byte{1})
-		if _, _, ok := blk.DecryptAddrS(w, ct); !ok {
-			t.Fatal("round trip failed")
-		}
-	})
-	if n != 0 {
-		t.Fatalf("Block path allocates %v per op, want 0", n)
 	}
 }
 
