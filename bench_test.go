@@ -208,7 +208,7 @@ func dpiFixture(b *testing.B) *eval.DPIBench {
 // the forwarding hot path, so the acceptance bar is 0 allocs/op
 // (dpi's TestObserveExistingFlowZeroAlloc).
 func BenchmarkDPIFeatureUpdate(b *testing.B) {
-	tab := dpi.NewFlowTable(dpi.Config{})
+	tab := dpi.NewFlowTable(nil)
 	key, err := netem.FlowKeyFrom(
 		netip.MustParseAddr("172.16.1.10"), netip.MustParseAddr("10.200.0.1"), wire.ProtoShim)
 	if err != nil {
@@ -251,13 +251,12 @@ func BenchmarkDPIClassify(b *testing.B) {
 func BenchmarkCloakFrame(b *testing.B) {
 	fix := dpiFixture(b)
 	payload := make([]byte, 160)
-	buckets := []int{1400}
-	buf := make([]byte, 0, 1400)
+	buf := make([]byte, 0, cloak.FrameSize)
 	b.SetBytes(160)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = cloak.AppendFrame(buf[:0], payload, buckets)
+		buf = cloak.AppendFrame(buf[:0], payload)
 		got, cover, err := cloak.DecodeFrame(buf)
 		if err != nil || cover || len(got) != len(payload) {
 			b.Fatalf("round trip: %d bytes cover=%v err=%v", len(got), cover, err)
@@ -299,7 +298,7 @@ func BenchmarkAuditTrial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v := audit.Decide(fix.Report, audit.DecisionConfig{}); !v.Discriminated {
+		if v := audit.Decide(fix.Report); !v.Discriminated {
 			b.Fatal("blatant-dpi vantage report not ruled discriminated")
 		}
 	}

@@ -188,9 +188,7 @@ func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, trac
 			if ln == nil {
 				return
 			}
-			rec := obs.NewRecorder(sim.Metrics(), obs.RecorderConfig{
-				RingSize: 512, Interval: time.Millisecond,
-			})
+			rec := obs.NewRecorder(sim.Metrics())
 			rec.Register()
 			rec.PublishSnapshots()
 			sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })

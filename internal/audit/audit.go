@@ -37,38 +37,22 @@ import (
 	"netneutral/internal/measure"
 )
 
-// DecisionConfig parameterizes the per-vantage decision rule; the zero
-// value gets defaults chosen to keep the false-positive rate on a
-// neutral network far below the 0.05 budget.
-type DecisionConfig struct {
-	// Alpha is the per-test significance level (default 0.01).
-	Alpha float64
-	// MinGap is the minimum relative goodput gap (control vs suspect
-	// medians) to call discrimination (default 0.08): statistical
-	// significance without practical effect is noise at audit scale.
-	MinGap float64
-	// MinDelayGap is the minimum relative delay inflation of the
-	// suspect flow (default 0.25).
-	MinDelayGap float64
-	// MinTrials is the minimum per-role sample count (default 6);
-	// thinner reports are never called discriminatory.
-	MinTrials int
-}
-
-func (c *DecisionConfig) fill() {
-	if c.Alpha <= 0 {
-		c.Alpha = 0.01
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = 0.08
-	}
-	if c.MinDelayGap <= 0 {
-		c.MinDelayGap = 0.25
-	}
-	if c.MinTrials <= 0 {
-		c.MinTrials = 6
-	}
-}
+// The per-vantage decision rule's thresholds, chosen to keep the
+// false-positive rate on a neutral network far below the 0.05 budget.
+const (
+	// alpha is the per-test significance level.
+	alpha = 0.01
+	// minGap is the minimum relative goodput gap (control vs suspect
+	// medians) to call discrimination: statistical significance without
+	// practical effect is noise at audit scale.
+	minGap = 0.08
+	// minDelayGap is the minimum relative delay inflation of the suspect
+	// flow.
+	minDelayGap = 0.25
+	// minTrials is the minimum per-role sample count; thinner reports
+	// are never called discriminatory.
+	minTrials = 6
+)
 
 // Verdict is one vantage's decision with its full statistical support.
 type Verdict struct {
@@ -105,18 +89,17 @@ type Verdict struct {
 
 // Decide applies the differential decision rule to one vantage report.
 // Discrimination requires BOTH statistical significance (Mann-Whitney
-// or Kolmogorov-Smirnov below Alpha) AND a practical effect (relative
-// gap beyond the configured minimum, in the harmful direction) — the
-// compound rule is what keeps false positives near zero on a neutral
-// path while a 90%-drop throttler is detected with near certainty.
-func Decide(r *Report, cfg DecisionConfig) Verdict {
-	cfg.fill()
+// or Kolmogorov-Smirnov below alpha) AND a practical effect (relative
+// gap beyond minGap, in the harmful direction) — the compound rule is
+// what keeps false positives near zero on a neutral path while a
+// 90%-drop throttler is detected with near certainty.
+func Decide(r *Report) Verdict {
 	var v Verdict
 
 	sg := r.GoodputSamples(RoleSuspect)
 	cg := r.GoodputSamples(RoleControl)
 	v.Trials = min(len(sg), len(cg))
-	if v.Trials < cfg.MinTrials {
+	if v.Trials < minTrials {
 		return v
 	}
 	v.SuspectGoodput = measure.Median(sg)
@@ -127,15 +110,15 @@ func Decide(r *Report, cfg DecisionConfig) Verdict {
 	v.GoodputMW = measure.MannWhitney(sg, cg)
 	v.GoodputKS = measure.KolmogorovSmirnov(sg, cg)
 	medianHit := v.SuspectGoodput < v.ControlGoodput &&
-		v.Gap >= cfg.MinGap &&
-		(v.GoodputMW.P < cfg.Alpha || v.GoodputKS.P < cfg.Alpha)
-	v.TailTrials, v.TailP = exceedance(sg, cg, v.ControlGoodput, cfg.MinGap)
-	tailHit := v.TailTrials >= 2 && v.TailP < cfg.Alpha
+		v.Gap >= minGap &&
+		(v.GoodputMW.P < alpha || v.GoodputKS.P < alpha)
+	v.TailTrials, v.TailP = exceedance(sg, cg, v.ControlGoodput)
+	tailHit := v.TailTrials >= 2 && v.TailP < alpha
 	v.GoodputHit = medianHit || tailHit
 
 	sd := r.DelaySamples(RoleSuspect)
 	cd := r.DelaySamples(RoleControl)
-	if min(len(sd), len(cd)) >= cfg.MinTrials {
+	if min(len(sd), len(cd)) >= minTrials {
 		v.SuspectDelay = measure.Median(sd)
 		v.ControlDelay = measure.Median(cd)
 		if v.ControlDelay > 0 {
@@ -143,8 +126,8 @@ func Decide(r *Report, cfg DecisionConfig) Verdict {
 		}
 		v.DelayMW = measure.MannWhitney(sd, cd)
 		v.DelayHit = v.SuspectDelay > v.ControlDelay &&
-			v.DelayGap >= cfg.MinDelayGap &&
-			v.DelayMW.P < cfg.Alpha
+			v.DelayGap >= minDelayGap &&
+			v.DelayMW.P < alpha
 	}
 
 	v.Discriminated = v.GoodputHit || v.DelayHit
@@ -165,7 +148,7 @@ func Decide(r *Report, cfg DecisionConfig) Verdict {
 // cluster of suspect trials 8% under a control that stayed high. A
 // duty-cycled throttler produces exactly that cluster even when
 // medians barely move.
-func exceedance(suspect, control []float64, controlMedian, minGap float64) (m int, p float64) {
+func exceedance(suspect, control []float64, controlMedian float64) (m int, p float64) {
 	if len(suspect) == 0 || len(control) == 0 {
 		return 0, 1
 	}
@@ -268,21 +251,18 @@ type Summary struct {
 // partial throttler clears it.
 const DefaultAggregationThreshold = 0.25
 
-// Summarize decides each report and aggregates across vantages.
-// minFraction <= 0 selects DefaultAggregationThreshold. An optional
-// evidence trail (built by BuildEvidence from traced hop events) is
-// attached to the summary so a conviction carries its causal backing.
-func Summarize(reports []*Report, dcfg DecisionConfig, minFraction float64, evidence ...EvidenceTrail) Summary {
-	if minFraction <= 0 {
-		minFraction = DefaultAggregationThreshold
-	}
+// Summarize decides each report and aggregates across vantages against
+// DefaultAggregationThreshold. An optional evidence trail (built by
+// BuildEvidence from traced hop events) is attached to the summary so a
+// conviction carries its causal backing.
+func Summarize(reports []*Report, evidence ...EvidenceTrail) Summary {
 	var s Summary
 	for _, t := range evidence {
 		s.Evidence = append(s.Evidence, t...)
 	}
 	s.Verdicts = make([]Verdict, len(reports))
 	for i, r := range reports {
-		v := Decide(r, dcfg)
+		v := Decide(r)
 		s.Verdicts[i] = v
 		if r.Inside {
 			s.Inside++
@@ -302,11 +282,11 @@ func Summarize(reports []*Report, dcfg DecisionConfig, minFraction float64, evid
 	if s.Inside > 0 {
 		s.InsidePower = float64(s.InsideDetected) / float64(s.Inside)
 	}
-	s.Discriminating = s.Power >= minFraction
+	s.Discriminating = s.Power >= DefaultAggregationThreshold
 	switch {
-	case !s.Discriminating && s.InsidePower < minFraction:
+	case !s.Discriminating && s.InsidePower < DefaultAggregationThreshold:
 		s.Localized = SegmentNone
-	case s.InsidePower >= minFraction:
+	case s.InsidePower >= DefaultAggregationThreshold:
 		s.Localized = SegmentInside
 	default:
 		s.Localized = SegmentBeyondBorder

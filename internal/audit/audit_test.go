@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"netneutral/internal/netem"
-	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
 
@@ -40,7 +39,7 @@ func synthReport(trials int, sMean, cMean float64, rng *rand.Rand) *Report {
 
 func TestDecideBlatantThrottle(t *testing.T) {
 	r := synthReport(12, 0.1, 0.99, rand.New(rand.NewSource(2)))
-	v := Decide(r, DecisionConfig{})
+	v := Decide(r)
 	if !v.Discriminated || !v.GoodputHit {
 		t.Fatalf("90%%-drop differential not detected: %+v", v)
 	}
@@ -55,7 +54,7 @@ func TestDecideBlatantThrottle(t *testing.T) {
 func TestDecideNeutralPath(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := synthReport(12, 0.99, 0.99, rand.New(rand.NewSource(seed)))
-		if v := Decide(r, DecisionConfig{}); v.Discriminated {
+		if v := Decide(r); v.Discriminated {
 			t.Fatalf("seed %d: false positive on identical distributions: %+v", seed, v)
 		}
 	}
@@ -69,7 +68,7 @@ func TestDecideDutyCycledThrottle(t *testing.T) {
 	for i := 0; i < len(r.Trials); i += 2 {
 		r.Trials[i].Delivered[RoleSuspect] = uint64(0.1 * float64(r.Trials[i].Sent[RoleSuspect]))
 	}
-	v := Decide(r, DecisionConfig{})
+	v := Decide(r)
 	if !v.Discriminated {
 		t.Fatalf("duty-cycled differential not detected: MW p=%v KS p=%v gap=%.2f",
 			v.GoodputMW.P, v.GoodputKS.P, v.Gap)
@@ -82,7 +81,7 @@ func TestDecideDelayOnlyThrottle(t *testing.T) {
 	for i := range r.Trials {
 		r.Trials[i].DelaySum[RoleSuspect] = int64(50 * 40 * time.Millisecond) // 10x control
 	}
-	v := Decide(r, DecisionConfig{})
+	v := Decide(r)
 	if !v.Discriminated || !v.DelayHit || v.GoodputHit {
 		t.Fatalf("delay-only differential: %+v", v)
 	}
@@ -90,8 +89,8 @@ func TestDecideDelayOnlyThrottle(t *testing.T) {
 
 func TestDecideThinReportNeverConvicts(t *testing.T) {
 	r := synthReport(3, 0.0, 1.0, rand.New(rand.NewSource(5)))
-	if v := Decide(r, DecisionConfig{}); v.Discriminated {
-		t.Fatal("3-trial report convicted; MinTrials must gate")
+	if v := Decide(r); v.Discriminated {
+		t.Fatal("3-trial report convicted; minTrials must gate")
 	}
 }
 
@@ -114,7 +113,7 @@ func TestSummarizeLocalization(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		reports = append(reports, mk(true, false))
 	}
-	s := Summarize(reports, DecisionConfig{}, 0)
+	s := Summarize(reports)
 	if !s.Discriminating || s.Power < 0.99 || s.Localized != SegmentBeyondBorder {
 		t.Fatalf("transit throttler: %+v", s)
 	}
@@ -126,7 +125,7 @@ func TestSummarizeLocalization(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		reports = append(reports, mk(true, true))
 	}
-	if s := Summarize(reports, DecisionConfig{}, 0); s.Localized != SegmentInside {
+	if s := Summarize(reports); s.Localized != SegmentInside {
 		t.Fatalf("inside throttler localized %v", s.Localized)
 	}
 	// Neutral.
@@ -134,7 +133,7 @@ func TestSummarizeLocalization(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		reports = append(reports, mk(false, false))
 	}
-	s = Summarize(reports, DecisionConfig{}, 0)
+	s = Summarize(reports)
 	if s.Discriminating || s.Localized != SegmentNone || s.Power != 0 {
 		t.Fatalf("neutral: %+v", s)
 	}
@@ -144,7 +143,7 @@ func TestSummarizeLocalization(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		reports = append(reports, mk(false, i < 3))
 	}
-	s = Summarize(reports, DecisionConfig{}, 0)
+	s = Summarize(reports)
 	if !s.Discriminating {
 		t.Fatalf("partial throttler (power %.2f) not convicted by aggregate", s.Power)
 	}
@@ -257,7 +256,6 @@ func proberWorld(t *testing.T, strategy Strategy, hook netem.TransitHook) *Repor
 		Rng:      rand.New(rand.NewSource(10)),
 		Strategy: strategy,
 		Trials:   12,
-		Suspect:  trafficgen.AppVoIP,
 		Emit:     emit,
 	})
 	if err != nil {
@@ -291,7 +289,7 @@ func TestProberNeutralPathMeasuresClean(t *testing.T) {
 				t.Fatalf("%v trial %d: lossless path measured %.2f/%.2f", strat, i, sg[i], cg[i])
 			}
 		}
-		if v := Decide(r, DecisionConfig{}); v.Discriminated {
+		if v := Decide(r); v.Discriminated {
 			t.Fatalf("%v: false positive on a neutral line: %+v", strat, v)
 		}
 		ds := r.DelaySamples(RoleSuspect)
@@ -317,7 +315,7 @@ func TestProberDetectsSuspectDropper(t *testing.T) {
 	}
 	for _, strat := range []Strategy{StrategyInterleaved, StrategyNaive} {
 		r := proberWorld(t, strat, hook)
-		v := Decide(r, DecisionConfig{})
+		v := Decide(r)
 		if !v.Discriminated || !v.GoodputHit {
 			t.Fatalf("%v: 90%% suspect drop not detected: gap=%.2f MW p=%v", strat, v.Gap, v.GoodputMW.P)
 		}
@@ -345,8 +343,8 @@ func TestProberNaiveFreshFlowsPerTrial(t *testing.T) {
 	sim.Run()
 	for trial := 0; trial < 5; trial++ {
 		for role := Role(0); role < NumRoles; role++ {
-			if got := counts[fk{role, trial}]; got != 64 {
-				t.Errorf("trial %d role %v: %d emissions, want 64", trial, role, got)
+			if got := counts[fk{role, trial}]; got != NaivePackets {
+				t.Errorf("trial %d role %v: %d emissions, want %d", trial, role, got, NaivePackets)
 			}
 		}
 	}

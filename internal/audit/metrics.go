@@ -50,15 +50,11 @@ func (p *Prober) CompletedTrials() uint64 {
 	if p.start.IsZero() {
 		return 0
 	}
-	period := p.cfg.Window + p.cfg.Gap
-	if p.cfg.Strategy == StrategyNaive {
-		period = p.cfg.NaivePeriod
-	}
 	elapsed := p.cfg.On.Now().Sub(p.start)
 	if elapsed < 0 {
 		return 0
 	}
-	n := uint64(elapsed / period)
+	n := uint64(elapsed / p.period())
 	if n > uint64(p.cfg.Trials) {
 		n = uint64(p.cfg.Trials)
 	}

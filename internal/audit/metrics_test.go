@@ -8,7 +8,6 @@ import (
 
 	"netneutral/internal/netem"
 	"netneutral/internal/obs"
-	"netneutral/internal/trafficgen"
 	"netneutral/internal/wire"
 )
 
@@ -45,7 +44,6 @@ func TestProberInstrument(t *testing.T) {
 		Rng:      rand.New(rand.NewSource(10)),
 		Strategy: StrategyInterleaved,
 		Trials:   12,
-		Suspect:  trafficgen.AppVoIP,
 		Emit:     emit,
 	})
 	if err != nil {

@@ -9,8 +9,24 @@ import (
 	"netneutral/internal/trafficgen"
 )
 
-// ProberConfig configures one vantage's paired probe run; zero values
-// get the defaults noted per field.
+const (
+	// window is the measured span of one interleaved trial.
+	window = time.Second
+	// gap is the unmeasured settle span between interleaved trials.
+	gap = 200 * time.Millisecond
+	// NaivePackets is the per-burst packet count of the naive strategy —
+	// deliberately below a probe-evading ISP's flow-age threshold, which
+	// is the point E8 makes.
+	NaivePackets = 64
+	// naivePeriod is the naive strategy's per-trial period: suspect burst
+	// at the start, control burst at the half.
+	naivePeriod = 4 * time.Second
+	// suspect is the app shape the suspect flow imitates: VoIP, the
+	// canonical throttling target.
+	suspect = trafficgen.AppVoIP
+)
+
+// ProberConfig configures one vantage's paired probe run.
 type ProberConfig struct {
 	// On is the scheduling context the probe flows run on (required):
 	// the simulator for single-threaded runs, or the vantage's source
@@ -24,21 +40,6 @@ type ProberConfig struct {
 	Strategy Strategy
 	// Trials is the number of paired measurement windows (default 12).
 	Trials int
-	// Window is the measured span of one interleaved trial (default 1s).
-	Window time.Duration
-	// Gap is the unmeasured settle span between interleaved trials
-	// (default 200ms).
-	Gap time.Duration
-	// Suspect is the app shape the suspect flow imitates (default VoIP,
-	// the canonical throttling target).
-	Suspect trafficgen.App
-	// NaivePackets is the per-burst packet count of the naive strategy
-	// (default 64 — deliberately below a probe-evading ISP's flow-age
-	// threshold, which is the point E8 makes).
-	NaivePackets int
-	// NaivePeriod is the naive strategy's per-trial period: suspect
-	// burst at the start, control burst at the half (default 4s).
-	NaivePeriod time.Duration
 	// Emit transmits one probe packet of the given payload size. The
 	// trial index is NoTrial for unmeasured emissions; the naive
 	// strategy's emissions always carry their trial so the caller can
@@ -55,18 +56,6 @@ func (c *ProberConfig) fill() error {
 	}
 	if c.Trials > MaxReportTrials {
 		return fmt.Errorf("audit: %d trials exceed %d", c.Trials, MaxReportTrials)
-	}
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.Gap <= 0 {
-		c.Gap = 200 * time.Millisecond
-	}
-	if c.NaivePackets <= 0 {
-		c.NaivePackets = 64
-	}
-	if c.NaivePeriod <= 0 {
-		c.NaivePeriod = 4 * time.Second
 	}
 	return nil
 }
@@ -94,10 +83,15 @@ func NewProber(cfg ProberConfig) (*Prober, error) {
 
 // Duration reports how long the probe runs from Run.
 func (p *Prober) Duration() time.Duration {
+	return time.Duration(p.cfg.Trials) * p.period()
+}
+
+// period is one trial's span under the prober's strategy.
+func (p *Prober) period() time.Duration {
 	if p.cfg.Strategy == StrategyNaive {
-		return time.Duration(p.cfg.Trials) * p.cfg.NaivePeriod
+		return naivePeriod
 	}
-	return time.Duration(p.cfg.Trials) * (p.cfg.Window + p.cfg.Gap)
+	return window + gap
 }
 
 // Run schedules the whole probe on the simulator, starting now.
@@ -117,7 +111,7 @@ func (p *Prober) runInterleaved() {
 	total := p.Duration()
 	suspectRng := rand.New(rand.NewSource(p.cfg.Rng.Int63()))
 	controlRng := rand.New(rand.NewSource(p.cfg.Rng.Int63()))
-	trafficgen.AppSource{App: p.cfg.Suspect, Rng: suspectRng}.Run(p.cfg.On, total, p.emitFn(RoleSuspect))
+	trafficgen.AppSource{App: suspect, Rng: suspectRng}.Run(p.cfg.On, total, p.emitFn(RoleSuspect))
 	trafficgen.ControlSource{Rng: controlRng}.Run(p.cfg.On, total, p.emitFn(RoleControl))
 }
 
@@ -129,14 +123,14 @@ func (p *Prober) runNaive() {
 		trial := t
 		suspectRng := rand.New(rand.NewSource(p.cfg.Rng.Int63()))
 		controlRng := rand.New(rand.NewSource(p.cfg.Rng.Int63()))
-		at := time.Duration(t) * p.cfg.NaivePeriod
+		at := time.Duration(t) * naivePeriod
 		on.Schedule(at, func() {
-			trafficgen.AppSource{App: p.cfg.Suspect, Rng: suspectRng}.
-				RunN(on, p.cfg.NaivePackets, p.burstEmit(RoleSuspect, trial))
+			trafficgen.AppSource{App: suspect, Rng: suspectRng}.
+				RunN(on, NaivePackets, p.burstEmit(RoleSuspect, trial))
 		})
-		on.Schedule(at+p.cfg.NaivePeriod/2, func() {
+		on.Schedule(at+naivePeriod/2, func() {
 			trafficgen.ControlSource{Rng: controlRng}.
-				RunN(on, p.cfg.NaivePackets, p.burstEmit(RoleControl, trial))
+				RunN(on, NaivePackets, p.burstEmit(RoleControl, trial))
 		})
 	}
 }
@@ -179,13 +173,13 @@ func (p *Prober) measuredTrial(role Role, now time.Time) int {
 	if elapsed < 0 {
 		return NoTrial
 	}
-	period := p.cfg.Window + p.cfg.Gap
+	const period = window + gap
 	t := int(elapsed / period)
 	if t >= p.cfg.Trials {
 		return NoTrial
 	}
 	off := elapsed - time.Duration(t)*period
-	if off >= p.cfg.Window {
+	if off >= window {
 		return NoTrial // settle gap
 	}
 	if t%2 == 0 {
@@ -196,7 +190,7 @@ func (p *Prober) measuredTrial(role Role, now time.Time) int {
 		first = RoleControl
 	}
 	measured := first
-	if off >= p.cfg.Window/2 {
+	if off >= window/2 {
 		measured = 1 - first
 	}
 	if role != measured {

@@ -5,24 +5,23 @@
 // application is running. Cloaking flattens that image, at a measured
 // cost:
 //
-//   - Padding to size buckets: every application payload is wrapped in
-//     a length-prefixed frame padded up to the next configured bucket,
-//     collapsing the size histogram. Cost: wasted goodput
-//     (Stats.Overhead).
-//   - Timing quantization and batching: frames leave only on a fixed
-//     tick grid (Shaper), erasing inter-arrival structure. Cost: added
-//     latency (Stats.AvgDelay).
-//   - Cover traffic: idle ticks emit padding-only frames the receiver
-//     discards, so silence is indistinguishable from talk. Cost: wire
-//     bytes that carry nothing.
+//   - Padding to one size: every application payload is wrapped in a
+//     length-prefixed frame padded up to FrameSize, collapsing the size
+//     histogram. Cost: wasted goodput (Stats.Overhead).
+//   - Timing quantization: frames leave one per tick on a fixed 2.5ms
+//     grid (Shaper), above every app's peak rate, erasing inter-arrival
+//     structure. Cost: added latency (Stats.AvgDelay).
+//   - Cover traffic: idle ticks emit padding-only frames of the same
+//     size that the receiver discards, so silence is indistinguishable
+//     from talk. Cost: wire bytes that carry nothing.
 //
 // Frames ride wherever the application payload rode — inside shim Data
 // packets on the neutralized path, or inside plain UDP — and decode
 // back to the exact original payload (FuzzCloakFrame holds the
-// round-trip and no-over-read properties). With one bucket, a small
-// tick and cover enabled, every flow becomes the same constant-rate,
-// constant-size stream: the dpi classifier's accuracy falls to chance,
-// which is E7's measured arms-race endpoint.
+// round-trip and no-over-read properties). Together the three make
+// every flow the same constant-rate, constant-size stream: the dpi
+// classifier's accuracy falls to chance, which is E7's measured
+// arms-race endpoint.
 package cloak
 
 import (
@@ -37,6 +36,11 @@ const (
 	// FrameOverhead is the fixed header cost of a cloak frame.
 	FrameOverhead = 4
 
+	// FrameSize is the wire size every frame is padded to; a payload too
+	// large for it gets a frame of exactly its framed size (never
+	// truncated).
+	FrameSize = 1400
+
 	// flagCover marks a padding-only frame carrying no payload.
 	flagCover = 1 << 0
 )
@@ -48,33 +52,15 @@ var (
 	ErrBadLength     = errors.New("cloak: length exceeds frame")
 )
 
-// PaddedLen returns the on-wire frame length for an n-byte payload
-// under the given ascending bucket list: the smallest bucket that fits,
-// or the exact framed size when the payload exceeds every bucket (the
-// frame is never truncated).
-func PaddedLen(n int, buckets []int) int {
-	need := n + FrameOverhead
-	for _, b := range buckets {
-		if need <= b {
-			return b
-		}
-	}
-	return need
-}
-
 // AppendFrame appends the padded frame for payload to dst and returns
 // the extended slice. With sufficient capacity it does not allocate.
-func AppendFrame(dst, payload []byte, buckets []int) []byte {
-	return appendFrame(dst, payload, 0, PaddedLen(len(payload), buckets))
+func AppendFrame(dst, payload []byte) []byte {
+	return appendFrame(dst, payload, 0, max(len(payload)+FrameOverhead, FrameSize))
 }
 
-// AppendCover appends a padding-only cover frame of exactly size wire
-// bytes (at least FrameOverhead).
-func AppendCover(dst []byte, size int) []byte {
-	if size < FrameOverhead {
-		size = FrameOverhead
-	}
-	return appendFrame(dst, nil, flagCover, size)
+// AppendCover appends a padding-only cover frame of FrameSize wire bytes.
+func AppendCover(dst []byte) []byte {
+	return appendFrame(dst, nil, flagCover, FrameSize)
 }
 
 // MaxPayload is the largest payload a frame can carry (16-bit length).

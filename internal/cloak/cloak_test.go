@@ -9,13 +9,11 @@ import (
 	"netneutral/internal/netem"
 )
 
-var buckets = []int{128, 512, 1400}
-
 func TestFrameRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 124, 508, 509, 1396, 1500, 4000} {
+	for _, n := range []int{0, 1, 100, 1395, 1396, 1397, 1500, 4000} {
 		payload := bytes.Repeat([]byte{0xAB}, n)
-		frame := cloak.AppendFrame(nil, payload, buckets)
-		if want := cloak.PaddedLen(n, buckets); len(frame) != want {
+		frame := cloak.AppendFrame(nil, payload)
+		if want := max(n+cloak.FrameOverhead, cloak.FrameSize); len(frame) != want {
 			t.Errorf("n=%d: frame len %d, want %d", n, len(frame), want)
 		}
 		got, cover, err := cloak.DecodeFrame(frame)
@@ -32,21 +30,21 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFramePaddingCollapsesSizes(t *testing.T) {
-	// Every payload that fits one bucket produces the same wire size:
-	// the property the dpi size histogram cannot see through.
+	// Every payload that fits a frame produces the same wire size: the
+	// property the dpi size histogram cannot see through.
 	seen := map[int]bool{}
-	for n := 0; n <= 124; n += 31 {
-		seen[len(cloak.AppendFrame(nil, make([]byte, n), buckets))] = true
+	for n := 0; n <= cloak.FrameSize-cloak.FrameOverhead; n += 31 {
+		seen[len(cloak.AppendFrame(nil, make([]byte, n)))] = true
 	}
 	if len(seen) != 1 {
-		t.Errorf("payloads under one bucket produced %d distinct wire sizes", len(seen))
+		t.Errorf("payloads that fit a frame produced %d distinct wire sizes", len(seen))
 	}
 }
 
 func TestCoverFrame(t *testing.T) {
-	frame := cloak.AppendCover(nil, 512)
-	if len(frame) != 512 {
-		t.Fatalf("cover frame %dB, want 512", len(frame))
+	frame := cloak.AppendCover(nil)
+	if len(frame) != cloak.FrameSize {
+		t.Fatalf("cover frame %dB, want %d", len(frame), cloak.FrameSize)
 	}
 	payload, cover, err := cloak.DecodeFrame(frame)
 	if err != nil {
@@ -74,7 +72,7 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 
 func TestAppendFrameReusesCapacity(t *testing.T) {
 	buf := make([]byte, 0, 2048)
-	out := cloak.AppendFrame(buf, make([]byte, 100), buckets)
+	out := cloak.AppendFrame(buf, make([]byte, 100))
 	if &out[0] != &buf[:1][0] {
 		t.Error("AppendFrame reallocated despite sufficient capacity")
 	}
@@ -87,11 +85,15 @@ func simClock() *netem.Simulator {
 func TestShaperQuantizesTiming(t *testing.T) {
 	sim := simClock()
 	var at []time.Time
-	sh := cloak.NewShaper(cloak.Config{SizeBuckets: buckets, Tick: 10 * time.Millisecond},
-		sim, func([]byte) { at = append(at, sim.Now()) })
+	sh := cloak.NewShaper(sim, func(frame []byte) {
+		if len(frame) != cloak.FrameSize {
+			t.Errorf("frame %dB, want padded to %d", len(frame), cloak.FrameSize)
+		}
+		at = append(at, sim.Now())
+	})
 	// Payloads arrive at awkward offsets; emissions must land on the
-	// 10ms grid, one per tick.
-	for _, off := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 17 * time.Millisecond} {
+	// tick grid, one per tick.
+	for _, off := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 17 * time.Millisecond} {
 		sim.Schedule(off, func() { sh.Send([]byte("hello")) })
 	}
 	sim.Run()
@@ -100,25 +102,21 @@ func TestShaperQuantizesTiming(t *testing.T) {
 	}
 	start := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
 	for i, ts := range at {
-		if rem := ts.Sub(start) % (10 * time.Millisecond); rem != 0 {
+		if rem := ts.Sub(start) % cloak.Tick; rem != 0 {
 			t.Errorf("frame %d emitted off-grid at +%v", i, ts.Sub(start))
 		}
-	}
-	// Two payloads shared the first grid slot's queue: with PerTick 1
-	// they must occupy consecutive ticks.
-	if at[0] == at[1] {
-		t.Error("PerTick=1 released two frames on one tick")
 	}
 	if d := sh.Stats().AvgDelay(); d <= 0 {
 		t.Errorf("queue delay not accounted: %v", d)
 	}
 }
 
-func TestShaperBatchesWithPerTick(t *testing.T) {
+// TestShaperReleasesOneFramePerTick: a burst queued at once drains one
+// frame per tick, on consecutive ticks — constant-rate output.
+func TestShaperReleasesOneFramePerTick(t *testing.T) {
 	sim := simClock()
 	var at []time.Time
-	sh := cloak.NewShaper(cloak.Config{SizeBuckets: buckets, Tick: 10 * time.Millisecond, PerTick: 8},
-		sim, func([]byte) { at = append(at, sim.Now()) })
+	sh := cloak.NewShaper(sim, func([]byte) { at = append(at, sim.Now()) })
 	sim.Schedule(time.Millisecond, func() {
 		for i := 0; i < 5; i++ {
 			sh.Send([]byte("x"))
@@ -129,8 +127,8 @@ func TestShaperBatchesWithPerTick(t *testing.T) {
 		t.Fatalf("emitted %d, want 5", len(at))
 	}
 	for i := 1; i < 5; i++ {
-		if at[i] != at[0] {
-			t.Errorf("batch split across ticks: frame %d at %v vs %v", i, at[i], at[0])
+		if d := at[i].Sub(at[i-1]); d != cloak.Tick {
+			t.Errorf("frame %d left %v after frame %d, want one tick (%v)", i, d, i-1, cloak.Tick)
 		}
 	}
 }
@@ -138,30 +136,29 @@ func TestShaperBatchesWithPerTick(t *testing.T) {
 func TestShaperCoverFillsIdleTicks(t *testing.T) {
 	sim := simClock()
 	frames, covers := 0, 0
-	sh := cloak.NewShaper(cloak.Config{SizeBuckets: []int{256}, Tick: 10 * time.Millisecond, Cover: true},
-		sim, func(frame []byte) {
-			if len(frame) != 256 {
-				t.Errorf("frame %dB, want uniform 256", len(frame))
-			}
-			_, cover, err := cloak.DecodeFrame(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cover {
-				covers++
-			} else {
-				frames++
-			}
-		})
+	sh := cloak.NewShaper(sim, func(frame []byte) {
+		if len(frame) != cloak.FrameSize {
+			t.Errorf("frame %dB, want uniform %d", len(frame), cloak.FrameSize)
+		}
+		_, cover, err := cloak.DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cover {
+			covers++
+		} else {
+			frames++
+		}
+	})
 	sh.Run(200 * time.Millisecond)
 	sim.Schedule(42*time.Millisecond, func() { sh.Send([]byte("real")) })
 	sim.Run()
 	if frames != 1 {
 		t.Errorf("payload frames = %d, want 1", frames)
 	}
-	// ~20 ticks in 200ms, one consumed by the real frame.
-	if covers < 15 {
-		t.Errorf("cover frames = %d, want the idle grid filled (~19)", covers)
+	// 80 ticks in 200ms, one consumed by the real frame.
+	if covers < 75 {
+		t.Errorf("cover frames = %d, want the idle grid filled (~79)", covers)
 	}
 	st := sh.Stats()
 	if st.Overhead() < 50 {
@@ -169,23 +166,5 @@ func TestShaperCoverFillsIdleTicks(t *testing.T) {
 	}
 	if st.CoverFrames != uint64(covers) || st.Frames != uint64(frames) {
 		t.Errorf("stats frames=%d covers=%d, observed %d/%d", st.Frames, st.CoverFrames, frames, covers)
-	}
-}
-
-func TestShaperNoTickSendsImmediately(t *testing.T) {
-	sim := simClock()
-	n := 0
-	sh := cloak.NewShaper(cloak.Config{SizeBuckets: buckets}, sim, func(frame []byte) {
-		n++
-		if len(frame) != 128 {
-			t.Errorf("frame %dB, want padded to 128", len(frame))
-		}
-	})
-	sh.Send([]byte("now"))
-	if n != 1 {
-		t.Fatalf("emitted %d frames synchronously, want 1", n)
-	}
-	if sim.Run(); sim.EventsProcessed() != 0 {
-		t.Error("tickless shaper scheduled events")
 	}
 }

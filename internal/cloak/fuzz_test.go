@@ -33,12 +33,12 @@ func fuzzSeeds(f *testing.F) [][]byte {
 // decoding arbitrary bytes never panics or reads past the frame.
 func FuzzCloakFrame(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
-		f.Add(seed, uint16(300))
+		f.Add(seed)
 	}
-	f.Add([]byte{0xCF, 0, 0xFF, 0xFF, 1}, uint16(0))
-	f.Add([]byte{0xCF, 1, 0, 0}, uint16(4))
+	f.Add([]byte{0xCF, 0, 0xFF, 0xFF, 1})
+	f.Add([]byte{0xCF, 1, 0, 0})
 
-	f.Fuzz(func(t *testing.T, data []byte, bucket uint16) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > cloak.MaxPayload {
 			data = data[:cloak.MaxPayload]
 		}
@@ -50,12 +50,11 @@ func FuzzCloakFrame(f *testing.F) {
 			}
 		}
 
-		// Property 2: encode/decode round trip under a fuzzed bucket
-		// list (including degenerate buckets smaller than the payload).
-		buckets := []int{int(bucket), int(bucket) * 3, 1400}
-		frame := cloak.AppendFrame(nil, data, buckets)
-		if len(frame) < cloak.PaddedLen(0, nil) {
-			t.Fatalf("frame shorter than empty minimum: %d", len(frame))
+		// Property 2: encode/decode round trip, payloads larger than a
+		// frame included.
+		frame := cloak.AppendFrame(nil, data)
+		if len(frame) < cloak.FrameSize {
+			t.Fatalf("frame shorter than FrameSize: %d", len(frame))
 		}
 		got, cover, err := cloak.DecodeFrame(frame)
 		if err != nil {
@@ -68,9 +67,8 @@ func FuzzCloakFrame(f *testing.F) {
 			t.Fatalf("round trip mismatch: %d in, %d out", len(data), len(got))
 		}
 
-		// Property 3: cover frames of the padded size decode as cover
-		// with no payload.
-		coverFrame := cloak.AppendCover(nil, len(frame))
+		// Property 3: cover frames decode as cover with no payload.
+		coverFrame := cloak.AppendCover(nil)
 		payload, isCover, err := cloak.DecodeFrame(coverFrame)
 		if err != nil || !isCover || len(payload) != 0 {
 			t.Fatalf("cover decode: payload=%d cover=%v err=%v", len(payload), isCover, err)

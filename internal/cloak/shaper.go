@@ -12,39 +12,9 @@ type Clock interface {
 	Schedule(d time.Duration, fn func())
 }
 
-// Config sets the cloaking knobs and, implicitly, the cost each pays.
-type Config struct {
-	// SizeBuckets are the ascending frame sizes payloads are padded to.
-	// One large bucket is the strongest setting (every frame identical)
-	// and the most expensive in goodput.
-	SizeBuckets []int
-	// Tick quantizes frame release times to a fixed grid; zero sends
-	// immediately (padding-only cloaking).
-	Tick time.Duration
-	// PerTick caps frames released per tick (default 1 — constant-rate
-	// output; larger values batch queued frames, trading uniformity for
-	// latency).
-	PerTick int
-	// Cover emits a padding-only frame on each idle tick while the
-	// shaper runs, making silence indistinguishable from talk.
-	Cover bool
-	// CoverSize is the cover frame's wire size (default: largest
-	// bucket).
-	CoverSize int
-}
-
-func (c *Config) fill() {
-	if c.PerTick <= 0 {
-		c.PerTick = 1
-	}
-	if c.CoverSize <= 0 {
-		if n := len(c.SizeBuckets); n > 0 {
-			c.CoverSize = c.SizeBuckets[n-1]
-		} else {
-			c.CoverSize = FrameOverhead
-		}
-	}
-}
+// Tick is the grid frame releases are quantized to, one frame per tick:
+// constant-rate output above every app's peak rate.
+const Tick = 2500 * time.Microsecond
 
 // Stats is the measured cost of cloaking: the goodput and latency the
 // countermeasure spends to buy indistinguishability.
@@ -82,11 +52,10 @@ func (s Stats) AvgDelay() time.Duration {
 	return s.QueueDelaySum / time.Duration(s.Frames)
 }
 
-// Shaper applies the configured cloaking to a stream of payloads,
-// emitting padded frames on the tick grid. It is single-goroutine like
-// the event loops it runs on.
+// Shaper cloaks a stream of payloads, emitting padded frames on the
+// tick grid and cover frames on idle ticks while it runs. It is
+// single-goroutine like the event loops it runs on.
 type Shaper struct {
-	cfg     Config
 	clk     Clock
 	emit    func(frame []byte)
 	pending []pendingPayload
@@ -106,30 +75,22 @@ type pendingPayload struct {
 // NewShaper creates a shaper that emits wire frames through emit (the
 // frame slice is reused between emissions: consume or copy it within
 // the call, the contract packet pools already impose).
-func NewShaper(cfg Config, clk Clock, emit func(frame []byte)) *Shaper {
-	cfg.fill()
-	return &Shaper{cfg: cfg, clk: clk, emit: emit}
+func NewShaper(clk Clock, emit func(frame []byte)) *Shaper {
+	return &Shaper{clk: clk, emit: emit}
 }
 
-// Run keeps the tick grid (and cover traffic, if configured) alive for
-// d from now, independent of payload arrivals.
+// Run keeps the tick grid and cover traffic alive for d from now,
+// independent of payload arrivals.
 func (s *Shaper) Run(d time.Duration) {
 	if t := s.clk.Now().Add(d); t.After(s.until) {
 		s.until = t
 	}
-	if s.cfg.Tick > 0 {
-		s.armTick()
-	}
+	s.armTick()
 }
 
-// Send accepts one application payload. With no Tick it is framed and
-// emitted immediately; otherwise it queues for the next tick.
+// Send queues one application payload for the next free tick.
 func (s *Shaper) Send(payload []byte) {
 	s.stats.RealBytes += uint64(len(payload))
-	if s.cfg.Tick <= 0 {
-		s.emitPayload(payload)
-		return
-	}
 	buf := s.getBuf(len(payload))
 	copy(buf, payload)
 	s.pending = append(s.pending, pendingPayload{data: buf, at: s.clk.Now()})
@@ -145,53 +106,46 @@ func (s *Shaper) Stats() Stats { return s.stats }
 // armTick schedules the next tick if none is pending, aligned to the
 // tick grid (absolute-time quantization, not send-relative).
 func (s *Shaper) armTick() {
-	if s.ticking || s.cfg.Tick <= 0 {
+	if s.ticking {
 		return
 	}
 	now := s.clk.Now()
-	next := now.Truncate(s.cfg.Tick).Add(s.cfg.Tick)
+	next := now.Truncate(Tick).Add(Tick)
 	s.ticking = true
 	s.clk.Schedule(next.Sub(now), s.tick)
 }
 
-// tick releases up to PerTick queued frames, or a cover frame on an
-// idle tick, then re-arms while there is queued work or cover to keep
-// up.
+// tick releases the oldest queued frame, or a cover frame on an idle
+// tick, then re-arms while there is queued work or cover to keep up.
 func (s *Shaper) tick() {
 	s.ticking = false
 	now := s.clk.Now()
 	if len(s.pending) == 0 {
-		if s.cfg.Cover && now.Before(s.until) {
+		if now.Before(s.until) {
 			s.emitCover()
 		}
 	} else {
-		n := s.cfg.PerTick
-		if n > len(s.pending) {
-			n = len(s.pending)
-		}
-		for i := 0; i < n; i++ {
-			p := s.pending[i]
-			s.stats.QueueDelaySum += now.Sub(p.at)
-			s.emitPayload(p.data)
-			s.free = append(s.free, p.data[:0])
-			s.pending[i] = pendingPayload{}
-		}
-		s.pending = append(s.pending[:0], s.pending[n:]...)
+		p := s.pending[0]
+		s.stats.QueueDelaySum += now.Sub(p.at)
+		s.emitPayload(p.data)
+		s.free = append(s.free, p.data[:0])
+		s.pending[0] = pendingPayload{}
+		s.pending = append(s.pending[:0], s.pending[1:]...)
 	}
-	if len(s.pending) > 0 || (s.cfg.Cover && now.Before(s.until)) {
+	if len(s.pending) > 0 || now.Before(s.until) {
 		s.armTick()
 	}
 }
 
 func (s *Shaper) emitPayload(payload []byte) {
-	s.buf = AppendFrame(s.buf[:0], payload, s.cfg.SizeBuckets)
+	s.buf = AppendFrame(s.buf[:0], payload)
 	s.stats.WireBytes += uint64(len(s.buf))
 	s.stats.Frames++
 	s.emit(s.buf)
 }
 
 func (s *Shaper) emitCover() {
-	s.buf = AppendCover(s.buf[:0], s.cfg.CoverSize)
+	s.buf = AppendCover(s.buf[:0])
 	s.stats.WireBytes += uint64(len(s.buf))
 	s.stats.CoverFrames++
 	s.emit(s.buf)

@@ -21,12 +21,12 @@ const (
 	DSCPNetworkCtrl uint8 = 48 // CS6
 )
 
-// Classifier maps a DSCP to a class index; 0 is the highest priority.
-type Classifier func(dscp uint8) int
+// numClasses counts DefaultClassifier's priority classes.
+const numClasses = 3
 
-// DefaultClassifier implements a common 3-class model:
-// class 0 = EF and network control, class 1 = assured forwarding,
-// class 2 = best effort and scavenger.
+// DefaultClassifier maps a DSCP to a class index, 0 the highest
+// priority, in a common 3-class model: class 0 = EF and network control,
+// class 1 = assured forwarding, class 2 = best effort and scavenger.
 func DefaultClassifier(dscp uint8) int {
 	switch {
 	case dscp >= DSCPExpedited:
@@ -38,44 +38,23 @@ func DefaultClassifier(dscp uint8) int {
 	}
 }
 
-// PriorityQueue is a strict-priority netem.Queue: class 0 always
-// dequeues before class 1, and so on. Each class has its own bounded
-// FIFO.
+// perClassCap bounds each class's FIFO, in packets.
+const perClassCap = 8
+
+// PriorityQueue is a strict-priority netem.Queue over DefaultClassifier's
+// classes: class 0 always dequeues before class 1, and so on. Each class
+// has its own FIFO of perClassCap packets.
 type PriorityQueue struct {
-	classify Classifier
-	classes  [][]*netem.Packet
-	capacity int
+	classes [numClasses][]*netem.Packet
 }
 
-// NewPriorityQueue builds a strict-priority queue with nClasses classes
-// of perClassCap packets each.
-func NewPriorityQueue(nClasses, perClassCap int, classify Classifier) *PriorityQueue {
-	if classify == nil {
-		classify = DefaultClassifier
-	}
-	if nClasses <= 0 {
-		nClasses = 3
-	}
-	if perClassCap <= 0 {
-		perClassCap = 64
-	}
-	return &PriorityQueue{
-		classify: classify,
-		classes:  make([][]*netem.Packet, nClasses),
-		capacity: perClassCap,
-	}
-}
+// NewPriorityQueue builds an empty strict-priority queue.
+func NewPriorityQueue() *PriorityQueue { return &PriorityQueue{} }
 
 // Enqueue implements netem.Queue.
 func (q *PriorityQueue) Enqueue(p *netem.Packet) bool {
-	c := q.classify(p.DSCP)
-	if c < 0 {
-		c = 0
-	}
-	if c >= len(q.classes) {
-		c = len(q.classes) - 1
-	}
-	if len(q.classes[c]) >= q.capacity {
+	c := DefaultClassifier(p.DSCP)
+	if len(q.classes[c]) >= perClassCap {
 		return false
 	}
 	q.classes[c] = append(q.classes[c], p)

@@ -30,7 +30,7 @@ func TestDefaultClassifier(t *testing.T) {
 }
 
 func TestPriorityQueueStrictOrdering(t *testing.T) {
-	q := NewPriorityQueue(3, 10, nil)
+	q := NewPriorityQueue()
 	q.Enqueue(qp(DSCPBestEffort, 100))
 	q.Enqueue(qp(DSCPExpedited, 100))
 	q.Enqueue(qp(DSCPAF41, 100))
@@ -52,18 +52,18 @@ func TestPriorityQueueStrictOrdering(t *testing.T) {
 }
 
 func TestPriorityQueuePerClassCaps(t *testing.T) {
-	q := NewPriorityQueue(3, 2, nil)
+	q := NewPriorityQueue()
 	refused := 0
-	for i := 0; i < 4; i++ {
+	for i := 0; i < perClassCap+2; i++ {
 		if !q.Enqueue(qp(DSCPBestEffort, 10)) {
 			refused++
 		}
 	}
-	if q.Len() != 2 {
-		t.Errorf("Len = %d, want 2", q.Len())
+	if q.Len() != perClassCap {
+		t.Errorf("Len = %d, want %d", q.Len(), perClassCap)
 	}
 	if refused != 2 {
-		t.Errorf("best-effort class refused %d of 4 at a cap of 2, want 2", refused)
+		t.Errorf("best-effort class refused %d of %d at a cap of %d, want 2", refused, perClassCap+2, perClassCap)
 	}
 	// High-priority class unaffected by best-effort pressure.
 	if !q.Enqueue(qp(DSCPExpedited, 10)) {
@@ -72,7 +72,7 @@ func TestPriorityQueuePerClassCaps(t *testing.T) {
 }
 
 func TestPriorityQueueEmptyDequeue(t *testing.T) {
-	q := NewPriorityQueue(2, 4, nil)
+	q := NewPriorityQueue()
 	if q.Dequeue() != nil {
 		t.Error("empty dequeue should be nil")
 	}
@@ -118,7 +118,7 @@ func TestTieredServiceOnLink(t *testing.T) {
 	b := s.MustAddNode("b", "", mustAddr("10.0.0.2"))
 	// Slow link with a priority queue at a's egress.
 	link := s.Connect(a, b, netem.LinkConfig{Delay: time.Millisecond, RateBps: 80_000, QueueLen: 8})
-	if err := link.SetQueue(a, NewPriorityQueue(3, 8, nil)); err != nil {
+	if err := link.SetQueue(a, NewPriorityQueue()); err != nil {
 		t.Fatal(err)
 	}
 	s.BuildRoutes()

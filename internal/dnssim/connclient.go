@@ -13,11 +13,9 @@ import (
 // ConnClient is a blocking resolver client over any net.PacketConn —
 // typically a simnet.UDPConn riding the emulated fabric, but any
 // datagram transport whose payloads are this package's wire messages
-// works. Unlike Client (callback-based, driven from a netem delivery
-// handler), a ConnClient is used from an ordinary goroutine: each
-// lookup writes one query datagram and blocks in ReadFrom until the
-// matching answer arrives. It speaks exactly the wire protocol
-// Resolver serves — the same encode/decode helpers back both clients.
+// works. A ConnClient is used from an ordinary goroutine: each lookup
+// writes one query datagram and blocks in ReadFrom until the matching
+// answer arrives. It speaks exactly the wire protocol Resolver serves.
 //
 // A ConnClient is not safe for concurrent lookups: answers are matched
 // to queries by the conn's local port, so interleaved lookups on one

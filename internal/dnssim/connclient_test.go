@@ -17,8 +17,7 @@ import (
 // TestConnClientOverSimnet exercises the blocking resolver client end to
 // end: an ordinary goroutine issues Lookup/LookupEncrypted over a
 // simnet.UDPConn and the unmodified Resolver answers over the emulated
-// wire. This is the real-protocol path — same bytes on the wire as the
-// callback Client, but driven by blocking reads in virtual time.
+// wire, with exact virtual round trips and a virtual read deadline.
 func TestConnClientOverSimnet(t *testing.T) {
 	start := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
 	clientA := netip.MustParseAddr("172.16.1.10")

@@ -11,12 +11,12 @@
 //
 // The wire protocol is deliberately minimal (this is a bootstrap-
 // semantics model, not an RFC 1035 implementation): queries and responses
-// ride UDP port 53 over the netem fabric.
+// ride UDP port 53 over the netem fabric, answered by a Resolver on a
+// node and asked by a ConnClient over a datagram conn.
 package dnssim
 
 import (
 	"bytes"
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -277,63 +277,6 @@ func (r *Resolver) reply(dst netip.Addr, dstPort uint16, payload []byte) {
 	_ = r.node.Send(pkt)
 }
 
-// Client issues lookups from a netem node. Responses arrive
-// asynchronously through the node's handler; the Client multiplexes by
-// source port.
-type Client struct {
-	node     *netem.Node
-	rng      io.Reader
-	nextPort uint16
-	pending  map[uint16]*pendingQuery
-}
-
-type pendingQuery struct {
-	callback func(Record, error)
-	sess     *e2e.Session
-	enc      bool
-}
-
-// NewClient creates a lookup client on node. The client takes over the
-// node's handler; compose with other handlers before calling if needed.
-func NewClient(node *netem.Node, rng io.Reader) *Client {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	c := &Client{node: node, rng: rng, nextPort: 30000, pending: make(map[uint16]*pendingQuery)}
-	node.SetHandler(c.handle)
-	return c
-}
-
-// LookupPlain issues a plaintext query (the discriminable kind).
-func (c *Client) LookupPlain(resolver netip.Addr, name string, cb func(Record, error)) error {
-	q, err := encodeQueryPlain(name)
-	if err != nil {
-		return err
-	}
-	port := c.allocPort(&pendingQuery{callback: cb})
-	pkt, err := buildUDP(c.node.Addr(), resolver, port, Port, q)
-	if err != nil {
-		return err
-	}
-	return c.node.Send(pkt)
-}
-
-// LookupEncrypted issues an encrypted query to a resolver whose public
-// key the client was configured with (§3.1: "clients will be configured
-// with the IP addresses, the public keys ... of those DNS resolvers").
-func (c *Client) LookupEncrypted(resolver netip.Addr, resolverKey e2e.PublicKey, name string, cb func(Record, error)) error {
-	q, sess, err := encodeQueryEncrypted(c.rng, resolverKey, name)
-	if err != nil {
-		return err
-	}
-	port := c.allocPort(&pendingQuery{callback: cb, sess: sess, enc: true})
-	pkt, err := buildUDP(c.node.Addr(), resolver, port, Port, q)
-	if err != nil {
-		return err
-	}
-	return c.node.Send(pkt)
-}
-
 // encodeQueryPlain builds the plaintext query payload.
 func encodeQueryPlain(name string) ([]byte, error) {
 	if len(name) > 0xFF {
@@ -394,36 +337,6 @@ func decodeAnswerEncrypted(sess *e2e.Session, body []byte) (Record, error) {
 		return Record{}, ErrNoSuchName
 	}
 	return UnmarshalRecord(pt[1:])
-}
-
-func (c *Client) allocPort(p *pendingQuery) uint16 {
-	c.nextPort++
-	c.pending[c.nextPort] = p
-	return c.nextPort
-}
-
-func (c *Client) handle(now time.Time, pkt []byte) {
-	var ip wire.IPv4
-	if err := ip.DecodeFromBytes(pkt); err != nil || ip.Protocol != wire.ProtoUDP {
-		return
-	}
-	var udp wire.UDP
-	if err := udp.DecodeFromBytes(ip.Payload()); err != nil {
-		return
-	}
-	p, ok := c.pending[udp.DstPort]
-	if !ok {
-		return
-	}
-	delete(c.pending, udp.DstPort)
-	body := udp.Payload()
-	if p.enc {
-		rec, err := decodeAnswerEncrypted(p.sess, body)
-		p.callback(rec, err)
-		return
-	}
-	rec, err := decodeAnswerPlain(body)
-	p.callback(rec, err)
 }
 
 func buildUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {

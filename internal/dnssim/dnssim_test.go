@@ -10,6 +10,7 @@ import (
 	"netneutral/internal/e2e"
 	"netneutral/internal/isp"
 	"netneutral/internal/netem"
+	"netneutral/internal/simnet"
 )
 
 var (
@@ -80,8 +81,19 @@ func TestUnmarshalRecordErrors(t *testing.T) {
 	}
 }
 
-// topo builds client — evil transit — resolver.
-func topo(t *testing.T) (*netem.Simulator, *netem.Node, *netem.Node, *netem.Node) {
+// world is client — evil transit — resolver, with a ConnClient on the
+// client's simnet UDP conn.
+type world struct {
+	sim  *netem.Simulator
+	n    *simnet.Net
+	evil *netem.Node
+	r    *Resolver
+	c    *ConnClient
+}
+
+// newWorld builds the line and a resolver holding googleRecord; id, when
+// not nil, lets it answer encrypted queries.
+func newWorld(t *testing.T, id *e2e.Identity) *world {
 	t.Helper()
 	s := netem.NewSimulator(start, 1)
 	cl := s.MustAddNode("client", "att", clientAddr)
@@ -90,90 +102,73 @@ func topo(t *testing.T) (*netem.Simulator, *netem.Node, *netem.Node, *netem.Node
 	s.Connect(cl, evil, netem.LinkConfig{Delay: time.Millisecond})
 	s.Connect(evil, res, netem.LinkConfig{Delay: time.Millisecond})
 	s.BuildRoutes()
-	return s, cl, evil, res
+	r := NewResolver(res, id)
+	r.AddRecord(googleRecord(t))
+	n := simnet.New(s)
+	conn, err := n.ListenUDP(cl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConnClient(conn, netip.AddrPortFrom(resolverAddr, Port), mathrand.New(mathrand.NewSource(1)))
+	return &world{sim: s, n: n, evil: evil, r: r, c: c}
+}
+
+// run executes fn as the world's one blocking workload.
+func (w *world) run(t *testing.T, fn func()) {
+	t.Helper()
+	w.n.Go(fn)
+	if err := w.n.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPlainLookup(t *testing.T) {
-	s, cl, _, res := topo(t)
-	r := NewResolver(res, nil)
-	r.AddRecord(googleRecord(t))
-	c := NewClient(cl, mathrand.New(mathrand.NewSource(1)))
-
+	w := newWorld(t, nil)
 	var got Record
-	var gotErr error
-	done := false
-	if err := c.LookupPlain(resolverAddr, "www.google.com", func(rec Record, err error) {
-		got, gotErr, done = rec, err, true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if !done || gotErr != nil {
-		t.Fatalf("lookup: done=%v err=%v", done, gotErr)
+	var err error
+	w.run(t, func() { got, err = w.c.Lookup("www.google.com") })
+	if err != nil {
+		t.Fatalf("lookup: %v", err)
 	}
 	if got.Addr != googleAddr || len(got.Neutralizers) != 2 {
 		t.Errorf("record = %+v", got)
 	}
-	if r.Queries() != 1 || r.EncryptedQueries() != 0 {
-		t.Errorf("queries = %d/%d", r.Queries(), r.EncryptedQueries())
+	if w.r.Queries() != 1 || w.r.EncryptedQueries() != 0 {
+		t.Errorf("queries = %d/%d", w.r.Queries(), w.r.EncryptedQueries())
 	}
 }
 
 func TestPlainLookupNXDomain(t *testing.T) {
-	s, cl, _, res := topo(t)
-	NewResolver(res, nil)
-	c := NewClient(cl, mathrand.New(mathrand.NewSource(1)))
-	var gotErr error
-	if err := c.LookupPlain(resolverAddr, "nonexistent.example", func(_ Record, err error) {
-		gotErr = err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if gotErr != ErrNoSuchName {
-		t.Errorf("err = %v, want ErrNoSuchName", gotErr)
+	w := newWorld(t, nil)
+	var err error
+	w.run(t, func() { _, err = w.c.Lookup("nonexistent.example") })
+	if err != ErrNoSuchName {
+		t.Errorf("err = %v, want ErrNoSuchName", err)
 	}
 }
 
 func TestEncryptedLookup(t *testing.T) {
-	s, cl, _, res := topo(t)
-	id := testIdentity(t)
-	r := NewResolver(res, id)
-	r.AddRecord(googleRecord(t))
-	c := NewClient(cl, mathrand.New(mathrand.NewSource(1)))
-
+	w := newWorld(t, testIdentity(t))
 	var got Record
-	var gotErr error
-	if err := c.LookupEncrypted(resolverAddr, r.Public(), "www.google.com", func(rec Record, err error) {
-		got, gotErr = rec, err
-	}); err != nil {
+	var err error
+	w.run(t, func() { got, err = w.c.LookupEncrypted(w.r.Public(), "www.google.com") })
+	if err != nil {
 		t.Fatal(err)
-	}
-	s.Run()
-	if gotErr != nil {
-		t.Fatal(gotErr)
 	}
 	if got.Addr != googleAddr {
 		t.Errorf("record = %+v", got)
 	}
-	if r.EncryptedQueries() != 1 {
+	if w.r.EncryptedQueries() != 1 {
 		t.Error("encrypted query not counted")
 	}
 }
 
 func TestEncryptedLookupNXDomain(t *testing.T) {
-	s, cl, _, res := topo(t)
-	r := NewResolver(res, testIdentity(t))
-	c := NewClient(cl, mathrand.New(mathrand.NewSource(1)))
-	var gotErr error
-	if err := c.LookupEncrypted(resolverAddr, r.Public(), "nope.example", func(_ Record, err error) {
-		gotErr = err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if gotErr != ErrNoSuchName {
-		t.Errorf("err = %v, want ErrNoSuchName", gotErr)
+	w := newWorld(t, testIdentity(t))
+	var err error
+	w.run(t, func() { _, err = w.c.LookupEncrypted(w.r.Public(), "nope.example") })
+	if err != ErrNoSuchName {
+		t.Errorf("err = %v, want ErrNoSuchName", err)
 	}
 }
 
@@ -181,24 +176,24 @@ func TestEncryptedLookupNXDomain(t *testing.T) {
 // readable on the wire for plaintext queries and absent for encrypted
 // ones.
 func TestQueryNameVisibility(t *testing.T) {
-	s, cl, evil, res := topo(t)
-	id := testIdentity(t)
-	r := NewResolver(res, id)
-	r.AddRecord(googleRecord(t))
-	c := NewClient(cl, mathrand.New(mathrand.NewSource(1)))
-
-	var wirePkts [][]byte
-	evil.AddTransitHook(func(_ time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
-		wirePkts = append(wirePkts, bytes.Clone(pkt))
+	w := newWorld(t, testIdentity(t))
+	var plainPkts, encPkts [][]byte
+	wirePkts := &plainPkts
+	w.evil.AddTransitHook(func(_ time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
+		*wirePkts = append(*wirePkts, bytes.Clone(pkt))
 		return netem.Deliver
 	})
-
-	if err := c.LookupPlain(resolverAddr, "www.google.com", func(Record, error) {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
+	w.run(t, func() {
+		if _, err := w.c.Lookup("www.google.com"); err != nil {
+			t.Error(err)
+		}
+		wirePkts = &encPkts
+		if _, err := w.c.LookupEncrypted(w.r.Public(), "www.google.com"); err != nil {
+			t.Error(err)
+		}
+	})
 	leaked := false
-	for _, p := range wirePkts {
+	for _, p := range plainPkts {
 		if bytes.Contains(p, []byte("www.google.com")) {
 			leaked = true
 		}
@@ -206,18 +201,12 @@ func TestQueryNameVisibility(t *testing.T) {
 	if !leaked {
 		t.Fatal("sanity: plaintext query must expose the name")
 	}
-
-	wirePkts = nil
-	if err := c.LookupEncrypted(resolverAddr, r.Public(), "www.google.com", func(Record, error) {}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	for i, p := range wirePkts {
+	for i, p := range encPkts {
 		if bytes.Contains(p, []byte("www.google.com")) {
 			t.Errorf("encrypted query packet %d leaks the name", i)
 		}
 	}
-	if len(wirePkts) < 2 {
+	if len(encPkts) < 2 {
 		t.Error("expected query+answer on the wire")
 	}
 }
@@ -226,13 +215,8 @@ func TestQueryNameVisibility(t *testing.T) {
 // plaintext queries naming a non-paying site; encrypted queries to an
 // outside resolver are immune because the ISP cannot see the name.
 func TestTargetedQueryDelay(t *testing.T) {
-	s, cl, evil, res := topo(t)
-	id := testIdentity(t)
-	r := NewResolver(res, id)
-	r.AddRecord(googleRecord(t))
-	rec2 := Record{Name: "paying.example", Addr: netip.MustParseAddr("10.10.0.9")}
-	r.AddRecord(rec2)
-	c := NewClient(cl, mathrand.New(mathrand.NewSource(1)))
+	w := newWorld(t, testIdentity(t))
+	w.r.AddRecord(Record{Name: "paying.example", Addr: netip.MustParseAddr("10.10.0.9")})
 
 	// ISP rule: delay packets containing the target name by 500ms.
 	policy := isp.NewPolicy(nil, isp.Rule{
@@ -240,29 +224,21 @@ func TestTargetedQueryDelay(t *testing.T) {
 		Match:  isp.MatchPayloadContains([]byte("www.google.com")),
 		Action: isp.Action{Delay: 500 * time.Millisecond},
 	})
-	evil.AddTransitHook(policy.Hook())
+	w.evil.AddTransitHook(policy.Hook())
 
-	var googleDone, payingDone, encDone time.Time
-	if err := c.LookupPlain(resolverAddr, "www.google.com", func(Record, error) {
-		googleDone = s.Now()
-	}); err != nil {
-		t.Fatal(err)
+	var googleLat, payingLat, encLat time.Duration
+	timed := func(lookup func() (Record, error)) time.Duration {
+		t0 := w.n.Now()
+		if _, err := lookup(); err != nil {
+			t.Error(err)
+		}
+		return w.n.Now().Sub(t0)
 	}
-	if err := c.LookupPlain(resolverAddr, "paying.example", func(Record, error) {
-		payingDone = s.Now()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.LookupEncrypted(resolverAddr, r.Public(), "www.google.com", func(Record, error) {
-		encDone = s.Now()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-
-	googleLat := googleDone.Sub(start)
-	payingLat := payingDone.Sub(start)
-	encLat := encDone.Sub(start)
+	w.run(t, func() {
+		googleLat = timed(func() (Record, error) { return w.c.Lookup("www.google.com") })
+		payingLat = timed(func() (Record, error) { return w.c.Lookup("paying.example") })
+		encLat = timed(func() (Record, error) { return w.c.LookupEncrypted(w.r.Public(), "www.google.com") })
+	})
 	if googleLat < 500*time.Millisecond {
 		t.Errorf("plaintext google lookup = %v, want >= 500ms (targeted delay)", googleLat)
 	}

@@ -16,8 +16,8 @@
 // indexed by a map on the comparable FlowKey value, features are fixed-
 // size arithmetic state, and classification is a weighted distance over
 // stack arrays. TestObserveExistingFlowZeroAlloc enforces 0 allocs per
-// packet; memory is bounded by MaxFlows with clock-sweep eviction of
-// idle flows.
+// packet; memory is bounded at 10 240 flows per table with clock-sweep
+// eviction of idle flows.
 //
 // Package cloak is the counter to this adversary; eval's E7 experiment
 // runs the arms race between them at metro scale.
@@ -77,9 +77,9 @@ const FeatureDim = NumSizeBuckets + 5
 // Features is the windowed per-flow statistical state. All updates are
 // in-place arithmetic on fixed-size fields — no allocation. Welford's
 // algorithm tracks inter-arrival mean/variance; once the packet count
-// reaches twice the configured window every counter is halved, which
-// turns the totals into an exponentially decayed window so long flows
-// track their recent behavior.
+// reaches twice windowPkts every counter is halved, which turns the
+// totals into an exponentially decayed window so long flows track their
+// recent behavior.
 type Features struct {
 	Pkts  uint64
 	Bytes uint64
@@ -95,10 +95,8 @@ type Features struct {
 	smallGaps float64 // inter-arrivals below the burst gap
 }
 
-// Update folds one packet into the flow state. burstGapNanos is the
-// inter-arrival threshold below which a gap counts as intra-burst;
-// windowPkts bounds the decayed window (0 disables decay).
-func (f *Features) Update(size int, forward bool, nowNanos, burstGapNanos int64, windowPkts int) {
+// Update folds one packet into the flow state.
+func (f *Features) Update(size int, forward bool, nowNanos int64) {
 	f.Pkts++
 	f.Bytes += uint64(size)
 	f.Hist[sizeBucket(size)]++
@@ -116,12 +114,12 @@ func (f *Features) Update(size int, forward bool, nowNanos, burstGapNanos int64,
 		d := gap - f.iatMean
 		f.iatMean += d / f.iatCount
 		f.iatM2 += d * (gap - f.iatMean)
-		if gap < float64(burstGapNanos) {
+		if gap < float64(burstGap) {
 			f.smallGaps++
 		}
 	}
 	f.lastNanos = nowNanos
-	if windowPkts > 0 && f.Pkts >= uint64(2*windowPkts) {
+	if f.Pkts >= 2*windowPkts {
 		f.decay()
 	}
 }

@@ -26,7 +26,7 @@ func synthFlow(class Class, rng *rand.Rand, pkts int) *Features {
 	f := &Features{}
 	now := int64(1e15)
 	emit := func(size int, gap time.Duration) {
-		f.Update(size, true, now, int64(time.Millisecond), 512)
+		f.Update(size, true, now)
 		now += int64(gap)
 	}
 	switch class {
@@ -111,10 +111,9 @@ func TestTrainRejectsBadLabels(t *testing.T) {
 }
 
 func TestFlowTableBoundedEviction(t *testing.T) {
-	const maxFlows = 1024
-	tab := NewFlowTable(Config{MaxFlows: maxFlows, IdleTimeout: time.Second})
+	tab := NewFlowTable(nil)
 	now := int64(1e15)
-	const flows = 10000
+	const flows = 2 * maxFlows
 	for i := 0; i < flows; i++ {
 		// Each flow shows a few packets; later flows arrive later so the
 		// clock sweep always finds idle victims.
@@ -149,7 +148,7 @@ func (t *FlowTable) classOfNoLock(k netem.FlowKey) (Class, bool) {
 }
 
 func TestFlowTableConcurrent(t *testing.T) {
-	tab := NewFlowTable(Config{MaxFlows: 512})
+	tab := NewFlowTable(nil)
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -159,14 +158,14 @@ func TestFlowTableConcurrent(t *testing.T) {
 			now := int64(1e15)
 			for i := 0; i < 20000; i++ {
 				// Overlapping key ranges force shared entries and evictions.
-				tab.Observe(key((w*400+i)%1500), i%2 == 0, 100+i%1400, now)
+				tab.Observe(key((w*400+i)%(maxFlows*3)), i%2 == 0, 100+i%1400, now)
 				now += int64(time.Millisecond)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := len(tab.slab); got > 512 || got != len(tab.idx) {
-		t.Errorf("table holds %d flows under %d keys, want one key each and at most MaxFlows", got, len(tab.idx))
+	if got := len(tab.slab); got > maxFlows || got != len(tab.idx) {
+		t.Errorf("table holds %d flows under %d keys, want one key each and at most maxFlows", got, len(tab.idx))
 	}
 }
 
@@ -175,7 +174,7 @@ func TestObserveExistingFlowZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is distorted under -race")
 	}
 	rng := rand.New(rand.NewSource(3))
-	tab := NewFlowTable(Config{Classifier: trainSynthetic(t, rng, 8)})
+	tab := NewFlowTable(trainSynthetic(t, rng, 8))
 	k := key(1)
 	now := int64(1e15)
 	tab.Observe(k, true, 212, now)
@@ -193,18 +192,18 @@ func TestTokenBucketPolices(t *testing.T) {
 	const rate = 8000.0 // 1000 bytes/sec
 	now := int64(1e15)
 	// Fresh bucket starts full at burst depth.
-	if !b.allow(4000, rate, 4000, now) {
+	if !b.allow(burstBits, rate, now) {
 		t.Fatal("full bucket refused a burst-size packet")
 	}
-	if b.allow(4000, rate, 4000, now) {
+	if b.allow(1, rate, now) {
 		t.Fatal("empty bucket allowed a packet")
 	}
-	// After half a second, half the burst refilled.
+	// After half a second, 4000 bits refilled.
 	now += int64(500 * time.Millisecond)
-	if !b.allow(3000, rate, 4000, now) {
+	if !b.allow(3000, rate, now) {
 		t.Fatal("refilled bucket refused")
 	}
-	if b.allow(3000, rate, 4000, now) {
+	if b.allow(3000, rate, now) {
 		t.Fatal("drained bucket allowed")
 	}
 }
@@ -230,9 +229,9 @@ func TestEngineEnforcesClassPolicy(t *testing.T) {
 	var pol Policy
 	pol[ClassVoIP] = ClassPolicy{DropProb: 1}
 	eng := NewEngine(EngineConfig{
-		Table:  Config{MinPackets: 8, ReclassifyEvery: 8, Classifier: cls},
-		Policy: pol,
-		Rng:    rand.New(rand.NewSource(6)),
+		Classifier: cls,
+		Policy:     pol,
+		Rng:        rand.New(rand.NewSource(6)),
 	})
 	r.AddTransitHook(eng.Hook())
 
@@ -282,12 +281,12 @@ func TestEngineEnforcesClassPolicy(t *testing.T) {
 func TestFeatureDecayBoundsCounters(t *testing.T) {
 	f := &Features{}
 	now := int64(1e15)
-	for i := 0; i < 5000; i++ {
-		f.Update(212, true, now, int64(time.Millisecond), 256)
+	for i := 0; i < 10*windowPkts; i++ {
+		f.Update(212, true, now)
 		now += int64(20 * time.Millisecond)
 	}
-	if f.Pkts >= 512 {
-		t.Errorf("windowed Pkts = %d, want decayed below 2*256", f.Pkts)
+	if f.Pkts >= 2*windowPkts {
+		t.Errorf("windowed Pkts = %d, want decayed below 2*%d", f.Pkts, windowPkts)
 	}
 	var v [FeatureDim]float64
 	f.Vector(&v)

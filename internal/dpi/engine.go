@@ -18,10 +18,8 @@ type ClassPolicy struct {
 	// DropProb drops each packet of the class with this probability.
 	DropProb float64
 	// RateBps, when positive, polices the class's aggregate rate with a
-	// token bucket: packets beyond the rate are dropped.
+	// token bucket burstBits deep: packets beyond the rate are dropped.
 	RateBps float64
-	// BurstBits is the token-bucket depth (default 64 full-size packets).
-	BurstBits float64
 	// Delay holds each packet of the class before forwarding.
 	Delay time.Duration
 
@@ -32,18 +30,16 @@ type ClassPolicy struct {
 	// of ever seeing the differential.
 	TargetFraction float64
 	// DutyPeriod, when positive, duty-cycles enforcement in time: the
-	// policy is active only during the first DutyOn of every DutyPeriod
+	// policy is active only during the first half of every DutyPeriod
 	// (time-varying throttling that a one-shot measurement misses and
 	// that spreads a trial series across ON and OFF phases).
 	DutyPeriod time.Duration
-	// DutyOn is the active window within DutyPeriod (default half).
-	DutyOn time.Duration
 	// MinFlowPkts, when positive, exempts flows until they have shown
 	// this many packets — probe evasion: short measurement flows
 	// complete clean while long-lived application flows age into
 	// enforcement. The gate reads the tracker's *windowed* packet
-	// count, which exponential decay keeps below 2x the table's
-	// WindowPkts; NewEngine therefore clamps MinFlowPkts to WindowPkts
+	// count, which exponential decay keeps below 2x windowPkts;
+	// NewEngine therefore clamps MinFlowPkts to windowPkts
 	// (the count's stable floor for a long flow), so enforcement always
 	// engages eventually no matter how large a threshold is configured.
 	MinFlowPkts uint64
@@ -56,15 +52,11 @@ func (p *ClassPolicy) active(stealthSeed uint64, key netem.FlowKey, flowPkts uin
 		return false
 	}
 	if p.DutyPeriod > 0 {
-		on := p.DutyOn
-		if on <= 0 {
-			on = p.DutyPeriod / 2
-		}
 		phase := nowNanos % int64(p.DutyPeriod)
 		if phase < 0 {
 			phase += int64(p.DutyPeriod)
 		}
-		if phase >= int64(on) {
+		if phase >= int64(p.DutyPeriod/2) {
 			return false
 		}
 	}
@@ -105,13 +97,16 @@ func flowFrac(seed uint64, key netem.FlowKey) float64 {
 // to its enforcement.
 type Policy [NumClasses + 1]ClassPolicy
 
+// burstBits is the token-bucket depth: 64 full-size packets.
+const burstBits = 64 * 1500 * 8
+
 // tokenBucket is a policing bucket in bits.
 type tokenBucket struct {
 	tokens    float64
 	lastNanos int64
 }
 
-func (b *tokenBucket) allow(bits, rateBps, burstBits float64, nowNanos int64) bool {
+func (b *tokenBucket) allow(bits, rateBps float64, nowNanos int64) bool {
 	if b.lastNanos != 0 {
 		b.tokens += rateBps * float64(nowNanos-b.lastNanos) / 1e9
 	} else {
@@ -130,8 +125,9 @@ func (b *tokenBucket) allow(bits, rateBps, burstBits float64, nowNanos int64) bo
 
 // EngineConfig configures a transit enforcement engine.
 type EngineConfig struct {
-	// Table configures the flow tracker (and carries the classifier).
-	Table Config
+	// Classifier assigns the flow tracker's classes; nil observes
+	// features without classifying.
+	Classifier *Classifier
 	// Policy is the per-class enforcement; the zero value observes
 	// without interfering (a pure eavesdropper).
 	Policy Policy
@@ -176,23 +172,14 @@ func NewEngine(cfg EngineConfig) *Engine {
 		seed = 0x6e65757472616c // stable default: replays stay bit-identical
 	}
 	// The flow tracker's windowed packet count decays (it oscillates in
-	// [WindowPkts, 2*WindowPkts) for a long flow), so a MinFlowPkts at
+	// [windowPkts, 2*windowPkts) for a long flow), so a MinFlowPkts at
 	// or above that band would exempt every flow forever. Clamp to the
 	// band's floor: the largest threshold every long flow still crosses.
-	window := cfg.Table.WindowPkts
-	if window == 0 {
-		window = defaultWindowPkts
-	}
 	pol := cfg.Policy
 	for i := range pol {
-		if pol[i].RateBps > 0 && pol[i].BurstBits <= 0 {
-			pol[i].BurstBits = 64 * 1500 * 8
-		}
-		if window > 0 && pol[i].MinFlowPkts > uint64(window) {
-			pol[i].MinFlowPkts = uint64(window)
-		}
+		pol[i].MinFlowPkts = min(pol[i].MinFlowPkts, windowPkts)
 	}
-	return &Engine{table: NewFlowTable(cfg.Table), pol: pol, rng: rng, stealthSeed: seed}
+	return &Engine{table: NewFlowTable(cfg.Classifier), pol: pol, rng: rng, stealthSeed: seed}
 }
 
 // Table exposes the flow tracker for measurement and training.
@@ -237,7 +224,7 @@ func (e *Engine) Hook() netem.TransitHook {
 			return netem.Deliver
 		}
 		e.mu.Lock()
-		if p.RateBps > 0 && !e.buckets[class].allow(float64(len(pkt)*8), p.RateBps, p.BurstBits, nanos) {
+		if p.RateBps > 0 && !e.buckets[class].allow(float64(len(pkt)*8), p.RateBps, nanos) {
 			e.policed[class]++
 			e.mu.Unlock()
 			return netem.Verdict{Drop: true, Cause: netem.CauseTokenBucket, Class: uint8(class)}

@@ -35,7 +35,7 @@ func stealthEngine(pol ClassPolicy) *Engine {
 }
 
 func TestStealthDutyCycleGatesInTime(t *testing.T) {
-	eng := stealthEngine(ClassPolicy{DropProb: 1, DutyPeriod: 10 * time.Millisecond, DutyOn: 5 * time.Millisecond})
+	eng := stealthEngine(ClassPolicy{DropProb: 1, DutyPeriod: 10 * time.Millisecond})
 	hook := eng.Hook()
 	pkt := stealthPkt(t, netip.MustParseAddr("172.16.0.2"), netip.MustParseAddr("10.9.0.1"), 160)
 	base := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -84,21 +84,18 @@ func TestStealthMinFlowPktsExemptsYoungFlows(t *testing.T) {
 func TestStealthMinFlowPktsClampedToWindow(t *testing.T) {
 	var p Policy
 	p[ClassUnknown] = ClassPolicy{DropProb: 1, MinFlowPkts: 1 << 30}
-	eng := NewEngine(EngineConfig{
-		Table:  Config{WindowPkts: 64},
-		Policy: p,
-		Rng:    rand.New(rand.NewSource(9)),
-	})
+	eng := NewEngine(EngineConfig{Policy: p, Rng: rand.New(rand.NewSource(9))})
 	hook := eng.Hook()
 	pkt := stealthPkt(t, netip.MustParseAddr("172.16.0.2"), netip.MustParseAddr("10.9.0.1"), 160)
 	now := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
 	dropped := false
-	for i := 0; i < 500 && !dropped; i++ {
+	const pkts = 4 * windowPkts
+	for i := 0; i < pkts && !dropped; i++ {
 		now = now.Add(time.Millisecond)
 		dropped = hook(now, nil, pkt).Drop
 	}
 	if !dropped {
-		t.Error("flow of 500 packets never enforced: MinFlowPkts must clamp to the decayed window")
+		t.Errorf("flow of %d packets never enforced: MinFlowPkts must clamp to the decayed window", pkts)
 	}
 }
 
@@ -153,7 +150,7 @@ func TestStealthTargetFractionIsStableAndProportional(t *testing.T) {
 // TestStealthObserveNMatchesObserve pins the new two-value observation
 // path to the original.
 func TestStealthObserveNMatchesObserve(t *testing.T) {
-	tab := NewFlowTable(Config{})
+	tab := NewFlowTable(nil)
 	key, err := netem.FlowKeyFrom(netip.MustParseAddr("172.16.0.2"), netip.MustParseAddr("10.9.0.1"), wire.ProtoUDP)
 	if err != nil {
 		t.Fatal(err)

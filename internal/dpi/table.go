@@ -7,56 +7,27 @@ import (
 	"netneutral/internal/netem"
 )
 
-// Config parameterizes a FlowTable. The zero value is filled with
-// defaults suitable for a transit router.
-type Config struct {
-	// MaxFlows bounds the table's memory: the slab of flow entries is
-	// preallocated at this size and never grows (default 10240).
-	MaxFlows int
-	// MinPackets is how many packets a flow must show before its first
-	// classification (default 16).
-	MinPackets int
-	// ReclassifyEvery re-runs the classifier every this many packets
-	// after the first classification (default 64).
-	ReclassifyEvery int
-	// WindowPkts is the decayed feature window (default 512; negative
-	// disables decay so features accumulate over the flow's whole
-	// life).
-	WindowPkts int
-	// BurstGap is the inter-arrival threshold below which a gap counts
-	// as intra-burst (default 1ms).
-	BurstGap time.Duration
-	// IdleTimeout marks flows eligible for eviction preference once idle
-	// this long (default 10s).
-	IdleTimeout time.Duration
-	// Classifier assigns classes as flows mature; nil tracks features
-	// without classifying (the calibration/training mode).
-	Classifier *Classifier
-}
-
-// defaultWindowPkts is the zero-value decayed feature window.
-const defaultWindowPkts = 512
-
-func (c *Config) fill() {
-	if c.MaxFlows <= 0 {
-		c.MaxFlows = 10240
-	}
-	if c.MinPackets <= 0 {
-		c.MinPackets = 16
-	}
-	if c.ReclassifyEvery <= 0 {
-		c.ReclassifyEvery = 64
-	}
-	if c.WindowPkts == 0 {
-		c.WindowPkts = defaultWindowPkts
-	}
-	if c.BurstGap <= 0 {
-		c.BurstGap = time.Millisecond
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 10 * time.Second
-	}
-}
+// The flow tracker's constants, sized for a transit router.
+const (
+	// maxFlows bounds a table's memory: the slab of flow entries is
+	// preallocated at this size and never grows.
+	maxFlows = 10240
+	// minPackets is how many packets a flow must show before its first
+	// classification, and reclassifyEvery re-runs the classifier every
+	// this many packets after it. Classify early and reclassify often:
+	// sparse flows (web fetches during think time) must still be judged,
+	// and on their mature features, not their first burst.
+	minPackets      = 8
+	reclassifyEvery = 8
+	// windowPkts is the decayed feature window.
+	windowPkts = 512
+	// burstGap is the inter-arrival threshold below which a gap counts
+	// as intra-burst.
+	burstGap = time.Millisecond
+	// idleTimeout marks flows eligible for eviction preference once idle
+	// this long.
+	idleTimeout = 10 * time.Second
+)
 
 // FlowEntry is one tracked flow.
 type FlowEntry struct {
@@ -74,24 +45,25 @@ type FlowEntry struct {
 // scaling limit — shard tables per worker if that ever matters).
 type FlowTable struct {
 	mu   sync.Mutex
-	cfg  Config
+	cls  *Classifier
 	idx  map[netem.FlowKey]int32
 	slab []FlowEntry
 	hand int
 }
 
-// NewFlowTable creates a table; see Config for defaults.
-func NewFlowTable(cfg Config) *FlowTable {
-	cfg.fill()
+// NewFlowTable creates a table. cls assigns classes as flows mature;
+// nil tracks features without classifying (the calibration/training
+// mode).
+func NewFlowTable(cls *Classifier) *FlowTable {
 	return &FlowTable{
-		cfg:  cfg,
-		idx:  make(map[netem.FlowKey]int32, cfg.MaxFlows),
-		slab: make([]FlowEntry, 0, cfg.MaxFlows),
+		cls:  cls,
+		idx:  make(map[netem.FlowKey]int32, maxFlows),
+		slab: make([]FlowEntry, 0, maxFlows),
 	}
 }
 
 // Observe folds one packet into its flow and returns the flow's current
-// class (ClassUnknown until MinPackets have been seen or when no
+// class (ClassUnknown until minPackets have been seen or when no
 // classifier is configured). The existing-flow path performs no
 // allocation: a map lookup, the feature arithmetic, and (periodically)
 // a stack-array classification.
@@ -111,11 +83,10 @@ func (t *FlowTable) ObserveN(key netem.FlowKey, forward bool, size int, nowNanos
 		i = t.insertLocked(key, nowNanos)
 	}
 	e := &t.slab[i]
-	e.Feat.Update(size, forward, nowNanos, int64(t.cfg.BurstGap), t.cfg.WindowPkts)
-	if cls := t.cfg.Classifier; cls != nil && e.Feat.Pkts >= uint64(t.cfg.MinPackets) {
-		since := e.Feat.Pkts - uint64(t.cfg.MinPackets)
-		if since%uint64(t.cfg.ReclassifyEvery) == 0 {
-			e.Class, e.Score = cls.Classify(&e.Feat)
+	e.Feat.Update(size, forward, nowNanos)
+	if t.cls != nil && e.Feat.Pkts >= minPackets {
+		if (e.Feat.Pkts-minPackets)%reclassifyEvery == 0 {
+			e.Class, e.Score = t.cls.Classify(&e.Feat)
 		}
 	}
 	class, pkts := e.Class, e.Feat.Pkts
@@ -140,11 +111,11 @@ func (t *FlowTable) insertLocked(key netem.FlowKey, nowNanos int64) int32 {
 }
 
 // evictLocked picks a victim slot with a clock sweep: the first flow
-// idle past IdleTimeout wins; failing that, the stalest of the first
+// idle past idleTimeout wins; failing that, the stalest of the first
 // few probed. O(probes), not O(flows), per eviction.
 func (t *FlowTable) evictLocked(nowNanos int64) int32 {
 	const probes = 16
-	idleBefore := nowNanos - int64(t.cfg.IdleTimeout)
+	idleBefore := nowNanos - int64(idleTimeout)
 	oldest := int32(t.hand % len(t.slab))
 	oldestSeen := int64(1<<63 - 1)
 	for p := 0; p < len(t.slab); p++ {

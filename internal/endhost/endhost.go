@@ -72,8 +72,6 @@ type Config struct {
 	Clock func() time.Time
 	// Rand supplies entropy. Defaults to crypto/rand.Reader.
 	Rand io.Reader
-	// RSABits sizes the one-time setup keys (default lightrsa.DefaultBits).
-	RSABits int
 	// OnData delivers received application data: peer is the real remote
 	// address (never the anycast).
 	OnData func(peer netip.Addr, data []byte)
@@ -157,9 +155,6 @@ func NewHost(cfg Config) (*Host, error) {
 	if cfg.Rand == nil {
 		cfg.Rand = rand.Reader
 	}
-	if cfg.RSABits == 0 {
-		cfg.RSABits = lightrsa.DefaultBits
-	}
 	return &Host{
 		cfg:          cfg,
 		conduits:     make(map[netip.Addr]*conduit),
@@ -196,7 +191,7 @@ func (h *Host) Setup(neut netip.Addr) error {
 	if _, ok := h.pendingSetup[neut]; ok {
 		return ErrSetupPending
 	}
-	priv, err := lightrsa.GenerateKey(h.cfg.Rand, h.cfg.RSABits)
+	priv, err := lightrsa.GenerateKey(h.cfg.Rand, lightrsa.DefaultBits)
 	if err != nil {
 		return fmt.Errorf("endhost: one-time key: %w", err)
 	}

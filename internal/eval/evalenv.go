@@ -86,19 +86,11 @@ func (e *fanoutEnv) portRuleAtTransit(port uint16) *isp.Policy {
 	return p
 }
 
-// dpiTableConfig is every trained adversary's and tap's flow tracker.
-// Classify early and reclassify often: sparse flows (web fetches during
-// think time) must still be judged, and on their mature features, not
-// their first burst.
-func dpiTableConfig(cls *dpi.Classifier) dpi.Config {
-	return dpi.Config{Classifier: cls, MinPackets: 8, ReclassifyEvery: 8}
-}
-
 // dpiAtTransit installs the statistical adversary: classify flows by
 // size and timing features with cls and enforce pol on what it finds.
 func (e *fanoutEnv) dpiAtTransit(cls *dpi.Classifier, pol dpi.Policy, stealthSeed uint64) *dpi.Engine {
 	engine := dpi.NewEngine(dpi.EngineConfig{
-		Table:       dpiTableConfig(cls),
+		Classifier:  cls,
 		Policy:      pol,
 		Rng:         mathrand.New(mathrand.NewSource(e.seed + 77)),
 		StealthSeed: stealthSeed,
@@ -108,9 +100,10 @@ func (e *fanoutEnv) dpiAtTransit(cls *dpi.Classifier, pol dpi.Policy, stealthSee
 }
 
 // tapAtTransit installs a passive feature tap: it observes every packet
-// into a flow table and interferes with none.
-func (e *fanoutEnv) tapAtTransit(cfg dpi.Config) *dpi.FlowTable {
-	tab := dpi.NewFlowTable(cfg)
+// into a flow table (classifying with cls, if not nil) and interferes
+// with none.
+func (e *fanoutEnv) tapAtTransit(cls *dpi.Classifier) *dpi.FlowTable {
+	tab := dpi.NewFlowTable(cls)
 	e.Fan.Transit.AddTransitHook(func(now time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
 		if key, fwd, ok := netem.FlowKeyOf(pkt); ok {
 			tab.Observe(key, fwd, len(pkt), now.UnixNano())
@@ -199,7 +192,7 @@ func (e *fanoutEnv) flowSender(fl flowSpec) (func(payload []byte), error) {
 		_ = src.Send(pkt)
 	}
 	if fl.Mode == ModeCloaked {
-		shaper := cloak.NewShaper(armsCloakConfig, e.Sim, send)
+		shaper := cloak.NewShaper(e.Sim, send)
 		shaper.Run(fl.CloakFor)
 		e.shapers = append(e.shapers, shaper)
 		send = shaper.Send

@@ -41,7 +41,7 @@ const (
 	// opaque payload) with the application's natural sizes and timing.
 	ModeEncrypted
 	// ModeCloaked is ModeEncrypted through the cloak shaper: padded to
-	// one bucket, released on a tick grid, idle ticks filled with cover.
+	// one size, released on a tick grid, idle ticks filled with cover.
 	ModeCloaked
 )
 
@@ -83,15 +83,6 @@ type ArmsConfig struct {
 func (c *ArmsConfig) fill() {
 	orDefault(&c.FlowsPerClass, 25)
 	orDefault(&c.Duration, 5*time.Second)
-}
-
-// armsCloakConfig is the E7 cloak setting: maximal cloaking — one size
-// bucket, a 2.5ms tick (above every app's peak rate), cover traffic on.
-var armsCloakConfig = cloak.Config{
-	SizeBuckets: []int{1400},
-	Tick:        2500 * time.Microsecond,
-	PerTick:     1,
-	Cover:       true,
 }
 
 // ArmsCell is the measured outcome of one (mode, adversary) run.
@@ -185,7 +176,7 @@ func runArmsCell(cfg ArmsConfig, mode ArmsMode, adv ArmsAdversary, cls *dpi.Clas
 		engine = env.dpiAtTransit(cls, pol, 0)
 		run.table = engine.Table()
 	default:
-		run.table = env.tapAtTransit(dpi.Config{})
+		run.table = env.tapAtTransit(nil)
 	}
 
 	// Per-class byte accounting, filled by senders and host handlers.

@@ -74,12 +74,6 @@ type AuditConfig struct {
 	// Trials is the number of paired measurement windows per vantage
 	// (default 12).
 	Trials int
-	// Window is the interleaved strategy's measured span per trial
-	// (default 1s).
-	Window time.Duration
-	// NaivePackets is the naive strategy's per-burst packet count
-	// (default 64).
-	NaivePackets int
 	// Seed drives every RNG in the experiment.
 	Seed int64
 	// Workers is how many threads execute each cell's sharded engine
@@ -98,8 +92,6 @@ func (c *AuditConfig) fill() {
 	orDefault(&c.Vantages, 12)
 	orDefault(&c.InsideVantages, 4)
 	orDefault(&c.Trials, 12)
-	orDefault(&c.Window, time.Second)
-	orDefault(&c.NaivePackets, 64)
 	orDefault(&c.Workers, 1)
 }
 
@@ -157,16 +149,15 @@ func (s *AuditStats) Cell(i AuditISP, m ArmsMode, st audit.Strategy) *AuditCell 
 const auditDPIDelay = 5 * time.Millisecond
 
 // auditPolicy builds the dpi enforcement for the given ISP behavior.
-func auditPolicy(kind AuditISP, naivePkts int) dpi.Policy {
+func auditPolicy(kind AuditISP) dpi.Policy {
 	var pol dpi.Policy
 	p := dpi.ClassPolicy{DropProb: 0.9, Delay: auditDPIDelay}
 	switch kind {
 	case ISPDPIStealth:
 		p.TargetFraction = 0.6
 		p.DutyPeriod = 3 * time.Second
-		p.DutyOn = 1500 * time.Millisecond
 	case ISPDPIEvasion:
-		p.MinFlowPkts = uint64(2 * naivePkts)
+		p.MinFlowPkts = 2 * audit.NaivePackets
 	}
 	pol[dpi.ClassVoIP] = p
 	return pol
@@ -220,7 +211,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 	case ISPPortRule:
 		env.portRuleAtTransit(suspectPort)
 	case ISPDPI, ISPDPIStealth, ISPDPIEvasion:
-		env.dpiAtTransit(cls, auditPolicy(kind, cfg.NaivePackets), uint64(cfg.Seed+13))
+		env.dpiAtTransit(cls, auditPolicy(kind), uint64(cfg.Seed+13))
 	}
 
 	// Every probe source's send(payload): outside sources in the cell's
@@ -295,14 +286,11 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 			sends[srcIdx(n, trial, int(role))](payload)
 		}
 		p, err := audit.NewProber(audit.ProberConfig{
-			On:           anchor,
-			Rng:          mathrand.New(mathrand.NewSource(cfg.Seed*1_000_003 + salt<<32 + int64(vi))),
-			Strategy:     strat,
-			Trials:       T,
-			Window:       cfg.Window,
-			NaivePackets: cfg.NaivePackets,
-			Suspect:      trafficgen.AppVoIP,
-			Emit:         emit,
+			On:       anchor,
+			Rng:      mathrand.New(mathrand.NewSource(cfg.Seed*1_000_003 + salt<<32 + int64(vi))),
+			Strategy: strat,
+			Trials:   T,
+			Emit:     emit,
 		})
 		if err != nil {
 			return err
@@ -364,7 +352,7 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		// whole recorded event set backs the conviction.
 		evidence = append(evidence, audit.BuildEvidence(evs, nil))
 	}
-	cell.Summary = audit.Summarize(reports, audit.DecisionConfig{}, 0, evidence...)
+	cell.Summary = audit.Summarize(reports, evidence...)
 	for vi := 0; vi < V; vi++ {
 		cell.SuspectGoodput += cell.Summary.Verdicts[vi].SuspectGoodput / float64(V)
 		cell.ControlGoodput += cell.Summary.Verdicts[vi].ControlGoodput / float64(V)

@@ -143,7 +143,7 @@ func TestAuditBenchFixture(t *testing.T) {
 	if len(fix.Report.Trials) == 0 {
 		t.Fatal("fixture report empty")
 	}
-	if v := audit.Decide(fix.Report, audit.DecisionConfig{}); !v.Discriminated {
+	if v := audit.Decide(fix.Report); !v.Discriminated {
 		t.Error("fixture report (blatant dpi vantage) not ruled discriminated")
 	}
 }

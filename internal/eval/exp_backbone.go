@@ -48,19 +48,6 @@ type BackboneConfig struct {
 	Seed int64
 	// Duration is the simulated traffic time (default 400ms).
 	Duration time.Duration
-	// RatePps is each metro's neutralized cross-backbone load (default
-	// 2000 packets per simulated second, per metro).
-	RatePps float64
-	// CrossFlows is the number of plain cross-metro host pairs per metro
-	// (default 32; must stay below HostsPerMetro-1 so the classifier
-	// target stays neutralized-only).
-	CrossFlows int
-	// CrossPps is each metro's aggregate plain cross-metro load
-	// (default 1000).
-	CrossPps float64
-	// FluidBpsPerEdge is the background aggregate per border↔edge link
-	// direction (default 20 Mbps on 100 Mbps edge links).
-	FluidBpsPerEdge float64
 	// Workers executes the sharded engine (default 1).
 	Workers int
 	// Observe attaches the observability plane and fills Stats.Obs.
@@ -71,14 +58,23 @@ func (c *BackboneConfig) fill() {
 	orDefault(&c.Metros, 6)
 	orDefault(&c.HostsPerMetro, 1000)
 	orDefault(&c.Duration, 400*time.Millisecond)
-	orDefault(&c.RatePps, 2000)
-	orDefault(&c.CrossFlows, 32)
-	orDefault(&c.CrossPps, 1000)
-	if c.FluidBpsPerEdge == 0 {
-		c.FluidBpsPerEdge = 20e6
-	}
 	orDefault(&c.Workers, 1)
 }
+
+const (
+	// backboneRatePps is each metro's neutralized cross-backbone load, in
+	// packets per simulated second.
+	backboneRatePps = 2000
+	// backboneCrossFlows is the number of plain cross-metro host pairs
+	// per metro; it must stay below HostsPerMetro-1 so the classifier
+	// target stays neutralized-only.
+	backboneCrossFlows = 32
+	// backboneCrossPps is each metro's aggregate plain cross-metro load.
+	backboneCrossPps = 1000
+	// backboneFluidBps is the background aggregate per border↔edge link
+	// direction: 20 Mbps on 100 Mbps edge links.
+	backboneFluidBps = 20e6
+)
 
 // BackboneStats is the outcome of one continental run.
 type BackboneStats struct {
@@ -113,9 +109,9 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 	if cfg.Metros < 2 {
 		return nil, fmt.Errorf("eval: backbone needs at least 2 metros, got %d", cfg.Metros)
 	}
-	if cfg.CrossFlows >= cfg.HostsPerMetro-1 {
+	if backboneCrossFlows >= cfg.HostsPerMetro-1 {
 		return nil, fmt.Errorf("eval: %d cross flows need at least %d hosts per metro",
-			cfg.CrossFlows, cfg.CrossFlows+2)
+			backboneCrossFlows, backboneCrossFlows+2)
 	}
 	sim := netem.NewSimulator(benchStart, cfg.Seed)
 	// The link plan: 100 Mbps edge links (so fluid load is a meaningful
@@ -125,7 +121,7 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 	bb, err := netem.BuildBackbone(sim, netem.BackboneSpec{
 		Metros:          cfg.Metros,
 		HostsPerMetro:   cfg.HostsPerMetro,
-		FluidBpsPerEdge: cfg.FluidBpsPerEdge,
+		FluidBpsPerEdge: backboneFluidBps,
 		FluidInterval:   20 * time.Millisecond,
 		HostLink:        netem.LinkConfig{Delay: time.Millisecond},
 		EdgeLink:        netem.LinkConfig{Delay: time.Millisecond, RateBps: 100e6, QueueLen: 512},
@@ -172,7 +168,7 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 
 		// Plain cross-metro probes: host i of metro m talks to host i of
 		// metro (m+1) — real packets on the paths an auditor would measure.
-		for i := 0; i < cfg.CrossFlows; i++ {
+		for i := 0; i < backboneCrossFlows; i++ {
 			host := f.Hosts[i]
 			tmpl := plainUDP(f.HostAddr(i), dstMetro.HostAddr(i), probeSrcPort, 9000, nil)
 			w.crossNodes = append(w.crossNodes, host)
@@ -184,14 +180,14 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 
 // offer schedules d of all three traffic planes and returns how many
 // neutralized and plain cross-metro packets that is.
-func (w *backboneWorld) offer(cfg BackboneConfig, d time.Duration) (neut, cross int, err error) {
+func (w *backboneWorld) offer(d time.Duration) (neut, cross int, err error) {
 	if err := w.bb.StartFluid(d); err != nil {
 		return 0, 0, err
 	}
 	for m, f := range w.bb.Metros {
-		neut += trafficgen.OpenLoop{RatePps: cfg.RatePps}.Run(f.Outside[0], d, w.neutSends[m])
+		neut += trafficgen.OpenLoop{RatePps: backboneRatePps}.Run(f.Outside[0], d, w.neutSends[m])
 	}
-	perFlow := cfg.CrossPps / float64(cfg.CrossFlows)
+	const perFlow = backboneCrossPps / float64(backboneCrossFlows)
 	for i, host := range w.crossNodes {
 		cross += trafficgen.OpenLoop{RatePps: perFlow}.Run(host, d, w.crossSends[i])
 	}
@@ -223,7 +219,7 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 	for _, f := range bb.Metros {
 		tallies = append(tallies, f.CountDeliveries())
 	}
-	if st.NeutSent, st.CrossSent, err = w.offer(cfg, cfg.Duration); err != nil {
+	if st.NeutSent, st.CrossSent, err = w.offer(cfg.Duration); err != nil {
 		return nil, err
 	}
 	st.Offered = uint64(st.NeutSent + st.CrossSent)
@@ -233,7 +229,7 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 	if err != nil {
 		return st, err
 	}
-	if cfg.FluidBpsPerEdge > 0 && st.FluidBytes == 0 {
+	if st.FluidBytes == 0 {
 		return st, fmt.Errorf("eval: fluid layer accounted zero bytes")
 	}
 	return st, nil

@@ -12,8 +12,8 @@ import (
 func reducedBackbone(seed int64) BackboneConfig {
 	return BackboneConfig{
 		Metros: 4, HostsPerMetro: 200, Seed: seed,
-		Duration: 150 * time.Millisecond, RatePps: 4000, CrossPps: 2000,
-		Observe: true,
+		Duration: 150 * time.Millisecond,
+		Observe:  true,
 	}
 }
 
@@ -72,7 +72,7 @@ func TestE13FullScale(t *testing.T) {
 func TestBackboneRejectsBadConfig(t *testing.T) {
 	for name, cfg := range map[string]BackboneConfig{
 		"lone metro":                 {Metros: 1, HostsPerMetro: 100},
-		"cross flows use every host": {Metros: 2, HostsPerMetro: 33, CrossFlows: 32},
+		"cross flows use every host": {Metros: 2, HostsPerMetro: backboneCrossFlows + 1},
 	} {
 		if st, err := RunBackbone(cfg); err == nil {
 			t.Errorf("%s: RunBackbone accepted it (%+v)", name, st)

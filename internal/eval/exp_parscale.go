@@ -27,10 +27,6 @@ type ParScaleConfig struct {
 	Seed int64
 	// Duration is simulated traffic time per run (default 1s).
 	Duration time.Duration
-	// RatePps is the neutralized downstream load (default 50000).
-	RatePps float64
-	// LocalPps is the intra-subtree chatter load (default 100000).
-	LocalPps float64
 	// Workers is the sweep (default 1, 2, 4, 8).
 	Workers []int
 	// Observe runs every sweep point with the observability plane
@@ -43,12 +39,17 @@ type ParScaleConfig struct {
 func (c *ParScaleConfig) fill() {
 	orDefault(&c.Hosts, 10000)
 	orDefault(&c.Duration, time.Second)
-	orDefault(&c.RatePps, 50000)
-	orDefault(&c.LocalPps, 100000)
 	if len(c.Workers) == 0 {
 		c.Workers = []int{1, 2, 4, 8}
 	}
 }
+
+// The swept metro workload: neutralized downstream load and
+// intra-subtree chatter, in packets per simulated second.
+const (
+	parScaleRatePps  = 50000
+	parScaleLocalPps = 100000
+)
 
 // ParScaleRun is one worker count's outcome.
 type ParScaleRun struct {
@@ -71,7 +72,7 @@ func RunParScale(cfg ParScaleConfig) (*ParScaleStats, error) {
 	runs, err := workerSweep("parscale", cfg.Workers, func(w int) (*MetroStats, error) {
 		return RunMetro(MetroConfig{
 			Hosts: cfg.Hosts, Seed: cfg.Seed, Duration: cfg.Duration,
-			RatePps: cfg.RatePps, LocalPps: cfg.LocalPps, Workers: w,
+			RatePps: parScaleRatePps, LocalPps: parScaleLocalPps, Workers: w,
 			Observe: cfg.Observe,
 		})
 	})

@@ -14,7 +14,7 @@ import (
 func reducedParScale(workers []int) ParScaleConfig {
 	return ParScaleConfig{
 		Hosts: 1200, Seed: 9, Duration: 300 * time.Millisecond,
-		RatePps: 20000, LocalPps: 40000, Workers: workers, Observe: true,
+		Workers: workers, Observe: true,
 	}
 }
 

@@ -33,27 +33,22 @@ import (
 	"netneutral/internal/wire"
 )
 
-// RealProtoConfig parameterizes E10; the zero value gets the registered
-// experiment's defaults.
+// RealProtoConfig parameterizes E10.
 type RealProtoConfig struct {
 	// Seed drives every RNG in the experiment.
 	Seed int64
-	// Clients is the number of outside HTTP clients (each paired with
-	// one customer server) in the neutralized-HTTP phase (default 4).
-	Clients int
-	// Requests is the number of keep-alive HTTP requests per client
-	// (default 3).
-	Requests int
-	// Trials is the number of audit measurement windows per role in the
-	// audit phase (default 8).
-	Trials int
 }
 
-func (c *RealProtoConfig) fill() {
-	orDefault(&c.Clients, 4)
-	orDefault(&c.Requests, 3)
-	orDefault(&c.Trials, 8)
-}
+const (
+	// realClients is the number of outside HTTP clients (each paired
+	// with one customer server) in the neutralized-HTTP phase.
+	realClients = 4
+	// realRequests is the number of keep-alive HTTP requests per client.
+	realRequests = 3
+	// realTrials is the number of audit measurement windows per role in
+	// the audit phase.
+	realTrials = 8
+)
 
 // realDNSResult is the DNS phase's measurement: a blocking ConnClient
 // resolving over simnet UDP against the unmodified resolver.
@@ -195,40 +190,40 @@ func runRealDNS(seed int64) (*realDNSResult, error) {
 // stream carried in shim conduits. A passive DPI tap at transit — the
 // same classifier E7 trains — observes every packet and classifies the
 // per-client flows.
-func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
+func runRealHTTP(seed int64) (*realHTTPResult, error) {
 	// Train the statistical adversary exactly as E7/E8 do.
-	cls, _, err := trainClassifier(calibrationConfig(cfg.Seed + 42))
+	cls, _, err := trainClassifier(calibrationConfig(seed + 42))
 	if err != nil {
 		return nil, err
 	}
 
 	link := netem.LinkConfig{Delay: time.Millisecond, QueueLen: 4096}
-	env, err := newFanoutEnv(cfg.Seed+1, netem.FanoutSpec{
-		Hosts: cfg.Clients, Outside: cfg.Clients + 1,
+	env, err := newFanoutEnv(seed+1, netem.FanoutSpec{
+		Hosts: realClients, Outside: realClients + 1,
 		HostLink: link, EdgeLink: link, TransitLink: link, OutsideLink: link,
 	}, true)
 	if err != nil {
 		return nil, err
 	}
 	f := env.Fan
-	tab := env.tapAtTransit(dpiTableConfig(cls))
+	tab := env.tapAtTransit(cls)
 
 	n := simnet.New(env.Sim)
 
 	// The resolver lives on the last outside node.
-	rid, err := e2e.NewIdentity(detRand(cfg.Seed+2), 0)
+	rid, err := e2e.NewIdentity(detRand(seed+2), 0)
 	if err != nil {
 		return nil, err
 	}
-	resNode := f.Outside[cfg.Clients]
+	resNode := f.Outside[realClients]
 	resolver := dnssim.NewResolver(resNode, rid)
 
 	// Customer-side: an endhost per customer, an http.Server accepting
 	// streams that arrive as conduit payloads.
-	servers := make([]*http.Server, 0, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
+	servers := make([]*http.Server, 0, realClients)
+	for i := 0; i < realClients; i++ {
 		i := i
-		host, err := newEndhost(env.Sim, f.Hosts[i], cfg.Seed+500+int64(i), cfg.Seed+600+int64(i))
+		host, err := newEndhost(env.Sim, f.Hosts[i], seed+500+int64(i), seed+600+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -254,12 +249,12 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 
 	// Outside-side: per-client endhost + blocking DNS client, then the
 	// full bootstrap and keep-alive request loop in a sim goroutine.
-	errs := make([]error, cfg.Clients)
-	rtts := make([]time.Duration, cfg.Clients)
-	oks := make([]int, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
+	errs := make([]error, realClients)
+	rtts := make([]time.Duration, realClients)
+	oks := make([]int, realClients)
+	for i := 0; i < realClients; i++ {
 		i := i
-		chost, err := newEndhost(env.Sim, f.Outside[i], cfg.Seed+700+int64(i), cfg.Seed+800+int64(i))
+		chost, err := newEndhost(env.Sim, f.Outside[i], seed+700+int64(i), seed+800+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +264,7 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 			return nil, err
 		}
 		cc := dnssim.NewConnClient(dnsConn, netip.AddrPortFrom(resNode.Addr(), dnssim.Port),
-			mathrand.New(mathrand.NewSource(cfg.Seed+900+int64(i))))
+			mathrand.New(mathrand.NewSource(seed+900+int64(i))))
 		n.Go(func() {
 			errs[i] = func() error {
 				// Stagger starts so bootstraps do not collide at one instant.
@@ -297,7 +292,7 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 				}
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				for r := 0; r < cfg.Requests; r++ {
+				for r := 0; r < realRequests; r++ {
 					t0 := n.Now()
 					status, body, err := httpGet(conn, br, fmt.Sprintf("http://%s/doc/%d", rec.Addr, r), false)
 					if err != nil {
@@ -326,9 +321,9 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 		}
 	}
 
-	res := &realHTTPResult{Want: cfg.Clients * cfg.Requests}
+	res := &realHTTPResult{Want: realClients * realRequests}
 	var total time.Duration
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < realClients; i++ {
 		res.OK += oks[i]
 		total += rtts[i]
 	}
@@ -337,7 +332,7 @@ func runRealHTTP(cfg RealProtoConfig) (*realHTTPResult, error) {
 	}
 	// Harvest the transit tap: a neutralized client's flow is the
 	// (outside addr, anycast) shim pair in both directions.
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < realClients; i++ {
 		key, err := env.flowKey(f.OutsideAddr(i), f.HostAddr(i), ModeEncrypted)
 		if err != nil {
 			return nil, err
@@ -380,7 +375,7 @@ func httpGet(conn io.Writer, br *bufio.Reader, url string, last bool) (int, []by
 // latencies standing in for probe delay samples. When
 // throttle is set, transit adds a constant 20ms to every packet from or
 // to the suspect client (constant, so FIFO ordering is preserved).
-func runRealAuditCell(seed int64, trials int, throttle bool) (audit.Verdict, RealTraceCheck, error) {
+func runRealAuditCell(seed int64, throttle bool) (audit.Verdict, RealTraceCheck, error) {
 	var tc RealTraceCheck
 	// Rate-limited links make serialization delay depend on body size,
 	// which varies per trial — the within-role variance the
@@ -426,7 +421,7 @@ func runRealAuditCell(seed int64, trials int, throttle bool) (audit.Verdict, Rea
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	rep := audit.Report{Strategy: audit.StrategyInterleaved, Trials: make([]audit.Trial, trials)}
+	rep := audit.Report{Strategy: audit.StrategyInterleaved, Trials: make([]audit.Trial, realTrials)}
 	target := netip.AddrPortFrom(f.HostAddr(0), 80)
 	var roleErr [audit.NumRoles]error
 	for role := 0; role < int(audit.NumRoles); role++ {
@@ -434,7 +429,7 @@ func runRealAuditCell(seed int64, trials int, throttle bool) (audit.Verdict, Rea
 		node := f.Outside[role]
 		n.Go(func() {
 			roleErr[role] = func() error {
-				for t := 0; t < trials; t++ {
+				for t := 0; t < realTrials; t++ {
 					// Interleave roles within each window; windows are far
 					// enough apart that trials never overlap.
 					at := benchStart.Add(time.Duration(t)*250*time.Millisecond +
@@ -476,7 +471,7 @@ func runRealAuditCell(seed int64, trials int, throttle bool) (audit.Verdict, Rea
 	if err != nil {
 		return audit.Verdict{}, tc, fmt.Errorf("audit cell: %w", err)
 	}
-	return audit.Decide(&rep, audit.DecisionConfig{}), tc, nil
+	return audit.Decide(&rep), tc, nil
 }
 
 // verifyRealTrace enforces the span contract over a fully-traced cell:
@@ -517,7 +512,6 @@ func verifyRealTrace(fr *obs.FlightRecorder) (RealTraceCheck, error) {
 // the run fails loudly when real protocols did not actually cross the
 // sim the way the claims require.
 func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
-	cfg.fill()
 	st := &RealProtoStats{Cfg: cfg}
 
 	dns, err := runRealDNS(cfg.Seed)
@@ -526,16 +520,16 @@ func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 	}
 	st.DNS = *dns
 
-	httpRes, err := runRealHTTP(cfg)
+	httpRes, err := runRealHTTP(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	st.HTTP = *httpRes
 
-	if st.Neutral, st.NeutralTrace, err = runRealAuditCell(cfg.Seed+3, cfg.Trials, false); err != nil {
+	if st.Neutral, st.NeutralTrace, err = runRealAuditCell(cfg.Seed+3, false); err != nil {
 		return nil, err
 	}
-	if st.Throttled, st.ThrottledTrace, err = runRealAuditCell(cfg.Seed+4, cfg.Trials, true); err != nil {
+	if st.Throttled, st.ThrottledTrace, err = runRealAuditCell(cfg.Seed+4, true); err != nil {
 		return nil, err
 	}
 	return st, verifyRealProto(st)
@@ -556,8 +550,8 @@ func verifyRealProto(st *RealProtoStats) error {
 			fmt.Sprintf("resolver counters = %d/%d, want 3 queries, 1 encrypted", st.DNS.Queries, st.DNS.Encrypted)},
 		{st.HTTP.OK == st.HTTP.Want,
 			fmt.Sprintf("http requests completed = %d/%d", st.HTTP.OK, st.HTTP.Want)},
-		{st.HTTP.Flows == st.Cfg.Clients,
-			fmt.Sprintf("transit dpi tap observed %d/%d client flows", st.HTTP.Flows, st.Cfg.Clients)},
+		{st.HTTP.Flows == realClients,
+			fmt.Sprintf("transit dpi tap observed %d/%d client flows", st.HTTP.Flows, realClients)},
 		{st.HTTP.Hist[dpi.ClassUnknown] == 0,
 			fmt.Sprintf("%d flows never classified (too few packets reached transit?)", st.HTTP.Hist[dpi.ClassUnknown])},
 		{!st.Neutral.Discriminated,

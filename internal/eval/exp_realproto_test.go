@@ -24,7 +24,7 @@ func TestE10RealProto(t *testing.T) {
 // latency, every classification, every audit verdict — even though real
 // net/http goroutines ran on the OS scheduler in between.
 func TestE10Deterministic(t *testing.T) {
-	cfg := RealProtoConfig{Seed: 77, Clients: 2, Requests: 2, Trials: 6}
+	cfg := RealProtoConfig{Seed: 77}
 	a, err := RunRealProto(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"netneutral/internal/netem"
 	"netneutral/internal/pushback"
 	"netneutral/internal/shim"
+	"netneutral/internal/simnet"
 	"netneutral/internal/wire"
 )
 
@@ -345,7 +346,7 @@ func RunA5() (*Result, error) {
 	sim.BuildRoutes()
 
 	// The victim samples what its bottleneck's egress queue refuses.
-	det := pushback.NewDetector(8192)
+	det := pushback.NewDetector()
 	if err := bottleneck.SetQueue(up, det.WatchQueue(netem.NewFIFOQueue(16))); err != nil {
 		return nil, err
 	}
@@ -385,7 +386,7 @@ func RunA5() (*Result, error) {
 
 	ctrl := &pushback.Controller{Detector: det, Upstream: []*netem.Node{up},
 		LimitBps: 10_000, Lifetime: time.Hour}
-	deployed := ctrl.MaybePush(sim.Now(), 0.5)
+	deployed := ctrl.MaybePush(sim.Now())
 	received[shim.TypeData] = 0
 	inject(50)
 	sim.RunFor(500 * time.Millisecond)
@@ -498,7 +499,7 @@ func RunA6() (*Result, error) {
 	}{
 		{"static", multihome.Static{}},
 		{"round-robin", &multihome.RoundRobin{}},
-		{"latency-weighted", multihome.NewWeighted(5)},
+		{"latency-weighted", multihome.NewWeighted()},
 	} {
 		r, err := runStrategy(tc.strat, 0)
 		if err != nil {
@@ -547,35 +548,42 @@ func RunA7() (*Result, error) {
 		Action: isp.Action{Delay: 500 * time.Millisecond},
 	})
 	evil.AddTransitHook(policy.Hook())
-	c := dnssim.NewClient(cl, detRand(73))
 
-	var tPlainTarget, tPlainOther, tEnc time.Duration
-	if err := c.LookupPlain(res.Addr(), "www.google.com", func(dnssim.Record, error) {
-		tPlainTarget = sim.Now().Sub(benchStart)
-	}); err != nil {
+	n := simnet.New(sim)
+	conn, err := n.ListenUDP(cl, 0)
+	if err != nil {
 		return nil, err
 	}
-	sim.Run()
-	base := sim.Now()
-	if err := c.LookupPlain(res.Addr(), "paying.example", func(dnssim.Record, error) {
-		tPlainOther = sim.Now().Sub(base)
-	}); err != nil {
+	c := dnssim.NewConnClient(conn, netip.AddrPortFrom(res.Addr(), dnssim.Port), detRand(73))
+	// took[i] is lookup i's virtual duration: the targeted name in
+	// plaintext, the paying site in plaintext, the targeted name encrypted.
+	var took [3]time.Duration
+	var goErr error
+	n.Go(func() {
+		for i, lookup := range []func() (dnssim.Record, error){
+			func() (dnssim.Record, error) { return c.Lookup("www.google.com") },
+			func() (dnssim.Record, error) { return c.Lookup("paying.example") },
+			func() (dnssim.Record, error) { return c.LookupEncrypted(r.Public(), "www.google.com") },
+		} {
+			t0 := n.Now()
+			if _, goErr = lookup(); goErr != nil {
+				return
+			}
+			took[i] = n.Now().Sub(t0)
+		}
+	})
+	if err := n.Run(); err != nil {
 		return nil, err
 	}
-	sim.Run()
-	base = sim.Now()
-	if err := c.LookupEncrypted(res.Addr(), r.Public(), "www.google.com", func(dnssim.Record, error) {
-		tEnc = sim.Now().Sub(base)
-	}); err != nil {
-		return nil, err
+	if goErr != nil {
+		return nil, goErr
 	}
-	sim.Run()
 
 	return &Result{ID: "A7", Title: "DNS bootstrap under query discrimination", Rows: []Row{
-		{Metric: "plaintext lookup of targeted name", Paper: "delayed", Measured: tPlainTarget.String(),
+		{Metric: "plaintext lookup of targeted name", Paper: "delayed", Measured: took[0].String(),
 			Note: "ISP rule adds 500ms"},
-		{Metric: "plaintext lookup of paying site", Paper: "fast", Measured: tPlainOther.String(), Note: ""},
-		{Metric: "encrypted lookup of targeted name", Paper: "fast", Measured: tEnc.String(),
+		{Metric: "plaintext lookup of paying site", Paper: "fast", Measured: took[1].String(), Note: ""},
+		{Metric: "encrypted lookup of targeted name", Paper: "fast", Measured: took[2].String(),
 			Note: "name invisible to the ISP"},
 	}}, nil
 }
@@ -614,7 +622,7 @@ func RunA8() (*Result, error) {
 	a := sim.MustAddNode("a", "", netip.MustParseAddr("10.0.0.1"))
 	b := sim.MustAddNode("b", "", netip.MustParseAddr("10.0.0.2"))
 	link := sim.Connect(a, b, netem.LinkConfig{Delay: time.Millisecond, RateBps: 80_000, QueueLen: 8})
-	if err := link.SetQueue(a, diffserv.NewPriorityQueue(3, 8, nil)); err != nil {
+	if err := link.SetQueue(a, diffserv.NewPriorityQueue()); err != nil {
 		return nil, err
 	}
 	sim.BuildRoutes()
@@ -633,7 +641,7 @@ func RunA8() (*Result, error) {
 
 	// (3) Guaranteed service: anonymized flows collapse; dynamic
 	// addresses separate them.
-	tbl := intserv.NewTable(1e9)
+	tbl := intserv.NewTable()
 	outside := f1Ann
 	_ = tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: f1Anycast, Dst: outside}, RateBps: 64_000})
 	collapseErr := tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: f1Anycast, Dst: outside}, RateBps: 64_000})

@@ -42,9 +42,7 @@ func attachObservation(sim *netem.Simulator, on bool) *observation {
 	if !on {
 		return nil
 	}
-	rec := obs.NewRecorder(sim.Metrics(), obs.RecorderConfig{
-		RingSize: 512, Interval: time.Millisecond,
-	})
+	rec := obs.NewRecorder(sim.Metrics())
 	rec.Register()
 	sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
 	fr := obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: 64, RingSize: 4096})

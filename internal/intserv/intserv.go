@@ -48,18 +48,21 @@ type Reservation struct {
 	RateBps float64
 }
 
-// Table is an admission-controlled reservation table with a capacity
-// budget (the guaranteed-service share of a link).
+// capacityBps is a Table's reservable capacity: the guaranteed-service
+// share of a 1 Gbps link, in bits/sec.
+const capacityBps = 1e9
+
+// Table is an admission-controlled reservation table with a budget of
+// capacityBps.
 type Table struct {
-	mu       sync.Mutex
-	capacity float64 // total reservable bits/sec
-	used     float64
-	flows    map[FlowID]*Reservation
+	mu    sync.Mutex
+	used  float64
+	flows map[FlowID]*Reservation
 }
 
-// NewTable creates a table with the given reservable capacity in bps.
-func NewTable(capacityBps float64) *Table {
-	return &Table{capacity: capacityBps, flows: make(map[FlowID]*Reservation)}
+// NewTable creates an empty table.
+func NewTable() *Table {
+	return &Table{flows: make(map[FlowID]*Reservation)}
 }
 
 // Reserve admits a reservation or rejects it for capacity/duplicates.
@@ -69,7 +72,7 @@ func (t *Table) Reserve(r Reservation) error {
 	if _, dup := t.flows[r.Flow]; dup {
 		return ErrDuplicateFlow
 	}
-	if t.used+r.RateBps > t.capacity {
+	if t.used+r.RateBps > capacityBps {
 		return ErrNoCapacity
 	}
 	cp := r

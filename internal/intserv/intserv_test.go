@@ -28,22 +28,22 @@ func pkt(t testing.TB, src, dst netip.Addr, size int) []byte {
 }
 
 func TestTableAdmissionControl(t *testing.T) {
-	tbl := NewTable(100_000)
+	tbl := NewTable()
 	f1 := FlowID{Src: srcA, Dst: dstX}
-	if err := tbl.Reserve(Reservation{Flow: f1, RateBps: 64_000}); err != nil {
+	if err := tbl.Reserve(Reservation{Flow: f1, RateBps: 0.64 * capacityBps}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Reserve(Reservation{Flow: f1, RateBps: 1}); err != ErrDuplicateFlow {
 		t.Errorf("duplicate: %v", err)
 	}
 	f2 := FlowID{Src: srcB, Dst: dstX}
-	if err := tbl.Reserve(Reservation{Flow: f2, RateBps: 64_000}); err != ErrNoCapacity {
+	if err := tbl.Reserve(Reservation{Flow: f2, RateBps: 0.64 * capacityBps}); err != ErrNoCapacity {
 		t.Errorf("over capacity: %v", err)
 	}
-	if err := tbl.Reserve(Reservation{Flow: f2, RateBps: 36_000}); err != nil {
+	if err := tbl.Reserve(Reservation{Flow: f2, RateBps: 0.36 * capacityBps}); err != nil {
 		t.Errorf("within capacity: %v", err)
 	}
-	if len(tbl.flows) != 2 || tbl.used != 100_000 {
+	if len(tbl.flows) != 2 || tbl.used != capacityBps {
 		t.Errorf("len=%d used=%v", len(tbl.flows), tbl.used)
 	}
 }
@@ -72,7 +72,7 @@ func TestAnonymizedFlowsCollapse(t *testing.T) {
 	if f1 != f2 {
 		t.Fatal("sanity: anonymized flows should collapse")
 	}
-	tbl := NewTable(1e9)
+	tbl := NewTable()
 	if err := tbl.Reserve(Reservation{Flow: f1, RateBps: 1000}); err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,6 @@ type Action struct {
 	DropProb float64
 	// Delay holds the packet before it continues.
 	Delay time.Duration
-	// RemarkDSCP, when non-nil, rewrites the packet's DSCP (e.g. to a
-	// scavenger class).
-	RemarkDSCP *uint8
 }
 
 // Rule is one classification entry.
@@ -151,7 +148,7 @@ func (p *Policy) Hook() netem.TransitHook {
 				continue
 			}
 			p.hits[r.Name]++
-			v := netem.Verdict{Delay: r.Action.Delay, DSCP: r.Action.RemarkDSCP, Cause: netem.CauseRule}
+			v := netem.Verdict{Delay: r.Action.Delay, Cause: netem.CauseRule}
 			if r.Action.DropProb > 0 && p.rng.Float64() < r.Action.DropProb {
 				v.Drop = true
 			}

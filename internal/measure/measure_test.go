@@ -7,45 +7,14 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("zero-value histogram should report zeros")
+	if h.Mean() != 0 {
+		t.Error("zero-value histogram should report a zero mean")
 	}
 	for i := 1; i <= 100; i++ {
 		h.Add(time.Duration(i) * time.Millisecond)
 	}
-	if h.Count() != 100 {
-		t.Errorf("Count = %d", h.Count())
-	}
 	if got, want := h.Mean(), 50500*time.Microsecond; got != want {
 		t.Errorf("Mean = %v, want %v", got, want)
-	}
-	if got := h.Quantile(0.5); got != 50*time.Millisecond {
-		t.Errorf("p50 = %v", got)
-	}
-	if got := h.Quantile(0.95); got != 95*time.Millisecond {
-		t.Errorf("p95 = %v", got)
-	}
-	if got := h.Quantile(0); got != time.Millisecond {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := h.Quantile(1); got != 100*time.Millisecond {
-		t.Errorf("p100 = %v", got)
-	}
-	if h.Max() != 100*time.Millisecond {
-		t.Errorf("Max = %v", h.Max())
-	}
-	if h.String() == "" {
-		t.Error("String empty")
-	}
-}
-
-func TestHistogramQuantileAfterMoreAdds(t *testing.T) {
-	var h Histogram
-	h.Add(10 * time.Millisecond)
-	_ = h.Quantile(0.5) // sorts
-	h.Add(1 * time.Millisecond)
-	if got := h.Quantile(0); got != time.Millisecond {
-		t.Errorf("histogram must re-sort after Add: p0 = %v", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // bruteU1 counts pairs (x_i, y_j) with x > y plus half-credit for ties:
@@ -252,56 +251,5 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Errorf("even median = %v, want 2.5", got)
-	}
-}
-
-// TestHistogramReservoirBound: the metro-scale footgun fix — a
-// histogram fed far past its bound must cap retained samples while
-// keeping Count/Mean/Max exact and quantiles representative.
-func TestHistogramReservoirBound(t *testing.T) {
-	var h Histogram
-	const n = 100_000
-	for i := 1; i <= n; i++ {
-		h.Add(time.Duration(i) * time.Microsecond)
-	}
-	if h.Count() != n {
-		t.Errorf("Count = %d, want %d (total adds, not reservoir size)", h.Count(), n)
-	}
-	if got := len(h.samples); got != DefaultMaxSamples {
-		t.Errorf("retained %d samples, want bound %d", got, DefaultMaxSamples)
-	}
-	wantMean := time.Duration(n+1) * time.Microsecond / 2
-	if got := h.Mean(); got != wantMean {
-		t.Errorf("Mean = %v, want exact %v", got, wantMean)
-	}
-	if got := h.Max(); got != n*time.Microsecond {
-		t.Errorf("Max = %v, want exact %v", got, n*time.Microsecond)
-	}
-	// The reservoir is uniform: the median estimate must land within a
-	// generous band around the true median.
-	med := h.Quantile(0.5)
-	if med < 35*time.Millisecond || med > 65*time.Millisecond {
-		t.Errorf("reservoir p50 = %v, want within [35ms, 65ms] of true 50ms", med)
-	}
-	if q0, q1 := h.Quantile(0), h.Quantile(1); q0 > q1 {
-		t.Errorf("quantiles unordered: p0=%v p100=%v", q0, q1)
-	}
-}
-
-// TestHistogramReservoirDeterministic: two identical add sequences must
-// retain identical reservoirs (seeded experiments replay bit-exactly).
-func TestHistogramReservoirDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		var h Histogram
-		for i := 0; i < 4*DefaultMaxSamples; i++ {
-			h.Add(time.Duration(i) * time.Microsecond)
-		}
-		return append([]time.Duration(nil), h.samples...)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("reservoirs diverge at %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }

@@ -76,9 +76,12 @@ type Weighted struct {
 	rng *rand.Rand
 }
 
-// NewWeighted creates a latency-weighted strategy with a seeded RNG.
-func NewWeighted(seed int64) *Weighted {
-	return &Weighted{rtt: make(map[netip.Addr]float64), rng: rand.New(rand.NewSource(seed))}
+// weightedSeed seeds every Weighted strategy's RNG, so a run replays.
+const weightedSeed = 5
+
+// NewWeighted creates a latency-weighted strategy.
+func NewWeighted() *Weighted {
+	return &Weighted{rtt: make(map[netip.Addr]float64), rng: rand.New(rand.NewSource(weightedSeed))}
 }
 
 // Pick implements Strategy.

@@ -58,7 +58,7 @@ func TestRoundRobinEvenSpread(t *testing.T) {
 }
 
 func TestWeightedPrefersFasterProvider(t *testing.T) {
-	w := NewWeighted(7)
+	w := NewWeighted()
 	s, err := NewSelector([]netip.Addr{n1, n2}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestWeightedPrefersFasterProvider(t *testing.T) {
 }
 
 func TestWeightedFailuresDeprioritize(t *testing.T) {
-	w := NewWeighted(3)
+	w := NewWeighted()
 	s, err := NewSelector([]netip.Addr{n1, n2}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestTrialAndErrorSticksThenFailsOver(t *testing.T) {
 
 func TestStrategyNames(t *testing.T) {
 	if (Static{}).Name() == "" || (&RoundRobin{}).Name() == "" ||
-		NewWeighted(1).Name() == "" || NewTrialAndError().Name() == "" {
+		NewWeighted().Name() == "" || NewTrialAndError().Name() == "" {
 		t.Error("strategies must be nameable for experiment output")
 	}
 }

@@ -8,53 +8,47 @@ import (
 )
 
 // BackboneSpec parameterizes a continental-scale topology: N metros —
-// each a full BuildFanout subtree with its own address blocks, anycast
-// neutralizer address, and shard(s) — stitched through one transit-core
-// router with wide-area propagation delays.
+// each a full BuildFanout subtree (default 256 hosts per edge, one
+// outside user) with its own address blocks, anycast neutralizer
+// address, and shard — stitched through one transit-core router with
+// wide-area propagation delays (backboneMetroDelay, the spread that
+// bounds the engine's lookahead).
 //
 //	          ┌── metro 0 (transit ── border ── edges ── hosts)
 //	 core ────┼── metro 1
-//	(shard 0) └── … metro N-1 (shards 1+m·K … )
+//	(shard 0) └── … metro N-1 (shard N)
+//
+// One shard per metro is deliberately coarse: cross-shard outboxes are
+// O(shards²), so dozens of shards is the sweet spot, not one per edge.
 //
 // Addressing plan, explicit and validated (overlapping metros are
 // rejected, not implied): metro m's customer block is the m-th
 // power-of-two-sized slice of 10.0.0.0/9 large enough for
-// HostsPerMetro+1 addresses, its outside block the m-th slice of
-// 172.16.0.0/12 sized for OutsidePerMetro+1, and its neutralizer
-// anycast address 10.224.0.0/11 base + m·256 + 1. A spec whose metros
-// would not fit those spaces fails to build.
+// HostsPerMetro+1 addresses, its outside block the m-th two-address
+// slice of 172.16.0.0/12, and its neutralizer anycast address
+// 10.224.0.0/11 base + m·256 + 1. A spec whose metros would not fit
+// those spaces fails to build.
 type BackboneSpec struct {
 	// Metros is the number of metro subtrees (required, 1..4096).
 	Metros int
 	// HostsPerMetro is the customer-host count per metro (required).
 	HostsPerMetro int
-	// HostsPerEdge bounds one edge router's fan-out (default 256).
-	HostsPerEdge int
-	// OutsidePerMetro is the outside-user count per metro (default 1).
-	OutsidePerMetro int
-	// ShardsPerMetro spreads each metro's edge subtrees over K shards
-	// (default 1: one shard per metro). The core always runs on shard 0.
-	// Kept deliberately coarse: cross-shard outboxes are O(shards²), so
-	// dozens of shards is the sweet spot, not one per edge.
-	ShardsPerMetro int
-	// CoreLink configures the metro-gateway↔core links. A zero Delay
-	// gets a deterministic per-metro spread (2ms + (7m mod 29)ms — the
-	// wide-area delays that bound the engine's lookahead).
-	CoreLink LinkConfig
 	// HostLink, EdgeLink, TransitLink, OutsideLink pass through to each
-	// metro's FanoutSpec. EdgeLink must keep a positive delay when
-	// ShardsPerMetro > 1.
+	// metro's FanoutSpec.
 	HostLink, EdgeLink, TransitLink, OutsideLink LinkConfig
 	// FluidBpsPerEdge, when positive, attaches a fluid background
-	// aggregate of this mean rate to both directions of every
-	// border↔edge link at StartFluid time (see fluid.go for what fluid
-	// load does and does not model).
+	// aggregate of this mean rate, jittered by fluidJitterFrac, to both
+	// directions of every border↔edge link at StartFluid time (see
+	// fluid.go for what fluid load does and does not model).
 	FluidBpsPerEdge float64
-	// FluidJitterFrac and FluidInterval configure those aggregates
-	// (defaults 0.2 and 100ms).
-	FluidJitterFrac float64
-	FluidInterval   time.Duration
+	// FluidInterval is those aggregates' rate-update period (default
+	// 100ms).
+	FluidInterval time.Duration
 }
+
+// fluidJitterFrac is how far each interval's fluid rate may stray from
+// FluidBpsPerEdge, either way.
+const fluidJitterFrac = 0.2
 
 // Backbone is a built multi-metro topology.
 type Backbone struct {
@@ -83,22 +77,19 @@ func blockSizeFor(want int) uint32 {
 }
 
 // backbonePlan carves the per-metro address blocks, validating that the
-// whole spec fits its spaces.
+// customer blocks fit their space. Each metro's outside block holds two
+// addresses (one outside user), so 4096 metros fill 8192 of the outside
+// space's 2²⁰.
 func backbonePlan(spec BackboneSpec) (customer, outside []netip.Prefix, anycast []netip.Addr, err error) {
 	custSize := blockSizeFor(spec.HostsPerMetro + 1)
-	outSize := blockSizeFor(spec.OutsidePerMetro + 1)
+	const outSize = 2
 	custSpace := uint64(1) << (32 - uint(backboneCustomerSpace.Bits()))
-	outSpace := uint64(1) << (32 - uint(backboneOutsideSpace.Bits()))
 	if uint64(spec.Metros)*uint64(custSize) > custSpace {
 		return nil, nil, nil, fmt.Errorf("netem: %d metros × %d-address customer blocks exceed %v",
 			spec.Metros, custSize, backboneCustomerSpace)
 	}
-	if uint64(spec.Metros)*uint64(outSize) > outSpace {
-		return nil, nil, nil, fmt.Errorf("netem: %d metros × %d-address outside blocks exceed %v",
-			spec.Metros, outSize, backboneOutsideSpace)
-	}
 	custBits := 32 - bits.Len32(custSize-1)
-	outBits := 32 - bits.Len32(outSize-1)
+	const outBits = 31
 	custBase := ipv4ToUint(backboneCustomerSpace.Addr())
 	outBase := ipv4ToUint(backboneOutsideSpace.Addr())
 	anyBase := ipv4ToUint(backboneAnycastBase)
@@ -110,9 +101,9 @@ func backbonePlan(spec BackboneSpec) (customer, outside []netip.Prefix, anycast 
 	return customer, outside, anycast, nil
 }
 
-// backboneMetroDelay is the deterministic wide-area delay spread used
-// when CoreLink.Delay is zero: distinct per metro, never less than 2ms,
-// a pure function of the metro index (replay-stable).
+// backboneMetroDelay is metro m's core-link delay, a deterministic
+// wide-area spread: 2ms + (7m mod 29)ms, never less than 2ms, a pure
+// function of the metro index (replay-stable).
 func backboneMetroDelay(m int) time.Duration {
 	return (2 + time.Duration(m*7%29)) * time.Millisecond
 }
@@ -131,25 +122,13 @@ func BuildBackbone(sim *Simulator, spec BackboneSpec) (*Backbone, error) {
 	if spec.HostsPerMetro <= 0 {
 		return nil, fmt.Errorf("netem: backbone needs at least 1 host per metro, got %d", spec.HostsPerMetro)
 	}
-	if spec.OutsidePerMetro <= 0 {
-		spec.OutsidePerMetro = 1
-	}
-	if spec.ShardsPerMetro <= 0 {
-		spec.ShardsPerMetro = 1
-	}
-	if spec.FluidJitterFrac == 0 {
-		spec.FluidJitterFrac = 0.2
-	}
 	customer, outside, anycast, err := backbonePlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.CoreLink.Delay < 0 {
-		return nil, fmt.Errorf("netem: negative CoreLink delay")
-	}
 
 	bb := &Backbone{Sim: sim, Spec: spec}
-	sim.SetShardCount(1 + spec.Metros*spec.ShardsPerMetro)
+	sim.SetShardCount(1 + spec.Metros)
 	core, err := sim.AddNode("core", "transit-core")
 	if err != nil {
 		return nil, err
@@ -157,32 +136,22 @@ func BuildBackbone(sim *Simulator, spec BackboneSpec) (*Backbone, error) {
 	bb.Core = core
 	bb.Metros = make([]*Fanout, 0, spec.Metros)
 	for m := 0; m < spec.Metros; m++ {
-		shards := make([]int, spec.ShardsPerMetro)
-		for k := range shards {
-			shards[k] = 1 + m*spec.ShardsPerMetro + k
-		}
 		f, err := BuildFanout(sim, FanoutSpec{
-			Hosts:        spec.HostsPerMetro,
-			HostsPerEdge: spec.HostsPerEdge,
-			Outside:      spec.OutsidePerMetro,
-			Anycast:      anycast[m],
-			CustomerNet:  customer[m],
-			OutsideNet:   outside[m],
-			NamePrefix:   fmt.Sprintf("m%d/", m),
-			HostLink:     spec.HostLink,
-			EdgeLink:     spec.EdgeLink,
-			TransitLink:  spec.TransitLink,
-			OutsideLink:  spec.OutsideLink,
-			Shards:       shards,
+			Hosts:       spec.HostsPerMetro,
+			Anycast:     anycast[m],
+			CustomerNet: customer[m],
+			OutsideNet:  outside[m],
+			NamePrefix:  fmt.Sprintf("m%d/", m),
+			HostLink:    spec.HostLink,
+			EdgeLink:    spec.EdgeLink,
+			TransitLink: spec.TransitLink,
+			OutsideLink: spec.OutsideLink,
+			Shard:       1 + m,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("metro %d: %w", m, err)
 		}
-		cl := spec.CoreLink
-		if cl.Delay == 0 {
-			cl.Delay = backboneMetroDelay(m)
-		}
-		up := sim.Connect(f.Transit, core, cl)
+		up := sim.Connect(f.Transit, core, LinkConfig{Delay: backboneMetroDelay(m)})
 		f.Transit.AddRoute(defaultRoute, up)
 		core.AddRoute(customer[m], up)
 		core.AddRoute(outside[m], up)
@@ -205,7 +174,7 @@ func (bb *Backbone) StartFluid(d time.Duration) error {
 	if bb.fluid == nil {
 		cfg := FluidConfig{
 			RateBps:    bb.Spec.FluidBpsPerEdge,
-			JitterFrac: bb.Spec.FluidJitterFrac,
+			JitterFrac: fluidJitterFrac,
 			Interval:   bb.Spec.FluidInterval,
 		}
 		for _, f := range bb.Metros {

@@ -16,7 +16,7 @@ func buildTestBackbone(t *testing.T, spec BackboneSpec) (*Simulator, *Backbone) 
 }
 
 func TestBuildBackboneRouting(t *testing.T) {
-	s, bb := buildTestBackbone(t, BackboneSpec{Metros: 4, HostsPerMetro: 300, HostsPerEdge: 128})
+	s, bb := buildTestBackbone(t, BackboneSpec{Metros: 4, HostsPerMetro: 300})
 
 	// Host in metro 0 reaches a host in metro 3 across the core.
 	src, dst := bb.Metros[0].Hosts[5], bb.Metros[3].Hosts[299]
@@ -63,10 +63,7 @@ func TestBuildBackboneRejectsBadSpecs(t *testing.T) {
 		"zero metros":     {Metros: 0, HostsPerMetro: 10},
 		"zero hosts":      {Metros: 2, HostsPerMetro: 0},
 		"customer space":  {Metros: 4096, HostsPerMetro: 1 << 21},
-		"outside space":   {Metros: 4096, HostsPerMetro: 10, OutsidePerMetro: 1 << 9},
 		"too many metros": {Metros: 5000, HostsPerMetro: 10},
-		"sharded, no edge delay": {Metros: 2, HostsPerMetro: 10, ShardsPerMetro: 2,
-			EdgeLink: LinkConfig{Delay: -1}},
 	} {
 		s := NewSimulator(simStart, 1)
 		if _, err := BuildBackbone(s, spec); err == nil {
@@ -81,7 +78,7 @@ func TestBuildBackboneRejectsBadSpecs(t *testing.T) {
 func TestBackboneFluidDeterministic(t *testing.T) {
 	run := func(workers int) (fluidBytes, fluidTicks, delivered uint64) {
 		s, bb := buildTestBackbone(t, BackboneSpec{
-			Metros: 3, HostsPerMetro: 64, HostsPerEdge: 32,
+			Metros: 3, HostsPerMetro: 64,
 			EdgeLink:        LinkConfig{Delay: time.Millisecond, RateBps: 10e6},
 			FluidBpsPerEdge: 8e6, FluidInterval: 10 * time.Millisecond,
 		})

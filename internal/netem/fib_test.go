@@ -41,7 +41,8 @@ func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
 }
 
 // randTopology builds a random connected topology: n nodes each with one
-// address, a spanning tree plus extra random links with random costs.
+// address, a spanning tree plus extra random links with random delays
+// (the routing metric).
 func randTopology(t *testing.T, rng *rand.Rand, n int) (*Simulator, []*Node) {
 	t.Helper()
 	s := NewSimulator(simStart, rng.Int63())
@@ -52,8 +53,7 @@ func randTopology(t *testing.T, rng *rand.Rand, n int) (*Simulator, []*Node) {
 	}
 	link := func(i, j int) {
 		s.Connect(nodes[i], nodes[j], LinkConfig{
-			Delay: time.Duration(1+rng.Intn(20)) * time.Millisecond,
-			Cost:  float64(1 + rng.Intn(100)),
+			Delay: time.Duration(1+rng.Intn(100)) * time.Millisecond,
 		})
 	}
 	for i := 1; i < n; i++ {

@@ -83,14 +83,10 @@ type LinkConfig struct {
 	RateBps float64
 	// QueueLen bounds the egress queue in packets (default 64).
 	QueueLen int
-	// Cost is the routing metric (default: Delay in microseconds, min 1).
-	Cost float64
 }
 
+// cost is the link's routing metric: Delay in microseconds, min 1.
 func (c LinkConfig) cost() float64 {
-	if c.Cost > 0 {
-		return c.Cost
-	}
 	if c.Delay > 0 {
 		return float64(c.Delay.Microseconds())
 	}

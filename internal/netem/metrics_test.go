@@ -38,7 +38,7 @@ func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 	}
 	sim.SetWorkers(workers)
 
-	rec := obs.NewRecorder(sim.Metrics(), obs.RecorderConfig{RingSize: 64})
+	rec := obs.NewRecorder(sim.Metrics())
 	sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
 	fr := obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: 8, RingSize: 256})
 	fr.Tag(FlowHash(mkUDP(t, f.HostAddr(0), f.OutsideAddr(0), []byte{0xEE})))

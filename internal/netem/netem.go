@@ -83,9 +83,6 @@ type Verdict struct {
 	Drop bool
 	// Delay holds the packet for the given duration before it continues.
 	Delay time.Duration
-	// DSCP, when non-nil, remarks the packet's DSCP (a discriminatory ISP
-	// deprioritizing traffic it cannot read).
-	DSCP *uint8
 	// Cause and Class attribute the verdict for tracing: which policing
 	// mechanism produced it and which traffic class it targeted (dpi
 	// class numbering; 0 when classless). Both ride onto the packet's
@@ -99,9 +96,9 @@ var Deliver = Verdict{}
 
 // TransitHook inspects a packet crossing a node. Hooks run on every
 // packet a node receives, before local delivery or forwarding. pkt is a
-// no-copy view of the pooled buffer: the hook may read (and remark) it
-// but must not retain it past the call — the buffer is recycled as soon
-// as the packet's journey ends.
+// no-copy view of the pooled buffer: the hook may read it but must not
+// retain it past the call — the buffer is recycled as soon as the
+// packet's journey ends.
 type TransitHook func(now time.Time, node *Node, pkt []byte) Verdict
 
 // Handler consumes packets locally delivered to a node. pkt is a no-copy
@@ -512,9 +509,6 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 		if v.Delay > delay {
 			delay, cause, class = v.Delay, v.Cause, v.Class
 		}
-		if v.DSCP != nil {
-			remarkDSCP(p.Pkt, *v.DSCP)
-		}
 	}
 	if delay > 0 {
 		p.attrPolicy += int64(delay)
@@ -576,19 +570,4 @@ func (n *Node) deliver(p *Packet) {
 		n.handler(n.Now(), p.Pkt)
 	}
 	p.Release()
-}
-
-// remarkDSCP rewrites the DSCP of a serialized IPv4 packet in place. A
-// packet whose header cannot be re-summed (short, or an IHL below the
-// minimum or past the data) is left untouched: every decoder downstream
-// refuses it as it stands.
-func remarkDSCP(pkt []byte, dscp uint8) {
-	if len(pkt) < wire.IPv4HeaderLen {
-		return
-	}
-	tos := pkt[1]
-	pkt[1] = dscp<<2 | tos&0b11
-	if wire.RepairChecksum(pkt) != nil {
-		pkt[1] = tos
-	}
 }

@@ -337,56 +337,6 @@ func TestTransitHookDelay(t *testing.T) {
 	}
 }
 
-func TestTransitHookRemarkDSCP(t *testing.T) {
-	s := NewSimulator(simStart, 1)
-	a := s.MustAddNode("a", "", addr("10.0.0.1"))
-	r := s.MustAddNode("r", "evilISP", addr("10.0.0.254"))
-	b := s.MustAddNode("b", "", addr("10.0.1.1"))
-	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
-	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})
-	s.BuildRoutes()
-
-	low := uint8(8) // CS1 "lower effort"
-	r.AddTransitHook(func(time.Time, *Node, []byte) Verdict {
-		return Verdict{DSCP: &low}
-	})
-	var got []byte
-	b.SetHandler(func(_ time.Time, pkt []byte) { got = bytes.Clone(pkt) })
-	_ = a.Send(mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), nil))
-	s.Run()
-	if got == nil {
-		t.Fatal("not delivered")
-	}
-	var ip wire.IPv4
-	if err := ip.DecodeFromBytes(got); err != nil {
-		t.Fatalf("checksum must be repaired after remark: %v", err)
-	}
-	if ip.DSCP() != low {
-		t.Errorf("DSCP = %d, want %d", ip.DSCP(), low)
-	}
-}
-
-// TestRemarkDSCPLeavesUnsummableHeaderAlone: remarkDSCP used to re-sum
-// pkt[:ihl] whatever ihl said — over zero bytes for a version/IHL octet of
-// 0x40, writing 0xffff into the checksum field.
-func TestRemarkDSCPLeavesUnsummableHeaderAlone(t *testing.T) {
-	good := mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), []byte("x"))
-	for _, verIHL := range []byte{0x40, 0x44, 0x4f} {
-		pkt := bytes.Clone(good)
-		pkt[0] = verIHL
-		before := bytes.Clone(pkt)
-		remarkDSCP(pkt, 8)
-		if !bytes.Equal(pkt, before) {
-			t.Errorf("version/IHL %#x: header rewritten\n now %x\n was %x", verIHL, pkt[:20], before[:20])
-		}
-	}
-	remarkDSCP(good, 8)
-	var ip wire.IPv4
-	if err := ip.DecodeFromBytes(good); err != nil || ip.DSCP() != 8 {
-		t.Errorf("well-formed packet: DSCP %d, %v", ip.DSCP(), err)
-	}
-}
-
 func TestTraceEvents(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))

@@ -52,9 +52,9 @@ type Packet struct {
 	journey                                            uint64
 	// flow caches FlowHash(Pkt), computed at the journey's first trace
 	// emission (0 = not yet computed). Flow identity is stable for a
-	// packet's whole journey — in-flight policing only remarks DSCP, and
-	// address rewrites go through new packets — so later hops skip the
-	// header parse and hash.
+	// packet's whole journey — hooks only read it, and address rewrites
+	// go through new packets — so later hops skip the header parse and
+	// hash.
 	flow uint64
 }
 

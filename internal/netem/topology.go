@@ -44,16 +44,13 @@ type FanoutSpec struct {
 	// NamePrefix prefixes every named node ("m3/" makes "m3/border"), so
 	// multiple fan-outs can share a simulator.
 	NamePrefix string
-	// Shards pins the fan-out onto shard ids already declared with
-	// SetShardCount: transit, border, and outside users on Shards[0],
-	// edge subtrees round-robin across the whole list. This is how
-	// BuildBackbone gives each metro its own shard (or few) without the
-	// per-edge shard explosion of ShardSubtrees — cross-shard outboxes
-	// are O(shards²), so a million-host backbone wants dozens of shards,
-	// not thousands. More than one shard requires a positive EdgeLink
-	// delay (the conservative lookahead). Mutually exclusive with
-	// ShardSubtrees.
-	Shards []int
+	// Shard, when positive, pins the whole fan-out onto that shard id,
+	// already declared with SetShardCount. This is how BuildBackbone
+	// gives each metro its own shard without the per-edge shard
+	// explosion of ShardSubtrees — cross-shard outboxes are O(shards²),
+	// so a million-host backbone wants dozens of shards, not thousands.
+	// Mutually exclusive with ShardSubtrees.
+	Shard int
 	// ShardSubtrees partitions the fan-out for the parallel engine:
 	// the transit network and the outside users stay in shard 0, the
 	// border (where the neutralizer runs) gets shard 1, and each edge
@@ -168,21 +165,16 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	if uint64(spec.Outside) >= uint64(1)<<(32-uint(spec.OutsideNet.Bits())) {
 		return nil, fmt.Errorf("netem: %d outside users exceed %v", spec.Outside, spec.OutsideNet)
 	}
-	if spec.ShardSubtrees && len(spec.Shards) > 0 {
-		return nil, fmt.Errorf("netem: ShardSubtrees and Shards are mutually exclusive")
+	if spec.ShardSubtrees && spec.Shard > 0 {
+		return nil, fmt.Errorf("netem: ShardSubtrees and Shard are mutually exclusive")
 	}
 	if spec.ShardSubtrees {
 		if defaultLink(spec.TransitLink).Delay <= 0 || defaultLink(spec.EdgeLink).Delay <= 0 {
 			return nil, fmt.Errorf("netem: ShardSubtrees needs positive TransitLink and EdgeLink delay (the conservative lookahead)")
 		}
 	}
-	if len(spec.Shards) > 1 && defaultLink(spec.EdgeLink).Delay <= 0 {
-		return nil, fmt.Errorf("netem: multi-shard fanout needs positive EdgeLink delay (the conservative lookahead)")
-	}
-	for _, id := range spec.Shards {
-		if id < 0 || id >= sim.ShardCount() {
-			return nil, fmt.Errorf("netem: fanout shard %d outside declared range [0,%d)", id, sim.ShardCount())
-		}
+	if spec.Shard < 0 || spec.Shard >= sim.ShardCount() {
+		return nil, fmt.Errorf("netem: fanout shard %d outside declared range [0,%d)", spec.Shard, sim.ShardCount())
 	}
 
 	f := &Fanout{
@@ -208,10 +200,10 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		sim.SetShardCount(2 + nEdges)
 		border.SetShard(1)
 		edgeShard = func(e int) int { return 2 + e }
-	case len(spec.Shards) > 0:
-		border.SetShard(spec.Shards[0])
-		transit.SetShard(spec.Shards[0])
-		edgeShard = func(e int) int { return spec.Shards[e%len(spec.Shards)] }
+	case spec.Shard > 0:
+		border.SetShard(spec.Shard)
+		transit.SetShard(spec.Shard)
+		edgeShard = func(int) int { return spec.Shard }
 	}
 	upLink := sim.Connect(transit, border, defaultLink(spec.TransitLink))
 	border.AddRoute(defaultRoute, upLink)
@@ -224,8 +216,8 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(spec.Shards) > 0 {
-			out.SetShard(spec.Shards[0])
+		if spec.Shard > 0 {
+			out.SetShard(spec.Shard)
 		}
 		l := sim.Connect(out, transit, defaultLink(spec.OutsideLink))
 		out.AddRoute(defaultRoute, l)
@@ -251,7 +243,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sh := edgeShard(e); sh != 0 || len(spec.Shards) > 0 {
+		if sh := edgeShard(e); sh != 0 {
 			edge.SetShard(sh)
 		}
 		down := sim.Connect(border, edge, defaultLink(spec.EdgeLink))

@@ -202,29 +202,31 @@ func TestSnapshotAndVolatile(t *testing.T) {
 func TestRecorderRingsAndInterval(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ticks_total", "").Stripe(0)
-	rec := NewRecorder(r, RecorderConfig{RingSize: 4, Interval: 10 * time.Nanosecond})
-	for now := int64(0); now < 100; now += 5 {
+	rec := NewRecorder(r)
+	const samples = ringSize + 10
+	const step = int64(sampleInterval / 2)
+	for now := int64(0); now < samples*int64(sampleInterval); now += step {
 		c.Inc()
 		rec.Tick(now)
 	}
-	// Interval 10ns over ticks every 5ns: every other tick is gated.
-	if got := rec.Ticks(); got != 10 {
-		t.Fatalf("ticks = %d, want 10", got)
+	// Ticks every half interval: every other tick is gated.
+	if got := rec.Ticks(); got != samples {
+		t.Fatalf("ticks = %d, want %d", got, samples)
 	}
 	s := rec.byName["test_ticks_total"]
 	if s == nil {
 		t.Fatal("series missing")
 	}
 	times, vals := s.Points()
-	if len(times) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(times))
+	if len(times) != ringSize {
+		t.Fatalf("ring len = %d, want %d", len(times), ringSize)
 	}
-	// Last four samples at t=60,70,80,90 carrying values 13,15,17,19.
-	wantT := []int64{60, 70, 80, 90}
-	wantV := []float64{13, 15, 17, 19}
-	for i := range wantT {
-		if times[i] != wantT[i] || vals[i] != wantV[i] {
-			t.Fatalf("point %d = (%d,%v), want (%d,%v)", i, times[i], vals[i], wantT[i], wantV[i])
+	// The ring keeps the last ringSize samples, oldest first: sample k
+	// is taken at k intervals and carries the value 2k+1.
+	for i := range times {
+		k := int64(samples - ringSize + i)
+		if times[i] != k*int64(sampleInterval) || vals[i] != float64(2*k+1) {
+			t.Fatalf("point %d = (%d,%v), want (%d,%v)", i, times[i], vals[i], k*int64(sampleInterval), 2*k+1)
 		}
 	}
 }
@@ -232,7 +234,7 @@ func TestRecorderRingsAndInterval(t *testing.T) {
 func TestRecorderHistogramSeries(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_h_ns", "").Stripe(0)
-	rec := NewRecorder(r, RecorderConfig{})
+	rec := NewRecorder(r)
 	h.Observe(100)
 	rec.Tick(1)
 	for _, name := range []string{"test_h_ns.count", "test_h_ns.p50", "test_h_ns.p95", "test_h_ns.p99"} {

@@ -19,9 +19,7 @@ import (
 // behind an atomic pointer (PublishSnapshots turns it on): a read-side
 // convenience that does not feed back into the sim.
 type Recorder struct {
-	reg      *Registry
-	ringSize int
-	interval int64 // min virtual nanos between samples
+	reg *Registry
 
 	mu       sync.Mutex
 	series   []*Series
@@ -34,26 +32,16 @@ type Recorder struct {
 	latest  atomic.Pointer[Snapshot]
 }
 
-// RecorderConfig sizes a Recorder.
-type RecorderConfig struct {
-	// RingSize bounds each series in points (default 512).
-	RingSize int
-	// Interval is the minimum virtual time between samples; 0 samples
-	// at every barrier.
-	Interval time.Duration
-}
+const (
+	// ringSize bounds each series in points.
+	ringSize = 512
+	// sampleInterval is the minimum virtual time between samples.
+	sampleInterval = time.Millisecond
+)
 
 // NewRecorder creates a recorder over reg.
-func NewRecorder(reg *Registry, cfg RecorderConfig) *Recorder {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 512
-	}
-	return &Recorder{
-		reg:      reg,
-		ringSize: cfg.RingSize,
-		interval: int64(cfg.Interval),
-		byName:   make(map[string]*Series),
-	}
+func NewRecorder(reg *Registry) *Recorder {
+	return &Recorder{reg: reg, byName: make(map[string]*Series)}
 }
 
 // Registry returns the registry the recorder samples.
@@ -90,7 +78,7 @@ func (s *Series) Points() (times []int64, vals []float64) {
 	return times, vals
 }
 
-func (s *Series) push(t int64, v float64, ringSize int) {
+func (s *Series) push(t int64, v float64) {
 	if len(s.times) < ringSize {
 		s.times = append(s.times, t)
 		s.vals = append(s.vals, v)
@@ -104,11 +92,11 @@ func (s *Series) push(t int64, v float64, ringSize int) {
 
 // Tick samples every non-volatile family at virtual time nowNanos.
 // Called from the engine's barrier (single-threaded, writers
-// quiescent). Interval gating keys on virtual time, so tick counts are
-// a function of the simulated timeline, not of execution.
+// quiescent). sampleInterval gating keys on virtual time, so tick counts
+// are a function of the simulated timeline, not of execution.
 func (r *Recorder) Tick(nowNanos int64) {
 	r.mu.Lock()
-	if r.started && r.interval > 0 && nowNanos-r.lastTick < r.interval {
+	if r.started && nowNanos-r.lastTick < int64(sampleInterval) {
 		r.mu.Unlock()
 		return
 	}
@@ -118,13 +106,13 @@ func (r *Recorder) Tick(nowNanos int64) {
 	snap := r.reg.snapshotAt(nowNanos, true)
 	for _, m := range snap.Metrics {
 		if m.Hist != nil {
-			r.seriesFor(m.Name+".count").push(nowNanos, float64(m.Hist.Count), r.ringSize)
-			r.seriesFor(m.Name+".p50").push(nowNanos, m.Hist.P50, r.ringSize)
-			r.seriesFor(m.Name+".p95").push(nowNanos, m.Hist.P95, r.ringSize)
-			r.seriesFor(m.Name+".p99").push(nowNanos, m.Hist.P99, r.ringSize)
+			r.seriesFor(m.Name+".count").push(nowNanos, float64(m.Hist.Count))
+			r.seriesFor(m.Name+".p50").push(nowNanos, m.Hist.P50)
+			r.seriesFor(m.Name+".p95").push(nowNanos, m.Hist.P95)
+			r.seriesFor(m.Name+".p99").push(nowNanos, m.Hist.P99)
 			continue
 		}
-		r.seriesFor(m.Name).push(nowNanos, m.Value, r.ringSize)
+		r.seriesFor(m.Name).push(nowNanos, m.Value)
 	}
 	r.mu.Unlock()
 

@@ -64,25 +64,29 @@ func (a Aggregate) Matches(pkt []byte) bool {
 
 // Detector runs at the victim (the neutralizer's host). Feed it the
 // packets the victim had to drop or refuse; Identify proposes the
-// dominant aggregate.
+// dominant aggregate from the last maxSamples of them.
 type Detector struct {
 	mu      sync.Mutex
 	samples []sample
-	max     int
 }
+
+const (
+	// maxSamples is how many drop samples a Detector keeps.
+	maxSamples = 8192
+	// pushFraction is the share of drops an aggregate must cover before
+	// MaybePush deploys limiters against it.
+	pushFraction = 0.5
+	// limiterBurstBytes is an upstream limiter's token-bucket depth.
+	limiterBurstBytes = 3000
+)
 
 type sample struct {
 	src, dst netip.Addr
 	shimType shim.Type
 }
 
-// NewDetector creates a detector keeping up to max drop samples.
-func NewDetector(max int) *Detector {
-	if max <= 0 {
-		max = 1024
-	}
-	return &Detector{max: max}
-}
+// NewDetector creates a detector.
+func NewDetector() *Detector { return &Detector{} }
 
 // Observe records one refused/dropped packet.
 func (d *Detector) Observe(pkt []byte) {
@@ -98,7 +102,7 @@ func (d *Detector) Observe(pkt []byte) {
 		}
 	}
 	d.mu.Lock()
-	if len(d.samples) < d.max {
+	if len(d.samples) < maxSamples {
 		d.samples = append(d.samples, s)
 	} else {
 		// Reservoir-free sliding behaviour: overwrite oldest.
@@ -230,10 +234,10 @@ type Limiter struct {
 
 // NewLimiter creates a limiter admitting rateBps for the aggregate until
 // expiry.
-func NewLimiter(agg Aggregate, rateBps float64, burstBytes int, expires time.Time) *Limiter {
+func NewLimiter(agg Aggregate, rateBps float64, expires time.Time) *Limiter {
 	return &Limiter{
 		agg:     agg,
-		bucket:  diffserv.NewTokenBucket(rateBps, burstBytes),
+		bucket:  diffserv.NewTokenBucket(rateBps, limiterBurstBytes),
 		expires: expires,
 	}
 }
@@ -272,17 +276,17 @@ type Controller struct {
 }
 
 // MaybePush identifies the dominant aggregate and, if one covers at least
-// minFraction of drops, installs limiters upstream. It reports whether
+// pushFraction of drops, installs limiters upstream. It reports whether
 // pushback was deployed.
-func (c *Controller) MaybePush(now time.Time, minFraction float64) bool {
-	agg, ok := c.Detector.Identify(minFraction)
+func (c *Controller) MaybePush(now time.Time) bool {
+	agg, ok := c.Detector.Identify(pushFraction)
 	if !ok {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, up := range c.Upstream {
-		l := NewLimiter(agg, c.LimitBps, 3000, now.Add(c.Lifetime))
+		l := NewLimiter(agg, c.LimitBps, now.Add(c.Lifetime))
 		up.AddTransitHook(l.Hook())
 		c.limiters = append(c.limiters, l)
 	}

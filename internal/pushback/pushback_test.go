@@ -69,7 +69,7 @@ func TestAggregateMatches(t *testing.T) {
 }
 
 func TestDetectorIdentifiesFloodSignature(t *testing.T) {
-	d := NewDetector(1000)
+	d := NewDetector()
 	// Flood: key-setup packets from one /16, to the victim.
 	for i := 0; i < 90; i++ {
 		src := netip.AddrFrom4([4]byte{192, 0, byte(i % 4), byte(i)})
@@ -95,7 +95,7 @@ func TestDetectorIdentifiesFloodSignature(t *testing.T) {
 }
 
 func TestDetectorSpoofedSourcesFallBackToTypeSignature(t *testing.T) {
-	d := NewDetector(1000)
+	d := NewDetector()
 	// Spoofed flood: sources scattered over the whole space.
 	for i := 0; i < 100; i++ {
 		src := netip.AddrFrom4([4]byte{byte(i*7 + 1), byte(i * 13), byte(i * 3), byte(i)})
@@ -114,7 +114,7 @@ func TestDetectorSpoofedSourcesFallBackToTypeSignature(t *testing.T) {
 }
 
 func TestDetectorNoDominantAggregate(t *testing.T) {
-	d := NewDetector(100)
+	d := NewDetector()
 	if _, ok := d.Identify(0.5); ok {
 		t.Error("empty detector identified something")
 	}
@@ -138,21 +138,21 @@ func TestDetectorNoDominantAggregate(t *testing.T) {
 func TestLimiterRateLimitsAggregate(t *testing.T) {
 	now := time.Unix(0, 0)
 	agg := Aggregate{Dst: victim, ShimType: shim.TypeKeySetupRequest}
-	// ~2 setup packets worth of burst, tiny rate.
-	l := NewLimiter(agg, 100, 200, now.Add(time.Minute))
+	// Tiny rate: the burst passes, then the aggregate is dropped.
+	l := NewLimiter(agg, 100, now.Add(time.Minute))
 	hook := l.Hook()
 
 	flood := setupPkt(t, goodSrc, victim)
 	passed, dropped := 0, 0
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*limiterBurstBytes/len(flood); i++ {
 		if hook(now, nil, flood).Drop {
 			dropped++
 		} else {
 			passed++
 		}
 	}
-	if passed == 0 || dropped == 0 {
-		t.Fatalf("passed=%d dropped=%d: limiter should pass burst then drop", passed, dropped)
+	if passed != limiterBurstBytes/len(flood) || dropped == 0 {
+		t.Fatalf("passed=%d dropped=%d: limiter should pass the %d-byte burst then drop", passed, dropped, limiterBurstBytes)
 	}
 	if l.Passed != uint64(passed) || l.Dropped != uint64(dropped) {
 		t.Error("counters mismatch")
@@ -184,7 +184,7 @@ func TestPushbackRestoresGoodput(t *testing.T) {
 	bottleneck := s.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
 	s.BuildRoutes()
 
-	det := NewDetector(4096)
+	det := NewDetector()
 	if err := bottleneck.SetQueue(up, det.WatchQueue(netem.NewFIFOQueue(16))); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestPushbackRestoresGoodput(t *testing.T) {
 		LimitBps: 10_000,
 		Lifetime: time.Hour,
 	}
-	if !ctrl.MaybePush(s.Now(), 0.5) {
+	if !ctrl.MaybePush(s.Now()) {
 		t.Fatal("pushback did not identify the flood")
 	}
 	if len(ctrl.Limiters()) != 1 {
@@ -263,7 +263,7 @@ func TestWatchQueueReportsExactlyTheRefused(t *testing.T) {
 	b := s.MustAddNode("b", "", victim)
 	link := s.Connect(a, b, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
 	s.BuildRoutes()
-	det := NewDetector(1024)
+	det := NewDetector()
 	if err := link.SetQueue(a, det.WatchQueue(netem.NewFIFOQueue(4))); err != nil {
 		t.Fatal(err)
 	}

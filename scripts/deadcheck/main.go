@@ -16,8 +16,15 @@
 // exports (net.Conn, fmt.Stringer, sort.Interface). Package-level
 // variables and constants carry liveness but are not themselves listed.
 //
+// It also lists every struct field of basic underlying kind (numbers,
+// bool, string, time.Duration) that live non-test code reads but never
+// writes: a setting only tests set, or none, whose one value in use is a
+// constant. A write is a composite-literal key or positional element, an
+// assignment or op-assignment target, ++/--, or &x.F. Fields with a json
+// tag are exempt: decoding fills them.
+//
 // What stays on purpose is in the keep list, by package-qualified name
-// with a reason. CI fails on any output.
+// (package.Type.Field for a field) with a reason. CI fails on any output.
 //
 //	go run ./scripts/deadcheck [module root, default "."]
 package main
@@ -34,8 +41,10 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -54,6 +63,9 @@ var keep = map[string]string{
 	"eval.NewAuditBench":              "fixture of BenchmarkAuditTrial/AuditReportCodec, which have no twin in benchmark/",
 	"simnet.Net.DialUDP":              "fixture of BenchmarkSimnetUDPEcho and the facade integration test: the connected (net.Conn) half of UDPConn",
 	"e2e.SessionFromKeys":             "cross-package test helper: endhost and onion tests build an e2e session without the handshake",
+	"endhost.Config.ServeOffload":     "paper §3.2: a customer host answers offloaded key setups; the offload tests turn it on",
+	"endhost.Config.ReturnFlags":      "paper §3.4: a customer asks for a dynamic address or no anonymization on its return traffic; the §3.4 tests set it",
+	"eval.AuditConfig.Observe":        "fault detection: the golden and worker-identity tests observe E8 to pin its observation digest",
 }
 
 func main() {
@@ -72,10 +84,12 @@ func main() {
 var entryDirs = map[string]bool{"cmd": true, "benchmark": true, "examples": true, "scripts": true}
 
 // decl is one package-level declaration or method: the objects its
-// source mentions and the interface types it spells out.
+// source mentions, the interface types it spells out, and the struct
+// fields it reads and writes.
 type decl struct {
-	refs   []types.Object
-	ifaces []*types.Interface
+	refs          []types.Object
+	ifaces        []*types.Interface
+	reads, writes []*types.Var
 }
 
 type checker struct {
@@ -89,8 +103,9 @@ type checker struct {
 	decls  map[types.Object]*decl
 	live   map[types.Object]bool
 	queue  []types.Object
-	ifaces map[*types.Interface]bool // interfaces live code can call through
-	std    map[*types.Package]bool   // standard packages live code uses
+	ifaces map[*types.Interface]bool      // interfaces live code can call through
+	std    map[*types.Package]bool        // standard packages live code uses
+	owner  map[*types.Var]*types.TypeName // untagged struct fields by declaring type
 }
 
 // check returns one line per dead declaration of the module at root,
@@ -112,6 +127,7 @@ func check(root string, keep map[string]string) ([]string, error) {
 		pkgs:        map[string]*types.Package{},
 		decls:       map[types.Object]*decl{}, live: map[types.Object]bool{},
 		ifaces: map[*types.Interface]bool{}, std: map[*types.Package]bool{},
+		owner: map[*types.Var]*types.TypeName{},
 	}
 	pkgs, err := c.packages()
 	if err != nil {
@@ -137,8 +153,53 @@ func check(root string, keep map[string]string) ([]string, error) {
 		out = append(out, fmt.Sprintf("%s:%d: %s %s is referenced by no live non-test code\n",
 			filepath.ToSlash(rel), pos.Line, kind(obj), qualified(obj)))
 	}
+	out = append(out, c.unwrittenFields()...)
 	sort.Strings(out)
 	return out, nil
+}
+
+// unwrittenFields lists the fields of basic kind that live code reads and
+// never writes, keep-list fields apart.
+func (c *checker) unwrittenFields() []string {
+	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for obj, d := range c.decls {
+		if !c.live[obj] {
+			continue
+		}
+		for _, v := range d.reads {
+			read[v] = true
+		}
+		for _, v := range d.writes {
+			written[v] = true
+		}
+	}
+	var out []string
+	for v := range read {
+		owner := c.owner[v]
+		if written[v] || owner == nil || !c.reported(owner) {
+			continue
+		}
+		if _, basic := v.Type().Underlying().(*types.Basic); !basic {
+			continue
+		}
+		name := qualified(owner) + "." + v.Name()
+		if c.keep[name] != "" {
+			continue
+		}
+		pos := c.fset.Position(v.Pos())
+		rel, _ := filepath.Rel(c.root, pos.Filename)
+		out = append(out, fmt.Sprintf("%s:%d: field %s is read but written by no live non-test code\n",
+			filepath.ToSlash(rel), pos.Line, name))
+	}
+	return out
+}
+
+// field returns obj as a struct field, or nil.
+func field(obj types.Object) *types.Var {
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		return v.Origin()
+	}
+	return nil
 }
 
 // packages lists the import path of every directory of the module that
@@ -224,15 +285,58 @@ func (c *checker) collect(f *ast.File, entry bool) {
 			return
 		}
 		d := &decl{}
+		// Inspect visits a node before its children, so a write position
+		// is marked before the field's identifier is reached.
+		written := map[*ast.Ident]bool{}
+		write := func(e ast.Expr) {
+			for p, ok := e.(*ast.ParenExpr); ok; p, ok = e.(*ast.ParenExpr) {
+				e = p.X
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				written[sel.Sel] = true
+			}
+		}
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.Ident:
 				if o := c.info.Uses[n]; o != nil {
 					d.refs = append(d.refs, o)
 				}
+				if v := field(c.info.Uses[n]); v != nil {
+					if written[n] {
+						d.writes = append(d.writes, v)
+					} else {
+						d.reads = append(d.reads, v)
+					}
+				}
 			case *ast.InterfaceType:
 				if it, ok := c.info.Types[n].Type.(*types.Interface); ok {
 					d.ifaces = append(d.ifaces, it)
+				}
+			case *ast.CompositeLit:
+				t := c.info.Types[n].Type
+				if p, ok := t.(*types.Pointer); ok { // an elided &T{}
+					t = p.Elem()
+				}
+				st, _ := t.Underlying().(*types.Struct)
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							written[id] = true
+						}
+					} else if st != nil && i < st.NumFields() {
+						d.writes = append(d.writes, st.Field(i).Origin())
+					}
+				}
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					write(l)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
 				}
 			}
 			return true
@@ -256,11 +360,35 @@ func (c *checker) collect(f *ast.File, entry bool) {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
 					add(s.Name, s)
+					c.fields(s)
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						add(id, s)
 					}
 				}
+			}
+		}
+	}
+}
+
+// fields records which named type declares each field of s, if s is a
+// struct type. Fields with a json tag are left out: decoding fills them.
+func (c *checker) fields(s *ast.TypeSpec) {
+	st, ok := s.Type.(*ast.StructType)
+	tn, _ := c.info.Defs[s.Name].(*types.TypeName)
+	if !ok || tn == nil {
+		return
+	}
+	for _, f := range st.Fields.List {
+		if f.Tag != nil {
+			tag, _ := strconv.Unquote(f.Tag.Value)
+			if _, json := reflect.StructTag(tag).Lookup("json"); json {
+				continue
+			}
+		}
+		for _, id := range f.Names {
+			if v := field(c.info.Defs[id]); v != nil {
+				c.owner[v] = tn
 			}
 		}
 	}

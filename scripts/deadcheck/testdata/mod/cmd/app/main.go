@@ -11,5 +11,5 @@ func main() {
 	for q.Len() > 0 {
 		q.Pop()
 	}
-	fmt.Println(a.NewLink().Stats(), &a.Pool{}, a.Render(a.Report{}), a.Kind(1))
+	fmt.Println(a.NewLink().Stats(), &a.Pool{}, a.Render(a.Report{}), a.Kind(1), a.Use(&a.Config{Rate: 1}))
 }

@@ -11,4 +11,5 @@ func TestFacade(t *testing.T) {
 	var l *fixture.Link = fixture.NewLink()
 	_ = l
 	a.TestOnly()
+	a.Use(&a.Config{Limit: 1})
 }

@@ -1,15 +1,17 @@
 package a
 
+import "time"
+
 type Link struct{ sent int }
 
-func NewLink() *Link       { return &Link{} }
+func NewLink() *Link       { return &Link{sent: 1} }
 func (l *Link) Stats() int { return l.sent }
 
 type Pool struct{ n int }
 
 func (p *Pool) Stats() int { return p.n }
 
-func Dead() int { return helper() + unused }
+func Dead() int { return helper() + unused + deadCfg.Stale }
 
 func helper() int { return 1 }
 
@@ -47,3 +49,33 @@ func keptHelper() int { return 3 }
 func OnlyBench() int { return 4 }
 
 func TestOnly() {}
+
+// Config exercises the field rule; main_test.go says which fields it
+// must list.
+type Config struct {
+	Rate   int
+	Window time.Duration
+	Limit  int
+	Hits   int
+	Sum    int
+	Debug  bool
+	Name   string `json:"name"`
+	Quiet  bool
+	Peer   Link
+	Stale  int
+	Unread int
+}
+
+var deadCfg Config
+
+type pair struct{ lo, hi int }
+
+func Use(c *Config) int {
+	c.Hits++
+	c.Sum += 2
+	debug := &c.Debug
+	*debug = !c.Quiet
+	c.Unread = 0
+	p := pair{1, 2}
+	return c.Rate + int(c.Window) + c.Limit + c.Hits + c.Sum + len(c.Name) + c.Peer.sent + p.lo + p.hi
+}
