@@ -184,15 +184,6 @@ func sessionFromSeed(seed []byte, rng io.Reader) *Session {
 	}
 }
 
-// SessionFromKeys builds a session directly from key material (tests and
-// deterministic replay).
-func SessionFromKeys(enc, mac aesutil.Key, rng io.Reader) *Session {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	return &Session{enc: enc, mac: mac, rng: rng}
-}
-
 // Overhead is the number of bytes Seal adds to a plaintext.
 const Overhead = boxOverhead
 

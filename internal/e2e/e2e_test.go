@@ -3,6 +3,7 @@ package e2e
 import (
 	"bytes"
 	"crypto/rand"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,12 @@ import (
 )
 
 var testID = mustIdentity()
+
+// SessionFromKeys builds a session directly from key material, without
+// the handshake.
+func SessionFromKeys(enc, mac aesutil.Key, rng io.Reader) *Session {
+	return &Session{enc: enc, mac: mac, rng: rng}
+}
 
 func mustIdentity() *Identity {
 	id, err := NewIdentity(rand.Reader, DefaultBits)

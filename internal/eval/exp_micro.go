@@ -2,14 +2,17 @@ package eval
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
+	"io"
 	"net/netip"
+	"sync"
 	"time"
 
 	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
 	"netneutral/internal/crypto/aesutil"
-	"netneutral/internal/onion"
+	"netneutral/internal/e2e"
 )
 
 // processRate measures packets/second through the neutralizer the way
@@ -193,12 +196,130 @@ func RunA2() (*Result, error) {
 	}}, nil
 }
 
+// A3's baseline is §5's anonymous routing in the style of Tor: telescoped
+// circuit setup with, at every relay, the per-flow state and the
+// private-key operation per flow that the neutralizer avoids. Relays are
+// called directly and no data cell is relayed: A3 counts state and
+// public-key work, not network behaviour.
+
+var (
+	errNoSuchCircuit = errors.New("onion: unknown circuit id")
+	errBadCell       = errors.New("onion: malformed cell")
+)
+
+// relay is an onion router: every live circuit through it is an entry
+// in its table.
+type relay struct {
+	id *e2e.Identity
+
+	mu       sync.Mutex
+	circuits map[uint32]*circuitHop
+	nextID   uint32
+	pkOps    uint64 // private-key operations: one per circuit created
+}
+
+// circuitHop is one circuit's state at one relay.
+type circuitHop struct {
+	key    aesutil.Key
+	next   *relay // downstream relay, nil at the exit
+	nextID uint32
+}
+
+func newRelay(rng io.Reader) (*relay, error) {
+	id, err := e2e.NewIdentity(rng, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &relay{id: id, circuits: make(map[uint32]*circuitHop)}, nil
+}
+
+// stateSize reports live circuit-table entries.
+func (r *relay) stateSize() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.circuits)
+}
+
+// create installs a circuit hop keyed by the symmetric key sealed in ct
+// under the relay's public key: one private-key operation.
+func (r *relay) create(ct []byte) (uint32, error) {
+	pt, err := r.id.DecryptSmall(ct)
+	if err != nil || len(pt) != aesutil.KeySize {
+		return 0, errBadCell
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pkOps++
+	r.nextID++
+	hop := &circuitHop{}
+	copy(hop.key[:], pt)
+	r.circuits[r.nextID] = hop
+	return r.nextID, nil
+}
+
+// extend links circuit circID on to next, running the create there on
+// the client's behalf (telescoping), and returns the downstream id.
+func (r *relay) extend(circID uint32, next *relay, ct []byte) (uint32, error) {
+	r.mu.Lock()
+	hop, ok := r.circuits[circID]
+	r.mu.Unlock()
+	if !ok {
+		return 0, errNoSuchCircuit
+	}
+	nextID, err := next.create(ct)
+	if err != nil {
+		return 0, err
+	}
+	r.mu.Lock()
+	hop.next, hop.nextID = next, nextID
+	r.mu.Unlock()
+	return nextID, nil
+}
+
+// teardown removes the circuit's state along the path.
+func (r *relay) teardown(circID uint32) {
+	r.mu.Lock()
+	hop, ok := r.circuits[circID]
+	delete(r.circuits, circID)
+	r.mu.Unlock()
+	if ok && hop.next != nil {
+		hop.next.teardown(hop.nextID)
+	}
+}
+
+// buildCircuit telescopes a circuit through relays and returns its
+// teardown. Each hop costs the client one public-key encryption and the
+// relay one private-key decryption: per circuit, that is per flow.
+func buildCircuit(rng io.Reader, relays ...*relay) (func(), error) {
+	var entryID, endID uint32
+	for i, r := range relays {
+		var k aesutil.Key
+		if _, err := io.ReadFull(rng, k[:]); err != nil {
+			return nil, err
+		}
+		ct, err := e2e.EncryptSmall(rng, r.id.Public(), k[:])
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			endID, err = r.create(ct)
+			entryID = endID
+		} else {
+			endID, err = relays[i-1].extend(endID, r, ct)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return func() { relays[0].teardown(entryID) }, nil
+}
+
 // RunA3 stages the §5 comparison with anonymous routing: per-flow state
 // and public-key operations at relays vs the neutralizer's statelessness.
 func RunA3() (*Result, error) {
-	relays := make([]*onion.Relay, 3)
+	relays := make([]*relay, 3)
 	for i := range relays {
-		r, err := onion.NewRelay(rand.Reader)
+		r, err := newRelay(rand.Reader)
 		if err != nil {
 			return nil, err
 		}
@@ -206,19 +327,19 @@ func RunA3() (*Result, error) {
 	}
 	const flows = 200
 	start := time.Now()
-	circs := make([]*onion.Circuit, flows)
-	for i := range circs {
-		c, err := onion.BuildCircuit(rand.Reader, relays...)
+	closers := make([]func(), flows)
+	for i := range closers {
+		c, err := buildCircuit(rand.Reader, relays...)
 		if err != nil {
 			return nil, err
 		}
-		circs[i] = c
+		closers[i] = c
 	}
 	setupDur := time.Since(start)
 	var pkOps, state uint64
 	for _, r := range relays {
-		pkOps += r.PKOps
-		state += uint64(r.StateSize())
+		pkOps += r.pkOps
+		state += uint64(r.stateSize())
 	}
 
 	env, err := benchenv.NewBenchEnv(false, false)
@@ -236,14 +357,14 @@ func RunA3() (*Result, error) {
 			Note: "one RSA decrypt per hop per circuit"},
 		{Metric: "relay state entries", Paper: "-", Measured: fmt.Sprintf("%d", state),
 			Note: "per-flow circuit tables at every relay"},
-		{Metric: "circuit setup time (200 flows)", Paper: "-", Measured: setupDur.Round(time.Millisecond).String(), Note: ""},
+		{Metric: "circuit setup time (200 flows)", Paper: "-", Measured: setupDur.Round(time.Millisecond).String(), Note: "", Wall: true},
 		{Metric: "neutralizer PK ops for same flows", Paper: "much fewer", Measured: fmt.Sprintf("%d", neutSetups),
 			Note: "per source per epoch, not per flow; zero here (keys pre-derived)"},
 		{Metric: "neutralizer per-flow state", Paper: "none", Measured: fmt.Sprintf("%d", env.Neut.DynAddrCount()),
 			Note: "stateless data path"},
 	}}
-	for _, c := range circs {
-		c.Close()
+	for _, closeCircuit := range closers {
+		closeCircuit()
 	}
 	return res, nil
 }

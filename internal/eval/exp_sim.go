@@ -9,20 +9,13 @@ import (
 
 	"netneutral/internal/benchenv"
 	"netneutral/internal/core"
-	"netneutral/internal/crypto/keys"
-	"netneutral/internal/diffserv"
 	"netneutral/internal/dnssim"
 	"netneutral/internal/e2e"
 	"netneutral/internal/endhost"
-	"netneutral/internal/intserv"
 	"netneutral/internal/isp"
 	"netneutral/internal/measure"
-	"netneutral/internal/multihome"
 	"netneutral/internal/netem"
-	"netneutral/internal/pushback"
-	"netneutral/internal/shim"
 	"netneutral/internal/simnet"
-	"netneutral/internal/wire"
 )
 
 // figure1World is the topology of the paper's Figure 1: an outside user
@@ -332,198 +325,6 @@ func pass(b bool) string {
 	return "FAIL"
 }
 
-// RunA5 reproduces the §3.6 DoS story: a key-setup flood starves
-// legitimate traffic at the neutralizer's ingress; pushback restores it.
-func RunA5() (*Result, error) {
-	sim := netem.NewSimulator(benchStart, 51)
-	atk := sim.MustAddNode("attacker", "att", netip.MustParseAddr("192.0.2.1"))
-	good := sim.MustAddNode("good", "att", f1Ann)
-	up := sim.MustAddNode("upstream", "att", f1Att)
-	vic := sim.MustAddNode("victim", "cogent", f1Anycast)
-	sim.Connect(atk, up, netem.LinkConfig{Delay: time.Millisecond})
-	sim.Connect(good, up, netem.LinkConfig{Delay: time.Millisecond})
-	bottleneck := sim.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
-	sim.BuildRoutes()
-
-	// The victim samples what its bottleneck's egress queue refuses.
-	det := pushback.NewDetector()
-	if err := bottleneck.SetQueue(up, det.WatchQueue(netem.NewFIFOQueue(16))); err != nil {
-		return nil, err
-	}
-	received := map[shim.Type]int{}
-	vic.SetHandler(func(_ time.Time, pkt []byte) {
-		if t, ok := shim.PeekType(pkt[wire.IPv4HeaderLen:]); ok {
-			received[t]++
-		}
-	})
-
-	flood, err := shim.BuildPacket(netip.MustParseAddr("192.0.2.1"), f1Anycast, 0, &shim.Header{
-		Type: shim.TypeKeySetupRequest, PublicKey: make([]byte, 66)}, nil)
-	if err != nil {
-		return nil, err
-	}
-	goodPkt, err := shim.BuildPacket(f1Ann, f1Anycast, 0, &shim.Header{
-		Type: shim.TypeData, Nonce: keys.Nonce{1}}, nil)
-	if err != nil {
-		return nil, err
-	}
-	inject := func(goodCount int) {
-		for i := 0; i < 500; i++ {
-			sim.Schedule(time.Duration(i)*time.Millisecond, func() {
-				for j := 0; j < 10; j++ {
-					_ = atk.Send(flood)
-				}
-			})
-		}
-		for i := 0; i < goodCount; i++ {
-			sim.Schedule(time.Duration(i*10)*time.Millisecond, func() { _ = good.Send(goodPkt) })
-		}
-	}
-
-	inject(50)
-	sim.RunFor(500 * time.Millisecond)
-	before := received[shim.TypeData]
-
-	ctrl := &pushback.Controller{Detector: det, Upstream: []*netem.Node{up},
-		LimitBps: 10_000, Lifetime: time.Hour}
-	deployed := ctrl.MaybePush(sim.Now())
-	received[shim.TypeData] = 0
-	inject(50)
-	sim.RunFor(500 * time.Millisecond)
-	after := received[shim.TypeData]
-
-	var limiterDrops uint64
-	for _, l := range ctrl.Limiters() {
-		limiterDrops += l.Dropped
-	}
-	return &Result{ID: "A5", Title: "Key-setup flood and pushback", Rows: []Row{
-		{Metric: "flood rate vs bottleneck", Paper: "-", Measured: "~10x", Note: "10 setups/ms into 800 kbps"},
-		{Metric: "legit goodput during flood", Paper: "collapses", Measured: fmt.Sprintf("%d/50", before), Note: ""},
-		{Metric: "pushback deployed (aggregate identified)", Paper: "yes", Measured: fmt.Sprintf("%v", deployed),
-			Note: "signature: key-setup packets to the service address"},
-		{Metric: "legit goodput after pushback", Paper: "restored", Measured: fmt.Sprintf("%d/50", after), Note: ""},
-		{Metric: "flood dropped upstream", Paper: "-", Measured: fmt.Sprintf("%d pkts", limiterDrops), Note: ""},
-	}}, nil
-}
-
-// RunA6 compares §3.5 selection strategies for a dual-homed site whose
-// providers have asymmetric latency, then fails the fast provider and
-// checks trial-and-error recovery.
-func RunA6() (*Result, error) {
-	type probeResult struct {
-		uses map[netip.Addr]int
-		mean time.Duration
-		ok   int
-	}
-	fast := netip.MustParseAddr("10.200.0.1")
-	slow := netip.MustParseAddr("10.201.0.1")
-
-	runStrategy := func(strat multihome.Strategy, failFastAfter int) (probeResult, error) {
-		sim := netem.NewSimulator(benchStart, 66)
-		src := sim.MustAddNode("src", "att", f1Ann)
-		p1 := sim.MustAddNode("provider-fast", "p1", fast)
-		p2 := sim.MustAddNode("provider-slow", "p2", slow)
-		sim.Connect(src, p1, netem.LinkConfig{Delay: 5 * time.Millisecond})
-		sim.Connect(src, p2, netem.LinkConfig{Delay: 40 * time.Millisecond})
-		sim.BuildRoutes()
-		for _, n := range []*netem.Node{p1, p2} {
-			node := n
-			n.SetHandler(func(_ time.Time, pkt []byte) {
-				srcA, dstA, err := wire.IPv4Addrs(pkt)
-				if err != nil {
-					return
-				}
-				_ = node.Send(plainUDP(dstA, srcA, 7, 7, []byte("echo")))
-			})
-		}
-		sel, err := multihome.NewSelector([]netip.Addr{fast, slow}, strat)
-		if err != nil {
-			return probeResult{}, err
-		}
-		res := probeResult{uses: map[netip.Addr]int{}}
-		var sumRTT time.Duration
-		const probes = 60
-		fastDown := false
-		p1.AddTransitHook(func(time.Time, *netem.Node, []byte) netem.Verdict {
-			if fastDown {
-				return netem.Verdict{Drop: true}
-			}
-			return netem.Deliver
-		})
-
-		var doProbe func(i int)
-		doProbe = func(i int) {
-			if i >= probes {
-				return
-			}
-			if failFastAfter > 0 && i == failFastAfter {
-				fastDown = true
-			}
-			target := sel.Pick()
-			res.uses[target]++
-			sent := sim.Now()
-			answered := false
-			src.SetHandler(func(now time.Time, pkt []byte) {
-				if answered {
-					return
-				}
-				answered = true
-				rtt := now.Sub(sent)
-				sel.Feedback(target, true, rtt)
-				res.ok++
-				sumRTT += rtt
-				sim.Schedule(time.Millisecond, func() { doProbe(i + 1) })
-			})
-			_ = src.Send(plainUDP(f1Ann, target, 7, 7, []byte("ping")))
-			// Timeout: 200ms without an answer is a failure.
-			sim.Schedule(200*time.Millisecond, func() {
-				if !answered {
-					answered = true
-					sel.Feedback(target, false, 0)
-					sim.Schedule(time.Millisecond, func() { doProbe(i + 1) })
-				}
-			})
-		}
-		doProbe(0)
-		sim.Run()
-		if res.ok > 0 {
-			res.mean = sumRTT / time.Duration(res.ok)
-		}
-		return res, nil
-	}
-
-	rows := []Row{}
-	for _, tc := range []struct {
-		name  string
-		strat multihome.Strategy
-	}{
-		{"static", multihome.Static{}},
-		{"round-robin", &multihome.RoundRobin{}},
-		{"latency-weighted", multihome.NewWeighted()},
-	} {
-		r, err := runStrategy(tc.strat, 0)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{
-			Metric: fmt.Sprintf("%s: fast/slow split", tc.name), Paper: "-",
-			Measured: fmt.Sprintf("%d/%d", r.uses[fast], r.uses[slow]),
-			Note:     fmt.Sprintf("mean RTT %v", r.mean.Round(time.Millisecond)),
-		})
-	}
-	// Trial-and-error under failure of the fast provider.
-	r, err := runStrategy(multihome.NewTrialAndError(), 20)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Row{
-		Metric: "trial-and-error: probes answered despite provider failure", Paper: "path found",
-		Measured: fmt.Sprintf("%d/60", r.ok),
-		Note:     fmt.Sprintf("fast provider killed after probe 20; split %d/%d", r.uses[fast], r.uses[slow]),
-	})
-	return &Result{ID: "A6", Title: "Multi-homed neutralizer selection", Rows: rows}, nil
-}
-
 // RunA7 reproduces the §3.1 DNS story: targeted delay of plaintext
 // queries, defeated by encrypted queries to an outside resolver.
 func RunA7() (*Result, error) {
@@ -585,78 +386,5 @@ func RunA7() (*Result, error) {
 		{Metric: "plaintext lookup of paying site", Paper: "fast", Measured: took[1].String(), Note: ""},
 		{Metric: "encrypted lookup of targeted name", Paper: "fast", Measured: took[2].String(),
 			Note: "name invisible to the ISP"},
-	}}, nil
-}
-
-// markDSCP rewrites p's DSCP in place and repairs the header checksum.
-func markDSCP(p []byte, dscp uint8) []byte {
-	p[1] = dscp << 2
-	p[10], p[11] = 0, 0
-	c := wire.Checksum(p[:wire.IPv4HeaderLen])
-	p[10], p[11] = byte(c>>8), byte(c)
-	return p
-}
-
-// RunA8 demonstrates §3.4 end to end: DSCP-tiered service works through
-// the neutralizer, and guaranteed service is recovered via dynamic
-// addresses.
-func RunA8() (*Result, error) {
-	// (1) DSCP preservation.
-	env, err := benchenv.NewBenchEnv(false, false)
-	if err != nil {
-		return nil, err
-	}
-	marked := markDSCP(bytes.Clone(env.DataPkt), diffserv.DSCPExpedited)
-	outs, err := env.Neut.ProcessScratch(core.NewScratch(), marked)
-	if err != nil {
-		return nil, err
-	}
-	var outIP wire.IPv4
-	if err := outIP.DecodeFromBytes(outs[0].Pkt); err != nil {
-		return nil, err
-	}
-	dscpPreserved := outIP.DSCP() == diffserv.DSCPExpedited
-
-	// (2) EF beats BE through a congested priority queue.
-	sim := netem.NewSimulator(benchStart, 81)
-	a := sim.MustAddNode("a", "", netip.MustParseAddr("10.0.0.1"))
-	b := sim.MustAddNode("b", "", netip.MustParseAddr("10.0.0.2"))
-	link := sim.Connect(a, b, netem.LinkConfig{Delay: time.Millisecond, RateBps: 80_000, QueueLen: 8})
-	if err := link.SetQueue(a, diffserv.NewPriorityQueue()); err != nil {
-		return nil, err
-	}
-	sim.BuildRoutes()
-	got := map[uint8]int{}
-	b.SetHandler(func(_ time.Time, pkt []byte) { got[pkt[1]>>2]++ })
-	mk := func(dscp uint8) []byte {
-		return markDSCP(plainUDP(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, make([]byte, 100)), dscp)
-	}
-	for i := 0; i < 40; i++ {
-		sim.Schedule(time.Duration(i)*12800*time.Microsecond, func() {
-			_ = a.Send(mk(diffserv.DSCPExpedited))
-			_ = a.Send(mk(diffserv.DSCPBestEffort))
-		})
-	}
-	sim.Run()
-
-	// (3) Guaranteed service: anonymized flows collapse; dynamic
-	// addresses separate them.
-	tbl := intserv.NewTable()
-	outside := f1Ann
-	_ = tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: f1Anycast, Dst: outside}, RateBps: 64_000})
-	collapseErr := tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: f1Anycast, Dst: outside}, RateBps: 64_000})
-	dynA := netip.MustParseAddr("10.250.0.1")
-	dynB := netip.MustParseAddr("10.250.0.2")
-	errA := tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: dynA, Dst: outside}, RateBps: 64_000})
-	errB := tbl.Reserve(intserv.Reservation{Flow: intserv.FlowID{Src: dynB, Dst: outside}, RateBps: 64_000})
-
-	return &Result{ID: "A8", Title: "Tiered + guaranteed service (§3.4)", Rows: []Row{
-		{Metric: "neutralizer preserves DSCP", Paper: "yes", Measured: pass(dscpPreserved), Note: ""},
-		{Metric: "EF vs BE delivery under 2x congestion", Paper: "EF wins",
-			Measured: fmt.Sprintf("%d vs %d", got[diffserv.DSCPExpedited], got[diffserv.DSCPBestEffort]), Note: ""},
-		{Metric: "per-flow reservation on anycast traffic", Paper: "impossible",
-			Measured: pass(collapseErr != nil), Note: "all customers collapse to one visible flow"},
-		{Metric: "per-flow reservation with dynamic addresses", Paper: "works",
-			Measured: pass(errA == nil && errB == nil), Note: "the §3.4 remedy"},
 	}}, nil
 }

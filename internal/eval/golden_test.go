@@ -38,7 +38,7 @@ type labelledDigest struct {
 }
 
 // TestGoldenRows pins every simulated experiment's rows against
-// testdata/<ID>.golden: F1, F2 and A4–A8 at their registered sizes,
+// testdata/<ID>.golden: F1, F2 and A3–A8 at their registered sizes,
 // E6–E10 and E13 at the sizes CI's neutsim smoke steps run, observation
 // on wherever the experiment can digest it. cmd/neutsim's tests only
 // compare neutsim with eval, so without this both could drift together.
@@ -62,6 +62,7 @@ func TestGoldenRows(t *testing.T) {
 	}{
 		{id: "F1", run: registered("F1")},
 		{id: "F2", run: registered("F2")},
+		{id: "A3", run: registered("A3")},
 		{id: "A4", run: registered("A4")},
 		{id: "A5", run: registered("A5")},
 		{id: "A6", run: registered("A6")},

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Queue is a link egress queue discipline. FIFO is the default; package
-// diffserv provides DSCP-aware disciplines. Implementations are used from
+// Queue is a link egress queue discipline. FIFO is the default; a
+// DSCP-aware one reads Pkt[1]>>2. Implementations are used from
 // the single-threaded event loop and need no locking. Queues hold pooled
 // packets: a queued *Packet carries one reference, which passes back to
 // the link when Dequeue returns it (a queue that drops a packet it
@@ -203,9 +203,6 @@ func (l *Link) transmit(from *Node, p *Packet) {
 		return
 	}
 	sh := d.from.sh
-	if len(p.Pkt) >= 2 {
-		p.DSCP = p.Pkt[1] >> 2
-	}
 	p.Size = len(p.Pkt)
 	p.Arrived = sh.now
 	if d.queue == nil {

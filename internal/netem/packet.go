@@ -26,9 +26,6 @@ type Packet struct {
 	// Pkt is the serialized IPv4 datagram: a window into the pooled
 	// backing buffer. Never append to it or store it past a callback.
 	Pkt []byte
-	// DSCP caches the packet's DSCP at enqueue time for queue
-	// disciplines (package diffserv).
-	DSCP uint8
 	// Size is len(Pkt), kept for queue disciplines.
 	Size int
 	// Arrived is when the packet entered its current egress queue
@@ -138,7 +135,6 @@ func (pp *packetPool) get(n int) *Packet {
 	}
 	p.Pkt = p.buf[:n]
 	p.Size = n
-	p.DSCP = 0
 	p.refs = 1
 	p.attrQueue, p.attrSer, p.attrProp, p.attrPolicy, p.attrProc = 0, 0, 0, 0, 0
 	p.cause, p.class, p.journey = 0, 0, 0

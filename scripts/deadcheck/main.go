@@ -56,13 +56,11 @@ var keep = map[string]string{
 	"core.Neutralizer.DynFlowOf":      "paper §3.4: which flow holds a dynamic address",
 	"netem.Node.AddAddr":              "paper §3.4: the hosting node claims a dynamic address (what Config.OnDynAlloc is for)",
 	"netem.Node.RemoveAddr":           "paper §3.4: the hosting node's side of ReleaseDynAddr",
-	"intserv.FlowOf":                  "paper §3.4: how an RSVP router reads a FlowID off a packet; the anonymized-flows-collapse test runs on it",
 	"netem.Simulator.SetPoolDebug":    "fault detection: poisons recycled packets so a use-after-release shows",
 	"netem.Packet.Retain":             "fault detection: the other half of the refcount Packet.Release enforces (double release panics)",
 	"eval.NewDPIBench":                "fixture of BenchmarkDPIFeatureUpdate/DPIClassify/CloakFrame, which have no twin in benchmark/",
 	"eval.NewAuditBench":              "fixture of BenchmarkAuditTrial/AuditReportCodec, which have no twin in benchmark/",
 	"simnet.Net.DialUDP":              "fixture of BenchmarkSimnetUDPEcho and the facade integration test: the connected (net.Conn) half of UDPConn",
-	"e2e.SessionFromKeys":             "cross-package test helper: endhost and onion tests build an e2e session without the handshake",
 	"endhost.Config.ServeOffload":     "paper §3.2: a customer host answers offloaded key setups; the offload tests turn it on",
 	"endhost.Config.ReturnFlags":      "paper §3.4: a customer asks for a dynamic address or no anonymization on its return traffic; the §3.4 tests set it",
 	"eval.AuditConfig.Observe":        "fault detection: the golden and worker-identity tests observe E8 to pin its observation digest",
