@@ -352,6 +352,28 @@ func dscpPacket(dscp uint8) *netem.Packet {
 	return &netem.Packet{Pkt: []byte{0x45, dscp << 2}}
 }
 
+// TestDefaultClassifier pins which class each codepoint lands in: EF
+// (46) and CS6 network control (48) in the first, the AF classes, best
+// effort and CS1 scavenger in the second.
+func TestDefaultClassifier(t *testing.T) {
+	cases := []struct {
+		dscp uint8
+		want int
+	}{
+		{dscpExpedited, 0}, {48, 0},
+		{10, 1}, {34, 1},
+		{dscpBestEffort, 1}, {8, 1},
+	}
+	for _, c := range cases {
+		q := &priorityQueue{}
+		q.Enqueue(dscpPacket(c.dscp))
+		if len(q.classes[c.want]) != 1 {
+			t.Errorf("DSCP %d: class lengths %d/%d, want it in class %d",
+				c.dscp, len(q.classes[0]), len(q.classes[1]), c.want)
+		}
+	}
+}
+
 // TestPriorityQueueStrictOrdering pins the two classes: EF and above
 // (network control, CS6 = 48) leave first, everything else (AF41 = 34
 // included) after, each class in arrival order.
@@ -393,6 +415,29 @@ func TestPriorityQueuePerClassCaps(t *testing.T) {
 func TestPriorityQueueEmptyDequeue(t *testing.T) {
 	if (&priorityQueue{}).Dequeue() != nil {
 		t.Error("empty dequeue should be nil")
+	}
+}
+
+// TestTableAdmissionControl pins the table's one admission rule: a pair
+// holds at most one reservation, and distinct pairs are admitted apart.
+func TestTableAdmissionControl(t *testing.T) {
+	tbl := reservations{flows: map[[2]netip.Addr]bool{}}
+	srcA, srcB := netip.MustParseAddr("172.16.0.1"), netip.MustParseAddr("172.16.0.2")
+	dstX := netip.MustParseAddr("10.10.0.1")
+	if !tbl.reserve(srcA, dstX) {
+		t.Fatal("first reservation refused")
+	}
+	if tbl.reserve(srcA, dstX) {
+		t.Error("duplicate reservation admitted")
+	}
+	if !tbl.reserve(srcB, dstX) {
+		t.Error("second source to the same destination refused")
+	}
+	if !tbl.reserve(dstX, srcA) {
+		t.Error("reverse direction refused: (dst, src) is its own pair")
+	}
+	if len(tbl.flows) != 3 {
+		t.Errorf("reservations = %d, want 3", len(tbl.flows))
 	}
 }
 
