@@ -117,8 +117,9 @@ func BenchmarkObsInc(b *testing.B) {
 }
 
 // BenchmarkSimnetUDPEcho measures the simnet bridge's wake/step overhead:
-// one blocking UDP echo round trip (client Write -> virtual 1ms link ->
-// server ReadFrom/WriteTo -> client Read) per op, driven by the
+// one blocking UDP echo round trip (client WriteToUDPAddrPort -> virtual
+// 1ms link -> server ReadFromUDPAddrPort/WriteToUDPAddrPort -> client
+// ReadFromUDPAddrPort) per op, driven by the
 // quiescence-detecting driver. The dominant cost is the runtime.Stack
 // quiescence probe per wake, which is the price of running unmodified
 // blocking protocol stacks deterministically; the "rtps" metric (echo
@@ -136,18 +137,19 @@ func BenchmarkSimnetUDPEcho(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cli, err := n.DialUDP(c, netip.AddrPortFrom(srvAddr, 7))
+	srvEP := netip.AddrPortFrom(srvAddr, 7)
+	cli, err := n.ListenUDP(c, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	n.Go(func() {
 		buf := make([]byte, 128)
 		for {
-			m, from, err := srv.ReadFrom(buf)
+			m, from, err := srv.ReadFromUDPAddrPort(buf)
 			if err != nil {
 				return
 			}
-			if _, err := srv.WriteTo(buf[:m], from); err != nil {
+			if _, err := srv.WriteToUDPAddrPort(buf[:m], from); err != nil {
 				return
 			}
 		}
@@ -158,10 +160,10 @@ func BenchmarkSimnetUDPEcho(b *testing.B) {
 		msg := make([]byte, 64)
 		buf := make([]byte, 128)
 		for i := 0; i < b.N; i++ {
-			if _, err := cli.Write(msg); err != nil {
+			if _, err := cli.WriteToUDPAddrPort(msg, srvEP); err != nil {
 				return
 			}
-			if m, err := cli.Read(buf); err != nil || m != len(msg) {
+			if m, _, err := cli.ReadFromUDPAddrPort(buf); err != nil || m != len(msg) {
 				return
 			}
 			done++

@@ -4,25 +4,24 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 
 	"netneutral/internal/e2e"
+	"netneutral/internal/simnet"
 )
 
-// ConnClient is a blocking resolver client over any net.PacketConn —
-// typically a simnet.UDPConn riding the emulated fabric, but any
-// datagram transport whose payloads are this package's wire messages
-// works. A ConnClient is used from an ordinary goroutine: each lookup
-// writes one query datagram and blocks in ReadFrom until the matching
-// answer arrives. It speaks exactly the wire protocol Resolver serves.
+// ConnClient is a blocking resolver client over a simnet.UDPConn riding
+// the emulated fabric. A ConnClient is used from a goroutine the simnet
+// driver manages: each lookup writes one query datagram and blocks in
+// ReadFromUDPAddrPort until a datagram from the resolver's address
+// arrives. It speaks exactly the wire protocol Resolver serves.
 //
 // A ConnClient is not safe for concurrent lookups: answers are matched
 // to queries by the conn's local port, so interleaved lookups on one
 // conn would steal each other's datagrams. Use one ConnClient (and one
 // conn) per querying goroutine.
 type ConnClient struct {
-	conn     net.PacketConn
+	conn     *simnet.UDPConn
 	resolver netip.AddrPort
 	rng      io.Reader
 	buf      []byte
@@ -31,7 +30,7 @@ type ConnClient struct {
 // NewConnClient wraps conn for blocking lookups against the resolver at
 // the given address (usually port 53). rng defaults to crypto/rand;
 // simulations pass a seeded reader for reproducible query encryption.
-func NewConnClient(conn net.PacketConn, resolver netip.AddrPort, rng io.Reader) *ConnClient {
+func NewConnClient(conn *simnet.UDPConn, resolver netip.AddrPort, rng io.Reader) *ConnClient {
 	if rng == nil {
 		rng = rand.Reader
 	}
@@ -71,19 +70,16 @@ func (c *ConnClient) LookupEncrypted(resolverKey e2e.PublicKey, name string) (Re
 // exchange sends one query payload and returns the first datagram that
 // comes back from the resolver's address, skipping strays.
 func (c *ConnClient) exchange(q []byte) ([]byte, error) {
-	dst := net.UDPAddrFromAddrPort(c.resolver)
-	if _, err := c.conn.WriteTo(q, dst); err != nil {
+	if _, err := c.conn.WriteToUDPAddrPort(q, c.resolver); err != nil {
 		return nil, fmt.Errorf("dnssim: sending query: %w", err)
 	}
 	for {
-		n, from, err := c.conn.ReadFrom(c.buf)
+		n, from, err := c.conn.ReadFromUDPAddrPort(c.buf)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrQueryFailed, err)
 		}
-		if ua, ok := from.(*net.UDPAddr); ok {
-			if ap := ua.AddrPort(); ap.Addr().Unmap() == c.resolver.Addr().Unmap() && ap.Port() == c.resolver.Port() {
-				return c.buf[:n], nil
-			}
+		if from == c.resolver {
+			return c.buf[:n], nil
 		}
 	}
 }

@@ -2,7 +2,7 @@ package netem
 
 import "time"
 
-// External-waiter support: simnet (the net.Conn/net.PacketConn bridge)
+// External-waiter support: simnet (the blocking-socket bridge)
 // drives the simulator one event at a time so it can hand control to
 // ordinary goroutines blocked on sim-backed sockets between events and
 // inject their sends at a deterministic virtual time. Single-stepping is

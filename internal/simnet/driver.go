@@ -1,14 +1,16 @@
 // Package simnet bridges ordinary blocking Go code onto the netem
-// discrete-event simulator: goroutines block in net.Conn / net.PacketConn
-// calls while a driver advances virtual time, so unmodified protocol
-// stacks (net/http, the dnssim resolver protocol, the endhost shim) run
-// over the emulated metro without knowing it is not a real network.
+// discrete-event simulator: goroutines block in socket calls while a
+// driver advances virtual time, so unmodified protocol stacks (net/http
+// over net.Conn streams; the dnssim resolver protocol and neutralizerd's
+// transport loop over UDPConn, which has *net.UDPConn's netip.AddrPort
+// methods) run over the emulated metro without knowing it is not a real
+// network.
 //
 // # Execution model
 //
 // A Net wraps an unsharded *netem.Simulator. Application goroutines are
 // registered with Go and synchronize on conns created by ListenUDP /
-// DialUDP / ListenStream / DialStream. Run drives the whole system: it
+// ListenStream / DialStream. Run drives the whole system: it
 // repeatedly (1) hands the CPU to exactly one runnable blocked goroutine
 // at a time and waits for the process to go quiescent again, then (2)
 // advances the simulator by one event (or to the next virtual-time

@@ -65,8 +65,7 @@ func (m *HostMux) Listen() (*StreamListener, error) {
 	if m.ln != nil {
 		return nil, fmt.Errorf("simnet: HostMux already listening")
 	}
-	addr := streamAddr(netip.AddrPortFrom(m.host.Addr(), 0))
-	m.ln = newStreamListener(m.n, addr, func(remote netip.AddrPort, frame []byte) error {
+	m.ln = newStreamListener(m.n, netip.AddrPortFrom(m.host.Addr(), 0), func(remote netip.AddrPort, frame []byte) error {
 		return m.host.Send(remote.Addr(), frame)
 	})
 	m.ln.dereg = func() { m.ln = nil }

@@ -43,19 +43,19 @@ func TestUDPEchoVirtualLatency(t *testing.T) {
 	n.Go(func() {
 		buf := make([]byte, 2048)
 		for i := 0; i < 3; i++ {
-			m, from, err := srv.ReadFrom(buf)
+			m, from, err := srv.ReadFromUDPAddrPort(buf)
 			if err != nil {
 				t.Errorf("server read: %v", err)
 				return
 			}
-			if _, err := srv.WriteTo(buf[:m], from); err != nil {
+			if _, err := srv.WriteToUDPAddrPort(buf[:m], from); err != nil {
 				t.Errorf("server write: %v", err)
 				return
 			}
 		}
 	})
 	n.Go(func() {
-		c, err := n.DialUDP(cl, netip.AddrPortFrom(svAddr, 7))
+		c, err := n.ListenUDP(cl, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -64,11 +64,11 @@ func TestUDPEchoVirtualLatency(t *testing.T) {
 		buf := make([]byte, 2048)
 		for i := 0; i < 3; i++ {
 			t0 := n.Now()
-			if _, err := c.Write([]byte("ping")); err != nil {
+			if _, err := c.WriteToUDPAddrPort([]byte("ping"), netip.AddrPortFrom(svAddr, 7)); err != nil {
 				t.Errorf("write: %v", err)
 				return
 			}
-			m, err := c.Read(buf)
+			m, _, err := c.ReadFromUDPAddrPort(buf)
 			if err != nil || string(buf[:m]) != "ping" {
 				t.Errorf("read: %q %v", buf[:m], err)
 				return
@@ -94,7 +94,7 @@ func TestReadDeadline(t *testing.T) {
 	n.Go(func() {
 		dl := n.Now().Add(50 * time.Millisecond)
 		c.SetReadDeadline(dl)
-		_, _, err := c.ReadFrom(make([]byte, 16))
+		_, _, err := c.ReadFromUDPAddrPort(make([]byte, 16))
 		if !errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("err = %v, want os.ErrDeadlineExceeded", err)
 		}
@@ -122,7 +122,7 @@ func TestDeadlineAbortsParkedRead(t *testing.T) {
 	}
 	aLongTimeAgo := time.Unix(1, 0)
 	n.Go(func() {
-		_, _, err := c.ReadFrom(make([]byte, 16))
+		_, _, err := c.ReadFromUDPAddrPort(make([]byte, 16))
 		if !errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("aborted read: err = %v, want os.ErrDeadlineExceeded", err)
 		}
@@ -170,7 +170,7 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	n.Go(func() {
 		// Nothing will ever arrive and no deadline is set.
-		_, _, err := c.ReadFrom(make([]byte, 16))
+		_, _, err := c.ReadFromUDPAddrPort(make([]byte, 16))
 		if !errors.Is(err, net.ErrClosed) {
 			t.Errorf("post-deadlock read err = %v", err)
 		}
@@ -356,19 +356,19 @@ func TestManyClientsDeterministic(t *testing.T) {
 		n.Go(func() {
 			buf := make([]byte, 2048)
 			for i := 0; i < 5*4; i++ {
-				m, from, err := srv.ReadFrom(buf)
+				m, from, err := srv.ReadFromUDPAddrPort(buf)
 				if err != nil {
 					t.Errorf("server: %v", err)
 					return
 				}
-				srv.WriteTo(buf[:m], from)
+				srv.WriteToUDPAddrPort(buf[:m], from)
 			}
 		})
 		lines := make([]string, 5)
 		for i := 0; i < 5; i++ {
 			i := i
 			n.Go(func() {
-				c, err := n.DialUDP(cl, netip.AddrPortFrom(svAddr, 7))
+				c, err := n.ListenUDP(cl, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -377,8 +377,8 @@ func TestManyClientsDeterministic(t *testing.T) {
 				n.Sleep(time.Duration(i) * time.Millisecond)
 				buf := make([]byte, 64)
 				for j := 0; j < 4; j++ {
-					c.Write([]byte{byte(i), byte(j)})
-					if _, err := c.Read(buf); err != nil {
+					c.WriteToUDPAddrPort([]byte{byte(i), byte(j)}, netip.AddrPortFrom(svAddr, 7))
+					if _, _, err := c.ReadFromUDPAddrPort(buf); err != nil {
 						t.Errorf("client %d: %v", i, err)
 						return
 					}

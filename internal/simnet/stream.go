@@ -185,7 +185,7 @@ func (c *StreamConn) RemoteAddr() net.Addr { return c.remote }
 // creates a conn and queues it for Accept.
 type StreamListener struct {
 	n       *Net
-	addr    net.Addr
+	ap      netip.AddrPort
 	sendTo  func(remote netip.AddrPort, frame []byte) error // mu held
 	conns   map[netip.AddrPort]*StreamConn
 	backlog []*StreamConn
@@ -196,8 +196,8 @@ type StreamListener struct {
 
 const listenBacklog = 64
 
-func newStreamListener(n *Net, addr net.Addr, sendTo func(netip.AddrPort, []byte) error) *StreamListener {
-	return &StreamListener{n: n, addr: addr, sendTo: sendTo, conns: make(map[netip.AddrPort]*StreamConn), accs: waitq{n: n}}
+func newStreamListener(n *Net, ap netip.AddrPort, sendTo func(netip.AddrPort, []byte) error) *StreamListener {
+	return &StreamListener{n: n, ap: ap, sendTo: sendTo, conns: make(map[netip.AddrPort]*StreamConn), accs: waitq{n: n}}
 }
 
 // deliver demultiplexes one inbound frame-carrying datagram. Driver
@@ -213,7 +213,7 @@ func (l *StreamListener) deliver(src netip.AddrPort, payload []byte) {
 	if len(l.backlog) >= listenBacklog {
 		return // drop the connection attempt
 	}
-	c := newStreamConn(l.n, l.addr, streamAddr(src), func(frame []byte) error {
+	c := newStreamConn(l.n, streamAddr(l.ap), streamAddr(src), func(frame []byte) error {
 		return l.sendTo(src, frame)
 	})
 	c.nextSeq = 1 // SYN consumed seq 0
@@ -265,7 +265,7 @@ func (l *StreamListener) Close() error {
 }
 
 // Addr implements net.Listener.
-func (l *StreamListener) Addr() net.Addr { return l.addr }
+func (l *StreamListener) Addr() net.Addr { return streamAddr(l.ap) }
 
 // ListenStream binds a stream listener to a UDP port on node (0 picks an
 // ephemeral port). The returned listener is a net.Listener whose conns
@@ -275,21 +275,16 @@ func (n *Net) ListenStream(node *netem.Node, port uint16) (*StreamListener, erro
 	defer n.mu.Unlock()
 	b := n.bind(node)
 	var l *StreamListener
-	l = newStreamListener(n, nil, func(remote netip.AddrPort, frame []byte) error {
-		return b.sendUDP(l.lport(), remote, frame)
+	l = newStreamListener(n, netip.AddrPort{}, func(remote netip.AddrPort, frame []byte) error {
+		return b.sendUDP(l.ap.Port(), remote, frame)
 	})
 	p, err := b.allocPort(port, l)
 	if err != nil {
 		return nil, err
 	}
-	l.addr = streamAddr(netip.AddrPortFrom(node.Addr(), p))
+	l.ap = netip.AddrPortFrom(node.Addr(), p)
 	l.dereg = func() { delete(b.ports, p) }
 	return l, nil
-}
-
-func (l *StreamListener) lport() uint16 {
-	ap, _ := toAddrPort(l.addr)
-	return ap.Port()
 }
 
 // dialSink filters a dialed stream's inbound datagrams to its peer.

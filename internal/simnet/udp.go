@@ -130,20 +130,18 @@ type dgram struct {
 	data []byte
 }
 
-// UDPConn is a datagram endpoint on a simulated node. It implements
-// net.PacketConn always, and net.Conn once connected (created by DialUDP
-// or given a remote). Reads block the calling goroutine until a datagram
-// arrives in virtual time, the deadline (also virtual time) expires, or
-// the conn is closed. Writes never block: the datagram is injected into
-// the simulator at the current virtual instant.
+// UDPConn is a datagram endpoint on a simulated node, with the four
+// methods of *net.UDPConn that internal/tunnel's Conn names, in
+// netip.AddrPort terms. Reads block the calling goroutine until a
+// datagram arrives in virtual time, the deadline (also virtual time)
+// expires, or the conn is closed. Writes never block: the datagram is
+// injected into the simulator at the current virtual instant.
 type UDPConn struct {
 	waitq  // blocked readers; its n is the conn's Net
 	b      *nodeBind
 	port   uint16
-	remote netip.AddrPort // zero unless connected
 	queue  []dgram
 	closed bool
-	qcap   int
 }
 
 // ListenUDP binds a datagram conn to port on node (0 picks an ephemeral
@@ -153,7 +151,7 @@ func (n *Net) ListenUDP(node *netem.Node, port uint16) (*UDPConn, error) {
 	n.lock()
 	defer n.mu.Unlock()
 	b := n.bind(node)
-	c := &UDPConn{waitq: waitq{n: n}, b: b, qcap: defaultQueueCap}
+	c := &UDPConn{waitq: waitq{n: n}, b: b}
 	p, err := b.allocPort(port, c)
 	if err != nil {
 		return nil, err
@@ -162,34 +160,18 @@ func (n *Net) ListenUDP(node *netem.Node, port uint16) (*UDPConn, error) {
 	return c, nil
 }
 
-// DialUDP binds an ephemeral port on node connected to remote: Read and
-// Write use remote, and datagrams from other sources are discarded.
-func (n *Net) DialUDP(node *netem.Node, remote netip.AddrPort) (*UDPConn, error) {
-	c, err := n.ListenUDP(node, 0)
-	if err != nil {
-		return nil, err
-	}
-	c.remote = remote
-	return c, nil
-}
-
 // deliverDgram implements portSink. Driver context, mu held.
 func (c *UDPConn) deliverDgram(src netip.AddrPort, payload []byte) {
-	if c.closed {
-		return
-	}
-	if c.remote.IsValid() && src != c.remote {
-		return
-	}
-	if len(c.queue) >= c.qcap {
+	if c.closed || len(c.queue) >= defaultQueueCap {
 		return
 	}
 	c.queue = append(c.queue, dgram{src: src, data: append([]byte(nil), payload...)})
 	c.wakeOne()
 }
 
-// ReadFrom implements net.PacketConn. It blocks in virtual time.
-func (c *UDPConn) ReadFrom(p []byte) (int, net.Addr, error) {
+// ReadFromUDPAddrPort reads one datagram into p and reports its source,
+// blocking in virtual time.
+func (c *UDPConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 	c.n.lock()
 	defer c.n.mu.Unlock()
 	w := newWaiter()
@@ -197,35 +179,20 @@ func (c *UDPConn) ReadFrom(p []byte) (int, net.Addr, error) {
 		if len(c.queue) > 0 {
 			d := c.queue[0]
 			c.queue = c.queue[1:]
-			m := copy(p, d.data)
-			return m, net.UDPAddrFromAddrPort(d.src), nil
+			return copy(p, d.data), d.src, nil
 		}
 		if c.closed {
-			return 0, nil, net.ErrClosed
+			return 0, netip.AddrPort{}, net.ErrClosed
 		}
 		if c.expired() {
-			return 0, nil, os.ErrDeadlineExceeded
+			return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
 		}
 		c.park(w)
 	}
 }
 
-// Read implements net.Conn; the conn must be connected (DialUDP).
-func (c *UDPConn) Read(p []byte) (int, error) {
-	if !c.remote.IsValid() {
-		return 0, fmt.Errorf("simnet: Read on unconnected UDPConn")
-	}
-	m, _, err := c.ReadFrom(p)
-	return m, err
-}
-
-// WriteTo implements net.PacketConn. addr must be a *net.UDPAddr (or
-// net.Addr whose String parses as one).
-func (c *UDPConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	dst, err := toAddrPort(addr)
-	if err != nil {
-		return 0, err
-	}
+// WriteToUDPAddrPort sends p to dst from the conn's port.
+func (c *UDPConn) WriteToUDPAddrPort(p []byte, dst netip.AddrPort) (int, error) {
 	c.n.lock()
 	defer c.n.mu.Unlock()
 	if c.closed {
@@ -235,14 +202,6 @@ func (c *UDPConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// Write implements net.Conn; the conn must be connected.
-func (c *UDPConn) Write(p []byte) (int, error) {
-	if !c.remote.IsValid() {
-		return 0, fmt.Errorf("simnet: Write on unconnected UDPConn")
-	}
-	return c.WriteTo(p, net.UDPAddrFromAddrPort(c.remote))
 }
 
 // Close releases the port and wakes all blocked readers with
@@ -257,34 +216,4 @@ func (c *UDPConn) Close() error {
 	delete(c.b.ports, c.port)
 	c.wakeAll()
 	return nil
-}
-
-// LocalAddr implements net.PacketConn and net.Conn.
-func (c *UDPConn) LocalAddr() net.Addr {
-	return net.UDPAddrFromAddrPort(netip.AddrPortFrom(c.b.node.Addr(), c.port))
-}
-
-// RemoteAddr implements net.Conn; nil when unconnected.
-func (c *UDPConn) RemoteAddr() net.Addr {
-	if !c.remote.IsValid() {
-		return nil
-	}
-	return net.UDPAddrFromAddrPort(c.remote)
-}
-
-// toAddrPort converts a net.Addr to netip.AddrPort.
-func toAddrPort(a net.Addr) (netip.AddrPort, error) {
-	switch v := a.(type) {
-	case *net.UDPAddr:
-		ap := v.AddrPort()
-		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
-	case *net.TCPAddr:
-		ap := v.AddrPort()
-		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
-	}
-	ap, err := netip.ParseAddrPort(a.String())
-	if err != nil {
-		return netip.AddrPort{}, fmt.Errorf("simnet: unusable address %v: %w", a, err)
-	}
-	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
 }

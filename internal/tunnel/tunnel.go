@@ -1,20 +1,24 @@
 // Package tunnel is neutralizerd's transport: serialized IPv4 shim
 // packets ride in UDP datagrams, and one loop serves them on anything
-// with *net.UDPConn's four methods (Conn). Each sentence names its test.
+// with *net.UDPConn's four methods (Conn): the real socket, the tests'
+// in-memory fake, or a simnet.UDPConn in the emulator's virtual time,
+// where a seeded flood replays bit-identically (TestServeUnderSimnet).
+// Each sentence names its test.
 //
 // Registration. A peer owns an inner IPv4 address. It registers the UDP
 // endpoint that address is reached at with a control frame, exactly the
 // five bytes 0x00 ‖ IPv4 (RegisterFrame; TestControlFrameRegisters), or
-// by sending a packet the
-// neutralizer serves: the loop learns the inner source only after
-// ProcessScratch accepted the packet, so truncated, stale or garbage
-// datagrams teach it nothing (TestRefusedDatagramTeachesNothing). The
-// table holds at most MaxPeers addresses; past that a new address is
-// refused and counted, while a registered one may always re-point itself
-// (TestRegistryIsBounded). Not closed here: a served packet or a control
-// frame with a forged inner source still re-points that address; a TTL
-// and a control frame that proves possession of the session key are the
-// follow-up (ROADMAP item 1).
+// by sending a packet the neutralizer serves: the loop learns the inner
+// source only after ProcessScratch accepted the packet, so truncated,
+// stale or garbage datagrams teach it nothing
+// (TestRefusedDatagramTeachesNothing). An unspecified, loopback,
+// multicast or broadcast address is refused and counted
+// (TestControlFrameRegisters). The table holds at most MaxPeers
+// addresses; past that a new address is refused and counted, while a
+// registered one may always re-point itself (TestRegistryIsBounded). Not
+// closed here: a served packet or a control frame with a forged inner
+// source still re-points that address; a TTL and a control frame that
+// proves possession of the session key are the next step (ROADMAP item 1).
 //
 // Delivery. Every packet the neutralizer emits goes to the endpoint
 // registered for its inner destination: a key-setup response back to its
@@ -55,8 +59,8 @@ import (
 
 // Conn is the part of *net.UDPConn the loop uses, in netip.AddrPort
 // terms so the real socket needs no adapter and its calls stay
-// allocation-free. It is an interface for one reason: the package's
-// tests drive the loop through an in-memory fake.
+// allocation-free. It is an interface so that the package's tests can
+// drive the loop through an in-memory fake and a simnet.UDPConn.
 type Conn interface {
 	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
 	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
@@ -118,7 +122,7 @@ func New(conn Conn, neut *core.Neutralizer, opts Options, reg *obs.Registry) *Tu
 		func() float64 { return float64(t.Peers()) }, obs.Volatile())
 	reg.CounterFunc("neutralizerd_unknown_dst_total", "Output packets dropped: no endpoint registered for the inner destination.",
 		t.unknownDst.Load, obs.Volatile())
-	reg.CounterFunc("neutralizerd_registry_refused_total", "Registrations of a new inner address refused because MaxPeers are registered.",
+	reg.CounterFunc("neutralizerd_registry_refused_total", "Registrations refused: a meaningless inner address, or a new one past MaxPeers.",
 		t.refused.Load, obs.Volatile())
 	reg.CounterFunc("neutralizerd_write_errors_total", "Datagram writes that failed.",
 		t.writeErrs.Load, obs.Volatile())
@@ -222,8 +226,13 @@ func (t *Tunnel) read(in []datagram) (n int, err error) {
 	return n, nil
 }
 
-// register points inner address a at peer.
+// register points inner address a at peer, unless no packet can be
+// addressed to a.
 func (t *Tunnel) register(a netip.Addr, peer netip.AddrPort) {
+	if a.IsUnspecified() || a.IsLoopback() || a.IsMulticast() || a == netip.AddrFrom4([4]byte{255, 255, 255, 255}) {
+		t.refused.Add(1)
+		return
+	}
 	t.mu.RLock()
 	cur, ok := t.peers[a]
 	t.mu.RUnlock()

@@ -213,16 +213,24 @@ func reference(t *testing.T, pkt []byte) []byte {
 	return bytes.Clone(outs[0].Pkt)
 }
 
+// A control frame registers its address, unless no packet can be
+// addressed to it: five zero bytes are a frame for 0.0.0.0, and loopback,
+// multicast and the limited broadcast are refused alike.
 func TestControlFrameRegisters(t *testing.T) {
 	e := env(t)
-	out, tun, _ := serve(t, one,
-		dgram{epCust, RegisterFrame(customer)},
-		dgram{epOut, e.DataPkt})
+	script := []dgram{{epCust, RegisterFrame(customer)}, {epOut, e.DataPkt}}
+	for _, a := range []string{"0.0.0.0", "127.0.0.1", "127.9.9.9", "224.0.0.1", "239.255.0.7", "255.255.255.255"} {
+		script = append(script, dgram{epEve, RegisterFrame(netip.MustParseAddr(a))})
+	}
+	out, tun, snap := serve(t, one, append(script, dgram{epEve, make([]byte, 5)})...)
 	if len(out) != 1 || out[0].peer != epCust || !bytes.Equal(out[0].pkt, reference(t, e.DataPkt)) {
 		t.Fatalf("data for a frame-registered customer: %v", out)
 	}
 	if tun.Peers() != 2 { // the customer by frame, the outside host by its served packet
 		t.Fatalf("peers = %d, want 2", tun.Peers())
+	}
+	if n := metric(t, snap, "neutralizerd_registry_refused_total"); n != 7 {
+		t.Fatalf("neutralizerd_registry_refused_total = %v, want 7", n)
 	}
 }
 

@@ -60,7 +60,6 @@ var keep = map[string]string{
 	"netem.Packet.Retain":             "fault detection: the other half of the refcount Packet.Release enforces (double release panics)",
 	"eval.NewDPIBench":                "fixture of BenchmarkDPIFeatureUpdate/DPIClassify/CloakFrame, which have no twin in benchmark/",
 	"eval.NewAuditBench":              "fixture of BenchmarkAuditTrial/AuditReportCodec, which have no twin in benchmark/",
-	"simnet.Net.DialUDP":              "fixture of BenchmarkSimnetUDPEcho and the facade integration test: the connected (net.Conn) half of UDPConn",
 	"endhost.Config.ServeOffload":     "paper §3.2: a customer host answers offloaded key setups; the offload tests turn it on",
 	"endhost.Config.ReturnFlags":      "paper §3.4: a customer asks for a dynamic address or no anonymization on its return traffic; the §3.4 tests set it",
 	"eval.AuditConfig.Observe":        "fault detection: the golden and worker-identity tests observe E8 to pin its observation digest",
