@@ -24,7 +24,10 @@
 // another worker, or a restarted one) recomputes the same bytes, and
 // nothing enters it before the neutralizer has verified and served a
 // packet of that session twice. The neutralizer is as stateless as the
-// paper's; only the time a packet takes depends on where it lands.
+// paper's; only the time a packet takes depends on where it lands. A
+// worker's randomness is its own too: unless Config.Rand is set, salts and
+// nonces come from a fast-key-erasure generator in the Scratch, AES-CTR on
+// the same kind of schedule, so a miss runs on nothing but that one AES.
 //
 // A Neutralizer is transport-agnostic: ProcessScratch consumes one
 // serialized IPv4 packet and returns the packets to emit. The same core
@@ -33,9 +36,7 @@
 package core
 
 import (
-	"crypto/rand"
 	"errors"
-	"fmt"
 	"io"
 	"net/netip"
 	"sync"
@@ -74,8 +75,10 @@ type Config struct {
 	IsCustomer func(netip.Addr) bool
 	// Clock supplies time (virtual in emulation). Defaults to time.Now.
 	Clock func() time.Time
-	// Rand supplies entropy for nonces and salts. Defaults to
-	// crypto/rand.Reader.
+	// Rand, when set, supplies every draw — nonces, salts, RSA padding —
+	// in the order the packets ask for them, so a seeded reader replays a
+	// run byte for byte. When nil each Scratch draws from its own
+	// fast-key-erasure generator, keyed from crypto/rand.
 	Rand io.Reader
 	// Offload, when non-nil, delegates key-setup RSA encryptions to
 	// willing customers (§3.2).
@@ -171,8 +174,9 @@ func (s StatsSnapshot) Dropped() uint64 {
 // Neutralizer processes shim packets at an ISP border. Safe for
 // concurrent use: the hot path reads only immutable configuration; the
 // optional dynamic-address table has its own lock. When one Neutralizer
-// is shared across goroutines, Config.Rand must also be safe for
-// concurrent use (crypto/rand.Reader, the default, is).
+// is shared across goroutines and Config.Rand is set, that reader must be
+// safe for concurrent use too (with Rand nil, each goroutine's Scratch
+// draws from its own generator).
 type Neutralizer struct {
 	cfg   Config
 	stats Stats
@@ -211,9 +215,6 @@ func New(cfg Config) (*Neutralizer, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.Rand == nil {
-		cfg.Rand = rand.Reader
-	}
 	return &Neutralizer{cfg: cfg, dyn: &dynTable{
 		fwd: make(map[dynFlowKey]netip.Addr),
 		rev: make(map[netip.Addr]dynFlowKey),
@@ -235,18 +236,12 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 	pub, _, err := lightrsa.UnmarshalPublicKey(sh.PublicKey)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
-		return fmt.Errorf("%w: %v", ErrBadSetup, err)
+		return ErrBadSetup
 	}
-	now := n.cfg.Clock()
-	nonce, err := keys.NewNonce(n.cfg.Rand)
-	if err != nil {
-		return err
-	}
-	epoch := n.cfg.Schedule.EpochAt(now)
-	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, epoch, nonce, ip.Src)
+	epoch, g, err := n.grant(s, n.cfg.Clock(), ip.Src)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
-		return fmt.Errorf("%w: %v", ErrBadSetup, err)
+		return ErrBadSetup
 	}
 
 	if helper, ok := n.cfg.Offload.pick(); ok {
@@ -259,7 +254,7 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 			Flags:     sh.Flags | shim.FlagOffloaded,
 			Epoch:     epoch,
 			PublicKey: sh.PublicKey,
-			Grant:     shim.Grant{Nonce: nonce, Key: ks},
+			Grant:     g,
 		}
 		if err := s.emit(ip.Src, helper, ip.TOS, &s.out, nil); err != nil {
 			return err
@@ -268,10 +263,10 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 		return nil
 	}
 
-	ct, err := pub.Encrypt(n.cfg.Rand, shim.EncodeSetupPlaintext(nonce, ks))
+	ct, err := pub.Encrypt(n.entropy(s), shim.EncodeSetupPlaintext(g.Nonce, g.Key))
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
-		return fmt.Errorf("%w: %v", ErrBadSetup, err)
+		return ErrBadSetup
 	}
 	s.out = shim.Header{Type: shim.TypeKeySetupResponse, Epoch: epoch, Ciphertext: ct}
 	if err := s.emit(n.cfg.Anycast, ip.Src, ip.TOS, &s.out, nil); err != nil {
@@ -279,6 +274,19 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 	}
 	n.stats.KeySetups.Add(1)
 	return nil
+}
+
+// grant draws a fresh nonce and derives its session key for src under the
+// epoch in force at now: the (nonce, Ks) a key setup, a key fetch and a
+// key request each hand out.
+func (n *Neutralizer) grant(s *Scratch, now time.Time, src netip.Addr) (keys.Epoch, shim.Grant, error) {
+	nonce, err := keys.NewNonce(n.entropy(s))
+	if err != nil {
+		return 0, shim.Grant{}, err
+	}
+	epoch := n.cfg.Schedule.EpochAt(now)
+	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, epoch, nonce, src)
+	return epoch, shim.Grant{Nonce: nonce, Key: ks}, err
 }
 
 // processData implements the forward path (Figure 2(b), packets 3→4):
@@ -314,18 +322,10 @@ func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) er
 		// Stamp a fresh grant bound to the same outside source under the
 		// *current* epoch; the destination returns it end-to-end
 		// encrypted and the source retires the short-RSA-protected key.
-		gNonce, err := keys.NewNonce(n.cfg.Rand)
-		if err != nil {
-			return err
-		}
-		gEpoch := n.cfg.Schedule.EpochAt(now)
-		gKey, err := n.cfg.Schedule.SessionKeyInto(&s.kw, gEpoch, gNonce, ip.Src)
-		if err != nil {
-			return err
-		}
 		out.Flags |= shim.FlagGrant
-		out.Epoch = gEpoch
-		out.Grant = shim.Grant{Nonce: gNonce, Key: gKey}
+		if out.Epoch, out.Grant, err = n.grant(s, now, ip.Src); err != nil {
+			return err
+		}
 		n.stats.GrantsStamped.Add(1)
 	}
 	if err := s.emit(ip.Src, dst, ip.TOS, out, sh.Payload()); err != nil {
@@ -357,13 +357,10 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 	if err != nil {
 		return err
 	}
-	if _, err := io.ReadFull(n.cfg.Rand, s.salt[:]); err != nil {
-		return fmt.Errorf("core: reading salt: %w", err)
+	if _, err := io.ReadFull(n.entropy(s), s.salt[:]); err != nil {
+		return err
 	}
-	hidden, ok := ek.EncryptAddrX(ip.Src, s.salt)
-	if !ok {
-		return fmt.Errorf("aesutil: address %v is not IPv4", ip.Src)
-	}
+	hidden, _ := ek.EncryptAddrX(ip.Src, s.salt) // ip.Src came off an IPv4 header
 	out := s.relay(shim.TypeReturnDelivered, sh)
 	out.HiddenAddr = hidden
 	visibleSrc := n.cfg.Anycast
@@ -396,24 +393,12 @@ func (n *Neutralizer) processKeyFetch(s *Scratch, ip *wire.IPv4, sh *shim.Header
 		n.stats.DropNotCustomer.Add(1)
 		return ErrNotFromCustomer
 	}
-	peer := sh.ClearAddr
-	now := n.cfg.Clock()
-	nonce, err := keys.NewNonce(n.cfg.Rand)
-	if err != nil {
-		return err
-	}
-	epoch := n.cfg.Schedule.EpochAt(now)
-	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, epoch, nonce, peer)
+	epoch, g, err := n.grant(s, n.cfg.Clock(), sh.ClearAddr)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
 		return err
 	}
-	s.out = shim.Header{
-		Type:  shim.TypeKeyFetchResponse,
-		Epoch: epoch,
-		Nonce: nonce,
-		Grant: shim.Grant{Nonce: nonce, Key: ks},
-	}
+	s.out = shim.Header{Type: shim.TypeKeyFetchResponse, Epoch: epoch, Nonce: g.Nonce, Grant: g}
 	if err := s.emit(n.cfg.Anycast, ip.Src, ip.TOS, &s.out, nil); err != nil {
 		return err
 	}

@@ -174,6 +174,45 @@ func TestKeySetupRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKeySetupRefusalZeroAlloc: a key-setup request whose one-time key
+// is truncated or too small is refused with the bare ErrBadSetup, counted
+// once as malformed, and costs no allocation — the one path a stranger
+// fully controls.
+func TestKeySetupRefusalZeroAlloc(t *testing.T) {
+	n := newTestNeutralizer(t, func(c *Config) { c.Rand = nil })
+	var reqs [][]byte
+	for _, pub := range [][]byte{
+		nil,
+		{0x00},
+		{0x00, 0x08, 1, 2, 3, 4, 5, 6, 7, 8},
+		append([]byte{0x00, 0x11, 0x00, 0x7f}, bytes.Repeat([]byte{0xff}, 15)...), // 127 bits in 17 octets
+	} {
+		reqs = append(reqs, mkShimPacket(t, annAddr, anycast, 0, &shim.Header{Type: shim.TypeKeySetupRequest, PublicKey: pub}, nil))
+	}
+	s := NewScratch()
+	for i, req := range reqs {
+		before := n.Stats().Snapshot()
+		s.Reset()
+		if _, err := n.ProcessScratch(s, req); err != ErrBadSetup {
+			t.Fatalf("request %d: %v, want ErrBadSetup itself", i, err)
+		}
+		if after := n.Stats().Snapshot(); after.DropMalformed != before.DropMalformed+1 || after.Dropped() != before.Dropped()+1 {
+			t.Fatalf("request %d: drops moved %+v -> %+v", i, before, after)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, req := range reqs {
+			s.Reset()
+			_, _ = n.ProcessScratch(s, req)
+		}
+	}); allocs != 0 {
+		t.Fatalf("refused key setups allocate %v per batch of %d, want 0", allocs, len(reqs))
+	}
+}
+
 func TestDataForwardPath(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
 	nonce, ks, epoch := doKeySetup(t, n)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/rand"
+	"io"
 	"net/netip"
 
 	"netneutral/internal/crypto/aesutil"
@@ -25,6 +27,7 @@ type Scratch struct {
 	ek    aesutil.ExpandedKey // a cache miss expands the packet's session key here
 	probe sessProbe           // and leaves what admitting it needs here
 	salt  [8]byte
+	rng   fkeRand // the draws' source when Config.Rand is nil
 
 	ip  wire.IPv4
 	sh  shim.Header
@@ -52,6 +55,59 @@ func (s *Scratch) CryptoEpochStats() (hits, misses uint64) {
 // SessionCacheStats reports the outcomes of this scratch's session-key
 // cache. Owner-only, like CryptoEpochStats.
 func (s *Scratch) SessionCacheStats() SessionCacheStats { return s.sess.stats }
+
+// fkeRand is a fast-key-erasure generator (Bernstein, 2017): AES-128-CTR
+// under a key of its own, taken from crypto/rand at the first draw. A
+// refill encrypts counters 0…31 and re-keys the schedule from the first
+// block, so the key that made the buffer is gone; the other 496 bytes are
+// handed out, and each is zeroed once handed out. Nothing left in memory
+// recovers a past draw. Never fails, never allocates; owner-only, like the
+// Scratch it lives in.
+type fkeRand struct {
+	ek   aesutil.ExpandedKey
+	buf  [32 * aesutil.BlockSize]byte
+	next int // buf[next:] is not handed out yet; 0 before the first refill
+}
+
+func (g *fkeRand) Read(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		if g.next == 0 || g.next == len(g.buf) {
+			g.refill()
+		}
+		c := copy(p[n:], g.buf[g.next:])
+		clear(g.buf[g.next : g.next+c])
+		g.next += c
+		n += c
+	}
+	return len(p), nil
+}
+
+func (g *fkeRand) refill() {
+	if g.next == 0 {
+		var seed aesutil.Key
+		_, _ = rand.Read(seed[:]) // crypto/rand does not return errors: it crashes the program
+		g.ek.Expand(seed)
+	}
+	for i := 0; i < len(g.buf); i += aesutil.BlockSize {
+		blk := (*[aesutil.BlockSize]byte)(g.buf[i:])
+		*blk = [aesutil.BlockSize]byte{15: byte(i / aesutil.BlockSize)}
+		g.ek.EncryptBlock(blk, blk)
+	}
+	g.ek.Expand(aesutil.Key(g.buf[:aesutil.BlockSize]))
+	clear(g.buf[:aesutil.BlockSize])
+	g.next = aesutil.BlockSize
+}
+
+// entropy is the source of every draw the neutralizer makes — salts,
+// nonces, RSA padding: Config.Rand when it is set (the sims' and the
+// tests' seeded streams, read in the order the packets ask), else the
+// scratch's own generator.
+func (n *Neutralizer) entropy(s *Scratch) io.Reader {
+	if n.cfg.Rand != nil {
+		return n.cfg.Rand
+	}
+	return &s.rng
+}
 
 // Reset recycles every output buffer. Outgoing values returned by
 // ProcessScratch calls since the previous Reset become invalid.

@@ -31,8 +31,8 @@ type PoolConfig struct {
 	// Workers is the number of replicas/shards (default: GOMAXPROCS).
 	Workers int
 	// Config is the replica configuration. All replicas share the same
-	// Schedule, IsCustomer and Rand; Rand must therefore be safe for
-	// concurrent use (the default crypto/rand.Reader is).
+	// Schedule, IsCustomer and Rand; a Rand that is set must therefore be
+	// safe for concurrent use (nil is: each worker's Scratch draws alone).
 	Config Config
 }
 

@@ -311,10 +311,33 @@ func TestReturnPathConcurrent(t *testing.T) {
 	}
 }
 
+// mkReturnBatch builds the customer's return packets on flows first to
+// first+n-1 of mkDataBatch's numbering: each hits a scratch that has
+// cached the flow's forward packets, and misses anywhere else.
+func mkReturnBatch(t testing.TB, sched *keys.Schedule, first, n int) (pkts [][]byte) {
+	t.Helper()
+	epoch := sched.EpochAt(tStart.Add(10 * time.Minute))
+	for i := first; i < first+n; i++ {
+		var nonce keys.Nonce
+		binary.BigEndian.PutUint64(nonce[:], uint64(i)+1)
+		pkt, err := shim.BuildPacket(googAddr, anycast, 0, &shim.Header{
+			Type: shim.TypeReturn, InnerProto: wire.ProtoUDP, Epoch: epoch, Nonce: nonce,
+			ClearAddr: netip.AddrFrom4([4]byte{172, 16, byte(i >> 8), byte(i)}),
+		}, make([]byte, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, pkt)
+	}
+	return pkts
+}
+
 // TestScratchDataPathZeroAlloc guards the zero-allocation property of the
-// forward data path on both sides of the session-key cache: a batch of
-// established flows (every packet a hit) and batches of flows never seen
-// before (every packet a miss: derivation, key expansion, doorkeeper).
+// data path, forward and return, on both sides of the session-key cache:
+// a batch of established flows (every packet a hit) and batches of flows
+// never seen before (every packet a miss: derivation, key expansion,
+// doorkeeper). Config.Rand is nil, so every return packet draws its salt
+// from the scratch's generator, over many refills.
 func TestScratchDataPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -327,31 +350,42 @@ func TestScratchDataPathZeroAlloc(t *testing.T) {
 	const batch, runs = 8, 100
 	// AllocsPerRun calls its function once more than runs, to warm up; the
 	// three warm-up passes below take the first batch.
-	pkts, _, _ := mkDataBatch(t, sched, batch*(runs+2), false)
+	fwd, _, _ := mkDataBatch(t, sched, batch*(runs+2), false)
+	ret := mkReturnBatch(t, sched, 0, batch)
+	unseen := mkReturnBatch(t, sched, 4096, batch*(runs+2))
 	s := NewScratch()
-	process := func(pkts [][]byte) {
+	process := func(batches ...[][]byte) {
 		s.Reset()
-		for _, pkt := range pkts {
-			if _, err := n.ProcessScratch(s, pkt); err != nil {
-				t.Fatal(err)
+		for _, pkts := range batches {
+			for _, pkt := range pkts {
+				if _, err := n.ProcessScratch(s, pkt); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	// Warm up: buffer ring growth, epoch-cipher caching and the cache's
-	// schedule array happen once; the third pass finds every flow cached.
+	// Warm up: buffer ring growth, epoch-cipher caching, the generator's
+	// seed and the cache's schedule array happen once; the third pass finds
+	// every flow cached.
 	for i := 0; i < 3; i++ {
-		process(pkts[:batch])
+		process(fwd[:batch], ret)
 	}
-	before := s.SessionCacheStats()
-	if allocs := testing.AllocsPerRun(runs, func() { process(pkts[:batch]) }); allocs != 0 {
+	before, key := s.SessionCacheStats(), s.rng.ek
+	if allocs := testing.AllocsPerRun(runs, func() { process(fwd[:batch], ret) }); allocs != 0 {
 		t.Errorf("established flows: data path allocates %v per batch, want 0", allocs)
 	}
 	mid := s.SessionCacheStats()
 	if mid.Misses != before.Misses || mid.Hits == before.Hits {
 		t.Errorf("established flows were not all hits: %+v -> %+v", before, mid)
 	}
+	if s.rng.ek == key {
+		t.Errorf("%d salts drawn without a generator refill", (runs+1)*batch)
+	}
 	next := batch
-	if allocs := testing.AllocsPerRun(runs, func() { next += batch; process(pkts[next-batch : next]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() {
+		next += batch
+		process(fwd[next-batch:next], unseen[next-batch:next])
+	}); allocs != 0 {
 		t.Errorf("first packets: data path allocates %v per batch, want 0", allocs)
 	}
 	if after := s.SessionCacheStats(); after.Hits != mid.Hits {

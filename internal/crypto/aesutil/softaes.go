@@ -4,9 +4,8 @@
 //
 // The classic four-T-table construction, the same shape as crypto/aes's
 // generic fallback, and like it not constant-time with respect to
-// data-dependent table indices. The long-term master-key KDF is on
-// crypto/aes on every platform (see Block); the paper already treats
-// session keys as short-lived per-flow secrets.
+// data-dependent table indices. Where it runs, the master-key KDF runs on
+// it too, as it would on crypto/aes's own table fallback.
 package aesutil
 
 import "encoding/binary"

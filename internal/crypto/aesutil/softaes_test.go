@@ -2,6 +2,8 @@ package aesutil
 
 import (
 	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"encoding/hex"
 	mathrand "math/rand"
 	"net/netip"
@@ -185,41 +187,55 @@ func TestAddrBlockXMatchesSlowPath(t *testing.T) {
 	}
 }
 
-// TestCBCMACScratchMatchesCBCMAC verifies the cached-cipher MAC, whole
-// and resumed from a precomputed length block, computes the identical
-// function across lengths spanning multiple blocks.
-func TestCBCMACScratchMatchesCBCMAC(t *testing.T) {
+// refCBCMAC is CBCMAC written a second time on crypto/aes's CBC mode:
+// the length block, then data zero-padded to whole blocks, encrypted with a
+// zero IV; the MAC is the last ciphertext block.
+func refCBCMAC(t testing.TB, key Key, data []byte) (mac Key) {
+	c, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := binary.BigEndian.AppendUint64(nil, uint64(len(data)))
+	msg = append(append(msg, make([]byte, 8)...), data...)
+	msg = append(msg, make([]byte, (BlockSize-len(msg)%BlockSize)%BlockSize)...)
+	cipher.NewCBCEncrypter(c, make([]byte, BlockSize)).CryptBlocks(msg, msg)
+	copy(mac[:], msg[len(msg)-BlockSize:])
+	return mac
+}
+
+// TestCBCMACMatchesReference holds CBCMAC, and DeriveKey's framing over
+// it, to refCBCMAC on random keys and messages of 0 to 80 bytes — the
+// lengths from empty through five whole blocks, each boundary included.
+func TestCBCMACMatchesReference(t *testing.T) {
 	rng := mathrand.New(mathrand.NewSource(99))
-	var key Key
-	rng.Read(key[:])
-	b := NewBlock(key)
-	var w MACScratch
-	for n := 0; n <= 64; n++ {
-		data := make([]byte, n)
+	for i := 0; i < 2000; i++ {
+		var key Key
+		rng.Read(key[:])
+		data := make([]byte, i%81)
 		rng.Read(data)
-		want := CBCMAC(key, data)
-		got := b.CBCMACScratch(&w, data)
-		if want != got {
-			t.Fatalf("len %d: CBCMACScratch mismatch", n)
+		if got, want := CBCMAC(key, data), refCBCMAC(t, key, data); got != want {
+			t.Fatalf("len %d, key %x: CBCMAC %x, want %x", len(data), key, got, want)
 		}
-		// Scratch must be reusable.
-		if got2 := b.CBCMACScratch(&w, data); got2 != want {
-			t.Fatalf("len %d: CBCMACScratch not stable across reuse", n)
-		}
-		// Resuming from the precomputed length block is the same function.
-		if got3 := b.CBCMACFrom(&w, b.CBCMACPrefix(n), data); got3 != want {
-			t.Fatalf("len %d: CBCMACFrom(CBCMACPrefix) mismatch", n)
+		cut := rng.Intn(len(data) + 1)
+		framed := binary.BigEndian.AppendUint16(nil, uint16(cut))
+		framed = append(framed, data[:cut]...)
+		framed = binary.BigEndian.AppendUint16(framed, uint16(len(data)-cut))
+		framed = append(framed, data[cut:]...)
+		if got, want := DeriveKey(key, data[:cut], data[cut:]), refCBCMAC(t, key, framed); got != want {
+			t.Fatalf("parts of %d and %d bytes: DeriveKey %x, want %x", cut, len(data)-cut, got, want)
 		}
 	}
 }
 
 // TestExpandedKeyZeroAlloc: keying a schedule and running a block on it
 // allocates nothing, whether the schedule is kept (a Scratch's) or lives
-// on the stack of one call (the package-level forms the end hosts use).
+// on the stack of one call (the package-level forms the end hosts and
+// CBCMAC use).
 func TestExpandedKeyZeroAlloc(t *testing.T) {
 	var key Key
 	var kept ExpandedKey
 	addr := netip.MustParseAddr("10.10.0.5")
+	addrBytes := addr.As4()
 	for name, fn := range map[string]func(){
 		"kept schedule": func() {
 			kept.Expand(key)
@@ -235,6 +251,11 @@ func TestExpandedKeyZeroAlloc(t *testing.T) {
 			ek.Expand(key)
 			if _, _, ok := ek.DecryptAddrX(ct); !ok {
 				t.Fatal("round trip failed")
+			}
+		},
+		"CBCMAC": func() {
+			if CBCMAC(key, addrBytes[:]) == (Key{}) {
+				t.Fatal("zero MAC")
 			}
 		},
 		"EncryptAddr, DecryptAddr": func() {

@@ -54,7 +54,7 @@ func NewNonce(rng io.Reader) (Nonce, error) {
 // master keys (pure functions of the root, so caching does not violate
 // the neutralizer's statelessness — the cache is config, not flow state).
 //
-// The cache is copy-on-write: readers load an immutable map through an
+// The cache is copy-on-write: readers load an immutable slice through an
 // atomic pointer and never take a lock, so session-key derivation scales
 // linearly across the shard workers hammering one shared Schedule. Only
 // the handful of first-packet-of-an-epoch writers serialize on the mutex.
@@ -63,19 +63,21 @@ type Schedule struct {
 	epochLen time.Duration
 	startNs  int64 // the anchor in Unix nanoseconds: the per-packet window check is integer arithmetic
 
-	cache atomic.Pointer[map[Epoch]epochEntry]
-	mu    sync.Mutex // serializes cache writers only
+	cache atomic.Pointer[[]epochEntry] // in order of derivation
+	mu    sync.Mutex                   // serializes cache writers only
 }
 
-// epochEntry caches everything derivable from one epoch's master key
-// KM: its pre-expanded AES cipher, so the per-packet KDF pays neither
-// aes.NewCipher nor its allocation, and the CBC-MAC state after the
-// length block of the KDF frame — the frame is always one AES block
-// long, so that state is a constant of the epoch and the per-packet KDF
-// is the one block operation that absorbs the frame.
+// epochEntry caches everything derivable from one epoch's master key KM:
+// its AES schedule, so the per-packet KDF expands nothing, and the
+// CBC-MAC state after the length block of the KDF frame — the frame is
+// always one AES block long, so that state is a constant of the epoch and
+// the per-packet KDF is the one block operation that absorbs the frame.
+// The schedule sits behind a pointer so a lookup copies 32 bytes, not
+// the schedule's 356; the prefix is kept as two big-endian words.
 type epochEntry struct {
-	blk aesutil.Block
-	kdf [aesutil.BlockSize]byte
+	e      Epoch
+	km     *aesutil.ExpandedKey
+	prefix [2]uint64
 }
 
 // NewSchedule creates a schedule anchored at start with the given epoch
@@ -85,8 +87,7 @@ func NewSchedule(root aesutil.Key, start time.Time, epochLen time.Duration) *Sch
 		epochLen = DefaultEpochLength
 	}
 	s := &Schedule{root: root, epochLen: epochLen, startNs: start.UnixNano()}
-	empty := make(map[Epoch]epochEntry)
-	s.cache.Store(&empty)
+	s.cache.Store(new([]epochEntry))
 	return s
 }
 
@@ -107,8 +108,11 @@ func (s *Schedule) EpochAt(t time.Time) Epoch {
 // epoch returns the cached entry for e, deriving and publishing it on
 // first use, and reports whether the lock-free fast path hit.
 func (s *Schedule) epoch(e Epoch) (epochEntry, bool) {
-	if ent, ok := (*s.cache.Load())[e]; ok {
-		return ent, true
+	c := *s.cache.Load()
+	for i := len(c) - 1; i >= 0; i-- { // newest first: the current epoch, then its predecessor
+		if c[i].e == e {
+			return c[i], true
+		}
 	}
 	return s.deriveEpoch(e), false
 }
@@ -119,19 +123,19 @@ func (s *Schedule) deriveEpoch(e Epoch) epochEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := *s.cache.Load()
-	if ent, ok := old[e]; ok {
-		return ent
+	for _, ent := range old {
+		if ent.e == e {
+			return ent
+		}
 	}
 	var eb [4]byte
 	binary.BigEndian.PutUint32(eb[:], uint32(e))
 	k := aesutil.DeriveKey(s.root, []byte("netneutral-master-key"), eb[:])
-	ent := epochEntry{blk: aesutil.NewBlock(k)}
-	ent.kdf = ent.blk.CBCMACPrefix(kdfFrameLen)
-	next := make(map[Epoch]epochEntry, len(old)+1)
-	for ep, v := range old {
-		next[ep] = v
-	}
-	next[e] = ent
+	ent := epochEntry{e: e, km: new(aesutil.ExpandedKey)}
+	ent.km.Expand(k)
+	p := ent.km.MACPrefix(kdfFrameLen)
+	ent.prefix = [2]uint64{binary.BigEndian.Uint64(p[:8]), binary.BigEndian.Uint64(p[8:])}
+	next := append(old[:len(old):len(old)], ent)
 	s.cache.Store(&next)
 	return ent
 }
@@ -148,16 +152,10 @@ func (s *Schedule) Acceptable(pkt Epoch, now time.Time) bool {
 // kdfFrameLen is the size of the KDF input frame: exactly one AES block.
 const kdfFrameLen = aesutil.BlockSize
 
-// Work holds the reusable working state of a session-key derivation.
-// Buffers routed through the cipher.Block interface escape to the heap,
-// so they must live in caller-owned storage (one Work per worker) for
-// SessionKeyInto to be allocation-free. The zero value is ready to use.
+// Work holds a worker's epoch-cache counters for SessionKeyInto; the
+// derivation itself needs no working state. The zero value is ready to
+// use.
 type Work struct {
-	mac aesutil.MACScratch
-	// frame is the length-prefixed encoding of (nonce, srcIP):
-	// len16(8) ‖ nonce ‖ len16(4) ‖ addr — 16 bytes, one AES block.
-	frame [kdfFrameLen]byte
-
 	// epochHits / epochMisses count epoch-cache outcomes of derivations
 	// through this Work. Plain fields on single-writer state: the owner
 	// increments them for free on the hot path and copies them out at
@@ -186,25 +184,27 @@ func (s *Schedule) SessionKey(e Epoch, nonce Nonce, src netip.Addr) (aesutil.Key
 	return s.SessionKeyInto(&w, e, nonce, src)
 }
 
-// SessionKeyInto is SessionKey with the working state supplied by the
-// caller: one AES block operation under the cached epoch cipher (the
-// CBC-MAC's length block is precomputed per epoch) and zero allocations.
-// It computes bit-identical output to SessionKey.
+// SessionKeyInto is SessionKey counting into the caller's Work: one AES
+// block operation on the cached epoch schedule (the CBC-MAC's length block
+// is precomputed per epoch) and zero allocations. It computes
+// bit-identical output to SessionKey.
 func (s *Schedule) SessionKeyInto(w *Work, e Epoch, nonce Nonce, src netip.Addr) (aesutil.Key, error) {
 	if !src.Is4() {
 		return aesutil.Key{}, fmt.Errorf("keys: source %v is not IPv4", src)
 	}
-	a4 := src.As4()
-	// Same framing as aesutil.DeriveKey(km, nonce[:], a4[:]).
-	binary.BigEndian.PutUint16(w.frame[0:2], 8)
-	copy(w.frame[2:10], nonce[:])
-	binary.BigEndian.PutUint16(w.frame[10:12], 4)
-	copy(w.frame[12:16], a4[:])
 	ent, hit := s.epoch(e)
 	if hit {
 		w.epochHits++
 	} else {
 		w.epochMisses++
 	}
-	return ent.blk.CBCMACFrom(&w.mac, ent.kdf, w.frame[:]), nil
+	// prefix ⊕ frame, the frame being aesutil.DeriveKey(km, nonce[:], a4[:])'s:
+	// len16(8) ‖ nonce ‖ len16(4) ‖ addr — 16 bytes, one AES block, built
+	// as two words (byte stores read back as wider loads stall the CPU).
+	n, a4 := binary.BigEndian.Uint64(nonce[:]), src.As4()
+	var mac [kdfFrameLen]byte
+	binary.BigEndian.PutUint64(mac[:8], ent.prefix[0]^(8<<48|n>>16))
+	binary.BigEndian.PutUint64(mac[8:], ent.prefix[1]^(n<<48|4<<32|uint64(binary.BigEndian.Uint32(a4[:]))))
+	ent.km.EncryptBlock(&mac, &mac)
+	return aesutil.Key(mac), nil
 }

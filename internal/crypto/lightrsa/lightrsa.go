@@ -16,11 +16,13 @@
 package lightrsa
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // DefaultBits is the modulus size the paper evaluates (512-bit one-time keys).
@@ -189,7 +191,8 @@ func (k *PublicKey) Marshal() []byte {
 }
 
 // UnmarshalPublicKey reverses Marshal. It returns the number of bytes
-// consumed so callers can parse keys embedded in larger messages.
+// consumed so callers can parse keys embedded in larger messages. Every
+// refusal is decided on the bytes, before anything is allocated.
 func UnmarshalPublicKey(data []byte) (*PublicKey, int, error) {
 	if len(data) < 2 {
 		return nil, 0, ErrBadKeyEncoding
@@ -198,11 +201,11 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, int, error) {
 	if n == 0 || len(data) < 2+n {
 		return nil, 0, ErrBadKeyEncoding
 	}
-	N := new(big.Int).SetBytes(data[2 : 2+n])
-	if N.BitLen() < 128 {
+	mod := bytes.TrimLeft(data[2:2+n], "\x00")
+	if len(mod) == 0 || 8*len(mod)-bits.LeadingZeros8(mod[0]) < 128 {
 		return nil, 0, ErrKeyTooSmall
 	}
-	return &PublicKey{N: N}, 2 + n, nil
+	return &PublicKey{N: new(big.Int).SetBytes(mod)}, 2 + n, nil
 }
 
 func leftPad(b []byte, size int) []byte {

@@ -156,6 +156,23 @@ func TestUnmarshalPublicKeyErrors(t *testing.T) {
 	if _, _, err := UnmarshalPublicKey(small); err != ErrKeyTooSmall {
 		t.Errorf("small modulus: err = %v", err)
 	}
+	// The 128-bit floor counts bits, not bytes: leading zero octets are
+	// not modulus, and a 127-bit value in 17 octets is refused.
+	at := func(top byte) []byte { return append([]byte{0x00, 0x11, 0x00, top}, make([]byte, 15)...) }
+	if _, _, err := UnmarshalPublicKey(at(0x7f)); err != ErrKeyTooSmall {
+		t.Errorf("127-bit modulus: err = %v", err)
+	}
+	if k, n, err := UnmarshalPublicKey(at(0x80)); err != nil || n != 19 || k.N.BitLen() != 128 {
+		t.Errorf("128-bit modulus: %v, %d bytes, err %v", k, n, err)
+	}
+	refused := append(cases, small, at(0x7f))
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range refused {
+			_, _, _ = UnmarshalPublicKey(c)
+		}
+	}); allocs != 0 {
+		t.Errorf("refusals allocate %v times", allocs)
+	}
 }
 
 func TestEncryptRawBounds(t *testing.T) {
