@@ -53,8 +53,11 @@ func (s *Scratch) CryptoEpochStats() (hits, misses uint64) {
 }
 
 // SessionCacheStats reports the outcomes of this scratch's session-key
-// cache. Owner-only, like CryptoEpochStats.
-func (s *Scratch) SessionCacheStats() SessionCacheStats { return s.sess.stats }
+// cache. Unlike the rest of the scratch, any goroutine may call it.
+func (s *Scratch) SessionCacheStats() SessionCacheStats {
+	c := &s.sess
+	return SessionCacheStats{c.hits.Load(), c.misses.Load(), c.admissions.Load(), c.evictions.Load()}
+}
 
 // fkeRand is a fast-key-erasure generator (Bernstein, 2017): AES-128-CTR
 // under a key of its own, taken from crypto/rand at the first draw. A

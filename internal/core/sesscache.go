@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"net/netip"
+	"sync/atomic"
 
 	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/crypto/keys"
@@ -85,7 +86,8 @@ type sessProbe struct {
 // session key. It is soft state and never authoritative: every value
 // is a pure function of its tag and the master-key schedule, a miss
 // recomputes it, and losing the whole cache costs one recomputation per
-// flow. Owner-only, like the Scratch it lives in.
+// flow. Owner-only, like the Scratch it lives in, except its four counts:
+// the owner adds to them and any goroutine may load them.
 //
 // Placement is a hash keyed with a seed drawn from crypto/rand (never
 // from Config.Rand, whose draws decide output bytes), so a sender outside
@@ -97,7 +99,8 @@ type sessionCache struct {
 	sets  [sessSets]sessSet
 	tags  [sessSets][sessWays]sessTag
 	blks  [][sessWays]*aesutil.ExpandedKey // [set][way]; made at the first admission, a schedule when its way first fills
-	stats SessionCacheStats
+
+	hits, misses, admissions, evictions atomic.Uint64
 }
 
 // rebind empties the cache and binds it to sched; the ways keep their
@@ -120,7 +123,7 @@ func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys
 		c.rebind(sched)
 	}
 	if !src.Is4() {
-		c.stats.Misses++
+		c.misses.Add(1)
 		return nil // the derivation refuses it; nothing to admit
 	}
 	a4 := src.As4()
@@ -132,11 +135,11 @@ func (c *sessionCache) lookup(sched *keys.Schedule, epoch keys.Epoch, nonce keys
 	set := &c.sets[si]
 	for live := set.live; live != 0; live &= live - 1 {
 		if w := bits.TrailingZeros8(live); c.tags[si][w] == tag {
-			c.stats.Hits++
+			c.hits.Add(1)
 			return c.blks[si][w]
 		}
 	}
-	c.stats.Misses++
+	c.misses.Add(1)
 	p.tag, p.h = tag, h
 	return nil
 }
@@ -168,7 +171,7 @@ func (c *sessionCache) admit(p *sessProbe, ek *aesutil.ExpandedKey) {
 	if w >= sessWays {
 		w = int(set.evict % sessWays)
 		set.evict++
-		c.stats.Evictions++
+		c.evictions.Add(1)
 	}
 	c.tags[si][w] = p.tag
 	set.live |= 1 << w
@@ -176,7 +179,7 @@ func (c *sessionCache) admit(p *sessProbe, ek *aesutil.ExpandedKey) {
 		c.blks[si][w] = new(aesutil.ExpandedKey)
 	}
 	*c.blks[si][w] = *ek
-	c.stats.Admissions++
+	c.admissions.Add(1)
 }
 
 // sessionKey returns Ks = hash(KM, nonce, src) as an AES schedule, ready

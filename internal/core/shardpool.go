@@ -13,9 +13,9 @@
 // in that worker's Scratch cache. The replicas share only what a packet
 // cannot carry: the optional §3.4 dynamic-address table.
 //
-// Per-replica Stats are kept on independent cache lines (each replica has
-// its own atomic counter block) and merged on demand via Snapshot/Merge,
-// so counting never serializes the data path.
+// Each replica counts into a Stats block of its own, so counting never
+// serializes the data path. Nothing merges them: the tests add the
+// replicas' snapshots up.
 package core
 
 import (

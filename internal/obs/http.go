@@ -16,8 +16,8 @@ import (
 //	/debug/pprof/  the standard pprof handlers
 //
 // The Source abstracts where snapshots come from: a live *Registry for
-// the atomic-stripe daemon path, a *Recorder (last barrier-published
-// snapshot) for deterministic plain-stripe sims.
+// the daemon, whose families read their counters at scrape time, a
+// *Recorder (last barrier-published snapshot) for deterministic sims.
 
 // Source yields merged snapshots for export.
 type Source interface {

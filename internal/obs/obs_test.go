@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -54,46 +53,6 @@ func TestInvalidNamePanics(t *testing.T) {
 		}
 	}()
 	r.Counter("bad name", "")
-}
-
-// TestAtomicStripesConcurrent exercises the atomic-stripe path under
-// concurrent writers and snapshot readers; run with -race it proves
-// the daemon path is data-race free.
-func TestAtomicStripesConcurrent(t *testing.T) {
-	r := NewRegistry()
-	v := r.Counter("test_concurrent_total", "")
-	const workers, perWorker = 8, 10000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // concurrent reader
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = r.Snapshot()
-			}
-		}
-	}()
-	var ww sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ww.Add(1)
-		go func(w int) {
-			defer ww.Done()
-			c := v.AtomicStripe(w)
-			for i := 0; i < perWorker; i++ {
-				c.Add(1)
-			}
-		}(w)
-	}
-	ww.Wait()
-	close(stop)
-	wg.Wait()
-	if got := v.Value(); got != workers*perWorker {
-		t.Fatalf("concurrent counter = %d, want %d", got, workers*perWorker)
-	}
 }
 
 func TestBucketMonotoneAndInvertible(t *testing.T) {
@@ -334,13 +293,11 @@ func TestZeroAllocHotPath(t *testing.T) {
 	c := r.Counter("test_alloc_total", "").Stripe(0)
 	g := r.Gauge("test_alloc_depth", "").Stripe(0)
 	h := r.Histogram("test_alloc_ns", "").Stripe(0)
-	ac := r.Counter("test_alloc_atomic_total", "").AtomicStripe(1)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		g.Set(5)
 		h.Observe(123456)
-		ac.Add(1)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v per op, want 0", n)
 	}

@@ -6,17 +6,13 @@
 // recorder ticks, HTTP scrapes), so a million-host run never serializes
 // its counters at a barrier.
 //
-// Two write disciplines share one metric type:
-//
-//   - Plain stripes (Counter, Gauge, HistStripe) are single-writer: each
-//     netem shard or eval experiment owns its stripe and updates it with
-//     non-atomic field ops. Readers use atomic loads, and correctness
-//     relies on reads happening at quiescent points (epoch barriers,
-//     post-run) — exactly when the netem engine reads them.
-//   - Atomic stripes (AtomicCounter, AtomicGauge) are the same memory
-//     updated with atomic RMW ops, for genuinely concurrent writers:
-//     neutralizerd's workers (core.SessionCacheMetrics). Convert with
-//     CounterVec.AtomicStripe / GaugeVec.AtomicStripe.
+// There is one write discipline. A stripe (Counter, Gauge, HistStripe)
+// is single-writer: each netem shard or eval experiment owns its stripe
+// and updates it with non-atomic field ops. Readers use atomic loads, and
+// correctness relies on reads happening at quiescent points (epoch
+// barriers, post-run) — exactly when the netem engine reads them. Code
+// whose counters are read live, while its writers run, keeps them itself
+// and registers a CounterFunc that loads them.
 //
 // The package deliberately imports nothing from the rest of the repo so
 // every layer (netem, core, dpi, audit, trafficgen, simnet, daemons) can
@@ -74,13 +70,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value reads the stripe (atomic load; exact at quiescent points).
 func (c *Counter) Value() uint64 { return atomic.LoadUint64(&c.v) }
-
-// AtomicCounter is a Counter stripe written with atomic ops, for
-// concurrent writers (core.Pool workers, the daemon path).
-type AtomicCounter Counter
-
-// Add atomically adds n.
-func (c *AtomicCounter) Add(n uint64) { atomic.AddUint64(&c.v, n) }
 
 // Gauge is one write stripe of a gauge family (single-writer, padded).
 // The family's merged value is the sum of its stripes, which is the
@@ -214,10 +203,10 @@ func (r *Registry) Histogram(name, help string, opts ...Option) *HistogramVec {
 }
 
 // CounterFunc registers a counter whose value is computed at read time —
-// the bridge for subsystems that already keep their own counters
-// (dpi.Engine, core.Stats, simnet.Net). fn runs during Snapshot: on the
-// sim path that is an epoch barrier (sources quiescent), on the daemon
-// path fn must be safe to call concurrently.
+// the bridge for code that keeps its own counts (the audit prober's
+// trials, the data plane's atomics). fn runs during Snapshot: on the sim
+// path that is an epoch barrier (sources quiescent); where the counts are
+// read live, fn must be safe to call while they are written.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, opts ...Option) {
 	f, fresh := r.register(name, help, KindCounterFunc, opts)
 	if fresh {
@@ -261,11 +250,6 @@ func (v *CounterVec) NewStripe() *Counter {
 	c := &Counter{}
 	v.stripes = append(v.stripes, c)
 	return c
-}
-
-// AtomicStripe returns stripe i for concurrent writers.
-func (v *CounterVec) AtomicStripe(i int) *AtomicCounter {
-	return (*AtomicCounter)(v.Stripe(i))
 }
 
 // Value merges the family: the sum of all stripes.

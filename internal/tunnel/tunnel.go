@@ -31,7 +31,9 @@
 // Workers. The neutralizer keeps no per-flow state, so Options.Workers
 // goroutines run the same loop on the one shared Neutralizer, each with
 // a Scratch and read buffers of its own; an established flow's datagram
-// allocates nothing from read to write (TestServeZeroAlloc). With
+// allocates nothing from read to write (TestServeZeroAlloc). The registry
+// reads each Scratch's cache counts where its worker writes them, so a
+// datagram makes no metrics call (TestDataAndReturnPath). With
 // Options.Batch > 1 a worker that has a datagram keeps reading, up to
 // Batch of them for at most batchWait on the neutralizer's clock, before
 // it serves them in arrival order: same outputs as Batch 1
@@ -92,10 +94,10 @@ func RegisterFrame(a netip.Addr) []byte {
 
 // Tunnel is one socket served for one neutralizer.
 type Tunnel struct {
-	conn   Conn
-	neut   *core.Neutralizer
-	opts   Options
-	caches []*core.SessionCacheMetrics // per worker; nil without a registry
+	conn      Conn
+	neut      *core.Neutralizer
+	opts      Options
+	scratches []*core.Scratch // one per worker
 
 	// AddrPort values are comparable, so the hot path checks for a no-op
 	// update under the read lock and skips the write lock.
@@ -108,19 +110,18 @@ type Tunnel struct {
 }
 
 // New prepares conn to be served for neut. reg, if not nil, gets every
-// family the daemon exports — core_*, core_session_cache_* per worker,
-// neutralizerd_* — the same set under any Options
-// (TestFamiliesDoNotDependOnOptions).
+// daemon family — core_*, core_session_cache_* per worker, neutralizerd_*
+// — the same set under any Options (TestFamiliesDoNotDependOnOptions).
 func New(conn Conn, neut *core.Neutralizer, opts Options, reg *obs.Registry) *Tunnel {
-	t := &Tunnel{conn: conn, neut: neut, opts: opts, peers: make(map[netip.Addr]netip.AddrPort)}
-	t.caches = make([]*core.SessionCacheMetrics, opts.Workers)
+	t := &Tunnel{conn: conn, neut: neut, opts: opts, scratches: make([]*core.Scratch, opts.Workers),
+		peers: make(map[netip.Addr]netip.AddrPort)}
+	for i := range t.scratches {
+		t.scratches[i] = core.NewScratch()
+	}
 	if reg == nil {
 		return t
 	}
-	core.RegisterStats(reg, neut.Stats().Snapshot)
-	for i := range t.caches {
-		t.caches[i] = core.NewSessionCacheMetrics(reg, i)
-	}
+	core.Register(reg, neut, t.scratches)
 	reg.GaugeFunc("neutralizerd_peers", "Inner addresses with a registered tunnel endpoint.",
 		func() float64 { return float64(t.Peers()) }, obs.Volatile())
 	reg.CounterFunc("neutralizerd_unknown_dst_total", "Output packets dropped: no endpoint registered for the inner destination.",
@@ -144,12 +145,12 @@ func (t *Tunnel) Close() error { return t.conn.Close() }
 
 // Serve runs the workers and returns when all of them have.
 func (t *Tunnel) Serve() error {
-	done := make(chan error, len(t.caches))
-	for _, cache := range t.caches {
-		go func(cache *core.SessionCacheMetrics) { done <- t.worker(cache) }(cache)
+	done := make(chan error, len(t.scratches))
+	for _, scratch := range t.scratches {
+		go func(scratch *core.Scratch) { done <- t.worker(scratch) }(scratch)
 	}
 	var first error
-	for range t.caches {
+	for range t.scratches {
 		if err := <-done; first == nil && !errors.Is(err, net.ErrClosed) {
 			first = err
 			t.conn.Close() // the other workers stop on the closed socket
@@ -165,14 +166,12 @@ type datagram struct {
 }
 
 // worker is the loop: read, then for each datagram register a control
-// frame or process, publish the cache counts, learn, deliver. It returns
-// the read error that ended it.
-func (t *Tunnel) worker(cache *core.SessionCacheMetrics) error {
+// frame or process, learn, deliver; it returns the read error that ends it.
+func (t *Tunnel) worker(scratch *core.Scratch) error {
 	in := make([]datagram, t.opts.Batch)
 	for i := range in {
 		in[i].buf = make([]byte, 64<<10)
 	}
-	scratch := core.NewScratch()
 	for {
 		n, err := t.read(in)
 		if err != nil {
@@ -186,9 +185,6 @@ func (t *Tunnel) worker(cache *core.SessionCacheMetrics) error {
 			}
 			scratch.Reset()
 			outs, err := t.neut.ProcessScratch(scratch, pkt)
-			if cache != nil {
-				cache.Flush(scratch)
-			}
 			if err != nil {
 				continue // refused, and counted in the neutralizer's stats
 			}

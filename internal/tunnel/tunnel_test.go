@@ -267,9 +267,9 @@ func TestDataAndReturnPath(t *testing.T) {
 	if _, dst, _ := wire.IPv4Addrs(ret.pkt); ret.peer != epOut || dst != outside {
 		t.Fatalf("return packet for %v went to %v", dst, ret.peer)
 	}
-	// The worker publishes its scratch's session cache: every lookup is a
-	// hit or a miss, the flow's third packet is a hit, and the counts stay
-	// out of replay digests.
+	// The registry reads the worker's scratch's session cache: every
+	// lookup is a hit or a miss, the flow's third packet is a hit, and the
+	// counts stay out of replay digests.
 	hits, misses := snap.Get(`core_session_cache_hits_total{worker="0"}`), snap.Get(`core_session_cache_misses_total{worker="0"}`)
 	if hits == nil || misses == nil || hits.Value < 1 || hits.Value+misses.Value != 4 || !hits.Volatile {
 		t.Fatalf("session cache families: hits %+v misses %+v", hits, misses)
