@@ -6,13 +6,11 @@
 //     Ks = hash(KM, nonce, srcIP);
 //   - single-block encryption of the hidden address field with a
 //     per-packet salt and an embedded check value, so each data packet
-//     costs exactly one AES block operation at the neutralizer;
-//   - AES-CTR payload encryption for the end-to-end black box.
+//     costs exactly one AES block operation at the neutralizer.
 package aesutil
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -142,19 +140,6 @@ func DecryptAddr(key Key, ct AddrBlock) (netip.Addr, [8]byte, error) {
 		return netip.Addr{}, [8]byte{}, ErrCheckFailed
 	}
 	return a, salt, nil
-}
-
-// CTRCrypt encrypts or decrypts data in place with AES-CTR under key and
-// a 16-byte IV derived from the caller-supplied 8-byte nonce (the same
-// operation in both directions).
-func CTRCrypt(key Key, nonce [8]byte, data []byte) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic(fmt.Sprintf("aesutil: %v", err))
-	}
-	var iv [BlockSize]byte
-	copy(iv[:8], nonce[:])
-	cipher.NewCTR(block, iv[:]).XORKeyStream(data, data)
 }
 
 // Equal compares two keys in constant time.

@@ -147,30 +147,6 @@ func TestAddrBlockProperty(t *testing.T) {
 	}
 }
 
-func TestCTRCryptRoundTrip(t *testing.T) {
-	data := []byte("the quick brown fox jumps over the lazy dog")
-	orig := bytes.Clone(data)
-	nonce := [8]byte{1, 2, 3}
-	CTRCrypt(k1, nonce, data)
-	if bytes.Equal(data, orig) {
-		t.Error("CTRCrypt left data unchanged")
-	}
-	CTRCrypt(k1, nonce, data)
-	if !bytes.Equal(data, orig) {
-		t.Error("CTR is not an involution with the same key+nonce")
-	}
-}
-
-func TestCTRCryptNonceSensitivity(t *testing.T) {
-	a := []byte("samesamesame")
-	b := bytes.Clone(a)
-	CTRCrypt(k1, [8]byte{1}, a)
-	CTRCrypt(k1, [8]byte{2}, b)
-	if bytes.Equal(a, b) {
-		t.Error("different nonces must produce different keystreams")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	if !Equal(k1, k1) {
 		t.Error("Equal(k1,k1) = false")

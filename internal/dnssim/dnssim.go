@@ -162,9 +162,9 @@ const (
 )
 
 // Resolver is a DNS server bound to a netem node. If an Identity is set,
-// it accepts encrypted queries: the query name and a response key arrive
-// encrypted under the resolver's public key, and the answer comes back
-// sealed.
+// it accepts encrypted queries: the query is an e2e session offer under
+// the resolver's public key whose extra is the name, and the answer comes
+// back sealed under that session, its nonces drawn from the node's Rand.
 type Resolver struct {
 	node       *netem.Node
 	zone       map[string]Record
@@ -235,24 +235,19 @@ func (r *Resolver) handle(now time.Time, pkt []byte) {
 		}
 		r.reply(ip.Src, udp.SrcPort, append([]byte{msgAnswerPlain, 0}, body...))
 	case msgQueryEnc:
-		if r.identity == nil {
+		if r.identity == nil || len(q) < 3 {
 			return
 		}
 		n := int(binary.BigEndian.Uint16(q[1:3]))
 		if len(q) < 3+n {
 			return
 		}
-		pt, err := r.identity.DecryptSmall(q[3 : 3+n])
-		if err != nil || len(pt) < 32 {
-			return
-		}
-		seed, name := pt[:32], string(pt[32:])
-		sess, err := e2e.SessionFromSeed(seed, nil)
+		sess, name, err := r.identity.Accept(q[3:3+n], r.node.Rand())
 		if err != nil {
 			return
 		}
 		r.encQueries++
-		rec, ok := r.zone[name]
+		rec, ok := r.zone[string(name)]
 		var body []byte
 		if !ok {
 			body = []byte{msgNXDomain}
@@ -285,25 +280,18 @@ func encodeQueryPlain(name string) ([]byte, error) {
 	return append([]byte{msgQueryPlain, byte(len(name))}, name...), nil
 }
 
-// encodeQueryEncrypted builds the encrypted query payload and the
-// session the answer will come back sealed under.
+// encodeQueryEncrypted builds the encrypted query payload — a session
+// offer whose extra is the name — and the session the answer will come
+// back sealed under.
 func encodeQueryEncrypted(rng io.Reader, resolverKey e2e.PublicKey, name string) ([]byte, *e2e.Session, error) {
-	seed := make([]byte, 32)
-	if _, err := io.ReadFull(rng, seed); err != nil {
-		return nil, nil, err
-	}
-	sess, err := e2e.SessionFromSeed(seed, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	ct, err := e2e.EncryptSmall(rng, resolverKey, append(seed, []byte(name)...))
+	sess, offer, err := e2e.Initiate(rng, resolverKey, []byte(name))
 	if err != nil {
 		return nil, nil, fmt.Errorf("dnssim: encrypting query: %w", err)
 	}
-	q := make([]byte, 3+len(ct))
+	q := make([]byte, 3+len(offer))
 	q[0] = msgQueryEnc
-	binary.BigEndian.PutUint16(q[1:3], uint16(len(ct)))
-	copy(q[3:], ct)
+	binary.BigEndian.PutUint16(q[1:3], uint16(len(offer)))
+	copy(q[3:], offer)
 	return q, sess, nil
 }
 

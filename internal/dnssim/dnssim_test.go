@@ -4,6 +4,7 @@ import (
 	"bytes"
 	mathrand "math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -147,19 +148,35 @@ func TestPlainLookupNXDomain(t *testing.T) {
 	}
 }
 
+// TestEncryptedLookup runs the lookup twice on one seed: both runs put
+// the same bytes on the wire, the offer and the sealed answer included.
+// The keys are made once: crypto/rsa's key generation does not replay
+// from a seed.
 func TestEncryptedLookup(t *testing.T) {
-	w := newWorld(t, testIdentity(t))
-	var got Record
-	var err error
-	w.run(t, func() { got, err = w.c.LookupEncrypted(w.r.Public(), "www.google.com") })
-	if err != nil {
-		t.Fatal(err)
+	id, rec := testIdentity(t), googleRecord(t)
+	var wire [2][][]byte
+	for i := range wire {
+		w := newWorld(t, id)
+		w.r.AddRecord(rec)
+		w.evil.AddTransitHook(func(_ time.Time, _ *netem.Node, pkt []byte) netem.Verdict {
+			wire[i] = append(wire[i], bytes.Clone(pkt))
+			return netem.Deliver
+		})
+		var got Record
+		var err error
+		w.run(t, func() { got, err = w.c.LookupEncrypted(w.r.Public(), "www.google.com") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Addr != googleAddr {
+			t.Errorf("record = %+v", got)
+		}
+		if w.r.EncryptedQueries() != 1 {
+			t.Error("encrypted query not counted")
+		}
 	}
-	if got.Addr != googleAddr {
-		t.Errorf("record = %+v", got)
-	}
-	if w.r.EncryptedQueries() != 1 {
-		t.Error("encrypted query not counted")
+	if len(wire[0]) != 2 || !slices.EqualFunc(wire[0], wire[1], bytes.Equal) {
+		t.Errorf("a seeded lookup does not replay: %x then %x", wire[0], wire[1])
 	}
 }
 
@@ -250,5 +267,21 @@ func TestTargetedQueryDelay(t *testing.T) {
 	}
 	if policy.Hits("delay-google-dns") == 0 {
 		t.Error("sanity: the rule should hit the plaintext query")
+	}
+}
+
+// TestResolverShortQuery: a query shorter than its kind's header is
+// dropped unanswered, even when nothing lies past it in the buffer.
+func TestResolverShortQuery(t *testing.T) {
+	w := newWorld(t, testIdentity(t))
+	for _, q := range [][]byte{{msgQueryPlain, 9}, {msgQueryEnc, 0}} {
+		pkt, err := buildUDP(clientAddr, resolverAddr, 1000, Port, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.r.handle(start, pkt[:len(pkt):len(pkt)])
+	}
+	if w.r.EncryptedQueries() != 0 {
+		t.Errorf("a 2-byte query was served: %d encrypted", w.r.EncryptedQueries())
 	}
 }

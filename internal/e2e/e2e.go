@@ -3,16 +3,20 @@
 // The paper uses end-to-end encryption (e.g. IPsec) to hide packet
 // contents and application types, and to return key grants from a
 // destination to a source under strong protection ("e.g. 1024-bit RSA
-// encryption"). This package provides a functional stand-in: RSA-1024
-// (crypto/rsa) session establishment and AES-CTR + CBC-MAC sealed
-// payloads. The neutralizer never sees inside these boxes; neither does a
+// encryption"). This package provides a functional stand-in, and is the
+// one place an end-host session is keyed and a box sealed: Initiate and
+// Accept carry a session seed (and a caller's extra bytes) under RSA-1024
+// (crypto/rsa), and a Session seals payloads with AES-128-GCM. The
+// neutralizer never sees inside these boxes; neither does a
 // discriminatory ISP.
 package e2e
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"crypto/rsa"
-	"crypto/subtle"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -26,9 +30,6 @@ const DefaultBits = 1024
 
 // seedLen is the session seed length carried in an offer.
 const seedLen = 32
-
-// boxOverhead is the framing added by Seal: nonce(8) + MAC(16).
-const boxOverhead = 8 + aesutil.KeySize
 
 // Errors returned by this package.
 var (
@@ -103,123 +104,93 @@ func UnmarshalPublicKey(data []byte) (PublicKey, error) {
 	return PublicKey{key: &rsa.PublicKey{N: N, E: e}}, nil
 }
 
-// Session is an established bidirectional encrypted channel. Sessions are
+// Session is an established bidirectional sealed channel. Sessions are
 // symmetric: either side may Seal or Open.
 type Session struct {
-	enc aesutil.Key
-	mac aesutil.Key
-	rng io.Reader
+	aead cipher.AEAD
+	rng  io.Reader
 }
 
-// Initiate creates a session keyed by a fresh seed and the offer bytes
-// that convey the seed to the responder under its public key.
-func Initiate(rng io.Reader, peer PublicKey) (*Session, []byte, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	seed := make([]byte, seedLen)
-	if _, err := io.ReadFull(rng, seed); err != nil {
+// Initiate creates a session keyed by a fresh seed and the offer that
+// conveys the seed, followed by extra, to the responder under its public
+// key: RSA-OAEP with SHA-256, which leaves room for 30 bytes of extra at
+// DefaultBits. The session draws its box nonces from rng. OAEP reads a
+// fixed count of bytes from rng, where PKCS#1 v1.5 encryption reads one
+// more at random, so a seeded rng gives the same offer every run — how
+// crypto/rsa behaves, not what it promises; TestInitiateAcceptRoundTrip
+// holds it.
+func Initiate(rng io.Reader, peer PublicKey, extra []byte) (*Session, []byte, error) {
+	msg := make([]byte, seedLen, seedLen+len(extra))
+	if _, err := io.ReadFull(rng, msg); err != nil {
 		return nil, nil, fmt.Errorf("e2e: reading seed: %w", err)
 	}
-	offer, err := rsa.EncryptPKCS1v15(rng, peer.key, seed)
+	msg = append(msg, extra...)
+	offer, err := rsa.EncryptOAEP(sha256.New(), rng, peer.key, msg, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("e2e: encrypting offer: %w", err)
 	}
-	return sessionFromSeed(seed, rng), offer, nil
+	return newSession(msg[:seedLen], rng), offer, nil
 }
 
-// Accept recovers the session from an offer addressed to id.
-func Accept(id *Identity, offer []byte) (*Session, error) {
-	seed, err := rsa.DecryptPKCS1v15(nil, id.key, offer)
-	if err != nil || len(seed) != seedLen {
-		return nil, ErrBadOffer
+// Accept recovers the session and the extra bytes from an offer addressed
+// to id. The session draws its box nonces from rng.
+func (id *Identity) Accept(offer []byte, rng io.Reader) (*Session, []byte, error) {
+	msg, err := rsa.DecryptOAEP(sha256.New(), nil, id.key, offer, nil)
+	if err != nil || len(msg) < seedLen {
+		return nil, nil, ErrBadOffer
 	}
-	return sessionFromSeed(seed, rand.Reader), nil
+	return newSession(msg[:seedLen], rng), msg[seedLen:], nil
 }
 
-// SessionFromSeed derives a session deterministically from a shared seed
-// (at least 16 bytes). Both ends of the §3.3 reverse-direction bootstrap
-// call this with the seed conveyed inside the key offer.
-func SessionFromSeed(seed []byte, rng io.Reader) (*Session, error) {
-	if len(seed) < aesutil.KeySize {
-		return nil, ErrBadOffer
-	}
-	if rng == nil {
-		rng = rand.Reader
-	}
-	return sessionFromSeed(seed, rng), nil
-}
-
-// EncryptSmall encrypts a short message directly under a peer's public
-// key (PKCS#1 v1.5). Used for the reverse-direction first packet, where
-// the customer conveys (nonce, Ks, epoch, session seed) to a destination
-// that has no session yet.
-func EncryptSmall(rng io.Reader, peer PublicKey, msg []byte) ([]byte, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	ct, err := rsa.EncryptPKCS1v15(rng, peer.key, msg)
-	if err != nil {
-		return nil, fmt.Errorf("e2e: %w", err)
-	}
-	return ct, nil
-}
-
-// DecryptSmall reverses EncryptSmall with the local identity.
-func (id *Identity) DecryptSmall(ct []byte) ([]byte, error) {
-	pt, err := rsa.DecryptPKCS1v15(nil, id.key, ct)
-	if err != nil {
-		return nil, ErrBadOffer
-	}
-	return pt, nil
-}
-
-func sessionFromSeed(seed []byte, rng io.Reader) *Session {
+// newSession keys AES-128-GCM with one DeriveKey of the seed.
+func newSession(seed []byte, rng io.Reader) *Session {
 	var root aesutil.Key
-	copy(root[:], seed[:aesutil.KeySize])
-	return &Session{
-		enc: aesutil.DeriveKey(root, []byte("e2e-enc"), seed),
-		mac: aesutil.DeriveKey(root, []byte("e2e-mac"), seed),
-		rng: rng,
+	copy(root[:], seed)
+	key := aesutil.DeriveKey(root, []byte("e2e"), seed)
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err) // a 16-byte key is always valid
 	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	return &Session{aead: aead, rng: rng}
 }
 
 // Overhead is the number of bytes Seal adds to a plaintext.
-const Overhead = boxOverhead
+const Overhead = nonceLen + 16
+
+// nonceLen is the nonce Seal draws per box. GCM's 12-byte nonce is it
+// followed by four zero bytes.
+const nonceLen = 8
 
 // Seal encrypts and authenticates plaintext:
 //
-//	box = nonce(8) ‖ AES-CTR(enc, nonce, plaintext) ‖ CBC-MAC(mac, nonce‖ct)
+//	box = nonce(8) ‖ AES-GCM(key, nonce‖0⁴, plaintext) ‖ tag(16)
+//
+// The nonces are drawn, not counted, so a session is good for far fewer
+// than 2³² boxes.
 func (s *Session) Seal(plaintext []byte) ([]byte, error) {
-	box := make([]byte, 8+len(plaintext)+aesutil.KeySize)
-	if _, err := io.ReadFull(s.rng, box[:8]); err != nil {
+	var nonce [12]byte
+	if _, err := io.ReadFull(s.rng, nonce[:nonceLen]); err != nil {
 		return nil, fmt.Errorf("e2e: reading nonce: %w", err)
 	}
-	ct := box[8 : 8+len(plaintext)]
-	copy(ct, plaintext)
-	var nonce [8]byte
-	copy(nonce[:], box[:8])
-	aesutil.CTRCrypt(s.enc, nonce, ct)
-	tag := aesutil.CBCMAC(s.mac, box[:8+len(plaintext)])
-	copy(box[8+len(plaintext):], tag[:])
-	return box, nil
+	box := make([]byte, nonceLen, Overhead+len(plaintext))
+	copy(box, nonce[:])
+	return s.aead.Seal(box, nonce[:], plaintext, nil), nil
 }
 
 // Open verifies and decrypts a sealed box.
 func (s *Session) Open(box []byte) ([]byte, error) {
-	if len(box) < boxOverhead {
+	if len(box) < Overhead {
 		return nil, ErrShortBox
 	}
-	body := box[:len(box)-aesutil.KeySize]
-	tag := box[len(box)-aesutil.KeySize:]
-	want := aesutil.CBCMAC(s.mac, body)
-	if subtle.ConstantTimeCompare(tag, want[:]) != 1 {
+	var nonce [12]byte
+	copy(nonce[:], box[:nonceLen])
+	pt, err := s.aead.Open(nil, nonce[:], box[nonceLen:], nil)
+	if err != nil {
 		return nil, ErrBadBox
 	}
-	var nonce [8]byte
-	copy(nonce[:], body[:8])
-	pt := make([]byte, len(body)-8)
-	copy(pt, body[8:])
-	aesutil.CTRCrypt(s.enc, nonce, pt)
 	return pt, nil
 }

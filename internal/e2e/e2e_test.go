@@ -2,8 +2,12 @@ package e2e
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
-	"io"
+	"crypto/rsa"
+	"crypto/sha256"
+	mathrand "math/rand"
 	"testing"
 	"testing/quick"
 
@@ -12,10 +16,10 @@ import (
 
 var testID = mustIdentity()
 
-// SessionFromKeys builds a session directly from key material, without
-// the handshake.
-func SessionFromKeys(enc, mac aesutil.Key, rng io.Reader) *Session {
-	return &Session{enc: enc, mac: mac, rng: rng}
+// testSession is a session on a seed of 32 copies of b, without the
+// handshake.
+func testSession(b byte) *Session {
+	return newSession(bytes.Repeat([]byte{b}, seedLen), rand.Reader)
 }
 
 func mustIdentity() *Identity {
@@ -26,54 +30,79 @@ func mustIdentity() *Identity {
 	return id
 }
 
+// TestInitiateAcceptRoundTrip: the seed and the extra bytes after it
+// reach the responder, up to the room OAEP-SHA-256 leaves in a
+// DefaultBits key (128 - 2·32 - 2 - 32 = 30), and both sessions seal for
+// each other. A seeded offer is the same every time.
 func TestInitiateAcceptRoundTrip(t *testing.T) {
-	initiator, offer, err := Initiate(rand.Reader, testID.Public())
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{0, 28, 30} {
+		want := bytes.Repeat([]byte{byte(n)}, n)
+		initiator, offer, err := Initiate(rand.Reader, testID.Public(), want)
+		if err != nil {
+			t.Fatalf("%d bytes of extra: %v", n, err)
+		}
+		responder, extra, err := testID.Accept(offer, rand.Reader)
+		if err != nil || !bytes.Equal(extra, want) {
+			t.Fatalf("Accept: extra %x, %v; want %x", extra, err, want)
+		}
+		msg := []byte("grant: nonce' + Ks' + payload")
+		box, err := initiator.Seal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := responder.Open(box)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Errorf("roundtrip = %q", got)
+		}
+		// Symmetric: responder seals, initiator opens.
+		box2, err := responder.Seal([]byte("reply"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt, err := initiator.Open(box2); err != nil || string(pt) != "reply" {
+			t.Errorf("reverse direction: %q %v", pt, err)
+		}
 	}
-	responder, err := Accept(testID, offer)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := Initiate(rand.Reader, testID.Public(), make([]byte, 31)); err == nil {
+		t.Error("a 31-byte extra was accepted")
 	}
-	msg := []byte("grant: nonce' + Ks' + payload")
-	box, err := initiator.Seal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := responder.Open(box)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Errorf("roundtrip = %q", got)
-	}
-	// Symmetric: responder seals, initiator opens.
-	box2, err := responder.Seal([]byte("reply"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt, err := initiator.Open(box2); err != nil || string(pt) != "reply" {
-		t.Errorf("reverse direction: %q %v", pt, err)
+	for i := 0; i < 8; i++ {
+		_, a, errA := Initiate(mathrand.New(mathrand.NewSource(1)), testID.Public(), []byte("x"))
+		_, b, errB := Initiate(mathrand.New(mathrand.NewSource(1)), testID.Public(), []byte("x"))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("two offers from one seed differ (%v, %v)", errA, errB)
+		}
 	}
 }
 
 func TestAcceptWrongIdentity(t *testing.T) {
 	other := mustIdentity()
-	_, offer, err := Initiate(rand.Reader, testID.Public())
+	_, offer, err := Initiate(rand.Reader, testID.Public(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Accept(other, offer); err != ErrBadOffer {
+	if _, _, err := other.Accept(offer, rand.Reader); err != ErrBadOffer {
 		t.Errorf("err = %v, want ErrBadOffer", err)
+	}
+	// An offer that decrypts to less than a seed is no offer.
+	short, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, testID.Public().key, make([]byte, seedLen-1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := testID.Accept(short, rand.Reader); err != ErrBadOffer {
+		t.Errorf("short offer: err = %v, want ErrBadOffer", err)
 	}
 }
 
 func TestOpenTamperDetected(t *testing.T) {
-	s, offer, err := Initiate(rand.Reader, testID.Public())
+	s, offer, err := Initiate(rand.Reader, testID.Public(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Accept(testID, offer)
+	r, _, err := testID.Accept(offer, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,20 +110,20 @@ func TestOpenTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range []int{0, 9, len(box) - 1} {
+	for idx := range box {
 		mut := bytes.Clone(box)
 		mut[idx] ^= 0x40
 		if _, err := r.Open(mut); err != ErrBadBox {
 			t.Errorf("tamper at %d: err = %v, want ErrBadBox", idx, err)
 		}
 	}
-	if _, err := r.Open(box[:10]); err != ErrShortBox {
+	if _, err := r.Open(box[:Overhead-1]); err != ErrShortBox {
 		t.Errorf("short box: err = %v", err)
 	}
 }
 
 func TestSealRandomizesNonce(t *testing.T) {
-	s := SessionFromKeys(aesutil.Key{1}, aesutil.Key{2}, rand.Reader)
+	s := testSession(1)
 	b1, err := s.Seal([]byte("m"))
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +137,15 @@ func TestSealRandomizesNonce(t *testing.T) {
 	}
 }
 
+// TestSealOverhead pins the box: nonce(8) followed by crypto/cipher's GCM
+// Seal under one DeriveKey of the seed, with nonce ‖ 0⁴ as GCM's nonce,
+// Overhead bytes longer than the plaintext; and Seal reads exactly the 8
+// nonce bytes from its reader.
 func TestSealOverhead(t *testing.T) {
-	s := SessionFromKeys(aesutil.Key{1}, aesutil.Key{2}, rand.Reader)
-	msg := make([]byte, 100)
+	seed := bytes.Repeat([]byte{7}, seedLen)
+	draws := bytes.NewReader(bytes.Repeat([]byte{0xa5, 0x5a}, 8))
+	s := newSession(seed, draws)
+	msg := []byte("grant: nonce' + Ks'")
 	box, err := s.Seal(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +153,31 @@ func TestSealOverhead(t *testing.T) {
 	if len(box) != len(msg)+Overhead {
 		t.Errorf("overhead = %d, want %d", len(box)-len(msg), Overhead)
 	}
+	if used := 16 - draws.Len(); used != 8 {
+		t.Errorf("Seal read %d bytes of its reader, want 8", used)
+	}
+	var root aesutil.Key
+	copy(root[:], seed)
+	key := aesutil.DeriveKey(root, []byte("e2e"), seed)
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := append(bytes.Clone(box[:8]), 0, 0, 0, 0)
+	if want := gcm.Seal(nil, nonce, msg, nil); !bytes.Equal(box[8:], want) {
+		t.Errorf("box[8:] = %x, want %x", box[8:], want)
+	}
+	if !bytes.Equal(box[:8], []byte{0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a}) {
+		t.Errorf("box nonce = %x, want the reader's first 8 bytes", box[:8])
+	}
 }
 
-func TestSessionFromKeysSymmetry(t *testing.T) {
-	a := SessionFromKeys(aesutil.Key{9}, aesutil.Key{8}, rand.Reader)
-	b := SessionFromKeys(aesutil.Key{9}, aesutil.Key{8}, rand.Reader)
+func TestSessionSymmetry(t *testing.T) {
+	a, b := testSession(9), testSession(9)
 	box, err := a.Seal([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +211,7 @@ func TestUnmarshalPublicKeyErrors(t *testing.T) {
 }
 
 func TestSealOpenProperty(t *testing.T) {
-	s := SessionFromKeys(aesutil.Key{3}, aesutil.Key{4}, rand.Reader)
+	s := testSession(3)
 	f := func(msg []byte) bool {
 		box, err := s.Seal(msg)
 		if err != nil {
@@ -171,7 +226,7 @@ func TestSealOpenProperty(t *testing.T) {
 }
 
 func TestOpenEmptyPlaintext(t *testing.T) {
-	s := SessionFromKeys(aesutil.Key{5}, aesutil.Key{6}, rand.Reader)
+	s := testSession(5)
 	box, err := s.Seal(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +238,7 @@ func TestOpenEmptyPlaintext(t *testing.T) {
 }
 
 func BenchmarkSeal1K(b *testing.B) {
-	s := SessionFromKeys(aesutil.Key{1}, aesutil.Key{2}, rand.Reader)
+	s := testSession(1)
 	msg := make([]byte, 1024)
 	b.SetBytes(1024)
 	b.ReportAllocs()
@@ -195,14 +250,14 @@ func BenchmarkSeal1K(b *testing.B) {
 }
 
 func BenchmarkAccept(b *testing.B) {
-	_, offer, err := Initiate(rand.Reader, testID.Public())
+	_, offer, err := Initiate(rand.Reader, testID.Public(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Accept(testID, offer); err != nil {
+		if _, _, err := testID.Accept(offer, rand.Reader); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -422,8 +422,12 @@ func (h *Host) onDelivered(ip *wire.IPv4, sh *shim.Header) {
 	peer := ip.Src
 	c := h.convs[peer]
 	if c == nil {
-		c = &conv{peer: peer, customerSide: true}
-		h.convs[peer] = c
+		c = &conv{peer: peer}
+	}
+	in, err := h.openFrame(c.sess, sh.Payload())
+	if err != nil || in.reverse != nil {
+		h.stats.FramesRejected++
+		return
 	}
 	c.customerSide = true
 	c.neut = sh.ClearAddr // the service address for returns
@@ -436,15 +440,7 @@ func (h *Host) onDelivered(ip *wire.IPv4, sh *shim.Header) {
 		c.pendingGrantEpoch = sh.Epoch
 		c.hasPendingGrant = true
 	}
-	data, err := h.openFrame(c, sh.Payload())
-	if err != nil {
-		h.stats.FramesRejected++
-		return
-	}
-	h.stats.DataReceived++
-	if h.cfg.OnData != nil && data != nil {
-		h.cfg.OnData(peer, data)
-	}
+	h.deliver(c, in)
 }
 
 // onReturnDelivered handles a return-path packet arriving at an outside
@@ -477,26 +473,18 @@ func (h *Host) onReturnDelivered(ip *wire.IPv4, sh *shim.Header) {
 			c := h.convs[peer]
 			if c == nil {
 				c = &conv{peer: peer, neut: neut}
-				h.convs[peer] = c
 			}
-			data, err := h.openFrame(c, sh.Payload())
-			if err != nil {
+			in, err := h.openFrame(c.sess, sh.Payload())
+			if err != nil || in.reverse != nil {
 				h.stats.FramesRejected++
 				return
 			}
-			h.stats.DataReceived++
-			if h.cfg.OnData != nil && data != nil {
-				h.cfg.OnData(peer, data)
-			}
+			h.deliver(c, in)
 			return
 		}
 	}
 	// Unknown nonce: §3.3 — attempt identity decryption of a reverse-
 	// direction first packet.
-	if h.cfg.Identity == nil {
-		h.stats.FramesRejected++
-		return
-	}
 	if err := h.acceptReverseInit(neut, sh); err != nil {
 		h.stats.FramesRejected++
 	}

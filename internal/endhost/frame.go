@@ -2,7 +2,6 @@ package endhost
 
 import (
 	"encoding/binary"
-	"io"
 	"net/netip"
 
 	"netneutral/internal/crypto/aesutil"
@@ -15,8 +14,8 @@ import (
 //
 //	ver(1)=1
 //	flags(1): bit0 = carries key offer, bit1 = body is e2e-sealed
-//	[offer: kind(1) len(2) bytes — kind 1: forward e2e session offer,
-//	                               kind 2: reverse-init key material]
+//	[offer: kind(1) len(2) e2e session offer — kind 1: forward,
+//	        kind 2: reverse-init, whose extra is nonce ‖ Ks ‖ epoch]
 //	body (sealed or plain):
 //	    bflags(1): bit0 = carries grant
 //	    [grant: epoch(4) nonce(8) key(16)]
@@ -40,9 +39,9 @@ const (
 	bFlagGrant = 1 << 0
 )
 
-// reverseOfferLen is the plaintext conveyed by a reverse-init offer:
-// nonce(8) + key(16) + epoch(4) + session seed(32).
-const reverseOfferLen = 8 + aesutil.KeySize + 4 + 32
+// reverseExtraLen is the key material a reverse-init offer carries after
+// the session seed: nonce(8) + key(16) + epoch(4).
+const reverseExtraLen = 8 + aesutil.KeySize + 4
 
 // buildFrame frames application data for the conversation, establishing
 // the e2e session on first use when the peer's public key is known.
@@ -50,7 +49,7 @@ func (h *Host) buildFrame(c *conv, data []byte) ([]byte, error) {
 	var offer []byte
 	offerKind := uint8(0)
 	if c.sess == nil && !c.customerSide && c.peerPub.Valid() {
-		sess, off, err := e2e.Initiate(h.cfg.Rand, c.peerPub)
+		sess, off, err := e2e.Initiate(h.cfg.Rand, c.peerPub, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -109,95 +108,112 @@ func (h *Host) marshalBody(c *conv, data []byte) []byte {
 	return body
 }
 
-// openFrame parses a received frame, accepting session offers, opening
-// sealed bodies, and applying returned grants. It returns the application
-// data (nil for control-only frames).
-func (h *Host) openFrame(c *conv, frame []byte) ([]byte, error) {
-	if len(frame) == 0 {
-		return nil, nil
-	}
-	if len(frame) < 2 || frame[0] != frameVersion {
-		return nil, ErrBadFrame
-	}
-	flags := frame[1]
-	rest := frame[2:]
-	sealed := flags&fFlagSealed != 0
-	if !sealed && (c.sess != nil || flags&fFlagOffer != 0) {
-		return nil, ErrBadFrame
-	}
-	if flags&fFlagOffer != 0 {
-		if len(rest) < 3 {
-			return nil, ErrBadFrame
-		}
-		kind := rest[0]
-		n := int(rest[1])<<8 | int(rest[2])
-		if len(rest) < 3+n {
-			return nil, ErrBadFrame
-		}
-		offer := rest[:3+n][3:]
-		rest = rest[3+n:]
-		switch kind {
-		case offerKindForward:
-			if h.cfg.Identity == nil {
-				return nil, ErrNeedIdentity
-			}
-			sess, err := e2e.Accept(h.cfg.Identity, offer)
-			if err != nil {
-				return nil, err
-			}
-			c.sess = sess
-		case offerKindReverse:
-			// Handled by acceptReverseInit before the conversation exists;
-			// seeing it here (replay into an existing conversation) is an
-			// error.
-			return nil, ErrBadFrame
-		default:
-			return nil, ErrBadFrame
-		}
-	}
-	body := rest
-	if sealed {
-		if c.sess == nil {
-			return nil, ErrBadFrame
-		}
-		pt, err := c.sess.Open(body)
-		if err != nil {
-			return nil, err
-		}
-		body = pt
-	}
-	return h.parseBody(c, body, sealed)
+// inFrame is a received frame that passed every check, not yet applied
+// to the host.
+type inFrame struct {
+	data    []byte
+	sess    *e2e.Session // the conversation's session from this frame on
+	grant   *shim.Grant  // a grant from a sealed body
+	epoch   keys.Epoch   // the grant's epoch
+	reverse []byte       // a reverse-init offer's extra: nonce ‖ Ks ‖ epoch
 }
 
-// parseBody reads a body, applying its grant only if it arrived sealed.
-func (h *Host) parseBody(c *conv, body []byte, sealed bool) ([]byte, error) {
-	if len(body) < 1 {
-		return nil, ErrBadFrame
+// openFrame checks a frame received on a conversation whose session is
+// sess (nil if none): it accepts a session offer, opens a sealed body and
+// reads the body. It changes nothing; deliver applies the result. Data is
+// nil for control-only frames.
+func (h *Host) openFrame(sess *e2e.Session, frame []byte) (inFrame, error) {
+	in := inFrame{sess: sess}
+	if len(frame) == 0 {
+		return in, nil
 	}
-	bflags := body[0]
-	rest := body[1:]
+	if len(frame) < 2 || frame[0] != frameVersion {
+		return in, ErrBadFrame
+	}
+	flags, rest := frame[1], frame[2:]
+	sealed := flags&fFlagSealed != 0
+	if !sealed && (sess != nil || flags&fFlagOffer != 0) {
+		return in, ErrBadFrame
+	}
+	if flags&fFlagOffer != 0 {
+		if len(rest) < 3 || (rest[0] != offerKindForward && rest[0] != offerKindReverse) {
+			return in, ErrBadFrame
+		}
+		kind, n := rest[0], int(rest[1])<<8|int(rest[2])
+		if len(rest) < 3+n {
+			return in, ErrBadFrame
+		}
+		if h.cfg.Identity == nil {
+			return in, ErrNeedIdentity
+		}
+		s, extra, err := h.cfg.Identity.Accept(rest[3:3+n], h.cfg.Rand)
+		if err != nil {
+			return in, err
+		}
+		switch {
+		case kind == offerKindForward && len(extra) == 0:
+		case kind == offerKindReverse && len(extra) == reverseExtraLen:
+			in.reverse = extra
+		default:
+			return in, ErrBadFrame
+		}
+		in.sess, rest = s, rest[3+n:]
+	}
+	if sealed {
+		if in.sess == nil {
+			return in, ErrBadFrame
+		}
+		pt, err := in.sess.Open(rest)
+		if err != nil {
+			return in, err
+		}
+		rest = pt
+	}
+	return in, in.readBody(rest, sealed)
+}
+
+// readBody reads a body, taking its grant only if it arrived sealed.
+func (in *inFrame) readBody(body []byte, sealed bool) error {
+	if len(body) < 1 {
+		return ErrBadFrame
+	}
+	bflags, rest := body[0], body[1:]
 	if bflags&bFlagGrant != 0 {
 		if !sealed || len(rest) < 4+shim.GrantLen {
-			return nil, ErrBadFrame
+			return ErrBadFrame
 		}
-		epoch := keys.Epoch(binary.BigEndian.Uint32(rest[:4]))
-		var g shim.Grant
-		copy(g.Nonce[:], rest[4:12])
-		copy(g.Key[:], rest[12:12+aesutil.KeySize])
+		in.epoch = keys.Epoch(binary.BigEndian.Uint32(rest[:4]))
+		in.grant = new(shim.Grant)
+		copy(in.grant.Nonce[:], rest[4:12])
+		copy(in.grant.Key[:], rest[12:12+aesutil.KeySize])
 		rest = rest[4+shim.GrantLen:]
-		h.applyGrant(c.neut, g, epoch)
 	}
 	if len(rest) < 2 {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
 	n := int(binary.BigEndian.Uint16(rest[:2]))
 	if len(rest) < 2+n {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
-	if n == 0 {
-		return nil, nil
+	if n > 0 {
+		in.data = rest[2 : 2+n]
 	}
-	return rest[2 : 2+n], nil
+	return nil
+}
+
+// deliver applies an accepted frame to conversation c — its session and
+// its grant — and hands its data up. It is the one place a received frame
+// changes the host.
+func (h *Host) deliver(c *conv, in inFrame) {
+	h.convs[c.peer] = c
+	c.sess = in.sess
+	if in.grant != nil {
+		h.applyGrant(c.neut, *in.grant, in.epoch)
+	}
+	h.stats.DataReceived++
+	if h.cfg.OnData != nil && in.data != nil {
+		h.cfg.OnData(c.peer, in.data)
+	}
 }
 
 // applyGrant retires the provisional short-RSA-protected key: the paper's
@@ -224,28 +240,17 @@ func (h *Host) applyGrant(neut netip.Addr, g shim.Grant, epoch keys.Epoch) {
 }
 
 // sendReverseFirst sends the first packet of a customer-initiated
-// conversation: the key material and a session seed encrypted under the
-// peer's public key, plus the sealed first payload (§3.3).
+// conversation: a session offer whose extra is the key material, under
+// the peer's public key, plus the sealed first payload (§3.3).
 func (h *Host) sendReverseFirst(c *conv, peerPub e2e.PublicKey, g shim.Grant, epoch keys.Epoch, data []byte) error {
 	if !peerPub.Valid() {
 		return ErrNeedIdentity
 	}
-	plain := make([]byte, 0, reverseOfferLen)
-	plain = append(plain, g.Nonce[:]...)
-	plain = append(plain, g.Key[:]...)
-	var eb [4]byte
-	binary.BigEndian.PutUint32(eb[:], uint32(epoch))
-	plain = append(plain, eb[:]...)
-	seed := make([]byte, 32)
-	if _, err := io.ReadFull(h.cfg.Rand, seed); err != nil {
-		return err
-	}
-	plain = append(plain, seed...)
-	offer, err := e2e.EncryptSmall(h.cfg.Rand, peerPub, plain)
-	if err != nil {
-		return err
-	}
-	sess, err := e2e.SessionFromSeed(seed, h.cfg.Rand)
+	extra := make([]byte, 0, reverseExtraLen)
+	extra = append(extra, g.Nonce[:]...)
+	extra = append(extra, g.Key[:]...)
+	extra = binary.BigEndian.AppendUint32(extra, uint32(epoch))
+	sess, offer, err := e2e.Initiate(h.cfg.Rand, peerPub, extra)
 	if err != nil {
 		return err
 	}
@@ -268,30 +273,20 @@ func (h *Host) sendReverseFirst(c *conv, peerPub e2e.PublicKey, g shim.Grant, ep
 
 // acceptReverseInit handles a ReturnDelivered whose nonce matches no
 // conduit: the §3.3 first packet of a customer-initiated conversation.
-// The identity key recovers (nonce, Ks, epoch, seed); Ks then reveals the
-// hidden source.
+// The offer's extra carries (nonce, Ks, epoch); Ks then reveals the
+// hidden source. Every check comes before the first change.
 func (h *Host) acceptReverseInit(neut netip.Addr, sh *shim.Header) error {
-	frame := sh.Payload()
-	if len(frame) < 5 || frame[0] != frameVersion || frame[1]&fFlagOffer == 0 {
-		return ErrBadFrame
+	in, err := h.openFrame(nil, sh.Payload())
+	if err != nil {
+		return err
 	}
-	kind := frame[2]
-	n := int(frame[3])<<8 | int(frame[4])
-	if kind != offerKindReverse || len(frame) < 5+n {
-		return ErrBadFrame
-	}
-	offer := frame[5 : 5+n]
-	rest := frame[5+n:]
-	plain, err := h.cfg.Identity.DecryptSmall(offer)
-	if err != nil || len(plain) != reverseOfferLen {
+	if in.reverse == nil {
 		return ErrBadFrame
 	}
 	var nonce keys.Nonce
 	var key aesutil.Key
-	copy(nonce[:], plain[:8])
-	copy(key[:], plain[8:24])
-	epoch := keys.Epoch(binary.BigEndian.Uint32(plain[24:28]))
-	seed := plain[28:]
+	copy(nonce[:], in.reverse[:8])
+	copy(key[:], in.reverse[8:24])
 	if nonce != sh.Nonce {
 		return ErrBadFrame
 	}
@@ -299,37 +294,18 @@ func (h *Host) acceptReverseInit(neut netip.Addr, sh *shim.Header) error {
 	if err != nil {
 		return err
 	}
-	sess, err := e2e.SessionFromSeed(seed, h.cfg.Rand)
-	if err != nil {
-		return err
-	}
 	// Adopt the key material as a conduit if we have none with this
 	// service (it is bound to our address, so it works for any customer
 	// in the domain).
 	if _, ok := h.conduits[neut]; !ok {
+		epoch := keys.Epoch(binary.BigEndian.Uint32(in.reverse[24:]))
 		h.conduits[neut] = &conduit{neut: neut, nonce: nonce, key: key, epoch: epoch}
 	}
 	c := h.convs[peer]
 	if c == nil {
-		c = &conv{peer: peer, neut: neut}
-		h.convs[peer] = c
+		c = &conv{peer: peer}
 	}
 	c.neut = neut
-	c.sess = sess
-	if frame[1]&fFlagSealed == 0 {
-		return ErrBadFrame
-	}
-	body, err := sess.Open(rest)
-	if err != nil {
-		return err
-	}
-	data, err := h.parseBody(c, body, true)
-	if err != nil {
-		return err
-	}
-	h.stats.DataReceived++
-	if h.cfg.OnData != nil && data != nil {
-		h.cfg.OnData(peer, data)
-	}
+	h.deliver(c, in)
 	return nil
 }

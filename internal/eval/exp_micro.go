@@ -210,7 +210,8 @@ var (
 // relay is an onion router: every live circuit through it is an entry
 // in its table.
 type relay struct {
-	id *e2e.Identity
+	id  *e2e.Identity
+	rng io.Reader
 
 	mu       sync.Mutex
 	circuits map[uint32]*circuitHop
@@ -220,7 +221,7 @@ type relay struct {
 
 // circuitHop is one circuit's state at one relay.
 type circuitHop struct {
-	key    aesutil.Key
+	sess   *e2e.Session
 	next   *relay // downstream relay, nil at the exit
 	nextID uint32
 }
@@ -230,7 +231,7 @@ func newRelay(rng io.Reader) (*relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &relay{id: id, circuits: make(map[uint32]*circuitHop)}, nil
+	return &relay{id: id, rng: rng, circuits: make(map[uint32]*circuitHop)}, nil
 }
 
 // stateSize reports live circuit-table entries.
@@ -240,33 +241,31 @@ func (r *relay) stateSize() int {
 	return len(r.circuits)
 }
 
-// create installs a circuit hop keyed by the symmetric key sealed in ct
-// under the relay's public key: one private-key operation.
-func (r *relay) create(ct []byte) (uint32, error) {
-	pt, err := r.id.DecryptSmall(ct)
-	if err != nil || len(pt) != aesutil.KeySize {
+// create installs a circuit hop keyed by the session offer under the
+// relay's public key: one private-key operation.
+func (r *relay) create(offer []byte) (uint32, error) {
+	sess, extra, err := r.id.Accept(offer, r.rng)
+	if err != nil || len(extra) != 0 {
 		return 0, errBadCell
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.pkOps++
 	r.nextID++
-	hop := &circuitHop{}
-	copy(hop.key[:], pt)
-	r.circuits[r.nextID] = hop
+	r.circuits[r.nextID] = &circuitHop{sess: sess}
 	return r.nextID, nil
 }
 
 // extend links circuit circID on to next, running the create there on
 // the client's behalf (telescoping), and returns the downstream id.
-func (r *relay) extend(circID uint32, next *relay, ct []byte) (uint32, error) {
+func (r *relay) extend(circID uint32, next *relay, offer []byte) (uint32, error) {
 	r.mu.Lock()
 	hop, ok := r.circuits[circID]
 	r.mu.Unlock()
 	if !ok {
 		return 0, errNoSuchCircuit
 	}
-	nextID, err := next.create(ct)
+	nextID, err := next.create(offer)
 	if err != nil {
 		return 0, err
 	}
@@ -293,19 +292,15 @@ func (r *relay) teardown(circID uint32) {
 func buildCircuit(rng io.Reader, relays ...*relay) (func(), error) {
 	var entryID, endID uint32
 	for i, r := range relays {
-		var k aesutil.Key
-		if _, err := io.ReadFull(rng, k[:]); err != nil {
-			return nil, err
-		}
-		ct, err := e2e.EncryptSmall(rng, r.id.Public(), k[:])
+		_, offer, err := e2e.Initiate(rng, r.id.Public(), nil)
 		if err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			endID, err = r.create(ct)
+			endID, err = r.create(offer)
 			entryID = endID
 		} else {
-			endID, err = relays[i-1].extend(endID, r, ct)
+			endID, err = relays[i-1].extend(endID, r, offer)
 		}
 		if err != nil {
 			return nil, err
