@@ -2,7 +2,7 @@
 // evaluation numbers (§4) and the ablations are measured by the
 // experiments (`neutbench -exp E1` … `A3`, see README.md), and the
 // data-plane and engine end-to-end costs by `go run ./benchmark`; what
-// stays here are eight per-unit readings without a twin in either:
+// stays here are seven per-unit readings without a twin in either:
 //
 //	go test -run '^$' -bench . -benchmem
 //
@@ -307,24 +307,4 @@ func BenchmarkAuditTrial(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(fix.Power, "power")
 	b.ReportMetric(fix.FPR, "fpr")
-}
-
-// BenchmarkAuditReportCodec measures the probe-report wire round trip
-// (encode + decode) on the fixture's report — the surface
-// FuzzAuditReport hardens.
-func BenchmarkAuditReportCodec(b *testing.B) {
-	fix := auditFixture(b)
-	buf := make([]byte, 0, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = audit.AppendReport(buf[:0], fix.Report)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := audit.DecodeReport(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -123,7 +124,7 @@ func TestModesPrintEvalRows(t *testing.T) {
 
 // TestMetroObservabilityWiring: -trace/-traceout/-metrics on the metro
 // run leave the rows alone, add the lines scrapesmoke parses, and write
-// a schema-valid Chrome trace.
+// a schema-valid Chrome trace that holds at least one span or instant.
 func TestMetroObservabilityWiring(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	base := []string{"-hosts", "300", "-duration", "100ms", "-seed", "7"}
@@ -147,6 +148,23 @@ func TestMetroObservabilityWiring(t *testing.T) {
 	}
 	if err := obs.ValidateChromeTrace(data); err != nil {
 		t.Errorf("trace file: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Errorf("trace file has no span events (only metadata) among %d", len(doc.TraceEvents))
 	}
 }
 

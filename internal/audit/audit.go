@@ -19,9 +19,11 @@
 //     simulator — long-lived interleaved flows measured in alternating
 //     parallel and back-to-back windows, or naive per-trial bursts —
 //     and accounts deliveries into per-trial Trial records.
-//   - Report is the vantage's measurement, with a strict wire encoding
-//     (AppendReport/DecodeReport, fuzzed by FuzzAuditReport) so
-//     vantages can ship results to an untrusting aggregator.
+//   - Report is the vantage's measurement: a copy of the Prober's
+//     trial ledger, the audit's only record, which the registry
+//     families (Instrument) also read. The bytes that do cross the
+//     network are the probe header (PutProbePayload/ParseProbePayload,
+//     fuzzed by FuzzProbePayload).
 //   - Decide turns one report into a Verdict: discriminated or not,
 //     with p-values, effect sizes and the measured goodput/delay gaps.
 //   - Summarize aggregates verdicts across vantages into detection

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bytes"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -146,62 +145,6 @@ func TestSummarizeLocalization(t *testing.T) {
 	s = Summarize(reports)
 	if !s.Discriminating {
 		t.Fatalf("partial throttler (power %.2f) not convicted by aggregate", s.Power)
-	}
-}
-
-func TestReportWireRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, trials := range []int{0, 1, 12, 64} {
-		r := synthReport(trials, 0.5, 0.9, rng)
-		r.Vantage = uint16(trials * 7)
-		r.Inside = trials%2 == 0
-		r.Strategy = StrategyNaive
-		wireB, err := AppendReport(nil, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeReport(wireB)
-		if err != nil {
-			t.Fatalf("trials=%d: %v", trials, err)
-		}
-		if got.Vantage != r.Vantage || got.Inside != r.Inside || got.Strategy != r.Strategy || len(got.Trials) != trials {
-			t.Fatalf("header mismatch: %+v vs %+v", got, r)
-		}
-		for i := range got.Trials {
-			if got.Trials[i] != r.Trials[i] {
-				t.Fatalf("trial %d mismatch", i)
-			}
-		}
-		// Canonical: re-encode must be byte-identical.
-		again, err := AppendReport(nil, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wireB, again) {
-			t.Fatal("re-encode not canonical")
-		}
-	}
-}
-
-func TestDecodeReportRejects(t *testing.T) {
-	good, err := AppendReport(nil, synthReport(2, 0.5, 0.9, rand.New(rand.NewSource(8))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string][]byte{
-		"empty":          {},
-		"short header":   good[:5],
-		"bad magic":      append([]byte{0x00}, good[1:]...),
-		"bad version":    append([]byte{reportMagic, 99}, good[2:]...),
-		"reserved flags": {reportMagic, reportVersion, 0, 0, 0xF0, 0, 0},
-		"truncated body": good[:len(good)-1],
-		"trailing junk":  append(append([]byte{}, good...), 0xEE),
-		"huge count":     {reportMagic, reportVersion, 0, 0, 0, 0xFF, 0xFF},
-	}
-	for name, b := range cases {
-		if _, err := DecodeReport(b); err == nil {
-			t.Errorf("%s: decode accepted", name)
-		}
 	}
 }
 

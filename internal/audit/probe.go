@@ -70,7 +70,6 @@ type Prober struct {
 	cfg    ProberConfig
 	start  time.Time
 	trials []Trial
-	met    *proberMetrics // nil until Instrument
 }
 
 // NewProber validates the config and prepares the trial ledger.
@@ -142,9 +141,6 @@ func (p *Prober) emitFn(role Role) func(seq uint64, size int) {
 		trial := p.measuredTrial(role, p.cfg.On.Now())
 		if trial != NoTrial {
 			p.trials[trial].Sent[role] += uint64(size)
-			if p.met != nil {
-				p.met.sent[role].Add(uint64(size))
-			}
 		}
 		p.cfg.Emit(role, trial, size)
 	}
@@ -155,9 +151,6 @@ func (p *Prober) emitFn(role Role) func(seq uint64, size int) {
 func (p *Prober) burstEmit(role Role, trial int) func(seq uint64, size int) {
 	return func(_ uint64, size int) {
 		p.trials[trial].Sent[role] += uint64(size)
-		if p.met != nil {
-			p.met.sent[role].Add(uint64(size))
-		}
 		p.cfg.Emit(role, trial, size)
 	}
 }
@@ -209,10 +202,6 @@ func (p *Prober) Deliver(role Role, trial int, size int, delay time.Duration) {
 	t.Delivered[role] += uint64(size)
 	t.DelaySum[role] += int64(delay)
 	t.DelayPkts[role]++
-	if p.met != nil {
-		p.met.delivered[role].Add(uint64(size))
-		p.met.pkts[role].Inc()
-	}
 }
 
 // HandleProbe parses a delivered probe payload and accounts it: the

@@ -1,10 +1,6 @@
 package audit
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "encoding/binary"
 
 // Role labels the two flows of a paired probe.
 type Role uint8
@@ -72,9 +68,8 @@ type Trial struct {
 	DelayPkts [NumRoles]uint64
 }
 
-// Report is one vantage point's complete audit measurement — what a
-// vantage ships (wire-encoded, see AppendReport) to the cross-vantage
-// aggregator.
+// Report is one vantage point's complete audit measurement: a copy of
+// its Prober's trial ledger, handed to the cross-vantage aggregator.
 type Report struct {
 	// Vantage identifies the measuring vantage point.
 	Vantage uint16
@@ -110,119 +105,10 @@ func (r *Report) DelaySamples(role Role) []float64 {
 	return out
 }
 
-// ---- wire encoding ------------------------------------------------------
-
-// Report wire format (little-endian):
-//
-//	magic 0xAD | version 1 | vantage u16 | flags u8 | trials u16 | per-trial 64B
-//
-// flags bit0 = inside, bits 1-2 = strategy. Each trial serializes its
-// eight u64 fields in struct order. The format is strict: DecodeReport
-// rejects short bodies, trailing bytes, unknown versions and flag bits,
-// and trial counts beyond MaxReportTrials.
-const (
-	reportMagic   = 0xAD
-	reportVersion = 1
-	reportHdrLen  = 7
-	trialWireLen  = 8 * 8
-	// MaxReportTrials bounds a decoded report's trial count: a corrupt
-	// or hostile length field must not drive a large allocation.
-	MaxReportTrials = 4096
-)
-
-// ErrBadReport is wrapped by every DecodeReport failure.
-var ErrBadReport = errors.New("audit: malformed report")
-
-// AppendReport appends the report's wire encoding to dst.
-func AppendReport(dst []byte, r *Report) ([]byte, error) {
-	if len(r.Trials) > MaxReportTrials {
-		return dst, fmt.Errorf("%w: %d trials exceed %d", ErrBadReport, len(r.Trials), MaxReportTrials)
-	}
-	if r.Strategy > StrategyInterleaved {
-		return dst, fmt.Errorf("%w: unknown strategy %d", ErrBadReport, r.Strategy)
-	}
-	flags := byte(r.Strategy) << 1
-	if r.Inside {
-		flags |= 1
-	}
-	dst = append(dst, reportMagic, reportVersion)
-	dst = binary.LittleEndian.AppendUint16(dst, r.Vantage)
-	dst = append(dst, flags)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.Trials)))
-	for i := range r.Trials {
-		t := &r.Trials[i]
-		for role := Role(0); role < NumRoles; role++ {
-			dst = binary.LittleEndian.AppendUint64(dst, t.Sent[role])
-		}
-		for role := Role(0); role < NumRoles; role++ {
-			dst = binary.LittleEndian.AppendUint64(dst, t.Delivered[role])
-		}
-		for role := Role(0); role < NumRoles; role++ {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(t.DelaySum[role]))
-		}
-		for role := Role(0); role < NumRoles; role++ {
-			dst = binary.LittleEndian.AppendUint64(dst, t.DelayPkts[role])
-		}
-	}
-	return dst, nil
-}
-
-// DecodeReport parses a wire-encoded report. It never reads past b and
-// rejects any structural inconsistency.
-func DecodeReport(b []byte) (*Report, error) {
-	if len(b) < reportHdrLen {
-		return nil, fmt.Errorf("%w: %d bytes, need header of %d", ErrBadReport, len(b), reportHdrLen)
-	}
-	if b[0] != reportMagic {
-		return nil, fmt.Errorf("%w: magic 0x%02X", ErrBadReport, b[0])
-	}
-	if b[1] != reportVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadReport, b[1])
-	}
-	flags := b[4]
-	if flags>>3 != 0 {
-		return nil, fmt.Errorf("%w: reserved flag bits 0x%02X", ErrBadReport, flags)
-	}
-	strategy := Strategy(flags >> 1)
-	if strategy > StrategyInterleaved {
-		return nil, fmt.Errorf("%w: strategy %d", ErrBadReport, strategy)
-	}
-	n := int(binary.LittleEndian.Uint16(b[5:7]))
-	if n > MaxReportTrials {
-		return nil, fmt.Errorf("%w: %d trials exceed %d", ErrBadReport, n, MaxReportTrials)
-	}
-	if want := reportHdrLen + n*trialWireLen; len(b) != want {
-		return nil, fmt.Errorf("%w: %d bytes for %d trials, want %d", ErrBadReport, len(b), n, want)
-	}
-	r := &Report{
-		Vantage:  binary.LittleEndian.Uint16(b[2:4]),
-		Inside:   flags&1 != 0,
-		Strategy: strategy,
-		Trials:   make([]Trial, n),
-	}
-	off := reportHdrLen
-	u64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		return v
-	}
-	for i := range r.Trials {
-		t := &r.Trials[i]
-		for role := Role(0); role < NumRoles; role++ {
-			t.Sent[role] = u64()
-		}
-		for role := Role(0); role < NumRoles; role++ {
-			t.Delivered[role] = u64()
-		}
-		for role := Role(0); role < NumRoles; role++ {
-			t.DelaySum[role] = int64(u64())
-		}
-		for role := Role(0); role < NumRoles; role++ {
-			t.DelayPkts[role] = u64()
-		}
-	}
-	return r, nil
-}
+// MaxReportTrials caps ProberConfig.Trials: a trial index rides the
+// probe payload as a u16 with NoTrial (0xFFFF) reserved, and the cap
+// bounds neutsim's -trials flag.
+const MaxReportTrials = 4096
 
 // ---- probe payload ------------------------------------------------------
 

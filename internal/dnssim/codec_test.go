@@ -52,9 +52,8 @@ func TestRecordMarshalBounds(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRecordRejectsTrailingBytes: the codec is strict, like
-// audit.DecodeReport — any unconsumed bytes after the public key are a
-// malformed message.
+// TestUnmarshalRecordRejectsTrailingBytes: the codec is strict — any
+// unconsumed bytes after the public key are a malformed message.
 func TestUnmarshalRecordRejectsTrailingBytes(t *testing.T) {
 	rec := Record{
 		Name:         "www.google.com",

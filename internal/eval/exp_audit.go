@@ -111,10 +111,10 @@ type AuditCell struct {
 	// Summary is the cross-vantage aggregation (power, ruling,
 	// localization, per-vantage verdicts).
 	Summary audit.Summary
-	// ReportWire holds each vantage's wire-encoded report, outside
-	// vantages first — the bytes the aggregator decoded. A replay with
-	// the same seed must reproduce them bit-identically.
-	ReportWire [][]byte
+	// Reports holds each vantage's report, outside vantages first — what
+	// the aggregator ruled on. A same-seed replay must reproduce them
+	// exactly.
+	Reports []*audit.Report
 	// SuspectGoodput/ControlGoodput are the outside vantages' median
 	// per-trial goodput ratios, averaged across vantages (display).
 	SuspectGoodput, ControlGoodput float64
@@ -325,22 +325,9 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 	}
 	sim.Run()
 
-	// Each vantage ships its report over the wire; the aggregator
-	// decodes and rules. The encode/decode pair is load-bearing: it is
-	// the surface FuzzAuditReport hardens.
 	cell := &AuditCell{ISP: kind, Mode: mode, Strategy: strat}
-	reports := make([]*audit.Report, 0, V+I)
 	for vi, p := range probers {
-		wireB, err := audit.AppendReport(nil, p.Report(vi, vi >= V))
-		if err != nil {
-			return nil, fmt.Errorf("eval: audit report encode: %w", err)
-		}
-		cell.ReportWire = append(cell.ReportWire, wireB)
-		r, err := audit.DecodeReport(wireB)
-		if err != nil {
-			return nil, fmt.Errorf("eval: audit report decode: %w", err)
-		}
-		reports = append(reports, r)
+		cell.Reports = append(cell.Reports, p.Report(vi, vi >= V))
 	}
 	var evidence []audit.EvidenceTrail
 	if o != nil {
@@ -352,18 +339,15 @@ func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Str
 		// whole recorded event set backs the conviction.
 		evidence = append(evidence, audit.BuildEvidence(evs, nil))
 	}
-	cell.Summary = audit.Summarize(reports, evidence...)
+	cell.Summary = audit.Summarize(cell.Reports, evidence...)
 	for vi := 0; vi < V; vi++ {
 		cell.SuspectGoodput += cell.Summary.Verdicts[vi].SuspectGoodput / float64(V)
 		cell.ControlGoodput += cell.Summary.Verdicts[vi].ControlGoodput / float64(V)
 	}
 	if o != nil {
-		// Tally the aggregator's rulings before digesting so FinalHash
-		// covers the audit_verdicts_total families too.
-		vm := audit.NewVerdictMetrics(sim.Metrics())
-		for _, v := range cell.Summary.Verdicts {
-			vm.Count(v)
-		}
+		// Register the aggregator's rulings before digesting so
+		// FinalHash covers the audit_verdicts_total families too.
+		cell.Summary.Instrument(sim.Metrics())
 		cell.Obs = o.digest()
 	}
 	return cell, nil
@@ -575,8 +559,7 @@ type AuditBench struct {
 	Power float64
 	// FPR is the neutral-ISP false-positive rate.
 	FPR float64
-	// Report is one outside vantage's decoded report from the blatant
-	// dpi cell.
+	// Report is one outside vantage's report from the blatant dpi cell.
 	Report *audit.Report
 }
 
@@ -597,9 +580,5 @@ func NewAuditBench() (*AuditBench, error) {
 			break
 		}
 	}
-	r, err := audit.DecodeReport(cell.ReportWire[idx])
-	if err != nil {
-		return nil, err
-	}
-	return &AuditBench{Power: cell.Summary.Power, FPR: st.FalsePositiveRate(), Report: r}, nil
+	return &AuditBench{Power: cell.Summary.Power, FPR: st.FalsePositiveRate(), Report: cell.Reports[idx]}, nil
 }

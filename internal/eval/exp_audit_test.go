@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -57,8 +57,8 @@ func TestE8AuditReduced(t *testing.T) {
 }
 
 // TestE8SeedReplayBitIdentical is the -seed discipline check: two runs
-// with the same config must produce byte-identical wire reports in
-// every cell — the same bar PR 3 set for -arms.
+// with the same config must produce identical reports in every cell —
+// the same bar -arms is held to.
 func TestE8SeedReplayBitIdentical(t *testing.T) {
 	cfg := AuditConfig{Seed: 11, Vantages: 4, InsideVantages: 2, Trials: 8}
 	a, err := RunAudit(cfg)
@@ -74,33 +74,23 @@ func TestE8SeedReplayBitIdentical(t *testing.T) {
 	}
 	for c := range a.Cells {
 		ca, cb := &a.Cells[c], &b.Cells[c]
-		if len(ca.ReportWire) != len(cb.ReportWire) {
-			t.Fatalf("cell %v/%v/%v: report counts differ", ca.ISP, ca.Mode, ca.Strategy)
-		}
-		for v := range ca.ReportWire {
-			if !bytes.Equal(ca.ReportWire[v], cb.ReportWire[v]) {
-				t.Fatalf("cell %v/%v/%v vantage %d: replay diverged (%d vs %d bytes)",
-					ca.ISP, ca.Mode, ca.Strategy, v, len(ca.ReportWire[v]), len(cb.ReportWire[v]))
-			}
+		if !reflect.DeepEqual(ca.Reports, cb.Reports) {
+			t.Fatalf("cell %v/%v/%v: replay diverged", ca.ISP, ca.Mode, ca.Strategy)
 		}
 	}
 }
 
 // Hmm-proofing: the replay test above would pass trivially if Vantages
-// 4 produced empty reports; pin that the wires carry real trials.
+// 4 produced empty reports; pin that the reports carry real trials.
 func TestE8ReportsCarryTrials(t *testing.T) {
 	st, err := RunAudit(AuditConfig{Seed: 11, Vantages: 4, InsideVantages: 2, Trials: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cell := st.Cell(ISPNeutral, ModeEncrypted, audit.StrategyInterleaved)
-	for v, w := range cell.ReportWire {
-		r, err := audit.DecodeReport(w)
-		if err != nil {
-			t.Fatalf("vantage %d: %v", v, err)
-		}
+	for v, r := range cell.Reports {
 		if len(r.Trials) != 8 {
-			t.Fatalf("vantage %d: %d trials on the wire, want 8", v, len(r.Trials))
+			t.Fatalf("vantage %d: %d trials in the report, want 8", v, len(r.Trials))
 		}
 		if got := len(r.GoodputSamples(audit.RoleSuspect)); got != 8 {
 			t.Fatalf("vantage %d: %d usable suspect samples, want 8", v, got)

@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -91,14 +91,8 @@ func TestE8WorkerIdentity(t *testing.T) {
 	}
 	for c := range a.Cells {
 		ca, cb := &a.Cells[c], &b.Cells[c]
-		if len(ca.ReportWire) != len(cb.ReportWire) {
-			t.Fatalf("cell %v/%v/%v: report counts differ", ca.ISP, ca.Mode, ca.Strategy)
-		}
-		for v := range ca.ReportWire {
-			if !bytes.Equal(ca.ReportWire[v], cb.ReportWire[v]) {
-				t.Fatalf("cell %v/%v/%v vantage %d: outcome differs across workers (%d vs %d bytes)",
-					ca.ISP, ca.Mode, ca.Strategy, v, len(ca.ReportWire[v]), len(cb.ReportWire[v]))
-			}
+		if !reflect.DeepEqual(ca.Reports, cb.Reports) {
+			t.Fatalf("cell %v/%v/%v: reports differ across workers", ca.ISP, ca.Mode, ca.Strategy)
 		}
 		if ca.Obs == nil || cb.Obs == nil || *ca.Obs != *cb.Obs {
 			t.Fatalf("cell %v/%v/%v: observation digest differs across workers:\n workers=1: %+v\n workers=4: %+v",

@@ -71,31 +71,62 @@ type AppSource struct {
 // random phase offset; emit receives the per-flow sequence number and
 // the application payload size in bytes.
 func (s AppSource) Run(on netem.Context, d time.Duration, emit func(seq uint64, size int)) {
+	st := s.state(on)
+	end := on.Now().Add(d)
+	drive(on, st.phase(), st, func(uint64) bool { return on.Now().After(end) }, emit)
+}
+
+// RunN schedules a finite burst of exactly n app-shaped emissions (the
+// same size/gap process as Run, bounded by count instead of time): the
+// short app-imitating probe flows of the naive audit strategy.
+func (s AppSource) RunN(on netem.Context, n int, emit func(seq uint64, size int)) {
+	st := s.state(on)
+	drive(on, st.phase(), st, func(seq uint64) bool { return seq >= uint64(n) }, emit)
+}
+
+func (s AppSource) state(on netem.Context) *appState {
 	rng := s.Rng
 	if rng == nil {
 		rng = on.Rand()
 	}
-	st := &appState{app: s.App, rng: rng, end: on.Now().Add(d)}
+	return &appState{app: s.App, rng: rng}
+}
+
+// shape is one flow's (size, gap) process.
+type shape interface {
+	size() int
+	gap() time.Duration
+}
+
+// drive is the emission loop every app-shaped and control flow runs: the
+// first step fires after first; each step ends the flow once stop holds
+// for its sequence number, and otherwise emits the next size and
+// reschedules itself after the next gap — one pending event per flow.
+func drive(on netem.Context, first time.Duration, sh shape, stop func(seq uint64) bool, emit func(seq uint64, size int)) {
 	var seq uint64
 	var step func()
 	step = func() {
-		if on.Now().After(st.end) {
+		if stop(seq) {
 			return
 		}
-		emit(seq, st.size())
+		emit(seq, sh.size())
 		seq++
-		on.Schedule(st.gap(), step)
+		on.Schedule(sh.gap(), step)
 	}
-	on.Schedule(time.Duration(rng.Int63n(int64(20*time.Millisecond))), step)
+	on.Schedule(first, step)
 }
 
 // appState produces the (size, gap) sequence for one flow.
 type appState struct {
 	app App
 	rng *rand.Rand
-	end time.Time
 
 	burstLeft int // video/web: packets remaining in the current burst
+}
+
+// phase draws the random offset of the flow's first emission.
+func (st *appState) phase() time.Duration {
+	return time.Duration(st.rng.Int63n(int64(20 * time.Millisecond)))
 }
 
 func (st *appState) size() int {

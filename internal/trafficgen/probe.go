@@ -27,7 +27,8 @@ type ControlSource struct {
 	MinSize, MaxSize int
 }
 
-func (s *ControlSource) fill(on netem.Context) *rand.Rand {
+// state applies the defaults and binds the flow's rng.
+func (s ControlSource) state(on netem.Context) *controlState {
 	if s.MeanGap <= 0 {
 		s.MeanGap = 25 * time.Millisecond
 	}
@@ -37,70 +38,40 @@ func (s *ControlSource) fill(on netem.Context) *rand.Rand {
 	if s.MaxSize <= s.MinSize {
 		s.MaxSize = s.MinSize + 1000
 	}
-	if s.Rng != nil {
-		return s.Rng
+	rng := s.Rng
+	if rng == nil {
+		rng = on.Rand()
 	}
-	return on.Rand()
+	return &controlState{ControlSource: s, rng: rng}
 }
 
 // Run schedules control emissions for duration d; emit receives the
 // per-flow sequence number and the payload size in bytes.
 func (s ControlSource) Run(on netem.Context, d time.Duration, emit func(seq uint64, size int)) {
-	rng := s.fill(on)
+	st := s.state(on)
 	end := on.Now().Add(d)
-	var seq uint64
-	var step func()
-	step = func() {
-		if on.Now().After(end) {
-			return
-		}
-		emit(seq, s.MinSize+rng.Intn(s.MaxSize-s.MinSize))
-		seq++
-		on.Schedule(s.gap(rng), step)
-	}
-	on.Schedule(s.gap(rng), step)
+	drive(on, st.gap(), st, func(uint64) bool { return on.Now().After(end) }, emit)
 }
 
 // RunN schedules a finite burst of exactly n control emissions — the
 // naive audit strategy's short-lived probe flows.
 func (s ControlSource) RunN(on netem.Context, n int, emit func(seq uint64, size int)) {
-	rng := s.fill(on)
-	var seq uint64
-	var step func()
-	step = func() {
-		if seq >= uint64(n) {
-			return
-		}
-		emit(seq, s.MinSize+rng.Intn(s.MaxSize-s.MinSize))
-		seq++
-		on.Schedule(s.gap(rng), step)
-	}
-	on.Schedule(s.gap(rng), step)
+	st := s.state(on)
+	drive(on, st.gap(), st, func(seq uint64) bool { return seq >= uint64(n) }, emit)
+}
+
+// controlState produces a control flow's (size, gap) sequence.
+type controlState struct {
+	ControlSource
+	rng *rand.Rand
+}
+
+// size draws a uniform payload size in [MinSize, MaxSize).
+func (st *controlState) size() int {
+	return st.MinSize + st.rng.Intn(st.MaxSize-st.MinSize)
 }
 
 // gap draws an exponential inter-emission gap with mean MeanGap.
-func (s *ControlSource) gap(rng *rand.Rand) time.Duration {
-	return time.Duration(expRand(rng, 1/s.MeanGap.Seconds()) * float64(time.Second))
-}
-
-// RunN schedules a finite burst of exactly n app-shaped emissions (the
-// same size/gap process as Run, bounded by count instead of time): the
-// short app-imitating probe flows of the naive audit strategy.
-func (s AppSource) RunN(on netem.Context, n int, emit func(seq uint64, size int)) {
-	rng := s.Rng
-	if rng == nil {
-		rng = on.Rand()
-	}
-	st := &appState{app: s.App, rng: rng}
-	var seq uint64
-	var step func()
-	step = func() {
-		if seq >= uint64(n) {
-			return
-		}
-		emit(seq, st.size())
-		seq++
-		on.Schedule(st.gap(), step)
-	}
-	on.Schedule(time.Duration(rng.Int63n(int64(20*time.Millisecond))), step)
+func (st *controlState) gap() time.Duration {
+	return time.Duration(expRand(st.rng, 1/st.MeanGap.Seconds()) * float64(time.Second))
 }
