@@ -2,7 +2,7 @@
 // evaluation numbers (§4) and the ablations are measured by the
 // experiments (`neutbench -exp E1` … `A3`, see README.md), and the
 // data-plane and engine end-to-end costs by `go run ./benchmark`; what
-// stays here are seven per-unit readings without a twin in either:
+// stays here are six per-unit readings without a twin in either:
 //
 //	go test -run '^$' -bench . -benchmem
 //
@@ -21,7 +21,6 @@ import (
 	"netneutral/internal/dpi"
 	"netneutral/internal/eval"
 	"netneutral/internal/netem"
-	"netneutral/internal/obs"
 	"netneutral/internal/simnet"
 	"netneutral/internal/wire"
 )
@@ -95,25 +94,6 @@ func BenchmarkTraceOff(b *testing.B) {
 		b.Fatalf("delivered %d/%d", delivered, b.N+1)
 	}
 	reportKpps(b, 1)
-}
-
-// BenchmarkObsInc measures the observability plane's hot-path unit: one
-// single-writer counter-stripe increment on a registered family per op.
-// The acceptance bar (obs's TestZeroAllocHotPath) is
-// 0 allocs/op — instrumentation on the deterministic sim path must
-// never touch the allocator, and the plain stripe uses no atomics.
-func BenchmarkObsInc(b *testing.B) {
-	reg := obs.NewRegistry()
-	c := reg.Counter("bench_obs_inc_total", "Benchmark stripe.").Stripe(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-	b.StopTimer()
-	if got := c.Value(); got != uint64(b.N) {
-		b.Fatalf("counter = %d, want %d", got, b.N)
-	}
 }
 
 // BenchmarkSimnetUDPEcho measures the simnet bridge's wake/step overhead:

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netneutral/internal/netem"
 )
 
 func runExp(t *testing.T, id string) *Result {
@@ -306,9 +308,21 @@ func TestA8QoS(t *testing.T) {
 // default test run (and -race) stays fast; TestE6FullScale runs the
 // registered 10k-host experiment.
 func TestE6MetroSmall(t *testing.T) {
-	st, err := RunMetro(MetroConfig{Hosts: 1200, Seed: 3, Duration: 200 * time.Millisecond, RatePps: 20000})
+	var sim *netem.Simulator
+	st, err := RunMetro(MetroConfig{Hosts: 1200, Seed: 3, Duration: 200 * time.Millisecond, RatePps: 20000,
+		Attach: func(s *netem.Simulator) { sim = s }})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// drive reads the fluid totals of every run; reading them must not
+	// give a fluid-less run's registry (so its final digest) a family.
+	if st.FluidBytes != 0 || st.FluidTicks != 0 {
+		t.Errorf("fluid-less metro reports fluid load: bytes=%d ticks=%d", st.FluidBytes, st.FluidTicks)
+	}
+	for _, m := range sim.Metrics().Snapshot().Metrics {
+		if strings.HasPrefix(m.Name, "netem_fluid_") {
+			t.Errorf("fluid-less metro's registry gained %s", m.Name)
+		}
 	}
 	if st.Sent == 0 || st.Delivered != uint64(st.Sent) {
 		t.Fatalf("delivered %d of %d", st.Delivered, st.Sent)

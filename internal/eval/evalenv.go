@@ -263,9 +263,8 @@ type EngineRun struct {
 	Dropped        uint64
 	ClassifierHits uint64
 	SimEvents      uint64
-	// FluidBytes and FluidTicks are filled by RunBackbone, not drive:
-	// reading the totals registers the fluid families, which a fluid-less
-	// run's final registry (so its ObsDigest) must not gain.
+	// FluidBytes and FluidTicks total the fluid background load (zero
+	// for a run without fluid flows).
 	FluidBytes, FluidTicks uint64
 	PoolAllocated          uint64
 	PoolGets               uint64
@@ -295,6 +294,7 @@ func (r *EngineRun) drive(scenario, router string, sim *netem.Simulator, rule *i
 	r.Dropped = sim.Dropped()
 	r.ClassifierHits = rule.Hits(targetCustomerRule)
 	r.SimEvents = sim.EventsProcessed()
+	r.FluidBytes, r.FluidTicks = sim.FluidTotals()
 	r.PoolAllocated, r.PoolGets = sim.PoolStats()
 	r.LanePushes, r.HeapPushes = sim.QueuePushes()
 	r.Obs = o.digest()

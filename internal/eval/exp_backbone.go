@@ -224,9 +224,7 @@ func RunBackbone(cfg BackboneConfig) (*BackboneStats, error) {
 	}
 	st.Offered = uint64(st.NeutSent + st.CrossSent)
 
-	err = st.drive("backbone", "core", sim, rule, o, tallies...)
-	st.FluidBytes, st.FluidTicks = sim.FluidTotals()
-	if err != nil {
+	if err := st.drive("backbone", "core", sim, rule, o, tallies...); err != nil {
 		return st, err
 	}
 	if st.FluidBytes == 0 {

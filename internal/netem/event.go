@@ -1,7 +1,5 @@
 package netem
 
-import "netneutral/internal/obs"
-
 // The event loop stores typed event values, never closures or boxed
 // interfaces: the hot-path events (link departure, link arrival,
 // policy-delayed redispatch) carry their operands in struct fields, so a
@@ -105,10 +103,10 @@ func (l *lane) pop(ev *event) {
 // seq. Values live inline in the rings and the heap slice — no per-event
 // pointer, no interface boxing.
 type eventQueue struct {
-	lanes  []lane  // opened on demand, at most laneCount
-	h      []event // binary min-heap: events no lane would take
-	inLane *obs.Counter
-	inHeap *obs.Counter
+	lanes []lane  // opened on demand, at most laneCount
+	h     []event // binary min-heap: events no lane would take
+	// Pushes a lane / the heap took (netem_queue_pushes_total).
+	inLane, inHeap uint64
 }
 
 func (q *eventQueue) len() int {
@@ -127,18 +125,18 @@ func (q *eventQueue) push(ev *event, class int64) {
 	for i := range q.lanes {
 		if l := &q.lanes[i]; l.class == class && (l.n == 0 || l.tail <= ev.at) {
 			l.push(ev)
-			q.inLane.Inc()
+			q.inLane++
 			return
 		}
 	}
 	if l := q.spareLane(); l != nil {
 		l.class = class
 		l.push(ev)
-		q.inLane.Inc()
+		q.inLane++
 		return
 	}
 	q.heapPush(*ev)
-	q.inHeap.Inc()
+	q.inHeap++
 }
 
 // spareLane finds a lane to re-tag for a class that has none it can

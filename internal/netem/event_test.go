@@ -4,13 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"netneutral/internal/obs"
 )
-
-func newTestQueue() *eventQueue {
-	return &eventQueue{inLane: new(obs.Counter), inHeap: new(obs.Counter)}
-}
 
 // queueScript drives an eventQueue beside the reference implementation —
 // a slice kept sorted by (at, seq) — the way a shard drives it: a clock
@@ -26,7 +20,7 @@ type queueScript struct {
 }
 
 func newQueueScript(t *testing.T) *queueScript {
-	return &queueScript{t: t, q: newTestQueue(), now: simStart.UnixNano()}
+	return &queueScript{t: t, q: new(eventQueue), now: simStart.UnixNano()}
 }
 
 func (s *queueScript) push(at, class int64) {
@@ -154,9 +148,9 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 		}
 		s := newQueueScript(t)
 		s.run(data)
-		if s.q.inHeap.Value() == 0 || s.q.inLane.Value() == 0 {
+		if s.q.inHeap == 0 || s.q.inLane == 0 {
 			t.Fatalf("pushes: %d lane, %d heap; the script must take both paths",
-				s.q.inLane.Value(), s.q.inHeap.Value())
+				s.q.inLane, s.q.inHeap)
 		}
 	})
 	t.Run("random", func(t *testing.T) {
@@ -207,7 +201,7 @@ type mixDriver struct {
 
 func newMixDriver(depth int) *mixDriver {
 	rng := rand.New(rand.NewSource(16))
-	d := &mixDriver{q: newTestQueue(), now: simStart.UnixNano(), delays: make([]int64, 1<<12)}
+	d := &mixDriver{q: new(eventQueue), now: simStart.UnixNano(), delays: make([]int64, 1<<12)}
 	for i := range d.delays {
 		d.delays[i] = queueMix(rng)
 	}
@@ -236,7 +230,7 @@ func (d *mixDriver) step() {
 // cleared, so the queue does not keep a delivered packet or a fired
 // closure alive.
 func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
-	q := newTestQueue()
+	q := new(eventQueue)
 	q.push(&event{at: 1, seq: 1, pkt: new(Packet), node: new(Node), dir: new(linkDir), fn: func() {}}, 0)
 	slot := &q.lanes[0].buf[q.lanes[0].head]
 	q.popDue(noLimit, new(event))
@@ -266,6 +260,6 @@ func BenchmarkEventQueueMix(b *testing.B) {
 		d.step()
 	}
 	b.StopTimer()
-	lane, heap := d.q.inLane.Value(), d.q.inHeap.Value()
+	lane, heap := d.q.inLane, d.q.inHeap
 	b.ReportMetric(100*float64(lane)/float64(lane+heap), "lane-%")
 }

@@ -70,7 +70,7 @@ func TestStepMatchesRun(t *testing.T) {
 	if got, want := s.EventsProcessed(), ref.EventsProcessed(); got != want {
 		t.Errorf("events processed = %d, want %d", got, want)
 	}
-	if got, want := s.met.delivered.Value(), ref.met.delivered.Value(); got != want {
+	if got, want := family(s, "netem_delivered_packets_total"), family(ref, "netem_delivered_packets_total"); got != want {
 		t.Errorf("delivered = %d, want %d", got, want)
 	}
 	if !s.Now().Equal(ref.Now()) {

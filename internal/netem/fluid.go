@@ -3,8 +3,6 @@ package netem
 import (
 	"fmt"
 	"time"
-
-	"netneutral/internal/obs"
 )
 
 // Fluid background traffic: the hybrid abstraction that lets a
@@ -26,9 +24,9 @@ import (
 //
 // Determinism: ticks are events on the shard that owns the link
 // direction, and jitter draws from that shard's seeded PRNG, so a fluid
-// run replays bit-identically at any worker count. The per-shard byte
-// and tick tallies land in the netem_fluid_* registry families, which
-// the eval harness's ObsDigest folds into its replay-identity hash.
+// run replays bit-identically at any worker count. Each flow tallies its
+// own bytes and ticks; the netem_fluid_* registry families sum them, and
+// the eval harness's ObsDigest folds them into its replay-identity hash.
 type FluidConfig struct {
 	// RateBps is the mean offered load in bits per second (required).
 	RateBps float64
@@ -49,8 +47,8 @@ type FluidFlow struct {
 	cfg   FluidConfig
 	until int64   // horizon, engine nanoseconds
 	rem   float64 // fractional byte carry between ticks
-	bytes *obs.Counter
-	ticks *obs.Counter
+	// Bytes offered and ticks run, written by the shard owning d.
+	bytes, ticks uint64
 }
 
 // fluidResidualFloor bounds how much capacity a fluid aggregate can
@@ -76,26 +74,24 @@ func (s *Simulator) AttachFluid(l *Link, from *Node, cfg FluidConfig) (*FluidFlo
 	if d.fluidBps > 0 {
 		return nil, fmt.Errorf("netem: link direction %s->%s already carries a fluid flow", from.Name, d.to.Name)
 	}
-	bytes := s.Metrics().Counter("netem_fluid_bytes_total",
-		"Background bytes offered by fluid flows (aggregate load, not packet events).")
-	ticks := s.Metrics().Counter("netem_fluid_ticks_total",
-		"Fluid flow rate-update ticks executed.")
-	id := from.ShardID()
-	return &FluidFlow{
-		d: d, node: from, cfg: cfg,
-		bytes: bytes.Stripe(id), ticks: ticks.Stripe(id),
-	}, nil
+	// The first attach registers the families (get-or-create ignores the
+	// later ones); each sums every flow.
+	s.reg.CounterFunc("netem_fluid_bytes_total",
+		"Background bytes offered by fluid flows (aggregate load, not packet events).",
+		func() uint64 { b, _ := s.FluidTotals(); return b })
+	s.reg.CounterFunc("netem_fluid_ticks_total",
+		"Fluid flow rate-update ticks executed.",
+		func() uint64 { _, t := s.FluidTotals(); return t })
+	f := &FluidFlow{d: d, node: from, cfg: cfg}
+	s.fluids = append(s.fluids, f)
+	return f, nil
 }
 
 // FluidTotals reports the bytes and ticks accounted by fluid flows
-// across all shards (zero when none are attached). Registration is
-// get-or-create, so reading is idempotent with AttachFluid's.
+// across all shards (zero when none are attached).
 func (s *Simulator) FluidTotals() (bytes, ticks uint64) {
-	reg := s.Metrics()
-	return reg.Counter("netem_fluid_bytes_total",
-			"Background bytes offered by fluid flows (aggregate load, not packet events).").Value(),
-		reg.Counter("netem_fluid_ticks_total",
-			"Fluid flow rate-update ticks executed.").Value()
+	return sum(s.fluids, func(f *FluidFlow) *uint64 { return &f.bytes }),
+		sum(s.fluids, func(f *FluidFlow) *uint64 { return &f.ticks })
 }
 
 // Start offers load for duration d of virtual time, beginning now. The
@@ -114,8 +110,8 @@ func (f *FluidFlow) tick() {
 	offered := f.d.fluidBps*f.cfg.Interval.Seconds()/8 + f.rem
 	whole := uint64(offered)
 	f.rem = offered - float64(whole)
-	f.bytes.Add(whole)
-	f.ticks.Inc()
+	f.bytes += whole
+	f.ticks++
 	if f.node.NowNanos() >= f.until {
 		f.d.fluidBps = 0
 		return

@@ -172,7 +172,7 @@ func (l *Link) SetQueue(from *Node, q Queue) error {
 			break
 		}
 		if !q.Enqueue(p) {
-			d.from.sh.mLinkQDrop.Inc()
+			d.from.sh.nLinkQDrop++
 			p.cause = CauseQueueFull
 			d.from.sh.emit(TraceDropQueue, from, p)
 			p.Release()
@@ -207,14 +207,14 @@ func (l *Link) transmit(from *Node, p *Packet) {
 	p.Arrived = sh.now
 	if d.queue == nil {
 		if !d.busy {
-			sh.mStartDirect.Inc()
+			sh.nStartDirect++
 			d.startTransmission(p)
 			return
 		}
 		d.queue = NewFIFOQueue(d.cfg.QueueLen)
 	}
 	if !d.queue.Enqueue(p) {
-		sh.mLinkQDrop.Inc()
+		sh.nLinkQDrop++
 		p.cause = CauseQueueFull
 		sh.emit(TraceDropQueue, from, p)
 		p.Release()
@@ -236,7 +236,7 @@ func (d *linkDir) startNext() {
 		d.busy = false
 		return
 	}
-	d.from.sh.mStartQueued.Inc()
+	d.from.sh.nStartQueued++
 	d.startTransmission(p)
 }
 
@@ -269,7 +269,7 @@ func (d *linkDir) startTransmission(p *Packet) {
 // cross-shard link is at least the engine's lookahead, which is what
 // makes deferring it to the epoch barrier safe.
 func (d *linkDir) depart(p *Packet) {
-	d.from.sh.mLinkTx.Inc()
+	d.from.sh.nLinkTx++
 	src, dst := d.from.sh, d.to.sh
 	p.attrProp += int64(d.cfg.Delay)
 	at := src.now + int64(d.cfg.Delay)

@@ -90,7 +90,7 @@ func runDirectWorld(t *testing.T, forceQueued bool) *directWorld {
 	} {
 		w.counters[name] = uint64(snap.Get(name).Value)
 	}
-	w.direct, w.queued = s.met.startDir.Value(), s.met.startQ.Value()
+	w.direct, w.queued = family(s, `netem_link_starts_total{path="direct"}`), family(s, `netem_link_starts_total{path="queued"}`)
 	return w
 }
 
@@ -153,7 +153,7 @@ func TestDirectTransmitMatchesQueued(t *testing.T) {
 		t.Errorf("after SetQueue mid-transmission: new queue holds %d, want 1, and to be the direction's queue", q.Len())
 	}
 	s.Run()
-	if sent, dropped := s.met.linkTx.Value(), s.met.linkQDrop.Value(); !bytes.Equal(got, []byte{1, 2}) || sent != 2 || dropped != 0 {
+	if sent, dropped := family(s, "netem_link_tx_packets_total"), family(s, "netem_link_queue_drops_total"); !bytes.Equal(got, []byte{1, 2}) || sent != 2 || dropped != 0 {
 		t.Errorf("delivered %v (sent %d, dropped %d), want [1 2], 2, 0", got, sent, dropped)
 	}
 }

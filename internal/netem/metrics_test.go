@@ -8,6 +8,15 @@ import (
 	"netneutral/internal/obs"
 )
 
+// family reads one family's value from the simulator's registry.
+func family(s *Simulator, name string) uint64 {
+	m := s.Metrics().Snapshot().Get(name)
+	if m == nil {
+		panic("netem: registry has no family " + name)
+	}
+	return uint64(m.Value)
+}
+
 // obsWorldResult captures everything observation must reproduce exactly
 // across worker counts: the sim's own identity counters, the recorder's
 // time-series rings, and the flight recorder's sampled event set.
@@ -66,7 +75,7 @@ func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 	sim.Run()
 
 	res := &obsWorldResult{
-		delivered:  sim.met.delivered.Value(),
+		delivered:  family(sim, "netem_delivered_packets_total"),
 		events:     sim.EventsProcessed(),
 		ticks:      rec.Ticks(),
 		flight:     fr.Events(),
@@ -122,55 +131,6 @@ func TestObservedParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestRegistryMirrorsAccessors pins the satellite migration: the legacy
-// accessors are thin reads over the registry, so the registry's merged
-// families must agree with them exactly.
-func TestRegistryMirrorsAccessors(t *testing.T) {
-	sim := NewSimulator(simStart, 3)
-	f, err := BuildFanout(sim, FanoutSpec{Hosts: 8, HostsPerEdge: 4, Outside: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := f.Outside[0].Send(mkUDP(t, f.OutsideAddr(0), f.HostAddr(i%8), []byte{1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run()
-	snap := sim.Metrics().Snapshot()
-	checks := []struct {
-		name string
-		want uint64
-	}{
-		{"netem_forwarded_packets_total", sim.Forwarded()},
-		{"netem_dropped_packets_total", sim.Dropped()},
-		{"netem_events_total", sim.EventsProcessed()},
-	}
-	alloc, gets := sim.PoolStats()
-	checks = append(checks,
-		struct {
-			name string
-			want uint64
-		}{"netem_pool_allocated_buffers_total", alloc},
-		struct {
-			name string
-			want uint64
-		}{"netem_pool_checkouts_total", gets})
-	for _, c := range checks {
-		m := snap.Get(c.name)
-		if m == nil {
-			t.Errorf("registry missing %s", c.name)
-			continue
-		}
-		if uint64(m.Value) != c.want {
-			t.Errorf("%s = %v, accessor says %d", c.name, m.Value, c.want)
-		}
-		if c.want == 0 && c.name != "netem_dropped_packets_total" {
-			t.Errorf("%s unexpectedly zero (degenerate check)", c.name)
-		}
-	}
-}
-
 // TestOnBarrierSerialRuns pins that serial (unsharded) simulators tick
 // observers at the end of every Run/RunFor call — their quiescent
 // points — with the virtual clock.
@@ -189,5 +149,121 @@ func TestOnBarrierSerialRuns(t *testing.T) {
 	}
 	if !ticks[1].Equal(simStart.Add(20 * time.Millisecond)) {
 		t.Errorf("tick 1 at %v, want second limit", ticks[1])
+	}
+}
+
+// TestBarrierFamiliesMatchAccessors: every netem_* family sums, at read
+// time, the counts its writers keep. At every barrier of a parallel run
+// and after it, a registry snapshot must therefore equal the accessors
+// and the counts themselves — each fluid flow's and both delivery
+// tallies' included (one family over several writers).
+func TestBarrierFamiliesMatchAccessors(t *testing.T) {
+	sim := NewSimulator(simStart, 5)
+	f, err := BuildFanout(sim, FanoutSpec{
+		Hosts: 48, HostsPerEdge: 12, Outside: 1,
+		ShardSubtrees: true,
+		HostLink:      LinkConfig{Delay: 800 * time.Microsecond},
+		EdgeLink:      LinkConfig{Delay: 1200 * time.Microsecond, RateBps: 20e6, QueueLen: 8},
+		TransitLink:   LinkConfig{Delay: 1500 * time.Microsecond, RateBps: 80e6, QueueLen: 32},
+		OutsideLink:   LinkConfig{Delay: 900 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetWorkers(2)
+	for _, l := range f.EdgeLinks {
+		fl, err := sim.AttachFluid(l, f.Border, FluidConfig{RateBps: 15e6, JitterFrac: 0.3, Interval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl.Start(80 * time.Millisecond)
+	}
+	end := simStart.Add(80 * time.Millisecond)
+	for i := 0; i < 48; i += 3 {
+		src, pkt := f.Outside[0], mkUDP(t, f.OutsideAddr(0), f.HostAddr(i), make([]byte, 400))
+		var step func()
+		step = func() {
+			if src.Now().Before(end) {
+				_ = src.Send(pkt)
+				src.Schedule(time.Millisecond+time.Duration(src.Rand().Int63n(int64(time.Millisecond))), step)
+			}
+		}
+		src.Schedule(time.Duration(i)*100*time.Microsecond, step)
+	}
+
+	tallies := []*DeliveryCount{f.CountDeliveries()}
+	shardSum := func(count func(*shard) int) float64 {
+		n := 0
+		for _, sh := range sim.shards {
+			n += count(sh)
+		}
+		return float64(n)
+	}
+	barriers := 0
+	check := func(when string) {
+		fluidBytes, fluidTicks := sim.FluidTotals()
+		alloc, gets := sim.PoolStats()
+		lane, heap := sim.QueuePushes()
+		var tallied uint64
+		for _, d := range tallies {
+			tallied += d.Total()
+		}
+		want := map[string]float64{
+			"netem_events_total":                             float64(sim.EventsProcessed()),
+			"netem_delivered_packets_total":                  shardSum(func(sh *shard) int { return int(sh.nDelivered) }),
+			"netem_forwarded_packets_total":                  float64(sim.Forwarded()),
+			"netem_dropped_packets_total":                    float64(sim.Dropped()),
+			"netem_pool_allocated_buffers_total":             float64(alloc),
+			"netem_pool_checkouts_total":                     float64(gets),
+			"netem_link_tx_packets_total":                    shardSum(func(sh *shard) int { return int(sh.nLinkTx) }),
+			"netem_link_queue_drops_total":                   shardSum(func(sh *shard) int { return int(sh.nLinkQDrop) }),
+			"netem_heap_depth":                               shardSum(func(sh *shard) int { return sh.events.len() }),
+			"netem_pool_free_buffers":                        shardSum(func(sh *shard) int { return len(sh.pool.free) }),
+			`netem_queue_pushes_total{path="lane"}`:          float64(lane),
+			`netem_queue_pushes_total{path="heap"}`:          float64(heap),
+			`netem_link_starts_total{path="direct"}`:         shardSum(func(sh *shard) int { return int(sh.nStartDirect) }),
+			`netem_link_starts_total{path="queued"}`:         shardSum(func(sh *shard) int { return int(sh.nStartQueued) }),
+			`netem_barrier_mailboxes_total{state="drained"}`: float64(sim.mailDrained),
+			`netem_barrier_mailboxes_total{state="silent"}`:  float64(sim.mailSilent),
+			"netem_epochs_total":                             float64(sim.epochs),
+			"netem_epoch_wall_ns":                            float64(sim.epochs), // one observation per epoch
+			"netem_lookahead_ns":                             float64(sim.lookahead),
+			"netem_fluid_bytes_total":                        float64(fluidBytes),
+			"netem_fluid_ticks_total":                        float64(fluidTicks),
+			"netem_fanout_delivered_packets_total":           float64(tallied),
+		}
+		seen := 0
+		for _, m := range sim.Metrics().Snapshot().Metrics {
+			w, ok := want[m.Name]
+			if !ok {
+				t.Errorf("%s: family %s has no accessor to check", when, m.Name)
+				continue
+			}
+			if m.Value != w {
+				t.Errorf("%s: %s = %v, accessor says %v", when, m.Name, m.Value, w)
+			}
+			seen++
+		}
+		if seen != len(want) {
+			t.Errorf("%s: registry has %d of the %d netem families", when, seen, len(want))
+		}
+	}
+	sim.OnBarrier(func(time.Time) {
+		barriers++
+		check(fmt.Sprintf("barrier %d", barriers))
+	})
+
+	// The second tally replaces the first's handlers: each counts only
+	// its own half of the run, and the family counts both.
+	sim.RunFor(40 * time.Millisecond)
+	tallies = append(tallies, f.CountDeliveries())
+	sim.Run()
+	check("after Run")
+	if barriers < 10 {
+		t.Fatalf("only %d barriers: the run is not sharded", barriers)
+	}
+	if fb, _ := sim.FluidTotals(); fb == 0 || tallies[0].Total() == 0 || tallies[1].Total() == 0 || sim.Dropped() == 0 {
+		t.Fatalf("degenerate run: fluid bytes %d, tallies %d and %d, drops %d",
+			fb, tallies[0].Total(), tallies[1].Total(), sim.Dropped())
 	}
 }

@@ -148,7 +148,16 @@ type Simulator struct {
 	addrBlocks []addrBlock
 	anycast    map[netip.Addr][]*Node
 
-	met       *simMetrics
+	// reg holds the engine's families (metrics.go); the coordinator counts
+	// epochs and the ordered shard pairs its barriers drained / never had
+	// to visit, and times each epoch.
+	reg                             *obs.Registry
+	epochs, mailDrained, mailSilent uint64
+	epochWall                       *obs.Histogram
+	// Every attached FluidFlow, and every DeliveryCount's per-shard
+	// counts: what the netem_fluid_* and fanout families sum.
+	fluids    []*FluidFlow
+	tallied   []*paddedCount
 	flight    *obs.FlightRecorder
 	onBarrier []func(now time.Time)
 
@@ -166,8 +175,9 @@ func NewSimulator(start time.Time, seed int64) *Simulator {
 		nodes:     make(map[string]*Node),
 		byAddr:    make(map[netip.Addr]*Node),
 		anycast:   make(map[netip.Addr][]*Node),
-		met:       newSimMetrics(),
+		reg:       obs.NewRegistry(),
 	}
+	s.registerMetrics()
 	s.shards = []*shard{newShard(s, 0, s.committed)}
 	return s
 }
@@ -200,20 +210,27 @@ func (s *Simulator) Now() time.Time { return s.timeAt(s.now()) }
 func (s *Simulator) Rand() *rand.Rand { return s.shards[0].rng }
 
 // Forwarded reports router forwarding decisions (one per transit hop).
-func (s *Simulator) Forwarded() uint64 { return s.met.forwarded.Value() }
+func (s *Simulator) Forwarded() uint64 {
+	return sum(s.shards, func(sh *shard) *uint64 { return &sh.nForwarded })
+}
 
 // Dropped reports the number of packets dropped anywhere in the network.
-func (s *Simulator) Dropped() uint64 { return s.met.dropped.Value() }
+func (s *Simulator) Dropped() uint64 {
+	return sum(s.shards, func(sh *shard) *uint64 { return &sh.nDropped })
+}
 
 // EventsProcessed reports how many events the loop has run; with wall
 // time it yields the sim-events/sec figure the scale experiments report.
-func (s *Simulator) EventsProcessed() uint64 { return s.met.events.Value() }
+func (s *Simulator) EventsProcessed() uint64 {
+	return sum(s.shards, func(sh *shard) *uint64 { return &sh.nEvents })
+}
 
 // QueuePushes reports how many event pushes a per-delay lane took and
-// how many fell back to the heap, across all shards (a thin read over
+// how many fell back to the heap, across all shards (the values of
 // netem_queue_pushes_total) — the share the event queue's speed rests on.
 func (s *Simulator) QueuePushes() (lane, heap uint64) {
-	return s.met.lanePush.Value(), s.met.heapPush.Value()
+	return sum(s.shards, func(sh *shard) *uint64 { return &sh.events.inLane }),
+		sum(s.shards, func(sh *shard) *uint64 { return &sh.events.inHeap })
 }
 
 // Schedule runs fn after d of virtual time on shard 0 (the whole

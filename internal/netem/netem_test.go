@@ -91,7 +91,7 @@ func TestDirectLinkDelivery(t *testing.T) {
 	if want := simStart.Add(5 * time.Millisecond); !deliveredAt.Equal(want) {
 		t.Errorf("delivered at %v, want %v", deliveredAt, want)
 	}
-	if got := s.met.delivered.Value(); got != 1 {
+	if got := family(s, "netem_delivered_packets_total"); got != 1 {
 		t.Errorf("netem_delivered_packets_total = %d", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if n != 3 {
 		t.Errorf("delivered %d, want 3", n)
 	}
-	if dropped := s.met.linkQDrop.Value(); dropped != 3 {
+	if dropped := family(s, "netem_link_queue_drops_total"); dropped != 3 {
 		t.Errorf("queue drops = %d, want 3", dropped)
 	}
 	if s.Dropped() != 3 {

@@ -1,10 +1,6 @@
 package netem
 
-import (
-	"fmt"
-
-	"netneutral/internal/obs"
-)
+import "fmt"
 
 // Packet is a pooled, refcounted packet buffer. One Packet travels the
 // whole emulated path — origination, link queues, transit hooks, local
@@ -110,24 +106,24 @@ type packetPool struct {
 	homebound [][]*Packet
 	debug     bool
 
-	// Registry stripes (netem_pool_* families), owned by this pool's
-	// shard; set by simMetrics.attachShard before any checkout.
-	allocated *obs.Counter // buffers ever created
-	gets      *obs.Counter // checkouts (hits + misses)
+	// Counts behind the netem_pool_* families, written by this pool's
+	// shard.
+	allocated uint64 // buffers ever created
+	gets      uint64 // checkouts (hits + misses)
 }
 
 const poisonByte = 0xDD
 
 // get returns a packet with an n-byte Pkt window, contents undefined.
 func (pp *packetPool) get(n int) *Packet {
-	pp.gets.Inc()
+	pp.gets++
 	var p *Packet
 	if k := len(pp.free); k > 0 {
 		p = pp.free[k-1]
 		pp.free = pp.free[:k-1]
 		p.pool = pp // may still point at the shard of its last journey
 	} else {
-		pp.allocated.Inc()
+		pp.allocated++
 		p = &Packet{pool: pp, home: pp}
 	}
 	if cap(p.buf) < n {
@@ -180,9 +176,9 @@ func (s *Simulator) SetPoolDebug(on bool) {
 }
 
 // PoolStats reports how many packet buffers were ever allocated versus
-// checked out across all shard pools (a thin read over the
-// netem_pool_* registry families); a steady-state run re-checks out the
-// same few buffers.
+// checked out across all shard pools (the values of the netem_pool_*
+// families); a steady-state run re-checks out the same few buffers.
 func (s *Simulator) PoolStats() (allocated, gets uint64) {
-	return s.met.poolAlloc.Value(), s.met.poolGets.Value()
+	return sum(s.shards, func(sh *shard) *uint64 { return &sh.pool.allocated }),
+		sum(s.shards, func(sh *shard) *uint64 { return &sh.pool.gets })
 }

@@ -173,7 +173,7 @@ func TestSetQueueTransfersWaitingPackets(t *testing.T) {
 	if n != 3 {
 		t.Errorf("delivered %d, want 3 (1 in flight + 2 transferred)", n)
 	}
-	if dropped := s.met.linkQDrop.Value(); dropped != 3 {
+	if dropped := family(s, "netem_link_queue_drops_total"); dropped != 3 {
 		t.Errorf("queue drops = %d, want 3", dropped)
 	}
 	// No leak: every checked-out buffer came back to the pool.

@@ -66,7 +66,6 @@ func (s *Simulator) refreshPlan() {
 			}
 		}
 	}
-	s.met.lookahead.Set(int64(s.lookahead))
 }
 
 // runLimit is the engine behind Run/RunFor: it executes events with
@@ -111,10 +110,10 @@ func (s *Simulator) runLimit(limit int64) {
 		if drained > 0 {
 			s.runPhase(w, phaseMerge, 0)
 		}
-		s.met.mailDrained.Add(uint64(drained))
-		s.met.mailSilent.Add(uint64(len(s.shards)*(len(s.shards)-1) - drained))
-		s.met.epochs.Inc()
-		s.met.epochWall.ObserveDuration(time.Since(epochStart))
+		s.mailDrained += uint64(drained)
+		s.mailSilent += uint64(len(s.shards)*(len(s.shards)-1) - drained)
+		s.epochs++
+		s.epochWall.ObserveDuration(time.Since(epochStart))
 		// Observation piggybacks on the barrier that already exists:
 		// committed (the window start) is the deterministic virtual
 		// timestamp of this epoch. An unbounded window has no barrier of
@@ -234,7 +233,7 @@ func (sh *shard) runWindow(last int64, max int) int {
 			break
 		}
 		sh.now = ev.at
-		sh.mEvents.Inc()
+		sh.nEvents++
 		sh.dispatchEvent(&ev)
 		n++
 	}

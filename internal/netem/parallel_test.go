@@ -145,7 +145,7 @@ func runParWorld(t testing.TB, seed int64, workers int) *parWorldResult {
 		t.Fatalf("ring evicted %d events; grow RingSize so the stream stays complete", ev)
 	}
 	res.trace = fr.Events()
-	res.delivered = sim.met.delivered.Value()
+	res.delivered = family(sim, "netem_delivered_packets_total")
 	res.forwarded = sim.Forwarded()
 	res.dropped = sim.Dropped()
 	res.events = sim.EventsProcessed()
@@ -294,7 +294,7 @@ func TestBarrierDrainsOnlyTouchedPairs(t *testing.T) {
 				sim.Run()
 			}
 			round()
-			if e, d, s := sim.met.epochs.Value(), sim.met.mailDrained.Value(), sim.met.mailSilent.Value(); e != 2 || d != 12 || s != 48 {
+			if e, d, s := family(sim, "netem_epochs_total"), family(sim, `netem_barrier_mailboxes_total{state="drained"}`), family(sim, `netem_barrier_mailboxes_total{state="silent"}`); e != 2 || d != 12 || s != 48 {
 				t.Errorf("epochs=%d drained=%d silent=%d, want 2, 12 (6 pairs by event, 6 by buffer), 48", e, d, s)
 			}
 			want := func(senders ...byte) []byte {

@@ -51,19 +51,13 @@ type shard struct {
 	// mergeBuf is scratch for the deterministic incoming merge.
 	mergeBuf []remoteEvent
 
-	// Write stripes of the simulator's metric registry (see metrics.go):
-	// per-shard, cache-line padded, plain increments — the shard is the
-	// single writer, merged only at read time.
-	mEvents    *obs.Counter
-	mDelivered *obs.Counter
-	mForwarded *obs.Counter
-	mDropped   *obs.Counter
-	mLinkTx    *obs.Counter
-	mLinkQDrop *obs.Counter
-	gHeap      *obs.Gauge
-	gPoolFree  *obs.Gauge
+	// The shard's engine counts (see metrics.go): plain increments, the
+	// shard is their one writer; the registry's families sum them at
+	// read time.
+	nEvents, nDelivered, nForwarded, nDropped uint64
+	nLinkTx, nLinkQDrop                       uint64
 	// Serializations started with the packet in hand / from a queue.
-	mStartDirect, mStartQueued *obs.Counter
+	nStartDirect, nStartQueued uint64
 	// flight is the shard's flight-recorder stripe, nil unless attached.
 	flight *obs.FlightStripe
 
@@ -114,7 +108,6 @@ func newShard(s *Simulator, id int, now int64) *shard {
 		rng: rand.New(rand.NewSource(shardSeed(s.seed, id)))}
 	sh.pool.owner = sh
 	sh.pool.debug = s.poolDebug
-	s.met.attachShard(sh)
 	if s.flight != nil {
 		sh.flight = s.flight.Stripe(id)
 	}
@@ -252,11 +245,11 @@ func (sh *shard) stampJourney(p *Packet) {
 func (sh *shard) emit(kind TraceKind, node *Node, p *Packet) {
 	switch {
 	case kind == TraceDeliver:
-		sh.mDelivered.Inc()
+		sh.nDelivered++
 	case kind == TraceForward:
-		sh.mForwarded.Inc()
+		sh.nForwarded++
 	case kind >= TraceDropQueue:
-		sh.mDropped.Inc()
+		sh.nDropped++
 	}
 	// Deterministic head sampling on the shard's own event sequence; the
 	// flow hash is only computed when the event is sampled or per-flow

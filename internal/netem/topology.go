@@ -1,8 +1,6 @@
 package netem
 
 import (
-	"netneutral/internal/obs"
-
 	"fmt"
 	"net/netip"
 	"time"
@@ -271,42 +269,49 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	return f, nil
 }
 
-// DeliveryCount tallies customer-host deliveries. Counts live on the
-// simulator's metric registry (family netem_fanout_delivered_packets_total)
-// as one cache-line-padded stripe per shard, so hosts on different
-// shards never write the same word during a parallel run.
+// DeliveryCount tallies customer-host deliveries: one count per shard,
+// each on its own cache line, so hosts on different shards never write
+// the same line during a parallel run. The simulator's
+// netem_fanout_delivered_packets_total family sums every tally.
 type DeliveryCount struct {
-	counts []*obs.Counter
+	counts []*paddedCount
 }
 
-// Total sums the per-shard tallies; call it after (or between) runs.
-func (d *DeliveryCount) Total() uint64 {
-	var t uint64
-	for _, c := range d.counts {
-		t += c.Value()
-	}
-	return t
+// paddedCount is a count alone on its cache line.
+type paddedCount struct {
+	n uint64
+	_ [56]byte
 }
+
+func (c *paddedCount) count() *uint64 { return &c.n }
+
+// Total sums the per-shard tallies; call it after (or between) runs.
+func (d *DeliveryCount) Total() uint64 { return sum(d.counts, (*paddedCount).count) }
 
 // CountDeliveries installs one shared counting handler per shard on
 // every customer host and returns the tally: the standard measure wiring
 // for scale experiments, where per-host closures would cost N
 // allocations — and where one shared counter would be a data race across
-// shards. Each call appends fresh registry stripes, so Total counts only
-// this tally's deliveries even if the family is shared.
+// shards. Each call makes a fresh tally, so Total counts only its own
+// deliveries; the registry family counts every tally's.
 func (f *Fanout) CountDeliveries() *DeliveryCount {
-	vec := f.Sim.Metrics().Counter("netem_fanout_delivered_packets_total",
-		"Customer-host deliveries counted by Fanout.CountDeliveries.")
-	d := &DeliveryCount{counts: make([]*obs.Counter, f.Sim.ShardCount())}
+	s := f.Sim
+	d := &DeliveryCount{counts: make([]*paddedCount, s.ShardCount())}
 	for i := range d.counts {
-		d.counts[i] = vec.NewStripe()
+		d.counts[i] = new(paddedCount)
 	}
-	handlers := make([]Handler, f.Sim.ShardCount())
+	// The family sums every tally; the first call registers it
+	// (get-or-create ignores the later ones).
+	s.tallied = append(s.tallied, d.counts...)
+	s.reg.CounterFunc("netem_fanout_delivered_packets_total",
+		"Customer-host deliveries counted by Fanout.CountDeliveries.",
+		func() uint64 { return sum(s.tallied, (*paddedCount).count) })
+	handlers := make([]Handler, s.ShardCount())
 	for _, host := range f.Hosts {
 		id := host.ShardID()
 		if handlers[id] == nil {
 			c := d.counts[id]
-			handlers[id] = func(time.Time, []byte) { c.Inc() }
+			handlers[id] = func(time.Time, []byte) { c.n++ }
 		}
 		host.SetHandler(handlers[id])
 	}

@@ -140,8 +140,8 @@ func (f *FlightRecorder) Stripe(i int) *FlightStripe {
 	return f.stripes[i]
 }
 
-// FlightStripe is one shard's ring. Single-writer, like a Counter
-// stripe: only the owning shard records into it during a run.
+// FlightStripe is one shard's ring. Single-writer: only the owning
+// shard records into it during a run.
 type FlightStripe struct {
 	fr     *FlightRecorder
 	shard  int32

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // nanoseconds or bytes) mapped to buckets of geometrically growing
 // width: values below 16 get exact buckets, and every octave above that
 // is split into 8 sub-buckets, bounding the relative quantile error at
-// 12.5% while keeping the whole stripe a flat array — Observe is a
+// 12.5% while keeping the whole histogram a flat array — Observe is a
 // bounds-checked pair of increments, zero allocations, no atomics.
 
 // histBuckets covers the full uint64 range at 8 sub-buckets per octave:
@@ -39,16 +38,17 @@ func bucketBounds(i int) (lo, hi uint64) {
 	return lo, lo + width - 1
 }
 
-// HistStripe is one write stripe of a histogram family: single-writer,
-// like Counter. The stripe is ~4KB, so padding between stripes is moot.
-type HistStripe struct {
+// Histogram is a histogram family's storage. It has a single writer,
+// which updates it with plain field ops; Snap reads it with atomic loads,
+// exact when the writer is quiescent.
+type Histogram struct {
 	count   uint64
 	sum     uint64
 	buckets [histBuckets]uint64
 }
 
 // Observe records a value (negative values clamp to zero).
-func (h *HistStripe) Observe(v int64) {
+func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
@@ -58,27 +58,10 @@ func (h *HistStripe) Observe(v int64) {
 }
 
 // ObserveDuration records a duration in nanoseconds.
-func (h *HistStripe) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// HistogramVec is a histogram family of single-writer stripes.
-type HistogramVec struct {
-	fam     *family
-	mu      sync.Mutex
-	stripes []*HistStripe
-}
-
-// Stripe returns stripe i, growing the family as needed.
-func (v *HistogramVec) Stripe(i int) *HistStripe {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for len(v.stripes) <= i {
-		v.stripes = append(v.stripes, &HistStripe{})
-	}
-	return v.stripes[i]
-}
-
-// HistSnap is a merged histogram: dense buckets plus precomputed
-// summary quantiles (the log-bucket transform bounds their relative
+// HistSnap is a histogram read at one instant: dense buckets plus
+// precomputed summary quantiles (the log-bucket transform bounds their relative
 // error at 12.5%).
 type HistSnap struct {
 	Count uint64  `json:"count"`
@@ -86,24 +69,17 @@ type HistSnap struct {
 	P50   float64 `json:"p50"`
 	P95   float64 `json:"p95"`
 	P99   float64 `json:"p99"`
-	// Buckets is the dense merged bucket array (internal resolution;
+	// Buckets is the dense bucket array (internal resolution;
 	// the Prometheus writer renders it cumulatively).
 	Buckets []uint64 `json:"-"`
 }
 
-// Snap merges the family's stripes (atomic loads; exact at quiescence).
-func (v *HistogramVec) Snap() *HistSnap {
-	v.mu.Lock()
-	stripes := make([]*HistStripe, len(v.stripes))
-	copy(stripes, v.stripes)
-	v.mu.Unlock()
-	s := &HistSnap{Buckets: make([]uint64, histBuckets)}
-	for _, h := range stripes {
-		s.Count += atomic.LoadUint64(&h.count)
-		s.Sum += atomic.LoadUint64(&h.sum)
-		for i := range h.buckets {
-			s.Buckets[i] += atomic.LoadUint64(&h.buckets[i])
-		}
+// Snap reads the histogram (atomic loads; exact at quiescence).
+func (h *Histogram) Snap() *HistSnap {
+	s := &HistSnap{Count: atomic.LoadUint64(&h.count), Sum: atomic.LoadUint64(&h.sum),
+		Buckets: make([]uint64, histBuckets)}
+	for i := range h.buckets {
+		s.Buckets[i] = atomic.LoadUint64(&h.buckets[i])
 	}
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
@@ -111,7 +87,7 @@ func (v *HistogramVec) Snap() *HistSnap {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the merged
+// Quantile estimates the q-quantile (0 < q <= 1) from the
 // buckets: nearest-rank walk, answering the midpoint of the covering
 // bucket (exact for values below 16).
 func (s *HistSnap) Quantile(q float64) float64 {

@@ -9,7 +9,7 @@ import (
 
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_h_total", "help").Stripe(0).Add(11)
+	r.CounterFunc("test_h_total", "help", func() uint64 { return 11 })
 	fr := NewFlightRecorder(FlightConfig{SampleEvery: 1, RingSize: 4})
 	st := fr.Stripe(0)
 	st.Sample()

@@ -6,43 +6,15 @@ import (
 	"time"
 )
 
-func TestCounterStripesMerge(t *testing.T) {
-	r := NewRegistry()
-	v := r.Counter("test_events_total", "events")
-	a, b := v.Stripe(0), v.Stripe(3)
-	a.Inc()
-	a.Add(9)
-	b.Add(90)
-	if got := v.Value(); got != 100 {
-		t.Fatalf("merged counter = %d, want 100", got)
-	}
-	if v.Stripe(0) != a {
-		t.Fatal("Stripe(0) not stable across calls")
-	}
-	if r.Counter("test_events_total", "events") != v {
-		t.Fatal("re-registration did not return the existing vec")
-	}
-}
-
-func TestGaugeStripesMerge(t *testing.T) {
-	r := NewRegistry()
-	v := r.Gauge("test_depth", "depth")
-	v.Stripe(0).Set(7)
-	v.Stripe(1).Set(3)
-	if got := v.Value(); got != 10 {
-		t.Fatalf("merged gauge = %d, want 10", got)
-	}
-}
-
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_x", "")
+	r.CounterFunc("test_x", "", func() uint64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("test_x", "")
+	r.GaugeFunc("test_x", "", func() float64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -52,7 +24,7 @@ func TestInvalidNamePanics(t *testing.T) {
 			t.Fatal("invalid metric name did not panic")
 		}
 	}()
-	r.Counter("bad name", "")
+	r.CounterFunc("bad name", "", func() uint64 { return 0 })
 }
 
 func TestBucketMonotoneAndInvertible(t *testing.T) {
@@ -89,11 +61,10 @@ func TestBucketMonotoneAndInvertible(t *testing.T) {
 func TestHistogramQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_delay_ns", "")
-	st := h.Stripe(0)
 	// Uniform 1..10000: p50 ≈ 5000, p95 ≈ 9500, p99 ≈ 9900, each
 	// within the log-bucket's 12.5% relative error.
 	for v := int64(1); v <= 10000; v++ {
-		st.Observe(v)
+		h.Observe(v)
 	}
 	s := h.Snap()
 	if s.Count != 10000 {
@@ -112,36 +83,24 @@ func TestHistogramQuantiles(t *testing.T) {
 	if s.Count != 10000 || s.Sum != 10000*10001/2 {
 		t.Errorf("count %d, sum %d, want 10000 and %d (exact)", s.Count, s.Sum, 10000*10001/2)
 	}
-	// Small values are exact.
-	st2 := r.Histogram("test_small_ns", "").Stripe(0)
+	// Small values are exact, and registration is get-or-create.
+	small := r.Histogram("test_small_ns", "")
 	for i := 0; i < 100; i++ {
-		st2.Observe(7)
+		small.ObserveDuration(7 * time.Nanosecond)
 	}
 	if got := r.Histogram("test_small_ns", "").Snap().Quantile(0.5); got != 7 {
 		t.Errorf("exact small-bucket quantile = %v, want 7", got)
 	}
 }
 
-func TestHistogramStripesMerge(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_merge_ns", "")
-	h.Stripe(0).Observe(10)
-	h.Stripe(1).Observe(10)
-	h.Stripe(1).ObserveDuration(20 * time.Nanosecond)
-	s := h.Snap()
-	if s.Count != 3 || s.Sum != 40 {
-		t.Fatalf("merged hist count=%d sum=%d, want 3/40", s.Count, s.Sum)
-	}
-}
-
 func TestSnapshotAndVolatile(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_a_total", "a").Stripe(0).Add(5)
+	r.Histogram("test_a_ns", "a").Observe(5)
 	r.GaugeFunc("test_wall", "w", func() float64 { return 1 }, Volatile())
 	r.CounterFunc("test_fn_total", "f", func() uint64 { return 42 })
 	live := r.Snapshot()
-	if m := live.Get("test_a_total"); m == nil || m.Value != 5 {
-		t.Fatalf("snapshot missing test_a_total=5: %+v", m)
+	if m := live.Get("test_a_ns"); m == nil || m.Value != 1 || m.Hist.Sum != 5 {
+		t.Fatalf("snapshot missing test_a_ns with one observation of 5: %+v", m)
 	}
 	if m := live.Get("test_fn_total"); m == nil || m.Value != 42 {
 		t.Fatalf("snapshot missing func counter: %+v", m)
@@ -160,12 +119,13 @@ func TestSnapshotAndVolatile(t *testing.T) {
 
 func TestRecorderRingsAndInterval(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ticks_total", "").Stripe(0)
+	var c uint64
+	r.CounterFunc("test_ticks_total", "", func() uint64 { return c })
 	rec := NewRecorder(r)
 	const samples = ringSize + 10
 	const step = int64(sampleInterval / 2)
 	for now := int64(0); now < samples*int64(sampleInterval); now += step {
-		c.Inc()
+		c++
 		rec.Tick(now)
 	}
 	// Ticks every half interval: every other tick is gated.
@@ -192,7 +152,7 @@ func TestRecorderRingsAndInterval(t *testing.T) {
 
 func TestRecorderHistogramSeries(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_h_ns", "").Stripe(0)
+	h := r.Histogram("test_h_ns", "")
 	rec := NewRecorder(r)
 	h.Observe(100)
 	rec.Tick(1)
@@ -256,10 +216,10 @@ func TestFlightRecorderRingBoundAndMerge(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`test_seen_total{class="voip"}`, "per-class").Stripe(0).Add(3)
-	r.Counter(`test_seen_total{class="bulk"}`, "per-class").Stripe(0).Add(4)
-	r.Gauge("test_depth", "queue depth").Stripe(0).Set(-2)
-	r.Histogram("test_lat_ns", "latency").Stripe(0).Observe(20)
+	r.CounterFunc(`test_seen_total{class="voip"}`, "per-class", func() uint64 { return 3 })
+	r.CounterFunc(`test_seen_total{class="bulk"}`, "per-class", func() uint64 { return 4 })
+	r.GaugeFunc("test_depth", "queue depth", func() float64 { return -2 })
+	r.Histogram("test_lat_ns", "latency").Observe(20)
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, r.Snapshot()); err != nil {
 		t.Fatal(err)
@@ -289,15 +249,10 @@ func TestZeroAllocHotPath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	r := NewRegistry()
-	c := r.Counter("test_alloc_total", "").Stripe(0)
-	g := r.Gauge("test_alloc_depth", "").Stripe(0)
-	h := r.Histogram("test_alloc_ns", "").Stripe(0)
+	h := NewRegistry().Histogram("test_alloc_ns", "")
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
-		g.Set(5)
 		h.Observe(123456)
+		h.ObserveDuration(time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v per op, want 0", n)
 	}

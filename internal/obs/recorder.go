@@ -14,10 +14,10 @@ import (
 // sampled values are pure functions of deterministic sim state, so a
 // seeded run's rings are bit-identical at any worker count.
 //
-// For live export while a deterministic (plain-stripe) sim is running,
-// the recorder can additionally publish a merged Snapshot at each tick
-// behind an atomic pointer (PublishSnapshots turns it on): a read-side
-// convenience that does not feed back into the sim.
+// For live export while a deterministic sim is running, the recorder
+// can additionally publish a Snapshot at each tick behind an atomic
+// pointer (PublishSnapshots turns it on): a read-side convenience that
+// does not feed back into the sim.
 type Recorder struct {
 	reg *Registry
 
@@ -144,9 +144,10 @@ func (r *Recorder) Series() []*Series {
 }
 
 // Snapshot implements Source: the last published snapshot if publishing
-// is on, else a live merge of the registry. Mid-run scrapes of a plain-
-// stripe sim should come from published snapshots (barrier-consistent);
-// the live fallback serves the post-run and pre-run cases.
+// is on, else a live read of the registry. Mid-run scrapes of a sim,
+// whose counts are plain fields, should come from published snapshots
+// (barrier-consistent); the live fallback serves the post-run and
+// pre-run cases.
 func (r *Recorder) Snapshot() *Snapshot {
 	if s := r.latest.Load(); s != nil {
 		return s

@@ -1,6 +1,14 @@
 package main
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -46,4 +54,130 @@ func TestCheckFixture(t *testing.T) {
 	if !ok {
 		t.Errorf("check(testdata/mod) printed\n%swant\n%v", strings.Join(got, ""), want)
 	}
+}
+
+// citedTest matches a test, fuzz target or benchmark name as go test
+// would declare it: the prefix, then no lowercase letter.
+var citedTest = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+
+// TestCitedTestsExist checks that every Test…, Fuzz… or Benchmark… name
+// the module's docs cite is a declared test function, or a prefix of one
+// (a -run pattern such as TestTrace|TestSendPacketProc). It reads the
+// backticked spans of README.md and the verify skill, and the // comments
+// of non-test Go outside benchmark/ (whose README documents its own
+// harness). A name non-test code declares (measure.TestResult) is code,
+// not a citation.
+func TestCitedTestsExist(t *testing.T) {
+	const root = "../.."
+	var declared []string
+	code := map[string]bool{}     // identifiers non-test Go declares
+	cite := map[string][]string{} // name -> where cited
+	cites := func(text, where string) {
+		for _, name := range citedTest.FindAllString(text, -1) {
+			cite[name] = append(cite[name], where)
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		if d.IsDir() {
+			if name := d.Name(); rel != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		isTest := strings.HasSuffix(p, "_test.go")
+		if !strings.HasSuffix(p, ".go") || (!isTest && strings.HasPrefix(rel, "benchmark"+string(filepath.Separator))) {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if isTest {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && citedTest.MatchString(fn.Name.Name) {
+					declared = append(declared, fn.Name.Name)
+				}
+			}
+			return nil
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				code[decl.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						code[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							code[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		for _, g := range f.Comments {
+			for _, c := range g.List {
+				if strings.HasPrefix(c.Text, "//") {
+					cites(c.Text, fset.Position(c.Pos()).String())
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range backticked(string(b)) {
+			cites(span, doc)
+		}
+	}
+	if len(declared) == 0 || len(cite) == 0 {
+		t.Fatalf("found %d declared tests and %d citations: wrong root?", len(declared), len(cite))
+	}
+	names := make([]string, 0, len(cite))
+	for name := range cite {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if code[name] {
+			continue
+		}
+		found := false
+		for _, d := range declared {
+			if strings.HasPrefix(d, name) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("%s cites %s, which names no declared test", strings.Join(cite[name], ", "), name)
+		}
+	}
+}
+
+// backticked returns the code spans of a Markdown text: the bodies of
+// fenced blocks, then the inline spans (which may wrap lines) between them.
+func backticked(md string) []string {
+	var spans []string
+	fence := regexp.MustCompile("(?s)```.*?```")
+	for _, block := range fence.FindAllString(md, -1) {
+		spans = append(spans, block)
+	}
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(fence.ReplaceAllString(md, ""), -1) {
+		spans = append(spans, m[1])
+	}
+	return spans
 }
