@@ -1,256 +1,137 @@
 package netem
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"net/netip"
 	"slices"
 )
 
-// route is one installed prefix route; the node's route list is the
-// source of truth and is compiled into the indexed FIB on demand.
+// route is one longest-prefix route.
 type route struct {
 	prefix netip.Prefix
 	link   *Link
 }
 
-// blockRoute is a prefix-compressed set of host-specificity routes
-// covering the contiguous IPv4 range [first, first+n): either one link
-// for the whole range (AddRangeRoute — a border router's per-edge
-// aggregate) or one link per offset (AddBlockRoute — an edge router's
-// per-host fan-out). One blockRoute replaces n map entries, which is
-// what lets border and edge FIBs stay flat at a million hosts.
-type blockRoute struct {
+// hostRoute is a run of host-specificity routes covering the contiguous
+// IPv4 range [first, first+n): one link for the whole range (a single
+// AddRoute /32, or AddRangeRoute — a border router's per-edge aggregate)
+// or one link per offset (AddBlockRoute — an edge router's per-host
+// fan-out). One entry stands for n host routes, which is what lets
+// border and edge FIBs stay flat at a million hosts.
+type hostRoute struct {
 	first uint32
 	n     uint32
 	link  *Link   // whole-range link (range form; nil in block form)
 	links []*Link // per-offset links (block form; nil in range form)
 }
 
-func (b *blockRoute) contains(v uint32) bool { return v-b.first < b.n }
-
-func (b *blockRoute) lookup(v uint32) *Link {
-	if b.links != nil {
-		return b.links[v-b.first]
-	}
-	return b.link
-}
-
-// fib is a node's compiled forwarding table, probed in specificity
-// order: an exact-match map for individually installed host (/32, /128)
-// routes, then the block/range routes at host specificity (binary search
-// over ranges sorted by first address; overlapping blocks resolve to the
-// earliest installed), then a short table of broader prefixes sorted by
-// descending length for longest-prefix match. Compiled lazily after any
-// route change.
+// fib is a node's forwarding table. Routes are installed straight into
+// it: host routes, which must be disjoint, and broader prefixes. The
+// first lookup after a change sorts both in place — host routes by first
+// address, prefixes stably by descending length, so equal lengths keep
+// install order — and a lookup is a binary search for the host route
+// covering dst, then a longest-prefix scan. Node must not grow
+// (TestNodeSize): a million leaf hosts carry one each.
 type fib struct {
-	hosts  map[netip.Addr]*Link // nil when no single-IP routes exist
-	blocks []compiledBlock      // sorted by first address, ascending
-	maxEnd []uint32             // maxEnd[i] = max over blocks[:i+1] of first+n
-	// prefixes may alias the node's route list when no reordering or
-	// filtering was needed (the leaf-host case: one default route), so
-	// compiling a million leaf FIBs allocates nothing.
+	hosts    []hostRoute
 	prefixes []route
 	dirty    bool
-	anycast  bool // member of an anycast group; in dirty's padding, as Node must not grow
+	anycast  bool // member of an anycast group; in dirty's padding
 }
 
-type compiledBlock struct {
-	blockRoute
-	idx int32 // install order: the earliest-installed overlapping block wins
-}
-
-// AddRoute installs a static prefix route through the given link.
+// AddRoute installs a static prefix route through the given link. A
+// single IPv4 address is a host route and must not overlap another.
 func (n *Node) AddRoute(prefix netip.Prefix, l *Link) {
-	n.routes = append(n.routes, route{prefix: prefix, link: l})
+	if a := prefix.Addr(); a.Is4() && prefix.IsSingleIP() {
+		n.fib.hosts = append(n.fib.hosts, hostRoute{first: ipv4ToUint(a), n: 1, link: l})
+	} else {
+		n.fib.prefixes = append(n.fib.prefixes, route{prefix: prefix, link: l})
+	}
 	n.fib.dirty = true
 }
 
-// AddRangeRoute installs host-specificity routes for the n consecutive
-// IPv4 addresses [first, first+n), all via link l, as one compressed
-// entry — how a border router holds one route per edge-router block
-// instead of one per customer. Range routes match like /32 routes: more
-// specific than any prefix route, less specific than an exact AddRoute
-// /32; overlapping ranges resolve to the earliest installed.
+// AddRangeRoute installs host routes for the n consecutive IPv4
+// addresses [first, first+n), all via link l, as one entry — how a
+// border router holds one route per edge-router block instead of one per
+// customer. Host routes are more specific than any prefix route and must
+// not overlap each other: the next lookup panics if they do.
 func (n *Node) AddRangeRoute(first netip.Addr, count int, l *Link) error {
-	b, err := makeBlock(first, count)
-	if err != nil {
-		return err
-	}
-	b.link = l
-	n.blocks = append(n.blocks, b)
-	n.fib.dirty = true
-	return nil
+	return n.addHostRoute(first, count, l, nil)
 }
 
-// AddBlockRoute installs host-specificity routes for the len(links)
-// consecutive IPv4 addresses starting at first, where address first+i
-// routes via links[i] — an edge router's whole customer fan-out as one
-// flat offset-indexed array instead of a map entry per host. Matching
-// semantics are those of AddRangeRoute. The links slice is retained.
+// AddBlockRoute installs host routes for the len(links) consecutive IPv4
+// addresses starting at first, where address first+i routes via
+// links[i] — an edge router's whole customer fan-out as one flat
+// offset-indexed array. Matching is that of AddRangeRoute. The links
+// slice is retained.
 func (n *Node) AddBlockRoute(first netip.Addr, links []*Link) error {
-	b, err := makeBlock(first, len(links))
-	if err != nil {
-		return err
-	}
-	b.links = links
-	n.blocks = append(n.blocks, b)
-	n.fib.dirty = true
-	return nil
+	return n.addHostRoute(first, len(links), nil, links)
 }
 
-func makeBlock(first netip.Addr, count int) (blockRoute, error) {
+func (n *Node) addHostRoute(first netip.Addr, count int, l *Link, links []*Link) error {
 	if !first.Is4() {
-		return blockRoute{}, fmt.Errorf("netem: block route base %v is not IPv4", first)
+		return fmt.Errorf("netem: block route base %v is not IPv4", first)
 	}
 	v := ipv4ToUint(first)
 	if count <= 0 || uint64(v)+uint64(count) > 1<<32 {
-		return blockRoute{}, fmt.Errorf("netem: block route [%v +%d) is empty or wraps the address space", first, count)
+		return fmt.Errorf("netem: block route [%v +%d) is empty or wraps the address space", first, count)
 	}
-	return blockRoute{first: v, n: uint32(count)}, nil
+	n.fib.hosts = append(n.fib.hosts, hostRoute{first: v, n: uint32(count), link: l, links: links})
+	n.fib.dirty = true
+	return nil
 }
 
-// ClearRoutes removes every installed route, block routes included.
+// ClearRoutes removes every installed route.
 func (n *Node) ClearRoutes() {
-	n.routes = n.routes[:0]
-	n.blocks = n.blocks[:0]
+	n.fib.hosts = n.fib.hosts[:0]
+	n.fib.prefixes = n.fib.prefixes[:0]
 	n.fib.dirty = true
 }
 
-// compileFIB rebuilds the indexed FIB from the route and block lists.
-// Ties between equal-length prefixes resolve to the earliest-installed
-// route, matching the historical linear scan (which only replaced on
-// strictly longer).
-func (n *Node) compileFIB() {
+// sortFIB sorts both route lists in place and panics on overlapping host
+// routes, naming the node and both ranges.
+func (n *Node) sortFIB() {
 	f := &n.fib
-	singles := 0
-	for i := range n.routes {
-		if n.routes[i].prefix.IsSingleIP() {
-			singles++
+	slices.SortStableFunc(f.prefixes, func(a, b route) int { return b.prefix.Bits() - a.prefix.Bits() })
+	slices.SortFunc(f.hosts, func(a, b hostRoute) int { return cmp.Compare(a.first, b.first) })
+	for i := 1; i < len(f.hosts); i++ {
+		if a, b := f.hosts[i-1], f.hosts[i]; uint64(a.first)+uint64(a.n) > uint64(b.first) {
+			panic(fmt.Sprintf("netem: node %q: host routes [%v +%d) and [%v +%d) overlap",
+				n.Name, uintToIPv4(a.first), a.n, uintToIPv4(b.first), b.n))
 		}
-	}
-	if singles == 0 {
-		f.hosts = nil
-		// No filtering needed; alias the route list when it is already in
-		// descending-length order (always true for the one-default-route
-		// leaf hosts), so the common compile is allocation-free. Stable
-		// sorting an aliased list would also be correct — it only reorders
-		// entries of different lengths, which cannot change any lookup —
-		// but copying keeps the install-order list untouched.
-		if sortedByLenDesc(n.routes) {
-			f.prefixes = n.routes
-		} else {
-			f.prefixes = append(f.prefixes[:0:0], n.routes...)
-			slices.SortStableFunc(f.prefixes, func(a, b route) int {
-				return b.prefix.Bits() - a.prefix.Bits()
-			})
-		}
-	} else {
-		if f.hosts == nil {
-			f.hosts = make(map[netip.Addr]*Link, singles)
-		} else {
-			clear(f.hosts)
-		}
-		f.prefixes = f.prefixes[:0]
-		for _, r := range n.routes {
-			if r.prefix.IsSingleIP() {
-				if _, dup := f.hosts[r.prefix.Addr()]; !dup {
-					f.hosts[r.prefix.Addr()] = r.link
-				}
-				continue
-			}
-			f.prefixes = append(f.prefixes, r)
-		}
-		// Stable sort by descending prefix length: stability preserves the
-		// first-installed-wins tie-break the linear reference implements.
-		slices.SortStableFunc(f.prefixes, func(a, b route) int {
-			return b.prefix.Bits() - a.prefix.Bits()
-		})
-	}
-
-	f.blocks = f.blocks[:0]
-	f.maxEnd = f.maxEnd[:0]
-	for i := range n.blocks {
-		f.blocks = append(f.blocks, compiledBlock{blockRoute: n.blocks[i], idx: int32(i)})
-	}
-	slices.SortStableFunc(f.blocks, func(a, b compiledBlock) int {
-		switch {
-		case a.first < b.first:
-			return -1
-		case a.first > b.first:
-			return 1
-		}
-		return 0
-	})
-	var maxEnd uint64 // 64-bit: an end of 1<<32 (top of the space) must stay sticky
-	for i := range f.blocks {
-		if end := uint64(f.blocks[i].first) + uint64(f.blocks[i].n); end > maxEnd {
-			maxEnd = end
-		}
-		// Stored as uint32: 1<<32 wraps to 0, the "reaches the top" sentinel
-		// lookupBlock understands (block lengths are positive, so a genuine
-		// running max is never 0).
-		f.maxEnd = append(f.maxEnd, uint32(maxEnd))
 	}
 	f.dirty = false
 }
 
-// sortedByLenDesc reports whether the routes are already in descending
-// prefix-length order (the alias-without-copy fast path).
-func sortedByLenDesc(rs []route) bool {
-	for i := 1; i < len(rs); i++ {
-		if rs[i].prefix.Bits() > rs[i-1].prefix.Bits() {
-			return false
-		}
-	}
-	return true
-}
-
-// lookupBlock finds the host-specificity block covering v, earliest
-// installed first. Binary search lands on the last block starting at or
-// before v; the backward scan is bounded by the running maximum of block
-// ends, so with the disjoint blocks topology builders install it checks
-// exactly one candidate.
-func (f *fib) lookupBlock(v uint32) *Link {
-	// First index whose block starts strictly after v.
-	lo, hi := 0, len(f.blocks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.blocks[mid].first <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	var via *Link
-	best := int32(-1)
-	for j := lo - 1; j >= 0; j-- {
-		if end := f.maxEnd[j]; end != 0 && end <= v {
-			break // no earlier block can reach v
-		}
-		b := &f.blocks[j]
-		if b.contains(v) && (best < 0 || b.idx < best) {
-			best, via = b.idx, b.lookup(v)
-		}
-	}
-	return via
-}
-
-// lookupRoute returns the best route for dst, or nil: exact host routes,
-// then block/range routes (host specificity), then longest prefix.
+// lookupRoute returns the best route for dst, or nil: the host route
+// covering dst, else the longest matching prefix.
 func (n *Node) lookupRoute(dst netip.Addr) *Link {
 	if n.fib.dirty {
-		n.compileFIB()
+		n.sortFIB()
 	}
 	f := &n.fib
-	if f.hosts != nil {
-		if l, ok := f.hosts[dst]; ok {
-			return l
+	if len(f.hosts) > 0 && dst.Is4() {
+		v := ipv4ToUint(dst)
+		// First host route starting strictly after v; the one before it
+		// is the only candidate.
+		lo, hi := 0, len(f.hosts)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if f.hosts[mid].first <= v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-	}
-	if len(f.blocks) > 0 && dst.Is4() {
-		if l := f.lookupBlock(ipv4ToUint(dst)); l != nil {
-			return l
+		if lo > 0 {
+			if h := &f.hosts[lo-1]; v-h.first < h.n {
+				if h.links != nil {
+					return h.links[v-h.first]
+				}
+				return h.link
+			}
 		}
 	}
 	for _, r := range f.prefixes {

@@ -6,35 +6,35 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // lookupRouteLinear is the reference implementation the FIB property
 // tests assert lookupRoute against on random topologies: a linear scan
-// for the longest matching prefix, with block/range routes modelled as
-// the host routes they stand for — matched at host specificity (below
-// an exact single-IP route, above any broader prefix), earliest
-// installed first among overlapping blocks.
+// of the node's host routes for one covering dst, else of its prefixes
+// for the longest match (the earliest installed among equal lengths).
 func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
-	best := -1
-	var via *Link
-	for i := range n.routes {
-		r := &n.routes[i]
-		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
-			best = r.prefix.Bits()
-			via = r.link
-		}
-	}
-	if best == dst.BitLen() {
-		return via // exact host route outranks blocks
-	}
 	if dst.Is4() {
 		v := ipv4ToUint(dst)
-		for i := range n.blocks {
-			if b := &n.blocks[i]; b.contains(v) {
-				return b.lookup(v)
+		for _, h := range n.fib.hosts {
+			if v >= h.first && uint64(v) < uint64(h.first)+uint64(h.n) {
+				if h.links != nil {
+					return h.links[v-h.first]
+				}
+				return h.link
 			}
+		}
+	}
+	best := -1
+	var via *Link
+	for _, r := range n.fib.prefixes {
+		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
+			best, via = r.prefix.Bits(), r.link
 		}
 	}
 	return via
@@ -69,9 +69,9 @@ func randTopology(t *testing.T, rng *rand.Rand, n int) (*Simulator, []*Node) {
 }
 
 // TestFIBMatchesLinearReference: on random topologies with random extra
-// prefix routes and random (deliberately overlapping) block/range
-// routes, the indexed FIB must return exactly what the linear reference
-// scan returns, for every probe address.
+// prefix routes and random range/block routes, the indexed FIB must
+// return exactly what the linear reference scan returns, for every probe
+// address.
 func TestFIBMatchesLinearReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -95,10 +95,14 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			nd.AddRoute(p, nd.links[rng.Intn(len(nd.links))])
 		}
 
-		// Sprinkle compressed block/range routes, confined to 10.0-3.x so
-		// they overlap the node /32s, the prefixes above, and each other —
-		// the tie-breaks (exact beats block beats prefix; earliest block
-		// wins) are exactly what this must pin down.
+		// Sprinkle range/block routes in 10.0-3.x, under the prefixes
+		// above: host routes must be disjoint, so each is drawn clear of
+		// the node /32s BuildRoutes installed and of every earlier draw.
+		var taken [][2]uint64 // [lo, hi) of every host route installed anywhere
+		for _, nd := range nodes {
+			v := uint64(ipv4ToUint(nd.Addr()))
+			taken = append(taken, [2]uint64{v, v + 1})
+		}
 		for k := 0; k < 8; k++ {
 			nd := nodes[rng.Intn(n)]
 			if len(nd.links) == 0 {
@@ -106,6 +110,12 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			}
 			base := netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(256)), byte(rng.Intn(250))})
 			count := 1 + rng.Intn(600)
+			lo := uint64(ipv4ToUint(base))
+			hi := lo + uint64(count)
+			if slices.ContainsFunc(taken, func(r [2]uint64) bool { return lo < r[1] && r[0] < hi }) {
+				continue
+			}
+			taken = append(taken, [2]uint64{lo, hi})
 			if rng.Intn(2) == 0 {
 				if err := nd.AddRangeRoute(base, count, nd.links[rng.Intn(len(nd.links))]); err != nil {
 					t.Fatal(err)
@@ -121,11 +131,14 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			}
 		}
 
-		// Probes: every node address, random addresses anywhere, and
-		// random addresses in the block neighborhood.
+		// Probes: both edges of every host route (node addresses
+		// included), random addresses anywhere, and random addresses in
+		// the range neighborhood.
 		var probes []netip.Addr
-		for _, nd := range nodes {
-			probes = append(probes, nd.Addr())
+		for _, r := range taken {
+			for _, v := range []uint64{r[0] - 1, r[0], r[1] - 1, r[1]} {
+				probes = append(probes, uintToIPv4(uint32(v)))
+			}
 		}
 		for k := 0; k < 50; k++ {
 			probes = append(probes, netip.AddrFrom4([4]byte{
@@ -237,7 +250,7 @@ func refDijkstra(src *Node) map[*Node]float64 {
 }
 
 // TestFIBRecompilesAfterRouteChange: routes added after a lookup must be
-// visible (the dirty flag invalidates the compiled FIB).
+// visible (the dirty flag re-sorts the FIB on the next lookup).
 func TestFIBRecompilesAfterRouteChange(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
@@ -249,7 +262,7 @@ func TestFIBRecompilesAfterRouteChange(t *testing.T) {
 	}
 	a.AddRoute(netip.MustParsePrefix("10.9.0.0/16"), l)
 	if a.lookupRoute(dst) != l {
-		t.Fatal("route added after compile not visible")
+		t.Fatal("route added after a lookup not visible")
 	}
 	a.ClearRoutes()
 	if a.lookupRoute(dst) != nil {
@@ -260,11 +273,80 @@ func TestFIBRecompilesAfterRouteChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.lookupRoute(dst) != l {
-		t.Fatal("range route added after compile not visible")
+		t.Fatal("range route added after a lookup not visible")
 	}
 	a.ClearRoutes()
 	if a.lookupRoute(dst) != nil {
 		t.Fatal("cleared range route still resolves")
+	}
+}
+
+// TestFIBRefusesOverlappingHostRoutes: host routes must be disjoint, so
+// an overlap — partial, nested, or an exact duplicate — panics on the
+// next lookup, naming the node; ClearRoutes recovers. IPv6 single
+// addresses are not host routes: they resolve through the prefix list.
+func TestFIBRefusesOverlappingHostRoutes(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	a := s.MustAddNode("a", "", addr("10.0.0.1"))
+	b := s.MustAddNode("b", "", addr("10.0.1.1"))
+	l := s.Connect(a, b, LinkConfig{Delay: time.Millisecond})
+	for _, tc := range []struct {
+		name    string
+		install func() error
+	}{
+		{"partial overlap", func() error {
+			if err := a.AddRangeRoute(addr("10.9.0.0"), 512, l); err != nil {
+				return err
+			}
+			return a.AddRangeRoute(addr("10.9.1.0"), 512, l)
+		}},
+		{"block inside a range", func() error {
+			if err := a.AddRangeRoute(addr("10.9.0.0"), 512, l); err != nil {
+				return err
+			}
+			return a.AddBlockRoute(addr("10.9.0.16"), []*Link{l, l, l, l})
+		}},
+		{"duplicate /32", func() error {
+			a.AddRoute(netip.MustParsePrefix("10.9.0.1/32"), l)
+			a.AddRoute(netip.MustParsePrefix("10.9.0.1/32"), l)
+			return nil
+		}},
+	} {
+		a.ClearRoutes()
+		if err := tc.install(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, `node "a"`) || !strings.Contains(msg, "overlap") {
+					t.Errorf("%s: lookup recovered %q, want an overlap panic naming node a", tc.name, msg)
+				}
+			}()
+			a.lookupRoute(addr("10.9.0.1"))
+		}()
+	}
+
+	a.ClearRoutes()
+	a.AddRoute(netip.MustParsePrefix("10.9.0.1/32"), l)
+	if a.lookupRoute(addr("10.9.0.1")) != l {
+		t.Error("node does not route after ClearRoutes")
+	}
+	v6 := netip.MustParseAddr("2001:db8::1")
+	a.AddRoute(netip.PrefixFrom(v6, 128), l)
+	if a.lookupRoute(v6) != l || len(a.fib.prefixes) != 1 || len(a.fib.hosts) != 1 {
+		t.Errorf("IPv6 /128: lookup %v, %d prefixes, %d host routes; want it in the prefix list",
+			a.lookupRoute(v6) == l, len(a.fib.prefixes), len(a.fib.hosts))
+	}
+}
+
+// TestNodeSize: a million-host backbone holds a Node per host, so the
+// struct must not grow past its size when the FIB became the routes.
+func TestNodeSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("size bound is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Node{}); got > 192 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 192", got)
 	}
 }
 
@@ -291,7 +373,7 @@ func TestFIBRouteMemoryRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.lookupRoute(addr("11.0.0.5")) != l { // force FIB compilation
+	if a.lookupRoute(addr("11.0.0.5")) != l { // sorts the FIB
 		t.Fatal("range route does not resolve")
 	}
 	runtime.GC()
@@ -299,9 +381,9 @@ func TestFIBRouteMemoryRegression(t *testing.T) {
 	perRoute := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / routes
 	perAddr := perRoute / span
 	t.Logf("range routes: %.1f B/route, %.3f B/covered-address", perRoute, perAddr)
-	// Source entry (~40B) + compiled entry (~48B) + maxEnd word, with
-	// slice-growth slack: anything near the old per-/32 map cost (tens
-	// of bytes per covered address) fails loudly.
+	// One 40-byte host-route entry per route, with slice-growth slack:
+	// anything near a per-/32 map cost (tens of bytes per covered
+	// address) fails loudly.
 	if perRoute > 300 {
 		t.Errorf("range route costs %.1f B/route, want <= 300", perRoute)
 	}
@@ -310,7 +392,7 @@ func TestFIBRouteMemoryRegression(t *testing.T) {
 	}
 
 	// Every one of the 2.56M covered addresses must resolve through the
-	// compiled form; spot-check the corners and a stride.
+	// range entries; spot-check the corners and a stride.
 	for i := 0; i < routes*span; i += 4099 {
 		if a.lookupRoute(uintToIPv4(base+uint32(i))) != l {
 			t.Fatalf("covered address %d does not resolve", i)

@@ -203,7 +203,6 @@ func (l *Link) transmit(from *Node, p *Packet) {
 		return
 	}
 	sh := d.from.sh
-	p.Size = len(p.Pkt)
 	p.Arrived = sh.now
 	if d.queue == nil {
 		if !d.busy {
@@ -254,7 +253,7 @@ func (d *linkDir) startTransmission(p *Packet) {
 				rate = d.cfg.RateBps * fluidResidualFloor
 			}
 		}
-		sec := float64(p.Size*8) / rate
+		sec := float64(len(p.Pkt)*8) / rate
 		serialize = time.Duration(math.Round(sec * float64(time.Second)))
 	}
 	sh := d.from.sh

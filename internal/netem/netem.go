@@ -12,10 +12,10 @@
 // (Packet) that cross the whole path — links, transit hooks, handlers —
 // without per-hop copies. Nodes (hosts and routers) are connected by Links with
 // propagation delay, transmission rate and bounded egress queues. Each
-// node's route list is compiled into an indexed FIB (exact-match map for
-// host routes plus a longest-prefix table) the first time it is used
-// after a topology change. Routing tables are computed with Dijkstra over
-// link costs (BuildRoutes) or stamped out hierarchically by the Topology
+// node's routes are installed straight into its FIB — disjoint host
+// routes (addresses and ranges) plus a longest-prefix list, sorted in
+// place by the first lookup after a change. Routing tables are computed
+// with Dijkstra over link costs (BuildRoutes) or stamped out by the Topology
 // builder (BuildFanout); anycast groups resolve to the nearest member,
 // which is how the neutralizer's anycast address is modelled. Transit
 // hooks let middle networks (the discriminatory ISPs of package isp)
@@ -283,8 +283,6 @@ type Node struct {
 	id      int
 	addrs   []netip.Addr
 	links   []*Link
-	routes  []route
-	blocks  []blockRoute
 	fib     fib
 	handler Handler
 	hooks   []TransitHook
@@ -379,8 +377,8 @@ func (s *Simulator) AddHostBlock(domain string, first netip.Addr, n int) ([]*Nod
 			addrs:  addrSlab[i : i+1 : i+1],
 			// Full-slice caps: the host's one link and one default route
 			// append into the shared slabs instead of allocating.
-			links:  linkSlab[i : i : i+1],
-			routes: routeSlab[i : i : i+1],
+			links: linkSlab[i : i : i+1],
+			fib:   fib{prefixes: routeSlab[i : i : i+1]},
 		}
 		nodes[i] = nd
 		s.nodeList[id+i] = nd

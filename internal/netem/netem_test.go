@@ -446,9 +446,7 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestFIFOQueueBasics(t *testing.T) {
 	q := NewFIFOQueue(2)
-	p1 := &Packet{Size: 1}
-	p2 := &Packet{Size: 2}
-	p3 := &Packet{Size: 3}
+	p1, p2, p3 := &Packet{}, &Packet{}, &Packet{}
 	if !q.Enqueue(p1) || !q.Enqueue(p2) {
 		t.Fatal("enqueue within capacity failed")
 	}

@@ -22,8 +22,6 @@ type Packet struct {
 	// Pkt is the serialized IPv4 datagram: a window into the pooled
 	// backing buffer. Never append to it or store it past a callback.
 	Pkt []byte
-	// Size is len(Pkt), kept for queue disciplines.
-	Size int
 	// Arrived is when the packet entered its current egress queue
 	// (virtual time, Unix nanoseconds).
 	Arrived int64
@@ -130,7 +128,6 @@ func (pp *packetPool) get(n int) *Packet {
 		p.buf = make([]byte, n+64) // headroom to absorb jittering sizes
 	}
 	p.Pkt = p.buf[:n]
-	p.Size = n
 	p.refs = 1
 	p.attrQueue, p.attrSer, p.attrProp, p.attrPolicy, p.attrProc = 0, 0, 0, 0, 0
 	p.cause, p.class, p.journey = 0, 0, 0

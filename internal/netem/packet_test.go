@@ -221,7 +221,7 @@ func TestForwardingZeroAlloc(t *testing.T) {
 			next++
 			s.Run()
 		}
-		send() // warm the pool, the event lanes and the hub's compiled FIB
+		send() // warm the pool, the event lanes and the hub's sorted FIB
 		if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
 			t.Errorf("the first packet over a fresh idle link allocates %.1f times, want 0", allocs)
 		}
@@ -261,7 +261,7 @@ func TestForwardingZeroAlloc(t *testing.T) {
 				}
 				s.Run()
 			}
-			send() // warm the pool, the heap and the compiled FIBs
+			send() // warm the pool, the heap and the sorted FIBs
 			const runs = 200
 			if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
 				t.Errorf("forwarding a packet over 3 hops allocates %.1f times, want 0", allocs)

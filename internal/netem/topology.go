@@ -133,8 +133,8 @@ func (f *Fanout) OutsideAddr(i int) netip.Addr { return addrAt(f.OutsideNet, i) 
 // Routing is prefix-compressed: the border installs one range route per
 // edge router (the edge's contiguous slice of CustomerNet) and each edge
 // installs a single block route — a flat offset-indexed array of host
-// links — instead of a /32 map entry per customer. Route state per
-// router is O(edges), not O(hosts).
+// links — instead of a /32 route per customer. Route state per router
+// is O(edges), not O(hosts).
 func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	if spec.Hosts <= 0 {
 		return nil, fmt.Errorf("netem: fanout needs at least 1 host, got %d", spec.Hosts)

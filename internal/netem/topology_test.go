@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// routeCount is the node's installed route entries: prefix plus
-// block/range entries — a block counts once, however many addresses it
-// covers.
-func routeCount(n *Node) int { return len(n.routes) + len(n.blocks) }
+// routeCount is the node's installed route entries: prefix plus host
+// entries — a block counts once, however many addresses it covers.
+func routeCount(n *Node) int { return len(n.fib.hosts) + len(n.fib.prefixes) }
 
 func TestBuildFanoutRouting(t *testing.T) {
 	s := NewSimulator(simStart, 1)
