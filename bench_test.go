@@ -1,10 +1,13 @@
 // Benchmarks for the quantities no other harness reports. The paper's
 // evaluation numbers (§4) and the ablations are measured by the
 // experiments (`neutbench -exp E1` … `A3`, see README.md), and the
-// data-plane and engine end-to-end costs by `go run ./benchmark`; what
-// stays here are six per-unit readings without a twin in either:
+// data-plane and engine end-to-end costs by `go run ./benchmark`; six
+// per-unit readings have a twin in neither. Three are here (TraceOff,
+// SimnetUDPEcho, DPIFeatureUpdate); the three that read a reduced
+// experiment's fixture (DPIClassify, CloakFrame, AuditTrial) are in
+// internal/eval's bench_test.go:
 //
-//	go test -run '^$' -bench . -benchmem
+//	go test -run '^$' -bench . -benchmem . ./internal/eval
 //
 // A single sample on a shared host is a reading, not a regression
 // verdict.
@@ -12,14 +15,10 @@ package netneutral_test
 
 import (
 	"net/netip"
-	"sync"
 	"testing"
 	"time"
 
-	"netneutral/internal/audit"
-	"netneutral/internal/cloak"
 	"netneutral/internal/dpi"
-	"netneutral/internal/eval"
 	"netneutral/internal/netem"
 	"netneutral/internal/simnet"
 	"netneutral/internal/wire"
@@ -163,27 +162,6 @@ func BenchmarkSimnetUDPEcho(b *testing.B) {
 	}
 }
 
-// dpiBenchState lazily builds the shared DPI fixture (a trained
-// classifier, held-out labeled vectors with measured accuracy, and the
-// cloak cost) so the dpi/cloak benchmarks pay the simulation setup
-// once.
-var dpiBenchState struct {
-	once sync.Once
-	fix  *eval.DPIBench
-	err  error
-}
-
-func dpiFixture(b *testing.B) *eval.DPIBench {
-	b.Helper()
-	dpiBenchState.once.Do(func() {
-		dpiBenchState.fix, dpiBenchState.err = eval.NewDPIBench()
-	})
-	if dpiBenchState.err != nil {
-		b.Fatal(dpiBenchState.err)
-	}
-	return dpiBenchState.fix
-}
-
 // BenchmarkDPIFeatureUpdate measures the statistical adversary's
 // per-packet cost: one flow-table Observe (map lookup + windowed
 // feature arithmetic) per op. This path runs inside a transit hook on
@@ -206,85 +184,4 @@ func BenchmarkDPIFeatureUpdate(b *testing.B) {
 	}
 	b.StopTimer()
 	reportKpps(b, 1)
-}
-
-// BenchmarkDPIClassify measures one flow classification (feature
-// vector against all trained profiles) and reports the classifier's
-// held-out accuracy on encrypted-but-uncloaked app traffic as the
-// "acc" metric (E7 requires >= 0.90). Must be 0 allocs/op (dpi's
-// TestObserveExistingFlowZeroAlloc covers the periodic classification).
-func BenchmarkDPIClassify(b *testing.B) {
-	fix := dpiFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if class, _ := fix.Cls.ClassifyVec(&fix.Samples[i%len(fix.Samples)].Vec); class == dpi.ClassUnknown {
-			b.Fatal("classifier returned unknown")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(fix.Accuracy, "acc")
-}
-
-// BenchmarkCloakFrame measures the cloak encode+decode round trip on a
-// VoIP-size payload (reused buffer, 0 allocs/op) and reports the
-// measured E7 cloak goodput overhead (wire bytes per real byte) as the
-// "xreal" metric.
-func BenchmarkCloakFrame(b *testing.B) {
-	fix := dpiFixture(b)
-	payload := make([]byte, 160)
-	buf := make([]byte, 0, cloak.FrameSize)
-	b.SetBytes(160)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = cloak.AppendFrame(buf[:0], payload)
-		got, cover, err := cloak.DecodeFrame(buf)
-		if err != nil || cover || len(got) != len(payload) {
-			b.Fatalf("round trip: %d bytes cover=%v err=%v", len(got), cover, err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(fix.CloakOverhead, "xreal")
-}
-
-// auditBenchState lazily builds the shared audit fixture (a reduced E8
-// run's measured detection power and false-positive rate plus one
-// blatant-dpi vantage report) so the audit benchmark pays the
-// simulation setup once.
-var auditBenchState struct {
-	once sync.Once
-	fix  *eval.AuditBench
-	err  error
-}
-
-func auditFixture(b *testing.B) *eval.AuditBench {
-	b.Helper()
-	auditBenchState.once.Do(func() {
-		auditBenchState.fix, auditBenchState.err = eval.NewAuditBench()
-	})
-	if auditBenchState.err != nil {
-		b.Fatal(auditBenchState.err)
-	}
-	return auditBenchState.fix
-}
-
-// BenchmarkAuditTrial measures one full per-vantage audit decision —
-// goodput and delay sample extraction, Mann-Whitney, Kolmogorov-
-// Smirnov and exceedance tests, effect gates — on a real blatant-dpi
-// vantage report, and reports the fixture's measured detection power
-// ("power", the audit_detection_power check, >= 0.90) and neutral-ISP
-// false-positive rate ("fpr", audit_false_positive_rate, <= 0.05).
-func BenchmarkAuditTrial(b *testing.B) {
-	fix := auditFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := audit.Decide(fix.Report); !v.Discriminated {
-			b.Fatal("blatant-dpi vantage report not ruled discriminated")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(fix.Power, "power")
-	b.ReportMetric(fix.FPR, "fpr")
 }

@@ -16,7 +16,7 @@ import (
 	"io"
 	"os"
 
-	"netneutral"
+	"netneutral/internal/eval"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -32,19 +32,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, e := range netneutral.Experiments() {
+		for _, e := range eval.All() {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
-	run := netneutral.Experiments()
+	run := eval.All()
 	if *exp != "" {
-		e, ok := netneutral.ExperimentByID(*exp)
+		e, ok := eval.ByID(*exp)
 		if !ok {
 			fmt.Fprintf(stderr, "neutbench: unknown experiment %q (try -list)\n", *exp)
 			return 2
 		}
-		run = []netneutral.Experiment{e}
+		run = []eval.Experiment{e}
 	}
 	failed := 0
 	for _, e := range run {

@@ -26,8 +26,8 @@ import (
 	"os"
 	"time"
 
-	"netneutral"
 	"netneutral/internal/e2e"
+	"netneutral/internal/endhost"
 	"netneutral/internal/tunnel"
 )
 
@@ -70,12 +70,12 @@ func main() {
 		log.Fatalf("neutclient: register: %v", err)
 	}
 
-	id, err := netneutral.NewIdentity(0)
+	id, err := e2e.NewIdentity(nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var inbox []delivery
-	host, err := netneutral.NewHost(netneutral.HostConfig{
+	host, err := endhost.NewHost(endhost.Config{
 		Addr:      selfAddr,
 		Identity:  id,
 		Transport: func(pkt []byte) error { _, err := conn.Write(pkt); return err },

@@ -1,10 +1,14 @@
-// Quickstart: the smallest end-to-end use of the public API.
+// Quickstart: the smallest end-to-end use of the two roles the paper
+// defines, the border neutralizer (internal/core) and the end host
+// (internal/endhost).
 //
 // An outside client (Ann) performs key setup with a neutralizer, then
 // exchanges messages with a protected customer (Google) whose address
 // never appears on Ann's side of the border. Everything runs in-process
 // with a synchronous toy wire, so the protocol mechanics are easy to
-// follow.
+// follow. It exits non-zero unless Google receives Ann's message, Ann
+// receives the reply, and the reply's key grant retires Ann's
+// provisional key.
 //
 //	go run ./examples/quickstart
 package main
@@ -15,7 +19,11 @@ import (
 	"net/netip"
 	"time"
 
-	"netneutral"
+	"netneutral/internal/core"
+	"netneutral/internal/crypto/aesutil"
+	"netneutral/internal/crypto/keys"
+	"netneutral/internal/e2e"
+	"netneutral/internal/endhost"
 	"netneutral/internal/wire"
 )
 
@@ -29,8 +37,8 @@ func main() {
 
 	// 1. The supportive ISP deploys a neutralizer. Replicas would share
 	//    the same schedule — that is the whole anycast trick.
-	sched := netneutral.NewKeySchedule(netneutral.MasterKey{42}, time.Now(), time.Hour)
-	neut, err := netneutral.NewNeutralizer(netneutral.NeutralizerConfig{
+	sched := keys.NewSchedule(aesutil.Key{42}, time.Now(), time.Hour)
+	neut, err := core.New(core.Config{
 		Schedule:   sched,
 		Anycast:    anycast,
 		IsCustomer: func(a netip.Addr) bool { return custNet.Contains(a) },
@@ -44,8 +52,8 @@ func main() {
 	//    Outputs alias the scratch until its next Reset. This wire
 	//    recurses (a delivery can trigger a reply mid-loop), so it never
 	//    resets; a real worker resets once per packet or batch.
-	scratch := netneutral.NewScratch()
-	hosts := map[netip.Addr]*netneutral.Host{}
+	scratch := core.NewScratch()
+	hosts := map[netip.Addr]*endhost.Host{}
 	var route func(pkt []byte) error
 	route = func(pkt []byte) error {
 		_, dst, err := wire.IPv4Addrs(pkt)
@@ -70,18 +78,15 @@ func main() {
 		return nil
 	}
 
-	mkHost := func(addr netip.Addr, name string) *netneutral.Host {
-		id, err := netneutral.NewIdentity(0)
+	mkHost := func(addr netip.Addr) *endhost.Host {
+		id, err := e2e.NewIdentity(nil, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		h, err := netneutral.NewHost(netneutral.HostConfig{
+		h, err := endhost.NewHost(endhost.Config{
 			Addr:      addr,
 			Identity:  id,
 			Transport: route,
-			OnData: func(peer netip.Addr, data []byte) {
-				fmt.Printf("[%s] received %q (peer %v)\n", name, data, peer)
-			},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -89,10 +94,15 @@ func main() {
 		hosts[addr] = h
 		return h
 	}
-	ann := mkHost(annAddr, "ann")
-	google := mkHost(googAddr, "google")
+	ann, google := mkHost(annAddr), mkHost(googAddr)
+	var googleGot, annGot bool
+	ann.SetOnData(func(peer netip.Addr, data []byte) {
+		fmt.Printf("[ann] received %q (peer %v)\n", data, peer)
+		annGot = true
+	})
 	google.SetOnData(func(peer netip.Addr, data []byte) {
 		fmt.Printf("[google] received %q — replying\n", data)
+		googleGot = true
 		if err := google.Send(peer, []byte("hi ann, love, google")); err != nil {
 			log.Fatal(err)
 		}
@@ -121,4 +131,8 @@ func main() {
 	fmt.Printf("[neutralizer] setups=%d data=%d returns=%d grants=%d (per-flow state: %d)\n",
 		s.KeySetups.Load(), s.DataForwarded.Load(), s.ReturnForwarded.Load(),
 		s.GrantsStamped.Load(), neut.DynAddrCount())
+	if !googleGot || !annGot || ann.ConduitProvisional(anycast) {
+		log.Fatalf("quickstart: conversation incomplete (google received: %v, ann received: %v, provisional: %v)",
+			googleGot, annGot, ann.ConduitProvisional(anycast))
+	}
 }

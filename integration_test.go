@@ -1,6 +1,5 @@
-// Integration tests exercising the public facade end to end, including
-// the real-UDP deployment path used by cmd/neutralizerd and
-// cmd/neutclient.
+// The real-UDP deployment path used by cmd/neutralizerd and
+// cmd/neutclient, end to end in one process.
 package netneutral_test
 
 import (
@@ -9,9 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"netneutral"
+	"netneutral/internal/core"
+	"netneutral/internal/crypto/aesutil"
+	"netneutral/internal/crypto/keys"
+	"netneutral/internal/e2e"
+	"netneutral/internal/endhost"
 	"netneutral/internal/tunnel"
-	"netneutral/internal/wire"
 )
 
 var (
@@ -21,122 +23,14 @@ var (
 	itCustNet = netip.MustParsePrefix("10.10.0.0/16")
 )
 
-// TestFacadeInProcessConversation drives the whole protocol through the
-// public API with a synchronous in-memory wire.
-func TestFacadeInProcessConversation(t *testing.T) {
-	sched := netneutral.NewKeySchedule(netneutral.MasterKey{9}, time.Now(), time.Hour)
-	neut, err := netneutral.NewNeutralizer(netneutral.NeutralizerConfig{
-		Schedule:   sched,
-		Anycast:    itAnycast,
-		IsCustomer: func(a netip.Addr) bool { return itCustNet.Contains(a) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := map[netip.Addr]*netneutral.Host{}
-	var route func(pkt []byte) error
-	route = func(pkt []byte) error {
-		_, dst, err := wire.IPv4Addrs(pkt)
-		if err != nil {
-			return err
-		}
-		if dst == itAnycast {
-			outs, err := neut.ProcessScratch(netneutral.NewScratch(), pkt)
-			if err != nil {
-				return err
-			}
-			for _, o := range outs {
-				if err := route(o.Pkt); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if h, ok := hosts[dst]; ok {
-			h.HandlePacket(time.Now(), pkt)
-		}
-		return nil
-	}
-	mk := func(addr netip.Addr) *netneutral.Host {
-		id, err := netneutral.NewIdentity(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := netneutral.NewHost(netneutral.HostConfig{
-			Addr: addr, Identity: id, Transport: route,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[addr] = h
-		return h
-	}
-	ann, google := mk(itAnn), mk(itGoogle)
-
-	var got []string
-	google.SetOnData(func(peer netip.Addr, data []byte) {
-		got = append(got, string(data))
-		if err := google.Send(peer, []byte("ack:"+string(data))); err != nil {
-			t.Errorf("reply: %v", err)
-		}
-	})
-	var acks []string
-	ann.SetOnData(func(_ netip.Addr, data []byte) { acks = append(acks, string(data)) })
-
-	if err := ann.Setup(itAnycast); err != nil {
-		t.Fatal(err)
-	}
-	if !ann.HasConduit(itAnycast) {
-		t.Fatal("no conduit")
-	}
-	if err := ann.Connect(itAnycast, itGoogle, google.Identity()); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []string{"one", "two", "three"} {
-		if err := ann.Send(itGoogle, []byte(m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != 3 || len(acks) != 3 {
-		t.Fatalf("messages: got=%v acks=%v", got, acks)
-	}
-	if ann.ConduitProvisional(itAnycast) {
-		t.Error("grant should have retired the provisional key")
-	}
-	if neut.DynAddrCount() != 0 {
-		t.Error("data path created per-flow state")
-	}
-}
-
-// TestExperimentRegistryRunsF2 spot-checks the facade-exposed experiment
-// registry (the full matrix runs in internal/eval's tests).
-func TestExperimentRegistryRunsF2(t *testing.T) {
-	if len(netneutral.Experiments()) != 21 {
-		t.Fatalf("experiments = %d, want 21", len(netneutral.Experiments()))
-	}
-	exp, ok := netneutral.ExperimentByID("F2")
-	if !ok {
-		t.Fatal("F2 missing")
-	}
-	res, err := exp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		if row.Measured != "pass" {
-			t.Errorf("F2 %q = %s", row.Metric, row.Measured)
-		}
-	}
-}
-
 // TestUDPTunnelDeployment reproduces the neutralizerd/neutclient
 // deployment in-process: a neutralizer behind a real UDP socket served
 // by the daemon's transport loop (tunnel.Serve), two hosts tunneling
 // IPv4-in-UDP through it, full conversation with key refresh. This is
 // the paper's system running over the actual network stack.
 func TestUDPTunnelDeployment(t *testing.T) {
-	sched := netneutral.NewKeySchedule(netneutral.MasterKey{5}, time.Now(), time.Hour)
-	neut, err := netneutral.NewNeutralizer(netneutral.NeutralizerConfig{
+	sched := keys.NewSchedule(aesutil.Key{5}, time.Now(), time.Hour)
+	neut, err := core.New(core.Config{
 		Schedule:   sched,
 		Anycast:    itAnycast,
 		IsCustomer: func(a netip.Addr) bool { return itCustNet.Contains(a) },
@@ -159,18 +53,18 @@ func TestUDPTunnelDeployment(t *testing.T) {
 		}
 	}()
 
-	mkTunnelHost := func(addr netip.Addr) (*netneutral.Host, *net.UDPConn, *[]string) {
+	mkTunnelHost := func(addr netip.Addr) (*endhost.Host, *net.UDPConn, *[]string) {
 		conn, err := net.DialUDP("udp4", nil, daemon.LocalAddr().(*net.UDPAddr))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		id, err := netneutral.NewIdentity(0)
+		id, err := e2e.NewIdentity(nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var inbox []string
-		h, err := netneutral.NewHost(netneutral.HostConfig{
+		h, err := endhost.NewHost(endhost.Config{
 			Addr:     addr,
 			Identity: id,
 			Transport: func(pkt []byte) error {
@@ -189,7 +83,7 @@ func TestUDPTunnelDeployment(t *testing.T) {
 
 	// Single-goroutine pumps per host (Host is not concurrency-safe, so
 	// each host is driven by exactly one goroutine after setup).
-	pump := func(h *netneutral.Host, conn *net.UDPConn, until func() bool) {
+	pump := func(h *endhost.Host, conn *net.UDPConn, until func() bool) {
 		buf := make([]byte, 64<<10)
 		deadline := time.Now().Add(5 * time.Second)
 		for !until() && time.Now().Before(deadline) {

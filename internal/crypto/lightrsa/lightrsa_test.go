@@ -183,6 +183,21 @@ func TestEncryptRawBounds(t *testing.T) {
 	if _, err := testKey.PublicKey.EncryptRaw(block); err != ErrMessageTooLong {
 		t.Errorf("block >= N: err = %v, want ErrMessageTooLong", err)
 	}
+
+	// The boundary itself: N-1 is the largest block that encrypts, N the
+	// smallest that must not.
+	n := testKey.N
+	top := new(big.Int).Sub(n, big.NewInt(1))
+	c, err := testKey.PublicKey.EncryptRaw(top.FillBytes(make([]byte, testKey.Size())))
+	if err != nil {
+		t.Fatalf("block = N-1: %v", err)
+	}
+	if m := new(big.Int).Exp(new(big.Int).SetBytes(c), testKey.D, n); m.Cmp(top) != 0 {
+		t.Errorf("block = N-1: c^D mod N = %v, want N-1", m)
+	}
+	if _, err := testKey.PublicKey.EncryptRaw(n.FillBytes(make([]byte, testKey.Size()))); err != ErrMessageTooLong {
+		t.Errorf("block = N: err = %v, want ErrMessageTooLong", err)
+	}
 }
 
 func TestOneTimeKeysDiffer(t *testing.T) {

@@ -386,48 +386,3 @@ func (st *ArmsStats) Result() *Result {
 }
 
 const armsTitle = "Arms race: statistical DPI vs cloaking at fan-out scale"
-
-// DPIBench is the fixture behind BenchmarkDPIClassify and
-// BenchmarkCloakFrame: a classifier trained on one reduced arms run,
-// held-out labeled vectors with the accuracy measured on them, and the
-// cloak overhead measured on a cloaked run — the numbers those
-// benchmarks report as "acc" and "xreal".
-type DPIBench struct {
-	Cls *dpi.Classifier
-	// Samples are held-out labeled vectors (encrypted, uncloaked).
-	Samples []dpi.Sample
-	// Accuracy is the classifier's score on Samples.
-	Accuracy float64
-	// CloakOverhead is wire bytes per real byte under the E7 cloak.
-	CloakOverhead float64
-}
-
-// NewDPIBench builds the fixture from three reduced passive runs:
-// train, held-out evaluation, and cloaked cost measurement.
-func NewDPIBench() (*DPIBench, error) {
-	cfg := calibrationConfig(42)
-	cls, _, err := trainClassifier(cfg)
-	if err != nil {
-		return nil, err
-	}
-	heldOut, _, err := armsSamples(cfg, ModeEncrypted, 9)
-	if err != nil {
-		return nil, err
-	}
-	correct := 0
-	for i := range heldOut {
-		if got, _ := cls.ClassifyVec(&heldOut[i].Vec); got == heldOut[i].Class {
-			correct++
-		}
-	}
-	_, cloaked, err := armsSamples(cfg, ModeCloaked, 10)
-	if err != nil {
-		return nil, err
-	}
-	return &DPIBench{
-		Cls:           cls,
-		Samples:       heldOut,
-		Accuracy:      float64(correct) / float64(len(heldOut)),
-		CloakOverhead: cloaked.cell.CloakOverhead,
-	}, nil
-}

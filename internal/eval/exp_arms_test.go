@@ -59,17 +59,17 @@ func TestDPIBenchFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	b, err := NewDPIBench()
+	b, err := newDPIBench()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Samples) == 0 {
+	if len(b.samples) == 0 {
 		t.Fatal("no held-out samples")
 	}
-	if b.Accuracy < 0.9 {
-		t.Errorf("held-out accuracy = %.2f, want >= 0.90", b.Accuracy)
+	if b.accuracy < 0.9 {
+		t.Errorf("held-out accuracy = %.2f, want >= 0.90", b.accuracy)
 	}
-	if b.CloakOverhead <= 1 {
-		t.Errorf("cloak overhead = %.2f, want > 1", b.CloakOverhead)
+	if b.cloakOverhead <= 1 {
+		t.Errorf("cloak overhead = %.2f, want > 1", b.cloakOverhead)
 	}
 }

@@ -77,14 +77,14 @@ type AuditConfig struct {
 	// Seed drives every RNG in the experiment.
 	Seed int64
 	// Workers is how many threads execute each cell's sharded engine
-	// (default 1; the audit outcome — report wire bytes included — is
-	// bit-identical at every value).
+	// (default 1; the audit outcome — every vantage's report included —
+	// is identical at every value).
 	Workers int
 	// Observe attaches the observability plane to every cell: the
 	// engine's Recorder + FlightRecorder, each prober's counter families
 	// (audit_probe_*_total) and the aggregate verdict tallies
 	// (audit_verdicts_total), with the observation digest recorded in
-	// AuditCell.Obs. Passive: report wire bytes stay bit-identical.
+	// AuditCell.Obs. Passive: the reports (AuditCell.Reports) stay identical.
 	Observe bool
 }
 
@@ -164,7 +164,7 @@ func auditPolicy(kind AuditISP) dpi.Policy {
 }
 
 // runAuditCell builds one fan-out world, runs every vantage's paired
-// probe, and aggregates the wire-encoded reports.
+// probe, and aggregates the reports.
 func runAuditCell(cfg AuditConfig, kind AuditISP, mode ArmsMode, strat audit.Strategy, cls *dpi.Classifier, salt int64) (*AuditCell, error) {
 	V, I, T := cfg.Vantages, cfg.InsideVantages, cfg.Trials
 
@@ -548,37 +548,3 @@ func (st *AuditStats) Result() *Result {
 }
 
 const auditTitle = "Neutrality audit: differential probing vs stealthy throttling"
-
-// AuditBench is the fixture behind BenchmarkAuditTrial: one reduced E8
-// run's measured detection power (blatant dpi, encrypted interleaved
-// probes) and neutral-ISP false-positive rate — the numbers the
-// benchmark reports as "power" and "fpr" — plus one blatant-dpi vantage
-// report for the per-decision benchmark op.
-type AuditBench struct {
-	// Power is detection power against blatant dpi throttling.
-	Power float64
-	// FPR is the neutral-ISP false-positive rate.
-	FPR float64
-	// Report is one outside vantage's report from the blatant dpi cell.
-	Report *audit.Report
-}
-
-// NewAuditBench runs the reduced audit matrix once and extracts the
-// fixture.
-func NewAuditBench() (*AuditBench, error) {
-	st, err := RunAudit(AuditConfig{Seed: 7, Vantages: 8, InsideVantages: 2, Trials: 10})
-	if err != nil {
-		return nil, err
-	}
-	cell := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved)
-	// Pick a vantage that was actually ruled discriminated: the E8
-	// contract guarantees power >= 0.9, not that vantage 0 detected.
-	idx := 0
-	for v := range cell.Summary.Verdicts {
-		if cell.Summary.Verdicts[v].Discriminated {
-			idx = v
-			break
-		}
-	}
-	return &AuditBench{Power: cell.Summary.Power, FPR: st.FalsePositiveRate(), Report: cell.Reports[idx]}, nil
-}

@@ -120,20 +120,20 @@ func TestAuditBenchFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	fix, err := NewAuditBench()
+	fix, err := newAuditBench()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fix.Power < 0.9 {
-		t.Errorf("fixture detection power = %.2f, want >= 0.90", fix.Power)
+	if fix.power < 0.9 {
+		t.Errorf("fixture detection power = %.2f, want >= 0.90", fix.power)
 	}
-	if fix.FPR > 0.05 {
-		t.Errorf("fixture false-positive rate = %.3f, want <= 0.05", fix.FPR)
+	if fix.fpr > 0.05 {
+		t.Errorf("fixture false-positive rate = %.3f, want <= 0.05", fix.fpr)
 	}
-	if len(fix.Report.Trials) == 0 {
+	if len(fix.report.Trials) == 0 {
 		t.Fatal("fixture report empty")
 	}
-	if v := audit.Decide(fix.Report); !v.Discriminated {
+	if v := audit.Decide(fix.report); !v.Discriminated {
 		t.Error("fixture report (blatant dpi vantage) not ruled discriminated")
 	}
 }

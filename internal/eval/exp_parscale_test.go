@@ -70,8 +70,8 @@ func TestE6WorkerIdentity(t *testing.T) {
 }
 
 // TestE8WorkerIdentity extends the seed-replay discipline across worker
-// counts: every cell's wire-encoded vantage reports — the audit's full
-// measured outcome — must be byte-identical at -simworkers 1 vs 4, and
+// counts: every cell's reports (AuditCell.Reports) — the audit's full
+// measured outcome — must be deeply equal at -simworkers 1 vs 4, and
 // with Observe on, so must each cell's observation digest (prober
 // counters, verdict tallies, recorder rings, flight samples).
 func TestE8WorkerIdentity(t *testing.T) {

@@ -1,20 +1,19 @@
 // Command deadcheck lists every function, method and type declared
-// under internal/ or in the root facade that no live non-test code
-// references: code only its own tests, or only other dead code, reach.
+// under internal/ that no live non-test code references: code only its
+// own tests, or only other dead code, reach.
 //
 // The reading is by object identity: every non-test package of the
 // module is type-checked (go/types, standard library only), so a
 // declaration is live when a live declaration refers to that object, not
 // to a namesake. Liveness starts at what runs — all of cmd/, benchmark/,
-// examples/ and scripts/, init functions, blank variables — and, for the
-// root facade, at what its in-repo clients name: examples/ and the root
-// _test package. It spreads along references to a fixpoint. A method
-// nobody names is live when its receiver type is live and satisfies an
-// interface live code can call it through: one a live declaration
-// mentions (a type-parameter constraint included), or one exported by a
-// standard package live code uses, which may call back anything it
-// exports (net.Conn, fmt.Stringer, sort.Interface). Package-level
-// variables and constants carry liveness but are not themselves listed.
+// examples/ and scripts/, init functions, blank variables — and spreads
+// along references to a fixpoint. A method nobody names is live when its
+// receiver type is live and satisfies an interface live code can call it
+// through: one a live declaration mentions (a type-parameter constraint
+// included), or one exported by a standard package live code uses, which
+// may call back anything it exports (net.Conn, fmt.Stringer,
+// sort.Interface). Package-level variables and constants carry liveness
+// but are not themselves listed.
 //
 // It also lists every struct field of basic underlying kind (numbers,
 // bool, string, time.Duration) that live non-test code reads but never
@@ -24,7 +23,9 @@
 // tag are exempt: decoding fills them.
 //
 // What stays on purpose is in the keep list, by package-qualified name
-// (package.Type.Field for a field) with a reason. CI fails on any output.
+// (package.Type.Field for a field) with a reason; an entry that names no
+// non-test function, method, type or field of the module is listed too.
+// CI fails on any output.
 //
 //	go run ./scripts/deadcheck [module root, default "."]
 package main
@@ -58,8 +59,6 @@ var keep = map[string]string{
 	"netem.Node.RemoveAddr":           "paper §3.4: the hosting node's side of ReleaseDynAddr",
 	"netem.Simulator.SetPoolDebug":    "fault detection: poisons recycled packets so a use-after-release shows",
 	"netem.Packet.Retain":             "fault detection: the other half of the refcount Packet.Release enforces (double release panics)",
-	"eval.NewDPIBench":                "fixture of BenchmarkDPIFeatureUpdate/DPIClassify/CloakFrame, which have no twin in benchmark/",
-	"eval.NewAuditBench":              "fixture of BenchmarkAuditTrial, which has no twin in benchmark/",
 	"endhost.Config.ServeOffload":     "paper §3.2: a customer host answers offloaded key setups; the offload tests turn it on",
 	"endhost.Config.ReturnFlags":      "paper §3.4: a customer asks for a dynamic address or no anonymization on its return traffic; the §3.4 tests set it",
 	"eval.AuditConfig.Observe":        "fault detection: the golden and worker-identity tests observe E8 to pin its observation digest",
@@ -135,9 +134,6 @@ func check(root string, keep map[string]string) ([]string, error) {
 			return nil, err
 		}
 	}
-	if err := c.facadeClients(); err != nil {
-		return nil, err
-	}
 	c.spread()
 
 	var out []string
@@ -151,6 +147,7 @@ func check(root string, keep map[string]string) ([]string, error) {
 			filepath.ToSlash(rel), pos.Line, kind(obj), qualified(obj)))
 	}
 	out = append(out, c.unwrittenFields()...)
+	out = append(out, c.staleKeep()...)
 	sort.Strings(out)
 	return out, nil
 }
@@ -187,6 +184,27 @@ func (c *checker) unwrittenFields() []string {
 		rel, _ := filepath.Rel(c.root, pos.Filename)
 		out = append(out, fmt.Sprintf("%s:%d: field %s is read but written by no live non-test code\n",
 			filepath.ToSlash(rel), pos.Line, name))
+	}
+	return out
+}
+
+// staleKeep lists the keep-list entries that name no non-test function,
+// method, type or field of the module.
+func (c *checker) staleKeep() []string {
+	named := map[string]bool{}
+	for obj := range c.decls {
+		if kind(obj) != "" {
+			named[qualified(obj)] = true
+		}
+	}
+	for v, owner := range c.owner {
+		named[qualified(owner)+"."+v.Name()] = true
+	}
+	var out []string
+	for name := range c.keep {
+		if !named[name] {
+			out = append(out, fmt.Sprintf("keep list: %s names no non-test function, method, type or field of the module\n", name))
+		}
 	}
 	return out
 }
@@ -267,7 +285,7 @@ func (c *checker) load(pkg string) (*types.Package, error) {
 	c.pkgs[pkg] = p
 	top, _, _ := strings.Cut(strings.TrimPrefix(pkg, c.module+"/"), "/")
 	for _, f := range files {
-		c.collect(f, pkg != c.module && entryDirs[top])
+		c.collect(f, entryDirs[top])
 	}
 	return p, nil
 }
@@ -391,35 +409,6 @@ func (c *checker) fields(s *ast.TypeSpec) {
 	}
 }
 
-// facadeClients marks what the root package's test files name of the
-// root package: with examples/ they are the facade's only clients in
-// the repository. What they name of any other package is a test's
-// reference and does not count.
-func (c *checker) facadeClients() error {
-	facade := c.pkgs[c.module]
-	if facade == nil {
-		return nil
-	}
-	bp, err := build.Default.ImportDir(c.root, 0)
-	if err != nil {
-		return err
-	}
-	files, err := c.parse(c.root, bp.XTestGoFiles)
-	if err != nil || len(files) == 0 {
-		return err
-	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	if _, err := (&types.Config{Importer: c}).Check(c.module+"_test", c.fset, files, info); err != nil {
-		return err
-	}
-	for _, obj := range info.Uses {
-		if obj.Pkg() == facade {
-			c.mark(obj)
-		}
-	}
-	return nil
-}
-
 func (c *checker) mark(obj types.Object) {
 	if f, ok := obj.(*types.Func); ok {
 		obj = f.Origin()
@@ -496,10 +485,9 @@ func (c *checker) satisfy() bool {
 }
 
 // reported says whether obj is a function, method or type declared
-// where this check rules: under internal/ or in the root package.
+// where this check rules: under internal/.
 func (c *checker) reported(obj types.Object) bool {
-	pkg := obj.Pkg().Path()
-	return kind(obj) != "" && (pkg == c.module || strings.HasPrefix(pkg, c.module+"/internal/"))
+	return kind(obj) != "" && strings.HasPrefix(obj.Pkg().Path(), c.module+"/internal/")
 }
 
 // receiver returns the named type obj is a method of, or nil.

@@ -13,43 +13,46 @@ import (
 	"testing"
 )
 
-// TestCheckFixture runs the check over the module in testdata/mod: a
-// facade (facade.go, with a root _test package), internal/a, cmd/app and
-// benchmark/.
+// TestCheckFixture runs the check over the module in testdata/mod:
+// internal/a, cmd/app, benchmark/ and a root test package.
 //
-// Not to be listed: Link, NewLink (the root _test package names them);
-// a.Link.Stats (cmd/app calls it); fifo.Len and Pop (cmd/app drains an
-// a.Queue: reached through the interface only); Report.Rows (reached
-// through Render's type-parameter constraint only); Kind.String (cmd/app
-// prints a Kind with fmt); Kept and the keptHelper it calls (the keep
-// list); OnlyBench (benchmark/ calls it); anything in cmd/ or benchmark/.
-// Of Config's fields, read by the live Use: Rate (cmd/app's keyed
-// literal writes it), Hits (++), Sum (+=), Debug (&c.Debug), Unread
-// (never read), Name (json tag), Quiet (the keep list), Peer (not of
-// basic kind), Stale (only the dead Dead reads it); pair's fields (a
-// positional literal writes them).
+// Not to be listed: Link, NewLink and a.Link.Stats (cmd/app calls them);
+// fifo.Len and Pop (cmd/app drains an a.Queue: reached through the
+// interface only); Report.Rows (reached through Render's type-parameter
+// constraint only); Kind.String (cmd/app prints a Kind with fmt); Kept
+// and the keptHelper it calls (the keep list); OnlyBench (benchmark/
+// calls it); anything in cmd/ or benchmark/. Of Config's fields, read by
+// the live Use: Rate (cmd/app's keyed literal writes it), Hits (++), Sum
+// (+=), Debug (&c.Debug), Unread (never read), Name (json tag), Quiet
+// (the keep list), Peer (not of basic kind), Stale (only the dead Dead
+// reads it); pair's fields (a positional literal writes them).
 func TestCheckFixture(t *testing.T) {
 	got, err := check("testdata/mod", map[string]string{
 		"a.Kept":         "the fixture's keep-list entry",
 		"a.Config.Quiet": "the fixture's keep-list field",
+		"a.Moved":        "a stale entry: only a _test.go file declares it",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const dead = " is referenced by no live non-test code"
+	const unwritten = " is read but written by no live non-test code"
 	want := []struct{ file, finding, why string }{ // in output order: by file, then line
-		{"facade.go", "type fixture.Orphan is referenced", "an alias nothing references, though cmd/app builds an a.Pool"},
-		{"internal/a/a.go", "method a.Pool.Stats is referenced", "nothing calls it; its namesake Link.Stats is live"},
-		{"internal/a/a.go", "func a.Dead is referenced", "nothing calls it"},
-		{"internal/a/a.go", "func a.helper is referenced", "only Dead calls it"},
-		{"internal/a/a.go", "func a.fromDeadVar is referenced", "held by a variable only Dead reads (the variable itself is not listed)"},
-		{"internal/a/a.go", "method a.fifo.Peek is referenced", "in no interface live code uses, and nobody names it"},
-		{"internal/a/a.go", "func a.TestOnly is referenced", "only the root test calls it, and a test's reference into internal/ keeps nothing"},
-		{"internal/a/a.go", "field a.Config.Window is read but written", "Use reads it; nothing writes it"},
-		{"internal/a/a.go", "field a.Config.Limit is read but written", "only the root test writes it"},
+		{"internal/a/a.go", "method a.Pool.Stats" + dead, "nothing calls it; its namesake Link.Stats is live"},
+		{"internal/a/a.go", "func a.Dead" + dead, "nothing calls it"},
+		{"internal/a/a.go", "func a.helper" + dead, "only Dead calls it"},
+		{"internal/a/a.go", "func a.fromDeadVar" + dead, "held by a variable only Dead reads (the variable itself is not listed)"},
+		{"internal/a/a.go", "method a.fifo.Peek" + dead, "in no interface live code uses, and nobody names it"},
+		{"internal/a/a.go", "func a.TestOnly" + dead, "only the root test calls it, and a test's reference keeps nothing"},
+		{"internal/a/a.go", "field a.Config.Window" + unwritten, "Use reads it; nothing writes it"},
+		{"internal/a/a.go", "field a.Config.Limit" + unwritten, "only the root test writes it"},
+		{"keep list", "a.Moved names no non-test function, method, type or field of the module", "a keep-list entry for a declaration that moved into a test"},
 	}
 	ok := len(got) == len(want)
 	for i := 0; ok && i < len(got); i++ {
-		ok = strings.HasPrefix(got[i], want[i].file+":") && strings.Contains(got[i], ": "+want[i].finding+" by no live non-test code")
+		where, finding, _ := strings.Cut(got[i], ": ")
+		file, _, _ := strings.Cut(where, ":") // drop the line number
+		ok = file == want[i].file && finding == want[i].finding+"\n"
 	}
 	if !ok {
 		t.Errorf("check(testdata/mod) printed\n%swant\n%v", strings.Join(got, ""), want)

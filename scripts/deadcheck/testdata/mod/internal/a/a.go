@@ -1,3 +1,5 @@
+// Package a is most of the module deadcheck's test reads; main_test.go
+// says what the check must make of each declaration and why.
 package a
 
 import "time"

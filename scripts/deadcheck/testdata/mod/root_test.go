@@ -3,13 +3,10 @@ package fixture_test
 import (
 	"testing"
 
-	"fixture"
 	"fixture/internal/a"
 )
 
-func TestFacade(t *testing.T) {
-	var l *fixture.Link = fixture.NewLink()
-	_ = l
+func TestRoot(t *testing.T) {
 	a.TestOnly()
 	a.Use(&a.Config{Limit: 1})
 }
