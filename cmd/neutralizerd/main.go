@@ -67,7 +67,7 @@ func parse(args []string) (*config, error) {
 	anycast := fs.String("anycast", "10.200.0.1", "anycast service address (inner IPv4)")
 	customers := fs.String("customers", "10.10.0.0/16", "comma-separated customer prefixes")
 	rootHex := fs.String("root", "", "32-hex-char master key root (random if empty)")
-	fs.DurationVar(&c.epoch, "epoch", time.Hour, "master key epoch length")
+	fs.DurationVar(&c.epoch, "epoch", time.Hour, "master key epoch length (at least 1s); epochs are numbered from the Unix epoch")
 	dynPool := fs.String("dynpool", "", "optional dynamic-address pool prefix (enables §3.4 QoS remedy)")
 	fs.DurationVar(&c.stats, "stats", 30*time.Second, "stats logging interval (0 disables)")
 	fs.IntVar(&c.tunnel.Workers, "workers", 1, "goroutines serving the socket, each with its own scratch, on the one shared neutralizer")
@@ -108,6 +108,10 @@ func parse(args []string) (*config, error) {
 			return nil, fmt.Errorf("bad -dynpool: %w", err)
 		}
 	}
+	// Epoch numbers are 32 bits: at 1 s epochs they last until 2106.
+	if c.epoch < time.Second {
+		return nil, fmt.Errorf("bad -epoch %v (at least 1s)", c.epoch)
+	}
 	if c.tunnel.Workers < 1 || c.tunnel.Workers > 1024 {
 		return nil, fmt.Errorf("bad -workers %d (1..1024)", c.tunnel.Workers)
 	}
@@ -119,6 +123,13 @@ func parse(args []string) (*config, error) {
 	return c, nil
 }
 
+// schedule numbers epochs from the Unix epoch, so KM depends only on the
+// root and the instant: every replica sharing -root and -epoch agrees on
+// the epoch in force, however long each has been running.
+func (c *config) schedule() *keys.Schedule {
+	return keys.NewSchedule(*c.root, time.Unix(0, 0), c.epoch)
+}
+
 func run(c *config) error {
 	if c.root == nil {
 		c.root = new(aesutil.Key)
@@ -127,7 +138,7 @@ func run(c *config) error {
 		}
 		log.Printf("generated master key root %s (replicas must share it)", hex.EncodeToString(c.root[:]))
 	}
-	c.core.Schedule = keys.NewSchedule(*c.root, time.Now().Truncate(c.epoch), c.epoch)
+	c.core.Schedule = c.schedule()
 	neut, err := core.New(c.core)
 	if err != nil {
 		return err

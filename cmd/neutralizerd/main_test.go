@@ -28,6 +28,9 @@ func TestParseRefusesBadValues(t *testing.T) {
 		{"-workers", "1025", "bad -workers"},
 		{"-batch", "0", "bad -batch"},
 		{"-batch", "1025", "bad -batch"},
+		{"-epoch", "999ms", "bad -epoch"},
+		{"-epoch", "0", "bad -epoch"},
+		{"-epoch", "-1h", "bad -epoch"},
 	} {
 		cfg, err := parse([]string{"-listen", "127.0.0.1:0", c.flag, c.value})
 		if err == nil || cfg != nil || !strings.Contains(err.Error(), c.want) {
@@ -64,5 +67,29 @@ func TestParseDefaultsAndValues(t *testing.T) {
 	if cfg.root == nil || cfg.root[15] != 0x0f || cfg.stats != 0 || cfg.metrics != "127.0.0.1:0" ||
 		!cfg.core.IsCustomer(netip.MustParseAddr("192.168.0.9")) || cfg.core.DynAddrPool != netip.MustParsePrefix("10.99.0.0/24") {
 		t.Errorf("parsed: %+v", cfg)
+	}
+}
+
+// TestReplicasNumberEpochsAlike configures two daemons with one root on
+// either side of an epoch boundary: both must number an instant the same,
+// the epoch of the Unix clock, or packets keyed under one are stale at
+// the other and at a restarted one.
+func TestReplicasNumberEpochsAlike(t *testing.T) {
+	args := strings.Fields("-root 000102030405060708090a0b0c0d0e0f -epoch 1s")
+	a, err := parse(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedA := a.schedule()
+	time.Sleep(time.Until(time.Now().Truncate(time.Second).Add(time.Second)))
+	b, err := parse(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedB := b.schedule()
+	for _, at := range []time.Time{time.Now(), time.Unix(1<<31, 0)} {
+		if ea, eb := schedA.EpochAt(at), schedB.EpochAt(at); ea != eb || int64(ea) != at.Unix() {
+			t.Errorf("at %v: epochs %d and %d, want both %d", at, ea, eb, at.Unix())
+		}
 	}
 }

@@ -29,6 +29,14 @@
 // nonces come from a fast-key-erasure generator in the Scratch, AES-CTR on
 // the same kind of schedule, so a miss runs on nothing but that one AES.
 //
+// Time is the other input. A data or return packet is served only if
+// keyed under the epoch in force or the one before (keys.Epoch.Accepts).
+// With Config.Clock set (the emulator, the tests) that epoch is EpochAt of
+// its reading at every packet. Unset (the daemon), it is the Scratch's
+// keys.WallEpoch: EpochAt(time.Now()) as of one monotonic read, except in
+// the second after a wall-clock step, NTP slewing both clocks alike
+// (TestWallEpochMatchesEpochAt, TestWallClockAcceptanceMatchesTimeNow).
+//
 // A Neutralizer is transport-agnostic: ProcessScratch consumes one
 // serialized IPv4 packet and returns the packets to emit. The same core
 // runs inside the netem emulator, behind real UDP sockets
@@ -73,7 +81,8 @@ type Config struct {
 	// IsCustomer reports whether an address belongs to this ISP's
 	// customers (the set the neutralizer protects). Required.
 	IsCustomer func(netip.Addr) bool
-	// Clock supplies time (virtual in emulation). Defaults to time.Now.
+	// Clock supplies time (virtual in emulation). When nil, packets are
+	// judged on the wall clock through each Scratch's keys.WallEpoch.
 	Clock func() time.Time
 	// Rand, when set, supplies every draw — nonces, salts, RSA padding —
 	// in the order the packets ask for them, so a seeded reader replays a
@@ -212,9 +221,6 @@ func New(cfg Config) (*Neutralizer, error) {
 	if cfg.IsCustomer == nil {
 		return nil, errors.New("core: Config.IsCustomer is required")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	return &Neutralizer{cfg: cfg, dyn: &dynTable{
 		fwd: make(map[dynFlowKey]netip.Addr),
 		rev: make(map[netip.Addr]dynFlowKey),
@@ -224,9 +230,22 @@ func New(cfg Config) (*Neutralizer, error) {
 // Stats returns the counter block.
 func (n *Neutralizer) Stats() *Stats { return &n.stats }
 
-// Now reads the neutralizer's clock (Config.Clock): wall time in the
-// daemon, virtual time under the emulator.
-func (n *Neutralizer) Now() time.Time { return n.cfg.Clock() }
+// Now reads Config.Clock, or time.Now when it is unset (the daemon, where
+// packets are judged by the scratch's WallEpoch instead).
+func (n *Neutralizer) Now() time.Time {
+	if n.cfg.Clock == nil {
+		return time.Now()
+	}
+	return n.cfg.Clock()
+}
+
+// epoch is the epoch in force: Config.Clock's, else the scratch's view.
+func (n *Neutralizer) epoch(s *Scratch) keys.Epoch {
+	if n.cfg.Clock == nil {
+		return s.wall.Now(n.cfg.Schedule)
+	}
+	return n.cfg.Schedule.EpochAt(n.cfg.Clock())
+}
 
 // Outgoing is a packet the caller must transmit.
 type Outgoing struct {
@@ -242,7 +261,7 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 		n.stats.DropMalformed.Add(1)
 		return ErrBadSetup
 	}
-	epoch, g, err := n.grant(s, n.cfg.Clock(), ip.Src)
+	epoch, g, err := n.grant(s, n.epoch(s), ip.Src)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
 		return ErrBadSetup
@@ -280,15 +299,14 @@ func (n *Neutralizer) processKeySetup(s *Scratch, ip *wire.IPv4, sh *shim.Header
 	return nil
 }
 
-// grant draws a fresh nonce and derives its session key for src under the
-// epoch in force at now: the (nonce, Ks) a key setup, a key fetch and a
+// grant draws a fresh nonce and derives its session key for src under
+// epoch, the one in force: the (nonce, Ks) a key setup, a key fetch and a
 // key request each hand out.
-func (n *Neutralizer) grant(s *Scratch, now time.Time, src netip.Addr) (keys.Epoch, shim.Grant, error) {
+func (n *Neutralizer) grant(s *Scratch, epoch keys.Epoch, src netip.Addr) (keys.Epoch, shim.Grant, error) {
 	nonce, err := keys.NewNonce(n.entropy(s))
 	if err != nil {
 		return 0, shim.Grant{}, err
 	}
-	epoch := n.cfg.Schedule.EpochAt(now)
 	ks, err := n.cfg.Schedule.SessionKeyInto(&s.kw, epoch, nonce, src)
 	return epoch, shim.Grant{Nonce: nonce, Key: ks}, err
 }
@@ -302,8 +320,8 @@ func (n *Neutralizer) grant(s *Scratch, now time.Time, src netip.Addr) (keys.Epo
 // a miss derives the session key under the cached epoch cipher and
 // expands it into a schedule the scratch owns.
 func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) error {
-	now := n.cfg.Clock()
-	if !n.cfg.Schedule.Acceptable(sh.Epoch, now) {
+	cur := n.epoch(s)
+	if !cur.Accepts(sh.Epoch) {
 		n.stats.DropStaleEpoch.Add(1)
 		return ErrStaleEpoch
 	}
@@ -327,7 +345,7 @@ func (n *Neutralizer) processData(s *Scratch, ip *wire.IPv4, sh *shim.Header) er
 		// *current* epoch; the destination returns it end-to-end
 		// encrypted and the source retires the short-RSA-protected key.
 		out.Flags |= shim.FlagGrant
-		if out.Epoch, out.Grant, err = n.grant(s, now, ip.Src); err != nil {
+		if out.Epoch, out.Grant, err = n.grant(s, cur, ip.Src); err != nil {
 			return err
 		}
 		n.stats.GrantsStamped.Add(1)
@@ -351,8 +369,7 @@ func (n *Neutralizer) processReturn(s *Scratch, ip *wire.IPv4, sh *shim.Header) 
 		n.stats.DropNotCustomer.Add(1)
 		return ErrNotFromCustomer
 	}
-	now := n.cfg.Clock()
-	if !n.cfg.Schedule.Acceptable(sh.Epoch, now) {
+	if !n.epoch(s).Accepts(sh.Epoch) {
 		n.stats.DropStaleEpoch.Add(1)
 		return ErrStaleEpoch
 	}
@@ -397,7 +414,7 @@ func (n *Neutralizer) processKeyFetch(s *Scratch, ip *wire.IPv4, sh *shim.Header
 		n.stats.DropNotCustomer.Add(1)
 		return ErrNotFromCustomer
 	}
-	epoch, g, err := n.grant(s, n.cfg.Clock(), sh.ClearAddr)
+	epoch, g, err := n.grant(s, n.epoch(s), sh.ClearAddr)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	mathrand "math/rand"
 	"net/netip"
 	"testing"
@@ -290,6 +291,48 @@ func TestDataStaleEpochRejected(t *testing.T) {
 	}
 	if n.Stats().DropStaleEpoch.Load() != 1 {
 		t.Error("DropStaleEpoch counter")
+	}
+}
+
+// TestWallClockAcceptanceMatchesTimeNow runs the data path on the default
+// clock, the scratch's wall-clock view, over 20 ms epochs for 250 ms:
+// every packet, keyed from two epochs back to one ahead, is served or
+// refused as ErrStaleEpoch as the acceptance rule says at the epoch
+// time.Now gives just before or just after the call (or between them,
+// should the call outlast an epoch).
+func TestWallClockAcceptanceMatchesTimeNow(t *testing.T) {
+	sched := keys.NewSchedule(aesutil.Key{7}, time.Now().Add(-time.Second), 20*time.Millisecond)
+	n := newTestNeutralizer(t, func(c *Config) { c.Schedule, c.Clock = sched, nil })
+	s := NewScratch()
+	served, refused, epochs := 0, 0, map[keys.Epoch]bool{}
+	for start := time.Now(); time.Since(start) < 250*time.Millisecond; {
+		e := sched.EpochAt(time.Now())
+		for i := 0; i < 4; i++ {
+			f := mkFlow(t, sched, e-2+keys.Epoch(i), i)
+			pkt := f.data(t, f.ks, googAddr)
+			before := sched.EpochAt(time.Now())
+			_, err := one(t, n, s, pkt)
+			after := sched.EpochAt(time.Now())
+			if err != nil && !errors.Is(err, ErrStaleEpoch) {
+				t.Fatalf("packet of epoch %d: %v", f.epoch, err)
+			}
+			ruled := false
+			for cur := before; cur <= after; cur++ {
+				ruled = ruled || cur.Accepts(f.epoch) == (err == nil)
+			}
+			if !ruled {
+				t.Fatalf("packet of epoch %d between epochs %d and %d: err %v", f.epoch, before, after, err)
+			}
+			if err == nil {
+				served++
+			} else {
+				refused++
+			}
+			epochs[before], epochs[after] = true, true
+		}
+	}
+	if len(epochs) < 10 || served == 0 || refused == 0 {
+		t.Errorf("%d epochs, %d served, %d refused: want at least 10 epochs and both outcomes", len(epochs), served, refused)
 	}
 }
 

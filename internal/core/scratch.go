@@ -24,6 +24,7 @@ import (
 // turn; the cache starts over whenever the master-key schedule changes.
 type Scratch struct {
 	kw    keys.Work
+	wall  keys.WallEpoch      // the epoch in force when Config.Clock is nil
 	ek    aesutil.ExpandedKey // a cache miss expands the packet's session key here
 	probe sessProbe           // and leaves what admitting it needs here
 	salt  [8]byte

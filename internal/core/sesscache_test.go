@@ -325,7 +325,9 @@ func TestSessionCacheEpochEdges(t *testing.T) {
 // from the caller, so one scratch may serve neutralizers with different
 // master keys. The same (epoch, nonce, src) names a different session
 // under each; both must keep producing their own outputs, alternating
-// packet by packet and in runs long enough to warm the cache.
+// packet by packet and in runs long enough to warm the cache. The same
+// holds for the epoch in force: the scratch's wall-clock view answers only
+// a neutralizer without Config.Clock, and only for its own schedule.
 func TestScratchSharedAcrossNeutralizers(t *testing.T) {
 	schedA := keys.NewSchedule(aesutil.Key{0xa}, tStart, time.Hour)
 	schedB := keys.NewSchedule(aesutil.Key{0xb}, tStart, time.Hour)
@@ -371,6 +373,38 @@ func TestScratchSharedAcrossNeutralizers(t *testing.T) {
 	_, sh := parseShimPacket(t, outs[0].Pkt)
 	if got, _, err := aesutil.DecryptAddr(fB.ks, sh.HiddenAddr); err != nil || got != googAddr {
 		t.Errorf("return under B after A: hidden source %v, err %v", got, err)
+	}
+
+	// A wall-clock neutralizer, a virtual-clock one on its schedule five
+	// epochs ahead, and a wall-clock one on a schedule of one-minute
+	// epochs: each packet is keyed in the epoch its own neutralizer is in,
+	// which neither of the others accepts.
+	unix := time.Unix(0, 0)
+	schedH, schedM := keys.NewSchedule(aesutil.Key{0xc}, unix, time.Hour), keys.NewSchedule(aesutil.Key{0xd}, unix, time.Minute)
+	now := time.Now()
+	clocked := []struct {
+		n   *Neutralizer
+		pkt []byte
+	}{
+		{newTestNeutralizer(t, func(c *Config) { c.Schedule, c.Clock = schedH, nil }), nil},
+		{newTestNeutralizer(t, func(c *Config) {
+			c.Schedule, c.Clock = schedH, func() time.Time { return time.Now().Add(5 * time.Hour) }
+		}), nil},
+		{newTestNeutralizer(t, func(c *Config) { c.Schedule, c.Clock = schedM, nil }), nil},
+	}
+	for i, at := range []time.Time{now, now.Add(5 * time.Hour), now} {
+		sched := clocked[i].n.cfg.Schedule
+		f := mkFlow(t, sched, sched.EpochAt(at), i)
+		clocked[i].pkt = f.data(t, f.ks, googAddr)
+	}
+	for round := 0; round < 4; round++ {
+		for i, c := range clocked {
+			check(c.n, c.pkt, googAddr)
+			other := clocked[(i+1+round%2)%len(clocked)]
+			if _, err := one(t, other.n, s, c.pkt); !errors.Is(err, ErrStaleEpoch) {
+				t.Fatalf("round %d: neutralizer %d's packet at the next one: %v, want ErrStaleEpoch", round, i, err)
+			}
+		}
 	}
 }
 

@@ -337,13 +337,24 @@ func mkReturnBatch(t testing.TB, sched *keys.Schedule, first, n int) (pkts [][]b
 // a batch of established flows (every packet a hit) and batches of flows
 // never seen before (every packet a miss: derivation, key expansion,
 // doorkeeper). Config.Rand is nil, so every return packet draws its salt
-// from the scratch's generator, over many refills.
+// from the scratch's generator, over many refills. It runs on a virtual
+// Config.Clock and on the default wall clock (the scratch's WallEpoch), on
+// a schedule that puts the packets' epoch in force now.
 func TestScratchDataPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
-	sched := testSchedule()
-	n, err := New(concConfig(sched))
+	t.Run("Config.Clock", func(t *testing.T) { scratchDataPathZeroAlloc(t, concConfig(testSchedule())) })
+	t.Run("wall clock", func(t *testing.T) {
+		cfg := concConfig(keys.NewSchedule(aesutil.Key{7}, time.Now().Add(-10*time.Minute), time.Hour))
+		cfg.Clock = nil
+		scratchDataPathZeroAlloc(t, cfg)
+	})
+}
+
+func scratchDataPathZeroAlloc(t *testing.T, cfg Config) {
+	sched := cfg.Schedule
+	n, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,13 +140,35 @@ func (s *Schedule) deriveEpoch(e Epoch) epochEntry {
 	return ent
 }
 
-// Acceptable reports whether a packet keyed under epoch pkt should be
-// accepted at time now: the current epoch always, and the immediately
-// previous epoch as a grace window for packets in flight across a
-// rotation.
-func (s *Schedule) Acceptable(pkt Epoch, now time.Time) bool {
-	cur := s.EpochAt(now)
-	return pkt == cur || (cur > 0 && pkt == cur-1)
+// Accepts reports whether a packet keyed under epoch pkt is accepted
+// while cur is in force: cur itself, and cur-1 as a grace window for
+// packets in flight across a rotation.
+func (cur Epoch) Accepts(pkt Epoch) bool { return pkt == cur || cur > 0 && pkt == cur-1 }
+
+// WallEpoch caches the epoch in force on the wall clock under one
+// Schedule, and is rebound when asked about another. Owner-only, like
+// Work; the zero value is ready to use.
+type WallEpoch struct {
+	sched  *Schedule
+	anchor time.Time // the time.Now, wall and monotonic, e was resolved at
+	e      Epoch
+	valid  time.Duration // e holds until anchor+valid: min(1 s, start of e+1 − anchor)
+}
+
+// Now returns s.EpochAt(time.Now()) as of its one monotonic read, except
+// in the second after a wall-clock step. It reads the wall clock at most
+// once a second and at each epoch boundary.
+func (w *WallEpoch) Now(s *Schedule) Epoch { return w.at(s, time.Since(w.anchor), time.Now) }
+
+// at is Now on given readings: since is monotonic time since the anchor.
+func (w *WallEpoch) at(s *Schedule, since time.Duration, now func() time.Time) Epoch {
+	if w.sched != s || since >= w.valid {
+		t := now()
+		d, l := t.UnixNano()-s.startNs, int64(s.epochLen)
+		// l - d%l is what is left of e when d >= 0, and less when d < 0.
+		w.sched, w.anchor, w.e, w.valid = s, t, s.EpochAt(t), min(time.Second, time.Duration(l-d%l))
+	}
+	return w.e
 }
 
 // kdfFrameLen is the size of the KDF input frame: exactly one AES block.
@@ -158,8 +180,8 @@ const kdfFrameLen = aesutil.BlockSize
 type Work struct {
 	// epochHits / epochMisses count epoch-cache outcomes of derivations
 	// through this Work. Plain fields on single-writer state: the owner
-	// increments them for free on the hot path and copies them out at
-	// batch boundaries (see core.Pool's instrumentation); reading them
+	// increments them for free on the hot path, and EpochCacheStats is
+	// their one reader (core.Scratch.CryptoEpochStats); reading them
 	// concurrently with derivations is a data race by design.
 	epochHits   uint64
 	epochMisses uint64

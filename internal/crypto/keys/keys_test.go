@@ -45,11 +45,12 @@ func TestEpochAt(t *testing.T) {
 }
 
 // TestEpochArithmeticMatchesTimeArithmetic holds the integer EpochAt and
-// Acceptable to what time.Time arithmetic says — Sub, a Duration divide,
-// and times before the anchor in epoch 0 — at the instants where the two
-// could part: the anchor and every epoch boundary, one nanosecond either
-// side of each, before the anchor, with a monotonic reading attached, and
-// on a schedule whose anchor and epoch length are not whole seconds.
+// the acceptance rule to what time.Time arithmetic says — Sub, a Duration
+// divide, and times before the anchor in epoch 0 — at the instants where
+// the two could part: the anchor and every epoch boundary, one nanosecond
+// either side of each, before the anchor, with a monotonic reading
+// attached, and on a schedule whose anchor and epoch length are not whole
+// seconds.
 func TestEpochArithmeticMatchesTimeArithmetic(t *testing.T) {
 	for _, sc := range []struct {
 		start    time.Time
@@ -81,8 +82,8 @@ func TestEpochArithmeticMatchesTimeArithmetic(t *testing.T) {
 			}
 			for _, pkt := range []Epoch{0, 1, cur - 2, cur - 1, cur, cur + 1} {
 				want := pkt == cur || cur > 0 && pkt == cur-1
-				if got := s.Acceptable(pkt, at); got != want {
-					t.Errorf("anchor %v, epoch %v: Acceptable(%d, %v) = %v at epoch %d", sc.start, sc.epochLen, pkt, at, got, cur)
+				if got := s.EpochAt(at).Accepts(pkt); got != want {
+					t.Errorf("anchor %v, epoch %v: EpochAt(%v).Accepts(%d) = %v at epoch %d", sc.start, sc.epochLen, at, pkt, got, cur)
 				}
 			}
 		}
@@ -148,22 +149,105 @@ func TestSessionKeyRejectsNonIPv4(t *testing.T) {
 
 func TestAcceptableGraceWindow(t *testing.T) {
 	s := newTestSchedule()
-	now := t0.Add(2*time.Hour + time.Minute) // epoch 2
-	if !s.Acceptable(2, now) {
+	cur := s.EpochAt(t0.Add(2*time.Hour + time.Minute)) // epoch 2
+	if !cur.Accepts(2) {
 		t.Error("current epoch must be acceptable")
 	}
-	if !s.Acceptable(1, now) {
+	if !cur.Accepts(1) {
 		t.Error("previous epoch must be acceptable (grace)")
 	}
-	if s.Acceptable(0, now) {
+	if cur.Accepts(0) {
 		t.Error("two-epochs-old must be rejected")
 	}
-	if s.Acceptable(3, now) {
+	if cur.Accepts(3) {
 		t.Error("future epoch must be rejected")
 	}
 	// At epoch 0 there is no previous epoch.
-	if !s.Acceptable(0, t0) {
-		t.Error("epoch 0 at start must be acceptable")
+	if first := s.EpochAt(t0); !first.Accepts(0) || first.Accepts(^Epoch(0)) {
+		t.Error("epoch 0 at start must accept itself and nothing before it")
+	}
+}
+
+// synthClock feeds WallEpoch.at synthetic readings: a monotonic clock
+// the test advances, and a wall clock that runs with it from t0 plus
+// whatever steps the test has taken.
+type synthClock struct {
+	w        WallEpoch
+	mono     time.Duration
+	step     time.Duration // the wall clock reads t0 + mono + step
+	anchored time.Duration // mono at the last wall read
+	reads    int
+}
+
+func (c *synthClock) wall() time.Time { return t0.Add(c.mono + c.step) }
+
+func (c *synthClock) epoch(s *Schedule) Epoch {
+	return c.w.at(s, c.mono-c.anchored, func() time.Time { c.anchored, c.reads = c.mono, c.reads+1; return c.wall() })
+}
+
+// TestWallEpochMatchesEpochAt holds the cached wall-clock epoch to
+// EpochAt of the wall reading: across a boundary its anchor sits 1 ns
+// before, past an anchor older than a second, on another schedule, and
+// at every millisecond of a run whose wall clock is stepped forward and
+// back across boundaries. The one exception is the second after a step,
+// where it may give the epoch of the clock as it ran before the step.
+func TestWallEpochMatchesEpochAt(t *testing.T) {
+	s := newTestSchedule()
+	expect := func(c *synthClock, want Epoch, reads int) {
+		t.Helper()
+		if got := c.epoch(s); got != want || c.reads != reads {
+			t.Errorf("mono %v, wall %v: epoch %d after %d wall reads, want %d after %d", c.mono, c.wall(), got, c.reads, want, reads)
+		}
+	}
+
+	c := &synthClock{step: 3*time.Hour - 1} // anchored 1 ns before epoch 3
+	expect(c, 2, 1)
+	c.mono = 1
+	expect(c, 3, 2)
+	c.mono += time.Second - 1
+	expect(c, 3, 2)
+	c.mono++
+	expect(c, 3, 3)
+
+	c = &synthClock{step: 90 * time.Minute} // mid-epoch: the anchor ages out after 1 s
+	expect(c, 1, 1)
+	c.mono = time.Second - 1
+	expect(c, 1, 1)
+	c.mono = time.Second
+	expect(c, 1, 2)
+	if other := NewSchedule(root, t0, time.Minute); c.epoch(other) != 90 || c.reads != 3 {
+		t.Errorf("another schedule: epoch %d after %d wall reads, want 90 after 3", c.w.e, c.reads)
+	}
+
+	// A sweep through a dozen boundaries of a schedule whose anchor and
+	// epoch length are not whole seconds, stepping the wall clock 2 s
+	// forward at 3.3 s and 2.5 s back at 6.1 s.
+	s = NewSchedule(root, t0.Add(-123456789), 1500*time.Millisecond+7)
+	c = &synthClock{}
+	type step struct{ at, by time.Duration }
+	steps := []step{{3300 * time.Millisecond, 2 * time.Second}, {6100 * time.Millisecond, -2500 * time.Millisecond}}
+	var last *step
+	stale, seen := 0, map[Epoch]bool{}
+	for ; c.mono < 10*time.Second; c.mono += time.Millisecond - 3 {
+		if len(steps) > 0 && c.mono >= steps[0].at {
+			last, steps = &steps[0], steps[1:]
+			c.step += last.by
+		}
+		got, want := c.epoch(s), s.EpochAt(c.wall())
+		seen[want] = true
+		if got == want {
+			continue
+		}
+		if last == nil || c.mono-last.at >= time.Second || got != s.EpochAt(c.wall().Add(-last.by)) {
+			t.Fatalf("mono %v, wall %v: epoch %d, EpochAt says %d", c.mono, c.wall(), got, want)
+		}
+		stale++
+	}
+	if stale == 0 {
+		t.Error("no reading after a step gave the unstepped epoch: the sweep does not reach the exception")
+	}
+	if limit := 10 + len(seen) + 2; c.reads > limit {
+		t.Errorf("%d wall reads over 10 s and %d epochs, want at most %d", c.reads, len(seen), limit)
 	}
 }
 
@@ -278,4 +362,24 @@ func BenchmarkSessionKeyInto(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+var sinkEpoch Epoch
+
+// BenchmarkEpochNow prices the data path's clock: WallEpoch.Now, one
+// monotonic read and a compare, beside the wall read and divide it
+// replaces, EpochAt(time.Now()).
+func BenchmarkEpochNow(b *testing.B) {
+	s := NewSchedule(root, time.Unix(0, 0), DefaultEpochLength)
+	b.Run("WallEpoch", func(b *testing.B) {
+		var w WallEpoch
+		for i := 0; i < b.N; i++ {
+			sinkEpoch = w.Now(s)
+		}
+	})
+	b.Run("time.Now", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkEpoch = s.EpochAt(time.Now())
+		}
+	})
 }
