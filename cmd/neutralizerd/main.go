@@ -3,8 +3,8 @@
 // raw IP packets without privileges, so serialized IPv4 shim packets ride
 // inside UDP datagrams; internal/tunnel is that transport and says how
 // peers register, where packets are delivered, what -workers and -batch
-// mean (a batch waits at most 500µs to fill) and how the daemon shuts
-// down. This file is flags → config → tunnel.Serve.
+// mean and how the daemon shuts down. This file is flags → config →
+// tunnel.Serve.
 //
 //	neutralizerd -listen :7777 -anycast 10.200.0.1 -customers 10.10.0.0/16 -workers 4
 //
@@ -71,7 +71,7 @@ func parse(args []string) (*config, error) {
 	dynPool := fs.String("dynpool", "", "optional dynamic-address pool prefix (enables §3.4 QoS remedy)")
 	fs.DurationVar(&c.stats, "stats", 30*time.Second, "stats logging interval (0 disables)")
 	fs.IntVar(&c.tunnel.Workers, "workers", 1, "goroutines serving the socket, each with its own scratch, on the one shared neutralizer")
-	fs.IntVar(&c.tunnel.Batch, "batch", 1, "datagrams a worker reads before it serves them (1: serve each as it arrives)")
+	fs.IntVar(&c.tunnel.Batch, "batch", 64, "most datagrams a worker takes from the socket in one read; it takes what is queued and never waits for more")
 	fs.StringVar(&c.metrics, "metrics", "", "serve /metrics, /metrics.json and /debug/pprof on this address (\":0\" picks a port)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -115,8 +115,11 @@ func parse(args []string) (*config, error) {
 	if c.tunnel.Workers < 1 || c.tunnel.Workers > 1024 {
 		return nil, fmt.Errorf("bad -workers %d (1..1024)", c.tunnel.Workers)
 	}
-	// Each batch slot owns a full-datagram (64 KiB) read buffer, so the
-	// cap keeps a worker's upfront allocation to at most 64 MiB.
+	// Each batch slot is a full-datagram (64 KiB) read buffer, allocated
+	// the first time a read asks for it, so the cap keeps a worker's read
+	// buffers to at most 64 MiB. A batch's outputs stay in the worker's
+	// Scratch until its write, so a flood of large packets can grow that
+	// ring by about as much again: some 128 MiB a worker in all.
 	if c.tunnel.Batch < 1 || c.tunnel.Batch > 1024 {
 		return nil, fmt.Errorf("bad -batch %d (1..1024)", c.tunnel.Batch)
 	}
@@ -149,6 +152,10 @@ func run(c *config) error {
 	}
 	conn := pc.(*net.UDPConn) // what ListenPacket returns for "udp"
 	defer conn.Close()
+	sock, err := tunnel.Socket(conn)
+	if err != nil {
+		return err
+	}
 	log.Printf("neutralizer listening on %s, anycast %v, customers %v (%d worker(s), batch=%d)",
 		conn.LocalAddr(), c.core.Anycast, c.customers, c.tunnel.Workers, c.tunnel.Batch)
 
@@ -160,7 +167,7 @@ func run(c *config) error {
 		}
 		reg = obs.NewRegistry()
 	}
-	t := tunnel.New(conn, neut, c.tunnel, reg)
+	t := tunnel.New(sock, neut, c.tunnel, reg)
 	if mln != nil { // serve only once New has registered every family
 		log.Printf("metrics listening on http://%s/metrics", mln.Addr())
 		go func() { _ = http.Serve(mln, obs.NewHandler(obs.HandlerConfig{Source: reg})) }()

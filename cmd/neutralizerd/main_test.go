@@ -44,7 +44,7 @@ func TestParseDefaultsAndValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (tunnel.Options{Workers: 1, Batch: 1}); cfg.tunnel != want {
+	if want := (tunnel.Options{Workers: 1, Batch: 64}); cfg.tunnel != want {
 		t.Errorf("default transport options %+v, want %+v", cfg.tunnel, want)
 	}
 	if cfg.listen != ":7777" || cfg.metrics != "" || cfg.root != nil || cfg.epoch != time.Hour || cfg.stats != 30*time.Second {
@@ -67,6 +67,9 @@ func TestParseDefaultsAndValues(t *testing.T) {
 	if cfg.root == nil || cfg.root[15] != 0x0f || cfg.stats != 0 || cfg.metrics != "127.0.0.1:0" ||
 		!cfg.core.IsCustomer(netip.MustParseAddr("192.168.0.9")) || cfg.core.DynAddrPool != netip.MustParsePrefix("10.99.0.0/24") {
 		t.Errorf("parsed: %+v", cfg)
+	}
+	if cfg, err = parse([]string{"-batch", "1"}); err != nil || cfg.tunnel.Batch != 1 {
+		t.Errorf("-batch 1: %+v, %v", cfg, err)
 	}
 }
 

@@ -42,8 +42,12 @@ func TestUDPTunnelDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The daemon's own loop at the daemon's defaults.
-	tun := tunnel.New(daemon, neut, tunnel.Options{Workers: 1, Batch: 1}, nil)
+	// The daemon's own loop and socket driver at the daemon's defaults.
+	sock, err := tunnel.Socket(daemon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tun := tunnel.New(sock, neut, tunnel.Options{Workers: 1, Batch: 64}, nil)
 	served := make(chan error, 1)
 	go func() { served <- tun.Serve() }()
 	defer func() {

@@ -230,15 +230,6 @@ func New(cfg Config) (*Neutralizer, error) {
 // Stats returns the counter block.
 func (n *Neutralizer) Stats() *Stats { return &n.stats }
 
-// Now reads Config.Clock, or time.Now when it is unset (the daemon, where
-// packets are judged by the scratch's WallEpoch instead).
-func (n *Neutralizer) Now() time.Time {
-	if n.cfg.Clock == nil {
-		return time.Now()
-	}
-	return n.cfg.Clock()
-}
-
 // epoch is the epoch in force: Config.Clock's, else the scratch's view.
 func (n *Neutralizer) epoch(s *Scratch) keys.Epoch {
 	if n.cfg.Clock == nil {

@@ -2,9 +2,9 @@
 // discrete-event simulator: goroutines block in socket calls while a
 // driver advances virtual time, so unmodified protocol stacks (net/http
 // over net.Conn streams; the dnssim resolver protocol and neutralizerd's
-// transport loop over UDPConn, which has *net.UDPConn's netip.AddrPort
-// methods) run over the emulated metro without knowing it is not a real
-// network.
+// transport loop over UDPConn, with *net.UDPConn's netip.AddrPort methods
+// and tunnel.Conn's batch pair) run over the emulated metro without
+// knowing it is not a real network.
 //
 // # Execution model
 //

@@ -130,9 +130,9 @@ type dgram struct {
 	data []byte
 }
 
-// UDPConn is a datagram endpoint on a simulated node, with the four
-// methods of *net.UDPConn that internal/tunnel's Conn names, in
-// netip.AddrPort terms. Reads block the calling goroutine until a
+// UDPConn is a datagram endpoint on a simulated node, with the methods
+// of *net.UDPConn in netip.AddrPort terms plus the batch pair of
+// internal/tunnel's Conn. Reads block the calling goroutine until a
 // datagram arrives in virtual time, the deadline (also virtual time)
 // expires, or the conn is closed. Writes never block: the datagram is
 // injected into the simulator at the current virtual instant.
@@ -160,35 +160,45 @@ func (n *Net) ListenUDP(node *netem.Node, port uint16) (*UDPConn, error) {
 	return c, nil
 }
 
-// deliverDgram implements portSink. Driver context, mu held.
+// deliverDgram implements portSink. Driver context, mu held. The wake is
+// an event after the arrival instant's others, so a read takes them all.
 func (c *UDPConn) deliverDgram(src netip.AddrPort, payload []byte) {
 	if c.closed || len(c.queue) >= defaultQueueCap {
 		return
 	}
 	c.queue = append(c.queue, dgram{src: src, data: append([]byte(nil), payload...)})
-	c.wakeOne()
+	c.n.sim.ScheduleAt(c.n.sim.Now(), c.wakeOne)
 }
 
-// ReadFromUDPAddrPort reads one datagram into p and reports its source,
-// blocking in virtual time.
+// ReadFromUDPAddrPort is ReadBatch of one datagram, into p.
 func (c *UDPConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
+	n, from := []int{0}, []netip.AddrPort{{}}
+	_, _, err := c.ReadBatch([][]byte{p}, n, from)
+	return n[0], from[0], err
+}
+
+// ReadBatch parks in virtual time until a datagram is queued, then moves
+// at most len(bufs) of them, as tunnel.Conn asks.
+func (c *UDPConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, waited bool, err error) {
 	c.n.lock()
 	defer c.n.mu.Unlock()
 	w := newWaiter()
-	for {
-		if len(c.queue) > 0 {
-			d := c.queue[0]
-			c.queue = c.queue[1:]
-			return copy(p, d.data), d.src, nil
-		}
+	for len(c.queue) == 0 {
 		if c.closed {
-			return 0, netip.AddrPort{}, net.ErrClosed
+			return 0, waited, net.ErrClosed
 		}
 		if c.expired() {
-			return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
+			return 0, waited, os.ErrDeadlineExceeded
 		}
 		c.park(w)
+		waited = true
 	}
+	k = min(len(c.queue), len(bufs))
+	for i, d := range c.queue[:k] {
+		n[i], from[i] = copy(bufs[i], d.data), d.src
+	}
+	c.queue = c.queue[k:]
+	return k, waited, nil
 }
 
 // WriteToUDPAddrPort sends p to dst from the conn's port.
@@ -202,6 +212,13 @@ func (c *UDPConn) WriteToUDPAddrPort(p []byte, dst netip.AddrPort) (int, error) 
 		return 0, err
 	}
 	return len(p), nil
+}
+
+// WriteBatch sends pkts[i] to to[i] in order, as tunnel.Conn asks.
+func (c *UDPConn) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
+	for i, p := range pkts {
+		_, errs[i] = c.WriteToUDPAddrPort(p, to[i])
+	}
 }
 
 // Close releases the port and wakes all blocked readers with

@@ -15,6 +15,7 @@ import (
 	"netneutral/internal/e2e"
 	"netneutral/internal/endhost"
 	"netneutral/internal/netem"
+	"netneutral/internal/obs"
 	"netneutral/internal/shim"
 	"netneutral/internal/simnet"
 	"netneutral/internal/tunnel"
@@ -39,6 +40,9 @@ const (
 	// floodGap spreads the flood over the conversation: key setup takes two
 	// link delays and each echo round trip four.
 	floodGap = (2 + 4*messages) * linkDelay / (floodRatio * (2*messages + 2))
+	// floodBurst datagrams leave Eve at one instant, floodBurst gaps apart,
+	// so that a read at Batch > 1 finds several queued.
+	floodBurst = 4
 )
 
 // The hostile kinds, each refused by the neutralizer for its own reason.
@@ -56,6 +60,7 @@ type simRun struct {
 	stats     core.StatsSnapshot
 	peers     int
 	sent      [nKinds]int // hostile datagrams, by kind
+	reads     int         // socket reads, over all workers; not in the digest
 }
 
 func (r simRun) digest() [32]byte {
@@ -70,7 +75,8 @@ func (r simRun) digest() [32]byte {
 // leaves the conversation byte-identical and the registry at the two
 // legitimate peers, every refusal lands in its own drop counter, and the
 // run replays bit-identically for one seed at one or two workers, and
-// with batches of four, whose fill deadline is virtual time too.
+// with batches of four, where a read takes every datagram queued at its
+// virtual instant.
 func TestServeUnderSimnet(t *testing.T) {
 	id, err := e2e.NewIdentity(nil, 0)
 	if err != nil {
@@ -110,8 +116,12 @@ func TestServeUnderSimnet(t *testing.T) {
 		t.Fatalf("one seed, two runs:\n%+v\n%+v", flooded, again)
 	}
 	for _, opts := range []tunnel.Options{{Workers: 2, Batch: 1}, {Workers: 1, Batch: 4}, {Workers: 2, Batch: 4}} {
-		if got := runUnderSimnet(t, id, opts, seed, true); got.digest() != flooded.digest() {
+		got := runUnderSimnet(t, id, opts, seed, true)
+		if got.digest() != flooded.digest() {
 			t.Fatalf("%+v differs from %+v:\n%+v\n%+v", opts, one, flooded, got)
+		}
+		if opts.Batch > 1 && got.reads >= flooded.reads {
+			t.Fatalf("%+v: %d reads, as many as %d at Batch 1: no read took two datagrams", opts, got.reads, flooded.reads)
 		}
 	}
 }
@@ -148,7 +158,8 @@ func runUnderSimnet(t *testing.T, id *e2e.Identity, opts tunnel.Options, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	tun := tunnel.New(sock, neut, opts, nil)
+	reg := obs.NewRegistry()
+	tun := tunnel.New(sock, neut, opts, reg)
 	served := make(chan error, 1)
 	go func() { served <- tun.Serve() }()
 
@@ -229,7 +240,9 @@ func runUnderSimnet(t *testing.T, id *e2e.Identity, opts tunnel.Options, seed in
 				if _, err := eve.WriteToUDPAddrPort(hostile(rng, sched, k), daemon); err != nil {
 					t.Error(err)
 				}
-				n.Sleep(floodGap)
+				if i%floodBurst == floodBurst-1 {
+					n.Sleep(floodBurst * floodGap)
+				}
 			}
 			n.Sleep(2 * linkDelay) // Run returns with this goroutine: let the last datagrams land
 		})
@@ -243,6 +256,9 @@ func runUnderSimnet(t *testing.T, id *e2e.Identity, opts tunnel.Options, seed in
 		r.delivered = fmt.Appendf(r.delivered, "%v:%q\n", d.peer, d.data)
 	}
 	r.stats, r.peers = neut.Stats().Snapshot(), tun.Peers()
+	for w := 0; w < opts.Workers; w++ {
+		r.reads += int(reg.Snapshot().Get(fmt.Sprintf(`neutralizerd_read_calls_total{worker="%d"}`, w)).Value)
+	}
 	return r
 }
 

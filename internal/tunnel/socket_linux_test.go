@@ -1,0 +1,141 @@
+//go:build linux && (amd64 || arm64)
+
+package tunnel
+
+import (
+	"bytes"
+	"net"
+	"net/netip"
+	"testing"
+	"time"
+)
+
+// Ten datagrams queued before the first read, one of them the largest a
+// UDP datagram can be, come back whole and in order from one recvmmsg,
+// each with its source.
+func TestSocketReadBatch(t *testing.T) {
+	sock, daemon := loopback(t)
+	a, b := listenLoopback(t), listenLoopback(t)
+	var sent [][]byte
+	var srcs []netip.AddrPort
+	for i := 0; i < 10; i++ {
+		p := bytes.Repeat([]byte{byte(i)}, 64)
+		if i == 5 {
+			p = bytes.Repeat([]byte{5}, 65507)
+		}
+		c := []*net.UDPConn{a, b}[i%2]
+		if _, err := c.WriteToUDPAddrPort(p, daemon); err != nil {
+			t.Fatal(err)
+		}
+		sent, srcs = append(sent, p), append(srcs, c.LocalAddr().(*net.UDPAddr).AddrPort())
+	}
+	bufs, n, from := make([][]byte, 16), make([]int, 16), make([]netip.AddrPort, 16)
+	for i := range bufs {
+		bufs[i] = make([]byte, 64<<10)
+	}
+	got, waited, err := sock.ReadBatch(bufs, n, from)
+	if err != nil || got != 10 || waited {
+		t.Fatalf("one read of 10 queued datagrams returned %d (waited %v), %v", got, waited, err)
+	}
+	for i := 0; i < got; i++ {
+		if !bytes.Equal(bufs[i][:n[i]], sent[i]) || from[i] != srcs[i] {
+			t.Errorf("datagram %d: %d bytes from %v, want %d from %v", i, n[i], from[i], len(sent[i]), srcs[i])
+		}
+	}
+}
+
+// A datagram the kernel refuses (port 0: EINVAL) is reported on its own;
+// the ones around it are sent, in order, to either form of an IPv4
+// address.
+func TestSocketWriteBatch(t *testing.T) {
+	sock, _ := loopback(t)
+	dst := listenLoopback(t)
+	dst.SetReadDeadline(time.Now().Add(time.Minute))
+	ap := dst.LocalAddr().(*net.UDPAddr).AddrPort()
+	mapped := netip.AddrPortFrom(netip.AddrFrom16(ap.Addr().As16()), ap.Port())
+	errs := make([]error, 3)
+	sock.WriteBatch([][]byte{[]byte("first"), []byte("refused"), []byte("third")},
+		[]netip.AddrPort{ap, netip.AddrPortFrom(ap.Addr(), 0), mapped}, errs)
+	if errs[0] != nil || errs[1] == nil || errs[2] != nil {
+		t.Fatalf("errors %v, want only the second", errs)
+	}
+	buf := make([]byte, 64)
+	for _, want := range []string{"first", "third"} {
+		if n, _, err := dst.ReadFromUDPAddrPort(buf); err != nil || string(buf[:n]) != want {
+			t.Fatalf("read %q, %v; want %q", buf[:n], err, want)
+		}
+	}
+}
+
+// On a dual-stack socket an IPv4 peer registers, and is answered, under
+// the IPv4-mapped endpoint ReadFromUDPAddrPort reports for it; either
+// form of its address can be written to.
+func TestSocketDualStack(t *testing.T) {
+	listen6 := func() *net.UDPConn {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv6unspecified})
+		if err != nil {
+			t.Skipf("no dual-stack socket: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	at := func(c *net.UDPConn) netip.AddrPort {
+		return netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), c.LocalAddr().(*net.UDPAddr).AddrPort().Port())
+	}
+	e := env(t)
+	ref, c6 := listen6(), listen6()
+	sock, err := Socket(c6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, cust := listenLoopback(t), listenLoopback(t)
+	for _, c := range []*net.UDPConn{out, cust} {
+		c.SetReadDeadline(time.Now().Add(time.Minute))
+	}
+	// What the net package reports for the customer on such a socket.
+	ref.SetReadDeadline(time.Now().Add(time.Minute))
+	if _, err := cust.WriteToUDPAddrPort([]byte("hello"), at(ref)); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ref.ReadFromUDPAddrPort(make([]byte, 8))
+	if err != nil || !want.Addr().Is4In6() {
+		t.Fatalf("ReadFromUDPAddrPort on [::]: %v, %v", want, err)
+	}
+
+	tun := New(sock, neutralizer(t), Options{Workers: 1, Batch: 64}, nil)
+	done := make(chan error, 1)
+	go func() { done <- tun.Serve() }()
+	buf := make([]byte, 2048)
+	for _, step := range []struct {
+		from, to *net.UDPConn
+		pkt      []byte
+	}{{cust, nil, RegisterFrame(customer)}, {out, cust, e.DataPkt}, {cust, out, e.ReturnPkt}} {
+		if _, err := step.from.WriteToUDPAddrPort(step.pkt, at(c6)); err != nil {
+			t.Fatal(err)
+		}
+		if step.to != nil {
+			if _, _, err := step.to.ReadFromUDPAddrPort(buf); err != nil {
+				t.Fatalf("no answer through the dual-stack socket: %v", err)
+			}
+		}
+	}
+	tun.mu.RLock()
+	got := tun.peers[customer]
+	tun.mu.RUnlock()
+	if got != want {
+		t.Errorf("customer registered at %v, ReadFromUDPAddrPort says %v", got, want)
+	}
+
+	errs := make([]error, 2)
+	sock.WriteBatch([][]byte{[]byte("4"), []byte("4in6")}, []netip.AddrPort{
+		netip.AddrPortFrom(want.Addr().Unmap(), want.Port()), want}, errs)
+	for _, w := range []string{"4", "4in6"} {
+		if n, _, err := cust.ReadFromUDPAddrPort(buf); err != nil || string(buf[:n]) != w {
+			t.Fatalf("read %q, %v (write errors %v); want %q", buf[:n], err, errs, w)
+		}
+	}
+	tun.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,26 @@
+//go:build !(linux && (amd64 || arm64))
+
+package tunnel
+
+import (
+	"net"
+	"net/netip"
+)
+
+// Socket returns the driver that serves c where recvmmsg is not wired
+// up: one blocking read per ReadBatch, which says it waited so that the
+// loop asks for one slot, and one write per datagram.
+func Socket(c *net.UDPConn) (Conn, error) { return portable{c}, nil }
+
+type portable struct{ *net.UDPConn }
+
+func (p portable) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, waited bool, err error) {
+	n[0], from[0], err = p.ReadFromUDPAddrPort(bufs[0])
+	return 1, true, err // on an error the loop reads nothing else
+}
+
+func (p portable) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
+	for i, pkt := range pkts {
+		_, errs[i] = p.WriteToUDPAddrPort(pkt, to[i])
+	}
+}

@@ -1,9 +1,9 @@
 // Package tunnel is neutralizerd's transport: serialized IPv4 shim
-// packets ride in UDP datagrams, and one loop serves them on anything
-// with *net.UDPConn's four methods (Conn): the real socket, the tests'
-// in-memory fake, or a simnet.UDPConn in the emulator's virtual time,
-// where a seeded flood replays bit-identically at any Options
-// (TestServeUnderSimnet). Each sentence names its test.
+// packets ride in UDP datagrams, and one loop serves them on any Conn:
+// the real socket (Socket), the tests' in-memory fake, or a
+// simnet.UDPConn in the emulator's virtual time, where a seeded flood
+// replays bit-identically at any Options (TestServeUnderSimnet). Each
+// sentence names its test.
 //
 // Registration. A peer owns an inner IPv4 address. It registers the UDP
 // endpoint that address is reached at with a control frame, exactly the
@@ -26,20 +26,21 @@
 // return packet to the learned outside endpoint (TestDataAndReturnPath).
 // No endpoint: dropped and counted, as a border router drops a packet
 // with no route (TestUnknownDestinationDropped). A failed write is
-// counted, and logged on the 1st, 2nd, 4th, 8th… (TestWriteErrorsCounted).
+// counted, and logged on the 1st, 2nd, 4th, 8th… (TestWriteErrorsCounted);
+// on the socket it costs only its own datagram (TestSocketWriteBatch).
 //
 // Workers. The neutralizer keeps no per-flow state, so Options.Workers
-// goroutines run the same loop on the one shared Neutralizer, each with
-// a Scratch and read buffers of its own; an established flow's datagram
-// allocates nothing from read to write (TestServeZeroAlloc). The registry
-// reads each Scratch's cache counts where its worker writes them, so a
-// datagram makes no metrics call (TestDataAndReturnPath). With
-// Options.Batch > 1 a worker that has a datagram keeps reading, up to
-// Batch of them for at most batchWait on the neutralizer's clock, before
-// it serves them in arrival order: same outputs as Batch 1
-// (TestBatchMatchesPerPacket, and in virtual time TestServeUnderSimnet).
-// The read deadline belongs to the socket, not the worker, so batching
-// workers take turns reading (TestBatchingWorkersShareSocket).
+// goroutines run the same loop on one Neutralizer and socket, each with
+// its own Scratch and buffers. A worker parks until a datagram is queued,
+// takes what is queued, at most Batch, in one read that never waits for
+// more (TestSocketReadBatch, TestWorkersDrainOneSocket), serves it in
+// order and writes the outputs in one batch, exactly as Batch 1 would
+// (TestBatchMatchesPerPacket, TestServeUnderSimnet). A read asks for
+// twice what the last returned if that filled its request and was not one
+// datagram it waited for, else for what it returned; a 64 KiB slot is
+// allocated when first asked for (TestReadSizeFollowsQueue). From read to
+// write an established flow's datagram allocates nothing
+// (TestServeZeroAlloc) and makes no metrics call (TestDataAndReturnPath).
 //
 // Shutdown. Serve returns once every worker has: nil after Close, else
 // the first read error, having closed the socket so the other workers
@@ -48,37 +49,36 @@ package tunnel
 
 import (
 	"errors"
+	"fmt"
 	"log"
 	"net"
 	"net/netip"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"netneutral/internal/core"
 	"netneutral/internal/obs"
 	"netneutral/internal/wire"
 )
 
-// Conn is the part of *net.UDPConn the loop uses, in netip.AddrPort
-// terms so the real socket needs no adapter and its calls stay
-// allocation-free. It is an interface so that the package's tests can
-// drive the loop through an in-memory fake and a simnet.UDPConn.
+// Conn is the socket the loop serves. Its standard types let the tests'
+// fake and simnet.UDPConn implement it without importing this package.
 type Conn interface {
-	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
-	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
-	SetReadDeadline(t time.Time) error
+	// ReadBatch waits for a datagram, then reads datagram i of what is
+	// queued, at most len(bufs), into bufs[i], n[i] and from[i], and reports
+	// whether it waited. An error (net.ErrClosed after Close) ends the loop.
+	ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, waited bool, err error)
+	// WriteBatch sends pkts[i] to to[i] in order, past any that fails;
+	// errs[i] is its error.
+	WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error)
 	Close() error
 }
 
 // Options are the daemon's two transport flags.
 type Options struct {
 	Workers int // goroutines running the loop (>= 1)
-	Batch   int // datagrams a worker reads before serving them (>= 1)
+	Batch   int // most datagrams one read takes (>= 1)
 }
-
-// batchWait is how long a batch may wait to fill after its first datagram.
-const batchWait = 500 * time.Microsecond
 
 // MaxPeers bounds the registry: 1 << 16 entries are a few MB, and more
 // inner addresses than that behind one socket is a flood, not a customer
@@ -94,26 +94,27 @@ func RegisterFrame(a netip.Addr) []byte {
 
 // Tunnel is one socket served for one neutralizer.
 type Tunnel struct {
-	conn      Conn
-	neut      *core.Neutralizer
-	opts      Options
-	scratches []*core.Scratch // one per worker
+	conn             Conn
+	neut             *core.Neutralizer
+	opts             Options
+	scratches        []*core.Scratch // one per worker
+	calls, datagrams []atomic.Uint64 // per worker, written only by it: reads, and the datagrams they returned
 
 	// AddrPort values are comparable, so the hot path checks for a no-op
 	// update under the read lock and skips the write lock.
 	mu    sync.RWMutex
 	peers map[netip.Addr]netip.AddrPort
 
-	readTurn sync.Mutex // held by the one worker reading, when Batch > 1
-
 	unknownDst, refused, writeErrs atomic.Uint64
 }
 
 // New prepares conn to be served for neut. reg, if not nil, gets every
-// daemon family — core_*, core_session_cache_* per worker, neutralizerd_*
-// — the same set under any Options (TestFamiliesDoNotDependOnOptions).
+// daemon family — core_*, core_session_cache_* and the read counts per
+// worker, neutralizerd_* — the same set under any Options
+// (TestFamiliesDoNotDependOnOptions).
 func New(conn Conn, neut *core.Neutralizer, opts Options, reg *obs.Registry) *Tunnel {
 	t := &Tunnel{conn: conn, neut: neut, opts: opts, scratches: make([]*core.Scratch, opts.Workers),
+		calls: make([]atomic.Uint64, opts.Workers), datagrams: make([]atomic.Uint64, opts.Workers),
 		peers: make(map[netip.Addr]netip.AddrPort)}
 	for i := range t.scratches {
 		t.scratches[i] = core.NewScratch()
@@ -122,6 +123,12 @@ func New(conn Conn, neut *core.Neutralizer, opts Options, reg *obs.Registry) *Tu
 		return t
 	}
 	core.Register(reg, neut, t.scratches)
+	for i := range t.calls {
+		reg.CounterFunc(fmt.Sprintf("neutralizerd_read_calls_total{worker=\"%d\"}", i),
+			"Socket reads that returned datagrams; datagrams / calls is the mean batch.", t.calls[i].Load, obs.Volatile())
+		reg.CounterFunc(fmt.Sprintf("neutralizerd_read_datagrams_total{worker=\"%d\"}", i),
+			"Datagrams the worker's socket reads returned.", t.datagrams[i].Load, obs.Volatile())
+	}
 	reg.GaugeFunc("neutralizerd_peers", "Inner addresses with a registered tunnel endpoint.",
 		func() float64 { return float64(t.Peers()) }, obs.Volatile())
 	reg.CounterFunc("neutralizerd_unknown_dst_total", "Output packets dropped: no endpoint registered for the inner destination.",
@@ -146,8 +153,8 @@ func (t *Tunnel) Close() error { return t.conn.Close() }
 // Serve runs the workers and returns when all of them have.
 func (t *Tunnel) Serve() error {
 	done := make(chan error, len(t.scratches))
-	for _, scratch := range t.scratches {
-		go func(scratch *core.Scratch) { done <- t.worker(scratch) }(scratch)
+	for i := range t.scratches {
+		go func(i int) { done <- t.worker(i) }(i)
 	}
 	var first error
 	for range t.scratches {
@@ -159,71 +166,58 @@ func (t *Tunnel) Serve() error {
 	return first
 }
 
-type datagram struct {
-	buf  []byte
-	n    int
-	from netip.AddrPort
-}
-
-// worker is the loop: read, then for each datagram register a control
-// frame or process, learn, deliver; it returns the read error that ends it.
-func (t *Tunnel) worker(scratch *core.Scratch) error {
-	in := make([]datagram, t.opts.Batch)
-	for i := range in {
-		in[i].buf = make([]byte, 64<<10)
-	}
-	for {
-		n, err := t.read(in)
+// worker is the loop: read, serve, write; it returns the read error that ends it.
+func (t *Tunnel) worker(w int) error {
+	scratch := t.scratches[w]
+	bufs, n, from := make([][]byte, 0, t.opts.Batch), make([]int, t.opts.Batch), make([]netip.AddrPort, t.opts.Batch)
+	pkts, to, errs := [][]byte(nil), []netip.AddrPort(nil), []error(nil)
+	for want := 1; ; {
+		for len(bufs) < want {
+			bufs = append(bufs, make([]byte, 64<<10)) // any UDP datagram fits
+		}
+		got, waited, err := t.conn.ReadBatch(bufs[:want], n, from)
 		if err != nil {
 			return err
 		}
-		for _, d := range in[:n] {
-			pkt := d.buf[:d.n]
+		t.calls[w].Add(1)
+		t.datagrams[w].Add(uint64(got))
+		scratch.Reset() // the outputs stay in its ring until the write
+		pkts, to, errs = pkts[:0], to[:0], errs[:0]
+		for i, b := range bufs[:got] {
+			pkt := b[:n[i]]
 			if len(pkt) == 5 && pkt[0] == 0x00 { // exactly a RegisterFrame; anything longer is a packet
-				t.register(netip.AddrFrom4([4]byte(pkt[1:5])), d.from)
+				t.register(netip.AddrFrom4([4]byte(pkt[1:5])), from[i])
 				continue
 			}
-			scratch.Reset()
 			outs, err := t.neut.ProcessScratch(scratch, pkt)
 			if err != nil {
 				continue // refused, and counted in the neutralizer's stats
 			}
 			src, _, _ := wire.IPv4Addrs(pkt) // a served packet has its header
-			t.register(src, d.from)
+			t.register(src, from[i])
 			for _, o := range outs {
-				t.deliver(o.Pkt)
+				if peer, ok := t.route(o.Pkt); ok {
+					pkts, to, errs = append(pkts, o.Pkt), append(to, peer), append(errs, nil)
+				}
 			}
 		}
-	}
-}
-
-// read blocks for one datagram and, when Batch > 1, keeps reading until
-// the batch is full or batchWait has passed on the neutralizer's clock.
-// The deadline it arms is the socket's: a second worker blocked in its
-// own read would time out on it, and clearing it could strand a worker
-// holding a part-filled batch, so the read phase of a batching worker is
-// a turn.
-func (t *Tunnel) read(in []datagram) (n int, err error) {
-	if len(in) > 1 {
-		t.readTurn.Lock()
-		defer t.readTurn.Unlock()
-		if err := t.conn.SetReadDeadline(time.Time{}); err != nil {
-			return 0, err
+		if len(pkts) > 0 {
+			t.conn.WriteBatch(pkts, to, errs)
+			for i, err := range errs {
+				if err != nil && !errors.Is(err, net.ErrClosed) {
+					if c := t.writeErrs.Add(1); c&(c-1) == 0 {
+						log.Printf("write to %v: %v (%d failed writes so far)", to[i], err, c)
+					}
+				}
+			}
+		}
+		switch {
+		case got < want:
+			want = max(got, 1)
+		case want > 1 || !waited: // a lone datagram it waited for is no backlog
+			want = min(2*want, t.opts.Batch)
 		}
 	}
-	if in[0].n, in[0].from, err = t.conn.ReadFromUDPAddrPort(in[0].buf); err != nil || len(in) == 1 {
-		return 1, err
-	}
-	if err := t.conn.SetReadDeadline(t.neut.Now().Add(batchWait)); err != nil {
-		return 0, err
-	}
-	for n = 1; n < len(in); n++ {
-		d := &in[n]
-		if d.n, d.from, err = t.conn.ReadFromUDPAddrPort(d.buf); err != nil {
-			break // the deadline; anything else the next blocking read reports
-		}
-	}
-	return n, nil
 }
 
 // register points inner address a at peer, unless no packet can be
@@ -248,20 +242,15 @@ func (t *Tunnel) register(a netip.Addr, peer netip.AddrPort) {
 	t.mu.Unlock()
 }
 
-// deliver tunnels one output packet to the endpoint registered for its
-// inner destination.
-func (t *Tunnel) deliver(pkt []byte) {
+// route returns the endpoint registered for pkt's inner destination, or
+// counts pkt as undeliverable.
+func (t *Tunnel) route(pkt []byte) (netip.AddrPort, bool) {
 	_, dst, _ := wire.IPv4Addrs(pkt) // too short: the zero Addr, which nobody registered
 	t.mu.RLock()
 	peer, ok := t.peers[dst]
 	t.mu.RUnlock()
 	if !ok {
 		t.unknownDst.Add(1)
-		return
 	}
-	if _, err := t.conn.WriteToUDPAddrPort(pkt, peer); err != nil && !errors.Is(err, net.ErrClosed) {
-		if n := t.writeErrs.Add(1); n&(n-1) == 0 {
-			log.Printf("write to %v: %v (%d failed writes so far)", peer, err, n)
-		}
-	}
+	return peer, ok
 }

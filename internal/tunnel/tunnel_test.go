@@ -30,91 +30,87 @@ type dgram struct {
 	pkt  []byte
 }
 
-// fakeConn is the in-memory Conn: reads take scripted datagrams from in
-// (blocking, honouring the socket-wide read deadline and Close), writes
-// are captured in out. The loop arms its deadline on the neutralizer's
-// clock, which stands still here, so a read waits out the deadline's
-// distance from that clock in wall time.
+// fakeConn is the in-memory Conn: a read waits for a scripted datagram
+// on in (or Close) if none is queued, then drains what else is queued
+// there, up to the slots it was handed; writes are captured in out.
 type fakeConn struct {
 	in      chan dgram
 	closed  chan struct{}
 	blocked chan struct{} // if set: one send per read about to wait
 	wrote   chan struct{} // if set: writes are signalled here, not captured
 
-	mu       sync.Mutex
-	out      []dgram
-	deadline time.Time
-	moved    chan struct{} // closed when the deadline changes
-	readErr  error         // the next read fails with it, once
-	writeErr error         // every write fails with it
-	once     sync.Once
+	mu               sync.Mutex
+	out              []dgram
+	calls, datagrams int   // reads served, and the datagrams they returned
+	readErr          error // the next read fails with it, once
+	writeErr         error // every write fails with it
+	once             sync.Once
 }
 
 func newFake(script ...dgram) *fakeConn {
-	f := &fakeConn{in: make(chan dgram, len(script)+1), closed: make(chan struct{}), moved: make(chan struct{})}
+	f := &fakeConn{in: make(chan dgram, len(script)+1), closed: make(chan struct{})}
 	for _, d := range script {
 		f.in <- d
 	}
 	return f
 }
 
-func (f *fakeConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
-	for {
-		f.mu.Lock()
-		dl, moved, err := f.deadline, f.moved, f.readErr
-		f.readErr = nil
-		f.mu.Unlock()
-		if err != nil {
-			return 0, netip.AddrPort{}, err
-		}
-		var timeout <-chan time.Time
-		if !dl.IsZero() {
-			timeout = time.After(dl.Sub(envVal.NeutralizerConfig().Clock()))
-		}
+func (f *fakeConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, bool, error) {
+	f.mu.Lock()
+	err := f.readErr
+	f.readErr = nil
+	f.mu.Unlock()
+	if err != nil {
+		return 0, false, err
+	}
+	var d dgram
+	ok, waited := false, false
+	select {
+	case d, ok = <-f.in:
+	default:
+		waited = true
 		if f.blocked != nil {
 			f.blocked <- struct{}{}
 		}
 		select {
 		case <-f.closed:
-			return 0, netip.AddrPort{}, net.ErrClosed
-		case d, ok := <-f.in:
-			if !ok {
-				return 0, netip.AddrPort{}, net.ErrClosed
-			}
-			return copy(b, d.pkt), d.peer, nil
-		case <-timeout:
-			return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
-		case <-moved:
+		case d, ok = <-f.in:
 		}
 	}
+	if !ok {
+		return 0, waited, net.ErrClosed
+	}
+	k := 0
+	for ok {
+		n[k], from[k] = copy(bufs[k], d.pkt), d.peer
+		if k++; k == len(bufs) {
+			break
+		}
+		select {
+		case d, ok = <-f.in:
+		default:
+			ok = false
+		}
+	}
+	f.mu.Lock()
+	f.calls, f.datagrams = f.calls+1, f.datagrams+k
+	f.mu.Unlock()
+	return k, waited, nil
 }
 
-func (f *fakeConn) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
+func (f *fakeConn) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
 	if f.wrote != nil {
+		clear(errs[:len(pkts)])
 		f.wrote <- struct{}{}
-		return len(b), nil
+		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.writeErr != nil {
-		return 0, f.writeErr
+	for i, p := range pkts {
+		if errs[i] = f.writeErr; errs[i] == nil {
+			f.out = append(f.out, dgram{to[i], bytes.Clone(p)})
+		}
 	}
-	f.out = append(f.out, dgram{to, bytes.Clone(b)})
-	return len(b), nil
-}
-
-func (f *fakeConn) SetReadDeadline(t time.Time) error {
-	select {
-	case <-f.closed:
-		return net.ErrClosed
-	default:
-	}
-	f.mu.Lock()
-	f.deadline = t
-	close(f.moved)
-	f.moved = make(chan struct{})
-	f.mu.Unlock()
-	return nil
 }
 
 func (f *fakeConn) Close() error {
@@ -346,24 +342,29 @@ func TestRegistryIsBounded(t *testing.T) {
 	}
 }
 
+// Each failed datagram counts once, whether it failed alone or in a
+// batch of five.
 func TestWriteErrorsCounted(t *testing.T) {
 	e := env(t)
 	var logged bytes.Buffer
 	log.SetOutput(&logged)
 	defer log.SetOutput(os.Stderr)
 	d := dgram{epOut, e.DataPkt}
-	f := newFake(dgram{epCust, RegisterFrame(customer)}, d, d, d, d, d)
-	close(f.in)
-	f.writeErr = errors.New("no buffer space")
-	reg := obs.NewRegistry()
-	if err := New(f, neutralizer(t), one, reg).Serve(); err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if n := metric(t, reg.Snapshot(), "neutralizerd_write_errors_total"); n != 5 {
-		t.Fatalf("neutralizerd_write_errors_total = %v, want 5", n)
-	}
-	if n := strings.Count(logged.String(), "no buffer space"); n != 3 {
-		t.Fatalf("5 failed writes logged %d times, want 3 (1st, 2nd, 4th):\n%s", n, logged.String())
+	for _, opts := range []Options{one, {Workers: 1, Batch: 8}} {
+		logged.Reset()
+		f := newFake(dgram{epCust, RegisterFrame(customer)}, d, d, d, d, d)
+		close(f.in)
+		f.writeErr = errors.New("no buffer space")
+		reg := obs.NewRegistry()
+		if err := New(f, neutralizer(t), opts, reg).Serve(); err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		if n := metric(t, reg.Snapshot(), "neutralizerd_write_errors_total"); n != 5 {
+			t.Fatalf("%+v: neutralizerd_write_errors_total = %v, want 5", opts, n)
+		}
+		if n := strings.Count(logged.String(), "no buffer space"); n != 3 {
+			t.Fatalf("%+v: 5 failed writes logged %d times, want 3 (1st, 2nd, 4th):\n%s", opts, n, logged.String())
+		}
 	}
 }
 
@@ -391,10 +392,13 @@ func mixedScript(t *testing.T) (script []dgram, served int) {
 	return script, served
 }
 
+// A fully queued script served at Batch 8 gives the outputs, endpoints,
+// order and counters it gives at Batch 1, though its reads took more than
+// one datagram each.
 func TestBatchMatchesPerPacket(t *testing.T) {
 	script, served := mixedScript(t)
-	perPacket, _, _ := serve(t, one, script...)
-	batched, tun, snap := serve(t, Options{Workers: 1, Batch: 8}, script...)
+	perPacket, _, snap1 := serve(t, one, script...)
+	batched, tun, snap8 := serve(t, Options{Workers: 1, Batch: 8}, script...)
 	if len(perPacket) != served || len(batched) != served {
 		t.Fatalf("outputs: %d per packet, %d batched, want %d", len(perPacket), len(batched), served)
 	}
@@ -410,8 +414,112 @@ func TestBatchMatchesPerPacket(t *testing.T) {
 			t.Fatalf("output %d differs between Batch 1 and Batch 8", i)
 		}
 	}
-	if tun.Peers() != 6 || metric(t, snap, `core_drops_total{reason="malformed"}`) == 0 {
-		t.Fatalf("peers %d, malformed %v", tun.Peers(), metric(t, snap, `core_drops_total{reason="malformed"}`))
+	if tun.Peers() != 6 || metric(t, snap8, `core_drops_total{reason="malformed"}`) == 0 {
+		t.Fatalf("peers %d, malformed %v", tun.Peers(), metric(t, snap8, `core_drops_total{reason="malformed"}`))
+	}
+	const calls = `neutralizerd_read_calls_total{worker="0"}`
+	if metric(t, snap1, calls) != float64(len(script)) || metric(t, snap8, calls) >= float64(len(script))/4 {
+		t.Fatalf("reads for %d datagrams: %v at Batch 1, %v at Batch 8", len(script), metric(t, snap1, calls), metric(t, snap8, calls))
+	}
+	for _, m := range snap1.Metrics {
+		if m.Name != calls && snap8.Get(m.Name).Value != m.Value {
+			t.Errorf("%s: %v at Batch 1, %v at Batch 8", m.Name, m.Value, snap8.Get(m.Name).Value)
+		}
+	}
+}
+
+// askingConn records what each read asked of a fakeConn: how many
+// datagrams, and which slots.
+type askingConn struct {
+	*fakeConn
+	asked []int
+	slots map[*byte]bool
+}
+
+func (a *askingConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, bool, error) {
+	a.asked = append(a.asked, len(bufs))
+	for _, b := range bufs {
+		a.slots[&b[0]] = true
+	}
+	return a.fakeConn.ReadBatch(bufs, n, from)
+}
+
+// A read asks for twice what the last one returned when that one filled
+// its request, unless that was one datagram it waited for, and else for
+// what it returned, never more than Batch; a slot is allocated the first
+// time a read asks for it.
+func TestReadSizeFollowsQueue(t *testing.T) {
+	e := env(t)
+	d := dgram{epOut, e.DataPkt}
+	script := []dgram{{epCust, RegisterFrame(customer)}}
+	for len(script) < 20 {
+		script = append(script, d)
+	}
+	queued := &askingConn{fakeConn: newFake(script...), slots: map[*byte]bool{}}
+	close(queued.in)
+	if err := New(queued, neutralizer(t), Options{Workers: 1, Batch: 8}, nil).Serve(); err != nil {
+		t.Fatal(err)
+	}
+	// 1+2+4+8 filled, 5 of 8 did not, and the read that met the close asked 5.
+	if want := []int{1, 2, 4, 8, 8, 5}; !reflect.DeepEqual(queued.asked, want) || len(queued.slots) != 8 {
+		t.Fatalf("a queue of 20 at Batch 8: asked %v with %d slots, want %v with 8", queued.asked, len(queued.slots), want)
+	}
+
+	// At Batch 64, six datagrams one at a time, each sent once the worker
+	// waits for it, then three at once.
+	trickled := &askingConn{fakeConn: newFake(), slots: map[*byte]bool{}}
+	trickled.in, trickled.blocked, trickled.wrote = make(chan dgram, 3), make(chan struct{}), make(chan struct{})
+	tun := New(trickled, neutralizer(t), Options{Workers: 1, Batch: 64}, nil)
+	tun.register(customer, epCust)
+	done := make(chan error, 1)
+	go func() { done <- tun.Serve() }()
+	for i := 0; i < 6; i++ {
+		<-trickled.blocked
+		trickled.in <- d
+		<-trickled.wrote
+	}
+	<-trickled.blocked
+	trickled.in <- d
+	trickled.in <- d
+	trickled.in <- d
+	for i := 0; i < 3; i++ {
+		<-trickled.wrote
+	}
+	<-trickled.blocked
+	close(trickled.in)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// The first of the three was waited for; the second was queued, so the
+	// read after it asks for two and finds one.
+	if want := []int{1, 1, 1, 1, 1, 1, 1, 1, 2, 1}; !reflect.DeepEqual(trickled.asked, want) || len(trickled.slots) != 2 {
+		t.Fatalf("asked %v with %d slots, want %v with 2", trickled.asked, len(trickled.slots), want)
+	}
+}
+
+// readFamilies sums each worker's neutralizerd_read_{calls,datagrams}_total.
+func readFamilies(t *testing.T, snap *obs.Snapshot, workers int) (calls, datagrams float64) {
+	for w := 0; w < workers; w++ {
+		calls += metric(t, snap, fmt.Sprintf(`neutralizerd_read_calls_total{worker="%d"}`, w))
+		datagrams += metric(t, snap, fmt.Sprintf(`neutralizerd_read_datagrams_total{worker="%d"}`, w))
+	}
+	return calls, datagrams
+}
+
+// Each worker counts its reads and the datagrams they returned: summed,
+// the reads the socket served.
+func TestReadCountersMatchReads(t *testing.T) {
+	script, _ := mixedScript(t)
+	f := newFake(script...)
+	close(f.in)
+	reg := obs.NewRegistry()
+	opts := Options{Workers: 2, Batch: 4}
+	if err := New(f, neutralizer(t), opts, reg).Serve(); err != nil {
+		t.Fatal(err)
+	}
+	calls, datagrams := readFamilies(t, reg.Snapshot(), opts.Workers)
+	if calls != float64(f.calls) || datagrams != float64(f.datagrams) || f.datagrams != len(script) || f.calls >= len(script) {
+		t.Fatalf("families %v reads of %v datagrams; the fake served %d of %d (script %d)", calls, datagrams, f.calls, f.datagrams, len(script))
 	}
 }
 
@@ -437,20 +545,22 @@ func TestFamiliesDoNotDependOnOptions(t *testing.T) {
 		t.Fatalf("families differ by options:\n%v\n%v", a, b)
 	}
 	for _, want := range []string{"core_drops_total", "core_session_cache_hits_total", "neutralizerd_peers",
-		"neutralizerd_unknown_dst_total", "neutralizerd_registry_refused_total", "neutralizerd_write_errors_total"} {
+		"neutralizerd_unknown_dst_total", "neutralizerd_registry_refused_total", "neutralizerd_write_errors_total",
+		"neutralizerd_read_calls_total", "neutralizerd_read_datagrams_total"} {
 		if i := sort.SearchStrings(a, want); i == len(a) || a[i] != want {
 			t.Errorf("family %s missing from %v", want, a)
 		}
 	}
 }
 
-// Two batching workers on one socket: the fill deadline one of them arms
-// is the socket's, yet neither may end on a deadline error or strand a
-// datagram. The script trickles in so that fills time out.
-func TestBatchingWorkersShareSocket(t *testing.T) {
+// Two workers drain one socket while the script trickles in: every
+// datagram is read by one of them, and no flow packet is lost.
+func TestWorkersDrainOneSocket(t *testing.T) {
 	script, served := mixedScript(t)
 	f := newFake()
-	tun := New(f, neutralizer(t), Options{Workers: 2, Batch: 8}, nil)
+	reg := obs.NewRegistry()
+	opts := Options{Workers: 2, Batch: 8}
+	tun := New(f, neutralizer(t), opts, reg)
 	tun.register(customer, epCust) // so that no worker can serve a flow before the script's first frame
 	done := make(chan error, 1)
 	go func() { done <- tun.Serve() }()
@@ -463,6 +573,9 @@ func TestBatchingWorkersShareSocket(t *testing.T) {
 	close(f.in)
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+	if _, datagrams := readFamilies(t, reg.Snapshot(), opts.Workers); datagrams != float64(len(script)) {
+		t.Fatalf("%v of %d datagrams read", datagrams, len(script))
 	}
 	// The outside host's first packet may be served by the other worker
 	// after the return packet behind it in the script, which is then
@@ -483,6 +596,41 @@ func workerGoroutines() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "tunnel.(*Tunnel).worker")
 }
 
+// listenLoopback is a UDP socket on 127.0.0.1, closed when the test ends.
+func listenLoopback(t *testing.T) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// loopback is a loopback socket's driver and the address it listens on.
+func loopback(t *testing.T) (Conn, netip.AddrPort) {
+	t.Helper()
+	c := listenLoopback(t)
+	sock, err := Socket(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sock, c.LocalAddr().(*net.UDPAddr).AddrPort()
+}
+
+// parkedWorkers counts the loop's goroutines that wait (in the
+// netpoller, or for the socket's read lock) rather than run.
+func parkedWorkers() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "tunnel.(*Tunnel).worker") && !strings.Contains(g, "[running]") && !strings.Contains(g, "[runnable]") {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCloseStopsEveryWorker(t *testing.T) {
 	for _, opts := range []Options{{Workers: 4, Batch: 1}, {Workers: 4, Batch: 8}} {
 		f := newFake()
@@ -490,11 +638,7 @@ func TestCloseStopsEveryWorker(t *testing.T) {
 		tun := New(f, neutralizer(t), opts, nil)
 		done := make(chan error, 1)
 		go func() { done <- tun.Serve() }()
-		want := opts.Workers
-		if opts.Batch > 1 {
-			want = 1 // batching workers take turns at the socket
-		}
-		for i := 0; i < want; i++ {
+		for i := 0; i < opts.Workers; i++ {
 			<-f.blocked
 		}
 		tun.Close()
@@ -504,6 +648,24 @@ func TestCloseStopsEveryWorker(t *testing.T) {
 		if n := workerGoroutines(); n != 0 {
 			t.Fatalf("%+v: %d workers still running after Serve returned", opts, n)
 		}
+	}
+
+	// On a real socket the four workers park in the netpoller.
+	sock, _ := loopback(t)
+	tun := New(sock, neutralizer(t), Options{Workers: 4, Batch: 64}, nil)
+	done := make(chan error, 1)
+	go func() { done <- tun.Serve() }()
+	for deadline := time.Now().Add(10 * time.Second); parkedWorkers() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 workers parked after 10s", parkedWorkers())
+		}
+	}
+	tun.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("socket: Serve after Close: %v", err)
+	}
+	if n := workerGoroutines(); n != 0 {
+		t.Fatalf("socket: %d workers still running after Serve returned", n)
 	}
 }
 
@@ -521,30 +683,49 @@ func TestReadErrorStopsServe(t *testing.T) {
 }
 
 // TestServeZeroAlloc: an established flow's datagram allocates nothing
-// between the socket read and the socket write, metrics flush included.
+// between the socket read and the socket write, metrics flush included,
+// on the fake and on a real socket.
 func TestServeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	e := env(t)
-	f := newFake(dgram{epCust, RegisterFrame(customer)})
-	f.wrote = make(chan struct{})
-	tun := New(f, neutralizer(t), one, obs.NewRegistry())
-	done := make(chan error, 1)
-	go func() { done <- tun.Serve() }()
-	d := dgram{epOut, e.DataPkt}
-	roundTrip := func() {
-		f.in <- d
-		<-f.wrote
+	check := func(t *testing.T, conn Conn, cust netip.AddrPort, roundTrip func()) {
+		tun := New(conn, neutralizer(t), Options{Workers: 1, Batch: 64}, obs.NewRegistry())
+		tun.register(customer, cust)
+		done := make(chan error, 1)
+		go func() { done <- tun.Serve() }()
+		for i := 0; i < 4; i++ { // the flow's second served packet admits it to the cache
+			roundTrip()
+		}
+		if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+			t.Errorf("read → serve → write allocates %v per datagram", n)
+		}
+		tun.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < 4; i++ { // the flow's second served packet admits it to the cache
-		roundTrip()
-	}
-	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
-		t.Errorf("read → serve → write allocates %v per datagram", n)
-	}
-	tun.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	t.Run("fake", func(t *testing.T) {
+		f := newFake()
+		f.wrote = make(chan struct{})
+		check(t, f, epCust, func() {
+			f.in <- dgram{epOut, e.DataPkt}
+			<-f.wrote
+		})
+	})
+	t.Run("socket", func(t *testing.T) {
+		sock, daemon := loopback(t)
+		out, cust := listenLoopback(t), listenLoopback(t)
+		cust.SetReadDeadline(time.Now().Add(time.Minute))
+		buf := make([]byte, 2048)
+		check(t, sock, cust.LocalAddr().(*net.UDPAddr).AddrPort(), func() {
+			if _, err := out.WriteToUDPAddrPort(e.DataPkt, daemon); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := cust.ReadFromUDPAddrPort(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 }
