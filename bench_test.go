@@ -1,6 +1,6 @@
 // Benchmarks for the quantities no other harness reports. The paper's
 // evaluation numbers (§4) and the ablations are measured by the
-// experiments (`neutbench -exp E1` … `A3`, see README.md), and the
+// experiments (`neutsim -exp E1` … `A3`, see README.md), and the
 // data-plane and engine end-to-end costs by `go run ./benchmark`; six
 // per-unit readings have a twin in neither. Three are here (TraceOff,
 // SimnetUDPEcho, DPIFeatureUpdate); the three that read a reduced

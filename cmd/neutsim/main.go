@@ -1,26 +1,28 @@
-// Command neutsim runs one of internal/eval's parametrised experiments
-// at a chosen scale and prints its result rows: flags become the
-// experiment's config, eval runs and self-enforces it (a failed verdict,
-// misdelivery, classifier hit or worker-count divergence exits
-// non-zero), and the rows that are a pure function of the flags go to
-// stdout — so two runs with the same flags byte-diff clean, which is how
-// CI replay-checks them — while rows carrying wall-clock figures go to
-// stderr. With no mode flag it prints the paper's Figure 1 and Figure 2
-// rows (eval.RunF1, eval.RunF2). -seed threads one seed through every
-// RNG of a run; -simworkers picks how many threads execute the sharded
-// engines and, by the determinism contract, never changes a result.
+// Command neutsim runs internal/eval's experiments by id and prints
+// their result rows: eval.All is the one table of experiments, each at
+// its registered sizes and seed unless a size flag overrides them. Every
+// experiment self-enforces its claims (a failed verdict, misdelivery,
+// classifier hit or worker-count divergence exits non-zero). The rows
+// that are a pure function of the flags go to stdout — so two runs with
+// the same flags byte-diff clean, which is how CI replay-checks them —
+// while rows carrying wall-clock figures go to stderr. -seed threads one
+// seed through every RNG of a run; -simworkers picks how many threads
+// execute the sharded engines and, by the determinism contract, never
+// changes a result.
 //
 // Usage:
 //
 //	neutsim                                       # F1 + F2: Figure 1 and 2
-//	neutsim -hosts 10000 -duration 2s -seed 7     # E6 metro (-simworkers N)
-//	neutsim -hosts 1000 -trace all -traceout t.json  # metro + Perfetto trace
-//	neutsim -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /trace.json, pprof
-//	neutsim -arms -flows 8 -duration 2s -seed 7   # E7 arms race, 8 flows/class
-//	neutsim -audit -vantages 8 -trials 10 -seed 7 # E8 neutrality audit
-//	neutsim -parscale -hosts 2000 -duration 500ms # E9 worker sweep 1/2/4
-//	neutsim -realproto -seed 7                    # E10 real dns + net/http
-//	neutsim -backbone -metros 4 -hosts 1000 -simworkers 2  # E13 backbone
+//	neutsim -list                                 # experiment ids and titles
+//	neutsim -exp all                              # every experiment, registered sizes
+//	neutsim -exp E6 -hosts 1000 -duration 1s -seed 7      # E6 metro (-simworkers N)
+//	neutsim -exp E6 -hosts 1000 -trace all -traceout t.json  # + Perfetto trace
+//	neutsim -exp E6 -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /trace.json, pprof
+//	neutsim -exp E7 -flows 8 -duration 2s -seed 7         # E7 arms race, 8 flows/class
+//	neutsim -exp E8 -vantages 8 -trials 10 -seed 7        # E8 neutrality audit
+//	neutsim -exp E9 -hosts 800 -duration 500ms -seed 7    # E9 worker sweep
+//	neutsim -exp E10 -seed 7                              # E10 real dns + net/http
+//	neutsim -exp E13 -metros 4 -hosts 1000 -simworkers 2  # E13 backbone
 package main
 
 import (
@@ -49,84 +51,77 @@ func main() {
 	}
 }
 
-// run is the whole command: flags to config, config to eval, rows out.
+// run is the whole command: ids to registry entries, flags to their
+// Scale, rows out.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("neutsim", flag.ExitOnError)
-	trace := fs.String("trace", "", "metro flow tracing spec: \"all\" records every flow, a fraction in (0,1) samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair")
-	traceOut := fs.String("traceout", "", "write the metro run's traced spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
-	seed := fs.Int64("seed", 1, "seed threaded to every RNG (simulator, policies, jitter, identities)")
-	hosts := fs.Int("hosts", 0, "run the E6 metro scenario with this many customer hosts (0 = the Figure 1 and 2 rows); customers per metro under -backbone")
-	arms := fs.Bool("arms", false, "run the E7 arms-race scenario (dpi adversary vs cloaking)")
-	flows := fs.Int("flows", 25, "arms race: flows per application class")
-	auditFlag := fs.Bool("audit", false, "run the E8 neutrality audit (differential probing vs stealthy throttling)")
-	parscale := fs.Bool("parscale", false, "run the E9 parallel-scaling sweep (worker counts 1/2/4, bit-identical outcomes enforced)")
-	backbone := fs.Bool("backbone", false, "run the E13 continental backbone (-metros fan-outs of -hosts customers each through a transit core, fluid background load, identity sweep over workers 1 and -simworkers)")
-	metros := fs.Int("metros", 6, "backbone: metro count")
-	realproto := fs.Bool("realproto", false, "run the E10 real-protocol scenario (dns + net/http over simnet vs dpi and audit)")
-	simWorkers := fs.Int("simworkers", 1, "threads executing the sharded metro/audit/backbone engine (results are identical at any value)")
-	vantages := fs.Int("vantages", 12, "audit: outside vantage points (inside reference vantages scale as 1/3)")
-	trials := fs.Int("trials", 12, "audit: paired measurement trials per vantage")
-	duration := fs.Duration("duration", 2*time.Second, "simulated traffic duration for the metro/arms/parscale/backbone scenarios")
-	metricsAddr := fs.String("metrics", "", "serve /metrics, /metrics.json, /trace.json, /trace and /debug/pprof on this address during the metro run (\":0\" picks a port; bound address is printed)")
-	metricsHold := fs.Duration("metricshold", 5*time.Second, "keep the -metrics server up this long after the run so scrapers can read the final state")
+	exp := fs.String("exp", "F1,F2", "comma-separated experiment ids to run, or \"all\" for every one in registry order (ids: -list)")
+	list := fs.Bool("list", false, "list the experiment ids and titles, and exit")
+	var sc eval.Scale
+	fs.Int64Var(&sc.Seed, "seed", 0, "seed threaded to every RNG (simulator, policies, jitter, identities); 0 keeps the registered seed")
+	fs.IntVar(&sc.Hosts, "hosts", 0, "E6, E9: customer hosts; E13: customers per metro (0 = registered)")
+	fs.IntVar(&sc.Metros, "metros", 0, "E13: metro count (0 = registered)")
+	fs.IntVar(&sc.Flows, "flows", 0, "E7: flows per application class (0 = registered)")
+	fs.IntVar(&sc.Vantages, "vantages", 0, "E8: outside vantage points; inside reference vantages scale as 1/3 (0 = registered)")
+	fs.IntVar(&sc.Trials, "trials", 0, "E8: paired measurement trials per vantage (0 = registered)")
+	fs.IntVar(&sc.Workers, "simworkers", 0, "E6, E8: threads executing the sharded engine; E13: sweep workers 1 and N (0 = registered; results are identical at any value)")
+	fs.DurationVar(&sc.Duration, "duration", 0, "E6, E7, E9, E13: simulated traffic duration (0 = registered)")
+	trace := fs.String("trace", "", "E6 flow tracing spec: \"all\" records every flow, a fraction in (0,1) samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair")
+	traceOut := fs.String("traceout", "", "E6: write the traced spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
+	metricsAddr := fs.String("metrics", "", "E6: serve /metrics, /metrics.json, /trace.json and /debug/pprof on this address during the run (\":0\" picks a port; bound address is printed)")
+	metricsHold := fs.Duration("metricshold", 5*time.Second, "E6: keep the -metrics server up this long after the run so scrapers can read the final state")
 	_ = fs.Parse(args) // ExitOnError
 
-	var res *eval.Result
-	var err error
-	switch {
-	case *realproto:
-		res, err = rows(eval.RunRealProto(eval.RealProtoConfig{Seed: *seed}))
-	case *parscale:
-		res, err = rows(eval.RunParScale(eval.ParScaleConfig{
-			Hosts: *hosts, Seed: *seed, Duration: *duration, Workers: []int{1, 2, 4},
-		}))
-	case *backbone:
-		sweep := []int{1}
-		if *simWorkers > 1 {
-			sweep = append(sweep, *simWorkers)
-		}
-		runs, err := eval.RunBackboneIdentity(eval.BackboneConfig{
-			Metros: *metros, HostsPerMetro: *hosts, Seed: *seed, Duration: *duration, Observe: true,
-		}, sweep)
-		if err != nil {
-			return err
-		}
-		res = runs[0].Result() // the sweep's first run renders all of it
-	case *auditFlag:
-		res, err = rows(eval.RunAudit(eval.AuditConfig{
-			Vantages: *vantages, InsideVantages: max(*vantages/3, 1), Trials: *trials,
-			Seed: *seed, Workers: *simWorkers,
-		}))
-	case *arms:
-		res, err = rows(eval.RunArms(eval.ArmsConfig{FlowsPerClass: *flows, Seed: *seed, Duration: *duration}))
-	case *hosts > 0:
-		return runMetro(eval.MetroConfig{Hosts: *hosts, Seed: *seed, Duration: *duration, Workers: *simWorkers},
-			*metricsAddr, *metricsHold, *trace, *traceOut, stdout, stderr)
-	default:
-		if *metricsAddr != "" || *traceOut != "" {
-			return errors.New("neutsim: -metrics and -traceout require the metro scenario (-hosts N)")
-		}
-		for _, figure := range []func() (*eval.Result, error){eval.RunF1, eval.RunF2} {
-			if res, err = figure(); err != nil {
-				return err
-			}
-			emit(stdout, stderr, res)
+	if *list {
+		for _, e := range eval.All() {
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
-	if err != nil {
-		return err
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"seed", "hosts", "metros", "flows", "vantages", "trials", "simworkers", "duration"} {
+		if set[name] && !set["exp"] {
+			return fmt.Errorf("neutsim: -%s sizes an experiment: name it with -exp (ids: -list)", name)
+		}
 	}
-	emit(stdout, stderr, res)
-	return nil
+	exps := eval.All()
+	if *exp != "all" {
+		exps = nil
+		for _, id := range strings.Split(*exp, ",") {
+			e, ok := eval.ByID(id)
+			if !ok {
+				return fmt.Errorf("neutsim: unknown experiment %q (try -list)", id)
+			}
+			exps = append(exps, e)
+		}
+	}
+	if !set["trace"] && !set["traceout"] && !set["metrics"] && !set["metricshold"] {
+		return runAll(exps, sc, stdout, stderr)
+	}
+	if len(exps) != 1 || exps[0].ID != "E6" {
+		return errors.New("neutsim: -trace, -traceout, -metrics and -metricshold observe the metro run: they need -exp E6")
+	}
+	return runMetro(exps, sc, *metricsAddr, *metricsHold, *trace, *traceOut, stdout, stderr)
 }
 
-// rows adapts any eval.RunX's (stats, error) pair to its result rows.
-func rows[S interface{ Result() *eval.Result }](st S, err error) (*eval.Result, error) {
-	if err != nil {
-		return nil, err
+// runAll runs each experiment at sc and prints its rows. It runs on past
+// a failure, reporting each on stderr, and fails at the end.
+func runAll(exps []eval.Experiment, sc eval.Scale, stdout, stderr io.Writer) error {
+	failed := 0
+	for _, e := range exps {
+		res, err := e.Run(sc)
+		if err != nil {
+			fmt.Fprintf(stderr, "neutsim: %s failed: %v\n", e.ID, err)
+			failed++
+			continue
+		}
+		emit(stdout, stderr, res)
 	}
-	return st.Result(), nil
+	if failed > 0 {
+		return fmt.Errorf("neutsim: %d of %d experiment(s) failed", failed, len(exps))
+	}
+	return nil
 }
 
 // emit prints res as two tables: the rows that are a pure function of
@@ -147,15 +142,15 @@ func emit(stdout, stderr io.Writer, res *eval.Result) {
 	}
 }
 
-// runMetro runs the E6 metro scenario with the observability wiring the
-// flags ask for. With metricsAddr set it mounts the full export surface
-// on the run's registry: a Recorder publishing a merged snapshot at
-// every epoch barrier (so mid-run scrapes are barrier-consistent), an
-// NDJSON streamer, a FlightRecorder, and pprof. A non-empty traceSpec
-// sizes the flight recorder from the flowspec (independent of -metrics);
-// traceOut then writes the assembled spans as Chrome trace-event JSON
-// after the run.
-func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, traceSpec, traceOut string, stdout, stderr io.Writer) error {
+// runMetro runs E6 with the observability wiring the flags ask for,
+// attached through eval.Scale.Attach (MetroConfig.Attach). With
+// metricsAddr set it mounts the full export surface on the run's
+// registry: a Recorder publishing a merged snapshot at every epoch
+// barrier (so mid-run scrapes are barrier-consistent), a FlightRecorder,
+// and pprof. A non-empty traceSpec sizes the flight recorder from the
+// flowspec (independent of -metrics); traceOut then writes the assembled
+// spans as Chrome trace-event JSON after the run.
+func runMetro(e6 []eval.Experiment, sc eval.Scale, metricsAddr string, hold time.Duration, traceSpec, traceOut string, stdout, stderr io.Writer) error {
 	var fr *obs.FlightRecorder
 	if traceSpec != "" {
 		fcfg, tags, err := parseFlowSpec(traceSpec)
@@ -179,7 +174,7 @@ func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, trac
 		fmt.Fprintf(stdout, "metrics listening on http://%s/metrics\n", ln.Addr())
 	}
 	if fr != nil || ln != nil {
-		cfg.Attach = func(sim *netem.Simulator) {
+		sc.Attach = func(sim *netem.Simulator) {
 			if fr == nil {
 				fr = obs.NewFlightRecorder(obs.FlightConfig{})
 			}
@@ -199,11 +194,9 @@ func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, trac
 			}()
 		}
 	}
-	res, err := rows(eval.RunMetro(cfg))
-	if err != nil {
+	if err := runAll(e6, sc, stdout, stderr); err != nil {
 		return err
 	}
-	emit(stdout, stderr, res)
 	if traceOut != "" {
 		out, err := os.Create(traceOut)
 		if err != nil {
@@ -227,7 +220,7 @@ func runMetro(cfg eval.MetroConfig, metricsAddr string, hold time.Duration, trac
 	return nil
 }
 
-// parseFlowSpec interprets the -trace flowspec for the metro scenario:
+// parseFlowSpec interprets the -trace flowspec for the E6 metro run:
 //
 //	all              record every event of every flow
 //	0.25             flow-keyed sampling: record all events of that

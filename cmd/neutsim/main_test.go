@@ -41,70 +41,46 @@ func detTable(t *testing.T, res *eval.Result, err error) string {
 	return det.String() + "\n"
 }
 
-// TestModesPrintEvalRows runs every mode at its CI smoke size: stdout
-// must be exactly the deterministic rows of the eval Result the same
-// config produces when run directly (so it is also replay-identical
-// across two runs of one seed), and the wall-clock rows must be on
-// stderr. replay adds the CI double-run cmp for the modes CI diffs.
+// TestModesPrintEvalRows runs every CI smoke line: stdout must be
+// exactly the deterministic rows the registry entries produce at the
+// Scale the flags stand for (so it is also replay-identical across two
+// runs of one seed), and the wall-clock rows must be on stderr. replay
+// adds the CI double-run cmp for the lines CI diffs.
 func TestModesPrintEvalRows(t *testing.T) {
 	modes := []struct {
 		name   string
 		args   []string
-		want   func(t *testing.T) string
+		id     string // comma-separated registry ids
+		scale  eval.Scale
 		wall   string // a wall row metric expected on stderr ("" = none)
 		replay bool
 	}{
-		{name: "default", replay: true,
-			want: func(t *testing.T) string {
-				f1, err1 := eval.RunF1()
-				f2, err2 := eval.RunF2()
-				return detTable(t, f1, err1) + detTable(t, f2, err2)
-			}},
-		{name: "metro", args: []string{"-hosts", "1000", "-duration", "1s", "-seed", "7"},
-			wall: "sim events/sec",
-			want: func(t *testing.T) string {
-				res, err := rows(eval.RunMetro(eval.MetroConfig{Hosts: 1000, Seed: 7, Duration: time.Second}))
-				return detTable(t, res, err)
-			}},
-		{name: "parscale", args: []string{"-parscale", "-hosts", "800", "-duration", "500ms", "-seed", "7"},
-			wall: "events/sec at 4 worker(s)",
-			want: func(t *testing.T) string {
-				res, err := rows(eval.RunParScale(eval.ParScaleConfig{
-					Hosts: 800, Seed: 7, Duration: 500 * time.Millisecond, Workers: []int{1, 2, 4}}))
-				return detTable(t, res, err)
-			}},
-		{name: "arms", args: []string{"-arms", "-flows", "8", "-duration", "2s", "-seed", "7"},
-			want: func(t *testing.T) string {
-				res, err := rows(eval.RunArms(eval.ArmsConfig{FlowsPerClass: 8, Seed: 7, Duration: 2 * time.Second}))
-				return detTable(t, res, err)
-			}},
-		{name: "audit", args: []string{"-audit", "-vantages", "8", "-trials", "10", "-seed", "7"},
-			want: func(t *testing.T) string {
-				res, err := rows(eval.RunAudit(eval.AuditConfig{Vantages: 8, InsideVantages: 2, Trials: 10, Seed: 7}))
-				return detTable(t, res, err)
-			}},
-		{name: "realproto", args: []string{"-realproto", "-seed", "7"}, replay: true,
-			want: func(t *testing.T) string {
-				res, err := rows(eval.RunRealProto(eval.RealProtoConfig{Seed: 7}))
-				return detTable(t, res, err)
-			}},
+		{name: "default", id: "F1,F2", replay: true},
+		{name: "metro", args: []string{"-exp", "E6", "-hosts", "1000", "-duration", "1s", "-seed", "7"},
+			id: "E6", scale: eval.Scale{Hosts: 1000, Duration: time.Second, Seed: 7}, wall: "sim events/sec"},
+		{name: "parscale", args: []string{"-exp", "E9", "-hosts", "800", "-duration", "500ms", "-seed", "7"},
+			id: "E9", scale: eval.Scale{Hosts: 800, Duration: 500 * time.Millisecond, Seed: 7}, wall: "events/sec at 4 worker(s)"},
+		{name: "arms", args: []string{"-exp", "E7", "-flows", "8", "-duration", "2s", "-seed", "7"},
+			id: "E7", scale: eval.Scale{Flows: 8, Duration: 2 * time.Second, Seed: 7}},
+		{name: "audit", args: []string{"-exp", "E8", "-vantages", "8", "-trials", "10", "-seed", "7"},
+			id: "E8", scale: eval.Scale{Vantages: 8, Trials: 10, Seed: 7}},
+		{name: "realproto", args: []string{"-exp", "E10", "-seed", "7"}, replay: true,
+			id: "E10", scale: eval.Scale{Seed: 7}},
 		{name: "backbone", replay: true,
-			args: []string{"-backbone", "-metros", "4", "-hosts", "1000", "-duration", "400ms", "-seed", "7", "-simworkers", "2"},
-			wall: "events/sec at 2 worker(s)",
-			want: func(t *testing.T) string {
-				runs, err := eval.RunBackboneIdentity(eval.BackboneConfig{
-					Metros: 4, HostsPerMetro: 1000, Seed: 7, Duration: 400 * time.Millisecond, Observe: true,
-				}, []int{1, 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return detTable(t, runs[0].Result(), nil)
-			}},
+			args: []string{"-exp", "E13", "-metros", "4", "-hosts", "1000", "-duration", "400ms", "-seed", "7", "-simworkers", "2"},
+			id:   "E13", scale: eval.Scale{Metros: 4, Hosts: 1000, Duration: 400 * time.Millisecond, Seed: 7, Workers: 2},
+			wall: "events/sec at 2 worker(s)"},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			stdout, stderr := runCLI(t, m.args...)
-			if want := m.want(t); stdout != want {
+			want := ""
+			for _, id := range strings.Split(m.id, ",") {
+				e, _ := eval.ByID(id)
+				res, err := e.Run(m.scale)
+				want += detTable(t, res, err)
+			}
+			if stdout != want {
 				t.Errorf("stdout is not the eval rows\ngot:\n%s\nwant:\n%s", stdout, want)
 			}
 			if m.wall == "" && stderr != "" {
@@ -122,12 +98,46 @@ func TestModesPrintEvalRows(t *testing.T) {
 	}
 }
 
-// TestMetroObservabilityWiring: -trace/-traceout/-metrics on the metro
+func TestListPrintsRegisteredIDs(t *testing.T) {
+	out, _ := runCLI(t, "-list")
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		ids = append(ids, strings.Fields(line)[0])
+	}
+	want := "E1 E2 E3 E4 E5 E6 E7 E8 E9 E10 E13 F1 F2 A1 A2 A3 A4 A5 A6 A7 A8"
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("-list ids = %s\nwant        %s", got, want)
+	}
+}
+
+// TestExpPrintsEvalRendering: A4–A8 are read through this command, so
+// `-exp A5` must print exactly the registry entry's rendering — and, the
+// story being deterministic, the same bytes on a second run. -exp F1,F2
+// is the no-flag output.
+func TestExpPrintsEvalRendering(t *testing.T) {
+	e, _ := eval.ByID("A5")
+	res, err := e.Run(eval.Scale{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.String() + "\n"
+	for i := 0; i < 2; i++ {
+		if out, errs := runCLI(t, "-exp", "A5"); out != want || errs != "" {
+			t.Errorf("run %d: stdout differs from the registry's rendering (stderr %q):\n%s\nwant:\n%s", i, errs, out, want)
+		}
+	}
+	plain, _ := runCLI(t)
+	if figures, _ := runCLI(t, "-exp", "F1,F2"); figures != plain {
+		t.Errorf("-exp F1,F2 differs from the no-flag output:\n%s\nwant:\n%s", figures, plain)
+	}
+}
+
+// TestMetroObservabilityWiring: -trace/-traceout/-metrics on the E6
 // run leave the rows alone, add the lines scrapesmoke parses, and write
 // a schema-valid Chrome trace that holds at least one span or instant.
 func TestMetroObservabilityWiring(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	base := []string{"-hosts", "300", "-duration", "100ms", "-seed", "7"}
+	base := []string{"-exp", "E6", "-hosts", "300", "-duration", "100ms", "-seed", "7"}
 	plain, _ := runCLI(t, base...)
 	stdout, _ := runCLI(t, append(base, "-trace", "all", "-traceout", tracePath,
 		"-metrics", "127.0.0.1:0", "-metricshold", "1ms")...)
@@ -168,21 +178,41 @@ func TestMetroObservabilityWiring(t *testing.T) {
 	}
 }
 
-func TestObservabilityFlagsNeedMetro(t *testing.T) {
-	for _, args := range [][]string{
-		{"-metrics", "127.0.0.1:0"},
-		{"-traceout", filepath.Join(t.TempDir(), "t.json")},
-		{"-hosts", "100", "-traceout", filepath.Join(t.TempDir(), "t.json")}, // no -trace
-	} {
-		var out, errb bytes.Buffer
-		start := time.Now()
-		if err := run(args, &out, &errb); err == nil {
-			t.Errorf("neutsim %v: want an error", args)
-		}
-		if out.Len() != 0 || time.Since(start) > time.Second {
-			t.Errorf("neutsim %v did not fail fast (printed %q)", args, out.String())
-		}
+// refused requires neutsim to refuse args before anything runs, with an
+// error that contains want.
+func refused(t *testing.T, want string, args ...string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	start := time.Now()
+	if err := run(args, &out, &errb); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("neutsim %v: error %v, want %q", args, err, want)
 	}
+	if out.Len() != 0 || errb.Len() != 0 || time.Since(start) > time.Second {
+		t.Errorf("neutsim %v did not fail fast (printed %q, %q)", args, out.String(), errb.String())
+	}
+}
+
+func TestUnknownExperimentNamesList(t *testing.T) {
+	refused(t, `unknown experiment "Z9" (try -list)`, "-exp", "Z9")
+	refused(t, `unknown experiment "" (try -list)`, "-exp", "E6,")
+}
+
+// TestSizeFlagsNeedExp: an old `neutsim -hosts 1000` fails loudly
+// instead of printing F1 and F2.
+func TestSizeFlagsNeedExp(t *testing.T) {
+	refused(t, "-hosts sizes an experiment: name it with -exp", "-hosts", "1000")
+	refused(t, "-seed sizes an experiment", "-seed", "7")
+}
+
+func TestObservabilityFlagsNeedMetro(t *testing.T) {
+	traceOut := filepath.Join(t.TempDir(), "t.json")
+	refused(t, "observe the metro run: they need -exp E6", "-metrics", "127.0.0.1:0")
+	refused(t, "need -exp E6", "-exp", "E7", "-metrics", "127.0.0.1:0")
+	refused(t, "need -exp E6", "-exp", "E6,E7", "-trace", "all")
+	refused(t, "need -exp E6", "-exp", "all", "-metricshold", "1s")
+	refused(t, "need -exp E6", "-traceout", traceOut)
+	refused(t, "-traceout requires -trace", "-exp", "E6", "-traceout", traceOut)
+	refused(t, `-trace "every"`, "-exp", "E6", "-trace", "every")
 }
 
 func TestParseFlowSpec(t *testing.T) {

@@ -1,9 +1,8 @@
 // Package eval implements the reproduction harness: one registered
 // experiment per table, figure, or headline number in the paper, each
-// producing printable rows of paper-vs-measured values. The harness is
-// shared by cmd/neutbench (which prints the registered rows) and
-// cmd/neutsim (which prints the parametrised experiments' rows at a
-// chosen scale).
+// producing printable rows of paper-vs-measured values. All is the one
+// table of experiments; cmd/neutsim runs them by id, at their registered
+// sizes or at the sizes its flags give.
 //
 // See README.md ("Reproducing the paper's numbers") for the experiment
 // index.
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"netneutral/internal/benchenv"
+	"netneutral/internal/netem"
 )
 
 // Row is one reported metric.
@@ -53,14 +53,41 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// Scale is cmd/neutsim's size flags as one value. A zero field keeps
+// the registered value; the fixed experiments (E1–E5, F1, F2, A1–A8)
+// ignore Scale.
+type Scale struct {
+	Seed     int64         // every RNG of the run
+	Hosts    int           // E6, E9: customer hosts; E13: hosts per metro
+	Metros   int           // E13
+	Flows    int           // E7: flows per application class
+	Vantages int           // E8: outside vantages; a third of them (at least 1) inside
+	Trials   int           // E8: trials per vantage
+	Workers  int           // E6, E8: engine threads; E13: sweep 1 and Workers when > 1
+	Duration time.Duration // E6, E7, E9, E13: simulated traffic time
+	// Attach is E6's MetroConfig.Attach: neutsim's -metrics and -trace
+	// mount their observers on the run through it.
+	Attach func(*netem.Simulator)
+}
+
+// seed is Seed, or the experiment's registered seed when Seed is 0.
+func (s Scale) seed(registered int64) int64 {
+	if s.Seed != 0 {
+		return s.Seed
+	}
+	return registered
+}
+
 // Experiment is a registered reproduction unit.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func() (*Result, error)
+	Run   func(Scale) (*Result, error)
 }
 
-// All returns every experiment in presentation order.
+// All returns every experiment in presentation order. The sizes of the
+// scaled ones are their configs' fill() defaults; the seeds and the
+// observation they run with are registered here.
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "Key-setup throughput (§4: 24.4 kpps)", RunE1},
@@ -68,12 +95,34 @@ func All() []Experiment {
 		{"E3", "Data path vs vanilla forwarding (§4: 422 vs 600 kpps)", RunE3},
 		{"E4", "Raw crypto operation rate (§4: 2.35M ops/s)", RunE4},
 		{"E5", "Sharded stateless data plane (anycast scaling in-process)", RunE5},
-		{"E6", metroTitle, RunE6},
-		{"E7", armsTitle, RunE7},
-		{"E8", auditTitle, RunE8},
-		{"E9", parScaleTitle, RunE9},
-		{"E10", realProtoTitle, RunE10},
-		{"E13", backboneTitle, RunE13},
+		{"E6", metroTitle, func(s Scale) (*Result, error) {
+			return rows(RunMetro(MetroConfig{Hosts: s.Hosts, Seed: s.seed(66), Duration: s.Duration, Workers: s.Workers, Attach: s.Attach}))
+		}},
+		{"E7", armsTitle, func(s Scale) (*Result, error) {
+			return rows(RunArms(ArmsConfig{FlowsPerClass: s.Flows, Seed: s.seed(7), Duration: s.Duration}))
+		}},
+		{"E8", auditTitle, func(s Scale) (*Result, error) {
+			return rows(RunAudit(AuditConfig{Vantages: s.Vantages, Trials: s.Trials, Seed: s.seed(8), Workers: s.Workers}))
+		}},
+		{"E9", parScaleTitle, func(s Scale) (*Result, error) {
+			return rows(RunParScale(ParScaleConfig{Hosts: s.Hosts, Seed: s.seed(9), Duration: s.Duration}))
+		}},
+		{"E10", realProtoTitle, func(s Scale) (*Result, error) {
+			return rows(RunRealProto(RealProtoConfig{Seed: s.seed(10)}))
+		}},
+		{"E13", backboneTitle, func(s Scale) (*Result, error) {
+			sweep := []int{1, 2, 4}
+			if s.Workers > 1 {
+				sweep = []int{1, s.Workers}
+			}
+			runs, err := RunBackboneIdentity(BackboneConfig{
+				Metros: s.Metros, HostsPerMetro: s.Hosts, Seed: s.seed(13), Duration: s.Duration, Observe: true,
+			}, sweep)
+			if err != nil {
+				return nil, err
+			}
+			return runs[0].Result(), nil // the sweep's first run renders all of it
+		}},
 		{"F1", "Figure 1: customer indistinguishability inside a discriminatory ISP", RunF1},
 		{"F2", "Figure 2: protocol walk with eavesdropper assertions", RunF2},
 		{"A1", "§3.2 ablation: chosen key setup vs certified-pubkey alternative", RunA1},

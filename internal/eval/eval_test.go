@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"netneutral/internal/core"
 	"netneutral/internal/netem"
 )
 
@@ -15,7 +17,7 @@ func runExp(t *testing.T, id string) *Result {
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	res, err := e.Run()
+	res, err := e.Run(Scale{})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -116,6 +118,27 @@ func TestShapeE1BelowE3(t *testing.T) {
 	// but keep headroom for scheduling noise.
 	if data < 2*setup {
 		t.Errorf("data path (%v kpps) should be well above key setup (%v kpps)", data, setup)
+	}
+}
+
+// TestE5ComparesPoolOutputs: E5's statelessness row is earned by
+// comparing each pool batch's outputs with the serial pass's, in any
+// order but byte for byte.
+func TestE5ComparesPoolOutputs(t *testing.T) {
+	note := row(t, runExp(t, "E5"), "statelessness").Note
+	if !strings.Contains(note, "each pool batch's 256 outputs at 1, 2 and 4 workers = the serial pass's") {
+		t.Errorf("statelessness note %q does not say what it compared", note)
+	}
+	a, b, c := []byte{1, 2}, []byte{3}, []byte{3, 0}
+	set := func(pkts ...[]byte) []string {
+		outs := make([]core.Outgoing, len(pkts))
+		for i, p := range pkts {
+			outs[i].Pkt = p
+		}
+		return outputMultiset(outs)
+	}
+	if !slices.Equal(set(a, b), set(b, a)) || slices.Equal(set(a, b), set(a, c)) || slices.Equal(set(a, b), set(a, b, b)) {
+		t.Error("outputMultiset is not the batch's packets as a multiset")
 	}
 }
 

@@ -342,9 +342,6 @@ func verifyArms(st *ArmsStats) error {
 	})
 }
 
-// RunE7 is the registered arms-race experiment.
-func RunE7() (*Result, error) { return rows(RunArms(ArmsConfig{Seed: 7})) }
-
 // Result renders the ladder as the E7 rows.
 func (st *ArmsStats) Result() *Result {
 	voip, video := int(trafficgen.AppVoIP), int(trafficgen.AppVideo)

@@ -68,8 +68,8 @@ func (i AuditISP) String() string {
 type AuditConfig struct {
 	// Vantages is the number of outside vantage points (default 12).
 	Vantages int
-	// InsideVantages is the number of vantage pairs probing entirely
-	// inside the supportive ISP (default 4) — the localization lever.
+	// InsideVantages is the number of vantage pairs probing entirely inside
+	// the supportive ISP (default Vantages/3, at least 1): the localization lever.
 	InsideVantages int
 	// Trials is the number of paired measurement windows per vantage
 	// (default 12).
@@ -90,7 +90,7 @@ type AuditConfig struct {
 
 func (c *AuditConfig) fill() {
 	orDefault(&c.Vantages, 12)
-	orDefault(&c.InsideVantages, 4)
+	orDefault(&c.InsideVantages, max(c.Vantages/3, 1))
 	orDefault(&c.Trials, 12)
 	orDefault(&c.Workers, 1)
 }
@@ -499,9 +499,6 @@ func verifyAudit(st *AuditStats) error {
 	}
 	return firstFailed("audit", checks)
 }
-
-// RunE8 is the registered neutrality-audit experiment.
-func RunE8() (*Result, error) { return rows(RunAudit(AuditConfig{Seed: 8})) }
 
 // Result renders the detection ladder as the E8 rows.
 func (st *AuditStats) Result() *Result {

@@ -249,15 +249,6 @@ func RunBackboneIdentity(cfg BackboneConfig, workers []int) ([]*BackboneStats, e
 	return out, nil
 }
 
-// RunE13 is the registered continental-scale experiment.
-func RunE13() (*Result, error) {
-	runs, err := RunBackboneIdentity(BackboneConfig{Seed: 13, Observe: true}, []int{1, 2, 4})
-	if err != nil {
-		return nil, err
-	}
-	return runs[0].Result(), nil
-}
-
 // Result renders the run as the E13 rows. On the first run of an
 // identity sweep it covers the whole sweep: one wall row per worker
 // count, and the determinism row the sweep earned.

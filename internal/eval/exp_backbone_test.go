@@ -66,7 +66,7 @@ func TestE13FullScale(t *testing.T) {
 }
 
 // TestBackboneRejectsBadConfig: a config the scenario cannot stand on is
-// an error from the builder, not a panic further in (`neutsim -backbone
+// an error from the builder, not a panic further in (`neutsim -exp E13
 // -metros 1` used to index metro 1 of 1), and an empty worker sweep is
 // an error rather than a nil dereference.
 func TestBackboneRejectsBadConfig(t *testing.T) {

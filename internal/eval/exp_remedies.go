@@ -189,7 +189,7 @@ func (t *tokenBucket) allow(now time.Time, size int) bool {
 
 // RunA5 reproduces the §3.6 DoS story: a key-setup flood starves
 // legitimate traffic at the neutralizer's ingress; pushback restores it.
-func RunA5() (*Result, error) {
+func RunA5(Scale) (*Result, error) {
 	sim := netem.NewSimulator(benchStart, 51)
 	atk := sim.MustAddNode("attacker", "att", netip.MustParseAddr("192.0.2.1"))
 	good := sim.MustAddNode("good", "att", f1Ann)
@@ -388,7 +388,7 @@ func (t *trialAndError) feedback(addr netip.Addr, ok bool, _ time.Duration) {
 // RunA6 compares §3.5 selection strategies for a dual-homed site whose
 // providers have asymmetric latency, then fails the fast provider and
 // checks trial-and-error recovery.
-func RunA6() (*Result, error) {
+func RunA6(Scale) (*Result, error) {
 	type probeResult struct {
 		uses map[netip.Addr]int
 		mean time.Duration
@@ -574,7 +574,7 @@ func (t *reservations) reserve(src, dst netip.Addr) bool {
 // RunA8 demonstrates §3.4 end to end: DSCP-tiered service works through
 // the neutralizer, and guaranteed service is recovered via dynamic
 // addresses.
-func RunA8() (*Result, error) {
+func RunA8(Scale) (*Result, error) {
 	// (1) DSCP preservation.
 	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {

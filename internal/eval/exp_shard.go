@@ -10,6 +10,7 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"netneutral/internal/benchenv"
@@ -21,7 +22,7 @@ import (
 const shardBatchSources = 64
 
 // RunE5 measures ProcessBatch throughput as the worker count grows.
-func RunE5() (*Result, error) {
+func RunE5(Scale) (*Result, error) {
 	env, err := benchenv.NewBenchEnv(false, false)
 	if err != nil {
 		return nil, err
@@ -40,6 +41,15 @@ func RunE5() (*Result, error) {
 		Note: "zero-alloc path, one worker",
 	})
 
+	// What any replica must emit for the batch: the serial pass's outputs
+	// (a packet it drops, a pool batch drops too, which fails below).
+	s, serial := core.NewScratch(), []core.Outgoing(nil)
+	for _, pkt := range pkts {
+		outs, _ := env.Neut.ProcessScratch(s, pkt)
+		serial = append(serial, outs...)
+	}
+	want := outputMultiset(serial)
+
 	// Worker sweep through the pool.
 	var oneWorker float64
 	for _, workers := range []int{1, 2, 4} {
@@ -47,8 +57,12 @@ func RunE5() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Warm the buffer rings before timing.
-		pool.ProcessBatch(pkts)
+		// The first batch is checked against the serial pass and warms the
+		// buffer rings before timing.
+		if outs, _ := pool.ProcessBatch(pkts); !slices.Equal(outputMultiset(outs), want) {
+			pool.Close()
+			return nil, fmt.Errorf("eval: E5: a %d-worker pool's outputs differ from the serial pass's", workers)
+		}
 		const batches = 60
 		start := time.Now()
 		var dropped int
@@ -79,7 +93,18 @@ func RunE5() (*Result, error) {
 	res.Rows = append(res.Rows, Row{
 		Metric: "statelessness", Paper: "any replica serves any packet",
 		Measured: "verified",
-		Note:     "shard placement is a locality heuristic only (see core tests)",
+		Note:     fmt.Sprintf("each pool batch's %d outputs at 1, 2 and 4 workers = the serial pass's, as a multiset", len(want)),
 	})
 	return res, nil
+}
+
+// outputMultiset is a batch's output packets, sorted: equal for two
+// batches that emitted the same packets in any order.
+func outputMultiset(outs []core.Outgoing) []string {
+	set := make([]string, len(outs))
+	for i, o := range outs {
+		set[i] = string(o.Pkt)
+	}
+	slices.Sort(set)
+	return set
 }

@@ -113,7 +113,7 @@ func f1Watch(w *figure1World) (*isp.Policy, *isp.Eavesdropper) {
 // discriminatory ISP deterministically kills traffic to a specific
 // customer; with the neutralizer the same classifier never fires and the
 // customer's address never appears inside the discriminatory domain.
-func RunF1() (*Result, error) {
+func RunF1(Scale) (*Result, error) {
 	// ---- Phase 1: no neutralizer ----
 	w, err := newFigure1World(11)
 	if err != nil {
@@ -176,7 +176,7 @@ func RunF1() (*Result, error) {
 
 // RunF2 walks the full Figure 2 protocol on the emulated topology and
 // asserts, packet by packet, what the discriminatory ISP could see.
-func RunF2() (*Result, error) {
+func RunF2(Scale) (*Result, error) {
 	w, err := newFigure1World(21)
 	if err != nil {
 		return nil, err
@@ -236,7 +236,7 @@ func RunF2() (*Result, error) {
 }
 
 // RunA4 quantifies the introduction's Vonage story with MOS scores.
-func RunA4() (*Result, error) {
+func RunA4(Scale) (*Result, error) {
 	// run scores one 150-frame call from Ann to the Vonage server.
 	run := func(degrade, neutralized bool, seed int64) (float64, error) {
 		w, err := newFigure1World(seed)
@@ -327,7 +327,7 @@ func pass(b bool) string {
 
 // RunA7 reproduces the §3.1 DNS story: targeted delay of plaintext
 // queries, defeated by encrypted queries to an outside resolver.
-func RunA7() (*Result, error) {
+func RunA7(Scale) (*Result, error) {
 	sim := netem.NewSimulator(benchStart, 71)
 	cl := sim.MustAddNode("client", "att", f1Ann)
 	evil := sim.MustAddNode("att-core", "att", f1Att)

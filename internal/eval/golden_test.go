@@ -39,16 +39,17 @@ type labelledDigest struct {
 
 // TestGoldenRows pins every simulated experiment's rows against
 // testdata/<ID>.golden: F1, F2 and A3–A8 at their registered sizes,
-// E6–E10 and E13 at the sizes CI's neutsim smoke steps run, observation
-// on wherever the experiment can digest it. cmd/neutsim's tests only
-// compare neutsim with eval, so without this both could drift together.
-// `go test ./internal/eval -run TestGoldenRows -update` rewrites the
-// files; that is legitimate only when a row is meant to change.
+// E6–E10 and E13 at the sizes CI's `neutsim -exp` smoke steps run,
+// observation on wherever the experiment can digest it. cmd/neutsim's
+// tests only compare neutsim with eval, so without this both could drift
+// together. `go test ./internal/eval -run TestGoldenRows -update`
+// rewrites the files; that is legitimate only when a row is meant to
+// change.
 func TestGoldenRows(t *testing.T) {
-	registered := func(id string) func() (string, error) {
+	registered := func(id string, s Scale) func() (string, error) {
 		return func() (string, error) {
 			e, _ := ByID(id)
-			res, err := e.Run()
+			res, err := e.Run(s)
 			if err != nil {
 				return "", err
 			}
@@ -60,14 +61,14 @@ func TestGoldenRows(t *testing.T) {
 		slow bool // skipped under -short
 		run  func() (string, error)
 	}{
-		{id: "F1", run: registered("F1")},
-		{id: "F2", run: registered("F2")},
-		{id: "A3", run: registered("A3")},
-		{id: "A4", run: registered("A4")},
-		{id: "A5", run: registered("A5")},
-		{id: "A6", run: registered("A6")},
-		{id: "A7", run: registered("A7")},
-		{id: "A8", run: registered("A8")},
+		{id: "F1", run: registered("F1", Scale{})},
+		{id: "F2", run: registered("F2", Scale{})},
+		{id: "A3", run: registered("A3", Scale{})},
+		{id: "A4", run: registered("A4", Scale{})},
+		{id: "A5", run: registered("A5", Scale{})},
+		{id: "A6", run: registered("A6", Scale{})},
+		{id: "A7", run: registered("A7", Scale{})},
+		{id: "A8", run: registered("A8", Scale{})},
 		{id: "E6", run: func() (string, error) {
 			st, err := RunMetro(MetroConfig{Hosts: 1000, Seed: 7, Duration: time.Second, Observe: true})
 			if err != nil {
@@ -75,13 +76,7 @@ func TestGoldenRows(t *testing.T) {
 			}
 			return goldenText(st.Result(), labelledDigest{"metro", st.Obs}), nil
 		}},
-		{id: "E7", slow: true, run: func() (string, error) {
-			st, err := RunArms(ArmsConfig{FlowsPerClass: 8, Seed: 7, Duration: 2 * time.Second})
-			if err != nil {
-				return "", err
-			}
-			return goldenText(st.Result()), nil
-		}},
+		{id: "E7", slow: true, run: registered("E7", Scale{Seed: 7, Flows: 8, Duration: 2 * time.Second})},
 		{id: "E8", slow: true, run: func() (string, error) {
 			st, err := reducedAudit()
 			if err != nil {
@@ -96,19 +91,13 @@ func TestGoldenRows(t *testing.T) {
 		}},
 		{id: "E9", run: func() (string, error) {
 			st, err := RunParScale(ParScaleConfig{
-				Hosts: 800, Seed: 7, Duration: 500 * time.Millisecond, Workers: []int{1, 2, 4}, Observe: true})
+				Hosts: 800, Seed: 7, Duration: 500 * time.Millisecond, Workers: []int{1, 2, 4}})
 			if err != nil {
 				return "", err
 			}
 			return goldenText(st.Result(), labelledDigest{"every worker count", st.Runs[0].Stats.Obs}), nil
 		}},
-		{id: "E10", run: func() (string, error) {
-			st, err := RunRealProto(RealProtoConfig{Seed: 7})
-			if err != nil {
-				return "", err
-			}
-			return goldenText(st.Result()), nil
-		}},
+		{id: "E10", run: registered("E10", Scale{Seed: 7})},
 		{id: "E13", run: func() (string, error) {
 			runs, err := RunBackboneIdentity(BackboneConfig{
 				Metros: 4, HostsPerMetro: 1000, Seed: 7, Duration: 400 * time.Millisecond, Observe: true,

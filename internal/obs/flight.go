@@ -54,35 +54,35 @@ type FlightConfig struct {
 // the end-to-end delay exactly.
 type TraceRec struct {
 	// TimeNanos is the virtual time of the event.
-	TimeNanos int64 `json:"ts"`
+	TimeNanos int64
 	// Flow is the keyed flow hash (netem computes it from the canonical
 	// FlowKey); 0 if the packet had no parseable flow.
-	Flow uint64 `json:"flow"`
+	Flow uint64
 	// Journey identifies the packet journey the event belongs to,
 	// stamped at origination.
-	Journey uint64 `json:"journey"`
+	Journey uint64
 	// Seq is the stripe-local emission sequence (merge tiebreaker).
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Node is the stable node id where the event fired.
-	Node int32 `json:"node"`
+	Node int32
 	// Shard is the stripe (netem shard) that recorded the event.
-	Shard int32 `json:"shard"`
+	Shard int32
 	// Size is the packet length in bytes.
-	Size int32 `json:"size"`
+	Size int32
 	// Kind is the trace kind (netem.TraceKind numbering).
-	Kind uint8 `json:"kind"`
+	Kind uint8
 	// QueueNanos..ProcNanos attribute the delay since the journey's
 	// previous event: egress-queue wait, link serialization, link
 	// propagation, policy-imposed delay, endpoint processing.
-	QueueNanos     int64 `json:"queue_ns"`
-	SerializeNanos int64 `json:"ser_ns"`
-	PropagateNanos int64 `json:"prop_ns"`
-	PolicyNanos    int64 `json:"policy_ns"`
-	ProcNanos      int64 `json:"proc_ns"`
+	QueueNanos     int64
+	SerializeNanos int64
+	PropagateNanos int64
+	PolicyNanos    int64
+	ProcNanos      int64
 	// Cause and Class attribute the policy component (netem.PolicyCause
 	// numbering / dpi class numbering).
-	Cause uint8 `json:"cause,omitempty"`
-	Class uint8 `json:"class,omitempty"`
+	Cause uint8
+	Class uint8
 }
 
 // AttrTotalNanos sums the attributed delay components.

@@ -12,7 +12,6 @@ import (
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON snapshot (ts + merged metric values)
 //	/trace.json    assembled spans as Chrome trace-event JSON (Perfetto)
-//	/trace         merged flight-recorder events as NDJSON
 //	/debug/pprof/  the standard pprof handlers
 //
 // The Source abstracts where snapshots come from: a live *Registry for
@@ -28,7 +27,7 @@ type Source interface {
 type HandlerConfig struct {
 	// Source yields snapshots for /metrics and /metrics.json.
 	Source Source
-	// Flight, if set, backs /trace.json and /trace.
+	// Flight, if set, backs /trace.json.
 	Flight *FlightRecorder
 }
 
@@ -49,10 +48,6 @@ func NewHandler(cfg HandlerConfig) *http.ServeMux {
 		mux.HandleFunc("/trace.json", func(w http.ResponseWriter, req *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = WriteChromeTrace(w, AssembleSpans(cfg.Flight.Events()))
-		})
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = WriteTraceNDJSON(w, cfg.Flight.Events())
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

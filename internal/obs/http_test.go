@@ -40,9 +40,12 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics.json missing metric:\n%s", body)
 	}
 
-	code, ctype, body = get("/trace")
-	if code != 200 || !strings.Contains(ctype, "application/x-ndjson") || !strings.Contains(body, `"ts":5`) {
-		t.Fatalf("/trace: code=%d type=%q body=%s", code, ctype, body)
+	code, ctype, body = get("/trace.json")
+	if code != 200 || !strings.Contains(ctype, "application/json") || ValidateChromeTrace([]byte(body)) != nil {
+		t.Fatalf("/trace.json: code=%d type=%q body=%s", code, ctype, body)
+	}
+	if code, _, _ = get("/trace"); code != 404 {
+		t.Fatalf("/trace: code=%d, want 404 (/trace.json is the one trace export)", code)
 	}
 
 	code, _, _ = get("/debug/pprof/cmdline")

@@ -9,7 +9,7 @@ import (
 
 // Span assembly: stitch the flight recorder's merged TraceRecs into
 // per-packet journeys and per-flow spans, and export them as Chrome
-// trace-event JSON (Perfetto loads it directly) or NDJSON. Assembly is
+// trace-event JSON (Perfetto loads it directly). Assembly is
 // pure bookkeeping over the already-deterministic event set, so spans —
 // like the events beneath them — are bit-identical at any worker count.
 
@@ -224,19 +224,6 @@ func hopArgs(h *TraceRec) map[string]any {
 		args["class"] = h.Class
 	}
 	return args
-}
-
-// WriteTraceNDJSON writes the merged event stream as NDJSON, one
-// TraceRec object per line — the raw form downstream tooling joins or
-// filters without span assembly.
-func WriteTraceNDJSON(w io.Writer, evs []TraceRec) error {
-	enc := json.NewEncoder(w)
-	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ValidateChromeTrace parses data as Chrome trace-event JSON and checks

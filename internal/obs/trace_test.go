@@ -176,29 +176,3 @@ func TestValidateChromeTraceRejections(t *testing.T) {
 		t.Fatalf("validator rejected a well-formed document: %v", err)
 	}
 }
-
-// TestWriteTraceNDJSON pins the raw export: one TraceRec object per
-// line, attribution fields spelled with their wire names.
-func TestWriteTraceNDJSON(t *testing.T) {
-	evs := mkJourney(nil, 0xAA, 1, 10_000_000)
-	var buf bytes.Buffer
-	if err := WriteTraceNDJSON(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(evs) {
-		t.Fatalf("wrote %d lines for %d events", len(lines), len(evs))
-	}
-	for i, line := range lines {
-		var rec TraceRec
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if rec != evs[i] {
-			t.Fatalf("line %d round-tripped to %+v, want %+v", i, rec, evs[i])
-		}
-	}
-	if !strings.Contains(lines[2], `"policy_ns"`) || !strings.Contains(lines[2], `"cause"`) {
-		t.Fatalf("deliver line missing attribution keys: %s", lines[2])
-	}
-}

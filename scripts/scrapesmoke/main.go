@@ -1,6 +1,6 @@
 // Command scrapesmoke is the CI smoke test for the observability plane:
 // it builds cmd/neutsim, runs the reduced metro scenario with the
-// metrics server on an ephemeral port (`-hosts 1000 -metrics
+// metrics server on an ephemeral port (`-exp E6 -hosts 1000 -metrics
 // 127.0.0.1:0`), waits for the run to finish, and then scrapes the
 // export surface the way a monitoring stack would:
 //
@@ -11,8 +11,6 @@
 //     carry the values a completed metro run implies (packets actually
 //     delivered, recorder actually ticked, flight recorder actually
 //     sampled);
-//   - /trace must return at least one event, every line a well-formed
-//     NDJSON trace record;
 //   - /trace.json must be valid Chrome trace-event JSON (required keys
 //     per event, known phases, monotonic timestamps, balanced B/E
 //     pairs) with at least one span slice — the run is started with
@@ -23,7 +21,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -98,7 +95,7 @@ func run() error {
 	// -metricshold keeps the server up with the final (post-run) state;
 	// we kill the process as soon as the scrape is done.
 	cmd := exec.Command(bin,
-		"-hosts", "1000", "-duration", "500ms", "-seed", "7", "-trace", "all",
+		"-exp", "E6", "-hosts", "1000", "-duration", "500ms", "-seed", "7", "-trace", "all",
 		"-metrics", "127.0.0.1:0", "-metricshold", "2m")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -132,9 +129,6 @@ func run() error {
 	}
 	if err := checkJSON(base + "/metrics.json"); err != nil {
 		return fmt.Errorf("/metrics.json: %w", err)
-	}
-	if err := checkTraceNDJSON(base + "/trace"); err != nil {
-		return fmt.Errorf("/trace: %w", err)
 	}
 	if err := checkTrace(base + "/trace.json"); err != nil {
 		return fmt.Errorf("/trace.json: %w", err)
@@ -287,28 +281,6 @@ func checkJSON(url string) error {
 		if v <= 0 {
 			return fmt.Errorf("family %s = %v after a completed run, want > 0", name, v)
 		}
-	}
-	return nil
-}
-
-// checkTraceNDJSON requires at least one sampled trace event, each a
-// JSON object with exactly the flight recorder's fields.
-func checkTraceNDJSON(url string) error {
-	body, err := fetch(url)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	events := 0
-	for ; dec.More(); events++ {
-		var ev obs.TraceRec
-		if err := dec.Decode(&ev); err != nil {
-			return fmt.Errorf("event %d: %w", events+1, err)
-		}
-	}
-	if events == 0 {
-		return fmt.Errorf("no sampled trace events")
 	}
 	return nil
 }
