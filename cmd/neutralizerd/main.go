@@ -70,7 +70,7 @@ func parse(args []string) (*config, error) {
 	fs.DurationVar(&c.epoch, "epoch", time.Hour, "master key epoch length (at least 1s); epochs are numbered from the Unix epoch")
 	dynPool := fs.String("dynpool", "", "optional dynamic-address pool prefix (enables §3.4 QoS remedy)")
 	fs.DurationVar(&c.stats, "stats", 30*time.Second, "stats logging interval (0 disables)")
-	fs.IntVar(&c.tunnel.Workers, "workers", 1, "goroutines serving the socket, each with its own scratch, on the one shared neutralizer")
+	fs.IntVar(&c.tunnel.Workers, "workers", 1, "goroutines serving the socket, each with its own scratch, on the one shared neutralizer; one waiting for a datagram blocks in the kernel and holds an OS thread")
 	fs.IntVar(&c.tunnel.Batch, "batch", 64, "most datagrams a worker takes from the socket in one read; it takes what is queued and never waits for more")
 	fs.StringVar(&c.metrics, "metrics", "", "serve /metrics, /metrics.json and /debug/pprof on this address (\":0\" picks a port)")
 	if err := fs.Parse(args); err != nil {

@@ -7,32 +7,57 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
 
-// Socket returns the driver that serves c: ReadBatch is one non-blocking
-// recvmmsg, or recvfrom for one slot (every read at W = 1; it costs less),
-// and WriteBatch one sendmmsg (more only to step past a failed datagram),
-// inside c's RawConn, so a reader with nothing queued parks in the
-// netpoller and Close ends it with net.ErrClosed. A source reads as
-// ReadFromUDPAddrPort reports it, IPv4-mapped on an IPv6 socket, and an
-// IPv4 destination in either form is written as a sockaddr_in, which a
-// dual-stack socket accepts (TestSocketDualStack). Zones are not kept, so
-// a link-local IPv6 peer cannot be answered: its writes fail and count.
+// Socket returns the driver that serves c. It takes c over: it keeps a
+// blocking duplicate of c's fd, outside the Go netpoller, and closes c,
+// so that no datagram wakes a thread waiting in epoll for other work.
+// ReadBatch is one non-blocking recvmmsg, or recvfrom for one slot (every
+// read at W = 1; it costs less); if nothing is queued it makes the same
+// call again blocking (recvmmsg with MSG_WAITFORONE), so a worker waits
+// for a datagram in the kernel, holding one OS thread, and no scheduler
+// round trip stands between the datagram and the worker. WriteBatch is
+// one sendmmsg (more only to step past a failed datagram). Every call
+// runs inside the fd's RawConn, whose reference keeps a closed fd number
+// from being reused under a blocked reader. Close shuts the socket down
+// first, which wakes a blocked reader or writer: both then report
+// net.ErrClosed. A source reads as ReadFromUDPAddrPort reports it,
+// IPv4-mapped on an IPv6 socket, with an IPv6 scope id as its decimal
+// zone, and an IPv4 destination in either form is written as a
+// sockaddr_in, which a dual-stack socket accepts (TestSocketDualStack).
 func Socket(c *net.UDPConn) (Conn, error) {
+	defer c.Close() // takes c's fd out of the netpoller's epoll set
 	rc, err := c.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	return &socket{UDPConn: c, rc: rc}, nil
+	var fd uintptr
+	var e syscall.Errno
+	if err := rc.Control(func(s uintptr) { fd, _, e = syscall.Syscall(syscall.SYS_FCNTL, s, syscall.F_DUPFD_CLOEXEC, 0) }); err != nil {
+		return nil, err
+	}
+	if e != 0 {
+		return nil, os.NewSyscallError("fcntl", e)
+	}
+	if err := syscall.SetNonblock(int(fd), false); err != nil { // the flag is the socket's, shared with c
+		syscall.Close(int(fd))
+		return nil, os.NewSyscallError("fcntl", err)
+	}
+	f := os.NewFile(fd, "udp") // blocking, so not added to the netpoller
+	rc, _ = f.SyscallConn()    // fails only on a nil File
+	return &socket{file: f, rc: rc}, nil
 }
 
 type socket struct {
-	*net.UDPConn // for Close
-	rc           syscall.RawConn
-	pool         sync.Pool // of *mmsgs: one per call in flight
+	file   *os.File
+	rc     syscall.RawConn
+	closed atomic.Bool // set before the shutdown, so its 0-byte wake-up is not a datagram
+	pool   sync.Pool   // of *mmsgs: one per call in flight
 }
 
 // sysSendmmsg is sendmmsg's number, which package syscall names on arm64 only.
@@ -75,22 +100,28 @@ func (s *socket) get(bufs [][]byte) *mmsgs {
 	return m
 }
 
+// recv takes what is queued; if nothing is, it waits in the kernel for
+// the first datagram and takes what is queued behind it. It never parks.
 func (m *mmsgs) recv(fd uintptr) bool {
+	flags := uintptr(syscall.MSG_DONTWAIT)
 	for {
 		var r uintptr
 		var e syscall.Errno
 		if m.n == 1 {
 			r, _, e = syscall.Syscall6(syscall.SYS_RECVFROM, fd, uintptr(unsafe.Pointer(m.iovs[0].Base)), uintptr(m.iovs[0].Len),
-				syscall.MSG_DONTWAIT, uintptr(unsafe.Pointer(&m.names[0])), uintptr(unsafe.Pointer(&m.hdrs[0].hdr.Namelen)))
+				flags, uintptr(unsafe.Pointer(&m.names[0])), uintptr(unsafe.Pointer(&m.hdrs[0].hdr.Namelen)))
 			m.hdrs[0].len, r = uint32(r), 1
 		} else {
-			r, _, e = syscall.Syscall6(syscall.SYS_RECVMMSG, fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(m.n), syscall.MSG_DONTWAIT, 0, 0)
+			r, _, e = syscall.Syscall6(syscall.SYS_RECVMMSG, fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(m.n), flags, 0, 0)
 		}
-		if e == syscall.EAGAIN {
-			m.waited = true
-			return false // nothing queued: park until something is
-		}
-		if e != syscall.EINTR {
+		switch e {
+		case syscall.EAGAIN: // nothing queued: wait for it
+			m.waited, flags = true, 0
+			if m.n > 1 {
+				flags = syscall.MSG_WAITFORONE
+			}
+		case syscall.EINTR:
+		default:
 			m.done, m.errno = int(r), e // after a failure, done is not read
 			return true
 		}
@@ -98,7 +129,8 @@ func (m *mmsgs) recv(fd uintptr) bool {
 }
 
 // send resumes after the datagram sendmmsg stopped at, which it reports
-// failed only when that opens a call: a failure costs only itself.
+// failed only when that opens a call: a failure costs only itself. It
+// stops short on EPIPE, which only Close's shutdown causes.
 func (m *mmsgs) send(fd uintptr) bool {
 	for i := m.done; i < m.n; i = m.done {
 		r, _, e := syscall.Syscall6(sysSendmmsg, fd, uintptr(unsafe.Pointer(&m.hdrs[i])), uintptr(m.n-i), 0, 0, 0)
@@ -106,8 +138,8 @@ func (m *mmsgs) send(fd uintptr) bool {
 		case 0:
 			m.done += int(r)
 		case syscall.EINTR:
-		case syscall.EAGAIN:
-			return false // the send buffer is full: wait until it is not
+		case syscall.EPIPE:
+			return true
 		default:
 			m.errs[i], m.done = os.NewSyscallError("sendmmsg", e), i+1
 		}
@@ -118,7 +150,11 @@ func (m *mmsgs) send(fd uintptr) bool {
 func (s *socket) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, bool, error) {
 	m := s.get(bufs)
 	defer s.pool.Put(m)
-	if err := s.rc.Read(m.read); err != nil {
+	err := s.rc.Read(m.read)
+	if s.closed.Load() {
+		return 0, false, net.ErrClosed // whatever the read returned, the shutdown's wake-up among it
+	}
+	if err != nil {
 		return 0, false, err
 	}
 	if m.errno != 0 {
@@ -137,25 +173,45 @@ func (s *socket) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
 		m.hdrs[i].hdr.Namelen, errs[i] = putSockaddr(&m.names[i], to[i]), nil
 	}
 	m.errs = errs
-	if err := s.rc.Write(m.write); err != nil {
-		for i := m.done; i < m.n; i++ {
-			errs[i] = err
-		}
+	err := s.rc.Write(m.write)
+	if err == nil || s.closed.Load() {
+		err = net.ErrClosed // send stopped short on EPIPE, or found the fd closed: Close was called
 	}
+	for i := m.done; i < m.n; i++ {
+		errs[i] = err
+	}
+}
+
+// Close shuts the socket down, waking a reader or writer blocked in the
+// kernel, and closes the fd once no call holds it.
+func (s *socket) Close() error {
+	s.shutdown()
+	return s.file.Close()
+}
+
+func (s *socket) shutdown() {
+	s.closed.Store(true)
+	s.rc.Control(func(fd uintptr) { syscall.Shutdown(int(fd), syscall.SHUT_RDWR) }) // ENOTCONN on UDP, but it still wakes
 }
 
 // addrPort reads the source the kernel wrote into sa. Both families keep
 // the port at the same offset, in network order: swapped on the
-// little-endian hosts this file builds for.
+// little-endian hosts this file builds for. An IPv6 scope id becomes the
+// decimal zone, allocation-free below 100.
 func addrPort(sa *syscall.RawSockaddrInet6) netip.AddrPort {
 	port := sa.Port>>8 | sa.Port<<8
 	if sa.Family == syscall.AF_INET {
 		return netip.AddrPortFrom(netip.AddrFrom4((*syscall.RawSockaddrInet4)(unsafe.Pointer(sa)).Addr), port)
 	}
-	return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr), port)
+	a := netip.AddrFrom16(sa.Addr)
+	if sa.Scope_id != 0 {
+		a = a.WithZone(strconv.FormatUint(uint64(sa.Scope_id), 10))
+	}
+	return netip.AddrPortFrom(a, port)
 }
 
-// putSockaddr writes ap into sa and returns its length.
+// putSockaddr writes ap into sa and returns its length. A zone that is
+// not an interface index in decimal, as addrPort writes it, is dropped.
 func putSockaddr(sa *syscall.RawSockaddrInet6, ap netip.AddrPort) uint32 {
 	sa.Port = ap.Port()>>8 | ap.Port()<<8
 	if a := ap.Addr().Unmap(); a.Is4() {
@@ -163,6 +219,10 @@ func putSockaddr(sa *syscall.RawSockaddrInet6, ap netip.AddrPort) uint32 {
 		sa4.Family, sa4.Addr, sa4.Zero = syscall.AF_INET, a.As4(), [8]uint8{}
 		return syscall.SizeofSockaddrInet4
 	}
-	sa.Family, sa.Flowinfo, sa.Addr, sa.Scope_id = syscall.AF_INET6, 0, ap.Addr().As16(), 0
+	var scope uint64
+	if z := ap.Addr().Zone(); z != "" {
+		scope, _ = strconv.ParseUint(z, 10, 32)
+	}
+	sa.Family, sa.Flowinfo, sa.Addr, sa.Scope_id = syscall.AF_INET6, 0, ap.Addr().As16(), uint32(scope)
 	return syscall.SizeofSockaddrInet6
 }

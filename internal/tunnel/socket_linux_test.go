@@ -4,8 +4,12 @@ package tunnel
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"net/netip"
+	"runtime"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -134,8 +138,118 @@ func TestSocketDualStack(t *testing.T) {
 			t.Fatalf("read %q, %v (write errors %v); want %q", buf[:n], err, errs, w)
 		}
 	}
-	tun.Close()
-	if err := <-done; err != nil {
+	stop(t, tun, done)
+}
+
+// The shutdown Close begins with wakes a read waiting in the kernel,
+// through recvfrom and through recvmmsg, and cuts a write short: each
+// reports net.ErrClosed, and the loop neither counts nor logs the write.
+func TestSocketShutdownWakesReadAndWrite(t *testing.T) {
+	for _, slots := range []int{1, 4} {
+		sock, _ := loopback(t)
+		bufs, n, from := make([][]byte, slots), make([]int, slots), make([]netip.AddrPort, slots)
+		for i := range bufs {
+			bufs[i] = make([]byte, 64)
+		}
+		got := make(chan error, 1)
+		go func() {
+			_, _, err := sock.ReadBatch(bufs, n, from)
+			got <- err
+		}()
+		waitFor(t, "no read waiting in the kernel", readerInKernel)
+		sock.(*socket).shutdown()
+		select {
+		case err := <-got:
+			if !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("%d slots: read woken by the shutdown returned %v, want net.ErrClosed", slots, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d slots: the shutdown did not wake the read in 10s", slots)
+		}
+		dst := listenLoopback(t).LocalAddr().(*net.UDPAddr).AddrPort()
+		errs := make([]error, 2)
+		sock.WriteBatch([][]byte{[]byte("a"), []byte("b")}, []netip.AddrPort{dst, dst}, errs)
+		if !errors.Is(errs[0], net.ErrClosed) || !errors.Is(errs[1], net.ErrClosed) {
+			t.Fatalf("writes on a shut-down socket: %v, want net.ErrClosed", errs)
+		}
+		sock.Close()
+	}
+	errs, counted, logged := cutWrite(t, func(c Conn) { c.(*socket).shutdown() })
+	if len(errs) != 1 || !errors.Is(errs[0], net.ErrClosed) || counted != 0 || logged != "" {
+		t.Fatalf("write errors %v, counted %v, logged %q; want one net.ErrClosed, uncounted and unlogged", errs, counted, logged)
+	}
+}
+
+// readerInKernel reports whether a goroutine is in a ReadBatch syscall.
+func readerInKernel() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[syscall") && strings.Contains(g, "tunnel.(*socket).ReadBatch") {
+			return true
+		}
+	}
+	return false
+}
+
+// An endpoint survives the trip through a sockaddr in each form the
+// kernel reports: IPv4 (an IPv4-mapped one is written as IPv4), global
+// IPv6, and link-local IPv6, whose scope id is its decimal zone.
+func TestSockaddrRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		in, want string
+		scope    uint32
+	}{
+		{"192.0.2.1:4001", "192.0.2.1:4001", 0},
+		{"[::ffff:192.0.2.1]:4001", "192.0.2.1:4001", 0},
+		{"[2001:db8::1]:4001", "[2001:db8::1]:4001", 0},
+		{"[fe80::1%3]:4001", "[fe80::1%3]:4001", 3},
+		{"[fe80::1%250]:4001", "[fe80::1%250]:4001", 250},
+	} {
+		var sa syscall.RawSockaddrInet6
+		putSockaddr(&sa, netip.MustParseAddrPort(c.in))
+		if sa.Family == syscall.AF_INET6 && sa.Scope_id != c.scope {
+			t.Errorf("%s: scope id %d, want %d", c.in, sa.Scope_id, c.scope)
+		}
+		if got := addrPort(&sa); got != netip.MustParseAddrPort(c.want) {
+			t.Errorf("%s: read back %v, want %s", c.in, got, c.want)
+		}
+	}
+}
+
+// Neither direction allocates below interface index 100.
+func TestSockaddrZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	for _, s := range []string{"192.0.2.1:4001", "[2001:db8::1]:4001", "[fe80::1%3]:4001", "[fe80::1%99]:4001"} {
+		ap := netip.MustParseAddrPort(s)
+		var sa syscall.RawSockaddrInet6
+		if n := testing.AllocsPerRun(100, func() {
+			putSockaddr(&sa, ap)
+			ap = addrPort(&sa)
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per round trip", s, n)
+		}
+	}
+}
+
+// Socket takes the conn over: the conn is closed, so its fd has left the
+// netpoller's epoll set and no datagram wakes a thread waiting there, and
+// the driver reads a blocking duplicate.
+func TestSocketLeavesNetpoller(t *testing.T) {
+	c := listenLoopback(t)
+	sock, err := Socket(c)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer sock.Close()
+	if err := c.SetReadDeadline(time.Now()); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("the conn after Socket: %v, want net.ErrClosed", err)
+	}
+	var flags uintptr
+	var e syscall.Errno
+	sock.(*socket).rc.Control(func(fd uintptr) { flags, _, e = syscall.Syscall(syscall.SYS_FCNTL, fd, syscall.F_GETFL, 0) })
+	if e != 0 || flags&syscall.O_NONBLOCK != 0 {
+		t.Fatalf("the driver's fd: flags %#x, %v; want it blocking", flags, e)
 	}
 }

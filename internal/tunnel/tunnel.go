@@ -31,9 +31,12 @@
 //
 // Workers. The neutralizer keeps no per-flow state, so Options.Workers
 // goroutines run the same loop on one Neutralizer and socket, each with
-// its own Scratch and buffers. A worker parks until a datagram is queued,
-// takes what is queued, at most Batch, in one read that never waits for
-// more (TestSocketReadBatch, TestWorkersDrainOneSocket), serves it in
+// its own Scratch and buffers. With nothing queued, one worker waits in
+// the kernel, blocked on the socket and holding an OS thread, and the
+// others wait for the socket's read lock. A worker takes what is queued,
+// at most Batch, in one read that never waits for more
+// (TestSocketReadBatch); each datagram sent to workers waiting on one
+// socket is served once (TestWorkersDrainOneSocket). It serves a read in
 // order and writes the outputs in one batch, exactly as Batch 1 would
 // (TestBatchMatchesPerPacket, TestServeUnderSimnet). A read asks for
 // twice what the last returned if that filled its request and was not one
@@ -44,7 +47,13 @@
 //
 // Shutdown. Serve returns once every worker has: nil after Close, else
 // the first read error, having closed the socket so the other workers
-// stop (TestCloseStopsEveryWorker, TestReadErrorStopsServe).
+// stop (TestCloseStopsEveryWorker, TestReadErrorStopsServe). On the
+// socket, Close wakes a read waiting in the kernel, which then reports
+// net.ErrClosed (TestSocketShutdownWakesReadAndWrite). A write after
+// Close, or one Close cuts short, fails with net.ErrClosed and is neither
+// counted nor logged (TestWriteAfterCloseNotCounted). A zero-length
+// datagram is not a close: it is refused as malformed, and the loop
+// serves on (TestSocketEmptyDatagramServedOn).
 package tunnel
 
 import (

@@ -554,41 +554,83 @@ func TestFamiliesDoNotDependOnOptions(t *testing.T) {
 }
 
 // Two workers drain one socket while the script trickles in: every
-// datagram is read by one of them, and no flow packet is lost.
+// datagram is read by one of them, and no flow packet is lost. On a real
+// socket both wait on one fd, one of them in the kernel: each datagram is
+// served exactly once, and the read counters sum to what was sent.
 func TestWorkersDrainOneSocket(t *testing.T) {
-	script, served := mixedScript(t)
-	f := newFake()
-	reg := obs.NewRegistry()
 	opts := Options{Workers: 2, Batch: 8}
-	tun := New(f, neutralizer(t), opts, reg)
-	tun.register(customer, epCust) // so that no worker can serve a flow before the script's first frame
-	done := make(chan error, 1)
-	go func() { done <- tun.Serve() }()
-	for i, d := range script {
-		f.in <- d
-		if i%5 == 4 {
-			time.Sleep(time.Millisecond)
+	t.Run("fake", func(t *testing.T) {
+		script, served := mixedScript(t)
+		f := newFake()
+		reg := obs.NewRegistry()
+		tun := New(f, neutralizer(t), opts, reg)
+		tun.register(customer, epCust) // so that no worker can serve a flow before the script's first frame
+		done := make(chan error, 1)
+		go func() { done <- tun.Serve() }()
+		for i, d := range script {
+			f.in <- d
+			if i%5 == 4 {
+				time.Sleep(time.Millisecond)
+			}
 		}
-	}
-	close(f.in)
-	if err := <-done; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if _, datagrams := readFamilies(t, reg.Snapshot(), opts.Workers); datagrams != float64(len(script)) {
-		t.Fatalf("%v of %d datagrams read", datagrams, len(script))
-	}
-	// The outside host's first packet may be served by the other worker
-	// after the return packet behind it in the script, which is then
-	// dropped as unknown; the four flows never are.
-	flows := 0
-	for _, o := range f.out {
-		if bytes.Contains(o.pkt, []byte("flow ")) {
-			flows++
+		close(f.in)
+		if err := <-done; err != nil {
+			t.Fatalf("Serve: %v", err)
 		}
-	}
-	if flows != 100 || len(f.out) > served {
-		t.Fatalf("%d flow packets of 100 delivered, %d outputs of at most %d", flows, len(f.out), served)
-	}
+		if _, datagrams := readFamilies(t, reg.Snapshot(), opts.Workers); datagrams != float64(len(script)) {
+			t.Fatalf("%v of %d datagrams read", datagrams, len(script))
+		}
+		// The outside host's first packet may be served by the other worker
+		// after the return packet behind it in the script, which is then
+		// dropped as unknown; the four flows never are.
+		flows := 0
+		for _, o := range f.out {
+			if bytes.Contains(o.pkt, []byte("flow ")) {
+				flows++
+			}
+		}
+		if flows != 100 || len(f.out) > served {
+			t.Fatalf("%d flow packets of 100 delivered, %d outputs of at most %d", flows, len(f.out), served)
+		}
+	})
+	t.Run("socket", func(t *testing.T) {
+		sock, daemon := loopback(t)
+		out, cust := listenLoopback(t), listenLoopback(t)
+		cust.SetReadDeadline(time.Now().Add(time.Minute))
+		reg := obs.NewRegistry()
+		tun := New(sock, neutralizer(t), opts, reg)
+		tun.register(customer, cust.LocalAddr().(*net.UDPAddr).AddrPort())
+		done := make(chan error, 1)
+		go func() { done <- tun.Serve() }()
+		waitParked(t, opts.Workers)
+		const sent = 100
+		for seq := 0; seq < sent/4; seq++ {
+			for flow := 0; flow < 4; flow++ {
+				if _, err := out.WriteToUDPAddrPort(data(t, flow, seq), daemon); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(time.Millisecond) // so that the workers wait again
+		}
+		seen, buf := map[string]int{}, make([]byte, 2048)
+		for len(seen) < sent {
+			n, _, err := cust.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				t.Fatalf("%d of %d flow packets delivered: %v", len(seen), sent, err)
+			}
+			i := bytes.Index(buf[:n], []byte("flow "))
+			if i < 0 {
+				t.Fatalf("delivered %d bytes with no flow payload", n)
+			}
+			if seen[string(buf[i:n])]++; seen[string(buf[i:n])] > 1 {
+				t.Fatalf("%q served twice", buf[i:n])
+			}
+		}
+		stop(t, tun, done)
+		if _, datagrams := readFamilies(t, reg.Snapshot(), opts.Workers); datagrams != sent {
+			t.Fatalf("%v datagrams read, %d sent", datagrams, sent)
+		}
+	})
 }
 
 func workerGoroutines() int {
@@ -618,8 +660,8 @@ func loopback(t *testing.T) (Conn, netip.AddrPort) {
 	return sock, c.LocalAddr().(*net.UDPAddr).AddrPort()
 }
 
-// parkedWorkers counts the loop's goroutines that wait (in the
-// netpoller, or for the socket's read lock) rather than run.
+// parkedWorkers counts the loop's goroutines that wait (in the kernel,
+// the netpoller, or for the socket's read lock) rather than run.
 func parkedWorkers() int {
 	buf := make([]byte, 1<<20)
 	n := 0
@@ -631,6 +673,40 @@ func parkedWorkers() int {
 	return n
 }
 
+// waitFor polls cond every millisecond, failing as what after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s: %s", what)
+		}
+	}
+}
+
+// waitParked waits for n workers to wait.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("fewer than %d workers waiting", n), func() bool { return parkedWorkers() >= n })
+}
+
+// stop closes tun and waits up to 10 s for Serve, which reports on
+// done, to return nil.
+func stop(t *testing.T, tun *Tunnel, done <-chan error) {
+	t.Helper()
+	go tun.Close() // a Close that hangs shows as Serve not returning
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve still running 10s after Close")
+	}
+}
+
+// Close stops every worker, one waiting for a datagram and any waiting
+// for the read: on the fake, and on a real socket, where a worker waits
+// in the kernel and Close must wake it.
 func TestCloseStopsEveryWorker(t *testing.T) {
 	for _, opts := range []Options{{Workers: 4, Batch: 1}, {Workers: 4, Batch: 8}} {
 		f := newFake()
@@ -650,22 +726,99 @@ func TestCloseStopsEveryWorker(t *testing.T) {
 		}
 	}
 
-	// On a real socket the four workers park in the netpoller.
-	sock, _ := loopback(t)
-	tun := New(sock, neutralizer(t), Options{Workers: 4, Batch: 64}, nil)
-	done := make(chan error, 1)
-	go func() { done <- tun.Serve() }()
-	for deadline := time.Now().Add(10 * time.Second); parkedWorkers() < 4; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of 4 workers parked after 10s", parkedWorkers())
+	for _, opts := range []Options{{Workers: 1, Batch: 64}, {Workers: 4, Batch: 64}} {
+		sock, _ := loopback(t)
+		tun := New(sock, neutralizer(t), opts, nil)
+		done := make(chan error, 1)
+		go func() { done <- tun.Serve() }()
+		waitParked(t, opts.Workers)
+		stop(t, tun, done)
+		if n := workerGoroutines(); n != 0 {
+			t.Fatalf("socket %+v: %d workers still running after Serve returned", opts, n)
 		}
 	}
-	tun.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("socket: Serve after Close: %v", err)
+}
+
+// cutConn runs cut on the socket before each write, and keeps the
+// write's errors.
+type cutConn struct {
+	Conn
+	cut  func(Conn)
+	errs *[]error
+}
+
+func (c cutConn) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
+	c.cut(c.Conn)
+	c.Conn.WriteBatch(pkts, to, errs)
+	*c.errs = append(*c.errs, errs[:len(pkts)]...)
+}
+
+// cutWrite serves one data packet on a real socket that cut closes as the
+// loop writes the answer, and returns the write's errors, the failed
+// writes the loop counted and what it logged.
+func cutWrite(t *testing.T, cut func(Conn)) (errs []error, counted float64, logged string) {
+	t.Helper()
+	sock, daemon := loopback(t)
+	out, cust := listenLoopback(t), listenLoopback(t)
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+	reg := obs.NewRegistry()
+	tun := New(cutConn{sock, cut, &errs}, neutralizer(t), Options{Workers: 1, Batch: 64}, reg)
+	tun.register(customer, cust.LocalAddr().(*net.UDPAddr).AddrPort())
+	done := make(chan error, 1)
+	go func() { done <- tun.Serve() }()
+	if _, err := out.WriteToUDPAddrPort(env(t).DataPkt, daemon); err != nil {
+		t.Fatal(err)
 	}
-	if n := workerGoroutines(); n != 0 {
-		t.Fatalf("socket: %d workers still running after Serve returned", n)
+	select {
+	case err := <-done: // the read after the write finds the socket closed
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		tun.Close()
+		t.Fatal("Serve still running 10s after the socket closed under its write")
+	}
+	return errs, metric(t, reg.Snapshot(), "neutralizerd_write_errors_total"), buf.String()
+}
+
+// A write after Close fails with net.ErrClosed, and the loop neither
+// counts nor logs it.
+func TestWriteAfterCloseNotCounted(t *testing.T) {
+	errs, counted, logged := cutWrite(t, func(c Conn) { c.Close() })
+	if len(errs) != 1 || !errors.Is(errs[0], net.ErrClosed) || counted != 0 || logged != "" {
+		t.Fatalf("write errors %v, counted %v, logged %q; want one net.ErrClosed, uncounted and unlogged", errs, counted, logged)
+	}
+}
+
+// A zero-length datagram is a packet, refused as malformed and counted,
+// not the end of the socket: the loop serves on, and the frame behind it
+// registers, whether it was queued or the worker waited for it.
+func TestSocketEmptyDatagramServedOn(t *testing.T) {
+	sock, daemon := loopback(t)
+	cust := listenLoopback(t)
+	send := func(p []byte) {
+		if _, err := cust.WriteToUDPAddrPort(p, daemon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	tun := New(sock, neutralizer(t), Options{Workers: 1, Batch: 64}, reg)
+	send(nil) // queued before the first read
+	done := make(chan error, 1)
+	go func() { done <- tun.Serve() }()
+	waitFor(t, "the queued empty datagram not read", func() bool {
+		return metric(t, reg.Snapshot(), `neutralizerd_read_datagrams_total{worker="0"}`) > 0
+	})
+	waitParked(t, 1)
+	time.Sleep(10 * time.Millisecond) // past the non-blocking try, into the wait
+	send(nil)
+	send(RegisterFrame(customer))
+	waitFor(t, "the frame behind two empty datagrams not registered", func() bool { return tun.Peers() > 0 })
+	stop(t, tun, done)
+	if n := metric(t, reg.Snapshot(), `core_drops_total{reason="malformed"}`); n != 2 {
+		t.Fatalf("%v malformed drops for 2 empty datagrams", n)
 	}
 }
 
@@ -701,10 +854,7 @@ func TestServeZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
 			t.Errorf("read → serve → write allocates %v per datagram", n)
 		}
-		tun.Close()
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+		stop(t, tun, done)
 	}
 	t.Run("fake", func(t *testing.T) {
 		f := newFake()
