@@ -71,7 +71,7 @@ func parse(args []string) (*config, error) {
 	dynPool := fs.String("dynpool", "", "optional dynamic-address pool prefix (enables §3.4 QoS remedy)")
 	fs.DurationVar(&c.stats, "stats", 30*time.Second, "stats logging interval (0 disables)")
 	fs.IntVar(&c.tunnel.Workers, "workers", 1, "goroutines serving the socket, each with its own scratch, on the one shared neutralizer; one waiting for a datagram blocks in the kernel and holds an OS thread")
-	fs.IntVar(&c.tunnel.Batch, "batch", 64, "most datagrams a worker takes from the socket in one read; it takes what is queued and never waits for more")
+	fs.IntVar(&c.tunnel.Batch, "batch", 64, "most datagrams a worker takes from the socket in one read; it waits for one and takes what is queued behind it, never waiting for more")
 	fs.StringVar(&c.metrics, "metrics", "", "serve /metrics, /metrics.json and /debug/pprof on this address (\":0\" picks a port)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -115,9 +115,10 @@ func parse(args []string) (*config, error) {
 	if c.tunnel.Workers < 1 || c.tunnel.Workers > 1024 {
 		return nil, fmt.Errorf("bad -workers %d (1..1024)", c.tunnel.Workers)
 	}
-	// Each batch slot is a full-datagram (64 KiB) read buffer, allocated
-	// the first time a read asks for it, so the cap keeps a worker's read
-	// buffers to at most 64 MiB. A batch's outputs stay in the worker's
+	// Each batch slot is a full-datagram (64 KiB) read buffer. A worker
+	// starts with one and doubles them after a read that fills them all,
+	// keeping them, so the cap keeps a worker's read buffers to at most
+	// 64 MiB. A batch's outputs stay in the worker's
 	// Scratch until its write, so a flood of large packets can grow that
 	// ring by about as much again: some 128 MiB a worker in all.
 	if c.tunnel.Batch < 1 || c.tunnel.Batch > 1024 {

@@ -41,7 +41,8 @@ func detTable(t *testing.T, res *eval.Result, err error) string {
 	return det.String() + "\n"
 }
 
-// TestModesPrintEvalRows runs every CI smoke line: stdout must be
+// TestModesPrintEvalRows runs the no-flag default and every CI smoke
+// line that sizes an experiment: stdout must be
 // exactly the deterministic rows the registry entries produce at the
 // Scale the flags stand for (so it is also replay-identical across two
 // runs of one seed), and the wall-clock rows must be on stderr. replay

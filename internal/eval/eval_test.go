@@ -176,6 +176,21 @@ func TestF2ProtocolWalk(t *testing.T) {
 	}
 }
 
+// A row pass words FAIL fails its experiment with an error that names
+// the row; a result with none is returned as it is.
+func TestFailRowFailsExperiment(t *testing.T) {
+	ok := &Result{ID: "A8", Rows: []Row{{Metric: "neutralizer preserves DSCP", Measured: pass(true)},
+		{Metric: "EF vs BE delivery under 2x congestion", Measured: "40 vs 20"}}}
+	if res, err := passed(ok); res != ok || err != nil {
+		t.Fatalf("passed(every row pass) = %v, %v; want the result, nil", res, err)
+	}
+	bad := &Result{ID: "F2", Rows: []Row{{Metric: "2a: setup yields provisional (nonce, Ks)", Measured: pass(true)},
+		{Metric: "no payload visible in AT&T", Measured: pass(false)}}}
+	if res, err := passed(bad); res != nil || err == nil || !strings.Contains(err.Error(), "no payload visible in AT&T") {
+		t.Fatalf("passed(a FAIL row) = %v, %v; want an error naming the row", res, err)
+	}
+}
+
 func TestA1AlternativeSlower(t *testing.T) {
 	res := runExp(t, "A1")
 	chosen := parseKpps(t, row(t, res, "chosen design (RSA encrypt, e=3)").Measured)

@@ -648,7 +648,7 @@ func RunA8(Scale) (*Result, error) {
 		}
 	}
 
-	return &Result{ID: "A8", Title: "Tiered + guaranteed service (§3.4)", Rows: []Row{
+	return passed(&Result{ID: "A8", Title: "Tiered + guaranteed service (§3.4)", Rows: []Row{
 		{Metric: "neutralizer preserves DSCP", Paper: "yes", Measured: pass(dscpPreserved), Note: ""},
 		{Metric: "EF vs BE delivery under 2x congestion", Paper: "EF wins",
 			Measured: fmt.Sprintf("%d vs %d", got[dscpExpedited], got[dscpBestEffort]), Note: ""},
@@ -656,5 +656,5 @@ func RunA8(Scale) (*Result, error) {
 			Measured: pass(!separated[0]), Note: "all customers collapse to one visible flow"},
 		{Metric: "per-flow reservation with dynamic addresses", Paper: "works",
 			Measured: pass(separated[1]), Note: "the §3.4 remedy"},
-	}}, nil
+	}})
 }

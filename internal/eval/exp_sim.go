@@ -219,7 +219,7 @@ func RunF2(Scale) (*Result, error) {
 	}
 	refresh := !annHost.ConduitProvisional(f1Anycast)
 
-	return &Result{ID: "F2", Title: "Protocol walk (Figure 2)", Rows: []Row{
+	return passed(&Result{ID: "F2", Title: "Protocol walk (Figure 2)", Rows: []Row{
 		{Metric: "2a: setup yields provisional (nonce, Ks)", Paper: "steps 1-2",
 			Measured: pass(setupOK), Note: "RSA-512 one-time key, stateless derivation"},
 		{Metric: "2b: data delivered to hidden destination", Paper: "steps 3-4",
@@ -232,7 +232,7 @@ func RunF2(Scale) (*Result, error) {
 			Measured: pass(!leakPayload), Note: fmt.Sprintf("%d packets inspected", len(tapped))},
 		{Metric: "no customer address visible in AT&T", Paper: "blurred",
 			Measured: pass(!leakAddr), Note: ""},
-	}}, nil
+	}})
 }
 
 // RunA4 quantifies the introduction's Vonage story with MOS scores.
@@ -323,6 +323,16 @@ func pass(b bool) string {
 		return "pass"
 	}
 	return "FAIL"
+}
+
+// passed makes the first row pass worded FAIL the experiment's error.
+func passed(res *Result) (*Result, error) {
+	for _, r := range res.Rows {
+		if r.Measured == "FAIL" {
+			return nil, fmt.Errorf("eval: %s: %q failed", res.ID, r.Metric)
+		}
+	}
+	return res, nil
 }
 
 // RunA7 reproduces the §3.1 DNS story: targeted delay of plaintext

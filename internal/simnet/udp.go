@@ -173,32 +173,31 @@ func (c *UDPConn) deliverDgram(src netip.AddrPort, payload []byte) {
 // ReadFromUDPAddrPort is ReadBatch of one datagram, into p.
 func (c *UDPConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 	n, from := []int{0}, []netip.AddrPort{{}}
-	_, _, err := c.ReadBatch([][]byte{p}, n, from)
+	_, err := c.ReadBatch([][]byte{p}, n, from)
 	return n[0], from[0], err
 }
 
 // ReadBatch parks in virtual time until a datagram is queued, then moves
 // at most len(bufs) of them, as tunnel.Conn asks.
-func (c *UDPConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, waited bool, err error) {
+func (c *UDPConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, err error) {
 	c.n.lock()
 	defer c.n.mu.Unlock()
 	w := newWaiter()
 	for len(c.queue) == 0 {
 		if c.closed {
-			return 0, waited, net.ErrClosed
+			return 0, net.ErrClosed
 		}
 		if c.expired() {
-			return 0, waited, os.ErrDeadlineExceeded
+			return 0, os.ErrDeadlineExceeded
 		}
 		c.park(w)
-		waited = true
 	}
 	k = min(len(c.queue), len(bufs))
 	for i, d := range c.queue[:k] {
 		n[i], from[i] = copy(bufs[i], d.data), d.src
 	}
 	c.queue = c.queue[k:]
-	return k, waited, nil
+	return k, nil
 }
 
 // WriteToUDPAddrPort sends p to dst from the conn's port.

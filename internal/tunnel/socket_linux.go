@@ -17,11 +17,10 @@ import (
 // Socket returns the driver that serves c. It takes c over: it keeps a
 // blocking duplicate of c's fd, outside the Go netpoller, and closes c,
 // so that no datagram wakes a thread waiting in epoll for other work.
-// ReadBatch is one non-blocking recvmmsg, or recvfrom for one slot (every
-// read at W = 1; it costs less); if nothing is queued it makes the same
-// call again blocking (recvmmsg with MSG_WAITFORONE), so a worker waits
-// for a datagram in the kernel, holding one OS thread, and no scheduler
-// round trip stands between the datagram and the worker. WriteBatch is
+// ReadBatch is one recvmmsg with MSG_WAITFORONE: a worker waits for the
+// first datagram in the kernel, holding one OS thread, and takes what is
+// queued behind it, so no scheduler round trip stands between the
+// datagram and the worker (TestSocketReadWaitsInKernel). WriteBatch is
 // one sendmmsg (more only to step past a failed datagram). Every call
 // runs inside the fd's RawConn, whose reference keeps a closed fd number
 // from being reused under a blocked reader. Close shuts the socket down
@@ -77,7 +76,6 @@ type mmsgs struct {
 	names       []syscall.RawSockaddrInet6 // large enough for either family
 	n, done     int                        // messages; received, or sent or failed
 	errno       syscall.Errno              // the read's failure
-	waited      bool                       // the read found nothing queued at first
 	errs        []error                    // the write's, per datagram
 	read, write func(fd uintptr) bool
 }
@@ -96,32 +94,16 @@ func (s *socket) get(bufs [][]byte) *mmsgs {
 		m.iovs[i] = syscall.Iovec{Base: unsafe.SliceData(b), Len: uint64(len(b))}
 		m.hdrs[i].hdr = syscall.Msghdr{Name: (*byte)(unsafe.Pointer(&m.names[i])), Namelen: syscall.SizeofSockaddrInet6, Iov: &m.iovs[i], Iovlen: 1}
 	}
-	m.n, m.done, m.errno, m.waited = len(bufs), 0, 0, false
+	m.n, m.done, m.errno = len(bufs), 0, 0
 	return m
 }
 
-// recv takes what is queued; if nothing is, it waits in the kernel for
-// the first datagram and takes what is queued behind it. It never parks.
+// recv waits in the kernel for the first datagram and takes what is
+// queued behind it. It never parks.
 func (m *mmsgs) recv(fd uintptr) bool {
-	flags := uintptr(syscall.MSG_DONTWAIT)
 	for {
-		var r uintptr
-		var e syscall.Errno
-		if m.n == 1 {
-			r, _, e = syscall.Syscall6(syscall.SYS_RECVFROM, fd, uintptr(unsafe.Pointer(m.iovs[0].Base)), uintptr(m.iovs[0].Len),
-				flags, uintptr(unsafe.Pointer(&m.names[0])), uintptr(unsafe.Pointer(&m.hdrs[0].hdr.Namelen)))
-			m.hdrs[0].len, r = uint32(r), 1
-		} else {
-			r, _, e = syscall.Syscall6(syscall.SYS_RECVMMSG, fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(m.n), flags, 0, 0)
-		}
-		switch e {
-		case syscall.EAGAIN: // nothing queued: wait for it
-			m.waited, flags = true, 0
-			if m.n > 1 {
-				flags = syscall.MSG_WAITFORONE
-			}
-		case syscall.EINTR:
-		default:
+		r, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd, uintptr(unsafe.Pointer(&m.hdrs[0])), uintptr(m.n), syscall.MSG_WAITFORONE, 0, 0)
+		if e != syscall.EINTR {
 			m.done, m.errno = int(r), e // after a failure, done is not read
 			return true
 		}
@@ -147,23 +129,23 @@ func (m *mmsgs) send(fd uintptr) bool {
 	return true
 }
 
-func (s *socket) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, bool, error) {
+func (s *socket) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, error) {
 	m := s.get(bufs)
 	defer s.pool.Put(m)
 	err := s.rc.Read(m.read)
 	if s.closed.Load() {
-		return 0, false, net.ErrClosed // whatever the read returned, the shutdown's wake-up among it
+		return 0, net.ErrClosed // whatever the read returned, the shutdown's wake-up among it
 	}
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if m.errno != 0 {
-		return 0, false, os.NewSyscallError("recv", m.errno)
+		return 0, os.NewSyscallError("recvmmsg", m.errno)
 	}
 	for i := 0; i < m.done; i++ {
 		n[i], from[i] = int(m.hdrs[i].len), addrPort(&m.names[i])
 	}
-	return m.done, m.waited, nil
+	return m.done, nil
 }
 
 func (s *socket) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {

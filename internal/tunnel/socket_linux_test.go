@@ -37,9 +37,9 @@ func TestSocketReadBatch(t *testing.T) {
 	for i := range bufs {
 		bufs[i] = make([]byte, 64<<10)
 	}
-	got, waited, err := sock.ReadBatch(bufs, n, from)
-	if err != nil || got != 10 || waited {
-		t.Fatalf("one read of 10 queued datagrams returned %d (waited %v), %v", got, waited, err)
+	got, err := sock.ReadBatch(bufs, n, from)
+	if err != nil || got != 10 {
+		t.Fatalf("one read of 10 queued datagrams returned %d, %v", got, err)
 	}
 	for i := 0; i < got; i++ {
 		if !bytes.Equal(bufs[i][:n[i]], sent[i]) || from[i] != srcs[i] {
@@ -142,7 +142,7 @@ func TestSocketDualStack(t *testing.T) {
 }
 
 // The shutdown Close begins with wakes a read waiting in the kernel,
-// through recvfrom and through recvmmsg, and cuts a write short: each
+// with one slot and with four, and cuts a write short: each
 // reports net.ErrClosed, and the loop neither counts nor logs the write.
 func TestSocketShutdownWakesReadAndWrite(t *testing.T) {
 	for _, slots := range []int{1, 4} {
@@ -153,7 +153,7 @@ func TestSocketShutdownWakesReadAndWrite(t *testing.T) {
 		}
 		got := make(chan error, 1)
 		go func() {
-			_, _, err := sock.ReadBatch(bufs, n, from)
+			_, err := sock.ReadBatch(bufs, n, from)
 			got <- err
 		}()
 		waitFor(t, "no read waiting in the kernel", readerInKernel)
@@ -177,6 +177,50 @@ func TestSocketShutdownWakesReadAndWrite(t *testing.T) {
 	errs, counted, logged := cutWrite(t, func(c Conn) { c.(*socket).shutdown() })
 	if len(errs) != 1 || !errors.Is(errs[0], net.ErrClosed) || counted != 0 || logged != "" {
 		t.Fatalf("write errors %v, counted %v, logged %q; want one net.ErrClosed, uncounted and unlogged", errs, counted, logged)
+	}
+}
+
+// A read on an empty socket waits in the kernel, and returns the one
+// datagram that wakes it, with its source; a read with three datagrams
+// queued takes all three in one call.
+func TestSocketReadWaitsInKernel(t *testing.T) {
+	sock, daemon := loopback(t)
+	defer sock.Close()
+	src := listenLoopback(t)
+	bufs, n, from := make([][]byte, 8), make([]int, 8), make([]netip.AddrPort, 8)
+	for i := range bufs {
+		bufs[i] = make([]byte, 64)
+	}
+	type read struct {
+		k   int
+		err error
+	}
+	got := make(chan read, 1)
+	go func() {
+		k, err := sock.ReadBatch(bufs, n, from)
+		got <- read{k, err}
+	}()
+	waitFor(t, "no read waiting in the kernel", readerInKernel)
+	if _, err := src.WriteToUDPAddrPort([]byte("wake"), daemon); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-got:
+		if want := src.LocalAddr().(*net.UDPAddr).AddrPort(); r.err != nil || r.k != 1 || string(bufs[0][:n[0]]) != "wake" || from[0] != want {
+			t.Fatalf("the read that waited returned %d (%q from %v), %v; want 1 (\"wake\" from %v)", r.k, bufs[0][:n[0]], from[0], r.err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a datagram did not wake the read in 10s")
+	}
+
+	for _, p := range []string{"a", "b", "c"} {
+		if _, err := src.WriteToUDPAddrPort([]byte(p), daemon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k, err := sock.ReadBatch(bufs, n, from)
+	if err != nil || k != 3 || string(bufs[0][:n[0]])+string(bufs[1][:n[1]])+string(bufs[2][:n[2]]) != "abc" {
+		t.Fatalf("a read with 3 datagrams queued returned %d, %v; want all 3", k, err)
 	}
 }
 

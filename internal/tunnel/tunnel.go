@@ -38,10 +38,9 @@
 // (TestSocketReadBatch); each datagram sent to workers waiting on one
 // socket is served once (TestWorkersDrainOneSocket). It serves a read in
 // order and writes the outputs in one batch, exactly as Batch 1 would
-// (TestBatchMatchesPerPacket, TestServeUnderSimnet). A read asks for
-// twice what the last returned if that filled its request and was not one
-// datagram it waited for, else for what it returned; a 64 KiB slot is
-// allocated when first asked for (TestReadSizeFollowsQueue). From read to
+// (TestBatchMatchesPerPacket, TestServeUnderSimnet). A worker starts with
+// one 64 KiB slot, and a read that fills all its slots doubles them, up to
+// Batch; it keeps them (TestReadSlotsGrowWithQueue). From read to
 // write an established flow's datagram allocates nothing
 // (TestServeZeroAlloc) and makes no metrics call (TestDataAndReturnPath).
 //
@@ -73,10 +72,10 @@ import (
 // Conn is the socket the loop serves. Its standard types let the tests'
 // fake and simnet.UDPConn implement it without importing this package.
 type Conn interface {
-	// ReadBatch waits for a datagram, then reads datagram i of what is
-	// queued, at most len(bufs), into bufs[i], n[i] and from[i], and reports
-	// whether it waited. An error (net.ErrClosed after Close) ends the loop.
-	ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, waited bool, err error)
+	// ReadBatch waits for a datagram, then reads datagram i of the k
+	// queued, at most len(bufs), into bufs[i], n[i] and from[i]. An error
+	// (net.ErrClosed after Close) ends the loop.
+	ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, err error)
 	// WriteBatch sends pkts[i] to to[i] in order, past any that fails;
 	// errs[i] is its error.
 	WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error)
@@ -178,13 +177,11 @@ func (t *Tunnel) Serve() error {
 // worker is the loop: read, serve, write; it returns the read error that ends it.
 func (t *Tunnel) worker(w int) error {
 	scratch := t.scratches[w]
-	bufs, n, from := make([][]byte, 0, t.opts.Batch), make([]int, t.opts.Batch), make([]netip.AddrPort, t.opts.Batch)
+	bufs, n, from := make([][]byte, 1, t.opts.Batch), make([]int, t.opts.Batch), make([]netip.AddrPort, t.opts.Batch)
+	bufs[0] = make([]byte, 64<<10) // any UDP datagram fits
 	pkts, to, errs := [][]byte(nil), []netip.AddrPort(nil), []error(nil)
-	for want := 1; ; {
-		for len(bufs) < want {
-			bufs = append(bufs, make([]byte, 64<<10)) // any UDP datagram fits
-		}
-		got, waited, err := t.conn.ReadBatch(bufs[:want], n, from)
+	for {
+		got, err := t.conn.ReadBatch(bufs, n, from)
 		if err != nil {
 			return err
 		}
@@ -220,11 +217,10 @@ func (t *Tunnel) worker(w int) error {
 				}
 			}
 		}
-		switch {
-		case got < want:
-			want = max(got, 1)
-		case want > 1 || !waited: // a lone datagram it waited for is no backlog
-			want = min(2*want, t.opts.Batch)
+		if got == len(bufs) { // a full read: double the slots, up to Batch
+			for len(bufs) < min(2*got, t.opts.Batch) {
+				bufs = append(bufs, make([]byte, 64<<10))
+			}
 		}
 	}
 }

@@ -55,20 +55,19 @@ func newFake(script ...dgram) *fakeConn {
 	return f
 }
 
-func (f *fakeConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, bool, error) {
+func (f *fakeConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, error) {
 	f.mu.Lock()
 	err := f.readErr
 	f.readErr = nil
 	f.mu.Unlock()
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	var d dgram
-	ok, waited := false, false
+	ok := false
 	select {
 	case d, ok = <-f.in:
 	default:
-		waited = true
 		if f.blocked != nil {
 			f.blocked <- struct{}{}
 		}
@@ -78,7 +77,7 @@ func (f *fakeConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int
 		}
 	}
 	if !ok {
-		return 0, waited, net.ErrClosed
+		return 0, net.ErrClosed
 	}
 	k := 0
 	for ok {
@@ -95,7 +94,7 @@ func (f *fakeConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int
 	f.mu.Lock()
 	f.calls, f.datagrams = f.calls+1, f.datagrams+k
 	f.mu.Unlock()
-	return k, waited, nil
+	return k, nil
 }
 
 func (f *fakeConn) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
@@ -436,7 +435,7 @@ type askingConn struct {
 	slots map[*byte]bool
 }
 
-func (a *askingConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, bool, error) {
+func (a *askingConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (int, error) {
 	a.asked = append(a.asked, len(bufs))
 	for _, b := range bufs {
 		a.slots[&b[0]] = true
@@ -444,31 +443,37 @@ func (a *askingConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (i
 	return a.fakeConn.ReadBatch(bufs, n, from)
 }
 
-// A read asks for twice what the last one returned when that one filled
-// its request, unless that was one datagram it waited for, and else for
-// what it returned, never more than Batch; a slot is allocated the first
-// time a read asks for it.
-func TestReadSizeFollowsQueue(t *testing.T) {
+// A worker starts with one slot, and a read that fills all its slots
+// doubles them, never past Batch; a read that leaves slots empty keeps
+// them, so datagrams that come one at a time keep two.
+func TestReadSlotsGrowWithQueue(t *testing.T) {
 	e := env(t)
 	d := dgram{epOut, e.DataPkt}
-	script := []dgram{{epCust, RegisterFrame(customer)}}
-	for len(script) < 20 {
-		script = append(script, d)
-	}
-	queued := &askingConn{fakeConn: newFake(script...), slots: map[*byte]bool{}}
-	close(queued.in)
-	if err := New(queued, neutralizer(t), Options{Workers: 1, Batch: 8}, nil).Serve(); err != nil {
-		t.Fatal(err)
-	}
-	// 1+2+4+8 filled, 5 of 8 did not, and the read that met the close asked 5.
-	if want := []int{1, 2, 4, 8, 8, 5}; !reflect.DeepEqual(queued.asked, want) || len(queued.slots) != 8 {
-		t.Fatalf("a queue of 20 at Batch 8: asked %v with %d slots, want %v with 8", queued.asked, len(queued.slots), want)
+	for _, c := range []struct {
+		queue, batch int
+		asked        []int
+	}{
+		{20, 8, []int{1, 2, 4, 8, 8, 8}}, // 1+2+4+8 filled, 5 of 8 did not, and the read that met the close asked 8
+		{14, 64, []int{1, 2, 4, 8, 8}},   // 7 of 8 is not full
+	} {
+		script := []dgram{{epCust, RegisterFrame(customer)}}
+		for len(script) < c.queue {
+			script = append(script, d)
+		}
+		queued := &askingConn{fakeConn: newFake(script...), slots: map[*byte]bool{}}
+		close(queued.in)
+		if err := New(queued, neutralizer(t), Options{Workers: 1, Batch: c.batch}, nil).Serve(); err != nil {
+			t.Fatal(err)
+		}
+		if slots := c.asked[len(c.asked)-1]; !reflect.DeepEqual(queued.asked, c.asked) || len(queued.slots) != slots {
+			t.Fatalf("a queue of %d at Batch %d: asked %v with %d slots, want %v with %d", c.queue, c.batch, queued.asked, len(queued.slots), c.asked, slots)
+		}
 	}
 
 	// At Batch 64, six datagrams one at a time, each sent once the worker
-	// waits for it, then three at once.
+	// waits for it: the first fills the one slot, the rest one of two.
 	trickled := &askingConn{fakeConn: newFake(), slots: map[*byte]bool{}}
-	trickled.in, trickled.blocked, trickled.wrote = make(chan dgram, 3), make(chan struct{}), make(chan struct{})
+	trickled.in, trickled.blocked, trickled.wrote = make(chan dgram, 1), make(chan struct{}), make(chan struct{})
 	tun := New(trickled, neutralizer(t), Options{Workers: 1, Batch: 64}, nil)
 	tun.register(customer, epCust)
 	done := make(chan error, 1)
@@ -479,20 +484,11 @@ func TestReadSizeFollowsQueue(t *testing.T) {
 		<-trickled.wrote
 	}
 	<-trickled.blocked
-	trickled.in <- d
-	trickled.in <- d
-	trickled.in <- d
-	for i := 0; i < 3; i++ {
-		<-trickled.wrote
-	}
-	<-trickled.blocked
 	close(trickled.in)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	// The first of the three was waited for; the second was queued, so the
-	// read after it asks for two and finds one.
-	if want := []int{1, 1, 1, 1, 1, 1, 1, 1, 2, 1}; !reflect.DeepEqual(trickled.asked, want) || len(trickled.slots) != 2 {
+	if want := []int{1, 2, 2, 2, 2, 2, 2}; !reflect.DeepEqual(trickled.asked, want) || len(trickled.slots) != 2 {
 		t.Fatalf("asked %v with %d slots, want %v with 2", trickled.asked, len(trickled.slots), want)
 	}
 }
@@ -812,7 +808,7 @@ func TestSocketEmptyDatagramServedOn(t *testing.T) {
 		return metric(t, reg.Snapshot(), `neutralizerd_read_datagrams_total{worker="0"}`) > 0
 	})
 	waitParked(t, 1)
-	time.Sleep(10 * time.Millisecond) // past the non-blocking try, into the wait
+	time.Sleep(10 * time.Millisecond) // so that the worker waits for the next one
 	send(nil)
 	send(RegisterFrame(customer))
 	waitFor(t, "the frame behind two empty datagrams not registered", func() bool { return tun.Peers() > 0 })

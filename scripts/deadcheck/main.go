@@ -62,6 +62,7 @@ var keep = map[string]string{
 	"endhost.Config.ServeOffload":     "paper §3.2: a customer host answers offloaded key setups; the offload tests turn it on",
 	"endhost.Config.ReturnFlags":      "paper §3.4: a customer asks for a dynamic address or no anonymization on its return traffic; the §3.4 tests set it",
 	"eval.AuditConfig.Observe":        "fault detection: the golden and worker-identity tests observe E8 to pin its observation digest",
+	"tunnel.mmsghdr.len":              "written by the kernel: recvmmsg stores each datagram's length there, so no Go code writes it",
 }
 
 func main() {
