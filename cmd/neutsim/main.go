@@ -1,11 +1,13 @@
 // Command neutsim runs internal/eval's experiments by id and prints
 // their result rows: eval.All is the one table of experiments, each at
-// its registered sizes and seed unless a size flag overrides them. Every
-// experiment self-enforces its claims (a failed verdict, misdelivery,
-// classifier hit or worker-count divergence exits non-zero). The rows
-// that are a pure function of the flags go to stdout — so two runs with
-// the same flags byte-diff clean, which is how CI replay-checks them —
-// while rows carrying wall-clock figures go to stderr. -seed threads one
+// its registered sizes and seed unless a size flag overrides them. A row
+// whose paper column states a claim carries its verdict
+// (eval.Row.Failed), and an experiment fails with its first failed row:
+// a failed row, misdelivery, classifier hit or worker-count divergence
+// exits non-zero. The rows that are a pure function of the flags go to
+// stdout — so two runs with the same flags byte-diff clean, which
+// TestModesPrintEvalRows checks — while rows carrying wall-clock figures
+// go to stderr. -seed threads one
 // seed through every RNG of a run; -simworkers picks how many threads
 // execute the sharded engines and, by the determinism contract, never
 // changes a result.

@@ -41,12 +41,13 @@ func detTable(t *testing.T, res *eval.Result, err error) string {
 	return det.String() + "\n"
 }
 
-// TestModesPrintEvalRows runs the no-flag default and every CI smoke
-// line that sizes an experiment: stdout must be
-// exactly the deterministic rows the registry entries produce at the
-// Scale the flags stand for (so it is also replay-identical across two
-// runs of one seed), and the wall-clock rows must be on stderr. replay
-// adds the CI double-run cmp for the lines CI diffs.
+// TestModesPrintEvalRows runs the no-flag default, the experiments that
+// time this host (E1–E5, A1, A2), and every CI smoke line that sizes an
+// experiment: stdout must be exactly the deterministic rows the registry
+// entries produce at the Scale the flags stand for (so it is also
+// replay-identical across two runs of one seed), and the wall-clock rows
+// must be on stderr. replay runs the line a second time, whose stdout
+// must be the same bytes.
 func TestModesPrintEvalRows(t *testing.T) {
 	modes := []struct {
 		name   string
@@ -57,6 +58,8 @@ func TestModesPrintEvalRows(t *testing.T) {
 		replay bool
 	}{
 		{name: "default", id: "F1,F2", replay: true},
+		{name: "fixed", args: []string{"-exp", "E1,E2,E3,E4,E5,A1,A2"}, id: "E1,E2,E3,E4,E5,A1,A2",
+			wall: "key-setup responses", replay: true},
 		{name: "metro", args: []string{"-exp", "E6", "-hosts", "1000", "-duration", "1s", "-seed", "7"},
 			id: "E6", scale: eval.Scale{Hosts: 1000, Duration: time.Second, Seed: 7}, wall: "sim events/sec"},
 		{name: "parscale", args: []string{"-exp", "E9", "-hosts", "800", "-duration", "500ms", "-seed", "7"},

@@ -2,7 +2,10 @@
 // experiment per table, figure, or headline number in the paper, each
 // producing printable rows of paper-vs-measured values. All is the one
 // table of experiments; cmd/neutsim runs them by id, at their registered
-// sizes or at the sizes its flags give.
+// sizes or at the sizes its flags give. A row that states a claim in its
+// Paper column carries its own verdict (Row.Failed, computed where the
+// row is built), and every registry entry returns the first failed row as
+// its error (Result.Err).
 //
 // See README.md ("Reproducing the paper's numbers") for the experiment
 // index.
@@ -29,6 +32,10 @@ type Row struct {
 	// figure: everything else is a pure function of the experiment's
 	// parameters, so neutsim keeps wall rows off its replay-diffed stdout.
 	Wall bool
+	// Failed marks a row whose claim did not hold: the Paper column,
+	// stated as a comparison on the measured values where the row is
+	// built. The zero value is "no claim, or the claim holds".
+	Failed bool
 }
 
 // Result is the outcome of one experiment.
@@ -51,6 +58,16 @@ func (r *Result) String() string {
 		fmt.Fprintf(&b, "  %-*s  %-*s  %-*s  %s\n", w1, row.Metric, w2, row.Paper, w3, row.Measured, row.Note)
 	}
 	return b.String()
+}
+
+// Err is the experiment's verdict: the first failed row, or nil.
+func (r *Result) Err() error {
+	for _, row := range r.Rows {
+		if row.Failed {
+			return fmt.Errorf("eval: %s: %q failed: measured %s (paper: %s)", r.ID, row.Metric, row.Measured, row.Paper)
+		}
+	}
+	return nil
 }
 
 // Scale is cmd/neutsim's size flags as one value. A zero field keeps
@@ -87,9 +104,10 @@ type Experiment struct {
 
 // All returns every experiment in presentation order. The sizes of the
 // scaled ones are their configs' fill() defaults; the seeds and the
-// observation they run with are registered here.
+// observation they run with are registered here. Each entry's Run fails
+// with its result's Err.
 func All() []Experiment {
-	return []Experiment{
+	all := []Experiment{
 		{"E1", "Key-setup throughput (§4: 24.4 kpps)", RunE1},
 		{"E2", "Sources served per master-key epoch (§4: 88M/hour)", RunE2},
 		{"E3", "Data path vs vanilla forwarding (§4: 422 vs 600 kpps)", RunE3},
@@ -134,6 +152,17 @@ func All() []Experiment {
 		{"A7", "§3.1: DNS bootstrap under query discrimination", RunA7},
 		{"A8", "§3.4: tiered service and guaranteed service coexistence", RunA8},
 	}
+	for i := range all {
+		run := all[i].Run
+		all[i].Run = func(s Scale) (*Result, error) {
+			res, err := run(s)
+			if err != nil {
+				return nil, err
+			}
+			return res, res.Err()
+		}
+	}
+	return all
 }
 
 // ByID finds an experiment.

@@ -1,14 +1,18 @@
 package eval
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"netneutral/internal/audit"
 	"netneutral/internal/core"
+	"netneutral/internal/dpi"
 	"netneutral/internal/netem"
+	"netneutral/internal/trafficgen"
 )
 
 func runExp(t *testing.T, id string) *Result {
@@ -176,18 +180,164 @@ func TestF2ProtocolWalk(t *testing.T) {
 	}
 }
 
-// A row pass words FAIL fails its experiment with an error that names
-// the row; a result with none is returned as it is.
-func TestFailRowFailsExperiment(t *testing.T) {
-	ok := &Result{ID: "A8", Rows: []Row{{Metric: "neutralizer preserves DSCP", Measured: pass(true)},
-		{Metric: "EF vs BE delivery under 2x congestion", Measured: "40 vs 20"}}}
-	if res, err := passed(ok); res != ok || err != nil {
-		t.Fatalf("passed(every row pass) = %v, %v; want the result, nil", res, err)
+// goodArms, goodAudit and goodRealProto are E7, E8 and E10 outcomes
+// every claim holds on, built by hand: no experiment runs.
+func goodArms() *ArmsStats {
+	voip := int(trafficgen.AppVoIP)
+	st := &ArmsStats{}
+	for _, adv := range []ArmsAdversary{AdvPortRule, AdvDPI} {
+		for _, mode := range []ArmsMode{ModePlaintext, ModeEncrypted, ModeCloaked} {
+			c := ArmsCell{Mode: mode, Adversary: adv, Accuracy: 1, CloakOverhead: 1}
+			c.Goodput[voip] = 1
+			st.Cells = append(st.Cells, c)
+		}
 	}
-	bad := &Result{ID: "F2", Rows: []Row{{Metric: "2a: setup yields provisional (nonce, Ks)", Measured: pass(true)},
-		{Metric: "no payload visible in AT&T", Measured: pass(false)}}}
-	if res, err := passed(bad); res != nil || err == nil || !strings.Contains(err.Error(), "no payload visible in AT&T") {
-		t.Fatalf("passed(a FAIL row) = %v, %v; want an error naming the row", res, err)
+	pp := st.Cell(ModePlaintext, AdvPortRule)
+	pp.PortHits, pp.Goodput[voip] = 80, 0.1
+	st.Cell(ModeEncrypted, AdvDPI).Goodput[voip] = 0.2
+	dc := st.Cell(ModeCloaked, AdvDPI)
+	dc.Accuracy, dc.CloakOverhead = 0.25, 4
+	return st
+}
+
+func goodAudit() *AuditStats {
+	st := &AuditStats{}
+	for kind := ISPNeutral; kind < NumAuditISPs; kind++ {
+		for _, mode := range []ArmsMode{ModePlaintext, ModeEncrypted} {
+			for _, strat := range []audit.Strategy{audit.StrategyNaive, audit.StrategyInterleaved} {
+				c := AuditCell{ISP: kind, Mode: mode, Strategy: strat, Obs: &ObsDigest{}}
+				c.Summary.Outside, c.Summary.Inside, c.Summary.Localized = 4, 2, audit.SegmentBeyondBorder
+				// Every outside vantage convicts every throttler, except
+				// where the claim is that it goes unseen: a port rule under
+				// encrypted probes, an evasive throttler under naive bursts.
+				if kind != ISPNeutral && !(kind == ISPPortRule && mode == ModeEncrypted) && !(kind == ISPDPIEvasion && strat == audit.StrategyNaive) {
+					c.Summary.Power, c.Summary.OutsideDetected, c.Summary.Discriminating = 1, 4, true
+				}
+				st.Cells = append(st.Cells, c)
+			}
+		}
+	}
+	// The traced blatant conviction: 5ms of policing per delayed packet
+	// explains the 5ms delay gap each convicting vantage measured.
+	sum := &st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved).Summary
+	sum.Evidence = audit.EvidenceTrail{{Drops: 9, Delayed: 2, PolicyDelay: 10 * time.Millisecond}}
+	for i := 0; i < sum.Outside; i++ {
+		sum.Verdicts = append(sum.Verdicts, audit.Verdict{Discriminated: true, SuspectDelay: 0.007, ControlDelay: 0.002})
+	}
+	return st
+}
+
+func goodRealProto() *RealProtoStats {
+	st := &RealProtoStats{
+		DNS:            realDNSResult{PlainRTT: 4 * time.Millisecond, EncRTT: 4 * time.Millisecond, NXDomainOK: true, TimeoutOK: true, Queries: 3, Encrypted: 1},
+		HTTP:           realHTTPResult{OK: 12, Want: 12, Flows: realClients},
+		Throttled:      audit.Verdict{Discriminated: true, DelayHit: true},
+		NeutralTrace:   RealTraceCheck{Journeys: 100},
+		ThrottledTrace: RealTraceCheck{Journeys: 100, Throttled: 3, ThrottleDelay: 60 * time.Millisecond},
+	}
+	st.HTTP.Hist[dpi.ClassWeb] = realClients
+	return st
+}
+
+// TestFailRowFailsExperiment: each claim E7, E8 and E10 enforce is
+// stated by one row, and breaking the claim's input fails that row, so
+// Result.Err names it.
+func TestFailRowFailsExperiment(t *testing.T) {
+	type flip struct {
+		name, row string
+		result    func() *Result
+	}
+	arms := func(name, row string, f func(*ArmsStats)) flip {
+		return flip{name, row, func() *Result { st := goodArms(); f(st); return st.Result() }}
+	}
+	aud := func(name, row string, f func(*AuditStats)) flip {
+		return flip{name, row, func() *Result { st := goodAudit(); f(st); return st.Result() }}
+	}
+	rp := func(name, row string, f func(*RealProtoStats)) flip {
+		return flip{name, row, func() *Result { st := goodRealProto(); f(st); return st.Result() }}
+	}
+	voip := int(trafficgen.AppVoIP)
+	cell := func(st *AuditStats, kind AuditISP, mode ArmsMode, strat audit.Strategy) *audit.Summary {
+		return &st.Cell(kind, mode, strat).Summary
+	}
+	const (
+		naive, inter = audit.StrategyNaive, audit.StrategyInterleaved
+		blatant      = "blatant dpi throttle: power"
+		armsPort     = "port rule vs encrypted: voip goodput"
+		dnsRTT       = "dns lookup rtt over simnet (plain / encrypted)"
+		trace        = "trace attribution invariant"
+	)
+	cases := []flip{
+		arms("port rule misses plaintext", "port rule vs plaintext: voip goodput", func(s *ArmsStats) { s.Cell(ModePlaintext, AdvPortRule).PortHits = 0 }),
+		arms("plaintext voip survives port rule", "port rule vs plaintext: voip goodput", func(s *ArmsStats) { s.Cell(ModePlaintext, AdvPortRule).Goodput[voip] = 0.6 }),
+		arms("port rule matches encrypted", armsPort, func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvPortRule).PortHits = 1 }),
+		arms("encrypted voip lost to port rule", armsPort, func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvPortRule).Goodput[voip] = 0.8 }),
+		arms("port rule matches cloaked", armsPort, func(s *ArmsStats) { s.Cell(ModeCloaked, AdvPortRule).PortHits = 1 }),
+		arms("cloaked voip lost to port rule", armsPort, func(s *ArmsStats) { s.Cell(ModeCloaked, AdvPortRule).Goodput[voip] = 0.8 }),
+		arms("dpi misses plaintext", "dpi accuracy vs plaintext", func(s *ArmsStats) { s.Cell(ModePlaintext, AdvDPI).Accuracy = 0.8 }),
+		arms("dpi misses encrypted", "dpi accuracy vs encrypted", func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvDPI).Accuracy = 0.8 }),
+		arms("encrypted voip survives dpi", "dpi vs encrypted: voip goodput", func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvDPI).Goodput[voip] = 0.5 }),
+		arms("dpi sees through cloak", "dpi accuracy vs cloak", func(s *ArmsStats) { s.Cell(ModeCloaked, AdvDPI).Accuracy = 0.5 }),
+		arms("cloaked voip not restored", "dpi vs cloak: voip goodput", func(s *ArmsStats) { s.Cell(ModeCloaked, AdvDPI).Goodput[voip] = 0.6 }),
+		arms("cloak costs nothing", "cloak cost: wire bytes / real byte", func(s *ArmsStats) { s.Cell(ModeCloaked, AdvDPI).CloakOverhead = 1 }),
+
+		aud("neutral ISP convicted", "neutral ISP: false-positive rate", func(s *AuditStats) { cell(s, ISPNeutral, ModePlaintext, naive).OutsideDetected = 2 }),
+		aud("neutral ISP has evidence", "neutral ISP: false-positive rate", func(s *AuditStats) {
+			cell(s, ISPNeutral, ModeEncrypted, inter).Evidence = audit.EvidenceTrail{{Drops: 1}}
+		}),
+		aud("blatant dpi unseen encrypted", blatant, func(s *AuditStats) { cell(s, ISPDPI, ModeEncrypted, inter).Power = 0.8 }),
+		aud("blatant dpi unseen plaintext", blatant, func(s *AuditStats) { cell(s, ISPDPI, ModePlaintext, inter).Power = 0.8 }),
+		aud("conviction without drops", blatant, func(s *AuditStats) { cell(s, ISPDPI, ModeEncrypted, inter).Evidence[0].Drops = 0 }),
+		aud("conviction without policing delay", blatant, func(s *AuditStats) { cell(s, ISPDPI, ModeEncrypted, inter).Evidence[0].Delayed = 0 }),
+		aud("policing delay misses the gap", blatant, func(s *AuditStats) {
+			cell(s, ISPDPI, ModeEncrypted, inter).Evidence[0].PolicyDelay = 40 * time.Millisecond
+		}),
+		aud("blatant dpi localized inside", "blatant dpi: localization", func(s *AuditStats) {
+			cell(s, ISPDPI, ModeEncrypted, inter).Localized = audit.SegmentInside
+		}),
+		aud("inside vantage convicts", "blatant dpi: localization", func(s *AuditStats) { cell(s, ISPDPI, ModeEncrypted, inter).InsideDetected = 1 }),
+		aud("port rule unseen plaintext", "port rule vs plaintext probes: power", func(s *AuditStats) { cell(s, ISPPortRule, ModePlaintext, inter).Power = 0.8 }),
+		aud("port rule seen encrypted", "port rule vs encrypted probes: power", func(s *AuditStats) { cell(s, ISPPortRule, ModeEncrypted, inter).Power = 0.1 }),
+		aud("port rule seen by encrypted bursts", "port rule vs encrypted probes: power", func(s *AuditStats) { cell(s, ISPPortRule, ModeEncrypted, naive).Power = 0.1 }),
+		aud("stealth not convicted", "stealth dpi (60% flows, 50% duty): power", func(s *AuditStats) {
+			cell(s, ISPDPIStealth, ModeEncrypted, inter).Discriminating = false
+		}),
+		aud("stealth power too diluted", "stealth dpi (60% flows, 50% duty): power", func(s *AuditStats) { cell(s, ISPDPIStealth, ModeEncrypted, inter).Power = 0.2 }),
+		aud("evasion seen by bursts", "probe-evading dpi vs naive bursts: power", func(s *AuditStats) { cell(s, ISPDPIEvasion, ModeEncrypted, naive).Power = 0.2 }),
+		aud("evasion unseen by interleaving", "probe-evading dpi vs interleaved probes: power", func(s *AuditStats) {
+			cell(s, ISPDPIEvasion, ModeEncrypted, inter).Power = 0.8
+		}),
+
+		rp("plain dns rtt", dnsRTT, func(s *RealProtoStats) { s.DNS.PlainRTT = 5 * time.Millisecond }),
+		rp("encrypted dns rtt", dnsRTT, func(s *RealProtoStats) { s.DNS.EncRTT = 5 * time.Millisecond }),
+		rp("resolver query count", dnsRTT, func(s *RealProtoStats) { s.DNS.Queries = 2 }),
+		rp("resolver encrypted count", dnsRTT, func(s *RealProtoStats) { s.DNS.Encrypted = 0 }),
+		rp("nxdomain", "dns nxdomain + virtual read deadline", func(s *RealProtoStats) { s.DNS.NXDomainOK = false }),
+		rp("read deadline", "dns nxdomain + virtual read deadline", func(s *RealProtoStats) { s.DNS.TimeoutOK = false }),
+		rp("http requests", "net/http requests through the neutralizer", func(s *RealProtoStats) { s.HTTP.OK = 11 }),
+		rp("tap flows", "E7-trained dpi on real neutralized http", func(s *RealProtoStats) { s.HTTP.Flows = realClients - 1 }),
+		rp("unclassified flow", "E7-trained dpi on real neutralized http", func(s *RealProtoStats) { s.HTTP.Hist[dpi.ClassUnknown] = 1 }),
+		rp("clean path convicted", "audit verdict: clean path", func(s *RealProtoStats) { s.Neutral.Discriminated = true }),
+		rp("throttle unseen", "audit verdict: 20ms targeted throttle", func(s *RealProtoStats) { s.Throttled.Discriminated = false }),
+		rp("throttle not on delay", "audit verdict: 20ms targeted throttle", func(s *RealProtoStats) { s.Throttled.DelayHit = false }),
+		rp("clean cell untraced", trace, func(s *RealProtoStats) { s.NeutralTrace.Journeys = 0 }),
+		rp("clean cell throttled", trace, func(s *RealProtoStats) { s.NeutralTrace.Throttled = 1 }),
+		rp("throttled cell clean", trace, func(s *RealProtoStats) { s.ThrottledTrace.Throttled, s.ThrottledTrace.ThrottleDelay = 0, 0 }),
+		rp("throttle misattributed", trace, func(s *RealProtoStats) { s.ThrottledTrace.ThrottleDelay += time.Millisecond }),
+	}
+	for _, good := range []*Result{goodArms().Result(), goodAudit().Result(), goodRealProto().Result()} {
+		if err := good.Err(); err != nil {
+			t.Fatalf("every claim holds, yet %v", err)
+		}
+	}
+	for _, c := range cases {
+		res := c.result()
+		err := res.Err()
+		r := row(t, res, c.row)
+		want := fmt.Sprintf("eval: %s: %q failed: measured %s (paper: %s)", res.ID, c.row, r.Measured, r.Paper)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v\nwant %s", c.name, err, want)
+		}
 	}
 }
 

@@ -349,19 +349,3 @@ func workerSweep[S interface{ identityKey() [13]uint64 }](scenario string, worke
 	}
 	return out, nil
 }
-
-// check is one self-enforced claim of an experiment.
-type check struct {
-	ok  bool
-	msg string
-}
-
-// firstFailed makes the first violated check the experiment's error.
-func firstFailed(experiment string, checks []check) error {
-	for _, c := range checks {
-		if !c.ok {
-			return fmt.Errorf("eval: %s: %s", experiment, c.msg)
-		}
-	}
-	return nil
-}

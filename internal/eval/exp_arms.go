@@ -307,39 +307,7 @@ func RunArms(cfg ArmsConfig) (*ArmsStats, error) {
 			salt++
 		}
 	}
-	return st, verifyArms(st)
-}
-
-// verifyArms asserts the arms-race ladder quantitatively; a violated
-// rung is an experiment failure, the same contract E6 uses.
-func verifyArms(st *ArmsStats) error {
-	voip := int(trafficgen.AppVoIP)
-	pp := st.Cell(ModePlaintext, AdvPortRule)
-	pe := st.Cell(ModeEncrypted, AdvPortRule)
-	dp := st.Cell(ModePlaintext, AdvDPI)
-	de := st.Cell(ModeEncrypted, AdvDPI)
-	dc := st.Cell(ModeCloaked, AdvDPI)
-	pc := st.Cell(ModeCloaked, AdvPortRule)
-	return firstFailed("arms race", []check{
-		{pp.PortHits > 0 && pp.Goodput[voip] < 0.5,
-			fmt.Sprintf("port rule vs plaintext: hits=%d voip goodput=%.2f, want degraded", pp.PortHits, pp.Goodput[voip])},
-		{pe.PortHits == 0 && pe.Goodput[voip] > 0.9,
-			fmt.Sprintf("port rule vs encrypted: hits=%d voip goodput=%.2f, want blinded (paper's claim)", pe.PortHits, pe.Goodput[voip])},
-		{pc.PortHits == 0 && pc.Goodput[voip] > 0.9,
-			fmt.Sprintf("port rule vs cloaked: hits=%d voip goodput=%.2f, want cloak to add no port visibility", pc.PortHits, pc.Goodput[voip])},
-		{dp.Accuracy >= 0.9,
-			fmt.Sprintf("dpi vs plaintext: accuracy=%.2f, want >= 0.90", dp.Accuracy)},
-		{de.Accuracy >= 0.9,
-			fmt.Sprintf("dpi vs encrypted: accuracy=%.2f, want >= 0.90 (encryption alone does not defeat dpi)", de.Accuracy)},
-		{de.Goodput[voip] < 0.4,
-			fmt.Sprintf("dpi vs encrypted: voip goodput=%.2f, want < 0.40 (classified and dropped)", de.Goodput[voip])},
-		{dc.Accuracy <= 0.4,
-			fmt.Sprintf("dpi vs cloaked: accuracy=%.2f, want <= 0.40 (near chance for 4 classes)", dc.Accuracy)},
-		{dc.Goodput[voip] > 0.7,
-			fmt.Sprintf("dpi vs cloaked: voip goodput=%.2f, want restored > 0.70", dc.Goodput[voip])},
-		{dc.CloakOverhead > 1,
-			fmt.Sprintf("cloak overhead=%.2fx, want measured cost > 1x", dc.CloakOverhead)},
-	})
+	return st, st.Result().Err()
 }
 
 // Result renders the ladder as the E7 rows.
@@ -350,34 +318,44 @@ func (st *ArmsStats) Result() *Result {
 	dp := st.Cell(ModePlaintext, AdvDPI)
 	de := st.Cell(ModeEncrypted, AdvDPI)
 	dc := st.Cell(ModeCloaked, AdvDPI)
+	pc := st.Cell(ModeCloaked, AdvPortRule)
 	rows := []Row{
 		{Metric: "flows (4 app classes)", Paper: "-", Measured: fmt.Sprintf("%d", de.Flows),
 			Note: fmt.Sprintf("classifier trained on %d held-out calibration flows", st.TrainedFlows)},
 		{Metric: "port rule vs plaintext: voip goodput", Paper: "degraded",
 			Measured: fmt.Sprintf("%.0f%%", 100*pp.Goodput[voip]),
-			Note:     fmt.Sprintf("%d port matches: the strawman works on plaintext", pp.PortHits)},
+			Note:     fmt.Sprintf("%d port matches: the strawman works on plaintext", pp.PortHits),
+			Failed:   pp.PortHits == 0 || pp.Goodput[voip] >= 0.5},
 		{Metric: "port rule vs encrypted: voip goodput", Paper: "restored",
 			Measured: fmt.Sprintf("%.0f%%", 100*pe.Goodput[voip]),
-			Note:     fmt.Sprintf("%d port matches: the paper's claim holds vs port rules", pe.PortHits)},
+			Note:     fmt.Sprintf("%d port matches: the paper's claim holds vs port rules", pe.PortHits),
+			// Cloaking must add no port visibility either.
+			Failed: pe.PortHits != 0 || pe.Goodput[voip] <= 0.9 || pc.PortHits != 0 || pc.Goodput[voip] <= 0.9},
 		{Metric: "dpi accuracy vs plaintext", Paper: "-",
-			Measured: fmt.Sprintf("%.0f%%", 100*dp.Accuracy), Note: "statistical fingerprint, no ports needed"},
+			Measured: fmt.Sprintf("%.0f%%", 100*dp.Accuracy), Note: "statistical fingerprint, no ports needed",
+			Failed: dp.Accuracy < 0.9},
 		{Metric: "dpi accuracy vs encrypted", Paper: ">= 90%",
 			Measured: fmt.Sprintf("%.0f%%", 100*de.Accuracy),
-			Note:     "sizes and timing survive encryption: the claim's limit"},
+			Note:     "sizes and timing survive encryption: the claim's limit",
+			Failed:   de.Accuracy < 0.9},
 		{Metric: "dpi vs encrypted: voip goodput", Paper: "degraded",
 			Measured: fmt.Sprintf("%.0f%%", 100*de.Goodput[voip]),
-			Note:     fmt.Sprintf("%d classified-voip drops", de.DPIDrops)},
+			Note:     fmt.Sprintf("%d classified-voip drops", de.DPIDrops),
+			Failed:   de.Goodput[voip] >= 0.4},
 		{Metric: "dpi vs encrypted: video goodput", Paper: "throttled",
 			Measured: fmt.Sprintf("%.0f%%", 100*de.Goodput[video]),
 			Note:     fmt.Sprintf("%d token-bucket drops at 8 Mbps class rate", de.DPIPoliced)},
 		{Metric: "dpi accuracy vs cloak", Paper: "<= 40% (chance=25%)",
 			Measured: fmt.Sprintf("%.0f%%", 100*dc.Accuracy),
-			Note:     "padding + tick grid + cover erase the fingerprint"},
+			Note:     "padding + tick grid + cover erase the fingerprint",
+			Failed:   dc.Accuracy > 0.4},
 		{Metric: "dpi vs cloak: voip goodput", Paper: "restored",
-			Measured: fmt.Sprintf("%.0f%%", 100*dc.Goodput[voip]), Note: "classifier cannot find the target class"},
+			Measured: fmt.Sprintf("%.0f%%", 100*dc.Goodput[voip]), Note: "classifier cannot find the target class",
+			Failed: dc.Goodput[voip] <= 0.7},
 		{Metric: "cloak cost: wire bytes / real byte", Paper: "-",
 			Measured: fmt.Sprintf("%.1fx", dc.CloakOverhead),
-			Note:     fmt.Sprintf("+%v mean latency per frame", dc.CloakDelay.Round(time.Millisecond))},
+			Note:     fmt.Sprintf("+%v mean latency per frame", dc.CloakDelay.Round(time.Millisecond)),
+			Failed:   dc.CloakOverhead <= 1},
 	}
 	return &Result{ID: "E7", Title: armsTitle, Rows: rows}
 }

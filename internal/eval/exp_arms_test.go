@@ -40,8 +40,8 @@ func TestE7ArmsReduced(t *testing.T) {
 	}
 }
 
-// TestE7FullScale runs the registered experiment (which self-verifies
-// every ladder rung via verifyArms).
+// TestE7FullScale runs the registered experiment (every ladder rung is
+// a row's claim, so a failed rung fails the run).
 func TestE7FullScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full arms matrix is slow under race instrumentation")

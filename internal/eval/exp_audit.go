@@ -144,8 +144,8 @@ func (s *AuditStats) Cell(i AuditISP, m ArmsMode, st audit.Strategy) *AuditCell 
 
 // auditDPIDelay is the per-packet hold the dpi throttlers add on top of
 // dropping: the policing delay the evidence trail must attribute, hop
-// for hop, to the transit engine (verifyAudit matches it against the
-// measured suspect-vs-control delay gap).
+// for hop, to the transit engine (the blatant-dpi power row matches it
+// against the measured suspect-vs-control delay gap).
 const auditDPIDelay = 5 * time.Millisecond
 
 // auditPolicy builds the dpi enforcement for the given ISP behavior.
@@ -402,7 +402,7 @@ func RunAudit(cfg AuditConfig) (*AuditStats, error) {
 			}
 		}
 	}
-	return st, verifyAudit(st)
+	return st, st.Result().Err()
 }
 
 // FalsePositiveRate is the fraction of individual vantage audits on the
@@ -424,88 +424,50 @@ func (s *AuditStats) FalsePositiveRate() float64 {
 	return float64(positives) / float64(audits)
 }
 
-// verifyAudit asserts the E8 contract; a violated verdict is an
-// experiment failure, the same discipline E6/E7 use.
-func verifyAudit(st *AuditStats) error {
-	fpr := st.FalsePositiveRate()
-	dpiEncInt := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved)
-	dpiPlainInt := st.Cell(ISPDPI, ModePlaintext, audit.StrategyInterleaved)
-	portPlainInt := st.Cell(ISPPortRule, ModePlaintext, audit.StrategyInterleaved)
-	portEncInt := st.Cell(ISPPortRule, ModeEncrypted, audit.StrategyInterleaved)
-	portEncNaive := st.Cell(ISPPortRule, ModeEncrypted, audit.StrategyNaive)
-	stealthEncInt := st.Cell(ISPDPIStealth, ModeEncrypted, audit.StrategyInterleaved)
-	evEncNaive := st.Cell(ISPDPIEvasion, ModeEncrypted, audit.StrategyNaive)
-	evEncInt := st.Cell(ISPDPIEvasion, ModeEncrypted, audit.StrategyInterleaved)
-	checks := []check{
-		{fpr <= 0.05,
-			fmt.Sprintf("neutral ISP false-positive rate %.3f, want <= 0.05", fpr)},
-		{dpiEncInt.Summary.Power >= 0.9,
-			fmt.Sprintf("blatant dpi vs encrypted interleaved probes: power %.2f, want >= 0.90", dpiEncInt.Summary.Power)},
-		{dpiPlainInt.Summary.Power >= 0.9,
-			fmt.Sprintf("blatant dpi vs plaintext interleaved probes: power %.2f, want >= 0.90", dpiPlainInt.Summary.Power)},
-		{dpiEncInt.Summary.Localized == audit.SegmentBeyondBorder && dpiEncInt.Summary.InsideDetected == 0,
-			fmt.Sprintf("blatant dpi localization: %v (inside detected %d), want beyond-border with clean inside paths",
-				dpiEncInt.Summary.Localized, dpiEncInt.Summary.InsideDetected)},
-		{portPlainInt.Summary.Power >= 0.9,
-			fmt.Sprintf("port rule vs plaintext probes: power %.2f, want >= 0.90", portPlainInt.Summary.Power)},
-		{portEncInt.Summary.Power <= 0.05 && portEncNaive.Summary.Power <= 0.05,
-			fmt.Sprintf("port rule vs encrypted probes: power %.2f/%.2f, want ~0 (encryption restored neutrality — the paper's claim, audited)",
-				portEncInt.Summary.Power, portEncNaive.Summary.Power)},
-		{stealthEncInt.Summary.Discriminating,
-			fmt.Sprintf("stealth dpi (60%% of flows, 50%% duty): aggregate did not convict (power %.2f)", stealthEncInt.Summary.Power)},
-		{stealthEncInt.Summary.Power >= 0.3,
-			fmt.Sprintf("stealth dpi: power %.2f, want >= 0.30 despite dilution", stealthEncInt.Summary.Power)},
-		{evEncNaive.Summary.Power <= 0.1,
-			fmt.Sprintf("probe-evading dpi vs naive bursts: power %.2f, want <= 0.10 (evasion defeats naive probing)", evEncNaive.Summary.Power)},
-		{evEncInt.Summary.Power >= 0.9,
-			fmt.Sprintf("probe-evading dpi vs interleaved probes: power %.2f, want >= 0.90 (long-lived app-shaped flows age past the whitelist)", evEncInt.Summary.Power)},
+// evidenceExplains reports whether a traced conviction carries its
+// causal backing: policy drops, and a policing site whose attributed mean
+// delay explains, within half, the suspect-vs-control delay gap the
+// convicting outside vantages measured. An untraced cell has no trail to
+// check.
+func (c *AuditCell) evidenceExplains() bool {
+	if c.Obs == nil {
+		return true
 	}
-	// With tracing attached, a conviction must carry its causal backing:
-	// a non-empty evidence trail whose attributed policing delay matches
-	// the delay gap the probes measured, while the neutral ISP's trail
-	// stays empty.
-	if dpiEncInt.Obs != nil {
-		ev := dpiEncInt.Summary.Evidence
-		var policed *audit.HopEvidence
-		for i := range ev {
-			if ev[i].Delayed > 0 && (policed == nil || ev[i].PolicyDelay > policed.PolicyDelay) {
-				policed = &ev[i]
-			}
-		}
-		checks = append(checks,
-			check{len(ev) > 0 && ev.TotalDrops() > 0,
-				fmt.Sprintf("blatant dpi conviction carries no drop evidence (%d sites, %d drops)", len(ev), ev.TotalDrops())},
-			check{policed != nil,
-				"blatant dpi conviction carries no policing-delay evidence"})
-		var gap float64
-		var n int
-		for vi := 0; vi < dpiEncInt.Summary.Outside; vi++ {
-			if v := &dpiEncInt.Summary.Verdicts[vi]; v.Discriminated {
-				gap += v.SuspectDelay - v.ControlDelay
-				n++
-			}
-		}
-		if policed != nil && n > 0 {
-			gap /= float64(n)
-			attr := policed.MeanDelay().Seconds()
-			checks = append(checks, check{gap > 0 && math.Abs(gap-attr) <= 0.5*attr,
-				fmt.Sprintf("attributed policing delay %.1fms does not explain measured delay gap %.1fms",
-					1e3*attr, 1e3*gap)})
-		}
-		if neutral := st.Cell(ISPNeutral, ModeEncrypted, audit.StrategyInterleaved); neutral != nil {
-			checks = append(checks, check{len(neutral.Summary.Evidence) == 0,
-				fmt.Sprintf("neutral ISP produced policing evidence (%d sites)", len(neutral.Summary.Evidence))})
+	ev := c.Summary.Evidence
+	var policed *audit.HopEvidence
+	for i := range ev {
+		if ev[i].Delayed > 0 && (policed == nil || ev[i].PolicyDelay > policed.PolicyDelay) {
+			policed = &ev[i]
 		}
 	}
-	return firstFailed("audit", checks)
+	if ev.TotalDrops() == 0 || policed == nil {
+		return false
+	}
+	var gap float64
+	var n int
+	for vi := 0; vi < c.Summary.Outside; vi++ {
+		if v := &c.Summary.Verdicts[vi]; v.Discriminated {
+			gap += v.SuspectDelay - v.ControlDelay
+			n++
+		}
+	}
+	if n == 0 {
+		return true
+	}
+	gap /= float64(n)
+	attr := policed.MeanDelay().Seconds()
+	return gap > 0 && math.Abs(gap-attr) <= 0.5*attr
 }
 
 // Result renders the detection ladder as the E8 rows.
 func (st *AuditStats) Result() *Result {
+	neutral := st.Cell(ISPNeutral, ModeEncrypted, audit.StrategyInterleaved)
 	dpiEncInt := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyInterleaved)
+	dpiPlainInt := st.Cell(ISPDPI, ModePlaintext, audit.StrategyInterleaved)
 	dpiEncNaive := st.Cell(ISPDPI, ModeEncrypted, audit.StrategyNaive)
 	portPlainInt := st.Cell(ISPPortRule, ModePlaintext, audit.StrategyInterleaved)
 	portEncInt := st.Cell(ISPPortRule, ModeEncrypted, audit.StrategyInterleaved)
+	portEncNaive := st.Cell(ISPPortRule, ModeEncrypted, audit.StrategyNaive)
 	stealthEncInt := st.Cell(ISPDPIStealth, ModeEncrypted, audit.StrategyInterleaved)
 	evEncNaive := st.Cell(ISPDPIEvasion, ModeEncrypted, audit.StrategyNaive)
 	evEncInt := st.Cell(ISPDPIEvasion, ModeEncrypted, audit.StrategyInterleaved)
@@ -518,28 +480,36 @@ func (st *AuditStats) Result() *Result {
 			Note:     fmt.Sprintf("%d paired trials each; dpi classifier trained on %d calibration flows", st.Cfg.Trials, st.TrainedFlows)},
 		{Metric: "neutral ISP: false-positive rate", Paper: "<= 5%",
 			Measured: fmt.Sprintf("%.1f%%", 100*st.FalsePositiveRate()),
-			Note:     "every mode, strategy and vantage class"},
+			Note:     "every mode, strategy and vantage class",
+			Failed:   st.FalsePositiveRate() > 0.05 || len(neutral.Summary.Evidence) != 0},
 		{Metric: "port rule vs plaintext probes: power", Paper: "-",
-			Measured: pow(portPlainInt), Note: "suspect rides the app's real port; rule fires; audit convicts"},
+			Measured: pow(portPlainInt), Note: "suspect rides the app's real port; rule fires; audit convicts",
+			Failed: portPlainInt.Summary.Power < 0.9},
 		{Metric: "port rule vs encrypted probes: power", Paper: "0 (restored)",
-			Measured: pow(portEncInt), Note: "encryption removed the discrimination: the auditor confirms the paper's claim"},
+			Measured: pow(portEncInt), Note: "encryption removed the discrimination: the auditor confirms the paper's claim",
+			Failed: portEncInt.Summary.Power > 0.05 || portEncNaive.Summary.Power > 0.05},
 		{Metric: "blatant dpi throttle: power", Paper: ">= 90%",
 			Measured: pow(dpiEncInt),
 			Note: fmt.Sprintf("suspect goodput %.0f%% vs control %.0f%%",
-				100*dpiEncInt.SuspectGoodput, 100*dpiEncInt.ControlGoodput)},
+				100*dpiEncInt.SuspectGoodput, 100*dpiEncInt.ControlGoodput),
+			Failed: dpiEncInt.Summary.Power < 0.9 || dpiPlainInt.Summary.Power < 0.9 || !dpiEncInt.evidenceExplains()},
 		{Metric: "blatant dpi: localization", Paper: "beyond border",
 			Measured: dpiEncInt.Summary.Localized.String(),
 			Note: fmt.Sprintf("inside vantages detected %d/%d: differential only crosses transit",
-				dpiEncInt.Summary.InsideDetected, dpiEncInt.Summary.Inside)},
+				dpiEncInt.Summary.InsideDetected, dpiEncInt.Summary.Inside),
+			Failed: dpiEncInt.Summary.Localized != audit.SegmentBeyondBorder || dpiEncInt.Summary.InsideDetected != 0},
 		{Metric: "blatant dpi vs naive bursts: power", Paper: "-",
 			Measured: pow(dpiEncNaive), Note: "burst probing suffices against an unsophisticated throttler"},
 		{Metric: "stealth dpi (60% flows, 50% duty): power", Paper: "diluted",
 			Measured: pow(stealthEncInt),
-			Note:     fmt.Sprintf("aggregate convicts: %v (threshold %.0f%%)", stealthEncInt.Summary.Discriminating, 100*audit.DefaultAggregationThreshold)},
+			Note:     fmt.Sprintf("aggregate convicts: %v (threshold %.0f%%)", stealthEncInt.Summary.Discriminating, 100*audit.DefaultAggregationThreshold),
+			Failed:   !stealthEncInt.Summary.Discriminating || stealthEncInt.Summary.Power < 0.3},
 		{Metric: "probe-evading dpi vs naive bursts: power", Paper: "~0 (defeated)",
-			Measured: pow(evEncNaive), Note: "young-flow whitelist lets short Glasnost-style bursts through clean"},
+			Measured: pow(evEncNaive), Note: "young-flow whitelist lets short Glasnost-style bursts through clean",
+			Failed: evEncNaive.Summary.Power > 0.1},
 		{Metric: "probe-evading dpi vs interleaved probes: power", Paper: ">= 90%",
-			Measured: pow(evEncInt), Note: "long-lived app-shaped flows age past the whitelist: the headline result"},
+			Measured: pow(evEncInt), Note: "long-lived app-shaped flows age past the whitelist: the headline result",
+			Failed: evEncInt.Summary.Power < 0.9},
 	}
 	return &Result{ID: "E8", Title: auditTitle, Rows: rows}
 }

@@ -98,8 +98,8 @@ func TestE8ReportsCarryTrials(t *testing.T) {
 	}
 }
 
-// TestE8FullScale runs the registered experiment (which self-verifies
-// every rung via verifyAudit).
+// TestE8FullScale runs the registered experiment (every rung is a row's
+// claim, so a failed rung fails the run).
 func TestE8FullScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full audit matrix is slow under race instrumentation")

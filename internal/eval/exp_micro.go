@@ -39,7 +39,7 @@ func RunE1(Scale) (*Result, error) {
 	rate := processRate(n, env.Neut, env.SetupPkt)
 	return &Result{ID: "E1", Title: "Key-setup throughput", Rows: []Row{
 		{Metric: "key-setup responses", Paper: "24.4 kpps", Measured: kpps(rate),
-			Note: "RSA-512 e=3 encrypt per packet; absolute value is hardware-dependent"},
+			Note: "RSA-512 e=3 encrypt per packet; absolute value is hardware-dependent", Wall: true},
 	}}, nil
 }
 
@@ -57,7 +57,7 @@ func RunE2(Scale) (*Result, error) {
 	return &Result{ID: "E2", Title: "Sources served per master-key epoch", Rows: []Row{
 		{Metric: "epoch length", Paper: "1 hour", Measured: env.Sched.EpochLength().String(), Note: ""},
 		{Metric: "sources per epoch", Paper: "88 M", Measured: fmt.Sprintf("%.1f M", perHour/1e6),
-			Note: "setup rate × 3600 (paper's own derivation)"},
+			Note: "setup rate × 3600 (paper's own derivation)", Wall: true},
 	}}, nil
 }
 
@@ -96,15 +96,14 @@ func RunE3(Scale) (*Result, error) {
 	})
 	return &Result{ID: "E3", Title: "Data path vs vanilla forwarding", Rows: []Row{
 		{Metric: "neutralized, first packet of a flow (miss) (CPU)", Paper: "422 kpps", Measured: kpps(missRate),
-			Note: "hash + AES key expansion + AES-block decrypt + rewrite: the paper's per-packet work"},
+			Note: "hash + AES key expansion + AES-block decrypt + rewrite: the paper's per-packet work", Wall: true},
 		{Metric: "neutralized, established flow (hit) (CPU)", Paper: "422 kpps", Measured: kpps(hitRate),
-			Note: "Ks's AES schedule from the worker's cache: AES-block decrypt + rewrite"},
+			Note: "Ks's AES schedule from the worker's cache: AES-block decrypt + rewrite", Wall: true},
 		{Metric: "vanilla forwarding (CPU)", Paper: "600 kpps", Measured: kpps(vanRate),
-			Note: "header validate + TTL + checksum"},
+			Note: "header validate + TTL + checksum", Wall: true},
 		{Metric: "ratio, first packet (CPU)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", missRate/vanRate),
-			Note: "pure CPU exaggerates crypto share; paper path was I/O-bound"},
-		{Metric: "ratio, established flow (CPU)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", hitRate/vanRate),
-			Note: ""},
+			Note: "pure CPU exaggerates crypto share; paper path was I/O-bound", Wall: true},
+		{Metric: "ratio, established flow (CPU)", Paper: "0.70", Measured: fmt.Sprintf("%.2f", hitRate/vanRate), Wall: true},
 	}}, nil
 }
 
@@ -143,11 +142,11 @@ func RunE4(Scale) (*Result, error) {
 	mops := func(r float64) string { return fmt.Sprintf("%.2f M ops/s", r/1e6) }
 	return &Result{ID: "E4", Title: "Raw crypto operation rate", Rows: []Row{
 		{Metric: "keyed hash (AES CBC-MAC)", Paper: "2.35 M ops/s", Measured: mops(rate),
-			Note: "crypto capacity ≫ packet rate, matching the paper's bottleneck analysis"},
+			Note: "crypto capacity ≫ packet rate, matching the paper's bottleneck analysis", Wall: true},
 		{Metric: "address-block decrypt, block on a keyed schedule", Paper: "2.35 M ops/s", Measured: mops(hitRate),
-			Note: "one AES block per packet of an established flow"},
+			Note: "one AES block per packet of an established flow", Wall: true},
 		{Metric: "address-block decrypt, expand + block", Paper: "2.35 M ops/s", Measured: mops(missRate),
-			Note: "a flow's first packets re-key the same schedule in place, no allocation"},
+			Note: "a flow's first packets re-key the same schedule in place, no allocation", Wall: true},
 	}}, nil
 }
 
@@ -164,11 +163,11 @@ func RunA1(Scale) (*Result, error) {
 	alt := processRate(n, env.Neut, env.AltPkt)
 	return &Result{ID: "A1", Title: "Chosen key setup vs certified-pubkey alternative", Rows: []Row{
 		{Metric: "chosen design (RSA encrypt, e=3)", Paper: "-", Measured: kpps(chosen),
-			Note: "extra RTT amortized over an epoch of packets"},
+			Note: "extra RTT amortized over an epoch of packets", Wall: true},
 		{Metric: "alternative (RSA decrypt)", Paper: "-", Measured: kpps(alt),
-			Note: "saves one RTT but cannot be offloaded"},
+			Note: "saves one RTT but cannot be offloaded", Wall: true},
 		{Metric: "chosen / alternative", Paper: "faster", Measured: fmt.Sprintf("%.1fx", chosen/alt),
-			Note: "the §3.2 argument: decryption would make DoS easier"},
+			Note: "the §3.2 argument: decryption would make DoS easier", Wall: true},
 	}}, nil
 }
 
@@ -188,11 +187,11 @@ func RunA2(Scale) (*Result, error) {
 	localRate := processRate(n, local.Neut, local.SetupPkt)
 	offRate := processRate(n, off.Neut, off.SetupPkt)
 	return &Result{ID: "A2", Title: "Offloading key-setup RSA work", Rows: []Row{
-		{Metric: "local RSA encryption", Paper: "-", Measured: kpps(localRate), Note: ""},
+		{Metric: "local RSA encryption", Paper: "-", Measured: kpps(localRate), Wall: true},
 		{Metric: "offloaded (stamp + forward)", Paper: "-", Measured: kpps(offRate),
-			Note: "customer (e.g. the destination) performs the encryption"},
+			Note: "customer (e.g. the destination) performs the encryption", Wall: true},
 		{Metric: "speedup at neutralizer", Paper: ">1", Measured: fmt.Sprintf("%.1fx", offRate/localRate),
-			Note: "line-speed remedy the paper proposes"},
+			Note: "line-speed remedy the paper proposes", Wall: true},
 	}}, nil
 }
 
@@ -345,18 +344,18 @@ func RunA3(Scale) (*Result, error) {
 	// distinct conversations — no setup beyond each source's single
 	// per-epoch key setup, and no state.
 	processRate(flows, env.Neut, env.DataPkt)
-	neutSetups := env.Neut.Stats().KeySetups.Load()
+	neutSetups, neutState := env.Neut.Stats().KeySetups.Load(), env.Neut.DynAddrCount()
 
 	res := &Result{ID: "A3", Title: "Neutralizer vs onion routing (3 hops)", Rows: []Row{
 		{Metric: "relay PK ops for 200 flows", Paper: "-", Measured: fmt.Sprintf("%d", pkOps),
 			Note: "one RSA decrypt per hop per circuit"},
 		{Metric: "relay state entries", Paper: "-", Measured: fmt.Sprintf("%d", state),
 			Note: "per-flow circuit tables at every relay"},
-		{Metric: "circuit setup time (200 flows)", Paper: "-", Measured: setupDur.Round(time.Millisecond).String(), Note: "", Wall: true},
+		{Metric: "circuit setup time (200 flows)", Paper: "-", Measured: setupDur.Round(time.Millisecond).String(), Wall: true},
 		{Metric: "neutralizer PK ops for same flows", Paper: "much fewer", Measured: fmt.Sprintf("%d", neutSetups),
-			Note: "per source per epoch, not per flow; zero here (keys pre-derived)"},
-		{Metric: "neutralizer per-flow state", Paper: "none", Measured: fmt.Sprintf("%d", env.Neut.DynAddrCount()),
-			Note: "stateless data path"},
+			Note: "per source per epoch, not per flow; zero here (keys pre-derived)", Failed: neutSetups >= pkOps},
+		{Metric: "neutralizer per-flow state", Paper: "none", Measured: fmt.Sprintf("%d", neutState),
+			Note: "stateless data path", Failed: neutState != 0},
 	}}
 	for _, closeCircuit := range closers {
 		closeCircuit()

@@ -508,7 +508,7 @@ func verifyRealTrace(fr *obs.FlightRecorder) (RealTraceCheck, error) {
 	return tc, err
 }
 
-// RunRealProto runs all three E10 phases and enforces the self-checks:
+// RunRealProto runs all three E10 phases and enforces the rows' claims:
 // the run fails loudly when real protocols did not actually cross the
 // sim the way the claims require.
 func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
@@ -532,43 +532,7 @@ func RunRealProto(cfg RealProtoConfig) (*RealProtoStats, error) {
 	if st.Throttled, st.ThrottledTrace, err = runRealAuditCell(cfg.Seed+4, true); err != nil {
 		return nil, err
 	}
-	return st, verifyRealProto(st)
-}
-
-// verifyRealProto is E10's self-check, the same contract E6/E7/E8 use.
-func verifyRealProto(st *RealProtoStats) error {
-	// DNS path: two 1ms hops each way, one datagram per direction.
-	const dnsRTT = 4 * time.Millisecond
-	return firstFailed("realproto", []check{
-		{st.DNS.PlainRTT == dnsRTT,
-			fmt.Sprintf("plain dns rtt = %v, want exactly %v (virtual time)", st.DNS.PlainRTT, dnsRTT)},
-		{st.DNS.EncRTT == dnsRTT,
-			fmt.Sprintf("encrypted dns rtt = %v, want exactly %v", st.DNS.EncRTT, dnsRTT)},
-		{st.DNS.NXDomainOK, "nxdomain did not surface ErrNoSuchName over the conn client"},
-		{st.DNS.TimeoutOK, "virtual read deadline did not fire on a dead resolver port"},
-		{st.DNS.Queries == 3 && st.DNS.Encrypted == 1,
-			fmt.Sprintf("resolver counters = %d/%d, want 3 queries, 1 encrypted", st.DNS.Queries, st.DNS.Encrypted)},
-		{st.HTTP.OK == st.HTTP.Want,
-			fmt.Sprintf("http requests completed = %d/%d", st.HTTP.OK, st.HTTP.Want)},
-		{st.HTTP.Flows == realClients,
-			fmt.Sprintf("transit dpi tap observed %d/%d client flows", st.HTTP.Flows, realClients)},
-		{st.HTTP.Hist[dpi.ClassUnknown] == 0,
-			fmt.Sprintf("%d flows never classified (too few packets reached transit?)", st.HTTP.Hist[dpi.ClassUnknown])},
-		{!st.Neutral.Discriminated,
-			fmt.Sprintf("neutral path ruled discriminatory (gap %.2f, delay gap %.2f)", st.Neutral.Gap, st.Neutral.DelayGap)},
-		{st.Throttled.Discriminated && st.Throttled.DelayHit,
-			fmt.Sprintf("20ms targeted throttle not detected (delay MW p=%.4f, delay gap %.2f)",
-				st.Throttled.DelayMW.P, st.Throttled.DelayGap)},
-		{st.NeutralTrace.Journeys > 0 && st.NeutralTrace.Throttled == 0,
-			fmt.Sprintf("neutral cell trace: %d journeys, %d carrying policy delay (want >0, 0)",
-				st.NeutralTrace.Journeys, st.NeutralTrace.Throttled)},
-		{st.ThrottledTrace.Throttled > 0,
-			fmt.Sprintf("throttled cell trace: no journey carries rule-attributed policy delay (%d journeys)",
-				st.ThrottledTrace.Journeys)},
-		{st.ThrottledTrace.ThrottleDelay == time.Duration(st.ThrottledTrace.Throttled)*20*time.Millisecond,
-			fmt.Sprintf("throttled cell trace: attributed %v over %d throttled journeys, want exactly 20ms each",
-				st.ThrottledTrace.ThrottleDelay, st.ThrottledTrace.Throttled)},
-	})
+	return st, st.Result().Err()
 }
 
 // classHistString renders the DPI class histogram deterministically.
@@ -594,28 +558,40 @@ var realProtoTitle = "Real protocol stacks over the sim (net/http + DNS vs DPI a
 // Result renders the run as the E10 rows; every figure is virtual-time
 // or a count, so the rows replay byte-identically per seed.
 func (st *RealProtoStats) Result() *Result {
+	// DNS path: two 1ms hops each way, one datagram per direction.
+	const dnsRTT = 4 * time.Millisecond
+	nt, tt := &st.NeutralTrace, &st.ThrottledTrace
 	return &Result{ID: "E10", Title: realProtoTitle, Rows: []Row{
 		{Metric: "dns lookup rtt over simnet (plain / encrypted)", Paper: "-",
 			Measured: fmt.Sprintf("%v / %v", st.DNS.PlainRTT, st.DNS.EncRTT),
-			Note:     "blocking ConnClient, exact virtual latency"},
+			Note:     "blocking ConnClient, exact virtual latency",
+			// The resolver's counters prove the real codec ran: the plain,
+			// the missing and the encrypted name.
+			Failed: st.DNS.PlainRTT != dnsRTT || st.DNS.EncRTT != dnsRTT || st.DNS.Queries != 3 || st.DNS.Encrypted != 1},
 		{Metric: "dns nxdomain + virtual read deadline", Paper: "-",
 			Measured: fmt.Sprintf("%v / %v", st.DNS.NXDomainOK, st.DNS.TimeoutOK),
-			Note:     "error paths of the real codec"},
+			Note:     "error paths of the real codec",
+			Failed:   !st.DNS.NXDomainOK || !st.DNS.TimeoutOK},
 		{Metric: "net/http requests through the neutralizer", Paper: "apps work unchanged (§3)",
 			Measured: fmt.Sprintf("%d/%d ok", st.HTTP.OK, st.HTTP.Want),
-			Note:     fmt.Sprintf("mean rtt %v; keep-alive over shim conduits", st.HTTP.MeanRTT.Round(time.Microsecond))},
+			Note:     fmt.Sprintf("mean rtt %v; keep-alive over shim conduits", st.HTTP.MeanRTT.Round(time.Microsecond)),
+			Failed:   st.HTTP.OK != st.HTTP.Want},
 		{Metric: "E7-trained dpi on real neutralized http", Paper: "sees only anycast flows",
 			Measured: classHistString(&st.HTTP.Hist),
-			Note:     fmt.Sprintf("%d flows at the transit tap", st.HTTP.Flows)},
+			Note:     fmt.Sprintf("%d flows at the transit tap", st.HTTP.Flows),
+			Failed:   st.HTTP.Flows != realClients || st.HTTP.Hist[dpi.ClassUnknown] != 0},
 		{Metric: "audit verdict: clean path", Paper: "no false positive",
 			Measured: fmt.Sprintf("discriminated=%v", st.Neutral.Discriminated),
-			Note:     fmt.Sprintf("%d trials of real http latency", st.Neutral.Trials)},
+			Note:     fmt.Sprintf("%d trials of real http latency", st.Neutral.Trials),
+			Failed:   st.Neutral.Discriminated},
 		{Metric: "audit verdict: 20ms targeted throttle", Paper: "detected",
 			Measured: fmt.Sprintf("discriminated=%v (delay gap %.1fx)", st.Throttled.Discriminated, st.Throttled.DelayGap),
-			Note:     fmt.Sprintf("delay MW p=%.2g", st.Throttled.DelayMW.P)},
+			Note:     fmt.Sprintf("delay MW p=%.2g", st.Throttled.DelayMW.P),
+			Failed:   !st.Throttled.Discriminated || !st.Throttled.DelayHit},
 		{Metric: "trace attribution invariant", Paper: "-",
-			Measured: fmt.Sprintf("%d journeys exact", st.NeutralTrace.Journeys+st.ThrottledTrace.Journeys),
-			Note: fmt.Sprintf("%d throttled journeys each attributed exactly 20ms of rule-caused delay",
-				st.ThrottledTrace.Throttled)},
+			Measured: fmt.Sprintf("%d journeys exact", nt.Journeys+tt.Journeys),
+			Note:     fmt.Sprintf("%d throttled journeys each attributed exactly 20ms of rule-caused delay", tt.Throttled),
+			Failed: nt.Journeys == 0 || nt.Throttled != 0 || tt.Throttled == 0 ||
+				tt.ThrottleDelay != time.Duration(tt.Throttled)*20*time.Millisecond},
 	}}
 }

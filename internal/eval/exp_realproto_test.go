@@ -7,7 +7,7 @@ import (
 
 // TestE10RealProto runs the registered experiment end to end: real DNS,
 // real net/http through the neutralizer under the E7-trained DPI tap,
-// and the audit cells — all self-enforced by verifyRealProto.
+// and the audit cells — each claim enforced by the row that states it.
 func TestE10RealProto(t *testing.T) {
 	t.Logf("\n%s", runExp(t, "E10"))
 }

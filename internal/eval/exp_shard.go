@@ -38,7 +38,7 @@ func RunE5(Scale) (*Result, error) {
 	rate := processRate(serialPasses*len(pkts), env.Neut, pkts...)
 	res.Rows = append(res.Rows, Row{
 		Metric: "serial ProcessScratch", Paper: "-", Measured: kpps(rate),
-		Note: "zero-alloc path, one worker",
+		Note: "zero-alloc path, one worker", Wall: true,
 	})
 
 	// What any replica must emit for the batch: the serial pass's outputs
@@ -88,6 +88,7 @@ func RunE5(Scale) (*Result, error) {
 			Paper:    "-",
 			Measured: kpps(r),
 			Note:     note,
+			Wall:     true,
 		})
 	}
 	res.Rows = append(res.Rows, Row{

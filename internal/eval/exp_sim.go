@@ -157,20 +157,21 @@ func RunF1(Scale) (*Result, error) {
 		})
 	}
 	w2.sim.RunFor(2 * time.Second)
+	hits, saw := policy2.Hits("target-google"), eav2.SawAddr(f1Google)
 
 	return &Result{ID: "F1", Title: "Customer indistinguishability (Figure 1)", Rows: []Row{
 		{Metric: "plain: delivered to targeted customer", Paper: "0 (deterministic harm)",
-			Measured: fmt.Sprintf("%d/%d", deliveredPlain, attempts), Note: ""},
+			Measured: fmt.Sprintf("%d/%d", deliveredPlain, attempts), Failed: deliveredPlain != 0},
 		{Metric: "plain: classifier hits", Paper: "all packets",
-			Measured: fmt.Sprintf("%d", plainHits), Note: ""},
+			Measured: fmt.Sprintf("%d", plainHits), Failed: plainHits != attempts},
 		{Metric: "plain: ISP saw customer address", Paper: "yes",
-			Measured: fmt.Sprintf("%v", plainSaw), Note: ""},
+			Measured: fmt.Sprintf("%v", plainSaw), Failed: !plainSaw},
 		{Metric: "neutralized: delivered to targeted customer", Paper: "all (cannot target)",
-			Measured: fmt.Sprintf("%d/%d", received, attempts), Note: ""},
+			Measured: fmt.Sprintf("%d/%d", received, attempts), Failed: received != attempts},
 		{Metric: "neutralized: classifier hits", Paper: "0",
-			Measured: fmt.Sprintf("%d", policy2.Hits("target-google")), Note: ""},
+			Measured: fmt.Sprintf("%d", hits), Failed: hits != 0},
 		{Metric: "neutralized: ISP saw customer address", Paper: "no",
-			Measured: fmt.Sprintf("%v", eav2.SawAddr(f1Google)), Note: "only the anycast address is visible"},
+			Measured: fmt.Sprintf("%v", saw), Note: "only the anycast address is visible", Failed: saw},
 	}}, nil
 }
 
@@ -219,20 +220,14 @@ func RunF2(Scale) (*Result, error) {
 	}
 	refresh := !annHost.ConduitProvisional(f1Anycast)
 
-	return passed(&Result{ID: "F2", Title: "Protocol walk (Figure 2)", Rows: []Row{
-		{Metric: "2a: setup yields provisional (nonce, Ks)", Paper: "steps 1-2",
-			Measured: pass(setupOK), Note: "RSA-512 one-time key, stateless derivation"},
-		{Metric: "2b: data delivered to hidden destination", Paper: "steps 3-4",
-			Measured: pass(string(googleGot) == "FORWARD-SECRET"), Note: ""},
-		{Metric: "2b: reply delivered via anycast source", Paper: "steps 5-6",
-			Measured: pass(string(annGot) == "REPLY-SECRET"), Note: ""},
-		{Metric: "grant returned e2e; short-RSA key retired", Paper: "§3.2 refresh",
-			Measured: pass(refresh), Note: ""},
-		{Metric: "no payload visible in AT&T", Paper: "encrypted",
-			Measured: pass(!leakPayload), Note: fmt.Sprintf("%d packets inspected", len(tapped))},
-		{Metric: "no customer address visible in AT&T", Paper: "blurred",
-			Measured: pass(!leakAddr), Note: ""},
-	}})
+	return &Result{ID: "F2", Title: "Protocol walk (Figure 2)", Rows: []Row{
+		passRow("2a: setup yields provisional (nonce, Ks)", "steps 1-2", setupOK, "RSA-512 one-time key, stateless derivation"),
+		passRow("2b: data delivered to hidden destination", "steps 3-4", string(googleGot) == "FORWARD-SECRET", ""),
+		passRow("2b: reply delivered via anycast source", "steps 5-6", string(annGot) == "REPLY-SECRET", ""),
+		passRow("grant returned e2e; short-RSA key retired", "§3.2 refresh", refresh, ""),
+		passRow("no payload visible in AT&T", "encrypted", !leakPayload, fmt.Sprintf("%d packets inspected", len(tapped))),
+		passRow("no customer address visible in AT&T", "blurred", !leakAddr, ""),
+	}}, nil
 }
 
 // RunA4 quantifies the introduction's Vonage story with MOS scores.
@@ -308,31 +303,26 @@ func RunA4(Scale) (*Result, error) {
 		return nil, err
 	}
 
+	// High is MOS 4 ("good"); below 3.5 users notice the damage; restored
+	// is within half a point of the ISP's own service.
 	return &Result{ID: "A4", Title: "Targeted VoIP degradation (Vonage story)", Rows: []Row{
-		{Metric: "ISP's own VoIP MOS", Paper: "high", Measured: fmt.Sprintf("%.2f", ownMOS), Note: "undisturbed path"},
+		{Metric: "ISP's own VoIP MOS", Paper: "high", Measured: fmt.Sprintf("%.2f", ownMOS), Note: "undisturbed path",
+			Failed: ownMOS < 4},
 		{Metric: "competitor VoIP MOS, no neutralizer", Paper: "driven low",
-			Measured: fmt.Sprintf("%.2f", degraded), Note: "12% loss + 150ms targeted delay"},
+			Measured: fmt.Sprintf("%.2f", degraded), Note: "12% loss + 150ms targeted delay", Failed: degraded >= 3.5},
 		{Metric: "competitor VoIP MOS, neutralized", Paper: "restored",
-			Measured: fmt.Sprintf("%.2f", cured), Note: "classifier cannot find the flow"},
+			Measured: fmt.Sprintf("%.2f", cured), Note: "classifier cannot find the flow", Failed: cured < ownMOS-0.5},
 	}}, nil
 }
 
-// pass words a protocol-walk assertion for its row.
-func pass(b bool) string {
-	if b {
-		return "pass"
+// passRow is a protocol-walk assertion's row: measured "pass", or
+// "FAIL" and failed.
+func passRow(metric, paper string, ok bool, note string) Row {
+	measured := "pass"
+	if !ok {
+		measured = "FAIL"
 	}
-	return "FAIL"
-}
-
-// passed makes the first row pass worded FAIL the experiment's error.
-func passed(res *Result) (*Result, error) {
-	for _, r := range res.Rows {
-		if r.Measured == "FAIL" {
-			return nil, fmt.Errorf("eval: %s: %q failed", res.ID, r.Metric)
-		}
-	}
-	return res, nil
+	return Row{Metric: metric, Paper: paper, Measured: measured, Note: note, Failed: !ok}
 }
 
 // RunA7 reproduces the §3.1 DNS story: targeted delay of plaintext
@@ -390,11 +380,13 @@ func RunA7(Scale) (*Result, error) {
 		return nil, goErr
 	}
 
+	// Delayed is at least the rule's 500ms; fast is under 100ms.
+	const fast = 100 * time.Millisecond
 	return &Result{ID: "A7", Title: "DNS bootstrap under query discrimination", Rows: []Row{
 		{Metric: "plaintext lookup of targeted name", Paper: "delayed", Measured: took[0].String(),
-			Note: "ISP rule adds 500ms"},
-		{Metric: "plaintext lookup of paying site", Paper: "fast", Measured: took[1].String(), Note: ""},
+			Note: "ISP rule adds 500ms", Failed: took[0] < 500*time.Millisecond},
+		{Metric: "plaintext lookup of paying site", Paper: "fast", Measured: took[1].String(), Failed: took[1] >= fast},
 		{Metric: "encrypted lookup of targeted name", Paper: "fast", Measured: took[2].String(),
-			Note: "name invisible to the ISP"},
+			Note: "name invisible to the ISP", Failed: took[2] >= fast},
 	}}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -66,15 +67,18 @@ var citedTest = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 // TestCitedTestsExist checks that every Test…, Fuzz… or Benchmark… name
 // the module's docs cite is a declared test function, or a prefix of one
 // (a -run pattern such as TestTrace|TestSendPacketProc). It reads the
-// backticked spans of README.md and the verify skill, and the // comments
+// backticked spans of README.md and the verify skill, the // comments
 // of non-test Go outside benchmark/ (whose README documents its own
-// harness). A name non-test code declares (measure.TestResult) is code,
-// not a citation.
+// harness), and the whole CI workflow. A name non-test code declares
+// (measure.TestResult) is code, not a citation. Each alternative of a
+// CI `-run '…'` pattern, ^$ aside, must also match a test or fuzz target
+// of a package that line tests, so no renamed test leaves a step running
+// nothing.
 func TestCitedTestsExist(t *testing.T) {
 	const root = "../.."
-	var declared []string
-	code := map[string]bool{}     // identifiers non-test Go declares
-	cite := map[string][]string{} // name -> where cited
+	declared := map[string][]string{} // package directory -> its test functions
+	code := map[string]bool{}         // identifiers non-test Go declares
+	cite := map[string][]string{}     // name -> where cited
 	cites := func(text, where string) {
 		for _, name := range citedTest.FindAllString(text, -1) {
 			cite[name] = append(cite[name], where)
@@ -101,9 +105,10 @@ func TestCitedTestsExist(t *testing.T) {
 			return err
 		}
 		if isTest {
+			dir := filepath.ToSlash(filepath.Dir(rel))
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && citedTest.MatchString(fn.Name.Name) {
-					declared = append(declared, fn.Name.Name)
+					declared[dir] = append(declared[dir], fn.Name.Name)
 				}
 			}
 			return nil
@@ -146,6 +151,40 @@ func TestCitedTestsExist(t *testing.T) {
 			cites(span, doc)
 		}
 	}
+	ci, err := os.ReadFile(filepath.Join(root, ".github/workflows/ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cites(string(ci), "ci.yml")
+	runPattern := regexp.MustCompile(`-run '([^']*)'`)
+	for _, line := range strings.Split(string(ci), "\n") {
+		m := runPattern.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var tests []string // what the line's packages declare
+		for _, arg := range strings.Fields(line) {
+			pkg, ok := strings.CutPrefix(arg, "./")
+			if !ok {
+				continue
+			}
+			tree, isTree := strings.CutSuffix(pkg, "...")
+			for dir, names := range declared {
+				if isTree && strings.HasPrefix(dir+"/", tree) || dir == strings.TrimSuffix(pkg, "/") {
+					tests = append(tests, names...)
+				}
+			}
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			if alt == "^$" {
+				continue
+			}
+			re := regexp.MustCompile(alt)
+			if !slices.ContainsFunc(tests, func(name string) bool { return !strings.HasPrefix(name, "Benchmark") && re.MatchString(name) }) {
+				t.Errorf("ci.yml: -run alternative %q matches no test of %s", alt, strings.TrimSpace(line))
+			}
+		}
+	}
 	if len(declared) == 0 || len(cite) == 0 {
 		t.Fatalf("found %d declared tests and %d citations: wrong root?", len(declared), len(cite))
 	}
@@ -159,11 +198,8 @@ func TestCitedTestsExist(t *testing.T) {
 			continue
 		}
 		found := false
-		for _, d := range declared {
-			if strings.HasPrefix(d, name) {
-				found = true
-				break
-			}
+		for _, names := range declared {
+			found = found || slices.ContainsFunc(names, func(d string) bool { return strings.HasPrefix(d, name) })
 		}
 		if !found {
 			t.Errorf("%s cites %s, which names no declared test", strings.Join(cite[name], ", "), name)
