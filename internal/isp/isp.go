@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,10 +115,12 @@ type Rule struct {
 }
 
 // Policy is an ordered first-match rule list with per-rule hit counters.
+// The rules never change after NewPolicy, so a hook matches them without
+// the lock; only a match takes it, for its hit count and its drop draw.
 type Policy struct {
-	mu    sync.Mutex
 	rules []Rule
-	hits  map[string]uint64
+	mu    sync.Mutex
+	hits  []uint64 // per rule index
 	rng   *rand.Rand
 }
 
@@ -127,31 +130,37 @@ func NewPolicy(rng *rand.Rand, rules ...Rule) *Policy {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return &Policy{rules: rules, hits: make(map[string]uint64), rng: rng}
+	return &Policy{rules: slices.Clone(rules), hits: make([]uint64, len(rules)), rng: rng}
 }
 
-// Hits returns how many packets matched the named rule.
+// Hits returns how many packets matched the rules with this name.
 func (p *Policy) Hits(name string) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.hits[name]
+	var n uint64
+	for i := range p.rules {
+		if p.rules[i].Name == name {
+			n += p.hits[i]
+		}
+	}
+	return n
 }
 
 // Hook compiles the policy into a transit hook for netem nodes.
 func (p *Policy) Hook() netem.TransitHook {
 	return func(now time.Time, node *netem.Node, pkt []byte) netem.Verdict {
-		p.mu.Lock()
-		defer p.mu.Unlock()
 		for i := range p.rules {
 			r := &p.rules[i]
 			if !r.Match(pkt) {
 				continue
 			}
-			p.hits[r.Name]++
 			v := netem.Verdict{Delay: r.Action.Delay, Cause: netem.CauseRule}
+			p.mu.Lock()
+			p.hits[i]++
 			if r.Action.DropProb > 0 && p.rng.Float64() < r.Action.DropProb {
 				v.Drop = true
 			}
+			p.mu.Unlock()
 			return v
 		}
 		return netem.Deliver

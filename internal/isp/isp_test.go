@@ -3,6 +3,7 @@ package isp
 import (
 	mathrand "math/rand"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -133,6 +134,55 @@ func TestPolicyDropProbability(t *testing.T) {
 	}
 	if drops < n*4/10 || drops > n*6/10 {
 		t.Errorf("drop rate = %d/%d, want ~50%%", drops, n)
+	}
+}
+
+// TestPolicyHookConcurrent: two goroutines drive one hook with matching
+// and non-matching packets. Matching takes no lock, so under -race this
+// is what shows the rule list is only read; the hit counts must come out
+// exact, and the drops must be those of the seed's first draws, taken in
+// whatever order the matches reached the lock.
+func TestPolicyHookConcurrent(t *testing.T) {
+	p := NewPolicy(mathrand.New(mathrand.NewSource(3)),
+		Rule{Name: "target", Match: MatchDstAddr(dstB), Action: Action{DropProb: 0.5}},
+		Rule{Name: "voip", Match: MatchUDPPort(5060)},
+	)
+	hook := p.Hook()
+	other := netip.MustParseAddr("10.99.0.1")
+	pkts := [][]byte{
+		udpPkt(t, srcA, dstB, 1, 2, nil),     // target
+		udpPkt(t, srcA, other, 5060, 2, nil), // voip
+		udpPkt(t, srcA, other, 1, 2, nil),    // no rule
+		udpPkt(t, srcA, dstB, 5060, 2, nil),  // target: the first match wins
+	}
+	const rounds = 500
+	drops := make([]int, 2)
+	var wg sync.WaitGroup
+	for g := range drops {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, pkt := range pkts {
+					if hook(time.Time{}, nil, pkt).Drop {
+						drops[g]++
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if tg, vo := p.Hits("target"), p.Hits("voip"); tg != 2*2*rounds || vo != 2*rounds {
+		t.Errorf("hits target=%d voip=%d, want %d and %d", tg, vo, 2*2*rounds, 2*rounds)
+	}
+	rng, want := mathrand.New(mathrand.NewSource(3)), 0
+	for i := 0; i < 2*2*rounds; i++ {
+		if rng.Float64() < 0.5 {
+			want++
+		}
+	}
+	if got := drops[0] + drops[1]; got != want {
+		t.Errorf("drops = %d, want %d from the seed's first %d draws", got, want, 2*2*rounds)
 	}
 }
 
