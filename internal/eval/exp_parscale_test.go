@@ -2,10 +2,12 @@ package eval
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"netneutral/internal/audit"
+	"netneutral/internal/netem"
 )
 
 // reducedParScale keeps E9's contract testable at CI speed; the sweep's
@@ -65,6 +67,46 @@ func TestE6WorkerIdentity(t *testing.T) {
 	}
 	if a.Obs.RecorderTicks == 0 || a.Obs.SeriesPoints == 0 || a.Obs.FlightSampled == 0 {
 		t.Fatalf("degenerate observation: %+v", a.Obs)
+	}
+}
+
+// TestEventGCIdentity: a queued netem event holds its node, link
+// direction or closure in one untyped pointer slot, which the collector
+// must still trace. A sharded metro run that forces a collection from
+// scheduled callbacks every 5 ms of virtual time — while packets and
+// source closures sit in every shard's queue — must deliver and observe
+// exactly what the same run does with callbacks that do nothing.
+func TestEventGCIdentity(t *testing.T) {
+	const dur = 200 * time.Millisecond
+	run := func(force bool) *MetroStats {
+		t.Helper()
+		gcs := 0
+		st, err := RunMetro(MetroConfig{Hosts: 1000, Seed: 7, Duration: dur, RatePps: 20000, Workers: 2, Observe: true,
+			Attach: func(sim *netem.Simulator) {
+				for at := time.Duration(0); at < dur; at += 5 * time.Millisecond {
+					sim.Schedule(at, func() {
+						if force {
+							runtime.GC()
+							gcs++
+						}
+					})
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if force && gcs != int(dur/(5*time.Millisecond)) {
+			t.Fatalf("forced %d collections, want one per callback", gcs)
+		}
+		return st
+	}
+	plain, forced := run(false), run(true)
+	if plain.Delivered == 0 || plain.Delivered != plain.Offered {
+		t.Fatalf("degenerate run: delivered %d of %d", plain.Delivered, plain.Offered)
+	}
+	if plain.identityKey() != forced.identityKey() || *plain.Obs != *forced.Obs {
+		t.Fatalf("forced collections changed the run:\n plain:  %v %+v\n forced: %v %+v",
+			plain.identityKey(), plain.Obs, forced.identityKey(), forced.Obs)
 	}
 }
 

@@ -1,10 +1,20 @@
 package netem
 
-// The event loop stores typed event values, never closures or boxed
-// interfaces: the hot-path events (link departure, link arrival,
-// policy-delayed redispatch) carry their operands in struct fields, so a
-// forwarded packet costs no allocation per hop; only the public
-// Schedule/ScheduleAt API still wraps arbitrary callbacks.
+import "unsafe"
+
+// The event loop stores typed event values, never boxed interfaces: the
+// hot-path events (link departure, link arrival, policy-delayed
+// redispatch) carry their operands in the event itself, so a forwarded
+// packet costs no allocation per hop; only the public Schedule/ScheduleAt
+// API carries a caller's closure.
+//
+// An event is 40 bytes on 64-bit platforms (TestEventSize): at, seq, kind
+// (padded to a word), one operand slot and the packet. The slot holds the
+// *Node of an arrival, a policy-delayed redispatch or a processing-delayed
+// origination, the *linkDir of a departure, or the closure of an evFunc —
+// a func value is a single pointer to its closure record. Every push and
+// pop copies the event (lanes and the heap hold values), so its size is
+// paid on every hop.
 //
 // The queue orders events by (at, seq). Almost every push is now+d for a
 // d out of a handful of constants (0 for a departure on an unpaced link,
@@ -42,10 +52,31 @@ type event struct {
 	at   int64 // virtual time, Unix nanoseconds (see Simulator.timeAt)
 	seq  uint64
 	kind eventKind
-	node *Node
-	pkt  *Packet
-	dir  *linkDir
-	fn   func()
+	// obj is the operand kind picks: *Node, *linkDir or a closure. Only
+	// the constructors below write it and only dispatchEvent reads it. It
+	// is an unsafe.Pointer, not a uintptr, so the collector scans it like
+	// any typed pointer field: a queued event keeps its node, its link
+	// direction or its closure record (and everything the closure
+	// captured) alive.
+	obj unsafe.Pointer
+	pkt *Packet
+}
+
+// nodeEvent is an event of kind evArrive, evDelayed or evProc: p at n.
+func nodeEvent(kind eventKind, n *Node, p *Packet) event {
+	return event{kind: kind, obj: unsafe.Pointer(n), pkt: p}
+}
+
+// departEvent is d's serialization of p completing.
+func departEvent(d *linkDir, p *Packet) event {
+	return event{kind: evDepart, obj: unsafe.Pointer(d), pkt: p}
+}
+
+// funcEvent runs fn. The slot takes the func value's one word, the
+// pointer to its closure record; dispatchEvent reads the word back as a
+// func value.
+func funcEvent(fn func()) event {
+	return event{kind: evFunc, obj: *(*unsafe.Pointer)(unsafe.Pointer(&fn))}
 }
 
 // laneCount caps how many lanes a queue opens (it opens them on demand,
@@ -66,7 +97,8 @@ const laneCount = 16
 // so -1 is free.
 const mailboxClass = -1
 
-// lane is a FIFO ring of events sorted by (at, seq).
+// lane is a FIFO ring of events sorted by (at, seq), held by value: a
+// push and a pop each copy one event (the layout above).
 type lane struct {
 	class int64   // the delay (at - now at push time) this lane accepts
 	tail  int64   // at of the newest event; meaningful while n > 0
@@ -93,7 +125,7 @@ func (l *lane) grow() {
 
 func (l *lane) pop(ev *event) {
 	*ev = l.buf[l.head]
-	l.buf[l.head] = event{} // drop pkt/fn references for the GC
+	l.buf[l.head] = event{} // drop obj/pkt references for the GC
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 }
@@ -101,7 +133,8 @@ func (l *lane) pop(ev *event) {
 // eventQueue is a priority queue ordered by (at, seq): earliest first,
 // FIFO among simultaneous events. Callers push with strictly increasing
 // seq. Values live inline in the rings and the heap slice — no per-event
-// pointer, no interface boxing.
+// allocation, no interface boxing; a heap sift moves whole events, which
+// is why the lanes take nearly every push.
 type eventQueue struct {
 	lanes []lane  // opened on demand, at most laneCount
 	h     []event // binary min-heap: events no lane would take
@@ -185,7 +218,7 @@ func (q *eventQueue) minAt() int64 {
 // popDue removes the earliest event into *ev if its timestamp is at most
 // last; it reports false, and removes nothing, when the queue is empty or
 // its earliest event lies beyond last. Events move by pointer: returned by
-// value, the 56 bytes bounced through two more stack slots, and a pop right
+// value, the event bounced through two more stack slots, and a pop right
 // after a zero-delay push stalled on them.
 func (q *eventQueue) popDue(last int64, ev *event) bool {
 	src, head := q.front()
@@ -224,7 +257,7 @@ func (q *eventQueue) heapPop() event {
 	top := q.h[0]
 	n := len(q.h) - 1
 	q.h[0] = q.h[n]
-	q.h[n] = event{} // drop pkt/fn references for the GC
+	q.h[n] = event{} // drop obj/pkt references for the GC
 	q.h = q.h[:n]
 	q.siftDown(0)
 	return top
@@ -249,19 +282,20 @@ func (q *eventQueue) siftDown(i int) {
 	}
 }
 
-// dispatchEvent runs one popped event. Shard-local: every operand (node,
-// link direction) belongs to the shard that queued the event.
+// dispatchEvent runs one popped event, reading its operand slot as the
+// type its kind was built with. Shard-local: every operand (node, link
+// direction) belongs to the shard that queued the event.
 func (sh *shard) dispatchEvent(ev *event) {
 	switch ev.kind {
 	case evFunc:
-		ev.fn()
+		(*(*func())(unsafe.Pointer(&ev.obj)))()
 	case evArrive:
-		_ = ev.node.dispatch(ev.pkt, false)
+		_ = (*Node)(ev.obj).dispatch(ev.pkt, false)
 	case evDepart:
-		ev.dir.depart(ev.pkt)
+		(*linkDir)(ev.obj).depart(ev.pkt)
 	case evDelayed:
-		_ = ev.node.dispatchAfterPolicy(ev.pkt)
+		_ = (*Node)(ev.obj).dispatchAfterPolicy(ev.pkt)
 	case evProc:
-		_ = ev.node.dispatch(ev.pkt, true)
+		_ = (*Node)(ev.obj).dispatch(ev.pkt, true)
 	}
 }

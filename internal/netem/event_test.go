@@ -231,11 +231,14 @@ func (d *mixDriver) step() {
 // closure alive.
 func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
 	q := new(eventQueue)
-	q.push(&event{at: 1, seq: 1, pkt: new(Packet), node: new(Node), dir: new(linkDir), fn: func() {}}, 0)
-	slot := &q.lanes[0].buf[q.lanes[0].head]
-	q.popDue(noLimit, new(event))
-	if slot.pkt != nil || slot.node != nil || slot.dir != nil || slot.fn != nil || slot.at != 0 || slot.seq != 0 {
-		t.Errorf("popped ring slot still holds %+v", *slot)
+	for _, ev := range []event{nodeEvent(evArrive, new(Node), new(Packet)), departEvent(new(linkDir), new(Packet)), funcEvent(func() {})} {
+		ev.at, ev.seq = 1, 1
+		q.push(&ev, 0)
+		slot := &q.lanes[0].buf[q.lanes[0].head]
+		q.popDue(noLimit, new(event))
+		if slot.obj != nil || slot.pkt != nil || slot.at != 0 || slot.seq != 0 {
+			t.Errorf("popped ring slot still holds %+v", *slot)
+		}
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by race instrumentation")

@@ -38,7 +38,9 @@ type fib struct {
 	hosts    []hostRoute
 	prefixes []route
 	dirty    bool
-	anycast  bool // member of an anycast group; in dirty's padding
+	// anycast counts the anycast group addresses at the tail of the
+	// node's addrs (AddAnycast); the rest are its own. In dirty's padding.
+	anycast uint32
 }
 
 // AddRoute installs a static prefix route through the given link. A
@@ -254,6 +256,12 @@ func (s *Simulator) runDijkstra(src *Node) *dijkstraScratch {
 // to a few thousand nodes. Metro-scale fan-outs should use BuildFanout,
 // which installs hierarchical routes directly in O(hosts).
 func (s *Simulator) BuildRoutes() {
+	groups := make(map[netip.Addr][]*Node)
+	for _, n := range s.nodeList {
+		for _, a := range n.anycastAddrs() {
+			groups[a] = append(groups[a], n)
+		}
+	}
 	for _, src := range s.nodes {
 		d := s.runDijkstra(src)
 		// Install host routes for every reachable node's addresses.
@@ -262,12 +270,12 @@ func (s *Simulator) BuildRoutes() {
 			if l == nil {
 				continue
 			}
-			for _, a := range s.nodeList[id].addrs {
+			for _, a := range s.nodeList[id].ownAddrs() {
 				src.AddRoute(netip.PrefixFrom(a, a.BitLen()), l)
 			}
 		}
 		// Anycast: route to the nearest member.
-		for aAddr, members := range s.anycast {
+		for aAddr, members := range groups {
 			var bestLink *Link
 			best := math.Inf(1)
 			for _, m := range members {

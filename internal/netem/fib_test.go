@@ -350,6 +350,17 @@ func TestNodeSize(t *testing.T) {
 	}
 }
 
+// TestEventSize: every queue push and pop copies one event, so the
+// struct must not grow past the five words the layout in event.go needs.
+func TestEventSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("size bound is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got > 40 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d B, want <= 40", got)
+	}
+}
+
 // TestFIBRouteMemoryRegression pins the memory cost of compressed
 // routes: a range route must cost a bounded number of bytes per entry —
 // not per covered address — however many hosts it stands for. This is

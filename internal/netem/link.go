@@ -259,7 +259,7 @@ func (d *linkDir) startTransmission(p *Packet) {
 	sh := d.from.sh
 	p.attrQueue += sh.now - p.Arrived
 	p.attrSer += int64(serialize)
-	sh.schedule(sh.now+int64(serialize), event{kind: evDepart, dir: d, pkt: p})
+	sh.schedule(sh.now+int64(serialize), departEvent(d, p))
 }
 
 // depart completes a serialization: the line is free for the next packet
@@ -272,7 +272,7 @@ func (d *linkDir) depart(p *Packet) {
 	src, dst := d.from.sh, d.to.sh
 	p.attrProp += int64(d.cfg.Delay)
 	at := src.now + int64(d.cfg.Delay)
-	ev := event{kind: evArrive, node: d.to, pkt: p}
+	ev := nodeEvent(evArrive, d.to, p)
 	if dst == src {
 		src.schedule(at, ev)
 	} else {

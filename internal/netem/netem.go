@@ -5,10 +5,11 @@
 // seconds.
 //
 // A Simulator owns a virtual clock — one int64 of nanoseconds inside the
-// engine, time.Time only at the exported edge — and a slice-backed heap
-// of typed events; the hot-path events (link departure/arrival, policy
-// delay) carry their operands inline, so forwarding a packet allocates
-// nothing in steady state. Packets are pooled, refcounted buffers
+// engine, time.Time only at the exported edge — and a queue of typed
+// 40-byte event values (event.go states the layout; TestEventSize holds
+// it); the hot-path events (link departure/arrival, policy delay) carry
+// their operands inline, so forwarding a packet allocates nothing in
+// steady state. Packets are pooled, refcounted buffers
 // (Packet) that cross the whole path — links, transit hooks, handlers —
 // without per-hop copies. Nodes (hosts and routers) are connected by Links with
 // propagation delay, transmission rate and bounded egress queues. Each
@@ -17,9 +18,10 @@
 // place by the first lookup after a change. Routing tables are computed
 // with Dijkstra over link costs (BuildRoutes) or stamped out by the Topology
 // builder (BuildFanout); anycast groups resolve to the nearest member,
-// which is how the neutralizer's anycast address is modelled. Transit
-// hooks let middle networks (the discriminatory ISPs of package isp)
-// observe, delay, or drop packets in flight. Packet events (send,
+// which is how the neutralizer's anycast address is modelled, and a
+// member holds each group address it serves behind its own addresses.
+// Transit hooks let middle networks (the discriminatory ISPs of package
+// isp) observe, delay, or drop packets in flight. Packet events (send,
 // forward, deliver, the drop kinds) have one sink: an attached
 // obs.FlightRecorder, which samples them into bounded per-shard rings.
 //
@@ -146,7 +148,6 @@ type Simulator struct {
 	// registered by AddHostBlock: one entry per block instead of one
 	// byAddr map entry per host (the million-host memory plan).
 	addrBlocks []addrBlock
-	anycast    map[netip.Addr][]*Node
 
 	// reg holds the engine's families (metrics.go); the coordinator counts
 	// epochs and the ordered shard pairs its barriers drained / never had
@@ -174,7 +175,6 @@ func NewSimulator(start time.Time, seed int64) *Simulator {
 		workers:   1,
 		nodes:     make(map[string]*Node),
 		byAddr:    make(map[netip.Addr]*Node),
-		anycast:   make(map[netip.Addr][]*Node),
 		reg:       obs.NewRegistry(),
 	}
 	s.registerMetrics()
@@ -244,14 +244,14 @@ func (s *Simulator) Schedule(d time.Duration, fn func()) {
 	}
 	s.guardShard0()
 	sh := s.shards[0]
-	sh.schedule(sh.now+int64(d), event{kind: evFunc, fn: fn})
+	sh.schedule(sh.now+int64(d), funcEvent(fn))
 }
 
 // ScheduleAt runs fn at absolute virtual time t (clamped to now) on
 // shard 0. The multi-worker restriction of Schedule applies.
 func (s *Simulator) ScheduleAt(t time.Time, fn func()) {
 	s.guardShard0()
-	s.shards[0].schedule(t.UnixNano(), event{kind: evFunc, fn: fn})
+	s.shards[0].schedule(t.UnixNano(), funcEvent(fn))
 }
 
 // guardShard0 turns a mid-parallel-run call to a shard-0 API (Schedule,
@@ -389,21 +389,34 @@ func (s *Simulator) AddHostBlock(domain string, first netip.Addr, n int) ([]*Nod
 }
 
 // AddAnycast registers addr as an anycast address served by the given
-// nodes. Routing resolves it to the nearest member.
+// nodes. Routing resolves it to the nearest member. A member holds addr
+// behind its own addresses: the group is the nodes that hold it.
 func (s *Simulator) AddAnycast(addr netip.Addr, members ...*Node) {
-	s.anycast[addr] = append(s.anycast[addr], members...)
 	for _, m := range members {
-		m.fib.anycast = true
+		if !slices.Contains(m.anycastAddrs(), addr) {
+			m.addrs = append(m.addrs, addr)
+			m.fib.anycast++
+		}
 	}
+}
+
+// ownAddrs is the node's own addresses; anycastAddrs the anycast groups
+// it serves, which AddAnycast appended behind them.
+func (n *Node) ownAddrs() []netip.Addr {
+	return n.addrs[:len(n.addrs)-int(n.fib.anycast)]
+}
+
+func (n *Node) anycastAddrs() []netip.Addr {
+	return n.addrs[len(n.addrs)-int(n.fib.anycast):]
 }
 
 // Addr returns the node's first address (its canonical identity), or the
 // zero Addr for address-less transit routers.
 func (n *Node) Addr() netip.Addr {
-	if len(n.addrs) == 0 {
-		return netip.Addr{}
+	if own := n.ownAddrs(); len(own) > 0 {
+		return own[0]
 	}
-	return n.addrs[0]
+	return netip.Addr{}
 }
 
 // AddAddr assigns an extra address to the node at runtime (used by the
@@ -415,7 +428,7 @@ func (n *Node) AddAddr(a netip.Addr) error {
 		return fmt.Errorf("%w: %v", ErrAddrInUse, a)
 	}
 	n.sim.byAddr[a] = n
-	n.addrs = append(n.addrs, a)
+	n.addrs = slices.Insert(n.addrs, len(n.ownAddrs()), a)
 	return nil
 }
 
@@ -424,23 +437,14 @@ func (n *Node) RemoveAddr(a netip.Addr) {
 	if n.sim.byAddr[a] == n {
 		delete(n.sim.byAddr, a)
 	}
-	for i, x := range n.addrs {
-		if x == a {
-			n.addrs = append(n.addrs[:i], n.addrs[i+1:]...)
-			break
-		}
+	if i := slices.Index(n.ownAddrs(), a); i >= 0 {
+		n.addrs = slices.Delete(n.addrs, i, i+1)
 	}
 }
 
-// HasAddr reports whether a is one of the node's addresses.
-func (n *Node) HasAddr(a netip.Addr) bool {
-	for _, x := range n.addrs {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
+// HasAddr reports whether a is one of the node's own addresses (the
+// anycast groups it serves are not).
+func (n *Node) HasAddr(a netip.Addr) bool { return slices.Contains(n.ownAddrs(), a) }
 
 // SetHandler installs the local-delivery handler.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
@@ -489,7 +493,7 @@ func (n *Node) SendPacketProc(p *Packet, proc time.Duration) error {
 	n.sh.stampJourney(p)
 	n.sh.emit(TraceSend, n, p)
 	p.attrProc += int64(proc)
-	n.sh.schedule(n.sh.now+int64(proc), event{kind: evProc, node: n, pkt: p})
+	n.sh.schedule(n.sh.now+int64(proc), nodeEvent(evProc, n, p))
 	return nil
 }
 
@@ -525,7 +529,7 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 	if delay > 0 {
 		p.attrPolicy += int64(delay)
 		p.cause, p.class = cause, class
-		n.sh.schedule(n.sh.now+int64(delay), event{kind: evDelayed, node: n, pkt: p})
+		n.sh.schedule(n.sh.now+int64(delay), nodeEvent(evDelayed, n, p))
 		return nil
 	}
 	return n.dispatchAfterPolicy(p)
@@ -544,10 +548,11 @@ func (n *Node) dispatchAfterPolicy(p *Packet) error {
 
 // route delivers p locally or forwards it toward dst. origin marks
 // packets originated by this node, which are not TTL-decremented and do
-// not count as forwarding. Only a member of some anycast group probes the
-// simulator's anycast map; every other hop decides from its own fields.
+// not count as forwarding. A node serves its own addresses and the anycast
+// groups it is a member of, all of them in addrs: a hop decides from its
+// own fields.
 func (n *Node) route(p *Packet, dst netip.Addr, origin bool) error {
-	if n.HasAddr(dst) || n.fib.anycast && slices.Contains(n.sim.anycast[dst], n) {
+	if slices.Contains(n.addrs, dst) {
 		n.deliver(p)
 		return nil
 	}

@@ -3,6 +3,7 @@ package netem
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -236,14 +237,17 @@ func TestAnycastNearestMember(t *testing.T) {
 	if hit != "near" {
 		t.Errorf("anycast delivered to %q, want \"near\"", hit)
 	}
-	if got := s.anycast[any]; len(got) != 2 {
-		t.Errorf("anycast members = %d", len(got))
+	for _, m := range []*Node{near, far} {
+		if got := m.anycastAddrs(); len(got) != 1 || got[0] != any {
+			t.Errorf("%s serves anycast %v, want [%v]", m.Name, got, any)
+		}
 	}
 }
 
-// TestAnycastMembershipIsASet: a node carries one bit saying it serves
-// some anycast address; which addresses is still the simulator's table.
-// The path is src — r — m1 — m2, every group routed toward m2.
+// TestAnycastMembershipIsASet: a member holds the group addresses it
+// serves behind its own, so a hop decides delivery from the node alone,
+// and only for the groups that node joined. The path is src — r — m1 —
+// m2, every group routed toward m2.
 func TestAnycastMembershipIsASet(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	src := s.MustAddNode("src", "", addr("10.0.0.1"))
@@ -291,6 +295,31 @@ func TestAnycastMembershipIsASet(t *testing.T) {
 		if fwd := s.Forwarded() - before; hit != tc.want || fwd != tc.forwards {
 			t.Errorf("%s: delivered at %q after %d forwards, want %q after %d", tc.name, hit, fwd, tc.want, tc.forwards)
 		}
+	}
+}
+
+// TestAnycastAddrsFollowOwn: the group addresses a member holds are not
+// its own — Addr, HasAddr and RemoveAddr see only its own, an address
+// added later goes in front of the groups, and joining a group twice
+// keeps one copy.
+func TestAnycastAddrsFollowOwn(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	bare := s.MustAddNode("bare", "")
+	m := s.MustAddNode("m", "", addr("10.0.0.1"))
+	g1, g2 := addr("10.255.0.1"), addr("10.255.0.2")
+	s.AddAnycast(g1, bare, m)
+	s.AddAnycast(g2, m)
+	s.AddAnycast(g1, m)
+	if got := bare.Addr(); got.IsValid() {
+		t.Errorf("member with no address of its own: Addr() = %v, want the zero Addr", got)
+	}
+	if err := m.AddAddr(addr("10.0.0.2")); err != nil {
+		t.Fatal(err)
+	}
+	m.RemoveAddr(g1)
+	want := []netip.Addr{addr("10.0.0.1"), addr("10.0.0.2"), g1, g2}
+	if !slices.Equal(m.addrs, want) || m.Addr() != want[0] || !m.HasAddr(want[1]) || m.HasAddr(g1) {
+		t.Errorf("member addrs = %v (Addr %v), want %v with the last two not its own", m.addrs, m.Addr(), want)
 	}
 }
 

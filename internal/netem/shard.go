@@ -186,7 +186,7 @@ func (n *Node) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	n.sh.schedule(n.sh.now+int64(d), event{kind: evFunc, fn: fn})
+	n.sh.schedule(n.sh.now+int64(d), funcEvent(fn))
 }
 
 // Rand returns the PRNG of the node's shard. Deterministic parallel
