@@ -20,7 +20,7 @@
 //	neutsim -exp E6 -hosts 1000 -duration 1s -seed 7      # E6 metro (-simworkers N)
 //	neutsim -exp E6 -hosts 1000 -trace all -traceout t.json  # + Perfetto trace
 //	neutsim -exp E6 -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /trace.json, pprof
-//	neutsim -exp E7 -flows 8 -duration 2s -seed 7         # E7 arms race, 8 flows/class
+//	neutsim -exp E7 -flows 16 -duration 2s -seed 7        # E7 arms race, 16 flows/class
 //	neutsim -exp E8 -vantages 8 -trials 10 -seed 7        # E8 neutrality audit
 //	neutsim -exp E9 -hosts 800 -duration 500ms -seed 7    # E9 worker sweep
 //	neutsim -exp E10 -seed 7                              # E10 real dns + net/http

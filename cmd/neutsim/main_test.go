@@ -64,8 +64,8 @@ func TestModesPrintEvalRows(t *testing.T) {
 			id: "E6", scale: eval.Scale{Hosts: 1000, Duration: time.Second, Seed: 7}, wall: "sim events/sec"},
 		{name: "parscale", args: []string{"-exp", "E9", "-hosts", "800", "-duration", "500ms", "-seed", "7"},
 			id: "E9", scale: eval.Scale{Hosts: 800, Duration: 500 * time.Millisecond, Seed: 7}, wall: "events/sec at 4 worker(s)"},
-		{name: "arms", args: []string{"-exp", "E7", "-flows", "8", "-duration", "2s", "-seed", "7"},
-			id: "E7", scale: eval.Scale{Flows: 8, Duration: 2 * time.Second, Seed: 7}},
+		{name: "arms", args: []string{"-exp", "E7", "-flows", "16", "-duration", "2s", "-seed", "7"},
+			id: "E7", scale: eval.Scale{Flows: 16, Duration: 2 * time.Second, Seed: 7}},
 		{name: "audit", args: []string{"-exp", "E8", "-vantages", "8", "-trials", "10", "-seed", "7"},
 			id: "E8", scale: eval.Scale{Vantages: 8, Trials: 10, Seed: 7}},
 		{name: "realproto", args: []string{"-exp", "E10", "-seed", "7"}, replay: true,

@@ -11,7 +11,7 @@ import (
 // test run (and -race) stays fast; every rung of the ladder must hold
 // at this scale too, since CI's smoke step runs it this size.
 func TestE7ArmsReduced(t *testing.T) {
-	st, err := RunArms(ArmsConfig{FlowsPerClass: 8, Seed: 7, Duration: 2 * time.Second})
+	st, err := RunArms(ArmsConfig{FlowsPerClass: 16, Seed: 7, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestGoldenRows(t *testing.T) {
 			}
 			return goldenText(st.Result(), labelledDigest{"metro", st.Obs}), nil
 		}},
-		{id: "E7", slow: true, run: registered("E7", Scale{Seed: 7, Flows: 8, Duration: 2 * time.Second})},
+		{id: "E7", slow: true, run: registered("E7", Scale{Seed: 7, Flows: 16, Duration: 2 * time.Second})},
 		{id: "E8", slow: true, run: func() (string, error) {
 			st, err := reducedAudit()
 			if err != nil {
