@@ -183,7 +183,7 @@ func TestF2ProtocolWalk(t *testing.T) {
 // goodArms, goodAudit and goodRealProto are E7, E8 and E10 outcomes
 // every claim holds on, built by hand: no experiment runs.
 func goodArms() *ArmsStats {
-	voip := int(trafficgen.AppVoIP)
+	voip, video := int(trafficgen.AppVoIP), int(trafficgen.AppVideo)
 	st := &ArmsStats{}
 	for _, adv := range []ArmsAdversary{AdvPortRule, AdvDPI} {
 		for _, mode := range []ArmsMode{ModePlaintext, ModeEncrypted, ModeCloaked} {
@@ -194,7 +194,8 @@ func goodArms() *ArmsStats {
 	}
 	pp := st.Cell(ModePlaintext, AdvPortRule)
 	pp.PortHits, pp.Goodput[voip] = 80, 0.1
-	st.Cell(ModeEncrypted, AdvDPI).Goodput[voip] = 0.2
+	de := st.Cell(ModeEncrypted, AdvDPI)
+	de.Goodput[voip], de.Goodput[video], de.DPIPoliced = 0.2, 0.7, 600
 	dc := st.Cell(ModeCloaked, AdvDPI)
 	dc.Accuracy, dc.CloakOverhead = 0.25, 4
 	return st
@@ -256,7 +257,7 @@ func TestFailRowFailsExperiment(t *testing.T) {
 	rp := func(name, row string, f func(*RealProtoStats)) flip {
 		return flip{name, row, func() *Result { st := goodRealProto(); f(st); return st.Result() }}
 	}
-	voip := int(trafficgen.AppVoIP)
+	voip, video := int(trafficgen.AppVoIP), int(trafficgen.AppVideo)
 	cell := func(st *AuditStats, kind AuditISP, mode ArmsMode, strat audit.Strategy) *audit.Summary {
 		return &st.Cell(kind, mode, strat).Summary
 	}
@@ -264,6 +265,7 @@ func TestFailRowFailsExperiment(t *testing.T) {
 		naive, inter = audit.StrategyNaive, audit.StrategyInterleaved
 		blatant      = "blatant dpi throttle: power"
 		armsPort     = "port rule vs encrypted: voip goodput"
+		armsVideo    = "dpi vs encrypted: video goodput"
 		dnsRTT       = "dns lookup rtt over simnet (plain / encrypted)"
 		trace        = "trace attribution invariant"
 	)
@@ -277,6 +279,8 @@ func TestFailRowFailsExperiment(t *testing.T) {
 		arms("dpi misses plaintext", "dpi accuracy vs plaintext", func(s *ArmsStats) { s.Cell(ModePlaintext, AdvDPI).Accuracy = 0.8 }),
 		arms("dpi misses encrypted", "dpi accuracy vs encrypted", func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvDPI).Accuracy = 0.8 }),
 		arms("encrypted voip survives dpi", "dpi vs encrypted: voip goodput", func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvDPI).Goodput[voip] = 0.5 }),
+		arms("encrypted video not policed", armsVideo, func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvDPI).DPIPoliced = 0 }),
+		arms("encrypted video not throttled", armsVideo, func(s *ArmsStats) { s.Cell(ModeEncrypted, AdvDPI).Goodput[video] = 0.9 }),
 		arms("dpi sees through cloak", "dpi accuracy vs cloak", func(s *ArmsStats) { s.Cell(ModeCloaked, AdvDPI).Accuracy = 0.5 }),
 		arms("cloaked voip not restored", "dpi vs cloak: voip goodput", func(s *ArmsStats) { s.Cell(ModeCloaked, AdvDPI).Goodput[voip] = 0.6 }),
 		arms("cloak costs nothing", "cloak cost: wire bytes / real byte", func(s *ArmsStats) { s.Cell(ModeCloaked, AdvDPI).CloakOverhead = 1 }),

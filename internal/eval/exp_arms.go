@@ -344,7 +344,8 @@ func (st *ArmsStats) Result() *Result {
 			Failed:   de.Goodput[voip] >= 0.4},
 		{Metric: "dpi vs encrypted: video goodput", Paper: "throttled",
 			Measured: fmt.Sprintf("%.0f%%", 100*de.Goodput[video]),
-			Note:     fmt.Sprintf("%d token-bucket drops at 8 Mbps class rate", de.DPIPoliced)},
+			Note:     fmt.Sprintf("%d token-bucket drops at 8 Mbps class rate", de.DPIPoliced),
+			Failed:   de.DPIPoliced == 0 || de.Goodput[video] >= 0.9},
 		{Metric: "dpi accuracy vs cloak", Paper: "<= 40% (chance=25%)",
 			Measured: fmt.Sprintf("%.0f%%", 100*dc.Accuracy),
 			Note:     "padding + tick grid + cover erase the fingerprint",
