@@ -133,8 +133,7 @@ func (l *lane) pop(ev *event) {
 // eventQueue is a priority queue ordered by (at, seq): earliest first,
 // FIFO among simultaneous events. Callers push with strictly increasing
 // seq. Values live inline in the rings and the heap slice — no per-event
-// allocation, no interface boxing; a heap sift moves whole events, which
-// is why the lanes take nearly every push.
+// allocation, no interface boxing.
 type eventQueue struct {
 	lanes []lane  // opened on demand, at most laneCount
 	h     []event // binary min-heap: events no lane would take
