@@ -144,6 +144,35 @@ func TestBackboneFluidConsumesCapacity(t *testing.T) {
 	}
 }
 
+// TestFluidTickZeroAlloc: a fluid flow reschedules itself every
+// interval, so a tick must not allocate — the flow binds its tick
+// closure once, at attach time.
+func TestFluidTickZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by race instrumentation")
+	}
+	s := NewSimulator(simStart, 1)
+	a := s.MustAddNode("a", "", addr("10.0.0.1"))
+	b := s.MustAddNode("b", "", addr("10.0.0.2"))
+	l := s.Connect(a, b, LinkConfig{Delay: time.Millisecond, RateBps: 10e6})
+	for _, from := range []*Node{a, b} {
+		fl, err := s.AttachFluid(l, from, FluidConfig{RateBps: 4e6, JitterFrac: 0.2, Interval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl.Start(time.Hour)
+	}
+	s.RunFor(10 * time.Millisecond) // warm the event lanes
+	const runs = 100
+	_, before := s.FluidTotals()
+	if allocs := testing.AllocsPerRun(runs, func() { s.RunFor(10 * time.Millisecond) }); allocs != 0 {
+		t.Errorf("10 ms of two ticking fluid flows allocates %.1f times, want 0", allocs)
+	}
+	if _, after := s.FluidTotals(); after-before < 2*10*runs {
+		t.Errorf("ran %d fluid ticks, want at least %d", after-before, 2*10*runs)
+	}
+}
+
 // TestBackboneMillionHosts is the continental-scale acceptance gate:
 // a 1M-host backbone must build in ≤ 10s and route end to end.
 func TestBackboneMillionHosts(t *testing.T) {

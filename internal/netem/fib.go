@@ -28,15 +28,16 @@ type hostRoute struct {
 }
 
 // fib is a node's forwarding table. Routes are installed straight into
-// it: host routes, which must be disjoint, and broader prefixes. The
-// first lookup after a change sorts both in place — host routes by first
-// address, prefixes stably by descending length, so equal lengths keep
-// install order — and a lookup is a binary search for the host route
-// covering dst, then a longest-prefix scan. Node must not grow
-// (TestNodeSize): a million leaf hosts carry one each.
+// it: disjoint host routes, broader prefixes and an IPv4 default. The
+// first lookup after a change sorts the first two in place — host routes
+// by first address, prefixes stably by descending length, so equal
+// lengths keep install order — and a lookup is a binary search for the
+// host route covering dst, a longest-prefix scan, then dflt. Node must
+// not grow (TestNodeSize): a million leaf hosts carry one each.
 type fib struct {
 	hosts    []hostRoute
 	prefixes []route
+	dflt     *Link // the first IPv4 /0 installed; a later one could never win
 	dirty    bool
 	// anycast counts the anycast group addresses at the tail of the
 	// node's addrs (AddAnycast); the rest are its own. In dirty's padding.
@@ -46,9 +47,14 @@ type fib struct {
 // AddRoute installs a static prefix route through the given link. A
 // single IPv4 address is a host route and must not overlap another.
 func (n *Node) AddRoute(prefix netip.Prefix, l *Link) {
-	if a := prefix.Addr(); a.Is4() && prefix.IsSingleIP() {
+	switch a := prefix.Addr(); {
+	case a.Is4() && prefix.Bits() == 0:
+		if n.fib.dflt == nil {
+			n.fib.dflt = l
+		}
+	case a.Is4() && prefix.IsSingleIP():
 		n.fib.hosts = append(n.fib.hosts, hostRoute{first: ipv4ToUint(a), n: 1, link: l})
-	} else {
+	default:
 		n.fib.prefixes = append(n.fib.prefixes, route{prefix: prefix, link: l})
 	}
 	n.fib.dirty = true
@@ -89,6 +95,7 @@ func (n *Node) addHostRoute(first netip.Addr, count int, l *Link, links []*Link)
 func (n *Node) ClearRoutes() {
 	n.fib.hosts = n.fib.hosts[:0]
 	n.fib.prefixes = n.fib.prefixes[:0]
+	n.fib.dflt = nil
 	n.fib.dirty = true
 }
 
@@ -108,7 +115,7 @@ func (n *Node) sortFIB() {
 }
 
 // lookupRoute returns the best route for dst, or nil: the host route
-// covering dst, else the longest matching prefix.
+// covering dst, else the longest matching prefix, else the default.
 func (n *Node) lookupRoute(dst netip.Addr) *Link {
 	if n.fib.dirty {
 		n.sortFIB()
@@ -140,6 +147,9 @@ func (n *Node) lookupRoute(dst netip.Addr) *Link {
 		if r.prefix.Contains(dst) {
 			return r.link
 		}
+	}
+	if dst.Is4() {
+		return f.dflt
 	}
 	return nil
 }
@@ -232,7 +242,7 @@ func (s *Simulator) runDijkstra(src *Node) *dijkstraScratch {
 				continue
 			}
 			next := l.Peer(cur)
-			nd := it.dist + dir.cfg.cost()
+			nd := it.dist + dir.cost()
 			if nd < d.dist[next.id] {
 				d.dist[next.id] = nd
 				if cur == src {

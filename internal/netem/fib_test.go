@@ -17,7 +17,9 @@ import (
 // lookupRouteLinear is the reference implementation the FIB property
 // tests assert lookupRoute against on random topologies: a linear scan
 // of the node's host routes for one covering dst, else of its prefixes
-// for the longest match (the earliest installed among equal lengths).
+// for the longest match (the earliest installed among equal lengths),
+// else, for IPv4, the default route. TestFIBMatchesLinearReference
+// checks separately that the default is the first IPv4 /0 installed.
 func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
 	if dst.Is4() {
 		v := ipv4ToUint(dst)
@@ -36,6 +38,9 @@ func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
 		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
 			best, via = r.prefix.Bits(), r.link
 		}
+	}
+	if via == nil && dst.Is4() {
+		via = n.fib.dflt
 	}
 	return via
 }
@@ -71,16 +76,19 @@ func randTopology(t *testing.T, rng *rand.Rand, n int) (*Simulator, []*Node) {
 // TestFIBMatchesLinearReference: on random topologies with random extra
 // prefix routes and random range/block routes, the indexed FIB must
 // return exactly what the linear reference scan returns, for every probe
-// address.
+// address. Of the IPv4 /0s a node gets, the first installed must be its
+// default; the IPv6 ::/0 each trial installs must stay a prefix route.
 func TestFIBMatchesLinearReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	v6Default := netip.MustParsePrefix("::/0")
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + rng.Intn(30)
 		s, nodes := randTopology(t, rng, n)
 		s.BuildRoutes()
 
 		// Sprinkle random broader prefixes (including overlapping and
-		// duplicate lengths) over random nodes.
+		// duplicate lengths, and several /0s) over random nodes.
+		firstDefault := map[*Node]*Link{}
 		for k := 0; k < 10; k++ {
 			nd := nodes[rng.Intn(n)]
 			if len(nd.links) == 0 {
@@ -92,7 +100,22 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nd.AddRoute(p, nd.links[rng.Intn(len(nd.links))])
+			l := nd.links[rng.Intn(len(nd.links))]
+			if bits == 0 && firstDefault[nd] == nil {
+				firstDefault[nd] = l
+			}
+			nd.AddRoute(p, l)
+		}
+		for _, nd := range nodes {
+			if nd.fib.dflt != firstDefault[nd] {
+				t.Fatalf("trial %d: node %s default %p, want the first IPv4 /0 installed, %p",
+					trial, nd.Name, nd.fib.dflt, firstDefault[nd])
+			}
+		}
+		v6 := nodes[rng.Intn(n)]
+		v6.AddRoute(v6Default, v6.links[0])
+		if !slices.ContainsFunc(v6.fib.prefixes, func(r route) bool { return r.prefix == v6Default }) {
+			t.Fatalf("trial %d: node %s: ::/0 is not in the prefix list", trial, v6.Name)
 		}
 
 		// Sprinkle range/block routes in 10.0-3.x, under the prefixes
@@ -140,6 +163,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 				probes = append(probes, uintToIPv4(uint32(v)))
 			}
 		}
+		probes = append(probes, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:10.0.0.1"))
 		for k := 0; k < 50; k++ {
 			probes = append(probes, netip.AddrFrom4([4]byte{
 				byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}))
@@ -239,7 +263,7 @@ func refDijkstra(src *Node) map[*Node]float64 {
 				continue
 			}
 			next := l.Peer(cur.n)
-			v := cur.d + d.cfg.cost()
+			v := cur.d + d.cost()
 			if old, ok := dist[next]; !ok || v < old {
 				dist[next] = v
 				frontier = append(frontier, nd{next, v})

@@ -42,11 +42,12 @@ type FluidConfig struct {
 // FluidFlow is one attached background aggregate. Attach with
 // Simulator.AttachFluid, then Start it for a bounded duration.
 type FluidFlow struct {
-	d     *linkDir
-	node  *Node
-	cfg   FluidConfig
-	until int64   // horizon, engine nanoseconds
-	rem   float64 // fractional byte carry between ticks
+	d      *linkDir
+	node   *Node
+	cfg    FluidConfig
+	until  int64   // horizon, engine nanoseconds
+	rem    float64 // fractional byte carry between ticks
+	tickFn func()  // tick, bound once: each f.tick method value allocates
 	// Bytes offered and ticks run, written by the shard owning d.
 	bytes, ticks uint64
 }
@@ -83,6 +84,7 @@ func (s *Simulator) AttachFluid(l *Link, from *Node, cfg FluidConfig) (*FluidFlo
 		"Fluid flow rate-update ticks executed.",
 		func() uint64 { _, t := s.FluidTotals(); return t })
 	f := &FluidFlow{d: d, node: from, cfg: cfg}
+	f.tickFn = f.tick
 	s.fluids = append(s.fluids, f)
 	return f, nil
 }
@@ -100,7 +102,7 @@ func (s *Simulator) FluidTotals() (bytes, ticks uint64) {
 func (f *FluidFlow) Start(d time.Duration) {
 	f.until = f.node.NowNanos() + int64(d)
 	f.d.fluidBps = f.cfg.RateBps
-	f.node.Schedule(f.cfg.Interval, f.tick)
+	f.node.Schedule(f.cfg.Interval, f.tickFn)
 }
 
 // tick accounts the bytes offered over the elapsed interval, then
@@ -121,5 +123,5 @@ func (f *FluidFlow) tick() {
 		rate *= 1 + j*(2*f.node.Rand().Float64()-1)
 	}
 	f.d.fluidBps = rate
-	f.node.Schedule(f.cfg.Interval, f.tick)
+	f.node.Schedule(f.cfg.Interval, f.tickFn)
 }

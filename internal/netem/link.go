@@ -85,35 +85,35 @@ type LinkConfig struct {
 	QueueLen int
 }
 
-// cost is the link's routing metric: Delay in microseconds, min 1.
-func (c LinkConfig) cost() float64 {
-	if c.Delay > 0 {
-		return float64(c.Delay.Microseconds())
-	}
-	return 1
-}
-
 // Link is a bidirectional connection between two nodes, with independent
-// egress state per direction.
+// egress state per direction held inline (TestLinkSize).
 type Link struct {
-	a, b *Node
-	dirs [2]*linkDir // [0] a->b, [1] b->a
+	dirs [2]linkDir // [0] a->b, [1] b->a
 }
 
-// linkDir is one direction's egress state. It is owned by the shard of
-// its from node — serialization and queueing happen there — and only its
-// arrival events cross into the to node's shard.
+// linkDir is one direction's egress state, 64 bytes: its config unpacked
+// so busy shares queueLen's word. The shard of its from node owns it and
+// serializes there; only its arrival events cross into the to node's shard.
 type linkDir struct {
-	from  *Node
-	to    *Node
-	cfg   LinkConfig
-	queue Queue // nil until SetQueue, or until a packet finds the line busy
-	busy  bool
+	from, to *Node
+	queue    Queue // nil until SetQueue, or until a packet finds the line busy
+	delay    time.Duration
+	rateBps  float64
 	// fluidBps is the aggregate background load a FluidFlow currently
 	// offers on this direction (bits/s); startTransmission serializes
 	// packets at the residual rate, so policing and queueing see the
 	// load without per-packet events. See fluid.go.
 	fluidBps float64
+	queueLen int32
+	busy     bool
+}
+
+// cost is the direction's routing metric: its delay in microseconds, min 1.
+func (d *linkDir) cost() float64 {
+	if d.delay > 0 {
+		return float64(d.delay.Microseconds())
+	}
+	return 1
 }
 
 // Connect joins two nodes with symmetric link characteristics.
@@ -124,32 +124,31 @@ func (s *Simulator) Connect(a, b *Node, cfg LinkConfig) *Link {
 // ConnectAsym joins two nodes with per-direction characteristics
 // (ab for a→b, ba for b→a).
 func (s *Simulator) ConnectAsym(a, b *Node, ab, ba LinkConfig) *Link {
-	var l Link
-	var d [2]linkDir
-	return s.connectInto(&l, &d[0], &d[1], a, b, ab, ba)
+	return s.connectInto(new(Link), a, b, ab, ba)
 }
 
 // connectInto wires preallocated link storage between a and b — the slab
-// path topology builders use to stamp out a metro's host links as three
-// arrays instead of three heap objects per host. The storage must be
+// path topology builders use to stamp out a metro's host links as one
+// array instead of one heap object per host. The storage must be
 // zero-valued and must outlive the simulator.
-func (s *Simulator) connectInto(l *Link, d0, d1 *linkDir, a, b *Node, ab, ba LinkConfig) *Link {
-	*l = Link{a: a, b: b}
-	*d0 = linkDir{from: a, to: b, cfg: ab}
-	*d1 = linkDir{from: b, to: a, cfg: ba}
-	l.dirs[0], l.dirs[1] = d0, d1
+func (s *Simulator) connectInto(l *Link, a, b *Node, ab, ba LinkConfig) *Link {
+	l.dirs = [2]linkDir{newDir(a, b, ab), newDir(b, a, ba)}
 	a.links = append(a.links, l)
 	b.links = append(b.links, l)
 	s.planDirty = true
 	return l
 }
 
+func newDir(from, to *Node, c LinkConfig) linkDir {
+	return linkDir{from: from, to: to, delay: c.Delay, rateBps: c.RateBps, queueLen: int32(min(c.QueueLen, math.MaxInt32))}
+}
+
 // Peer returns the node on the other end of the link from n.
 func (l *Link) Peer(n *Node) *Node {
-	if n == l.a {
-		return l.b
+	if n == l.dirs[0].from {
+		return l.dirs[0].to
 	}
-	return l.a
+	return l.dirs[0].from
 }
 
 // SetQueue replaces the egress queue discipline for the direction
@@ -182,11 +181,11 @@ func (l *Link) SetQueue(from *Node, q Queue) error {
 }
 
 func (l *Link) dir(from *Node) *linkDir {
-	if from == l.a {
-		return l.dirs[0]
+	if from == l.dirs[0].from {
+		return &l.dirs[0]
 	}
-	if from == l.b {
-		return l.dirs[1]
+	if from == l.dirs[1].from {
+		return &l.dirs[1]
 	}
 	return nil
 }
@@ -210,7 +209,7 @@ func (l *Link) transmit(from *Node, p *Packet) {
 			d.startTransmission(p)
 			return
 		}
-		d.queue = NewFIFOQueue(d.cfg.QueueLen)
+		d.queue = NewFIFOQueue(int(d.queueLen))
 	}
 	if !d.queue.Enqueue(p) {
 		sh.nLinkQDrop++
@@ -244,13 +243,13 @@ func (d *linkDir) startNext() {
 func (d *linkDir) startTransmission(p *Packet) {
 	d.busy = true
 	serialize := time.Duration(0)
-	if rate := d.cfg.RateBps; rate > 0 {
+	if rate := d.rateBps; rate > 0 {
 		if d.fluidBps > 0 {
 			// Fluid background load consumes capacity: packets serialize at
 			// the residual rate, floored so a saturating fluid can slow the
 			// measured path by at most 100x rather than stall it.
-			if rate -= d.fluidBps; rate < d.cfg.RateBps*fluidResidualFloor {
-				rate = d.cfg.RateBps * fluidResidualFloor
+			if rate -= d.fluidBps; rate < d.rateBps*fluidResidualFloor {
+				rate = d.rateBps * fluidResidualFloor
 			}
 		}
 		sec := float64(len(p.Pkt)*8) / rate
@@ -270,8 +269,8 @@ func (d *linkDir) startTransmission(p *Packet) {
 func (d *linkDir) depart(p *Packet) {
 	d.from.sh.nLinkTx++
 	src, dst := d.from.sh, d.to.sh
-	p.attrProp += int64(d.cfg.Delay)
-	at := src.now + int64(d.cfg.Delay)
+	p.attrProp += int64(d.delay)
+	at := src.now + int64(d.delay)
 	ev := nodeEvent(evArrive, d.to, p)
 	if dst == src {
 		src.schedule(at, ev)

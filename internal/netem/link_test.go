@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netneutral/internal/obs"
 )
@@ -41,7 +43,7 @@ func runDirectWorld(t *testing.T, forceQueued bool) *directWorld {
 	s.BuildRoutes()
 	if forceQueued {
 		for i, l := range links {
-			for _, from := range []*Node{l.a, l.b} {
+			for _, from := range []*Node{l.dirs[0].from, l.dirs[1].from} {
 				if err := l.SetQueue(from, NewFIFOQueue(cfgs[i].QueueLen)); err != nil {
 					t.Fatal(err)
 				}
@@ -155,5 +157,17 @@ func TestDirectTransmitMatchesQueued(t *testing.T) {
 	s.Run()
 	if sent, dropped := family(s, "netem_link_tx_packets_total"), family(s, "netem_link_queue_drops_total"); !bytes.Equal(got, []byte{1, 2}) || sent != 2 || dropped != 0 {
 		t.Errorf("delivered %v (sent %d, dropped %d), want [1 2], 2, 0", got, sent, dropped)
+	}
+}
+
+// TestLinkSize: a million-host backbone holds a Link per host, with
+// both directions inline, so the struct must not grow past two 64-byte
+// directions.
+func TestLinkSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("size bound is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Link{}); got > 128 {
+		t.Errorf("unsafe.Sizeof(Link{}) = %d B, want <= 128", got)
 	}
 }

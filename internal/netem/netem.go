@@ -278,7 +278,6 @@ type Node struct {
 	// package isp uses it to scope eavesdropping and policy.
 	Domain string
 
-	sim     *Simulator
 	sh      *shard
 	id      int
 	addrs   []netip.Addr
@@ -293,7 +292,7 @@ func (s *Simulator) AddNode(name, domain string, addrs ...netip.Addr) (*Node, er
 	if _, dup := s.nodes[name]; dup {
 		return nil, fmt.Errorf("netem: duplicate node name %q", name)
 	}
-	n := &Node{Name: name, Domain: domain, sim: s, sh: s.shards[0], id: len(s.nodeList)}
+	n := &Node{Name: name, Domain: domain, sh: s.shards[0], id: len(s.nodeList)}
 	s.planDirty = true
 	for _, a := range addrs {
 		if _, dup := s.byAddr[a]; dup {
@@ -326,12 +325,12 @@ type addrBlock struct {
 }
 
 // AddHostBlock creates n leaf hosts owning the consecutive IPv4
-// addresses [first, first+n), slab-allocated: one Node array, one
-// address array, shared capacity for each host's single link and route,
-// and a single block entry in the address index instead of n map
-// entries. That drops the per-host build cost to a few hundred bytes —
-// the plan that fits a million hosts in memory. The hosts are anonymous
-// (Name "", not resolvable via Simulator.Node); hold the returned slice.
+// addresses [first, first+n), slab-allocated: one Node array, one address
+// array, shared capacity for each host's one link, and one block entry in
+// the address index instead of n map entries. With BuildFanout's link
+// slab a host costs under 400 bytes (TestHostFootprint): the plan that
+// fits a million hosts in memory. The hosts are anonymous (Name "", not
+// resolvable via Simulator.Node); hold the returned slice.
 // They start on shard 0; assign shards with Node.SetShard as usual.
 //
 // The block must not overlap any registered address: other blocks are
@@ -362,7 +361,6 @@ func (s *Simulator) AddHostBlock(domain string, first netip.Addr, n int) ([]*Nod
 	slab := make([]Node, n)
 	addrSlab := make([]netip.Addr, n)
 	linkSlab := make([]*Link, n)
-	routeSlab := make([]route, n)
 	nodes := make([]*Node, n)
 	id := len(s.nodeList)
 	s.nodeList = append(s.nodeList, nodes...) // reserve; filled below
@@ -371,14 +369,10 @@ func (s *Simulator) AddHostBlock(domain string, first netip.Addr, n int) ([]*Nod
 		addrSlab[i] = uintToIPv4(v + uint32(i))
 		*nd = Node{
 			Domain: domain,
-			sim:    s,
 			sh:     s.shards[0],
 			id:     id + i,
 			addrs:  addrSlab[i : i+1 : i+1],
-			// Full-slice caps: the host's one link and one default route
-			// append into the shared slabs instead of allocating.
-			links: linkSlab[i : i : i+1],
-			fib:   fib{prefixes: routeSlab[i : i : i+1]},
+			links:  linkSlab[i : i : i+1], // full-slice cap: its one link appends into the slab
 		}
 		nodes[i] = nd
 		s.nodeList[id+i] = nd
@@ -424,27 +418,23 @@ func (n *Node) Addr() netip.Addr {
 // by the caller (Simulator.BuildRoutes) for remote reachability, or the
 // address can be covered by an existing prefix route.
 func (n *Node) AddAddr(a netip.Addr) error {
-	if _, dup := n.sim.byAddr[a]; dup {
+	if _, dup := n.sh.sim.byAddr[a]; dup {
 		return fmt.Errorf("%w: %v", ErrAddrInUse, a)
 	}
-	n.sim.byAddr[a] = n
+	n.sh.sim.byAddr[a] = n
 	n.addrs = slices.Insert(n.addrs, len(n.ownAddrs()), a)
 	return nil
 }
 
 // RemoveAddr releases an address previously added with AddAddr.
 func (n *Node) RemoveAddr(a netip.Addr) {
-	if n.sim.byAddr[a] == n {
-		delete(n.sim.byAddr, a)
+	if n.sh.sim.byAddr[a] == n {
+		delete(n.sh.sim.byAddr, a)
 	}
 	if i := slices.Index(n.ownAddrs(), a); i >= 0 {
 		n.addrs = slices.Delete(n.addrs, i, i+1)
 	}
 }
-
-// HasAddr reports whether a is one of the node's own addresses (the
-// anycast groups it serves are not).
-func (n *Node) HasAddr(a netip.Addr) bool { return slices.Contains(n.ownAddrs(), a) }
 
 // SetHandler installs the local-delivery handler.
 func (n *Node) SetHandler(h Handler) { n.handler = h }

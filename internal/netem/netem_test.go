@@ -299,7 +299,7 @@ func TestAnycastMembershipIsASet(t *testing.T) {
 }
 
 // TestAnycastAddrsFollowOwn: the group addresses a member holds are not
-// its own — Addr, HasAddr and RemoveAddr see only its own, an address
+// its own — Addr, ownAddrs and RemoveAddr see only its own, an address
 // added later goes in front of the groups, and joining a group twice
 // keeps one copy.
 func TestAnycastAddrsFollowOwn(t *testing.T) {
@@ -318,7 +318,7 @@ func TestAnycastAddrsFollowOwn(t *testing.T) {
 	}
 	m.RemoveAddr(g1)
 	want := []netip.Addr{addr("10.0.0.1"), addr("10.0.0.2"), g1, g2}
-	if !slices.Equal(m.addrs, want) || m.Addr() != want[0] || !m.HasAddr(want[1]) || m.HasAddr(g1) {
+	if !slices.Equal(m.addrs, want) || m.Addr() != want[0] || !slices.Contains(m.ownAddrs(), want[1]) || slices.Contains(m.ownAddrs(), g1) {
 		t.Errorf("member addrs = %v (Addr %v), want %v with the last two not its own", m.addrs, m.Addr(), want)
 	}
 }
@@ -407,14 +407,14 @@ func TestAddRemoveAddr(t *testing.T) {
 	if err := n.AddAddr(dyn); err != nil {
 		t.Fatal(err)
 	}
-	if s.byAddr[dyn] != n || !n.HasAddr(dyn) {
+	if s.byAddr[dyn] != n || !slices.Contains(n.ownAddrs(), dyn) {
 		t.Error("dynamic address not registered")
 	}
 	if err := n.AddAddr(dyn); err == nil {
 		t.Error("re-adding same address should fail")
 	}
 	n.RemoveAddr(dyn)
-	if s.byAddr[dyn] != nil || n.HasAddr(dyn) {
+	if s.byAddr[dyn] != nil || slices.Contains(n.ownAddrs(), dyn) {
 		t.Error("dynamic address not released")
 	}
 }

@@ -48,20 +48,20 @@ func (s *Simulator) refreshPlan() {
 			s.multi = true
 		}
 		for _, l := range n.links {
-			if n != l.a {
+			if n != l.dirs[0].from {
 				continue // visit each link once
 			}
 			for _, d := range l.dirs {
 				if d.from.sh == d.to.sh {
 					continue
 				}
-				if d.cfg.Delay <= 0 {
+				if d.delay <= 0 {
 					panic(fmt.Sprintf(
 						"netem: link %s->%s crosses shards %d->%d with no propagation delay; conservative parallel execution needs Delay > 0 on every cross-shard link",
 						d.from.Name, d.to.Name, d.from.sh.id, d.to.sh.id))
 				}
-				if s.lookahead == 0 || d.cfg.Delay < s.lookahead {
-					s.lookahead = d.cfg.Delay
+				if s.lookahead == 0 || d.delay < s.lookahead {
+					s.lookahead = d.delay
 				}
 			}
 		}

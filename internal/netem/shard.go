@@ -144,7 +144,7 @@ func (s *Simulator) SetWorkers(w int) {
 // Assign shards while building the topology, before any traffic is
 // scheduled: events already queued on the old shard are not migrated.
 func (n *Node) SetShard(id int) {
-	s := n.sim
+	s := n.sh.sim
 	if id < 0 || id >= len(s.shards) {
 		panic(fmt.Sprintf("netem: node %q assigned to shard %d of %d; call SetShardCount first",
 			n.Name, id, len(s.shards)))
@@ -174,7 +174,7 @@ type Context interface {
 
 // Now returns the node's shard-local virtual time: exact inside the
 // node's own callbacks, which is what source scheduling needs.
-func (n *Node) Now() time.Time { return n.sim.timeAt(n.sh.now) }
+func (n *Node) Now() time.Time { return n.sh.sim.timeAt(n.sh.now) }
 
 // NowNanos returns the node's shard-local clock as nanoseconds.
 func (n *Node) NowNanos() int64 { return n.sh.now }

@@ -232,7 +232,6 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		return nil, err
 	}
 	linkSlab := make([]Link, spec.Hosts)
-	dirSlab := make([]linkDir, 2*spec.Hosts)
 	hostCfg := defaultLink(spec.HostLink)
 	f.Edges = make([]*Node, 0, nEdges)
 	f.EdgeLinks = make([]*Link, 0, nEdges)
@@ -252,7 +251,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		hostLinks := make([]*Link, hi-lo)
 		for i := lo; i < hi; i++ {
 			host := f.Hosts[i]
-			hl := sim.connectInto(&linkSlab[i], &dirSlab[2*i], &dirSlab[2*i+1], edge, host, hostCfg, hostCfg)
+			hl := sim.connectInto(&linkSlab[i], edge, host, hostCfg, hostCfg)
 			if sh := edgeShard(e); sh != 0 {
 				host.SetShard(sh)
 			}

@@ -1,13 +1,21 @@
 package netem
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
 // routeCount is the node's installed route entries: prefix plus host
-// entries — a block counts once, however many addresses it covers.
-func routeCount(n *Node) int { return len(n.fib.hosts) + len(n.fib.prefixes) }
+// entries plus the default route — a block counts once, however many
+// addresses it covers.
+func routeCount(n *Node) int {
+	c := len(n.fib.hosts) + len(n.fib.prefixes)
+	if n.fib.dflt != nil {
+		c++
+	}
+	return c
+}
 
 func TestBuildFanoutRouting(t *testing.T) {
 	s := NewSimulator(simStart, 1)
@@ -62,6 +70,38 @@ func TestBuildFanoutRouting(t *testing.T) {
 	// Each edge holds its whole customer fan-out as one block route.
 	if n := routeCount(f.Edges[0]); n != 2 {
 		t.Errorf("edge0 has %d routes, want 2 (host block + default)", n)
+	}
+	// A host's one route is its default, held in the FIB's own field.
+	if h := f.Hosts[42]; routeCount(h) != 1 || h.fib.dflt != h.links[0] || h.fib.prefixes != nil {
+		t.Errorf("host42 has %d routes (%d prefix entries), want 1: the default up its one link",
+			routeCount(h), len(h.fib.prefixes))
+	}
+}
+
+// TestHostFootprint holds the million-host memory plan: everything
+// BuildFanout adds per customer host — its Node, address, link with both
+// directions inline, and its slots in the edge's block route and the
+// simulator's node list — stays within 400 bytes of live heap.
+func TestHostFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation sizes")
+	}
+	const hosts = 20000
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s := NewSimulator(simStart, 1)
+	f, err := BuildFanout(s, FanoutSpec{Hosts: hosts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	perHost := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / hosts
+	runtime.KeepAlive(f)
+	t.Logf("fanout of %d hosts: %.1f B/host", hosts, perHost)
+	if perHost > 400 {
+		t.Errorf("a fanout host costs %.1f B of heap, want <= 400", perHost)
 	}
 }
 

@@ -60,6 +60,19 @@ func TestCheckFixture(t *testing.T) {
 	}
 }
 
+// TestModuleHasNoDeadCode runs the check on this module with its keep
+// list, as CI does: any line it prints fails the test, so go test ./...
+// catches code whose last live caller went away.
+func TestModuleHasNoDeadCode(t *testing.T) {
+	out, err := check("../..", keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range out {
+		t.Error(strings.TrimSuffix(line, "\n"))
+	}
+}
+
 // citedTest matches a test, fuzz target or benchmark name as go test
 // would declare it: the prefix, then no lowercase letter.
 var citedTest = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
