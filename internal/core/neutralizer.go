@@ -30,12 +30,10 @@
 // the same kind of schedule, so a miss runs on nothing but that one AES.
 //
 // Time is the other input. A data or return packet is served only if
-// keyed under the epoch in force or the one before (keys.Epoch.Accepts).
-// With Config.Clock set (the emulator, the tests) that epoch is EpochAt of
-// its reading at every packet. Unset (the daemon), it is the Scratch's
-// keys.WallEpoch: EpochAt(time.Now()) as of one monotonic read, except in
-// the second after a wall-clock step, NTP slewing both clocks alike
-// (TestWallEpochMatchesEpochAt, TestWallClockAcceptanceMatchesTimeNow).
+// keyed under the epoch in force or the one before (keys.Epoch.Accepts):
+// EpochAt of Config.Clock's reading (the emulator, the tests), or else the
+// Scratch's keys.WallEpoch (the daemon; TestWallClockAcceptanceMatchesTimeNow,
+// TestWallClockAcceptanceAcrossFarBoundary).
 //
 // A Neutralizer is transport-agnostic: ProcessScratch consumes one
 // serialized IPv4 packet and returns the packets to emit. The same core

@@ -298,8 +298,7 @@ func TestDataStaleEpochRejected(t *testing.T) {
 // clock, the scratch's wall-clock view, over 20 ms epochs for 250 ms:
 // every packet, keyed from two epochs back to one ahead, is served or
 // refused as ErrStaleEpoch as the acceptance rule says at the epoch
-// time.Now gives just before or just after the call (or between them,
-// should the call outlast an epoch).
+// time.Now gives just before or just after the call.
 func TestWallClockAcceptanceMatchesTimeNow(t *testing.T) {
 	sched := keys.NewSchedule(aesutil.Key{7}, time.Now().Add(-time.Second), 20*time.Millisecond)
 	n := newTestNeutralizer(t, func(c *Config) { c.Schedule, c.Clock = sched, nil })
@@ -309,21 +308,8 @@ func TestWallClockAcceptanceMatchesTimeNow(t *testing.T) {
 		e := sched.EpochAt(time.Now())
 		for i := 0; i < 4; i++ {
 			f := mkFlow(t, sched, e-2+keys.Epoch(i), i)
-			pkt := f.data(t, f.ks, googAddr)
-			before := sched.EpochAt(time.Now())
-			_, err := one(t, n, s, pkt)
-			after := sched.EpochAt(time.Now())
-			if err != nil && !errors.Is(err, ErrStaleEpoch) {
-				t.Fatalf("packet of epoch %d: %v", f.epoch, err)
-			}
-			ruled := false
-			for cur := before; cur <= after; cur++ {
-				ruled = ruled || cur.Accepts(f.epoch) == (err == nil)
-			}
-			if !ruled {
-				t.Fatalf("packet of epoch %d between epochs %d and %d: err %v", f.epoch, before, after, err)
-			}
-			if err == nil {
+			ok, before, after := judgeOnWallClock(t, n, s, sched, f, f.data(t, f.ks, googAddr))
+			if ok {
 				served++
 			} else {
 				refused++
@@ -334,6 +320,65 @@ func TestWallClockAcceptanceMatchesTimeNow(t *testing.T) {
 	if len(epochs) < 10 || served == 0 || refused == 0 {
 		t.Errorf("%d epochs, %d served, %d refused: want at least 10 epochs and both outcomes", len(epochs), served, refused)
 	}
+}
+
+// TestWallClockAcceptanceAcrossFarBoundary is the same judgment on 10 s
+// epochs with the next boundary 2.5 s away, so the scratch's wall-clock
+// view starts on a far anchor, which reads no clock, goes near when the
+// generation moves a second later, and crosses the boundary. Packets
+// keyed e-1, e and e+1 are each served on one side of it and refused on
+// the other.
+func TestWallClockAcceptanceAcrossFarBoundary(t *testing.T) {
+	t.Parallel()
+	const epochLen = 10 * time.Second
+	boundary := time.Now().Add(2500 * time.Millisecond)
+	sched := keys.NewSchedule(aesutil.Key{7}, boundary.Add(-5*epochLen), epochLen)
+	n := newTestNeutralizer(t, func(c *Config) { c.Schedule, c.Clock = sched, nil })
+	s := NewScratch()
+	var flows []testFlow
+	var pkts [][]byte
+	for i, e := 0, sched.EpochAt(time.Now())-1; i < 3; i, e = i+1, e+1 {
+		flows = append(flows, mkFlow(t, sched, e, i))
+		pkts = append(pkts, flows[i].data(t, flows[i].ks, googAddr))
+	}
+	served, refused := map[keys.Epoch]bool{}, map[keys.Epoch]bool{}
+	for time.Now().Before(boundary.Add(200 * time.Millisecond)) {
+		for i, f := range flows {
+			if ok, _, _ := judgeOnWallClock(t, n, s, sched, f, pkts[i]); ok {
+				served[f.epoch] = true
+			} else {
+				refused[f.epoch] = true
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, f := range flows {
+		if f.epoch != flows[1].epoch && (!served[f.epoch] || !refused[f.epoch]) {
+			t.Errorf("packets keyed under epoch %d: served %v, refused %v; want both across the boundary", f.epoch, served[f.epoch], refused[f.epoch])
+		}
+	}
+}
+
+// judgeOnWallClock processes pkt, f's data packet, and fails t unless it
+// is served or refused as ErrStaleEpoch as the acceptance rule says at an
+// epoch time.Now gives just before or just after the call. It reports
+// whether pkt was served and those two epochs.
+func judgeOnWallClock(t *testing.T, n *Neutralizer, s *Scratch, sched *keys.Schedule, f testFlow, pkt []byte) (bool, keys.Epoch, keys.Epoch) {
+	t.Helper()
+	before := sched.EpochAt(time.Now())
+	_, err := one(t, n, s, pkt)
+	after := sched.EpochAt(time.Now())
+	if err != nil && !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("packet of epoch %d: %v", f.epoch, err)
+	}
+	ruled := false
+	for cur := before; cur <= after; cur++ {
+		ruled = ruled || cur.Accepts(f.epoch) == (err == nil)
+	}
+	if !ruled {
+		t.Fatalf("packet of epoch %d between epochs %d and %d: err %v", f.epoch, before, after, err)
+	}
+	return err == nil, before, after
 }
 
 func TestDataBadAddrBlock(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	_ "unsafe" // for go:linkname
 
 	"netneutral/internal/crypto/aesutil"
 	"netneutral/internal/crypto/keys"
@@ -339,7 +340,9 @@ func mkReturnBatch(t testing.TB, sched *keys.Schedule, first, n int) (pkts [][]b
 // doorkeeper). Config.Rand is nil, so every return packet draws its salt
 // from the scratch's generator, over many refills. It runs on a virtual
 // Config.Clock and on the default wall clock (the scratch's WallEpoch), on
-// a schedule that puts the packets' epoch in force now.
+// a schedule that puts the packets' epoch in force now and its end far
+// off; there the generation moves at the start of every batch, so each
+// batch re-reads the wall clock and re-arms the generation's timer.
 func TestScratchDataPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -351,6 +354,13 @@ func TestScratchDataPathZeroAlloc(t *testing.T) {
 		scratchDataPathZeroAlloc(t, cfg)
 	})
 }
+
+// wallTick is keys.WallEpoch's timer wake-up, which moves the generation
+// every far anchor holds until. The wall-clock run calls it itself, so
+// that a generation change lands inside AllocsPerRun.
+//
+//go:linkname wallTick netneutral/internal/crypto/keys.wallTick
+func wallTick()
 
 func scratchDataPathZeroAlloc(t *testing.T, cfg Config) {
 	sched := cfg.Schedule
@@ -367,6 +377,9 @@ func scratchDataPathZeroAlloc(t *testing.T, cfg Config) {
 	s := NewScratch()
 	process := func(batches ...[][]byte) {
 		s.Reset()
+		if cfg.Clock == nil {
+			wallTick()
+		}
 		for _, pkts := range batches {
 			for _, pkt := range pkts {
 				if _, err := n.ProcessScratch(s, pkt); err != nil {

@@ -147,28 +147,60 @@ func (cur Epoch) Accepts(pkt Epoch) bool { return pkt == cur || cur > 0 && pkt =
 
 // WallEpoch caches the epoch in force on the wall clock under one
 // Schedule, and is rebound when asked about another. Owner-only, like
-// Work; the zero value is ready to use.
+// Work; the zero value is ready to use. A wall-clock read (an anchor) over
+// 2 s before its epoch ends is far: it holds until the process-wide
+// generation moves, at a timer's wake-up a second later. A near one holds
+// for min(1 s, the rest of the epoch) of monotonic time. So Now is exact
+// at every boundary unless a timer fires over 1 s late, and sees a clock
+// step within a second plus that lateness; NTP's slew moves both clocks
+// alike (TestWallEpochMatchesEpochAt, TestWallEpochIdleLeavesNothingRunning).
 type WallEpoch struct {
 	sched  *Schedule
 	anchor time.Time // the time.Now, wall and monotonic, e was resolved at
 	e      Epoch
-	valid  time.Duration // e holds until anchor+valid: min(1 s, start of e+1 − anchor)
+	gen    uint64        // far: e holds while wallGen reads gen
+	valid  time.Duration // near: e holds until anchor+valid; 0 when far
 }
 
-// Now returns s.EpochAt(time.Now()) as of its one monotonic read, except
-// in the second after a wall-clock step. It reads the wall clock at most
-// once a second and at each epoch boundary.
-func (w *WallEpoch) Now(s *Schedule) Epoch { return w.at(s, time.Since(w.anchor), time.Now) }
+// Only a far anchor arms wallTimer, unless wallArmed, so nothing runs
+// while no WallEpoch is in use. Its wake-up clears wallArmed before it
+// moves wallGen, so an anchor that found the timer armed sees the move.
+var (
+	wallGen   atomic.Uint64
+	wallArmed atomic.Bool
+	wallTimer = sync.OnceValue(func() *time.Timer { return time.AfterFunc(time.Second, wallTick) })
+)
 
-// at is Now on given readings: since is monotonic time since the anchor.
-func (w *WallEpoch) at(s *Schedule, since time.Duration, now func() time.Time) Epoch {
-	if w.sched != s || since >= w.valid {
-		t := now()
-		d, l := t.UnixNano()-s.startNs, int64(s.epochLen)
-		// l - d%l is what is left of e when d >= 0, and less when d < 0.
-		w.sched, w.anchor, w.e, w.valid = s, t, s.EpochAt(t), min(time.Second, time.Duration(l-d%l))
+func wallTick() {
+	wallArmed.Store(false)
+	wallGen.Add(1)
+}
+
+// Now returns s.EpochAt(time.Now()), as the type describes.
+func (w *WallEpoch) Now(s *Schedule) Epoch {
+	if w.valid == 0 && w.sched == s && w.gen == wallGen.Load() {
+		return w.e
+	}
+	if w.at(s, wallGen.Load(), time.Since(w.anchor), time.Now) && wallArmed.CompareAndSwap(false, true) {
+		wallTimer().Reset(time.Second)
 	}
 	return w.e
+}
+
+// at is Now on given readings, gen read before now; it reports a new far anchor.
+func (w *WallEpoch) at(s *Schedule, gen uint64, since time.Duration, now func() time.Time) bool {
+	if w.sched == s && (w.valid == 0 && w.gen == gen || since < w.valid) {
+		return false
+	}
+	t := now()
+	d, l := t.UnixNano()-s.startNs, int64(s.epochLen)
+	// l - d%l is what is left of e when d >= 0, and less when d < 0.
+	w.sched, w.anchor, w.e, w.valid = s, t, s.EpochAt(t), min(time.Second, time.Duration(l-d%l))
+	if l-d%l <= int64(2*time.Second) {
+		return false
+	}
+	w.gen, w.valid = gen, 0
+	return true
 }
 
 // kdfFrameLen is the size of the KDF input frame: exactly one AES block.

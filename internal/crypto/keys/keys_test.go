@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	mathrand "math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -169,27 +170,46 @@ func TestAcceptableGraceWindow(t *testing.T) {
 }
 
 // synthClock feeds WallEpoch.at synthetic readings: a monotonic clock
-// the test advances, and a wall clock that runs with it from t0 plus
-// whatever steps the test has taken.
+// the test advances, a wall clock that runs with it from t0 plus
+// whatever steps the test has taken, and the generation, which moves a
+// second after the far anchor that armed it, plus the next of lates.
 type synthClock struct {
 	w        WallEpoch
 	mono     time.Duration
 	step     time.Duration // the wall clock reads t0 + mono + step
 	anchored time.Duration // mono at the last wall read
 	reads    int
+	gen      uint64
+	wake     time.Duration   // mono at which the generation moves; 0 when unarmed
+	lates    []time.Duration // how late each wake-up comes, in turn
+	wakes    int
 }
 
 func (c *synthClock) wall() time.Time { return t0.Add(c.mono + c.step) }
 
 func (c *synthClock) epoch(s *Schedule) Epoch {
-	return c.w.at(s, c.mono-c.anchored, func() time.Time { c.anchored, c.reads = c.mono, c.reads+1; return c.wall() })
+	if c.wake > 0 && c.mono >= c.wake {
+		c.gen, c.wake = c.gen+1, 0
+	}
+	far := c.w.at(s, c.gen, c.mono-c.anchored, func() time.Time { c.anchored, c.reads = c.mono, c.reads+1; return c.wall() })
+	if far && c.wake == 0 {
+		c.wake = c.mono + time.Second
+		if len(c.lates) > 0 {
+			c.wake += c.lates[c.wakes%len(c.lates)]
+		}
+		c.wakes++
+	}
+	return c.w.e
 }
 
 // TestWallEpochMatchesEpochAt holds the cached wall-clock epoch to
 // EpochAt of the wall reading: across a boundary its anchor sits 1 ns
-// before, past an anchor older than a second, on another schedule, and
-// at every millisecond of a run whose wall clock is stepped forward and
-// back across boundaries. The one exception is the second after a step,
+// before, on a far anchor that reads the wall clock again only once the
+// generation moves, however late, on another schedule, and at every
+// millisecond of runs whose wake-ups come up to 900 ms late and whose
+// wall clock is stepped forward and back across boundaries, on epochs
+// short enough that every anchor is near and on longer ones. The one
+// exception is the second after a step, plus the wake-up's lateness,
 // where it may give the epoch of the clock as it ran before the step.
 func TestWallEpochMatchesEpochAt(t *testing.T) {
 	s := newTestSchedule()
@@ -200,54 +220,90 @@ func TestWallEpochMatchesEpochAt(t *testing.T) {
 		}
 	}
 
-	c := &synthClock{step: 3*time.Hour - 1} // anchored 1 ns before epoch 3
+	c := &synthClock{step: 3*time.Hour - 1} // a near anchor 1 ns before epoch 3
 	expect(c, 2, 1)
 	c.mono = 1
-	expect(c, 3, 2)
+	expect(c, 3, 2) // a far anchor: the generation moves at 1 s + 1 ns
 	c.mono += time.Second - 1
 	expect(c, 3, 2)
 	c.mono++
 	expect(c, 3, 3)
 
-	c = &synthClock{step: 90 * time.Minute} // mid-epoch: the anchor ages out after 1 s
+	c = &synthClock{step: 90 * time.Minute, lates: []time.Duration{900 * time.Millisecond}} // mid-epoch: far
 	expect(c, 1, 1)
-	c.mono = time.Second - 1
+	c.mono = 1900*time.Millisecond - 1
 	expect(c, 1, 1)
-	c.mono = time.Second
+	c.mono++
 	expect(c, 1, 2)
 	if other := NewSchedule(root, t0, time.Minute); c.epoch(other) != 90 || c.reads != 3 {
 		t.Errorf("another schedule: epoch %d after %d wall reads, want 90 after 3", c.w.e, c.reads)
 	}
 
-	// A sweep through a dozen boundaries of a schedule whose anchor and
-	// epoch length are not whole seconds, stepping the wall clock 2 s
-	// forward at 3.3 s and 2.5 s back at 6.1 s.
-	s = NewSchedule(root, t0.Add(-123456789), 1500*time.Millisecond+7)
-	c = &synthClock{}
+	// Sweeps through a dozen boundaries or more, from a schedule start
+	// that is not on a whole second, with wake-ups 0–900 ms late and the
+	// wall clock stepped 2 s forward and 2.5 s back. On 1.5 s + 7 ns
+	// epochs every anchor is near. On 5 s epochs the first anchor is
+	// 2.05 s before a boundary and its wake-up 900 ms late: one more than
+	// 1.05 s late would leave it in force past the boundary.
+	const maxLate = 900 * time.Millisecond
 	type step struct{ at, by time.Duration }
-	steps := []step{{3300 * time.Millisecond, 2 * time.Second}, {6100 * time.Millisecond, -2500 * time.Millisecond}}
-	var last *step
-	stale, seen := 0, map[Epoch]bool{}
-	for ; c.mono < 10*time.Second; c.mono += time.Millisecond - 3 {
-		if len(steps) > 0 && c.mono >= steps[0].at {
-			last, steps = &steps[0], steps[1:]
-			c.step += last.by
+	for _, sw := range []struct {
+		epochLen, from, span time.Duration
+		steps                []step
+	}{
+		{1500*time.Millisecond + 7, 0, 10 * time.Second, []step{{3300 * time.Millisecond, 2 * time.Second}, {6100 * time.Millisecond, -2500 * time.Millisecond}}},
+		{5 * time.Second, 5*time.Second - 2050*time.Millisecond, 62 * time.Second, []step{{23300 * time.Millisecond, 2 * time.Second}, {41100 * time.Millisecond, -2500 * time.Millisecond}}},
+	} {
+		s := NewSchedule(root, t0.Add(-123456789), sw.epochLen)
+		c := &synthClock{step: sw.from - 123456789, lates: []time.Duration{maxLate, maxLate / 3, 0, 2 * maxLate / 3}}
+		steps := sw.steps
+		var last *step
+		stale, seen := 0, map[Epoch]bool{}
+		for ; c.mono < sw.span; c.mono += time.Millisecond - 3 {
+			if len(steps) > 0 && c.mono >= steps[0].at {
+				last, steps = &steps[0], steps[1:]
+				c.step += last.by
+			}
+			got, want := c.epoch(s), s.EpochAt(c.wall())
+			seen[want] = true
+			if got == want {
+				continue
+			}
+			if last == nil || c.mono-last.at >= time.Second+maxLate || got != s.EpochAt(c.wall().Add(-last.by)) {
+				t.Fatalf("%v epochs, mono %v, wall %v: epoch %d, EpochAt says %d", sw.epochLen, c.mono, c.wall(), got, want)
+			}
+			stale++
 		}
-		got, want := c.epoch(s), s.EpochAt(c.wall())
-		seen[want] = true
-		if got == want {
-			continue
+		if stale == 0 {
+			t.Errorf("%v epochs: no reading after a step gave the unstepped epoch: the sweep does not reach the exception", sw.epochLen)
 		}
-		if last == nil || c.mono-last.at >= time.Second || got != s.EpochAt(c.wall().Add(-last.by)) {
-			t.Fatalf("mono %v, wall %v: epoch %d, EpochAt says %d", c.mono, c.wall(), got, want)
+		if limit := int(sw.span/time.Second) + len(seen) + 2; c.reads > limit {
+			t.Errorf("%v epochs: %d wall reads over %v and %d epochs, want at most %d", sw.epochLen, c.reads, sw.span, len(seen), limit)
 		}
-		stale++
+		if far := c.wakes > 0; far != (sw.epochLen > 2*time.Second) {
+			t.Errorf("%v epochs: far anchors %v", sw.epochLen, far)
+		}
 	}
-	if stale == 0 {
-		t.Error("no reading after a step gave the unstepped epoch: the sweep does not reach the exception")
+}
+
+// TestWallEpochIdleLeavesNothingRunning: a far anchor arms the
+// generation's timer. With every WallEpoch idle, it fires once, its
+// goroutine is gone within 2 s of the anchor, and nothing re-arms it.
+func TestWallEpochIdleLeavesNothingRunning(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var w WallEpoch
+	w.Now(NewSchedule(root, time.Now().Add(-10*time.Minute), time.Hour))
+	if w.valid != 0 {
+		t.Fatal("an anchor 10 min into an hour-long epoch is not far")
 	}
-	if limit := 10 + len(seen) + 2; c.reads > limit {
-		t.Errorf("%d wall reads over 10 s and %d epochs, want at most %d", c.reads, len(seen), limit)
+	for deadline := time.Now().Add(2 * time.Second); wallGen.Load() == w.gen || wallArmed.Load() || runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("2 s after a far anchor: generation %d (anchored at %d), armed %v, %d goroutines (%d before)",
+				wallGen.Load(), w.gen, wallArmed.Load(), runtime.NumGoroutine(), base)
+		}
+	}
+	if wallTimer().Stop() {
+		t.Error("the generation's timer re-armed itself")
 	}
 }
 
@@ -366,17 +422,25 @@ func BenchmarkSessionKeyInto(b *testing.B) {
 
 var sinkEpoch Epoch
 
-// BenchmarkEpochNow prices the data path's clock: WallEpoch.Now, one
-// monotonic read and a compare, beside the wall read and divide it
-// replaces, EpochAt(time.Now()).
+// BenchmarkEpochNow prices the data path's clock, WallEpoch.Now, beside
+// the wall read and divide it replaces, EpochAt(time.Now()). far is an
+// anchor in mid-epoch: an atomic load and a compare. near is on 1 s
+// epochs, every anchor within 2 s of a boundary: a monotonic read and a
+// compare.
 func BenchmarkEpochNow(b *testing.B) {
+	for _, m := range []struct {
+		name     string
+		epochLen time.Duration
+	}{{"far", time.Hour}, {"near", time.Second}} {
+		s := NewSchedule(root, time.Now().Add(-10*time.Minute), m.epochLen)
+		b.Run(m.name, func(b *testing.B) {
+			var w WallEpoch
+			for i := 0; i < b.N; i++ {
+				sinkEpoch = w.Now(s)
+			}
+		})
+	}
 	s := NewSchedule(root, time.Unix(0, 0), DefaultEpochLength)
-	b.Run("WallEpoch", func(b *testing.B) {
-		var w WallEpoch
-		for i := 0; i < b.N; i++ {
-			sinkEpoch = w.Now(s)
-		}
-	})
 	b.Run("time.Now", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sinkEpoch = s.EpochAt(time.Now())
