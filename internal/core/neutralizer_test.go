@@ -298,7 +298,8 @@ func TestDataStaleEpochRejected(t *testing.T) {
 // clock, the scratch's wall-clock view, over 20 ms epochs for 250 ms:
 // every packet, keyed from two epochs back to one ahead, is served or
 // refused as ErrStaleEpoch as the acceptance rule says at the epoch
-// time.Now gives just before or just after the call.
+// time.Now gives just before or just after the call (or between them,
+// should the call outlast an epoch).
 func TestWallClockAcceptanceMatchesTimeNow(t *testing.T) {
 	sched := keys.NewSchedule(aesutil.Key{7}, time.Now().Add(-time.Second), 20*time.Millisecond)
 	n := newTestNeutralizer(t, func(c *Config) { c.Schedule, c.Clock = sched, nil })
@@ -327,7 +328,8 @@ func TestWallClockAcceptanceMatchesTimeNow(t *testing.T) {
 // view starts on a far anchor, which reads no clock, goes near when the
 // generation moves a second later, and crosses the boundary. Packets
 // keyed e-1, e and e+1 are each served on one side of it and refused on
-// the other.
+// the other. It fails if the first packets end within 2 s of the
+// boundary, where the first anchor may already be near.
 func TestWallClockAcceptanceAcrossFarBoundary(t *testing.T) {
 	t.Parallel()
 	const epochLen = 10 * time.Second
@@ -342,13 +344,16 @@ func TestWallClockAcceptanceAcrossFarBoundary(t *testing.T) {
 		pkts = append(pkts, flows[i].data(t, flows[i].ks, googAddr))
 	}
 	served, refused := map[keys.Epoch]bool{}, map[keys.Epoch]bool{}
-	for time.Now().Before(boundary.Add(200 * time.Millisecond)) {
+	for first := true; time.Now().Before(boundary.Add(200 * time.Millisecond)); first = false {
 		for i, f := range flows {
 			if ok, _, _ := judgeOnWallClock(t, n, s, sched, f, pkts[i]); ok {
 				served[f.epoch] = true
 			} else {
 				refused[f.epoch] = true
 			}
+		}
+		if left := time.Until(boundary); first && left <= 2*time.Second {
+			t.Fatalf("first packets ended %v before the boundary: the first anchor may not be far", left)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -361,8 +366,9 @@ func TestWallClockAcceptanceAcrossFarBoundary(t *testing.T) {
 
 // judgeOnWallClock processes pkt, f's data packet, and fails t unless it
 // is served or refused as ErrStaleEpoch as the acceptance rule says at an
-// epoch time.Now gives just before or just after the call. It reports
-// whether pkt was served and those two epochs.
+// epoch time.Now gives just before or just after the call (or between
+// them, should the call outlast an epoch). It reports whether pkt was
+// served and those two epochs.
 func judgeOnWallClock(t *testing.T, n *Neutralizer, s *Scratch, sched *keys.Schedule, f testFlow, pkt []byte) (bool, keys.Epoch, keys.Epoch) {
 	t.Helper()
 	before := sched.EpochAt(time.Now())

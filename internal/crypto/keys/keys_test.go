@@ -204,13 +204,14 @@ func (c *synthClock) epoch(s *Schedule) Epoch {
 
 // TestWallEpochMatchesEpochAt holds the cached wall-clock epoch to
 // EpochAt of the wall reading: across a boundary its anchor sits 1 ns
-// before, on a far anchor that reads the wall clock again only once the
-// generation moves, however late, on another schedule, and at every
-// millisecond of runs whose wake-ups come up to 900 ms late and whose
+// before, past a near anchor older than a second, on a far anchor that
+// reads the wall clock again only once the generation moves, however
+// late, on another schedule, and at every millisecond of runs whose
 // wall clock is stepped forward and back across boundaries, on epochs
-// short enough that every anchor is near and on longer ones. The one
-// exception is the second after a step, plus the wake-up's lateness,
-// where it may give the epoch of the clock as it ran before the step.
+// short enough that every anchor is near and on longer ones whose
+// wake-ups come up to 900 ms late. The one exception is the second after
+// a step, plus that lateness where anchors are far, where it may give
+// the epoch of the clock as it ran before the step.
 func TestWallEpochMatchesEpochAt(t *testing.T) {
 	s := newTestSchedule()
 	expect := func(c *synthClock, want Epoch, reads int) {
@@ -229,6 +230,13 @@ func TestWallEpochMatchesEpochAt(t *testing.T) {
 	c.mono++
 	expect(c, 3, 3)
 
+	c = &synthClock{step: 3*time.Hour - 1500*time.Millisecond} // near: the anchor ages out after 1 s
+	expect(c, 2, 1)
+	c.mono = time.Second - 1
+	expect(c, 2, 1)
+	c.mono = time.Second
+	expect(c, 2, 2)
+
 	c = &synthClock{step: 90 * time.Minute, lates: []time.Duration{900 * time.Millisecond}} // mid-epoch: far
 	expect(c, 1, 1)
 	c.mono = 1900*time.Millisecond - 1
@@ -242,17 +250,18 @@ func TestWallEpochMatchesEpochAt(t *testing.T) {
 	// Sweeps through a dozen boundaries or more, from a schedule start
 	// that is not on a whole second, with wake-ups 0–900 ms late and the
 	// wall clock stepped 2 s forward and 2.5 s back. On 1.5 s + 7 ns
-	// epochs every anchor is near. On 5 s epochs the first anchor is
-	// 2.05 s before a boundary and its wake-up 900 ms late: one more than
-	// 1.05 s late would leave it in force past the boundary.
+	// epochs every anchor is near, so a step shows within a second. On
+	// 5 s epochs the first anchor is 2.05 s before a boundary and its
+	// wake-up 900 ms late: one more than 1.05 s late would leave it in
+	// force past the boundary.
 	const maxLate = 900 * time.Millisecond
 	type step struct{ at, by time.Duration }
 	for _, sw := range []struct {
-		epochLen, from, span time.Duration
-		steps                []step
+		epochLen, from, span, window time.Duration
+		steps                        []step
 	}{
-		{1500*time.Millisecond + 7, 0, 10 * time.Second, []step{{3300 * time.Millisecond, 2 * time.Second}, {6100 * time.Millisecond, -2500 * time.Millisecond}}},
-		{5 * time.Second, 5*time.Second - 2050*time.Millisecond, 62 * time.Second, []step{{23300 * time.Millisecond, 2 * time.Second}, {41100 * time.Millisecond, -2500 * time.Millisecond}}},
+		{1500*time.Millisecond + 7, 0, 10 * time.Second, time.Second, []step{{3300 * time.Millisecond, 2 * time.Second}, {6100 * time.Millisecond, -2500 * time.Millisecond}}},
+		{5 * time.Second, 5*time.Second - 2050*time.Millisecond, 62 * time.Second, time.Second + maxLate, []step{{23300 * time.Millisecond, 2 * time.Second}, {41100 * time.Millisecond, -2500 * time.Millisecond}}},
 	} {
 		s := NewSchedule(root, t0.Add(-123456789), sw.epochLen)
 		c := &synthClock{step: sw.from - 123456789, lates: []time.Duration{maxLate, maxLate / 3, 0, 2 * maxLate / 3}}
@@ -269,7 +278,7 @@ func TestWallEpochMatchesEpochAt(t *testing.T) {
 			if got == want {
 				continue
 			}
-			if last == nil || c.mono-last.at >= time.Second+maxLate || got != s.EpochAt(c.wall().Add(-last.by)) {
+			if last == nil || c.mono-last.at >= sw.window || got != s.EpochAt(c.wall().Add(-last.by)) {
 				t.Fatalf("%v epochs, mono %v, wall %v: epoch %d, EpochAt says %d", sw.epochLen, c.mono, c.wall(), got, want)
 			}
 			stale++
