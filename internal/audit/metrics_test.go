@@ -17,9 +17,9 @@ import (
 // the ledger sums at any instant, not only at the end.
 func TestProberInstrument(t *testing.T) {
 	sim := netem.NewSimulator(time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC), 9)
-	src := sim.MustAddNode("src", "out", netip.MustParseAddr("172.16.0.2"))
-	r := sim.MustAddNode("r", "transit")
-	dst := sim.MustAddNode("dst", "cust", netip.MustParseAddr("10.9.0.1"))
+	src := sim.MustAddNode("src", "", netip.MustParseAddr("172.16.0.2"))
+	r := sim.MustAddNode("r", "")
+	dst := sim.MustAddNode("dst", "", netip.MustParseAddr("10.9.0.1"))
 	sim.Connect(src, r, netem.LinkConfig{Delay: time.Millisecond, QueueLen: 1024})
 	sim.Connect(r, dst, netem.LinkConfig{Delay: time.Millisecond, QueueLen: 1024})
 	sim.BuildRoutes()

@@ -25,9 +25,9 @@ func TestConnClientOverSimnet(t *testing.T) {
 	googleA := netip.MustParseAddr("10.10.0.5")
 
 	sim := netem.NewSimulator(start, 1)
-	cl := sim.MustAddNode("client", "att", clientA)
-	mid := sim.MustAddNode("mid", "att", netip.MustParseAddr("172.16.0.254"))
-	res := sim.MustAddNode("resolver", "cogent", resolverA)
+	cl := sim.MustAddNode("client", "", clientA)
+	mid := sim.MustAddNode("mid", "", netip.MustParseAddr("172.16.0.254"))
+	res := sim.MustAddNode("resolver", "", resolverA)
 	sim.Connect(cl, mid, netem.LinkConfig{Delay: 2 * time.Millisecond})
 	sim.Connect(mid, res, netem.LinkConfig{Delay: 3 * time.Millisecond})
 	sim.BuildRoutes()

@@ -97,9 +97,9 @@ type world struct {
 func newWorld(t *testing.T, id *e2e.Identity) *world {
 	t.Helper()
 	s := netem.NewSimulator(start, 1)
-	cl := s.MustAddNode("client", "att", clientAddr)
-	evil := s.MustAddNode("evil", "att", netip.MustParseAddr("172.16.0.254"))
-	res := s.MustAddNode("resolver", "cogent", resolverAddr)
+	cl := s.MustAddNode("client", "", clientAddr)
+	evil := s.MustAddNode("evil", "", netip.MustParseAddr("172.16.0.254"))
+	res := s.MustAddNode("resolver", "", resolverAddr)
 	s.Connect(cl, evil, netem.LinkConfig{Delay: time.Millisecond})
 	s.Connect(evil, res, netem.LinkConfig{Delay: time.Millisecond})
 	s.BuildRoutes()

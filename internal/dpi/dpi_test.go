@@ -217,10 +217,10 @@ func TestEngineEnforcesClassPolicy(t *testing.T) {
 
 	start := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
 	sim := netem.NewSimulator(start, 5)
-	src := sim.MustAddNode("src", "out", netip.MustParseAddr("172.16.0.2"))
-	r := sim.MustAddNode("r", "transit")
-	voipDst := sim.MustAddNode("d1", "cust", netip.MustParseAddr("10.9.0.1"))
-	bulkDst := sim.MustAddNode("d2", "cust", netip.MustParseAddr("10.9.0.2"))
+	src := sim.MustAddNode("src", "", netip.MustParseAddr("172.16.0.2"))
+	r := sim.MustAddNode("r", "")
+	voipDst := sim.MustAddNode("d1", "", netip.MustParseAddr("10.9.0.1"))
+	bulkDst := sim.MustAddNode("d2", "", netip.MustParseAddr("10.9.0.2"))
 	sim.Connect(src, r, netem.LinkConfig{Delay: time.Millisecond})
 	sim.Connect(r, voipDst, netem.LinkConfig{Delay: time.Millisecond})
 	sim.Connect(r, bulkDst, netem.LinkConfig{Delay: time.Millisecond})

@@ -191,10 +191,10 @@ func (t *tokenBucket) allow(now time.Time, size int) bool {
 // legitimate traffic at the neutralizer's ingress; pushback restores it.
 func RunA5(Scale) (*Result, error) {
 	sim := netem.NewSimulator(benchStart, 51)
-	atk := sim.MustAddNode("attacker", "att", netip.MustParseAddr("192.0.2.1"))
-	good := sim.MustAddNode("good", "att", f1Ann)
-	up := sim.MustAddNode("upstream", "att", f1Att)
-	vic := sim.MustAddNode("victim", "cogent", f1Anycast)
+	atk := sim.MustAddNode("attacker", "", netip.MustParseAddr("192.0.2.1"))
+	good := sim.MustAddNode("good", "", f1Ann)
+	up := sim.MustAddNode("upstream", "", f1Att)
+	vic := sim.MustAddNode("victim", "", f1Anycast)
 	sim.Connect(atk, up, netem.LinkConfig{Delay: time.Millisecond})
 	sim.Connect(good, up, netem.LinkConfig{Delay: time.Millisecond})
 	bottleneck := sim.Connect(up, vic, netem.LinkConfig{Delay: time.Millisecond, RateBps: 800_000})
@@ -402,9 +402,9 @@ func RunA6(Scale) (*Result, error) {
 	candidates := []netip.Addr{fast, slow}
 	runStrategy := func(strat selection, failFastAfter int) probeResult {
 		sim := netem.NewSimulator(benchStart, 66)
-		src := sim.MustAddNode("src", "att", f1Ann)
-		p1 := sim.MustAddNode("provider-fast", "p1", fast)
-		p2 := sim.MustAddNode("provider-slow", "p2", slow)
+		src := sim.MustAddNode("src", "", f1Ann)
+		p1 := sim.MustAddNode("provider-fast", "", fast)
+		p2 := sim.MustAddNode("provider-slow", "", slow)
 		sim.Connect(src, p1, netem.LinkConfig{Delay: 5 * time.Millisecond})
 		sim.Connect(src, p2, netem.LinkConfig{Delay: 40 * time.Millisecond})
 		sim.BuildRoutes()

@@ -42,12 +42,12 @@ var (
 func newFigure1World(seed int64) (*figure1World, error) {
 	w := &figure1World{}
 	w.sim = netem.NewSimulator(benchStart, seed)
-	w.ann = w.sim.MustAddNode("ann", "att", f1Ann)
-	w.att = w.sim.MustAddNode("att-core", "att", f1Att)
-	border := w.sim.MustAddNode("cogent-border", "cogent")
-	w.google = w.sim.MustAddNode("google", "cogent", f1Google)
-	youtube := w.sim.MustAddNode("youtube", "cogent", f1YouTube)
-	w.vonage = w.sim.MustAddNode("vonage", "cogent", f1Vonage)
+	w.ann = w.sim.MustAddNode("ann", "", f1Ann)
+	w.att = w.sim.MustAddNode("att-core", "", f1Att)
+	border := w.sim.MustAddNode("cogent-border", "")
+	w.google = w.sim.MustAddNode("google", "", f1Google)
+	youtube := w.sim.MustAddNode("youtube", "", f1YouTube)
+	w.vonage = w.sim.MustAddNode("vonage", "", f1Vonage)
 	w.sim.Connect(w.ann, w.att, netem.LinkConfig{Delay: 2 * time.Millisecond})
 	w.sim.Connect(w.att, border, netem.LinkConfig{Delay: 8 * time.Millisecond})
 	w.sim.Connect(border, w.google, netem.LinkConfig{Delay: 2 * time.Millisecond})
@@ -329,9 +329,9 @@ func passRow(metric, paper string, ok bool, note string) Row {
 // queries, defeated by encrypted queries to an outside resolver.
 func RunA7(Scale) (*Result, error) {
 	sim := netem.NewSimulator(benchStart, 71)
-	cl := sim.MustAddNode("client", "att", f1Ann)
-	evil := sim.MustAddNode("att-core", "att", f1Att)
-	res := sim.MustAddNode("resolver", "cogent", netip.MustParseAddr("10.50.0.53"))
+	cl := sim.MustAddNode("client", "", f1Ann)
+	evil := sim.MustAddNode("att-core", "", f1Att)
+	res := sim.MustAddNode("resolver", "", netip.MustParseAddr("10.50.0.53"))
 	sim.Connect(cl, evil, netem.LinkConfig{Delay: 2 * time.Millisecond})
 	sim.Connect(evil, res, netem.LinkConfig{Delay: 8 * time.Millisecond})
 	sim.BuildRoutes()

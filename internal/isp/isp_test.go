@@ -189,9 +189,9 @@ func TestPolicyHookConcurrent(t *testing.T) {
 func TestPolicyInNetem(t *testing.T) {
 	start := time.Date(2006, 11, 1, 0, 0, 0, 0, time.UTC)
 	s := netem.NewSimulator(start, 1)
-	a := s.MustAddNode("a", "att", srcA)
-	r := s.MustAddNode("r", "att", netip.MustParseAddr("172.16.0.254"))
-	b := s.MustAddNode("b", "cogent", dstB)
+	a := s.MustAddNode("a", "", srcA)
+	r := s.MustAddNode("r", "", netip.MustParseAddr("172.16.0.254"))
+	b := s.MustAddNode("b", "", dstB)
 	s.Connect(a, r, netem.LinkConfig{Delay: time.Millisecond})
 	s.Connect(r, b, netem.LinkConfig{Delay: time.Millisecond})
 	s.BuildRoutes()

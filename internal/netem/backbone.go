@@ -129,7 +129,7 @@ func BuildBackbone(sim *Simulator, spec BackboneSpec) (*Backbone, error) {
 
 	bb := &Backbone{Sim: sim, Spec: spec}
 	sim.SetShardCount(1 + spec.Metros)
-	core, err := sim.AddNode("core", "transit-core")
+	core, err := sim.AddNode("core")
 	if err != nil {
 		return nil, err
 	}

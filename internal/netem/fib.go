@@ -27,18 +27,17 @@ type hostRoute struct {
 	links []*Link // per-offset links (block form; nil in range form)
 }
 
-// fib is a node's forwarding table. Routes are installed straight into
-// it: disjoint host routes, broader prefixes and an IPv4 default. The
-// first lookup after a change sorts the first two in place — host routes
-// by first address, prefixes stably by descending length, so equal
-// lengths keep install order — and a lookup is a binary search for the
-// host route covering dst, a longest-prefix scan, then dflt. Node must
-// not grow (TestNodeSize): a million leaf hosts carry one each.
+// fib is the part of a node's forwarding table every node carries
+// inline. Routes are installed straight into the table: disjoint host
+// routes and broader prefixes in the router-side state, and an IPv4
+// default here, so a leaf host needs no router-side state. The first
+// lookup after a change sorts the two lists in place — host routes by
+// first address, prefixes stably by descending length, so equal lengths
+// keep install order — and a lookup is a binary search for the host
+// route covering dst, a longest-prefix scan, then dflt.
 type fib struct {
-	hosts    []hostRoute
-	prefixes []route
-	dflt     *Link // the first IPv4 /0 installed; a later one could never win
-	dirty    bool
+	dflt  *Link // the first IPv4 /0 installed; a later one could never win
+	dirty bool
 	// anycast counts the anycast group addresses at the tail of the
 	// node's addrs (AddAnycast); the rest are its own. In dirty's padding.
 	anycast uint32
@@ -53,9 +52,11 @@ func (n *Node) AddRoute(prefix netip.Prefix, l *Link) {
 			n.fib.dflt = l
 		}
 	case a.Is4() && prefix.IsSingleIP():
-		n.fib.hosts = append(n.fib.hosts, hostRoute{first: ipv4ToUint(a), n: 1, link: l})
+		r := n.router()
+		r.hosts = append(r.hosts, hostRoute{first: ipv4ToUint(a), n: 1, link: l})
 	default:
-		n.fib.prefixes = append(n.fib.prefixes, route{prefix: prefix, link: l})
+		r := n.router()
+		r.prefixes = append(r.prefixes, route{prefix: prefix, link: l})
 	}
 	n.fib.dirty = true
 }
@@ -86,15 +87,18 @@ func (n *Node) addHostRoute(first netip.Addr, count int, l *Link, links []*Link)
 	if count <= 0 || uint64(v)+uint64(count) > 1<<32 {
 		return fmt.Errorf("netem: block route [%v +%d) is empty or wraps the address space", first, count)
 	}
-	n.fib.hosts = append(n.fib.hosts, hostRoute{first: v, n: uint32(count), link: l, links: links})
+	r := n.router()
+	r.hosts = append(r.hosts, hostRoute{first: v, n: uint32(count), link: l, links: links})
 	n.fib.dirty = true
 	return nil
 }
 
 // ClearRoutes removes every installed route.
 func (n *Node) ClearRoutes() {
-	n.fib.hosts = n.fib.hosts[:0]
-	n.fib.prefixes = n.fib.prefixes[:0]
+	if r := n.rt; r != nil {
+		r.hosts = r.hosts[:0]
+		r.prefixes = r.prefixes[:0]
+	}
 	n.fib.dflt = nil
 	n.fib.dirty = true
 }
@@ -102,54 +106,56 @@ func (n *Node) ClearRoutes() {
 // sortFIB sorts both route lists in place and panics on overlapping host
 // routes, naming the node and both ranges.
 func (n *Node) sortFIB() {
-	f := &n.fib
-	slices.SortStableFunc(f.prefixes, func(a, b route) int { return b.prefix.Bits() - a.prefix.Bits() })
-	slices.SortFunc(f.hosts, func(a, b hostRoute) int { return cmp.Compare(a.first, b.first) })
-	for i := 1; i < len(f.hosts); i++ {
-		if a, b := f.hosts[i-1], f.hosts[i]; uint64(a.first)+uint64(a.n) > uint64(b.first) {
+	r := n.rt
+	slices.SortStableFunc(r.prefixes, func(a, b route) int { return b.prefix.Bits() - a.prefix.Bits() })
+	slices.SortFunc(r.hosts, func(a, b hostRoute) int { return cmp.Compare(a.first, b.first) })
+	for i := 1; i < len(r.hosts); i++ {
+		if a, b := r.hosts[i-1], r.hosts[i]; uint64(a.first)+uint64(a.n) > uint64(b.first) {
 			panic(fmt.Sprintf("netem: node %q: host routes [%v +%d) and [%v +%d) overlap",
-				n.Name, uintToIPv4(a.first), a.n, uintToIPv4(b.first), b.n))
+				r.name, uintToIPv4(a.first), a.n, uintToIPv4(b.first), b.n))
 		}
 	}
-	f.dirty = false
+	n.fib.dirty = false
 }
 
 // lookupRoute returns the best route for dst, or nil: the host route
-// covering dst, else the longest matching prefix, else the default.
+// covering dst, else the longest matching prefix, else the default. A
+// node without router-side state has only the default.
 func (n *Node) lookupRoute(dst netip.Addr) *Link {
-	if n.fib.dirty {
-		n.sortFIB()
-	}
-	f := &n.fib
-	if len(f.hosts) > 0 && dst.Is4() {
-		v := ipv4ToUint(dst)
-		// First host route starting strictly after v; the one before it
-		// is the only candidate.
-		lo, hi := 0, len(f.hosts)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if f.hosts[mid].first <= v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	if r := n.rt; r != nil {
+		if n.fib.dirty {
+			n.sortFIB()
 		}
-		if lo > 0 {
-			if h := &f.hosts[lo-1]; v-h.first < h.n {
-				if h.links != nil {
-					return h.links[v-h.first]
+		if len(r.hosts) > 0 && dst.Is4() {
+			v := ipv4ToUint(dst)
+			// First host route starting strictly after v; the one before
+			// it is the only candidate.
+			lo, hi := 0, len(r.hosts)
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if r.hosts[mid].first <= v {
+					lo = mid + 1
+				} else {
+					hi = mid
 				}
-				return h.link
+			}
+			if lo > 0 {
+				if h := &r.hosts[lo-1]; v-h.first < h.n {
+					if h.links != nil {
+						return h.links[v-h.first]
+					}
+					return h.link
+				}
 			}
 		}
-	}
-	for _, r := range f.prefixes {
-		if r.prefix.Contains(dst) {
-			return r.link
+		for _, p := range r.prefixes {
+			if p.prefix.Contains(dst) {
+				return p.link
+			}
 		}
 	}
 	if dst.Is4() {
-		return f.dflt
+		return n.fib.dflt
 	}
 	return nil
 }

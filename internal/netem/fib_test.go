@@ -14,6 +14,15 @@ import (
 	"unsafe"
 )
 
+// routes is n's host routes and prefix routes: none on a node without
+// router-side state.
+func routes(n *Node) ([]hostRoute, []route) {
+	if n.rt == nil {
+		return nil, nil
+	}
+	return n.rt.hosts, n.rt.prefixes
+}
+
 // lookupRouteLinear is the reference implementation the FIB property
 // tests assert lookupRoute against on random topologies: a linear scan
 // of the node's host routes for one covering dst, else of its prefixes
@@ -21,9 +30,10 @@ import (
 // else, for IPv4, the default route. TestFIBMatchesLinearReference
 // checks separately that the default is the first IPv4 /0 installed.
 func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
+	hosts, prefixes := routes(n)
 	if dst.Is4() {
 		v := ipv4ToUint(dst)
-		for _, h := range n.fib.hosts {
+		for _, h := range hosts {
 			if v >= h.first && uint64(v) < uint64(h.first)+uint64(h.n) {
 				if h.links != nil {
 					return h.links[v-h.first]
@@ -34,7 +44,7 @@ func (n *Node) lookupRouteLinear(dst netip.Addr) *Link {
 	}
 	best := -1
 	var via *Link
-	for _, r := range n.fib.prefixes {
+	for _, r := range prefixes {
 		if r.prefix.Contains(dst) && r.prefix.Bits() > best {
 			best, via = r.prefix.Bits(), r.link
 		}
@@ -109,13 +119,13 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 		for _, nd := range nodes {
 			if nd.fib.dflt != firstDefault[nd] {
 				t.Fatalf("trial %d: node %s default %p, want the first IPv4 /0 installed, %p",
-					trial, nd.Name, nd.fib.dflt, firstDefault[nd])
+					trial, nd.Name(), nd.fib.dflt, firstDefault[nd])
 			}
 		}
 		v6 := nodes[rng.Intn(n)]
 		v6.AddRoute(v6Default, v6.links[0])
-		if !slices.ContainsFunc(v6.fib.prefixes, func(r route) bool { return r.prefix == v6Default }) {
-			t.Fatalf("trial %d: node %s: ::/0 is not in the prefix list", trial, v6.Name)
+		if _, prefixes := routes(v6); !slices.ContainsFunc(prefixes, func(r route) bool { return r.prefix == v6Default }) {
+			t.Fatalf("trial %d: node %s: ::/0 is not in the prefix list", trial, v6.Name())
 		}
 
 		// Sprinkle range/block routes in 10.0-3.x, under the prefixes
@@ -177,7 +187,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 				got, want := nd.lookupRoute(dst), nd.lookupRouteLinear(dst)
 				if got != want {
 					t.Fatalf("trial %d: node %s dst %v: FIB %p != linear %p",
-						trial, nd.Name, dst, got, want)
+						trial, nd.Name(), dst, got, want)
 				}
 			}
 		}
@@ -220,15 +230,15 @@ func TestFIBAnycastNearest(t *testing.T) {
 			}
 			deliveredTo = nil
 			if err := src.Send(mkUDP(t, src.Addr(), anyAddr, nil)); err != nil {
-				t.Fatalf("trial %d: %s -> anycast: %v", trial, src.Name, err)
+				t.Fatalf("trial %d: %s -> anycast: %v", trial, src.Name(), err)
 			}
 			s.Run()
 			if deliveredTo == nil {
-				t.Fatalf("trial %d: anycast from %s undelivered", trial, src.Name)
+				t.Fatalf("trial %d: anycast from %s undelivered", trial, src.Name())
 			}
 			if got := dist[deliveredTo]; got != best {
 				t.Fatalf("trial %d: anycast from %s reached %s at distance %v, nearest is %v",
-					trial, src.Name, deliveredTo.Name, got, best)
+					trial, src.Name(), deliveredTo.Name(), got, best)
 			}
 		}
 	}
@@ -357,20 +367,21 @@ func TestFIBRefusesOverlappingHostRoutes(t *testing.T) {
 	}
 	v6 := netip.MustParseAddr("2001:db8::1")
 	a.AddRoute(netip.PrefixFrom(v6, 128), l)
-	if a.lookupRoute(v6) != l || len(a.fib.prefixes) != 1 || len(a.fib.hosts) != 1 {
+	if a.lookupRoute(v6) != l || len(a.rt.prefixes) != 1 || len(a.rt.hosts) != 1 {
 		t.Errorf("IPv6 /128: lookup %v, %d prefixes, %d host routes; want it in the prefix list",
-			a.lookupRoute(v6) == l, len(a.fib.prefixes), len(a.fib.hosts))
+			a.lookupRoute(v6) == l, len(a.rt.prefixes), len(a.rt.hosts))
 	}
 }
 
 // TestNodeSize: a million-host backbone holds a Node per host, so the
-// struct must not grow past its size when the FIB became the routes.
+// struct holds only what a leaf host uses; router-side state is one
+// pointer.
 func TestNodeSize(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("size bound is for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got > 192 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 192", got)
+	if got := unsafe.Sizeof(Node{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 96", got)
 	}
 }
 

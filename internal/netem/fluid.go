@@ -73,7 +73,7 @@ func (s *Simulator) AttachFluid(l *Link, from *Node, cfg FluidConfig) (*FluidFlo
 		cfg.Interval = 100 * time.Millisecond
 	}
 	if d.fluidBps > 0 {
-		return nil, fmt.Errorf("netem: link direction %s->%s already carries a fluid flow", from.Name, d.to.Name)
+		return nil, fmt.Errorf("netem: link direction %s->%s already carries a fluid flow", from.Name(), d.to.Name())
 	}
 	// The first attach registers the families (get-or-create ignores the
 	// later ones); each sums every flow.

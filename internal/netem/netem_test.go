@@ -71,8 +71,8 @@ func TestRunForAdvancesClock(t *testing.T) {
 
 func TestDirectLinkDelivery(t *testing.T) {
 	s := NewSimulator(simStart, 1)
-	a := s.MustAddNode("a", "ispA", addr("10.0.0.1"))
-	b := s.MustAddNode("b", "ispB", addr("10.0.0.2"))
+	a := s.MustAddNode("a", "", addr("10.0.0.1"))
+	b := s.MustAddNode("b", "", addr("10.0.0.2"))
 	s.Connect(a, b, LinkConfig{Delay: 5 * time.Millisecond})
 	s.BuildRoutes()
 
@@ -239,7 +239,7 @@ func TestAnycastNearestMember(t *testing.T) {
 	}
 	for _, m := range []*Node{near, far} {
 		if got := m.anycastAddrs(); len(got) != 1 || got[0] != any {
-			t.Errorf("%s serves anycast %v, want [%v]", m.Name, got, any)
+			t.Errorf("%s serves anycast %v, want [%v]", m.Name(), got, any)
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestAnycastMembershipIsASet(t *testing.T) {
 	s.AddAnycast(g4, m2)
 	var hit string
 	for _, n := range path {
-		name := n.Name
+		name := n.Name()
 		n.SetHandler(func(time.Time, []byte) { hit += name })
 	}
 	for _, tc := range []struct {
@@ -326,7 +326,7 @@ func TestAnycastAddrsFollowOwn(t *testing.T) {
 func TestTransitHookDrop(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
-	r := s.MustAddNode("r", "evilISP", addr("10.0.0.254"))
+	r := s.MustAddNode("r", "", addr("10.0.0.254"))
 	b := s.MustAddNode("b", "", addr("10.0.1.1"))
 	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
 	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})
@@ -347,7 +347,7 @@ func TestTransitHookDrop(t *testing.T) {
 func TestTransitHookDelay(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
-	r := s.MustAddNode("r", "evilISP", addr("10.0.0.254"))
+	r := s.MustAddNode("r", "", addr("10.0.0.254"))
 	b := s.MustAddNode("b", "", addr("10.0.1.1"))
 	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
 	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})
@@ -392,10 +392,10 @@ func TestTraceEvents(t *testing.T) {
 func TestDuplicateNodeAndAddr(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	s.MustAddNode("a", "", addr("10.0.0.1"))
-	if _, err := s.AddNode("a", "", addr("10.0.0.9")); err == nil {
+	if _, err := s.AddNode("a", addr("10.0.0.9")); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if _, err := s.AddNode("b", "", addr("10.0.0.1")); err == nil {
+	if _, err := s.AddNode("b", addr("10.0.0.1")); err == nil {
 		t.Error("duplicate address accepted")
 	}
 }

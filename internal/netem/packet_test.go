@@ -43,7 +43,7 @@ func TestPacketPoolPoisonsReleasedBuffers(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	s.SetPoolDebug(true)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
-	r := s.MustAddNode("r", "evil", addr("10.0.0.254"))
+	r := s.MustAddNode("r", "", addr("10.0.0.254"))
 	b := s.MustAddNode("b", "", addr("10.0.1.1"))
 	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
 	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})
@@ -114,7 +114,7 @@ func TestPacketDoubleReleasePanics(t *testing.T) {
 func TestPolicyDelayNoCopy(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
-	r := s.MustAddNode("r", "evil", addr("10.0.0.254"))
+	r := s.MustAddNode("r", "", addr("10.0.0.254"))
 	b := s.MustAddNode("b", "", addr("10.0.1.1"))
 	s.Connect(a, r, LinkConfig{Delay: time.Millisecond})
 	s.Connect(r, b, LinkConfig{Delay: time.Millisecond})

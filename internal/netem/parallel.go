@@ -58,7 +58,7 @@ func (s *Simulator) refreshPlan() {
 				if d.delay <= 0 {
 					panic(fmt.Sprintf(
 						"netem: link %s->%s crosses shards %d->%d with no propagation delay; conservative parallel execution needs Delay > 0 on every cross-shard link",
-						d.from.Name, d.to.Name, d.from.sh.id, d.to.sh.id))
+						d.from.Name(), d.to.Name(), d.from.sh.id, d.to.sh.id))
 				}
 				if s.lookahead == 0 || d.delay < s.lookahead {
 					s.lookahead = d.delay

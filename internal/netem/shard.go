@@ -147,7 +147,7 @@ func (n *Node) SetShard(id int) {
 	s := n.sh.sim
 	if id < 0 || id >= len(s.shards) {
 		panic(fmt.Sprintf("netem: node %q assigned to shard %d of %d; call SetShardCount first",
-			n.Name, id, len(s.shards)))
+			n.Name(), id, len(s.shards)))
 	}
 	n.sh = s.shards[id]
 	s.planDirty = true

@@ -182,11 +182,11 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		OutsideNet:  spec.OutsideNet,
 	}
 	name := func(base string) string { return spec.NamePrefix + base }
-	border, err := sim.AddNode(name("border"), "supportive")
+	border, err := sim.AddNode(name("border"))
 	if err != nil {
 		return nil, err
 	}
-	transit, err := sim.AddNode(name("transit"), "transit")
+	transit, err := sim.AddNode(name("transit"))
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +210,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	sim.AddAnycast(spec.Anycast, border)
 
 	for o := 0; o < spec.Outside; o++ {
-		out, err := sim.AddNode(name(fmt.Sprintf("outside%d", o)), "outside", f.OutsideAddr(o))
+		out, err := sim.AddNode(name(fmt.Sprintf("outside%d", o)), f.OutsideAddr(o))
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +227,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	// per-host name, map entry, or separate Node/Link allocation, which
 	// is what lets BuildBackbone fit a million of them. Resolve them
 	// through Fanout.Hosts, not Simulator.Node.
-	f.Hosts, err = sim.AddHostBlock("supportive", f.HostAddr(0), spec.Hosts)
+	f.Hosts, err = sim.AddHostBlock(f.HostAddr(0), spec.Hosts)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +236,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	f.Edges = make([]*Node, 0, nEdges)
 	f.EdgeLinks = make([]*Link, 0, nEdges)
 	for e := 0; e < nEdges; e++ {
-		edge, err := sim.AddNode(name(fmt.Sprintf("edge%d", e)), "supportive")
+		edge, err := sim.AddNode(name(fmt.Sprintf("edge%d", e)))
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,8 @@ import (
 // entries plus the default route — a block counts once, however many
 // addresses it covers.
 func routeCount(n *Node) int {
-	c := len(n.fib.hosts) + len(n.fib.prefixes)
+	hosts, prefixes := routes(n)
+	c := len(hosts) + len(prefixes)
 	if n.fib.dflt != nil {
 		c++
 	}
@@ -72,9 +73,9 @@ func TestBuildFanoutRouting(t *testing.T) {
 		t.Errorf("edge0 has %d routes, want 2 (host block + default)", n)
 	}
 	// A host's one route is its default, held in the FIB's own field.
-	if h := f.Hosts[42]; routeCount(h) != 1 || h.fib.dflt != h.links[0] || h.fib.prefixes != nil {
-		t.Errorf("host42 has %d routes (%d prefix entries), want 1: the default up its one link",
-			routeCount(h), len(h.fib.prefixes))
+	if h := f.Hosts[42]; routeCount(h) != 1 || h.fib.dflt != h.links[0] || h.rt != nil {
+		t.Errorf("host42 has %d routes (router-side state %v), want 1: the default up its one link",
+			routeCount(h), h.rt != nil)
 	}
 }
 
@@ -100,8 +101,42 @@ func TestHostFootprint(t *testing.T) {
 	perHost := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / hosts
 	runtime.KeepAlive(f)
 	t.Logf("fanout of %d hosts: %.1f B/host", hosts, perHost)
-	if perHost > 400 {
-		t.Errorf("a fanout host costs %.1f B of heap, want <= 400", perHost)
+	if perHost > 320 {
+		t.Errorf("a fanout host costs %.1f B of heap, want <= 320", perHost)
+	}
+}
+
+// TestHostsHoldNoRouterState: a slab host carries no router-side state
+// through a build, a BuildRoutes and a run, so a stray AddRoute or
+// AddTransitHook on hosts cannot bring the bytes TestHostFootprint
+// counts back unnoticed.
+func TestHostsHoldNoRouterState(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	f, err := BuildFanout(s, FanoutSpec{Hosts: 300, HostsPerEdge: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.BuildRoutes()
+	delivered := f.CountDeliveries()
+	for _, i := range []int{0, 127, 128, 299} {
+		if err := f.Outside[0].Send(mkUDP(t, f.OutsideAddr(0), f.HostAddr(i), nil)); err != nil {
+			t.Fatalf("send to host %d: %v", i, err)
+		}
+		if err := f.Hosts[i].Send(mkUDP(t, f.HostAddr(i), f.OutsideAddr(0), nil)); err != nil {
+			t.Fatalf("send from host %d: %v", i, err)
+		}
+	}
+	s.RunFor(time.Second)
+	if delivered.Total() != 4 {
+		t.Fatalf("delivered %d/4 to hosts", delivered.Total())
+	}
+	for i, h := range f.Hosts {
+		if h.rt != nil {
+			t.Fatalf("host %d holds router-side state %+v", i, *h.rt)
+		}
+	}
+	if f.Edges[0].rt == nil || f.Edges[0].Name() != "edge0" {
+		t.Error("edge0 lost its name or its routes")
 	}
 }
 

@@ -27,8 +27,8 @@ var (
 func pair(t testing.TB) (*Net, *netem.Node, *netem.Node) {
 	t.Helper()
 	sim := netem.NewSimulator(simStart, 1)
-	cl := sim.MustAddNode("cl", "d", clAddr)
-	sv := sim.MustAddNode("sv", "d", svAddr)
+	cl := sim.MustAddNode("cl", "", clAddr)
+	sv := sim.MustAddNode("sv", "", svAddr)
 	sim.Connect(cl, sv, netem.LinkConfig{Delay: 5 * time.Millisecond, QueueLen: 4096})
 	sim.BuildRoutes()
 	return New(sim), cl, sv

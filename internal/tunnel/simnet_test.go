@@ -129,9 +129,9 @@ func TestServeUnderSimnet(t *testing.T) {
 func runUnderSimnet(t *testing.T, id *e2e.Identity, opts tunnel.Options, seed int64, flood bool) (r simRun) {
 	t.Helper()
 	sim := netem.NewSimulator(benchenv.Start, seed)
-	border := sim.MustAddNode("border", "isp", netip.MustParseAddr("192.0.2.1"))
+	border := sim.MustAddNode("border", "", netip.MustParseAddr("192.0.2.1"))
 	link := func(name string, a netip.Addr) *netem.Node {
-		node := sim.MustAddNode(name, "outside", a)
+		node := sim.MustAddNode(name, "", a)
 		sim.Connect(border, node, netem.LinkConfig{Delay: linkDelay, QueueLen: 4096})
 		return node
 	}
