@@ -8,11 +8,19 @@
 //
 //	neutralizerd -listen :7777 -anycast 10.200.0.1 -customers 10.10.0.0/16 -workers 4
 //
+// The master key root is the one secret every hidden address rests on.
+// -rootfile PATH reads it from a 0600 file, which keeps it out of argv;
+// -root HEX takes it on the command line, where any local user can read
+// it. Without either the daemon draws one. Only a fingerprint of the
+// root is ever logged: a KDF of it under a fixed label, equal on replicas
+// that share it.
+//
 // -metrics ADDR serves Prometheus text on /metrics, a JSON snapshot on
-// /metrics.json and pprof under /debug/pprof/: the neutralizer's core_*
-// families, each worker's core_session_cache_* (hits / (hits + misses) is
-// the hit rate of the traffic mix) and the transport's neutralizerd_*,
-// the same set under every flag combination.
+// /metrics.json and pprof under /debug/pprof/ (never the cmdline
+// handler): the neutralizer's core_* families, each worker's
+// core_session_cache_* (hits / (hits + misses) is the hit rate of the
+// traffic mix) and the transport's neutralizerd_*, the same set under
+// every flag combination.
 package main
 
 import (
@@ -41,7 +49,9 @@ import (
 func main() {
 	cfg, err := parse(os.Args[1:])
 	if err == nil {
-		err = run(cfg)
+		stop := make(chan os.Signal, 1)
+		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+		err = run(cfg, stop)
 	}
 	if err != nil && !errors.Is(err, flag.ErrHelp) { // -h has printed the usage
 		log.Fatalf("neutralizerd: %v", err)
@@ -66,13 +76,14 @@ func parse(args []string) (*config, error) {
 	fs.StringVar(&c.listen, "listen", ":7777", "UDP listen address")
 	anycast := fs.String("anycast", "10.200.0.1", "anycast service address (inner IPv4)")
 	customers := fs.String("customers", "10.10.0.0/16", "comma-separated customer prefixes")
-	rootHex := fs.String("root", "", "32-hex-char master key root (random if empty)")
+	rootHex := fs.String("root", "", "32-hex-char master key root, visible to every local user in argv (random if neither this nor -rootfile is set)")
+	rootFile := fs.String("rootfile", "", "read the 32-hex-char master key root from this regular file of mode 0600")
 	fs.DurationVar(&c.epoch, "epoch", time.Hour, "master key epoch length (at least 1s); epochs are numbered from the Unix epoch")
 	dynPool := fs.String("dynpool", "", "optional dynamic-address pool prefix (enables §3.4 QoS remedy)")
 	fs.DurationVar(&c.stats, "stats", 30*time.Second, "stats logging interval (0 disables)")
 	fs.IntVar(&c.tunnel.Workers, "workers", 1, "goroutines serving the socket, each with its own scratch, on the one shared neutralizer; one waiting for a datagram blocks in the kernel and holds an OS thread")
 	fs.IntVar(&c.tunnel.Batch, "batch", 64, "most datagrams a worker takes from the socket in one read; it waits for one and takes what is queued behind it, never waiting for more")
-	fs.StringVar(&c.metrics, "metrics", "", "serve /metrics, /metrics.json and /debug/pprof on this address (\":0\" picks a port)")
+	fs.StringVar(&c.metrics, "metrics", "", "serve /metrics, /metrics.json and pprof's profiles under /debug/pprof/ (not its cmdline) on this address (\":0\" picks a port)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -96,12 +107,17 @@ func parse(args []string) (*config, error) {
 		}
 		return false
 	}
-	if *rootHex != "" {
-		b, err := hex.DecodeString(*rootHex)
-		if err != nil || len(b) != len(c.root) {
-			return nil, fmt.Errorf("bad -root: want %d hex bytes", len(c.root))
+	switch {
+	case *rootHex != "" && *rootFile != "":
+		return nil, errors.New("give -root or -rootfile, not both")
+	case *rootHex != "":
+		if c.root, err = parseRoot(*rootHex); err != nil {
+			return nil, fmt.Errorf("bad -root: %w", err)
 		}
-		c.root = (*aesutil.Key)(b)
+	case *rootFile != "":
+		if c.root, err = readRoot(*rootFile); err != nil {
+			return nil, fmt.Errorf("bad -rootfile: %w", err)
+		}
 	}
 	if *dynPool != "" {
 		if c.core.DynAddrPool, err = netip.ParsePrefix(*dynPool); err != nil {
@@ -127,20 +143,57 @@ func parse(args []string) (*config, error) {
 	return c, nil
 }
 
+// parseRoot decodes a root written as hex.
+func parseRoot(s string) (*aesutil.Key, error) {
+	b, err := hex.DecodeString(s)
+	if err != nil || len(b) != len(aesutil.Key{}) {
+		return nil, fmt.Errorf("want %d hex bytes", len(aesutil.Key{}))
+	}
+	return (*aesutil.Key)(b), nil
+}
+
+// readRoot reads a hex root, surrounding white space ignored, from a
+// regular file only its owner can read or write.
+func readRoot(path string) (*aesutil.Key, error) {
+	fi, err := os.Lstat(path)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.Mode().IsRegular() || fi.Mode().Perm() != 0o600 {
+		return nil, fmt.Errorf("%s is %v, want a regular file of mode 0600", path, fi.Mode())
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parseRoot(strings.TrimSpace(string(b)))
+}
+
+// fingerprint names a root without revealing it: the first 8 bytes of a
+// KDF of the root under a fixed label, so replicas can be checked to
+// share a root.
+func fingerprint(root *aesutil.Key) string {
+	k := aesutil.DeriveKey(*root, []byte("neutralizerd root fingerprint"))
+	return hex.EncodeToString(k[:8])
+}
+
 // schedule numbers epochs from the Unix epoch, so KM depends only on the
-// root and the instant: every replica sharing -root and -epoch agrees on
+// root and the instant: every replica sharing a root and -epoch agrees on
 // the epoch in force, however long each has been running.
 func (c *config) schedule() *keys.Schedule {
 	return keys.NewSchedule(*c.root, time.Unix(0, 0), c.epoch)
 }
 
-func run(c *config) error {
+// run serves until stop delivers a signal.
+func run(c *config, stop <-chan os.Signal) error {
 	if c.root == nil {
 		c.root = new(aesutil.Key)
 		if _, err := rand.Read(c.root[:]); err != nil {
 			return err
 		}
-		log.Printf("generated master key root %s (replicas must share it)", hex.EncodeToString(c.root[:]))
+		log.Printf("generated master key root, fingerprint %s (replicas must share the root)", fingerprint(c.root))
+	} else {
+		log.Printf("master key root fingerprint %s", fingerprint(c.root))
 	}
 	c.core.Schedule = c.schedule()
 	neut, err := core.New(c.core)
@@ -166,6 +219,7 @@ func run(c *config) error {
 		if mln, err = net.Listen("tcp", c.metrics); err != nil {
 			return fmt.Errorf("bad -metrics: %w", err)
 		}
+		defer mln.Close()
 		reg = obs.NewRegistry()
 	}
 	t := tunnel.New(sock, neut, c.tunnel, reg)
@@ -184,10 +238,8 @@ func run(c *config) error {
 			}
 		}()
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		<-sig
+		<-stop
 		log.Print("shutting down")
 		t.Close()
 	}()

@@ -1,11 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/hex"
+	"io"
+	"log"
+	"net/http"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"netneutral/internal/crypto/keys"
 	"netneutral/internal/tunnel"
 )
 
@@ -94,5 +106,182 @@ func TestReplicasNumberEpochsAlike(t *testing.T) {
 		if ea, eb := schedA.EpochAt(at), schedB.EpochAt(at); ea != eb || int64(ea) != at.Unix() {
 			t.Errorf("at %v: epochs %d and %d, want both %d", at, ea, eb, at.Unix())
 		}
+	}
+}
+
+// writeRoot writes a hex root to a fresh file of the given mode.
+func writeRoot(t *testing.T, hexRoot string, mode os.FileMode) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "root")
+	if err := os.WriteFile(path, []byte(hexRoot+"\n"), mode); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path, mode); err != nil { // WriteFile's mode is masked by umask
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestParseRootFile: -rootfile takes only a regular file of mode 0600,
+// never beside -root, and its root keys the schedule exactly as the same
+// root given to -root does.
+func TestParseRootFile(t *testing.T) {
+	const root = "000102030405060708090a0b0c0d0e0f"
+	good := writeRoot(t, root, 0o600)
+	link := filepath.Join(t.TempDir(), "link")
+	if err := os.Symlink(good, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"mode 0644", []string{"-rootfile", writeRoot(t, root, 0o644)}, "want a regular file of mode 0600"},
+		{"mode 0400", []string{"-rootfile", writeRoot(t, root, 0o400)}, "want a regular file of mode 0600"},
+		{"directory", []string{"-rootfile", t.TempDir()}, "want a regular file of mode 0600"},
+		{"symlink", []string{"-rootfile", link}, "want a regular file of mode 0600"},
+		{"missing", []string{"-rootfile", filepath.Join(t.TempDir(), "none")}, "bad -rootfile"},
+		{"short", []string{"-rootfile", writeRoot(t, root[2:], 0o600)}, "want 16 hex bytes"},
+		{"both flags", []string{"-root", root, "-rootfile", good}, "not both"},
+	} {
+		if cfg, err := parse(c.args); err == nil || cfg != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: config %v, error %v; want %q", c.name, cfg, err, c.want)
+		}
+	}
+
+	fromArg, err := parse([]string{"-root", root, "-epoch", "1s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := parse([]string{"-rootfile", good, "-epoch", "1s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := parse([]string{"-root", "f" + root[1:], "-epoch", "1s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, o := fromArg.schedule(), fromFile.schedule(), other.schedule()
+	src := netip.MustParseAddr("10.10.0.1")
+	for _, at := range []time.Time{time.Now(), time.Unix(1<<31, 0)} {
+		e := a.EpochAt(at)
+		ka, errA := a.SessionKey(e, keys.Nonce{1}, src)
+		kb, errB := b.SessionKey(b.EpochAt(at), keys.Nonce{1}, src)
+		ko, _ := o.SessionKey(e, keys.Nonce{1}, src)
+		if errA != nil || errB != nil || b.EpochAt(at) != e || ka != kb || ka == ko {
+			t.Errorf("at %v: -root and -rootfile disagree (epochs %d, %d; errors %v, %v) or another root agrees (%v)",
+				at, e, b.EpochAt(at), errA, errB, ka == ko)
+		}
+	}
+}
+
+// syncBuffer is a log output the daemon's goroutines and the test share.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestDaemonLeaksNoRoot runs the daemon in-process with its metrics
+// surface up, once with the root on its command line and once with a
+// drawn one, fetches every path obs.NewHandler mounts (and pprof's named
+// profiles), and asserts that no body and no log line holds the root's
+// bytes, raw or in hex.
+func TestDaemonLeaksNoRoot(t *testing.T) {
+	for _, given := range []bool{true, false} {
+		name := map[bool]string{true: "given", false: "drawn"}[given]
+		t.Run(name, func(t *testing.T) { checkNoRootLeak(t, given) })
+	}
+}
+
+func checkNoRootLeak(t *testing.T, given bool) {
+	const hexRoot = "8f1e2d3c4b5a69788796a5b4c3d2e1f0"
+	args := []string{"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0", "-stats", "0"}
+	if given {
+		args = append(args, "-root", hexRoot)
+	}
+	// pprof's cmdline handler would serve os.Args: make them the daemon's.
+	saved := os.Args
+	os.Args = append([]string{"neutralizerd"}, args...)
+	defer func() { os.Args = saved }()
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+
+	cfg, err := parse(os.Args[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(cfg, stop) }()
+	metricsRE := regexp.MustCompile(`metrics listening on (http://\S+)/metrics`)
+	var base string
+	for deadline := time.Now().Add(10 * time.Second); base == ""; time.Sleep(10 * time.Millisecond) {
+		if m := metricsRE.FindStringSubmatch(logs.String()); m != nil {
+			base = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no metrics address logged:\n%s", logs.String())
+		}
+	}
+	root := cfg.root[:] // drawn before the address was logged
+	secrets := [][]byte{root, []byte(hex.EncodeToString(root)), []byte(strings.ToUpper(hex.EncodeToString(root)))}
+	leaks := func(what string, body []byte) {
+		t.Helper()
+		if zr, err := gzip.NewReader(bytes.NewReader(body)); err == nil { // profiles are gzipped
+			if plain, err := io.ReadAll(zr); err == nil {
+				body = append(body, plain...)
+			}
+		}
+		for _, s := range secrets {
+			if bytes.Contains(body, s) {
+				t.Errorf("%s holds the root (%q)", what, s)
+			}
+		}
+	}
+
+	for _, path := range []string{
+		"/metrics", "/metrics.json", "/trace.json", "/debug/pprof/", "/debug/pprof/cmdline",
+		"/debug/pprof/profile?seconds=1", "/debug/pprof/symbol", "/debug/pprof/trace?seconds=1",
+		"/debug/pprof/goroutine?debug=2", "/debug/pprof/heap?debug=1", "/debug/pprof/allocs",
+		"/debug/pprof/threadcreate?debug=1", "/debug/pprof/block", "/debug/pprof/mutex",
+	} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		leaks("GET "+path, body)
+	}
+	stop <- os.Interrupt
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after the stop signal")
+	}
+	for _, line := range strings.Split(logs.String(), "\n") {
+		leaks("log line "+strconv.Quote(line), []byte(line))
+	}
+	if !strings.Contains(logs.String(), "fingerprint "+fingerprint(cfg.root)) {
+		t.Errorf("the log names no fingerprint of the root:\n%s", logs.String())
 	}
 }

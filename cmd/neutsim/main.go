@@ -19,7 +19,7 @@
 //	neutsim -exp all                              # every experiment, registered sizes
 //	neutsim -exp E6 -hosts 1000 -duration 1s -seed 7      # E6 metro (-simworkers N)
 //	neutsim -exp E6 -hosts 1000 -trace all -traceout t.json  # + Perfetto trace
-//	neutsim -exp E6 -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /trace.json, pprof
+//	neutsim -exp E6 -hosts 1000 -trace 0.01 -metrics :0   # /metrics, /trace.json, pprof profiles
 //	neutsim -exp E7 -flows 16 -duration 2s -seed 7        # E7 arms race, 16 flows/class
 //	neutsim -exp E8 -vantages 8 -trials 10 -seed 7        # E8 neutrality audit
 //	neutsim -exp E9 -hosts 800 -duration 500ms -seed 7    # E9 worker sweep
@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.DurationVar(&sc.Duration, "duration", 0, "E6, E7, E9, E13: simulated traffic duration (0 = registered)")
 	trace := fs.String("trace", "", "E6 flow tracing spec: \"all\" records every flow, a fraction in (0,1) samples that share of flows deterministically, 0xHEX tags one flow hash, SRC-DST[/PROTO] tags one address pair")
 	traceOut := fs.String("traceout", "", "E6: write the traced spans as Chrome trace-event JSON (load in Perfetto or chrome://tracing) to this file")
-	metricsAddr := fs.String("metrics", "", "E6: serve /metrics, /metrics.json, /trace.json and /debug/pprof on this address during the run (\":0\" picks a port; bound address is printed)")
+	metricsAddr := fs.String("metrics", "", "E6: serve /metrics, /metrics.json, /trace.json and pprof's profiles under /debug/pprof/ (not its cmdline) on this address during the run (\":0\" picks a port; bound address is printed)")
 	metricsHold := fs.Duration("metricshold", 5*time.Second, "E6: keep the -metrics server up this long after the run so scrapers can read the final state")
 	_ = fs.Parse(args) // ExitOnError
 
@@ -149,7 +149,7 @@ func emit(stdout, stderr io.Writer, res *eval.Result) {
 // metricsAddr set it mounts the full export surface on the run's
 // registry: a Recorder publishing a merged snapshot at every epoch
 // barrier (so mid-run scrapes are barrier-consistent), a FlightRecorder,
-// and pprof. A non-empty traceSpec sizes the flight recorder from the
+// and pprof's profiles (obs.NewHandler serves no cmdline). A non-empty traceSpec sizes the flight recorder from the
 // flowspec (independent of -metrics); traceOut then writes the assembled
 // spans as Chrome trace-event JSON after the run.
 func runMetro(e6 []eval.Experiment, sc eval.Scale, metricsAddr string, hold time.Duration, traceSpec, traceOut string, stdout, stderr io.Writer) error {

@@ -12,7 +12,9 @@ import (
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON snapshot (ts + merged metric values)
 //	/trace.json    assembled spans as Chrome trace-event JSON (Perfetto)
-//	/debug/pprof/  the standard pprof handlers
+//	/debug/pprof/  the pprof index (named profiles), profile, symbol and
+//	               trace; not cmdline, which would hand the process's
+//	               argv, and so a daemon's -root, to any client
 //
 // The Source abstracts where snapshots come from: a live *Registry for
 // the daemon, whose families read their counters at scrape time, a
@@ -51,7 +53,6 @@ func NewHandler(cfg HandlerConfig) *http.ServeMux {
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)

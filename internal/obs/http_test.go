@@ -3,6 +3,7 @@ package obs
 import (
 	"io"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 )
@@ -48,8 +49,10 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Fatalf("/trace: code=%d, want 404 (/trace.json is the one trace export)", code)
 	}
 
-	code, _, _ = get("/debug/pprof/cmdline")
-	if code != 200 {
-		t.Fatalf("/debug/pprof/cmdline: code=%d", code)
+	// The process's argv may hold a secret (neutralizerd's -root), so
+	// the pprof index must not serve it under any name.
+	code, _, body = get("/debug/pprof/cmdline")
+	if code != 404 || strings.Contains(body, os.Args[0]) {
+		t.Fatalf("/debug/pprof/cmdline: code=%d body=%q, want 404 without argv", code, body)
 	}
 }
