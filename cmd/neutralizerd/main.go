@@ -228,8 +228,16 @@ func run(c *config, stop <-chan os.Signal) error {
 		go func() { _ = http.Serve(mln, obs.NewHandler(obs.HandlerConfig{Source: reg})) }()
 	}
 	if c.stats > 0 {
+		tick := time.NewTicker(c.stats)
+		done := make(chan struct{})
+		defer func() { tick.Stop(); close(done) }()
 		go func() {
-			for range time.Tick(c.stats) {
+			for {
+				select {
+				case <-done:
+					return
+				case <-tick.C:
+				}
 				s := neut.Stats().Snapshot()
 				log.Printf("stats: setups=%d data=%d return=%d grants=%d drops(epoch=%d,block=%d,cust=%d,malformed=%d,dynpool=%d) peers=%d",
 					s.KeySetups, s.DataForwarded, s.ReturnForwarded,

@@ -285,3 +285,30 @@ func checkNoRootLeak(t *testing.T, given bool) {
 		t.Errorf("the log names no fingerprint of the root:\n%s", logs.String())
 	}
 }
+
+// TestRunStopsStatsLogging: once run returns, its stats ticker logs no
+// more (one line already under way may still land).
+func TestRunStopsStatsLogging(t *testing.T) {
+	var logs syncBuffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+	cfg, err := parse([]string{"-listen", "127.0.0.1:0", "-stats", "10ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(cfg, stop) }()
+	for strings.Count(logs.String(), "stats:") < 2 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop <- os.Interrupt
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	at := strings.Count(logs.String(), "stats:")
+	time.Sleep(100 * time.Millisecond) // ten ticks
+	if later := strings.Count(logs.String(), "stats:"); later > at+1 {
+		t.Errorf("%d stats lines when run returned, %d 100 ms later", at, later)
+	}
+}
