@@ -135,8 +135,8 @@ func (l *lane) pop(ev *event) {
 // seq. Values live inline in the rings and the heap slice — no per-event
 // allocation, no interface boxing.
 type eventQueue struct {
-	lanes []lane  // opened on demand, at most laneCount
-	h     []event // binary min-heap: events no lane would take
+	lanes []lane         // opened on demand, at most laneCount
+	h     minHeap[event] // events no lane would take
 	// Pushes a lane / the heap took (netem_queue_pushes_total).
 	inLane, inHeap uint64
 }
@@ -167,7 +167,7 @@ func (q *eventQueue) push(ev *event, class int64) {
 		q.inLane++
 		return
 	}
-	q.heapPush(*ev)
+	q.h.push(*ev, eventBefore)
 	q.inHeap++
 }
 
@@ -200,7 +200,7 @@ func (q *eventQueue) front() (src int, ev *event) {
 		if l.n == 0 {
 			continue
 		}
-		if c := &l.buf[l.head]; ev == nil || c.at < ev.at || c.at == ev.at && c.seq < ev.seq {
+		if c := &l.buf[l.head]; ev == nil || eventBefore(c, ev) {
 			src, ev = i, c
 		}
 	}
@@ -225,59 +225,52 @@ func (q *eventQueue) popDue(last int64, ev *event) bool {
 		return false
 	}
 	if src == len(q.lanes) {
-		*ev = q.heapPop()
+		*ev = q.h.pop(eventBefore)
 	} else {
 		q.lanes[src].pop(ev)
 	}
 	return true
 }
 
-func (q *eventQueue) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
-	}
-	return q.h[i].seq < q.h[j].seq
-}
+// eventBefore is the queue's order: (at, seq).
+func eventBefore(a, b *event) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
 
-func (q *eventQueue) heapPush(ev event) {
-	q.h = append(q.h, ev)
-	i := len(q.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+// minHeap is a binary min-heap under the less its callers pass: the
+// event queue's overflow and Dijkstra's frontier. pop clears the slot it
+// vacates, so a popped element's pointers do not outlive it.
+type minHeap[T any] []T
+
+func (h *minHeap[T]) push(x T, less func(a, b *T) bool) {
+	*h = append(*h, x)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !less(&s[i], &s[p]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
+		s[i], s[p] = s[p], s[i]
+		i = p
 	}
 }
 
-func (q *eventQueue) heapPop() event {
-	top := q.h[0]
-	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = event{} // drop obj/pkt references for the GC
-	q.h = q.h[:n]
-	q.siftDown(0)
-	return top
-}
-
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
+func (h *minHeap[T]) pop(less func(a, b *T) bool) T {
+	s, n := *h, len(*h)-1
+	top := s[0]
+	s[0], s[n] = s[n], *new(T)
+	*h = s[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && less(&s[l], &s[m]) {
+			m = l
 		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
+		if r := 2*i + 2; r < n && less(&s[r], &s[m]) {
+			m = r
 		}
-		if smallest == i {
-			return
+		if m == i {
+			return top
 		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
+		s[i], s[m] = s[m], s[i]
+		i = m
 	}
 }
 

@@ -31,16 +31,12 @@ type hostRoute struct {
 // inline. Routes are installed straight into the table: disjoint host
 // routes and broader prefixes in the router-side state, and an IPv4
 // default here, so a leaf host needs no router-side state. The first
-// lookup after a change sorts the two lists in place — host routes by
-// first address, prefixes stably by descending length, so equal lengths
-// keep install order — and a lookup is a binary search for the host
-// route covering dst, a longest-prefix scan, then dflt.
+// lookup after a change (router.dirty) sorts the two lists in place —
+// host routes by first address, prefixes stably by descending length,
+// so equal lengths keep install order — and a lookup is a binary search
+// for the host route covering dst, a longest-prefix scan, then dflt.
 type fib struct {
-	dflt  *Link // the first IPv4 /0 installed; a later one could never win
-	dirty bool
-	// anycast counts the anycast group addresses at the tail of the
-	// node's addrs (AddAnycast); the rest are its own. In dirty's padding.
-	anycast uint32
+	dflt *Link // the first IPv4 /0 installed; a later one could never win
 }
 
 // AddRoute installs a static prefix route through the given link. A
@@ -54,11 +50,12 @@ func (n *Node) AddRoute(prefix netip.Prefix, l *Link) {
 	case a.Is4() && prefix.IsSingleIP():
 		r := n.router()
 		r.hosts = append(r.hosts, hostRoute{first: ipv4ToUint(a), n: 1, link: l})
+		r.dirty = true
 	default:
 		r := n.router()
 		r.prefixes = append(r.prefixes, route{prefix: prefix, link: l})
+		r.dirty = true
 	}
-	n.fib.dirty = true
 }
 
 // AddRangeRoute installs host routes for the n consecutive IPv4
@@ -89,7 +86,7 @@ func (n *Node) addHostRoute(first netip.Addr, count int, l *Link, links []*Link)
 	}
 	r := n.router()
 	r.hosts = append(r.hosts, hostRoute{first: v, n: uint32(count), link: l, links: links})
-	n.fib.dirty = true
+	r.dirty = true
 	return nil
 }
 
@@ -100,7 +97,6 @@ func (n *Node) ClearRoutes() {
 		r.prefixes = r.prefixes[:0]
 	}
 	n.fib.dflt = nil
-	n.fib.dirty = true
 }
 
 // sortFIB sorts both route lists in place and panics on overlapping host
@@ -115,7 +111,7 @@ func (n *Node) sortFIB() {
 				r.name, uintToIPv4(a.first), a.n, uintToIPv4(b.first), b.n))
 		}
 	}
-	n.fib.dirty = false
+	r.dirty = false
 }
 
 // lookupRoute returns the best route for dst, or nil: the host route
@@ -123,7 +119,7 @@ func (n *Node) sortFIB() {
 // node without router-side state has only the default.
 func (n *Node) lookupRoute(dst netip.Addr) *Link {
 	if r := n.rt; r != nil {
-		if n.fib.dirty {
+		if r.dirty {
 			n.sortFIB()
 		}
 		if len(r.hosts) > 0 && dst.Is4() {
@@ -167,13 +163,15 @@ type dijkstraScratch struct {
 	dist    []float64
 	first   []*Link
 	visited []bool
-	heap    []heapItem // binary heap of (dist, node id); stale entries skipped
+	heap    minHeap[heapItem] // (dist, node id); stale entries skipped
 }
 
 type heapItem struct {
 	dist float64
 	id   int
 }
+
+func nearer(a, b *heapItem) bool { return a.dist < b.dist }
 
 func (d *dijkstraScratch) reset(n int) {
 	if cap(d.dist) < n {
@@ -192,57 +190,21 @@ func (d *dijkstraScratch) reset(n int) {
 	d.heap = d.heap[:0]
 }
 
-func (d *dijkstraScratch) push(it heapItem) {
-	d.heap = append(d.heap, it)
-	i := len(d.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if d.heap[i].dist >= d.heap[p].dist {
-			break
-		}
-		d.heap[i], d.heap[p] = d.heap[p], d.heap[i]
-		i = p
-	}
-}
-
-func (d *dijkstraScratch) pop() heapItem {
-	top := d.heap[0]
-	n := len(d.heap) - 1
-	d.heap[0] = d.heap[n]
-	d.heap = d.heap[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && d.heap[l].dist < d.heap[m].dist {
-			m = l
-		}
-		if r < n && d.heap[r].dist < d.heap[m].dist {
-			m = r
-		}
-		if m == i {
-			return top
-		}
-		d.heap[i], d.heap[m] = d.heap[m], d.heap[i]
-		i = m
-	}
-}
-
 // runDijkstra fills scratch with shortest-path distances and first-hop
 // links from src.
 func (s *Simulator) runDijkstra(src *Node) *dijkstraScratch {
 	d := &s.dijkstra
 	d.reset(len(s.nodeList))
 	d.dist[src.id] = 0
-	d.push(heapItem{0, src.id})
+	d.heap.push(heapItem{0, src.id}, nearer)
 	for len(d.heap) > 0 {
-		it := d.pop()
+		it := d.heap.pop(nearer)
 		if d.visited[it.id] {
 			continue
 		}
 		d.visited[it.id] = true
 		cur := s.nodeList[it.id]
-		for _, l := range cur.links {
+		for _, l := range cur.linkList() {
 			dir := l.dir(cur)
 			if dir == nil {
 				continue
@@ -256,7 +218,7 @@ func (s *Simulator) runDijkstra(src *Node) *dijkstraScratch {
 				} else {
 					d.first[next.id] = d.first[cur.id]
 				}
-				d.push(heapItem{nd, next.id})
+				d.heap.push(heapItem{nd, next.id}, nearer)
 			}
 		}
 	}

@@ -101,7 +101,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 		firstDefault := map[*Node]*Link{}
 		for k := 0; k < 10; k++ {
 			nd := nodes[rng.Intn(n)]
-			if len(nd.links) == 0 {
+			if len(nd.linkList()) == 0 {
 				continue
 			}
 			bits := []int{0, 8, 10, 12, 16, 24}[rng.Intn(6)]
@@ -110,7 +110,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := nd.links[rng.Intn(len(nd.links))]
+			l := nd.linkList()[rng.Intn(len(nd.linkList()))]
 			if bits == 0 && firstDefault[nd] == nil {
 				firstDefault[nd] = l
 			}
@@ -123,7 +123,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			}
 		}
 		v6 := nodes[rng.Intn(n)]
-		v6.AddRoute(v6Default, v6.links[0])
+		v6.AddRoute(v6Default, v6.linkList()[0])
 		if _, prefixes := routes(v6); !slices.ContainsFunc(prefixes, func(r route) bool { return r.prefix == v6Default }) {
 			t.Fatalf("trial %d: node %s: ::/0 is not in the prefix list", trial, v6.Name())
 		}
@@ -138,7 +138,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 		}
 		for k := 0; k < 8; k++ {
 			nd := nodes[rng.Intn(n)]
-			if len(nd.links) == 0 {
+			if len(nd.linkList()) == 0 {
 				continue
 			}
 			base := netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(256)), byte(rng.Intn(250))})
@@ -150,13 +150,13 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			}
 			taken = append(taken, [2]uint64{lo, hi})
 			if rng.Intn(2) == 0 {
-				if err := nd.AddRangeRoute(base, count, nd.links[rng.Intn(len(nd.links))]); err != nil {
+				if err := nd.AddRangeRoute(base, count, nd.linkList()[rng.Intn(len(nd.linkList()))]); err != nil {
 					t.Fatal(err)
 				}
 			} else {
 				links := make([]*Link, count)
 				for i := range links {
-					links[i] = nd.links[rng.Intn(len(nd.links))]
+					links[i] = nd.linkList()[rng.Intn(len(nd.linkList()))]
 				}
 				if err := nd.AddBlockRoute(base, links); err != nil {
 					t.Fatal(err)
@@ -267,7 +267,7 @@ func refDijkstra(src *Node) map[*Node]float64 {
 			continue
 		}
 		visited[cur.n] = true
-		for _, l := range cur.n.links {
+		for _, l := range cur.n.linkList() {
 			d := l.dir(cur.n)
 			if d == nil {
 				continue
@@ -380,8 +380,8 @@ func TestNodeSize(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("size bound is for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got > 96 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 96", got)
+	if got := unsafe.Sizeof(Node{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d B, want <= 72", got)
 	}
 }
 

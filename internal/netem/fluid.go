@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -10,7 +11,8 @@ import (
 // background packet. A FluidFlow models an aggregate (the thousands of
 // intra-metro flows that are not being measured) as a piecewise-constant
 // bit rate on one link direction. Packet serialization on that direction
-// runs at the residual rate (see linkDir.startTransmission), so policing,
+// runs at the residual rate, which the flow writes into the direction's
+// rate at Start, at each tick and at its horizon (offer), so policing,
 // token buckets, and queues on the measured path see the load — while
 // the event count per simulated second is one rate-update tick per
 // interval instead of millions of packet events.
@@ -42,12 +44,15 @@ type FluidConfig struct {
 // FluidFlow is one attached background aggregate. Attach with
 // Simulator.AttachFluid, then Start it for a bounded duration.
 type FluidFlow struct {
-	d      *linkDir
-	node   *Node
-	cfg    FluidConfig
-	until  int64   // horizon, engine nanoseconds
-	rem    float64 // fractional byte carry between ticks
-	tickFn func()  // tick, bound once: each f.tick method value allocates
+	d    *linkDir
+	node *Node
+	cfg  FluidConfig
+	// line is d's configured rate; load the rate offered this interval,
+	// 0 before Start and after the horizon.
+	line, load float64
+	until      int64   // horizon, engine nanoseconds
+	rem        float64 // fractional byte carry between ticks
+	tickFn     func()  // tick, bound once: each f.tick method value allocates
 	// Bytes offered and ticks run, written by the shard owning d.
 	bytes, ticks uint64
 }
@@ -57,7 +62,9 @@ type FluidFlow struct {
 const fluidResidualFloor = 0.01
 
 // AttachFluid attaches a fluid background aggregate to the link
-// direction originating at from. The flow is inert until Start.
+// direction originating at from. The flow is inert until Start. A
+// direction carries at most one flow: one already attached there, started
+// or not, refuses the next.
 func (s *Simulator) AttachFluid(l *Link, from *Node, cfg FluidConfig) (*FluidFlow, error) {
 	d := l.dir(from)
 	if d == nil {
@@ -72,7 +79,7 @@ func (s *Simulator) AttachFluid(l *Link, from *Node, cfg FluidConfig) (*FluidFlo
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	if d.fluidBps > 0 {
+	if slices.ContainsFunc(s.fluids, func(g *FluidFlow) bool { return g.d == d }) {
 		return nil, fmt.Errorf("netem: link direction %s->%s already carries a fluid flow", from.Name(), d.to.Name())
 	}
 	// The first attach registers the families (get-or-create ignores the
@@ -83,7 +90,7 @@ func (s *Simulator) AttachFluid(l *Link, from *Node, cfg FluidConfig) (*FluidFlo
 	s.reg.CounterFunc("netem_fluid_ticks_total",
 		"Fluid flow rate-update ticks executed.",
 		func() uint64 { _, t := s.FluidTotals(); return t })
-	f := &FluidFlow{d: d, node: from, cfg: cfg}
+	f := &FluidFlow{d: d, node: from, cfg: cfg, line: d.rateBps}
 	f.tickFn = f.tick
 	s.fluids = append(s.fluids, f)
 	return f, nil
@@ -101,27 +108,37 @@ func (s *Simulator) FluidTotals() (bytes, ticks uint64) {
 // so Simulator.Run terminates with the rest of the workload.
 func (f *FluidFlow) Start(d time.Duration) {
 	f.until = f.node.NowNanos() + int64(d)
-	f.d.fluidBps = f.cfg.RateBps
+	f.offer(f.cfg.RateBps)
 	f.node.Schedule(f.cfg.Interval, f.tickFn)
+}
+
+// offer sets the flow's load and the rate d's packets serialize at: the
+// residual, floored so a saturating fluid can slow the measured path by
+// at most 100x rather than stall it. An unpaced line stays unpaced.
+func (f *FluidFlow) offer(load float64) {
+	f.load, f.d.rateBps = load, f.line
+	if f.line > 0 && load > 0 {
+		f.d.rateBps = max(f.line-load, f.line*fluidResidualFloor)
+	}
 }
 
 // tick accounts the bytes offered over the elapsed interval, then
 // re-draws the next interval's rate — or retires the flow at its
 // horizon. Runs on the shard owning the link direction.
 func (f *FluidFlow) tick() {
-	offered := f.d.fluidBps*f.cfg.Interval.Seconds()/8 + f.rem
+	offered := f.load*f.cfg.Interval.Seconds()/8 + f.rem
 	whole := uint64(offered)
 	f.rem = offered - float64(whole)
 	f.bytes += whole
 	f.ticks++
 	if f.node.NowNanos() >= f.until {
-		f.d.fluidBps = 0
+		f.offer(0)
 		return
 	}
 	rate := f.cfg.RateBps
 	if j := f.cfg.JitterFrac; j > 0 {
 		rate *= 1 + j*(2*f.node.Rand().Float64()-1)
 	}
-	f.d.fluidBps = rate
+	f.offer(rate)
 	f.node.Schedule(f.cfg.Interval, f.tickFn)
 }

@@ -91,19 +91,16 @@ type Link struct {
 	dirs [2]linkDir // [0] a->b, [1] b->a
 }
 
-// linkDir is one direction's egress state, 64 bytes: its config unpacked
+// linkDir is one direction's egress state, 56 bytes: its config unpacked
 // so busy shares queueLen's word. The shard of its from node owns it and
 // serializes there; only its arrival events cross into the to node's shard.
 type linkDir struct {
 	from, to *Node
 	queue    Queue // nil until SetQueue, or until a packet finds the line busy
 	delay    time.Duration
+	// rateBps is the rate packets serialize at: the configured rate, or
+	// while a FluidFlow offers load, the residual it leaves (fluid.go).
 	rateBps  float64
-	// fluidBps is the aggregate background load a FluidFlow currently
-	// offers on this direction (bits/s); startTransmission serializes
-	// packets at the residual rate, so policing and queueing see the
-	// load without per-packet events. See fluid.go.
-	fluidBps float64
 	queueLen int32
 	busy     bool
 }
@@ -133,8 +130,8 @@ func (s *Simulator) ConnectAsym(a, b *Node, ab, ba LinkConfig) *Link {
 // zero-valued and must outlive the simulator.
 func (s *Simulator) connectInto(l *Link, a, b *Node, ab, ba LinkConfig) *Link {
 	l.dirs = [2]linkDir{newDir(a, b, ab), newDir(b, a, ba)}
-	a.links = append(a.links, l)
-	b.links = append(b.links, l)
+	a.addLink(l)
+	b.addLink(l)
 	s.planDirty = true
 	return l
 }
@@ -244,14 +241,6 @@ func (d *linkDir) startTransmission(p *Packet) {
 	d.busy = true
 	serialize := time.Duration(0)
 	if rate := d.rateBps; rate > 0 {
-		if d.fluidBps > 0 {
-			// Fluid background load consumes capacity: packets serialize at
-			// the residual rate, floored so a saturating fluid can slow the
-			// measured path by at most 100x rather than stall it.
-			if rate -= d.fluidBps; rate < d.rateBps*fluidResidualFloor {
-				rate = d.rateBps * fluidResidualFloor
-			}
-		}
 		sec := float64(len(p.Pkt)*8) / rate
 		serialize = time.Duration(math.Round(sec * float64(time.Second)))
 	}

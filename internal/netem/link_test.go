@@ -167,7 +167,7 @@ func TestLinkSize(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skip("size bound is for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Link{}); got > 128 {
-		t.Errorf("unsafe.Sizeof(Link{}) = %d B, want <= 128", got)
+	if got := unsafe.Sizeof(Link{}); got > 112 {
+		t.Errorf("unsafe.Sizeof(Link{}) = %d B, want <= 112", got)
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"net/netip"
 	"slices"
 	"time"
+	"unsafe"
 
 	"netneutral/internal/obs"
 	"netneutral/internal/wire"
@@ -272,15 +273,17 @@ func (s *Simulator) Run() { s.runLimit(noLimit) }
 func (s *Simulator) RunFor(d time.Duration) { s.runLimit(s.now() + int64(d)) }
 
 // Node is a host or router in the emulated network. What a leaf host
-// reads — its addresses, its one link, its default route, its handler —
-// is inline, in 96 bytes (TestNodeSize). A name, route tables and hooks
-// are router-side state behind rt, which AddNode sets and which stays
-// nil on an AddHostBlock host (TestHostsHoldNoRouterState).
+// reads — its one address, its one link, its default route, its handler —
+// is inline, in 72 bytes (TestNodeSize). Every list — addresses, links,
+// route tables, hooks — and a name are router-side state behind rt,
+// which AddNode sets and which stays nil on an AddHostBlock host until it
+// needs a second address or link (TestHostsHoldNoRouterState,
+// TestHostBecomesRouter).
 type Node struct {
 	sh      *shard
 	id      int
-	addrs   []netip.Addr
-	links   []*Link
+	addr    netip.Addr // a leaf host's address; rt.addrs once rt is set
+	uplink  *Link      // a leaf host's link; rt.links once rt is set
 	fib     fib
 	handler Handler
 	rt      *router
@@ -289,17 +292,55 @@ type Node struct {
 // router is the state only a named node or a router carries.
 type router struct {
 	name     string
+	addrs    []netip.Addr // own addresses, then the anycast groups served
+	links    []*Link
 	hosts    []hostRoute
 	prefixes []route
 	hooks    []TransitHook
+	// anycast counts the group addresses at the tail of addrs
+	// (AddAnycast); dirty marks hosts and prefixes unsorted.
+	anycast uint32
+	dirty   bool
 }
 
-// router returns n's router-side state, making it on first use.
+// router returns n's router-side state, making it on first use: a leaf
+// host's inline address and link move into its lists.
 func (n *Node) router() *router {
 	if n.rt == nil {
-		n.rt = new(router)
+		n.rt = &router{addrs: slices.Clone(n.addrList()), links: slices.Clone(n.linkList())}
+		n.addr, n.uplink = netip.Addr{}, nil
 	}
 	return n.rt
+}
+
+// addrList is every address n serves, its own then the anycast groups
+// it is a member of; linkList is its links. A leaf host's lists are
+// one-element views of its inline fields, made without allocating.
+func (n *Node) addrList() []netip.Addr {
+	if n.rt != nil {
+		return n.rt.addrs
+	}
+	return unsafe.Slice(&n.addr, 1) // AddHostBlock gave it one
+}
+
+func (n *Node) linkList() []*Link {
+	if n.rt != nil {
+		return n.rt.links
+	}
+	if n.uplink == nil {
+		return nil
+	}
+	return unsafe.Slice(&n.uplink, 1)
+}
+
+// addLink appends l to n's links, inline while it is a leaf host's only one.
+func (n *Node) addLink(l *Link) {
+	if n.rt == nil && n.uplink == nil {
+		n.uplink = l
+		return
+	}
+	r := n.router()
+	r.links = append(r.links, l)
 }
 
 // Name is the node's unique name; "" for an AddHostBlock host.
@@ -324,7 +365,7 @@ func (s *Simulator) AddNode(name string, addrs ...netip.Addr) (*Node, error) {
 	}
 	for _, a := range addrs {
 		s.byAddr[a] = n
-		n.addrs = append(n.addrs, a)
+		n.rt.addrs = append(n.rt.addrs, a)
 	}
 	s.nodes[name] = n
 	s.nodeList = append(s.nodeList, n)
@@ -351,12 +392,12 @@ type addrBlock struct {
 }
 
 // AddHostBlock creates n leaf hosts owning the consecutive IPv4
-// addresses [first, first+n), slab-allocated: one Node array, one address
-// array, shared capacity for each host's one link, and one block entry in
-// the address index instead of n map entries. The hosts carry no
-// router-side state, so with BuildFanout's link slab a host costs under
-// 320 bytes (TestHostFootprint): the plan that fits a million hosts in
-// about 300 MB. The hosts are anonymous (Name "", not resolvable via
+// addresses [first, first+n), slab-allocated: one Node array holding each
+// host's address and its one link inline, and one block entry in the
+// address index instead of n map entries. The hosts carry no router-side
+// state, so with BuildFanout's link slab a host costs under 216 bytes
+// (TestHostFootprint): the plan that fits a million hosts in about
+// 210 MB. The hosts are anonymous (Name "", not resolvable via
 // Simulator.Node); hold the returned slice.
 // They start on shard 0; assign shards with Node.SetShard as usual.
 //
@@ -386,20 +427,12 @@ func (s *Simulator) AddHostBlock(first netip.Addr, n int) ([]*Node, error) {
 		}
 	}
 	slab := make([]Node, n)
-	addrSlab := make([]netip.Addr, n)
-	linkSlab := make([]*Link, n)
 	nodes := make([]*Node, n)
 	id := len(s.nodeList)
 	s.nodeList = append(s.nodeList, nodes...) // reserve; filled below
 	for i := range slab {
 		nd := &slab[i]
-		addrSlab[i] = uintToIPv4(v + uint32(i))
-		*nd = Node{
-			sh:    s.shards[0],
-			id:    id + i,
-			addrs: addrSlab[i : i+1 : i+1],
-			links: linkSlab[i : i : i+1], // full-slice cap: its one link appends into the slab
-		}
+		*nd = Node{sh: s.shards[0], id: id + i, addr: uintToIPv4(v + uint32(i))}
 		nodes[i] = nd
 		s.nodeList[id+i] = nd
 	}
@@ -414,8 +447,9 @@ func (s *Simulator) AddHostBlock(first netip.Addr, n int) ([]*Node, error) {
 func (s *Simulator) AddAnycast(addr netip.Addr, members ...*Node) {
 	for _, m := range members {
 		if !slices.Contains(m.anycastAddrs(), addr) {
-			m.addrs = append(m.addrs, addr)
-			m.fib.anycast++
+			r := m.router()
+			r.addrs = append(r.addrs, addr)
+			r.anycast++
 		}
 	}
 }
@@ -423,11 +457,15 @@ func (s *Simulator) AddAnycast(addr netip.Addr, members ...*Node) {
 // ownAddrs is the node's own addresses; anycastAddrs the anycast groups
 // it serves, which AddAnycast appended behind them.
 func (n *Node) ownAddrs() []netip.Addr {
-	return n.addrs[:len(n.addrs)-int(n.fib.anycast)]
+	all := n.addrList()
+	return all[:len(all)-len(n.anycastAddrs())]
 }
 
 func (n *Node) anycastAddrs() []netip.Addr {
-	return n.addrs[len(n.addrs)-int(n.fib.anycast):]
+	if n.rt == nil {
+		return nil
+	}
+	return n.rt.addrs[len(n.rt.addrs)-int(n.rt.anycast):]
 }
 
 // Addr returns the node's first address (its canonical identity), or the
@@ -448,7 +486,8 @@ func (n *Node) AddAddr(a netip.Addr) error {
 		return fmt.Errorf("%w: %v", ErrAddrInUse, a)
 	}
 	n.sh.sim.byAddr[a] = n
-	n.addrs = slices.Insert(n.addrs, len(n.ownAddrs()), a)
+	r := n.router()
+	r.addrs = slices.Insert(r.addrs, len(n.ownAddrs()), a)
 	return nil
 }
 
@@ -458,7 +497,8 @@ func (n *Node) RemoveAddr(a netip.Addr) {
 		delete(n.sh.sim.byAddr, a)
 	}
 	if i := slices.Index(n.ownAddrs(), a); i >= 0 {
-		n.addrs = slices.Delete(n.addrs, i, i+1)
+		r := n.router()
+		r.addrs = slices.Delete(r.addrs, i, i+1)
 	}
 }
 
@@ -568,10 +608,10 @@ func (n *Node) dispatchAfterPolicy(p *Packet) error {
 // route delivers p locally or forwards it toward dst. origin marks
 // packets originated by this node, which are not TTL-decremented and do
 // not count as forwarding. A node serves its own addresses and the anycast
-// groups it is a member of, all of them in addrs: a hop decides from its
-// own fields.
+// groups it is a member of, all of them in addrList: a hop decides from
+// its own fields.
 func (n *Node) route(p *Packet, dst netip.Addr, origin bool) error {
-	if slices.Contains(n.addrs, dst) {
+	if slices.Contains(n.addrList(), dst) {
 		n.deliver(p)
 		return nil
 	}

@@ -318,8 +318,8 @@ func TestAnycastAddrsFollowOwn(t *testing.T) {
 	}
 	m.RemoveAddr(g1)
 	want := []netip.Addr{addr("10.0.0.1"), addr("10.0.0.2"), g1, g2}
-	if !slices.Equal(m.addrs, want) || m.Addr() != want[0] || !slices.Contains(m.ownAddrs(), want[1]) || slices.Contains(m.ownAddrs(), g1) {
-		t.Errorf("member addrs = %v (Addr %v), want %v with the last two not its own", m.addrs, m.Addr(), want)
+	if !slices.Equal(m.addrList(), want) || m.Addr() != want[0] || !slices.Contains(m.ownAddrs(), want[1]) || slices.Contains(m.ownAddrs(), g1) {
+		t.Errorf("member addrs = %v (Addr %v), want %v with the last two not its own", m.addrList(), m.Addr(), want)
 	}
 }
 

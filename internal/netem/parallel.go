@@ -47,7 +47,7 @@ func (s *Simulator) refreshPlan() {
 		if n.sh.id != 0 {
 			s.multi = true
 		}
-		for _, l := range n.links {
+		for _, l := range n.linkList() {
 			if n != l.dirs[0].from {
 				continue // visit each link once
 			}

@@ -243,12 +243,12 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		if sh := edgeShard(e); sh != 0 {
 			edge.SetShard(sh)
 		}
+		lo, hi := e*spec.HostsPerEdge, min((e+1)*spec.HostsPerEdge, spec.Hosts)
+		edge.rt.links = make([]*Link, 0, 1+hi-lo) // the border's link, then each host's
 		down := sim.Connect(border, edge, defaultLink(spec.EdgeLink))
 		edge.AddRoute(defaultRoute, down)
 		f.Edges = append(f.Edges, edge)
 		f.EdgeLinks = append(f.EdgeLinks, down)
-		lo, hi := e*spec.HostsPerEdge, min((e+1)*spec.HostsPerEdge, spec.Hosts)
-		hostLinks := make([]*Link, hi-lo)
 		for i := lo; i < hi; i++ {
 			host := f.Hosts[i]
 			hl := sim.connectInto(&linkSlab[i], edge, host, hostCfg, hostCfg)
@@ -256,9 +256,9 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 				host.SetShard(sh)
 			}
 			host.AddRoute(defaultRoute, hl)
-			hostLinks[i-lo] = hl
 		}
-		if err := edge.AddBlockRoute(f.HostAddr(lo), hostLinks); err != nil {
+		// The block route reads the host links in place, in address order.
+		if err := edge.AddBlockRoute(f.HostAddr(lo), edge.rt.links[1:]); err != nil {
 			return nil, err
 		}
 		if err := border.AddRangeRoute(f.HostAddr(lo), hi-lo, down); err != nil {

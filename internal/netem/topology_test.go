@@ -1,9 +1,13 @@
 package netem
 
 import (
+	"net/netip"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"netneutral/internal/wire"
 )
 
 // routeCount is the node's installed route entries: prefix plus host
@@ -73,16 +77,18 @@ func TestBuildFanoutRouting(t *testing.T) {
 		t.Errorf("edge0 has %d routes, want 2 (host block + default)", n)
 	}
 	// A host's one route is its default, held in the FIB's own field.
-	if h := f.Hosts[42]; routeCount(h) != 1 || h.fib.dflt != h.links[0] || h.rt != nil {
+	if h := f.Hosts[42]; routeCount(h) != 1 || h.fib.dflt != h.uplink || h.rt != nil {
 		t.Errorf("host42 has %d routes (router-side state %v), want 1: the default up its one link",
 			routeCount(h), h.rt != nil)
 	}
 }
 
 // TestHostFootprint holds the million-host memory plan: everything
-// BuildFanout adds per customer host — its Node, address, link with both
-// directions inline, and its slots in the edge's block route and the
-// simulator's node list — stays within 400 bytes of live heap.
+// BuildFanout adds per customer host — its Node with its address and link
+// pointer inline, its link with both directions inline, and its slots in
+// the edge's link list (which the block route reads in place), the
+// simulator's node list and the host slice — stays within 216 bytes of
+// live heap.
 func TestHostFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation sizes")
@@ -101,8 +107,8 @@ func TestHostFootprint(t *testing.T) {
 	perHost := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / hosts
 	runtime.KeepAlive(f)
 	t.Logf("fanout of %d hosts: %.1f B/host", hosts, perHost)
-	if perHost > 320 {
-		t.Errorf("a fanout host costs %.1f B of heap, want <= 320", perHost)
+	if perHost > 216 {
+		t.Errorf("a fanout host costs %.1f B of heap, want <= 216", perHost)
 	}
 }
 
@@ -201,5 +207,93 @@ func TestBuildFanoutScales(t *testing.T) {
 	s.Run()
 	if delivered.Total() != 1 {
 		t.Fatal("last host unreachable")
+	}
+}
+
+// TestHostBecomesRouter: a slab host keeps its one address and link
+// inline, read through one-element views of those fields; the first call
+// that needs a second address or link moves both into router-side state.
+// Each step below grows the host by one list entry, and after each its
+// addresses, its links and delivery to it answer as a node built with
+// them would — before and after a BuildRoutes.
+func TestHostBecomesRouter(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	f, err := BuildFanout(s, FanoutSpec{Hosts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, own, up := f.Hosts[2], f.HostAddr(2), f.Hosts[2].uplink
+	if h.rt != nil || up == nil || &h.addrList()[0] != &h.addr || &h.linkList()[0] != &h.uplink {
+		t.Fatal("a slab host's lists do not view its inline address and link")
+	}
+	var got []netip.Addr
+	h.SetHandler(func(_ time.Time, pkt []byte) {
+		_, dst, _ := wire.IPv4Addrs(pkt)
+		got = append(got, dst)
+	})
+	side := s.MustAddNode("side", "", addr("10.9.0.1"))
+	var sideLink *Link
+	extra, group := addr("10.9.0.2"), addr("10.9.0.3")
+	// reaches sends one packet from each source to each destination and
+	// wants every one delivered to h.
+	reaches := func(step string, dsts []netip.Addr, srcs ...*Node) {
+		t.Helper()
+		got = got[:0]
+		for _, src := range srcs {
+			for _, dst := range dsts {
+				if err := src.Send(mkUDP(t, src.Addr(), dst, nil)); err != nil {
+					t.Fatalf("%s: %s -> %v: %v", step, src.Name(), dst, err)
+				}
+			}
+		}
+		s.Run()
+		if len(got) != len(srcs)*len(dsts) {
+			t.Fatalf("%s: delivered %v, want %v from each of %d sources", step, got, dsts, len(srcs))
+		}
+	}
+	reaches("slab host", []netip.Addr{own}, f.Outside[0], h)
+
+	for _, step := range []struct {
+		name        string
+		do          func()
+		own, served []netip.Addr
+	}{
+		{"second link", func() { sideLink = s.Connect(h, side, LinkConfig{Delay: time.Millisecond}) },
+			[]netip.Addr{own}, []netip.Addr{own}},
+		{"AddAddr", func() {
+			if err := h.AddAddr(extra); err != nil {
+				t.Fatal(err)
+			}
+		}, []netip.Addr{own, extra}, []netip.Addr{own, extra}},
+		{"AddAnycast", func() { s.AddAnycast(group, h) },
+			[]netip.Addr{own, extra}, []netip.Addr{own, extra, group}},
+	} {
+		step.do()
+		if h.rt == nil || h.addr.IsValid() || h.uplink != nil {
+			t.Fatalf("%s: address and link not moved into router-side state (rt %v, addr %v, uplink %v)",
+				step.name, h.rt != nil, h.addr, h.uplink)
+		}
+		if !slices.Equal(h.linkList(), []*Link{up, sideLink}) || h.fib.dflt != up {
+			t.Fatalf("%s: links %v (default %v), want [uplink side] with the default up", step.name, h.linkList(), h.fib.dflt)
+		}
+		if h.Addr() != own || !slices.Equal(h.ownAddrs(), step.own) || !slices.Equal(h.addrList(), step.served) {
+			t.Fatalf("%s: Addr %v, own %v, served %v; want %v, %v, %v",
+				step.name, h.Addr(), h.ownAddrs(), h.addrList(), own, step.own, step.served)
+		}
+		// The fan-out's routes still reach its own address, and the host
+		// delivers every address it serves to itself.
+		reaches(step.name, []netip.Addr{own}, f.Outside[0])
+		reaches(step.name, step.served, h)
+	}
+	s.BuildRoutes()
+	reaches("BuildRoutes", []netip.Addr{own, extra, group}, f.Outside[0], side, f.Hosts[0])
+	var out int
+	f.Outside[0].SetHandler(func(time.Time, []byte) { out++ })
+	if err := h.Send(mkUDP(t, own, f.OutsideAddr(0), nil)); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if out != 1 {
+		t.Errorf("after BuildRoutes the host's packet up its default reached outside %d times, want 1", out)
 	}
 }
