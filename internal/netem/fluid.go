@@ -105,9 +105,12 @@ func (s *Simulator) FluidTotals() (bytes, ticks uint64) {
 
 // Start offers load for duration d of virtual time, beginning now. The
 // flow stops offering load (and stops scheduling ticks) at the horizon,
-// so Simulator.Run terminates with the rest of the workload.
+// so Simulator.Run terminates with the rest of the workload. A Start on
+// a flow still offering load only moves its horizon to now + d.
 func (f *FluidFlow) Start(d time.Duration) {
-	f.until = f.node.NowNanos() + int64(d)
+	if f.until = f.node.NowNanos() + int64(d); f.load > 0 {
+		return // its tick chain runs on to the new horizon
+	}
 	f.offer(f.cfg.RateBps)
 	f.node.Schedule(f.cfg.Interval, f.tickFn)
 }

@@ -106,3 +106,27 @@ func TestAttachFluidOnePerDirection(t *testing.T) {
 		t.Errorf("fluid bytes %d after 1 s at 4 Mbps, want %d", bytes, int(4e6/8))
 	}
 }
+
+// TestFluidRestartMovesHorizon: a Start while the flow still offers load
+// moves its horizon to now + d and starts no second tick chain, so 1.5 s
+// of load at 4 Mbps on 100 ms ticks is 15 ticks and 750 000 B.
+func TestFluidRestartMovesHorizon(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	a := s.MustAddNode("a", "", addr("10.0.0.1"))
+	b := s.MustAddNode("b", "", addr("10.0.0.2"))
+	l := s.Connect(a, b, LinkConfig{RateBps: 10e6})
+	fl, err := s.AttachFluid(l, a, FluidConfig{RateBps: 4e6, Interval: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.Start(time.Second)
+	s.RunFor(500 * time.Millisecond)
+	fl.Start(time.Second)
+	s.Run()
+	if bytes, ticks := s.FluidTotals(); bytes != 750_000 || ticks != 15 {
+		t.Errorf("restarted at 500 ms: %d B in %d ticks, want 750000 B in 15", bytes, ticks)
+	}
+	if got := s.Now().Sub(simStart); got != 1500*time.Millisecond {
+		t.Errorf("last tick at +%v, want +1.5s", got)
+	}
+}

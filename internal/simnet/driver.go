@@ -12,7 +12,7 @@
 // registered with Go and synchronize on conns created by ListenUDP /
 // ListenStream / DialStream. Run drives the whole system: it
 // repeatedly (1) hands the CPU to exactly one runnable blocked goroutine
-// at a time and waits for the process to go quiescent again, then (2)
+// at a time and waits for the process to go idle again, then (2)
 // steps the simulator one event at a time until something is runnable.
 // There is one queue: a read deadline or a Sleep is an event on the
 // simulator's own, ordered by (time, seq) with the packets, and a Net's
@@ -26,23 +26,44 @@
 // driver's serialization meaningful: all cross-goroutine ordering must
 // flow through sim-backed conns, virtual-time Sleep/deadlines, or plain
 // (unbuffered or ordered) channel handoffs that resolve within one wake.
-// Goroutines woken by the driver run to quiescence one at a time, so two
-// goroutines never race to inject packets unless application code itself
-// wakes a second injector mid-cascade and keeps both running — avoid
-// that shape (standard request/response protocols, including net/http's
-// background read/write loops, are fine).
+// The driver wakes goroutines one at a time and lets each run until the
+// process is idle, so two goroutines never race to inject packets unless
+// application code itself wakes a second injector mid-cascade and keeps
+// both running — avoid that shape (standard request/response protocols,
+// including net/http's background read/write loops, are fine).
 //
-// The driver detects quiescence by parsing runtime.Stack: a goroutine
-// blocked in channel receive, select, or mutex wait is idle; anything
-// running, runnable, or in a syscall is still working. This is the only
-// portable signal that covers foreign goroutines (net/http internals)
-// that the package never sees directly. A cooperative hand-off (count
-// the goroutines inside simnet calls, step the simulator once all of
-// them are parked) cannot replace it on go1.24: a Read that returns to
-// net/http's readLoop wakes the RoundTrip goroutine over a channel, and
-// the server's connReader parks on a sync.Cond. Work the package
-// started is then running on goroutines that no count it keeps ever
-// saw enter or leave, and the simulator would step under them.
+// # Idle
+//
+// The driver reads "idle" off a runtime.Stack dump of every goroutine,
+// taken with its lock released: a goroutine waiting for the lock is then
+// woken and reads runnable. A goroutine is idle only in a state another
+// goroutine must end — a channel operation or select; a sync.Cond,
+// Mutex, RWMutex or WaitGroup wait; a semacquire on an fd lock (first
+// frame in internal/poll); the runtime's background parks — or in IO
+// wait or sleep, which wait on real time and lie outside the contract.
+// Every other state is busy: running, runnable, syscall, preempted, the
+// collector's waits, any state a later Go adds. A misread therefore
+// stalls a run rather than stepping under a goroutine about to act. A
+// goroutine in a real syscall, anywhere in the process, holds a run up
+// until it returns. The dump is the one signal that covers goroutines
+// the package never sees: a Read that returns to net/http's readLoop
+// wakes the RoundTrip goroutine over a channel, and the server's
+// connReader parks on a sync.Cond.
+//
+// # Wall-clock timers
+//
+// A wall-clock timer or sleep reads idle and ends at a host-dependent
+// virtual instant, so none may fire inside a Run. Of net/http's, E10 and
+// this package's HTTP tests leave every knob zero: the Transport's
+// ResponseHeaderTimeout, ExpectContinueTimeout, IdleConnTimeout and
+// TLSHandshakeTimeout, Client.Timeout, the Server's read, write and idle
+// timeouts (a deadline from time.Now would anyway lie decades past the
+// simulator's clock); no Shutdown polls. Two it arms unasked stay
+// unarmed: the Transport's 50 ms wait for a write result before reusing
+// a keep-alive conn, since the response cannot be read before the write
+// loop posts its result and goes idle; and the Server's 500 ms
+// closeWriteAndWait sleep, taken only on its 431, unsupported
+// transfer-encoding and request-body-limit paths, never by a plain GET.
 package simnet
 
 import (
@@ -50,7 +71,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"netneutral/internal/netem"
@@ -63,15 +83,11 @@ import (
 type Net struct {
 	sim *netem.Simulator
 
-	// mu serializes every conn operation and the driver itself.
-	// entering counts goroutines that have committed to acquiring mu but
-	// may not yet be visible as runnable in a stack dump; the driver
-	// treats entering != 0 as "not quiescent".
-	mu       sync.Mutex
-	entering atomic.Int64
+	mu sync.Mutex // serializes every conn operation and the driver itself
 
 	readyQ []*waiter // woken waiters awaiting their serialized dispatch
 	conds  []condWaiter
+	parked int // goroutines inside waitq.park
 
 	gos     int  // registered workload goroutines still live
 	running bool // a Run call is in progress
@@ -100,15 +116,6 @@ type condWaiter struct {
 // operation will panic via netem's guard if sim is sharded.
 func New(sim *netem.Simulator) *Net {
 	return &Net{sim: sim, binds: make(map[*netem.Node]*nodeBind)}
-}
-
-// lock acquires mu from a workload goroutine, flagging the acquisition
-// so the driver's quiescence check cannot miss a goroutine that is
-// between "decided to act" and "visible in the stack dump".
-func (n *Net) lock() {
-	n.entering.Add(1)
-	n.mu.Lock()
-	n.entering.Add(-1)
 }
 
 func newWaiter() *waiter { return &waiter{ch: make(chan struct{}, 1)} }
@@ -140,9 +147,7 @@ func (n *Net) wake(w *waiter) {
 func (n *Net) await(w *waiter) {
 	n.mu.Unlock()
 	<-w.ch
-	n.entering.Add(1)
 	n.mu.Lock()
-	n.entering.Add(-1)
 }
 
 // waitq is the goroutines parked on one condition — a conn's readers, a
@@ -177,7 +182,9 @@ func (q *waitq) park(w *waiter) {
 		})
 	}
 	q.ws = append(q.ws, w)
+	q.n.parked++
 	q.n.await(w)
+	q.n.parked--
 	for i, r := range q.ws { // still listed when the wake was the deadline's
 		if r == w {
 			q.ws = append(q.ws[:i], q.ws[i+1:]...)
@@ -203,15 +210,13 @@ func (q *waitq) wakeAll() {
 	q.ws = nil
 }
 
-func (q *waitq) parked() int { return len(q.ws) }
-
 // SetReadDeadline implements net.Conn in virtual time. Every parked
 // reader wakes to re-evaluate against the new deadline (re-parking under
 // a fresh timer if it has not passed), so one in the virtual past,
 // net/http's "aLongTimeAgo" included, fails pending reads at once with
 // os.ErrDeadlineExceeded.
 func (q *waitq) SetReadDeadline(t time.Time) error {
-	q.n.lock()
+	q.n.mu.Lock()
 	defer q.n.mu.Unlock()
 	q.deadline = t
 	q.wakeAll()
@@ -230,7 +235,7 @@ func (q *waitq) SetWriteDeadline(time.Time) error { return nil }
 // order, which pins the initial packet-injection order regardless of OS
 // scheduling. Run returns once every registered goroutine has finished.
 func (n *Net) Go(fn func()) {
-	n.lock()
+	n.mu.Lock()
 	n.gos++
 	w := newWaiter()
 	w.parked = true
@@ -239,7 +244,7 @@ func (n *Net) Go(fn func()) {
 	n.mu.Unlock()
 	go func() {
 		defer func() {
-			n.lock()
+			n.mu.Lock()
 			n.gos--
 			n.mu.Unlock()
 		}()
@@ -255,7 +260,7 @@ func (n *Net) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	n.lock()
+	n.mu.Lock()
 	q := waitq{n: n, deadline: n.sim.Now().Add(d)}
 	q.park(newWaiter())
 	n.mu.Unlock()
@@ -264,7 +269,7 @@ func (n *Net) Sleep(d time.Duration) {
 // Now returns the current virtual time. Safe from any goroutine; while a
 // workload goroutine runs, virtual time is frozen, so the value is exact.
 func (n *Net) Now() time.Time {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.sim.Now()
 }
@@ -275,7 +280,7 @@ func (n *Net) Now() time.Time {
 // handlers — without racing the driver. fn must not block on a simnet
 // conn (that would self-deadlock); inject packets, read state, return.
 func (n *Net) Locked(fn func()) {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	fn()
 }
@@ -284,7 +289,7 @@ func (n *Net) Locked(fn func()) {
 // driver's lock held, after every simulator step — use it to wait for
 // state changed by delivery handlers or other goroutines.
 func (n *Net) Wait(pred func() bool) {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	q, w := waitq{n: n}, newWaiter()
 	for !pred() {
@@ -300,13 +305,14 @@ func (n *Net) Wait(pred func() bool) {
 // be parked on conns when Run returns; closing their conns and
 // listeners afterwards unblocks them.
 func (n *Net) Run() error {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.running {
 		panic("simnet: Net.Run reentered")
 	}
 	n.running = true
 	defer func() { n.running = false }()
+	n.waitIdle() // goroutines started before Run, a server's accept loop say
 	for {
 		n.settle()
 		n.checkConds()
@@ -322,48 +328,35 @@ func (n *Net) Run() error {
 	}
 }
 
-// settle dispatches woken waiters one at a time, waiting for full
-// process quiescence between dispatches, and returns only when nothing
-// is runnable anywhere. Called with mu held; releases and reacquires it
-// while polling.
+// settle hands the CPU to the woken waiters one at a time, oldest
+// first, and after each waits until the process is idle. Called with mu
+// held, and with the process idle.
 func (n *Net) settle() {
-	spins := 0
-	for {
-		if n.entering.Load() != 0 {
-			n.relax(&spins)
-			continue
-		}
-		if len(n.readyQ) > 0 {
-			w := n.readyQ[0]
-			copy(n.readyQ, n.readyQ[1:])
-			n.readyQ = n.readyQ[:len(n.readyQ)-1]
-			w.queued = false
-			w.ch <- struct{}{}
-			n.relax(&spins)
-			continue
-		}
-		if !n.othersIdle() {
-			n.relax(&spins)
-			continue
-		}
-		// Idle per the stack dump — but a goroutine may have slipped into
-		// the entering window or the readyQ between the dump and now.
-		if n.entering.Load() != 0 || len(n.readyQ) > 0 {
-			continue
-		}
-		return
+	for len(n.readyQ) > 0 {
+		w := n.readyQ[0]
+		n.readyQ = n.readyQ[1:]
+		w.queued = false
+		w.ch <- struct{}{}
+		// A yield lets w take mu first; relocking then waits out its
+		// critical section instead of dumping while it runs.
+		n.mu.Unlock()
+		runtime.Gosched()
+		n.mu.Lock()
+		n.waitIdle()
 	}
 }
 
-// relax yields the lock so woken or entering goroutines can run, with an
-// occasional real sleep to avoid burning a core against the scheduler.
-func (n *Net) relax(spins *int) {
-	*spins++
+// waitIdle returns once a dump finds every other goroutine idle. Called
+// with mu held; it releases mu while it waits.
+func (n *Net) waitIdle() {
 	n.mu.Unlock()
-	if *spins%512 == 0 {
-		time.Sleep(20 * time.Microsecond)
-	} else {
-		runtime.Gosched()
+	for spins := 1; !n.othersIdle(); spins++ {
+		// Each dump stops the world. On a loaded host one Gosched between
+		// dumps once let a runnable goroutine wait through hundreds of
+		// them, so the driver yields more often the longer it waits.
+		for i := 0; i < min(spins, 16); i++ {
+			runtime.Gosched()
+		}
 	}
 	n.mu.Lock()
 }
@@ -396,18 +389,13 @@ func (n *Net) checkConds() {
 }
 
 func (n *Net) deadlockError() error {
-	parkedReaders := 0
-	for _, b := range n.binds {
-		parkedReaders += b.parkedWaiters()
-	}
-	return fmt.Errorf("simnet: deadlock: %d goroutines live, %d conn waiters parked, %d cond waiters, no events pending (sim now %s)",
-		n.gos, parkedReaders, len(n.conds), n.sim.Now().Format(time.RFC3339Nano))
+	return fmt.Errorf("simnet: deadlock: %d goroutines live, %d parked (%d in Wait), no events pending (sim now %s)",
+		n.gos, n.parked, len(n.conds), n.sim.Now().Format(time.RFC3339Nano))
 }
 
-// othersIdle reports whether every goroutine in the process except the
-// caller is blocked (chan receive, select, IO wait, ...). Called with mu
-// held. The first record in a runtime.Stack dump is always the calling
-// goroutine, so exactly one "running" record is expected.
+// othersIdle reports whether a runtime.Stack dump finds every
+// goroutine but the caller idle. Called with mu released. The first
+// record is the caller's own, "running".
 func (n *Net) othersIdle() bool {
 	var dump []byte
 	for sz := 256 << 10; ; sz *= 2 {
@@ -424,16 +412,14 @@ func (n *Net) othersIdle() bool {
 	return countBusy(dump) <= 1
 }
 
-var goroutineHdr, runtimeFrame = []byte("goroutine "), []byte("runtime.")
+var goroutineHdr, pollFrame = []byte("goroutine "), []byte("internal/poll.")
 
-// countBusy counts goroutine records in a runtime.Stack dump whose state
-// is running, runnable, or syscall — or one the collector put the
-// goroutine in and will take it out of unasked: an allocation made while
-// a GC cycle marks can stop its goroutine as "GC assist marking", "GC
-// assist wait" or "preempted", a stack being scanned reads
-// "runnable (scan)", and a "semacquire" whose first frame is in package
-// runtime waits on the world semaphore. States like "chan receive", "select",
-// "sync.Mutex.Lock", "IO wait", and "sleep" are blocked.
+// countBusy counts the goroutine records in a runtime.Stack dump that
+// are not idle. A record is idle only in a state another goroutine must
+// end, or one on real time (IO wait, sleep); a semacquire is idle only
+// on an fd lock, its first frame in internal/poll. Any other state is
+// busy, a semacquire whose elided runtime frames wait for a GC cycle
+// included.
 func countBusy(dump []byte) int {
 	busy := 0
 	for len(dump) > 0 {
@@ -446,25 +432,26 @@ func countBusy(dump []byte) int {
 		} else {
 			line, dump = dump[:nl], dump[nl+1:]
 		}
-		if bytes.HasPrefix(line, goroutineHdr) {
-			if lb := bytes.IndexByte(line, '['); lb >= 0 {
-				state := line[lb+1:]
-				if end := bytes.IndexAny(state, ",]"); end >= 0 {
-					state = state[:end]
-				}
-				switch string(bytes.TrimSuffix(state, []byte(" (scan)"))) {
-				case "running", "runnable", "syscall", "GC assist marking", "GC assist wait", "preempted":
-					busy++
-				case "semacquire":
-					// A semaphore of the runtime's own — the world
-					// semaphore behind ReadMemStats or a GC start — is
-					// released unasked, so its waiter is about to run;
-					// internal/poll's fd locks wait on other goroutines.
-					if bytes.HasPrefix(dump, runtimeFrame) {
-						busy++
-					}
-				}
+		lb := bytes.IndexByte(line, '[')
+		if !bytes.HasPrefix(line, goroutineHdr) || lb < 0 {
+			continue
+		}
+		state := line[lb+1:]
+		if end := bytes.IndexAny(state, ",]"); end >= 0 {
+			state = state[:end]
+		}
+		switch string(bytes.TrimSuffix(state, []byte(" (scan)"))) {
+		case "chan receive", "chan send", "select",
+			"chan receive (nil chan)", "chan send (nil chan)", "select (no cases)",
+			"sync.Cond.Wait", "sync.Mutex.Lock", "sync.RWMutex.RLock", "sync.RWMutex.Lock", "sync.WaitGroup.Wait",
+			"IO wait", "sleep",
+			"GC worker (idle)", "finalizer wait", "GC sweep wait", "GC scavenge wait", "force gc (idle)":
+		case "semacquire":
+			if !bytes.HasPrefix(dump, pollFrame) {
+				busy++
 			}
+		default:
+			busy++
 		}
 	}
 	return busy

@@ -31,7 +31,7 @@ type HostMux struct {
 // mux. The host's previous OnData callback still receives any data that
 // is not stream-framed, so non-stream uses coexist.
 func (n *Net) AttachHost(node *netem.Node, host *endhost.Host, prev func(peer netip.Addr, data []byte)) *HostMux {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	b := n.bind(node)
 	b.shim = host.HandlePacket
@@ -60,7 +60,7 @@ func (m *HostMux) onData(peer netip.Addr, data []byte) {
 // Listen accepts inbound streams from any peer that has a conversation
 // with this host. At most one listener per mux.
 func (m *HostMux) Listen() (*StreamListener, error) {
-	m.n.lock()
+	m.n.mu.Lock()
 	defer m.n.mu.Unlock()
 	if m.ln != nil {
 		return nil, fmt.Errorf("simnet: HostMux already listening")
@@ -76,7 +76,7 @@ func (m *HostMux) Listen() (*StreamListener, error) {
 // (the caller must have completed Setup/Connect first; endhost returns
 // ErrNoConversation otherwise).
 func (m *HostMux) Dial(peer netip.Addr) (*StreamConn, error) {
-	m.n.lock()
+	m.n.mu.Lock()
 	defer m.n.mu.Unlock()
 	if _, ok := m.conns[peer]; ok {
 		return nil, fmt.Errorf("simnet: stream to %s already open", peer)

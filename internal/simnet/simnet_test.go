@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/netip"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -188,8 +189,8 @@ func TestDeadlockDetected(t *testing.T) {
 		}
 	})
 	err = n.Run()
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("Run err = %v, want deadlock report", err)
+	if err == nil || !strings.Contains(err.Error(), "deadlock: 1 goroutines live, 1 parked (0 in Wait)") {
+		t.Fatalf("Run err = %v, want a deadlock report with the one reader parked", err)
 	}
 	c.Close() // unblock the goroutine so the test binary can exit cleanly
 }
@@ -409,24 +410,99 @@ func TestManyClientsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCountBusyStates: the quiescence test counts a goroutine the
-// runtime stopped and will resume unasked as still working — one the
-// collector stopped mid-allocation, one behind the world semaphore —
-// beside the three states the scheduler names. A semacquire on an fd
-// lock waits on another goroutine and is idle.
+// TestCountBusyStates: a goroutine record is idle only in a state on
+// the allowlist, in which another goroutine (or real time) must end its
+// wait; every other state, an unknown one included, is busy. A
+// semacquire is idle only on an fd lock: the captured record of a
+// net/http write loop waiting for a GC cycle, whose runtime frames the
+// dump elides, is busy. Run one by one and as one dump.
 func TestCountBusyStates(t *testing.T) {
-	dump := "goroutine 1 [running]:\nmain.main()\n\n" +
-		"goroutine 7 [runnable (scan)]:\nx()\n\n" +
-		"goroutine 8 [GC assist marking]:\nx()\n\n" +
-		"goroutine 9 [GC assist wait, 1 minutes]:\nx()\n\n" +
-		"goroutine 10 [preempted]:\nx()\n\n" +
-		"goroutine 11 [syscall, locked to thread]:\nx()\n\n" +
-		"goroutine 12 [chan receive]:\nx()\n\n" +
-		"goroutine 13 [sync.Cond.Wait, 3 minutes]:\nx()\n\n" +
-		"goroutine 14 [GC worker (idle)]:\nx()\n\n" +
-		"goroutine 18 [semacquire]:\nruntime.ReadMemStats(0xc000104000)\n\t/usr/local/go/src/runtime/mstats.go:364 +0x1c\nx()\n\n" +
-		"goroutine 19 [semacquire]:\ninternal/poll.runtime_Semacquire(0xc00012a0b8)\n\t/usr/local/go/src/runtime/sema.go:76 +0x25\nx()\n"
-	if got := countBusy([]byte(dump)); got != 7 {
-		t.Errorf("countBusy = %d, want 7 (goroutines 1, 7 to 11 and 18)", got)
+	const x = "x.f()"
+	cases := []struct {
+		state, frame string
+		busy         bool
+	}{
+		{"running", "main.main()", true},
+		{"runnable", x, true},
+		{"runnable (scan)", x, true},
+		{"syscall, locked to thread", x, true},
+		{"preempted", x, true},
+		{"GC assist marking", x, true},
+		{"GC assist wait, 1 minutes", x, true},
+		{"wait for GC cycle", x, true},
+		{"stopping the world", x, true},
+		{"GC weak to strong wait", x, true},
+		{"teleporting", x, true},
+		{"semacquire", "runtime.ReadMemStats(0xc000104000)", true},
+		{"semacquire", "net/url.(*URL).RequestURI(0xc0001a2000)\n\t/go/src/net/url/url.go:1104 +0x4c\nnet/http.(*Request).write(0xc0001b8000, {0x7f0e8c3a1e48, 0xc0001c0040}, 0x0, 0x0, 0xc0001a6060)", true},
+		{"chan receive", x, false},
+		{"chan receive (scan)", x, false},
+		{"chan send", x, false},
+		{"select", x, false},
+		{"chan receive (nil chan)", x, false},
+		{"chan send (nil chan)", x, false},
+		{"select (no cases)", x, false},
+		{"sync.Cond.Wait, 3 minutes", x, false},
+		{"sync.Mutex.Lock", x, false},
+		{"sync.RWMutex.RLock", x, false},
+		{"sync.RWMutex.Lock", x, false},
+		{"sync.WaitGroup.Wait", x, false},
+		{"IO wait", x, false},
+		{"sleep", x, false},
+		{"semacquire", "internal/poll.runtime_Semacquire(0xc00012a0b8)", false},
+		{"GC worker (idle)", x, false},
+		{"finalizer wait", x, false},
+		{"GC sweep wait", x, false},
+		{"GC scavenge wait", x, false},
+		{"force gc (idle)", x, false},
+	}
+	var dump strings.Builder
+	wantBusy := 0
+	for i, c := range cases {
+		rec := fmt.Sprintf("goroutine %d [%s]:\n%s\n\t/src/x.go:1 +0x1c\n", i+1, c.state, c.frame)
+		want := 0
+		if c.busy {
+			want = 1
+		}
+		if got := countBusy([]byte(rec)); got != want {
+			t.Errorf("[%s] with first frame %.30s: countBusy = %d, want %d", c.state, c.frame, got, want)
+		}
+		wantBusy += want
+		dump.WriteString(rec + "\n")
+	}
+	if got := countBusy([]byte(dump.String())); got != wantBusy {
+		t.Errorf("whole dump: countBusy = %d, want %d", got, wantBusy)
+	}
+}
+
+// TestGoReleasesInOrder: Run hands the CPU to one registered goroutine
+// at a time and waits until it blocks or returns before the next, so
+// ephemeral ports go out in registration order even when each goroutine
+// works a while before it binds.
+func TestGoReleasesInOrder(t *testing.T) {
+	n, cl, _ := pair(t)
+	ports := make([]uint16, 4)
+	for i := range ports {
+		i := i
+		n.Go(func() {
+			for j := 0; j < 100; j++ {
+				runtime.Gosched()
+			}
+			c, err := n.ListenUDP(cl, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ports[i] = c.port
+			c.Close()
+		})
+	}
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ports {
+		if p != ephemeralBase+uint16(i) {
+			t.Fatalf("ports %v: goroutine %d bound %d, want %d", ports, i, p, ephemeralBase+i)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (c *StreamConn) fail(err error) {
 // Read implements net.Conn, blocking in virtual time. Buffered bytes are
 // returned ahead of EOF or a terminal error.
 func (c *StreamConn) Read(p []byte) (int, error) {
-	c.n.lock()
+	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
 	w := newWaiter()
 	for {
@@ -135,7 +135,7 @@ func (c *StreamConn) Read(p []byte) (int, error) {
 // Write implements net.Conn. Writes never block: frames are injected at
 // the current virtual instant (the fabric's queues model backpressure).
 func (c *StreamConn) Write(p []byte) (int, error) {
-	c.n.lock()
+	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
 	if c.closed {
 		return 0, net.ErrClosed
@@ -156,7 +156,7 @@ func (c *StreamConn) Write(p []byte) (int, error) {
 // consuming buffered data), local blocked readers wake with
 // net.ErrClosed, and the conn deregisters from its demux.
 func (c *StreamConn) Close() error {
-	c.n.lock()
+	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
 	if c.closed {
 		return nil
@@ -223,8 +223,6 @@ func (l *StreamListener) deliver(src netip.AddrPort, payload []byte) {
 	l.accs.wakeOne()
 }
 
-func (l *StreamListener) parked() int { return l.accs.parked() }
-
 // deliverDgram implements portSink for UDP-backed listeners.
 func (l *StreamListener) deliverDgram(src netip.AddrPort, payload []byte) {
 	l.deliver(src, payload)
@@ -232,7 +230,7 @@ func (l *StreamListener) deliverDgram(src netip.AddrPort, payload []byte) {
 
 // Accept implements net.Listener, blocking in virtual time.
 func (l *StreamListener) Accept() (net.Conn, error) {
-	l.n.lock()
+	l.n.mu.Lock()
 	defer l.n.mu.Unlock()
 	w := newWaiter()
 	for {
@@ -251,7 +249,7 @@ func (l *StreamListener) Accept() (net.Conn, error) {
 // Close implements net.Listener: pending Accepts return net.ErrClosed.
 // Established conns are unaffected; close them separately.
 func (l *StreamListener) Close() error {
-	l.n.lock()
+	l.n.mu.Lock()
 	defer l.n.mu.Unlock()
 	if l.closed {
 		return nil
@@ -271,7 +269,7 @@ func (l *StreamListener) Addr() net.Addr { return streamAddr(l.ap) }
 // ephemeral port). The returned listener is a net.Listener whose conns
 // carry the stream framing inside UDP datagrams across the fabric.
 func (n *Net) ListenStream(node *netem.Node, port uint16) (*StreamListener, error) {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	b := n.bind(node)
 	var l *StreamListener
@@ -299,13 +297,11 @@ func (d *dialSink) deliverDgram(src netip.AddrPort, payload []byte) {
 	}
 }
 
-func (d *dialSink) parked() int { return d.c.parked() }
-
 // DialStream opens a stream from node to a StreamListener at remote. The
 // SYN is injected immediately; there is no handshake round-trip (the
 // fabric is lossless), so the conn is usable at once.
 func (n *Net) DialStream(node *netem.Node, remote netip.AddrPort) (*StreamConn, error) {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	b := n.bind(node)
 	var c *StreamConn

@@ -22,7 +22,6 @@ const defaultQueueCap = 1024
 // deliver runs in driver context with Net.mu held.
 type portSink interface {
 	deliverDgram(src netip.AddrPort, payload []byte)
-	parked() int
 }
 
 // nodeBind owns a netem.Node's delivery handler and demultiplexes
@@ -100,14 +99,6 @@ func (b *nodeBind) allocPort(port uint16, sink portSink) (uint16, error) {
 	return 0, fmt.Errorf("simnet: no free ports on %s", b.node.Addr())
 }
 
-func (b *nodeBind) parkedWaiters() int {
-	total := 0
-	for _, s := range b.ports {
-		total += s.parked()
-	}
-	return total
-}
-
 // sendUDP serializes and injects one datagram from this node. Driver or
 // workload context, mu held.
 func (b *nodeBind) sendUDP(sport uint16, dst netip.AddrPort, payload []byte) error {
@@ -148,7 +139,7 @@ type UDPConn struct {
 // port). The conn receives every UDP datagram addressed to any of the
 // node's addresses at that port.
 func (n *Net) ListenUDP(node *netem.Node, port uint16) (*UDPConn, error) {
-	n.lock()
+	n.mu.Lock()
 	defer n.mu.Unlock()
 	b := n.bind(node)
 	c := &UDPConn{waitq: waitq{n: n}, b: b}
@@ -180,7 +171,7 @@ func (c *UDPConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 // ReadBatch parks in virtual time until a datagram is queued, then moves
 // at most len(bufs) of them, as tunnel.Conn asks.
 func (c *UDPConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k int, err error) {
-	c.n.lock()
+	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
 	w := newWaiter()
 	for len(c.queue) == 0 {
@@ -202,7 +193,7 @@ func (c *UDPConn) ReadBatch(bufs [][]byte, n []int, from []netip.AddrPort) (k in
 
 // WriteToUDPAddrPort sends p to dst from the conn's port.
 func (c *UDPConn) WriteToUDPAddrPort(p []byte, dst netip.AddrPort) (int, error) {
-	c.n.lock()
+	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
 	if c.closed {
 		return 0, net.ErrClosed
@@ -223,7 +214,7 @@ func (c *UDPConn) WriteBatch(pkts [][]byte, to []netip.AddrPort, errs []error) {
 // Close releases the port and wakes all blocked readers with
 // net.ErrClosed. Closing twice is a no-op.
 func (c *UDPConn) Close() error {
-	c.n.lock()
+	c.n.mu.Lock()
 	defer c.n.mu.Unlock()
 	if c.closed {
 		return nil
