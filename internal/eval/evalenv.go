@@ -269,7 +269,8 @@ type EngineRun struct {
 	PoolAllocated          uint64
 	PoolGets               uint64
 	// LanePushes and HeapPushes split the event-queue pushes by the
-	// structure that took them (netem.Simulator.QueuePushes).
+	// structure that took them (the volatile netem_queue_pushes_total
+	// families).
 	LanePushes, HeapPushes uint64
 
 	BuildTime    time.Duration
@@ -296,7 +297,14 @@ func (r *EngineRun) drive(scenario, router string, sim *netem.Simulator, rule *i
 	r.SimEvents = sim.EventsProcessed()
 	r.FluidBytes, r.FluidTicks = sim.FluidTotals()
 	r.PoolAllocated, r.PoolGets = sim.PoolStats()
-	r.LanePushes, r.HeapPushes = sim.QueuePushes()
+	for _, m := range sim.Metrics().Snapshot().Metrics {
+		switch m.Name {
+		case `netem_queue_pushes_total{path="lane"}`:
+			r.LanePushes = uint64(m.Value)
+		case `netem_queue_pushes_total{path="heap"}`:
+			r.HeapPushes = uint64(m.Value)
+		}
+	}
 	r.Obs = o.digest()
 	if sec := r.RunTime.Seconds(); sec > 0 {
 		r.EventsPerSec = float64(r.SimEvents) / sec

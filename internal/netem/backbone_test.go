@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -182,9 +183,12 @@ func TestBackboneMillionHosts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates build-time constants")
 	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	s, bb := buildTestBackbone(t, BackboneSpec{Metros: 16, HostsPerMetro: 62500})
 	built := time.Since(start)
+	runtime.ReadMemStats(&m1)
 	if built > 10*time.Second {
 		t.Errorf("1M-host build took %v, want <= 10s", built)
 	}
@@ -200,5 +204,45 @@ func TestBackboneMillionHosts(t *testing.T) {
 	if !gotCross {
 		t.Fatal("corner-to-corner packet undelivered")
 	}
-	t.Logf("built 1M hosts in %v", built)
+	t.Logf("built 1M hosts in %v; %d collections ran during the build", built, m1.NumGC-m0.NumGC)
+}
+
+// TestBackboneKeepsWhatItAllocates: BuildBackbone sizes every host's
+// storage and the node list before it writes the first host, so at most
+// 2 % of the bytes it allocates are garbage when it returns. A build that
+// grows its storage one metro at a time leaves about 13 %, most of it the
+// node list's regrowth, and a regrowth after a metro's hosts were written
+// also leaves that metro's Hosts viewing a stale copy of the list.
+func TestBackboneKeepsWhatItAllocates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation sizes")
+	}
+	const metros, hosts = 16, 5000
+	var m0, m1, m2 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s, bb := buildTestBackbone(t, BackboneSpec{Metros: metros, HostsPerMetro: hosts})
+	runtime.ReadMemStats(&m1)
+	runtime.GC()
+	runtime.ReadMemStats(&m2)
+	allocated := m1.TotalAlloc - m0.TotalAlloc
+	kept := int64(m2.HeapAlloc) - int64(m0.HeapAlloc)
+	garbage := 1 - float64(kept)/float64(allocated)
+	t.Logf("%d × %d hosts: allocated %d B, kept %d B, garbage %.2f%%, %d collections",
+		metros, hosts, allocated, kept, 100*garbage, m1.NumGC-m0.NumGC)
+	if garbage > 0.02 {
+		t.Errorf("the build left %.2f%% of the %d B it allocated as garbage, want <= 2%%", 100*garbage, allocated)
+	}
+	// Sized to the world: the allocator rounds a large array up to whole
+	// 8 KiB pages, 1 024 pointers.
+	if cap(s.nodeList)-len(s.nodeList) >= 1024 {
+		t.Errorf("node list holds %d nodes in %d slots", len(s.nodeList), cap(s.nodeList))
+	}
+	for m, f := range bb.Metros {
+		first := f.Hosts[0]
+		if &f.Hosts[0] != &s.nodeList[first.id] || first.ShardID() != 1+m || f.Hosts[hosts-1].ShardID() != 1+m {
+			t.Errorf("metro %d: hosts view the node list %v, on shards %d..%d, want true on %d",
+				m, &f.Hosts[0] == &s.nodeList[first.id], first.ShardID(), f.Hosts[hosts-1].ShardID(), 1+m)
+		}
+	}
 }

@@ -174,19 +174,14 @@ type heapItem struct {
 func nearer(a, b *heapItem) bool { return a.dist < b.dist }
 
 func (d *dijkstraScratch) reset(n int) {
-	if cap(d.dist) < n {
-		d.dist = make([]float64, n)
-		d.first = make([]*Link, n)
-		d.visited = make([]bool, n)
-	}
-	d.dist = d.dist[:n]
-	d.first = d.first[:n]
-	d.visited = d.visited[:n]
+	d.dist = slices.Grow(d.dist[:0], n)[:n]
+	d.first = slices.Grow(d.first[:0], n)[:n]
+	d.visited = slices.Grow(d.visited[:0], n)[:n]
 	for i := range d.dist {
 		d.dist[i] = math.Inf(1)
-		d.first[i] = nil
-		d.visited[i] = false
 	}
+	clear(d.first)
+	clear(d.visited)
 	d.heap = d.heap[:0]
 }
 
@@ -254,21 +249,15 @@ func (s *Simulator) BuildRoutes() {
 		}
 		// Anycast: route to the nearest member.
 		for aAddr, members := range groups {
+			if slices.Contains(members, src) {
+				continue // src itself serves the anycast address
+			}
 			var bestLink *Link
 			best := math.Inf(1)
 			for _, m := range members {
-				if m == src {
-					bestLink = nil
-					best = 0
-					break
-				}
 				if dm := d.dist[m.id]; dm < best {
-					best = dm
-					bestLink = d.first[m.id]
+					best, bestLink = dm, d.first[m.id]
 				}
-			}
-			if best == 0 && bestLink == nil {
-				continue // src itself serves the anycast address
 			}
 			if bestLink != nil {
 				src.AddRoute(netip.PrefixFrom(aAddr, aAddr.BitLen()), bestLink)

@@ -203,7 +203,6 @@ func TestBarrierFamiliesMatchAccessors(t *testing.T) {
 	check := func(when string) {
 		fluidBytes, fluidTicks := sim.FluidTotals()
 		alloc, gets := sim.PoolStats()
-		lane, heap := sim.QueuePushes()
 		var tallied uint64
 		for _, d := range tallies {
 			tallied += d.Total()
@@ -219,8 +218,8 @@ func TestBarrierFamiliesMatchAccessors(t *testing.T) {
 			"netem_link_queue_drops_total":                   shardSum(func(sh *shard) int { return int(sh.nLinkQDrop) }),
 			"netem_heap_depth":                               shardSum(func(sh *shard) int { return sh.events.len() }),
 			"netem_pool_free_buffers":                        shardSum(func(sh *shard) int { return len(sh.pool.free) }),
-			`netem_queue_pushes_total{path="lane"}`:          float64(lane),
-			`netem_queue_pushes_total{path="heap"}`:          float64(heap),
+			`netem_queue_pushes_total{path="lane"}`:          shardSum(func(sh *shard) int { return int(sh.events.inLane) }),
+			`netem_queue_pushes_total{path="heap"}`:          shardSum(func(sh *shard) int { return int(sh.events.inHeap) }),
 			`netem_link_starts_total{path="direct"}`:         shardSum(func(sh *shard) int { return int(sh.nStartDirect) }),
 			`netem_link_starts_total{path="queued"}`:         shardSum(func(sh *shard) int { return int(sh.nStartQueued) }),
 			`netem_barrier_mailboxes_total{state="drained"}`: float64(sim.mailDrained),

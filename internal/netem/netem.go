@@ -146,7 +146,7 @@ type Simulator struct {
 	nodeList []*Node
 	byAddr   map[netip.Addr]*Node
 	// addrBlocks indexes the contiguous leaf-host address blocks
-	// registered by AddHostBlock: one entry per block instead of one
+	// registered by addHostBlock: one entry per block instead of one
 	// byAddr map entry per host (the million-host memory plan).
 	addrBlocks []addrBlock
 
@@ -226,14 +226,6 @@ func (s *Simulator) EventsProcessed() uint64 {
 	return sum(s.shards, func(sh *shard) *uint64 { return &sh.nEvents })
 }
 
-// QueuePushes reports how many event pushes a per-delay lane took and
-// how many fell back to the heap, across all shards (the values of
-// netem_queue_pushes_total) — the share the event queue's speed rests on.
-func (s *Simulator) QueuePushes() (lane, heap uint64) {
-	return sum(s.shards, func(sh *shard) *uint64 { return &sh.events.inLane }),
-		sum(s.shards, func(sh *shard) *uint64 { return &sh.events.inHeap })
-}
-
 // Schedule runs fn after d of virtual time on shard 0 (the whole
 // simulator when unsharded). Sources on sharded topologies schedule via
 // their node (Node.Schedule) so callbacks run on the owning shard;
@@ -276,8 +268,8 @@ func (s *Simulator) RunFor(d time.Duration) { s.runLimit(s.now() + int64(d)) }
 // reads — its one address, its one link, its default route, its handler —
 // is inline, in 72 bytes (TestNodeSize). Every list — addresses, links,
 // route tables, hooks — and a name are router-side state behind rt,
-// which AddNode sets and which stays nil on an AddHostBlock host until it
-// needs a second address or link (TestHostsHoldNoRouterState,
+// which AddNode sets and which stays nil on a slab host (addHostBlock)
+// until it needs a second address or link (TestHostsHoldNoRouterState,
 // TestHostBecomesRouter).
 type Node struct {
 	sh      *shard
@@ -320,7 +312,7 @@ func (n *Node) addrList() []netip.Addr {
 	if n.rt != nil {
 		return n.rt.addrs
 	}
-	return unsafe.Slice(&n.addr, 1) // AddHostBlock gave it one
+	return unsafe.Slice(&n.addr, 1) // addHostBlock gave it one
 }
 
 func (n *Node) linkList() []*Link {
@@ -343,7 +335,7 @@ func (n *Node) addLink(l *Link) {
 	r.links = append(r.links, l)
 }
 
-// Name is the node's unique name; "" for an AddHostBlock host.
+// Name is the node's unique name; "" for a slab host.
 func (n *Node) Name() string {
 	if n.rt == nil {
 		return ""
@@ -359,8 +351,8 @@ func (s *Simulator) AddNode(name string, addrs ...netip.Addr) (*Node, error) {
 	n := &Node{sh: s.shards[0], id: len(s.nodeList), rt: &router{name: name}}
 	s.planDirty = true
 	for _, a := range addrs {
-		if _, dup := s.byAddr[a]; dup {
-			return nil, fmt.Errorf("%w: %v", ErrAddrInUse, a)
+		if err := s.checkFree(a, 1); err != nil {
+			return nil, err
 		}
 	}
 	for _, a := range addrs {
@@ -384,61 +376,54 @@ func (s *Simulator) MustAddNode(name, _ string, addrs ...netip.Addr) *Node {
 	return n
 }
 
-// addrBlock is one AddHostBlock registration: nodes[i] owns address
-// first+i.
-type addrBlock struct {
-	first uint32
-	nodes []*Node
-}
+// addrBlock is one host block's registration: hosts leaf hosts own the
+// addresses from first on.
+type addrBlock struct{ first, hosts uint32 }
 
-// AddHostBlock creates n leaf hosts owning the consecutive IPv4
-// addresses [first, first+n), slab-allocated: one Node array holding each
-// host's address and its one link inline, and one block entry in the
-// address index instead of n map entries. The hosts carry no router-side
-// state, so with BuildFanout's link slab a host costs under 216 bytes
-// (TestHostFootprint): the plan that fits a million hosts in about
-// 210 MB. The hosts are anonymous (Name "", not resolvable via
-// Simulator.Node); hold the returned slice.
-// They start on shard 0; assign shards with Node.SetShard as usual.
-//
-// The block must not overlap any registered address: other blocks are
-// checked block-to-block, and every individually registered address is
-// checked against the range (the named-node population is small —
-// routers, not hosts — so the scan is cheap at build time).
-func (s *Simulator) AddHostBlock(first netip.Addr, n int) ([]*Node, error) {
-	if !first.Is4() {
-		return nil, fmt.Errorf("netem: host block base %v is not IPv4", first)
-	}
-	v := ipv4ToUint(first)
-	if n <= 0 || uint64(v)+uint64(n) > 1<<32 {
-		return nil, fmt.Errorf("netem: host block [%v +%d) is empty or wraps the address space", first, n)
-	}
-	for i := range s.addrBlocks {
-		b := &s.addrBlocks[i]
-		if v < b.first+uint32(len(b.nodes)) && b.first < v+uint32(n) {
-			return nil, fmt.Errorf("%w: block [%v +%d) overlaps an existing host block", ErrAddrInUse, first, n)
+// checkFree returns ErrAddrInUse if a host block or a node (AddNode,
+// AddAddr) owns an address of [first, first+n): the one ownership check.
+// Only a host block asks for n > 1; it scans the nodes' addresses, a
+// small population (routers, not hosts), so that is cheap at build time.
+func (s *Simulator) checkFree(first netip.Addr, n uint32) error {
+	_, used := s.byAddr[first]
+	if first.Is4() {
+		v := ipv4ToUint(first)
+		for _, b := range s.addrBlocks {
+			used = used || v-b.first < b.hosts || b.first-v < n // overlap, wrap-safe
 		}
-	}
-	for a := range s.byAddr {
-		if a.Is4() {
-			if w := ipv4ToUint(a); w-v < uint32(n) {
-				return nil, fmt.Errorf("%w: %v already registered inside block [%v +%d)", ErrAddrInUse, a, first, n)
+		if n > 1 {
+			for a := range s.byAddr {
+				used = used || a.Is4() && ipv4ToUint(a)-v < n
 			}
 		}
 	}
-	slab := make([]Node, n)
-	nodes := make([]*Node, n)
-	id := len(s.nodeList)
-	s.nodeList = append(s.nodeList, nodes...) // reserve; filled below
-	for i := range slab {
-		nd := &slab[i]
-		*nd = Node{sh: s.shards[0], id: id + i, addr: uintToIPv4(v + uint32(i))}
-		nodes[i] = nd
-		s.nodeList[id+i] = nd
+	if used {
+		return fmt.Errorf("%w: [%v +%d)", ErrAddrInUse, first, n)
 	}
-	s.addrBlocks = append(s.addrBlocks, addrBlock{first: v, nodes: nodes})
+	return nil
+}
+
+// addHostBlock makes slab's zero-valued Nodes the leaf hosts owning the
+// consecutive IPv4 addresses [first, first+len(slab)), each written once,
+// on shard sh, and registers them as one block of addresses instead of
+// a map entry per host. The hosts carry no router-side state and are
+// anonymous (Name "", not resolvable via Simulator.Node): the caller
+// reads them from the node list, grown beforehand so these appends do
+// not regrow it. BuildFanout is the caller; with its link store a host
+// costs about 200 bytes (TestHostFootprint): 200 MB for a million.
+func (s *Simulator) addHostBlock(first netip.Addr, slab []Node, sh *shard) error {
+	n, v := uint32(len(slab)), ipv4ToUint(first)
+	if err := s.checkFree(first, n); err != nil {
+		return err
+	}
+	id := len(s.nodeList)
+	for i := range slab {
+		slab[i] = Node{sh: sh, id: id + i, addr: uintToIPv4(v + uint32(i))}
+		s.nodeList = append(s.nodeList, &slab[i])
+	}
+	s.addrBlocks = append(s.addrBlocks, addrBlock{first: v, hosts: n})
 	s.planDirty = true
-	return nodes, nil
+	return nil
 }
 
 // AddAnycast registers addr as an anycast address served by the given
@@ -482,8 +467,8 @@ func (n *Node) Addr() netip.Addr {
 // by the caller (Simulator.BuildRoutes) for remote reachability, or the
 // address can be covered by an existing prefix route.
 func (n *Node) AddAddr(a netip.Addr) error {
-	if _, dup := n.sh.sim.byAddr[a]; dup {
-		return fmt.Errorf("%w: %v", ErrAddrInUse, a)
+	if err := n.sh.sim.checkFree(a, 1); err != nil {
+		return err
 	}
 	n.sh.sim.byAddr[a] = n
 	r := n.router()

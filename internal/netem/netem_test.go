@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"slices"
 	"testing"
@@ -397,6 +398,54 @@ func TestDuplicateNodeAndAddr(t *testing.T) {
 	}
 	if _, err := s.AddNode("b", addr("10.0.0.1")); err == nil {
 		t.Error("duplicate address accepted")
+	}
+}
+
+// TestOneAddressOwnership: a host block and a node's addresses answer to
+// one ownership check, in both directions and at the top of the address
+// space, where a block's end wraps to zero.
+func TestOneAddressOwnership(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	block := func(first string, n int) error { return s.addHostBlock(addr(first), make([]Node, n), s.shards[0]) }
+	if err := block("10.1.0.1", 10); err != nil {
+		t.Fatal(err)
+	}
+	other := s.MustAddNode("other", "", addr("10.2.0.1"))
+	for _, a := range []string{"10.1.0.1", "10.1.0.5", "10.1.0.10"} {
+		if _, err := s.AddNode("dup "+a, addr(a)); !errors.Is(err, ErrAddrInUse) {
+			t.Errorf("AddNode at %s inside the block: %v, want ErrAddrInUse", a, err)
+		}
+	}
+	for _, a := range []string{"10.1.0.2", "10.1.0.7", "10.1.0.9"} {
+		if err := other.AddAddr(addr(a)); !errors.Is(err, ErrAddrInUse) {
+			t.Errorf("AddAddr %s inside the block: %v, want ErrAddrInUse", a, err)
+		}
+	}
+	if _, err := s.AddNode("below", addr("10.1.0.0")); err != nil {
+		t.Errorf("AddNode just below the block: %v", err)
+	}
+	if err := other.AddAddr(addr("10.1.0.11")); err != nil {
+		t.Errorf("AddAddr just above the block: %v", err)
+	}
+	for _, b := range []struct {
+		first string
+		n     int
+	}{{"10.2.0.0", 4}, {"10.1.0.10", 1}, {"10.0.255.255", 2}, {"10.1.0.11", 5}} {
+		if err := block(b.first, b.n); !errors.Is(err, ErrAddrInUse) {
+			t.Errorf("block [%s +%d) over an owned address: %v, want ErrAddrInUse", b.first, b.n, err)
+		}
+	}
+	if err := block("10.1.0.12", 4); err != nil {
+		t.Errorf("adjacent block: %v", err)
+	}
+	if err := block("255.255.255.250", 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddNode("top", addr("255.255.255.255")); !errors.Is(err, ErrAddrInUse) {
+		t.Errorf("AddNode at the last address of a block ending the space: %v, want ErrAddrInUse", err)
+	}
+	if err := block("255.255.255.254", 1); !errors.Is(err, ErrAddrInUse) {
+		t.Errorf("block inside a block ending the space: %v, want ErrAddrInUse", err)
 	}
 }
 

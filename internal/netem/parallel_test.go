@@ -248,6 +248,13 @@ func TestShardRNGIndependence(t *testing.T) {
 	if f.Transit.ShardID() != 0 || f.Border.ShardID() != 1 {
 		t.Errorf("core shard plan: transit=%d border=%d, want 0/1", f.Transit.ShardID(), f.Border.ShardID())
 	}
+	// Each host is made on its edge's shard, in address order.
+	for i, h := range f.Hosts {
+		if h.ShardID() != 2+i/16 || h.id != f.Hosts[0].id+i || h.Addr() != f.HostAddr(i) {
+			t.Fatalf("host %d: shard %d, id %d, addr %v; want shard %d, id %d, addr %v",
+				i, h.ShardID(), h.id, h.Addr(), 2+i/16, f.Hosts[0].id+i, f.HostAddr(i))
+		}
+	}
 	_ = f2
 }
 

@@ -3,6 +3,7 @@ package netem
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -99,6 +100,8 @@ var (
 	defaultRoute      = netip.MustParsePrefix("0.0.0.0/0")
 )
 
+const defaultHostsPerEdge = 256
+
 func addrAt(base netip.Prefix, i int) netip.Addr {
 	return uintToIPv4(ipv4ToUint(base.Addr()) + 1 + uint32(i))
 }
@@ -134,13 +137,21 @@ func (f *Fanout) OutsideAddr(i int) netip.Addr { return addrAt(f.OutsideNet, i) 
 // edge router (the edge's contiguous slice of CustomerNet) and each edge
 // installs a single block route — a flat offset-indexed array of host
 // links — instead of a /32 route per customer. Route state per router
-// is O(edges), not O(hosts).
+// is O(edges), not O(hosts). Host storage and the node list are sized
+// before the first host is written, as in BuildBackbone.
 func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
+	return buildFanout(sim, spec, nil, nil)
+}
+
+// buildFanout is BuildFanout over host storage the caller sized: nodes
+// and links hold spec.Hosts zero values each, or are nil to be made here
+// once the spec is valid.
+func buildFanout(sim *Simulator, spec FanoutSpec, nodes []Node, links []Link) (*Fanout, error) {
 	if spec.Hosts <= 0 {
 		return nil, fmt.Errorf("netem: fanout needs at least 1 host, got %d", spec.Hosts)
 	}
 	if spec.HostsPerEdge <= 0 {
-		spec.HostsPerEdge = 256
+		spec.HostsPerEdge = defaultHostsPerEdge
 	}
 	if spec.Outside <= 0 {
 		spec.Outside = 1
@@ -166,15 +177,18 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 	if spec.ShardSubtrees && spec.Shard > 0 {
 		return nil, fmt.Errorf("netem: ShardSubtrees and Shard are mutually exclusive")
 	}
-	if spec.ShardSubtrees {
-		if defaultLink(spec.TransitLink).Delay <= 0 || defaultLink(spec.EdgeLink).Delay <= 0 {
-			return nil, fmt.Errorf("netem: ShardSubtrees needs positive TransitLink and EdgeLink delay (the conservative lookahead)")
-		}
+	if spec.ShardSubtrees && (defaultLink(spec.TransitLink).Delay <= 0 || defaultLink(spec.EdgeLink).Delay <= 0) {
+		return nil, fmt.Errorf("netem: ShardSubtrees needs positive TransitLink and EdgeLink delay (the conservative lookahead)")
 	}
 	if spec.Shard < 0 || spec.Shard >= sim.ShardCount() {
 		return nil, fmt.Errorf("netem: fanout shard %d outside declared range [0,%d)", spec.Shard, sim.ShardCount())
 	}
 
+	nEdges := (spec.Hosts + spec.HostsPerEdge - 1) / spec.HostsPerEdge
+	if nodes == nil {
+		nodes, links = make([]Node, spec.Hosts), make([]Link, spec.Hosts)
+	}
+	sim.nodeList = slices.Grow(sim.nodeList, 2+spec.Outside+spec.Hosts+nEdges)
 	f := &Fanout{
 		Sim:         sim,
 		Spec:        spec,
@@ -191,7 +205,6 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		return nil, err
 	}
 	f.Border, f.Transit = border, transit
-	nEdges := (spec.Hosts + spec.HostsPerEdge - 1) / spec.HostsPerEdge
 	edgeShard := func(e int) int { return 0 }
 	switch {
 	case spec.ShardSubtrees:
@@ -223,15 +236,20 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		f.Outside = append(f.Outside, out)
 	}
 
-	// Customer hosts are slab-allocated and anonymous (AddHostBlock): no
-	// per-host name, map entry, or separate Node/Link allocation, which
-	// is what lets BuildBackbone fit a million of them. Resolve them
-	// through Fanout.Hosts, not Simulator.Node.
-	f.Hosts, err = sim.AddHostBlock(f.HostAddr(0), spec.Hosts)
-	if err != nil {
-		return nil, err
+	// Customer hosts are slab hosts (addHostBlock), one block per shard:
+	// each is written once, on its edge's shard. Resolve them through
+	// Fanout.Hosts, not Simulator.Node.
+	per, id := spec.Hosts, len(sim.nodeList)
+	if spec.ShardSubtrees {
+		per = spec.HostsPerEdge
 	}
-	linkSlab := make([]Link, spec.Hosts)
+	for lo := 0; lo < spec.Hosts; lo += per {
+		sh := sim.shards[edgeShard(lo/spec.HostsPerEdge)]
+		if err := sim.addHostBlock(f.HostAddr(lo), nodes[lo:min(lo+per, spec.Hosts)], sh); err != nil {
+			return nil, err
+		}
+	}
+	f.Hosts = sim.nodeList[id:len(sim.nodeList):len(sim.nodeList)]
 	hostCfg := defaultLink(spec.HostLink)
 	f.Edges = make([]*Node, 0, nEdges)
 	f.EdgeLinks = make([]*Link, 0, nEdges)
@@ -250,12 +268,7 @@ func BuildFanout(sim *Simulator, spec FanoutSpec) (*Fanout, error) {
 		f.Edges = append(f.Edges, edge)
 		f.EdgeLinks = append(f.EdgeLinks, down)
 		for i := lo; i < hi; i++ {
-			host := f.Hosts[i]
-			hl := sim.connectInto(&linkSlab[i], edge, host, hostCfg, hostCfg)
-			if sh := edgeShard(e); sh != 0 {
-				host.SetShard(sh)
-			}
-			host.AddRoute(defaultRoute, hl)
+			nodes[i].AddRoute(defaultRoute, sim.connectInto(&links[i], edge, &nodes[i], hostCfg, hostCfg))
 		}
 		// The block route reads the host links in place, in address order.
 		if err := edge.AddBlockRoute(f.HostAddr(lo), edge.rt.links[1:]); err != nil {
