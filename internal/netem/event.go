@@ -37,6 +37,15 @@ import "unsafe"
 // to fit behind its tail: a 20 ms fluid tick appended to the 1 ms lane
 // would raise that lane's tail 20 ms into the future and lock every 1 ms
 // push out of it until the tick drained.
+//
+// Class 0, a push at the shard clock, has the zero lane, which popDue
+// serves without a scan while tie is false. Every other push lies beyond
+// the clock, so an event elsewhere at the zero lane's instant was pushed
+// at an earlier instant or merged at the last barrier: its seq is below
+// every zero-lane one, and the zero lane's head is the minimum unless a
+// lane head or the heap top shares its instant. Only a lane or heap pop
+// moves the clock onto an instant with events left at it (a clock jump
+// leaves none), and the scan it runs sets tie to whether one is left.
 
 type eventKind uint8
 
@@ -135,14 +144,16 @@ func (l *lane) pop(ev *event) {
 // seq. Values live inline in the rings and the heap slice — no per-event
 // allocation, no interface boxing.
 type eventQueue struct {
+	zero  lane           // class 0: at equals the shard clock
 	lanes []lane         // opened on demand, at most laneCount
 	h     minHeap[event] // events no lane would take
+	tie   bool           // a lane head or the heap top may share the zero lane's instant
 	// Pushes a lane / the heap took (netem_queue_pushes_total).
 	inLane, inHeap uint64
 }
 
 func (q *eventQueue) len() int {
-	n := len(q.h)
+	n := len(q.h) + q.zero.n
 	for i := range q.lanes {
 		n += q.lanes[i].n
 	}
@@ -150,19 +161,10 @@ func (q *eventQueue) len() int {
 }
 
 // push enqueues *ev, whose delay class is class: ev.at minus the shard
-// clock for a local schedule, mailboxClass for a merged arrival. It joins
-// a lane of its class whose tail it does not precede, else a spare lane,
-// else the heap.
+// clock for a local schedule, mailboxClass for a merged arrival. Any
+// class but 0 must lie beyond the clock (the zero lane's order argument).
 func (q *eventQueue) push(ev *event, class int64) {
-	for i := range q.lanes {
-		if l := &q.lanes[i]; l.class == class && (l.n == 0 || l.tail <= ev.at) {
-			l.push(ev)
-			q.inLane++
-			return
-		}
-	}
-	if l := q.spareLane(); l != nil {
-		l.class = class
+	if l := q.laneFor(class, ev.at); l != nil {
 		l.push(ev)
 		q.inLane++
 		return
@@ -171,26 +173,38 @@ func (q *eventQueue) push(ev *event, class int64) {
 	q.inHeap++
 }
 
-// spareLane finds a lane to re-tag for a class that has none it can
-// join: an empty one, else a new one; nil once laneCount are open and
-// live. Re-using before opening keeps the scan in popDue as short as the
-// most classes the shard ever had live at once.
-func (q *eventQueue) spareLane() *lane {
+// laneFor picks the lane for a push of class class at time at: the zero
+// lane, else one of its class whose tail at does not precede, else one
+// re-tagged for it — an empty lane before a new one, which keeps popDue's
+// scan as short as the most classes ever live at once; nil once
+// laneCount are live.
+func (q *eventQueue) laneFor(class, at int64) *lane {
+	if class == 0 {
+		return &q.zero
+	}
+	for i := range q.lanes {
+		if l := &q.lanes[i]; l.class == class && (l.n == 0 || l.tail <= at) {
+			return l
+		}
+	}
 	for i := range q.lanes {
 		if l := &q.lanes[i]; l.n == 0 {
+			l.class = class
 			return l
 		}
 	}
 	if len(q.lanes) < laneCount {
-		q.lanes = append(q.lanes, lane{})
+		q.lanes = append(q.lanes, lane{class: class})
 		return &q.lanes[len(q.lanes)-1]
 	}
 	return nil
 }
 
 // front locates the earliest event: the index of the lane whose head it
-// is, or len(q.lanes) for the heap top; ev is nil when the queue is empty.
-func (q *eventQueue) front() (src int, ev *event) {
+// is, len(q.lanes) for the heap top or -1 for the zero lane's head; ev
+// is nil when the queue is empty. tie reports that another lane head or
+// the heap top shares ev's instant.
+func (q *eventQueue) front() (src int, ev *event, tie bool) {
 	src = len(q.lanes)
 	if len(q.h) > 0 {
 		ev = &q.h[0]
@@ -200,18 +214,20 @@ func (q *eventQueue) front() (src int, ev *event) {
 		if l.n == 0 {
 			continue
 		}
-		if c := &l.buf[l.head]; ev == nil || eventBefore(c, ev) {
-			src, ev = i, c
+		switch c := &l.buf[l.head]; {
+		case ev == nil || c.at < ev.at:
+			src, ev, tie = i, c, false
+		case c.at == ev.at:
+			tie = true
+			if c.seq < ev.seq {
+				src, ev = i, c
+			}
 		}
 	}
-	return src, ev
-}
-
-// minAt is the timestamp of the earliest event. The queue must not be
-// empty.
-func (q *eventQueue) minAt() int64 {
-	_, ev := q.front()
-	return ev.at
+	if z := &q.zero; z.n > 0 && (ev == nil || z.buf[z.head].at < ev.at) {
+		src, ev, tie = -1, &z.buf[z.head], false
+	}
+	return src, ev, tie
 }
 
 // popDue removes the earliest event into *ev if its timestamp is at most
@@ -220,15 +236,26 @@ func (q *eventQueue) minAt() int64 {
 // value, the event bounced through two more stack slots, and a pop right
 // after a zero-delay push stalled on them.
 func (q *eventQueue) popDue(last int64, ev *event) bool {
-	src, head := q.front()
+	if z := &q.zero; z.n > 0 && !q.tie && z.buf[z.head].at <= last {
+		z.pop(ev)
+		return true
+	}
+	src, head, tie := q.front()
 	if head == nil || head.at > last {
 		return false
 	}
-	if src == len(q.lanes) {
+	switch {
+	case src < 0:
+		q.zero.pop(ev)
+	case src == len(q.lanes):
 		*ev = q.h.pop(eventBefore)
-	} else {
-		q.lanes[src].pop(ev)
+		tie = tie || len(q.h) > 0 && q.h[0].at == ev.at
+	default:
+		l := &q.lanes[src]
+		l.pop(ev)
+		tie = tie || l.n > 0 && l.buf[l.head].at == ev.at
 	}
+	q.tie = tie
 	return true
 }
 
@@ -286,7 +313,7 @@ func (sh *shard) dispatchEvent(ev *event) {
 	case evDepart:
 		(*linkDir)(ev.obj).depart(ev.pkt)
 	case evDelayed:
-		_ = (*Node)(ev.obj).dispatchAfterPolicy(ev.pkt)
+		_ = (*Node)(ev.obj).route(ev.pkt, false)
 	case evProc:
 		_ = (*Node)(ev.obj).dispatch(ev.pkt, true)
 	}

@@ -9,8 +9,8 @@ import (
 // queueScript drives an eventQueue beside the reference implementation —
 // a slice kept sorted by (at, seq) — the way a shard drives it: a clock
 // that only moves forward, a sequence number per push, delays clamped to
-// now. Every step checks len() and minAt(); every pop must be the
-// reference's first element.
+// now, class 0 for a push at the clock and only for it. Every step checks
+// len() and front(); every pop must be the reference's first element.
 type queueScript struct {
 	t   *testing.T
 	q   *eventQueue
@@ -68,8 +68,8 @@ func (s *queueScript) check() {
 	if s.q.len() != len(s.ref) {
 		s.t.Fatalf("len() = %d, want %d", s.q.len(), len(s.ref))
 	}
-	if len(s.ref) > 0 && s.q.minAt() != s.ref[0].at {
-		s.t.Fatalf("minAt() = %d, want %d", s.q.minAt(), s.ref[0].at)
+	if _, ev, _ := s.q.front(); len(s.ref) > 0 && (ev.at != s.ref[0].at || ev.seq != s.ref[0].seq) {
+		s.t.Fatalf("front() = (at %d, seq %d), want (at %d, seq %d)", ev.at, ev.seq, s.ref[0].at, s.ref[0].seq)
 	}
 }
 
@@ -90,7 +90,7 @@ func (s *queueScript) run(data []byte) {
 		return int64(b)
 	}
 	for len(data) > 0 {
-		switch op := next(); op % 8 {
+		switch op := next(); op % 11 {
 		case 0, 1: // local push, repeated delay class
 			s.schedule(s.now + scriptDelays[next()%int64(len(scriptDelays))])
 		case 2: // local push, arbitrary delay; negative ones clamp to now
@@ -113,7 +113,28 @@ func (s *queueScript) run(data []byte) {
 			}
 			s.now = limit
 		case 7: // a push whose class says nothing about its time: tail guards fail
-			s.push(s.now+next()*1000, scriptDelays[next()%4])
+			s.push(s.now+1+next()*1000, scriptDelays[1+next()%3])
+		case 8: // tie: a second event at the earliest instant, a pop onto
+			// it, then a zero-delay push while the other is still queued
+			if len(s.ref) > 0 {
+				s.schedule(s.ref[0].at)
+			}
+			s.pop()
+			s.schedule(s.now)
+		case 9: // Step (simnet): one-event pops, a zero-delay push between them
+			for k := 1 + next()%4; k > 0; k-- {
+				s.pop()
+				s.schedule(s.now)
+			}
+		case 10: // RunFor's clock jump, then zero-delay pushes at the new clock
+			limit := s.now + next()*1000
+			for len(s.ref) > 0 && s.ref[0].at <= limit {
+				s.pop()
+			}
+			s.now = limit
+			for k := 1 + next()%3; k > 0; k-- {
+				s.schedule(s.now)
+			}
 		}
 	}
 	for len(s.ref) > 0 {
@@ -128,6 +149,9 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 		"tail guard fails": {7, 200, 2, 7, 100, 2, 7, 50, 2, 7, 250, 2, 3, 3, 3, 3},
 		"mailbox overlap":  {5, 3, 200, 10, 100, 50, 5, 2, 20, 5, 3, 5, 1, 0, 3, 3},
 		"clock jump":       {0, 3, 0, 15, 6, 50, 50, 0, 3, 6, 255, 255, 0, 0},
+		"tie on a lane":    {0, 2, 0, 2, 8, 8, 0, 0, 3, 8, 3, 3},
+		"step":             {0, 2, 0, 4, 0, 0, 9, 3, 9, 2, 3, 3},
+		"jump then zero":   {0, 3, 0, 2, 10, 2, 2, 9, 1, 0, 0, 10, 0, 0, 3},
 	}
 	for name, data := range scripts {
 		t.Run(name, func(t *testing.T) {
@@ -166,6 +190,9 @@ func TestEventQueueMatchesSortedOrder(t *testing.T) {
 func FuzzEventQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 2, 3, 5, 3, 200, 10, 100, 7, 9, 1, 6, 20, 20, 2, 0, 9, 3})
 	f.Add([]byte{5, 7, 1, 2, 3, 4, 5, 6, 7, 8, 5, 7, 8, 7, 6, 5, 4, 3, 2, 1, 3, 3, 3})
+	f.Add([]byte{0, 2, 0, 3, 0, 2, 8, 0, 14, 8, 3, 8, 0, 0, 3, 3}) // tie
+	f.Add([]byte{0, 2, 0, 0, 9, 3, 0, 4, 9, 1, 3, 3})              // Step
+	f.Add([]byte{0, 2, 0, 15, 10, 1, 2, 0, 2, 10, 0, 1, 8, 3, 3})  // clock jump
 	f.Fuzz(func(t *testing.T, data []byte) {
 		newQueueScript(t).run(data)
 	})
@@ -232,12 +259,18 @@ func (d *mixDriver) step() {
 func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
 	q := new(eventQueue)
 	for _, ev := range []event{nodeEvent(evArrive, new(Node), new(Packet)), departEvent(new(linkDir), new(Packet)), funcEvent(func() {})} {
-		ev.at, ev.seq = 1, 1
-		q.push(&ev, 0)
-		slot := &q.lanes[0].buf[q.lanes[0].head]
-		q.popDue(noLimit, new(event))
-		if slot.obj != nil || slot.pkt != nil || slot.at != 0 || slot.seq != 0 {
-			t.Errorf("popped ring slot still holds %+v", *slot)
+		for _, class := range []int64{0, 1} { // the zero lane, then a lane
+			ev.at, ev.seq = 1, ev.seq+1
+			q.push(&ev, class)
+			l := &q.zero
+			if class != 0 {
+				l = &q.lanes[0]
+			}
+			slot := &l.buf[l.head]
+			q.popDue(noLimit, new(event))
+			if slot.obj != nil || slot.pkt != nil || slot.at != 0 || slot.seq != 0 {
+				t.Errorf("popped ring slot (class %d) still holds %+v", class, *slot)
+			}
 		}
 	}
 	if raceEnabled {

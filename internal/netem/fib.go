@@ -8,10 +8,13 @@ import (
 	"slices"
 )
 
-// route is one longest-prefix route.
+// route is one longest-prefix route. An IPv4 prefix matches the words
+// dst with dst&mask == net; any other holds net 1 under mask 0, which no
+// destination matches (every packet is IPv4).
 type route struct {
-	prefix netip.Prefix
-	link   *Link
+	prefix    netip.Prefix
+	net, mask uint32
+	link      *Link
 }
 
 // hostRoute is a run of host-specificity routes covering the contiguous
@@ -32,9 +35,9 @@ type hostRoute struct {
 // routes and broader prefixes in the router-side state, and an IPv4
 // default here, so a leaf host needs no router-side state. The first
 // lookup after a change (router.dirty) sorts the two lists in place —
-// host routes by first address, prefixes stably by descending length,
-// so equal lengths keep install order — and a lookup is a binary search
-// for the host route covering dst, a longest-prefix scan, then dflt.
+// host routes by first address, prefixes stably by descending mask (an
+// IPv4 length; equal ones keep install order) — and a lookup is a binary
+// search for the host route covering dst, a longest-prefix scan, then dflt.
 type fib struct {
 	dflt *Link // the first IPv4 /0 installed; a later one could never win
 }
@@ -52,8 +55,13 @@ func (n *Node) AddRoute(prefix netip.Prefix, l *Link) {
 		r.hosts = append(r.hosts, hostRoute{first: ipv4ToUint(a), n: 1, link: l})
 		r.dirty = true
 	default:
+		rt := route{prefix: prefix, net: 1, link: l}
+		if a.Is4() && prefix.IsValid() {
+			rt.mask = ^uint32(0) << (32 - prefix.Bits())
+			rt.net = ipv4ToUint(a) & rt.mask
+		}
 		r := n.router()
-		r.prefixes = append(r.prefixes, route{prefix: prefix, link: l})
+		r.prefixes = append(r.prefixes, rt)
 		r.dirty = true
 	}
 }
@@ -103,7 +111,7 @@ func (n *Node) ClearRoutes() {
 // routes, naming the node and both ranges.
 func (n *Node) sortFIB() {
 	r := n.rt
-	slices.SortStableFunc(r.prefixes, func(a, b route) int { return b.prefix.Bits() - a.prefix.Bits() })
+	slices.SortStableFunc(r.prefixes, func(a, b route) int { return cmp.Compare(b.mask, a.mask) })
 	slices.SortFunc(r.hosts, func(a, b hostRoute) int { return cmp.Compare(a.first, b.first) })
 	for i := 1; i < len(r.hosts); i++ {
 		if a, b := r.hosts[i-1], r.hosts[i]; uint64(a.first)+uint64(a.n) > uint64(b.first) {
@@ -114,46 +122,40 @@ func (n *Node) sortFIB() {
 	r.dirty = false
 }
 
-// lookupRoute returns the best route for dst, or nil: the host route
-// covering dst, else the longest matching prefix, else the default. A
-// node without router-side state has only the default.
-func (n *Node) lookupRoute(dst netip.Addr) *Link {
+// lookupRoute returns the best route for the IPv4 destination v, or nil:
+// the host route covering v, else the longest matching prefix, else the
+// default. A node without router-side state has only the default.
+func (n *Node) lookupRoute(v uint32) *Link {
 	if r := n.rt; r != nil {
 		if r.dirty {
 			n.sortFIB()
 		}
-		if len(r.hosts) > 0 && dst.Is4() {
-			v := ipv4ToUint(dst)
-			// First host route starting strictly after v; the one before
-			// it is the only candidate.
-			lo, hi := 0, len(r.hosts)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if r.hosts[mid].first <= v {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo > 0 {
-				if h := &r.hosts[lo-1]; v-h.first < h.n {
-					if h.links != nil {
-						return h.links[v-h.first]
-					}
-					return h.link
-				}
+		// First host route starting strictly after v; the one before it
+		// is the only candidate.
+		lo, hi := 0, len(r.hosts)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if r.hosts[mid].first <= v {
+				lo = mid + 1
+			} else {
+				hi = mid
 			}
 		}
-		for _, p := range r.prefixes {
-			if p.prefix.Contains(dst) {
+		if lo > 0 {
+			if h := &r.hosts[lo-1]; v-h.first < h.n {
+				if h.links != nil {
+					return h.links[v-h.first]
+				}
+				return h.link
+			}
+		}
+		for i := range r.prefixes {
+			if p := &r.prefixes[i]; v&p.mask == p.net {
 				return p.link
 			}
 		}
 	}
-	if dst.Is4() {
-		return n.fib.dflt
-	}
-	return nil
+	return n.fib.dflt
 }
 
 // dijkstraScratch holds per-source Dijkstra state, reused across the

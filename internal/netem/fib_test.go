@@ -173,7 +173,6 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 				probes = append(probes, uintToIPv4(uint32(v)))
 			}
 		}
-		probes = append(probes, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:10.0.0.1"))
 		for k := 0; k < 50; k++ {
 			probes = append(probes, netip.AddrFrom4([4]byte{
 				byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}))
@@ -184,7 +183,7 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 		}
 		for _, nd := range nodes {
 			for _, dst := range probes {
-				got, want := nd.lookupRoute(dst), nd.lookupRouteLinear(dst)
+				got, want := nd.lookupRoute(ipv4ToUint(dst)), nd.lookupRouteLinear(dst)
 				if got != want {
 					t.Fatalf("trial %d: node %s dst %v: FIB %p != linear %p",
 						trial, nd.Name(), dst, got, want)
@@ -192,6 +191,120 @@ func TestFIBMatchesLinearReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzLookupMatchesLinear: the word FIB — host routes by binary search,
+// prefixes as (net, mask) words — returns what lookupRouteLinear's scan
+// with netip.Prefix.Contains returns, for every destination an install
+// script makes interesting. Each op is one byte and takes its operands
+// from the bytes after it: a prefix from /0 to /32 (a /32 is a host
+// route), the previous prefix again on another link (install order
+// decides between equal prefixes), a range or a block route, or a lookup
+// pass mid-script (the FIB re-sorts what changed since the last one). The
+// node's peers carry IPv6 addresses too, so BuildRoutes puts their /128s
+// in its prefix list, where no IPv4 destination may match them — not even
+// the one their low word spells, which is probed.
+func FuzzLookupMatchesLinear(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 0, 0, 16, 0, 0, 10, 1, 2, 0, 24, 1, 4, 0, 0, 0, 0, 0, 0, 2, 0, 10, 1, 2, 3, 32, 3, 4})
+	f.Add([]byte{0, 10, 9, 0, 0, 16, 0, 1, 1, 1, 2, 0, 10, 9, 0, 0, 16, 3, 4, 1, 0})               // equal prefixes
+	f.Add([]byte{2, 10, 9, 0, 0, 200, 3, 0, 3, 10, 9, 1, 0, 10, 5, 1, 4, 0, 10, 0, 0, 0, 8, 2, 4}) // ranges, blocks
+	f.Add([]byte{0, 0, 0, 0, 0, 30, 0, 4})                                                         // over the /128s' low words
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewSimulator(simStart, 1)
+		a := s.MustAddNode("a", "", addr("10.0.0.1"))
+		var links []*Link
+		for i := 0; i < 4; i++ {
+			p := s.MustAddNode(fmt.Sprint("p", i), "", uintToIPv4(ipv4ToUint(addr("10.0.1.0"))+uint32(i)),
+				netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 15: byte(i)}))
+			links = append(links, s.Connect(a, p, LinkConfig{Delay: time.Millisecond}))
+		}
+		s.BuildRoutes()
+		probes := []uint32{0, math.MaxUint32}
+		var taken [][2]uint64 // [lo, hi) of every host route: they must not overlap
+		hosts, prefixes := routes(a)
+		for _, h := range hosts {
+			taken = append(taken, [2]uint64{uint64(h.first), uint64(h.first) + uint64(h.n)})
+			probes = append(probes, h.first)
+		}
+		for _, r := range prefixes {
+			b := r.prefix.Addr().As16()
+			probes = append(probes, uint32(b[12])<<24|uint32(b[13])<<16|uint32(b[14])<<8|uint32(b[15]))
+		}
+		if len(taken) != 4 || len(prefixes) != 4 {
+			t.Fatalf("BuildRoutes installed %d host routes and %d prefixes, want 4 and 4 (the /128s)", len(taken), len(prefixes))
+		}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		word := func() uint32 { return uint32(next())<<24 | uint32(next())<<16 | uint32(next())<<8 | uint32(next()) }
+		claim := func(lo, hi uint64) bool {
+			if hi > 1<<32 || slices.ContainsFunc(taken, func(r [2]uint64) bool { return lo < r[1] && r[0] < hi }) {
+				return false
+			}
+			taken = append(taken, [2]uint64{lo, hi})
+			probes = append(probes, uint32(lo-1), uint32(lo), uint32(hi-1), uint32(hi))
+			return true
+		}
+		check := func() {
+			for _, v := range probes {
+				if got, want := a.lookupRoute(v), a.lookupRouteLinear(uintToIPv4(v)); got != want {
+					t.Fatalf("dst %v: FIB %p != linear %p", uintToIPv4(v), got, want)
+				}
+			}
+		}
+		var last netip.Prefix
+		var dflt *Link
+		for len(data) > 0 {
+			switch op := next(); op % 5 {
+			case 0: // a prefix from /0 to /32
+				p := netip.PrefixFrom(uintToIPv4(word()), int(next()%33))
+				l := links[next()%4]
+				lo := uint64(ipv4ToUint(p.Masked().Addr()))
+				if p.Bits() == 32 && !claim(lo, lo+1) {
+					continue
+				}
+				if p.Bits() == 0 && dflt == nil {
+					dflt = l
+				}
+				a.AddRoute(p, l)
+				last = p
+				probes = append(probes, ipv4ToUint(p.Addr()), uint32(lo-1), uint32(lo), uint32(lo+1<<(32-p.Bits())-1), uint32(lo+1<<(32-p.Bits())))
+			case 1: // the previous prefix again, on another link
+				if last.IsValid() && last.Bits() < 32 {
+					a.AddRoute(last, links[next()%4])
+				}
+			case 2, 3: // a range (2) or a block (3) route
+				first, n := word(), 1+int(next())*(1+int(next()%16))
+				if !claim(uint64(first), uint64(first)+uint64(n)) {
+					continue
+				}
+				var err error
+				if op%5 == 2 {
+					err = a.AddRangeRoute(uintToIPv4(first), n, links[next()%4])
+				} else {
+					block := make([]*Link, n)
+					for i := range block {
+						block[i] = links[(i*7+int(first))%4]
+					}
+					err = a.AddBlockRoute(uintToIPv4(first), block)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			case 4: // look up now
+				check()
+			}
+		}
+		check()
+		if a.fib.dflt != dflt {
+			t.Fatalf("default %p, want the first /0 installed, %p", a.fib.dflt, dflt)
+		}
+	})
 }
 
 // TestFIBAnycastNearest: on random topologies with a random anycast
@@ -290,7 +403,7 @@ func TestFIBRecompilesAfterRouteChange(t *testing.T) {
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
 	b := s.MustAddNode("b", "", addr("10.0.1.1"))
 	l := s.Connect(a, b, LinkConfig{Delay: time.Millisecond})
-	dst := addr("10.9.0.1")
+	dst := ipv4ToUint(addr("10.9.0.1"))
 	if a.lookupRoute(dst) != nil {
 		t.Fatal("route before any install")
 	}
@@ -318,7 +431,8 @@ func TestFIBRecompilesAfterRouteChange(t *testing.T) {
 // TestFIBRefusesOverlappingHostRoutes: host routes must be disjoint, so
 // an overlap — partial, nested, or an exact duplicate — panics on the
 // next lookup, naming the node; ClearRoutes recovers. IPv6 single
-// addresses are not host routes: they resolve through the prefix list.
+// addresses are not host routes: they sit in the prefix list, where they
+// match no IPv4 destination.
 func TestFIBRefusesOverlappingHostRoutes(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	a := s.MustAddNode("a", "", addr("10.0.0.1"))
@@ -356,20 +470,22 @@ func TestFIBRefusesOverlappingHostRoutes(t *testing.T) {
 					t.Errorf("%s: lookup recovered %q, want an overlap panic naming node a", tc.name, msg)
 				}
 			}()
-			a.lookupRoute(addr("10.9.0.1"))
+			a.lookupRoute(ipv4ToUint(addr("10.9.0.1")))
 		}()
 	}
 
 	a.ClearRoutes()
 	a.AddRoute(netip.MustParsePrefix("10.9.0.1/32"), l)
-	if a.lookupRoute(addr("10.9.0.1")) != l {
+	if a.lookupRoute(ipv4ToUint(addr("10.9.0.1"))) != l {
 		t.Error("node does not route after ClearRoutes")
 	}
+	// Every packet is IPv4, so the /128 must capture no IPv4 destination,
+	// not even the one its low word spells (0.0.0.1).
 	v6 := netip.MustParseAddr("2001:db8::1")
 	a.AddRoute(netip.PrefixFrom(v6, 128), l)
-	if a.lookupRoute(v6) != l || len(a.rt.prefixes) != 1 || len(a.rt.hosts) != 1 {
-		t.Errorf("IPv6 /128: lookup %v, %d prefixes, %d host routes; want it in the prefix list",
-			a.lookupRoute(v6) == l, len(a.rt.prefixes), len(a.rt.hosts))
+	if a.lookupRoute(1) != nil || len(a.rt.prefixes) != 1 || len(a.rt.hosts) != 1 {
+		t.Errorf("IPv6 /128: 0.0.0.1 resolves %v, %d prefixes, %d host routes; want it in the prefix list only",
+			a.lookupRoute(1) == l, len(a.rt.prefixes), len(a.rt.hosts))
 	}
 }
 
@@ -419,7 +535,7 @@ func TestFIBRouteMemoryRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.lookupRoute(addr("11.0.0.5")) != l { // sorts the FIB
+	if a.lookupRoute(ipv4ToUint(addr("11.0.0.5"))) != l { // sorts the FIB
 		t.Fatal("range route does not resolve")
 	}
 	runtime.GC()
@@ -440,7 +556,7 @@ func TestFIBRouteMemoryRegression(t *testing.T) {
 	// Every one of the 2.56M covered addresses must resolve through the
 	// range entries; spot-check the corners and a stride.
 	for i := 0; i < routes*span; i += 4099 {
-		if a.lookupRoute(uintToIPv4(base+uint32(i))) != l {
+		if a.lookupRoute(base+uint32(i)) != l {
 			t.Fatalf("covered address %d does not resolve", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 
@@ -38,7 +39,7 @@ func FlowKeyOf(pkt []byte) (k FlowKey, forward bool, ok bool) {
 	copy(src[:], pkt[12:16])
 	copy(dst[:], pkt[16:20])
 	k.Proto = pkt[9]
-	if lessAddr4(src, dst) {
+	if binary.BigEndian.Uint32(src[:]) <= binary.BigEndian.Uint32(dst[:]) { // equal: forward
 		k.Lo, k.Hi = src, dst
 		return k, true, true
 	}
@@ -55,21 +56,12 @@ func FlowKeyFrom(src, dst netip.Addr, proto uint8) (FlowKey, error) {
 	}
 	a, b := src.As4(), dst.As4()
 	k := FlowKey{Proto: proto}
-	if lessAddr4(a, b) {
+	if binary.BigEndian.Uint32(a[:]) <= binary.BigEndian.Uint32(b[:]) {
 		k.Lo, k.Hi = a, b
 	} else {
 		k.Lo, k.Hi = b, a
 	}
 	return k, nil
-}
-
-func lessAddr4(a, b [4]byte) bool {
-	for i := 0; i < 4; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return true // equal: treat as forward
 }
 
 // NowNanos returns the simulator clock as integer nanoseconds — the

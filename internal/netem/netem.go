@@ -41,6 +41,7 @@
 package netem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -350,15 +351,16 @@ func (s *Simulator) AddNode(name string, addrs ...netip.Addr) (*Node, error) {
 	}
 	n := &Node{sh: s.shards[0], id: len(s.nodeList), rt: &router{name: name}}
 	s.planDirty = true
-	for _, a := range addrs {
+	for i, a := range addrs { // registered one by one: a repeat is in use
 		if err := s.checkFree(a, 1); err != nil {
+			for _, b := range addrs[:i] {
+				delete(s.byAddr, b)
+			}
 			return nil, err
 		}
-	}
-	for _, a := range addrs {
 		s.byAddr[a] = n
-		n.rt.addrs = append(n.rt.addrs, a)
 	}
+	n.rt.addrs = append(n.rt.addrs, addrs...)
 	s.nodes[name] = n
 	s.nodeList = append(s.nodeList, n)
 	return n, nil
@@ -527,12 +529,8 @@ func (n *Node) SendPacket(p *Packet) error {
 // processing cost. The journey's send event fires now; the packet enters
 // the network proc later. proc <= 0 degenerates to SendPacket.
 func (n *Node) SendPacketProc(p *Packet, proc time.Duration) error {
-	if proc <= 0 {
-		return n.SendPacket(p)
-	}
-	if len(p.Pkt) < wire.IPv4HeaderLen {
-		p.Release()
-		return ErrMalformedIPv4
+	if proc <= 0 || len(p.Pkt) < wire.IPv4HeaderLen {
+		return n.SendPacket(p) // which refuses a malformed packet
 	}
 	n.sh.stampJourney(p)
 	n.sh.emit(TraceSend, n, p)
@@ -545,13 +543,12 @@ func (n *Node) SendPacketProc(p *Packet, proc time.Duration) error {
 // marks packets sent by this node itself (no transit hooks, no TTL work).
 // dispatch owns p: every exit path releases it or hands it on.
 func (n *Node) dispatch(p *Packet, origin bool) error {
-	_, dst, err := wire.IPv4Addrs(p.Pkt)
-	if err != nil {
+	if len(p.Pkt) < wire.IPv4HeaderLen {
 		p.Release()
 		return ErrMalformedIPv4
 	}
 	if origin || n.rt == nil || len(n.rt.hooks) == 0 {
-		return n.route(p, dst, origin)
+		return n.route(p, origin)
 	}
 	// Transit/ingress policy.
 	var delay time.Duration
@@ -576,29 +573,21 @@ func (n *Node) dispatch(p *Packet, origin bool) error {
 		n.sh.schedule(n.sh.now+int64(delay), nodeEvent(evDelayed, n, p))
 		return nil
 	}
-	return n.dispatchAfterPolicy(p)
+	return n.route(p, false)
 }
 
-// dispatchAfterPolicy resumes a transit packet once its hooks, and any
-// delay they imposed, have run: they may write it, so it is parsed again.
-func (n *Node) dispatchAfterPolicy(p *Packet) error {
-	_, dst, err := wire.IPv4Addrs(p.Pkt)
-	if err != nil {
-		p.Release()
-		return ErrMalformedIPv4
-	}
-	return n.route(p, dst, false)
-}
-
-// route delivers p locally or forwards it toward dst. origin marks
-// packets originated by this node, which are not TTL-decremented and do
-// not count as forwarding. A node serves its own addresses and the anycast
-// groups it is a member of, all of them in addrList: a hop decides from
-// its own fields.
-func (n *Node) route(p *Packet, dst netip.Addr, origin bool) error {
-	if slices.Contains(n.addrList(), dst) {
-		n.deliver(p)
-		return nil
+// route delivers p locally or forwards it toward its destination, read
+// once, as a word, after any transit hooks (they may write it). origin
+// marks a packet this node originated: no TTL work, not a forward. A node
+// serves its own addresses and the anycast groups it is a member of, all
+// in addrList: a hop decides from its own fields.
+func (n *Node) route(p *Packet, origin bool) error {
+	dst := binary.BigEndian.Uint32(p.Pkt[16:20])
+	for _, a := range n.addrList() {
+		if a.Is4() && ipv4ToUint(a) == dst {
+			n.deliver(p)
+			return nil
+		}
 	}
 	link := n.lookupRoute(dst)
 	if link == nil {
@@ -607,12 +596,7 @@ func (n *Node) route(p *Packet, dst netip.Addr, origin bool) error {
 		return ErrNoRoute
 	}
 	if !origin {
-		alive, err := wire.DecrementTTL(p.Pkt)
-		if err != nil {
-			p.Release()
-			return ErrMalformedIPv4
-		}
-		if !alive {
+		if alive, _ := wire.DecrementTTL(p.Pkt); !alive { // dispatch checked the length
 			n.sh.emit(TraceDropTTL, n, p)
 			p.Release()
 			return ErrTTLExhausted

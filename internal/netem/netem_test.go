@@ -449,6 +449,26 @@ func TestOneAddressOwnership(t *testing.T) {
 	}
 }
 
+// TestAddNodeRefusesRepeatedAddress: an address given twice in one
+// AddNode call is refused like one another node owns, and the refused
+// call leaves nothing behind — the name and the address stay free.
+func TestAddNodeRefusesRepeatedAddress(t *testing.T) {
+	s := NewSimulator(simStart, 1)
+	a, b := addr("10.0.0.1"), addr("10.0.0.2")
+	for _, addrs := range [][]netip.Addr{{a, a}, {a, b, a}, {b, a, b}} {
+		if n, err := s.AddNode("x", addrs...); !errors.Is(err, ErrAddrInUse) {
+			t.Errorf("AddNode(x, %v) = %v, %v; want ErrAddrInUse", addrs, n, err)
+		}
+	}
+	if s.nodes["x"] != nil || len(s.byAddr) != 0 {
+		t.Fatalf("refused calls left node %v and %d registered addresses", s.nodes["x"], len(s.byAddr))
+	}
+	n, err := s.AddNode("x", a, b)
+	if err != nil || !slices.Equal(n.ownAddrs(), []netip.Addr{a, b}) {
+		t.Errorf("AddNode(x, %v, %v) = %v, %v", a, b, n, err)
+	}
+}
+
 func TestAddRemoveAddr(t *testing.T) {
 	s := NewSimulator(simStart, 1)
 	n := s.MustAddNode("n", "", addr("10.0.0.1"))

@@ -147,13 +147,9 @@ func (s *Simulator) runLimit(limit int64) {
 func (s *Simulator) nextEventTime() (at int64, pending int) {
 	at = noLimit
 	for _, sh := range s.shards {
-		n := sh.events.len()
-		if n == 0 {
-			continue
-		}
-		pending += n
-		if h := sh.events.minAt(); h < at {
-			at = h
+		if _, ev, _ := sh.events.front(); ev != nil {
+			pending += sh.events.len()
+			at = min(at, ev.at)
 		}
 	}
 	return at, pending
