@@ -1,8 +1,12 @@
 // Package benchenv is the fixed scenario of the paper's §4
 // micro-experiments: one neutralizer on the canonical master-key
-// schedule and one pre-built packet of every kind it serves. It imports
-// only the data plane (core, shim, wire, crypto/*), so those packages'
-// fuzz targets can seed from real packets without compiling the
+// schedule and one pre-built packet of every kind it serves. It also
+// credentials the harness's data packets: a Flow derives and expands a
+// source's session key once and seals each packet's hidden destination
+// with one AES block, and Templates writes a set of packets into one
+// slab, as E5's batch, E6's per-host and E13's per-metro templates are.
+// It imports only the data plane (core, shim, wire, crypto/*), so those
+// packages' fuzz targets can seed from real packets without compiling the
 // emulator; internal/eval and the testing.B suite build on it too.
 package benchenv
 
@@ -38,32 +42,78 @@ func NewSchedule() *keys.Schedule {
 	return keys.NewSchedule(aesutil.Key{7}, Start, time.Hour)
 }
 
-// DataHeader derives one flow's shim data header: the session key comes
-// from (epoch, nonce, src) — exactly what the stateless neutralizer will
-// re-derive — and dst is sealed into the hidden address block.
-func DataHeader(sched *keys.Schedule, epoch keys.Epoch, src, dst netip.Addr, nonce keys.Nonce, tweak [8]byte, innerProto uint8) (shim.Header, error) {
-	ks, err := sched.SessionKey(epoch, nonce, src)
-	if err != nil {
-		return shim.Header{}, err
-	}
-	blk, err := aesutil.EncryptAddr(ks, dst, tweak)
-	if err != nil {
-		return shim.Header{}, err
-	}
-	return shim.Header{
-		Type: shim.TypeData, InnerProto: innerProto,
-		Epoch: epoch, Nonce: nonce, HiddenAddr: blk,
-	}, nil
+// Flow is one outside source's credential, set up once as in the paper:
+// Ks = hash(KM, nonce, src) derived from (epoch, nonce, src), exactly
+// what the stateless neutralizer will re-derive, and expanded once, so
+// each packet costs one AES block to seal its hidden destination.
+type Flow struct {
+	src netip.Addr
+	ks  aesutil.ExpandedKey
+	hdr shim.Header // a data header; HiddenAddr is sealed per packet
 }
 
-// DataPacket builds the neutralized UDP data packet DataHeader's
-// credentials authorize: src to the hidden customer dst behind anycast.
-func DataPacket(sched *keys.Schedule, epoch keys.Epoch, src, anycast, dst netip.Addr, nonce keys.Nonce, tweak [8]byte, payload []byte) ([]byte, error) {
-	hdr, err := DataHeader(sched, epoch, src, dst, nonce, tweak, wire.ProtoUDP)
+// NewFlow derives and expands src's session key under (epoch, nonce).
+func NewFlow(sched *keys.Schedule, epoch keys.Epoch, src netip.Addr, nonce keys.Nonce, innerProto uint8) (Flow, error) {
+	ks, err := sched.SessionKey(epoch, nonce, src)
+	if err != nil {
+		return Flow{}, err
+	}
+	f := Flow{src: src, hdr: shim.Header{Type: shim.TypeData, InnerProto: innerProto, Epoch: epoch, Nonce: nonce}}
+	f.ks.Expand(ks)
+	return f, nil
+}
+
+// Header is the flow's shim data header with dst sealed into the hidden
+// address block under tweak.
+func (f *Flow) Header(dst netip.Addr, tweak [8]byte) (shim.Header, error) {
+	h := f.hdr
+	blk, ok := f.ks.EncryptAddrX(dst, tweak)
+	if !ok {
+		return shim.Header{}, fmt.Errorf("benchenv: destination %v is not IPv4", dst)
+	}
+	h.HiddenAddr = blk
+	return h, nil
+}
+
+// AppendData appends the neutralized data packet the flow's credentials
+// authorize to b: src to the hidden customer dst behind anycast.
+func (f *Flow) AppendData(b []byte, anycast, dst netip.Addr, tweak [8]byte, payload []byte) ([]byte, error) {
+	h, err := f.Header(dst, tweak)
 	if err != nil {
 		return nil, err
 	}
-	return shim.BuildPacket(src, anycast, 0, &hdr, payload)
+	return shim.AppendPacket(b, f.src, anycast, 0, &h, payload)
+}
+
+// DataLen is the length of a data packet carrying n payload bytes.
+func DataLen(n int) int { return wire.IPv4HeaderLen + shim.DataOverhead + n }
+
+// Templates writes n packets into one slab, packet i appended by put,
+// and returns cap-limited views of it, slab[off:end:end]: an append to one
+// template reallocates it rather than writing over the next. size is
+// what one packet takes, so the slab is made once.
+func Templates(n, size int, put func(b []byte, i int) ([]byte, error)) ([][]byte, error) {
+	slab, views := make([]byte, 0, n*size), make([][]byte, n)
+	for i := range views {
+		off := len(slab)
+		var err error
+		if slab, err = put(slab, i); err != nil {
+			return nil, err
+		}
+		views[i] = slab[off:len(slab):len(slab)]
+	}
+	return views, nil
+}
+
+// DataPacket builds the neutralized UDP data packet src's credentials
+// under (epoch, nonce) authorize: src to the hidden customer dst behind
+// anycast.
+func DataPacket(sched *keys.Schedule, epoch keys.Epoch, src, anycast, dst netip.Addr, nonce keys.Nonce, tweak [8]byte, payload []byte) ([]byte, error) {
+	f, err := NewFlow(sched, epoch, src, nonce, wire.ProtoUDP)
+	if err != nil {
+		return nil, err
+	}
+	return f.AppendData(nil, anycast, dst, tweak, payload)
 }
 
 // BenchEnv packages a neutralizer and pre-built packets for the
@@ -192,21 +242,16 @@ func (e *BenchEnv) DataBatch(nSources, n int) ([][]byte, error) {
 		return nil, fmt.Errorf("benchenv: bad source count %d", nSources)
 	}
 	payload := make([]byte, 64)
-	pkts := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		s := i % nSources
-		src := netip.AddrFrom4([4]byte{172, 16, byte(s >> 8), byte(s)})
+	return Templates(n, DataLen(len(payload)), func(b []byte, i int) ([]byte, error) {
+		s := i % nSources // consecutive packets come from distinct sources, so each keys its own
 		var nonce keys.Nonce
-		nonce[0] = byte(s >> 8)
-		nonce[1] = byte(s)
-		nonce[7] = 1
-		pkt, err := DataPacket(e.Sched, e.Epoch, src, benchAnycast, benchDst, nonce, [8]byte{byte(i), byte(i >> 8)}, payload)
+		nonce[0], nonce[1], nonce[7] = byte(s>>8), byte(s), 1
+		f, err := NewFlow(e.Sched, e.Epoch, netip.AddrFrom4([4]byte{172, 16, byte(s >> 8), byte(s)}), nonce, wire.ProtoUDP)
 		if err != nil {
 			return nil, err
 		}
-		pkts = append(pkts, pkt)
-	}
-	return pkts, nil
+		return f.AppendData(b, benchAnycast, benchDst, [8]byte{byte(i), byte(i >> 8)}, payload)
+	})
 }
 
 // FreshVanilla returns a copy of the vanilla packet (VanillaForward

@@ -63,7 +63,7 @@ type Schedule struct {
 	epochLen time.Duration
 	startNs  int64 // the anchor in Unix nanoseconds: the per-packet window check is integer arithmetic
 
-	cache atomic.Pointer[[]epochEntry] // in order of derivation
+	cache atomic.Pointer[[]epochEntry] // the newest 4 derived, in order of derivation
 	mu    sync.Mutex                   // serializes cache writers only
 }
 
@@ -135,7 +135,7 @@ func (s *Schedule) deriveEpoch(e Epoch) epochEntry {
 	ent.km.Expand(k)
 	p := ent.km.MACPrefix(kdfFrameLen)
 	ent.prefix = [2]uint64{binary.BigEndian.Uint64(p[:8]), binary.BigEndian.Uint64(p[8:])}
-	next := append(old[:len(old):len(old)], ent)
+	next := append(old[max(0, len(old)-3):len(old):len(old)], ent) // an epoch older than these 4 is derived again
 	s.cache.Store(&next)
 	return ent
 }

@@ -105,6 +105,34 @@ func TestMasterKeyPerEpoch(t *testing.T) {
 	}
 }
 
+// TestEpochCacheBounded: the cache keeps the newest 4 epochs derived,
+// however many are asked for, and an evicted epoch derived again keys
+// as it did the first time: its value is a pure function of root and
+// epoch.
+func TestEpochCacheBounded(t *testing.T) {
+	s := newTestSchedule()
+	src := netip.MustParseAddr("198.51.100.9")
+	first := make([]aesutil.Key, 100)
+	for e := range first {
+		first[e], _ = s.SessionKey(Epoch(e), Nonce{1}, src)
+		if n := len(*s.cache.Load()); n > 4 {
+			t.Fatalf("after %d epochs the cache holds %d, want at most 4", e+1, n)
+		}
+	}
+	var w Work
+	for e := Epoch(96); e < 100; e++ {
+		s.SessionKeyInto(&w, e, Nonce{1}, src)
+	}
+	if hits, misses := w.EpochCacheStats(); misses != 0 {
+		t.Errorf("the newest 4 epochs: %d hits and %d misses, want no miss", hits, misses)
+	}
+	for _, e := range []int{0, 1, 50, 95} {
+		if again, _ := s.SessionKey(Epoch(e), Nonce{1}, src); again != first[e] {
+			t.Errorf("epoch %d derived again keys differently", e)
+		}
+	}
+}
+
 func TestSessionKeyDeterministicAndStateless(t *testing.T) {
 	s := newTestSchedule()
 	n := Nonce{1, 2, 3, 4, 5, 6, 7, 8}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	mathrand "math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"netneutral/internal/benchenv"
@@ -168,28 +169,36 @@ const probeSrcPort = 40000
 
 // flowSender credentials one flow and returns its send(payload): plain
 // UDP for ModePlaintext, otherwise a shim data packet to the anycast
-// address, through a cloak shaper first for ModeCloaked.
+// address, through a cloak shaper first for ModeCloaked. Each send lays
+// its packet out in a buffer the sender keeps, since Node.Send copies it
+// into a pooled packet: a send allocates nothing.
 func (e *fanoutEnv) flowSender(fl flowSpec) (func(payload []byte), error) {
 	src, srcAddr := fl.Src, fl.Src.Addr()
+	var buf []byte
 	if fl.Mode == ModePlaintext {
 		return func(payload []byte) {
-			_ = src.Send(plainUDP(srcAddr, fl.Dst, probeSrcPort, fl.Port, payload))
+			buf = appendUDP(buf[:0], srcAddr, fl.Dst, probeSrcPort, fl.Port, payload)
+			_ = src.Send(buf)
 		}, nil
 	}
 	var nonce keys.Nonce
 	nonce[0], nonce[1], nonce[7] = byte(fl.Index>>8), byte(fl.Index), 0xE0|fl.Exp
-	hdr, err := benchenv.DataHeader(e.Sched, e.Epoch, srcAddr, fl.Dst, nonce,
-		[8]byte{byte(fl.Index), byte(fl.Index >> 8), 0xA0 | fl.Exp}, 0)
+	flow, err := benchenv.NewFlow(e.Sched, e.Epoch, srcAddr, nonce, 0)
+	if err != nil {
+		return nil, err
+	}
+	hdr, err := flow.Header(fl.Dst, [8]byte{byte(fl.Index), byte(fl.Index >> 8), 0xA0 | fl.Exp})
 	if err != nil {
 		return nil, err
 	}
 	anycast := e.Fan.Spec.Anycast
 	send := func(payload []byte) {
-		pkt, err := shim.BuildPacket(srcAddr, anycast, 0, &hdr, payload)
+		pkt, err := shim.AppendPacket(buf[:0], srcAddr, anycast, 0, &hdr, payload)
 		if err != nil {
 			return
 		}
-		_ = src.Send(pkt)
+		buf = pkt
+		_ = src.Send(buf)
 	}
 	if fl.Mode == ModeCloaked {
 		shaper := cloak.NewShaper(e.Sim, send)
@@ -221,17 +230,17 @@ func (e *fanoutEnv) flowKey(src, dst netip.Addr, mode ArmsMode) (netem.FlowKey, 
 	return netem.FlowKeyFrom(src, e.Fan.Spec.Anycast, wire.ProtoShim)
 }
 
-// plainUDP serializes a plaintext UDP datagram carrying payload.
-func plainUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: sport, DstPort: dport},
-	); err != nil {
+// appendUDP appends a plaintext UDP datagram carrying payload to b.
+func appendUDP(b []byte, src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
+	off, hl := len(b), wire.IPv4HeaderLen+wire.UDPHeaderLen
+	b = append(slices.Grow(b, hl+len(payload))[:off+hl], payload...)
+	ip := wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst}
+	if err := ip.Put(b[off:], len(b)-off); err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	u := wire.UDP{SrcPort: sport, DstPort: dport}
+	u.Put(b[off+wire.IPv4HeaderLen:])
+	return b
 }
 
 // newEndhost builds an endhost sending through node on sim's clock. The

@@ -35,6 +35,7 @@ import (
 	"netneutral/internal/crypto/keys"
 	"netneutral/internal/netem"
 	"netneutral/internal/trafficgen"
+	"netneutral/internal/wire"
 )
 
 // BackboneConfig parameterizes the continental run; the zero value gets
@@ -94,9 +95,9 @@ type BackboneStats struct {
 type backboneWorld struct {
 	sim *netem.Simulator
 	bb  *netem.Backbone
-	// neutSends[m] cycles metro m's outside user through its templates
+	// neutTemplates[m] are metro m's outside user's packets, one slab
 	// (neutralized, addressed to metro (m+1)'s anycast).
-	neutSends []func(seq uint64)
+	neutTemplates [][][]byte
 	// crossNodes/crossSends are the plain cross-metro probe senders,
 	// anchored at their source hosts.
 	crossNodes []*netem.Node
@@ -153,24 +154,24 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 		// backbone to metro (m+1)'s anycast; the hidden destinations
 		// stride across that metro's edges.
 		dstMetro := bb.Metros[(m+1)%cfg.Metros]
-		src := f.OutsideAddr(0)
-		nonce := keys.Nonce{0xE1, 3, byte(m)}
-		templates := make([][]byte, nTemplates)
-		for k := range templates {
-			dst := dstMetro.HostAddr(k * stride % cfg.HostsPerMetro)
-			templates[k], err = benchenv.DataPacket(sched, epoch, src, dstMetro.Spec.Anycast, dst, nonce,
-				[8]byte{byte(m), byte(k), byte(k >> 8)}, payload)
-			if err != nil {
-				return nil, err
-			}
+		flow, err := benchenv.NewFlow(sched, epoch, f.OutsideAddr(0), keys.Nonce{0xE1, 3, byte(m)}, wire.ProtoUDP)
+		if err != nil {
+			return nil, err
 		}
-		w.neutSends = append(w.neutSends, trafficgen.CyclingSender(f.Outside[0], templates))
+		templates, err := benchenv.Templates(nTemplates, benchenv.DataLen(len(payload)), func(b []byte, k int) ([]byte, error) {
+			return flow.AppendData(b, dstMetro.Spec.Anycast, dstMetro.HostAddr(k*stride%cfg.HostsPerMetro),
+				[8]byte{byte(m), byte(k), byte(k >> 8)}, payload)
+		})
+		if err != nil {
+			return nil, err
+		}
+		w.neutTemplates = append(w.neutTemplates, templates)
 
 		// Plain cross-metro probes: host i of metro m talks to host i of
 		// metro (m+1) — real packets on the paths an auditor would measure.
 		for i := 0; i < backboneCrossFlows; i++ {
 			host := f.Hosts[i]
-			tmpl := plainUDP(f.HostAddr(i), dstMetro.HostAddr(i), probeSrcPort, 9000, nil)
+			tmpl := appendUDP(nil, f.HostAddr(i), dstMetro.HostAddr(i), probeSrcPort, 9000, nil)
 			w.crossNodes = append(w.crossNodes, host)
 			w.crossSends = append(w.crossSends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
 		}
@@ -185,7 +186,8 @@ func (w *backboneWorld) offer(d time.Duration) (neut, cross int, err error) {
 		return 0, 0, err
 	}
 	for m, f := range w.bb.Metros {
-		neut += trafficgen.OpenLoop{RatePps: backboneRatePps}.Run(f.Outside[0], d, w.neutSends[m])
+		neut += trafficgen.OpenLoop{RatePps: backboneRatePps}.Run(f.Outside[0], d,
+			trafficgen.CyclingSender(f.Outside[0], w.neutTemplates[m]))
 	}
 	const perFlow = backboneCrossPps / float64(backboneCrossFlows)
 	for i, host := range w.crossNodes {

@@ -102,16 +102,17 @@ func buildMetroWorld(seed int64, hosts, workers int, link netem.LinkConfig) (*me
 	}
 	env.Sim.SetWorkers(workers)
 
-	src := env.Fan.OutsideAddr(0)
-	nonce := keys.Nonce{0xE6, 1}
+	// One source, so one session key: every template seals its host under it.
+	flow, err := benchenv.NewFlow(env.Sched, env.Epoch, env.Fan.OutsideAddr(0), keys.Nonce{0xE6, 1}, wire.ProtoUDP)
+	if err != nil {
+		return nil, err
+	}
 	payload := make([]byte, 64)
-	templates := make([][]byte, hosts)
-	for i := range templates {
-		templates[i], err = benchenv.DataPacket(env.Sched, env.Epoch, src, env.Fan.Spec.Anycast,
-			env.Fan.HostAddr(i), nonce, [8]byte{byte(i), byte(i >> 8), byte(i >> 16)}, payload)
-		if err != nil {
-			return nil, err
-		}
+	templates, err := benchenv.Templates(hosts, benchenv.DataLen(len(payload)), func(b []byte, i int) ([]byte, error) {
+		return flow.AppendData(b, env.Fan.Spec.Anycast, env.Fan.HostAddr(i), [8]byte{byte(i), byte(i >> 8), byte(i >> 16)}, payload)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &metroWorld{fanoutEnv: env, templates: templates}, nil
 }
@@ -147,7 +148,7 @@ func newChatter(f *netem.Fanout) chatter {
 		if j < 0 {
 			continue // single-host edge: nobody to talk to
 		}
-		tmpl := plainUDP(f.HostAddr(i), f.HostAddr(j), probeSrcPort, 9000, payload)
+		tmpl := appendUDP(nil, f.HostAddr(i), f.HostAddr(j), probeSrcPort, 9000, payload)
 		c.nodes = append(c.nodes, host)
 		c.sends = append(c.sends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
 	}

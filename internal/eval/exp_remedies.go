@@ -415,7 +415,7 @@ func RunA6(Scale) (*Result, error) {
 				if err != nil {
 					return
 				}
-				_ = node.Send(plainUDP(dstA, srcA, 7, 7, []byte("echo")))
+				_ = node.Send(appendUDP(nil, dstA, srcA, 7, 7, []byte("echo")))
 			})
 		}
 		res := probeResult{uses: map[netip.Addr]int{}}
@@ -452,7 +452,7 @@ func RunA6(Scale) (*Result, error) {
 				sumRTT += rtt
 				sim.Schedule(time.Millisecond, func() { doProbe(i + 1) })
 			})
-			_ = src.Send(plainUDP(f1Ann, target, 7, 7, []byte("ping")))
+			_ = src.Send(appendUDP(nil, f1Ann, target, 7, 7, []byte("ping")))
 			// Timeout: 200ms without an answer is a failure.
 			sim.Schedule(200*time.Millisecond, func() {
 				if !answered {
@@ -607,7 +607,7 @@ func RunA8(Scale) (*Result, error) {
 	got := map[uint8]int{}
 	b.SetHandler(func(_ time.Time, pkt []byte) { got[pkt[1]>>2]++ })
 	mk := func(dscp uint8) []byte {
-		return markDSCP(plainUDP(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, make([]byte, 100)), dscp)
+		return markDSCP(appendUDP(nil, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, make([]byte, 100)), dscp)
 	}
 	for i := 0; i < 40; i++ {
 		sim.Schedule(time.Duration(i)*12800*time.Microsecond, func() {

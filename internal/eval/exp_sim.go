@@ -125,7 +125,7 @@ func RunF1(Scale) (*Result, error) {
 	const attempts = 20
 	for i := 0; i < attempts; i++ {
 		w.sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-			_ = w.ann.Send(plainUDP(f1Ann, f1Google, 4000, 80, []byte("GET /")))
+			_ = w.ann.Send(appendUDP(nil, f1Ann, f1Google, 4000, 80, []byte("GET /")))
 		})
 	}
 	w.sim.Run()
@@ -260,7 +260,7 @@ func RunA4(Scale) (*Result, error) {
 				delays.Add(now.Sub(frameAt(binary.BigEndian.Uint64(payload))))
 			}
 		}
-		send := func(payload []byte) { _ = w.ann.Send(plainUDP(f1Ann, f1Vonage, 7078, 7078, payload)) }
+		send := func(payload []byte) { _ = w.ann.Send(appendUDP(nil, f1Ann, f1Vonage, 7078, 7078, payload)) }
 		if !neutralized {
 			w.vonage.SetHandler(func(now time.Time, pkt []byte) { received(now, deliveredPayload(pkt)) })
 		} else {

@@ -209,7 +209,7 @@ func (s *Simulator) Now() time.Time { return s.timeAt(s.now()) }
 
 // Rand returns shard 0's seeded PRNG — the simulator-wide stream of
 // unsharded runs. Sources on sharded topologies use Node.Rand.
-func (s *Simulator) Rand() *rand.Rand { return s.shards[0].rng }
+func (s *Simulator) Rand() *rand.Rand { return s.shards[0].rand() }
 
 // Forwarded reports router forwarding decisions (one per transit hop).
 func (s *Simulator) Forwarded() uint64 {
@@ -233,9 +233,6 @@ func (s *Simulator) EventsProcessed() uint64 {
 // calling Schedule from inside a multi-worker run therefore panics —
 // it would race shard 0's queue and silently break replay determinism.
 func (s *Simulator) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	s.guardShard0()
 	sh := s.shards[0]
 	sh.schedule(sh.now+int64(d), funcEvent(fn))

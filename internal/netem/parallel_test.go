@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -256,6 +257,44 @@ func TestShardRNGIndependence(t *testing.T) {
 		}
 	}
 	_ = f2
+}
+
+// TestShardRNGSeededOnFirstDraw: a shard makes its PRNG on the first
+// draw, and the stream is (seed, shard id)'s whenever that draw comes —
+// before Run (shard 0), from node events of a 2-worker run (shards 2 and
+// 3, on the workers' goroutines) or after it (shard 4). Shard 1 is never
+// drawn from, so it holds no generator.
+func TestShardRNGSeededOnFirstDraw(t *testing.T) {
+	const seed = 9
+	sim := NewSimulator(simStart, seed)
+	f, err := BuildFanout(sim, FanoutSpec{Hosts: 48, HostsPerEdge: 16, ShardSubtrees: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetWorkers(2)
+	for id, sh := range sim.shards {
+		if sh.rng != nil {
+			t.Fatalf("shard %d was seeded before any draw", id)
+		}
+	}
+	draw := func(r *rand.Rand) []int64 { return []int64{r.Int63(), r.Int63(), r.Int63()} }
+	got := map[int][]int64{0: draw(sim.Rand())}
+	inRun := make([][]int64, 2)
+	for i, h := range []*Node{f.Hosts[0], f.Hosts[16]} {
+		i, h := i, h
+		h.Schedule(time.Millisecond, func() { inRun[i] = draw(h.Rand()) })
+	}
+	sim.Run()
+	got[f.Hosts[0].ShardID()], got[f.Hosts[16].ShardID()] = inRun[0], inRun[1]
+	got[f.Hosts[32].ShardID()] = draw(f.Hosts[32].Rand())
+	for _, id := range []int{0, 2, 3, 4} {
+		if want := draw(rand.New(rand.NewSource(shardSeed(seed, id)))); !slices.Equal(got[id], want) {
+			t.Errorf("shard %d drew %v, want %v", id, got[id], want)
+		}
+	}
+	if sim.shards[1].rng != nil {
+		t.Error("shard 1 was never drawn from, yet holds a generator")
+	}
 }
 
 // TestBarrierDrainsOnlyTouchedPairs pins the barrier's cost model and its

@@ -39,7 +39,7 @@ type shard struct {
 	seq    uint64
 	events eventQueue
 	pool   packetPool
-	rng    *rand.Rand
+	rng    *rand.Rand // made on the first draw (rand): a shard that never draws seeds none
 
 	// outbox[d] stages events bound for shard d, in emission order.
 	outbox [][]remoteEvent
@@ -104,8 +104,7 @@ func shardSeed(root int64, id int) int64 {
 }
 
 func newShard(s *Simulator, id int, now int64) *shard {
-	sh := &shard{sim: s, id: id, now: now,
-		rng: rand.New(rand.NewSource(shardSeed(s.seed, id)))}
+	sh := &shard{sim: s, id: id, now: now}
 	sh.pool.owner = sh
 	sh.pool.debug = s.poolDebug
 	if s.flight != nil {
@@ -183,9 +182,6 @@ func (n *Node) NowNanos() int64 { return n.sh.now }
 // generators anchored to a node schedule here so their emissions execute
 // on the shard that owns the node — the requirement for parallel runs.
 func (n *Node) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	n.sh.schedule(n.sh.now+int64(d), funcEvent(fn))
 }
 
@@ -193,7 +189,15 @@ func (n *Node) Schedule(d time.Duration, fn func()) {
 // simulations draw node-local jitter from here: the stream is a function
 // of (simulator seed, shard id) and is consumed only by the shard's own
 // event execution.
-func (n *Node) Rand() *rand.Rand { return n.sh.rng }
+func (n *Node) Rand() *rand.Rand { return n.sh.rand() }
+
+// rand returns the shard's PRNG, seeding it on first use.
+func (sh *shard) rand() *rand.Rand {
+	if sh.rng == nil {
+		sh.rng = rand.New(rand.NewSource(shardSeed(sh.sim.seed, sh.id)))
+	}
+	return sh.rng
+}
 
 // NewPacket checks a buffer out of the node's shard-local pool and
 // copies b into it — the one copy of a packet's journey (Node.Send

@@ -273,7 +273,8 @@ func hostile(rng *mathrand.Rand, sched *keys.Schedule, k int) []byte {
 	if k == stale {
 		epoch += 5
 	}
-	hdr, _ := benchenv.DataHeader(sched, epoch, ann, google, nonce, [8]byte{}, wire.ProtoUDP)
+	flow, _ := benchenv.NewFlow(sched, epoch, ann, nonce, wire.ProtoUDP)
+	hdr, _ := flow.Header(google, [8]byte{})
 	if k == badBlock {
 		rng.Read(hdr.HiddenAddr[:])
 	}

@@ -59,20 +59,28 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 // SerializeTo prepends the header. The buffer's current contents
 // become the UDP payload.
 func (u *UDP) SerializeTo(b *SerializeBuffer) error {
-	payloadLen := b.Len()
-	hdr := b.PrependBytes(UDPHeaderLen)
-	binary.BigEndian.PutUint16(hdr[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(hdr[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(hdr[4:6], uint16(UDPHeaderLen+payloadLen))
-	hdr[6], hdr[7] = 0, 0
+	b.PrependBytes(UDPHeaderLen)
+	u.Put(b.Bytes())
+	return nil
+}
+
+// Put writes the header into seg[:UDPHeaderLen], seg being the whole
+// datagram with its payload in place; the checksum, when PseudoSrc and
+// PseudoDst are set, covers seg. It is the one writer of the layout:
+// SerializeTo prepends through it, and a caller that lays a whole packet
+// out itself fills its slot in place.
+func (u *UDP) Put(seg []byte) {
+	binary.BigEndian.PutUint16(seg[0:2], u.SrcPort)
+	binary.BigEndian.PutUint16(seg[2:4], u.DstPort)
+	binary.BigEndian.PutUint16(seg[4:6], uint16(len(seg)))
+	seg[6], seg[7] = 0, 0
 	if u.PseudoSrc.IsValid() && u.PseudoDst.IsValid() {
-		ck := udpChecksum(u.PseudoSrc, u.PseudoDst, b.Bytes()[:UDPHeaderLen+payloadLen])
+		ck := udpChecksum(u.PseudoSrc, u.PseudoDst, seg)
 		if ck == 0 {
 			ck = 0xffff // RFC 768: transmitted zero means "no checksum"
 		}
-		binary.BigEndian.PutUint16(hdr[6:8], ck)
+		binary.BigEndian.PutUint16(seg[6:8], ck)
 	}
-	return nil
 }
 
 // udpChecksum computes the UDP checksum including the IPv4 pseudo-header.
