@@ -145,15 +145,17 @@ func emit(stdout, stderr io.Writer, res *eval.Result) {
 }
 
 // runMetro runs E6 with the observability wiring the flags ask for,
-// attached through eval.Scale.Attach (MetroConfig.Attach). With
+// attached through eval.Scale.Attach (MetroConfig.Attach) as
+// Simulator.Observe, the plane every observed experiment carries. With
 // metricsAddr set it mounts the full export surface on the run's
-// registry: a Recorder publishing a merged snapshot at every epoch
-// barrier (so mid-run scrapes are barrier-consistent), a FlightRecorder,
-// and pprof's profiles (obs.NewHandler serves no cmdline). A non-empty traceSpec sizes the flight recorder from the
+// registry: the Recorder also publishes a merged snapshot at every epoch
+// barrier (so mid-run scrapes are barrier-consistent), beside the
+// FlightRecorder and pprof's profiles (obs.NewHandler serves no
+// cmdline). A non-empty traceSpec sizes the flight recorder from the
 // flowspec (independent of -metrics); traceOut then writes the assembled
 // spans as Chrome trace-event JSON after the run.
 func runMetro(e6 []eval.Experiment, sc eval.Scale, metricsAddr string, hold time.Duration, traceSpec, traceOut string, stdout, stderr io.Writer) error {
-	var fr *obs.FlightRecorder
+	fr := obs.NewFlightRecorder(obs.FlightConfig{})
 	if traceSpec != "" {
 		fcfg, tags, err := parseFlowSpec(traceSpec)
 		if err != nil {
@@ -175,25 +177,13 @@ func runMetro(e6 []eval.Experiment, sc eval.Scale, metricsAddr string, hold time
 		defer ln.Close() // stops the exporter goroutine below
 		fmt.Fprintf(stdout, "metrics listening on http://%s/metrics\n", ln.Addr())
 	}
-	if fr != nil || ln != nil {
+	if traceSpec != "" || ln != nil {
 		sc.Attach = func(sim *netem.Simulator) {
-			if fr == nil {
-				fr = obs.NewFlightRecorder(obs.FlightConfig{})
+			rec := sim.Observe(fr)
+			if ln != nil {
+				rec.PublishSnapshots()
+				go func() { _ = http.Serve(ln, obs.NewHandler(obs.HandlerConfig{Source: rec, Flight: fr})) }()
 			}
-			fr.Register(sim.Metrics())
-			sim.AttachFlightRecorder(fr)
-			if ln == nil {
-				return
-			}
-			rec := obs.NewRecorder(sim.Metrics())
-			rec.Register()
-			rec.PublishSnapshots()
-			sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
-			go func() {
-				_ = http.Serve(ln, obs.NewHandler(obs.HandlerConfig{
-					Source: rec, Flight: fr,
-				}))
-			}()
 		}
 	}
 	if err := runAll(e6, sc, stdout, stderr); err != nil {

@@ -8,7 +8,7 @@ import (
 
 // reducedBackbone keeps E13's contract testable at CI speed: four small
 // metros instead of six larger ones, with observation on so the identity
-// sweep covers the recorder rings and flight samples.
+// sweep covers the recorder digest and flight samples.
 func reducedBackbone(seed int64) BackboneConfig {
 	return BackboneConfig{
 		Metros: 4, HostsPerMetro: 200, Seed: seed,

@@ -11,7 +11,7 @@ import (
 )
 
 // reducedParScale keeps E9's contract testable at CI speed; the sweep's
-// identity check covers the recorder rings and flight samples too.
+// identity check covers the recorder digest and flight samples too.
 func reducedParScale(workers []int) ParScaleConfig {
 	return ParScaleConfig{
 		Hosts: 1200, Seed: 9, Duration: 300 * time.Millisecond,
@@ -38,7 +38,7 @@ func TestE9ParScaleReduced(t *testing.T) {
 	}
 	// The identity check must have compared real observation, not an
 	// absent or empty one.
-	if first.Obs == nil || first.Obs.RecorderTicks == 0 || first.Obs.SeriesPoints == 0 || first.Obs.FlightSampled == 0 {
+	if first.Obs == nil || first.Obs.RecorderTicks == 0 || first.Obs.Samples == 0 || first.Obs.FlightSampled == 0 {
 		t.Fatalf("degenerate observation digest: %+v", first.Obs)
 	}
 }
@@ -65,7 +65,7 @@ func TestE6WorkerIdentity(t *testing.T) {
 	if a.Obs == nil || b.Obs == nil || *a.Obs != *b.Obs {
 		t.Fatalf("observation digest differs across workers:\n workers=1: %+v\n workers=4: %+v", a.Obs, b.Obs)
 	}
-	if a.Obs.RecorderTicks == 0 || a.Obs.SeriesPoints == 0 || a.Obs.FlightSampled == 0 {
+	if a.Obs.RecorderTicks == 0 || a.Obs.Samples == 0 || a.Obs.FlightSampled == 0 {
 		t.Fatalf("degenerate observation: %+v", a.Obs)
 	}
 }
@@ -114,7 +114,7 @@ func TestEventGCIdentity(t *testing.T) {
 // counts: every cell's reports (AuditCell.Reports) — the audit's full
 // measured outcome — must be deeply equal at -simworkers 1 vs 4, and
 // with Observe on, so must each cell's observation digest (prober
-// counters, verdict tallies, recorder rings, flight samples).
+// counters, verdict tallies, recorder digest, flight samples).
 func TestE8WorkerIdentity(t *testing.T) {
 	cfg := AuditConfig{Seed: 11, Vantages: 4, InsideVantages: 2, Trials: 8, Observe: true}
 	cfg1, cfg4 := cfg, cfg

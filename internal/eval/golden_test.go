@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 
 // goldenText is what a golden file holds for one run: the table of the
 // result's deterministic (non-Wall) rows, then one line per observation
-// digest the run produced, so the recorder rings, flight samples and
+// digest the run produced, so the recorder digest, flight samples and
 // final registry are pinned along with the rows.
 func goldenText(res *Result, digests ...labelledDigest) string {
 	det := Result{ID: res.ID, Title: res.Title}
@@ -26,8 +26,8 @@ func goldenText(res *Result, digests ...labelledDigest) string {
 	var b strings.Builder
 	b.WriteString(det.String())
 	for _, d := range digests {
-		fmt.Fprintf(&b, "obs %s: ticks=%d points=%d rings=%016x seen=%d sampled=%d flight=%016x final=%016x\n",
-			d.label, d.RecorderTicks, d.SeriesPoints, d.RingsHash, d.FlightSeen, d.FlightSampled, d.FlightHash, d.FinalHash)
+		fmt.Fprintf(&b, "obs %s: ticks=%d samples=%d recorder=%016x seen=%d sampled=%d flight=%016x final=%016x\n",
+			d.label, d.RecorderTicks, d.Samples, d.SamplesHash, d.FlightSeen, d.FlightSampled, d.FlightHash, d.FinalHash)
 	}
 	return b.String()
 }

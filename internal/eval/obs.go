@@ -5,19 +5,14 @@ package eval
 // obs.Recorder ticking at every epoch barrier and an obs.FlightRecorder
 // head-sampling packet events — and fold what was observed into the
 // run's deterministic identity. ObsDigest condenses the recorded state
-// (time-series rings, sampled-event set, final registry snapshot) into
-// a few comparable words, so the worker-identity checks can assert
-// "observation itself replays bit-identically" without hauling the
-// rings around.
+// (the recorder's digest of every barrier sample, the sampled-event set,
+// the final registry snapshot) into a few comparable words, so the
+// worker-identity checks can assert "observation itself replays
+// bit-identically".
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"io"
 	"math"
-	"time"
 
 	"netneutral/internal/netem"
 	"netneutral/internal/obs"
@@ -32,23 +27,17 @@ type observation struct {
 }
 
 // attachObservation puts the full observability plane on sim before a
-// run. The recorder samples every non-volatile family at epoch barriers
-// (interval-gated on virtual time); the flight recorder samples 1-in-64
-// packet events per shard stripe. Both are pure observers: attaching
-// them must not change any run outcome, and what they record is itself
-// bit-identical at every worker count. With on false (a config's Observe
-// switch) nothing is attached and the nil observation digests to nil.
+// run (Simulator.Observe): the recorder digests every non-volatile
+// family at epoch barriers (interval-gated on virtual time); the flight
+// recorder samples 1-in-64 packet events per shard stripe. With on false
+// (a config's Observe switch) nothing is attached and the nil
+// observation digests to nil.
 func attachObservation(sim *netem.Simulator, on bool) *observation {
 	if !on {
 		return nil
 	}
-	rec := obs.NewRecorder(sim.Metrics())
-	rec.Register()
-	sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
-	fr := obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: 64, RingSize: 4096})
-	fr.Register(sim.Metrics())
-	sim.AttachFlightRecorder(fr)
-	return &observation{rec: rec, fr: fr}
+	fr := obs.NewFlightRecorder(obs.FlightConfig{})
+	return &observation{rec: sim.Observe(fr), fr: fr}
 }
 
 // ObsDigest condenses what a run's observers recorded. Two observed
@@ -58,10 +47,12 @@ func attachObservation(sim *netem.Simulator, on bool) *observation {
 type ObsDigest struct {
 	// RecorderTicks counts barrier samples taken.
 	RecorderTicks uint64
-	// SeriesPoints totals retained ring points across all series.
-	SeriesPoints uint64
-	// RingsHash fingerprints every series name and (time, value) point.
-	RingsHash uint64
+	// Samples counts the family values those samples folded (one per
+	// non-volatile family per tick).
+	Samples uint64
+	// SamplesHash is the recorder's digest: every sample's virtual time
+	// and every family name and value it read.
+	SamplesHash uint64
 	// FlightSeen and FlightSampled count packet events offered to and
 	// retained by the flight recorder.
 	FlightSeen, FlightSampled uint64
@@ -84,52 +75,41 @@ func (o *observation) digest() *ObsDigest {
 		RecorderTicks: o.rec.Ticks(),
 		FlightSeen:    o.fr.Seen(),
 	}
+	d.SamplesHash, d.Samples = o.rec.Digest()
 
-	h := newFNV()
-	for _, s := range o.rec.Series() {
-		h.str(s.Name)
-		times, vals := s.Points()
-		d.SeriesPoints += uint64(len(times))
-		for i := range times {
-			h.u64(uint64(times[i]))
-			h.u64(math.Float64bits(vals[i]))
-		}
-	}
-	d.RingsHash = h.Sum64()
-
-	h = newFNV()
+	h := obs.NewFNV()
 	evs := o.fr.Events()
 	d.FlightSampled = uint64(len(evs))
 	for _, e := range evs {
-		h.u64(uint64(e.TimeNanos))
-		h.u64(e.Flow)
-		h.u64(e.Journey)
-		h.u64(e.Seq)
-		h.u64(uint64(uint32(e.Node))<<32 | uint64(uint32(e.Shard)))
-		h.u64(uint64(uint32(e.Size))<<8 | uint64(e.Kind))
+		h.U64(uint64(e.TimeNanos))
+		h.U64(e.Flow)
+		h.U64(e.Journey)
+		h.U64(e.Seq)
+		h.U64(uint64(uint32(e.Node))<<32 | uint64(uint32(e.Shard)))
+		h.U64(uint64(uint32(e.Size))<<8 | uint64(e.Kind))
 		// Span coverage: the per-hop attribution components and their
 		// cause must replay bit-identically too.
-		h.u64(uint64(e.QueueNanos))
-		h.u64(uint64(e.SerializeNanos))
-		h.u64(uint64(e.PropagateNanos))
-		h.u64(uint64(e.PolicyNanos))
-		h.u64(uint64(e.ProcNanos))
-		h.u64(uint64(e.Cause)<<8 | uint64(e.Class))
+		h.U64(uint64(e.QueueNanos))
+		h.U64(uint64(e.SerializeNanos))
+		h.U64(uint64(e.PropagateNanos))
+		h.U64(uint64(e.PolicyNanos))
+		h.U64(uint64(e.ProcNanos))
+		h.U64(uint64(e.Cause)<<8 | uint64(e.Class))
 	}
 	d.FlightHash = h.Sum64()
 
-	h = newFNV()
+	h = obs.NewFNV()
 	for _, m := range o.rec.Registry().Snapshot().Metrics {
 		if m.Volatile {
 			continue // wall-clock families legitimately differ per run
 		}
-		h.str(m.Name)
+		h.Str(m.Name)
 		if m.Hist != nil {
-			h.u64(m.Hist.Count)
-			h.u64(m.Hist.Sum)
+			h.U64(m.Hist.Count)
+			h.U64(m.Hist.Sum)
 			continue
 		}
-		h.u64(math.Float64bits(m.Value))
+		h.U64(math.Float64bits(m.Value))
 	}
 	d.FinalHash = h.Sum64()
 	return d
@@ -196,7 +176,7 @@ func (d *ObsDigest) key() [4]uint64 {
 	if d == nil {
 		return [4]uint64{}
 	}
-	return [4]uint64{d.RecorderTicks, d.RingsHash, d.FlightHash, d.FinalHash}
+	return [4]uint64{d.RecorderTicks, d.SamplesHash, d.FlightHash, d.FinalHash}
 }
 
 // determinismRow closes a worker-identity sweep's rows (E9, E13): what
@@ -206,30 +186,9 @@ func determinismRow(o *ObsDigest, compared, where string) Row {
 	metric := "determinism"
 	if o != nil {
 		metric = "determinism (observed)"
-		compared += fmt.Sprintf(" + recorder rings (%d ticks) + flight samples (%d events)",
+		compared += fmt.Sprintf(" + recorder digest (%d ticks) + flight samples (%d events)",
 			o.RecorderTicks, o.FlightSampled)
 	}
 	return Row{Metric: metric, Paper: "bit-identical", Measured: "verified",
 		Note: compared + " equal at " + where}
-}
-
-// digestHash is the FNV-1a accumulator behind the digest fingerprints.
-// word stages u64: a local would escape via the interface and allocate.
-type digestHash struct {
-	hash.Hash64
-	word [8]byte
-}
-
-func newFNV() *digestHash { return &digestHash{Hash64: fnv.New64a()} }
-
-// str hashes s with a terminator so adjacent fields cannot alias.
-func (h *digestHash) str(s string) {
-	_, _ = io.WriteString(h, s) // a hash.Hash never fails a write
-	h.word[0] = 0
-	_, _ = h.Write(h.word[:1])
-}
-
-func (h *digestHash) u64(v uint64) {
-	binary.LittleEndian.PutUint64(h.word[:], v)
-	_, _ = h.Write(h.word[:])
 }

@@ -22,10 +22,10 @@ import (
 //
 // Determinism contract: every non-volatile metric is a pure function of
 // deterministic sim state, so with a fixed seed the registry's values —
-// and an attached Recorder's time-series rings — are bit-identical at
+// and an attached Recorder's digest — are bit-identical at
 // any worker count. The one wall-clock family the engine keeps
-// (netem_epoch_wall_ns) is registered obs.Volatile so recorders exclude
-// it.
+// (netem_epoch_wall_ns) is registered obs.Volatile so the recorder leaves
+// it out.
 
 // sum totals one count over its writers with atomic loads: exact at
 // barriers and after runs, when the writers are quiescent.
@@ -129,6 +129,20 @@ func (s *Simulator) AttachFlightRecorder(fr *obs.FlightRecorder) {
 	for _, sh := range s.shards {
 		sh.flight = fr.Stripe(sh.id)
 	}
+}
+
+// Observe puts the observability plane on s before a run: fr registered
+// on s's registry and attached as the trace sink, and a Recorder,
+// registered there too, that ticks at every barrier. Both are pure
+// observers, and what they record is bit-identical at every worker
+// count.
+func (s *Simulator) Observe(fr *obs.FlightRecorder) *obs.Recorder {
+	fr.Register(s.reg)
+	s.AttachFlightRecorder(fr)
+	rec := obs.NewRecorder(s.reg)
+	rec.Register()
+	s.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
+	return rec
 }
 
 // barrierTick fires OnBarrier callbacks. Runs single-threaded with all

@@ -19,18 +19,20 @@ func family(s *Simulator, name string) uint64 {
 
 // obsWorldResult captures everything observation must reproduce exactly
 // across worker counts: the sim's own identity counters, the recorder's
-// time-series rings, and the flight recorder's sampled event set.
+// digest of every barrier sample, and the flight recorder's sampled
+// event set.
 type obsWorldResult struct {
 	delivered, events uint64
 	ticks             uint64
-	rings             string
+	digest, samples   uint64
 	flight            []obs.TraceRec
 	flightSeen        uint64
 }
 
 // runObsWorld is runParWorld's observability twin: same topology family,
-// with a Recorder ticking at every barrier and a FlightRecorder sampling
-// 1-in-8 plus one tagged flow.
+// with the observability plane (Simulator.Observe) on: a Recorder
+// ticking at every barrier and a FlightRecorder sampling 1-in-8 plus one
+// tagged flow.
 func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 	t.Helper()
 	sim := NewSimulator(simStart, seed)
@@ -47,11 +49,9 @@ func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 	}
 	sim.SetWorkers(workers)
 
-	rec := obs.NewRecorder(sim.Metrics())
-	sim.OnBarrier(func(now time.Time) { rec.Tick(now.UnixNano()) })
 	fr := obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: 8, RingSize: 256})
 	fr.Tag(FlowHash(mkUDP(t, f.HostAddr(0), f.OutsideAddr(0), []byte{0xEE})))
-	sim.AttachFlightRecorder(fr)
+	rec := sim.Observe(fr)
 
 	delivered := f.CountDeliveries()
 	end := simStart.Add(120 * time.Millisecond)
@@ -81,14 +81,7 @@ func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 		flight:     fr.Events(),
 		flightSeen: fr.Seen(),
 	}
-	for _, s := range rec.Series() {
-		times, vals := s.Points()
-		res.rings += s.Name
-		for i := range times {
-			res.rings += fmt.Sprintf(";%d=%g", times[i], vals[i])
-		}
-		res.rings += "\n"
-	}
+	res.digest, res.samples = rec.Digest()
 	// Hosts tally a strict subset of deliveries (outside-node deliveries
 	// count only in the engine total).
 	if ht := delivered.Total(); ht == 0 || ht > res.delivered {
@@ -99,13 +92,14 @@ func runObsWorld(t testing.TB, seed int64, workers int) *obsWorldResult {
 
 // TestObservedParallelIdentity is the determinism-under-observation
 // property at the engine level: with a Recorder ticking at barriers and
-// a FlightRecorder sampling, a seeded run's counters, time-series rings
-// and sampled-event set are bit-identical at workers 1 and 4.
+// a FlightRecorder sampling, a seeded run's counters, the recorder's
+// digest and sample count, and the sampled-event set are bit-identical
+// at workers 1 and 4.
 func TestObservedParallelIdentity(t *testing.T) {
 	serial := runObsWorld(t, 11, 1)
-	if serial.delivered == 0 || serial.ticks == 0 || len(serial.flight) == 0 {
-		t.Fatalf("degenerate observed world: delivered=%d ticks=%d flight=%d",
-			serial.delivered, serial.ticks, len(serial.flight))
+	if serial.delivered == 0 || serial.ticks == 0 || serial.samples == 0 || len(serial.flight) == 0 {
+		t.Fatalf("degenerate observed world: delivered=%d ticks=%d samples=%d flight=%d",
+			serial.delivered, serial.ticks, serial.samples, len(serial.flight))
 	}
 	par := runObsWorld(t, 11, 4)
 	if par.delivered != serial.delivered || par.events != serial.events {
@@ -115,9 +109,9 @@ func TestObservedParallelIdentity(t *testing.T) {
 	if par.ticks != serial.ticks {
 		t.Fatalf("recorder ticks diverged: %d vs %d", serial.ticks, par.ticks)
 	}
-	if par.rings != serial.rings {
-		t.Fatalf("recorder rings diverged between worker counts:\n--- workers=1\n%s\n--- workers=4\n%s",
-			serial.rings, par.rings)
+	if par.digest != serial.digest || par.samples != serial.samples {
+		t.Fatalf("recorder digest diverged between worker counts: %016x (%d samples) vs %016x (%d samples)",
+			serial.digest, serial.samples, par.digest, par.samples)
 	}
 	if par.flightSeen != serial.flightSeen || len(par.flight) != len(serial.flight) {
 		t.Fatalf("flight recorder diverged: seen %d/%d events %d/%d",

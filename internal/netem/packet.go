@@ -1,20 +1,17 @@
 package netem
 
-import "fmt"
-
-// Packet is a pooled, refcounted packet buffer. One Packet travels the
-// whole emulated path — origination, link queues, transit hooks, local
-// delivery — without per-hop copies; when its last reference is released
-// it returns to the simulator's pool for reuse.
+// Packet is a pooled packet buffer with one owner at a time. One Packet
+// travels the whole emulated path — origination, link queues, transit
+// hooks, local delivery — without per-hop copies; when its owner
+// releases it, it returns to the simulator's pool for reuse.
 //
 // Ownership rules:
-//   - Node.SendPacket and Link queues take ownership (one reference).
+//   - Node.SendPacket and Link queues take ownership.
 //   - TransitHook and Handler callbacks receive a []byte view
 //     of the buffer that is valid only for the duration of the call; to
 //     keep the bytes longer, copy them (bytes.Clone).
 //   - Code that holds a *Packet itself (queue disciplines, generators
-//     passing buffers to SendPacket) uses Retain/Release to extend or
-//     end its lifetime.
+//     passing buffers to SendPacket) ends its lifetime with Release.
 //   - Simulator.SetPoolDebug(true) poisons released buffers so a
 //     retained-slice bug reads 0xDD garbage instead of silently aliasing
 //     a recycled packet (see TestPacketPoolPoisonsReleasedBuffers).
@@ -26,8 +23,7 @@ type Packet struct {
 	// (virtual time, Unix nanoseconds).
 	Arrived int64
 
-	buf  []byte // full-capacity backing array
-	refs int32
+	buf  []byte      // full-capacity backing array
 	pool *packetPool // pool Release pushes to: the shard the packet is on
 	home *packetPool // pool that allocated the buffer (owns it at rest)
 
@@ -59,30 +55,17 @@ func (p *Packet) flowID() uint64 {
 	return p.flow
 }
 
-// Retain adds a reference, keeping the buffer alive past the current
-// callback. Pair every Retain with a Release.
-func (p *Packet) Retain() *Packet {
-	if p.pool != nil {
-		p.refs++
-	}
-	return p
-}
-
-// Release drops one reference; at zero the buffer returns to the pool.
-// Packets not obtained from a pool (zero-value literals in tests and
-// queue benchmarks) ignore Release.
+// Release returns the buffer to the pool; releasing it again panics (a
+// released packet's Pkt is nil). Packets not obtained from a pool
+// (zero-value literals in tests and queue benchmarks) ignore Release.
 func (p *Packet) Release() {
 	if p.pool == nil {
 		return
 	}
-	p.refs--
-	switch {
-	case p.refs > 0:
-	case p.refs == 0:
-		p.pool.put(p)
-	default:
-		panic(fmt.Sprintf("netem: Packet released %d times past zero", -p.refs))
+	if p.Pkt == nil {
+		panic("netem: Packet released twice")
 	}
+	p.pool.put(p)
 }
 
 // packetPool is a freelist of Packets. Each shard owns one: within an
@@ -91,9 +74,6 @@ func (p *Packet) Release() {
 // locality. A packet that crosses a shard boundary is re-homed to the
 // destination shard's pool at the epoch barrier (see shard.mergeIncoming),
 // so Release always pushes onto the freelist of the shard it runs on.
-// Consequence: a cross-shard packet must carry exactly one reference —
-// holding a Retain on a packet while it travels to another shard is
-// unsupported (the refcount is not atomic).
 type packetPool struct {
 	owner *shard // the shard whose goroutine uses this pool
 	free  []*Packet
@@ -124,11 +104,10 @@ func (pp *packetPool) get(n int) *Packet {
 		pp.allocated++
 		p = &Packet{pool: pp, home: pp}
 	}
-	if cap(p.buf) < n {
+	if p.buf == nil || cap(p.buf) < n { // a held packet's Pkt is never nil
 		p.buf = make([]byte, n+64) // headroom to absorb jittering sizes
 	}
 	p.Pkt = p.buf[:n]
-	p.refs = 1
 	p.attrQueue, p.attrSer, p.attrProp, p.attrPolicy, p.attrProc = 0, 0, 0, 0, 0
 	p.cause, p.class, p.journey = 0, 0, 0
 	p.flow = 0

@@ -79,34 +79,25 @@ func TestPacketPoolPoisonsReleasedBuffers(t *testing.T) {
 	}
 }
 
-// TestPacketRetainKeepsBufferAlive: the sanctioned way to hold a packet
-// past the callback.
-func TestPacketRetainKeepsBufferAlive(t *testing.T) {
-	s := NewSimulator(simStart, 1)
-	s.SetPoolDebug(true)
-	payload := []byte{1, 2, 3, 4}
-	p := s.MustAddNode("a", "").NewPacket(payload)
-	p.Retain()
-	p.Release() // first owner done; retained reference keeps it alive
-	if !bytes.Equal(p.Pkt, payload) {
-		t.Fatalf("retained packet poisoned early: %v", p.Pkt)
-	}
-	p.Release()
-	if p.Pkt != nil {
-		t.Error("fully released packet should drop its view")
-	}
-}
-
+// TestPacketDoubleReleasePanics: a packet has one owner, so a second
+// Release of a pooled packet is a bug; it panics rather than putting the
+// buffer on the freelist twice. An empty packet, whose window is zero
+// bytes, is caught too.
 func TestPacketDoubleReleasePanics(t *testing.T) {
 	s := NewSimulator(simStart, 1)
-	p := s.MustAddNode("a", "").NewPacket([]byte{1})
-	p.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("double release did not panic")
-		}
-	}()
-	p.Release()
+	n := s.MustAddNode("a", "")
+	for _, b := range [][]byte{{}, {1}} { // the empty one first, on a fresh buffer
+		p := n.NewPacket(b)
+		p.Release()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("double release of a %d-byte packet did not panic", len(b))
+				}
+			}()
+			p.Release()
+		}()
+	}
 }
 
 // TestPolicyDelayNoCopy: a delayed packet resumes with the same pooled

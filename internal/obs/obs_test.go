@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -108,21 +109,48 @@ func TestSnapshotAndVolatile(t *testing.T) {
 	if live.Get("test_wall") == nil {
 		t.Fatal("live snapshot must include volatile families")
 	}
-	det := r.snapshotAt(123, true)
-	if det.Get("test_wall") != nil {
-		t.Fatal("deterministic snapshot must exclude volatile families")
+	if pub := r.snapshotAt(123); pub.TimeNanos != 123 || pub.Get("test_wall") == nil {
+		t.Fatalf("published snapshot: ts = %d, volatile family present = %v", pub.TimeNanos, pub.Get("test_wall") != nil)
 	}
-	if det.TimeNanos != 123 {
-		t.Fatalf("ts = %d", det.TimeNanos)
+	// A volatile family stays out of the recorder's digest: runs that
+	// differ only in its value digest alike.
+	digest := func(wall float64) uint64 {
+		r := NewRegistry()
+		r.GaugeFunc("test_wall", "w", func() float64 { return wall }, Volatile())
+		r.CounterFunc("test_fn_total", "f", func() uint64 { return 42 })
+		rec := NewRecorder(r)
+		rec.Tick(0)
+		sum, samples := rec.Digest()
+		if samples != 1 {
+			t.Fatalf("samples = %d, want 1 (the volatile family is not sampled)", samples)
+		}
+		return sum
+	}
+	if digest(1) != digest(2) {
+		t.Fatal("a volatile family's value entered the digest")
 	}
 }
 
-func TestRecorderRingsAndInterval(t *testing.T) {
+// recordRun ticks a recorder over one counter for n sampling intervals,
+// the counter reading value(k) at sample k, and returns its digest.
+func recordRun(n int, value func(k int) uint64) (sum, samples, ticks uint64) {
+	r := NewRegistry()
+	k := 0
+	r.CounterFunc("test_ticks_total", "", func() uint64 { return value(k) })
+	rec := NewRecorder(r)
+	for ; k < n; k++ {
+		rec.Tick(int64(k) * int64(sampleInterval))
+	}
+	sum, samples = rec.Digest()
+	return sum, samples, rec.Ticks()
+}
+
+func TestRecorderInterval(t *testing.T) {
 	r := NewRegistry()
 	var c uint64
 	r.CounterFunc("test_ticks_total", "", func() uint64 { return c })
 	rec := NewRecorder(r)
-	const samples = ringSize + 10
+	const samples = 522
 	const step = int64(sampleInterval / 2)
 	for now := int64(0); now < samples*int64(sampleInterval); now += step {
 		c++
@@ -132,34 +160,95 @@ func TestRecorderRingsAndInterval(t *testing.T) {
 	if got := rec.Ticks(); got != samples {
 		t.Fatalf("ticks = %d, want %d", got, samples)
 	}
-	s := rec.byName["test_ticks_total"]
-	if s == nil {
-		t.Fatal("series missing")
+	if _, got := rec.Digest(); got != samples {
+		t.Fatalf("samples = %d, want %d (one family, one per tick)", got, samples)
 	}
-	times, vals := s.Points()
-	if len(times) != ringSize {
-		t.Fatalf("ring len = %d, want %d", len(times), ringSize)
+	// A gated tick folds nothing: the digest is that of a run ticked once
+	// per interval with the values the taken ticks read (sample k
+	// reads 2k+1).
+	want, _, _ := recordRun(samples, func(k int) uint64 { return uint64(2*k + 1) })
+	if got, _ := rec.Digest(); got != want {
+		t.Fatalf("digest %016x, want %016x: a gated tick entered it", got, want)
 	}
-	// The ring keeps the last ringSize samples, oldest first: sample k
-	// is taken at k intervals and carries the value 2k+1.
-	for i := range times {
-		k := int64(samples - ringSize + i)
-		if times[i] != k*int64(sampleInterval) || vals[i] != float64(2*k+1) {
-			t.Fatalf("point %d = (%d,%v), want (%d,%v)", i, times[i], vals[i], k*int64(sampleInterval), 2*k+1)
+}
+
+// TestRecorderDigestCoversEverySample: two runs whose one counter
+// differs at a single early sample, 1 990 samples before the end, digest
+// differently; equal runs digest alike. A digest of a window of the
+// last samples would miss the difference.
+func TestRecorderDigestCoversEverySample(t *testing.T) {
+	const n = 2000
+	base := func(k int) uint64 { return uint64(3 * k) }
+	early := func(k int) uint64 {
+		if k == 10 {
+			return 1
+		}
+		return base(k)
+	}
+	a, an, at := recordRun(n, base)
+	b, bn, bt := recordRun(n, base)
+	c, cn, ct := recordRun(n, early)
+	if a != b {
+		t.Fatalf("equal runs digest differently: %016x vs %016x", a, b)
+	}
+	if an != n || bn != n || cn != n || at != n || bt != n || ct != n {
+		t.Fatalf("samples %d/%d/%d ticks %d/%d/%d, want %d each", an, bn, cn, at, bt, ct, n)
+	}
+	if a == c {
+		t.Fatalf("a sample %d ticks before the end left the digest at %016x", n-10, a)
+	}
+}
+
+// TestRecorderHistogramDigest: a histogram family enters the digest
+// by its count and its p50, p95 and p99, each of which moves it.
+func TestRecorderHistogramDigest(t *testing.T) {
+	digest := func(vals ...int64) uint64 {
+		r := NewRegistry()
+		h := r.Histogram("test_h_ns", "")
+		for _, v := range vals {
+			h.Observe(v)
+		}
+		rec := NewRecorder(r)
+		rec.Tick(1)
+		sum, samples := rec.Digest()
+		if samples != 1 {
+			t.Fatalf("samples = %d, want 1 (a histogram is one family value)", samples)
+		}
+		return sum
+	}
+	// of returns n zeros followed by m values of 1e6.
+	of := func(n, m int) []int64 {
+		v := make([]int64, n, n+m)
+		for ; m > 0; m-- {
+			v = append(v, 1e6)
+		}
+		return v
+	}
+	// Each pair differs in one field alone.
+	for _, c := range []struct {
+		field string
+		a, b  []int64
+	}{
+		{"count", []int64{100}, []int64{100, 100}},
+		{"p50", []int64{100}, []int64{200}},
+		{"p95", of(96, 4), of(95, 5)}, // p99 reads 1e6 in both
+		{"p99", of(100, 0), of(99, 1)},
+	} {
+		if digest(c.a...) == digest(c.b...) {
+			t.Errorf("a change of the histogram's %s left the digest unchanged", c.field)
 		}
 	}
 }
 
-func TestRecorderHistogramSeries(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_h_ns", "")
-	rec := NewRecorder(r)
-	h.Observe(100)
-	rec.Tick(1)
-	for _, name := range []string{"test_h_ns.count", "test_h_ns.p50", "test_h_ns.p95", "test_h_ns.p99"} {
-		if rec.byName[name] == nil {
-			t.Errorf("missing histogram series %s", name)
-		}
+func TestFNVMatchesHashFNV(t *testing.T) {
+	h := NewFNV()
+	h.Str("netem_delivered_packets_total")
+	h.U64(0x0102030405060708)
+	ref := fnv.New64a()
+	ref.Write([]byte("netem_delivered_packets_total\x00"))
+	ref.Write([]byte{8, 7, 6, 5, 4, 3, 2, 1})
+	if h.Sum64() != ref.Sum64() {
+		t.Fatalf("FNV = %016x, hash/fnv = %016x", h.Sum64(), ref.Sum64())
 	}
 }
 

@@ -1,18 +1,20 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Recorder samples every registered, non-volatile family into fixed-
-// size time-series rings. It never drives its own clock: the owner
-// ticks it from an existing synchronization point — the netem engine's
-// epoch barrier (Simulator.OnBarrier) — so recording adds no barriers
-// and cannot perturb the event schedule. Sample times are virtual, and
+// Recorder folds every registered, non-volatile family into one running
+// digest at each sample. It never drives its own clock: the owner ticks
+// it from an existing synchronization point — the netem engine's epoch
+// barrier (Simulator.OnBarrier) — so recording adds no barriers and
+// cannot perturb the event schedule. Sample times are virtual, and
 // sampled values are pure functions of deterministic sim state, so a
-// seeded run's rings are bit-identical at any worker count.
+// seeded run's digest is bit-identical at any worker count, and it
+// covers every sample the run took.
 //
 // For live export while a deterministic sim is running, the recorder
 // can additionally publish a Snapshot at each tick behind an atomic
@@ -22,26 +24,21 @@ type Recorder struct {
 	reg *Registry
 
 	mu       sync.Mutex
-	series   []*Series
-	byName   map[string]*Series
+	sum      FNV
+	samples  uint64
 	lastTick int64
-	started  bool
 	ticks    atomic.Uint64
 
 	publish atomic.Bool
 	latest  atomic.Pointer[Snapshot]
 }
 
-const (
-	// ringSize bounds each series in points.
-	ringSize = 512
-	// sampleInterval is the minimum virtual time between samples.
-	sampleInterval = time.Millisecond
-)
+// sampleInterval is the minimum virtual time between samples.
+const sampleInterval = time.Millisecond
 
 // NewRecorder creates a recorder over reg.
 func NewRecorder(reg *Registry) *Recorder {
-	return &Recorder{reg: reg, byName: make(map[string]*Series)}
+	return &Recorder{reg: reg, sum: NewFNV()}
 }
 
 // Registry returns the registry the recorder samples.
@@ -51,96 +48,58 @@ func (r *Recorder) Registry() *Registry { return r.reg }
 // barrier-consistent snapshot that Snapshot, and so /metrics, then serves.
 func (r *Recorder) PublishSnapshots() { r.publish.Store(true) }
 
-// Series is one metric's ring of (virtual time, value) points.
-type Series struct {
-	// Name is the family name, with ".p50"/".p95"/".p99" suffixes for
-	// histogram quantile series.
-	Name  string
-	times []int64
-	vals  []float64
-	w     int
-	full  bool
-}
-
-// Points returns the ring unrolled oldest-first (copies).
-func (s *Series) Points() (times []int64, vals []float64) {
-	if !s.full {
-		return append([]int64(nil), s.times...), append([]float64(nil), s.vals...)
-	}
-	n := len(s.times)
-	times = make([]int64, 0, n)
-	vals = make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		j := (s.w + i) % n
-		times = append(times, s.times[j])
-		vals = append(vals, s.vals[j])
-	}
-	return times, vals
-}
-
-func (s *Series) push(t int64, v float64) {
-	if len(s.times) < ringSize {
-		s.times = append(s.times, t)
-		s.vals = append(s.vals, v)
-		return
-	}
-	s.full = true
-	s.times[s.w] = t
-	s.vals[s.w] = v
-	s.w = (s.w + 1) % len(s.times)
-}
-
-// Tick samples every non-volatile family at virtual time nowNanos.
+// Tick samples every non-volatile family at virtual time nowNanos: it
+// folds the time, then each family's name (as its 64-bit FNV-1a,
+// computed once at registration) and value in registration order (a
+// histogram's count, p50, p95 and p99) into the digest.
 // Called from the engine's barrier (single-threaded, writers
 // quiescent). sampleInterval gating keys on virtual time, so tick counts
 // are a function of the simulated timeline, not of execution.
 func (r *Recorder) Tick(nowNanos int64) {
 	r.mu.Lock()
-	if r.started && nowNanos-r.lastTick < int64(sampleInterval) {
+	if r.ticks.Load() > 0 && nowNanos-r.lastTick < int64(sampleInterval) {
 		r.mu.Unlock()
 		return
 	}
 	r.lastTick = nowNanos
-	r.started = true
 	r.ticks.Add(1)
-	snap := r.reg.snapshotAt(nowNanos, true)
-	for _, m := range snap.Metrics {
-		if m.Hist != nil {
-			r.seriesFor(m.Name+".count").push(nowNanos, float64(m.Hist.Count))
-			r.seriesFor(m.Name+".p50").push(nowNanos, m.Hist.P50)
-			r.seriesFor(m.Name+".p95").push(nowNanos, m.Hist.P95)
-			r.seriesFor(m.Name+".p99").push(nowNanos, m.Hist.P99)
+	r.sum.U64(uint64(nowNanos))
+	for _, f := range r.reg.list() {
+		if f.volatile {
 			continue
 		}
-		r.seriesFor(m.Name).push(nowNanos, m.Value)
+		r.sum.U64(f.id)
+		r.samples++
+		switch f.kind {
+		case KindCounterFunc:
+			r.sum.U64(f.cfn())
+		case KindGaugeFunc:
+			r.sum.U64(math.Float64bits(f.gfn()))
+		case KindHistogram:
+			h := f.hist.Snap()
+			r.sum.U64(h.Count)
+			r.sum.U64(math.Float64bits(h.P50))
+			r.sum.U64(math.Float64bits(h.P95))
+			r.sum.U64(math.Float64bits(h.P99))
+		}
 	}
 	r.mu.Unlock()
 
 	if r.publish.Load() {
-		r.latest.Store(r.reg.snapshotAt(nowNanos, false))
+		r.latest.Store(r.reg.snapshotAt(nowNanos))
 	}
-}
-
-func (r *Recorder) seriesFor(name string) *Series {
-	s, ok := r.byName[name]
-	if !ok {
-		s = &Series{Name: name}
-		r.byName[name] = s
-		r.series = append(r.series, s)
-	}
-	return s
 }
 
 // Ticks reports how many samples were taken.
 func (r *Recorder) Ticks() uint64 { return r.ticks.Load() }
 
-// Series returns the recorded series in first-seen order.
-func (r *Recorder) Series() []*Series {
+// Digest returns the running hash of every sample taken so far and the
+// number of family values folded into it (one per non-volatile family
+// per tick).
+func (r *Recorder) Digest() (sum, samples uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Series, len(r.series))
-	copy(out, r.series)
-	return out
+	return r.sum.Sum64(), r.samples
 }
 
 // Snapshot implements Source: the last published snapshot if publishing
@@ -160,3 +119,37 @@ func (r *Recorder) Register() {
 	r.reg.CounterFunc("obs_recorder_ticks_total",
 		"Samples the epoch recorder has taken.", r.Ticks, Volatile())
 }
+
+// FNV is a 64-bit FNV-1a accumulator: the one behind every determinism
+// fingerprint (the recorder's digest, eval's observation digests). A
+// word goes in as its 8 little-endian bytes, a string followed by a zero
+// byte so adjacent fields cannot alias; over the same bytes it equals
+// hash/fnv's New64a. The zero value is not a valid start: use NewFNV.
+type FNV uint64
+
+const fnvPrime = 1099511628211
+
+// NewFNV returns an accumulator over no bytes (the FNV-1a offset basis).
+func NewFNV() FNV { return 14695981039346656037 }
+
+// Str folds s and its zero terminator.
+func (h *FNV) Str(s string) {
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x = (x ^ FNV(s[i])) * fnvPrime
+	}
+	*h = x * fnvPrime // x ^ 0 == x
+}
+
+// U64 folds v's 8 little-endian bytes.
+func (h *FNV) U64(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x = (x ^ FNV(byte(v))) * fnvPrime
+		v >>= 8
+	}
+	*h = x
+}
+
+// Sum64 returns the hash of everything folded so far.
+func (h FNV) Sum64() uint64 { return uint64(h) }

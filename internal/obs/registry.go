@@ -53,6 +53,7 @@ func (k Kind) String() string {
 // callback.
 type family struct {
 	name     string // full name, e.g. `dpi_seen_packets_total{class="voip"}`
+	id       uint64 // FNV-1a of name: what the Recorder folds for it
 	base     string // name without labels
 	labels   string // `class="voip"` or ""
 	help     string
@@ -84,9 +85,9 @@ func NewRegistry() *Registry {
 type Option func(*family)
 
 // Volatile marks a family whose values depend on wall-clock execution
-// (epoch wall latency, spin time): the epoch Recorder excludes volatile
-// families from its deterministic time-series rings so that seeded runs
-// stay bit-identical with recording on. Volatile metrics still appear in
+// (epoch wall latency, spin time): the epoch Recorder leaves volatile
+// families out of its deterministic digest so that seeded runs stay
+// bit-identical with recording on. Volatile metrics still appear in
 // live snapshots and exports.
 func Volatile() Option { return func(f *family) { f.volatile = true } }
 
@@ -130,7 +131,9 @@ func (r *Registry) register(name, help string, kind Kind, opts []Option) (*famil
 		}
 		return f, false
 	}
-	f := &family{name: name, base: base, labels: labels, help: help, kind: kind}
+	id := NewFNV()
+	id.Str(name)
+	f := &family{name: name, id: id.Sum64(), base: base, labels: labels, help: help, kind: kind}
 	for _, o := range opts {
 		o(f)
 	}
@@ -216,19 +219,21 @@ func (s *Snapshot) Get(name string) *Metric {
 // their writer is quiescent — epoch barrier, post-run — and merely
 // torn-free otherwise).
 func (r *Registry) Snapshot() *Snapshot {
-	return r.snapshotAt(time.Now().UnixNano(), false)
+	return r.snapshotAt(time.Now().UnixNano())
 }
 
-func (r *Registry) snapshotAt(ts int64, skipVolatile bool) *Snapshot {
+// list returns the families registered so far. Registration only
+// appends, so the returned prefix never changes under its reader.
+func (r *Registry) list() []*family {
 	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.families
+}
+
+func (r *Registry) snapshotAt(ts int64) *Snapshot {
+	fams := r.list()
 	snap := &Snapshot{TimeNanos: ts, Metrics: make([]Metric, 0, len(fams))}
 	for _, f := range fams {
-		if skipVolatile && f.volatile {
-			continue
-		}
 		m := Metric{Name: f.name, Base: f.base, Labels: f.labels,
 			Help: f.help, Kind: f.kind, Type: f.kind.String(), Volatile: f.volatile}
 		switch f.kind {

@@ -58,7 +58,6 @@ var keep = map[string]string{
 	"netem.Node.AddAddr":              "paper §3.4: the hosting node claims a dynamic address (what Config.OnDynAlloc is for)",
 	"netem.Node.RemoveAddr":           "paper §3.4: the hosting node's side of ReleaseDynAddr",
 	"netem.Simulator.SetPoolDebug":    "fault detection: poisons recycled packets so a use-after-release shows",
-	"netem.Packet.Retain":             "fault detection: the other half of the refcount Packet.Release enforces (double release panics)",
 	"endhost.Config.ServeOffload":     "paper §3.2: a customer host answers offloaded key setups; the offload tests turn it on",
 	"endhost.Config.ReturnFlags":      "paper §3.4: a customer asks for a dynamic address or no anonymization on its return traffic; the §3.4 tests set it",
 	"eval.AuditConfig.Observe":        "fault detection: the golden and worker-identity tests observe E8 to pin its observation digest",
