@@ -38,15 +38,11 @@ func reportKpps(b *testing.B, pktsPerOp int) {
 // bench env's vanilla size) BenchmarkTraceOff pushes a→r→c.
 func forwardBenchPacket(b *testing.B) []byte {
 	b.Helper()
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, 64)
-	buf.PushPayload(make([]byte, 64))
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 255, Protocol: wire.ProtoUDP, Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.1.1")},
-		&wire.UDP{SrcPort: 4000, DstPort: 5000},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.1.1"), 4000, 5000, make([]byte, 64))
+	if err != nil {
 		b.Fatal(err)
 	}
-	return buf.Bytes()
+	return pkt
 }
 
 // BenchmarkTraceOff measures the forwarding hot path with per-hop delay

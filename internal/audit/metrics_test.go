@@ -28,15 +28,11 @@ func TestProberInstrument(t *testing.T) {
 	emit := func(role Role, trial int, size int) {
 		payload := make([]byte, size)
 		PutProbePayload(payload, role, trial, sim.NowNanos())
-		buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-		buf.PushPayload(payload)
-		if err := wire.SerializeLayers(buf,
-			&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: src.Addr(), Dst: dst.Addr()},
-			&wire.UDP{SrcPort: 9000, DstPort: 9001},
-		); err != nil {
+		pkt, err := wire.AppendUDP(nil, src.Addr(), dst.Addr(), 9000, 9001, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
-		_ = src.Send(buf.Bytes())
+		_ = src.Send(pkt)
 	}
 	var err error
 	p, err = NewProber(ProberConfig{

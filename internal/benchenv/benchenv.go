@@ -215,15 +215,13 @@ func NewBenchEnv(offload bool, altMode bool) (*BenchEnv, error) {
 			return nil, err
 		}
 	}
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 255, Protocol: wire.ProtoUDP, Src: benchSrc, Dst: benchDst},
-		&wire.UDP{SrcPort: 4000, DstPort: 5000},
-	); err != nil {
+	if env.VanillaPkt, err = wire.AppendUDP(nil, benchSrc, benchDst, 4000, 5000, payload); err != nil {
 		return nil, err
 	}
-	env.VanillaPkt = buf.Bytes()
+	env.VanillaPkt[8] = 255 // TTL: E3 forwards one copy 200 times before it takes a fresh one
+	if err := wire.RepairChecksum(env.VanillaPkt); err != nil {
+		return nil, err
+	}
 	return env, nil
 }
 

@@ -1,6 +1,8 @@
 package benchenv
 
 import (
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"netneutral/internal/core"
@@ -21,5 +23,12 @@ func TestBenchEnvPacketsValid(t *testing.T) {
 	v := env.FreshVanilla()
 	if &v[0] == &env.VanillaPkt[0] {
 		t.Error("FreshVanilla must copy")
+	}
+	// The forwarding baseline's datagram: IPv4 at TTL 255 from
+	// 172.16.1.10 to 10.10.0.5, UDP 4000→5000 with a zero checksum, and
+	// 64 zero bytes of payload.
+	want := "4500005c00000000ff110468ac10010a0a0a0005" + "0fa0138800480000" + strings.Repeat("00", 64)
+	if got := hex.EncodeToString(env.VanillaPkt); got != want {
+		t.Errorf("VanillaPkt =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -666,14 +666,11 @@ func TestAltDataUnconfigured(t *testing.T) {
 
 func TestNonShimPacketRejected(t *testing.T) {
 	n := newTestNeutralizer(t, nil)
-	buf := wire.NewSerializeBuffer(28, 0)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: annAddr, Dst: anycast},
-		&wire.UDP{SrcPort: 1, DstPort: 2},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, annAddr, anycast, 1, 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := process(n, buf.Bytes()); err != ErrNotShim {
+	if _, err := process(n, pkt); err != ErrNotShim {
 		t.Errorf("err = %v, want ErrNotShim", err)
 	}
 }
@@ -824,15 +821,10 @@ func TestDynAddrReusedAfterRelease(t *testing.T) {
 }
 
 func TestVanillaForward(t *testing.T) {
-	buf := wire.NewSerializeBuffer(28, 64)
-	buf.PushPayload(make([]byte, 64))
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: annAddr, Dst: googAddr},
-		&wire.UDP{SrcPort: 1, DstPort: 2},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, annAddr, googAddr, 1, 2, make([]byte, 64))
+	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := buf.Bytes()
 	if err := VanillaForward(pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -844,14 +836,11 @@ func TestVanillaForward(t *testing.T) {
 		t.Errorf("TTL = %d", ip.TTL)
 	}
 	// TTL exhaustion.
-	buf2 := wire.NewSerializeBuffer(28, 0)
-	if err := wire.SerializeLayers(buf2,
-		&wire.IPv4{TTL: 1, Protocol: wire.ProtoUDP, Src: annAddr, Dst: googAddr},
-		&wire.UDP{SrcPort: 1, DstPort: 2},
-	); err != nil {
+	pkt[8] = 1
+	if err := wire.RepairChecksum(pkt); err != nil {
 		t.Fatal(err)
 	}
-	if err := VanillaForward(buf2.Bytes()); err == nil {
+	if err := VanillaForward(pkt); err == nil {
 		t.Error("TTL=1 forward should fail")
 	}
 }

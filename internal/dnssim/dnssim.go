@@ -265,7 +265,7 @@ func (r *Resolver) handle(now time.Time, pkt []byte) {
 }
 
 func (r *Resolver) reply(dst netip.Addr, dstPort uint16, payload []byte) {
-	pkt, err := buildUDP(r.node.Addr(), dst, Port, dstPort, payload)
+	pkt, err := wire.AppendUDP(nil, r.node.Addr(), dst, Port, dstPort, payload)
 	if err != nil {
 		return
 	}
@@ -325,17 +325,4 @@ func decodeAnswerEncrypted(sess *e2e.Session, body []byte) (Record, error) {
 		return Record{}, ErrNoSuchName
 	}
 	return UnmarshalRecord(pt[1:])
-}
-
-func buildUDP(src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: sport, DstPort: dport, PseudoSrc: src, PseudoDst: dst},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -12,6 +12,7 @@ import (
 	"netneutral/internal/isp"
 	"netneutral/internal/netem"
 	"netneutral/internal/simnet"
+	"netneutral/internal/wire"
 )
 
 var (
@@ -275,7 +276,7 @@ func TestTargetedQueryDelay(t *testing.T) {
 func TestResolverShortQuery(t *testing.T) {
 	w := newWorld(t, testIdentity(t))
 	for _, q := range [][]byte{{msgQueryPlain, 9}, {msgQueryEnc, 0}} {
-		pkt, err := buildUDP(clientAddr, resolverAddr, 1000, Port, q)
+		pkt, err := wire.AppendUDP(nil, clientAddr, resolverAddr, 1000, Port, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -239,18 +239,7 @@ func TestEngineEnforcesClassPolicy(t *testing.T) {
 	voipDst.SetHandler(func(time.Time, []byte) { gotVoIP++ })
 	bulkDst.SetHandler(func(time.Time, []byte) { gotBulk++ })
 
-	mkPkt := func(dst netip.Addr, size int) []byte {
-		payload := make([]byte, size)
-		buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-		buf.PushPayload(payload)
-		if err := wire.SerializeLayers(buf,
-			&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: src.Addr(), Dst: dst},
-			&wire.UDP{SrcPort: 9000, DstPort: 9001},
-		); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	mkPkt := func(dst netip.Addr, size int) []byte { return stealthPkt(t, src.Addr(), dst, size) }
 	const frames = 200
 	voipPkt := mkPkt(voipDst.Addr(), 160)
 	bulkPkt := mkPkt(bulkDst.Addr(), 1310)

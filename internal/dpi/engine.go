@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netneutral/internal/netem"
+	"netneutral/internal/obs"
 )
 
 // ClassPolicy is the enforcement applied to packets of one class —
@@ -72,18 +73,7 @@ func (p *ClassPolicy) active(stealthSeed uint64, key netem.FlowKey, flowPkts uin
 // keyed FNV-1a hash. Allocation-free: it runs per packet on the transit
 // hot path.
 func flowFrac(seed uint64, key netem.FlowKey) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64) ^ seed
-	for _, b := range key.Lo {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for _, b := range key.Hi {
-		h = (h ^ uint64(b)) * prime64
-	}
-	h = (h ^ uint64(key.Proto)) * prime64
+	h := key.Fold(obs.NewFNV() ^ obs.FNV(seed)).Sum64()
 	// Final avalanche (splitmix64 tail) so low-entropy keys spread.
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9

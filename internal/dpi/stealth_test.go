@@ -13,16 +13,11 @@ import (
 // stealthPkt builds a plain UDP packet between the given addresses.
 func stealthPkt(t *testing.T, src, dst netip.Addr, size int) []byte {
 	t.Helper()
-	payload := make([]byte, size)
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: 9000, DstPort: 9001},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, src, dst, 9000, 9001, make([]byte, size))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return pkt
 }
 
 // stealthEngine builds an engine whose ClassUnknown policy is pol: with
@@ -185,6 +180,39 @@ func TestFlowFracUniform(t *testing.T) {
 	for b, c := range buckets {
 		if c < n/8/2 || c > n/8*2 {
 			t.Errorf("bucket %d holds %d of %d keys; hash badly skewed", b, c, n)
+		}
+	}
+}
+
+// TestFlowHashesKeepTheirFormulas pins the two hashes that share
+// FlowKey.Fold to the inline FNV-1a loops they were written as:
+// FlowKeyHash is the flight recorder's flow id, and flowFrac decides
+// which flows a TargetFraction policy throttles.
+func TestFlowHashesKeepTheirFormulas(t *testing.T) {
+	fnv := func(h uint64, k netem.FlowKey) uint64 {
+		for _, b := range append(append(k.Lo[:], k.Hi[:]...), k.Proto) {
+			h = (h ^ uint64(b)) * 1099511628211
+		}
+		return h
+	}
+	mix := func(z uint64) uint64 {
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return z ^ z>>31
+	}
+	const offset = 14695981039346656037
+	for _, k := range []netem.FlowKey{
+		{},
+		{Lo: [4]byte{10, 0, 0, 1}, Hi: [4]byte{172, 16, 0, 1}, Proto: 17},
+		{Lo: [4]byte{10, 9, 0, 1}, Hi: [4]byte{255, 255, 255, 255}, Proto: 253},
+	} {
+		if got, want := netem.FlowKeyHash(k), mix(fnv(offset, k)+0x9E3779B97F4A7C15); got != want {
+			t.Errorf("FlowKeyHash(%v) = %#x, want %#x", k, got, want)
+		}
+		for _, seed := range []uint64{0, 7, 0x5eed, ^uint64(0)} {
+			if got, want := flowFrac(seed, k), float64(mix(fnv(offset^seed, k))>>11)/float64(1<<53); got != want {
+				t.Errorf("flowFrac(%#x, %v) = %v, want %v", seed, k, got, want)
+			}
 		}
 	}
 }

@@ -354,14 +354,11 @@ func TestHandlePacketGarbage(t *testing.T) {
 	before := ann.Stats().FramesRejected
 	ann.HandlePacket(tStart, []byte{1, 2, 3})
 	// Non-shim traffic is ignored silently (not "rejected").
-	buf := wire.NewSerializeBuffer(28, 0)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: googAddr, Dst: annAddr},
-		&wire.UDP{SrcPort: 1, DstPort: 2},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, googAddr, annAddr, 1, 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ann.HandlePacket(tStart, buf.Bytes())
+	ann.HandlePacket(tStart, pkt)
 	if got := ann.Stats().FramesRejected; got != before+1 {
 		t.Errorf("FramesRejected = %d, want %d", got, before+1)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	mathrand "math/rand"
 	"net/netip"
-	"slices"
 	"time"
 
 	"netneutral/internal/benchenv"
@@ -177,7 +176,7 @@ func (e *fanoutEnv) flowSender(fl flowSpec) (func(payload []byte), error) {
 	var buf []byte
 	if fl.Mode == ModePlaintext {
 		return func(payload []byte) {
-			buf = appendUDP(buf[:0], srcAddr, fl.Dst, probeSrcPort, fl.Port, payload)
+			buf, _ = wire.AppendUDP(buf[:0], srcAddr, fl.Dst, probeSrcPort, fl.Port, payload) // fan-out addresses are IPv4
 			_ = src.Send(buf)
 		}, nil
 	}
@@ -228,19 +227,6 @@ func (e *fanoutEnv) flowKey(src, dst netip.Addr, mode ArmsMode) (netem.FlowKey, 
 		return netem.FlowKeyFrom(src, dst, wire.ProtoUDP)
 	}
 	return netem.FlowKeyFrom(src, e.Fan.Spec.Anycast, wire.ProtoShim)
-}
-
-// appendUDP appends a plaintext UDP datagram carrying payload to b.
-func appendUDP(b []byte, src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
-	off, hl := len(b), wire.IPv4HeaderLen+wire.UDPHeaderLen
-	b = append(slices.Grow(b, hl+len(payload))[:off+hl], payload...)
-	ip := wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst}
-	if err := ip.Put(b[off:], len(b)-off); err != nil {
-		panic(err)
-	}
-	u := wire.UDP{SrcPort: sport, DstPort: dport}
-	u.Put(b[off+wire.IPv4HeaderLen:])
-	return b
 }
 
 // newEndhost builds an endhost sending through node on sim's clock. The

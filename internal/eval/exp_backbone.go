@@ -171,7 +171,10 @@ func buildBackboneWorld(cfg BackboneConfig) (*backboneWorld, error) {
 		// metro (m+1) — real packets on the paths an auditor would measure.
 		for i := 0; i < backboneCrossFlows; i++ {
 			host := f.Hosts[i]
-			tmpl := appendUDP(nil, f.HostAddr(i), dstMetro.HostAddr(i), probeSrcPort, 9000, nil)
+			tmpl, err := wire.AppendUDP(nil, f.HostAddr(i), dstMetro.HostAddr(i), probeSrcPort, 9000, nil)
+			if err != nil {
+				return nil, err
+			}
 			w.crossNodes = append(w.crossNodes, host)
 			w.crossSends = append(w.crossSends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
 		}

@@ -140,7 +140,7 @@ type chatter struct {
 	sends []func(seq uint64)
 }
 
-func newChatter(f *netem.Fanout) chatter {
+func newChatter(f *netem.Fanout) (chatter, error) {
 	var c chatter
 	payload := make([]byte, 40)
 	for i, host := range f.Hosts {
@@ -148,11 +148,14 @@ func newChatter(f *netem.Fanout) chatter {
 		if j < 0 {
 			continue // single-host edge: nobody to talk to
 		}
-		tmpl := appendUDP(nil, f.HostAddr(i), f.HostAddr(j), probeSrcPort, 9000, payload)
+		tmpl, err := wire.AppendUDP(nil, f.HostAddr(i), f.HostAddr(j), probeSrcPort, 9000, payload)
+		if err != nil {
+			return chatter{}, err
+		}
 		c.nodes = append(c.nodes, host)
 		c.sends = append(c.sends, trafficgen.CyclingSender(host, [][]byte{tmpl}))
 	}
-	return c
+	return c, nil
 }
 
 // offer schedules the host-to-host load for duration d at perHost
@@ -194,7 +197,11 @@ func RunMetro(cfg MetroConfig) (*MetroStats, error) {
 	st.Sent = trafficgen.OpenLoop{RatePps: cfg.RatePps}.Run(
 		f.Outside[0], cfg.Duration, trafficgen.CyclingSender(f.Outside[0], w.templates))
 	if cfg.LocalPps > 0 {
-		st.LocalSent = newChatter(f).offer(cfg.LocalPps/float64(len(f.Hosts)), cfg.Duration)
+		c, err := newChatter(f)
+		if err != nil {
+			return nil, err
+		}
+		st.LocalSent = c.offer(cfg.LocalPps/float64(len(f.Hosts)), cfg.Duration)
 	}
 	st.Offered = uint64(st.Sent + st.LocalSent)
 

@@ -415,7 +415,8 @@ func RunA6(Scale) (*Result, error) {
 				if err != nil {
 					return
 				}
-				_ = node.Send(appendUDP(nil, dstA, srcA, 7, 7, []byte("echo")))
+				echo, _ := wire.AppendUDP(nil, dstA, srcA, 7, 7, []byte("echo")) // IPv4Addrs returns IPv4
+				_ = node.Send(echo)
 			})
 		}
 		res := probeResult{uses: map[netip.Addr]int{}}
@@ -452,7 +453,8 @@ func RunA6(Scale) (*Result, error) {
 				sumRTT += rtt
 				sim.Schedule(time.Millisecond, func() { doProbe(i + 1) })
 			})
-			_ = src.Send(appendUDP(nil, f1Ann, target, 7, 7, []byte("ping")))
+			ping, _ := wire.AppendUDP(nil, f1Ann, target, 7, 7, []byte("ping")) // IPv4 addresses
+			_ = src.Send(ping)
 			// Timeout: 200ms without an answer is a failure.
 			sim.Schedule(200*time.Millisecond, func() {
 				if !answered {
@@ -501,9 +503,7 @@ func RunA6(Scale) (*Result, error) {
 // markDSCP rewrites p's DSCP in place and repairs the header checksum.
 func markDSCP(p []byte, dscp uint8) []byte {
 	p[1] = dscp << 2
-	p[10], p[11] = 0, 0
-	c := wire.Checksum(p[:wire.IPv4HeaderLen])
-	p[10], p[11] = byte(c>>8), byte(c)
+	_ = wire.RepairChecksum(p) // p is a whole option-less header
 	return p
 }
 
@@ -607,7 +607,8 @@ func RunA8(Scale) (*Result, error) {
 	got := map[uint8]int{}
 	b.SetHandler(func(_ time.Time, pkt []byte) { got[pkt[1]>>2]++ })
 	mk := func(dscp uint8) []byte {
-		return markDSCP(appendUDP(nil, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1, 2, make([]byte, 100)), dscp)
+		pkt, _ := wire.AppendUDP(nil, a.Addr(), b.Addr(), 1, 2, make([]byte, 100)) // IPv4 addresses
+		return markDSCP(pkt, dscp)
 	}
 	for i := 0; i < 40; i++ {
 		sim.Schedule(time.Duration(i)*12800*time.Microsecond, func() {

@@ -64,7 +64,7 @@ func TestAggregateMatches(t *testing.T) {
 	if !byType.matches(setup) || byType.matches(data) {
 		t.Error("shim-type aggregate selectivity")
 	}
-	if byType.matches(appendUDP(nil, f1Ann, f1Anycast, 1, 2, nil)) {
+	if plain, _ := wire.AppendUDP(nil, f1Ann, f1Anycast, 1, 2, nil); byType.matches(plain) {
 		t.Error("shim-type aggregate matched a non-shim packet")
 	}
 	byPrefix := aggregate{dst: f1Anycast, srcPrefix: netip.MustParsePrefix("172.16.0.0/16")}

@@ -16,6 +16,7 @@ import (
 	"netneutral/internal/measure"
 	"netneutral/internal/netem"
 	"netneutral/internal/simnet"
+	"netneutral/internal/wire"
 )
 
 // figure1World is the topology of the paper's Figure 1: an outside user
@@ -125,7 +126,8 @@ func RunF1(Scale) (*Result, error) {
 	const attempts = 20
 	for i := 0; i < attempts; i++ {
 		w.sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-			_ = w.ann.Send(appendUDP(nil, f1Ann, f1Google, 4000, 80, []byte("GET /")))
+			get, _ := wire.AppendUDP(nil, f1Ann, f1Google, 4000, 80, []byte("GET /")) // IPv4 addresses
+			_ = w.ann.Send(get)
 		})
 	}
 	w.sim.Run()
@@ -260,7 +262,10 @@ func RunA4(Scale) (*Result, error) {
 				delays.Add(now.Sub(frameAt(binary.BigEndian.Uint64(payload))))
 			}
 		}
-		send := func(payload []byte) { _ = w.ann.Send(appendUDP(nil, f1Ann, f1Vonage, 7078, 7078, payload)) }
+		send := func(payload []byte) {
+			pkt, _ := wire.AppendUDP(nil, f1Ann, f1Vonage, 7078, 7078, payload) // IPv4 addresses
+			_ = w.ann.Send(pkt)
+		}
 		if !neutralized {
 			w.vonage.SetHandler(func(now time.Time, pkt []byte) { received(now, deliveredPayload(pkt)) })
 		} else {

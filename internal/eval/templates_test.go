@@ -161,13 +161,10 @@ func TestFlowSenderZeroAlloc(t *testing.T) {
 			env.Sim.Run()
 		}
 		step() // warm the buffer, the pool and the event lanes
-		buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-		buf.PushPayload(payload)
-		if err := wire.SerializeLayers(buf, &wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: fl.Src.Addr(), Dst: fl.Dst},
-			&wire.UDP{SrcPort: probeSrcPort, DstPort: fl.Port}); err != nil {
+		want, err := wire.AppendUDP(nil, fl.Src.Addr(), fl.Dst, probeSrcPort, fl.Port, payload)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want := buf.Bytes()
 		if mode != ModePlaintext {
 			want = perPacket(t, env.Sched, env.Epoch, fl.Src.Addr(), env.Fan.Spec.Anycast, fl.Dst,
 				keys.Nonce{0, 3, 0, 0, 0, 0, 0, 0xE7}, [8]byte{3, 0, 0xA7}, 0, payload)

@@ -21,15 +21,11 @@ var (
 
 func udpPkt(t testing.TB, src, dst netip.Addr, sport, dport uint16, payload []byte) []byte {
 	t.Helper()
-	buf := wire.NewSerializeBuffer(28, len(payload))
-	buf.PushPayload(payload)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: sport, DstPort: dport},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, src, dst, sport, dport, payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return pkt
 }
 
 func shimPkt(t testing.TB, src, dst netip.Addr, typ shim.Type, inner []byte) []byte {
@@ -44,15 +40,11 @@ func shimPkt(t testing.TB, src, dst netip.Addr, typ shim.Type, inner []byte) []b
 	case shim.TypeReturn:
 		sh.ClearAddr = srcA
 	}
-	buf := wire.NewSerializeBuffer(64, len(inner))
-	buf.PushPayload(inner)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 64, Protocol: wire.ProtoShim, Src: src, Dst: dst},
-		sh,
-	); err != nil {
+	pkt, err := shim.BuildPacket(src, dst, 0, sh, inner)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return pkt
 }
 
 func TestAddressMatchers(t *testing.T) {
@@ -74,14 +66,9 @@ func TestProtoAndPortMatchers(t *testing.T) {
 	}
 }
 
+// mkUDPSegment is the UDP segment (header and payload) of a datagram.
 func mkUDPSegment(t testing.TB, sport, dport uint16) []byte {
-	t.Helper()
-	buf := wire.NewSerializeBuffer(8, 4)
-	buf.PushPayload([]byte("data"))
-	if err := (&wire.UDP{SrcPort: sport, DstPort: dport}).SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return udpPkt(t, srcA, dstB, sport, dport, []byte("data"))[wire.IPv4HeaderLen:]
 }
 
 func TestDPIMatcher(t *testing.T) {

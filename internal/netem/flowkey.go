@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"netneutral/internal/obs"
 	"netneutral/internal/wire"
 )
 
@@ -17,6 +18,20 @@ import (
 type FlowKey struct {
 	Lo, Hi [4]byte
 	Proto  uint8
+}
+
+// Fold returns h with the key's nine bytes, Lo‖Hi‖Proto, folded in: the
+// one hash of a flow key, under FlowKeyHash and dpi's keyed flow
+// fraction.
+func (k FlowKey) Fold(h obs.FNV) obs.FNV {
+	for _, b := range k.Lo {
+		h.Byte(b)
+	}
+	for _, b := range k.Hi {
+		h.Byte(b)
+	}
+	h.Byte(k.Proto)
+	return h
 }
 
 // String renders the key for logs and test failures.

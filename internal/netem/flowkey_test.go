@@ -11,14 +11,7 @@ import (
 func TestFlowKeyCanonicalizesDirections(t *testing.T) {
 	a := netip.MustParseAddr("172.16.1.10")
 	b := netip.MustParseAddr("10.10.0.5")
-	mk := func(src, dst netip.Addr) []byte {
-		buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen, 8)
-		buf.PushPayload(make([]byte, 8))
-		if err := (&wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: src, Dst: dst}).SerializeTo(buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	mk := func(src, dst netip.Addr) []byte { return mkUDP(t, src, dst, nil) }
 
 	kf, fwdF, ok := FlowKeyOf(mk(a, b))
 	if !ok {

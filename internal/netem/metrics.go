@@ -173,17 +173,5 @@ func FlowHash(pkt []byte) uint64 {
 // FlowHash computes from packet bytes — how harnesses name the flows
 // they tag or trace without constructing packets.
 func FlowKeyHash(k FlowKey) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range k.Lo {
-		h = (h ^ uint64(b)) * prime64
-	}
-	for _, b := range k.Hi {
-		h = (h ^ uint64(b)) * prime64
-	}
-	h = (h ^ uint64(k.Proto)) * prime64
-	return splitmix64(h)
+	return splitmix64(k.Fold(obs.NewFNV()).Sum64())
 }

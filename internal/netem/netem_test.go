@@ -19,16 +19,11 @@ func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 // mkUDP builds a serialized IPv4/UDP packet for tests.
 func mkUDP(t testing.TB, src, dst netip.Addr, payload []byte) []byte {
 	t.Helper()
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: 1000, DstPort: 2000, PseudoSrc: src, PseudoDst: dst},
-	)
+	pkt, err := wire.AppendUDP(nil, src, dst, 1000, 2000, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return pkt
 }
 
 func TestScheduleOrdering(t *testing.T) {
@@ -189,14 +184,12 @@ func TestTTLExhaustion(t *testing.T) {
 	delivered := false
 	b.SetHandler(func(time.Time, []byte) { delivered = true })
 
-	buf := wire.NewSerializeBuffer(28, 0)
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: 1, Protocol: wire.ProtoUDP, Src: addr("10.0.0.1"), Dst: addr("10.0.1.1")},
-		&wire.UDP{SrcPort: 1, DstPort: 2},
-	); err != nil {
+	pkt := mkUDP(t, addr("10.0.0.1"), addr("10.0.1.1"), nil)
+	pkt[8] = 1 // TTL
+	if err := wire.RepairChecksum(pkt); err != nil {
 		t.Fatal(err)
 	}
-	_ = a.Send(buf.Bytes())
+	_ = a.Send(pkt)
 	s.Run()
 	if delivered {
 		t.Error("TTL=1 packet should die at the router")

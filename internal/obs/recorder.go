@@ -151,5 +151,8 @@ func (h *FNV) U64(v uint64) {
 	*h = x
 }
 
+// Byte folds one byte.
+func (h *FNV) Byte(b byte) { *h = (*h ^ FNV(b)) * fnvPrime }
+
 // Sum64 returns the hash of everything folded so far.
 func (h FNV) Sum64() uint64 { return uint64(h) }

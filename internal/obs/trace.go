@@ -228,10 +228,10 @@ func hopArgs(h *TraceRec) map[string]any {
 
 // ValidateChromeTrace parses data as Chrome trace-event JSON and checks
 // the schema invariants the scrape smoke and the CI trace step enforce:
-// a non-empty traceEvents array, required keys per event, a known phase,
-// non-negative dur on "X" slices, non-decreasing ts across non-metadata
-// events, and balanced B/E pairs per (pid, tid) when duration events are
-// used.
+// a non-empty traceEvents array, required keys per event, a phase some
+// writer emits (M, X or i: WriteChromeTrace writes all three,
+// benchmark/trace.go M and X), non-negative dur on "X" slices, and
+// non-decreasing ts across non-metadata events.
 func ValidateChromeTrace(data []byte) error {
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
@@ -245,7 +245,6 @@ func ValidateChromeTrace(data []byte) error {
 	lastTs := make(map[[2]int]float64) // per (pid, tid) lanes stay ordered
 	var globalTs float64
 	globalSet := false
-	open := make(map[[2]int]int)
 	for i, ev := range doc.TraceEvents {
 		ph, ok := ev["ph"].(string)
 		if !ok {
@@ -257,7 +256,7 @@ func ValidateChromeTrace(data []byte) error {
 		switch ph {
 		case "M":
 			continue
-		case "X", "B", "E", "i":
+		case "X", "i":
 		default:
 			return fmt.Errorf("chrome trace: event %d: unsupported ph %q", i, ph)
 		}
@@ -279,24 +278,10 @@ func ValidateChromeTrace(data []byte) error {
 			return fmt.Errorf("chrome trace: event %d: lane %v ts regresses", i, lane)
 		}
 		lastTs[lane] = ts
-		switch ph {
-		case "X":
-			dur, ok := ev["dur"].(float64)
-			if !ok || dur < 0 {
+		if ph == "X" {
+			if dur, ok := ev["dur"].(float64); !ok || dur < 0 {
 				return fmt.Errorf("chrome trace: event %d: X without non-negative dur", i)
 			}
-		case "B":
-			open[lane]++
-		case "E":
-			if open[lane] == 0 {
-				return fmt.Errorf("chrome trace: event %d: E without matching B", i)
-			}
-			open[lane]--
-		}
-	}
-	for lane, n := range open {
-		if n != 0 {
-			return fmt.Errorf("chrome trace: lane %v: %d unmatched B events", lane, n)
 		}
 	}
 	return nil

@@ -102,17 +102,11 @@ func (b *nodeBind) allocPort(port uint16, sink portSink) (uint16, error) {
 // sendUDP serializes and injects one datagram from this node. Driver or
 // workload context, mu held.
 func (b *nodeBind) sendUDP(sport uint16, dst netip.AddrPort, payload []byte) error {
-	src := b.node.Addr()
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst.Addr()},
-		&wire.UDP{SrcPort: sport, DstPort: dst.Port(), PseudoSrc: src, PseudoDst: dst.Addr()},
-	)
+	pkt, err := wire.AppendUDP(nil, b.node.Addr(), dst.Addr(), sport, dst.Port(), payload)
 	if err != nil {
 		return err
 	}
-	return b.node.Send(buf.Bytes())
+	return b.node.Send(pkt)
 }
 
 // dgram is one queued inbound datagram.

@@ -70,13 +70,9 @@ func TestCyclingSenderPooledDelivery(t *testing.T) {
 
 func mkTestUDP(t *testing.T, src, dst netip.Addr) []byte {
 	t.Helper()
-	buf := wire.NewSerializeBuffer(wire.IPv4HeaderLen+wire.UDPHeaderLen, 64)
-	buf.PushPayload(make([]byte, 64))
-	if err := wire.SerializeLayers(buf,
-		&wire.IPv4{TTL: wire.MaxTTL, Protocol: wire.ProtoUDP, Src: src, Dst: dst},
-		&wire.UDP{SrcPort: 1, DstPort: 2},
-	); err != nil {
+	pkt, err := wire.AppendUDP(nil, src, dst, 1, 2, make([]byte, 64))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return pkt
 }

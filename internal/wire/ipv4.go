@@ -105,7 +105,8 @@ func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
 // Put writes the option-less header of a totalLen-byte datagram into
 // hdr[:IPv4HeaderLen], checksum included. It is the one writer of the
 // layout: SerializeTo prepends through it, and a caller that lays a whole
-// packet out itself (shim.AppendPacket) fills the front of it in place.
+// packet out itself (AppendUDP, shim.AppendPacket) fills the front of it
+// in place.
 func (ip *IPv4) Put(hdr []byte, totalLen int) error {
 	if !ip.Src.Is4() || !ip.Dst.Is4() {
 		return fmt.Errorf("wire: IPv4 requires 4-byte addresses (src=%v dst=%v)", ip.Src, ip.Dst)

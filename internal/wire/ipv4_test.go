@@ -296,8 +296,7 @@ func TestChecksumIncrementalMatchesFull(t *testing.T) {
 		cut := rng.Intn(n)
 		full := Checksum(data)
 		split := checksumFold(checksumAdd(checksumAdd(0, data[:cut]), data[cut:]))
-		// Splitting is only equivalent on even boundaries, which is how the
-		// UDP pseudo-header (12 bytes) uses it.
+		// Splitting is only equivalent on even boundaries.
 		if cut%2 == 0 && full != split {
 			t.Fatalf("split checksum mismatch at n=%d cut=%d: %#x vs %#x", n, cut, full, split)
 		}

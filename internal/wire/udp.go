@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net/netip"
+	"slices"
 )
 
 // UDPHeaderLen is the length of a UDP header.
@@ -11,22 +12,14 @@ const UDPHeaderLen = 8
 
 // Errors returned by UDP decoding.
 var (
-	ErrUDPTooShort    = errors.New("wire: data too short for UDP header")
-	ErrUDPBadLength   = errors.New("wire: UDP length field inconsistent with data")
-	ErrUDPBadChecksum = errors.New("wire: UDP checksum mismatch")
+	ErrUDPTooShort  = errors.New("wire: data too short for UDP header")
+	ErrUDPBadLength = errors.New("wire: UDP length field inconsistent with data")
 )
 
-// UDP is a decoded UDP header.
-//
-// Checksums are computed over the IPv4 pseudo-header; callers must set
-// PseudoSrc and PseudoDst before SerializeTo, and may set them before
-// DecodeFromBytes to enable verification (left unset, the checksum is not
-// verified, matching common NIC-offload behaviour).
+// UDP is a decoded UDP header. Its checksum is written as zero, RFC 768's
+// "none", and is not read.
 type UDP struct {
 	SrcPort, DstPort uint16
-
-	// PseudoSrc and PseudoDst feed the pseudo-header for checksumming.
-	PseudoSrc, PseudoDst netip.Addr
 
 	payload []byte
 }
@@ -43,13 +36,6 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	if length < UDPHeaderLen || length > len(data) {
 		return ErrUDPBadLength
 	}
-	if u.PseudoSrc.IsValid() && u.PseudoDst.IsValid() {
-		if ck := binary.BigEndian.Uint16(data[6:8]); ck != 0 {
-			if udpChecksum(u.PseudoSrc, u.PseudoDst, data[:length]) != 0 {
-				return ErrUDPBadChecksum
-			}
-		}
-	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
 	u.payload = data[UDPHeaderLen:length]
@@ -65,34 +51,27 @@ func (u *UDP) SerializeTo(b *SerializeBuffer) error {
 }
 
 // Put writes the header into seg[:UDPHeaderLen], seg being the whole
-// datagram with its payload in place; the checksum, when PseudoSrc and
-// PseudoDst are set, covers seg. It is the one writer of the layout:
-// SerializeTo prepends through it, and a caller that lays a whole packet
-// out itself fills its slot in place.
+// datagram with its payload in place. It is the one writer of the layout:
+// SerializeTo prepends through it, and AppendUDP fills its slot in place.
 func (u *UDP) Put(seg []byte) {
 	binary.BigEndian.PutUint16(seg[0:2], u.SrcPort)
 	binary.BigEndian.PutUint16(seg[2:4], u.DstPort)
 	binary.BigEndian.PutUint16(seg[4:6], uint16(len(seg)))
 	seg[6], seg[7] = 0, 0
-	if u.PseudoSrc.IsValid() && u.PseudoDst.IsValid() {
-		ck := udpChecksum(u.PseudoSrc, u.PseudoDst, seg)
-		if ck == 0 {
-			ck = 0xffff // RFC 768: transmitted zero means "no checksum"
-		}
-		binary.BigEndian.PutUint16(seg[6:8], ck)
-	}
 }
 
-// udpChecksum computes the UDP checksum including the IPv4 pseudo-header.
-// A datagram with a correct embedded checksum sums to zero.
-func udpChecksum(src, dst netip.Addr, segment []byte) uint16 {
-	var pseudo [12]byte
-	s, d := src.As4(), dst.As4()
-	copy(pseudo[0:4], s[:])
-	copy(pseudo[4:8], d[:])
-	pseudo[9] = ProtoUDP
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(segment)))
-	sum := checksumAdd(0, pseudo[:])
-	sum = checksumAdd(sum, segment)
-	return checksumFold(sum)
+// AppendUDP appends IP(src→dst) | UDP(sport→dport) | payload to b and
+// returns the extended slice: the datagram is laid out once, both headers
+// written in place by IPv4.Put and UDP.Put, then one copy of the payload.
+// It is the UDP twin of shim.AppendPacket.
+func AppendUDP(b []byte, src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {
+	off, hl := len(b), IPv4HeaderLen+UDPHeaderLen
+	b = append(slices.Grow(b, hl+len(payload))[:off+hl], payload...)
+	ip := IPv4{TTL: MaxTTL, Protocol: ProtoUDP, Src: src, Dst: dst}
+	if err := ip.Put(b[off:], len(b)-off); err != nil {
+		return nil, err
+	}
+	u := UDP{SrcPort: sport, DstPort: dport}
+	u.Put(b[off+IPv4HeaderLen:])
+	return b, nil
 }

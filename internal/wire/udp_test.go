@@ -8,8 +8,7 @@ import (
 )
 
 func TestUDPRoundTrip(t *testing.T) {
-	src, dst := addr("10.0.0.1"), addr("10.0.0.2")
-	in := &UDP{SrcPort: 5060, DstPort: 16384, PseudoSrc: src, PseudoDst: dst}
+	in := &UDP{SrcPort: 5060, DstPort: 16384}
 	payload := []byte("voip frame")
 
 	buf := NewSerializeBuffer(UDPHeaderLen, len(payload))
@@ -17,7 +16,7 @@ func TestUDPRoundTrip(t *testing.T) {
 	if err := in.SerializeTo(buf); err != nil {
 		t.Fatal(err)
 	}
-	out := &UDP{PseudoSrc: src, PseudoDst: dst}
+	var out UDP
 	if err := out.DecodeFromBytes(buf.Bytes()); err != nil {
 		t.Fatalf("DecodeFromBytes: %v", err)
 	}
@@ -26,38 +25,6 @@ func TestUDPRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(out.Payload(), payload) {
 		t.Errorf("payload = %q", out.Payload())
-	}
-}
-
-func TestUDPChecksumDetectsCorruption(t *testing.T) {
-	src, dst := addr("10.0.0.1"), addr("10.0.0.2")
-	in := &UDP{SrcPort: 1000, DstPort: 2000, PseudoSrc: src, PseudoDst: dst}
-	buf := NewSerializeBuffer(UDPHeaderLen, 4)
-	buf.PushPayload([]byte("data"))
-	if err := in.SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	pkt := buf.Bytes()
-	pkt[len(pkt)-1] ^= 0x01
-	out := &UDP{PseudoSrc: src, PseudoDst: dst}
-	if err := out.DecodeFromBytes(pkt); err != ErrUDPBadChecksum {
-		t.Errorf("err = %v, want ErrUDPBadChecksum", err)
-	}
-}
-
-func TestUDPChecksumSkippedWithoutPseudo(t *testing.T) {
-	src, dst := addr("10.0.0.1"), addr("10.0.0.2")
-	in := &UDP{SrcPort: 1, DstPort: 2, PseudoSrc: src, PseudoDst: dst}
-	buf := NewSerializeBuffer(UDPHeaderLen, 4)
-	buf.PushPayload([]byte("data"))
-	if err := in.SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	pkt := buf.Bytes()
-	pkt[len(pkt)-1] ^= 0x01 // corrupt
-	var out UDP             // no pseudo addresses -> verification skipped
-	if err := out.DecodeFromBytes(pkt); err != nil {
-		t.Errorf("decode without pseudo-header should skip checksum, got %v", err)
 	}
 }
 
@@ -73,20 +40,32 @@ func TestUDPDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestUDPRoundTripProperty checks both writers of a datagram against each
+// other and the decoders: AppendUDP, after whatever prefix the buffer
+// already holds, must lay out exactly the bytes the prepend path
+// (SerializeLayers, which the benchmark harness builds with) does, and
+// those bytes must decode back to the addresses, ports and payload.
 func TestUDPRoundTripProperty(t *testing.T) {
-	f := func(sp, dp uint16, payload []byte, srcRaw, dstRaw [4]byte) bool {
+	f := func(sp, dp uint16, payload, prefix []byte, srcRaw, dstRaw [4]byte) bool {
 		src, dst := netip.AddrFrom4(srcRaw), netip.AddrFrom4(dstRaw)
-		in := &UDP{SrcPort: sp, DstPort: dp, PseudoSrc: src, PseudoDst: dst}
-		buf := NewSerializeBuffer(UDPHeaderLen, len(payload))
+		buf := NewSerializeBuffer(IPv4HeaderLen+UDPHeaderLen, len(payload))
 		buf.PushPayload(payload)
-		if err := in.SerializeTo(buf); err != nil {
+		if err := SerializeLayers(buf,
+			&IPv4{TTL: MaxTTL, Protocol: ProtoUDP, Src: src, Dst: dst},
+			&UDP{SrcPort: sp, DstPort: dp},
+		); err != nil {
 			return false
 		}
-		out := &UDP{PseudoSrc: src, PseudoDst: dst}
-		if err := out.DecodeFromBytes(buf.Bytes()); err != nil {
+		appended, err := AppendUDP(bytes.Clone(prefix), src, dst, sp, dp, payload)
+		if err != nil || !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], buf.Bytes()) {
 			return false
 		}
-		return out.SrcPort == sp && out.DstPort == dp && bytes.Equal(out.Payload(), payload)
+		var ip IPv4
+		var out UDP
+		if ip.DecodeFromBytes(buf.Bytes()) != nil || out.DecodeFromBytes(ip.Payload()) != nil {
+			return false
+		}
+		return ip.Src == src && ip.Dst == dst && out.SrcPort == sp && out.DstPort == dp && bytes.Equal(out.Payload(), payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -96,23 +75,18 @@ func TestUDPRoundTripProperty(t *testing.T) {
 func TestUDPOverIPv4EndToEnd(t *testing.T) {
 	src, dst := addr("10.0.0.1"), addr("10.9.9.9")
 	payload := []byte("application data")
-	buf := NewSerializeBuffer(IPv4HeaderLen+UDPHeaderLen, len(payload))
-	buf.PushPayload(payload)
-	err := SerializeLayers(buf,
-		&IPv4{TTL: 64, Protocol: ProtoUDP, Src: src, Dst: dst},
-		&UDP{SrcPort: 40000, DstPort: 53, PseudoSrc: src, PseudoDst: dst},
-	)
+	pkt, err := AppendUDP(nil, src, dst, 40000, 53, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nl IPv4
-	if err := nl.DecodeFromBytes(buf.Bytes()); err != nil {
+	if err := nl.DecodeFromBytes(pkt); err != nil {
 		t.Fatalf("parse error: %v", err)
 	}
-	if nl.Src != src || nl.Dst != dst {
+	if nl.Src != src || nl.Dst != dst || nl.TTL != MaxTTL || nl.Protocol != ProtoUDP {
 		t.Fatalf("network layer = %+v", nl)
 	}
-	tl := UDP{PseudoSrc: nl.Src, PseudoDst: nl.Dst}
+	var tl UDP
 	if err := tl.DecodeFromBytes(nl.Payload()); err != nil {
 		t.Fatalf("parse error: %v", err)
 	}
@@ -121,5 +95,11 @@ func TestUDPOverIPv4EndToEnd(t *testing.T) {
 	}
 	if !bytes.Equal(tl.Payload(), payload) {
 		t.Errorf("application payload = %q", tl.Payload())
+	}
+	if ck := pkt[IPv4HeaderLen+6:][:2]; ck[0]|ck[1] != 0 {
+		t.Errorf("UDP checksum field = %x, want zero (RFC 768: none)", ck)
+	}
+	if _, err := AppendUDP(nil, addr("::1"), dst, 1, 2, nil); err == nil {
+		t.Error("AppendUDP accepted an IPv6 source")
 	}
 }

@@ -4,12 +4,12 @@
 // []byte IPv4 datagrams. There are two ways to read one: decode into a
 // caller-owned struct (IPv4, UDP, and shim.Header one layer up) with
 // DecodeFromBytes, or peek a fixed offset (IPv4Addrs, IPv4Proto). There is
-// one writer per header layout (IPv4.Put, shim.Header.Put) and two ways to
-// reach it: push the payload into a SerializeBuffer and prepend each
-// header in front of it, innermost first (SerializeTo), or — when the
-// sizes are known up front, as for every packet the neutralizer emits —
-// lay the packet out once and Put each header in place
-// (shim.AppendPacket).
+// one writer per header layout (IPv4.Put, UDP.Put, shim.Header.Put) and
+// one way the module reaches it: lay the datagram out once and Put each
+// header in place (AppendUDP, shim.AppendPacket). The prepend path —
+// push the payload into a SerializeBuffer and let SerializeLayers prepend
+// each header through its SerializeTo — is kept only because the benchmark
+// harness (benchmark/) still builds its packets that way.
 package wire
 
 import "fmt"

@@ -12,9 +12,10 @@
 //     delivered, recorder actually ticked, flight recorder actually
 //     sampled);
 //   - /trace.json must be valid Chrome trace-event JSON (required keys
-//     per event, known phases, monotonic timestamps, balanced B/E
-//     pairs) with at least one span slice — the run is started with
-//     `-trace all` so every flow is recorded.
+//     per event, only the M, X and i phases a writer emits, monotonic
+//     timestamps, non-negative X durations) with at least one span
+//     slice — the run is started with `-trace all` so every flow is
+//     recorded.
 //
 // Any miss exits non-zero, so the scrape surface cannot silently rot.
 package main
